@@ -70,11 +70,16 @@ type DecodeBenchRow struct {
 
 // DecodeBenchReport is the BENCH_decode.json shape.
 type DecodeBenchReport struct {
-	GoVersion string           `json:"go_version"`
-	GOARCH    string           `json:"goarch"`
-	MaxIters  int              `json:"turbo_max_iters"`
-	BenchTime string           `json:"bench_time"`
-	Rows      []DecodeBenchRow `json:"rows"`
+	GoVersion string `json:"go_version"`
+	GOARCH    string `json:"goarch"`
+	// NumCPU and GOMAXPROCS say which host the rows came from: the
+	// decode itself is single-goroutine, but a one-core host shares that
+	// core with the GC and the benchmark harness.
+	NumCPU     int              `json:"num_cpu"`
+	GOMAXPROCS int              `json:"gomaxprocs"`
+	MaxIters   int              `json:"turbo_max_iters"`
+	BenchTime  string           `json:"bench_time"`
+	Rows       []DecodeBenchRow `json:"rows"`
 }
 
 // decodeBenchKs is the block-size spread of the JSON artifact: the
@@ -114,10 +119,12 @@ func RunDecodeBench(quick bool) (*DecodeBenchReport, error) {
 		benchtime = "50ms"
 	}
 	rep := &DecodeBenchReport{
-		GoVersion: runtime.Version(),
-		GOARCH:    runtime.GOARCH,
-		MaxIters:  decodeBenchIters,
-		BenchTime: benchtime,
+		GoVersion:  runtime.Version(),
+		GOARCH:     runtime.GOARCH,
+		NumCPU:     runtime.NumCPU(),
+		GOMAXPROCS: runtime.GOMAXPROCS(0),
+		MaxIters:   decodeBenchIters,
+		BenchTime:  benchtime,
 	}
 	if err := flagSet("test.benchtime", benchtime); err != nil {
 		return nil, err

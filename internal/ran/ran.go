@@ -20,7 +20,9 @@
 package ran
 
 import (
+	"context"
 	"fmt"
+	"runtime/pprof"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -473,12 +475,21 @@ func (r *Runtime) Snapshot() *Snapshot {
 	return s
 }
 
+// labelLayer tags the calling goroutine with the ledger layer it works
+// for, so a CPU or goroutine profile of a live runtime splits the way
+// the span stages do (pprof -tagfocus layer=decode). Set once when the
+// goroutine starts; nothing is relabelled per batch.
+func labelLayer(layer string) {
+	pprof.SetGoroutineLabels(pprof.WithLabels(context.Background(), pprof.Labels("layer", layer)))
+}
+
 // dispatch is the single goroutine that moves blocks from the cell
 // queues into the per-class lane-fill batchers and full/due batches to
 // the priority worker channels. Single ownership of the batchers is
 // what keeps the lane accounting lock-free.
 func (r *Runtime) dispatch() {
 	defer close(r.dispDone)
+	labelLayer("dispatch")
 	// One batcher per class: the URLLC batcher runs a tighter flush
 	// window (a tight-deadline block should not wait long for lane
 	// co-travelers), and keeping the classes apart is what lets the
@@ -611,6 +622,7 @@ func (r *Runtime) sweep(lbs *[NumClasses]*laneBatcher) {
 // feeding the vran_decode_allocs_per_op gauge.
 func (r *Runtime) worker(reserved bool) {
 	defer r.workerWG.Done()
+	labelLayer("decode")
 	bd := turbo.NewBatchDecoder(r.cfg.Width, r.cfg.Strategy, r.cfg.MemBytes)
 	bd.MaxIters = r.cfg.MaxIters
 	bd.Schedule = r.cfg.Schedule

@@ -1,7 +1,11 @@
 package ran
 
 import (
+	"bytes"
 	"math/rand"
+	"runtime/pprof"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -267,4 +271,52 @@ func bitsEqual(a, b []byte) bool {
 		}
 	}
 	return true
+}
+
+// TestServingGoroutinesCarryLayerLabels: a goroutine profile of a
+// running runtime attributes every worker to layer=decode and the
+// dispatcher to layer=dispatch, which is what lets a CPU profile of a
+// live vranserve be split by ledger layer.
+func TestServingGoroutinesCarryLayerLabels(t *testing.T) {
+	cfg := testConfig(simd.W128)
+	rt, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Stop()
+	// Labelled goroutines per layer, from the debug=1 text form: one
+	// "N @ stack" header per distinct stack, its labels on a line below.
+	count := func() map[string]int {
+		var buf bytes.Buffer
+		if err := pprof.Lookup("goroutine").WriteTo(&buf, 1); err != nil {
+			t.Fatal(err)
+		}
+		got := map[string]int{}
+		n := 0
+		for _, line := range strings.Split(buf.String(), "\n") {
+			if head, _, ok := strings.Cut(line, " @ "); ok {
+				n, _ = strconv.Atoi(head)
+			}
+			if _, labels, ok := strings.Cut(line, "# labels: "); ok {
+				for _, layer := range []string{"decode", "dispatch"} {
+					if strings.Contains(labels, `"layer":"`+layer+`"`) {
+						got[layer] += n
+					}
+				}
+			}
+		}
+		return got
+	}
+	// The goroutines label themselves as they start; wait for that.
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		got := count()
+		if got["decode"] == cfg.Workers && got["dispatch"] == 1 {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("labelled goroutines %v, want decode=%d dispatch=1", got, cfg.Workers)
+		}
+		time.Sleep(time.Millisecond)
+	}
 }

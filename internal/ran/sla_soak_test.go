@@ -41,7 +41,6 @@ func TestSLAOverloadSoak(t *testing.T) {
 
 func slaSoak(t *testing.T, seed int64) {
 	const (
-		k     = 40
 		cells = 4
 		// Burst-phase TTIs; the clean baseline runs 2× longer. Sized so
 		// each phase delivers enough URLLC blocks (~640/~1280 at the
@@ -54,7 +53,6 @@ func slaSoak(t *testing.T, seed int64) {
 		maxWait   = 60 * time.Second
 	)
 	baseline := runtime.NumGoroutine()
-	pool := mustPool(t, k, 64, seed)
 
 	classes, err := ParseClassList("urllc,embb", cells)
 	if err != nil {
@@ -67,7 +65,37 @@ func slaSoak(t *testing.T, seed int64) {
 	// The TTI is stretched until it holds ~4 blocks of measured service
 	// capacity, then the clean phase runs at 50% of capacity and the
 	// burst ON rate lands at ~2.4× capacity on the eMBB cells.
-	capMs := measureCapacity(t, pool, cells, k)
+	//
+	// The block size is the fast-side half of that calibration. The TTI
+	// has a 1 ms floor (sleep granularity), so on a faster decoder the
+	// capacity-relative means grow in blocks per millisecond while the
+	// 32-deep queues and the host's scheduling stalls stay what they
+	// are: at 30 blocks/ms a URLLC cell offers 3 per TTI, and one
+	// load-generator goroutine catching up after a 12 ms stall submits
+	// more than a queue's worth in a single clump — backlog rejects with
+	// no latency excursion behind them, which say nothing about class
+	// policy. K steps up, a third of capacity per rung, until a 1 ms TTI
+	// holds at most maxCapMs blocks of service, which lands it at 10–14:
+	// the rate the test ran at on a 2-vCPU host before the decoder got
+	// faster. The relative load and every assertion below are unchanged.
+	// Stepping further is not safer: a 4-block batch holds a processor
+	// for 8/capMs ms, so below ~8 blocks/ms a full eMBB batch outlasts a
+	// TTI and the burst p99 misses the clean + 6 TTI floor instead.
+	// Sub-tests failed on a 2-vCPU VM, package alone: stop at 8 blocks/ms
+	// 5 of 15, at 12 5 of 36, at 14 1 of 36, at 16 3 of 36. Runs of
+	// `go test ./...` (another package's tests on the same two vCPUs)
+	// with a failed soak: stop at 8 7 of 8, at 10 7 of 8, at 12 9 of 16,
+	// at 14 5 of 16, at 16 5 of 8; the unstepped test on the slower
+	// decoder 3 of 16.
+	const maxCapMs = 14
+	var pool *WordPool
+	var capMs float64
+	for _, k := range []int{40, 64, 104, 152, 208, 304, 512, 768, 1024} {
+		pool = mustPool(t, k, 64, seed)
+		if capMs = measureCapacity(t, pool, cells, k); capMs <= maxCapMs {
+			break
+		}
+	}
 	tti := time.Millisecond
 	if capMs < 4 {
 		tti = time.Duration(4 / capMs * float64(time.Millisecond))
@@ -81,8 +109,8 @@ func slaSoak(t *testing.T, seed int64) {
 	// a bucket away run to run.
 	urllcMean := 0.10 * capTTI
 	embbMean := 0.15 * capTTI
-	t.Logf("seed %d: measured capacity %.2f blocks/ms; TTI %v (%.1f blocks), means urllc %.2f embb %.2f",
-		seed, capMs, tti, capTTI, urllcMean, embbMean)
+	t.Logf("seed %d: K=%d, measured capacity %.2f blocks/ms; TTI %v (%.1f blocks), means urllc %.2f embb %.2f",
+		seed, pool.K, capMs, tti, capTTI, urllcMean, embbMean)
 
 	run := func(burst bool, nTTIs int) *Snapshot {
 		cfg := DefaultConfig(simd.W512, core.StrategyAPCM)

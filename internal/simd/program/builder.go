@@ -14,9 +14,11 @@
 // mask selects, branch-metric gather groups, scalar element-copy runs —
 // into single ops executed by a tight loop directly over the arena.
 //
-// Replay is bit-identical to interpretation by construction: every
-// fused op preserves the exact register and memory effects of the
-// sequence it replaces (lane-local op runs execute per lane in original
+// Replay is bit-identical to interpretation by construction, where the
+// observable state is the arena (the register file is private to the
+// program): every fused op preserves the exact memory effects of the
+// sequence it replaces, and its register effects wherever a later op
+// reads them (lane-local op runs execute per lane in original
 // op order, which is equivalent under any register aliasing; fusions
 // spanning loads and stores are only formed when their address ranges
 // are provably disjoint), and while recording continues past the second

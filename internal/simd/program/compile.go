@@ -15,6 +15,10 @@ type mop struct {
 	imm     int64
 	tab     int32
 	n       int32
+	// live is derived by finalize, never serialized: bit k is set when
+	// the k-th register write visitEffects reports for this op is read
+	// by a later op before it is overwritten.
+	live uint64
 }
 
 // Executable op kinds.
@@ -57,8 +61,8 @@ const (
 
 	// Packed-stream fusions (the cross-block SoA decode path; see the
 	// try*P matchers in fuse.go). Each replaces a whole recorded phase
-	// step with one single-pass op while still writing every
-	// intermediate register its final value.
+	// step with one single-pass op that writes memory, the carried state
+	// and whichever intermediate registers a later op still reads.
 	mQuadScatter // vpermw + (vpermw+por)×m + store: quad branch-metric scatter
 	mQuadGather  // load+vpermw (+load+vpermw+por)×m + store: interleave gather
 	mAlphaStepP  // load quad + 4 vpermw + 2 padds + pmax + norm + store: alpha step
@@ -81,9 +85,9 @@ const (
 
 // Program is a compiled replay program bound to the arena addresses and
 // register dataflow of the decode it was recorded from. It is not safe
-// for concurrent use (the register file and permute scratch are owned
-// by the program); serving code keeps one per worker, exactly like the
-// engine it replaces. Arena eviction invalidates it.
+// for concurrent use (the register file is owned by the program);
+// serving code keeps one per worker, exactly like the engine it
+// replaces. Arena eviction invalidates it.
 type Program struct {
 	w     simd.Width
 	lanes int
@@ -95,10 +99,9 @@ type Program struct {
 	aux32    []int32
 	aux      []int64
 
-	tmp [regStride]int16
-	// Scratch for the packed-step fused ops. Each op writes the active
-	// lanes before reading them, so no clearing between ops is needed.
-	s0, s1, s2, s3 [regStride]int16
+	// gat is idxTabs resolved for Run by finalize: one byte per lane,
+	// invalid and inactive entries pointing at the zero sentinel lane.
+	gat [][regStride]uint8
 
 	// RawOps and FusedOps count the recorded ops and the executable ops
 	// per segment — the compression the fusion pass achieved.
@@ -153,6 +156,9 @@ func (b *Builder) CompileOpts(w simd.Width, opts CompileOptions) (*Program, erro
 	p.FusedOps = [2]int{len(p.segs[SegFirst]), len(p.segs[SegSteady])}
 	if opts.Schedule {
 		p.schedule(&opts)
+	}
+	if err := p.finalize(0); err != nil {
+		return nil, err
 	}
 	return p, nil
 }

@@ -8,11 +8,11 @@ import "fmt"
 // builds the dependency DAG over a segment from them. The walker is the
 // single authority on each kind's operand layout (mirroring Run's
 // semantics op for op), shared by three consumers: the DAG builder
-// (register def/use plus memory aliasing), the deserialization
-// validator (bounds-checking untrusted programs from the tuner's disk
-// cache before they may touch an arena), and nothing else — run.go
-// stays the executable truth it is checked against by the differential
-// tests.
+// (register def/use plus memory aliasing), finalize's validator
+// (bounds-checking every program, compiled or loaded from the tuner's
+// disk cache, before it may touch an arena) and finalize's liveness pass
+// (which register writes Run may skip), and nothing else — run.go stays
+// the executable truth it is checked against by the differential tests.
 //
 // Dependency rules (no renaming, so anti/output dependencies are real
 // order constraints):
@@ -20,11 +20,11 @@ import "fmt"
 //   - a read of a resource depends on its last writer;
 //   - a write depends on its last writer AND every reader since.
 //
-// Register scratch (p.tmp, p.s0..s3) is written before read within
-// every op that uses it and never carries state across ops, so it is
-// invisible to the DAG. Partial register writes (mInsrW's single lane,
-// short loads) are treated as whole-register writes, which only adds
-// edges, never drops one. Memory is tracked at 64-byte page
+// Op scratch lives in Run's locals and never carries state across ops,
+// so it is invisible to the DAG. Partial register writes (mInsrW's
+// single lane, short loads) are treated as whole-register writes, and a
+// write the liveness pass lets Run skip still counts as one; both only
+// add edges, never drop one. Memory is tracked at 64-byte page
 // granularity: two accesses on the same page conflict unless both are
 // reads — again conservative in the safe direction (the fusion pass's
 // `disjoint` discipline guarantees intra-op exactness; the page map is

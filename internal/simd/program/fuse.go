@@ -4,11 +4,12 @@ import "vransim/internal/simd"
 
 // The fusion pass collapses the recorded stream's hot patterns into
 // single executable ops. Two correctness disciplines make every fusion
-// exact without liveness analysis:
+// exact:
 //
-//  1. Fused ops preserve ALL effects of the sequence they replace —
-//     every intermediate register is written its final value, so any
-//     later op reading one observes exactly the interpreted state.
+//  1. Fused ops preserve every observable effect of the sequence they
+//     replace: all memory writes, and each intermediate register's final
+//     value wherever finalize's liveness pass finds a later op reading
+//     it (visitEffects lists them all; Run may skip the dead ones).
 //  2. Lane-local op runs (adds, subs, min/max, and/or, broadcasts)
 //     execute per lane in original op order. Because each such op's
 //     output lane i depends only on lane i of its inputs, per-lane
@@ -182,10 +183,10 @@ func kindsAre(raw []rawOp, kinds ...simd.ProgKind) bool {
 //	load s; load p; load la; padds t,s,la; padds g0,t,p; psubs g1,t,p;
 //	store g0; store g1
 //
-// into one op that streams memory -> memory, still writing the six
-// registers their final values. All eight ops are elementwise, so the
-// per-lane execution is exact; the store ranges must be disjoint from
-// the load ranges (and each other) for the lane-interleaved memory
+// into one op that streams memory -> memory, writing the six registers
+// their final values when they are live. All eight ops are elementwise,
+// so the per-lane execution is exact; the store ranges must be disjoint
+// from the load ranges (and each other) for the lane-interleaved memory
 // order to be equivalent.
 func (p *Program) tryGammaVec(raw []rawOp) (mop, int) {
 	if !kindsAre(raw, simd.PLoad, simd.PLoad, simd.PLoad,
@@ -517,7 +518,7 @@ func (p *Program) tryQuadGather(raw []rawOp) (mop, int) {
 //	vpermw norm,alpha,tN; psubs alpha,alpha,norm; store alpha
 //
 // The replay reads the quad group and the old alpha, computes the new
-// alpha into scratch, then renormalizes and stores — writing every
+// alpha into scratch, then renormalizes and stores — writing each live
 // intermediate register its final value. The load precedes the store in
 // the replay exactly as recorded, so no disjointness check is needed.
 func (p *Program) tryAlphaStepP(raw []rawOp) (mop, int) {

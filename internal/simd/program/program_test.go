@@ -3,6 +3,7 @@ package program
 import (
 	"bytes"
 	"errors"
+	"math/rand"
 	"testing"
 
 	"vransim/internal/simd"
@@ -12,16 +13,27 @@ import (
 // recorded op kind and every fusion shape the compiler knows: vector
 // arithmetic, the select and pack mask patterns, aliased and
 // out-of-range permutes, the recursion and horizontal-max chains,
-// scalar copy/gamma/ext helper runs, lane extract/insert, and register
-// state that is live across iterations (acc). It deliberately allocates
+// scalar copy/gamma/ext helper runs, lane extract/insert, the packed
+// stream's quad scatter/gather, alpha/beta steps and vector gamma/ext
+// groups (see packed), and register state that is live across
+// iterations (acc, alpha, beta). It deliberately allocates
 // a throwaway register with NewVec every iteration — a fresh pointer
 // each time — so compiling it at >= 4 iterations proves the verifier's
 // register bijection rather than pointer identity.
 type synthKernel struct {
-	w                            simd.Width
-	in, out, acc, scalars, gamma int64
-	iters                        int
+	w                                simd.Width
+	in, out, acc, scalars, gamma, pk int64
+	iters                            int
+	// salt varies the seeded inputs, for decodes that must differ.
+	salt int
 }
+
+// packedBytes is the arena the two packed() calls of one iteration use:
+// 9 result lines for the lean call, then 9 result and 49 spill lines.
+const (
+	packedLean  = 9 * 64
+	packedBytes = packedLean + (9+49)*64
+)
 
 func newSynthKernel(w simd.Width, mem *simd.Memory) *synthKernel {
 	k := &synthKernel{w: w}
@@ -30,6 +42,7 @@ func newSynthKernel(w simd.Width, mem *simd.Memory) *synthKernel {
 	k.acc = mem.Alloc(128, 64)
 	k.scalars = mem.Alloc(128, 64)
 	k.gamma = mem.Alloc(128, 64)
+	k.pk = mem.Alloc(packedBytes, 64)
 	return k
 }
 
@@ -37,12 +50,188 @@ func newSynthKernel(w simd.Width, mem *simd.Memory) *synthKernel {
 // and replayed arenas.
 func (k *synthKernel) seed(mem *simd.Memory) {
 	for i := 0; i < 128; i++ {
-		mem.WriteI16(k.in+int64(2*i), int16(37*i-900))
+		mem.WriteI16(k.in+int64(2*i), int16(37*i-900+1009*k.salt))
 	}
 	for i := 0; i < 64; i++ {
-		mem.WriteI16(k.acc+int64(2*i), int16(3*i))
+		mem.WriteI16(k.acc+int64(2*i), int16(3*i-k.salt))
 		mem.WriteI16(k.scalars+int64(2*i), int16(500-11*i))
 	}
+}
+
+// packedTabs are the index tables of the packed shapes. Each has
+// out-of-range entries (the engine's permute selects zero there),
+// including in the middle stage of the horizontal max.
+type packedTabs struct {
+	a0, a1, p0, p1, nrm, h0, h1, h2, s0, s1, s2 []int
+}
+
+func newPackedTabs(n int) *packedTabs {
+	mk := func(f func(i int) int) []int {
+		t := make([]int, n)
+		for i := range t {
+			t[i] = f(i)
+		}
+		return t
+	}
+	pick := func(r int, f func(i int) int) []int {
+		return mk(func(i int) int {
+			if i%3 == r {
+				return f(i)
+			}
+			return -1 - i
+		})
+	}
+	t := &packedTabs{
+		a0:  mk(func(i int) int { return (3*i + 1) % n }),
+		a1:  mk(func(i int) int { return (5*i + 2) % n }),
+		p0:  mk(func(i int) int { return (i + 1) % n }),
+		p1:  mk(func(i int) int { return n - 1 - i }),
+		nrm: mk(func(i int) int { return i &^ 7 }),
+		h0:  mk(func(i int) int { return i&^7 | (i+4)&7 }),
+		h1:  mk(func(i int) int { return i ^ 2 }),
+		h2:  mk(func(i int) int { return i ^ 1 }),
+		s0:  pick(0, func(i int) int { return i }),
+		s1:  pick(1, func(i int) int { return (i + 1) % n }),
+		s2:  pick(2, func(i int) int { return n - 1 - i }),
+	}
+	t.a0[1], t.a1[n-1], t.p0[2], t.nrm[n-1] = -1, n+3, n, -5
+	t.h0[5], t.h1[3], t.h2[6] = n+1, -1, -1
+	return t
+}
+
+// packed emits each packed-stream shape once, writing results to the 64-
+// byte lines from base on. With spill set every intermediate register is
+// stored after its shape, so the fused op must write them all; without,
+// nothing reads them before the next call redefines them and it may
+// skip them all.
+func (k *synthKernel) packed(e *simd.Engine, t *packedTabs, alpha, beta, lim, nlim *simd.Vec, srcs [3]*simd.Vec, base int64, spill bool) {
+	n := k.w.Lanes16()
+	wb := int64(2 * n)
+	at := func(i int) int64 { return base + int64(i)*64 }
+	next := 9
+	dump := func(vs ...*simd.Vec) {
+		for _, v := range vs {
+			if spill {
+				e.StoreVec(at(next), v)
+				next++
+			}
+		}
+	}
+	v := make([]*simd.Vec, 16)
+	for i := range v {
+		v[i] = e.AcquireVec()
+	}
+
+	// Quad scatter.
+	acc, tmp := v[0], v[1]
+	e.PermuteW(acc, srcs[0], t.s0)
+	e.PermuteW(tmp, srcs[1], t.s1)
+	e.POr(acc, acc, tmp)
+	e.PermuteW(tmp, srcs[2], t.s2)
+	e.POr(acc, acc, tmp)
+	e.StoreVec(at(0), acc)
+	dump(acc, tmp)
+
+	// Quad gather, of two source lines and of one.
+	rr := v[2]
+	e.LoadVec(rr, k.in)
+	e.PermuteW(acc, rr, t.p0)
+	e.LoadVec(rr, k.in+wb)
+	e.PermuteW(tmp, rr, t.p1)
+	e.POr(acc, acc, tmp)
+	e.StoreVec(at(1), acc)
+	dump(rr, acc, tmp)
+	e.LoadVec(rr, k.in)
+	e.PermuteW(acc, rr, t.a1)
+	e.StoreVec(at(2), acc)
+	dump(rr, acc)
+
+	// Alpha step over the scattered quad line.
+	qd, bm0, bm1, a0, a1, c0, c1, norm := v[3], v[4], v[5], v[6], v[7], v[8], v[9], v[10]
+	e.LoadVec(qd, at(0))
+	e.PermuteW(bm0, qd, t.a0)
+	e.PermuteW(bm1, qd, t.a1)
+	e.PermuteW(a0, alpha, t.p0)
+	e.PermuteW(a1, alpha, t.p1)
+	e.PAddSW(c0, a0, bm0)
+	e.PAddSW(c1, a1, bm1)
+	e.PMaxSW(alpha, c0, c1)
+	e.PermuteW(norm, alpha, t.nrm)
+	e.PSubSW(alpha, alpha, norm)
+	e.StoreVec(at(3), alpha)
+	dump(qd, bm0, bm1, a0, a1, c0, c1, norm)
+
+	// Beta step, tail form (no posterior extraction). Its result is
+	// observed through the next step; storing beta right here would turn
+	// the shape into an alpha step.
+	b0, b1, w0, w1 := v[11], v[12], v[13], v[14]
+	betaPrefix := func(quad int64) {
+		e.LoadVec(qd, quad)
+		e.PermuteW(bm0, qd, t.a0)
+		e.PermuteW(bm1, qd, t.a1)
+		e.PermuteW(b0, beta, t.p1)
+		e.PermuteW(b1, beta, t.p0)
+		e.PAddSW(w0, b0, bm0)
+		e.PAddSW(w1, b1, bm1)
+	}
+	betaUpdate := func() {
+		e.PMaxSW(beta, w0, w1)
+		e.PermuteW(norm, beta, t.nrm)
+		e.PSubSW(beta, beta, norm)
+	}
+	betaPrefix(at(1))
+	betaUpdate()
+	dump(qd, bm0, bm1, b0, b1, w0, w1, norm)
+
+	// Beta step, in-block form: posterior extraction through two
+	// horizontal-max butterflies sharing tmp and the index tables.
+	al, e0, e1, m0, m1, dv := v[6], v[7], v[8], v[9], v[15], v[0]
+	hmax := func(dst, x *simd.Vec) {
+		e.PermuteW(tmp, x, t.h0)
+		e.PMaxSW(dst, x, tmp)
+		e.PermuteW(tmp, dst, t.h1)
+		e.PMaxSW(dst, dst, tmp)
+		e.PermuteW(tmp, dst, t.h2)
+		e.PMaxSW(dst, dst, tmp)
+	}
+	betaPrefix(at(2))
+	e.LoadVec(al, at(3))
+	e.PAddSW(e0, al, w0)
+	e.PAddSW(e1, al, w1)
+	hmax(m0, e0)
+	hmax(m1, e1)
+	e.PSubSW(dv, m0, m1)
+	for b := 0; b < n/8; b++ {
+		e.PExtrWToMem(at(4)+int64(2*b), dv, 8*b)
+	}
+	betaUpdate()
+	dump(qd, bm0, bm1, b0, b1, w0, w1, norm, al, e0, e1, m0, m1, tmp, dv)
+	e.StoreVec(at(5), beta)
+
+	// Vector gamma and extrinsic groups.
+	s, pv, la, tt, g0, g1 := v[0], v[1], v[2], v[3], v[4], v[5]
+	e.LoadVec(s, k.in)
+	e.LoadVec(pv, k.in+wb)
+	e.LoadVec(la, at(5))
+	e.PAddSW(tt, s, la)
+	e.PAddSW(g0, tt, pv)
+	e.PSubSW(g1, tt, pv)
+	e.StoreVec(at(6), g0)
+	e.StoreVec(at(7), g1)
+	dump(s, pv, la, tt, g0, g1)
+	dvec, half := v[4], v[5]
+	e.LoadVec(dvec, at(6))
+	e.LoadVec(s, at(7))
+	e.LoadVec(la, k.in)
+	e.PAddSW(tt, s, la)
+	e.PSraW(half, dvec, 1)
+	e.PSubSW(half, half, tt)
+	e.PMinSW(half, half, lim)
+	e.PMaxSW(half, half, nlim)
+	e.StoreVec(at(8), half)
+	dump(dvec, s, la, tt, half)
+
+	e.ReleaseVec(v...)
 }
 
 // run drives iters recorded iterations on e (whose ProgSink may be a
@@ -71,6 +260,12 @@ func (k *synthKernel) run(e *simd.Engine) {
 	e.SetImm(mask, pat)
 	acc := e.NewVec()
 	e.LoadVec(acc, k.acc)
+	lo := e.NewVec()
+	e.Broadcast16(lo, -4096)
+	alpha, beta := e.NewVec(), e.NewVec()
+	e.LoadVec(alpha, k.in+int64(4*n))
+	e.LoadVec(beta, k.acc)
+	pt := newPackedTabs(n)
 
 	for it := 0; it < k.iters; it++ {
 		e.ProgMark("iteration")
@@ -142,6 +337,10 @@ func (k *synthKernel) run(e *simd.Engine) {
 		}
 		e.StoreVec(k.out+int64(2*n), scratch)
 
+		e.LoadVec(b, k.in+int64(2*n))
+		k.packed(e, pt, alpha, beta, hi, lo, [3]*simd.Vec{a, b, acc}, k.pk, false)
+		k.packed(e, pt, alpha, beta, hi, lo, [3]*simd.Vec{a, b, acc}, k.pk+packedLean, true)
+
 		e.ReleaseVec(d, t2, t1, b, a)
 		// scratch is deliberately NOT released: next iteration's NewVec
 		// yields a different pointer.
@@ -184,7 +383,7 @@ func TestReplayMatchesInterpreter(t *testing.T) {
 		replayMem := simd.NewMemory(1 << 14)
 		// Same allocation sequence -> same addresses.
 		rk := newSynthKernel(w, replayMem)
-		if *rk != (synthKernel{w: w, in: k.in, out: k.out, acc: k.acc, scalars: k.scalars, gamma: k.gamma}) {
+		if *rk != (synthKernel{w: w, in: k.in, out: k.out, acc: k.acc, scalars: k.scalars, gamma: k.gamma, pk: k.pk}) {
 			t.Fatalf("%v: replay arena layout diverged", w)
 		}
 		rk.seed(replayMem)
@@ -224,6 +423,136 @@ func TestReplayIsRestartable(t *testing.T) {
 		}
 		if !bytes.Equal(interpMem.Bytes(0, interpMem.Size()), mem.Bytes(0, mem.Size())) {
 			t.Fatalf("round %d: replay diverged from interpreter", round)
+		}
+	}
+}
+
+// interpret runs the kernel on the engine alone, with the given input
+// salt, and returns the arena bytes: the reference every replay is
+// compared with.
+func interpret(w simd.Width, memBytes, iters, salt int) []byte {
+	mem := simd.NewMemory(memBytes)
+	k := newSynthKernel(w, mem)
+	k.salt, k.iters = salt, iters
+	k.seed(mem)
+	k.run(simd.NewEngine(w, mem, nil))
+	return mem.Bytes(0, mem.Size())
+}
+
+// runPoisoned is Run, except that after every op each register write
+// whose live bit is clear — every write finalize says nothing reads — is
+// overwritten with random lanes. If the masks are right the arena cannot
+// tell; if they are stale or wrong, a later op reads the poison.
+func (p *Program) runPoisoned(mem *simd.Memory, seg int, rng *rand.Rand) {
+	m := arena16(mem)
+	ops := p.segs[seg]
+	for i := range ops {
+		p.exec(m, ops[i:i+1])
+		k := 0
+		_ = p.visitEffects(&ops[i], &effectVisitor{reg: func(off int32, write bool) {
+			if !write {
+				return
+			}
+			if ops[i].live>>k&1 == 0 {
+				for l := range lanes(p.regs, off) {
+					p.regs[int(off)+l] = int16(rng.Uint32())
+				}
+			}
+			k++
+		}})
+	}
+}
+
+// TestSynthKernelCoversFusedOps: the equivalence tests below only mean
+// something for the packed ops if the kernel's shapes really fuse, and
+// for dead-write elimination only if each fused op occurs both with all
+// intermediates dead and with them live.
+func TestSynthKernelCoversFusedOps(t *testing.T) {
+	for _, w := range simd.Widths {
+		p, _, _ := recordAndCompile(t, w, 1<<14, 4)
+		type count struct{ lean, full int }
+		got := map[string]*count{
+			"quad scatter": {}, "quad gather": {}, "alpha step": {},
+			"beta step": {}, "beta step + extract": {}, "gamma vec": {}, "ext vec": {},
+		}
+		for _, op := range p.segs[SegSteady] {
+			name, inter := "", op.live
+			switch op.kind {
+			case mQuadScatter:
+				name = "quad scatter"
+			case mQuadGather:
+				name = "quad gather"
+			case mAlphaStepP:
+				name, inter = "alpha step", op.live&0xff
+			case mBetaStepP:
+				name, inter = "beta step", op.live&^(1<<7)
+				if op.imm != 0 {
+					name = "beta step + extract"
+				}
+			case mGammaVec:
+				name = "gamma vec"
+			case mExtVec:
+				name = "ext vec"
+			default:
+				continue
+			}
+			if inter == 0 {
+				got[name].lean++
+			} else {
+				got[name].full++
+			}
+		}
+		for name, c := range got {
+			if c.lean == 0 || c.full == 0 {
+				t.Errorf("%v: %s fused %d times with dead intermediates, %d with live ones; want both",
+					w, name, c.lean, c.full)
+			}
+		}
+	}
+}
+
+// TestPoisonedReplay: dead means dead. Both segments, and a second
+// decode with different inputs on the same program (a decode follows a
+// decode, so whatever SegFirst reads must have survived the previous
+// one), replay byte-identically to the interpreter while every register
+// write the live masks call dead is poisoned. Then the check is shown to
+// have teeth: with every mask cleared the same replay must diverge.
+func TestPoisonedReplay(t *testing.T) {
+	const iters = 4
+	for _, w := range simd.Widths {
+		p, _, k := recordAndCompile(t, w, 1<<14, iters)
+		rng := rand.New(rand.NewSource(int64(w)))
+		for _, salt := range []int{0, 3} {
+			k.salt = salt
+			want := interpret(w, 1<<14, iters, salt)
+			if got := replayBytes(t, p, k, 1<<14, iters, rng); !bytes.Equal(want, got) {
+				t.Fatalf("%v salt %d: poisoned replay diverged from interpreter", w, salt)
+			}
+		}
+		for seg := range p.segs {
+			for i := range p.segs[seg] {
+				p.segs[seg][i].live = 0
+			}
+		}
+		if got := replayBytes(t, p, k, 1<<14, iters, rng); bytes.Equal(interpret(w, 1<<14, iters, k.salt), got) {
+			t.Errorf("%v: replay with every write marked dead and poisoned still matched", w)
+		}
+	}
+}
+
+// TestFinalizeRejectsMalformedOps: a compiled program goes through the
+// same structural check as a deserialized one, so an op the matchers
+// should never emit is refused instead of run.
+func TestFinalizeRejectsMalformedOps(t *testing.T) {
+	for name, op := range map[string]mop{
+		"one-source quad scatter": {kind: mQuadScatter, n: 1},
+		"odd load address":        {kind: mLoad, addr: 65, imm: 16},
+		"register past the file":  {kind: mClear, d: 2 * regStride},
+	} {
+		p := &Program{w: simd.W128, lanes: 8, regs: make([]int16, 2*regStride), aux: make([]int64, 8)}
+		p.segs[SegSteady] = []mop{op}
+		if err := p.finalize(0); err == nil {
+			t.Errorf("%s: accepted", name)
 		}
 	}
 }

@@ -1,226 +1,220 @@
 package program
 
 import (
-	"encoding/binary"
+	"unsafe"
 
 	"vransim/internal/simd"
 )
 
-func satAdd(a, b int16) int16 {
-	s := int32(a) + int32(b)
-	if s > 32767 {
-		return 32767
-	}
-	if s < -32768 {
-		return -32768
-	}
-	return int16(s)
+// sat16 saturates to int16 without branches (min/max lower to CMOV).
+func sat16(x int32) int16 { return int16(min(max(x, -32768), 32767)) }
+
+func satAdd(a, b int16) int16 { return sat16(int32(a) + int32(b)) }
+
+func satSub(a, b int16) int16 { return sat16(int32(a) - int32(b)) }
+
+func clampi(x, c int32) int16 { return int16(max(min(x, c), -c)) }
+
+// sentinel indexes the always-zero upper half of a gather source. The
+// fused ops gather from 2*regStride-lane local copies whose lanes
+// [regStride, 2*regStride) stay zero; finalize resolves every invalid or
+// inactive index-table entry to regStride, so "out-of-range selects
+// zero" costs no branch, and masking a table byte with gmask bounds it
+// for the compiler.
+const (
+	sentinel = regStride
+	gmask    = 2*regStride - 1
+)
+
+type gatherSrc = [2 * regStride]int16
+
+// lanes views the register at lane offset off as a fixed-size array, so
+// the per-lane loops below index it without bounds checks.
+func lanes[I int32 | int64](r []int16, off I) *[regStride]int16 {
+	return (*[regStride]int16)(r[off:])
 }
 
-func satSub(a, b int16) int16 {
-	s := int32(a) - int32(b)
-	if s > 32767 {
-		return 32767
-	}
-	if s < -32768 {
-		return -32768
-	}
-	return int16(s)
+// operands returns the active lanes of a three-register op's d, a and b.
+func operands(r []int16, op *mop, L int) (d, a, b []int16) {
+	return lanes(r, op.d)[:L], lanes(r, op.a)[:L], lanes(r, op.b)[:L]
 }
 
-func rd16(data []byte, a int64) int16 {
-	return int16(binary.LittleEndian.Uint16(data[a:]))
-}
+// line returns the n arena lanes at byte address a.
+func line(m []int16, a int64, n int) []int16 { return m[a>>1:][:n] }
 
-func wr16(data []byte, a int64, x int16) {
-	binary.LittleEndian.PutUint16(data[a:], uint16(x))
+// arena16 views the arena as int16 lanes. finalize has established that
+// the host is little-endian and that every address the program touches
+// is even, so lane a>>1 is the 16-bit word the engine reads at byte a.
+func arena16(mem *simd.Memory) []int16 {
+	b := mem.Bytes(0, mem.Size())
+	ptr := unsafe.Pointer(unsafe.SliceData(b))
+	if uintptr(ptr)&1 != 0 {
+		panic("program: arena is not 2-byte aligned")
+	}
+	return unsafe.Slice((*int16)(ptr), len(b)/2)
 }
 
 // Run replays one segment directly over mem. The register file persists
 // across calls; a decode runs SegFirst once and SegSteady for every
-// iteration after the first. No state outside mem and the program's own
-// register file is touched, and the loop performs no allocation.
+// iteration after the first. Arena bytes are the only observable state:
+// the register file is private to the program, and a fused op writes an
+// intermediate register only when finalize's liveness pass found a later
+// reader (op.live). The loop performs no allocation.
 func (p *Program) Run(mem *simd.Memory, seg int) {
-	data := mem.Bytes(0, mem.Size())
+	p.exec(arena16(mem), p.segs[seg])
+}
+
+func (p *Program) exec(m []int16, ops []mop) {
 	r := p.regs
 	L := p.lanes
-	for oi := range p.segs[seg] {
-		op := &p.segs[seg][oi]
+	for oi := range ops {
+		op := &ops[oi]
 		switch op.kind {
 		case mClear:
-			clear(r[op.d : op.d+regStride])
+			*lanes(r, op.d) = [regStride]int16{}
 		case mAddS:
-			d, a, b := r[op.d:op.d+regStride], r[op.a:op.a+regStride], r[op.b:op.b+regStride]
-			for i := 0; i < L; i++ {
+			d, a, b := operands(r, op, L)
+			for i := range d {
 				d[i] = satAdd(a[i], b[i])
 			}
 		case mSubS:
-			d, a, b := r[op.d:op.d+regStride], r[op.a:op.a+regStride], r[op.b:op.b+regStride]
-			for i := 0; i < L; i++ {
+			d, a, b := operands(r, op, L)
+			for i := range d {
 				d[i] = satSub(a[i], b[i])
 			}
 		case mMaxS:
-			d, a, b := r[op.d:op.d+regStride], r[op.a:op.a+regStride], r[op.b:op.b+regStride]
-			for i := 0; i < L; i++ {
-				if a[i] > b[i] {
-					d[i] = a[i]
-				} else {
-					d[i] = b[i]
-				}
+			d, a, b := operands(r, op, L)
+			for i := range d {
+				d[i] = max(a[i], b[i])
 			}
 		case mMinS:
-			d, a, b := r[op.d:op.d+regStride], r[op.a:op.a+regStride], r[op.b:op.b+regStride]
-			for i := 0; i < L; i++ {
-				if a[i] < b[i] {
-					d[i] = a[i]
-				} else {
-					d[i] = b[i]
-				}
+			d, a, b := operands(r, op, L)
+			for i := range d {
+				d[i] = min(a[i], b[i])
 			}
 		case mAnd:
-			d, a, b := r[op.d:op.d+regStride], r[op.a:op.a+regStride], r[op.b:op.b+regStride]
-			for i := 0; i < L; i++ {
+			d, a, b := operands(r, op, L)
+			for i := range d {
 				d[i] = a[i] & b[i]
 			}
 		case mOr:
-			d, a, b := r[op.d:op.d+regStride], r[op.a:op.a+regStride], r[op.b:op.b+regStride]
-			for i := 0; i < L; i++ {
+			d, a, b := operands(r, op, L)
+			for i := range d {
 				d[i] = a[i] | b[i]
 			}
 		case mXor:
-			d, a, b := r[op.d:op.d+regStride], r[op.a:op.a+regStride], r[op.b:op.b+regStride]
-			for i := 0; i < L; i++ {
+			d, a, b := operands(r, op, L)
+			for i := range d {
 				d[i] = a[i] ^ b[i]
 			}
 		case mAndN:
-			d, a, b := r[op.d:op.d+regStride], r[op.a:op.a+regStride], r[op.b:op.b+regStride]
-			for i := 0; i < L; i++ {
+			d, a, b := operands(r, op, L)
+			for i := range d {
 				d[i] = ^a[i] & b[i]
 			}
 		case mSra:
-			d, a := r[op.d:op.d+regStride], r[op.a:op.a+regStride]
+			d, a := lanes(r, op.d)[:L], lanes(r, op.a)[:L]
 			sh := uint(op.imm)
-			for i := 0; i < L; i++ {
+			for i := range d {
 				d[i] = a[i] >> sh
 			}
 		case mBcastImm:
-			d := r[op.d : op.d+regStride]
+			d := lanes(r, op.d)[:L]
 			x := int16(op.imm)
-			for i := 0; i < L; i++ {
+			for i := range d {
 				d[i] = x
 			}
 		case mBcastMem:
-			d := r[op.d : op.d+regStride]
-			x := rd16(data, op.addr)
-			for i := 0; i < L; i++ {
+			d := lanes(r, op.d)[:L]
+			x := m[op.addr>>1]
+			for i := range d {
 				d[i] = x
 			}
 		case mSetImm:
-			d := r[op.d : op.d+regStride]
-			clear(d)
-			copy(d, p.lanePats[op.tab])
+			d := lanes(r, op.d)
+			*d = [regStride]int16{}
+			copy(d[:], p.lanePats[op.tab])
 		case mPermute:
-			p.permute(r, op.d, op.a, p.idxTabs[op.tab])
+			p.permute(r, int64(op.d), int64(op.a), int64(op.tab))
 		case mExt128:
-			p.extract(r, op.d, op.a, 8*int(op.imm), 8)
+			extract(r, op.d, op.a, 8*int(op.imm), 8)
 		case mExt256:
-			p.extract(r, op.d, op.a, 16*int(op.imm), 16)
+			extract(r, op.d, op.a, 16*int(op.imm), 16)
 		case mLoad:
-			d := r[op.d : op.d+regStride]
-			clear(d)
+			d := lanes(r, op.d)
+			*d = [regStride]int16{}
 			n := int(op.imm) / 2
-			a := op.addr
-			for i := 0; i < n; i++ {
-				d[i] = rd16(data, a+int64(2*i))
-			}
+			copy(d[:n], line(m, op.addr, n))
 		case mStore:
-			a := r[op.a : op.a+regStride]
 			n := int(op.imm) / 2
-			ad := op.addr
-			for i := 0; i < n; i++ {
-				wr16(data, ad+int64(2*i), a[i])
-			}
+			copy(line(m, op.addr, n), lanes(r, op.a)[:n])
 		case mExtrW:
-			wr16(data, op.addr, r[op.a+int32(op.imm)])
+			m[op.addr>>1] = r[op.a+int32(op.imm)]
 		case mInsrW:
-			r[op.d+int32(op.imm)] = rd16(data, op.addr)
+			r[op.d+int32(op.imm)] = m[op.addr>>1]
 		case mCopy16:
-			wr16(data, op.addr, rd16(data, op.addr2))
+			m[op.addr>>1] = m[op.addr2>>1]
 		case mGammaPoint:
-			s := rd16(data, int64(p.aux32[op.tab]))
-			pv := rd16(data, int64(p.aux32[op.tab+1]))
-			la := rd16(data, int64(p.aux32[op.tab+2]))
-			sa := int32(s) + int32(la)
-			wr16(data, op.addr, sat16i(sa+int32(pv)))
-			wr16(data, op.addr2, sat16i(sa-int32(pv)))
+			t := p.aux32[op.tab : op.tab+3]
+			sa := int32(m[t[0]>>1]) + int32(m[t[2]>>1])
+			pv := int32(m[t[1]>>1])
+			m[op.addr>>1] = sat16(sa + pv)
+			m[op.addr2>>1] = sat16(sa - pv)
 		case mExtPoint:
-			s := rd16(data, int64(p.aux32[op.tab]))
-			la := rd16(data, int64(p.aux32[op.tab+1]))
-			dv := rd16(data, int64(p.aux32[op.tab+2]))
-			x := int32(dv>>1) - int32(s) - int32(la)
-			wr16(data, op.addr, clampi(x, int32(op.imm)))
+			t := p.aux32[op.tab : op.tab+3]
+			x := int32(m[t[2]>>1]>>1) - int32(m[t[0]>>1]) - int32(m[t[1]>>1])
+			m[op.addr>>1] = clampi(x, int32(op.imm))
 
 		case mCopyRun:
 			t := p.aux[op.tab : op.tab+2*op.n]
-			for i := 0; i < len(t); i += 2 {
-				wr16(data, t[i], rd16(data, t[i+1]))
+			for i := 0; i+1 < len(t); i += 2 {
+				m[t[i]>>1] = m[t[i+1]>>1]
 			}
 		case mGammaRun:
 			t := p.aux[op.tab : op.tab+5*op.n]
-			for i := 0; i < len(t); i += 5 {
-				s := rd16(data, t[i+2])
-				pv := rd16(data, t[i+3])
-				la := rd16(data, t[i+4])
-				sa := int32(s) + int32(la)
-				wr16(data, t[i], sat16i(sa+int32(pv)))
-				wr16(data, t[i+1], sat16i(sa-int32(pv)))
+			for ; len(t) >= 5; t = t[5:] {
+				sa := int32(m[t[2]>>1]) + int32(m[t[4]>>1])
+				pv := int32(m[t[3]>>1])
+				m[t[0]>>1] = sat16(sa + pv)
+				m[t[1]>>1] = sat16(sa - pv)
 			}
 		case mExtRun:
-			t := p.aux[op.tab : op.tab+4*op.n]
 			cl := int32(op.imm)
-			for i := 0; i < len(t); i += 4 {
-				s := rd16(data, t[i+1])
-				la := rd16(data, t[i+2])
-				dv := rd16(data, t[i+3])
-				wr16(data, t[i], clampi(int32(dv>>1)-int32(s)-int32(la), cl))
+			t := p.aux[op.tab : op.tab+4*op.n]
+			for ; len(t) >= 4; t = t[4:] {
+				x := int32(m[t[3]>>1]>>1) - int32(m[t[1]>>1]) - int32(m[t[2]>>1])
+				m[t[0]>>1] = clampi(x, cl)
 			}
 		case mGammaVec:
 			t := p.aux[op.tab : op.tab+11]
-			s, pv, la := r[t[0]:t[0]+regStride], r[t[1]:t[1]+regStride], r[t[2]:t[2]+regStride]
-			tt, g0, g1 := r[t[3]:t[3]+regStride], r[t[4]:t[4]+regStride], r[t[5]:t[5]+regStride]
-			sA, pA, laA, g0A, g1A := t[6], t[7], t[8], t[9], t[10]
-			for i := 0; i < L; i++ {
-				sv := rd16(data, sA+int64(2*i))
-				pvv := rd16(data, pA+int64(2*i))
-				lv := rd16(data, laA+int64(2*i))
-				tv := satAdd(sv, lv)
-				g0v := satAdd(tv, pvv)
-				g1v := satSub(tv, pvv)
-				s[i], pv[i], la[i], tt[i], g0[i], g1[i] = sv, pvv, lv, tv, g0v, g1v
-				wr16(data, g0A+int64(2*i), g0v)
-				wr16(data, g1A+int64(2*i), g1v)
+			sv, pv, lv := line(m, t[6], L), line(m, t[7], L), line(m, t[8], L)
+			o0, o1 := line(m, t[9], L), line(m, t[10], L)
+			full := op.live != 0
+			s, pr, la := lanes(r, t[0])[:L], lanes(r, t[1])[:L], lanes(r, t[2])[:L]
+			tt, g0, g1 := lanes(r, t[3])[:L], lanes(r, t[4])[:L], lanes(r, t[5])[:L]
+			for i := range sv {
+				tv := satAdd(sv[i], lv[i])
+				g0v, g1v := satAdd(tv, pv[i]), satSub(tv, pv[i])
+				if full {
+					s[i], pr[i], la[i], tt[i], g0[i], g1[i] = sv[i], pv[i], lv[i], tv, g0v, g1v
+				}
+				o0[i], o1[i] = g0v, g1v
 			}
 		case mExtVec:
 			t := p.aux[op.tab : op.tab+11]
-			dvec, s, la := r[t[0]:t[0]+regStride], r[t[1]:t[1]+regStride], r[t[2]:t[2]+regStride]
-			tt, half := r[t[3]:t[3]+regStride], r[t[4]:t[4]+regStride]
-			lim, nlim := r[t[5]:t[5]+regStride], r[t[6]:t[6]+regStride]
-			dA, sA, laA, oA := t[7], t[8], t[9], t[10]
+			dv, sv, lv, out := line(m, t[7], L), line(m, t[8], L), line(m, t[9], L), line(m, t[10], L)
+			lim, nlim := lanes(r, t[5])[:L], lanes(r, t[6])[:L]
+			full := op.live != 0
+			dvec, s, la := lanes(r, t[0])[:L], lanes(r, t[1])[:L], lanes(r, t[2])[:L]
+			tt, half := lanes(r, t[3])[:L], lanes(r, t[4])[:L]
 			sh := uint(op.imm)
-			for i := 0; i < L; i++ {
-				dv := rd16(data, dA+int64(2*i))
-				sv := rd16(data, sA+int64(2*i))
-				lv := rd16(data, laA+int64(2*i))
-				tv := satAdd(sv, lv)
-				h := satSub(dv>>sh, tv)
-				if h > lim[i] {
-					h = lim[i]
+			for i := range out {
+				tv := satAdd(sv[i], lv[i])
+				h := max(min(satSub(dv[i]>>sh, tv), lim[i]), nlim[i])
+				if full {
+					dvec[i], s[i], la[i], tt[i], half[i] = dv[i], sv[i], lv[i], tv, h
 				}
-				if h < nlim[i] {
-					h = nlim[i]
-				}
-				dvec[i], s[i], la[i], tt[i], half[i] = dv, sv, lv, tv, h
-				wr16(data, oA+int64(2*i), h)
+				out[i] = h
 			}
 		case mSelect:
 			t := p.aux[op.tab : op.tab+12]
@@ -248,11 +242,11 @@ func (p *Program) Run(mem *simd.Memory, seg int) {
 			t := p.aux[op.tab : op.tab+int32(3+2*nb)]
 			dst, pA, pT := r[t[0]:t[0]+regStride], r[t[1]:t[1]+regStride], r[t[2]:t[2]+regStride]
 			for i := 0; i < L; i++ {
-				v := rd16(data, t[3])
+				v := m[t[3]>>1]
 				pA[i] = v
 				acc := v & r[t[4]+int64(i)]
 				for b := 1; b < nb; b++ {
-					v = rd16(data, t[3+2*b])
+					v = m[t[3+2*b]>>1]
 					pA[i] = v
 					x := v & r[t[4+2*b]+int64(i)]
 					pT[i] = x
@@ -262,8 +256,8 @@ func (p *Program) Run(mem *simd.Memory, seg int) {
 			}
 		case mRecurse:
 			t := p.aux[op.tab : op.tab+10]
-			p.permute(r, int32(t[0]), int32(t[2]), p.idxTabs[t[3]])
-			p.permute(r, int32(t[1]), int32(t[2]), p.idxTabs[t[4]])
+			p.permute(r, t[0], t[2], t[3])
+			p.permute(r, t[1], t[2], t[4])
 			r0, x0 := r[t[0]:t[0]+regStride], r[t[6]:t[6]+regStride]
 			r1, x1 := r[t[1]:t[1]+regStride], r[t[8]:t[8]+regStride]
 			c0, c1 := r[t[5]:t[5]+regStride], r[t[7]:t[7]+regStride]
@@ -273,11 +267,7 @@ func (p *Program) Run(mem *simd.Memory, seg int) {
 					a := satAdd(r0[i], x0[i])
 					b := satAdd(r1[i], x1[i])
 					c0[i], c1[i] = a, b
-					if a > b {
-						d[i] = a
-					} else {
-						d[i] = b
-					}
+					d[i] = max(a, b)
 				}
 			} else {
 				for i := 0; i < L; i++ {
@@ -287,342 +277,210 @@ func (p *Program) Run(mem *simd.Memory, seg int) {
 			}
 		case mHmax:
 			t := p.aux[op.tab : op.tab+6]
-			tmp, v, dst := int32(t[0]), int32(t[1]), int32(t[2])
-			p.permute(r, tmp, v, p.idxTabs[t[3]])
+			tmp, v, dst := t[0], t[1], t[2]
+			p.permute(r, tmp, v, t[3])
 			dd, vv, tt := r[dst:dst+regStride], r[v:v+regStride], r[tmp:tmp+regStride]
 			for i := 0; i < L; i++ {
-				if vv[i] > tt[i] {
-					dd[i] = vv[i]
-				} else {
-					dd[i] = tt[i]
-				}
+				dd[i] = max(vv[i], tt[i])
 			}
 			for step := 1; step < 3; step++ {
-				p.permute(r, tmp, dst, p.idxTabs[t[3+step]])
+				p.permute(r, tmp, dst, t[3+step])
 				for i := 0; i < L; i++ {
-					if tt[i] > dd[i] {
-						dd[i] = tt[i]
-					}
+					dd[i] = max(dd[i], tt[i])
 				}
 			}
 		case mNormSub:
-			p.permute(r, op.a, op.d, p.idxTabs[op.tab])
+			p.permute(r, int64(op.a), int64(op.d), int64(op.tab))
 			d, norm := r[op.d:op.d+regStride], r[op.a:op.a+regStride]
 			for i := 0; i < L; i++ {
 				d[i] = satSub(d[i], norm[i])
 			}
 		case mQuadScatter:
+			// live bits: 0 acc, 1 tmp.
 			ns := int(op.n)
 			t := p.aux[op.tab : op.tab+int32(3+2*ns)]
-			acc := r[t[0] : t[0]+regStride]
-			tmp := r[t[1] : t[1]+regStride]
-			dstA := t[2]
-			vs, last := &p.s0, &p.s1
+			var v [regStride]int16
+			var src gatherSrc
 			for s := 0; s < ns; s++ {
-				src := r[t[3+2*s] : t[3+2*s]+regStride]
-				tb := p.idxTabs[t[4+2*s]]
-				for i := 0; i < L; i++ {
-					var x int16
-					if j := tb[i]; j >= 0 && int(j) < L {
-						x = src[j]
-					}
-					if s == 0 {
-						vs[i] = x
-					} else {
-						vs[i] |= x
-						last[i] = x
-					}
+				copy(src[:regStride], lanes(r, t[3+2*s])[:])
+				for i, j := range p.gat[t[4+2*s]][:L] {
+					v[i] |= src[j&gmask]
 				}
 			}
-			for i := 0; i < L; i++ {
-				acc[i] = vs[i]
-				tmp[i] = last[i]
-				wr16(data, dstA+int64(2*i), vs[i])
+			copy(line(m, t[2], L), v[:L])
+			if op.live&1 != 0 {
+				copy(lanes(r, t[0])[:L], v[:L])
+			}
+			if op.live&2 != 0 {
+				// tmp's final value is the last permute's output.
+				gather(lanes(r, t[1])[:L], &src, &p.gat[t[2+2*ns]])
 			}
 		case mQuadGather:
+			// live bits: 0 source register, 1 acc, 2 tmp (ns > 1 only).
 			ns := int(op.n)
 			t := p.aux[op.tab : op.tab+int32(4+2*ns)]
-			acc := r[t[1] : t[1]+regStride]
-			dstA := t[3]
-			vs, last := &p.s0, &p.s1
+			var v [regStride]int16
+			var src gatherSrc
 			for s := 0; s < ns; s++ {
-				sa := t[4+2*s]
-				tb := p.idxTabs[t[5+2*s]]
-				for i := 0; i < L; i++ {
-					var x int16
-					if j := tb[i]; j >= 0 && int(j) < L {
-						x = rd16(data, sa+int64(2*j))
-					}
-					if s == 0 {
-						vs[i] = x
-					} else {
-						vs[i] |= x
-						last[i] = x
-					}
+				copy(src[:L], line(m, t[4+2*s], L))
+				for i, j := range p.gat[t[5+2*s]][:L] {
+					v[i] |= src[j&gmask]
 				}
 			}
-			if ns > 1 {
-				tmp := r[t[2] : t[2]+regStride]
-				copy(tmp[:L], last[:L])
+			// The store range is disjoint from every load range (checked
+			// at fuse time), so src still holds the last load.
+			copy(line(m, t[3], L), v[:L])
+			if op.live&1 != 0 {
+				copy(lanes(r, t[0])[:], src[:regStride])
 			}
-			for i := 0; i < L; i++ {
-				acc[i] = vs[i]
-				wr16(data, dstA+int64(2*i), vs[i])
+			if op.live&2 != 0 {
+				copy(lanes(r, t[1])[:L], v[:L])
 			}
-			// The source register's final value is the last load (the
-			// store range is disjoint from every load range, checked at
-			// fuse time, so re-reading after the store is safe).
-			rr := r[t[0] : t[0]+regStride]
-			if L < regStride {
-				clear(rr)
-			}
-			lastA := t[4+2*(ns-1)]
-			for i := 0; i < L; i++ {
-				rr[i] = rd16(data, lastA+int64(2*i))
+			if op.live&4 != 0 {
+				gather(lanes(r, t[2])[:L], &src, &p.gat[t[3+2*ns]])
 			}
 		case mAlphaStepP:
+			// live bits: 0-7 qd bm0 bm1 a0 a1 c0 c1 norm, 8 alpha (the
+			// carried state, always written).
 			t := p.aux[op.tab : op.tab+16]
-			qd := r[t[0] : t[0]+regStride]
-			bm0 := r[t[1] : t[1]+regStride]
-			bm1 := r[t[2] : t[2]+regStride]
-			a0 := r[t[3] : t[3]+regStride]
-			a1 := r[t[4] : t[4]+regStride]
-			c0 := r[t[5] : t[5]+regStride]
-			c1 := r[t[6] : t[6]+regStride]
-			norm := r[t[7] : t[7]+regStride]
-			al := r[t[8] : t[8]+regStride]
-			qA, sA := t[9], t[10]
-			tb0, tb1 := p.idxTabs[t[11]], p.idxTabs[t[12]]
-			tp0, tp1, tn := p.idxTabs[t[13]], p.idxTabs[t[14]], p.idxTabs[t[15]]
-			if L < regStride {
-				clear(qd)
+			al := lanes(r, t[8])
+			full := op.live&0xff != 0
+			var q, a, na gatherSrc
+			copy(q[:L], line(m, t[9], L))
+			copy(a[:regStride], al[:])
+			g0, g1, g2, g3 := p.gat[t[11]][:L], p.gat[t[12]][:L], p.gat[t[13]][:L], p.gat[t[14]][:L]
+			bm0, bm1, a0, a1 := lanes(r, t[1])[:L], lanes(r, t[2])[:L], lanes(r, t[3])[:L], lanes(r, t[4])[:L]
+			c0, c1, norm := lanes(r, t[5])[:L], lanes(r, t[6])[:L], lanes(r, t[7])[:L]
+			for i := range g0 {
+				x0, x1 := q[g0[i]&gmask], q[g1[i]&gmask]
+				y0, y1 := a[g2[i]&gmask], a[g3[i]&gmask]
+				s0, s1 := satAdd(y0, x0), satAdd(y1, x1)
+				if full {
+					bm0[i], bm1[i], a0[i], a1[i], c0[i], c1[i] = x0, x1, y0, y1, s0, s1
+				}
+				na[i] = max(s0, s1)
 			}
-			for i := 0; i < L; i++ {
-				qd[i] = rd16(data, qA+int64(2*i))
-			}
-			na := &p.s0
-			for i := 0; i < L; i++ {
-				var x0, x1, y0, y1 int16
-				if j := tb0[i]; j >= 0 && int(j) < L {
-					x0 = qd[j]
+			out := line(m, t[10], L)
+			for i, j := range p.gat[t[15]][:L] {
+				nv := na[j&gmask]
+				if full {
+					norm[i] = nv
 				}
-				if j := tb1[i]; j >= 0 && int(j) < L {
-					x1 = qd[j]
-				}
-				if j := tp0[i]; j >= 0 && int(j) < L {
-					y0 = al[j]
-				}
-				if j := tp1[i]; j >= 0 && int(j) < L {
-					y1 = al[j]
-				}
-				bm0[i], bm1[i], a0[i], a1[i] = x0, x1, y0, y1
-				s0 := satAdd(y0, x0)
-				s1 := satAdd(y1, x1)
-				c0[i], c1[i] = s0, s1
-				if s1 > s0 {
-					s0 = s1
-				}
-				na[i] = s0
-			}
-			for i := 0; i < L; i++ {
-				var nv int16
-				if j := tn[i]; j >= 0 && int(j) < L {
-					nv = na[j]
-				}
-				norm[i] = nv
 				v := satSub(na[i], nv)
-				al[i] = v
-				wr16(data, sA+int64(2*i), v)
+				al[i], out[i] = v, v
+			}
+			if full {
+				copy(lanes(r, t[0])[:], q[:regStride])
 			}
 		case mBetaStepP:
+			// live bits: 0-6 qd bm0 bm1 b0 b1 v0 v1, 7 beta (the carried
+			// state, always written), 8 norm, 9-15 al e0 e1 m0 m1 tmp dv.
 			t := p.aux[op.tab:]
-			qd := r[t[0] : t[0]+regStride]
-			bm0 := r[t[1] : t[1]+regStride]
-			bm1 := r[t[2] : t[2]+regStride]
-			b0 := r[t[3] : t[3]+regStride]
-			b1 := r[t[4] : t[4]+regStride]
-			v0 := r[t[5] : t[5]+regStride]
-			v1 := r[t[6] : t[6]+regStride]
-			beta := r[t[7] : t[7]+regStride]
-			norm := r[t[8] : t[8]+regStride]
-			qA := t[9]
-			tb0, tb1 := p.idxTabs[t[10]], p.idxTabs[t[11]]
-			tn0, tn1, tn := p.idxTabs[t[12]], p.idxTabs[t[13]], p.idxTabs[t[14]]
-			if L < regStride {
-				clear(qd)
-			}
-			for i := 0; i < L; i++ {
-				qd[i] = rd16(data, qA+int64(2*i))
-			}
-			for i := 0; i < L; i++ {
-				var x0, x1, y0, y1 int16
-				if j := tb0[i]; j >= 0 && int(j) < L {
-					x0 = qd[j]
+			beta := lanes(r, t[7])
+			full := op.live&^(1<<7) != 0
+			var q, b, nb gatherSrc
+			var v0, v1 [regStride]int16
+			copy(q[:L], line(m, t[9], L))
+			copy(b[:regStride], beta[:])
+			g0, g1, g2, g3 := p.gat[t[10]][:L], p.gat[t[11]][:L], p.gat[t[12]][:L], p.gat[t[13]][:L]
+			bm0, bm1, b0, b1 := lanes(r, t[1])[:L], lanes(r, t[2])[:L], lanes(r, t[3])[:L], lanes(r, t[4])[:L]
+			rv0, rv1, norm := lanes(r, t[5])[:L], lanes(r, t[6])[:L], lanes(r, t[8])[:L]
+			for i := range g0 {
+				x0, x1 := q[g0[i]&gmask], q[g1[i]&gmask]
+				y0, y1 := b[g2[i]&gmask], b[g3[i]&gmask]
+				w0, w1 := satAdd(y0, x0), satAdd(y1, x1)
+				if full {
+					bm0[i], bm1[i], b0[i], b1[i], rv0[i], rv1[i] = x0, x1, y0, y1, w0, w1
 				}
-				if j := tb1[i]; j >= 0 && int(j) < L {
-					x1 = qd[j]
-				}
-				if j := tn0[i]; j >= 0 && int(j) < L {
-					y0 = beta[j]
-				}
-				if j := tn1[i]; j >= 0 && int(j) < L {
-					y1 = beta[j]
-				}
-				bm0[i], bm1[i], b0[i], b1[i] = x0, x1, y0, y1
-				v0[i] = satAdd(y0, x0)
-				v1[i] = satAdd(y1, x1)
+				v0[i], v1[i], nb[i] = w0, w1, max(w0, w1)
 			}
 			if op.imm != 0 {
 				// Fused posterior extraction for in-block steps.
-				al := r[t[15] : t[15]+regStride]
-				e0 := r[t[16] : t[16]+regStride]
-				e1 := r[t[17] : t[17]+regStride]
-				m0 := r[t[18] : t[18]+regStride]
-				m1 := r[t[19] : t[19]+regStride]
-				tmp := r[t[20] : t[20]+regStride]
-				dvOff := t[21]
-				dv := r[dvOff : dvOff+regStride]
-				alA := t[22]
-				h0, h1, h2 := p.idxTabs[t[23]], p.idxTabs[t[24]], p.idxTabs[t[25]]
-				if L < regStride {
-					clear(al)
+				var e0, e1, m0, m1 gatherSrc
+				av := line(m, t[22], L)
+				for i, x := range av {
+					e0[i], e1[i] = satAdd(x, v0[i]), satAdd(x, v1[i])
 				}
-				for i := 0; i < L; i++ {
-					av := rd16(data, alA+int64(2*i))
-					al[i] = av
-					e0[i] = satAdd(av, v0[i])
-					e1[i] = satAdd(av, v1[i])
+				if full {
+					al := lanes(r, t[15])
+					*al = [regStride]int16{}
+					copy(al[:L], av)
+					copy(lanes(r, t[16])[:L], e0[:L])
+					copy(lanes(r, t[17])[:L], e1[:L])
 				}
-				p.hmax3Pair(e0, e1, m0, m1, tmp, h0, h1, h2)
-				for i := 0; i < L; i++ {
-					dv[i] = satSub(m0[i], m1[i])
-				}
+				// Both butterflies share the index tables. Stages 1 and 2
+				// leave the stage-2 reductions in e0/e1; of stage 3 only
+				// the extracted lanes are observable unless m0, m1, tmp or
+				// dv is read later.
+				h2 := &p.gat[t[25]]
+				hmaxStage(&m0, &e0, &m1, &e1, p.gat[t[23]][:L])
+				hmaxStage(&e0, &m0, &e1, &m1, p.gat[t[24]][:L])
 				et := t[26 : 26+2*op.n]
-				for x := 0; x < len(et); x += 2 {
-					wr16(data, et[x], dv[et[x+1]])
+				for ; len(et) >= 2; et = et[2:] {
+					i := et[1] & (regStride - 1)
+					j := h2[i] & gmask
+					m[et[0]>>1] = satSub(max(e0[i], e0[j]), max(e1[i], e1[j]))
+				}
+				if full {
+					// tmp's final value is the second butterfly's last
+					// permute.
+					gather(lanes(r, t[20])[:L], &e1, h2)
+					hmaxStage(&m0, &e0, &m1, &e1, h2[:L])
+					copy(lanes(r, t[18])[:L], m0[:L])
+					copy(lanes(r, t[19])[:L], m1[:L])
+					dv := lanes(r, t[21])[:L]
+					for i := range dv {
+						dv[i] = satSub(m0[i], m1[i])
+					}
 				}
 			}
-			nb := &p.s0
-			for i := 0; i < L; i++ {
-				w := v0[i]
-				if v1[i] > w {
-					w = v1[i]
+			for i, j := range p.gat[t[14]][:L] {
+				nv := nb[j&gmask]
+				if full {
+					norm[i] = nv
 				}
-				nb[i] = w
-			}
-			for i := 0; i < L; i++ {
-				var nv int16
-				if j := tn[i]; j >= 0 && int(j) < L {
-					nv = nb[j]
-				}
-				norm[i] = nv
 				beta[i] = satSub(nb[i], nv)
+			}
+			if full {
+				copy(lanes(r, t[0])[:], q[:regStride])
 			}
 		}
 	}
 }
 
-// hmax3Pair simulates two three-stage permute+max butterflies (sharing
-// one index-table set and one scratch register, as the packed posterior
-// extraction records them) exactly as the engine executes them, staging
-// each stage's full reduction in scratch — the engine's permute reads
-// the complete pre-permute register, so a stage may not observe its own
-// updates. Only final register values are written: ma/mb get the
-// stage-3 reductions and tmp the second butterfly's stage-3 permute
-// output; the intermediate tmp values are dead, overwritten within the
-// fused sequence. All registers are pairwise distinct (checked at fuse
-// time).
-func (p *Program) hmax3Pair(va, vb, ma, mb, tmp []int16, h0, h1, h2 []int32) {
-	L := p.lanes
-	va, vb, ma, mb, tmp = va[:L], vb[:L], ma[:L], mb[:L], tmp[:L]
-	h0, h1, h2 = h0[:L], h1[:L], h2[:L]
-	a1, b1, a2, b2 := &p.s0, &p.s1, &p.s2, &p.s3
-	for i := 0; i < L; i++ {
-		var x, y int16
-		if j := h0[i]; j >= 0 && int(j) < L {
-			x, y = va[j], vb[j]
-		}
-		if va[i] > x {
-			x = va[i]
-		}
-		if vb[i] > y {
-			y = vb[i]
-		}
-		a1[i], b1[i] = x, y
+// hmaxStage is one vpermw+pmax stage of two horizontal-max butterflies
+// sharing an index table: dst[i] = max(src[i], src[g[i]]). The engine's
+// permute reads the complete pre-stage register, so dst and src must be
+// distinct, and an invalid index contributes the permute's zero (lanes
+// >= regStride of every operand stay zero).
+func hmaxStage(da, sa, db, sb *gatherSrc, g []uint8) {
+	for i, j := range g {
+		i, j := i&gmask, j&gmask
+		da[i], db[i] = max(sa[i], sa[j]), max(sb[i], sb[j])
 	}
-	for i := 0; i < L; i++ {
-		x, y := a1[i], b1[i]
-		if j := h1[i]; j >= 0 && int(j) < L {
-			if a1[j] > x {
-				x = a1[j]
-			}
-			if b1[j] > y {
-				y = b1[j]
-			}
-		}
-		a2[i], b2[i] = x, y
-	}
-	for i := 0; i < L; i++ {
-		var x, y int16
-		if j := h2[i]; j >= 0 && int(j) < L {
-			x, y = a2[j], b2[j]
-		}
-		tmp[i] = y
-		if x < a2[i] {
-			x = a2[i]
-		}
-		if y < b2[i] {
-			y = b2[i]
-		}
-		ma[i], mb[i] = x, y
+}
+
+// gather is vpermw over a zero-extended source: dst[i] = src[g[i]], with
+// sentinel entries selecting zero.
+func gather(dst []int16, src *gatherSrc, g *[regStride]uint8) {
+	for i, j := range g[:len(dst)] {
+		dst[i] = src[j&gmask]
 	}
 }
 
 // permute implements the engine's PermuteW semantics: active lanes only,
-// out-of-range or missing indices select zero, staging through scratch
-// so dst == src aliasing behaves identically.
-func (p *Program) permute(r []int16, d, a int32, idx []int32) {
-	L := p.lanes
-	tmp := p.tmp[:L]
-	clear(tmp)
-	src := r[a : a+regStride]
-	n := L
-	if len(idx) < n {
-		n = len(idx)
-	}
-	for i := 0; i < n; i++ {
-		if j := idx[i]; j >= 0 && int(j) < L {
-			tmp[i] = src[j]
-		}
-	}
-	copy(r[d:d+int32(L)], tmp)
+// out-of-range or missing indices select zero, staging through a local
+// copy so dst == src aliasing behaves identically.
+func (p *Program) permute(r []int16, d, a, tab int64) {
+	var src gatherSrc
+	copy(src[:regStride], lanes(r, a)[:])
+	gather(lanes(r, d)[:p.lanes], &src, &p.gat[tab])
 }
 
 // extract implements VExtractI128/VExtractI32x8: lanes [from, from+n) of
 // a into lanes [0, n) of d, the rest of d zeroed.
-func (p *Program) extract(r []int16, d, a int32, from, n int) {
-	tmp := p.tmp[:n]
-	copy(tmp, r[a+int32(from):a+int32(from+n)])
-	clear(r[d : d+regStride])
-	copy(r[d:d+int32(n)], tmp)
-}
-
-func sat16i(x int32) int16 {
-	if x > 32767 {
-		return 32767
-	}
-	if x < -32768 {
-		return -32768
-	}
-	return int16(x)
-}
-
-func clampi(x, c int32) int16 {
-	if x > c {
-		x = c
-	}
-	if x < -c {
-		x = -c
-	}
-	return int16(x)
+func extract(r []int16, d, a int32, from, n int) {
+	var x [regStride]int16
+	copy(x[:n], lanes(r, a)[from:from+n])
+	*lanes(r, d) = x
 }

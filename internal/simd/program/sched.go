@@ -675,7 +675,7 @@ func (p *Program) ReorderRandom(seg int, seed int64) error {
 		return fmt.Errorf("program: dependency graph of segment %d is cyclic", seg)
 	}
 	applyOrder(mops, order)
-	return nil
+	return p.finalize(0)
 }
 
 // mopSpec fills sp with op's µop expansion for the cost model: how

@@ -2,6 +2,7 @@ package program
 
 import (
 	"bytes"
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -29,15 +30,20 @@ func recordAndCompileOpts(t *testing.T, w simd.Width, memBytes, iters int, opts 
 }
 
 // replayBytes replays p over a freshly seeded arena laid out like k's
-// and returns the arena bytes.
-func replayBytes(t *testing.T, p *Program, k *synthKernel, memBytes, iters int) []byte {
+// and returns the arena bytes. With rng set the replay is poisoned (see
+// runPoisoned).
+func replayBytes(t *testing.T, p *Program, k *synthKernel, memBytes, iters int, rng *rand.Rand) []byte {
 	t.Helper()
 	mem := simd.NewMemory(memBytes)
 	newSynthKernel(k.w, mem)
 	k.seed(mem)
-	p.Run(mem, SegFirst)
+	run := p.Run
+	if rng != nil {
+		run = func(mem *simd.Memory, seg int) { p.runPoisoned(mem, seg, rng) }
+	}
+	run(mem, SegFirst)
 	for it := 1; it < iters; it++ {
-		p.Run(mem, SegSteady)
+		run(mem, SegSteady)
 	}
 	return mem.Bytes(0, mem.Size())
 }
@@ -64,7 +70,7 @@ func TestScheduledReplayMatchesInterpreter(t *testing.T) {
 					w, seg, info.IPCBefore[seg], info.IPCAfter[seg])
 			}
 		}
-		got := replayBytes(t, p, k, 1<<14, iters)
+		got := replayBytes(t, p, k, 1<<14, iters, nil)
 		if !bytes.Equal(interpMem.Bytes(0, interpMem.Size()), got) {
 			t.Errorf("%v: scheduled replay diverged from interpreter (heur=%v moved=%v)",
 				w, info.Heuristic, info.Moved)
@@ -110,7 +116,7 @@ func TestSingleHeuristicSelection(t *testing.T) {
 				t.Errorf("%v: seg %d won by %q, candidate set was only %q", h, seg, got, h)
 			}
 		}
-		if got := replayBytes(t, p, k, 1<<14, 4); !bytes.Equal(interpMem.Bytes(0, interpMem.Size()), got) {
+		if got := replayBytes(t, p, k, 1<<14, 4, nil); !bytes.Equal(interpMem.Bytes(0, interpMem.Size()), got) {
 			t.Errorf("%v: replay diverged", h)
 		}
 	}
@@ -118,18 +124,24 @@ func TestSingleHeuristicSelection(t *testing.T) {
 
 // TestReorderRandomBitExact: ANY legal topological order of the DAG
 // replays identically — the property the turbo fuzz target leans on,
-// pinned here across seeds on both segments.
+// pinned here across seeds on both segments. The program has already run
+// when it is reordered, and the replays are poisoned, so live masks left
+// over from the previous order would fail here rather than in a decode.
 func TestReorderRandomBitExact(t *testing.T) {
 	const iters = 4
 	p, interpMem, k := recordAndCompile(t, simd.W512, 1<<14, iters)
 	want := interpMem.Bytes(0, interpMem.Size())
+	rng := rand.New(rand.NewSource(1))
+	if got := replayBytes(t, p, k, 1<<14, iters, nil); !bytes.Equal(want, got) {
+		t.Fatal("replay diverged before any reorder")
+	}
 	for seed := int64(1); seed <= 8; seed++ {
 		for seg := range p.segs {
 			if err := p.ReorderRandom(seg, seed*17+int64(seg)); err != nil {
 				t.Fatalf("seed %d seg %d: %v", seed, seg, err)
 			}
 		}
-		if got := replayBytes(t, p, k, 1<<14, iters); !bytes.Equal(want, got) {
+		if got := replayBytes(t, p, k, 1<<14, iters, rng); !bytes.Equal(want, got) {
 			t.Fatalf("seed %d: random legal reorder changed replay output", seed)
 		}
 	}
@@ -181,7 +193,8 @@ func TestDAGLegalOrder(t *testing.T) {
 
 // TestSerializationRoundtrip: marshal -> unmarshal -> replay must be
 // byte-identical, and the metadata (width, op counts, sched info) must
-// survive the trip.
+// survive the trip. The live masks are not on the wire; the poisoned
+// replay checks the loaded program derived its own.
 func TestSerializationRoundtrip(t *testing.T) {
 	const iters = 4
 	p, interpMem, k := recordAndCompileOpts(t, simd.W512, 1<<14, iters,
@@ -202,7 +215,7 @@ func TestSerializationRoundtrip(t *testing.T) {
 		t.Errorf("sched info lost: %+v vs %+v", q.Sched(), p.Sched())
 	}
 	want := interpMem.Bytes(0, interpMem.Size())
-	if got := replayBytes(t, q, k, 1<<14, iters); !bytes.Equal(want, got) {
+	if got := replayBytes(t, q, k, 1<<14, iters, rand.New(rand.NewSource(1))); !bytes.Equal(want, got) {
 		t.Fatalf("deserialized program replay diverged")
 	}
 }

@@ -12,10 +12,12 @@ import (
 // offline auto-tuner's persistent plan cache (internal/tune): a tuned
 // serving process deserializes the winning plan instead of re-recording,
 // re-fusing and re-searching. The bytes are only trusted after
-// validation — every mop is walked with visitEffects and its register
-// and memory footprint bounds-checked against the register file and the
-// arena size the plan will run over, so a stale or corrupt cache entry
-// is rejected instead of replaying into the wrong addresses.
+// finalize's validation — every mop is walked with visitEffects and its
+// register and memory footprint bounds-checked against the register
+// file and the arena size the plan will run over, so a stale or corrupt
+// cache entry is rejected instead of replaying into the wrong addresses.
+// What Run needs beyond these fields (gather tables, live masks) is
+// derived on load, not stored.
 
 // WireVersion is the serialization format version. It participates in
 // the tuner's cache hash, so bumping it (for any change to the mop
@@ -139,40 +141,8 @@ func UnmarshalProgram(data []byte, memSize int64) (*Program, error) {
 		}
 		p.segs[seg] = mops
 	}
-	if err := p.validate(memSize); err != nil {
+	if err := p.finalize(memSize); err != nil {
 		return nil, err
 	}
 	return p, nil
-}
-
-// validate walks every mop's effects, bounds-checking register offsets
-// against the register file and memory ranges against memSize (when
-// positive). visitEffects itself rejects malformed aux windows, table
-// ids and immediates.
-func (p *Program) validate(memSize int64) error {
-	nregs := int32(len(p.regs))
-	var verr error
-	v := &effectVisitor{
-		reg: func(off int32, write bool) {
-			if verr == nil && (off < 0 || off+regStride > nregs) {
-				verr = fmt.Errorf("program: register offset %d outside file of %d lanes", off, nregs)
-			}
-		},
-		mem: func(addr, n int64, write bool) {
-			if verr == nil && (addr < 0 || n < 0 || (memSize > 0 && addr+n > memSize)) {
-				verr = fmt.Errorf("program: memory access [%d,+%d) outside arena of %d", addr, n, memSize)
-			}
-		},
-	}
-	for seg := range p.segs {
-		for i := range p.segs[seg] {
-			if err := p.visitEffects(&p.segs[seg][i], v); err != nil {
-				return err
-			}
-			if verr != nil {
-				return verr
-			}
-		}
-	}
-	return nil
 }

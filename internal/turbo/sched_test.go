@@ -285,6 +285,12 @@ func FuzzTopoReorder(f *testing.F) {
 		if prog == nil {
 			t.Fatal("first decode did not compile")
 		}
+		// Replay once before reordering: the program's derived state
+		// (live masks, register file) is then that of the old order, and
+		// must not leak into the new one.
+		if _, _, err := comp.Decode(k, words); err != nil {
+			t.Fatal(err)
+		}
 		for seg := range [2]int{program.SegFirst, program.SegSteady} {
 			if err := prog.ReorderRandom(seg, seed^int64(seg)<<7); err != nil {
 				t.Fatalf("seg %d: %v", seg, err)

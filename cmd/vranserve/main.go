@@ -47,6 +47,7 @@ import (
 	"vransim/internal/cliutil"
 	"vransim/internal/pipeline"
 	"vransim/internal/ran"
+	"vransim/internal/simd/program"
 	"vransim/internal/telemetry"
 	"vransim/internal/uarch"
 )
@@ -119,8 +120,8 @@ func main() {
 		}()
 	}
 
-	fmt.Printf("vranserve: %d cells x %d UEs, %d workers, %v/%s, K=%d, %s arrivals at %.2f blocks/cell/TTI\n",
-		cfg.Cells, *ues, cfg.Workers, cfg.Width, *rf.Mech, *k, arrivalName(*burst), *rate)
+	fmt.Printf("vranserve: %d cells x %d UEs, %d workers, %v/%s, %s kernel, K=%d, %s arrivals at %.2f blocks/cell/TTI\n",
+		cfg.Cells, *ues, cfg.Workers, cfg.Width, *rf.Mech, program.Kernel(), *k, arrivalName(*burst), *rate)
 	fmt.Printf("deadline %v, batch window %v (%d lanes), queue depth %d, %d TTIs of %v\n",
 		cfg.Deadline, cfg.BatchWindow, rt.Lanes(), cfg.QueueDepth, *ttis, *tti)
 	fmt.Printf("HARQ: %d retries, %d processes/UE\n", cfg.HARQ.MaxRetries, cfg.HARQ.Processes)

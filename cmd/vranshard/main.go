@@ -38,6 +38,7 @@ import (
 	"vransim/internal/fronthaul"
 	"vransim/internal/ran"
 	"vransim/internal/shard"
+	"vransim/internal/simd/program"
 	"vransim/internal/telemetry"
 )
 
@@ -72,8 +73,8 @@ func main() {
 	if err != nil {
 		fatal("%v", err)
 	}
-	fmt.Printf("vranshard: serving %d fleet cells on %s (%d workers, %v/%s, queue %d)\n",
-		cfg.Cells, ln.Addr(), cfg.Workers, cfg.Width, *rf.Mech, cfg.QueueDepth)
+	fmt.Printf("vranshard: serving %d fleet cells on %s (%d workers, %v/%s, %s kernel, queue %d)\n",
+		cfg.Cells, ln.Addr(), cfg.Workers, cfg.Width, *rf.Mech, program.Kernel(), cfg.QueueDepth)
 
 	if *admin != "" {
 		srv := ran.MountAdmin(rt, tr, nil, *admin, ran.HealthPolicy{}, inj.Families)

@@ -9,6 +9,7 @@ import (
 
 	"vransim/internal/core"
 	"vransim/internal/simd"
+	"vransim/internal/simd/program"
 	"vransim/internal/uarch"
 )
 
@@ -157,15 +158,22 @@ func TestDecodeBenchQuick(t *testing.T) {
 	if err := json.Unmarshal(buf.Bytes(), &rep); err != nil {
 		t.Fatalf("report does not round-trip: %v", err)
 	}
-	if len(rep.Rows) != 5*3*2 { // modes x widths x quick Ks
-		t.Fatalf("report has %d rows, want 30", len(rep.Rows))
+	modes := 5
+	if rep.Kernel != "go" {
+		modes++ // the portable row, where the host has a native kernel
+	}
+	if len(rep.Rows) != modes*3*2 { // modes x widths x quick Ks
+		t.Fatalf("report has %d rows, want %d", len(rep.Rows), modes*3*2)
+	}
+	if rep.Kernel != program.Kernel() {
+		t.Errorf("report kernel %q, this host runs %q", rep.Kernel, program.Kernel())
 	}
 	perOp := map[string]float64{} // mode/width/K -> ns/op
 	for _, r := range rep.Rows {
 		if r.NsPerOp <= 0 || r.Iterations <= 0 || r.GoodputMbps <= 0 {
 			t.Errorf("%s/%s/K=%d: degenerate row %+v", r.Mode, r.Width, r.K, r)
 		}
-		if (r.Mode == "scheduled" || r.Mode == "packed" || r.Mode == "steady" || r.Mode == "compiled") && r.AllocsOp > 8 {
+		if r.Mode != "fresh" && r.AllocsOp > 8 {
 			t.Errorf("%s/K=%d %s: %d allocs/op over budget 8", r.Width, r.K, r.Mode, r.AllocsOp)
 		}
 		if r.Mode == "scheduled" {

@@ -47,8 +47,10 @@ type DecodeBenchRow struct {
 	// through the port-aware scheduling pass), "packed" (pooled,
 	// cross-block SoA stream replayed as one compiled program per
 	// iteration), "compiled" (pooled, replaying the per-block compiled
-	// program), "steady" (pooled, interpreter pinned via Compile=false)
-	// or "fresh" (decoder and working set rebuilt every op).
+	// program), "steady" (pooled, interpreter pinned via Compile=false),
+	// "fresh" (decoder and working set rebuilt every op) or "portable"
+	// ("packed" with the replay forced onto its Go kernel; only on a host
+	// that has the native one).
 	Mode     string  `json:"mode"`
 	Width    string  `json:"width"`
 	K        int     `json:"k"`
@@ -75,11 +77,14 @@ type DecodeBenchReport struct {
 	// NumCPU and GOMAXPROCS say which host the rows came from: the
 	// decode itself is single-goroutine, but a one-core host shares that
 	// core with the GC and the benchmark harness.
-	NumCPU     int              `json:"num_cpu"`
-	GOMAXPROCS int              `json:"gomaxprocs"`
-	MaxIters   int              `json:"turbo_max_iters"`
-	BenchTime  string           `json:"bench_time"`
-	Rows       []DecodeBenchRow `json:"rows"`
+	NumCPU     int `json:"num_cpu"`
+	GOMAXPROCS int `json:"gomaxprocs"`
+	// Kernel is program.Kernel() on this host: what every compiled row
+	// but "portable" replayed the packed trellis ops with.
+	Kernel    string           `json:"kernel"`
+	MaxIters  int              `json:"turbo_max_iters"`
+	BenchTime string           `json:"bench_time"`
+	Rows      []DecodeBenchRow `json:"rows"`
 }
 
 // decodeBenchKs is the block-size spread of the JSON artifact: the
@@ -123,15 +128,22 @@ func RunDecodeBench(quick bool) (*DecodeBenchReport, error) {
 		GOARCH:     runtime.GOARCH,
 		NumCPU:     runtime.NumCPU(),
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
+		Kernel:     program.Kernel(),
 		MaxIters:   decodeBenchIters,
 		BenchTime:  benchtime,
 	}
 	if err := flagSet("test.benchtime", benchtime); err != nil {
 		return nil, err
 	}
+	// "portable" is "packed" on the Go replay kernel; on a host whose only
+	// kernel that is, it would repeat the packed row.
+	modes := []string{"scheduled", "packed", "compiled", "steady", "fresh"}
+	if rep.Kernel != "go" {
+		modes = append(modes, "portable")
+	}
 	for _, w := range []simd.Width{simd.W128, simd.W256, simd.W512} {
 		for _, k := range ks {
-			for _, mode := range []string{"scheduled", "packed", "compiled", "steady", "fresh"} {
+			for _, mode := range modes {
 				row, err := runDecodeCell(mode, w, k)
 				if err != nil {
 					return nil, err
@@ -158,7 +170,10 @@ func runDecodeCell(mode string, w simd.Width, k int) (DecodeBenchRow, error) {
 	var res testing.BenchmarkResult
 	var sched *turbo.BatchDecoder
 	switch mode {
-	case "scheduled", "packed", "compiled", "steady":
+	case "scheduled", "packed", "portable", "compiled", "steady":
+		if mode == "portable" {
+			defer program.UseNativeKernel(program.UseNativeKernel(false))
+		}
 		bd := turbo.NewBatchDecoder(w, core.StrategyAPCM, 32<<20)
 		sched = bd
 		bd.MaxIters = decodeBenchIters
@@ -169,7 +184,7 @@ func runDecodeCell(mode string, w simd.Width, k int) (DecodeBenchRow, error) {
 		// is measured against. "steady" additionally pins the
 		// interpreter so the compiled/steady pair isolates exactly the
 		// replay win over the same cache.
-		bd.Packed = mode == "packed" || mode == "scheduled"
+		bd.Packed = mode == "packed" || mode == "scheduled" || mode == "portable"
 		bd.Compile = mode != "steady"
 		bd.Schedule = mode == "scheduled"
 		// Two warm-ups: plan build, then (compiling modes) the

@@ -7,6 +7,7 @@ import (
 
 	"vransim/internal/core"
 	"vransim/internal/simd"
+	"vransim/internal/simd/program"
 )
 
 // TestSLAOverloadSoak is the SLA-class acceptance soak: a mixed
@@ -27,10 +28,24 @@ import (
 //   - no goroutine leak across both runtimes.
 //
 // Run under -race (the CI sla-soak job does).
+//
+// The soak runs on the portable Go replay kernel whatever the host has.
+// Its subject is the batcher/worker class policy above the kernel, and
+// its load calibration (block-size ladder, TTI floor, queue depth — see
+// slaSoak) was made against that kernel's service times. On the native
+// kernel the ladder stops at K=152–512, where a 1000-block capacity probe
+// and both phases are dominated by per-worker cold starts (a worker
+// records and compiles on its first block of a K: ~30 ms at K=512, and
+// the two reserved URLLC workers take theirs inside the measured phase),
+// so the soak would measure compile time instead of class policy.
+// ROADMAP item 5(a) has the counts and carries the fix (virtual time
+// with warmed or accounted-for reserved workers).
 func TestSLAOverloadSoak(t *testing.T) {
 	if testing.Short() {
 		t.Skip("soak test skipped in -short")
 	}
+	was := program.UseNativeKernel(false)
+	t.Cleanup(func() { program.UseNativeKernel(was) })
 	for _, seed := range []int64{1, 2, 3} {
 		seed := seed
 		t.Run("seed"+itoa(int(seed)), func(t *testing.T) {

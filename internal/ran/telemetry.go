@@ -5,6 +5,7 @@ import (
 	"strconv"
 	"sync"
 
+	"vransim/internal/simd/program"
 	"vransim/internal/telemetry"
 	"vransim/internal/uarch"
 )
@@ -253,6 +254,19 @@ type spansBody struct {
 	Slowest map[string][]telemetry.Span `json:"slowest"`
 }
 
+// kernelInfo is the info gauge (constant 1) naming the replay kernel this
+// process decodes with. It is mounted per process rather than rendered
+// from a Snapshot, which a coordinator folds across shards: a shard
+// without AVX-512BW decodes several times slower per worker, and which
+// shard that is has to be answerable from its own /metrics.
+func kernelInfo() telemetry.Family {
+	return telemetry.Family{Name: "vran_decode_kernel_info",
+		Help: "Replay kernel this process runs the packed trellis ops with: avx512bw (native) or go (portable).",
+		Type: telemetry.Gauge,
+		Samples: []telemetry.Sample{{
+			Labels: []telemetry.Label{telemetry.L("kernel", program.Kernel())}, Value: 1}}}
+}
+
 // snapshotBody is the /snapshot JSON shape.
 type snapshotBody struct {
 	Snapshot     *Snapshot                `json:"snapshot"`
@@ -269,7 +283,7 @@ func MountAdmin(rt *Runtime, tr *telemetry.Tracer, cal *uarch.Result, addr strin
 	return telemetry.NewAdmin(telemetry.AdminConfig{
 		Addr: addr,
 		Metrics: func() []telemetry.Family {
-			fams := rt.Snapshot().Families()
+			fams := append(rt.Snapshot().Families(), kernelInfo())
 			fams = append(fams, tr.Families()...)
 			if cal != nil {
 				fams = append(fams, telemetry.UarchFamilies(*cal, "calibration")...)

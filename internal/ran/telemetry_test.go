@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"vransim/internal/simd"
+	"vransim/internal/simd/program"
 	"vransim/internal/telemetry"
 )
 
@@ -213,6 +214,7 @@ func TestProgramMetricsExposition(t *testing.T) {
 		"vran_decode_compiles_total",
 		"vran_decode_compile_seconds_total",
 		"vran_decode_compiled_plans",
+		`vran_decode_kernel_info{kernel="` + program.Kernel() + `"} 1`,
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("/metrics missing %q", want)

@@ -131,6 +131,16 @@ func (b *Builder) Mark(name string) {
 		return
 	}
 	b.cuts = append(b.cuts, len(b.ops))
+	if len(b.cuts) == 2 {
+		// Iteration 0 has just ended, so the size of an iteration is
+		// known, and one more is all that will be stored (the third mark
+		// freezes the stream). Reserve exactly that once, rather than
+		// let append regrow a K=6144 recording of 1.3M ops by a quarter
+		// at a time; a longer second iteration still appends.
+		if need := len(b.ops) + b.cuts[1] - b.cuts[0]; cap(b.ops) < need {
+			b.ops = append(make([]rawOp, 0, need), b.ops...)
+		}
+	}
 	if len(b.cuts) == 3 {
 		b.verifying = true
 		b.vpos = 0

@@ -1,6 +1,8 @@
 package program
 
 import (
+	"slices"
+
 	"vransim/internal/simd"
 )
 
@@ -99,9 +101,14 @@ type Program struct {
 	aux32    []int32
 	aux      []int64
 
-	// gat is idxTabs resolved for Run by finalize: one byte per lane,
+	// gat is idxTabs resolved for Run by finalize: one word per lane (the
+	// index operand VPERMI2W takes, and what the Go bodies index through),
 	// invalid and inactive entries pointing at the zero sentinel lane.
-	gat [][regStride]uint8
+	gat [][regStride]uint16
+
+	// extent is the end of the highest arena byte range any op touches,
+	// recorded by analyze; Run refuses a smaller arena.
+	extent int64
 
 	// RawOps and FusedOps count the recorded ops and the executable ops
 	// per segment — the compression the fusion pass achieved.
@@ -153,6 +160,7 @@ func (b *Builder) CompileOpts(w simd.Width, opts CompileOptions) (*Program, erro
 	p.RawOps = [2]int{len(first), len(steady)}
 	p.segs[SegFirst] = p.fuse(first)
 	p.segs[SegSteady] = p.fuse(steady)
+	p.aux = slices.Clone(p.aux) // drop append's growth slack, as fuse does
 	p.FusedOps = [2]int{len(p.segs[SegFirst]), len(p.segs[SegSteady])}
 	if opts.Schedule {
 		p.schedule(&opts)

@@ -24,13 +24,13 @@ func (p *Program) finalize(memSize int64) error {
 	if err := p.analyze(memSize); err != nil {
 		return err
 	}
-	p.gat = make([][regStride]uint8, len(p.idxTabs))
+	p.gat = make([][regStride]uint16, len(p.idxTabs))
 	for id, tb := range p.idxTabs {
 		g := &p.gat[id]
 		for i := range g {
 			g[i] = sentinel
 			if i < p.lanes && i < len(tb) && tb[i] >= 0 && int(tb[i]) < p.lanes {
-				g[i] = uint8(tb[i])
+				g[i] = uint16(tb[i])
 			}
 		}
 	}
@@ -42,7 +42,10 @@ func (p *Program) finalize(memSize int64) error {
 // register offsets inside the register file, memory ranges inside
 // memSize (when positive) and at even addresses (Run views the arena as
 // int16 lanes); visitEffects itself rejects malformed aux windows, table
-// ids and immediates. And it sets every op's live mask.
+// ids and immediates. It records the end of the highest range as the
+// program's extent: a compiled program is finalized without a memSize, so
+// Run checks the arena it is handed against the extent instead. And it
+// sets every op's live mask.
 //
 // Registers are private to the program and arena bytes are the only
 // observable state, so a register write is needed only if some later op
@@ -70,6 +73,7 @@ func (p *Program) analyze(memSize int64) error {
 	var tails []write         // writes that reach the end of their segment
 	var reads, writes []int32 // the op being walked, in visitEffects order
 	var verr error
+	var extent int64
 	v := &effectVisitor{
 		reg: func(off int32, write bool) {
 			if off < 0 || off+regStride > nregs {
@@ -89,6 +93,7 @@ func (p *Program) analyze(memSize int64) error {
 			if verr == nil && addr&1 != 0 {
 				verr = fmt.Errorf("program: memory access at odd address %d", addr)
 			}
+			extent = max(extent, addr+n)
 		},
 	}
 	for _, ops := range p.segs {
@@ -129,5 +134,6 @@ func (p *Program) analyze(memSize int64) error {
 			w.op.live |= 1 << w.bit
 		}
 	}
+	p.extent = extent
 	return nil
 }

@@ -1,6 +1,10 @@
 package program
 
-import "vransim/internal/simd"
+import (
+	"slices"
+
+	"vransim/internal/simd"
+)
 
 // The fusion pass collapses the recorded stream's hot patterns into
 // single executable ops. Two correctness disciplines make every fusion
@@ -20,9 +24,12 @@ import "vransim/internal/simd"
 //     ranges are disjoint from the load ranges and each other.
 
 // fuse lowers a raw segment, greedily matching fusion patterns and
-// falling back to singletons.
+// falling back to singletons. The segment it returns has no spare
+// capacity: it lives as long as the plan, a serving process holds one
+// plan per (worker, K), and the packed stream fuses about ten raw ops
+// into one, so any estimate made from len(raw) strands most of itself.
 func (p *Program) fuse(raw []rawOp) []mop {
-	out := make([]mop, 0, len(raw)/2+16)
+	out := make([]mop, 0, len(raw)/8+16)
 	for i := 0; i < len(raw); {
 		if m, n := p.tryCopyRun(raw[i:]); n > 0 {
 			out = append(out, m)
@@ -97,7 +104,7 @@ func (p *Program) fuse(raw []rawOp) []mop {
 		out = append(out, single(raw[i]))
 		i++
 	}
-	return out
+	return slices.Clone(out)
 }
 
 // pushAux appends operand words to the program pool and returns their

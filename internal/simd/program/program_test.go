@@ -372,7 +372,9 @@ func recordAndCompile(t *testing.T, w simd.Width, memBytes int, iters int) (*Pro
 // must leave byte-identical memory to the interpreted run — across all
 // widths, with register state carried across iterations and with
 // per-iteration pointer churn in the recording.
-func TestReplayMatchesInterpreter(t *testing.T) {
+func TestReplayMatchesInterpreter(t *testing.T) { eachKernel(t, testReplayMatchesInterpreter) }
+
+func testReplayMatchesInterpreter(t *testing.T) {
 	const iters = 5
 	for _, w := range simd.Widths {
 		p, interpMem, k := recordAndCompile(t, w, 1<<14, iters)
@@ -517,7 +519,9 @@ func TestSynthKernelCoversFusedOps(t *testing.T) {
 // one), replay byte-identically to the interpreter while every register
 // write the live masks call dead is poisoned. Then the check is shown to
 // have teeth: with every mask cleared the same replay must diverge.
-func TestPoisonedReplay(t *testing.T) {
+func TestPoisonedReplay(t *testing.T) { eachKernel(t, testPoisonedReplay) }
+
+func testPoisonedReplay(t *testing.T) {
 	const iters = 4
 	for _, w := range simd.Widths {
 		p, _, k := recordAndCompile(t, w, 1<<14, iters)

@@ -19,8 +19,10 @@ func clampi(x, c int32) int16 { return int16(max(min(x, c), -c)) }
 // fused ops gather from 2*regStride-lane local copies whose lanes
 // [regStride, 2*regStride) stay zero; finalize resolves every invalid or
 // inactive index-table entry to regStride, so "out-of-range selects
-// zero" costs no branch, and masking a table byte with gmask bounds it
-// for the compiler.
+// zero" costs no branch, and masking a table entry with gmask bounds it
+// for the compiler. Entries are words because the native kernels hand the
+// same tables to VPERMI2W as its index operand, where bit 5 (the
+// sentinel) selects the second, all-zero table.
 const (
 	sentinel = regStride
 	gmask    = 2*regStride - 1
@@ -59,14 +61,24 @@ func arena16(mem *simd.Memory) []int16 {
 // iteration after the first. Arena bytes are the only observable state:
 // the register file is private to the program, and a fused op writes an
 // intermediate register only when finalize's liveness pass found a later
-// reader (op.live). The loop performs no allocation.
+// reader (op.live). The loop performs no allocation. An arena smaller
+// than the program's extent panics, as the first out-of-range slice
+// expression would.
 func (p *Program) Run(mem *simd.Memory, seg int) {
-	p.exec(arena16(mem), p.segs[seg])
+	m := arena16(mem)
+	if int64(len(m))*2 < p.extent {
+		panic("program: arena smaller than the program's extent")
+	}
+	p.exec(m, p.segs[seg])
 }
 
+// exec runs ops in order. Each of the four packed trellis ops has its Go
+// body below and, for the form with every intermediate register dead, a
+// native one (kern.go) taken when the host has it.
 func (p *Program) exec(m []int16, ops []mop) {
 	r := p.regs
 	L := p.lanes
+	native := useNative
 	for oi := range ops {
 		op := &ops[oi]
 		switch op.kind {
@@ -299,6 +311,10 @@ func (p *Program) exec(m []int16, ops []mop) {
 			// live bits: 0 acc, 1 tmp.
 			ns := int(op.n)
 			t := p.aux[op.tab : op.tab+int32(3+2*ns)]
+			if native && op.live == 0 && ns <= maxQuadSrcs {
+				p.quadScatterNative(m, r, t, ns, L)
+				continue
+			}
 			var v [regStride]int16
 			var src gatherSrc
 			for s := 0; s < ns; s++ {
@@ -319,6 +335,10 @@ func (p *Program) exec(m []int16, ops []mop) {
 			// live bits: 0 source register, 1 acc, 2 tmp (ns > 1 only).
 			ns := int(op.n)
 			t := p.aux[op.tab : op.tab+int32(4+2*ns)]
+			if native && op.live == 0 && ns <= maxQuadSrcs {
+				p.quadGatherNative(m, t, ns, L)
+				continue
+			}
 			var v [regStride]int16
 			var src gatherSrc
 			for s := 0; s < ns; s++ {
@@ -345,6 +365,10 @@ func (p *Program) exec(m []int16, ops []mop) {
 			t := p.aux[op.tab : op.tab+16]
 			al := lanes(r, t[8])
 			full := op.live&0xff != 0
+			if native && !full {
+				p.alphaStepNative(m, r, t, L)
+				continue
+			}
 			var q, a, na gatherSrc
 			copy(q[:L], line(m, t[9], L))
 			copy(a[:regStride], al[:])
@@ -378,6 +402,10 @@ func (p *Program) exec(m []int16, ops []mop) {
 			t := p.aux[op.tab:]
 			beta := lanes(r, t[7])
 			full := op.live&^(1<<7) != 0
+			if native && !full {
+				p.betaStepNative(m, r, op, L)
+				continue
+			}
 			var q, b, nb gatherSrc
 			var v0, v1 [regStride]int16
 			copy(q[:L], line(m, t[9], L))
@@ -453,7 +481,7 @@ func (p *Program) exec(m []int16, ops []mop) {
 // permute reads the complete pre-stage register, so dst and src must be
 // distinct, and an invalid index contributes the permute's zero (lanes
 // >= regStride of every operand stay zero).
-func hmaxStage(da, sa, db, sb *gatherSrc, g []uint8) {
+func hmaxStage(da, sa, db, sb *gatherSrc, g []uint16) {
 	for i, j := range g {
 		i, j := i&gmask, j&gmask
 		da[i], db[i] = max(sa[i], sa[j]), max(sb[i], sb[j])
@@ -462,7 +490,7 @@ func hmaxStage(da, sa, db, sb *gatherSrc, g []uint8) {
 
 // gather is vpermw over a zero-extended source: dst[i] = src[g[i]], with
 // sentinel entries selecting zero.
-func gather(dst []int16, src *gatherSrc, g *[regStride]uint8) {
+func gather(dst []int16, src *gatherSrc, g *[regStride]uint16) {
 	for i, j := range g[:len(dst)] {
 		dst[i] = src[j&gmask]
 	}

@@ -127,7 +127,9 @@ func TestSingleHeuristicSelection(t *testing.T) {
 // pinned here across seeds on both segments. The program has already run
 // when it is reordered, and the replays are poisoned, so live masks left
 // over from the previous order would fail here rather than in a decode.
-func TestReorderRandomBitExact(t *testing.T) {
+func TestReorderRandomBitExact(t *testing.T) { eachKernel(t, testReorderRandomBitExact) }
+
+func testReorderRandomBitExact(t *testing.T) {
 	const iters = 4
 	p, interpMem, k := recordAndCompile(t, simd.W512, 1<<14, iters)
 	want := interpMem.Bytes(0, interpMem.Size())
@@ -195,7 +197,9 @@ func TestDAGLegalOrder(t *testing.T) {
 // byte-identical, and the metadata (width, op counts, sched info) must
 // survive the trip. The live masks are not on the wire; the poisoned
 // replay checks the loaded program derived its own.
-func TestSerializationRoundtrip(t *testing.T) {
+func TestSerializationRoundtrip(t *testing.T) { eachKernel(t, testSerializationRoundtrip) }
+
+func testSerializationRoundtrip(t *testing.T) {
 	const iters = 4
 	p, interpMem, k := recordAndCompileOpts(t, simd.W512, 1<<14, iters,
 		CompileOptions{Schedule: true})

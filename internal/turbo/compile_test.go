@@ -69,6 +69,10 @@ func decodeThreeWay(t *testing.T, w simd.Width, k int, words []*LLRWord, maxIter
 // partial batch fills, the compiled replay must produce exactly the bits
 // of the interpreted SIMD decoder and of the scalar reference.
 func TestCompiledMatchesInterpretedAndScalar(t *testing.T) {
+	eachKernel(t, testCompiledMatchesInterpretedAndScalar)
+}
+
+func testCompiledMatchesInterpretedAndScalar(t *testing.T) {
 	for _, w := range simd.Widths {
 		for _, k := range []int{40, 104, 512} {
 			c, err := NewCode(k)
@@ -274,7 +278,7 @@ func TestProgramStatsCounters(t *testing.T) {
 func TestTracedEngineStaysInterpreted(t *testing.T) {
 	const k = 104
 	bd := &BatchDecoder{
-		eng:       simd.NewEngine(simd.W128, simd.NewMemory(32<<20), trace.NewRecorder(1 << 20)),
+		eng:       simd.NewEngine(simd.W128, simd.NewMemory(32<<20), trace.NewRecorder(1<<20)),
 		ar:        core.ByStrategy(core.StrategyAPCM),
 		plans:     make(map[planKey]*decodePlan),
 		codes:     make(map[int]*Code),
@@ -336,43 +340,45 @@ func FuzzCompiledDecode(f *testing.F) {
 	f.Add(int64(3), uint8(2), uint8(3), uint8(255))
 	ks := []int{40, 104, 208, 512}
 	f.Fuzz(func(t *testing.T, seed int64, wIdx, kIdx, fill uint8) {
-		w := simd.Widths[int(wIdx)%len(simd.Widths)]
-		k := ks[int(kIdx)%len(ks)]
-		rng := rand.New(rand.NewSource(seed))
-		nb := BlocksPerRegister(w)
-		n := 1 + int(fill)%nb
-		words := make([]*LLRWord, n)
-		for b := range words {
-			words[b] = randomWord(rng, k)
-		}
-
-		comp := NewBatchDecoder(w, core.StrategyAPCM, 32<<20)
-		comp.MaxIters = 4
-		if _, _, err := comp.Decode(k, words); err != nil {
-			t.Fatal(err)
-		}
-		got, gotIters, err := comp.Decode(k, words)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if comp.ProgramStats().Hits == 0 {
-			t.Fatal("second decode did not hit the compiled program")
-		}
-
-		interp := NewBatchDecoder(w, core.StrategyAPCM, 32<<20)
-		interp.Compile = false
-		interp.MaxIters = 4
-		want, wantIters, err := interp.Decode(k, words)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if gotIters != wantIters {
-			t.Errorf("compiled %d iters, interpreted %d", gotIters, wantIters)
-		}
-		for b := range words {
-			if !equalBits(got[b], want[b]) {
-				t.Errorf("block %d: compiled and interpreted decisions differ", b)
+		eachKernel(t, func(t *testing.T) {
+			w := simd.Widths[int(wIdx)%len(simd.Widths)]
+			k := ks[int(kIdx)%len(ks)]
+			rng := rand.New(rand.NewSource(seed))
+			nb := BlocksPerRegister(w)
+			n := 1 + int(fill)%nb
+			words := make([]*LLRWord, n)
+			for b := range words {
+				words[b] = randomWord(rng, k)
 			}
-		}
+
+			comp := NewBatchDecoder(w, core.StrategyAPCM, 32<<20)
+			comp.MaxIters = 4
+			if _, _, err := comp.Decode(k, words); err != nil {
+				t.Fatal(err)
+			}
+			got, gotIters, err := comp.Decode(k, words)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if comp.ProgramStats().Hits == 0 {
+				t.Fatal("second decode did not hit the compiled program")
+			}
+
+			interp := NewBatchDecoder(w, core.StrategyAPCM, 32<<20)
+			interp.Compile = false
+			interp.MaxIters = 4
+			want, wantIters, err := interp.Decode(k, words)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if gotIters != wantIters {
+				t.Errorf("compiled %d iters, interpreted %d", gotIters, wantIters)
+			}
+			for b := range words {
+				if !equalBits(got[b], want[b]) {
+					t.Errorf("block %d: compiled and interpreted decisions differ", b)
+				}
+			}
+		})
 	})
 }

@@ -208,11 +208,11 @@ func TestItersOverride(t *testing.T) {
 	for _, tc := range []struct {
 		override, want int
 	}{
-		{0, 5},  // disengaged: full budget
-		{2, 2},  // clamped
-		{9, 5},  // never raises above MaxIters
-		{1, 1},  // floor
-		{0, 5},  // released
+		{0, 5}, // disengaged: full budget
+		{2, 2}, // clamped
+		{9, 5}, // never raises above MaxIters
+		{1, 1}, // floor
+		{0, 5}, // released
 	} {
 		bd.ItersOverride = tc.override
 		bits, iters, err := bd.Decode(k, words)
@@ -339,49 +339,51 @@ func FuzzCombinedDecode(f *testing.F) {
 	f.Add(int64(3), uint8(2), uint8(2), uint8(5))
 	ks := []int{40, 104, 512}
 	f.Fuzz(func(t *testing.T, seed int64, wIdx, kIdx, rx uint8) {
-		w := simd.Widths[int(wIdx)%len(simd.Widths)]
-		k := ks[int(kIdx)%len(ks)]
-		receptions := 2 + int(rx)%4
-		rng := rand.New(rand.NewSource(seed))
-		nb := BlocksPerRegister(w)
-		words := make([]*LLRWord, nb)
-		for b := range words {
-			acc := randomWord(rng, k)
-			for r := 1; r < receptions; r++ {
-				if err := acc.Accumulate(randomWord(rng, k)); err != nil {
-					t.Fatal(err)
+		eachKernel(t, func(t *testing.T) {
+			w := simd.Widths[int(wIdx)%len(simd.Widths)]
+			k := ks[int(kIdx)%len(ks)]
+			receptions := 2 + int(rx)%4
+			rng := rand.New(rand.NewSource(seed))
+			nb := BlocksPerRegister(w)
+			words := make([]*LLRWord, nb)
+			for b := range words {
+				acc := randomWord(rng, k)
+				for r := 1; r < receptions; r++ {
+					if err := acc.Accumulate(randomWord(rng, k)); err != nil {
+						t.Fatal(err)
+					}
+				}
+				words[b] = acc
+			}
+
+			comp := NewBatchDecoder(w, core.StrategyAPCM, 32<<20)
+			comp.MaxIters = 4
+			if _, _, err := comp.Decode(k, words); err != nil {
+				t.Fatal(err)
+			}
+			got, gotIters, err := comp.Decode(k, words)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if comp.ProgramStats().Hits == 0 {
+				t.Fatal("second decode did not hit the compiled program")
+			}
+
+			interp := NewBatchDecoder(w, core.StrategyAPCM, 32<<20)
+			interp.Compile = false
+			interp.MaxIters = 4
+			want, wantIters, err := interp.Decode(k, words)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if gotIters != wantIters {
+				t.Errorf("compiled %d iters, interpreted %d", gotIters, wantIters)
+			}
+			for b := range words {
+				if !equalBits(got[b], want[b]) {
+					t.Errorf("block %d: compiled and interpreted decisions differ on combined word", b)
 				}
 			}
-			words[b] = acc
-		}
-
-		comp := NewBatchDecoder(w, core.StrategyAPCM, 32<<20)
-		comp.MaxIters = 4
-		if _, _, err := comp.Decode(k, words); err != nil {
-			t.Fatal(err)
-		}
-		got, gotIters, err := comp.Decode(k, words)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if comp.ProgramStats().Hits == 0 {
-			t.Fatal("second decode did not hit the compiled program")
-		}
-
-		interp := NewBatchDecoder(w, core.StrategyAPCM, 32<<20)
-		interp.Compile = false
-		interp.MaxIters = 4
-		want, wantIters, err := interp.Decode(k, words)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if gotIters != wantIters {
-			t.Errorf("compiled %d iters, interpreted %d", gotIters, wantIters)
-		}
-		for b := range words {
-			if !equalBits(got[b], want[b]) {
-				t.Errorf("block %d: compiled and interpreted decisions differ on combined word", b)
-			}
-		}
+		})
 	})
 }

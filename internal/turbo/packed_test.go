@@ -6,7 +6,25 @@ import (
 
 	"vransim/internal/core"
 	"vransim/internal/simd"
+	"vransim/internal/simd/program"
 )
+
+// eachKernel runs f once with the replay program on its portable Go
+// kernel and once on the native one, so one binary checks both against
+// the interpreter and the scalar decoder. On a host without the native
+// kernel that half is skipped, with the reason.
+func eachKernel(t *testing.T, f func(t *testing.T)) {
+	for _, name := range []string{"go", "avx512bw"} {
+		t.Run(name, func(t *testing.T) {
+			was := program.UseNativeKernel(name != "go")
+			defer program.UseNativeKernel(was)
+			if program.Kernel() != name {
+				t.Skipf("this host runs the %q kernel only (no AVX-512BW, or the OS does not save ZMM state): %s not exercised", program.Kernel(), name)
+			}
+			f(t)
+		})
+	}
+}
 
 // decodeFourWay decodes the same batch through the packed compiled
 // replay, the packed interpreter, the per-block (unpacked) path and the
@@ -87,7 +105,9 @@ func decodeFourWay(t *testing.T, w simd.Width, k int, words []*LLRWord, maxIters
 // K=104 and K=512 get the same treatment in
 // TestCompiledMatchesInterpretedAndScalar, which runs the packed
 // default on both sides of its comparison.
-func TestPackedMatchesAllPaths(t *testing.T) {
+func TestPackedMatchesAllPaths(t *testing.T) { eachKernel(t, testPackedMatchesAllPaths) }
+
+func testPackedMatchesAllPaths(t *testing.T) {
 	for _, w := range simd.Widths {
 		for _, k := range []int{40, 208, 2048} {
 			c, err := NewCode(k)
@@ -120,7 +140,9 @@ func TestPackedMatchesAllPaths(t *testing.T) {
 // convergence iteration must equal what decoding that word alone
 // produces, at every fill level, on both the compiled and interpreted
 // packed paths.
-func TestPackedPaddedLanesInvariant(t *testing.T) {
+func TestPackedPaddedLanesInvariant(t *testing.T) { eachKernel(t, testPackedPaddedLanesInvariant) }
+
+func testPackedPaddedLanesInvariant(t *testing.T) {
 	const k = 104
 	for _, compile := range []bool{true, false} {
 		for _, w := range []simd.Width{simd.W256, simd.W512} {
@@ -297,61 +319,63 @@ func FuzzPackedDecode(f *testing.F) {
 	f.Add(int64(9), uint8(0), uint8(3), uint8(255))
 	ks := []int{40, 104, 208, 512}
 	f.Fuzz(func(t *testing.T, seed int64, wIdx, kIdx, fill uint8) {
-		w := simd.Widths[int(wIdx)%len(simd.Widths)]
-		k := ks[int(kIdx)%len(ks)]
-		rng := rand.New(rand.NewSource(seed))
-		nb := BlocksPerRegister(w)
-		n := 1 + int(fill)%nb
-		words := make([]*LLRWord, n)
-		for b := range words {
-			words[b] = randomWord(rng, k)
-		}
-
-		packed := NewBatchDecoder(w, core.StrategyAPCM, 32<<20)
-		packed.MaxIters = 4
-		if _, _, err := packed.Decode(k, words); err != nil {
-			t.Fatal(err)
-		}
-		got, gotIters, err := packed.Decode(k, words)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if packed.ProgramStats().Hits == 0 {
-			t.Fatal("second decode did not hit the compiled packed program")
-		}
-		gotPer := append([]int(nil), packed.BlockIters()...)
-
-		pInterp := NewBatchDecoder(w, core.StrategyAPCM, 32<<20)
-		pInterp.MaxIters = 4
-		pInterp.Compile = false
-		wantI, wantIIters, err := pInterp.Decode(k, words)
-		if err != nil {
-			t.Fatal(err)
-		}
-
-		unpacked := NewBatchDecoder(w, core.StrategyAPCM, 32<<20)
-		unpacked.MaxIters = 4
-		unpacked.Packed = false
-		wantU, wantUIters, err := unpacked.Decode(k, words)
-		if err != nil {
-			t.Fatal(err)
-		}
-
-		if gotIters != wantIIters || gotIters != wantUIters {
-			t.Errorf("iterations diverge: packed-compiled %d, packed-interpreted %d, unpacked %d",
-				gotIters, wantIIters, wantUIters)
-		}
-		unpackedPer := unpacked.BlockIters()
-		for b := range words {
-			if !equalBits(got[b], wantI[b]) {
-				t.Errorf("block %d: packed compiled and interpreted decisions differ", b)
+		eachKernel(t, func(t *testing.T) {
+			w := simd.Widths[int(wIdx)%len(simd.Widths)]
+			k := ks[int(kIdx)%len(ks)]
+			rng := rand.New(rand.NewSource(seed))
+			nb := BlocksPerRegister(w)
+			n := 1 + int(fill)%nb
+			words := make([]*LLRWord, n)
+			for b := range words {
+				words[b] = randomWord(rng, k)
 			}
-			if !equalBits(got[b], wantU[b]) {
-				t.Errorf("block %d: packed and per-block decisions differ", b)
+
+			packed := NewBatchDecoder(w, core.StrategyAPCM, 32<<20)
+			packed.MaxIters = 4
+			if _, _, err := packed.Decode(k, words); err != nil {
+				t.Fatal(err)
 			}
-			if gotPer[b] != unpackedPer[b] {
-				t.Errorf("block %d: packed block iterations %d, per-block %d", b, gotPer[b], unpackedPer[b])
+			got, gotIters, err := packed.Decode(k, words)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
+			if packed.ProgramStats().Hits == 0 {
+				t.Fatal("second decode did not hit the compiled packed program")
+			}
+			gotPer := append([]int(nil), packed.BlockIters()...)
+
+			pInterp := NewBatchDecoder(w, core.StrategyAPCM, 32<<20)
+			pInterp.MaxIters = 4
+			pInterp.Compile = false
+			wantI, wantIIters, err := pInterp.Decode(k, words)
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			unpacked := NewBatchDecoder(w, core.StrategyAPCM, 32<<20)
+			unpacked.MaxIters = 4
+			unpacked.Packed = false
+			wantU, wantUIters, err := unpacked.Decode(k, words)
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			if gotIters != wantIIters || gotIters != wantUIters {
+				t.Errorf("iterations diverge: packed-compiled %d, packed-interpreted %d, unpacked %d",
+					gotIters, wantIIters, wantUIters)
+			}
+			unpackedPer := unpacked.BlockIters()
+			for b := range words {
+				if !equalBits(got[b], wantI[b]) {
+					t.Errorf("block %d: packed compiled and interpreted decisions differ", b)
+				}
+				if !equalBits(got[b], wantU[b]) {
+					t.Errorf("block %d: packed and per-block decisions differ", b)
+				}
+				if gotPer[b] != unpackedPer[b] {
+					t.Errorf("block %d: packed block iterations %d, per-block %d", b, gotPer[b], unpackedPer[b])
+				}
+			}
+		})
 	})
 }

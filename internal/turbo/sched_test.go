@@ -23,7 +23,9 @@ func newSchedDecoder(w simd.Width, packed bool, maxIters int) *BatchDecoder {
 // scalar reference, bit- and iteration-identical across widths × K ×
 // batch fill × packed/per-block. The scheduler may only reorder mops
 // inside dependency constraints, so all four must agree exactly.
-func TestScheduledMatchesAllPaths(t *testing.T) {
+func TestScheduledMatchesAllPaths(t *testing.T) { eachKernel(t, testScheduledMatchesAllPaths) }
+
+func testScheduledMatchesAllPaths(t *testing.T) {
 	const maxIters = 4
 	for _, w := range simd.Widths {
 		for _, k := range []int{40, 104, 512} {
@@ -265,57 +267,59 @@ func FuzzTopoReorder(f *testing.F) {
 	f.Add(int64(3), uint8(2), uint8(2), uint8(255), true)
 	ks := []int{40, 104, 512}
 	f.Fuzz(func(t *testing.T, seed int64, wIdx, kIdx, fill uint8, packed bool) {
-		w := simd.Widths[int(wIdx)%len(simd.Widths)]
-		k := ks[int(kIdx)%len(ks)]
-		rng := rand.New(rand.NewSource(seed))
-		nb := BlocksPerRegister(w)
-		n := 1 + int(fill)%nb
-		words := make([]*LLRWord, n)
-		for b := range words {
-			words[b] = randomWord(rng, k)
-		}
-
-		comp := NewBatchDecoder(w, core.StrategyAPCM, 32<<20)
-		comp.MaxIters = 4
-		comp.Packed = packed
-		if _, _, err := comp.Decode(k, words); err != nil {
-			t.Fatal(err)
-		}
-		prog := comp.PlanProgram(k, packed)
-		if prog == nil {
-			t.Fatal("first decode did not compile")
-		}
-		// Replay once before reordering: the program's derived state
-		// (live masks, register file) is then that of the old order, and
-		// must not leak into the new one.
-		if _, _, err := comp.Decode(k, words); err != nil {
-			t.Fatal(err)
-		}
-		for seg := range [2]int{program.SegFirst, program.SegSteady} {
-			if err := prog.ReorderRandom(seg, seed^int64(seg)<<7); err != nil {
-				t.Fatalf("seg %d: %v", seg, err)
+		eachKernel(t, func(t *testing.T) {
+			w := simd.Widths[int(wIdx)%len(simd.Widths)]
+			k := ks[int(kIdx)%len(ks)]
+			rng := rand.New(rand.NewSource(seed))
+			nb := BlocksPerRegister(w)
+			n := 1 + int(fill)%nb
+			words := make([]*LLRWord, n)
+			for b := range words {
+				words[b] = randomWord(rng, k)
 			}
-		}
-		got, gotIters, err := comp.Decode(k, words)
-		if err != nil {
-			t.Fatal(err)
-		}
 
-		interp := NewBatchDecoder(w, core.StrategyAPCM, 32<<20)
-		interp.Compile = false
-		interp.MaxIters = 4
-		interp.Packed = packed
-		want, wantIters, err := interp.Decode(k, words)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if gotIters != wantIters {
-			t.Errorf("reordered replay %d iters, interpreted %d", gotIters, wantIters)
-		}
-		for b := range words {
-			if !equalBits(got[b], want[b]) {
-				t.Errorf("block %d: reordered replay and interpreter decisions differ", b)
+			comp := NewBatchDecoder(w, core.StrategyAPCM, 32<<20)
+			comp.MaxIters = 4
+			comp.Packed = packed
+			if _, _, err := comp.Decode(k, words); err != nil {
+				t.Fatal(err)
 			}
-		}
+			prog := comp.PlanProgram(k, packed)
+			if prog == nil {
+				t.Fatal("first decode did not compile")
+			}
+			// Replay once before reordering: the program's derived state
+			// (live masks, register file) is then that of the old order, and
+			// must not leak into the new one.
+			if _, _, err := comp.Decode(k, words); err != nil {
+				t.Fatal(err)
+			}
+			for seg := range [2]int{program.SegFirst, program.SegSteady} {
+				if err := prog.ReorderRandom(seg, seed^int64(seg)<<7); err != nil {
+					t.Fatalf("seg %d: %v", seg, err)
+				}
+			}
+			got, gotIters, err := comp.Decode(k, words)
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			interp := NewBatchDecoder(w, core.StrategyAPCM, 32<<20)
+			interp.Compile = false
+			interp.MaxIters = 4
+			interp.Packed = packed
+			want, wantIters, err := interp.Decode(k, words)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if gotIters != wantIters {
+				t.Errorf("reordered replay %d iters, interpreted %d", gotIters, wantIters)
+			}
+			for b := range words {
+				if !equalBits(got[b], want[b]) {
+					t.Errorf("block %d: reordered replay and interpreter decisions differ", b)
+				}
+			}
+		})
 	})
 }

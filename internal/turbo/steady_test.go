@@ -7,6 +7,7 @@ import (
 
 	"vransim/internal/core"
 	"vransim/internal/simd"
+	"vransim/internal/simd/program"
 )
 
 // TestBatchDecoderSteadyStateBitExact drives one pooled decoder through
@@ -183,7 +184,10 @@ func TestBatchDecoderOutputStable(t *testing.T) {
 // default — the cross-block SoA-packed stream compiled to a fused replay
 // program; "compiled" replays the per-block path's program and
 // "interpreted" pins Compile=false on the per-block path, so the packed
-// win and the compile win stay separately measurable. Run with
+// win and the compile win stay separately measurable. "portable" is
+// "packed" with the replay program forced onto its Go kernel, so one
+// binary on an AVX-512BW host reads both kernels; where the Go kernel is
+// the only one it would repeat "packed" and is left out. Run with
 // -benchmem; CI gates allocs/op on it, the compiled/interpreted ratio at
 // W512 K=6144, and the packed/compiled ratio at W512 K=512.
 func BenchmarkBatchDecodeSteadyState(b *testing.B) {
@@ -193,11 +197,18 @@ func BenchmarkBatchDecodeSteadyState(b *testing.B) {
 	}{
 		{simd.W128, 512}, {simd.W256, 512}, {simd.W512, 104}, {simd.W512, 512}, {simd.W512, 6144},
 	}
+	modes := []string{"packed", "compiled", "interpreted"}
+	if program.Kernel() != "go" {
+		modes = append(modes, "portable")
+	}
 	for _, tc := range cases {
-		for _, mode := range []string{"packed", "compiled", "interpreted"} {
+		for _, mode := range modes {
 			b.Run(fmt.Sprintf("%v/K%d/%s", tc.w, tc.k, mode), func(b *testing.B) {
+				if mode == "portable" {
+					defer program.UseNativeKernel(program.UseNativeKernel(false))
+				}
 				bd := NewBatchDecoder(tc.w, core.StrategyAPCM, 32<<20)
-				bd.Packed = mode == "packed"
+				bd.Packed = mode == "packed" || mode == "portable"
 				bd.Compile = mode != "interpreted"
 				c, err := bd.Code(tc.k)
 				if err != nil {

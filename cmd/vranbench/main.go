@@ -6,14 +6,11 @@
 //	vranbench [-quick] all
 //	vranbench [-quick] fig13 fig14 …
 //	vranbench [-quick] -decodejson BENCH_decode.json
-//	vranbench [-quick] -shardjson BENCH_shard.json
-//	vranbench [-quick] -tracejson BENCH_trace.json [-tracegate 5]
 package main
 
 import (
 	"flag"
 	"fmt"
-	"io"
 	"os"
 
 	"vransim/internal/bench"
@@ -23,9 +20,6 @@ func main() {
 	quick := flag.Bool("quick", false, "shrink workloads for a fast pass")
 	list := flag.Bool("list", false, "list available experiments")
 	decodeJSON := flag.String("decodejson", "", "write the steady-state decode benchmark report to this file and exit")
-	shardJSON := flag.String("shardjson", "", "write the 1-vs-2-shard fleet benchmark report to this file and exit")
-	traceJSON := flag.String("tracejson", "", "write the distributed-tracing overhead report to this file and exit")
-	traceGate := flag.Float64("tracegate", 0, "fail if -tracejson measures trace overhead above this percent (0 disables)")
 	flag.Parse()
 
 	if *list {
@@ -35,31 +29,21 @@ func main() {
 		return
 	}
 	if *decodeJSON != "" {
-		writeReport(*decodeJSON, *quick, bench.WriteDecodeBenchJSON)
-		return
-	}
-	if *shardJSON != "" {
-		writeReport(*shardJSON, *quick, bench.WriteShardBenchJSON)
-		return
-	}
-	if *traceJSON != "" {
-		gate := *traceGate
-		writeReport(*traceJSON, *quick, func(w io.Writer, quick bool) error {
-			return bench.WriteTraceBenchJSON(w, quick, gate)
-		})
+		writeDecodeReport(*decodeJSON, *quick)
 		return
 	}
 	runExperiments(flag.Args(), *quick)
 }
 
-// writeReport streams one machine-readable benchmark report to path.
-func writeReport(path string, quick bool, write func(w io.Writer, quick bool) error) {
+// writeDecodeReport streams the machine-readable decode benchmark report
+// to path.
+func writeDecodeReport(path string, quick bool) {
 	f, err := os.Create(path)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "vranbench:", err)
 		os.Exit(1)
 	}
-	if err := write(f, quick); err != nil {
+	if err := bench.WriteDecodeBenchJSON(f, quick); err != nil {
 		f.Close()
 		fmt.Fprintln(os.Stderr, "vranbench:", err)
 		os.Exit(1)

@@ -1,13 +1,13 @@
 // Machine-readable steady-state decode benchmark: the harness behind
 // cmd/vranbench -decodejson and the committed BENCH_decode.json. It
-// drives testing.Benchmark over the packed (cross-block SoA + replay),
-// compiled (per-block plan cache + trace-replay program), steady (plan
-// cache, interpreter pinned) and fresh (pre-refactor replica) decode
-// paths for every width × a spread of K, reporting ns/op, B/op,
-// allocs/op and emulated goodput per row. The compiled/steady row pairs
-// are the replay compiler's speedup evidence (CI gates their ratio at
-// W512 K=6144); the packed/compiled pairs are the SoA packing's
-// small-K evidence (CI gates W512 K=512).
+// drives testing.Benchmark over the serving decode path — packed
+// (compiled replay), interpreted (the same stream with the interpreter
+// pinned) and, on a host with the native kernel, portable (compiled
+// replay on the Go kernel) — for every width × a spread of K, reporting
+// ns/op, B/op, allocs/op and emulated goodput per row. The
+// interpreted/packed pairs are the replay compiler's speedup evidence
+// and the portable/packed pairs the native kernel's (CI gates both
+// ratios at W512 K=512).
 package bench
 
 import (
@@ -43,14 +43,11 @@ func flagSet(name, value string) error {
 
 // DecodeBenchRow is one (mode, width, K) measurement.
 type DecodeBenchRow struct {
-	// Mode is "scheduled" (pooled, cross-block SoA replay compiled
-	// through the port-aware scheduling pass), "packed" (pooled,
-	// cross-block SoA stream replayed as one compiled program per
-	// iteration), "compiled" (pooled, replaying the per-block compiled
-	// program), "steady" (pooled, interpreter pinned via Compile=false),
-	// "fresh" (decoder and working set rebuilt every op) or "portable"
-	// ("packed" with the replay forced onto its Go kernel; only on a host
-	// that has the native one).
+	// Mode is "packed" (the serving path: the cross-block SoA stream
+	// replayed as one compiled program per iteration), "interpreted"
+	// (the same stream with the interpreter pinned via Compile=false) or
+	// "portable" ("packed" with the replay forced onto its Go kernel;
+	// only on a host that has the native one).
 	Mode     string  `json:"mode"`
 	Width    string  `json:"width"`
 	K        int     `json:"k"`
@@ -62,12 +59,6 @@ type DecodeBenchRow struct {
 	// (emulated decode — the number compares modes, not hardware).
 	GoodputMbps float64 `json:"goodput_mbps"`
 	Iterations  int     `json:"benchmark_iterations"`
-	// SimIPCBefore/After are the scheduling pass's cost-model IPCs of
-	// the steady segment (recorded vs adopted order) and SchedHeuristic
-	// the winning policy — scheduled mode only.
-	SimIPCBefore   float64 `json:"sim_ipc_before,omitempty"`
-	SimIPCAfter    float64 `json:"sim_ipc_after,omitempty"`
-	SchedHeuristic string  `json:"sched_heuristic,omitempty"`
 }
 
 // DecodeBenchReport is the BENCH_decode.json shape.
@@ -137,7 +128,7 @@ func RunDecodeBench(quick bool) (*DecodeBenchReport, error) {
 	}
 	// "portable" is "packed" on the Go replay kernel; on a host whose only
 	// kernel that is, it would repeat the packed row.
-	modes := []string{"scheduled", "packed", "compiled", "steady", "fresh"}
+	modes := []string{"packed", "interpreted"}
 	if rep.Kernel != "go" {
 		modes = append(modes, "portable")
 	}
@@ -166,64 +157,32 @@ func runDecodeCell(mode string, w simd.Width, k int) (DecodeBenchRow, error) {
 	if err != nil {
 		return DecodeBenchRow{}, err
 	}
-	var inner error
-	var res testing.BenchmarkResult
-	var sched *turbo.BatchDecoder
-	switch mode {
-	case "scheduled", "packed", "portable", "compiled", "steady":
-		if mode == "portable" {
-			defer program.UseNativeKernel(program.UseNativeKernel(false))
-		}
-		bd := turbo.NewBatchDecoder(w, core.StrategyAPCM, 32<<20)
-		sched = bd
-		bd.MaxIters = decodeBenchIters
-		// "scheduled" and "packed" keep the cross-block SoA stream
-		// (differing only in the scheduling pass, so the pair isolates
-		// the reorder's wall-clock cost); "compiled" and "steady" pin
-		// Packed=false so they stay the per-block baseline the packing
-		// is measured against. "steady" additionally pins the
-		// interpreter so the compiled/steady pair isolates exactly the
-		// replay win over the same cache.
-		bd.Packed = mode == "packed" || mode == "scheduled" || mode == "portable"
-		bd.Compile = mode != "steady"
-		bd.Schedule = mode == "scheduled"
-		// Two warm-ups: plan build, then (compiling modes) the
-		// recording decode; the measured loop starts on the hot path.
-		for i := 0; i < 2; i++ {
-			if _, _, err := bd.Decode(k, words); err != nil {
-				return DecodeBenchRow{}, err
-			}
-		}
-		if bd.Compile && bd.ProgramStats().CompiledPlans == 0 {
-			return DecodeBenchRow{}, fmt.Errorf("bench: warm-up did not compile a program for K=%d at %v", k, w)
-		}
-		res = testing.Benchmark(func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, _, err := bd.Decode(k, words); err != nil {
-					inner = err
-					b.Fatal(err)
-				}
-			}
-		})
-	case "fresh":
-		eng := simd.NewEngine(w, simd.NewMemory(32<<20), nil)
-		ar := core.ByStrategy(core.StrategyAPCM)
-		res = testing.Benchmark(func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				eng.Mem.AllocReset()
-				d := turbo.NewMultiSIMDDecoder(c)
-				d.MaxIters = decodeBenchIters
-				if _, _, err := d.Decode(eng, ar, words); err != nil {
-					inner = err
-					b.Fatal(err)
-				}
-			}
-		})
-	default:
-		return DecodeBenchRow{}, fmt.Errorf("bench: unknown decode mode %q", mode)
+	if mode == "portable" {
+		defer program.UseNativeKernel(program.UseNativeKernel(false))
 	}
+	bd := turbo.NewBatchDecoder(w, core.StrategyAPCM, 32<<20)
+	bd.MaxIters = decodeBenchIters
+	bd.Compile = mode != "interpreted"
+	// Two warm-ups: plan build, then (compiling modes) the recording
+	// decode; the measured loop starts on the hot path.
+	for i := 0; i < 2; i++ {
+		if _, _, err := bd.Decode(k, words); err != nil {
+			return DecodeBenchRow{}, err
+		}
+	}
+	if bd.Compile && bd.ProgramStats().CompiledPlans == 0 {
+		return DecodeBenchRow{}, fmt.Errorf("bench: warm-up did not compile a program for K=%d at %v", k, w)
+	}
+	var inner error
+	res := testing.Benchmark(func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, _, err := bd.Decode(k, words); err != nil {
+				inner = err
+				b.Fatal(err)
+			}
+		}
+	})
 	if inner != nil {
 		return DecodeBenchRow{}, inner
 	}
@@ -233,14 +192,6 @@ func runDecodeCell(mode string, w simd.Width, k int) (DecodeBenchRow, error) {
 		BPerOp:     res.AllocedBytesPerOp(),
 		AllocsOp:   res.AllocsPerOp(),
 		Iterations: res.N,
-	}
-	if mode == "scheduled" {
-		if prog := sched.PlanProgram(k, true); prog != nil {
-			info := prog.Sched()
-			row.SimIPCBefore = info.IPCBefore[program.SegSteady]
-			row.SimIPCAfter = info.IPCAfter[program.SegSteady]
-			row.SchedHeuristic = info.Heuristic[program.SegSteady]
-		}
 	}
 	if row.NsPerOp > 0 {
 		// Mb of decoded information bits per second of wall-clock.
@@ -263,20 +214,16 @@ func WriteDecodeBenchJSON(w io.Writer, quick bool) error {
 func init() {
 	register(Experiment{
 		ID:    "decode-alloc",
-		Title: "Steady-state decode: pooled plan cache vs per-batch rebuild (ns/op, allocs/op)",
+		Title: "Steady-state decode: compiled replay vs interpreter, per kernel (ns/op, allocs/op)",
 		Run: func(w io.Writer, o Options) error {
 			rep, err := RunDecodeBench(o.Quick)
 			if err != nil {
 				return err
 			}
-			t := newTable("mode", "width", "K", "ns/op", "B/op", "allocs/op", "goodput Mb/s", "sim IPC")
+			t := newTable("mode", "width", "K", "ns/op", "B/op", "allocs/op", "goodput Mb/s")
 			for _, r := range rep.Rows {
-				ipc := ""
-				if r.SimIPCAfter > 0 {
-					ipc = fmt.Sprintf("%.4f->%.4f (%s)", r.SimIPCBefore, r.SimIPCAfter, r.SchedHeuristic)
-				}
-				t.addf("%s|%s|%d|%.0f|%d|%d|%.2f|%s",
-					r.Mode, r.Width, r.K, r.NsPerOp, r.BPerOp, r.AllocsOp, r.GoodputMbps, ipc)
+				t.addf("%s|%s|%d|%.0f|%d|%d|%.2f",
+					r.Mode, r.Width, r.K, r.NsPerOp, r.BPerOp, r.AllocsOp, r.GoodputMbps)
 			}
 			t.write(w)
 			return nil

@@ -9,7 +9,6 @@ import (
 	"vransim/internal/chaos"
 	"vransim/internal/ran"
 	"vransim/internal/shard"
-	"vransim/internal/tune"
 )
 
 // This file is the flag plumbing shared by the serving binaries —
@@ -27,8 +26,6 @@ type RuntimeFlags struct {
 	Deadline, Window      *time.Duration
 	HARQRetries           *int
 	HARQProcs             *int
-	Sched                 *bool
-	TuneCache             *string
 	Class                 *string
 	URLLCDeadline         *time.Duration
 	Predict               *bool
@@ -49,8 +46,6 @@ func RegisterRuntime(fs *flag.FlagSet) *RuntimeFlags {
 		Queue:         fs.Int("queue", 64, "per-cell ingress queue depth"),
 		HARQRetries:   fs.Int("harq-retries", 3, "HARQ retransmission budget per block (0 disables the retry path)"),
 		HARQProcs:     fs.Int("harq-procs", 8, "HARQ processes per (cell, UE)"),
-		Sched:         fs.Bool("sched", false, "route worker program compilations through the port-aware scheduling pass"),
-		TuneCache:     fs.String("tunecache", "", "vrantune plan cache file; workers warm-start from it and skip compile+search for the tuned grid"),
 		Class:         fs.String("class", "", "per-cell SLA class list, comma-separated and cycled over cells (e.g. \"urllc,embb\"); empty = class-blind"),
 		URLLCDeadline: fs.Duration("urllc-deadline", 0, "processing budget override for URLLC-class blocks (0: same as -deadline)"),
 		Predict:       fs.Bool("predict", false, "arm the per-cell MMPP burst predictor feeding the class-aware shed ladder"),
@@ -77,20 +72,12 @@ func (rf *RuntimeFlags) Config() (ran.Config, error) {
 	cfg.BatchWindow = *rf.Window
 	cfg.Deadline = *rf.Deadline
 	cfg.HARQ = ran.HARQConfig{MaxRetries: *rf.HARQRetries, Processes: *rf.HARQProcs}
-	cfg.Schedule = *rf.Sched
 	classes, err := ran.ParseClassList(*rf.Class, cfg.Cells)
 	if err != nil {
 		return ran.Config{}, fmt.Errorf("-class: %w", err)
 	}
 	cfg.SLA = ran.SLAConfig{Classes: classes, URLLCDeadline: *rf.URLLCDeadline}
 	cfg.Predict = ran.PredictConfig{Enabled: *rf.Predict, Window: *rf.PredictWindow}
-	if *rf.TuneCache != "" {
-		c, err := tune.Load(*rf.TuneCache)
-		if err != nil {
-			return ran.Config{}, fmt.Errorf("-tunecache: %w", err)
-		}
-		cfg.TuneCache = c
-	}
 	return cfg, nil
 }
 

@@ -1,7 +1,6 @@
 package ran
 
 import (
-	"math"
 	"sync/atomic"
 	"time"
 
@@ -114,18 +113,6 @@ type Metrics struct {
 	progCompileNs atomic.Int64
 	compiledPlans atomic.Int64 // signed: eviction shrinks it
 
-	// Scheduling-pass counters: decodes served by a port-scheduled
-	// program, plans holding a scheduled program, plans installed from
-	// a tuner cache (and warm-start attempts that failed), and the
-	// latest cost-model steady-segment IPC pair any worker reported
-	// (stored as float bits).
-	schedHits      atomic.Uint64
-	scheduledPlans atomic.Int64 // signed: eviction shrinks it
-	warmPlans      atomic.Uint64
-	warmFailures   atomic.Uint64
-	simIPCBefore   atomic.Uint64
-	simIPCAfter    atomic.Uint64
-
 	// HARQ/degradation counters: CRC-failed decodes, retransmissions
 	// requeued, blocks recovered by a combined retry, and batches
 	// decoded under a clamped iteration budget.
@@ -209,26 +196,6 @@ func (m *Metrics) programDelta(hits, misses, compiles uint64, compileNs int64, p
 	m.progCompileNs.Add(compileNs)
 	m.compiledPlans.Add(int64(plans))
 }
-
-// scheduleDelta folds one worker's scheduling-pass counter movement
-// into the runtime-wide totals. The simulated-IPC pair is a
-// last-writer-wins gauge (workers of one runtime share width, strategy
-// and plan grid, so their per-plan cost-model scores agree).
-func (m *Metrics) scheduleDelta(schedHits uint64, scheduledPlans int, warmPlans uint64, simBefore, simAfter float64) {
-	m.schedHits.Add(schedHits)
-	m.scheduledPlans.Add(int64(scheduledPlans))
-	m.warmPlans.Add(warmPlans)
-	if simBefore > 0 {
-		m.simIPCBefore.Store(math.Float64bits(simBefore))
-	}
-	if simAfter > 0 {
-		m.simIPCAfter.Store(math.Float64bits(simAfter))
-	}
-}
-
-// warmStartFailed counts a worker whose tuner-cache warm start did not
-// complete (the worker still serves, compiling in-process).
-func (m *Metrics) warmStartFailed() { m.warmFailures.Add(1) }
 
 func (m *Metrics) batchDone(used, lanes int, busy time.Duration) {
 	m.batches.Add(1)
@@ -355,20 +322,6 @@ type Snapshot struct {
 	// (hits+misses); 0 until the first decode.
 	CompiledRatio float64
 
-	// Scheduling-pass view (the port-aware scheduler and the vrantune
-	// warm-start path): decodes served by a scheduled program, the
-	// scheduled-over-all ratio, plans holding a scheduled program,
-	// plans installed from a tuner cache, failed warm starts, and the
-	// cost-model steady-segment IPC of the cached plans before/after
-	// scheduling (0 until a scheduled plan exists).
-	SchedHits      uint64
-	ScheduledRatio float64
-	ScheduledPlans int
-	WarmPlans      uint64
-	WarmFailures   uint64
-	SimIPCBefore   float64
-	SimIPCAfter    float64
-
 	// HARQ retransmission view: CRC-failed decodes, retries requeued,
 	// blocks recovered by a soft-combined retry, combine/eviction
 	// counts and live soft buffers from the process set, and the
@@ -494,15 +447,6 @@ func (m *Metrics) snapshot(queueDepths []int, classDepths [NumClasses]int, worke
 	s.CompiledPlans = int(m.compiledPlans.Load())
 	if tot := s.ProgramHits + s.ProgramMisses; tot > 0 {
 		s.CompiledRatio = float64(s.ProgramHits) / float64(tot)
-	}
-	s.SchedHits = m.schedHits.Load()
-	s.ScheduledPlans = int(m.scheduledPlans.Load())
-	s.WarmPlans = m.warmPlans.Load()
-	s.WarmFailures = m.warmFailures.Load()
-	s.SimIPCBefore = math.Float64frombits(m.simIPCBefore.Load())
-	s.SimIPCAfter = math.Float64frombits(m.simIPCAfter.Load())
-	if tot := s.ProgramHits + s.ProgramMisses; tot > 0 {
-		s.ScheduledRatio = float64(s.SchedHits) / float64(tot)
 	}
 	s.CRCFailures = m.crcFailures.Load()
 	s.HARQRetries = m.harqRetries.Load()

@@ -32,7 +32,6 @@ import (
 	"vransim/internal/phy"
 	"vransim/internal/simd"
 	"vransim/internal/telemetry"
-	"vransim/internal/tune"
 	"vransim/internal/turbo"
 )
 
@@ -132,17 +131,6 @@ type Config struct {
 	AdmissionGuard bool
 	// MemBytes sizes each worker's emulated memory arena (default 32 MiB).
 	MemBytes int
-	// Schedule routes each worker's program compilations through the
-	// port-aware scheduling pass (candidate mop orderings priced on the
-	// uarch cost model; replay stays bit-identical).
-	Schedule bool
-	// TuneCache, when non-nil, warm-starts every worker's decoder from
-	// a vrantune plan cache: tuned programs are installed up front and
-	// the worker performs zero compiles and zero schedule searches for
-	// the cached grid. A failed warm start is counted
-	// (vran_decode_warm_failures_total) and the worker falls back to
-	// in-process compilation.
-	TuneCache *tune.Cache
 	// OnDecoded, when non-nil, is called from worker goroutines with
 	// every decoded block and its hard decisions (including blocks that
 	// finished past deadline). It must be safe for concurrent use.
@@ -625,12 +613,6 @@ func (r *Runtime) worker(reserved bool) {
 	labelLayer("decode")
 	bd := turbo.NewBatchDecoder(r.cfg.Width, r.cfg.Strategy, r.cfg.MemBytes)
 	bd.MaxIters = r.cfg.MaxIters
-	bd.Schedule = r.cfg.Schedule
-	if r.cfg.TuneCache != nil {
-		if _, err := tune.WarmStart(bd, r.cfg.TuneCache); err != nil {
-			r.met.warmStartFailed()
-		}
-	}
 	if r.cfg.Chaos != nil {
 		// Chaos compile-verify failures: a rejected program latches the
 		// plan onto the interpreter, exactly like a real verify failure.
@@ -663,14 +645,8 @@ func (r *Runtime) worker(reserved bool) {
 		r.met.programDelta(
 			ps.Hits-lastPS.Hits, ps.Misses-lastPS.Misses, ps.Compiles-lastPS.Compiles,
 			int64(ps.CompileTime-lastPS.CompileTime), ps.CompiledPlans-lastPS.CompiledPlans)
-		r.met.scheduleDelta(
-			ps.SchedHits-lastPS.SchedHits, ps.ScheduledPlans-lastPS.ScheduledPlans,
-			ps.WarmPlans-lastPS.WarmPlans, ps.SimIPCBefore, ps.SimIPCAfter)
 		lastPS = ps
 	}
-	// Surface warm-installed plans immediately — a restarted fleet's
-	// vran_decode_warm_plans gauge must be non-zero before traffic.
-	reportProgram()
 	lanes := bd.Lanes()
 	words := make([]*turbo.LLRWord, 0, lanes)
 	var sampler allocSampler
@@ -754,12 +730,10 @@ func (r *Runtime) worker(reserved bool) {
 		reportProgram()
 		r.met.batchDone(len(live), lanes, busy)
 		if err == nil {
-			// Per-block convergence histogram and packed-path fill: the
-			// decoder reports each block's own early-exit latch iteration.
+			// Per-block convergence histogram and pack fill: the decoder
+			// reports each block's own early-exit latch iteration.
 			r.met.observeIters(bd.BlockIters())
-			if bd.Packed {
-				r.met.packedBatch(len(live), lanes)
-			}
+			r.met.packedBatch(len(live), lanes)
 		}
 		r.updateEstimate(busy, len(live))
 		if err != nil {

@@ -72,16 +72,6 @@ func (s *Snapshot) Families() []telemetry.Family {
 		lat.Samples = append(lat.Samples, telemetry.Sample{
 			Labels: []telemetry.Label{telemetry.L("quantile", q.s)}, Value: d})
 	}
-	simIPC := telemetry.Family{Name: "vran_decode_sim_ipc",
-		Help: "Cost-model steady-segment IPC of cached scheduled plans (stage=before: recorded order, stage=after: adopted order).",
-		Type: telemetry.Gauge}
-	for _, st := range []struct {
-		label string
-		v     float64
-	}{{"before", s.SimIPCBefore}, {"after", s.SimIPCAfter}} {
-		simIPC.Samples = append(simIPC.Samples, telemetry.Sample{
-			Labels: []telemetry.Label{telemetry.L("stage", st.label)}, Value: st.v})
-	}
 	// SLA-class families: the per-class ledger mirrors the per-cell one,
 	// plus class latency quantiles so a scraper can watch URLLC p99
 	// directly without reconstructing it from cells.
@@ -135,12 +125,6 @@ func (s *Snapshot) Families() []telemetry.Family {
 		telemetry.F("vran_decode_compiles_total", "Replay program compilations across workers.", telemetry.Counter, float64(s.ProgramCompiles)),
 		telemetry.F("vran_decode_compile_seconds_total", "Cumulative wall-clock time spent compiling replay programs.", telemetry.Counter, s.CompileSeconds),
 		telemetry.F("vran_decode_compiled_plans", "Cached decode plans currently holding a compiled program.", telemetry.Gauge, float64(s.CompiledPlans)),
-		telemetry.F("vran_decode_scheduled_ratio", "Fraction of decodes served by a port-scheduled replay program.", telemetry.Gauge, s.ScheduledRatio),
-		telemetry.F("vran_decode_sched_hits_total", "Decodes served by a port-scheduled replay program.", telemetry.Counter, float64(s.SchedHits)),
-		telemetry.F("vran_decode_scheduled_plans", "Cached decode plans whose program the scheduling pass reordered.", telemetry.Gauge, float64(s.ScheduledPlans)),
-		telemetry.F("vran_decode_warm_plans", "Plans installed from a vrantune cache instead of compiled in-process.", telemetry.Gauge, float64(s.WarmPlans)),
-		telemetry.F("vran_decode_warm_failures_total", "Worker warm starts that failed (fell back to in-process compilation).", telemetry.Counter, float64(s.WarmFailures)),
-		simIPC,
 		telemetry.F("vran_crc_failures_total", "Decodes whose transport-block check failed (incl. chaos-forced).", telemetry.Counter, float64(s.CRCFailures)),
 		telemetry.F("vran_harq_retries_total", "HARQ retransmissions requeued for another decode.", telemetry.Counter, float64(s.HARQRetries)),
 		telemetry.F("vran_harq_recovered_total", "Blocks delivered by a soft-combined HARQ retry.", telemetry.Counter, float64(s.HARQRecovered)),

@@ -41,13 +41,6 @@ func (m *Memory) Alloc(n int, align int) int64 {
 // AllocReset rewinds the bump allocator, invalidating prior allocations.
 func (m *Memory) AllocReset() { m.next = 0 }
 
-// AllocOffset reports the bump-allocation cursor: the address the next
-// unaligned Alloc would return. Two memories that performed the same
-// allocation sequence have equal cursors, which is how warm-started
-// decode plans (whose compiled programs embed absolute arena addresses)
-// prove their allocations landed where the recording run put them.
-func (m *Memory) AllocOffset() int64 { return m.next }
-
 // Remaining reports how many bytes are still available to Alloc (before
 // alignment padding). Long-lived consumers that cache allocations check
 // it to decide when a cache flush plus AllocReset is needed instead of

@@ -10,9 +10,10 @@
 // marks into a "first" segment (setup + constants + iteration 0) and a
 // "steady" segment (one mid-iteration, identical for all later ones),
 // lowers both to a flat slice of width-specialized ops, and fuses the
-// hot patterns — load+padds+pmax recursion chains, batched vpand/vpor
-// mask selects, branch-metric gather groups, scalar element-copy runs —
-// into single ops executed by a tight loop directly over the arena.
+// packed decode stream's hot patterns — whole alpha and beta trellis
+// steps, quad branch-metric scatters, interleave gathers, the extrinsic
+// group, scalar element-copy runs — into single ops executed by a tight
+// loop directly over the arena.
 //
 // Replay is bit-identical to interpretation by construction, where the
 // observable state is the arena (the register file is private to the

@@ -17,9 +17,9 @@ type mop struct {
 	imm     int64
 	tab     int32
 	n       int32
-	// live is derived by finalize, never serialized: bit k is set when
-	// the k-th register write visitEffects reports for this op is read
-	// by a later op before it is overwritten.
+	// live is derived by finalize: bit k is set when the k-th register
+	// write visitEffects reports for this op is read by a later op before
+	// it is overwritten.
 	live uint64
 }
 
@@ -49,26 +49,21 @@ const (
 	mGammaPoint
 	mExtPoint
 
-	// Fused kinds (see fuse.go for the matched patterns).
-	mCopyRun  // run of element copies; aux: n × (dst, src) addresses
-	mGammaRun // run of scalar gamma points; aux: n × (g0, g1, s, p, la)
-	mExtRun   // run of scalar ext points; aux: n × (dst, s, la, d)
-	mGammaVec // load s,p,la + padds t,g0 + psubs g1 + store g0,g1
-	mExtVec   // load dvec,s,la + padds + psraw + psubs + pmin + pmax + store
-	mSelect   // pand,pand,por ×2 branch-metric mask select
-	mPack     // broadcast+pand+por gather of per-block branch metrics
-	mRecurse  // vpermw ×2 + padds ×2 (+ pmax) trellis recursion step
-	mHmax     // vpermw+pmax ×3 intra-block horizontal max
-	mNormSub  // vpermw + psubs renormalization
-
-	// Packed-stream fusions (the cross-block SoA decode path; see the
-	// try*P matchers in fuse.go). Each replaces a whole recorded phase
+	// Fused kinds (see fuse.go for the matched patterns): the shapes the
+	// packed decode stream records. Each replaces a whole recorded phase
 	// step with one single-pass op that writes memory, the carried state
-	// and whichever intermediate registers a later op still reads.
+	// and whichever intermediate registers a later op still reads. Every
+	// kind from firstFused on must occur in some packed plan
+	// (TestEveryFusedKindOccurs); one that does not is dead code.
+	mCopyRun     // run of element copies; aux: n × (dst, src) addresses
+	mExtVec      // load dvec,s,la + padds + psraw + psubs + pmin + pmax + store
 	mQuadScatter // vpermw + (vpermw+por)×m + store: quad branch-metric scatter
 	mQuadGather  // load+vpermw (+load+vpermw+por)×m + store: interleave gather
 	mAlphaStepP  // load quad + 4 vpermw + 2 padds + pmax + norm + store: alpha step
 	mBetaStepP   // beta recursion step, optionally with fused posterior extract
+
+	numKinds
+	firstFused = mCopyRun
 )
 
 // regStride is the register-file stride in lanes. Every register gets
@@ -114,10 +109,6 @@ type Program struct {
 	// per segment — the compression the fusion pass achieved.
 	RawOps   [2]int
 	FusedOps [2]int
-
-	// sched records what the scheduling pass (sched.go) did, when
-	// CompileOptions.Schedule was set.
-	sched SchedInfo
 }
 
 // Width reports the register width the program was compiled for.
@@ -128,15 +119,6 @@ func (p *Program) Width() simd.Width { return p.w }
 // two iterations were recorded, when any iteration diverged from the
 // steady segment, or when recording hit an unsupported op.
 func (b *Builder) Compile(w simd.Width) (*Program, error) {
-	return b.CompileOpts(w, CompileOptions{})
-}
-
-// CompileOpts is Compile with options; see CompileOptions. With
-// opts.Schedule set, the fused segments additionally go through the
-// port-aware scheduling pass (sched.go), which reorders mops within
-// dependency constraints when the uarch cost model says the new order
-// retires at a higher IPC.
-func (b *Builder) CompileOpts(w simd.Width, opts CompileOptions) (*Program, error) {
 	if b.err != nil {
 		return nil, b.err
 	}
@@ -162,10 +144,7 @@ func (b *Builder) CompileOpts(w simd.Width, opts CompileOptions) (*Program, erro
 	p.segs[SegSteady] = p.fuse(steady)
 	p.aux = slices.Clone(p.aux) // drop append's growth slack, as fuse does
 	p.FusedOps = [2]int{len(p.segs[SegFirst]), len(p.segs[SegSteady])}
-	if opts.Schedule {
-		p.schedule(&opts)
-	}
-	if err := p.finalize(0); err != nil {
+	if err := p.finalize(); err != nil {
 		return nil, err
 	}
 	return p, nil

@@ -1,0 +1,36 @@
+package program
+
+// fusedKindNames names every fused op kind, for the external coverage
+// test. A kind added to compile.go without a name here fails that test.
+var fusedKindNames = map[uint8]string{
+	mCopyRun:     "copy run",
+	mExtVec:      "ext vec",
+	mQuadScatter: "quad scatter",
+	mQuadGather:  "quad gather",
+	mAlphaStepP:  "alpha step",
+	mBetaStepP:   "beta step",
+}
+
+// FusedKinds lists the name of every fused op kind the compiler defines
+// ("" for one fusedKindNames does not know).
+func FusedKinds() []string {
+	var names []string
+	for k := firstFused; k < numKinds; k++ {
+		names = append(names, fusedKindNames[k])
+	}
+	return names
+}
+
+// FusedKindCounts reports how many ops of each fused kind p holds, over
+// both segments.
+func (p *Program) FusedKindCounts() map[string]int {
+	counts := make(map[string]int)
+	for _, seg := range p.segs {
+		for i := range seg {
+			if k := seg[i].kind; k >= firstFused {
+				counts[fusedKindNames[k]]++
+			}
+		}
+	}
+	return counts
+}

@@ -11,17 +11,14 @@ import (
 // Callers fall back to the interpreter, as for any compile error.
 var errBigEndian = errors.New("program: replay needs a little-endian host")
 
-// finalize derives everything Run needs that is not part of the
-// serialized program, and is the one place a program becomes runnable:
-// CompileOpts (after scheduling), ReorderRandom and UnmarshalProgram all
-// end here, so the op order Run sees is always the order the tables and
-// live masks were derived from. memSize bounds memory accesses when
-// positive (see analyze).
-func (p *Program) finalize(memSize int64) error {
+// finalize derives everything Run needs beyond the fused segments —
+// validation, live masks, extent, sentinel tables — and is the one place a
+// program becomes runnable: Compile ends here.
+func (p *Program) finalize() error {
 	if binary.NativeEndian.Uint16([]byte{1, 0}) != 1 {
 		return errBigEndian
 	}
-	if err := p.analyze(memSize); err != nil {
+	if err := p.analyze(); err != nil {
 		return err
 	}
 	p.gat = make([][regStride]uint16, len(p.idxTabs))
@@ -39,13 +36,11 @@ func (p *Program) finalize(memSize int64) error {
 
 // analyze is the one walk of visitEffects finalize makes over every op
 // (two walks measured 1.1 ms on the 3 ms K=512 compile). It validates:
-// register offsets inside the register file, memory ranges inside
-// memSize (when positive) and at even addresses (Run views the arena as
-// int16 lanes); visitEffects itself rejects malformed aux windows, table
-// ids and immediates. It records the end of the highest range as the
-// program's extent: a compiled program is finalized without a memSize, so
-// Run checks the arena it is handed against the extent instead. And it
-// sets every op's live mask.
+// register offsets inside the register file, memory ranges non-negative
+// and at even addresses (Run views the arena as int16 lanes); visitEffects
+// itself rejects malformed aux windows, table ids and immediates. It
+// records the end of the highest range as the program's extent, which Run
+// checks the arena it is handed against. And it sets every op's live mask.
 //
 // Registers are private to the program and arena bytes are the only
 // observable state, so a register write is needed only if some later op
@@ -60,7 +55,7 @@ func (p *Program) finalize(memSize int64) error {
 // register is live at a boundary when the ops that follow read it before
 // they write it, and the first of them to touch it does so in some
 // segment, ahead of that segment's writes.
-func (p *Program) analyze(memSize int64) error {
+func (p *Program) analyze() error {
 	nregs := int32(len(p.regs))
 	live := make([]bool, nregs/regStride) // read later in the segment, not written in between
 	touched := make([]bool, len(live))    // read or written later in the segment
@@ -87,8 +82,8 @@ func (p *Program) analyze(memSize int64) error {
 			}
 		},
 		mem: func(addr, n int64, write bool) {
-			if verr == nil && (addr < 0 || n < 0 || (memSize > 0 && addr+n > memSize)) {
-				verr = fmt.Errorf("program: memory access [%d,+%d) outside arena of %d", addr, n, memSize)
+			if verr == nil && (addr < 0 || n < 0) {
+				verr = fmt.Errorf("program: negative memory access [%d,+%d)", addr, n)
 			}
 			if verr == nil && addr&1 != 0 {
 				verr = fmt.Errorf("program: memory access at odd address %d", addr)
@@ -135,5 +130,266 @@ func (p *Program) analyze(memSize int64) error {
 		}
 	}
 	p.extent = extent
+	return nil
+}
+
+// effectVisitor receives one mop's effects. Nil callbacks are skipped.
+type effectVisitor struct {
+	// reg is called with a register lane offset (regID*regStride).
+	reg func(off int32, write bool)
+	// mem is called with a byte range [addr, addr+n).
+	mem func(addr, n int64, write bool)
+}
+
+// visitEffects walks op's reads and writes: registers as whole register
+// file entries, memory as byte ranges. It is the single authority on each
+// kind's operand layout, mirroring Run's semantics op for op; run.go stays
+// the executable truth it is checked against by the differential tests.
+// It returns an error — and guarantees the callbacks saw nothing out of
+// the op's true layout — when the op is structurally malformed: unknown
+// kind, aux window out of pool bounds, a table id out of range, or an
+// immediate outside the range Run indexes with. The matchers never emit
+// such an op, so on a compiled program an error means a compiler bug.
+func (p *Program) visitEffects(op *mop, v *effectVisitor) error {
+	reg := v.reg
+	if reg == nil {
+		reg = func(int32, bool) {}
+	}
+	mem := v.mem
+	if mem == nil {
+		mem = func(int64, int64, bool) {}
+	}
+	// aux returns the op's aux window after bounds-checking it.
+	aux := func(need int32) ([]int64, error) {
+		if need < 0 || op.tab < 0 || int(op.tab)+int(need) > len(p.aux) {
+			return nil, fmt.Errorf("program: op kind %d aux window [%d,+%d) outside pool of %d", op.kind, op.tab, need, len(p.aux))
+		}
+		return p.aux[op.tab : op.tab+need], nil
+	}
+	aux32 := func(need int32) ([]int32, error) {
+		if op.tab < 0 || int(op.tab)+int(need) > len(p.aux32) {
+			return nil, fmt.Errorf("program: op kind %d aux32 window [%d,+%d) outside pool of %d", op.kind, op.tab, need, len(p.aux32))
+		}
+		return p.aux32[op.tab : op.tab+need], nil
+	}
+	wb := int64(2 * p.lanes)
+
+	switch op.kind {
+	case mClear, mBcastImm:
+		reg(op.d, true)
+	case mAddS, mSubS, mMaxS, mMinS, mAnd, mOr, mXor, mAndN:
+		reg(op.a, false)
+		reg(op.b, false)
+		reg(op.d, true)
+	case mSra:
+		reg(op.a, false)
+		reg(op.d, true)
+	case mBcastMem:
+		mem(op.addr, 2, false)
+		reg(op.d, true)
+	case mSetImm:
+		if op.tab < 0 || int(op.tab) >= len(p.lanePats) {
+			return fmt.Errorf("program: mSetImm pattern %d outside %d", op.tab, len(p.lanePats))
+		}
+		reg(op.d, true)
+	case mPermute:
+		if op.tab < 0 || int(op.tab) >= len(p.idxTabs) {
+			return fmt.Errorf("program: mPermute table %d outside %d", op.tab, len(p.idxTabs))
+		}
+		reg(op.a, false)
+		reg(op.d, true)
+	case mExt128:
+		if op.imm < 0 || 8*op.imm+8 > regStride {
+			return fmt.Errorf("program: mExt128 sel %d out of range", op.imm)
+		}
+		reg(op.a, false)
+		reg(op.d, true)
+	case mExt256:
+		if op.imm < 0 || 16*op.imm+16 > regStride {
+			return fmt.Errorf("program: mExt256 sel %d out of range", op.imm)
+		}
+		reg(op.a, false)
+		reg(op.d, true)
+	case mLoad:
+		if op.imm < 0 || op.imm/2 > regStride {
+			return fmt.Errorf("program: mLoad of %d bytes out of range", op.imm)
+		}
+		mem(op.addr, op.imm, false)
+		reg(op.d, true)
+	case mStore:
+		if op.imm < 0 || op.imm/2 > regStride {
+			return fmt.Errorf("program: mStore of %d bytes out of range", op.imm)
+		}
+		reg(op.a, false)
+		mem(op.addr, op.imm, true)
+	case mExtrW:
+		if op.imm < 0 || op.imm >= regStride {
+			return fmt.Errorf("program: mExtrW lane %d out of range", op.imm)
+		}
+		reg(op.a, false)
+		mem(op.addr, 2, true)
+	case mInsrW:
+		if op.imm < 0 || op.imm >= regStride {
+			return fmt.Errorf("program: mInsrW lane %d out of range", op.imm)
+		}
+		mem(op.addr, 2, false)
+		reg(op.d, false) // single-lane insert: the other lanes persist
+		reg(op.d, true)
+	case mCopy16:
+		mem(op.addr2, 2, false)
+		mem(op.addr, 2, true)
+	case mGammaPoint:
+		t, err := aux32(3)
+		if err != nil {
+			return err
+		}
+		for _, a := range t {
+			mem(int64(a), 2, false)
+		}
+		mem(op.addr, 2, true)
+		mem(op.addr2, 2, true)
+	case mExtPoint:
+		t, err := aux32(3)
+		if err != nil {
+			return err
+		}
+		for _, a := range t {
+			mem(int64(a), 2, false)
+		}
+		mem(op.addr, 2, true)
+	case mCopyRun:
+		if op.n < 1 {
+			return fmt.Errorf("program: mCopyRun n=%d", op.n)
+		}
+		t, err := aux(2 * op.n)
+		if err != nil {
+			return err
+		}
+		for i := 0; i < len(t); i += 2 {
+			mem(t[i+1], 2, false)
+			mem(t[i], 2, true)
+		}
+	case mExtVec:
+		t, err := aux(11)
+		if err != nil {
+			return err
+		}
+		for _, o := range t[:5] {
+			reg(int32(o), true)
+		}
+		reg(int32(t[5]), false)
+		reg(int32(t[6]), false)
+		mem(t[7], wb, false)
+		mem(t[8], wb, false)
+		mem(t[9], wb, false)
+		mem(t[10], wb, true)
+	case mQuadScatter:
+		if op.n < 2 {
+			return fmt.Errorf("program: mQuadScatter n=%d", op.n)
+		}
+		t, err := aux(3 + 2*op.n)
+		if err != nil {
+			return err
+		}
+		for s := int32(0); s < op.n; s++ {
+			if err := p.checkTabs(true, t[4+2*s]); err != nil {
+				return err
+			}
+			reg(int32(t[3+2*s]), false)
+		}
+		reg(int32(t[0]), true)
+		reg(int32(t[1]), true)
+		mem(t[2], wb, true)
+	case mQuadGather:
+		if op.n < 1 {
+			return fmt.Errorf("program: mQuadGather n=%d", op.n)
+		}
+		t, err := aux(4 + 2*op.n)
+		if err != nil {
+			return err
+		}
+		for s := int32(0); s < op.n; s++ {
+			if err := p.checkTabs(true, t[5+2*s]); err != nil {
+				return err
+			}
+			mem(t[4+2*s], wb, false)
+		}
+		reg(int32(t[0]), true)
+		reg(int32(t[1]), true)
+		if op.n > 1 {
+			reg(int32(t[2]), true)
+		}
+		mem(t[3], wb, true)
+	case mAlphaStepP:
+		t, err := aux(16)
+		if err != nil {
+			return err
+		}
+		if err := p.checkTabs(true, t[11], t[12], t[13], t[14], t[15]); err != nil {
+			return err
+		}
+		for _, o := range t[:8] {
+			reg(int32(o), true)
+		}
+		reg(int32(t[8]), false) // alpha: read then rewritten
+		reg(int32(t[8]), true)
+		mem(t[9], wb, false)
+		mem(t[10], wb, true)
+	case mBetaStepP:
+		need := int32(15)
+		if op.imm != 0 {
+			if op.n < 1 {
+				return fmt.Errorf("program: mBetaStepP extract n=%d", op.n)
+			}
+			need = 26 + 2*op.n
+		}
+		t, err := aux(need)
+		if err != nil {
+			return err
+		}
+		if err := p.checkTabs(true, t[10], t[11], t[12], t[13], t[14]); err != nil {
+			return err
+		}
+		for _, o := range t[:7] {
+			reg(int32(o), true)
+		}
+		reg(int32(t[7]), false) // beta: read then rewritten
+		reg(int32(t[7]), true)
+		reg(int32(t[8]), true)
+		mem(t[9], wb, false)
+		if op.imm != 0 {
+			if err := p.checkTabs(true, t[23], t[24], t[25]); err != nil {
+				return err
+			}
+			for _, o := range t[15:22] {
+				reg(int32(o), true)
+			}
+			mem(t[22], wb, false)
+			et := t[26 : 26+2*op.n]
+			for x := 0; x < len(et); x += 2 {
+				if lane := et[x+1]; lane < 0 || lane >= regStride {
+					return fmt.Errorf("program: mBetaStepP extract lane %d out of range", lane)
+				}
+				mem(et[x], 2, true)
+			}
+		}
+	default:
+		return fmt.Errorf("program: unknown op kind %d", op.kind)
+	}
+	return nil
+}
+
+// checkTabs verifies idxTabs ids are in range and, when full is set,
+// long enough for per-lane indexing without permute's short-table
+// guard (what fullTabs established at fuse time).
+func (p *Program) checkTabs(full bool, ids ...int64) error {
+	for _, id := range ids {
+		if id < 0 || int(id) >= len(p.idxTabs) {
+			return fmt.Errorf("program: index table %d outside %d", id, len(p.idxTabs))
+		}
+		if full && len(p.idxTabs[id]) < p.lanes {
+			return fmt.Errorf("program: index table %d has %d lanes, need %d", id, len(p.idxTabs[id]), p.lanes)
+		}
+	}
 	return nil
 }

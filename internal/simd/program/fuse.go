@@ -36,21 +36,6 @@ func (p *Program) fuse(raw []rawOp) []mop {
 			i += n
 			continue
 		}
-		if m, n := p.tryGammaRun(raw[i:]); n > 0 {
-			out = append(out, m)
-			i += n
-			continue
-		}
-		if m, n := p.tryExtRun(raw[i:]); n > 0 {
-			out = append(out, m)
-			i += n
-			continue
-		}
-		if m, n := p.tryGammaVec(raw[i:]); n > 0 {
-			out = append(out, m)
-			i += n
-			continue
-		}
 		if m, n := p.tryExtVec(raw[i:]); n > 0 {
 			out = append(out, m)
 			i += n
@@ -76,31 +61,6 @@ func (p *Program) fuse(raw []rawOp) []mop {
 			i += n
 			continue
 		}
-		if m, n := p.tryPack(raw[i:]); n > 0 {
-			out = append(out, m)
-			i += n
-			continue
-		}
-		if m, n := p.trySelect(raw[i:]); n > 0 {
-			out = append(out, m)
-			i += n
-			continue
-		}
-		if m, n := p.tryRecurse(raw[i:]); n > 0 {
-			out = append(out, m)
-			i += n
-			continue
-		}
-		if m, n := p.tryHmax(raw[i:]); n > 0 {
-			out = append(out, m)
-			i += n
-			continue
-		}
-		if m, n := p.tryNormSub(raw[i:]); n > 0 {
-			out = append(out, m)
-			i += n
-			continue
-		}
 		out = append(out, single(raw[i]))
 		i++
 	}
@@ -118,9 +78,9 @@ func (p *Program) pushAux(xs ...int64) int32 {
 // disjoint reports whether [a, a+n) and [b, b+n) do not overlap.
 func disjoint(a, b, n int64) bool { return a+n <= b || b+n <= a }
 
-// tryCopyRun collapses a run of scalar element copies (the decoder's
-// interleave gather/scatter loops and arrangement tails, K copies each)
-// into one op over a flat (dst, src) address table.
+// tryCopyRun collapses a run of scalar element copies (the scalar
+// arrangement strategy, and every arranger's remainder tail) into one op
+// over a flat (dst, src) address table.
 func (p *Program) tryCopyRun(raw []rawOp) (mop, int) {
 	n := 0
 	for n < len(raw) && raw[n].kind == simd.PCopy16 {
@@ -136,42 +96,6 @@ func (p *Program) tryCopyRun(raw []rawOp) (mop, int) {
 	return mop{kind: mCopyRun, tab: tab, n: int32(n)}, n
 }
 
-// tryGammaRun collapses a run of scalar branch-metric tail points
-// (the k % GroupLanes remainder of the gamma phase).
-func (p *Program) tryGammaRun(raw []rawOp) (mop, int) {
-	n := 0
-	for n < len(raw) && raw[n].kind == simd.PGammaPoint {
-		n++
-	}
-	if n < 2 {
-		return mop{}, 0
-	}
-	tab := int32(len(p.aux))
-	for _, r := range raw[:n] {
-		p.aux = append(p.aux, int64(r.addr), int64(r.addr2),
-			int64(p.aux32[r.tab]), int64(p.aux32[r.tab+1]), int64(p.aux32[r.tab+2]))
-	}
-	return mop{kind: mGammaRun, tab: tab, n: int32(n)}, n
-}
-
-// tryExtRun collapses a run of scalar extrinsic tail points sharing one
-// clamp bound.
-func (p *Program) tryExtRun(raw []rawOp) (mop, int) {
-	n := 0
-	for n < len(raw) && raw[n].kind == simd.PExtPoint && raw[n].imm == raw[0].imm {
-		n++
-	}
-	if n < 2 {
-		return mop{}, 0
-	}
-	tab := int32(len(p.aux))
-	for _, r := range raw[:n] {
-		p.aux = append(p.aux, int64(r.addr),
-			int64(p.aux32[r.tab]), int64(p.aux32[r.tab+1]), int64(p.aux32[r.tab+2]))
-	}
-	return mop{kind: mExtRun, tab: tab, n: int32(n), imm: int64(raw[0].imm)}, n
-}
-
 // kindsAre matches the next ops' kinds exactly.
 func kindsAre(raw []rawOp, kinds ...simd.ProgKind) bool {
 	if len(raw) < len(kinds) {
@@ -183,52 +107,6 @@ func kindsAre(raw []rawOp, kinds ...simd.ProgKind) bool {
 		}
 	}
 	return true
-}
-
-// tryGammaVec fuses the gamma inner-loop group
-//
-//	load s; load p; load la; padds t,s,la; padds g0,t,p; psubs g1,t,p;
-//	store g0; store g1
-//
-// into one op that streams memory -> memory, writing the six registers
-// their final values when they are live. All eight ops are elementwise,
-// so the per-lane execution is exact; the store ranges must be disjoint
-// from the load ranges (and each other) for the lane-interleaved memory
-// order to be equivalent.
-func (p *Program) tryGammaVec(raw []rawOp) (mop, int) {
-	if !kindsAre(raw, simd.PLoad, simd.PLoad, simd.PLoad,
-		simd.PAddS, simd.PAddS, simd.PSubS, simd.PStore, simd.PStore) {
-		return mop{}, 0
-	}
-	wb := int64(p.w)
-	ls, lp, lla, at, ag0, sg1, st0, st1 := raw[0], raw[1], raw[2], raw[3], raw[4], raw[5], raw[6], raw[7]
-	if ls.imm != int32(wb) || lp.imm != int32(wb) || lla.imm != int32(wb) ||
-		st0.imm != int32(wb) || st1.imm != int32(wb) {
-		return mop{}, 0
-	}
-	if at.a != ls.d || at.b != lla.d ||
-		ag0.a != at.d || ag0.b != lp.d ||
-		sg1.a != at.d || sg1.b != lp.d ||
-		st0.a != ag0.d || st1.a != sg1.d {
-		return mop{}, 0
-	}
-	for _, sa := range []int64{int64(st0.addr), int64(st1.addr)} {
-		for _, la := range []int64{int64(ls.addr), int64(lp.addr), int64(lla.addr)} {
-			if !disjoint(sa, la, wb) {
-				return mop{}, 0
-			}
-		}
-	}
-	if !disjoint(int64(st0.addr), int64(st1.addr), wb) {
-		return mop{}, 0
-	}
-	tab := p.pushAux(
-		int64(off(ls.d)), int64(off(lp.d)), int64(off(lla.d)),
-		int64(off(at.d)), int64(off(ag0.d)), int64(off(sg1.d)),
-		int64(ls.addr), int64(lp.addr), int64(lla.addr),
-		int64(st0.addr), int64(st1.addr),
-	)
-	return mop{kind: mGammaVec, tab: tab}, 8
 }
 
 // tryExtVec fuses the extrinsic-finalization inner-loop group
@@ -266,129 +144,6 @@ func (p *Program) tryExtVec(raw []rawOp) (mop, int) {
 		int64(ld.addr), int64(ls.addr), int64(lla.addr), int64(st.addr),
 	)
 	return mop{kind: mExtVec, tab: tab, imm: int64(sr.imm)}, 9
-}
-
-// tryPack fuses the branch-metric gather: per-block broadcast-from-
-// memory masked into its lane group and OR-merged,
-//
-//	bcastmem pA,addr0; pand dst,pA,m0;
-//	( bcastmem pA,addr_b; pand pT,pA,m_b; por dst,dst,pT ) × (nb-1)
-//
-// All ops are lane-local, so per-lane execution in op order is exact.
-func (p *Program) tryPack(raw []rawOp) (mop, int) {
-	if !kindsAre(raw, simd.PBcastMem, simd.PAnd) {
-		return mop{}, 0
-	}
-	pA := raw[0].d
-	dst := raw[1].d
-	if raw[1].a != pA {
-		return mop{}, 0
-	}
-	nb := 1
-	pT := int16(-1)
-	i := 2
-	for kindsAre(raw[i:], simd.PBcastMem, simd.PAnd, simd.POr) &&
-		raw[i].d == pA &&
-		raw[i+1].a == pA && (pT < 0 || raw[i+1].d == pT) && raw[i+1].d != dst && raw[i+1].d != pA &&
-		raw[i+2].d == dst && raw[i+2].a == dst && raw[i+2].b == raw[i+1].d {
-		pT = raw[i+1].d
-		nb++
-		i += 3
-	}
-	if nb < 2 {
-		return mop{}, 0
-	}
-	tab := p.pushAux(int64(off(dst)), int64(off(pA)), int64(off(pT)))
-	p.pushAux(int64(raw[0].addr), int64(off(raw[1].b)))
-	for b := 1; b < nb; b++ {
-		j := 2 + 3*(b-1)
-		p.pushAux(int64(raw[j].addr), int64(off(raw[j+1].b)))
-	}
-	return mop{kind: mPack, tab: tab, n: int32(nb)}, i
-}
-
-// trySelect fuses the six-op branch-metric mask select
-//
-//	pand t1,bg0,m0; pand t2,bg1,m0n; por bm0,t1,t2;
-//	pand t1,ng1,m1; pand t2,ng0,m1n; por bm1,t1,t2
-func (p *Program) trySelect(raw []rawOp) (mop, int) {
-	if !kindsAre(raw, simd.PAnd, simd.PAnd, simd.POr, simd.PAnd, simd.PAnd, simd.POr) {
-		return mop{}, 0
-	}
-	t1, t2 := raw[0].d, raw[1].d
-	if raw[2].a != t1 || raw[2].b != t2 ||
-		raw[3].d != t1 || raw[4].d != t2 ||
-		raw[5].a != t1 || raw[5].b != t2 {
-		return mop{}, 0
-	}
-	tab := p.pushAux(
-		int64(off(t1)), int64(off(t2)),
-		int64(off(raw[0].a)), int64(off(raw[0].b)),
-		int64(off(raw[1].a)), int64(off(raw[1].b)),
-		int64(off(raw[2].d)),
-		int64(off(raw[3].a)), int64(off(raw[3].b)),
-		int64(off(raw[4].a)), int64(off(raw[4].b)),
-		int64(off(raw[5].d)),
-	)
-	return mop{kind: mSelect, tab: tab}, 6
-}
-
-// tryRecurse fuses the trellis recursion step
-//
-//	vpermw r0,src,tabA; vpermw r1,src,tabB; padds c0,r0,x0; padds c1,r1,x1
-//
-// optionally followed by pmax dst,c0,c1 (the alpha form; the beta form
-// interposes the posterior extraction before its max). The permutes
-// execute stepwise through scratch, so any aliasing behaves exactly as
-// the engine's PermuteW sequence.
-func (p *Program) tryRecurse(raw []rawOp) (mop, int) {
-	if !kindsAre(raw, simd.PPermute, simd.PPermute, simd.PAddS, simd.PAddS) {
-		return mop{}, 0
-	}
-	p0, p1, a0, a1 := raw[0], raw[1], raw[2], raw[3]
-	if p1.a != p0.a || a0.a != p0.d || a1.a != p1.d {
-		return mop{}, 0
-	}
-	n := 4
-	maxD := int32(-1)
-	if kindsAre(raw[4:], simd.PMaxS) && raw[4].a == a0.d && raw[4].b == a1.d {
-		maxD = off(raw[4].d)
-		n = 5
-	}
-	tab := p.pushAux(
-		int64(off(p0.d)), int64(off(p1.d)), int64(off(p0.a)),
-		int64(p0.tab), int64(p1.tab),
-		int64(off(a0.d)), int64(off(a0.b)),
-		int64(off(a1.d)), int64(off(a1.b)),
-		int64(maxD),
-	)
-	return mop{kind: mRecurse, tab: tab}, n
-}
-
-// tryHmax fuses the intra-block horizontal max
-//
-//	vpermw tmp,v,t0; pmax dst,v,tmp;
-//	vpermw tmp,dst,t1; pmax dst,dst,tmp;
-//	vpermw tmp,dst,t2; pmax dst,dst,tmp
-func (p *Program) tryHmax(raw []rawOp) (mop, int) {
-	if !kindsAre(raw, simd.PPermute, simd.PMaxS, simd.PPermute, simd.PMaxS, simd.PPermute, simd.PMaxS) {
-		return mop{}, 0
-	}
-	tmp := raw[0].d
-	v := raw[0].a
-	dst := raw[1].d
-	if tmp == dst || raw[1].a != v || raw[1].b != tmp ||
-		raw[2].d != tmp || raw[2].a != dst ||
-		raw[3].d != dst || raw[3].a != dst || raw[3].b != tmp ||
-		raw[4].d != tmp || raw[4].a != dst ||
-		raw[5].d != dst || raw[5].a != dst || raw[5].b != tmp {
-		return mop{}, 0
-	}
-	tab := p.pushAux(
-		int64(off(tmp)), int64(off(v)), int64(off(dst)),
-		int64(raw[0].tab), int64(raw[2].tab), int64(raw[4].tab),
-	)
-	return mop{kind: mHmax, tab: tab}, 6
 }
 
 // distinctRegs reports whether all register ids are pairwise distinct.
@@ -567,7 +322,12 @@ func (p *Program) tryAlphaStepP(raw []rawOp) (mop, int) {
 }
 
 // matchHmaxOn checks raw[0:6] for the horizontal-max butterfly over v
-// (the same shape tryHmax fuses) and returns its registers and tables.
+//
+//	vpermw tmp,v,t0; pmax dst,v,tmp;
+//	vpermw tmp,dst,t1; pmax dst,dst,tmp;
+//	vpermw tmp,dst,t2; pmax dst,dst,tmp
+//
+// and returns its registers and tables.
 func matchHmaxOn(raw []rawOp, v int16) (dst, tmp int16, t0, t1, t2 int32, ok bool) {
 	if !kindsAre(raw, simd.PPermute, simd.PMaxS, simd.PPermute, simd.PMaxS, simd.PPermute, simd.PMaxS) {
 		return
@@ -720,18 +480,4 @@ func (p *Program) tryBetaStepP(raw []rawOp) (mop, int) {
 		p.pushAux(int64(raw[j].addr), int64(raw[j].imm))
 	}
 	return mop{kind: mBetaStepP, tab: tab, imm: 1, n: int32(nx)}, i + 3
-}
-
-// tryNormSub fuses the renormalization pair
-//
-//	vpermw norm,v,tab; psubs v,v,norm
-func (p *Program) tryNormSub(raw []rawOp) (mop, int) {
-	if !kindsAre(raw, simd.PPermute, simd.PSubS) {
-		return mop{}, 0
-	}
-	norm, v := raw[0].d, raw[0].a
-	if norm == v || raw[1].d != v || raw[1].a != v || raw[1].b != norm {
-		return mop{}, 0
-	}
-	return mop{kind: mNormSub, d: off(v), a: off(norm), tab: raw[0].tab}, 2
 }

@@ -103,7 +103,7 @@ func (h *opHarness) diff(t *testing.T, op mop, lean func(live uint64) bool, carr
 	p := h.p
 	p.regs = make([]int16, h.nreg*regStride)
 	p.segs[SegSteady] = []mop{op}
-	if err := p.finalize(0); err != nil {
+	if err := p.finalize(); err != nil {
 		t.Fatalf("finalize: %v", err)
 	}
 	ops := p.segs[SegSteady]

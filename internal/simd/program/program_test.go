@@ -11,11 +11,10 @@ import (
 
 // synthKernel is a width-generic "decode-like" kernel exercising every
 // recorded op kind and every fusion shape the compiler knows: vector
-// arithmetic, the select and pack mask patterns, aliased and
-// out-of-range permutes, the recursion and horizontal-max chains,
-// scalar copy/gamma/ext helper runs, lane extract/insert, the packed
-// stream's quad scatter/gather, alpha/beta steps and vector gamma/ext
-// groups (see packed), and register state that is live across
+// arithmetic and mask logic, aliased and out-of-range permutes, a scalar
+// copy run and the scalar gamma/ext helpers, lane extract/insert, the
+// packed stream's quad scatter/gather, alpha/beta steps and vector ext
+// group (see packed), and register state that is live across
 // iterations (acc, alpha, beta). It deliberately allocates
 // a throwaway register with NewVec every iteration — a fresh pointer
 // each time — so compiling it at >= 4 iterations proves the verifier's
@@ -29,10 +28,10 @@ type synthKernel struct {
 }
 
 // packedBytes is the arena the two packed() calls of one iteration use:
-// 9 result lines for the lean call, then 9 result and 49 spill lines.
+// 7 result lines for the lean call, then 7 result and 43 spill lines.
 const (
-	packedLean  = 9 * 64
-	packedBytes = packedLean + (9+49)*64
+	packedLean  = 7 * 64
+	packedBytes = packedLean + (7+43)*64
 )
 
 func newSynthKernel(w simd.Width, mem *simd.Memory) *synthKernel {
@@ -108,7 +107,7 @@ func (k *synthKernel) packed(e *simd.Engine, t *packedTabs, alpha, beta, lim, nl
 	n := k.w.Lanes16()
 	wb := int64(2 * n)
 	at := func(i int) int64 { return base + int64(i)*64 }
-	next := 9
+	next := 7
 	dump := func(vs ...*simd.Vec) {
 		for _, v := range vs {
 			if spill {
@@ -208,27 +207,17 @@ func (k *synthKernel) packed(e *simd.Engine, t *packedTabs, alpha, beta, lim, nl
 	dump(qd, bm0, bm1, b0, b1, w0, w1, norm, al, e0, e1, m0, m1, tmp, dv)
 	e.StoreVec(at(5), beta)
 
-	// Vector gamma and extrinsic groups.
-	s, pv, la, tt, g0, g1 := v[0], v[1], v[2], v[3], v[4], v[5]
-	e.LoadVec(s, k.in)
-	e.LoadVec(pv, k.in+wb)
-	e.LoadVec(la, at(5))
-	e.PAddSW(tt, s, la)
-	e.PAddSW(g0, tt, pv)
-	e.PSubSW(g1, tt, pv)
-	e.StoreVec(at(6), g0)
-	e.StoreVec(at(7), g1)
-	dump(s, pv, la, tt, g0, g1)
-	dvec, half := v[4], v[5]
-	e.LoadVec(dvec, at(6))
-	e.LoadVec(s, at(7))
+	// Vector extrinsic group.
+	dvec, s, la, tt, half := v[0], v[1], v[2], v[3], v[4]
+	e.LoadVec(dvec, at(3))
+	e.LoadVec(s, at(5))
 	e.LoadVec(la, k.in)
 	e.PAddSW(tt, s, la)
 	e.PSraW(half, dvec, 1)
 	e.PSubSW(half, half, tt)
 	e.PMinSW(half, half, lim)
 	e.PMaxSW(half, half, nlim)
-	e.StoreVec(at(8), half)
+	e.StoreVec(at(6), half)
 	dump(dvec, s, la, tt, half)
 
 	e.ReleaseVec(v...)
@@ -282,12 +271,9 @@ func (k *synthKernel) run(e *simd.Engine) {
 		e.PMinSW(t2, t2, hi)
 		e.PSraW(t2, t2, 1)
 
-		// Select shape: and,and,or,and,and,or.
+		// Mask logic.
 		e.PAnd(t1, a, mask)
 		e.PAndN(t2, mask, b)
-		e.POr(d, t1, t2)
-		e.PAnd(t1, d, mask)
-		e.PAndN(t2, mask, a)
 		e.POr(d, t1, t2)
 		e.PXor(scratch, d, a)
 
@@ -298,28 +284,14 @@ func (k *synthKernel) run(e *simd.Engine) {
 		e.StoreVec(k.out, d)
 		e.StoreVec(k.out+int64(2*n), scratch)
 
-		// Recursion shape: two permutes of one source + adds + max.
-		e.PermuteW(t1, acc, rev)
-		e.PermuteW(t2, acc, wild)
-		e.PAddSW(t1, t1, a)
-		e.PAddSW(t2, t2, b)
-		e.PMaxSW(d, t1, t2)
-		e.StoreVec(k.out+int64(4*n), d)
 		e.StoreVec(k.acc, acc)
 
-		// Scalar helper runs (copy / gamma / ext fusions).
+		// Scalar copy run (fused) and the scalar gamma/ext helpers.
 		for i := 0; i < 6; i++ {
 			e.CopyI16(k.out+int64(6*n+2*i), k.scalars+int64(2*i))
 		}
-		for i := 0; i < 3; i++ {
-			e.ScalarGammaPoint(
-				k.gamma+int64(4*i), k.gamma+int64(4*i+2),
-				k.scalars+int64(2*i), k.scalars+int64(2*i+8), k.acc+int64(2*i))
-		}
-		for i := 0; i < 2; i++ {
-			e.ScalarExtPoint(k.out+int64(8*n+2*i),
-				k.scalars+int64(2*i), k.acc+int64(2*i), k.gamma+int64(4*i), 8191)
-		}
+		e.ScalarGammaPoint(k.gamma, k.gamma+2, k.scalars, k.scalars+8, k.acc)
+		e.ScalarExtPoint(k.out+int64(8*n), k.scalars, k.acc, k.gamma, 8191)
 
 		// Lane traffic and 128-bit views.
 		e.PExtrWToMem(k.scalars+96, t2, n/2)
@@ -441,6 +413,25 @@ func interpret(w simd.Width, memBytes, iters, salt int) []byte {
 	return mem.Bytes(0, mem.Size())
 }
 
+// replayBytes replays p over a freshly seeded arena laid out like k's
+// and returns the arena bytes. With rng set the replay is poisoned (see
+// runPoisoned).
+func replayBytes(t *testing.T, p *Program, k *synthKernel, memBytes, iters int, rng *rand.Rand) []byte {
+	t.Helper()
+	mem := simd.NewMemory(memBytes)
+	newSynthKernel(k.w, mem)
+	k.seed(mem)
+	run := p.Run
+	if rng != nil {
+		run = func(mem *simd.Memory, seg int) { p.runPoisoned(mem, seg, rng) }
+	}
+	run(mem, SegFirst)
+	for it := 1; it < iters; it++ {
+		run(mem, SegSteady)
+	}
+	return mem.Bytes(0, mem.Size())
+}
+
 // runPoisoned is Run, except that after every op each register write
 // whose live bit is clear — every write finalize says nothing reads — is
 // overwritten with random lanes. If the masks are right the arena cannot
@@ -475,7 +466,7 @@ func TestSynthKernelCoversFusedOps(t *testing.T) {
 		type count struct{ lean, full int }
 		got := map[string]*count{
 			"quad scatter": {}, "quad gather": {}, "alpha step": {},
-			"beta step": {}, "beta step + extract": {}, "gamma vec": {}, "ext vec": {},
+			"beta step": {}, "beta step + extract": {}, "ext vec": {},
 		}
 		for _, op := range p.segs[SegSteady] {
 			name, inter := "", op.live
@@ -491,8 +482,6 @@ func TestSynthKernelCoversFusedOps(t *testing.T) {
 				if op.imm != 0 {
 					name = "beta step + extract"
 				}
-			case mGammaVec:
-				name = "gamma vec"
 			case mExtVec:
 				name = "ext vec"
 			default:
@@ -544,9 +533,9 @@ func testPoisonedReplay(t *testing.T) {
 	}
 }
 
-// TestFinalizeRejectsMalformedOps: a compiled program goes through the
-// same structural check as a deserialized one, so an op the matchers
-// should never emit is refused instead of run.
+// TestFinalizeRejectsMalformedOps: every compiled program goes through
+// finalize's structural check, so an op the matchers should never emit is
+// refused instead of run.
 func TestFinalizeRejectsMalformedOps(t *testing.T) {
 	for name, op := range map[string]mop{
 		"one-source quad scatter": {kind: mQuadScatter, n: 1},
@@ -555,7 +544,7 @@ func TestFinalizeRejectsMalformedOps(t *testing.T) {
 	} {
 		p := &Program{w: simd.W128, lanes: 8, regs: make([]int16, 2*regStride), aux: make([]int64, 8)}
 		p.segs[SegSteady] = []mop{op}
-		if err := p.finalize(0); err == nil {
+		if err := p.finalize(); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
 	}

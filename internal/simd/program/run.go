@@ -182,36 +182,6 @@ func (p *Program) exec(m []int16, ops []mop) {
 			for i := 0; i+1 < len(t); i += 2 {
 				m[t[i]>>1] = m[t[i+1]>>1]
 			}
-		case mGammaRun:
-			t := p.aux[op.tab : op.tab+5*op.n]
-			for ; len(t) >= 5; t = t[5:] {
-				sa := int32(m[t[2]>>1]) + int32(m[t[4]>>1])
-				pv := int32(m[t[3]>>1])
-				m[t[0]>>1] = sat16(sa + pv)
-				m[t[1]>>1] = sat16(sa - pv)
-			}
-		case mExtRun:
-			cl := int32(op.imm)
-			t := p.aux[op.tab : op.tab+4*op.n]
-			for ; len(t) >= 4; t = t[4:] {
-				x := int32(m[t[3]>>1]>>1) - int32(m[t[1]>>1]) - int32(m[t[2]>>1])
-				m[t[0]>>1] = clampi(x, cl)
-			}
-		case mGammaVec:
-			t := p.aux[op.tab : op.tab+11]
-			sv, pv, lv := line(m, t[6], L), line(m, t[7], L), line(m, t[8], L)
-			o0, o1 := line(m, t[9], L), line(m, t[10], L)
-			full := op.live != 0
-			s, pr, la := lanes(r, t[0])[:L], lanes(r, t[1])[:L], lanes(r, t[2])[:L]
-			tt, g0, g1 := lanes(r, t[3])[:L], lanes(r, t[4])[:L], lanes(r, t[5])[:L]
-			for i := range sv {
-				tv := satAdd(sv[i], lv[i])
-				g0v, g1v := satAdd(tv, pv[i]), satSub(tv, pv[i])
-				if full {
-					s[i], pr[i], la[i], tt[i], g0[i], g1[i] = sv[i], pv[i], lv[i], tv, g0v, g1v
-				}
-				o0[i], o1[i] = g0v, g1v
-			}
 		case mExtVec:
 			t := p.aux[op.tab : op.tab+11]
 			dv, sv, lv, out := line(m, t[7], L), line(m, t[8], L), line(m, t[9], L), line(m, t[10], L)
@@ -227,85 +197,6 @@ func (p *Program) exec(m []int16, ops []mop) {
 					dvec[i], s[i], la[i], tt[i], half[i] = dv[i], sv[i], lv[i], tv, h
 				}
 				out[i] = h
-			}
-		case mSelect:
-			t := p.aux[op.tab : op.tab+12]
-			t1, t2 := r[t[0]:t[0]+regStride], r[t[1]:t[1]+regStride]
-			bg0, m0 := r[t[2]:t[2]+regStride], r[t[3]:t[3]+regStride]
-			bg1, m0n := r[t[4]:t[4]+regStride], r[t[5]:t[5]+regStride]
-			bm0 := r[t[6] : t[6]+regStride]
-			ng1, m1 := r[t[7]:t[7]+regStride], r[t[8]:t[8]+regStride]
-			ng0, m1n := r[t[9]:t[9]+regStride], r[t[10]:t[10]+regStride]
-			bm1 := r[t[11] : t[11]+regStride]
-			for i := 0; i < L; i++ {
-				x := bg0[i] & m0[i]
-				t1[i] = x
-				y := bg1[i] & m0n[i]
-				t2[i] = y
-				bm0[i] = x | y
-				x = ng1[i] & m1[i]
-				t1[i] = x
-				y = ng0[i] & m1n[i]
-				t2[i] = y
-				bm1[i] = x | y
-			}
-		case mPack:
-			nb := int(op.n)
-			t := p.aux[op.tab : op.tab+int32(3+2*nb)]
-			dst, pA, pT := r[t[0]:t[0]+regStride], r[t[1]:t[1]+regStride], r[t[2]:t[2]+regStride]
-			for i := 0; i < L; i++ {
-				v := m[t[3]>>1]
-				pA[i] = v
-				acc := v & r[t[4]+int64(i)]
-				for b := 1; b < nb; b++ {
-					v = m[t[3+2*b]>>1]
-					pA[i] = v
-					x := v & r[t[4+2*b]+int64(i)]
-					pT[i] = x
-					acc |= x
-				}
-				dst[i] = acc
-			}
-		case mRecurse:
-			t := p.aux[op.tab : op.tab+10]
-			p.permute(r, t[0], t[2], t[3])
-			p.permute(r, t[1], t[2], t[4])
-			r0, x0 := r[t[0]:t[0]+regStride], r[t[6]:t[6]+regStride]
-			r1, x1 := r[t[1]:t[1]+regStride], r[t[8]:t[8]+regStride]
-			c0, c1 := r[t[5]:t[5]+regStride], r[t[7]:t[7]+regStride]
-			if t[9] >= 0 {
-				d := r[t[9] : t[9]+regStride]
-				for i := 0; i < L; i++ {
-					a := satAdd(r0[i], x0[i])
-					b := satAdd(r1[i], x1[i])
-					c0[i], c1[i] = a, b
-					d[i] = max(a, b)
-				}
-			} else {
-				for i := 0; i < L; i++ {
-					c0[i] = satAdd(r0[i], x0[i])
-					c1[i] = satAdd(r1[i], x1[i])
-				}
-			}
-		case mHmax:
-			t := p.aux[op.tab : op.tab+6]
-			tmp, v, dst := t[0], t[1], t[2]
-			p.permute(r, tmp, v, t[3])
-			dd, vv, tt := r[dst:dst+regStride], r[v:v+regStride], r[tmp:tmp+regStride]
-			for i := 0; i < L; i++ {
-				dd[i] = max(vv[i], tt[i])
-			}
-			for step := 1; step < 3; step++ {
-				p.permute(r, tmp, dst, t[3+step])
-				for i := 0; i < L; i++ {
-					dd[i] = max(dd[i], tt[i])
-				}
-			}
-		case mNormSub:
-			p.permute(r, int64(op.a), int64(op.d), int64(op.tab))
-			d, norm := r[op.d:op.d+regStride], r[op.a:op.a+regStride]
-			for i := 0; i < L; i++ {
-				d[i] = satSub(d[i], norm[i])
 			}
 		case mQuadScatter:
 			// live bits: 0 acc, 1 tmp.

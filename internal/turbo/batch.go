@@ -19,10 +19,8 @@ import (
 // memory, allocating nothing.
 type decodePlan struct {
 	code *Code
-	// Exactly one of st/pst is populated, matching the plan key's
-	// packing: st is the per-block working set, pst the cross-block
-	// SoA-packed one.
-	st  *multiState
+	// pst is the cross-block SoA-packed working set (nil until the first
+	// decode, and again after an eviction).
 	pst *packedState
 	dec *MultiSIMDDecoder
 
@@ -31,19 +29,10 @@ type decodePlan struct {
 	// It embeds absolute arena addresses, so eviction must discard it
 	// with the state.
 	prog *program.Program
-	// noCompile latches a failed compilation so the plan does not
-	// re-record on every decode; eviction resets it with the state.
+	// noCompile latches a compilation failure no retry can cure, so the
+	// plan does not re-record on every decode; eviction resets it with
+	// the state.
 	noCompile bool
-}
-
-// planKey identifies one cached decode plan. Width and strategy are
-// fixed per BatchDecoder (one engine, one arranger), so the key space
-// a decoder manages is (K, packing): the same K decoded packed and
-// unpacked yields two independent plans with disjoint arena regions
-// and programs.
-type planKey struct {
-	k      int
-	packed bool
 }
 
 // BatchDecoder is the serving-side entry point for lane-parallel
@@ -54,15 +43,16 @@ type planKey struct {
 // constant registers, index tables); subsequent Decodes of the same K
 // reuse it, rewriting the scratch in place. If the arena cannot fit a
 // new K's plan, all cached plans are evicted and the arena rewound.
+// There is one decode path: blocks packed across lanes at the element
+// level, recorded on the first decode of a K and replayed afterwards.
 // It is NOT safe for concurrent use — give each worker goroutine its
 // own BatchDecoder.
 type BatchDecoder struct {
-	eng   *simd.Engine
-	ar    core.Arranger
-	plans map[planKey]*decodePlan
-	// codes caches the (packing-independent) code tables per K, shared
-	// by the packed and unpacked plan of the same block size.
-	codes map[int]*Code
+	eng *simd.Engine
+	ar  core.Arranger
+	// plans is keyed by K: width and strategy are fixed per BatchDecoder
+	// (one engine, one arranger).
+	plans map[int]*decodePlan
 
 	// lastIters holds the per-block iterations-to-converge of the most
 	// recent successful Decode (reused backing array; see BlockIters).
@@ -71,16 +61,6 @@ type BatchDecoder struct {
 	// MaxIters and EarlyExit configure every decode (defaults: 6, true).
 	MaxIters  int
 	EarlyExit bool
-
-	// Packed selects the cross-block SoA-packed decode path (default
-	// true): the K-indexed phases — gamma, extrinsic finalize, the QPP
-	// interleave, hard decisions — run once per iteration for all
-	// in-flight blocks instead of once per block, and the interleave is
-	// vector gather programs instead of per-element copies. Outputs are
-	// bit-identical to the per-block path (and the scalar reference) at
-	// every fill level. Flipping it mid-stream is safe: the two paths
-	// cache independent plans.
-	Packed bool
 
 	// ItersOverride, when positive, clamps the effective iteration
 	// budget to min(MaxIters, ItersOverride) without touching the
@@ -112,16 +92,6 @@ type BatchDecoder struct {
 	// span). Same single-goroutine rules as OnDecode.
 	OnCompile func(k int, elapsed time.Duration)
 
-	// Schedule routes compilations through the port-aware scheduling
-	// pass (program.CompileOptions.Schedule): candidate mop orderings
-	// of each segment are priced on the uarch cost model and the
-	// best-IPC one is kept. Replay stays bit-identical — only the op
-	// order changes. SchedOptions carries the rest of the options
-	// (heuristic subset, simulation budget, cost-model core); its
-	// Schedule field is overridden by this flag.
-	Schedule     bool
-	SchedOptions program.CompileOptions
-
 	// Evictions counts how many times the arena filled up and the plan
 	// cache was flushed (a serving gauge; 0 in any sane configuration).
 	Evictions uint64
@@ -129,10 +99,6 @@ type BatchDecoder struct {
 	// Program-cache counters (see ProgramStats).
 	progHits, progMisses, compiles uint64
 	compileNs                      int64
-	// schedHits counts Decodes served by a *scheduled* program;
-	// warmPlans counts programs installed from a tuner cache instead
-	// of compiled in-process.
-	schedHits, warmPlans uint64
 
 	// OnDecode, when non-nil, is called synchronously after every
 	// successful Decode with the block size, batch fill, iteration count
@@ -144,9 +110,6 @@ type BatchDecoder struct {
 	OnDecode func(k, blocks, iters int, elapsed time.Duration)
 }
 
-// DefaultMaxIters is the iteration budget a fresh BatchDecoder uses.
-const DefaultMaxIters = 6
-
 // NewBatchDecoder builds a decoder for width w and arrangement strategy
 // s with a memBytes emulated-memory arena (32 MiB comfortably fits the
 // largest supported K at W512).
@@ -154,11 +117,9 @@ func NewBatchDecoder(w simd.Width, s core.Strategy, memBytes int) *BatchDecoder 
 	return &BatchDecoder{
 		eng:       simd.NewEngine(w, simd.NewMemory(memBytes), nil),
 		ar:        core.ByStrategy(s),
-		plans:     make(map[planKey]*decodePlan),
-		codes:     make(map[int]*Code),
-		MaxIters:  DefaultMaxIters,
+		plans:     make(map[int]*decodePlan),
+		MaxIters:  6,
 		EarlyExit: true,
-		Packed:    true,
 		Compile:   true,
 	}
 }
@@ -166,21 +127,17 @@ func NewBatchDecoder(w simd.Width, s core.Strategy, memBytes int) *BatchDecoder 
 // Lanes returns how many same-K blocks one Decode call carries.
 func (bd *BatchDecoder) Lanes() int { return BlocksPerRegister(bd.eng.W) }
 
-// Plans returns how many per-K decode plans are currently cached.
+// Plans returns how many block sizes have a cached plan.
 func (bd *BatchDecoder) Plans() int { return len(bd.plans) }
 
 // Code returns the cached turbo code for block size k (building the
 // code alone, without any decode state, if k has not been decoded yet).
 func (bd *BatchDecoder) Code(k int) (*Code, error) {
-	if c, ok := bd.codes[k]; ok {
-		return c, nil
-	}
-	c, err := NewCode(k)
+	p, err := bd.plan(k)
 	if err != nil {
 		return nil, err
 	}
-	bd.codes[k] = c
-	return c, nil
+	return p.code, nil
 }
 
 // BlockIters reports the per-block iterations-to-converge of the most
@@ -190,33 +147,34 @@ func (bd *BatchDecoder) Code(k int) (*Code, error) {
 // reused across Decodes — read it before the next call.
 func (bd *BatchDecoder) BlockIters() []int { return bd.lastIters }
 
-// plan returns the cached plan for key, creating it (code only — the
-// decode state is built lazily on first Decode, when the batch width is
-// known to matter) on miss.
-func (bd *BatchDecoder) plan(key planKey) (*decodePlan, error) {
-	if p, ok := bd.plans[key]; ok {
+// plan returns the cached plan for block size k, creating it (code only
+// — the decode state is built lazily on first Decode) on miss.
+func (bd *BatchDecoder) plan(k int) (*decodePlan, error) {
+	if p, ok := bd.plans[k]; ok {
 		return p, nil
 	}
-	c, err := bd.Code(key.k)
+	c, err := NewCode(k)
 	if err != nil {
 		return nil, err
 	}
 	p := &decodePlan{code: c}
-	bd.plans[key] = p
+	bd.plans[k] = p
 	return p, nil
 }
 
 // EvictAll flushes every cached plan's decode state, scratch and
-// compiled program and rewinds the arena — the same reset an
-// arena-pressure eviction performs, but driven explicitly (the chaos
-// injector's eviction-storm hook, and a recovery lever after a
-// suspected arena corruption). The next Decode of each K rebuilds its
-// plan from the cached code tables; results are unaffected.
+// compiled program and rewinds the arena — the reset an arena-pressure
+// eviction performs, driven explicitly (the chaos injector's
+// eviction-storm hook, and a recovery lever after a suspected arena
+// corruption). The next Decode of each K rebuilds its plan from the
+// cached code tables; results are unaffected.
 func (bd *BatchDecoder) EvictAll() {
 	for _, q := range bd.plans {
-		q.st = nil
 		q.pst = nil
 		q.dec = nil
+		// Compiled programs address the evicted arena regions directly;
+		// replaying one after the reset would corrupt whatever the arena
+		// now holds.
 		q.prog = nil
 		q.noCompile = false
 	}
@@ -233,59 +191,42 @@ func (bd *BatchDecoder) effIters() int {
 	return bd.MaxIters
 }
 
-// buildState allocates plan p's decode state (per-block or packed,
-// matching the key it was cached under), evicting every cached state
-// and rewinding the arena if the remaining arena space cannot hold it.
-// Scratch contents are rewritten on every decode, so eviction never
-// affects results — it only costs the rebuild.
-func (bd *BatchDecoder) buildState(p *decodePlan, packed bool) error {
+// buildState allocates plan p's packed decode state, evicting every
+// cached state if the remaining arena space cannot hold it. Scratch
+// contents are rewritten on every decode, so eviction never affects
+// results — it only costs the rebuild.
+func (bd *BatchDecoder) buildState(p *decodePlan) error {
 	nb := bd.Lanes()
-	lay := bd.ar.Layout(bd.eng.W)
-	need := multiStateBytes(p.code, lay, bd.eng.W, nb)
-	if packed {
-		need = packedStateBytes(p.code, lay, bd.eng.W, nb)
-	}
+	need := packedStateBytes(p.code, bd.ar.Layout(bd.eng.W), bd.eng.W, nb)
 	if bd.eng.Mem.Remaining() < need {
-		for _, q := range bd.plans {
-			q.st = nil
-			q.pst = nil
-			q.dec = nil
-			// Compiled programs address the evicted arena regions
-			// directly; replaying one after the reset would corrupt
-			// whatever the arena now holds.
-			q.prog = nil
-			q.noCompile = false
-		}
-		bd.eng.Mem.AllocReset()
-		bd.Evictions++
+		bd.EvictAll()
 		if bd.eng.Mem.Remaining() < need {
 			return fmt.Errorf("turbo: arena too small for K=%d at %v (need %d bytes)", p.code.K, bd.eng.W, need)
 		}
 	}
-	if packed {
-		p.pst = newPackedState(bd.eng, bd.ar, p.code, nb)
-	} else {
-		p.st = newMultiState(bd.eng, bd.ar, p.code, nb)
-	}
+	p.pst = newPackedState(bd.eng, bd.ar, p.code, nb)
 	p.dec = NewMultiSIMDDecoder(p.code)
 	return nil
 }
 
 // Decode lane-decodes 1..Lanes() same-K words and returns the per-block
-// hard decisions plus the iteration count. Results are bit-identical to
-// single-block decoding of each word. The returned slices are owned by
-// the caller (they are fresh copies, safe to retain across Decodes).
+// hard decisions plus the iteration count. The blocks are packed at the
+// element level (multidecoder_packed.go), so every K-indexed phase runs
+// once per iteration for the whole batch; a one-block batch is the
+// fill-1 case of the same path. Results are bit-identical to decoding
+// each word alone, on the lane-parallel or the scalar decoder. The
+// returned slices are owned by the caller (they are fresh copies, safe
+// to retain across Decodes).
 func (bd *BatchDecoder) Decode(k int, words []*LLRWord) ([][]byte, int, error) {
 	if len(words) == 0 {
 		return nil, 0, fmt.Errorf("turbo: empty batch")
 	}
-	packed := bd.Packed
-	p, err := bd.plan(planKey{k: k, packed: packed})
+	p, err := bd.plan(k)
 	if err != nil {
 		return nil, 0, err
 	}
-	if p.st == nil && p.pst == nil {
-		if err := bd.buildState(p, packed); err != nil {
+	if p.pst == nil {
+		if err := bd.buildState(p); err != nil {
 			return nil, 0, err
 		}
 	}
@@ -297,40 +238,27 @@ func (bd *BatchDecoder) Decode(k int, words []*LLRWord) ([][]byte, int, error) {
 	}
 	var bits [][]byte
 	var iters int
+	compiling := bd.Compile && bd.eng.Recorder() == nil
 	switch {
 	case p.prog != nil:
 		bd.progHits++
-		if p.prog.Scheduled() {
-			bd.schedHits++
-		}
-		if packed {
-			bits, iters, err = bd.runCompiledPacked(p, words)
-		} else {
-			bits, iters, err = bd.runCompiled(p, words)
-		}
-	case bd.Compile && !p.noCompile && bd.eng.Recorder() == nil:
+		bits, iters, err = bd.runCompiled(p, words)
+	case compiling && !p.noCompile && p.dec.MaxIters >= 2:
+		// A budget of one iteration (MaxIters, or the overload clamp)
+		// records no steady segment; such a decode runs interpreted below
+		// and the next one with a larger budget records.
 		bd.progMisses++
-		bits, iters, err = bd.recordAndCompile(p, packed, words)
+		bits, iters, err = bd.recordAndCompile(p, words)
 	default:
-		if bd.Compile && bd.eng.Recorder() == nil {
+		if compiling {
 			bd.progMisses++
 		}
-		if packed {
-			bits, iters, err = p.dec.runPacked(p.pst, words)
-		} else {
-			bits, iters, err = p.dec.run(p.st, words)
-		}
+		bits, iters, err = p.dec.runPacked(p.pst, words)
 	}
 	if err != nil {
 		return nil, 0, err
 	}
-	var itersB []int
-	if packed {
-		itersB = p.pst.itersB
-	} else {
-		itersB = p.st.itersB
-	}
-	bd.lastIters = append(bd.lastIters[:0], itersB[:len(words)]...)
+	bd.lastIters = append(bd.lastIters[:0], p.pst.itersB[:len(words)]...)
 	if bd.OnDecode != nil {
 		bd.OnDecode(k, len(words), iters, time.Since(start))
 	}

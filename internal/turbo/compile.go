@@ -1,10 +1,9 @@
 package turbo
 
 import (
-	"fmt"
+	"errors"
 	"time"
 
-	"vransim/internal/core"
 	"vransim/internal/simd/program"
 )
 
@@ -12,8 +11,8 @@ import (
 // first interpreted decode of a (K, width, strategy) records the exact
 // engine op stream, internal/simd/program compiles it into a fused
 // replay program, and runCompiled drives that program through the same
-// iteration/early-exit protocol as MultiSIMDDecoder.run — producing
-// bit-identical outputs without per-µop interpretation.
+// iteration/early-exit protocol as MultiSIMDDecoder.runPacked —
+// producing bit-identical outputs without per-µop interpretation.
 //
 // The split of responsibilities mirrors what is and is not
 // input-dependent in a decode:
@@ -21,11 +20,11 @@ import (
 //   - The op stream (instructions, arena addresses, index tables) is a
 //     pure function of (K, width, strategy, batch lanes) — compiled once
 //     and replayed.
-//   - The input copy-in (WriteInterleaved), the tail branch metrics
-//     (values derived from the block's tail LLRs) and the hard-decision
-//     bit scan are data-dependent *values* at fixed addresses — the Go
-//     driver below performs them around each replay, exactly as run()
-//     interleaves them with the engine ops.
+//   - The input copy-in (WriteInterleavedPacked), the tail branch
+//     metrics (values derived from the block's tail LLRs) and the
+//     hard-decision bit scan are data-dependent *values* at fixed
+//     addresses — the Go driver below performs them around each replay,
+//     exactly as runPacked interleaves them with the engine ops.
 
 // ProgramStats is a snapshot of the decoder's program-cache counters.
 type ProgramStats struct {
@@ -38,20 +37,8 @@ type ProgramStats struct {
 	Compiles    uint64
 	CompileTime time.Duration
 	// CompiledPlans is the number of cached plans currently holding a
-	// replay program; ScheduledPlans counts the subset whose program
-	// the scheduling pass reordered.
-	CompiledPlans  int
-	ScheduledPlans int
-	// SchedHits counts Decodes served by a scheduled program; WarmPlans
-	// counts programs installed from a tuner plan cache (InstallPlan)
-	// rather than compiled in-process.
-	SchedHits uint64
-	WarmPlans uint64
-	// SimIPCBefore/After are the cost-model IPCs of the steady segment
-	// averaged over the currently cached scheduled plans (recorded
-	// order vs adopted order); 0 when no scheduled plan is cached.
-	SimIPCBefore float64
-	SimIPCAfter  float64
+	// replay program.
+	CompiledPlans int
 }
 
 // ProgramStats reports the compiled-program cache counters.
@@ -61,60 +48,46 @@ func (bd *BatchDecoder) ProgramStats() ProgramStats {
 		Misses:      bd.progMisses,
 		Compiles:    bd.compiles,
 		CompileTime: time.Duration(bd.compileNs),
-		SchedHits:   bd.schedHits,
-		WarmPlans:   bd.warmPlans,
 	}
 	for _, p := range bd.plans {
-		if p.prog == nil {
-			continue
+		if p.prog != nil {
+			s.CompiledPlans++
 		}
-		s.CompiledPlans++
-		if info := p.prog.Sched(); p.prog.Scheduled() {
-			s.ScheduledPlans++
-			s.SimIPCBefore += info.IPCBefore[program.SegSteady]
-			s.SimIPCAfter += info.IPCAfter[program.SegSteady]
-		}
-	}
-	if s.ScheduledPlans > 0 {
-		s.SimIPCBefore /= float64(s.ScheduledPlans)
-		s.SimIPCAfter /= float64(s.ScheduledPlans)
 	}
 	return s
 }
 
+// PlanProgram returns the compiled replay program cached for block size
+// k, or nil — introspection for tests.
+func (bd *BatchDecoder) PlanProgram(k int) *program.Program {
+	if p, ok := bd.plans[k]; ok {
+		return p.prog
+	}
+	return nil
+}
+
 // recordAndCompile runs one interpreted decode with the semantic
 // recorder attached and compiles the recorded stream into p's replay
-// program. The decode's results are returned either way; a failed
-// compilation (too few iterations, unstable stream, unsupported op)
-// latches noCompile and the plan stays interpreted. Both decode paths
-// record the same way — per-block early exit freezes blocks only in
-// the Go-side extraction, so the op stream stays identical across
-// iterations and the builder's stability check holds no matter when
-// individual blocks converge.
-func (bd *BatchDecoder) recordAndCompile(p *decodePlan, packed bool, words []*LLRWord) ([][]byte, int, error) {
+// program. The decode's results are returned either way. A failure no
+// retry can cure (unstable stream, unsupported op, CompileGate veto)
+// latches noCompile and the plan stays interpreted; a recording that ran
+// too few iterations does not, so the next decode records again.
+// Per-block early exit freezes blocks only in the Go-side extraction,
+// so the op stream stays identical across iterations and the builder's
+// stability check holds no matter when individual blocks converge.
+func (bd *BatchDecoder) recordAndCompile(p *decodePlan, words []*LLRWord) ([][]byte, int, error) {
 	b := program.NewBuilder()
 	bd.eng.SetProgSink(b)
-	var (
-		bits  [][]byte
-		iters int
-		err   error
-	)
-	if packed {
-		bits, iters, err = p.dec.runPacked(p.pst, words)
-	} else {
-		bits, iters, err = p.dec.run(p.st, words)
-	}
+	bits, iters, err := p.dec.runPacked(p.pst, words)
 	bd.eng.SetProgSink(nil)
 	if err != nil {
 		return nil, 0, err
 	}
-	opts := bd.SchedOptions
-	opts.Schedule = bd.Schedule
 	start := time.Now()
-	prog, cerr := b.CompileOpts(bd.eng.W, opts)
+	prog, cerr := b.Compile(bd.eng.W)
 	elapsed := time.Since(start)
 	if cerr != nil {
-		p.noCompile = true
+		p.noCompile = !errors.Is(cerr, program.ErrTooFewIterations)
 		return bits, iters, nil
 	}
 	if bd.CompileGate != nil && !bd.CompileGate(p.code.K) {
@@ -132,54 +105,12 @@ func (bd *BatchDecoder) recordAndCompile(p *decodePlan, packed bool, words []*LL
 	return bits, iters, nil
 }
 
-// runCompiled is the replay counterpart of MultiSIMDDecoder.run: same
-// padding, same iteration loop, same early-exit protocol, but each
-// iteration's engine work is one Program.Run over the arena. The
-// returned slices alias p.st.bits exactly like run()'s.
+// runCompiled is the replay driver: the same copy-in, tail-quad writes,
+// iteration loop and per-block early-exit protocol as
+// MultiSIMDDecoder.runPacked, with each iteration's engine work replaced
+// by one Program.Run over the arena. The returned slices alias
+// p.pst.bits exactly like runPacked's.
 func (bd *BatchDecoder) runCompiled(p *decodePlan, words []*LLRWord) ([][]byte, int, error) {
-	st := p.st
-	d := p.dec
-	nb := st.nb
-	if len(words) < 1 || len(words) > nb {
-		return nil, 0, fmt.Errorf("turbo: got %d blocks, state decodes 1..%d at once", len(words), nb)
-	}
-	requested := len(words)
-	st.words = append(st.words[:0], words...)
-	for len(st.words) < nb {
-		st.words = append(st.words, words[0])
-	}
-	mem := bd.eng.Mem
-
-	for b := 0; b < nb; b++ {
-		w := st.words[b]
-		core.WriteInterleaved(mem, st.in[b].Src, w.Sys, w.P1, w.P2)
-		st.in[b].TailSys = w.TailSys
-		st.in[b].TailP1 = w.TailP1
-		st.writeTailGammas(b)
-	}
-
-	resetConv(st.conv, st.itersB, requested)
-	iters := 0
-	for it := 0; it < d.MaxIters; it++ {
-		iters++
-		seg := program.SegSteady
-		if it == 0 {
-			seg = program.SegFirst
-		}
-		p.prog.Run(mem, seg)
-		if st.extractBits(d.EarlyExit, it) {
-			break
-		}
-	}
-	stampIters(st.itersB, iters)
-	return st.bits[:requested], iters, nil
-}
-
-// runCompiledPacked is the replay driver for the packed path: the same
-// copy-in, tail-quad writes, iteration loop and per-block early-exit
-// protocol as MultiSIMDDecoder.runPacked, with each iteration's engine
-// work replaced by one Program.Run over the arena.
-func (bd *BatchDecoder) runCompiledPacked(p *decodePlan, words []*LLRWord) ([][]byte, int, error) {
 	st := p.pst
 	d := p.dec
 	requested := len(words)

@@ -10,64 +10,10 @@ import (
 	"vransim/internal/trace"
 )
 
-// decodeThreeWay decodes the same batch through the compiled replay
-// path, the interpreted MultiSIMDDecoder path and the scalar reference,
-// and fails the test on any hard-decision or iteration-count mismatch.
-func decodeThreeWay(t *testing.T, w simd.Width, k int, words []*LLRWord, maxIters int, label string) {
-	t.Helper()
-	comp := NewBatchDecoder(w, core.StrategyAPCM, 32<<20)
-	comp.MaxIters = maxIters
-	// First decode records + compiles (and is itself interpreted);
-	// decode twice so the checked result comes from the replay path.
-	if _, _, err := comp.Decode(k, words); err != nil {
-		t.Fatalf("%s: warm-up: %v", label, err)
-	}
-	if comp.ProgramStats().CompiledPlans != 1 {
-		t.Fatalf("%s: first decode did not compile a program", label)
-	}
-	got, gotIters, err := comp.Decode(k, words)
-	if err != nil {
-		t.Fatalf("%s: compiled: %v", label, err)
-	}
-
-	interp := NewBatchDecoder(w, core.StrategyAPCM, 32<<20)
-	interp.MaxIters = maxIters
-	interp.Compile = false
-	want, wantIters, err := interp.Decode(k, words)
-	if err != nil {
-		t.Fatalf("%s: interpreted: %v", label, err)
-	}
-	if s := interp.ProgramStats(); s.CompiledPlans != 0 || s.Compiles != 0 {
-		t.Fatalf("%s: Compile=false decoder compiled anyway: %+v", label, s)
-	}
-
-	if gotIters != wantIters {
-		t.Errorf("%s: compiled ran %d iterations, interpreted %d", label, gotIters, wantIters)
-	}
-	c, err := comp.Code(k)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for b := range words {
-		if !equalBits(got[b], want[b]) {
-			t.Errorf("%s block %d: compiled and interpreted decisions differ", label, b)
-		}
-		sc := NewDecoder(c)
-		sc.MaxIters = maxIters
-		scalarBits, _, err := sc.Decode(words[b])
-		if err != nil {
-			t.Fatalf("%s block %d: scalar: %v", label, b, err)
-		}
-		if !equalBits(got[b], scalarBits) {
-			t.Errorf("%s block %d: compiled and scalar decisions differ", label, b)
-		}
-	}
-}
-
-// TestCompiledMatchesInterpretedAndScalar is the satellite differential
-// property test: over widths, block sizes, clean and noisy channels and
-// partial batch fills, the compiled replay must produce exactly the bits
-// of the interpreted SIMD decoder and of the scalar reference.
+// TestCompiledMatchesInterpretedAndScalar: over widths, block sizes,
+// clean and noisy channels and partial batch fills, the compiled replay
+// must produce exactly the bits of the interpreted SIMD decoders and of
+// the scalar reference.
 func TestCompiledMatchesInterpretedAndScalar(t *testing.T) {
 	eachKernel(t, testCompiledMatchesInterpretedAndScalar)
 }
@@ -92,7 +38,7 @@ func testCompiledMatchesInterpretedAndScalar(t *testing.T) {
 			} {
 				words, _ := buildWords(t, c, tc.fill, tc.seed, tc.noiseless)
 				label := w.String() + "/K" + itoa(k) + "/" + tc.name
-				decodeThreeWay(t, w, k, words, 4, label)
+				decodeAllWays(t, w, k, words, 4, label)
 			}
 		}
 	}
@@ -161,10 +107,12 @@ func TestCompiledRespectsConfigChanges(t *testing.T) {
 	}
 }
 
-// TestCompileNeedsTwoIterations: a MaxIters=1 recording cannot separate
-// the first-iteration segment from the steady segment, so compilation
-// must fail gracefully — the plan latches noCompile, stays interpreted
-// and keeps decoding correctly.
+// TestCompileNeedsTwoIterations: a one-iteration decode cannot separate
+// the first-iteration segment from the steady segment, so it must not
+// record: the plan stays interpreted, keeps decoding correctly and does
+// NOT latch noCompile — whether the budget is MaxIters=1 or the overload
+// clamp (ItersOverride=1) on a first decode. Once the clamp is released
+// the next decode records and compiles, and the ones after it replay.
 func TestCompileNeedsTwoIterations(t *testing.T) {
 	const k = 40
 	bd := NewBatchDecoder(simd.W128, core.StrategyAPCM, 32<<20)
@@ -174,29 +122,52 @@ func TestCompileNeedsTwoIterations(t *testing.T) {
 		t.Fatal(err)
 	}
 	words, truth := buildWords(t, c, bd.Lanes(), 31, true)
-	for round := 0; round < 3; round++ {
+	decode := func(bd *BatchDecoder, label string, wantIters int) {
+		t.Helper()
 		bits, iters, err := bd.Decode(k, words)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if iters != 1 {
-			t.Fatalf("round %d: %d iterations at MaxIters=1", round, iters)
+		if iters != wantIters {
+			t.Fatalf("%s: %d iterations, want %d", label, iters, wantIters)
 		}
 		for b := range words {
 			if !equalBits(bits[b], truth[b]) {
-				t.Errorf("round %d block %d: wrong bits on interpreter fallback", round, b)
+				t.Errorf("%s block %d: wrong bits", label, b)
 			}
 		}
 	}
+	for round := 0; round < 3; round++ {
+		decode(bd, "MaxIters=1", 1)
+	}
 	s := bd.ProgramStats()
 	if s.CompiledPlans != 0 || s.Compiles != 0 {
-		t.Errorf("one-iteration recording compiled anyway: %+v", s)
+		t.Errorf("one-iteration decodes compiled anyway: %+v", s)
 	}
-	if !bd.plans[planKey{k: k, packed: bd.Packed}].noCompile {
-		t.Error("failed compilation did not latch noCompile")
+	if bd.plans[k].noCompile {
+		t.Error("one-iteration decodes latched noCompile")
 	}
 	if s.Misses != 3 || s.Hits != 0 {
 		t.Errorf("want 3 misses, 0 hits; got %+v", s)
+	}
+
+	// The overload clamp on the very first decode of a K, then released.
+	clamped := NewBatchDecoder(simd.W128, core.StrategyAPCM, 32<<20)
+	clamped.MaxIters = 4
+	clamped.ItersOverride = 1
+	decode(clamped, "ItersOverride=1", 1)
+	if clamped.plans[k].noCompile {
+		t.Fatal("a decode under the overload clamp latched the plan onto the interpreter")
+	}
+	clamped.ItersOverride = 0
+	decode(clamped, "override released", 2) // records and compiles
+	if s := clamped.ProgramStats(); s.Compiles != 1 || s.CompiledPlans != 1 {
+		t.Fatalf("first unclamped decode did not compile: %+v", s)
+	}
+	decode(clamped, "replay", 2)
+	decode(clamped, "replay", 2)
+	if s := clamped.ProgramStats(); s.Hits != 2 || s.Misses != 2 {
+		t.Errorf("want 2 hits after compiling, 2 misses before; got %+v", s)
 	}
 }
 
@@ -222,7 +193,7 @@ func TestCompiledEvictionRecompiles(t *testing.T) {
 				t.Errorf("round %d (K=%d) block %d: wrong bits", round, k, b)
 			}
 		}
-		if bd.plans[planKey{k: k, packed: bd.Packed}].prog == nil {
+		if bd.PlanProgram(k) == nil {
 			t.Errorf("round %d (K=%d): current plan not compiled", round, k)
 		}
 	}
@@ -280,11 +251,9 @@ func TestTracedEngineStaysInterpreted(t *testing.T) {
 	bd := &BatchDecoder{
 		eng:       simd.NewEngine(simd.W128, simd.NewMemory(32<<20), trace.NewRecorder(1<<20)),
 		ar:        core.ByStrategy(core.StrategyAPCM),
-		plans:     make(map[planKey]*decodePlan),
-		codes:     make(map[int]*Code),
+		plans:     make(map[int]*decodePlan),
 		MaxIters:  4,
 		EarlyExit: true,
-		Packed:    true,
 		Compile:   true,
 	}
 	c, err := bd.Code(k)
@@ -330,55 +299,11 @@ func randomWord(rng *rand.Rand, k int) *LLRWord {
 	return w
 }
 
-// FuzzCompiledDecode is the satellite fuzz target: random K (from the
-// supported LTE sizes), random batch fill and fully random LLR payloads
-// must decode bit- and iteration-identically through the compiled and
-// interpreted paths.
+// FuzzCompiledDecode shares fuzzDecodeAllWays with FuzzPackedDecode; the
+// two keep their own seed corpora.
 func FuzzCompiledDecode(f *testing.F) {
 	f.Add(int64(1), uint8(0), uint8(0), uint8(1))
 	f.Add(int64(2), uint8(1), uint8(1), uint8(2))
 	f.Add(int64(3), uint8(2), uint8(3), uint8(255))
-	ks := []int{40, 104, 208, 512}
-	f.Fuzz(func(t *testing.T, seed int64, wIdx, kIdx, fill uint8) {
-		eachKernel(t, func(t *testing.T) {
-			w := simd.Widths[int(wIdx)%len(simd.Widths)]
-			k := ks[int(kIdx)%len(ks)]
-			rng := rand.New(rand.NewSource(seed))
-			nb := BlocksPerRegister(w)
-			n := 1 + int(fill)%nb
-			words := make([]*LLRWord, n)
-			for b := range words {
-				words[b] = randomWord(rng, k)
-			}
-
-			comp := NewBatchDecoder(w, core.StrategyAPCM, 32<<20)
-			comp.MaxIters = 4
-			if _, _, err := comp.Decode(k, words); err != nil {
-				t.Fatal(err)
-			}
-			got, gotIters, err := comp.Decode(k, words)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if comp.ProgramStats().Hits == 0 {
-				t.Fatal("second decode did not hit the compiled program")
-			}
-
-			interp := NewBatchDecoder(w, core.StrategyAPCM, 32<<20)
-			interp.Compile = false
-			interp.MaxIters = 4
-			want, wantIters, err := interp.Decode(k, words)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if gotIters != wantIters {
-				t.Errorf("compiled %d iters, interpreted %d", gotIters, wantIters)
-			}
-			for b := range words {
-				if !equalBits(got[b], want[b]) {
-					t.Errorf("block %d: compiled and interpreted decisions differ", b)
-				}
-			}
-		})
-	})
+	fuzzDecodeAllWays(f)
 }

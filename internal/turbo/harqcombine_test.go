@@ -136,7 +136,7 @@ func TestCombinedDecodeDifferential(t *testing.T) {
 			for _, receptions := range []int{2, 4} {
 				words, _ := combinedWords(t, c, nb, receptions, int64(100*k+receptions))
 				label := w.String() + "/K" + itoa(k) + "/rx" + itoa(receptions)
-				decodeThreeWay(t, w, k, words, 4, label)
+				decodeAllWays(t, w, k, words, 4, label)
 			}
 		}
 	}
@@ -330,9 +330,8 @@ func TestCompileGate(t *testing.T) {
 }
 
 // FuzzCombinedDecode extends the differential fuzz target over the HARQ
-// combine path: accumulate 2..5 random receptions, then require the
-// compiled and interpreted decodes of the combined word to agree bit for
-// bit.
+// combine path: accumulate 2..5 random receptions, then require every
+// decode of the combined word decodeAllWays knows to agree bit for bit.
 func FuzzCombinedDecode(f *testing.F) {
 	f.Add(int64(1), uint8(0), uint8(0), uint8(2))
 	f.Add(int64(2), uint8(1), uint8(1), uint8(3))
@@ -344,8 +343,7 @@ func FuzzCombinedDecode(f *testing.F) {
 			k := ks[int(kIdx)%len(ks)]
 			receptions := 2 + int(rx)%4
 			rng := rand.New(rand.NewSource(seed))
-			nb := BlocksPerRegister(w)
-			words := make([]*LLRWord, nb)
+			words := make([]*LLRWord, BlocksPerRegister(w))
 			for b := range words {
 				acc := randomWord(rng, k)
 				for r := 1; r < receptions; r++ {
@@ -355,35 +353,7 @@ func FuzzCombinedDecode(f *testing.F) {
 				}
 				words[b] = acc
 			}
-
-			comp := NewBatchDecoder(w, core.StrategyAPCM, 32<<20)
-			comp.MaxIters = 4
-			if _, _, err := comp.Decode(k, words); err != nil {
-				t.Fatal(err)
-			}
-			got, gotIters, err := comp.Decode(k, words)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if comp.ProgramStats().Hits == 0 {
-				t.Fatal("second decode did not hit the compiled program")
-			}
-
-			interp := NewBatchDecoder(w, core.StrategyAPCM, 32<<20)
-			interp.Compile = false
-			interp.MaxIters = 4
-			want, wantIters, err := interp.Decode(k, words)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if gotIters != wantIters {
-				t.Errorf("compiled %d iters, interpreted %d", gotIters, wantIters)
-			}
-			for b := range words {
-				if !equalBits(got[b], want[b]) {
-					t.Errorf("block %d: compiled and interpreted decisions differ on combined word", b)
-				}
-			}
+			decodeAllWays(t, w, k, words, 4, "fuzz")
 		})
 	})
 }

@@ -39,14 +39,11 @@ func NewMultiSIMDDecoder(c *Code) *MultiSIMDDecoder {
 // once.
 func BlocksPerRegister(w simd.Width) int { return w.Lanes16() / NumStates }
 
-// multiState is the decoder's working set, split the way a production
-// decoder splits it: everything below is derived only from
-// (K, width, strategy) — arena regions, index tables, constant-register
-// patterns, output buffers — so one multiState built by newMultiState
-// can serve an unbounded stream of run() calls without a single
-// steady-state heap allocation. MultiSIMDDecoder.Decode builds a
-// transient one per call (the traced experiment path); BatchDecoder
-// caches one per K (the serving path).
+// multiState is the decoder's working set: arena regions, index tables,
+// constant-register patterns and output buffers, all derived from
+// (K, width, strategy). MultiSIMDDecoder.Decode builds a transient one
+// per call (the traced experiment path, and the per-block reference the
+// packed serving path is tested against; see packedState for that one).
 type multiState struct {
 	e    *simd.Engine
 	ar   core.Arranger
@@ -68,11 +65,6 @@ type multiState struct {
 
 	alpha int64 // shared history: one full-width register per step
 
-	// constReady guards the one-time constant-register initialization:
-	// on a reused state the constant registers still hold their values,
-	// so initConstants runs once per state, not once per decode.
-	constReady bool
-
 	zero *simd.Vec
 	// Masks replicated across the nb blocks.
 	maskAlphaU0, maskAlphaU0N *simd.Vec
@@ -92,9 +84,9 @@ type multiState struct {
 	// the rest at negInf16), shared by the alpha and beta phases.
 	negInfInit []int16
 
-	// Reusable Go-side buffers: per-block hard decisions, per-block
-	// convergence masks and iterations-to-converge, and the lane-padding
-	// scratch for under-filled batches.
+	// Go-side buffers: per-block hard decisions, per-block convergence
+	// masks and iterations-to-converge, and the lane-padding scratch for
+	// under-filled batches.
 	bits   [][]byte
 	conv   []bool
 	itersB []int
@@ -127,9 +119,7 @@ func stampIters(itersB []int, iters int) {
 // former O(k) equalBits re-compare folded into the extraction itself.
 // A block whose iteration left its bits unchanged (it > 0) freezes: its
 // bits stop updating, exactly like the scalar reference exiting that
-// block's decode loop. Returns true when every block has frozen. This
-// is a pure Go pass: it emits no engine ops, so the recorded op stream
-// stays identical across iterations regardless of which blocks froze.
+// block's decode loop. Returns true when every block has frozen.
 func (st *multiState) extractBits(earlyExit bool, it int) bool {
 	qpp := st.code.qpp
 	mem := st.e.Mem
@@ -167,18 +157,6 @@ func (st *multiState) elemAddr(base int64, k int) int64 {
 
 func (st *multiState) vecAddr(base int64, g, rot int) int64 {
 	return base + 2*int64(g*st.lay.StrideLanes+rot)
-}
-
-// multiStateBytes bounds the arena bytes newMultiState will consume for
-// code c at nb blocks (each Alloc is 64-aligned, hence the per-call
-// padding allowance). BatchDecoder checks it against Memory.Remaining
-// before building a cached state.
-func multiStateBytes(c *Code, lay core.Layout, w simd.Width, nb int) int64 {
-	k := c.K
-	arrBytes := int64(lay.DstBytes(k))
-	perBlock := int64(core.InterleavedBytes(k)) + 11*arrBytes + 12
-	allocs := int64(nb)*12 + 1
-	return int64(nb)*perBlock + int64(int(w))*int64(k+4) + allocs*64
 }
 
 // newMultiState allocates the full working set for decoding nb blocks of
@@ -239,8 +217,9 @@ func newMultiState(e *simd.Engine, ar core.Arranger, c *Code, nb int) *multiStat
 // as real lane-parallel decoders do on the tail of a transport block.
 //
 // Decode builds a fresh working set per call (every experiment gets a
-// clean arena region and trace); the serving path reuses a cached one
-// via BatchDecoder. The returned bit slices are owned by the caller.
+// clean arena region and trace); the serving path is BatchDecoder, which
+// packs the blocks at the element level instead. The returned bit slices
+// are owned by the caller.
 func (d *MultiSIMDDecoder) Decode(e *simd.Engine, ar core.Arranger, words []*LLRWord) ([][]byte, int, error) {
 	nb := BlocksPerRegister(e.W)
 	if nb < 1 {
@@ -253,12 +232,9 @@ func (d *MultiSIMDDecoder) Decode(e *simd.Engine, ar core.Arranger, words []*LLR
 	return d.run(st, words)
 }
 
-// run executes one lane-parallel decode over a prepared state. It is
-// the steady-state entry point: beyond the first call on a state it
-// performs no heap allocation. The returned slices alias st.bits and
-// are valid until the next run on the same state; Decode hands them
-// straight to the caller (transient state), BatchDecoder copies them
-// out.
+// run executes one lane-parallel decode over a freshly built state. The
+// returned slices alias st.bits, which Decode hands straight to the
+// caller.
 func (d *MultiSIMDDecoder) run(st *multiState, words []*LLRWord) ([][]byte, int, error) {
 	nb := st.nb
 	if len(words) < 1 || len(words) > nb {
@@ -292,10 +268,7 @@ func (d *MultiSIMDDecoder) run(st *multiState, words []*LLRWord) ([][]byte, int,
 		ar.Arrange(e, st.in[b].Src, core.Dest{S: st.in[b].S, P1: st.in[b].P1, P2: st.in[b].P2}, k)
 		d.setHi(m, e)
 	}
-	if !st.constReady {
-		d.initConstants(st, tr)
-		st.constReady = true
-	}
+	d.initConstants(st, tr)
 
 	// One-time interleaved systematic gather, per block.
 	m := d.mark(e, "interleave")
@@ -336,10 +309,6 @@ func (d *MultiSIMDDecoder) run(st *multiState, words []*LLRWord) ([][]byte, int,
 	iters := 0
 	for it := 0; it < d.MaxIters; it++ {
 		iters++
-		// Each iteration is one replay unit for the program compiler:
-		// the ops between consecutive marks are identical for every
-		// iteration after the first (which skips the rearrange).
-		e.ProgMark("iteration")
 		// Half 1: natural order, terminated.
 		rearrange()
 		for b := 0; b < nb; b++ {
@@ -405,8 +374,7 @@ func (d *MultiSIMDDecoder) setHi(m int, e *simd.Engine) {
 }
 
 // initConstants mirrors SIMDDecoder's constants, replicated across the
-// nb lane groups. It runs once per multiState: the constant registers
-// and index tables are immutable for the state's lifetime.
+// nb lane groups.
 func (d *MultiSIMDDecoder) initConstants(st *multiState, tr *Trellis) {
 	e := st.e
 	nb := st.nb
@@ -512,10 +480,7 @@ func (d *MultiSIMDDecoder) tails(st *multiState, b int) {
 }
 
 // writeTailGammas stores block b's three termination-step branch
-// metrics. The values depend only on the block's tail inputs (not on
-// the iteration), so the compiled-replay driver writes them once per
-// decode up front; the interpreted path keeps calling it from tails()
-// every iteration, with identical results.
+// metrics (derived from the block's tail inputs alone).
 func (st *multiState) writeTailGammas(b int) {
 	w := st.in[b]
 	for i := 0; i < 3; i++ {

@@ -7,9 +7,10 @@ import (
 	"vransim/internal/simd"
 )
 
-// This file is the cross-block SoA-packed decode path. The per-block
-// path (multidecoder.go) packs the nb in-flight blocks across lanes for
-// the alpha/beta recursions only; every K-indexed phase — arrangement,
+// This file is the cross-block SoA-packed decode path, the one
+// BatchDecoder serves from. The per-block decoder (multidecoder.go, the
+// traced paper path) packs the nb in-flight blocks across lanes for the
+// alpha/beta recursions only; every K-indexed phase — arrangement,
 // gamma, extrinsic finalize, the QPP interleave, hard-decision
 // extraction — still runs once per block. Here the blocks are packed at
 // the *element* level instead: element i of blocks 0..nb-1 occupy

@@ -26,85 +26,87 @@ func eachKernel(t *testing.T, f func(t *testing.T)) {
 	}
 }
 
-// decodeFourWay decodes the same batch through the packed compiled
-// replay, the packed interpreter, the per-block (unpacked) path and the
-// scalar reference, failing on any hard-decision or iteration-count
-// mismatch. It is the packed path's bit-exactness oracle: the SoA
-// layout, the quad branch-metric scatter, the gather-program interleave
-// and the fused replay steps must all be invisible in the output.
-func decodeFourWay(t *testing.T, w simd.Width, k int, words []*LLRWord, maxIters int, label string) {
+// decodeAllWays decodes the same batch through the compiled replay, the
+// packed interpreter, the per-block lane-parallel decoder (a direct
+// MultiSIMDDecoder.Decode, the traced paper path) and the scalar
+// reference, failing on any hard-decision or iteration-count mismatch.
+// It is the serving path's bit-exactness oracle: the SoA layout, the
+// quad branch-metric scatter, the gather-program interleave and the
+// fused replay steps must all be invisible in the output.
+func decodeAllWays(t *testing.T, w simd.Width, k int, words []*LLRWord, maxIters int, label string) {
 	t.Helper()
-	packed := NewBatchDecoder(w, core.StrategyAPCM, 32<<20)
-	packed.MaxIters = maxIters
-	// Decode twice so the checked result comes from the replay path.
-	if _, _, err := packed.Decode(k, words); err != nil {
-		t.Fatalf("%s: packed warm-up: %v", label, err)
+	comp := NewBatchDecoder(w, core.StrategyAPCM, 32<<20)
+	comp.MaxIters = maxIters
+	// The first decode records + compiles (and is itself interpreted);
+	// decode twice so the checked result comes from the replay path.
+	if _, _, err := comp.Decode(k, words); err != nil {
+		t.Fatalf("%s: warm-up: %v", label, err)
 	}
-	if packed.ProgramStats().CompiledPlans != 1 {
-		t.Fatalf("%s: packed stream did not compile", label)
-	}
-	got, gotIters, err := packed.Decode(k, words)
+	got, gotIters, err := comp.Decode(k, words)
 	if err != nil {
-		t.Fatalf("%s: packed compiled: %v", label, err)
+		t.Fatalf("%s: compiled: %v", label, err)
 	}
-	gotPer := append([]int(nil), packed.BlockIters()...)
+	if s := comp.ProgramStats(); s.CompiledPlans != 1 || s.Hits != 1 {
+		t.Fatalf("%s: second decode did not replay a compiled program: %+v", label, s)
+	}
+	gotPer := append([]int(nil), comp.BlockIters()...)
 
-	pInterp := NewBatchDecoder(w, core.StrategyAPCM, 32<<20)
-	pInterp.MaxIters = maxIters
-	pInterp.Compile = false
-	wantI, wantIIters, err := pInterp.Decode(k, words)
+	interp := NewBatchDecoder(w, core.StrategyAPCM, 32<<20)
+	interp.MaxIters = maxIters
+	interp.Compile = false
+	wantI, wantIIters, err := interp.Decode(k, words)
 	if err != nil {
-		t.Fatalf("%s: packed interpreted: %v", label, err)
+		t.Fatalf("%s: interpreted: %v", label, err)
+	}
+	if s := interp.ProgramStats(); s.CompiledPlans != 0 || s.Compiles != 0 {
+		t.Fatalf("%s: Compile=false decoder compiled anyway: %+v", label, s)
 	}
 
-	unpacked := NewBatchDecoder(w, core.StrategyAPCM, 32<<20)
-	unpacked.MaxIters = maxIters
-	unpacked.Packed = false
-	wantU, wantUIters, err := unpacked.Decode(k, words)
-	if err != nil {
-		t.Fatalf("%s: unpacked: %v", label, err)
-	}
-	unpackedPer := append([]int(nil), unpacked.BlockIters()...)
-
-	if gotIters != wantIIters || gotIters != wantUIters {
-		t.Errorf("%s: iterations diverge: packed-compiled %d, packed-interpreted %d, unpacked %d",
-			label, gotIters, wantIIters, wantUIters)
-	}
-	c, err := packed.Code(k)
+	c, err := comp.Code(k)
 	if err != nil {
 		t.Fatal(err)
 	}
+	perBlock := NewMultiSIMDDecoder(c)
+	perBlock.MaxIters = maxIters
+	wantU, wantUIters, err := perBlock.Decode(
+		simd.NewEngine(w, simd.NewMemory(32<<20), nil), core.ByStrategy(core.StrategyAPCM), words)
+	if err != nil {
+		t.Fatalf("%s: per-block: %v", label, err)
+	}
+
+	if gotIters != wantIIters || gotIters != wantUIters {
+		t.Errorf("%s: iterations diverge: compiled %d, interpreted %d, per-block %d",
+			label, gotIters, wantIIters, wantUIters)
+	}
 	for b := range words {
 		if !equalBits(got[b], wantI[b]) {
-			t.Errorf("%s block %d: packed compiled and interpreted decisions differ", label, b)
+			t.Errorf("%s block %d: compiled and interpreted decisions differ", label, b)
 		}
 		if !equalBits(got[b], wantU[b]) {
 			t.Errorf("%s block %d: packed and per-block decisions differ", label, b)
 		}
-		if gotPer[b] != unpackedPer[b] {
-			t.Errorf("%s block %d: packed converged in %d iterations, per-block in %d",
-				label, b, gotPer[b], unpackedPer[b])
-		}
 		sc := NewDecoder(c)
 		sc.MaxIters = maxIters
-		scalarBits, _, err := sc.Decode(words[b])
+		scalarBits, scalarIters, err := sc.Decode(words[b])
 		if err != nil {
 			t.Fatalf("%s block %d: scalar: %v", label, b, err)
 		}
 		if !equalBits(got[b], scalarBits) {
 			t.Errorf("%s block %d: packed and scalar decisions differ", label, b)
 		}
+		if gotPer[b] != scalarIters {
+			t.Errorf("%s block %d: packed converged in %d iterations, scalar in %d",
+				label, b, gotPer[b], scalarIters)
+		}
 	}
 }
 
-// TestPackedMatchesAllPaths is the tentpole's differential property
-// test: across widths, block sizes (including the largest fused-program
-// sizes the other differential tests skip), clean and noisy channels
-// and partial fills, the packed path must be bit- and iteration-
-// identical to the per-block path and the scalar reference.
-// K=104 and K=512 get the same treatment in
-// TestCompiledMatchesInterpretedAndScalar, which runs the packed
-// default on both sides of its comparison.
+// TestPackedMatchesAllPaths is the differential property test: across
+// widths, block sizes (including the largest fused-program sizes),
+// clean and noisy channels and partial fills, the compiled packed path
+// must be bit- and iteration-identical to its interpreter, the
+// per-block decoder and the scalar reference. K=104 and K=512 get the
+// same treatment in TestCompiledMatchesInterpretedAndScalar.
 func TestPackedMatchesAllPaths(t *testing.T) { eachKernel(t, testPackedMatchesAllPaths) }
 
 func testPackedMatchesAllPaths(t *testing.T) {
@@ -127,7 +129,7 @@ func testPackedMatchesAllPaths(t *testing.T) {
 			} {
 				words, _ := buildWords(t, c, tc.fill, tc.seed, tc.noiseless)
 				label := w.String() + "/K" + itoa(k) + "/" + tc.name
-				decodeFourWay(t, w, k, words, 4, label)
+				decodeAllWays(t, w, k, words, 4, label)
 			}
 		}
 	}
@@ -209,10 +211,9 @@ func testPackedPaddedLanesInvariant(t *testing.T) {
 	}
 }
 
-// TestPackedMidStreamKChange drives one packed decoder through
-// interleaved block sizes and fills — every (K, packed) plan change,
-// program recompile and scratch rewind mid-stream must stay bit-exact
-// against fresh single-K decoders.
+// TestPackedMidStreamKChange drives one decoder through interleaved
+// block sizes and fills — every plan change and scratch rewind
+// mid-stream must stay bit-exact.
 func TestPackedMidStreamKChange(t *testing.T) {
 	bd := NewBatchDecoder(simd.W512, core.StrategyAPCM, 32<<20)
 	bd.MaxIters = 4
@@ -243,9 +244,10 @@ func TestPackedMidStreamKChange(t *testing.T) {
 	}
 }
 
-// TestPackedPlanEviction forces arena-pressure eviction with packed
-// plans (which carry a larger working set than per-block plans) and
-// checks correctness through the evict/rebuild/recompile cycle.
+// TestPackedPlanEviction forces arena-pressure eviction: compiled
+// programs embed absolute arena addresses, so eviction must discard them
+// with their plans, and later decodes of the same K must transparently
+// rebuild, recompile and stay correct.
 func TestPackedPlanEviction(t *testing.T) {
 	bd := NewBatchDecoder(simd.W512, core.StrategyAPCM, 2<<20)
 	bd.MaxIters = 4
@@ -265,7 +267,7 @@ func TestPackedPlanEviction(t *testing.T) {
 				t.Errorf("round %d (K=%d) block %d: wrong bits after eviction", round, k, b)
 			}
 		}
-		if bd.plans[planKey{k: k, packed: true}].prog == nil {
+		if bd.PlanProgram(k) == nil {
 			t.Errorf("round %d (K=%d): current packed plan not compiled", round, k)
 		}
 	}
@@ -277,105 +279,30 @@ func TestPackedPlanEviction(t *testing.T) {
 	}
 }
 
-// TestPackedToggleMidStream flips Packed back and forth on one decoder:
-// the two paths cache independent plans under (K, packed) keys, so
-// toggling mid-stream must neither corrupt state nor change results.
-func TestPackedToggleMidStream(t *testing.T) {
-	const k = 208
-	bd := NewBatchDecoder(simd.W512, core.StrategyAPCM, 32<<20)
-	bd.MaxIters = 4
-	c, err := bd.Code(k)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for round := 0; round < 6; round++ {
-		bd.Packed = round%2 == 0
-		words, truth := buildWords(t, c, bd.Lanes(), int64(890+round), true)
-		bits, _, err := bd.Decode(k, words)
-		if err != nil {
-			t.Fatalf("round %d (packed=%v): %v", round, bd.Packed, err)
-		}
-		for b := range words {
-			if !equalBits(bits[b], truth[b]) {
-				t.Errorf("round %d (packed=%v) block %d: wrong bits", round, bd.Packed, b)
-			}
-		}
-	}
-	if bd.Plans() != 2 {
-		t.Errorf("want 2 plans (packed and per-block), got %d", bd.Plans())
-	}
-	if got := bd.ProgramStats().CompiledPlans; got != 2 {
-		t.Errorf("want both plans compiled, got %d", got)
-	}
-}
-
-// FuzzPackedDecode is the packed path's fuzz target: random width,
+// FuzzPackedDecode is the serving path's fuzz target: random width,
 // block size, fill and fully random (not necessarily decodable) LLR
-// payloads must decode bit- and iteration-identically through the
-// packed compiled, packed interpreted and per-block paths.
+// payloads must decode bit- and iteration-identically every way
+// decodeAllWays knows.
 func FuzzPackedDecode(f *testing.F) {
 	f.Add(int64(7), uint8(2), uint8(0), uint8(0))
 	f.Add(int64(8), uint8(1), uint8(2), uint8(1))
 	f.Add(int64(9), uint8(0), uint8(3), uint8(255))
+	fuzzDecodeAllWays(f)
+}
+
+func fuzzDecodeAllWays(f *testing.F) {
 	ks := []int{40, 104, 208, 512}
 	f.Fuzz(func(t *testing.T, seed int64, wIdx, kIdx, fill uint8) {
 		eachKernel(t, func(t *testing.T) {
 			w := simd.Widths[int(wIdx)%len(simd.Widths)]
 			k := ks[int(kIdx)%len(ks)]
 			rng := rand.New(rand.NewSource(seed))
-			nb := BlocksPerRegister(w)
-			n := 1 + int(fill)%nb
+			n := 1 + int(fill)%BlocksPerRegister(w)
 			words := make([]*LLRWord, n)
 			for b := range words {
 				words[b] = randomWord(rng, k)
 			}
-
-			packed := NewBatchDecoder(w, core.StrategyAPCM, 32<<20)
-			packed.MaxIters = 4
-			if _, _, err := packed.Decode(k, words); err != nil {
-				t.Fatal(err)
-			}
-			got, gotIters, err := packed.Decode(k, words)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if packed.ProgramStats().Hits == 0 {
-				t.Fatal("second decode did not hit the compiled packed program")
-			}
-			gotPer := append([]int(nil), packed.BlockIters()...)
-
-			pInterp := NewBatchDecoder(w, core.StrategyAPCM, 32<<20)
-			pInterp.MaxIters = 4
-			pInterp.Compile = false
-			wantI, wantIIters, err := pInterp.Decode(k, words)
-			if err != nil {
-				t.Fatal(err)
-			}
-
-			unpacked := NewBatchDecoder(w, core.StrategyAPCM, 32<<20)
-			unpacked.MaxIters = 4
-			unpacked.Packed = false
-			wantU, wantUIters, err := unpacked.Decode(k, words)
-			if err != nil {
-				t.Fatal(err)
-			}
-
-			if gotIters != wantIIters || gotIters != wantUIters {
-				t.Errorf("iterations diverge: packed-compiled %d, packed-interpreted %d, unpacked %d",
-					gotIters, wantIIters, wantUIters)
-			}
-			unpackedPer := unpacked.BlockIters()
-			for b := range words {
-				if !equalBits(got[b], wantI[b]) {
-					t.Errorf("block %d: packed compiled and interpreted decisions differ", b)
-				}
-				if !equalBits(got[b], wantU[b]) {
-					t.Errorf("block %d: packed and per-block decisions differ", b)
-				}
-				if gotPer[b] != unpackedPer[b] {
-					t.Errorf("block %d: packed block iterations %d, per-block %d", b, gotPer[b], unpackedPer[b])
-				}
-			}
+			decodeAllWays(t, w, k, words, 4, "fuzz")
 		})
 	})
 }

@@ -178,18 +178,16 @@ func TestBatchDecoderOutputStable(t *testing.T) {
 	}
 }
 
-// BenchmarkBatchDecodeSteadyState is the tentpole's headline benchmark:
+// BenchmarkBatchDecodeSteadyState is the decoder's headline benchmark:
 // full-batch pooled decode, per width and per execution mode, at a fixed
 // mid-size K plus the largest LTE K at W512. "packed" is the serving
-// default — the cross-block SoA-packed stream compiled to a fused replay
-// program; "compiled" replays the per-block path's program and
-// "interpreted" pins Compile=false on the per-block path, so the packed
-// win and the compile win stay separately measurable. "portable" is
+// path — the cross-block SoA-packed stream compiled to a fused replay
+// program; "interpreted" is the same stream with Compile=false, what the
+// recording decode and a plan that failed to compile cost. "portable" is
 // "packed" with the replay program forced onto its Go kernel, so one
 // binary on an AVX-512BW host reads both kernels; where the Go kernel is
 // the only one it would repeat "packed" and is left out. Run with
-// -benchmem; CI gates allocs/op on it, the compiled/interpreted ratio at
-// W512 K=6144, and the packed/compiled ratio at W512 K=512.
+// -benchmem; CI gates allocs/op on it.
 func BenchmarkBatchDecodeSteadyState(b *testing.B) {
 	cases := []struct {
 		w simd.Width
@@ -197,7 +195,7 @@ func BenchmarkBatchDecodeSteadyState(b *testing.B) {
 	}{
 		{simd.W128, 512}, {simd.W256, 512}, {simd.W512, 104}, {simd.W512, 512}, {simd.W512, 6144},
 	}
-	modes := []string{"packed", "compiled", "interpreted"}
+	modes := []string{"packed", "interpreted"}
 	if program.Kernel() != "go" {
 		modes = append(modes, "portable")
 	}
@@ -208,15 +206,14 @@ func BenchmarkBatchDecodeSteadyState(b *testing.B) {
 					defer program.UseNativeKernel(program.UseNativeKernel(false))
 				}
 				bd := NewBatchDecoder(tc.w, core.StrategyAPCM, 32<<20)
-				bd.Packed = mode == "packed" || mode == "portable"
 				bd.Compile = mode != "interpreted"
 				c, err := bd.Code(tc.k)
 				if err != nil {
 					b.Fatal(err)
 				}
 				words, _ := buildWords(b, c, bd.Lanes(), 7, true)
-				// Two warm-ups: the first builds the plan and (in compiled
-				// modes) records + compiles the program; the second confirms
+				// Two warm-ups: the first builds the plan and (when compiling)
+				// records + compiles the program; the second confirms
 				// the steady path is reached before the clock starts.
 				for i := 0; i < 2; i++ {
 					if _, _, err := bd.Decode(tc.k, words); err != nil {
@@ -236,34 +233,5 @@ func BenchmarkBatchDecodeSteadyState(b *testing.B) {
 				}
 			})
 		}
-	}
-}
-
-// BenchmarkBatchDecodeFresh replicates the pre-refactor per-batch path
-// (arena rewound, decoder and working set rebuilt every call) so the
-// plan-cache win is measurable from one binary.
-func BenchmarkBatchDecodeFresh(b *testing.B) {
-	const k = 512
-	for _, w := range []simd.Width{simd.W128, simd.W256, simd.W512} {
-		b.Run(w.String(), func(b *testing.B) {
-			eng := simd.NewEngine(w, simd.NewMemory(32<<20), nil)
-			ar := core.ByStrategy(core.StrategyAPCM)
-			c, err := NewCode(k)
-			if err != nil {
-				b.Fatal(err)
-			}
-			nb := BlocksPerRegister(w)
-			words, _ := buildWords(b, c, nb, 7, true)
-			b.SetBytes(int64(k * nb))
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				eng.Mem.AllocReset()
-				d := NewMultiSIMDDecoder(c)
-				if _, _, err := d.Decode(eng, ar, words); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 	}
 }

@@ -376,56 +376,3 @@ func TestSlotAttributionSaturatedSchedWindow(t *testing.T) {
 		})
 	}
 }
-
-// TestTraceBuilderShapes pins the mop adapter's expansion: µop counts,
-// class mix, budget, and the dependency shape (loads gate on external
-// deps, strands chain at the declared depth, stores gate on the last
-// compute µop).
-func TestTraceBuilderShapes(t *testing.T) {
-	tb := NewTraceBuilder(0)
-	first := tb.Add(&MopSpec{VecALU: 1, Deps: trace.Deps3()})
-	if first != 0 || tb.Len() != 1 {
-		t.Fatalf("first mop: terminal=%d len=%d, want 0, 1", first, tb.Len())
-	}
-	term := tb.Add(&MopSpec{
-		Loads: 2, LoadBytes: 64, LoadAddr: 1024, LoadStep: 64,
-		VecShuffle: 2, VecALU: 4, Depth: 3,
-		Stores: 1, StoreBytes: 64, StoreAddr: 4096,
-		Deps: trace.Deps3(int(first)),
-	})
-	insts := tb.Insts()
-	if tb.Len() != 1+2+6+1 || int(term) != tb.Len()-1 {
-		t.Fatalf("len=%d terminal=%d, want 10, 9", tb.Len(), term)
-	}
-	if insts[1].Class != trace.Load || insts[1].Deps[0] != first {
-		t.Errorf("load µop = %+v, want Load gated on mop 1's terminal", insts[1])
-	}
-	if insts[2].Addr != 1024+64 {
-		t.Errorf("second load addr = %d, want stride applied", insts[2].Addr)
-	}
-	if insts[3].Class != trace.VecShuffle || insts[8].Class != trace.VecALU {
-		t.Errorf("compute classes = %v, %v; want shuffles first then ALU", insts[3].Class, insts[8].Class)
-	}
-	if insts[9].Class != trace.Store || insts[9].Deps[0] != 8 {
-		t.Errorf("store µop = %+v, want gated on last compute", insts[9])
-	}
-	// Depth 3 over 6 compute µops = 2 strands: µop j depends on j-2.
-	if insts[5].Deps[0] != 3 {
-		t.Errorf("strand chain dep = %d, want 3", insts[5].Deps[0])
-	}
-	mix := trace.MixOf(insts)
-	if mix.Count[trace.Load] != 2 || mix.Count[trace.Store] != 1 ||
-		mix.Count[trace.VecShuffle] != 2 || mix.Count[trace.VecALU] != 5 {
-		t.Errorf("mix = %v", mix)
-	}
-
-	lim := NewTraceBuilder(3)
-	lim.Add(&MopSpec{VecALU: 2, Deps: trace.Deps3()})
-	if lim.Full() {
-		t.Error("builder full before reaching limit")
-	}
-	lim.Add(&MopSpec{VecALU: 2, Deps: trace.Deps3()})
-	if !lim.Full() {
-		t.Error("builder not full after exceeding limit")
-	}
-}

@@ -24,6 +24,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"vransim/internal/simd"
@@ -265,11 +266,16 @@ func WriteInterleavedPacked(mem *simd.Memory, base int64, b, nb int, s, p1, p2 [
 	if len(s) != len(p1) || len(s) != len(p2) {
 		panic("core: cluster length mismatch")
 	}
+	if b < 0 || b >= nb {
+		panic("core: block index outside the packed stream")
+	}
+	dst := mem.Bytes(base, InterleavedBytes(nb*len(s)))
+	at := 6 * b
 	for i := range s {
-		o := base + int64(6*(i*nb+b))
-		mem.WriteI16(o, s[i])
-		mem.WriteI16(o+2, p1[i])
-		mem.WriteI16(o+4, p2[i])
+		o := dst[at : at+6 : at+6]
+		binary.LittleEndian.PutUint32(o, uint32(uint16(s[i]))|uint32(uint16(p1[i]))<<16)
+		binary.LittleEndian.PutUint16(o[4:], uint16(p2[i]))
+		at += 6 * nb
 	}
 	return len(s)
 }

@@ -130,13 +130,11 @@ func (r *Runtime) retryOrDrop(b *Block, now time.Time, busy time.Duration, iters
 	// Deadline-aware backoff: the retry lives under a fresh
 	// per-transmission deadline; if that budget cannot even cover the
 	// batch window plus one measured decode, requeuing is hopeless work.
-	if r.cfg.AdmissionGuard {
-		if need := r.cfg.BatchWindow + time.Duration(r.estDecodeNs.Load()); r.classDeadline(b.Class) < need {
-			r.met.drop(b.Cell, b.Class, DropHARQ)
-			r.recordSpan(b, now, busy, iters, "harq_exhausted")
-			r.harqRelease(b)
-			return
-		}
+	if !r.guardAdmits(r.classDeadline(b.Class)) {
+		r.met.drop(b.Cell, b.Class, DropHARQ)
+		r.recordSpan(b, now, busy, iters, "harq_exhausted")
+		r.harqRelease(b)
+		return
 	}
 	// First failure: fold the first reception into the soft buffer.
 	// Later attempts' words are combined snapshots — already in there.

@@ -229,7 +229,7 @@ type Runtime struct {
 	// pressure and read by every worker per batch.
 	degrade atomic.Int32
 	// estDecodeNs is an EWMA of per-block decode cost, feeding the
-	// admission guard.
+	// admission guard (updateEstimate, guardAdmits).
 	estDecodeNs atomic.Int64
 
 	// SLA-class overload state (sla.go / predict.go): slaActive latches
@@ -369,15 +369,9 @@ func (r *Runtime) SubmitTraced(cell, ue, proc, k int, word *turbo.LLRWord, tc te
 		b.traceID, b.traceParent, b.acc = tc.TraceID, tc.Parent, tc.Upstream
 		b.origin = tc.Start
 	}
-	if r.cfg.AdmissionGuard {
-		// Feasibility: the block must survive the batch window plus one
-		// decode. The estimate is the workers' own EWMA; before the
-		// first measurement (est==0) everything is feasible.
-		need := r.cfg.BatchWindow + time.Duration(r.estDecodeNs.Load())
-		if deadline < need {
-			r.met.drop(cell, class, DropAdmission)
-			return RejectedDeadline
-		}
+	if !r.guardAdmits(deadline) {
+		r.met.drop(cell, class, DropAdmission)
+		return RejectedDeadline
 	}
 	if r.cfg.Chaos.QueueOverflow() || !r.queues[r.qi(cell, class)].offer(b) {
 		r.met.drop(cell, class, DropBacklog)
@@ -638,14 +632,19 @@ func (r *Runtime) worker(reserved bool) {
 		}
 	}
 	// Program-cache counters are per-decoder; fold them into the
-	// runtime metrics as per-batch deltas.
+	// runtime metrics as deltas, after each batch that moved one.
 	var lastPS turbo.ProgramStats
-	reportProgram := func() {
+	reportProgram := func() (compiled bool) {
 		ps := bd.ProgramStats()
+		if ps == lastPS {
+			return false
+		}
+		compiled = ps.Compiles != lastPS.Compiles
 		r.met.programDelta(
 			ps.Hits-lastPS.Hits, ps.Misses-lastPS.Misses, ps.Compiles-lastPS.Compiles,
 			int64(ps.CompileTime-lastPS.CompileTime), ps.CompiledPlans-lastPS.CompiledPlans)
 		lastPS = ps
+		return compiled
 	}
 	lanes := bd.Lanes()
 	words := make([]*turbo.LLRWord, 0, lanes)
@@ -678,9 +677,12 @@ func (r *Runtime) worker(reserved bool) {
 		}
 		// Chaos worker faults: a latency-spike stall, and plan-cache
 		// eviction storms (the decoder rebuilds evicted plans on the
-		// next decode; results are unaffected, only cost).
-		if d := r.cfg.Chaos.StallDuration(); d > 0 {
-			time.Sleep(d)
+		// next decode; results are unaffected, only cost). The stall
+		// stands for the host freezing the worker mid-decode, so it is
+		// charged to this batch's decode time like one.
+		stall := r.cfg.Chaos.StallDuration()
+		if stall > 0 {
+			time.Sleep(stall)
 		}
 		if r.cfg.Chaos.EvictPlans() {
 			bd.EvictAll()
@@ -727,7 +729,8 @@ func (r *Runtime) worker(reserved bool) {
 		if busy <= 0 {
 			busy = time.Since(t0)
 		}
-		reportProgram()
+		busy += stall
+		compiled := reportProgram()
 		r.met.batchDone(len(live), lanes, busy)
 		if err == nil {
 			// Per-block convergence histogram and pack fill: the decoder
@@ -735,7 +738,12 @@ func (r *Runtime) worker(reserved bool) {
 			r.met.observeIters(bd.BlockIters())
 			r.met.packedBatch(len(live), lanes)
 		}
-		r.updateEstimate(busy, len(live))
+		// The decode that recorded and compiled a program costs a
+		// hundred warm ones and none after it will: it says nothing
+		// about the next block.
+		if !compiled {
+			r.updateEstimate(busy, len(live))
+		}
 		if err != nil {
 			// A decode error (bad K reaching the pool) wastes the whole
 			// batch; account it as expired-equivalent drops.
@@ -900,6 +908,13 @@ func clampDur(d time.Duration) time.Duration {
 	return d
 }
 
+// estSampleCap bounds one sample of the decode estimate to this many
+// times the estimate it is folded into: a host stall of 100-400 ms (the
+// shared hosts this runs on see several a minute) or a cold plan moves
+// the estimate by at most (estSampleCap-1)/8 of itself, where unclamped
+// it would close the admission guard on a cost no later block pays.
+const estSampleCap = 4
+
 // updateEstimate folds a measured batch cost into the per-block EWMA
 // the admission guard consults.
 func (r *Runtime) updateEstimate(busy time.Duration, blocks int) {
@@ -909,6 +924,29 @@ func (r *Runtime) updateEstimate(busy time.Duration, blocks int) {
 		r.estDecodeNs.Store(per)
 		return
 	}
+	per = min(per, estSampleCap*old)
 	// 1/8 EWMA; a stale CAS just means another worker's sample won.
 	r.estDecodeNs.CompareAndSwap(old, old+(per-old)/8)
+}
+
+// guardAdmits is the admission guard's feasibility check, shared by
+// Submit and the HARQ requeue: a block must survive the batch window plus
+// one decode at the workers' measured cost (before the first measurement
+// everything is feasible). A refusal also folds a zero sample into the
+// estimate. The guard has no other source of samples while it is shut —
+// nothing it refuses is decoded — so without the decay one bad estimate
+// (the first sample is taken whole) would hold it shut for good; with it
+// the guard re-opens after a few dozen refusals, admits a block and
+// measures again. Under a deadline that really is infeasible it therefore
+// admits a probing fraction instead of nothing.
+func (r *Runtime) guardAdmits(deadline time.Duration) bool {
+	if !r.cfg.AdmissionGuard {
+		return true
+	}
+	est := r.estDecodeNs.Load()
+	if deadline >= r.cfg.BatchWindow+time.Duration(est) {
+		return true
+	}
+	r.estDecodeNs.CompareAndSwap(est, est-est/8)
+	return false
 }

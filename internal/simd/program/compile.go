@@ -105,6 +105,15 @@ type Program struct {
 	// recorded by analyze; Run refuses a smaller arena.
 	extent int64
 
+	// native is each segment lowered to the descriptor stream
+	// runStreamAVX512 executes (nil where the host has no native kernel),
+	// gatAnd and pats the pools it addresses beside gat: per index table the
+	// mask that zeroes a VPERMW result's sentinel lanes, and lanePats
+	// zero-extended to whole registers.
+	native [2][]uint32
+	gatAnd [][regStride]uint16
+	pats   [][regStride]int16
+
 	// RawOps and FusedOps count the recorded ops and the executable ops
 	// per segment — the compression the fusion pass achieved.
 	RawOps   [2]int

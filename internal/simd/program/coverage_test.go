@@ -19,16 +19,7 @@ import (
 func TestEveryFusedKindOccurs(t *testing.T) {
 	total := make(map[string]int)
 	record := func(s core.Strategy, w simd.Width, k int) {
-		bd := turbo.NewBatchDecoder(w, s, 32<<20)
-		bd.MaxIters = 2
-		if _, _, err := bd.Decode(k, []*turbo.LLRWord{turbo.NewLLRWord(k)}); err != nil {
-			t.Fatalf("%v/%v/K=%d: %v", s, w, k, err)
-		}
-		p := bd.PlanProgram(k)
-		if p == nil {
-			t.Fatalf("%v/%v/K=%d: the recording decode did not compile", s, w, k)
-		}
-		for name, n := range p.FusedKindCounts() {
+		for name, n := range packedPlan(t, s, w, k).FusedKindCounts() {
 			total[name] += n
 		}
 	}
@@ -45,6 +36,70 @@ func TestEveryFusedKindOccurs(t *testing.T) {
 			t.Error("a fused kind has no name in export_test.go")
 		} else if total[name] == 0 {
 			t.Errorf("fused kind %q occurs in no packed plan", name)
+		}
+	}
+}
+
+// packedPlan records and compiles the serving decoder's packed plan for
+// one (strategy, width, K), once per test binary: the two tests here walk
+// overlapping sets and a K=6144 recording costs the better part of a second.
+func packedPlan(t *testing.T, s core.Strategy, w simd.Width, k int) *program.Program {
+	t.Helper()
+	key := planKey{s, w, k}
+	if p := plans[key]; p != nil {
+		return p
+	}
+	bd := turbo.NewBatchDecoder(w, s, 32<<20)
+	bd.MaxIters = 2
+	if _, _, err := bd.Decode(k, []*turbo.LLRWord{turbo.NewLLRWord(k)}); err != nil {
+		t.Fatalf("%v/%v/K=%d: %v", s, w, k, err)
+	}
+	p := bd.PlanProgram(k)
+	if p == nil {
+		t.Fatalf("%v/%v/K=%d: the recording decode did not compile", s, w, k)
+	}
+	plans[key] = p
+	return p
+}
+
+type planKey struct {
+	s core.Strategy
+	w simd.Width
+	k int
+}
+
+var plans = make(map[planKey]*program.Program)
+
+// TestPackedPlansRunNative: on a host with the native kernel, both segments
+// of every packed plan the serving path can record are lowered to a
+// descriptor stream that hands no op back to a Go body, for the serving
+// strategy at every width up to the largest block and for the other five
+// arrangements (whose arrangement segments differ) up to K=512. An op kind
+// that loses its native body, or a fused op whose intermediates turn out
+// live in a real plan, shows here and not as a slower benchmark.
+func TestPackedPlansRunNative(t *testing.T) {
+	if !program.NativeAvailable() {
+		t.Skip("no AVX-512BW on this host (or the OS does not save ZMM state): plans are not lowered")
+	}
+	check := func(s core.Strategy, w simd.Width, k int) {
+		lowered, goBodies := packedPlan(t, s, w, k).GoBodies()
+		for seg := range lowered {
+			if !lowered[seg] {
+				t.Errorf("%v/%v/K=%d segment %d: not lowered", s, w, k, seg)
+			} else if goBodies[seg] != 0 {
+				t.Errorf("%v/%v/K=%d segment %d: %d ops fall back to their Go body", s, w, k, seg, goBodies[seg])
+			}
+		}
+	}
+	for _, w := range simd.Widths {
+		for _, k := range []int{40, 512, 2048, 6144} {
+			check(core.StrategyAPCM, w, k)
+		}
+		for s := core.StrategyScalar; s <= core.StrategyShuffle; s++ {
+			if s != core.StrategyAPCM {
+				check(s, w, 40)
+				check(s, w, 512)
+			}
 		}
 	}
 }

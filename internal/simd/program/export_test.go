@@ -34,3 +34,17 @@ func (p *Program) FusedKindCounts() map[string]int {
 	}
 	return counts
 }
+
+// NativeAvailable reports whether this host has the native kernel.
+func NativeAvailable() bool { return nativeAvailable }
+
+// GoBodies reports, per segment, whether finalize lowered it to a
+// descriptor stream and how many of its ops that stream hands back to
+// their Go body.
+func (p *Program) GoBodies() (lowered [2]bool, goBodies [2]int) {
+	for seg, code := range p.native {
+		lowered[seg] = code != nil
+		_, goBodies[seg] = countStops(code)
+	}
+	return lowered, goBodies
+}

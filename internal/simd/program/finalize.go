@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
+	"slices"
 )
 
 // errBigEndian: Run reads the arena through an int16 view, which is the
@@ -12,7 +14,8 @@ import (
 var errBigEndian = errors.New("program: replay needs a little-endian host")
 
 // finalize derives everything Run needs beyond the fused segments —
-// validation, live masks, extent, sentinel tables — and is the one place a
+// validation, live masks, extent, sentinel tables and, where the host has
+// the native kernel, the descriptor streams — and is the one place a
 // program becomes runnable: Compile ends here.
 func (p *Program) finalize() error {
 	if binary.NativeEndian.Uint16([]byte{1, 0}) != 1 {
@@ -31,7 +34,292 @@ func (p *Program) finalize() error {
 			}
 		}
 	}
+	if !nativeAvailable {
+		return nil
+	}
+	p.gatAnd = make([][regStride]uint16, len(p.gat))
+	for id := range p.gat {
+		for i, j := range p.gat[id] {
+			if j != sentinel {
+				p.gatAnd[id][i] = 0xffff
+			}
+		}
+	}
+	p.pats = make([][regStride]int16, len(p.lanePats))
+	for id, pat := range p.lanePats {
+		copy(p.pats[id][:], pat)
+	}
+	for seg, ops := range p.segs {
+		var err error
+		if p.native[seg], err = p.lower(ops); err != nil {
+			return err
+		}
+	}
 	return nil
+}
+
+// lower translates a segment analyze has validated and marked into the
+// descriptor stream of kern.go: one record an op, a run of lean trellis
+// steps sharing their carried register and tables as one sweep record, a
+// stop record wherever the work since the last reaches yieldEvery, and a
+// stop record naming the op for every op that has no native body or has a
+// live intermediate. It is one forward pass and reads only what the
+// visitEffects walk has been over; every operand it emits is checked again
+// on the way out (lowerer.reg, .mem, .tab, .lane), against the register
+// file, the extent that walk computed and the table pool, so the stream
+// cannot address anything Run's extent check does not cover even if the
+// two disagreed about an op's layout. An error means a compiler bug, and
+// the caller stays on the interpreter as for any other.
+func (p *Program) lower(ops []mop) (code []uint32, err error) {
+	lw := &lowerer{p: p, code: make([]uint32, 0, 8*len(ops))}
+	for i := 0; i < len(ops) && lw.err == nil; {
+		i += lw.op(ops, i)
+	}
+	lw.put(nStop, 0)
+	return slices.Clone(lw.code), lw.err
+}
+
+type lowerer struct {
+	p    *Program
+	code []uint32
+	work int // units of work since the last stop record
+	err  error
+}
+
+func (lw *lowerer) fail(format string, args ...any) {
+	if lw.err == nil {
+		lw.err = fmt.Errorf("program: lowering: "+format, args...)
+	}
+}
+
+// put appends a record header and operand words.
+func (lw *lowerer) put(kind uint32, n int, words ...uint32) {
+	if n < 0 || n >= 1<<24 {
+		lw.fail("record count %d does not fit a header", n)
+	}
+	lw.code = append(append(lw.code, kind|uint32(n)<<8), words...)
+}
+
+// room returns how many units of work the next record may hold, after
+// emitting the stop record that is due.
+func (lw *lowerer) room() int {
+	if lw.work >= yieldEvery {
+		lw.put(nStop, 0)
+		lw.work = 0
+	}
+	return yieldEvery - lw.work
+}
+
+// reg is the byte offset of the register at lane offset off.
+func (lw *lowerer) reg(off int64) uint32 { return lw.lane(off, 0, regStride) }
+
+// lane is the byte offset of lanes [from, from+n) of the register at lane
+// offset off.
+func (lw *lowerer) lane(off, from, n int64) uint32 {
+	if off < 0 || off+regStride > int64(len(lw.p.regs)) || from < 0 || n < 0 || from+n > regStride {
+		lw.fail("lanes [%d,+%d) of register offset %d outside the file", from, n, off)
+		return 0
+	}
+	return uint32(2 * (off + from))
+}
+
+// mem is the arena byte offset addr of an n-byte access.
+func (lw *lowerer) mem(addr, n int64) uint32 {
+	if addr < 0 || addr&1 != 0 || n < 0 || addr+n > lw.p.extent || addr > math.MaxUint32 {
+		lw.fail("memory access [%d,+%d) outside the extent %d", addr, n, lw.p.extent)
+		return 0
+	}
+	return uint32(addr)
+}
+
+// tab is the byte offset of index table id in gat and gatAnd.
+func (lw *lowerer) tab(id int64) uint32 {
+	if id < 0 || id >= int64(len(lw.p.gat)) {
+		lw.fail("index table %d outside %d", id, len(lw.p.gat))
+		return 0
+	}
+	return uint32(id * 2 * regStride)
+}
+
+// shift is a VPSRAW count: any count above 15 fills with the sign, as Go's
+// >> does.
+func shift(imm int64) int { return int(min(uint64(imm), 16)) }
+
+// goBody hands ops[i] to its Go body.
+func (lw *lowerer) goBody(i int) int {
+	lw.put(nStop, i+1)
+	lw.work = 0
+	return 1
+}
+
+// op lowers ops[i], or the sweep that starts there, and returns how many
+// ops it consumed. The binary lane ops rely on mAddS..mAndN and
+// nAddS..nAndN being declared in the same order.
+func (lw *lowerer) op(ops []mop, i int) int {
+	p, op := lw.p, &ops[i]
+	wb := int64(2 * p.lanes)
+	room := lw.room()
+	lw.work++
+	switch op.kind {
+	case mClear:
+		lw.put(nClear, 0, lw.reg(int64(op.d)))
+	case mAddS, mSubS, mMaxS, mMinS, mAnd, mOr, mXor, mAndN:
+		lw.put(nAddS+uint32(op.kind-mAddS), 0, lw.reg(int64(op.d)), lw.reg(int64(op.a)), lw.reg(int64(op.b)))
+	case mSra:
+		lw.put(nSra, shift(op.imm), lw.reg(int64(op.d)), lw.reg(int64(op.a)))
+	case mBcastImm:
+		lw.put(nBcastImm, int(uint16(op.imm)), lw.reg(int64(op.d)))
+	case mBcastMem:
+		lw.put(nBcastMem, 0, lw.reg(int64(op.d)), lw.mem(op.addr, 2))
+	case mSetImm:
+		if op.tab < 0 || int(op.tab) >= len(p.pats) {
+			lw.fail("pattern %d outside %d", op.tab, len(p.pats))
+		}
+		lw.put(nSetImm, 0, lw.reg(int64(op.d)), uint32(op.tab)*2*regStride)
+	case mPermute:
+		lw.put(nPermute, 0, lw.reg(int64(op.d)), lw.reg(int64(op.a)), lw.tab(int64(op.tab)))
+	case mExt128:
+		lw.put(nLoadReg, 0, lw.reg(int64(op.d)), lw.lane(int64(op.a), 8*op.imm, 8), laneMask(8))
+	case mExt256:
+		lw.put(nLoadReg, 0, lw.reg(int64(op.d)), lw.lane(int64(op.a), 16*op.imm, 16), laneMask(16))
+	case mLoad:
+		lw.lane(int64(op.d), 0, op.imm/2)
+		lw.put(nLoad, 0, lw.reg(int64(op.d)), lw.mem(op.addr, op.imm), laneMask(int(op.imm/2)))
+	case mStore:
+		lw.put(nStore, 0, lw.lane(int64(op.a), 0, op.imm/2), lw.mem(op.addr, op.imm), laneMask(int(op.imm/2)))
+	case mExtrW:
+		lw.put(nExtrW, 0, lw.lane(int64(op.a), op.imm, 1), lw.mem(op.addr, 2))
+	case mCopyRun:
+		// Four copies to a unit of work; a long run is cut at the yield.
+		lw.work--
+		for t := p.aux[op.tab : op.tab+2*op.n]; len(t) > 0; {
+			n := min(len(t)/2, 4*lw.room())
+			lw.put(nCopyRun, n)
+			for _, a := range t[:2*n] {
+				lw.code = append(lw.code, lw.mem(a, 2))
+			}
+			lw.work += (n + 3) / 4
+			t = t[2*n:]
+		}
+	case mExtVec:
+		if op.live != 0 {
+			return lw.goBody(i)
+		}
+		t := p.aux[op.tab : op.tab+11]
+		lw.put(nExtVec, shift(op.imm), lw.reg(t[5]), lw.reg(t[6]),
+			lw.mem(t[7], wb), lw.mem(t[8], wb), lw.mem(t[9], wb), lw.mem(t[10], wb))
+	case mQuadScatter:
+		if op.live != 0 {
+			return lw.goBody(i)
+		}
+		t := p.aux[op.tab : op.tab+3+2*op.n]
+		lw.put(nMergeReg, int(op.n), lw.mem(t[2], wb))
+		for t = t[3:]; len(t) > 0; t = t[2:] {
+			lw.code = append(lw.code, lw.reg(t[0]), lw.tab(t[1]))
+		}
+		lw.work += int(op.n) / 4
+	case mQuadGather:
+		if op.live != 0 {
+			return lw.goBody(i)
+		}
+		t := p.aux[op.tab : op.tab+4+2*op.n]
+		lw.put(nMergeMem, int(op.n), lw.mem(t[3], wb))
+		for t = t[4:]; len(t) > 0; t = t[2:] {
+			lw.code = append(lw.code, lw.mem(t[0], wb), lw.tab(t[1]))
+		}
+		lw.work += int(op.n) / 4
+	case mAlphaStepP, mBetaStepP:
+		if !leanStep(op) || op.n > regStride {
+			return lw.goBody(i)
+		}
+		// A step with many extractions counts for more than one unit.
+		n, cost := 1, 1+int(op.n)/8
+		for n < room/cost && i+n < len(ops) && p.sameSweep(op, &ops[i+n]) {
+			n++
+		}
+		lw.sweep(ops[i:i+n], wb)
+		lw.work += n*cost - 1
+		return n
+	default:
+		// mInsrW, mCopy16, mGammaPoint, mExtPoint: scalar helpers of the
+		// per-block path; no packed plan holds one.
+		return lw.goBody(i)
+	}
+	return 1
+}
+
+// leanStep reports whether a trellis step writes nothing but its carried
+// register that a later op reads.
+func leanStep(op *mop) bool {
+	if op.kind == mAlphaStepP {
+		return op.live&0xff == 0
+	}
+	return op.live&^(1<<7) == 0
+}
+
+// sameSweep reports whether step b can follow step a in one sweep record:
+// the same kind and form, lean, and the same carried register, tables and
+// extracted lanes, which the record holds once.
+func (p *Program) sameSweep(a, b *mop) bool {
+	if b.kind != a.kind || b.imm != a.imm || b.n != a.n || !leanStep(b) {
+		return false
+	}
+	ta, tb := p.aux[a.tab:], p.aux[b.tab:]
+	if a.kind == mAlphaStepP {
+		return ta[8] == tb[8] && slices.Equal(ta[11:16], tb[11:16])
+	}
+	if ta[7] != tb[7] || !slices.Equal(ta[10:15], tb[10:15]) {
+		return false
+	}
+	if a.imm == 0 {
+		return true
+	}
+	for x := int32(0); x < a.n; x++ {
+		if ta[27+2*x] != tb[27+2*x] {
+			return false
+		}
+	}
+	return slices.Equal(ta[23:26], tb[23:26])
+}
+
+// sweep emits one sweep record for steps, which sameSweep has matched.
+func (lw *lowerer) sweep(steps []mop, wb int64) {
+	p, op := lw.p, &steps[0]
+	t := p.aux[op.tab:]
+	switch {
+	case op.kind == mAlphaStepP:
+		lw.put(nAlphaSweep, len(steps), lw.reg(t[8]),
+			lw.tab(t[11]), lw.tab(t[12]), lw.tab(t[13]), lw.tab(t[14]), lw.tab(t[15]))
+		for i := range steps {
+			t := p.aux[steps[i].tab:]
+			lw.code = append(lw.code, lw.mem(t[9], wb), lw.mem(t[10], wb))
+		}
+	case op.imm == 0:
+		lw.put(nBetaSweep, len(steps), lw.reg(t[7]),
+			lw.tab(t[10]), lw.tab(t[11]), lw.tab(t[12]), lw.tab(t[13]), lw.tab(t[14]))
+		for i := range steps {
+			lw.code = append(lw.code, lw.mem(p.aux[steps[i].tab+9], wb))
+		}
+	default:
+		nx := int(op.n)
+		lw.put(nBetaExtSweep, len(steps), lw.reg(t[7]),
+			lw.tab(t[10]), lw.tab(t[11]), lw.tab(t[12]), lw.tab(t[13]), lw.tab(t[14]),
+			lw.tab(t[23]), lw.tab(t[24]), lw.tab(t[25]), uint32(nx))
+		// The extracted lanes as the index operand of one VPERMW: a whole
+		// register of words, two to a stream word.
+		var lanes [regStride / 2]uint32
+		for x := 0; x < nx; x++ {
+			lanes[x/2] |= lw.lane(0, t[27+2*x], 1) / 2 << (16 * (x % 2))
+		}
+		lw.code = append(lw.code, lanes[:]...)
+		for i := range steps {
+			t := p.aux[steps[i].tab:]
+			lw.code = append(lw.code, lw.mem(t[9], wb), lw.mem(t[22], wb))
+			for x := 0; x < nx; x++ {
+				lw.code = append(lw.code, lw.mem(t[26+2*x], 2))
+			}
+		}
+	}
 }
 
 // analyze is the one walk of visitEffects finalize makes over every op

@@ -1,31 +1,49 @@
 package program
 
-// Native kernels. The packed trellis ops are recordings of vpermw, vpaddsw,
-// vpmaxsw and vpsubsw; on a CPU that has those instructions Run executes
-// the lean form of the four hot ones (every intermediate register dead,
-// which finalize's liveness pass proves for every step of a packed decode)
-// as the instructions themselves, from kern_amd64.s. The Go bodies in
-// run.go are the specification: they are the only path on other
-// architectures and older CPUs, the only path for an op with a live
-// intermediate, and what every native op is differentially tested against.
+import "unsafe"
+
+// Native execution. The ops of a packed plan are recordings of vpermw,
+// vpaddsw, vpmaxsw, vpsubsw, vpand, vpor and friends; on a CPU that has
+// those instructions Run executes them as the instructions themselves.
+// finalize lowers each segment to a descriptor stream (lower, in
+// finalize.go) and runStreamAVX512 (kern_amd64.s) walks it: one call runs
+// whole alpha and beta sweeps, gamma, extrinsic, interleave and arrangement
+// runs without returning to Go. The []mop segments and their Go bodies in
+// run.go stay the specification: the only path on other architectures and
+// older CPUs, the path under UseNativeKernel(false), the path for an op
+// with a live intermediate or no native body (a stop record names it and
+// the stream resumes after it), and what every record kind is
+// differentially tested against.
+//
+// The stream is []uint32. A record is a header word, op code in the low
+// byte and a count n above it, followed by the operand words its kind
+// defines below. Operands are byte offsets — into the arena, the register
+// file, the index-table pool p.gat / p.gatAnd, the pattern pool p.pats —
+// never Go pointers, so a program stays GC-inert and position-independent.
 //
 // What keeps the assembly as safe as the Go it replaces:
 //
-//   - Every pointer a kernel receives comes from a bounds-checked line()
-//     or lanes() expression or a p.gat[id] index, over the full extent the
-//     kernel touches, so a bad address panics in Go before assembly runs.
-//   - Arena lines are read and written only under the L-lane mask: lanes
-//     >= L of a register and bytes past an L-lane line are never written.
+//   - Every operand word is emitted through lowerer.reg, .mem or .tab,
+//     which check it against the register file, against the extent
+//     analyze's visitEffects walk computed, and against the table pool;
+//     Run's extent check against the arena it is handed stays the one
+//     bounds gate in front of native code.
+//   - Arena lines are read and written only under the lane mask (or the
+//     narrower mask of a partial load or store): lanes >= L of a register
+//     and bytes past an L-lane line are never written.
 //   - Tables are the ones finalize built: every entry is a lane below L or
-//     the sentinel, which VPERMI2W resolves to its zero second table just
-//     as gatherSrc's upper half does.
+//     the sentinel, and gatAnd zeroes exactly the sentinel lanes of a
+//     VPERMW result, as gatherSrc's upper half does in Go.
+//   - No call runs more than yieldEvery units of work: assembly cannot be
+//     preempted, and a GC stop-the-world waits for it.
+//   - VZEROUPPER precedes the one RET.
 
-// useNative selects the assembly kernels. It is set once, at init, from
+// useNative selects the assembly kernel. It is set once, at init, from
 // what the CPU and OS report (nativeAvailable); nothing a user passes
 // changes it.
 var useNative = nativeAvailable
 
-// Kernel names the kernel Run executes the packed trellis ops with:
+// Kernel names the kernel Run executes compiled programs with:
 // "avx512bw" or "go".
 func Kernel() string {
 	if useNative {
@@ -35,8 +53,8 @@ func Kernel() string {
 }
 
 // UseNativeKernel is a test seam, for _test.go files and the decode bench
-// only: it turns the native kernels off, or back on where the host has
-// them, and reports the previous setting so the caller can restore it
+// only: it turns the native kernel off, or back on where the host has
+// it, and reports the previous setting so the caller can restore it
 // (t.Cleanup). It must not be called while any program is running.
 func UseNativeKernel(on bool) (was bool) {
 	was = useNative
@@ -44,58 +62,58 @@ func UseNativeKernel(on bool) (was bool) {
 	return was
 }
 
-// maxQuadSrcs bounds the sources one native quad scatter/gather merges
-// (the decoder emits four per scatter and up to eight per interleave
-// gather); an op with more runs the Go body.
-const maxQuadSrcs = 8
+// Record kinds of the descriptor stream, with their operand words after
+// the header (n is the header's count). d, a, b, src are register-file byte
+// offsets; addr, dst, q, out, al are arena byte offsets; tab, g*, h* are
+// byte offsets into the index-table pool.
+const (
+	nStop         = iota // n = 1 + index of the op whose Go body runs here; 0 = yield or end
+	nClear               // d
+	nAddS                // d a b, and the seven kinds after it
+	nSubS                //
+	nMaxS                //
+	nMinS                //
+	nAnd                 //
+	nOr                  //
+	nXor                 //
+	nAndN                //
+	nSra                 // d a; n = shift
+	nBcastImm            // d; n = the 16-bit value
+	nBcastMem            // d addr
+	nSetImm              // d pat
+	nPermute             // d a tab
+	nLoad                // d addr mask: d = the masked lanes of the line, zero elsewhere
+	nLoadReg             // d src mask: the same from the register file (mExt128, mExt256)
+	nStore               // a addr mask
+	nExtrW               // src addr; src is the byte offset of the lane itself
+	nCopyRun             // n × (dst src)
+	nExtVec              // lim nlim dv sv lv out; n = shift
+	nMergeReg            // dst, n × (src tab): OR of permuted registers (mQuadScatter)
+	nMergeMem            // dst, n × (addr tab): OR of permuted lines (mQuadGather)
+	nAlphaSweep          // alpha g0 g1 g2 g3 gn, n × (q out)
+	nBetaSweep           // beta g0 g1 g2 g3 gn, n × q
+	nBetaExtSweep        // beta g0 g1 g2 g3 gn h0 h1 h2 nx, the nx extracted lanes as a register of index words, n × (q al nx×addr)
+)
 
-// laneMask is the k-mask of the L active lanes.
-func laneMask(L int) uint64 { return 1<<uint(L) - 1 }
+// yieldEvery bounds the work between two returns to Go, in units of one
+// record or one trellis step (about 10 ns each): at most ~5 µs a call,
+// where a K=6144 segment run in one would hold its P for 0.5 ms.
+const yieldEvery = 512
 
-// alphaStepNative is the lean mAlphaStepP body.
-func (p *Program) alphaStepNative(m, r []int16, t []int64, L int) {
-	alphaStepAVX512(&line(m, t[9], L)[0], lanes(r, t[8]), &line(m, t[10], L)[0],
-		&p.gat[t[11]], &p.gat[t[12]], &p.gat[t[13]], &p.gat[t[14]], &p.gat[t[15]], laneMask(L))
-}
+// laneMask is the k-mask of the low n lanes.
+func laneMask(n int) uint32 { return uint32(1<<uint(n) - 1) }
 
-// betaStepNative is the lean mBetaStepP body. The kernel returns the
-// posterior difference vector; the scalar extraction stores stay in Go,
-// after both line loads as in the Go body.
-func (p *Program) betaStepNative(m, r []int16, op *mop, L int) {
-	t := p.aux[op.tab:]
-	q, beta := &line(m, t[9], L)[0], lanes(r, t[7])
-	g0, g1, g2, g3, gn := &p.gat[t[10]], &p.gat[t[11]], &p.gat[t[12]], &p.gat[t[13]], &p.gat[t[14]]
-	if op.imm == 0 {
-		betaStepAVX512(q, beta, g0, g1, g2, g3, gn, laneMask(L), nil, nil, nil, nil, nil)
-		return
+// runStream executes a lowered segment: the assembly runs records until a
+// stop record, which is a preemption point, the end of the stream, or the
+// place of one op (ops[n-1]) that has no native body.
+func (p *Program) runStream(m []int16, code []uint32, ops []mop) {
+	arena, regs := unsafe.SliceData(m), unsafe.SliceData(p.regs)
+	gat, gatAnd, pats := unsafe.SliceData(p.gat), unsafe.SliceData(p.gatAnd), unsafe.SliceData(p.pats)
+	mask := uint64(laneMask(p.lanes))
+	for pc := 0; pc < len(code); pc++ {
+		pc = runStreamAVX512(&code[0], pc, arena, regs, gat, gatAnd, pats, mask)
+		if n := code[pc] >> 8; n != 0 {
+			p.exec(m, ops[n-1:n])
+		}
 	}
-	var dv [regStride]int16
-	betaStepAVX512(q, beta, g0, g1, g2, g3, gn, laneMask(L),
-		&line(m, t[22], L)[0], &p.gat[t[23]], &p.gat[t[24]], &p.gat[t[25]], &dv)
-	et := t[26 : 26+2*op.n]
-	for ; len(et) >= 2; et = et[2:] {
-		m[et[0]>>1] = dv[et[1]&(regStride-1)]
-	}
-}
-
-// quadScatterNative is the lean mQuadScatter body, for ns <= maxQuadSrcs.
-func (p *Program) quadScatterNative(m, r []int16, t []int64, ns, L int) {
-	var srcs [maxQuadSrcs]*int16
-	var tabs [maxQuadSrcs]*[regStride]uint16
-	for s := 0; s < ns; s++ {
-		srcs[s], tabs[s] = &lanes(r, t[3+2*s])[0], &p.gat[t[4+2*s]]
-	}
-	quadMergeAVX512(&line(m, t[2], L)[0], &srcs, &tabs, ns, laneMask(L))
-}
-
-// quadGatherNative is the lean mQuadGather body, for ns <= maxQuadSrcs.
-// The kernel loads every source line before it stores, as the Go body
-// does.
-func (p *Program) quadGatherNative(m []int16, t []int64, ns, L int) {
-	var srcs [maxQuadSrcs]*int16
-	var tabs [maxQuadSrcs]*[regStride]uint16
-	for s := 0; s < ns; s++ {
-		srcs[s], tabs[s] = &line(m, t[4+2*s], L)[0], &p.gat[t[5+2*s]]
-	}
-	quadMergeAVX512(&line(m, t[3], L)[0], &srcs, &tabs, ns, laneMask(L))
 }

@@ -1,21 +1,14 @@
 package program
 
-// Declarations of kern_amd64.s. Callers (kern.go) pass only pointers taken
-// from bounds-checked expressions; mask is laneMask(L).
+// Declarations of kern_amd64.s.
 
-//go:noescape
-func alphaStepAVX512(q *int16, alpha *[regStride]int16, out *int16, g0, g1, g2, g3, gn *[regStride]uint16, mask uint64)
-
-// al == nil selects the tail-step form (no posterior extraction); h0, h1,
-// h2 and dv are then unused.
+// runStreamAVX512 executes the descriptor stream at code from word pc up
+// to the next stop record and returns that record's index. Every operand
+// in the stream was bounds-checked by lower against the memory the base
+// pointers address; mask is laneMask(L).
 //
 //go:noescape
-func betaStepAVX512(q *int16, beta *[regStride]int16, g0, g1, g2, g3, gn *[regStride]uint16, mask uint64, al *int16, h0, h1, h2 *[regStride]uint16, dv *[regStride]int16)
-
-// dst = OR over s < ns of srcs[s] permuted by tabs[s]; ns >= 1.
-//
-//go:noescape
-func quadMergeAVX512(dst *int16, srcs *[maxQuadSrcs]*int16, tabs *[maxQuadSrcs]*[regStride]uint16, ns int, mask uint64)
+func runStreamAVX512(code *uint32, pc int, arena, regs *int16, gat, gatAnd *[regStride]uint16, pats *[regStride]int16, mask uint64) int
 
 func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 

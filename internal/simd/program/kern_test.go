@@ -1,6 +1,7 @@
 package program
 
 import (
+	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
@@ -9,16 +10,16 @@ import (
 )
 
 // skipWithoutNative skips, with the reason, a test that needs the native
-// kernels on a host that lacks them: never a silent pass.
-func skipWithoutNative(t *testing.T) {
+// kernel on a host that lacks it: never a silent pass.
+func skipWithoutNative(t testing.TB) {
 	if !nativeAvailable {
-		t.Skip("no AVX-512BW on this host (or the OS does not save ZMM state): native kernels not exercised")
+		t.Skip("no AVX-512BW on this host (or the OS does not save ZMM state): native kernel not exercised")
 	}
 }
 
-// eachKernel runs f once on the Go bodies and once on the native kernels,
+// eachKernel runs f once on the Go bodies and once on the native kernel,
 // restoring the selection afterwards. On a host without the native
-// kernels that half is skipped, with the reason.
+// kernel that half is skipped, with the reason.
 func eachKernel(t *testing.T, f func(t *testing.T)) {
 	for _, on := range []bool{false, true} {
 		name := "go"
@@ -39,17 +40,37 @@ func eachKernel(t *testing.T, f func(t *testing.T)) {
 	}
 }
 
-// opHarness builds one-op programs over a small arena for the native-vs-Go
+// runOps is run for any slice of p's ops: under the native kernel they are
+// lowered on the spot, so a test can step a program op by op through the
+// same records Run executes.
+func (p *Program) runOps(m []int16, ops []mop) {
+	if !useNative {
+		p.exec(m, ops)
+		return
+	}
+	code, err := p.lower(ops)
+	if err != nil {
+		panic(err)
+	}
+	p.runStream(m, code, ops)
+}
+
+// opHarness builds small programs op by op for the native-vs-Go
 // differential tests. Arena lines sit 192 bytes apart so every line has at
 // least 64 canary bytes either side, and the arena ends exactly where the
-// last line does: a kernel that touched a byte past an L-lane line would
-// either trip a canary or need memory the arena does not have.
+// last line does, with 64 more canary bytes behind it that are no part of
+// the arena: a record that touched a byte past an L-lane line trips one.
 type opHarness struct {
 	rng  *rand.Rand
 	L    int
 	p    *Program
 	nreg int
 	nlin int
+	ops  []mop
+	// outLines and outRegs are the lines and registers the ops write under
+	// the lane mask: what the canary checks look beside.
+	outLines []int64
+	outRegs  []int64
 }
 
 func newOpHarness(w simd.Width, rng *rand.Rand) *opHarness {
@@ -59,6 +80,20 @@ func newOpHarness(w simd.Width, rng *rand.Rand) *opHarness {
 func (h *opHarness) reg() int64 { h.nreg++; return int64(h.nreg-1) * regStride }
 
 func (h *opHarness) lineAddr() int64 { h.nlin++; return 64 + int64(h.nlin-1)*192 }
+
+// outLine is a fresh line an op stores to.
+func (h *opHarness) outLine() int64 {
+	a := h.lineAddr()
+	h.outLines = append(h.outLines, a)
+	return a
+}
+
+// outReg is a fresh register an op writes L lanes of.
+func (h *opHarness) outReg() int64 {
+	r := h.reg()
+	h.outRegs = append(h.outRegs, r)
+	return r
+}
 
 // tab adds an index table of valid lanes salted with every kind of entry
 // finalize resolves to the sentinel: negative, >= L, and 32 itself.
@@ -80,6 +115,12 @@ func (h *opHarness) tab() int64 {
 	return int64(len(h.p.idxTabs) - 1)
 }
 
+// push appends an op whose operands live in the aux pool.
+func (h *opHarness) push(op mop, aux ...int64) {
+	op.tab = h.p.pushAux(aux...)
+	h.ops = append(h.ops, op)
+}
+
 // fill draws lanes: all at or next to +-32768 when pinned is set, so every
 // add and sub saturates one way or the other, else one in four.
 func (h *opHarness) fill(xs []int16, pinned bool) {
@@ -93,29 +134,30 @@ func (h *opHarness) fill(xs []int16, pinned bool) {
 	}
 }
 
-// diff finalizes the one-op program, checks finalize made the op lean,
-// runs it on identical random state under both kernels and compares the
-// whole register file and arena, then checks the canaries directly: the
-// 64 bytes either side of every output line and lanes >= L of the carried
-// register must hold what they held before the native run.
-func (h *opHarness) diff(t *testing.T, op mop, lean func(live uint64) bool, carried int64, outLines []int64, pinned bool) {
+// diff finalizes the program, checks the stream hands exactly wantGo ops
+// back to their Go bodies, runs it on identical random state under both
+// kernels and compares the whole register file and every arena byte, then
+// checks the canaries directly: the 64 bytes either side of every written
+// line and lanes >= L of every register written under the lane mask must
+// hold what they held before the native run.
+func (h *opHarness) diff(t *testing.T, wantGo int, pinned bool) {
 	t.Helper()
 	p := h.p
 	p.regs = make([]int16, h.nreg*regStride)
-	p.segs[SegSteady] = []mop{op}
+	p.segs[SegSteady] = h.ops
 	if err := p.finalize(); err != nil {
 		t.Fatalf("finalize: %v", err)
 	}
-	ops := p.segs[SegSteady]
-	if !lean(ops[0].live) {
-		t.Fatalf("one-op program is not lean (live %#x): the native body would not run", ops[0].live)
+	if _, named := countStops(p.native[SegSteady]); named != wantGo {
+		t.Fatalf("stream hands %d ops to their Go bodies, want %d", named, wantGo)
 	}
 	regs0 := make([]int16, len(p.regs))
-	mem0 := make([]int16, (64+int64(h.nlin-1)*192)/2+int64(h.L))
+	size := (64+(h.nlin-1)*192)/2 + h.L
+	mem0 := make([]int16, size+32) // the arena and the canary behind it
 	h.fill(regs0, pinned)
 	h.fill(mem0, pinned)
-	if int64(len(mem0))*2 < p.extent {
-		t.Fatalf("harness arena of %d bytes below the program's extent %d", 2*len(mem0), p.extent)
+	if int64(size)*2 < p.extent {
+		t.Fatalf("harness arena of %d bytes below the program's extent %d", 2*size, p.extent)
 	}
 
 	run := func(on bool) (regs, mem []int16) {
@@ -123,11 +165,14 @@ func (h *opHarness) diff(t *testing.T, op mop, lean func(live uint64) bool, carr
 		defer UseNativeKernel(was)
 		regs, mem = slices.Clone(regs0), slices.Clone(mem0)
 		p.regs = regs
-		p.exec(mem, ops)
+		p.run(mem[:size:size], SegSteady)
 		return regs, mem
 	}
 	wantR, wantM := run(false)
 	gotR, gotM := run(true)
+	if !slices.Equal(gotM[size:], mem0[size:]) {
+		t.Fatalf("canary behind the arena's end overwritten")
+	}
 	for i := range wantR {
 		if gotR[i] != wantR[i] {
 			t.Fatalf("register %d lane %d: native %d, Go %d", i/regStride, i%regStride, gotR[i], wantR[i])
@@ -138,120 +183,366 @@ func (h *opHarness) diff(t *testing.T, op mop, lean func(live uint64) bool, carr
 			t.Fatalf("arena byte %d: native %d, Go %d", 2*i, gotM[i], wantM[i])
 		}
 	}
-	for _, a := range outLines {
+	written := make(map[int]bool)
+	for _, a := range h.outLines {
+		for i := 0; i < h.L; i++ {
+			written[int(a/2)+i] = true
+		}
+	}
+	for _, a := range h.outLines {
 		lo, hi := int(a/2), int(a/2)+h.L
 		for i := max(lo-32, 0); i < min(hi+32, len(gotM)); i++ {
-			if (i < lo || i >= hi) && gotM[i] != mem0[i] {
+			if !written[i] && gotM[i] != mem0[i] {
 				t.Fatalf("canary at byte %d beside the output line at %d overwritten", 2*i, a)
 			}
 		}
 	}
-	if carried >= 0 {
+	for _, r := range h.outRegs {
 		for i := h.L; i < regStride; i++ {
-			if gotR[int(carried)+i] != regs0[int(carried)+i] {
-				t.Fatalf("carried register lane %d (>= L = %d) overwritten", i, h.L)
+			if gotR[int(r)+i] != regs0[int(r)+i] {
+				t.Fatalf("register %d lane %d (>= L = %d) overwritten", r/regStride, i, h.L)
 			}
 		}
 	}
 }
 
-const diffTrials = 60
+const diffTrials = 40
 
-func TestNativeAlphaStepMatchesGo(t *testing.T) {
+// TestNativeLaneOpsMatchGo: every singleton kind with a native body, and
+// the lean extrinsic group, in random order over shared registers and
+// lines, so each op reads what earlier ones wrote.
+func TestNativeLaneOpsMatchGo(t *testing.T) {
 	skipWithoutNative(t)
 	for _, w := range simd.Widths {
 		rng := rand.New(rand.NewSource(int64(w)))
 		for trial := 0; trial < diffTrials; trial++ {
 			h := newOpHarness(w, rng)
-			var aux []int64
-			for i := 0; i < 9; i++ {
-				aux = append(aux, h.reg())
+			srcs := []int64{h.reg(), h.reg(), h.reg()}
+			src := func() int64 { return srcs[rng.Intn(len(srcs))] }
+			lines := []int64{h.lineAddr(), h.lineAddr(), h.lineAddr()}
+			line := func() int64 { return lines[rng.Intn(len(lines))] }
+			for _, pat := range [][]int16{{}, {7, -7}, make([]int16, h.L), make([]int16, regStride+5)} {
+				h.fill(pat, false)
+				h.p.lanePats = append(h.p.lanePats, pat)
 			}
-			q, out := h.lineAddr(), h.lineAddr()
-			aux = append(aux, q, out, h.tab(), h.tab(), h.tab(), h.tab(), h.tab())
-			h.p.aux = aux
-			h.diff(t, mop{kind: mAlphaStepP}, func(live uint64) bool { return live&0xff == 0 },
-				aux[8], []int64{out}, trial%4 == 1)
+			shifts := []int64{0, 1, 15, 16, 40}
+			for _, k := range rng.Perm(int(firstFused) + 2) {
+				kind := uint8(k)
+				dst, masked := h.reg(), true
+				switch kind {
+				case mClear, mBcastImm:
+					h.ops = append(h.ops, mop{kind: kind, d: int32(dst), imm: int64(rng.Intn(1<<17)) - 1<<16})
+					masked = kind == mBcastImm
+				case mAddS, mSubS, mMaxS, mMinS, mAnd, mOr, mXor, mAndN:
+					h.ops = append(h.ops, mop{kind: kind, d: int32(dst), a: int32(src()), b: int32(src())})
+				case mSra:
+					h.ops = append(h.ops, mop{kind: kind, d: int32(dst), a: int32(src()), imm: shifts[rng.Intn(len(shifts))]})
+				case mBcastMem:
+					h.ops = append(h.ops, mop{kind: kind, d: int32(dst), addr: line() + int64(2*rng.Intn(h.L))})
+				case mSetImm:
+					h.ops = append(h.ops, mop{kind: kind, d: int32(dst), tab: int32(rng.Intn(len(h.p.lanePats)))})
+					masked = false
+				case mPermute:
+					a := src()
+					if trial%3 == 0 {
+						a = dst // the engine permutes in place through a copy
+					}
+					h.ops = append(h.ops, mop{kind: kind, d: int32(dst), a: int32(a), tab: int32(h.tab())})
+				case mExt128:
+					h.ops = append(h.ops, mop{kind: kind, d: int32(dst), a: int32(src()), imm: int64(rng.Intn(4))})
+					masked = false
+				case mExt256:
+					h.ops = append(h.ops, mop{kind: kind, d: int32(dst), a: int32(src()), imm: int64(rng.Intn(2))})
+					masked = false
+				case mLoad:
+					h.ops = append(h.ops, mop{kind: kind, d: int32(dst), addr: line(), imm: int64(2 * rng.Intn(h.L+1))})
+					masked = false
+				case mStore:
+					h.ops = append(h.ops, mop{kind: kind, a: int32(src()), addr: h.outLine(), imm: int64(2 * rng.Intn(h.L+1))})
+				case mExtrW:
+					h.ops = append(h.ops, mop{kind: kind, a: int32(src()), addr: h.outLine() + int64(2*rng.Intn(h.L)), imm: int64(rng.Intn(regStride))})
+				case mCopyRun: // over two lines, so that copies chain
+					a, n := h.outLine(), 1+rng.Intn(3*h.L)
+					b := h.outLine()
+					var aux []int64
+					for i := 0; i < n; i++ {
+						from := [...]int64{a, b, line()}[rng.Intn(3)]
+						aux = append(aux, [...]int64{a, b}[rng.Intn(2)]+int64(2*rng.Intn(h.L)), from+int64(2*rng.Intn(h.L)))
+					}
+					h.push(mop{kind: mCopyRun, n: int32(n)}, aux...)
+				case mExtVec: // lean: nothing reads its five registers
+					h.push(mop{kind: mExtVec, imm: shifts[rng.Intn(len(shifts))]},
+						h.reg(), h.reg(), h.reg(), h.reg(), h.reg(), src(), src(), line(), line(), line(), h.outLine())
+				default:
+					continue // the scalar helpers, below
+				}
+				if masked {
+					h.outRegs = append(h.outRegs, dst)
+				}
+				// What an op wrote, later ops read.
+				srcs = append(srcs, dst)
+			}
+			// The scalar helpers have no native body: the stream hands each
+			// to Go and resumes.
+			h.ops = append(h.ops, mop{kind: mCopy16, addr: h.outLine(), addr2: line()},
+				mop{kind: mInsrW, d: int32(srcs[0]), addr: line(), imm: 3},
+				mop{kind: mStore, a: int32(srcs[0]), addr: h.outLine(), imm: int64(2 * h.L)})
+			h.diff(t, 2, trial%4 == 1)
 		}
 	}
 }
 
-func TestNativeBetaStepMatchesGo(t *testing.T) {
+// TestNativeCopyRunSplitsAtYield: a copy run longer than one call may hold
+// is cut into several records with a stop between them.
+func TestNativeCopyRunSplitsAtYield(t *testing.T) {
 	skipWithoutNative(t)
-	for _, w := range simd.Widths {
-		rng := rand.New(rand.NewSource(int64(w) + 1))
-		for trial := 0; trial < diffTrials; trial++ {
-			h := newOpHarness(w, rng)
-			var aux []int64
-			for i := 0; i < 9; i++ {
-				aux = append(aux, h.reg())
-			}
-			aux = append(aux, h.lineAddr(), h.tab(), h.tab(), h.tab(), h.tab(), h.tab())
-			op := mop{kind: mBetaStepP}
-			var outs []int64
-			if trial%3 != 0 {
-				// In-block form: n extracted lanes at arbitrary positions,
-				// including lanes >= L, stored to arbitrary words of one
-				// line-sized region.
-				for i := 0; i < 7; i++ {
-					aux = append(aux, h.reg())
-				}
-				aux = append(aux, h.lineAddr(), h.tab(), h.tab(), h.tab())
-				ext := h.lineAddr()
-				outs = []int64{ext}
-				op.imm, op.n = 1, int32(1+rng.Intn(h.L))
-				for i := int32(0); i < op.n; i++ {
-					aux = append(aux, ext+int64(2*rng.Intn(h.L)), int64(rng.Intn(regStride)))
-				}
-			}
-			h.p.aux = aux
-			h.diff(t, op, func(live uint64) bool { return live&^(1<<7) == 0 }, aux[7], outs, trial%4 == 1)
-		}
+	rng := rand.New(rand.NewSource(9))
+	h := newOpHarness(simd.W256, rng)
+	a, b := h.outLine(), h.outLine()
+	var aux []int64
+	n := 9*yieldEvery + 3
+	for i := 0; i < n; i++ {
+		aux = append(aux, a+int64(2*rng.Intn(h.L)), b+int64(2*rng.Intn(h.L)))
+		a, b = b, a
+	}
+	h.push(mop{kind: mCopyRun, n: int32(n)}, aux...)
+	h.diff(t, 0, false)
+	if stops, _ := countStops(h.p.native[SegSteady]); stops < 3 {
+		t.Errorf("%d copies lowered with %d stop records, want the run cut at least twice", n, stops)
 	}
 }
 
+// countStops walks a stream's records and counts its stop records: the
+// yields and the end, and those that name an op for its Go body.
+func countStops(code []uint32) (yields, named int) {
+	for pc := 0; pc < len(code); pc += recordWords(code[pc:]) {
+		switch {
+		case code[pc] == nStop:
+			yields++
+		case code[pc]&0xff == nStop:
+			named++
+		}
+	}
+	return yields, named
+}
+
+// recordWords is the length of the record at the head of code: the
+// decoder's view of what lower encodes and runStreamAVX512 steps over.
+func recordWords(code []uint32) int {
+	n := int(code[0] >> 8)
+	switch code[0] & 0xff {
+	case nStop:
+		return 1
+	case nClear, nBcastImm:
+		return 2
+	case nSra, nBcastMem, nSetImm, nExtrW:
+		return 3
+	case nAddS, nSubS, nMaxS, nMinS, nAnd, nOr, nXor, nAndN, nPermute, nLoad, nLoadReg, nStore:
+		return 4
+	case nCopyRun:
+		return 1 + 2*n
+	case nExtVec:
+		return 7
+	case nMergeReg, nMergeMem:
+		return 2 + 2*n
+	case nAlphaSweep:
+		return 7 + 2*n
+	case nBetaSweep:
+		return 7 + n
+	case nBetaExtSweep:
+		nx := int(code[10])
+		return 11 + regStride/2 + n*(2+nx)
+	}
+	panic(fmt.Sprintf("unknown record kind %d", code[0]&0xff))
+}
+
+// TestNativeQuadScatterMatchesGo: permute-and-OR merges of 2 to 12
+// registers into a line.
 func TestNativeQuadScatterMatchesGo(t *testing.T) {
 	skipWithoutNative(t)
 	for _, w := range simd.Widths {
 		rng := rand.New(rand.NewSource(int64(w) + 2))
-		// One past maxQuadSrcs runs the Go body under both settings.
-		for ns := 2; ns <= maxQuadSrcs+1; ns++ {
+		for ns := 2; ns <= 12; ns++ {
 			for trial := 0; trial < diffTrials/4; trial++ {
 				h := newOpHarness(w, rng)
-				dst := h.lineAddr()
-				aux := []int64{h.reg(), h.reg(), dst}
+				aux := []int64{h.reg(), h.reg(), h.outLine()}
 				for s := 0; s < ns; s++ {
 					aux = append(aux, h.reg(), h.tab())
 				}
-				h.p.aux = aux
-				h.diff(t, mop{kind: mQuadScatter, n: int32(ns)}, func(live uint64) bool { return live == 0 },
-					-1, []int64{dst}, trial%4 == 1)
+				h.push(mop{kind: mQuadScatter, n: int32(ns)}, aux...)
+				h.diff(t, 0, trial%4 == 1)
 			}
 		}
 	}
 }
 
+// TestNativeQuadGatherMatchesGo: the same merge of 1 to 12 lines, a gather
+// that reads the line it stores to included.
 func TestNativeQuadGatherMatchesGo(t *testing.T) {
 	skipWithoutNative(t)
 	for _, w := range simd.Widths {
 		rng := rand.New(rand.NewSource(int64(w) + 3))
-		for ns := 1; ns <= maxQuadSrcs+1; ns++ {
+		for ns := 1; ns <= 12; ns++ {
 			for trial := 0; trial < diffTrials/4; trial++ {
 				h := newOpHarness(w, rng)
-				dst := h.lineAddr()
+				dst := h.outLine()
 				aux := []int64{h.reg(), h.reg(), h.reg(), dst}
 				for s := 0; s < ns; s++ {
 					src := h.lineAddr()
 					if trial%5 == 4 && s == ns-1 {
-						// A loaded program may gather from the line it
-						// stores to; every load still precedes the store.
+						// A gather may read the line it stores to; every
+						// load still precedes the store.
 						src = dst
 					}
 					aux = append(aux, src, h.tab())
 				}
-				h.p.aux = aux
-				h.diff(t, mop{kind: mQuadGather, n: int32(ns)}, func(live uint64) bool { return live == 0 },
-					-1, []int64{dst}, trial%4 == 1)
+				h.push(mop{kind: mQuadGather, n: int32(ns)}, aux...)
+				h.diff(t, 0, trial%4 == 1)
+			}
+		}
+	}
+}
+
+// sweep appends n lean trellis steps of one form sharing a carried
+// register and tables: the alpha form, the beta tail form (nx = 0) or the
+// beta form extracting nx lanes, any of 0..31, to arbitrary words. Quad
+// lines are drawn from a small pool that the alpha steps' own output lines
+// join, so steps also depend on each other through the arena.
+func (h *opHarness) sweep(kind uint8, n, nx int) {
+	carried := h.outReg()
+	tabs := []int64{h.tab(), h.tab(), h.tab(), h.tab(), h.tab()}
+	htabs := []int64{h.tab(), h.tab(), h.tab()}
+	pool := []int64{h.lineAddr(), h.lineAddr(), h.lineAddr()}
+	line := func() int64 { return pool[h.rng.Intn(len(pool))] }
+	var dead []int64
+	for i := 0; i < 15; i++ {
+		dead = append(dead, h.reg())
+	}
+	var lanes []int64
+	for x := 0; x < nx; x++ {
+		lanes = append(lanes, int64(h.rng.Intn(regStride)))
+	}
+	ext := h.outLine()
+	for j := 0; j < n; j++ {
+		if kind == mAlphaStepP {
+			out := h.outLine()
+			aux := append(slices.Clone(dead[:8]), carried, line(), out)
+			h.push(mop{kind: kind}, append(aux, tabs...)...)
+			if len(pool) < 8 {
+				pool = append(pool, out)
+			}
+			continue
+		}
+		aux := append(slices.Clone(dead[:7]), carried, dead[7], line())
+		aux = append(aux, tabs...)
+		op := mop{kind: kind}
+		if nx > 0 {
+			op.imm, op.n = 1, int32(nx)
+			aux = append(append(append(aux, dead[8:]...), line()), htabs...)
+			for _, l := range lanes {
+				aux = append(aux, ext+int64(2*h.rng.Intn(h.L)), l)
+			}
+		}
+		h.push(op, aux...)
+	}
+}
+
+// sweepForm is one shape of trellis sweep: the alpha form, the beta tail
+// form (nx = 0) or the beta form extracting nx lanes.
+type sweepForm struct {
+	kind uint8
+	nx   func(rng *rand.Rand, L int) int
+}
+
+// testNativeSweeps runs sweeps of 1, 2, 3 and 1027 steps (the last runs as
+// three calls, the middle one starting and ending inside the sweep) at
+// every width, of each form, between ops that read what the sweep wrote
+// back.
+func testNativeSweeps(t *testing.T, seed int64, forms ...sweepForm) {
+	skipWithoutNative(t)
+	for _, w := range simd.Widths {
+		rng := rand.New(rand.NewSource(int64(w) + seed))
+		for _, n := range []int{1, 2, 3, 1027} {
+			trials := diffTrials / 4
+			if n > 3 {
+				trials = 2
+			}
+			for trial := 0; trial < trials; trial++ {
+				for _, form := range forms {
+					nx := form.nx(rng, w.Lanes16())
+					h := newOpHarness(w, rng)
+					h.sweep(form.kind, n, nx)
+					// A second sweep over the same carried register with
+					// other tables, then a store of it: the first must have
+					// written it back, and hoisted tables must not go stale.
+					at := carriedAt(form.kind)
+					carried := h.p.aux[h.ops[0].tab+at]
+					first := len(h.ops)
+					h.sweep(form.kind, 2, nx)
+					for _, op := range h.ops[first:] {
+						h.p.aux[op.tab+at] = carried
+					}
+					h.ops = append(h.ops, mop{kind: mStore, a: int32(carried), addr: h.outLine(), imm: int64(2 * h.L)})
+					h.diff(t, 0, trial%4 == 1)
+					if n > yieldEvery {
+						if stops, _ := countStops(h.p.native[SegSteady]); stops < 3 {
+							t.Errorf("%v: %d steps lowered with %d stop records, want the sweep cut at least twice", w, n, stops)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+func TestNativeAlphaStepMatchesGo(t *testing.T) {
+	testNativeSweeps(t, 1, sweepForm{mAlphaStepP, func(*rand.Rand, int) int { return 0 }})
+}
+
+// TestNativeBetaStepMatchesGo: the tail form, a handful of extracted lanes
+// as a decode has them, and as many as the register has lanes.
+func TestNativeBetaStepMatchesGo(t *testing.T) {
+	testNativeSweeps(t, 4,
+		sweepForm{mBetaStepP, func(*rand.Rand, int) int { return 0 }},
+		sweepForm{mBetaStepP, func(rng *rand.Rand, _ int) int { return 1 + rng.Intn(5) }},
+		sweepForm{mBetaStepP, func(_ *rand.Rand, L int) int { return L }})
+}
+
+// carriedAt is where a trellis step's aux window holds its carried
+// register.
+func carriedAt(kind uint8) int32 {
+	if kind == mAlphaStepP {
+		return 8
+	}
+	return 7
+}
+
+// TestLoweredStreamIsWellFormed: the stream of a compiled program decodes
+// record by record to exactly its end, its last record is a stop, and the
+// stops that name an op for its Go body name ops of the segment, in order.
+func TestLoweredStreamIsWellFormed(t *testing.T) {
+	skipWithoutNative(t)
+	for _, w := range simd.Widths {
+		p, _, _ := recordAndCompile(t, w, 1<<14, 4)
+		for seg, code := range p.native {
+			pc, named, last, prev := 0, 0, 0, -1
+			for pc < len(code) {
+				if code[pc]&0xff == nStop && code[pc]>>8 != 0 {
+					named++
+					i := int(code[pc]>>8) - 1
+					if i <= prev || i >= len(p.segs[seg]) {
+						t.Fatalf("%v seg %d: stop record names op %d of %d after op %d", w, seg, i, len(p.segs[seg]), prev)
+					}
+					prev = i
+				}
+				last = pc
+				pc += recordWords(code[pc:])
+			}
+			if pc != len(code) || code[last] != nStop {
+				t.Errorf("%v seg %d: stream of %d words decodes to %d, last record %#x", w, seg, len(code), pc, code[last])
+			}
+			if named == 0 {
+				t.Errorf("%v seg %d: no stop record names an op; the synthetic kernel has ops with live intermediates", w, seg)
 			}
 		}
 	}
@@ -286,7 +577,7 @@ func TestRunRefusesShortArena(t *testing.T) {
 }
 
 // TestKernelSelection: the selection is what the host reports and the
-// seam can only turn the native kernels off, never on where they are
+// seam can only turn the native kernel off, never on where it is
 // missing.
 func TestKernelSelection(t *testing.T) {
 	if useNative != nativeAvailable {
@@ -295,7 +586,7 @@ func TestKernelSelection(t *testing.T) {
 	was := UseNativeKernel(false)
 	defer UseNativeKernel(was)
 	if Kernel() != "go" {
-		t.Errorf("Kernel() = %q with the native kernels off", Kernel())
+		t.Errorf("Kernel() = %q with the native kernel off", Kernel())
 	}
 	UseNativeKernel(true)
 	want := "go"
@@ -306,4 +597,77 @@ func TestKernelSelection(t *testing.T) {
 		t.Errorf("Kernel() = %q after UseNativeKernel(true), host supports %q", Kernel(), want)
 	}
 	t.Logf("host kernel: %s", want)
+}
+
+// BenchmarkNativeSweeps times one 1027-step sweep of each form at W512:
+// ns/op divided by 1027 is the cost of a trellis step.
+func BenchmarkNativeSweeps(b *testing.B) {
+	skipWithoutNative(b)
+	for _, form := range []struct {
+		name string
+		kind uint8
+		nx   int
+	}{{"alpha", mAlphaStepP, 0}, {"beta", mBetaStepP, 0}, {"beta+ext", mBetaStepP, 4}} {
+		b.Run(form.name, func(b *testing.B) {
+			h := newOpHarness(simd.W512, rand.New(rand.NewSource(1)))
+			h.sweep(form.kind, 1027, form.nx)
+			p := h.p
+			p.regs = make([]int16, h.nreg*regStride)
+			p.segs[SegSteady] = h.ops
+			if err := p.finalize(); err != nil {
+				b.Fatal(err)
+			}
+			mem := make([]int16, p.extent/2)
+			h.fill(mem, false)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				p.run(mem, SegSteady)
+			}
+		})
+	}
+}
+
+// BenchmarkNativeGamma times 64 gamma groups at W512 as the packed decoder
+// records them: three loads, five lane ops, eight four-source scatters.
+func BenchmarkNativeGamma(b *testing.B) {
+	skipWithoutNative(b)
+	h := newOpHarness(simd.W512, rand.New(rand.NewSource(1)))
+	s, p, la, t, g0, g1, n0, n1, zero := h.reg(), h.reg(), h.reg(), h.reg(), h.reg(), h.reg(), h.reg(), h.reg(), h.reg()
+	acc, tmp := h.reg(), h.reg()
+	var tabs [8][4]int64
+	for i := range tabs {
+		for j := range tabs[i] {
+			tabs[i][j] = h.tab()
+		}
+	}
+	for g := 0; g < 64; g++ {
+		for _, d := range []int64{s, p, la} {
+			h.ops = append(h.ops, mop{kind: mLoad, d: int32(d), addr: h.lineAddr(), imm: 64})
+		}
+		h.ops = append(h.ops,
+			mop{kind: mAddS, d: int32(t), a: int32(s), b: int32(la)},
+			mop{kind: mAddS, d: int32(g0), a: int32(t), b: int32(p)},
+			mop{kind: mSubS, d: int32(g1), a: int32(t), b: int32(p)},
+			mop{kind: mSubS, d: int32(n0), a: int32(zero), b: int32(g0)},
+			mop{kind: mSubS, d: int32(n1), a: int32(zero), b: int32(g1)})
+		for si := 0; si < 8; si++ {
+			h.push(mop{kind: mQuadScatter, n: 4}, acc, tmp, h.lineAddr(),
+				g0, tabs[si][0], g1, tabs[si][1], n0, tabs[si][2], n1, tabs[si][3])
+		}
+	}
+	pr := h.p
+	pr.regs = make([]int16, h.nreg*regStride)
+	pr.segs[SegSteady] = h.ops
+	if err := pr.finalize(); err != nil {
+		b.Fatal(err)
+	}
+	if _, named := countStops(pr.native[SegSteady]); named != 0 {
+		b.Fatal("not native")
+	}
+	mem := make([]int16, pr.extent/2)
+	h.fill(mem, false)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		pr.run(mem, SegSteady)
+	}
 }

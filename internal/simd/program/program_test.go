@@ -440,7 +440,7 @@ func (p *Program) runPoisoned(mem *simd.Memory, seg int, rng *rand.Rand) {
 	m := arena16(mem)
 	ops := p.segs[seg]
 	for i := range ops {
-		p.exec(m, ops[i:i+1])
+		p.runOps(m, ops[i:i+1])
 		k := 0
 		_ = p.visitEffects(&ops[i], &effectVisitor{reg: func(off int32, write bool) {
 			if !write {
@@ -546,6 +546,39 @@ func TestFinalizeRejectsMalformedOps(t *testing.T) {
 		p.segs[SegSteady] = []mop{op}
 		if err := p.finalize(); err == nil {
 			t.Errorf("%s: accepted", name)
+		}
+	}
+
+	// The stream is the one thing native code trusts, so lower does not
+	// take analyze's word for it: an op whose every operand passed the
+	// visitEffects walk is refused when the pool or range its record would
+	// address turns out smaller than the walk believed.
+	build := func() *Program {
+		p := &Program{w: simd.W128, lanes: 8, regs: make([]int16, 2*regStride),
+			idxTabs: [][]int32{{0, 1, 2, 3, 4, 5, 6, 7}}, lanePats: [][]int16{{1, 2}}}
+		p.segs[SegSteady] = []mop{
+			{kind: mPermute, d: 0, a: regStride, tab: 0},
+			{kind: mSetImm, d: 0, tab: 0},
+			{kind: mStore, a: 0, addr: 64, imm: 16},
+		}
+		if err := p.finalize(); err != nil {
+			t.Fatalf("well-formed program refused: %v", err)
+		}
+		p.pats = make([][regStride]int16, len(p.lanePats)) // as on a native host
+		if _, err := p.lower(p.segs[SegSteady]); err != nil {
+			t.Fatalf("well-formed program does not lower: %v", err)
+		}
+		return p
+	}
+	for name, shrink := range map[string]func(*Program){
+		"table index past the pool":   func(p *Program) { p.gat = p.gat[:0] },
+		"pattern index past the pool": func(p *Program) { p.pats = p.pats[:0] },
+		"store past the extent":       func(p *Program) { p.extent -= 2 },
+	} {
+		p := build()
+		shrink(p)
+		if _, err := p.lower(p.segs[SegSteady]); err == nil {
+			t.Errorf("%s: lowered", name)
 		}
 	}
 }

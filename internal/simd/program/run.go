@@ -20,9 +20,9 @@ func clampi(x, c int32) int16 { return int16(max(min(x, c), -c)) }
 // [regStride, 2*regStride) stay zero; finalize resolves every invalid or
 // inactive index-table entry to regStride, so "out-of-range selects
 // zero" costs no branch, and masking a table entry with gmask bounds it
-// for the compiler. Entries are words because the native kernels hand the
-// same tables to VPERMI2W as its index operand, where bit 5 (the
-// sentinel) selects the second, all-zero table.
+// for the compiler. Entries are words because the native kernel hands the
+// same tables to VPERMW as its index operand; it reads the sentinel as
+// lane 0 and zeroes those lanes through the table's mask (p.gatAnd).
 const (
 	sentinel = regStride
 	gmask    = 2*regStride - 1
@@ -69,16 +69,24 @@ func (p *Program) Run(mem *simd.Memory, seg int) {
 	if int64(len(m))*2 < p.extent {
 		panic("program: arena smaller than the program's extent")
 	}
+	p.run(m, seg)
+}
+
+// run executes a segment over an arena Run has checked: as its descriptor
+// stream where the host has the native kernel (kern.go), else op by op.
+func (p *Program) run(m []int16, seg int) {
+	if code := p.native[seg]; useNative && code != nil {
+		p.runStream(m, code, p.segs[seg])
+		return
+	}
 	p.exec(m, p.segs[seg])
 }
 
-// exec runs ops in order. Each of the four packed trellis ops has its Go
-// body below and, for the form with every intermediate register dead, a
-// native one (kern.go) taken when the host has it.
+// exec runs ops in order through their Go bodies: the specification of
+// every op kind, which the native kernel is differentially tested against.
 func (p *Program) exec(m []int16, ops []mop) {
 	r := p.regs
 	L := p.lanes
-	native := useNative
 	for oi := range ops {
 		op := &ops[oi]
 		switch op.kind {
@@ -202,10 +210,6 @@ func (p *Program) exec(m []int16, ops []mop) {
 			// live bits: 0 acc, 1 tmp.
 			ns := int(op.n)
 			t := p.aux[op.tab : op.tab+int32(3+2*ns)]
-			if native && op.live == 0 && ns <= maxQuadSrcs {
-				p.quadScatterNative(m, r, t, ns, L)
-				continue
-			}
 			var v [regStride]int16
 			var src gatherSrc
 			for s := 0; s < ns; s++ {
@@ -226,10 +230,6 @@ func (p *Program) exec(m []int16, ops []mop) {
 			// live bits: 0 source register, 1 acc, 2 tmp (ns > 1 only).
 			ns := int(op.n)
 			t := p.aux[op.tab : op.tab+int32(4+2*ns)]
-			if native && op.live == 0 && ns <= maxQuadSrcs {
-				p.quadGatherNative(m, t, ns, L)
-				continue
-			}
 			var v [regStride]int16
 			var src gatherSrc
 			for s := 0; s < ns; s++ {
@@ -256,10 +256,6 @@ func (p *Program) exec(m []int16, ops []mop) {
 			t := p.aux[op.tab : op.tab+16]
 			al := lanes(r, t[8])
 			full := op.live&0xff != 0
-			if native && !full {
-				p.alphaStepNative(m, r, t, L)
-				continue
-			}
 			var q, a, na gatherSrc
 			copy(q[:L], line(m, t[9], L))
 			copy(a[:regStride], al[:])
@@ -293,10 +289,6 @@ func (p *Program) exec(m []int16, ops []mop) {
 			t := p.aux[op.tab:]
 			beta := lanes(r, t[7])
 			full := op.live&^(1<<7) != 0
-			if native && !full {
-				p.betaStepNative(m, r, op, L)
-				continue
-			}
 			var q, b, nb gatherSrc
 			var v0, v1 [regStride]int16
 			copy(q[:L], line(m, t[9], L))

@@ -96,9 +96,13 @@ type BatchDecoder struct {
 	// cache was flushed (a serving gauge; 0 in any sane configuration).
 	Evictions uint64
 
-	// Program-cache counters (see ProgramStats).
+	// Program-cache counters (see ProgramStats). compiledPlans is the
+	// number of plans holding a program: counted where one is installed and
+	// zeroed where EvictAll drops them all, so a worker can read the stats
+	// after every batch without walking the plan map.
 	progHits, progMisses, compiles uint64
 	compileNs                      int64
+	compiledPlans                  int
 
 	// OnDecode, when non-nil, is called synchronously after every
 	// successful Decode with the block size, batch fill, iteration count
@@ -178,6 +182,7 @@ func (bd *BatchDecoder) EvictAll() {
 		q.prog = nil
 		q.noCompile = false
 	}
+	bd.compiledPlans = 0
 	bd.eng.Mem.AllocReset()
 	bd.Evictions++
 }
@@ -263,11 +268,13 @@ func (bd *BatchDecoder) Decode(k int, words []*LLRWord) ([][]byte, int, error) {
 		bd.OnDecode(k, len(words), iters, time.Since(start))
 	}
 	// The state's bit buffers are rewritten by the next decode of this K;
-	// hand the caller stable copies (the only steady-state allocations of
-	// the entire call: len(words)+1 small objects).
+	// hand the caller stable copies in one backing array (the only
+	// steady-state allocations of the entire call: two objects).
 	out := make([][]byte, len(bits))
+	backing := make([]byte, len(bits)*k)
 	for i, b := range bits {
-		out[i] = append([]byte(nil), b...)
+		out[i] = backing[i*k : (i+1)*k : (i+1)*k]
+		copy(out[i], b)
 	}
 	return out, iters, nil
 }

@@ -43,18 +43,13 @@ type ProgramStats struct {
 
 // ProgramStats reports the compiled-program cache counters.
 func (bd *BatchDecoder) ProgramStats() ProgramStats {
-	s := ProgramStats{
-		Hits:        bd.progHits,
-		Misses:      bd.progMisses,
-		Compiles:    bd.compiles,
-		CompileTime: time.Duration(bd.compileNs),
+	return ProgramStats{
+		Hits:          bd.progHits,
+		Misses:        bd.progMisses,
+		Compiles:      bd.compiles,
+		CompileTime:   time.Duration(bd.compileNs),
+		CompiledPlans: bd.compiledPlans,
 	}
-	for _, p := range bd.plans {
-		if p.prog != nil {
-			s.CompiledPlans++
-		}
-	}
-	return s
 }
 
 // PlanProgram returns the compiled replay program cached for block size
@@ -97,6 +92,7 @@ func (bd *BatchDecoder) recordAndCompile(p *decodePlan, words []*LLRWord) ([][]b
 		return bits, iters, nil
 	}
 	p.prog = prog
+	bd.compiledPlans++
 	bd.compiles++
 	bd.compileNs += elapsed.Nanoseconds()
 	if bd.OnCompile != nil {

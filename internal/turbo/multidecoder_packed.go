@@ -1,6 +1,8 @@
 package turbo
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
 
 	"vransim/internal/core"
@@ -84,6 +86,13 @@ type packedState struct {
 	gLa2   [][]gatherSrc
 	gLa1   [][]gatherSrc
 
+	// hdecAt[b*K+p] is the offset in the hdec array of the hard decision
+	// for bit p of block b, so the extraction walks each block's bits in
+	// order with the interleaver and the layout already resolved. hdecPrev
+	// is the array as the previous iteration's extraction saw it.
+	hdecAt   []int32
+	hdecPrev []byte
+
 	// Go-side reusable buffers: hard decisions, per-block convergence
 	// masks and iterations-to-converge, and the padding scratch.
 	bits   [][]byte
@@ -153,8 +162,13 @@ func newPackedState(e *simd.Engine, ar core.Arranger, c *Code, nb int) *packedSt
 	st.tailSys = make([][3]int16, nb)
 	st.tailP1 = make([][3]int16, nb)
 	st.bits = make([][]byte, nb)
+	st.hdecAt = make([]int32, nb*k)
+	st.hdecPrev = make([]byte, arrBytes)
 	for b := 0; b < nb; b++ {
 		st.bits[b] = make([]byte, k)
+		for i := 0; i < k; i++ {
+			st.hdecAt[b*k+c.qpp.Perm(i)] = int32(st.elemAddr(0, i*nb+b))
+		}
 	}
 	st.conv = make([]bool, nb)
 	st.itersB = make([]int, nb)
@@ -329,22 +343,20 @@ func (st *packedState) gather(prog [][]gatherSrc, dstBase, srcBase int64, srcRot
 // front; the first-half gamma only writes groups 0..k-1, so they
 // persist, and the unterminated second half never reads them.
 func (st *packedState) writeTailQuads() {
-	wb := int64(int(st.e.W))
+	wb := int(st.e.W)
 	for i := 0; i < 3; i++ {
-		base := st.quadAddr(st.code.K + i)
 		// Zero the whole group first (upper lanes stay deterministic).
-		for l := int64(0); l < wb; l += 2 {
-			st.e.Mem.WriteI16(base+l, 0)
-		}
+		q := st.e.Mem.Bytes(st.quadAddr(st.code.K+i), wb)
+		clear(q)
 		for b := 0; b < st.nb; b++ {
 			sa, pp := int32(st.tailSys[b][i]), int32(st.tailP1[b][i])
 			g0 := sat16(sa + pp)
 			g1 := sat16(sa - pp)
-			o := base + int64(8*b)
-			st.e.Mem.WriteI16(o, g0)
-			st.e.Mem.WriteI16(o+2, g1)
-			st.e.Mem.WriteI16(o+4, sat16(-int32(g0)))
-			st.e.Mem.WriteI16(o+6, sat16(-int32(g1)))
+			o := q[8*b:][:8]
+			binary.LittleEndian.PutUint16(o, uint16(g0))
+			binary.LittleEndian.PutUint16(o[2:], uint16(g1))
+			binary.LittleEndian.PutUint16(o[4:], uint16(sat16(-int32(g0))))
+			binary.LittleEndian.PutUint16(o[6:], uint16(sat16(-int32(g1))))
 		}
 	}
 }
@@ -567,26 +579,36 @@ func (st *packedState) loadWordsPacked(words []*LLRWord) error {
 // reference exiting that block's loop. Returns true when every real
 // block has frozen.
 func (st *packedState) extractPacked(earlyExit bool, it int) bool {
-	qpp := st.code.qpp
-	mem := st.e.Mem
+	k := st.code.K
+	hdec := st.e.Mem.Bytes(st.hdec, len(st.hdecPrev))
+	if earlyExit && it > 0 && bytes.Equal(hdec, st.hdecPrev) {
+		// No decision of any block moved, so none of a live block did (its
+		// bits are the previous iteration's decisions): every live block
+		// freezes here, and the scan that would find that out — the last
+		// one of almost every decode — is not made.
+		for b := range st.conv {
+			if !st.conv[b] {
+				st.conv[b] = true
+				st.itersB[b] = it + 1
+			}
+		}
+		return true
+	}
+	copy(st.hdecPrev, hdec)
 	done := true
 	for b := 0; b < st.nb; b++ {
 		if st.conv[b] {
 			continue
 		}
-		dirty := false
+		var dirty byte
 		bits := st.bits[b]
-		for i := 0; i < st.code.K; i++ {
-			var v byte
-			if mem.ReadI16(st.elemAddr(st.hdec, i*st.nb+b)) != 0 {
-				v = 1
-			}
-			if p := qpp.Perm(i); bits[p] != v {
-				bits[p] = v
-				dirty = true
-			}
+		for p, at := range st.hdecAt[b*k:][:k] {
+			// A hard decision is 0 or -1 (psraw 15): its low byte says which.
+			v := hdec[at] & 1
+			dirty |= bits[p] ^ v
+			bits[p] = v
 		}
-		if earlyExit && it > 0 && !dirty {
+		if earlyExit && it > 0 && dirty == 0 {
 			st.conv[b] = true
 			st.itersB[b] = it + 1
 		} else {

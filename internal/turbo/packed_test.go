@@ -277,6 +277,39 @@ func TestPackedPlanEviction(t *testing.T) {
 	if s := bd.ProgramStats(); s.Compiles <= 3 {
 		t.Errorf("want >3 compilations (recompiles after eviction), got %d", s.Compiles)
 	}
+
+	// CompiledPlans is a counter kept at compile and eviction, not a walk of
+	// the plan map: it must read what a walk would, through an explicit
+	// eviction and the recompiles after it.
+	held := func() (n int) {
+		for _, k := range []int{4096, 5056, 6144} {
+			if bd.PlanProgram(k) != nil {
+				n++
+			}
+		}
+		return n
+	}
+	if got := bd.ProgramStats().CompiledPlans; got != held() || got == 0 {
+		t.Errorf("CompiledPlans = %d, the plans hold %d programs", got, held())
+	}
+	bd.EvictAll()
+	if got := bd.ProgramStats().CompiledPlans; got != 0 || held() != 0 {
+		t.Errorf("CompiledPlans = %d after EvictAll (plans hold %d programs), want 0", got, held())
+	}
+	small := []int{40, 104, 208}
+	for n, k := range small {
+		c, err := bd.Code(k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		words, _ := buildWords(t, c, bd.Lanes(), int64(880+n), true)
+		if _, _, err := bd.Decode(k, words); err != nil {
+			t.Fatalf("K=%d after EvictAll: %v", k, err)
+		}
+		if got := bd.ProgramStats().CompiledPlans; got != n+1 {
+			t.Errorf("CompiledPlans = %d after one decode each of %v, want %d", got, small[:n+1], n+1)
+		}
+	}
 }
 
 // FuzzPackedDecode is the serving path's fuzz target: random width,

@@ -49,6 +49,7 @@ import (
 	"vransim/internal/ran"
 	"vransim/internal/simd/program"
 	"vransim/internal/telemetry"
+	"vransim/internal/turbo"
 	"vransim/internal/uarch"
 )
 
@@ -93,6 +94,13 @@ func main() {
 		cfg.Chaos = inj
 	}
 
+	// Compile the block size the flags name before any traffic is
+	// admitted: every worker then adopts the one program, and no block
+	// waits on a compile. A size that does not compile is still served,
+	// interpreted, and /healthz says so.
+	if err := turbo.Precompile(cfg.Width, cfg.Strategy, *rf.K); err != nil {
+		fmt.Fprintf(os.Stderr, "vranserve: %v\n", err)
+	}
 	rt, err := ran.New(cfg)
 	if err != nil {
 		fatal("%v", err)

@@ -7,7 +7,12 @@
 // ns/op, B/op, allocs/op and emulated goodput per row. The
 // interpreted/packed pairs are the replay compiler's speedup evidence
 // and the portable/packed pairs the native kernel's (CI gates both
-// ratios at W512 K=512).
+// ratios at W512 K=512). Two more rows per (width, K) are single decodes,
+// not benchmarks: "cold", the first decode of the block size in the
+// process, which compiles its program, and "adopt", the first decode of it
+// on a second decoder, which finds the program in the process-wide cache
+// and builds only its own state — the cost a second worker, a reserved
+// worker or a worker after an eviction pays (CI gates adopt <= cold / 5).
 package bench
 
 import (
@@ -19,6 +24,7 @@ import (
 	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"vransim/internal/core"
 	"vransim/internal/simd"
@@ -47,7 +53,13 @@ type DecodeBenchRow struct {
 	// replayed as one compiled program per iteration), "interpreted"
 	// (the same stream with the interpreter pinned via Compile=false) or
 	// "portable" ("packed" with the replay forced onto its Go kernel;
-	// only on a host that has the native one).
+	// only on a host that has the native one); or one of the single-decode
+	// rows, "cold" (the process's first decode of this width and K: plan
+	// build, recording, compile, state, decode; absent when something
+	// earlier in the process had compiled it) and "adopt" (a second
+	// decoder's first: state and decode), whose NsPerOp is that one
+	// decode's wall-clock time and whose bytes and allocs are what it left
+	// allocated.
 	Mode     string  `json:"mode"`
 	Width    string  `json:"width"`
 	K        int     `json:"k"`
@@ -134,8 +146,21 @@ func RunDecodeBench(quick bool) (*DecodeBenchReport, error) {
 	}
 	for _, w := range []simd.Width{simd.W128, simd.W256, simd.W512} {
 		for _, k := range ks {
+			c, err := turbo.NewCode(k)
+			if err != nil {
+				return nil, err
+			}
+			words, err := benchWords(c, turbo.BlocksPerRegister(w), 7)
+			if err != nil {
+				return nil, err
+			}
+			first, err := runFirstDecodes(w, k, words)
+			if err != nil {
+				return nil, err
+			}
+			rep.Rows = append(rep.Rows, first...)
 			for _, mode := range modes {
-				row, err := runDecodeCell(mode, w, k)
+				row, err := runDecodeCell(mode, w, k, words)
 				if err != nil {
 					return nil, err
 				}
@@ -146,25 +171,56 @@ func RunDecodeBench(quick bool) (*DecodeBenchReport, error) {
 	return rep, nil
 }
 
-// runDecodeCell benchmarks one (mode, width, K) combination.
-func runDecodeCell(mode string, w simd.Width, k int) (DecodeBenchRow, error) {
-	nb := turbo.BlocksPerRegister(w)
-	c, err := turbo.NewCode(k)
-	if err != nil {
-		return DecodeBenchRow{}, err
+// runFirstDecodes times the first decode of (w, k) on two fresh decoders
+// in turn: the "cold" row if the first one compiled the program for the
+// process, and the "adopt" row.
+func runFirstDecodes(w simd.Width, k int, words []*turbo.LLRWord) ([]DecodeBenchRow, error) {
+	nb := len(words)
+	var rows []DecodeBenchRow
+	for _, mode := range []string{"cold", "adopt"} {
+		bd := turbo.NewBatchDecoder(w, core.StrategyAPCM, 32<<20)
+		bd.MaxIters = decodeBenchIters
+		compiles := turbo.PlanCacheStats().Compiles
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		start := time.Now()
+		_, _, err := bd.Decode(k, words)
+		elapsed := time.Since(start)
+		runtime.ReadMemStats(&m1)
+		if err != nil {
+			return nil, err
+		}
+		compiled := turbo.PlanCacheStats().Compiles != compiles
+		if mode == "adopt" && compiled {
+			return nil, fmt.Errorf("bench: a second decoder compiled K=%d at %v again", k, w)
+		}
+		if mode == "cold" && !compiled {
+			continue // compiled earlier in this process: not a cold start
+		}
+		rows = append(rows, DecodeBenchRow{
+			Mode: mode, Width: w.String(), K: k, Lanes: nb,
+			NsPerOp:     float64(elapsed.Nanoseconds()),
+			BPerOp:      int64(m1.TotalAlloc - m0.TotalAlloc),
+			AllocsOp:    int64(m1.Mallocs - m0.Mallocs),
+			GoodputMbps: float64(k*nb) / (float64(elapsed.Nanoseconds()) / 1e3),
+			Iterations:  1,
+		})
 	}
-	words, err := benchWords(c, nb, 7)
-	if err != nil {
-		return DecodeBenchRow{}, err
-	}
+	return rows, nil
+}
+
+// runDecodeCell benchmarks one (mode, width, K) combination over a full
+// batch of words.
+func runDecodeCell(mode string, w simd.Width, k int, words []*turbo.LLRWord) (DecodeBenchRow, error) {
+	nb := len(words)
 	if mode == "portable" {
 		defer program.UseNativeKernel(program.UseNativeKernel(false))
 	}
 	bd := turbo.NewBatchDecoder(w, core.StrategyAPCM, 32<<20)
 	bd.MaxIters = decodeBenchIters
 	bd.Compile = mode != "interpreted"
-	// Two warm-ups: plan build, then (compiling modes) the recording
-	// decode; the measured loop starts on the hot path.
+	// Two warm-ups: the state build, then a decode over the built state;
+	// the measured loop starts on the hot path.
 	for i := 0; i < 2; i++ {
 		if _, _, err := bd.Decode(k, words); err != nil {
 			return DecodeBenchRow{}, err

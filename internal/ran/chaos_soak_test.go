@@ -22,15 +22,19 @@ import (
 //     rejected, and every accepted block ends delivered or in a counted
 //     post-admission drop — across three fixed seeds, under -race;
 //   - recovery: ≥95 % of CRC-affected blocks come back via a
-//     soft-combined HARQ retransmission within the retry budget.
+//     soft-combined HARQ retransmission within the retry budget;
+//   - the interpreter serves a live batch only where the compile-verify
+//     site put a worker on it: the clean phase (the same traffic, no
+//     injector) ends with no program miss and a healthy /healthz.
 func TestChaosSoak(t *testing.T) {
 	if testing.Short() {
 		t.Skip("soak test skipped in -short")
 	}
+	t.Run("clean", func(t *testing.T) { soak(t, 4, false) })
 	for _, seed := range []int64{1, 2, 3} {
 		seed := seed
 		t.Run("seed"+itoa(int(seed)), func(t *testing.T) {
-			soak(t, seed)
+			soak(t, seed, true)
 		})
 	}
 }
@@ -49,7 +53,7 @@ func itoa(n int) string {
 	return string(b[i:])
 }
 
-func soak(t *testing.T, seed int64) {
+func soak(t *testing.T, seed int64, faults bool) {
 	const (
 		k       = 40
 		ttis    = 250
@@ -78,7 +82,9 @@ func soak(t *testing.T, seed int64) {
 	cfg.BatchWindow = 200 * time.Microsecond
 	cfg.Deadline = 30 * time.Second // the soak is about faults, not the clock
 	cfg.AdmissionGuard = false
-	cfg.Chaos = inj
+	if faults {
+		cfg.Chaos = inj
+	}
 
 	pool := mustPool(t, k, 64, seed)
 	cfg.CheckCRC = pool.CheckCRC()
@@ -121,6 +127,7 @@ func soak(t *testing.T, seed int64) {
 		time.Sleep(2 * time.Millisecond)
 	}
 
+	health := rt.Health(HealthPolicy{})()
 	s := rt.Stop()
 
 	// -- accounting ----------------------------------------------------
@@ -149,6 +156,24 @@ func soak(t *testing.T, seed int64) {
 		if c.QueueDepth != 0 {
 			t.Errorf("cell %d queue depth %d after stop", i, c.QueueDepth)
 		}
+	}
+
+	// -- the interpreter serves only where chaos put it -----------------
+	// Programs are recorded off the live path, so a live batch is
+	// interpreted only on a worker whose install the compile-verify site
+	// vetoed.
+	vetoes := inj.Counters()[chaos.SiteCompile].Fires
+	if (s.ProgramMisses > 0) != (vetoes > 0) {
+		t.Errorf("%d batches decoded by the interpreter, %d installs vetoed by chaos", s.ProgramMisses, vetoes)
+	}
+	if !faults {
+		if s.CRCFailures != 0 || s.Delivered != s.Accepted {
+			t.Errorf("clean phase: %d CRC failures, delivered %d of %d", s.CRCFailures, s.Delivered, s.Accepted)
+		}
+		if !health.Healthy {
+			t.Errorf("clean phase: /healthz unhealthy: %s", health.Reason)
+		}
+		return
 	}
 
 	// -- recovery ------------------------------------------------------

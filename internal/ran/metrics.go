@@ -1,11 +1,16 @@
 package ran
 
 import (
+	"math/rand"
 	"sync/atomic"
 	"time"
 
 	"vransim/internal/telemetry"
+	"vransim/internal/turbo"
 )
+
+// processID tells this process's snapshots from another's.
+var processID = rand.Uint64()
 
 // DropCause enumerates why a block failed to be delivered.
 type DropCause int
@@ -105,12 +110,13 @@ type Metrics struct {
 	allocSampleOps  atomic.Uint64
 	allocSampleObjs atomic.Uint64
 
-	// Program-cache counters, aggregated across workers by per-batch
-	// deltas (each worker's BatchDecoder keeps its own ProgramStats).
+	// Program counters, aggregated across workers by per-batch deltas
+	// (each worker's BatchDecoder keeps its own ProgramStats). progMissK is
+	// the block size of the most recent interpreted batch: what /healthz
+	// names when misses move on a runtime with no chaos configured.
 	progHits      atomic.Uint64
 	progMisses    atomic.Uint64
-	progCompiles  atomic.Uint64
-	progCompileNs atomic.Int64
+	progMissK     atomic.Int64
 	compiledPlans atomic.Int64 // signed: eviction shrinks it
 
 	// HARQ/degradation counters: CRC-failed decodes, retransmissions
@@ -187,13 +193,14 @@ func (m *Metrics) allocSample(objs uint64) {
 	m.allocSampleObjs.Add(objs)
 }
 
-// programDelta folds one worker's program-cache counter movement since
-// its last report into the runtime-wide totals.
-func (m *Metrics) programDelta(hits, misses, compiles uint64, compileNs int64, plans int) {
+// programDelta folds one worker's program counter movement since its last
+// report, over a batch of block size k, into the runtime-wide totals.
+func (m *Metrics) programDelta(k int, hits, misses uint64, plans int) {
 	m.progHits.Add(hits)
-	m.progMisses.Add(misses)
-	m.progCompiles.Add(compiles)
-	m.progCompileNs.Add(compileNs)
+	if misses > 0 {
+		m.progMisses.Add(misses)
+		m.progMissK.Store(int64(k))
+	}
 	m.compiledPlans.Add(int64(plans))
 }
 
@@ -309,15 +316,27 @@ type Snapshot struct {
 	// GoodputMbps is delivered information bits over elapsed time.
 	GoodputMbps float64
 
-	// Program-cache view (the trace-replay compiler in
-	// internal/simd/program): decodes served by compiled replay vs the
-	// interpreter, program compilations and their cumulative cost, and
-	// how many cached plans currently hold a program across workers.
-	ProgramHits     uint64
-	ProgramMisses   uint64
+	// Program view (the trace-replay compiler in internal/simd/program):
+	// decodes served by compiled replay vs the interpreter, and how many
+	// decode states across workers are currently driven by a program. A
+	// miss is a live batch decoded 25 times slower than it should be: a
+	// block size whose program failed to compile, or whose install the
+	// chaos compile-verify site vetoed on that worker. No decode of a
+	// healthy runtime is one (programs are recorded from a synthetic word,
+	// not from a live batch), and /healthz says so. ProgramMissK is the
+	// block size of the latest.
+	ProgramHits   uint64
+	ProgramMisses uint64
+	ProgramMissK  int
+	CompiledPlans int
+	// ProgramCompiles and CompileSeconds are the process's, read from
+	// turbo.PlanCacheStats: programs are compiled once a process, for every
+	// worker of every runtime in it, so each runtime of a process reports
+	// the same pair. Process says which process that is (a random id drawn
+	// at start), so a fold over snapshots counts the pair once a process.
 	ProgramCompiles uint64
 	CompileSeconds  float64
-	CompiledPlans   int
+	Process         uint64
 	// CompiledRatio is ProgramHits over all compile-eligible decodes
 	// (hits+misses); 0 until the first decode.
 	CompiledRatio float64
@@ -442,8 +461,11 @@ func (m *Metrics) snapshot(queueDepths []int, classDepths [NumClasses]int, worke
 	}
 	s.ProgramHits = m.progHits.Load()
 	s.ProgramMisses = m.progMisses.Load()
-	s.ProgramCompiles = m.progCompiles.Load()
-	s.CompileSeconds = float64(m.progCompileNs.Load()) / 1e9
+	s.ProgramMissK = int(m.progMissK.Load())
+	cache := turbo.PlanCacheStats()
+	s.ProgramCompiles = cache.Compiles
+	s.CompileSeconds = cache.CompileTime.Seconds()
+	s.Process = processID
 	s.CompiledPlans = int(m.compiledPlans.Load())
 	if tot := s.ProgramHits + s.ProgramMisses; tot > 0 {
 		s.CompiledRatio = float64(s.ProgramHits) / float64(tot)

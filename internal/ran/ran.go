@@ -608,22 +608,26 @@ func (r *Runtime) worker(reserved bool) {
 	bd := turbo.NewBatchDecoder(r.cfg.Width, r.cfg.Strategy, r.cfg.MemBytes)
 	bd.MaxIters = r.cfg.MaxIters
 	if r.cfg.Chaos != nil {
-		// Chaos compile-verify failures: a rejected program latches the
-		// plan onto the interpreter, exactly like a real verify failure.
+		// Chaos compile-verify failures: a program vetoed at install keeps
+		// this worker's state for that size on the interpreter, exactly
+		// like a real verify failure, until an eviction installs again. The
+		// shared program is untouched; the other workers keep replaying it.
 		bd.CompileGate = func(int) bool { return !r.cfg.Chaos.FailCompile() }
 	}
 	// The decoder's own timing hook is the decode-stage attribution
 	// source: it measures exactly the lane-parallel decode (and reports
-	// the iteration count), excluding the worker's bookkeeping around it.
+	// the iteration count), excluding the worker's bookkeeping around it
+	// and the state a first decode of a size builds before it.
 	var decodeDur time.Duration
 	var decodeIters int
 	bd.OnDecode = func(k, blocks, iters int, d time.Duration) {
 		decodeDur, decodeIters = d, iters
 	}
-	// Each successful program compilation becomes a compile-stage span:
-	// it is the one-time cost a block size pays before its decodes go
-	// through compiled replay, and it shows up in /spans like any other
-	// stage outlier.
+	// A block size no decoder of the process has seen (nothing named it at
+	// start-up) compiles on the first batch that carries it, on whichever
+	// worker pulled that batch, while later arrivals wait on the same
+	// flight. That one-time cost becomes a compile-stage span and shows up
+	// in /spans like any other stage outlier.
 	if r.cfg.Tracer != nil {
 		bd.OnCompile = func(k int, elapsed time.Duration) {
 			sp := telemetry.Span{K: k, Start: time.Now().Add(-elapsed), Outcome: "compiled"}
@@ -631,20 +635,18 @@ func (r *Runtime) worker(reserved bool) {
 			r.cfg.Tracer.Record(sp)
 		}
 	}
-	// Program-cache counters are per-decoder; fold them into the
-	// runtime metrics as deltas, after each batch that moved one.
+	// Hit, miss and installed-program counters are per-decoder; fold them
+	// into the runtime metrics as deltas, after each batch that moved one.
+	// (Compiles are the process's, not a worker's: Snapshot reads them from
+	// turbo.PlanCacheStats.)
 	var lastPS turbo.ProgramStats
-	reportProgram := func() (compiled bool) {
+	reportProgram := func(k int) {
 		ps := bd.ProgramStats()
 		if ps == lastPS {
-			return false
+			return
 		}
-		compiled = ps.Compiles != lastPS.Compiles
-		r.met.programDelta(
-			ps.Hits-lastPS.Hits, ps.Misses-lastPS.Misses, ps.Compiles-lastPS.Compiles,
-			int64(ps.CompileTime-lastPS.CompileTime), ps.CompiledPlans-lastPS.CompiledPlans)
+		r.met.programDelta(k, ps.Hits-lastPS.Hits, ps.Misses-lastPS.Misses, ps.CompiledPlans-lastPS.CompiledPlans)
 		lastPS = ps
-		return compiled
 	}
 	lanes := bd.Lanes()
 	words := make([]*turbo.LLRWord, 0, lanes)
@@ -730,7 +732,7 @@ func (r *Runtime) worker(reserved bool) {
 			busy = time.Since(t0)
 		}
 		busy += stall
-		compiled := reportProgram()
+		reportProgram(bt.k)
 		r.met.batchDone(len(live), lanes, busy)
 		if err == nil {
 			// Per-block convergence histogram and pack fill: the decoder
@@ -738,12 +740,7 @@ func (r *Runtime) worker(reserved bool) {
 			r.met.observeIters(bd.BlockIters())
 			r.met.packedBatch(len(live), lanes)
 		}
-		// The decode that recorded and compiled a program costs a
-		// hundred warm ones and none after it will: it says nothing
-		// about the next block.
-		if !compiled {
-			r.updateEstimate(busy, len(live))
-		}
+		r.updateEstimate(busy, len(live))
 		if err != nil {
 			// A decode error (bad K reaching the pool) wastes the whole
 			// batch; account it as expired-equivalent drops.

@@ -49,6 +49,10 @@ func BenchmarkServeThroughput(b *testing.B) {
 			if s.Delivered != uint64(b.N) {
 				b.Fatalf("delivered %d of %d", s.Delivered, b.N)
 			}
+			if s.ProgramMisses != 0 {
+				// The numbers below would be the interpreter's.
+				b.Fatalf("%d batches decoded by the interpreter (latest K=%d)", s.ProgramMisses, s.ProgramMissK)
+			}
 			mbps := float64(s.Delivered) * float64(pool.K) / float64(elapsed.Microseconds())
 			b.ReportMetric(mbps, "Mbps")
 			b.ReportMetric(float64(s.LatencyP99.Microseconds()), "p99-µs")
@@ -100,6 +104,9 @@ func BenchmarkServeTracingOverhead(b *testing.B) {
 			b.StopTimer()
 			if s.Delivered != uint64(b.N) {
 				b.Fatalf("delivered %d of %d", s.Delivered, b.N)
+			}
+			if s.ProgramMisses != 0 {
+				b.Fatalf("%d batches decoded by the interpreter (latest K=%d)", s.ProgramMisses, s.ProgramMissK)
 			}
 			if traced && cfg.Tracer.SpanCount() != uint64(b.N) {
 				b.Fatalf("tracer recorded %d spans of %d", cfg.Tracer.SpanCount(), b.N)

@@ -33,13 +33,15 @@ import (
 // Its subject is the batcher/worker class policy above the kernel, and
 // its load calibration (block-size ladder, TTI floor, queue depth — see
 // slaSoak) was made against that kernel's service times. On the native
-// kernel the ladder stops at K=152–512, where a 1000-block capacity probe
-// and both phases are dominated by per-worker cold starts (a worker
-// records and compiles on its first block of a K: ~30 ms at K=512, and
-// the two reserved URLLC workers take theirs inside the measured phase),
-// so the soak would measure compile time instead of class policy.
-// ROADMAP item 5(a) has the counts and carries the fix (virtual time
-// with warmed or accounted-for reserved workers).
+// kernel the ladder stops at K=152–512, where, when the pin was added, a
+// 1000-block capacity probe and both phases were dominated by per-worker
+// cold starts (each worker recorded and compiled on its first block of a
+// K, ~30 ms at K=512, the two reserved URLLC workers inside the measured
+// phase). Those are gone — a size is compiled once a process, by the
+// capacity probe here, and a reserved worker's first block costs a state
+// allocation — but the calibration has not been redone against the native
+// kernel's service times; ROADMAP item 1 (virtual time) retires it and
+// this pin together.
 func TestSLAOverloadSoak(t *testing.T) {
 	if testing.Short() {
 		t.Skip("soak test skipped in -short")

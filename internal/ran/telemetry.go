@@ -121,10 +121,10 @@ func (s *Snapshot) Families() []telemetry.Family {
 		telemetry.F("vran_decode_allocs_per_op", "Sampled heap objects allocated per batch decode (upper bound; -1 before first sample).", telemetry.Gauge, s.DecodeAllocsPerOp),
 		telemetry.F("vran_decode_compiled_ratio", "Fraction of decodes served by compiled replay programs.", telemetry.Gauge, s.CompiledRatio),
 		telemetry.F("vran_decode_program_hits_total", "Decodes served by a compiled replay program.", telemetry.Counter, float64(s.ProgramHits)),
-		telemetry.F("vran_decode_program_misses_total", "Decodes served by the interpreter while compilation was enabled.", telemetry.Counter, float64(s.ProgramMisses)),
-		telemetry.F("vran_decode_compiles_total", "Replay program compilations across workers.", telemetry.Counter, float64(s.ProgramCompiles)),
-		telemetry.F("vran_decode_compile_seconds_total", "Cumulative wall-clock time spent compiling replay programs.", telemetry.Counter, s.CompileSeconds),
-		telemetry.F("vran_decode_compiled_plans", "Cached decode plans currently holding a compiled program.", telemetry.Gauge, float64(s.CompiledPlans)),
+		telemetry.F("vran_decode_program_misses_total", "Live batches decoded by the interpreter: the block size's program failed to compile, or chaos vetoed its install. 0 on a healthy process; /healthz names the block size.", telemetry.Counter, float64(s.ProgramMisses)),
+		telemetry.F("vran_decode_compiles_total", "Replay programs compiled in this process, one per (K, width, strategy), shared by every worker.", telemetry.Counter, float64(s.ProgramCompiles)),
+		telemetry.F("vran_decode_compile_seconds_total", "Cumulative wall-clock time this process spent compiling replay programs.", telemetry.Counter, s.CompileSeconds),
+		telemetry.F("vran_decode_compiled_plans", "Per-worker decode states currently driven by a compiled program.", telemetry.Gauge, float64(s.CompiledPlans)),
 		telemetry.F("vran_crc_failures_total", "Decodes whose transport-block check failed (incl. chaos-forced).", telemetry.Counter, float64(s.CRCFailures)),
 		telemetry.F("vran_harq_retries_total", "HARQ retransmissions requeued for another decode.", telemetry.Counter, float64(s.HARQRetries)),
 		telemetry.F("vran_harq_recovered_total", "Blocks delivered by a soft-combined HARQ retry.", telemetry.Counter, float64(s.HARQRecovered)),
@@ -177,7 +177,9 @@ func (s *Snapshot) Families() []telemetry.Family {
 
 // HealthPolicy sets the /healthz thresholds. Zero values take the
 // defaults: unhealthy when more than 50 % of the interval's offered
-// blocks were dropped, or when any cell queue is ≥ 90 % full.
+// blocks were dropped, or when any cell queue is ≥ 90 % full. One rule
+// has no threshold: a batch served by the interpreter while no chaos
+// injector is configured is a fault (see Health).
 type HealthPolicy struct {
 	MaxDropRate  float64
 	MaxQueueFrac float64
@@ -193,14 +195,24 @@ func (p HealthPolicy) withDefaults() HealthPolicy {
 	return p
 }
 
-// Health returns a readiness check keyed on drop rate and queue
-// saturation. Drop rate is computed over the interval since the
-// previous call (the first call sees the whole run), so a recovered
-// runtime goes healthy again without a counter reset.
+// Health returns a readiness check keyed on the decode path, drop rate
+// and queue saturation. Drop rate and interpreted batches are computed
+// over the interval since the previous call (the first call sees the
+// whole run), so a recovered runtime goes healthy again without a counter
+// reset.
+//
+// A worker on the interpreter serves a batch some 25 times slower than the
+// compiled program would. Programs are recorded from a synthetic word off
+// the live path, so on a healthy process no live batch is ever
+// interpreted: one that is means a block size's program failed to compile
+// (cached as a failure, every worker affected), and the runtime says so
+// here, by block size, instead of leaving it to show as late blocks. With
+// a chaos injector configured the compile-verify site puts workers on the
+// interpreter on purpose, and the rule is off.
 func (r *Runtime) Health(pol HealthPolicy) func() telemetry.HealthStatus {
 	pol = pol.withDefaults()
 	var mu sync.Mutex
-	var prevOffered, prevDropped uint64
+	var prevOffered, prevDropped, prevMisses uint64
 	return func() telemetry.HealthStatus {
 		s := r.Snapshot()
 		offered := s.Accepted + s.Drops[DropBacklog] + s.Drops[DropAdmission]
@@ -209,7 +221,8 @@ func (r *Runtime) Health(pol HealthPolicy) func() telemetry.HealthStatus {
 		mu.Lock()
 		dOff := offered - prevOffered
 		dDrop := dropped - prevDropped
-		prevOffered, prevDropped = offered, dropped
+		dMiss := s.ProgramMisses - prevMisses
+		prevOffered, prevDropped, prevMisses = offered, dropped, s.ProgramMisses
 		mu.Unlock()
 
 		st := telemetry.HealthStatus{Healthy: true}
@@ -221,7 +234,10 @@ func (r *Runtime) Health(pol HealthPolicy) func() telemetry.HealthStatus {
 				st.QueueFrac = f
 			}
 		}
-		if st.DropRate > pol.MaxDropRate {
+		if dMiss > 0 && r.cfg.Chaos == nil {
+			st.Healthy = false
+			st.Reason = fmt.Sprintf("%d batches decoded by the interpreter, latest K=%d: its replay program did not compile", dMiss, s.ProgramMissK)
+		} else if st.DropRate > pol.MaxDropRate {
 			st.Healthy = false
 			st.Reason = fmt.Sprintf("drop rate %.2f over threshold %.2f", st.DropRate, pol.MaxDropRate)
 		} else if st.QueueFrac >= pol.MaxQueueFrac {

@@ -23,6 +23,7 @@ func Aggregate(snaps []*ran.Snapshot) *ran.Snapshot {
 		utilSum        float64
 		allocSum       float64
 		utilN, allocN  int
+		procs          = make(map[uint64]bool)
 	)
 	for _, s := range snaps {
 		if s == nil {
@@ -51,8 +52,16 @@ func Aggregate(snaps []*ran.Snapshot) *ran.Snapshot {
 		out.GoodputMbps += s.GoodputMbps
 		out.ProgramHits += s.ProgramHits
 		out.ProgramMisses += s.ProgramMisses
-		out.ProgramCompiles += s.ProgramCompiles
-		out.CompileSeconds += s.CompileSeconds
+		if s.ProgramMisses > 0 {
+			out.ProgramMissK = s.ProgramMissK
+		}
+		// Programs are compiled once a process, and every shard of a
+		// process reports that process's count.
+		if !procs[s.Process] {
+			procs[s.Process] = true
+			out.ProgramCompiles += s.ProgramCompiles
+			out.CompileSeconds += s.CompileSeconds
+		}
 		out.CompiledPlans += s.CompiledPlans
 		out.CRCFailures += s.CRCFailures
 		out.HARQRetries += s.HARQRetries

@@ -15,9 +15,16 @@
 // group, scalar element-copy runs — into single ops executed by a tight
 // loop directly over the arena.
 //
+// What Compile returns is split in two. The Program — segments, tables,
+// descriptor streams — is immutable and holds addresses only as offsets
+// from the start of the state region the recording ran in, so a process
+// compiles a (K, width, strategy) once and every worker shares the result.
+// What a replay mutates is an Exec: a register file and one such region of
+// that worker's arena (run.go).
+//
 // Replay is bit-identical to interpretation by construction, where the
-// observable state is the arena (the register file is private to the
-// program): every fused op preserves the exact memory effects of the
+// observable state is the region (the register file is private to the
+// Exec): every fused op preserves the exact memory effects of the
 // sequence it replaces, and its register effects wherever a later op
 // reads them (lane-local op runs execute per lane in original
 // op order, which is equivalent under any register aliasing; fusions
@@ -39,13 +46,15 @@ import (
 // Compilation errors (callers fall back to the interpreter on any of
 // them; they are ordinary conditions, not bugs).
 var (
-	// ErrTooFewIterations: the recorded decode ran fewer than two
-	// iterations, so there is no steady-state iteration to replay.
-	ErrTooFewIterations = errors.New("program: need >= 2 recorded iterations to compile")
 	// ErrUnstable: an iteration after the second diverged from the
 	// steady segment, so the kernel's op stream is not iteration-
 	// invariant and cannot be replayed.
 	ErrUnstable = errors.New("program: op stream differs across iterations")
+	// errNoSteady: the recording ran fewer than two iterations, so it has
+	// no steady-state iteration to replay. Serving code records three.
+	errNoSteady = errors.New("program: need >= 2 recorded iterations to compile")
+	// errSpent: Compile consumed the builder's stream.
+	errSpent = errors.New("program: builder already compiled")
 )
 
 // rawOp is the compact lowered form of one recorded simd.ProgOp: register
@@ -65,7 +74,7 @@ type rawOp struct {
 
 // Builder is a simd.ProgSink that records one decode and compiles it.
 // It is single-use: attach to an engine, run one decode, detach, call
-// Compile.
+// Compile once.
 type Builder struct {
 	ops  []rawOp
 	cuts []int // ops offsets at each "iteration" mark
@@ -96,9 +105,18 @@ type Builder struct {
 	vrev map[int16]*simd.Vec
 }
 
-// NewBuilder returns an empty recording sink.
-func NewBuilder() *Builder {
-	return &Builder{regs: make(map[*simd.Vec]int16), idxByPtr: make(map[*int]int32)}
+// NewBuilder returns an empty recording sink with room for ops recorded
+// ops (0 when the caller cannot say): everything up to the end of the
+// second iteration is stored, and a decode kernel's op count is linear in
+// the elements it works on, so the caller that knows those can spare the
+// stream its regrowth — a fifth of a compile's CPU, and what kept several
+// copies of a K=6144 recording in the peak RSS.
+func NewBuilder(ops int) *Builder {
+	return &Builder{
+		ops:      make([]rawOp, 0, ops),
+		regs:     make(map[*simd.Vec]int16),
+		idxByPtr: make(map[*int]int32),
+	}
 }
 
 // Err reports the first recording error (nil while the stream is still

@@ -1,6 +1,8 @@
 package program
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
 	"slices"
 
 	"vransim/internal/simd"
@@ -80,16 +82,21 @@ const (
 	SegSteady = 1
 )
 
-// Program is a compiled replay program bound to the arena addresses and
-// register dataflow of the decode it was recorded from. It is not safe
-// for concurrent use (the register file is owned by the program);
-// serving code keeps one per worker, exactly like the engine it
-// replaces. Arena eviction invalidates it.
+// Program is a compiled replay program: the register dataflow of the
+// decode it was recorded from, over addresses that are byte offsets from
+// the start of the state region the recording ran in (the recording arena
+// is that region, so they are region-relative by construction). It is
+// immutable once Compile returns and holds no mutable state: any number of
+// goroutines may Run it at once, each over its own Exec (the register file
+// and one such region, wherever in that worker's arena it lies). A process
+// therefore holds one Program per (K, width, strategy); evicting a worker's
+// region drops its Exec and never the Program.
 type Program struct {
 	w     simd.Width
 	lanes int
 
-	regs     []int16
+	// nregs is the size of the register file an Exec carries, in lanes.
+	nregs    int32
 	segs     [2][]mop
 	idxTabs  [][]int32
 	lanePats [][]int16
@@ -101,8 +108,8 @@ type Program struct {
 	// invalid and inactive entries pointing at the zero sentinel lane.
 	gat [][regStride]uint16
 
-	// extent is the end of the highest arena byte range any op touches,
-	// recorded by analyze; Run refuses a smaller arena.
+	// extent is the end of the highest byte range of the region any op
+	// touches, recorded by analyze; NewExec refuses a smaller region.
 	extent int64
 
 	// native is each segment lowered to the descriptor stream
@@ -123,16 +130,95 @@ type Program struct {
 // Width reports the register width the program was compiled for.
 func (p *Program) Width() simd.Width { return p.w }
 
-// Compile lowers the recorded stream into a replay program for width w.
-// It fails (and the caller stays on the interpreter) when fewer than
-// two iterations were recorded, when any iteration diverged from the
-// steady segment, or when recording hit an unsupported op.
+// Extent reports how many bytes of its state region the program touches:
+// the least a region handed to NewExec may hold.
+func (p *Program) Extent() int64 { return p.extent }
+
+// Checksum digests everything Run reads of the program: both fused
+// segments op by op with their live masks, every table and pool, the
+// descriptor streams, the width, the register count and the extent. Two
+// programs with one checksum replay identically; a program whose checksum
+// moves was written to after Compile.
+func (p *Program) Checksum() [sha256.Size]byte {
+	h := sha256.New()
+	var buf []byte
+	put := func(xs ...int64) {
+		for _, x := range xs {
+			buf = binary.LittleEndian.AppendUint64(buf, uint64(x))
+		}
+		if len(buf) >= 1<<16 {
+			h.Write(buf)
+			buf = buf[:0]
+		}
+	}
+	// Every variable-length part is preceded by its length, so no two
+	// different programs flatten to the same words.
+	put(int64(p.w), int64(p.lanes), int64(p.nregs), p.extent)
+	for _, seg := range p.segs {
+		put(int64(len(seg)))
+		for i := range seg {
+			op := &seg[i]
+			put(int64(op.kind), int64(op.d), int64(op.a), int64(op.b), op.addr, op.addr2, op.imm,
+				int64(op.tab), int64(op.n), int64(op.live))
+		}
+	}
+	put(int64(len(p.idxTabs)))
+	for _, t := range p.idxTabs {
+		put(int64(len(t)))
+		for _, x := range t {
+			put(int64(x))
+		}
+	}
+	put(int64(len(p.lanePats)))
+	for _, t := range p.lanePats {
+		put(int64(len(t)))
+		for _, x := range t {
+			put(int64(x))
+		}
+	}
+	put(int64(len(p.aux32)))
+	for _, x := range p.aux32 {
+		put(int64(x))
+	}
+	put(int64(len(p.aux)))
+	for _, x := range p.aux {
+		put(x)
+	}
+	for _, tabs := range [][][regStride]uint16{p.gat, p.gatAnd} {
+		put(int64(len(tabs)))
+		for i := range tabs {
+			for _, x := range tabs[i] {
+				put(int64(x))
+			}
+		}
+	}
+	put(int64(len(p.pats)))
+	for i := range p.pats {
+		for _, x := range p.pats[i] {
+			put(int64(x))
+		}
+	}
+	for _, code := range p.native {
+		put(int64(len(code)))
+		for _, x := range code {
+			put(int64(x))
+		}
+	}
+	h.Write(buf)
+	return [sha256.Size]byte(h.Sum(nil))
+}
+
+// Compile lowers the recorded stream into a replay program for width w
+// and leaves the builder empty. It fails (and the caller stays on the
+// interpreter) when fewer than two iterations were recorded, when any
+// iteration diverged from the steady segment, or when recording hit an
+// unsupported op.
 func (b *Builder) Compile(w simd.Width) (*Program, error) {
 	if b.err != nil {
 		return nil, b.err
 	}
 	if len(b.cuts) < 2 {
-		return nil, ErrTooFewIterations
+		return nil, errNoSteady
 	}
 	if b.verifying && b.vpos != len(b.steady()) {
 		// Recording stopped mid-iteration: the stream is malformed.
@@ -141,7 +227,7 @@ func (b *Builder) Compile(w simd.Width) (*Program, error) {
 	p := &Program{
 		w:        w,
 		lanes:    w.Lanes16(),
-		regs:     make([]int16, b.nreg*regStride),
+		nregs:    int32(b.nreg * regStride),
 		idxTabs:  b.idxTabs,
 		lanePats: b.lanePats,
 		aux32:    b.aux32,
@@ -149,10 +235,22 @@ func (b *Builder) Compile(w simd.Width) (*Program, error) {
 	first := b.ops[:b.cuts[1]]
 	steady := b.steady()
 	p.RawOps = [2]int{len(first), len(steady)}
+	// The packed stream's fused ops take 1.12 to 1.23 aux words a raw op
+	// they replace (a beta step with extraction 26 + 2 a block for its
+	// 30-odd ops, a four-source scatter 11 for 8), so five words to four
+	// raw ops holds the pool without regrowing it; a stream that needs more
+	// still appends.
+	p.aux = make([]int64, 0, (len(first)+len(steady))*5/4)
 	p.segs[SegFirst] = p.fuse(first)
 	p.segs[SegSteady] = p.fuse(steady)
-	p.aux = slices.Clone(p.aux) // drop append's growth slack, as fuse does
+	if cap(p.aux)-len(p.aux) > len(p.aux)/8 {
+		p.aux = slices.Clone(p.aux) // drop the slack, as fuse does
+	}
 	p.FusedOps = [2]int{len(p.segs[SegFirst]), len(p.segs[SegSteady])}
+	// The raw stream (24 B an op, two iterations and the prefix: 65 MB at
+	// K=6144) is dead from here; let go of it before finalize allocates the
+	// descriptor streams, so the two are never live at once.
+	b.ops, b.err = nil, errSpent
 	if err := p.finalize(); err != nil {
 		return nil, err
 	}

@@ -40,35 +40,24 @@ func TestEveryFusedKindOccurs(t *testing.T) {
 	}
 }
 
-// packedPlan records and compiles the serving decoder's packed plan for
-// one (strategy, width, K), once per test binary: the two tests here walk
-// overlapping sets and a K=6144 recording costs the better part of a second.
+// packedPlan returns the replay program of the serving decoder's packed
+// plan for one (strategy, width, K). The process-wide plan cache compiles
+// each once per test binary, which matters here: the two tests walk
+// overlapping sets and a K=6144 recording costs the better part of a
+// second.
 func packedPlan(t *testing.T, s core.Strategy, w simd.Width, k int) *program.Program {
 	t.Helper()
-	key := planKey{s, w, k}
-	if p := plans[key]; p != nil {
-		return p
-	}
 	bd := turbo.NewBatchDecoder(w, s, 32<<20)
-	bd.MaxIters = 2
+	bd.MaxIters = 1
 	if _, _, err := bd.Decode(k, []*turbo.LLRWord{turbo.NewLLRWord(k)}); err != nil {
 		t.Fatalf("%v/%v/K=%d: %v", s, w, k, err)
 	}
 	p := bd.PlanProgram(k)
 	if p == nil {
-		t.Fatalf("%v/%v/K=%d: the recording decode did not compile", s, w, k)
+		t.Fatalf("%v/%v/K=%d: the plan did not compile", s, w, k)
 	}
-	plans[key] = p
 	return p
 }
-
-type planKey struct {
-	s core.Strategy
-	w simd.Width
-	k int
-}
-
-var plans = make(map[planKey]*program.Program)
 
 // TestPackedPlansRunNative: on a host with the native kernel, both segments
 // of every packed plan the serving path can record are lowered to a

@@ -67,7 +67,7 @@ func (p *Program) finalize() error {
 // visitEffects walk has been over; every operand it emits is checked again
 // on the way out (lowerer.reg, .mem, .tab, .lane), against the register
 // file, the extent that walk computed and the table pool, so the stream
-// cannot address anything Run's extent check does not cover even if the
+// cannot address anything NewExec's extent check does not cover even if the
 // two disagreed about an op's layout. An error means a compiler bug, and
 // the caller stays on the interpreter as for any other.
 func (p *Program) lower(ops []mop) (code []uint32, err error) {
@@ -116,7 +116,7 @@ func (lw *lowerer) reg(off int64) uint32 { return lw.lane(off, 0, regStride) }
 // lane is the byte offset of lanes [from, from+n) of the register at lane
 // offset off.
 func (lw *lowerer) lane(off, from, n int64) uint32 {
-	if off < 0 || off+regStride > int64(len(lw.p.regs)) || from < 0 || n < 0 || from+n > regStride {
+	if off < 0 || off+regStride > int64(lw.p.nregs) || from < 0 || n < 0 || from+n > regStride {
 		lw.fail("lanes [%d,+%d) of register offset %d outside the file", from, n, off)
 		return 0
 	}
@@ -327,10 +327,11 @@ func (lw *lowerer) sweep(steps []mop, wb int64) {
 // register offsets inside the register file, memory ranges non-negative
 // and at even addresses (Run views the arena as int16 lanes); visitEffects
 // itself rejects malformed aux windows, table ids and immediates. It
-// records the end of the highest range as the program's extent, which Run
-// checks the arena it is handed against. And it sets every op's live mask.
+// records the end of the highest range as the program's extent, which
+// NewExec checks the region it is handed against. And it sets every op's
+// live mask.
 //
-// Registers are private to the program and arena bytes are the only
+// Registers are private to an execution state and region bytes are the only
 // observable state, so a register write is needed only if some later op
 // reads it first. Each segment is walked backwards. A write followed in
 // its segment by a read is live, one followed by another write is dead,
@@ -344,7 +345,7 @@ func (lw *lowerer) sweep(steps []mop, wb int64) {
 // they write it, and the first of them to touch it does so in some
 // segment, ahead of that segment's writes.
 func (p *Program) analyze() error {
-	nregs := int32(len(p.regs))
+	nregs := p.nregs
 	live := make([]bool, nregs/regStride) // read later in the segment, not written in between
 	touched := make([]bool, len(live))    // read or written later in the segment
 	boundary := make([]bool, len(live))   // live into some segment

@@ -25,9 +25,9 @@ import (
 
 // fuse lowers a raw segment, greedily matching fusion patterns and
 // falling back to singletons. The segment it returns has no spare
-// capacity: it lives as long as the plan, a serving process holds one
-// plan per (worker, K), and the packed stream fuses about ten raw ops
-// into one, so any estimate made from len(raw) strands most of itself.
+// capacity: it lives as long as the process, and the packed stream fuses
+// about ten raw ops into one, so any estimate made from len(raw) strands
+// most of itself.
 func (p *Program) fuse(raw []rawOp) []mop {
 	out := make([]mop, 0, len(raw)/8+16)
 	for i := 0; i < len(raw); {

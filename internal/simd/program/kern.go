@@ -17,17 +17,19 @@ import "unsafe"
 //
 // The stream is []uint32. A record is a header word, op code in the low
 // byte and a count n above it, followed by the operand words its kind
-// defines below. Operands are byte offsets — into the arena, the register
-// file, the index-table pool p.gat / p.gatAnd, the pattern pool p.pats —
-// never Go pointers, so a program stays GC-inert and position-independent.
+// defines below. Operands are byte offsets — into the state region and
+// the register file of whichever Exec is running, the index-table pool
+// p.gat / p.gatAnd, the pattern pool p.pats — never Go pointers, so a
+// program stays GC-inert, position-independent and shareable: the five
+// base pointers are passed per call.
 //
 // What keeps the assembly as safe as the Go it replaces:
 //
 //   - Every operand word is emitted through lowerer.reg, .mem or .tab,
 //     which check it against the register file, against the extent
 //     analyze's visitEffects walk computed, and against the table pool;
-//     Run's extent check against the arena it is handed stays the one
-//     bounds gate in front of native code.
+//     NewExec's extent check against the region it is handed stays the
+//     one bounds gate in front of native code.
 //   - Arena lines are read and written only under the lane mask (or the
 //     narrower mask of a partial load or store): lanes >= L of a register
 //     and bytes past an L-lane line are never written.
@@ -106,14 +108,14 @@ func laneMask(n int) uint32 { return uint32(1<<uint(n) - 1) }
 // runStream executes a lowered segment: the assembly runs records until a
 // stop record, which is a preemption point, the end of the stream, or the
 // place of one op (ops[n-1]) that has no native body.
-func (p *Program) runStream(m []int16, code []uint32, ops []mop) {
-	arena, regs := unsafe.SliceData(m), unsafe.SliceData(p.regs)
+func (p *Program) runStream(x *Exec, code []uint32, ops []mop) {
+	arena, regs := unsafe.SliceData(x.m), unsafe.SliceData(x.regs)
 	gat, gatAnd, pats := unsafe.SliceData(p.gat), unsafe.SliceData(p.gatAnd), unsafe.SliceData(p.pats)
 	mask := uint64(laneMask(p.lanes))
 	for pc := 0; pc < len(code); pc++ {
 		pc = runStreamAVX512(&code[0], pc, arena, regs, gat, gatAnd, pats, mask)
 		if n := code[pc] >> 8; n != 0 {
-			p.exec(m, ops[n-1:n])
+			p.exec(x, ops[n-1:n])
 		}
 	}
 }

@@ -43,16 +43,16 @@ func eachKernel(t *testing.T, f func(t *testing.T)) {
 // runOps is run for any slice of p's ops: under the native kernel they are
 // lowered on the spot, so a test can step a program op by op through the
 // same records Run executes.
-func (p *Program) runOps(m []int16, ops []mop) {
+func (p *Program) runOps(x *Exec, ops []mop) {
 	if !useNative {
-		p.exec(m, ops)
+		p.exec(x, ops)
 		return
 	}
 	code, err := p.lower(ops)
 	if err != nil {
 		panic(err)
 	}
-	p.runStream(m, code, ops)
+	p.runStream(x, code, ops)
 }
 
 // opHarness builds small programs op by op for the native-vs-Go
@@ -143,7 +143,7 @@ func (h *opHarness) fill(xs []int16, pinned bool) {
 func (h *opHarness) diff(t *testing.T, wantGo int, pinned bool) {
 	t.Helper()
 	p := h.p
-	p.regs = make([]int16, h.nreg*regStride)
+	p.nregs = int32(h.nreg * regStride)
 	p.segs[SegSteady] = h.ops
 	if err := p.finalize(); err != nil {
 		t.Fatalf("finalize: %v", err)
@@ -151,7 +151,7 @@ func (h *opHarness) diff(t *testing.T, wantGo int, pinned bool) {
 	if _, named := countStops(p.native[SegSteady]); named != wantGo {
 		t.Fatalf("stream hands %d ops to their Go bodies, want %d", named, wantGo)
 	}
-	regs0 := make([]int16, len(p.regs))
+	regs0 := make([]int16, p.nregs)
 	size := (64+(h.nlin-1)*192)/2 + h.L
 	mem0 := make([]int16, size+32) // the arena and the canary behind it
 	h.fill(regs0, pinned)
@@ -164,8 +164,7 @@ func (h *opHarness) diff(t *testing.T, wantGo int, pinned bool) {
 		was := UseNativeKernel(on)
 		defer UseNativeKernel(was)
 		regs, mem = slices.Clone(regs0), slices.Clone(mem0)
-		p.regs = regs
-		p.run(mem[:size:size], SegSteady)
+		p.run(&Exec{p: p, regs: regs, m: mem[:size:size]}, SegSteady)
 		return regs, mem
 	}
 	wantR, wantM := run(false)
@@ -548,29 +547,47 @@ func TestLoweredStreamIsWellFormed(t *testing.T) {
 	}
 }
 
-// TestRunRefusesShortArena: a compiled program is finalized without an
-// arena size, so Run checks the arena it is handed against the extent the
-// program touches — before any op, under either kernel.
+// TestRunRefusesShortArena: a compiled program is finalized without a
+// region size, so NewExec checks the region it is handed against the extent
+// the program touches and against the alignment its lines were recorded at
+// — before any op can run, under either kernel — and Run refuses an Exec
+// made for another program.
 func TestRunRefusesShortArena(t *testing.T) {
+	panics := func(f func()) (did bool) {
+		defer func() { did = recover() != nil }()
+		f()
+		return
+	}
 	eachKernel(t, func(t *testing.T) {
 		for _, w := range simd.Widths {
 			p, _, _ := recordAndCompile(t, w, 1<<14, 4)
 			if p.extent <= 0 || p.extent > 1<<14 {
 				t.Fatalf("%v: extent %d outside the recording arena", w, p.extent)
 			}
-			p.Run(simd.NewMemory(int(p.extent)), SegFirst) // exactly large enough
+			if p.Extent() != p.extent {
+				t.Fatalf("%v: Extent() = %d, extent %d", w, p.Extent(), p.extent)
+			}
+			p.Run(p.NewExec(simd.NewMemory(int(p.extent)), 0), SegFirst) // exactly large enough
+			// Further into a larger arena the same: 128 bytes of slack in
+			// front, none behind.
+			p.Run(p.NewExec(simd.NewMemory(int(p.extent)+128), 128), SegFirst)
 			short := simd.NewMemory(int(p.extent) - 2)
 			before := slices.Clone(short.Bytes(0, short.Size()))
-			func() {
-				defer func() {
-					if recover() == nil {
-						t.Errorf("%v: Run on an arena 2 bytes short of the extent did not panic", w)
-					}
-				}()
-				p.Run(short, SegFirst)
-			}()
+			if !panics(func() { p.NewExec(short, 0) }) {
+				t.Errorf("%v: NewExec on a region 2 bytes short of the extent did not panic", w)
+			}
+			if !panics(func() { p.NewExec(simd.NewMemory(int(p.extent)+128), 64+62) }) {
+				t.Errorf("%v: NewExec at a region start off the 64-byte grid did not panic", w)
+			}
+			if !panics(func() { p.NewExec(simd.NewMemory(int(p.extent)+128), 192) }) {
+				t.Errorf("%v: NewExec on a region that runs past the arena's end did not panic", w)
+			}
 			if !slices.Equal(before, short.Bytes(0, short.Size())) {
-				t.Errorf("%v: the refused Run wrote to the arena", w)
+				t.Errorf("%v: the refused NewExec wrote to the arena", w)
+			}
+			q, _, _ := recordAndCompile(t, w, 1<<14, 4)
+			if !panics(func() { p.Run(q.NewExec(simd.NewMemory(1<<14), 0), SegFirst) }) {
+				t.Errorf("%v: Run accepted another program's Exec", w)
 			}
 		}
 	})
@@ -612,16 +629,16 @@ func BenchmarkNativeSweeps(b *testing.B) {
 			h := newOpHarness(simd.W512, rand.New(rand.NewSource(1)))
 			h.sweep(form.kind, 1027, form.nx)
 			p := h.p
-			p.regs = make([]int16, h.nreg*regStride)
+			p.nregs = int32(h.nreg * regStride)
 			p.segs[SegSteady] = h.ops
 			if err := p.finalize(); err != nil {
 				b.Fatal(err)
 			}
-			mem := make([]int16, p.extent/2)
-			h.fill(mem, false)
+			x := &Exec{p: p, regs: make([]int16, p.nregs), m: make([]int16, p.extent/2)}
+			h.fill(x.m, false)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				p.run(mem, SegSteady)
+				p.run(x, SegSteady)
 			}
 		})
 	}
@@ -656,7 +673,7 @@ func BenchmarkNativeGamma(b *testing.B) {
 		}
 	}
 	pr := h.p
-	pr.regs = make([]int16, h.nreg*regStride)
+	pr.nregs = int32(h.nreg * regStride)
 	pr.segs[SegSteady] = h.ops
 	if err := pr.finalize(); err != nil {
 		b.Fatal(err)
@@ -664,10 +681,10 @@ func BenchmarkNativeGamma(b *testing.B) {
 	if _, named := countStops(pr.native[SegSteady]); named != 0 {
 		b.Fatal("not native")
 	}
-	mem := make([]int16, pr.extent/2)
-	h.fill(mem, false)
+	x := &Exec{p: pr, regs: make([]int16, pr.nregs), m: make([]int16, pr.extent/2)}
+	h.fill(x.m, false)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		pr.run(mem, SegSteady)
+		pr.run(x, SegSteady)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"vransim/internal/simd"
@@ -328,7 +329,7 @@ func recordAndCompile(t *testing.T, w simd.Width, memBytes int, iters int) (*Pro
 	k := newSynthKernel(w, mem)
 	k.seed(mem)
 	k.iters = iters
-	b := NewBuilder()
+	b := NewBuilder(0)
 	e.SetProgSink(b)
 	k.run(e)
 	e.SetProgSink(nil)
@@ -361,9 +362,10 @@ func testReplayMatchesInterpreter(t *testing.T) {
 			t.Fatalf("%v: replay arena layout diverged", w)
 		}
 		rk.seed(replayMem)
-		p.Run(replayMem, SegFirst)
+		x := p.NewExec(replayMem, 0)
+		p.Run(x, SegFirst)
 		for it := 1; it < iters; it++ {
-			p.Run(replayMem, SegSteady)
+			p.Run(x, SegSteady)
 		}
 		if !bytes.Equal(interpMem.Bytes(0, interpMem.Size()), replayMem.Bytes(0, replayMem.Size())) {
 			for a := int64(0); a < int64(interpMem.Size()); a += 2 {
@@ -381,22 +383,84 @@ func testReplayMatchesInterpreter(t *testing.T) {
 }
 
 // TestReplayIsRestartable: replaying the same compiled program over a
-// re-seeded arena must give the same bytes again (no hidden state left
-// in the program between runs beyond its register file, which SegFirst
-// fully re-establishes).
+// re-seeded arena must give the same bytes again, on a fresh Exec and on
+// one that has run before (no state outlives a run but the register file,
+// which SegFirst fully re-establishes), and the program itself comes out
+// of every run as it went in.
 func TestReplayIsRestartable(t *testing.T) {
 	const iters = 4
 	p, interpMem, k := recordAndCompile(t, simd.W256, 1<<14, iters)
-	for round := 0; round < 2; round++ {
-		mem := simd.NewMemory(1 << 14)
-		newSynthKernel(simd.W256, mem)
+	sum := p.Checksum()
+	mem := simd.NewMemory(1 << 14)
+	newSynthKernel(simd.W256, mem)
+	used := p.NewExec(mem, 0)
+	for round := 0; round < 3; round++ {
+		clear(mem.Bytes(0, mem.Size()))
 		k.seed(mem)
-		p.Run(mem, SegFirst)
+		x := used
+		if round == 2 {
+			x = p.NewExec(mem, 0)
+		}
+		p.Run(x, SegFirst)
 		for it := 1; it < iters; it++ {
-			p.Run(mem, SegSteady)
+			p.Run(x, SegSteady)
 		}
 		if !bytes.Equal(interpMem.Bytes(0, interpMem.Size()), mem.Bytes(0, mem.Size())) {
 			t.Fatalf("round %d: replay diverged from interpreter", round)
+		}
+	}
+	if p.Checksum() != sum {
+		t.Error("running the program changed it")
+	}
+}
+
+// TestSharedProgramConcurrentRuns: one program, four goroutines, each with
+// its own Exec over a region at a different offset of its own arena and its
+// own inputs, replaying at once. Every arena ends byte-identical to the
+// interpreter's over those inputs and the program's checksum does not move:
+// Run reads the program and writes only the Exec. Under -race this is the
+// program/exec split's proof.
+func TestSharedProgramConcurrentRuns(t *testing.T) { eachKernel(t, testSharedProgramConcurrentRuns) }
+
+func testSharedProgramConcurrentRuns(t *testing.T) {
+	const iters, size = 4, 1 << 14
+	for _, w := range simd.Widths {
+		p, _, _ := recordAndCompile(t, w, size, iters)
+		sum := p.Checksum()
+		var wg sync.WaitGroup
+		for g := 0; g < 4; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				want := interpret(w, size, iters, g)
+				// The region starts g*192 bytes into a larger arena: the
+				// kernel's own layout, shifted.
+				base := int64(g) * 192
+				mem := simd.NewMemory(size + int(base))
+				region := simd.NewMemory(size)
+				k := newSynthKernel(w, region)
+				k.salt = g
+				for round := 0; round < 3; round++ {
+					clear(region.Bytes(0, size))
+					k.seed(region)
+					copy(mem.Bytes(base, size), region.Bytes(0, size))
+					x := p.NewExec(mem, base)
+					p.Run(x, SegFirst)
+					for it := 1; it < iters; it++ {
+						p.Run(x, SegSteady)
+					}
+					if !bytes.Equal(want, mem.Bytes(base, size)) {
+						t.Errorf("%v goroutine %d round %d: replay diverged from the interpreter", w, g, round)
+					}
+					if base > 0 && !bytes.Equal(mem.Bytes(0, int(base)), make([]byte, base)) {
+						t.Errorf("%v goroutine %d: replay wrote in front of its region", w, g)
+					}
+				}
+			}(g)
+		}
+		wg.Wait()
+		if p.Checksum() != sum {
+			t.Errorf("%v: concurrent runs changed the program", w)
 		}
 	}
 }
@@ -421,13 +485,14 @@ func replayBytes(t *testing.T, p *Program, k *synthKernel, memBytes, iters int, 
 	mem := simd.NewMemory(memBytes)
 	newSynthKernel(k.w, mem)
 	k.seed(mem)
-	run := p.Run
+	x := p.NewExec(mem, 0)
+	run := func(seg int) { p.Run(x, seg) }
 	if rng != nil {
-		run = func(mem *simd.Memory, seg int) { p.runPoisoned(mem, seg, rng) }
+		run = func(seg int) { p.runPoisoned(x, seg, rng) }
 	}
-	run(mem, SegFirst)
+	run(SegFirst)
 	for it := 1; it < iters; it++ {
-		run(mem, SegSteady)
+		run(SegSteady)
 	}
 	return mem.Bytes(0, mem.Size())
 }
@@ -436,19 +501,18 @@ func replayBytes(t *testing.T, p *Program, k *synthKernel, memBytes, iters int, 
 // whose live bit is clear — every write finalize says nothing reads — is
 // overwritten with random lanes. If the masks are right the arena cannot
 // tell; if they are stale or wrong, a later op reads the poison.
-func (p *Program) runPoisoned(mem *simd.Memory, seg int, rng *rand.Rand) {
-	m := arena16(mem)
+func (p *Program) runPoisoned(x *Exec, seg int, rng *rand.Rand) {
 	ops := p.segs[seg]
 	for i := range ops {
-		p.runOps(m, ops[i:i+1])
+		p.runOps(x, ops[i:i+1])
 		k := 0
 		_ = p.visitEffects(&ops[i], &effectVisitor{reg: func(off int32, write bool) {
 			if !write {
 				return
 			}
 			if ops[i].live>>k&1 == 0 {
-				for l := range lanes(p.regs, off) {
-					p.regs[int(off)+l] = int16(rng.Uint32())
+				for l := range lanes(x.regs, off) {
+					x.regs[int(off)+l] = int16(rng.Uint32())
 				}
 			}
 			k++
@@ -542,7 +606,7 @@ func TestFinalizeRejectsMalformedOps(t *testing.T) {
 		"odd load address":        {kind: mLoad, addr: 65, imm: 16},
 		"register past the file":  {kind: mClear, d: 2 * regStride},
 	} {
-		p := &Program{w: simd.W128, lanes: 8, regs: make([]int16, 2*regStride), aux: make([]int64, 8)}
+		p := &Program{w: simd.W128, lanes: 8, nregs: 2 * regStride, aux: make([]int64, 8)}
 		p.segs[SegSteady] = []mop{op}
 		if err := p.finalize(); err == nil {
 			t.Errorf("%s: accepted", name)
@@ -554,7 +618,7 @@ func TestFinalizeRejectsMalformedOps(t *testing.T) {
 	// visitEffects walk is refused when the pool or range its record would
 	// address turns out smaller than the walk believed.
 	build := func() *Program {
-		p := &Program{w: simd.W128, lanes: 8, regs: make([]int16, 2*regStride),
+		p := &Program{w: simd.W128, lanes: 8, nregs: 2 * regStride,
 			idxTabs: [][]int32{{0, 1, 2, 3, 4, 5, 6, 7}}, lanePats: [][]int16{{1, 2}}}
 		p.segs[SegSteady] = []mop{
 			{kind: mPermute, d: 0, a: regStride, tab: 0},
@@ -584,19 +648,20 @@ func TestFinalizeRejectsMalformedOps(t *testing.T) {
 }
 
 // TestCompileTooFewIterations: a single recorded iteration has no
-// steady segment and must refuse to compile.
+// steady segment and must refuse to compile (serving code always records
+// three; this is the builder's own guard against a malformed recording).
 func TestCompileTooFewIterations(t *testing.T) {
 	mem := simd.NewMemory(1 << 14)
 	e := simd.NewEngine(simd.W128, mem, nil)
 	k := newSynthKernel(simd.W128, mem)
 	k.seed(mem)
 	k.iters = 1
-	b := NewBuilder()
+	b := NewBuilder(0)
 	e.SetProgSink(b)
 	k.run(e)
 	e.SetProgSink(nil)
-	if _, err := b.Compile(simd.W128); !errors.Is(err, ErrTooFewIterations) {
-		t.Fatalf("compile of 1-iteration recording: %v, want ErrTooFewIterations", err)
+	if _, err := b.Compile(simd.W128); !errors.Is(err, errNoSteady) {
+		t.Fatalf("compile of 1-iteration recording: %v, want errNoSteady", err)
 	}
 }
 
@@ -608,7 +673,7 @@ func TestCompileUnstableStream(t *testing.T) {
 		mem := simd.NewMemory(1 << 12)
 		e := simd.NewEngine(simd.W128, mem, nil)
 		addr := mem.Alloc(64, 64)
-		b := NewBuilder()
+		b := NewBuilder(0)
 		e.SetProgSink(b)
 		v := e.NewVec()
 		for it := 0; it < 4; it++ {

@@ -44,48 +44,79 @@ func operands(r []int16, op *mop, L int) (d, a, b []int16) {
 // line returns the n arena lanes at byte address a.
 func line(m []int16, a int64, n int) []int16 { return m[a>>1:][:n] }
 
-// arena16 views the arena as int16 lanes. finalize has established that
-// the host is little-endian and that every address the program touches
-// is even, so lane a>>1 is the 16-bit word the engine reads at byte a.
-func arena16(mem *simd.Memory) []int16 {
-	b := mem.Bytes(0, mem.Size())
+// region16 views a state region as int16 lanes. finalize has established
+// that the host is little-endian and that every offset the program touches
+// is even, so lane a>>1 is the 16-bit word the engine reads at byte a of
+// the region.
+func region16(b []byte) []int16 {
 	ptr := unsafe.Pointer(unsafe.SliceData(b))
 	if uintptr(ptr)&1 != 0 {
-		panic("program: arena is not 2-byte aligned")
+		panic("program: state region is not 2-byte aligned")
 	}
 	return unsafe.Slice((*int16)(ptr), len(b)/2)
 }
 
-// Run replays one segment directly over mem. The register file persists
-// across calls; a decode runs SegFirst once and SegSteady for every
-// iteration after the first. Arena bytes are the only observable state:
-// the register file is private to the program, and a fused op writes an
-// intermediate register only when finalize's liveness pass found a later
-// reader (op.live). The loop performs no allocation. An arena smaller
-// than the program's extent panics, as the first out-of-range slice
-// expression would.
-func (p *Program) Run(mem *simd.Memory, seg int) {
-	m := arena16(mem)
-	if int64(len(m))*2 < p.extent {
-		panic("program: arena smaller than the program's extent")
-	}
-	p.run(m, seg)
+// regionAlign is the alignment a state region's start must keep. The
+// program's line addresses were recorded as multiples of the register
+// width from a 64-byte-aligned start, and the native kernel's 64-byte
+// loads and stores of them stay inside one cache line only while the
+// region a worker runs them over starts on one too.
+const regionAlign = 64
+
+// Exec is one worker's execution state for a Program: its register file
+// and the state region the program's offsets are applied to. It is what
+// is mutable about a replay, and it is not safe for concurrent use; a
+// worker holds one per plan and drops it when the region is evicted.
+type Exec struct {
+	p    *Program
+	regs []int16
+	m    []int16
 }
 
-// run executes a segment over an arena Run has checked: as its descriptor
-// stream where the host has the native kernel (kern.go), else op by op.
-func (p *Program) run(m []int16, seg int) {
+// NewExec returns a fresh execution state (registers zero, as the
+// recording engine's were) over the region of mem that starts at base. It
+// panics when base is not 64-byte aligned or fewer than Extent bytes
+// follow it, as the first out-of-range slice expression of a Run would.
+func (p *Program) NewExec(mem *simd.Memory, base int64) *Exec {
+	if base < 0 || base%regionAlign != 0 {
+		panic("program: state region is not 64-byte aligned")
+	}
+	n := (p.extent + 1) &^ 1
+	if base+n > int64(mem.Size()) {
+		panic("program: state region smaller than the program's extent")
+	}
+	return &Exec{p: p, regs: make([]int16, p.nregs), m: region16(mem.Bytes(base, int(n)))}
+}
+
+// Run replays one segment over x's region. The register file persists
+// across calls; a decode runs SegFirst once and SegSteady for every
+// iteration after the first. Region bytes are the only observable state:
+// the register file is private to x, and a fused op writes an
+// intermediate register only when finalize's liveness pass found a later
+// reader (op.live). The program itself is only read, so Runs over
+// different Execs may overlap in time. The loop performs no allocation.
+func (p *Program) Run(x *Exec, seg int) {
+	if x.p != p {
+		panic("program: Exec belongs to another program")
+	}
+	p.run(x, seg)
+}
+
+// run executes a segment over an execution state NewExec has checked: as
+// its descriptor stream where the host has the native kernel (kern.go),
+// else op by op.
+func (p *Program) run(x *Exec, seg int) {
 	if code := p.native[seg]; useNative && code != nil {
-		p.runStream(m, code, p.segs[seg])
+		p.runStream(x, code, p.segs[seg])
 		return
 	}
-	p.exec(m, p.segs[seg])
+	p.exec(x, p.segs[seg])
 }
 
 // exec runs ops in order through their Go bodies: the specification of
 // every op kind, which the native kernel is differentially tested against.
-func (p *Program) exec(m []int16, ops []mop) {
-	r := p.regs
+func (p *Program) exec(x *Exec, ops []mop) {
+	r, m := x.regs, x.m
 	L := p.lanes
 	for oi := range ops {
 		op := &ops[oi]

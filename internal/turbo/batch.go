@@ -9,47 +9,56 @@ import (
 	"vransim/internal/simd/program"
 )
 
-// decodePlan is the cached per-K decode state: the immutable plan
-// (code tables, constant registers, permutation indices — everything
-// initConstants derives from (K, width, strategy)) together with the
-// reusable scratch arena regions and output buffers, and — the third
-// stage — the compiled replay program recorded from this plan's first
-// interpreted decode. Building one is the expensive cold path;
-// afterwards every Decode for this K rewinds and rewrites the same
-// memory, allocating nothing.
+// decodePlan is one decoder's entry for a block size: the immutable plan
+// (code, region layout, index tables — everything derived from (K, width,
+// strategy)) and, once a decode has needed it, this decoder's own state
+// for it. The plan is the process-wide shared one (plancache.go) when the
+// decoder compiles, so building the entry costs this decoder nothing but
+// the state; eviction drops the state and keeps the plan.
 type decodePlan struct {
+	k int
+	// code is nil until something needs it: Code builds a private one, a
+	// decode that adopts the shared plan takes the plan's.
 	code *Code
-	// pst is the cross-block SoA-packed working set (nil until the first
-	// decode, and again after an eviction).
-	pst *packedState
-	dec *MultiSIMDDecoder
+	// plan is nil until the first decode. shared is the cache entry it
+	// came from; nil when the decoder does not compile (Compile off, or a
+	// traced engine) and plan is private to it.
+	plan   *packedPlan
+	shared *sharedPlan
 
-	// prog is the compiled replay program (nil until the first decode
-	// of this K records and compiles one; see BatchDecoder.Compile).
-	// It embeds absolute arena addresses, so eviction must discard it
-	// with the state.
-	prog *program.Program
-	// noCompile latches a compilation failure no retry can cure, so the
-	// plan does not re-record on every decode; eviction resets it with
-	// the state.
-	noCompile bool
+	// pst is the cross-block SoA-packed working set over a region of this
+	// decoder's arena (nil until the first decode, and again after an
+	// eviction), and exactly one of exec and dec drives it: exec replays
+	// shared.prog over that region — the program holds region-relative
+	// offsets only, so any decoder's region serves — and dec interprets,
+	// when the decoder does not compile, the program failed to compile, or
+	// CompileGate vetoed it at install.
+	pst  *packedState
+	exec *program.Exec
+	dec  *MultiSIMDDecoder
 }
 
 // BatchDecoder is the serving-side entry point for lane-parallel
 // decoding: it owns one untraced engine (and its memory arena) and a
-// per-K plan cache, so a long-lived worker can decode an unbounded
+// per-K plan table, so a long-lived worker can decode an unbounded
 // stream of batches with ~zero steady-state heap allocation. The first
-// Decode of a block size builds that size's plan (arena regions,
-// constant registers, index tables); subsequent Decodes of the same K
-// reuse it, rewriting the scratch in place. If the arena cannot fit a
-// new K's plan, all cached plans are evicted and the arena rewound.
+// Decode of a block size adopts that size's shared plan and compiled
+// program from the process-wide cache — compiling them there, from a
+// synthetic word and never from the batch in hand, only if no decoder of
+// the process has asked for that (K, width, strategy) before — and
+// allocates this decoder's state for it: a region of the arena, a register
+// file and the output buffers. Subsequent Decodes of the same K reuse the
+// state, rewriting it in place. If the arena cannot fit a new K's region,
+// every state is evicted and the arena rewound; plans and programs are
+// not the decoder's to evict.
 // There is one decode path: blocks packed across lanes at the element
-// level, recorded on the first decode of a K and replayed afterwards.
+// level, replayed through the compiled program.
 // It is NOT safe for concurrent use — give each worker goroutine its
-// own BatchDecoder.
+// own BatchDecoder; they share what can be shared by themselves.
 type BatchDecoder struct {
 	eng *simd.Engine
 	ar  core.Arranger
+	s   core.Strategy
 	// plans is keyed by K: width and strategy are fixed per BatchDecoder
 	// (one engine, one arranger).
 	plans map[int]*decodePlan
@@ -59,6 +68,8 @@ type BatchDecoder struct {
 	lastIters []int
 
 	// MaxIters and EarlyExit configure every decode (defaults: 6, true).
+	// Neither is part of a program: one compiled program serves any
+	// budget from one iteration up.
 	MaxIters  int
 	EarlyExit bool
 
@@ -69,37 +80,41 @@ type BatchDecoder struct {
 	// clears. It never raises the budget above MaxIters.
 	ItersOverride int
 
-	// CompileGate, when non-nil, is consulted before each program
-	// compilation is accepted; returning false discards the compiled
-	// program as if verification had failed, latching the plan onto the
-	// interpreter (the chaos hook for compile-verify failures). Same
+	// CompileGate, when non-nil, is consulted each time this decoder is
+	// about to install a compiled program for a block size (on the first
+	// decode of the size, and again after an eviction); returning false
+	// keeps this decoder's state for that size on the interpreter, as if
+	// the program had failed verification (the chaos hook for
+	// compile-verify failures). The veto is this decoder's alone: the
+	// shared program stays in the cache for every other decoder. Same
 	// single-goroutine rules as OnDecode.
 	CompileGate func(k int) bool
 
-	// Compile enables the plan -> scratch -> program third stage: the
-	// first Decode for a K runs interpreted with the engine's semantic
-	// recorder attached, the recorded stream is compiled into a fused
-	// replay program, and every later Decode for that K replays it
-	// directly over the arena (bit-identical, no per-µop dispatch).
-	// Defaults to true; engines with a trace recorder attached always
-	// stay interpreted (replay emits no µops, which would silently
-	// starve the timing model).
+	// Compile enables the compiled path: a block size's state is driven
+	// by the process-wide replay program for (K, width, strategy)
+	// (bit-identical to interpretation, no per-µop dispatch). It is read
+	// when a block size is first decoded. Defaults to true; with it off,
+	// and on engines with a trace recorder attached (replay emits no µops,
+	// which would silently starve the timing model), the decoder builds a
+	// private plan, interprets, and never consults the cache.
 	Compile bool
 
-	// OnCompile, when non-nil, is called synchronously after each
-	// successful program compilation with the block size and the
-	// wall-clock compile time (the telemetry hook for the compile
-	// span). Same single-goroutine rules as OnDecode.
+	// OnCompile, when non-nil, is called synchronously when a Decode of
+	// this decoder was the one that compiled a block size's program for
+	// the process — the first to ask for it — with the block size and the
+	// wall-clock compile time (the telemetry hook for the compile span).
+	// Decoders that adopt a program already compiled do not fire it. Same
+	// single-goroutine rules as OnDecode.
 	OnCompile func(k int, elapsed time.Duration)
 
-	// Evictions counts how many times the arena filled up and the plan
-	// cache was flushed (a serving gauge; 0 in any sane configuration).
+	// Evictions counts how many times the arena filled up and the states
+	// were flushed (a serving gauge; 0 in any sane configuration).
 	Evictions uint64
 
-	// Program-cache counters (see ProgramStats). compiledPlans is the
-	// number of plans holding a program: counted where one is installed and
-	// zeroed where EvictAll drops them all, so a worker can read the stats
-	// after every batch without walking the plan map.
+	// Program counters (see ProgramStats). compiledPlans is the number of
+	// states driven by a program: counted where one is installed and zeroed
+	// where EvictAll drops them all, so a worker can read the stats after
+	// every batch without walking the plan map.
 	progHits, progMisses, compiles uint64
 	compileNs                      int64
 	compiledPlans                  int
@@ -108,19 +123,23 @@ type BatchDecoder struct {
 	// successful Decode with the block size, batch fill, iteration count
 	// and the measured wall-clock decode time — the telemetry hook that
 	// lets a serving worker attribute decode cost without wrapping the
-	// call in its own clock. When nil, Decode skips the clock reads
-	// entirely. Like the decoder itself it is used from one goroutine
-	// only.
+	// call in its own clock. The time is the decode's own: building the
+	// state a first decode needs (and compiling, when that decode is the
+	// process's first sight of the size) comes before the clock starts.
+	// When nil, Decode skips the clock reads entirely. Like the decoder
+	// itself it is used from one goroutine only.
 	OnDecode func(k, blocks, iters int, elapsed time.Duration)
 }
 
 // NewBatchDecoder builds a decoder for width w and arrangement strategy
-// s with a memBytes emulated-memory arena (32 MiB comfortably fits the
-// largest supported K at W512).
+// s with a memBytes emulated-memory arena: the budget for this decoder's
+// state regions (32 MiB comfortably fits the largest supported K at
+// W512). Plans and programs live in the process-wide cache, outside it.
 func NewBatchDecoder(w simd.Width, s core.Strategy, memBytes int) *BatchDecoder {
 	return &BatchDecoder{
 		eng:       simd.NewEngine(w, simd.NewMemory(memBytes), nil),
 		ar:        core.ByStrategy(s),
+		s:         s,
 		plans:     make(map[int]*decodePlan),
 		MaxIters:  6,
 		EarlyExit: true,
@@ -141,7 +160,10 @@ func (bd *BatchDecoder) Code(k int) (*Code, error) {
 	if err != nil {
 		return nil, err
 	}
-	return p.code, nil
+	if p.code == nil {
+		p.code, err = NewCode(k)
+	}
+	return p.code, err
 }
 
 // BlockIters reports the per-block iterations-to-converge of the most
@@ -151,36 +173,32 @@ func (bd *BatchDecoder) Code(k int) (*Code, error) {
 // reused across Decodes — read it before the next call.
 func (bd *BatchDecoder) BlockIters() []int { return bd.lastIters }
 
-// plan returns the cached plan for block size k, creating it (code only
-// — the decode state is built lazily on first Decode) on miss.
+// plan returns the entry for block size k, creating it empty (the plan
+// and the decode state are built on first Decode) on miss.
 func (bd *BatchDecoder) plan(k int) (*decodePlan, error) {
 	if p, ok := bd.plans[k]; ok {
 		return p, nil
 	}
-	c, err := NewCode(k)
-	if err != nil {
+	if err := checkBlockSize(k); err != nil {
 		return nil, err
 	}
-	p := &decodePlan{code: c}
+	p := &decodePlan{k: k}
 	bd.plans[k] = p
 	return p, nil
 }
 
-// EvictAll flushes every cached plan's decode state, scratch and
-// compiled program and rewinds the arena — the reset an arena-pressure
-// eviction performs, driven explicitly (the chaos injector's
-// eviction-storm hook, and a recovery lever after a suspected arena
-// corruption). The next Decode of each K rebuilds its plan from the
-// cached code tables; results are unaffected.
+// EvictAll flushes every block size's decode state and rewinds the arena
+// — the reset an arena-pressure eviction performs, driven explicitly (the
+// chaos injector's eviction-storm hook, and a recovery lever after a
+// suspected arena corruption). The next Decode of each K builds a fresh
+// state over a fresh region from the plan it kept, and installs the same
+// shared program on it: an eviction costs allocations, never a compile.
+// Results are unaffected.
 func (bd *BatchDecoder) EvictAll() {
 	for _, q := range bd.plans {
-		q.pst = nil
-		q.dec = nil
-		// Compiled programs address the evicted arena regions directly;
-		// replaying one after the reset would corrupt whatever the arena
-		// now holds.
-		q.prog = nil
-		q.noCompile = false
+		// An Exec is bound to the region it was made over; replaying it
+		// after the reset would corrupt whatever the arena now holds there.
+		q.pst, q.exec, q.dec = nil, nil, nil
 	}
 	bd.compiledPlans = 0
 	bd.eng.Mem.AllocReset()
@@ -196,21 +214,49 @@ func (bd *BatchDecoder) effIters() int {
 	return bd.MaxIters
 }
 
-// buildState allocates plan p's packed decode state, evicting every
-// cached state if the remaining arena space cannot hold it. Scratch
-// contents are rewritten on every decode, so eviction never affects
-// results — it only costs the rebuild.
+// buildState gives plan p a decode state: the plan itself on the first
+// decode of its K (adopted from the process-wide cache, which compiles it
+// if no decoder has asked before, or built privately when this decoder
+// does not compile), then a region of the arena — evicting every state if
+// the remaining space cannot hold it — the Go-side buffers, and the
+// compiled program's execution state or the interpreter. Scratch contents
+// are rewritten on every decode, so eviction never affects results — it
+// only costs the rebuild.
 func (bd *BatchDecoder) buildState(p *decodePlan) error {
-	nb := bd.Lanes()
-	need := packedStateBytes(p.code, bd.ar.Layout(bd.eng.W), bd.eng.W, nb)
+	k := p.k
+	if p.plan == nil {
+		if bd.Compile && bd.eng.Recorder() == nil {
+			var led bool
+			p.shared, led = sharedPlanFor(planKey{k, bd.eng.W, bd.s})
+			p.plan, p.code = p.shared.packedPlan, p.shared.code
+			if led && p.shared.err == nil && bd.OnCompile != nil {
+				bd.OnCompile(k, p.shared.compileTime)
+			}
+		} else {
+			c, err := bd.Code(k)
+			if err != nil {
+				return err
+			}
+			p.plan = newPackedPlan(c, bd.ar.Layout(bd.eng.W), bd.eng.W, bd.Lanes())
+		}
+	}
+	need := p.plan.size + 63 // the region, and the padding that aligns its start
 	if bd.eng.Mem.Remaining() < need {
 		bd.EvictAll()
 		if bd.eng.Mem.Remaining() < need {
-			return fmt.Errorf("turbo: arena too small for K=%d at %v (need %d bytes)", p.code.K, bd.eng.W, need)
+			return fmt.Errorf("turbo: arena too small for K=%d at %v (need %d bytes)", k, bd.eng.W, need)
 		}
 	}
-	p.pst = newPackedState(bd.eng, bd.ar, p.code, nb)
-	p.dec = NewMultiSIMDDecoder(p.code)
+	base := bd.eng.Mem.Alloc(int(p.plan.size), 64)
+	p.pst = newPackedState(bd.eng, bd.ar, p.plan, base)
+	if sp := p.shared; sp != nil && sp.prog != nil && (bd.CompileGate == nil || bd.CompileGate(k)) {
+		p.exec = sp.prog.NewExec(bd.eng.Mem, base)
+		bd.compiledPlans++
+		bd.compiles++
+		bd.compileNs += sp.compileTime.Nanoseconds()
+	} else {
+		p.dec = NewMultiSIMDDecoder(p.plan.code)
+	}
 	return nil
 }
 
@@ -235,29 +281,22 @@ func (bd *BatchDecoder) Decode(k int, words []*LLRWord) ([][]byte, int, error) {
 			return nil, 0, err
 		}
 	}
-	p.dec.MaxIters = bd.effIters()
-	p.dec.EarlyExit = bd.EarlyExit
 	var start time.Time
 	if bd.OnDecode != nil {
 		start = time.Now()
 	}
 	var bits [][]byte
 	var iters int
-	compiling := bd.Compile && bd.eng.Recorder() == nil
-	switch {
-	case p.prog != nil:
+	if p.exec != nil {
 		bd.progHits++
 		bits, iters, err = bd.runCompiled(p, words)
-	case compiling && !p.noCompile && p.dec.MaxIters >= 2:
-		// A budget of one iteration (MaxIters, or the overload clamp)
-		// records no steady segment; such a decode runs interpreted below
-		// and the next one with a larger budget records.
-		bd.progMisses++
-		bits, iters, err = bd.recordAndCompile(p, words)
-	default:
-		if compiling {
+	} else {
+		if p.shared != nil {
+			// This decoder compiles, and this K is interpreted all the
+			// same: its program failed to compile or was vetoed here.
 			bd.progMisses++
 		}
+		p.dec.MaxIters, p.dec.EarlyExit = bd.effIters(), bd.EarlyExit
 		bits, iters, err = p.dec.runPacked(p.pst, words)
 	}
 	if err != nil {

@@ -12,14 +12,23 @@ type Code struct {
 // NewCode builds the turbo code for information block length k (which
 // must be a supported block size; see BlockSizes).
 func NewCode(k int) (*Code, error) {
-	if !ValidBlockSize(k) {
-		return nil, fmt.Errorf("turbo: unsupported block size %d (nearest: %d)", k, NearestBlockSize(k))
+	if err := checkBlockSize(k); err != nil {
+		return nil, err
 	}
 	q, err := NewQPP(k)
 	if err != nil {
 		return nil, err
 	}
 	return &Code{K: k, qpp: q, trellis: NewTrellis()}, nil
+}
+
+// checkBlockSize is the error every entry point reports for a k that is
+// not a supported block size.
+func checkBlockSize(k int) error {
+	if !ValidBlockSize(k) {
+		return fmt.Errorf("turbo: unsupported block size %d (nearest: %d)", k, NearestBlockSize(k))
+	}
+	return nil
 }
 
 // QPP exposes the interleaver.

@@ -1,47 +1,57 @@
 package turbo
 
 import (
-	"errors"
 	"time"
 
 	"vransim/internal/simd/program"
 )
 
-// This file is the BatchDecoder side of the trace-replay compiler: the
-// first interpreted decode of a (K, width, strategy) records the exact
-// engine op stream, internal/simd/program compiles it into a fused
-// replay program, and runCompiled drives that program through the same
-// iteration/early-exit protocol as MultiSIMDDecoder.runPacked —
-// producing bit-identical outputs without per-µop interpretation.
+// This file is the BatchDecoder side of the trace-replay compiler: a
+// (K, width, strategy)'s engine op stream is recorded once per process
+// from a synthetic decode (plancache.go), internal/simd/program compiles
+// it into a fused replay program, and runCompiled drives that program
+// through the same iteration/early-exit protocol as
+// MultiSIMDDecoder.runPacked — producing bit-identical outputs without
+// per-µop interpretation.
 //
 // The split of responsibilities mirrors what is and is not
 // input-dependent in a decode:
 //
-//   - The op stream (instructions, arena addresses, index tables) is a
+//   - The op stream (instructions, region offsets, index tables) is a
 //     pure function of (K, width, strategy, batch lanes) — compiled once
-//     and replayed.
+//     a process and replayed by every decoder over its own region.
 //   - The input copy-in (WriteInterleavedPacked), the tail branch
 //     metrics (values derived from the block's tail LLRs) and the
 //     hard-decision bit scan are data-dependent *values* at fixed
-//     addresses — the Go driver below performs them around each replay,
+//     offsets — the Go driver below performs them around each replay,
 //     exactly as runPacked interleaves them with the engine ops.
 
-// ProgramStats is a snapshot of the decoder's program-cache counters.
+// ProgramStats is a snapshot of one decoder's program counters. The
+// process-wide truth about compilation is PlanCacheStats; these say what
+// this decoder did with it.
 type ProgramStats struct {
 	// Hits counts Decodes served by compiled replay; Misses counts
-	// Decodes served by the interpreter while compilation was enabled
-	// (the recording decode itself, and plans that failed to compile).
+	// Decodes served by the interpreter while compilation was enabled:
+	// block sizes whose program failed to compile, or whose install
+	// CompileGate vetoed. No decode of a healthy decoder is a miss — the
+	// recording decode is not a live one.
 	Hits, Misses uint64
-	// Compiles counts successful program compilations; CompileTime is
-	// their cumulative wall-clock cost.
+	// Compiles counts the programs this decoder installed: one for each
+	// block size it adopted from the process-wide cache, and one more each
+	// time an eviction made it install that size's program again.
+	// CompileTime is what those programs cost to compile: each shared
+	// program carries the duration of its one compile, and every install
+	// of it adds that, so CompileTime / Compiles is the cost of compiling
+	// one program whether this decoder's first decode was the one that
+	// paid it or not.
 	Compiles    uint64
 	CompileTime time.Duration
-	// CompiledPlans is the number of cached plans currently holding a
-	// replay program.
+	// CompiledPlans is the number of block sizes whose state is currently
+	// driven by a replay program.
 	CompiledPlans int
 }
 
-// ProgramStats reports the compiled-program cache counters.
+// ProgramStats reports the decoder's program counters.
 func (bd *BatchDecoder) ProgramStats() ProgramStats {
 	return ProgramStats{
 		Hits:          bd.progHits,
@@ -52,63 +62,22 @@ func (bd *BatchDecoder) ProgramStats() ProgramStats {
 	}
 }
 
-// PlanProgram returns the compiled replay program cached for block size
-// k, or nil — introspection for tests.
+// PlanProgram returns the shared replay program block size k's state is
+// currently driven by, or nil — introspection for tests.
 func (bd *BatchDecoder) PlanProgram(k int) *program.Program {
-	if p, ok := bd.plans[k]; ok {
-		return p.prog
+	if p, ok := bd.plans[k]; ok && p.exec != nil {
+		return p.shared.prog
 	}
 	return nil
-}
-
-// recordAndCompile runs one interpreted decode with the semantic
-// recorder attached and compiles the recorded stream into p's replay
-// program. The decode's results are returned either way. A failure no
-// retry can cure (unstable stream, unsupported op, CompileGate veto)
-// latches noCompile and the plan stays interpreted; a recording that ran
-// too few iterations does not, so the next decode records again.
-// Per-block early exit freezes blocks only in the Go-side extraction,
-// so the op stream stays identical across iterations and the builder's
-// stability check holds no matter when individual blocks converge.
-func (bd *BatchDecoder) recordAndCompile(p *decodePlan, words []*LLRWord) ([][]byte, int, error) {
-	b := program.NewBuilder()
-	bd.eng.SetProgSink(b)
-	bits, iters, err := p.dec.runPacked(p.pst, words)
-	bd.eng.SetProgSink(nil)
-	if err != nil {
-		return nil, 0, err
-	}
-	start := time.Now()
-	prog, cerr := b.Compile(bd.eng.W)
-	elapsed := time.Since(start)
-	if cerr != nil {
-		p.noCompile = !errors.Is(cerr, program.ErrTooFewIterations)
-		return bits, iters, nil
-	}
-	if bd.CompileGate != nil && !bd.CompileGate(p.code.K) {
-		// Rejected post-compilation: indistinguishable from a verify
-		// failure downstream — the plan latches onto the interpreter.
-		p.noCompile = true
-		return bits, iters, nil
-	}
-	p.prog = prog
-	bd.compiledPlans++
-	bd.compiles++
-	bd.compileNs += elapsed.Nanoseconds()
-	if bd.OnCompile != nil {
-		bd.OnCompile(p.code.K, elapsed)
-	}
-	return bits, iters, nil
 }
 
 // runCompiled is the replay driver: the same copy-in, tail-quad writes,
 // iteration loop and per-block early-exit protocol as
 // MultiSIMDDecoder.runPacked, with each iteration's engine work replaced
-// by one Program.Run over the arena. The returned slices alias
+// by one Program.Run over the state's region. The returned slices alias
 // p.pst.bits exactly like runPacked's.
 func (bd *BatchDecoder) runCompiled(p *decodePlan, words []*LLRWord) ([][]byte, int, error) {
 	st := p.pst
-	d := p.dec
 	requested := len(words)
 	if err := st.loadWordsPacked(words); err != nil {
 		return nil, 0, err
@@ -116,15 +85,16 @@ func (bd *BatchDecoder) runCompiled(p *decodePlan, words []*LLRWord) ([][]byte, 
 	st.writeTailQuads()
 
 	resetConv(st.conv, st.itersB, requested)
+	maxIters, prog := bd.effIters(), p.shared.prog
 	iters := 0
-	for it := 0; it < d.MaxIters; it++ {
+	for it := 0; it < maxIters; it++ {
 		iters++
 		seg := program.SegSteady
 		if it == 0 {
 			seg = program.SegFirst
 		}
-		p.prog.Run(bd.eng.Mem, seg)
-		if st.extractPacked(d.EarlyExit, it) {
+		prog.Run(p.exec, seg)
+		if st.extractPacked(bd.EarlyExit, it) {
 			break
 		}
 	}

@@ -71,7 +71,7 @@ func TestCompiledRespectsConfigChanges(t *testing.T) {
 		t.Fatal(err)
 	}
 	words, _ := buildWords(t, c, bd.Lanes(), 21, false)
-	if _, _, err := bd.Decode(k, words); err != nil { // records at 6 iters
+	if _, _, err := bd.Decode(k, words); err != nil {
 		t.Fatal(err)
 	}
 	if bd.ProgramStats().CompiledPlans != 1 {
@@ -107,13 +107,16 @@ func TestCompiledRespectsConfigChanges(t *testing.T) {
 	}
 }
 
-// TestCompileNeedsTwoIterations: a one-iteration decode cannot separate
-// the first-iteration segment from the steady segment, so it must not
-// record: the plan stays interpreted, keeps decoding correctly and does
-// NOT latch noCompile — whether the budget is MaxIters=1 or the overload
-// clamp (ItersOverride=1) on a first decode. Once the clamp is released
-// the next decode records and compiles, and the ones after it replay.
+// TestCompileNeedsTwoIterations: a program needs a first and a steady
+// iteration recorded to exist at all, and used to get them from whatever
+// live decode came first — so a first decode under MaxIters=1 or under the
+// overload clamp (ItersOverride=1) could not record, ran interpreted, and
+// the plan recorded again later. The recording is a synthetic
+// three-iteration decode now, so the budget of the decode in hand no
+// longer matters: a one-iteration first decode is served by the compiled
+// program, and releasing the clamp needs no second recording.
 func TestCompileNeedsTwoIterations(t *testing.T) {
+	resetPlanCache()
 	const k = 40
 	bd := NewBatchDecoder(simd.W128, core.StrategyAPCM, 32<<20)
 	bd.MaxIters = 1
@@ -140,15 +143,8 @@ func TestCompileNeedsTwoIterations(t *testing.T) {
 	for round := 0; round < 3; round++ {
 		decode(bd, "MaxIters=1", 1)
 	}
-	s := bd.ProgramStats()
-	if s.CompiledPlans != 0 || s.Compiles != 0 {
-		t.Errorf("one-iteration decodes compiled anyway: %+v", s)
-	}
-	if bd.plans[k].noCompile {
-		t.Error("one-iteration decodes latched noCompile")
-	}
-	if s.Misses != 3 || s.Hits != 0 {
-		t.Errorf("want 3 misses, 0 hits; got %+v", s)
+	if s := bd.ProgramStats(); s.Hits != 3 || s.Misses != 0 || s.CompiledPlans != 1 {
+		t.Errorf("one-iteration decodes were not served by the compiled program: %+v", s)
 	}
 
 	// The overload clamp on the very first decode of a K, then released.
@@ -156,28 +152,30 @@ func TestCompileNeedsTwoIterations(t *testing.T) {
 	clamped.MaxIters = 4
 	clamped.ItersOverride = 1
 	decode(clamped, "ItersOverride=1", 1)
-	if clamped.plans[k].noCompile {
-		t.Fatal("a decode under the overload clamp latched the plan onto the interpreter")
+	if s := clamped.ProgramStats(); s.Hits != 1 || s.Misses != 0 {
+		t.Fatalf("a first decode under the overload clamp ran interpreted: %+v", s)
 	}
 	clamped.ItersOverride = 0
-	decode(clamped, "override released", 2) // records and compiles
-	if s := clamped.ProgramStats(); s.Compiles != 1 || s.CompiledPlans != 1 {
-		t.Fatalf("first unclamped decode did not compile: %+v", s)
+	decode(clamped, "override released", 2)
+	decode(clamped, "replay", 2)
+	if s := clamped.ProgramStats(); s.Hits != 3 || s.Misses != 0 || s.Compiles != 1 {
+		t.Errorf("want 3 hits on one installed program; got %+v", s)
 	}
-	decode(clamped, "replay", 2)
-	decode(clamped, "replay", 2)
-	if s := clamped.ProgramStats(); s.Hits != 2 || s.Misses != 2 {
-		t.Errorf("want 2 hits after compiling, 2 misses before; got %+v", s)
+	if cs := PlanCacheStats(); cs.Compiles != 1 || cs.Failures != 0 {
+		t.Errorf("two decoders, budgets 1 and 4, clamp on and off: %d compiles (%d failures), want 1", cs.Compiles, cs.Failures)
 	}
 }
 
-// TestCompiledEvictionRecompiles: arena eviction must discard compiled
-// programs with their plans (they embed absolute arena addresses) and
-// later decodes of the same K must transparently recompile.
+// TestCompiledEvictionRecompiles: arena eviction discards this decoder's
+// states and must not cost a compile (the name is from when it did):
+// later decodes of the same K install the same shared program over a
+// fresh region and stay correct.
 func TestCompiledEvictionRecompiles(t *testing.T) {
+	resetPlanCache()
 	bd := NewBatchDecoder(simd.W512, core.StrategyAPCM, 2<<20)
 	bd.MaxIters = 4
 	ks := []int{6144, 5056, 6144, 4096, 5056, 6144}
+	progs := make(map[int]any)
 	for round, k := range ks {
 		c, err := bd.Code(k)
 		if err != nil {
@@ -193,36 +191,50 @@ func TestCompiledEvictionRecompiles(t *testing.T) {
 				t.Errorf("round %d (K=%d) block %d: wrong bits", round, k, b)
 			}
 		}
-		if bd.PlanProgram(k) == nil {
+		prog := bd.PlanProgram(k)
+		if prog == nil {
 			t.Errorf("round %d (K=%d): current plan not compiled", round, k)
 		}
+		if was, seen := progs[k]; seen && was != any(prog) {
+			t.Errorf("round %d (K=%d): a different program after eviction", round, k)
+		}
+		progs[k] = prog
 	}
 	if bd.Evictions == 0 {
 		t.Fatal("2 MiB arena fit three K=4096..6144 W512 plans without evicting")
 	}
-	// Three distinct Ks but more compilations than that: eviction dropped
-	// programs and later rounds transparently recompiled them.
-	if s := bd.ProgramStats(); s.Compiles <= 3 {
-		t.Errorf("want >3 compilations (recompiles after eviction), got %d", s.Compiles)
+	// Three distinct Ks, three compiles, and more installs than that: each
+	// eviction dropped the states and later rounds re-adopted the programs.
+	if cs := PlanCacheStats(); cs.Compiles != 3 {
+		t.Errorf("%d compiles for three block sizes through %d evictions, want 3", cs.Compiles, bd.Evictions)
+	}
+	if s := bd.ProgramStats(); s.Compiles <= 3 || s.Misses != 0 {
+		t.Errorf("want >3 installs (re-adoption after eviction) and no interpreted decode, got %+v", s)
 	}
 }
 
-// TestProgramStatsCounters pins the hit/miss/compile accounting that the
-// serving metrics export.
+// TestProgramStatsCounters pins the hit/miss/install accounting that the
+// serving metrics export, on the decoder that compiles a block size for
+// the process and on one that adopts it.
 func TestProgramStatsCounters(t *testing.T) {
+	resetPlanCache()
 	const k = 104
-	bd := NewBatchDecoder(simd.W128, core.StrategyAPCM, 32<<20)
-	bd.MaxIters = 4
+	var hooked int
+	newDecoder := func() *BatchDecoder {
+		bd := NewBatchDecoder(simd.W128, core.StrategyAPCM, 32<<20)
+		bd.MaxIters = 4
+		bd.OnCompile = func(hk int, elapsed time.Duration) {
+			if hk != k || elapsed <= 0 {
+				t.Errorf("OnCompile(K=%d, %v), want K=%d and a positive time", hk, elapsed, k)
+			}
+			hooked++
+		}
+		return bd
+	}
+	bd := newDecoder()
 	c, err := bd.Code(k)
 	if err != nil {
 		t.Fatal(err)
-	}
-	var hooked int
-	bd.OnCompile = func(hk int, elapsed time.Duration) {
-		if hk != k {
-			t.Errorf("OnCompile K=%d, want %d", hk, k)
-		}
-		hooked++
 	}
 	words, _ := buildWords(t, c, bd.Lanes(), 51, true)
 	for i := 0; i < 4; i++ {
@@ -231,14 +243,31 @@ func TestProgramStatsCounters(t *testing.T) {
 		}
 	}
 	s := bd.ProgramStats()
-	if s.Misses != 1 || s.Hits != 3 || s.Compiles != 1 || s.CompiledPlans != 1 {
-		t.Errorf("after 4 decodes: %+v, want 1 miss / 3 hits / 1 compile / 1 plan", s)
+	if s.Misses != 0 || s.Hits != 4 || s.Compiles != 1 || s.CompiledPlans != 1 {
+		t.Errorf("after 4 decodes: %+v, want 0 misses / 4 hits / 1 install / 1 plan", s)
 	}
 	if s.CompileTime <= 0 {
 		t.Error("compile time not accounted")
 	}
 	if hooked != 1 {
-		t.Errorf("OnCompile fired %d times, want 1", hooked)
+		t.Errorf("OnCompile fired %d times on the compiling decoder, want 1", hooked)
+	}
+
+	// A second decoder adopts: the same per-decoder reading (a probe that
+	// asks a fresh decoder "did your first decode get a program, and what
+	// does one cost" is answered the same), no hook, no compile.
+	adopter := newDecoder()
+	if _, _, err := adopter.Decode(k, words); err != nil {
+		t.Fatal(err)
+	}
+	if a := adopter.ProgramStats(); a.Compiles != 1 || a.CompileTime != s.CompileTime || a.Hits != 1 || a.Misses != 0 {
+		t.Errorf("adopting decoder: %+v, want 1 install carrying the compile time %v", a, s.CompileTime)
+	}
+	if hooked != 1 {
+		t.Errorf("OnCompile fired on adoption (%d calls)", hooked)
+	}
+	if cs := PlanCacheStats(); cs.Compiles != 1 || cs.CompileTime != s.CompileTime || cs.Failures != 0 {
+		t.Errorf("cache: %+v, want the one compile of %v", cs, s.CompileTime)
 	}
 }
 
@@ -247,6 +276,7 @@ func TestProgramStatsCounters(t *testing.T) {
 // path — otherwise experiment traces would silently lose their decode
 // instruction stream.
 func TestTracedEngineStaysInterpreted(t *testing.T) {
+	resetPlanCache()
 	const k = 104
 	bd := &BatchDecoder{
 		eng:       simd.NewEngine(simd.W128, simd.NewMemory(32<<20), trace.NewRecorder(1<<20)),
@@ -279,8 +309,11 @@ func TestTracedEngineStaysInterpreted(t *testing.T) {
 		}
 	}
 	s := bd.ProgramStats()
-	if s.Compiles != 0 || s.CompiledPlans != 0 || s.Hits != 0 {
+	if s.Compiles != 0 || s.CompiledPlans != 0 || s.Hits != 0 || s.Misses != 0 {
 		t.Errorf("traced engine took the compiled path: %+v", s)
+	}
+	if cs := PlanCacheStats(); cs != (CacheStats{}) {
+		t.Errorf("traced engine consulted the plan cache: %+v", cs)
 	}
 }
 

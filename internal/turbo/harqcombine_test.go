@@ -233,10 +233,12 @@ func TestItersOverride(t *testing.T) {
 	}
 }
 
-// TestEvictAll: the explicit flush discards every plan's state and
-// compiled program, counts an eviction, and the next decode of each K
-// transparently rebuilds and recompiles with identical results.
+// TestEvictAll: the explicit flush discards every plan's state, counts an
+// eviction, and the next decode of each K transparently rebuilds the state
+// and installs the same shared program again — no compile — with identical
+// results.
 func TestEvictAll(t *testing.T) {
+	resetPlanCache()
 	const k = 104
 	bd := NewBatchDecoder(simd.W128, core.StrategyAPCM, 32<<20)
 	bd.MaxIters = 4
@@ -269,15 +271,21 @@ func TestEvictAll(t *testing.T) {
 			t.Errorf("post-eviction block %d: wrong bits", b)
 		}
 	}
-	if s := bd.ProgramStats(); s.Compiles != 2 {
-		t.Errorf("post-eviction decode did not recompile: %+v", s)
+	if s := bd.ProgramStats(); s.Compiles != 2 || s.CompiledPlans != 1 || s.Misses != 0 {
+		t.Errorf("post-eviction decode did not install the program again: %+v", s)
+	}
+	if cs := PlanCacheStats(); cs.Compiles != 1 {
+		t.Errorf("%d compiles across an eviction, want 1", cs.Compiles)
 	}
 }
 
-// TestCompileGate: a rejecting gate forces the interpreter exactly like
-// a verify failure — no program, noCompile latched, decodes still
-// correct; an accepting gate changes nothing.
+// TestCompileGate: a rejecting gate forces this decoder onto the
+// interpreter exactly like a verify failure — no program installed, the
+// veto latched until an eviction, decodes still correct — and poisons
+// nothing: the shared program stays cached and the next decoder gets it
+// without a compile. An accepting gate changes nothing.
 func TestCompileGate(t *testing.T) {
+	resetPlanCache()
 	const k = 104
 	bd := NewBatchDecoder(simd.W128, core.StrategyAPCM, 32<<20)
 	bd.MaxIters = 4
@@ -306,14 +314,26 @@ func TestCompileGate(t *testing.T) {
 		}
 	}
 	if gated != 1 {
-		t.Errorf("gate consulted %d times, want 1 (noCompile must latch)", gated)
+		t.Errorf("gate consulted %d times, want 1 (the veto must latch)", gated)
 	}
 	s := bd.ProgramStats()
-	if s.Compiles != 0 || s.CompiledPlans != 0 || s.Hits != 0 {
-		t.Errorf("rejected compilation still produced a program: %+v", s)
+	if s.Compiles != 0 || s.CompiledPlans != 0 || s.Hits != 0 || bd.PlanProgram(k) != nil {
+		t.Errorf("vetoed install still produced a program: %+v", s)
 	}
 	if s.Misses != 3 {
 		t.Errorf("want 3 interpreter misses, got %+v", s)
+	}
+	// The gate is asked again when an eviction makes the decoder install
+	// again, and a veto then is as good as one before.
+	bd.EvictAll()
+	if _, _, err := bd.Decode(k, words); err != nil {
+		t.Fatal(err)
+	}
+	if gated != 2 || bd.ProgramStats().Misses != 4 {
+		t.Errorf("after an eviction: gate consulted %d times, %d misses; want 2 and 4", gated, bd.ProgramStats().Misses)
+	}
+	if cs := PlanCacheStats(); cs.Compiles != 1 || cs.Failures != 0 {
+		t.Errorf("a veto on one decoder left the cache at %+v, want the one good compile", cs)
 	}
 
 	ok := NewBatchDecoder(simd.W128, core.StrategyAPCM, 32<<20)
@@ -324,8 +344,11 @@ func TestCompileGate(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if s := ok.ProgramStats(); s.Compiles != 1 || s.Hits != 1 {
-		t.Errorf("accepting gate perturbed compilation: %+v", s)
+	if s := ok.ProgramStats(); s.Compiles != 1 || s.Hits != 2 || s.Misses != 0 {
+		t.Errorf("accepting gate perturbed the install: %+v", s)
+	}
+	if cs := PlanCacheStats(); cs.Compiles != 1 {
+		t.Errorf("the decoder after the vetoed one compiled again: %+v", cs)
 	}
 }
 

@@ -31,23 +31,14 @@ import (
 // per-block path — and give the replay compiler a fixed 11-op step
 // shape it fuses into a single-pass op (see program/fuse.go).
 
-// packedState is the packed counterpart of multiState: everything is
-// derived from (K, width, strategy), built once per plan and reused for
-// an unbounded stream of decodes with no steady-state allocation.
-type packedState struct {
-	e    *simd.Engine
-	ar   core.Arranger
-	code *Code
-	lay  core.Layout
-	nb   int // blocks in flight
-	n    int // nb*K packed elements
-
+// regionLayout is where the packed working arrays lie: byte offsets from
+// the start of a plan's state region in a packedPlan, arena addresses in a
+// packedState.
+type regionLayout struct {
 	// Packed interleaved input and its arranged clusters.
-	src     int64
-	s       int64
-	p1, p2  int64
-	tailSys [][3]int16
-	tailP1  [][3]int16
+	src    int64
+	s      int64
+	p1, p2 int64
 
 	// Packed per-element working arrays (arranged layout, rot 0).
 	sPerm int64
@@ -63,9 +54,36 @@ type packedState struct {
 	quad int64
 	// alpha is the recursion history, one group per step.
 	alpha int64
+}
 
-	constReady bool
-	zero       *simd.Vec
+// at returns the layout moved to a region that starts at base.
+func (r regionLayout) at(base int64) regionLayout {
+	for _, a := range []*int64{&r.src, &r.s, &r.p1, &r.p2, &r.sPerm, &r.la1, &r.la2, &r.ext, &r.dPost, &r.hdec, &r.quad, &r.alpha} {
+		*a += base
+	}
+	return r
+}
+
+// packedPlan is everything about a packed decode that is a pure function
+// of (K, width, strategy): the code, the shape and size of the state
+// region, and the index tables. It is immutable once newPackedPlan
+// returns, so one serves every decoder of a process that decodes that
+// triple (plancache.go), whichever arena offset each runs it at.
+type packedPlan struct {
+	code *Code
+	w    simd.Width
+	lay  core.Layout
+	nb   int // blocks in flight
+	n    int // nb*K packed elements
+
+	// rel is the layout relative to the start of the state region, size
+	// the bytes a region holds, and arrBytes those of one packed array. A
+	// region starts 64-byte aligned, which keeps every array and every
+	// trellis group on the alignment the offsets here were laid out at.
+	rel      regionLayout
+	size     int64
+	arrBytes int
+
 	negInfInit []int16
 	// Recursion permute tables (replicated per block, as in multiState).
 	prevIdx0, prevIdx1 []int
@@ -88,9 +106,32 @@ type packedState struct {
 
 	// hdecAt[b*K+p] is the offset in the hdec array of the hard decision
 	// for bit p of block b, so the extraction walks each block's bits in
-	// order with the interleaver and the layout already resolved. hdecPrev
-	// is the array as the previous iteration's extraction saw it.
-	hdecAt   []int32
+	// order with the interleaver and the layout already resolved.
+	hdecAt []int32
+}
+
+// packedState is one decoder's mutable half of a packed decode: a state
+// region of its engine's arena laid out as the plan says, the constant
+// register the interpreter keeps, and the Go-side buffers. Building one
+// allocates and computes nothing that depends on K beyond those buffers,
+// and it is reused for an unbounded stream of decodes with no steady-state
+// allocation.
+type packedState struct {
+	*packedPlan
+	regionLayout // arena addresses: the plan's rel at this state's region
+
+	e  *simd.Engine
+	ar core.Arranger
+
+	tailSys [][3]int16
+	tailP1  [][3]int16
+
+	// zero is the interpreter's constant register (nil until a decode is
+	// interpreted on this state).
+	zero *simd.Vec
+
+	// hdecPrev is the hdec array as the previous iteration's extraction
+	// saw it.
 	hdecPrev []byte
 
 	// Go-side reusable buffers: hard decisions, per-block convergence
@@ -103,87 +144,85 @@ type packedState struct {
 
 // gatherSrc is one source group's contribution to a gather destination
 // group: load the source group, permute by Idx, OR into the
-// accumulator. Idx is pointer-stable for the state's lifetime (the
+// accumulator. Idx is pointer-stable for the plan's lifetime (the
 // replay builder interns permute tables by the slice's backing array).
 type gatherSrc struct {
 	Group int
 	Idx   []int
 }
 
-func (st *packedState) elemAddr(base int64, ip int) int64 {
-	g, jj := ip/st.lay.GroupLanes, ip%st.lay.GroupLanes
-	return base + 2*int64(g*st.lay.StrideLanes+st.lay.LanePos[jj])
+func (pl *packedPlan) elemAddr(base int64, ip int) int64 {
+	g, jj := ip/pl.lay.GroupLanes, ip%pl.lay.GroupLanes
+	return base + 2*int64(g*pl.lay.StrideLanes+pl.lay.LanePos[jj])
 }
 
-func (st *packedState) vecAddr(base int64, g, rot int) int64 {
-	return base + 2*int64(g*st.lay.StrideLanes+rot)
+func (pl *packedPlan) vecAddr(base int64, g, rot int) int64 {
+	return base + 2*int64(g*pl.lay.StrideLanes+rot)
 }
 
 func (st *packedState) quadAddr(step int) int64 {
-	return st.quad + int64(step)*int64(int(st.e.W))
+	return st.quad + int64(step)*int64(int(st.w))
 }
 
 func (st *packedState) alphaAddr(step int) int64 {
-	return st.alpha + int64(step)*int64(int(st.e.W))
+	return st.alpha + int64(step)*int64(int(st.w))
 }
 
-// packedStateBytes bounds the arena bytes newPackedState consumes for
-// code c at nb blocks (64-byte alignment padding per Alloc).
-func packedStateBytes(c *Code, lay core.Layout, w simd.Width, nb int) int64 {
-	n := nb * c.K
-	arrBytes := int64(lay.DstBytes(n))
-	wb := int64(int(w))
-	// src + 9 packed arrays + quad + alpha histories.
-	return int64(core.InterleavedBytes(n)) + 9*arrBytes + 2*wb*int64(c.K+4) + 13*64
-}
-
-// newPackedState allocates the packed working set for nb blocks of
-// code c on engine e with arrangement ar.
-func newPackedState(e *simd.Engine, ar core.Arranger, c *Code, nb int) *packedState {
+// newPackedPlan lays out the state region and builds the tables for nb
+// blocks of code c at width w under layout lay.
+func newPackedPlan(c *Code, lay core.Layout, w simd.Width, nb int) *packedPlan {
 	k := c.K
-	lay := ar.Layout(e.W)
 	n := nb * k
-	st := &packedState{e: e, ar: ar, code: c, lay: lay, nb: nb, n: n}
-	arrBytes := lay.DstBytes(n)
-	wb := int64(int(e.W))
-	st.src = e.Mem.Alloc(core.InterleavedBytes(n), 64)
-	st.s = e.Mem.Alloc(arrBytes, 64)
-	st.p1 = e.Mem.Alloc(arrBytes, 64)
-	st.p2 = e.Mem.Alloc(arrBytes, 64)
-	st.sPerm = e.Mem.Alloc(arrBytes, 64)
-	st.la1 = e.Mem.Alloc(arrBytes, 64)
-	st.la2 = e.Mem.Alloc(arrBytes, 64)
-	st.ext = e.Mem.Alloc(arrBytes, 64)
-	st.dPost = e.Mem.Alloc(arrBytes, 64)
-	st.hdec = e.Mem.Alloc(arrBytes, 64)
-	st.quad = e.Mem.Alloc(int(wb)*(k+4), 64)
-	st.alpha = e.Mem.Alloc(int(wb)*(k+4), 64)
+	pl := &packedPlan{code: c, w: w, lay: lay, nb: nb, n: n, arrBytes: lay.DstBytes(n)}
+	// Every array starts on a 64-byte boundary of the region, as
+	// consecutive simd.Memory.Alloc(_, 64) calls from its start would
+	// place them.
+	alloc := func(bytes int) int64 {
+		base := (pl.size + 63) &^ 63
+		pl.size = base + int64(bytes)
+		return base
+	}
+	pl.rel.src = alloc(core.InterleavedBytes(n))
+	for _, a := range []*int64{&pl.rel.s, &pl.rel.p1, &pl.rel.p2, &pl.rel.sPerm, &pl.rel.la1, &pl.rel.la2, &pl.rel.ext, &pl.rel.dPost, &pl.rel.hdec} {
+		*a = alloc(pl.arrBytes)
+	}
+	pl.rel.quad = alloc(int(w) * (k + 4))
+	pl.rel.alpha = alloc(int(w) * (k + 4))
 
-	st.tailSys = make([][3]int16, nb)
-	st.tailP1 = make([][3]int16, nb)
-	st.bits = make([][]byte, nb)
-	st.hdecAt = make([]int32, nb*k)
-	st.hdecPrev = make([]byte, arrBytes)
+	pl.hdecAt = make([]int32, nb*k)
 	for b := 0; b < nb; b++ {
-		st.bits[b] = make([]byte, k)
 		for i := 0; i < k; i++ {
-			st.hdecAt[b*k+c.qpp.Perm(i)] = int32(st.elemAddr(0, i*nb+b))
+			pl.hdecAt[b*k+c.qpp.Perm(i)] = int32(pl.elemAddr(0, i*nb+b))
 		}
 	}
-	st.conv = make([]bool, nb)
-	st.itersB = make([]int, nb)
-	st.words = make([]*LLRWord, 0, nb)
+	pl.buildTables()
+	return pl
+}
+
+// newPackedState builds a decoder's state for plan pl over the pl.size
+// bytes of e's arena that start at base, which must be 64-byte aligned.
+func newPackedState(e *simd.Engine, ar core.Arranger, pl *packedPlan, base int64) *packedState {
+	st := &packedState{packedPlan: pl, regionLayout: pl.rel.at(base), e: e, ar: ar}
+	st.tailSys = make([][3]int16, pl.nb)
+	st.tailP1 = make([][3]int16, pl.nb)
+	st.bits = make([][]byte, pl.nb)
+	bits := make([]byte, pl.nb*pl.code.K)
+	for b := range st.bits {
+		st.bits[b] = bits[b*pl.code.K:][:pl.code.K:pl.code.K]
+	}
+	st.hdecPrev = make([]byte, pl.arrBytes)
+	st.conv = make([]bool, pl.nb)
+	st.itersB = make([]int, pl.nb)
+	st.words = make([]*LLRWord, 0, pl.nb)
 	return st
 }
 
-// initPackedConstants builds the constant registers and permute tables.
-// Runs once per state (constReady), like initConstants.
-func (d *MultiSIMDDecoder) initPackedConstants(st *packedState, tr *Trellis) {
-	e := st.e
-	nb := st.nb
-	lanes := e.W.Lanes16()
-	st.zero = e.NewVec()
-	e.PXor(st.zero, st.zero, st.zero)
+// buildTables builds the permute tables and gather programs: pure index
+// arithmetic over (trellis, layout, interleaver), no engine.
+func (pl *packedPlan) buildTables() {
+	tr := pl.code.trellis
+	nb := pl.nb
+	lanes := pl.w.Lanes16()
 
 	rep := func(f func(s int) int) []int {
 		idx := make([]int, lanes)
@@ -194,18 +233,18 @@ func (d *MultiSIMDDecoder) initPackedConstants(st *packedState, tr *Trellis) {
 		}
 		return idx
 	}
-	st.prevIdx0 = rep(func(s int) int { return tr.Prev[s][0] })
-	st.prevIdx1 = rep(func(s int) int { return tr.Prev[s][1] })
-	st.nextIdx0 = rep(func(s int) int { return tr.Next[s][0] })
-	st.nextIdx1 = rep(func(s int) int { return tr.Next[s][1] })
-	st.lane0Idx = rep(func(s int) int { return 0 })
-	st.hmaxIdx[0] = rep(func(s int) int { return (s + 4) % 8 })
-	st.hmaxIdx[1] = rep(func(s int) int { return s ^ 2 })
-	st.hmaxIdx[2] = rep(func(s int) int { return s ^ 1 })
-	st.negInfInit = make([]int16, lanes)
+	pl.prevIdx0 = rep(func(s int) int { return tr.Prev[s][0] })
+	pl.prevIdx1 = rep(func(s int) int { return tr.Prev[s][1] })
+	pl.nextIdx0 = rep(func(s int) int { return tr.Next[s][0] })
+	pl.nextIdx1 = rep(func(s int) int { return tr.Next[s][1] })
+	pl.lane0Idx = rep(func(s int) int { return 0 })
+	pl.hmaxIdx[0] = rep(func(s int) int { return (s + 4) % 8 })
+	pl.hmaxIdx[1] = rep(func(s int) int { return s ^ 2 })
+	pl.hmaxIdx[2] = rep(func(s int) int { return s ^ 1 })
+	pl.negInfInit = make([]int16, lanes)
 	for b := 0; b < nb; b++ {
 		for s := 1; s < NumStates; s++ {
-			st.negInfInit[b*NumStates+s] = negInf16
+			pl.negInfInit[b*NumStates+s] = negInf16
 		}
 	}
 
@@ -225,7 +264,7 @@ func (d *MultiSIMDDecoder) initPackedConstants(st *packedState, tr *Trellis) {
 		}
 		return t0, t1
 	}
-	st.bmA0, st.bmA1 = quadSel(
+	pl.bmA0, pl.bmA1 = quadSel(
 		func(s int) int {
 			if tr.Parity[tr.Prev[s][0]][0] == 0 {
 				return 0
@@ -238,7 +277,7 @@ func (d *MultiSIMDDecoder) initPackedConstants(st *packedState, tr *Trellis) {
 			}
 			return 2
 		})
-	st.bmB0, st.bmB1 = quadSel(
+	pl.bmB0, pl.bmB1 = quadSel(
 		func(s int) int {
 			if tr.Parity[s][0] == 0 {
 				return 0
@@ -264,17 +303,17 @@ func (d *MultiSIMDDecoder) initPackedConstants(st *packedState, tr *Trellis) {
 				t[j] = -1
 			}
 			for b := 0; b < nb; b++ {
-				t[b*4+v] = st.lay.LanePos[(si*nb+b)%st.lay.GroupLanes]
+				t[b*4+v] = pl.lay.LanePos[(si*nb+b)%pl.lay.GroupLanes]
 			}
-			st.scat[si][v] = t
+			pl.scat[si][v] = t
 		}
 	}
 
 	// Interleave gather programs.
-	qpp := st.code.qpp
-	st.gSPerm = st.buildGather(func(i int) int { return qpp.Perm(i) })
-	st.gLa2 = st.gSPerm // same permutation, different arrays
-	st.gLa1 = st.buildGather(func(i int) int { return qpp.InvPerm(i) })
+	qpp := pl.code.qpp
+	pl.gSPerm = pl.buildGather(func(i int) int { return qpp.Perm(i) })
+	pl.gLa2 = pl.gSPerm // same permutation, different arrays
+	pl.gLa1 = pl.buildGather(func(i int) int { return qpp.InvPerm(i) })
 }
 
 // buildGather compiles dst[i*nb+b] = src[f(i)*nb+b] into per-dst-group
@@ -283,9 +322,9 @@ func (d *MultiSIMDDecoder) initPackedConstants(st *packedState, tr *Trellis) {
 // lanes to the destination lanes it feeds (-1 elsewhere). Every packed
 // element has exactly one source, so the OR-merge of the contributions
 // is exact.
-func (st *packedState) buildGather(f func(i int) int) [][]gatherSrc {
-	L := st.lay.GroupLanes
-	groups := st.n / L
+func (pl *packedPlan) buildGather(f func(i int) int) [][]gatherSrc {
+	L := pl.lay.GroupLanes
+	groups := pl.n / L
 	out := make([][]gatherSrc, groups)
 	for gd := 0; gd < groups; gd++ {
 		var srcs []gatherSrc
@@ -304,10 +343,10 @@ func (st *packedState) buildGather(f func(i int) int) [][]gatherSrc {
 		}
 		for jj := 0; jj < L; jj++ {
 			ip := gd*L + jj
-			i, b := ip/st.nb, ip%st.nb
-			sp := f(i)*st.nb + b
+			i, b := ip/pl.nb, ip%pl.nb
+			sp := f(i)*pl.nb + b
 			g := find(sp / L)
-			g.Idx[st.lay.LanePos[jj]] = st.lay.LanePos[sp%L]
+			g.Idx[pl.lay.LanePos[jj]] = pl.lay.LanePos[sp%L]
 		}
 		out[gd] = srcs
 	}
@@ -343,7 +382,7 @@ func (st *packedState) gather(prog [][]gatherSrc, dstBase, srcBase int64, srcRot
 // front; the first-half gamma only writes groups 0..k-1, so they
 // persist, and the unterminated second half never reads them.
 func (st *packedState) writeTailQuads() {
-	wb := int(st.e.W)
+	wb := int(st.w)
 	for i := 0; i < 3; i++ {
 		// Zero the whole group first (upper lanes stay deterministic).
 		q := st.e.Mem.Bytes(st.quadAddr(st.code.K+i), wb)
@@ -635,9 +674,11 @@ func (d *MultiSIMDDecoder) runPacked(st *packedState, words []*LLRWord) ([][]byt
 	m := d.mark(e, "arrangement")
 	st.ar.Arrange(e, st.src, core.Dest{S: st.s, P1: st.p1, P2: st.p2}, st.n)
 	d.setHi(m, e)
-	if !st.constReady {
-		d.initPackedConstants(st, st.code.trellis)
-		st.constReady = true
+	if st.zero == nil {
+		// The one constant register, once per state; a recording takes it
+		// into SegFirst, so a replay re-establishes it every decode.
+		st.zero = e.NewVec()
+		e.PXor(st.zero, st.zero, st.zero)
 	}
 	st.writeTailQuads()
 

@@ -1,0 +1,208 @@
+package turbo
+
+import (
+	"errors"
+	"fmt"
+	"sync"
+	"sync/atomic"
+	"time"
+
+	"vransim/internal/core"
+	"vransim/internal/simd"
+	"vransim/internal/simd/program"
+)
+
+// This file is the process-wide plan cache. Everything about decoding
+// block size K at width w under arrangement strategy s that does not
+// depend on the words — the code, the state-region layout, the index
+// tables and the compiled replay program — is a pure function of those
+// three, so a process builds it once, here, and every BatchDecoder (each
+// runtime worker, every shard of an in-process fleet, a benchmark's pool
+// decoder) adopts it: a decoder's own cost for a K is a state region of
+// its arena and the Go-side buffers. The program is recorded off the live
+// path, from a synthetic word on a throwaway engine (recordProgram), by
+// whichever caller asks for the triple first; callers that arrive while
+// that flight is up wait for it instead of recording their own.
+//
+// A triple that cannot compile is cached too, as its error: every decoder
+// learns it from the one attempt and serves that K interpreted (counted as
+// program misses, which a serving runtime without chaos configured turns
+// into an unhealthy /healthz), instead of each worker re-recording it.
+// Nothing is ever evicted: an entry is a few hundred kilobytes at K=512
+// and the key space is the block sizes a deployment serves.
+
+type planKey struct {
+	k int
+	w simd.Width
+	s core.Strategy
+}
+
+// sharedPlan is what a cache entry holds once its flight has landed. It is
+// immutable from then on.
+type sharedPlan struct {
+	*packedPlan
+	// prog is the compiled replay program, nil when err says why there is
+	// none. compileTime is what Builder.Compile took (the recording decode
+	// before it is not counted, as it never was).
+	prog        *program.Program
+	err         error
+	compileTime time.Duration
+}
+
+// planFlight is one cache entry: the Once is the singleflight.
+type planFlight struct {
+	once   sync.Once
+	landed atomic.Bool
+	plan   *sharedPlan
+}
+
+var planCache struct {
+	mu      sync.Mutex
+	flights map[planKey]*planFlight
+
+	compiles, waiters, failures atomic.Uint64
+	compileNs                   atomic.Int64
+}
+
+// CacheStats is a snapshot of the process-wide plan cache counters.
+type CacheStats struct {
+	// Compiles counts programs compiled in this process, one per
+	// (K, width, strategy) that compiled; CompileTime is their cumulative
+	// Builder.Compile wall-clock cost.
+	Compiles    uint64
+	CompileTime time.Duration
+	// Waiters counts callers that found a triple's compile in flight and
+	// waited for it instead of starting their own.
+	Waiters uint64
+	// Failures counts triples cached as unable to compile.
+	Failures uint64
+}
+
+// PlanCacheStats reports the process-wide plan cache counters. Safe for
+// concurrent use.
+func PlanCacheStats() CacheStats {
+	return CacheStats{
+		Compiles:    planCache.compiles.Load(),
+		CompileTime: time.Duration(planCache.compileNs.Load()),
+		Waiters:     planCache.waiters.Load(),
+		Failures:    planCache.failures.Load(),
+	}
+}
+
+// Precompile builds the shared plan and compiles the replay program of
+// every block size in ks at width w under strategy s, so that no decoder
+// of the process meets them cold: a serving binary calls it with the
+// sizes its configuration names before it admits traffic. Sizes already
+// cached cost nothing. It reports the sizes that are not valid or did not
+// compile; those still decode, interpreted.
+func Precompile(w simd.Width, s core.Strategy, ks ...int) error {
+	var errs []error
+	for _, k := range ks {
+		if err := checkBlockSize(k); err != nil {
+			errs = append(errs, err)
+			continue
+		}
+		if sp, _ := sharedPlanFor(planKey{k, w, s}); sp.err != nil {
+			errs = append(errs, fmt.Errorf("turbo: K=%d at %v/%v does not compile: %w", k, w, s, sp.err))
+		}
+	}
+	return errors.Join(errs...)
+}
+
+// sharedPlanFor returns the cache entry for key, a valid block size,
+// building it if this is the first caller to ask (led) and waiting for
+// the caller that is building it otherwise.
+func sharedPlanFor(key planKey) (sp *sharedPlan, led bool) {
+	planCache.mu.Lock()
+	f := planCache.flights[key]
+	if f == nil {
+		if planCache.flights == nil {
+			planCache.flights = make(map[planKey]*planFlight)
+		}
+		f = new(planFlight)
+		planCache.flights[key] = f
+	} else if !f.landed.Load() {
+		planCache.waiters.Add(1)
+	}
+	planCache.mu.Unlock()
+	f.once.Do(func() {
+		f.plan = buildSharedPlan(key)
+		f.landed.Store(true)
+		led = true
+	})
+	return f.plan, led
+}
+
+// recordIters is how many iterations a program is recorded over: the
+// first makes SegFirst, the second SegSteady, and the third is checked op
+// for op against the second through the builder's register bijection, so
+// every compile proves the stream iteration-invariant rather than only
+// those whose live word happened to need a third iteration. It is a
+// variable for one test: recorded over one iteration nothing compiles,
+// which is the only way to reach the cache's failure entries on demand.
+var recordIters = 3
+
+func buildSharedPlan(key planKey) *sharedPlan {
+	c, err := NewCode(key.k)
+	if err != nil {
+		panic(err) // callers validate the block size
+	}
+	ar := core.ByStrategy(key.s)
+	nb := BlocksPerRegister(key.w)
+	sp := &sharedPlan{packedPlan: newPackedPlan(c, ar.Layout(key.w), key.w, nb)}
+	// The op stream does not depend on the words (iterPacked), so the
+	// all-zero batch records the program every batch replays.
+	words := make([]*LLRWord, nb)
+	for b := range words {
+		words[b] = NewLLRWord(key.k)
+	}
+	sp.prog, sp.compileTime, sp.err = recordProgram(sp.packedPlan, ar, words, recordIters, false)
+	if sp.err != nil {
+		planCache.failures.Add(1)
+	} else {
+		planCache.compiles.Add(1)
+		planCache.compileNs.Add(sp.compileTime.Nanoseconds())
+	}
+	return sp
+}
+
+// recordProgram interprets one decode of words under plan pl on a
+// throwaway engine whose whole arena is the plan's state region — so every
+// address the recorder sees is already an offset from the region's start —
+// and compiles the recorded stream. The engine, its arena and the builder
+// are garbage when it returns; elapsed is the time Builder.Compile took.
+func recordProgram(pl *packedPlan, ar core.Arranger, words []*LLRWord, maxIters int, earlyExit bool) (prog *program.Program, elapsed time.Duration, err error) {
+	e := simd.NewEngine(pl.w, simd.NewMemory(int(pl.size)), nil)
+	st := newPackedState(e, ar, pl, 0)
+	d := NewMultiSIMDDecoder(pl.code)
+	d.MaxIters, d.EarlyExit = maxIters, earlyExit
+	b := program.NewBuilder(recordedOps(pl))
+	e.SetProgSink(b)
+	_, _, err = d.runPacked(st, words)
+	e.SetProgSink(nil)
+	if err != nil {
+		return nil, 0, err
+	}
+	start := time.Now()
+	prog, err = b.Compile(pl.w)
+	elapsed = time.Since(start)
+	if err == nil && prog.Extent() > pl.size {
+		prog, err = nil, fmt.Errorf("turbo: program touches %d bytes of a %d-byte state region", prog.Extent(), pl.size)
+	}
+	return prog, elapsed, err
+}
+
+// recordedOps bounds the ops a recording of plan pl stores (the prefix and
+// two iterations; a third is only compared), so the builder takes its
+// stream in one allocation. The packed stream is linear in the plan's
+// size: an iteration records 102 ops a trellis step (two halves of alpha,
+// beta + extraction and the gamma scatter) and 2 an element (gamma,
+// extrinsic, interleave and hard-decision groups), and the prefix — the
+// arrangement, which is where the six strategies differ, the first
+// interleave and the la1 clear — at most 8 a step and 4 an element.
+// Measured over all six strategies at K 40 and 512 and APCM to K 6144, at
+// the three widths, the bound is 2 to 9 % above the count; a stream that
+// outgrows it appends.
+func recordedOps(pl *packedPlan) int {
+	return 212*pl.code.K + 8*pl.n + 64
+}

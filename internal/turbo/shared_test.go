@@ -1,0 +1,338 @@
+package turbo
+
+import (
+	"fmt"
+	"math/rand"
+	"strings"
+	"sync"
+	"testing"
+	"time"
+
+	"vransim/internal/core"
+	"vransim/internal/simd"
+)
+
+// scalarDecode is the oracle: each word alone through the scalar decoder.
+func scalarDecode(t testing.TB, c *Code, words []*LLRWord, maxIters int) [][]byte {
+	t.Helper()
+	out := make([][]byte, len(words))
+	for b, w := range words {
+		d := NewDecoder(c)
+		d.MaxIters = maxIters
+		bits, _, err := d.Decode(w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[b] = bits
+	}
+	return out
+}
+
+// TestSharedPlanCompiledOnce: N goroutines, each with a fresh decoder,
+// meet the same cold block size at the same moment. One of them compiles
+// it, the rest wait for that flight, and every one of them decodes its own
+// batch bit-exactly against the scalar decoder through the one program.
+func TestSharedPlanCompiledOnce(t *testing.T) {
+	resetPlanCache()
+	const k, workers, maxIters = 512, 6, 4
+	c, err := NewCode(k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type job struct {
+		words []*LLRWord
+		want  [][]byte
+	}
+	jobs := make([]job, workers)
+	for i := range jobs {
+		words, _ := buildWords(t, c, BlocksPerRegister(simd.W512), int64(4000+i), i%2 == 0)
+		jobs[i] = job{words, scalarDecode(t, c, words, maxIters)}
+	}
+	start := make(chan struct{})
+	progs := make([]any, workers)
+	led := make([]int, workers)
+	var wg sync.WaitGroup
+	for i := range jobs {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			bd := NewBatchDecoder(simd.W512, core.StrategyAPCM, 32<<20)
+			bd.MaxIters = maxIters
+			bd.OnCompile = func(int, time.Duration) { led[i]++ }
+			<-start
+			for round := 0; round < 3; round++ {
+				bits, _, err := bd.Decode(k, jobs[i].words)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				for b := range bits {
+					if !equalBits(bits[b], jobs[i].want[b]) {
+						t.Errorf("worker %d round %d block %d: differs from the scalar decoder", i, round, b)
+					}
+				}
+			}
+			if s := bd.ProgramStats(); s.Hits != 3 || s.Misses != 0 || s.Compiles != 1 {
+				t.Errorf("worker %d: %+v, want 3 hits on one installed program", i, s)
+			}
+			progs[i] = bd.PlanProgram(k)
+		}(i)
+	}
+	close(start)
+	wg.Wait()
+	cs := PlanCacheStats()
+	if cs.Compiles != 1 || cs.Failures != 0 {
+		t.Errorf("%d decoders met K=%d cold at once: %d compiles, %d failures; want 1 and 0", workers, k, cs.Compiles, cs.Failures)
+	}
+	if cs.Waiters > workers-1 {
+		t.Errorf("%d waiters among %d decoders", cs.Waiters, workers)
+	}
+	leaders := 0
+	for i := range progs {
+		leaders += led[i]
+		if progs[i] == nil || progs[i] != progs[0] {
+			t.Errorf("worker %d runs program %p, worker 0 runs %p", i, progs[i], progs[0])
+		}
+	}
+	if leaders != 1 {
+		t.Errorf("OnCompile fired %d times across the decoders, want 1", leaders)
+	}
+}
+
+// TestSharedProgramIsImmutable: two workers replay the same two programs
+// a thousand times between them, interleaved and at once, each decode
+// checked; the programs' checksums — segments, tables, pools, descriptor
+// streams — are what they were before the first. Under -race this is also
+// the proof that Run only reads its program.
+func TestSharedProgramIsImmutable(t *testing.T) {
+	resetPlanCache()
+	const maxIters, decodes = 4, 500
+	ks := []int{40, 104}
+	if err := Precompile(simd.W512, core.StrategyAPCM, ks...); err != nil {
+		t.Fatal(err)
+	}
+	var sums [][32]byte
+	for _, k := range ks {
+		sp, _ := sharedPlanFor(planKey{k, simd.W512, core.StrategyAPCM})
+		sums = append(sums, sp.prog.Checksum())
+	}
+	var wg sync.WaitGroup
+	for wkr := 0; wkr < 2; wkr++ {
+		wg.Add(1)
+		go func(wkr int) {
+			defer wg.Done()
+			bd := NewBatchDecoder(simd.W512, core.StrategyAPCM, 32<<20)
+			bd.MaxIters = maxIters
+			type batch struct {
+				words []*LLRWord
+				want  [][]byte
+			}
+			pools := make(map[int][]batch)
+			for _, k := range ks {
+				c, err := bd.Code(k)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				for i := 0; i < 4; i++ {
+					words, _ := buildWords(t, c, 1+(i+wkr)%bd.Lanes(), int64(5000+100*wkr+10*k+i), i%2 == 0)
+					pools[k] = append(pools[k], batch{words, scalarDecode(t, c, words, maxIters)})
+				}
+			}
+			for n := 0; n < decodes; n++ {
+				k := ks[(n+wkr)%len(ks)]
+				bt := pools[k][n%len(pools[k])]
+				bits, _, err := bd.Decode(k, bt.words)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				for b := range bits {
+					if !equalBits(bits[b], bt.want[b]) {
+						t.Errorf("worker %d decode %d (K=%d) block %d: differs from the scalar decoder", wkr, n, k, b)
+						return
+					}
+				}
+			}
+		}(wkr)
+	}
+	wg.Wait()
+	for i, k := range ks {
+		sp, led := sharedPlanFor(planKey{k, simd.W512, core.StrategyAPCM})
+		if led {
+			t.Fatalf("K=%d was compiled again", k)
+		}
+		if sp.prog.Checksum() != sums[i] {
+			t.Errorf("K=%d: the shared program changed under %d decodes", k, 2*decodes)
+		}
+	}
+	if cs := PlanCacheStats(); cs.Compiles != uint64(len(ks)) {
+		t.Errorf("%d compiles for %d block sizes", cs.Compiles, len(ks))
+	}
+}
+
+// TestSharedCompileFailureIsCached: a (K, width, strategy) that cannot
+// compile is recorded once, cached as its error, and served interpreted —
+// correctly — by every decoder, each decode a counted miss; Precompile
+// names it. Nothing about it outlives the cause: with the cause gone and
+// a cold cache the same size compiles.
+func TestSharedCompileFailureIsCached(t *testing.T) {
+	resetPlanCache()
+	recordIters = 1 // one recorded iteration has no steady segment
+	t.Cleanup(func() { recordIters = 3; resetPlanCache() })
+	const k = 40
+	c, err := NewCode(k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	words, truth := buildWords(t, c, BlocksPerRegister(simd.W256), 77, true)
+	for i := 0; i < 3; i++ {
+		bd := NewBatchDecoder(simd.W256, core.StrategyAPCM, 32<<20)
+		bd.MaxIters = 4
+		bd.OnCompile = func(int, time.Duration) { t.Error("OnCompile fired for a failed compile") }
+		for round := 0; round < 2; round++ {
+			bits, _, err := bd.Decode(k, words)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for b := range bits {
+				if !equalBits(bits[b], truth[b]) {
+					t.Errorf("decoder %d round %d block %d: wrong bits on the interpreter", i, round, b)
+				}
+			}
+		}
+		if s := bd.ProgramStats(); s.Misses != 2 || s.Hits != 0 || s.Compiles != 0 || s.CompiledPlans != 0 {
+			t.Errorf("decoder %d: %+v, want 2 misses and nothing installed", i, s)
+		}
+	}
+	if cs := PlanCacheStats(); cs.Failures != 1 || cs.Compiles != 0 {
+		t.Errorf("three decoders on a size that cannot compile: %+v, want one cached failure", cs)
+	}
+	err = Precompile(simd.W256, core.StrategyAPCM, k, 41)
+	if err == nil || !strings.Contains(err.Error(), "K=40") || !strings.Contains(err.Error(), "block size 41") {
+		t.Errorf("Precompile of a failing and an invalid size: %v", err)
+	}
+	if cs := PlanCacheStats(); cs.Failures != 1 {
+		t.Errorf("Precompile recorded the cached failure again: %+v", cs)
+	}
+
+	recordIters = 3
+	resetPlanCache()
+	if err := Precompile(simd.W256, core.StrategyAPCM, k); err != nil {
+		t.Errorf("with three recorded iterations: %v", err)
+	}
+}
+
+// TestSyntheticRecordingMatchesLive shows what the cache assumes: the
+// program recorded from the all-zero batch over three iterations with
+// early exit off is, to the checksum — every fused op and live mask, every
+// table and pool, every word of the descriptor streams — the one a live
+// batch records, whether that batch ran two iterations (clean words, early
+// exit), three or four (words that never converge, so the third and fourth
+// are verified against the second through the register bijection). The op
+// stream depends on (K, width, strategy) and on nothing else.
+func TestSyntheticRecordingMatchesLive(t *testing.T) {
+	resetPlanCache()
+	type config struct {
+		s core.Strategy
+		w simd.Width
+		k int
+	}
+	var configs []config
+	for _, w := range simd.Widths {
+		for _, k := range []int{40, 512, 2048} {
+			configs = append(configs, config{core.StrategyAPCM, w, k})
+		}
+	}
+	for s := core.StrategyScalar; s <= core.StrategyShuffle; s++ {
+		if s != core.StrategyAPCM {
+			configs = append(configs, config{s, simd.W512, 40})
+		}
+	}
+	for _, cf := range configs {
+		name := fmt.Sprintf("%v/%v/K%d", cf.s, cf.w, cf.k)
+		sp, _ := sharedPlanFor(planKey{cf.k, cf.w, cf.s})
+		if sp.err != nil {
+			t.Fatalf("%s: synthetic recording: %v", name, sp.err)
+		}
+		want := sp.prog.Checksum()
+		c, err := NewCode(cf.k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		nb := BlocksPerRegister(cf.w)
+		ar := core.ByStrategy(cf.s)
+		rng := rand.New(rand.NewSource(int64(cf.k)*31 + int64(cf.w)))
+		for _, iters := range []int{2, 3, 4} {
+			var words []*LLRWord
+			maxIters := iters
+			if iters == 2 {
+				// Clean words settle in the first iteration and leave at the
+				// second whatever the budget.
+				words, _ = buildWords(t, c, nb, int64(9000+cf.k), true)
+				maxIters = 6
+			} else {
+				for b := 0; b < nb; b++ {
+					words = append(words, randomWord(rng, cf.k))
+				}
+			}
+			ref := NewBatchDecoder(cf.w, cf.s, 32<<20)
+			ref.Compile, ref.MaxIters = false, maxIters
+			if _, ran, err := ref.Decode(cf.k, words); err != nil {
+				t.Fatal(err)
+			} else if ran != iters {
+				t.Fatalf("%s: the live batch meant to run %d iterations ran %d", name, iters, ran)
+			}
+			// A plan of its own: nothing shared with the synthetic recording
+			// but the inputs both are a function of.
+			pl := newPackedPlan(c, ar.Layout(cf.w), cf.w, nb)
+			live, _, err := recordProgram(pl, ar, words, maxIters, true)
+			if err != nil {
+				t.Fatalf("%s: live recording over %d iterations: %v", name, iters, err)
+			}
+			if live.Checksum() != want {
+				t.Errorf("%s: the program a live batch records over %d iterations (%v raw, %v fused ops) is not the synthetic one (%v raw, %v fused)",
+					name, iters, live.RawOps, live.FusedOps, sp.prog.RawOps, sp.prog.FusedOps)
+			}
+		}
+	}
+}
+
+// TestPrecompile: the sizes a binary names at start-up are compiled before
+// any decoder exists, and the first decode of one then costs a state, not a
+// compile; naming a size twice, or again later, costs nothing.
+func TestPrecompile(t *testing.T) {
+	resetPlanCache()
+	if err := Precompile(simd.W128, core.StrategyAPCM, 40, 104, 40); err != nil {
+		t.Fatal(err)
+	}
+	if cs := PlanCacheStats(); cs.Compiles != 2 || cs.Waiters != 0 {
+		t.Fatalf("Precompile(40, 104, 40): %+v, want 2 compiles", cs)
+	}
+	bd := NewBatchDecoder(simd.W128, core.StrategyAPCM, 32<<20)
+	bd.OnCompile = func(k int, _ time.Duration) { t.Errorf("decoder compiled K=%d after Precompile", k) }
+	c, err := bd.Code(104)
+	if err != nil {
+		t.Fatal(err)
+	}
+	words, truth := buildWords(t, c, 1, 3, true)
+	bits, _, err := bd.Decode(104, words)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !equalBits(bits[0], truth[0]) {
+		t.Error("wrong bits")
+	}
+	if s := bd.ProgramStats(); s.Hits != 1 || s.Compiles != 1 {
+		t.Errorf("first decode of a precompiled size: %+v", s)
+	}
+	if err := Precompile(simd.W128, core.StrategyAPCM, 104); err != nil {
+		t.Fatal(err)
+	}
+	if cs := PlanCacheStats(); cs.Compiles != 2 {
+		t.Errorf("%d compiles after decoding and precompiling a cached size, want 2", cs.Compiles)
+	}
+	if err := Precompile(simd.W128, core.StrategyAPCM, 41); err == nil {
+		t.Error("Precompile accepted block size 41")
+	}
+}

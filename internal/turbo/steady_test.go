@@ -182,8 +182,8 @@ func TestBatchDecoderOutputStable(t *testing.T) {
 // full-batch pooled decode, per width and per execution mode, at a fixed
 // mid-size K plus the largest LTE K at W512. "packed" is the serving
 // path — the cross-block SoA-packed stream compiled to a fused replay
-// program; "interpreted" is the same stream with Compile=false, what the
-// recording decode and a plan that failed to compile cost. "portable" is
+// program; "interpreted" is the same stream with Compile=false, what a
+// plan that failed to compile costs. "portable" is
 // "packed" with the replay program forced onto its Go kernel, so one
 // binary on an AVX-512BW host reads both kernels; where the Go kernel is
 // the only one it would repeat "packed" and is left out. Run with
@@ -212,9 +212,9 @@ func BenchmarkBatchDecodeSteadyState(b *testing.B) {
 					b.Fatal(err)
 				}
 				words, _ := buildWords(b, c, bd.Lanes(), 7, true)
-				// Two warm-ups: the first builds the plan and (when compiling)
-				// records + compiles the program; the second confirms
-				// the steady path is reached before the clock starts.
+				// Two warm-ups: the first builds the state (and, the first time
+				// the binary meets the size, compiles its program); the second
+				// confirms the steady path is reached before the clock starts.
 				for i := 0; i < 2; i++ {
 					if _, _, err := bd.Decode(tc.k, words); err != nil {
 						b.Fatal(err)

@@ -50,7 +50,6 @@ import (
 	"vransim/internal/simd/program"
 	"vransim/internal/telemetry"
 	"vransim/internal/turbo"
-	"vransim/internal/uarch"
 )
 
 func main() {
@@ -108,15 +107,7 @@ func main() {
 
 	var adminSrv *telemetry.AdminServer
 	if *admin != "" {
-		// One traced full-lane decode calibrates the uarch gauges; the
-		// serving workers themselves run untraced.
-		var cal *uarch.Result
-		if c, err := ran.CalibrateUarch(cfg, *k); err == nil {
-			cal = &c
-		} else {
-			fmt.Fprintf(os.Stderr, "vranserve: uarch calibration skipped: %v\n", err)
-		}
-		adminSrv = ran.MountAdmin(rt, tracer, cal, *admin, ran.HealthPolicy{}, inj.Families)
+		adminSrv = ran.MountAdmin(rt, tracer, *admin, ran.HealthPolicy{}, inj.Families)
 		if err := adminSrv.Start(); err != nil {
 			fatal("admin endpoint: %v", err)
 		}

@@ -85,7 +85,7 @@ func main() {
 		cfg.Cells, ln.Addr(), cfg.Workers, cfg.Width, *rf.Mech, program.Kernel(), cfg.QueueDepth)
 
 	if *admin != "" {
-		srv := ran.MountAdmin(rt, tr, nil, *admin, ran.HealthPolicy{}, inj.Families)
+		srv := ran.MountAdmin(rt, tr, *admin, ran.HealthPolicy{}, inj.Families)
 		if err := srv.Start(); err != nil {
 			fatal("admin endpoint: %v", err)
 		}

@@ -70,7 +70,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		admin := ran.MountAdmin(rt, cfg.Tracer, nil, "127.0.0.1:0", ran.HealthPolicy{})
+		admin := ran.MountAdmin(rt, cfg.Tracer, "127.0.0.1:0", ran.HealthPolicy{})
 		if err := admin.Start(); err != nil {
 			log.Fatal(err)
 		}

@@ -156,11 +156,6 @@ func SimKernel(insts []trace.Inst, p uarch.Platform) uarch.Result {
 	return sim.Run(insts)
 }
 
-// SimKernelCold is SimKernel without the warm-up pass.
-func SimKernelCold(insts []trace.Inst, p uarch.Platform) uarch.Result {
-	return uarch.NewSimulator(p.Core, cache.NewHierarchy(p.Caches)).Run(insts)
-}
-
 // ArrangeWorkload builds an n-triple interleaved LLR stream and runs the
 // given arrangement strategy over it, returning the trace.
 func ArrangeWorkload(s core.Strategy, w simd.Width, n int) []trace.Inst {

@@ -45,9 +45,6 @@ func CRC24B(bits []byte) uint32 { return crcBits(bits, CRC24BPoly, 24) }
 // CRC16 returns the 16-bit CRC of bits.
 func CRC16(bits []byte) uint32 { return crcBits(bits, CRC16Poly, 16) }
 
-// CRC8 returns the 8-bit CRC of bits.
-func CRC8(bits []byte) uint32 { return crcBits(bits, CRC8Poly, 8) }
-
 // AppendCRC returns bits with the n-bit CRC for poly appended MSB first.
 func AppendCRC(bits []byte, poly uint32, n int) []byte {
 	c := crcBits(bits, poly, n)

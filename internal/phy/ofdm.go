@@ -46,9 +46,6 @@ func NewOFDM(fftSize, used, cp int) (*OFDM, error) {
 	return o, nil
 }
 
-// SymbolsPerSlot returns how many data symbols fit a slot of n samples.
-func (o *OFDM) SamplesPerSymbol() int { return o.FFTSize + o.CPLen }
-
 // fft computes an in-place iterative radix-2 DIT transform. invert
 // selects the inverse transform (without 1/N normalization; callers
 // normalize).

@@ -22,22 +22,6 @@ type HARQConfig struct {
 	// Processes is the HARQ process count per (cell, UE); process ids
 	// wrap modulo it (LTE FDD: 8). Default 8.
 	Processes int
-	// BufferCap bounds the live soft buffers across all processes
-	// (default Cells*QueueDepth); beyond it the least-recently-combined
-	// buffer is evicted and its block's recovery rests on later
-	// retransmissions alone.
-	BufferCap int
-}
-
-// withDefaults fills zero fields.
-func (h HARQConfig) withDefaults(cells, queueDepth int) HARQConfig {
-	if h.Processes <= 0 {
-		h.Processes = 8
-	}
-	if h.BufferCap <= 0 {
-		h.BufferCap = cells * queueDepth
-	}
-	return h
 }
 
 // retryQueue carries CRC-failed blocks from the workers back to the

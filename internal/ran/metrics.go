@@ -95,12 +95,6 @@ type Metrics struct {
 	// froze at different iterations contributes to several buckets.
 	decodeIters [numIterBuckets]atomic.Uint64
 
-	// Packed-path lane accounting (only batches decoded through the
-	// cross-block SoA path): real blocks over packed capacity is the
-	// vran_decode_pack_fill gauge.
-	packSlotsUsed  atomic.Uint64
-	packSlotsTotal atomic.Uint64
-
 	decodedBlocks atomic.Uint64
 	decodeBusyNs  atomic.Int64
 
@@ -230,12 +224,6 @@ func (m *Metrics) observeIters(itersB []int) {
 	}
 }
 
-// packedBatch accounts one batch decoded through the packed path.
-func (m *Metrics) packedBatch(used, lanes int) {
-	m.packSlotsUsed.Add(uint64(used))
-	m.packSlotsTotal.Add(uint64(lanes))
-}
-
 // CellSnapshot is one cell's view in a Snapshot.
 type CellSnapshot struct {
 	Accepted   uint64
@@ -300,10 +288,6 @@ type Snapshot struct {
 	// (buckets 1..7 and 8+): per-block early-exit masking records each
 	// block's own latch iteration, not the batch total.
 	DecodeIters [numIterBuckets]uint64
-	// PackFill is the fraction of packed lane slots that carried a real
-	// block across batches decoded through the cross-block SoA path
-	// (-1 until the first packed decode).
-	PackFill float64
 	// AvgDecodeUs is the mean per-block decode cost in microseconds.
 	AvgDecodeUs float64
 	// DecodeAllocsPerOp is the sampled mean of heap objects allocated per
@@ -442,11 +426,6 @@ func (m *Metrics) snapshot(queueDepths []int, classDepths [NumClasses]int, worke
 	}
 	for i := range s.DecodeIters {
 		s.DecodeIters[i] = m.decodeIters[i].Load()
-	}
-	if tot := m.packSlotsTotal.Load(); tot > 0 {
-		s.PackFill = float64(m.packSlotsUsed.Load()) / float64(tot)
-	} else {
-		s.PackFill = -1
 	}
 	if s.DecodedBlocks > 0 {
 		s.AvgDecodeUs = float64(m.decodeBusyNs.Load()) / 1e3 / float64(s.DecodedBlocks)

@@ -48,15 +48,6 @@ type CellState struct {
 	Buffers []phy.ProcState
 }
 
-// Seal closes a cell for new submissions without draining it — the
-// coordinator uses it to fence traffic while a migration handshake is
-// in flight. Sealing an already-sealed cell is a no-op.
-func (r *Runtime) Seal(cell int) {
-	if cell >= 0 && cell < r.cfg.Cells {
-		r.sealed[cell].Store(true)
-	}
-}
-
 // Sealed reports whether a cell currently rejects submissions.
 func (r *Runtime) Sealed(cell int) bool {
 	return cell >= 0 && cell < r.cfg.Cells && r.sealed[cell].Load()

@@ -19,13 +19,14 @@ import (
 // the instantaneous rate and a slow one tracking the baseline (idle)
 // rate; the slow EWMA is frozen while a burst is declared so a long ON
 // dwell cannot erode its own detection threshold. The state flips to
-// burst when the fast rate exceeds OnFactor x the baseline for Confirm
-// consecutive windows, and back when it falls under OffFactor x the
-// baseline for Confirm windows — the two-sided hysteresis that keeps
-// the estimator still on stationary Poisson input. While in a state,
-// the state's own rate EWMA (RateOn / RateOff) converges toward the
-// generating process's true per-state mean — the cross-check the unit
-// tests run against transport.BurstyProcess ground truth.
+// burst when the fast rate exceeds predOnFactor x the baseline for
+// predConfirm consecutive windows, and back when it falls under
+// predOffFactor x the baseline for predConfirm windows — the two-sided
+// hysteresis that keeps the estimator still on stationary Poisson input.
+// While in a state, the state's own rate EWMA (RateOn / RateOff)
+// converges toward the generating process's true per-state mean — the
+// cross-check the unit tests run against transport.BurstyProcess ground
+// truth.
 
 // PredictConfig parameterizes the per-cell burst predictors.
 type PredictConfig struct {
@@ -34,73 +35,47 @@ type PredictConfig struct {
 	Enabled bool
 	// Window is the rate-estimation window (default 1ms — one LTE TTI).
 	Window time.Duration
-	// FastAlpha and SlowAlpha are the EWMA weights of the instantaneous
-	// and baseline rate trackers (defaults 0.3 and 0.03).
-	FastAlpha, SlowAlpha float64
-	// OnFactor and OffFactor are the hysteresis thresholds: burst when
-	// fast >= OnFactor x baseline, clear when fast <= OffFactor x
-	// baseline (defaults 1.8 and 1.2; OnFactor must exceed OffFactor).
-	OnFactor, OffFactor float64
-	// MinRate floors the baseline used for thresholding (in blocks per
-	// window) so a silent cell does not flag its first arrival as a
-	// burst (default 1).
-	MinRate float64
-	// Confirm is how many consecutive windows must agree before the
-	// state flips, in either direction (default 2).
-	Confirm int
-	// NoiseSigmas is the Poisson-noise guard on the up transition: the
-	// fast rate must also clear the baseline by this many standard
-	// deviations of the fast EWMA under Poisson(baseline) arrivals
-	// (sigma = sqrt(base*a/(2-a))). Without it, a stationary stream
-	// with a mean near MinRate sits only ~2 sigma under OnFactor x base
-	// and would flip state on noise alone (default 4).
-	NoiseSigmas float64
-	// MaxCatchUp bounds how many empty windows one Observe call rolls
-	// forward after a long silence (default 64).
-	MaxCatchUp int
 }
 
-func (c PredictConfig) withDefaults() PredictConfig {
-	if c.Window <= 0 {
-		c.Window = time.Millisecond
-	}
-	if c.FastAlpha <= 0 || c.FastAlpha > 1 {
-		c.FastAlpha = 0.3
-	}
-	if c.SlowAlpha <= 0 || c.SlowAlpha > 1 {
-		c.SlowAlpha = 0.03
-	}
-	if c.OnFactor <= 1 {
-		c.OnFactor = 1.8
-	}
-	if c.OffFactor <= 0 || c.OffFactor >= c.OnFactor {
-		c.OffFactor = 1.2
-		if c.OffFactor >= c.OnFactor {
-			c.OffFactor = (1 + c.OnFactor) / 2
-		}
-	}
-	if c.MinRate <= 0 {
-		c.MinRate = 1
-	}
-	if c.Confirm <= 0 {
-		c.Confirm = 2
-	}
-	if c.NoiseSigmas <= 0 {
-		c.NoiseSigmas = 4
-	}
-	if c.MaxCatchUp <= 0 {
-		c.MaxCatchUp = 64
-	}
-	return c
-}
+// The estimator's shape: constants, because they are tuned as a set (the
+// unit tests pin the behaviour they give together against
+// transport.BurstyProcess ground truth).
+const (
+	// predFastAlpha and predSlowAlpha are the EWMA weights of the
+	// instantaneous and baseline rate trackers.
+	predFastAlpha = 0.3
+	predSlowAlpha = 0.03
+	// predOnFactor and predOffFactor are the hysteresis thresholds: burst
+	// when fast >= predOnFactor x baseline, clear when fast <=
+	// predOffFactor x baseline.
+	predOnFactor  = 1.8
+	predOffFactor = 1.2
+	// predMinRate floors the baseline used for thresholding (in blocks
+	// per window) so a silent cell does not flag its first arrival as a
+	// burst.
+	predMinRate = 1.0
+	// predConfirm is how many consecutive windows must agree before the
+	// state flips, in either direction.
+	predConfirm = 2
+	// predNoiseSigmas is the Poisson-noise guard on the up transition:
+	// the fast rate must also clear the baseline by this many standard
+	// deviations of the fast EWMA under Poisson(baseline) arrivals
+	// (sigma = sqrt(base*a/(2-a))). Without it, a stationary stream with
+	// a mean near predMinRate sits only ~2 sigma under predOnFactor x
+	// base and would flip state on noise alone.
+	predNoiseSigmas = 4.0
+	// predMaxCatchUp bounds how many empty windows one Observe call
+	// rolls forward after a long silence.
+	predMaxCatchUp = 64
+)
 
 // Predictor is one cell's burst estimator. Safe for concurrent use;
 // the runtime calls Observe from every Submit, the shed controller
 // reads Burst/Rate from the dispatcher, and tests drive Tick directly
 // with synthetic per-window counts.
 type Predictor struct {
-	mu  sync.Mutex
-	cfg PredictConfig
+	mu     sync.Mutex
+	window time.Duration
 
 	windowEnd time.Time
 	pending   float64 // arrivals in the open window
@@ -117,20 +92,23 @@ type Predictor struct {
 	windows            uint64
 }
 
-// NewPredictor builds a predictor with cfg's zero fields defaulted.
+// NewPredictor builds a predictor over cfg.Window (one LTE TTI when unset).
 func NewPredictor(cfg PredictConfig) *Predictor {
-	return &Predictor{cfg: cfg.withDefaults()}
+	if cfg.Window <= 0 {
+		cfg.Window = time.Millisecond
+	}
+	return &Predictor{window: cfg.Window}
 }
 
 // Observe records n arrivals at wall-clock instant now, closing (and
 // scoring) any windows that have fully elapsed since the last call.
-// A silent stretch longer than MaxCatchUp windows is truncated — the
+// A silent stretch longer than predMaxCatchUp windows is truncated — the
 // estimator re-anchors instead of replaying unbounded history.
 func (p *Predictor) Observe(now time.Time, n int) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.windowEnd.IsZero() {
-		p.windowEnd = now.Add(p.cfg.Window)
+		p.windowEnd = now.Add(p.window)
 		p.pending = float64(n)
 		return
 	}
@@ -138,9 +116,9 @@ func (p *Predictor) Observe(now time.Time, n int) {
 	for !now.Before(p.windowEnd) {
 		p.tick(p.pending)
 		p.pending = 0
-		p.windowEnd = p.windowEnd.Add(p.cfg.Window)
-		if rolled++; rolled >= p.cfg.MaxCatchUp {
-			p.windowEnd = now.Add(p.cfg.Window)
+		p.windowEnd = p.windowEnd.Add(p.window)
+		if rolled++; rolled >= predMaxCatchUp {
+			p.windowEnd = now.Add(p.window)
 			break
 		}
 	}
@@ -163,12 +141,12 @@ func (p *Predictor) tick(count float64) {
 		p.offWindows = 1
 		p.fast, p.slow = count, count
 	} else {
-		p.fast += p.cfg.FastAlpha * (count - p.fast)
+		p.fast += predFastAlpha * (count - p.fast)
 		if !p.burst {
 			// The baseline only learns outside bursts: a long ON dwell
 			// must not drag the threshold up under itself. Two further
 			// guards keep it honest:
-			//  - warming: for the first 1/SlowAlpha windows the weight is
+			//  - warming: for the first 1/predSlowAlpha windows the weight is
 			//    1/n, so the baseline is the running mean and settles
 			//    immediately instead of anchoring on the first window;
 			//  - outlier damping: a window already over the up-threshold
@@ -176,38 +154,38 @@ func (p *Predictor) tick(count float64) {
 			//    feeds the baseline at 1/8 weight rather than dragging
 			//    the threshold up under the next dwell.
 			p.offWindows++
-			a := p.cfg.SlowAlpha
+			a := predSlowAlpha
 			if w := 1 / float64(p.offWindows); w > a {
 				a = w
 			}
 			// Outlier bound: a single Poisson(base) window has std
 			// sqrt(base), so only counts beyond both the burst factor
-			// and NoiseSigmas single-sample deviations are damped —
+			// and predNoiseSigmas single-sample deviations are damped —
 			// ordinary high draws must keep feeding the baseline or a
 			// stationary stream biases its own threshold down.
 			guard := p.slow
-			if guard < p.cfg.MinRate {
-				guard = p.cfg.MinRate
+			if guard < predMinRate {
+				guard = predMinRate
 			}
-			cut := p.cfg.OnFactor * guard
-			if c := guard + p.cfg.NoiseSigmas*math.Sqrt(guard); c > cut {
+			cut := predOnFactor * guard
+			if c := guard + predNoiseSigmas*math.Sqrt(guard); c > cut {
 				cut = c
 			}
 			if count > cut {
-				a = p.cfg.SlowAlpha / 8
+				a = predSlowAlpha / 8
 			}
 			p.slow += a * (count - p.slow)
 		}
 	}
 	base := p.slow
-	if base < p.cfg.MinRate {
-		base = p.cfg.MinRate
+	if base < predMinRate {
+		base = predMinRate
 	}
 	if !p.burst {
 		// EWMA std under Poisson(base): sqrt(base * a/(2-a)).
-		sigma := math.Sqrt(base * p.cfg.FastAlpha / (2 - p.cfg.FastAlpha))
-		if p.fast >= p.cfg.OnFactor*base && p.fast >= base+p.cfg.NoiseSigmas*sigma {
-			if p.upStreak++; p.upStreak >= p.cfg.Confirm {
+		sigma := math.Sqrt(base * predFastAlpha / (2 - predFastAlpha))
+		if p.fast >= predOnFactor*base && p.fast >= base+predNoiseSigmas*sigma {
+			if p.upStreak++; p.upStreak >= predConfirm {
 				p.burst = true
 				p.transitions++
 				p.upStreak, p.downHold = 0, 0
@@ -216,8 +194,8 @@ func (p *Predictor) tick(count float64) {
 			p.upStreak = 0
 		}
 	} else {
-		if p.fast <= p.cfg.OffFactor*base {
-			if p.downHold++; p.downHold >= p.cfg.Confirm {
+		if p.fast <= predOffFactor*base {
+			if p.downHold++; p.downHold >= predConfirm {
 				p.burst = false
 				p.transitions++
 				p.upStreak, p.downHold = 0, 0
@@ -255,7 +233,7 @@ func (p *Predictor) Burst() bool {
 func (p *Predictor) Rate() float64 {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.fast / p.cfg.Window.Seconds()
+	return p.fast / p.window.Seconds()
 }
 
 // PredictSnapshot is one cell predictor's exported state.
@@ -274,7 +252,7 @@ type PredictSnapshot struct {
 func (p *Predictor) snapshot(cell int) PredictSnapshot {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	sec := p.cfg.Window.Seconds()
+	sec := p.window.Seconds()
 	return PredictSnapshot{
 		Cell:        cell,
 		Burst:       p.burst,

@@ -69,7 +69,7 @@ func TestPredictorConvergesOnBursty(t *testing.T) {
 		s := p.snapshot(0)
 		t.Logf("seed %d: agreement %.1f%%, transitions %d, rateOn %.2f rateOff %.2f (true %v/%v per window: on %.1f off %.1f)",
 			seed, 100*frac, s.Transitions, s.RateOn*time.Millisecond.Seconds(), s.RateOff*time.Millisecond.Seconds(),
-			p.cfg.Window, p.cfg.Window, burstMean, idleMean)
+			p.window, p.window, burstMean, idleMean)
 		if frac < 0.75 {
 			t.Errorf("seed %d: state agreement %.1f%% below 75%%", seed, 100*frac)
 		}
@@ -84,8 +84,8 @@ func TestPredictorConvergesOnBursty(t *testing.T) {
 		}
 		// Learned per-state rates (blocks per window) must separate
 		// toward the generating means.
-		rateOn := s.RateOn * p.cfg.Window.Seconds()
-		rateOff := s.RateOff * p.cfg.Window.Seconds()
+		rateOn := s.RateOn * p.window.Seconds()
+		rateOff := s.RateOff * p.window.Seconds()
 		if rateOn < burstMean/3 {
 			t.Errorf("seed %d: learned ON rate %.2f, want >= %.1f (true %.1f)", seed, rateOn, burstMean/3, burstMean)
 		}
@@ -122,7 +122,7 @@ func TestPredictorStillOnPoisson(t *testing.T) {
 			// The fast estimate tracks the true mean (blocks per window).
 			// At small means the EWMA of an integer stream is noisy, so
 			// the tolerance has an absolute floor of one block.
-			fast := s.Rate * p.cfg.Window.Seconds()
+			fast := s.Rate * p.window.Seconds()
 			tol := mean
 			if tol < 1 {
 				tol = 1
@@ -139,7 +139,7 @@ func TestPredictorStillOnPoisson(t *testing.T) {
 // windows, and a long silence re-anchors instead of replaying
 // unbounded history.
 func TestPredictorObserveWindows(t *testing.T) {
-	p := NewPredictor(PredictConfig{Window: time.Millisecond, MaxCatchUp: 8})
+	p := NewPredictor(PredictConfig{Window: time.Millisecond})
 	base := time.Now()
 	p.Observe(base, 3) // opens window [base, base+1ms)
 	if w := p.snapshot(0).Windows; w != 0 {
@@ -149,29 +149,33 @@ func TestPredictorObserveWindows(t *testing.T) {
 	if w := p.snapshot(0).Windows; w != 1 {
 		t.Fatalf("windows after one boundary = %d, want 1", w)
 	}
-	// A silence of 1000 windows is truncated at MaxCatchUp.
+	// A silence of 1000 windows is truncated at predMaxCatchUp.
 	p.Observe(base.Add(1001*time.Millisecond), 1)
-	if w := p.snapshot(0).Windows; w > 1+8 {
-		t.Errorf("windows after long silence = %d, want <= %d (MaxCatchUp)", w, 1+8)
+	if w := p.snapshot(0).Windows; w != 1+predMaxCatchUp {
+		t.Errorf("windows after long silence = %d, want %d (predMaxCatchUp more)", w, 1+predMaxCatchUp)
 	}
 }
 
-// TestPredictorDefaultsValidated: zero/nonsense configs resolve to the
-// documented defaults, and the hysteresis invariant OffFactor <
-// OnFactor always holds.
+// TestPredictorDefaultsValidated: a zero or negative window resolves to
+// one TTI, and the estimator's constants keep the invariants tick relies
+// on — the clear threshold under the burst threshold and both over the
+// baseline, EWMA weights in (0, 1] with the baseline the slower one.
 func TestPredictorDefaultsValidated(t *testing.T) {
-	c := PredictConfig{}.withDefaults()
-	if c.Window != time.Millisecond || c.FastAlpha != 0.3 || c.SlowAlpha != 0.03 {
-		t.Errorf("default window/alphas wrong: %+v", c)
+	for _, w := range []time.Duration{0, -time.Second} {
+		if got := NewPredictor(PredictConfig{Window: w}).window; got != time.Millisecond {
+			t.Errorf("window %v resolved to %v, want 1ms", w, got)
+		}
 	}
-	if c.OnFactor != 1.8 || c.OffFactor != 1.2 || c.Confirm != 2 || c.MinRate != 1 {
-		t.Errorf("default thresholds wrong: %+v", c)
+	if got := NewPredictor(PredictConfig{Window: 250 * time.Microsecond}).window; got != 250*time.Microsecond {
+		t.Errorf("a set window was overridden: %v", got)
 	}
-	if c.NoiseSigmas != 4 {
-		t.Errorf("default noise guard %v, want 4", c.NoiseSigmas)
+	if !(1 < predOffFactor && predOffFactor < predOnFactor) {
+		t.Errorf("hysteresis inverted: on %.2f off %.2f", predOnFactor, predOffFactor)
 	}
-	c = PredictConfig{OnFactor: 1.1, OffFactor: 5}.withDefaults()
-	if c.OffFactor >= c.OnFactor {
-		t.Errorf("hysteresis inverted after defaulting: on %.2f off %.2f", c.OnFactor, c.OffFactor)
+	if !(0 < predSlowAlpha && predSlowAlpha < predFastAlpha && predFastAlpha <= 1) {
+		t.Errorf("EWMA weights out of order: fast %.2f slow %.2f", predFastAlpha, predSlowAlpha)
+	}
+	if predConfirm < 1 || predMinRate <= 0 || predNoiseSigmas <= 0 || predMaxCatchUp < 1 {
+		t.Error("a predictor constant is outside the range tick assumes")
 	}
 }

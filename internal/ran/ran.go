@@ -129,8 +129,6 @@ type Config struct {
 	// window plus the measured decode cost, so hopeless blocks don't
 	// occupy queue space. Off, they are still dropped later as expired.
 	AdmissionGuard bool
-	// MemBytes sizes each worker's emulated memory arena (default 32 MiB).
-	MemBytes int
 	// OnDecoded, when non-nil, is called from worker goroutines with
 	// every decoded block and its hard decisions (including blocks that
 	// finished past deadline). It must be safe for concurrent use.
@@ -261,16 +259,17 @@ func New(cfg Config) (*Runtime, error) {
 	if cfg.MaxIters <= 0 {
 		cfg.MaxIters = 4
 	}
-	if cfg.MemBytes <= 0 {
-		cfg.MemBytes = 32 << 20
-	}
 	if turbo.BlocksPerRegister(cfg.Width) < 1 {
 		return nil, fmt.Errorf("ran: width %v too narrow for lane-parallel decode", cfg.Width)
 	}
-	if cfg.HARQ.MaxRetries > 0 {
-		cfg.HARQ = cfg.HARQ.withDefaults(cfg.Cells, cfg.QueueDepth)
+	if cfg.HARQ.MaxRetries > 0 && cfg.HARQ.Processes <= 0 {
+		cfg.HARQ.Processes = 8
 	}
-	cfg.SLA = cfg.SLA.withDefaults(cfg.BatchWindow)
+	// Only the first Cells entries class a cell (ClassOf); an entry past
+	// them must not arm the class machinery for traffic that cannot arrive.
+	if len(cfg.SLA.Classes) > cfg.Cells {
+		cfg.SLA.Classes = cfg.SLA.Classes[:cfg.Cells]
+	}
 	r := &Runtime{
 		cfg:       cfg,
 		met:       NewMetrics(cfg.Cells),
@@ -288,7 +287,10 @@ func New(cfg Config) (*Runtime, error) {
 	}
 	r.migrating.Store(-1)
 	if cfg.HARQ.MaxRetries > 0 {
-		r.harq = phy.NewProcessSet(cfg.HARQ.Processes, cfg.HARQ.BufferCap)
+		// One live soft buffer per block the queues can hold; beyond that
+		// the least-recently-combined buffer is evicted and its block's
+		// recovery rests on later retransmissions alone.
+		r.harq = phy.NewProcessSet(cfg.HARQ.Processes, cfg.Cells*cfg.QueueDepth)
 	}
 	for i := range r.queues {
 		r.queues[i] = newCellQueue(cfg.QueueDepth)
@@ -478,7 +480,7 @@ func (r *Runtime) dispatch() {
 	// workers drain URLLC batches first.
 	var lbs [NumClasses]*laneBatcher
 	lbs[ClassEMBB] = newLaneBatcher(r.Lanes(), r.cfg.BatchWindow)
-	lbs[ClassURLLC] = newLaneBatcher(r.Lanes(), r.cfg.SLA.URLLCWindow)
+	lbs[ClassURLLC] = newLaneBatcher(r.Lanes(), urllcWindow(r.cfg.BatchWindow))
 	timer := time.NewTimer(time.Hour)
 	if !timer.Stop() {
 		<-timer.C
@@ -592,6 +594,12 @@ func (r *Runtime) sweep(lbs *[NumClasses]*laneBatcher) {
 	}
 }
 
+// workerArenaBytes is the budget of each worker's emulated memory arena,
+// which holds the state regions of the block sizes it decodes: the arena
+// grows towards it, and a size that no longer fits then evicts the others
+// (turbo.BatchDecoder).
+const workerArenaBytes = 32 << 20
+
 // worker pulls batches, drops expired blocks, decodes the rest on its
 // private engine, and records the outcome. A reserved worker consumes
 // only the URLLC priority channel, so the tight-deadline class always
@@ -605,7 +613,7 @@ func (r *Runtime) sweep(lbs *[NumClasses]*laneBatcher) {
 func (r *Runtime) worker(reserved bool) {
 	defer r.workerWG.Done()
 	labelLayer("decode")
-	bd := turbo.NewBatchDecoder(r.cfg.Width, r.cfg.Strategy, r.cfg.MemBytes)
+	bd := turbo.NewBatchDecoder(r.cfg.Width, r.cfg.Strategy, workerArenaBytes)
 	bd.MaxIters = r.cfg.MaxIters
 	if r.cfg.Chaos != nil {
 		// Chaos compile-verify failures: a program vetoed at install keeps
@@ -735,10 +743,9 @@ func (r *Runtime) worker(reserved bool) {
 		reportProgram(bt.k)
 		r.met.batchDone(len(live), lanes, busy)
 		if err == nil {
-			// Per-block convergence histogram and pack fill: the decoder
-			// reports each block's own early-exit latch iteration.
+			// Per-block convergence histogram: the decoder reports each
+			// block's own early-exit latch iteration.
 			r.met.observeIters(bd.BlockIters())
-			r.met.packedBatch(len(live), lanes)
 		}
 		r.updateEstimate(busy, len(live))
 		if err != nil {

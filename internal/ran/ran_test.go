@@ -123,19 +123,16 @@ func TestDecodeMatchesSingleAndTruth(t *testing.T) {
 		t.Fatalf("delivered %d of %d", s.Delivered, pool.Len())
 	}
 
-	// Reference: single-block SIMD decode at the same width/settings.
+	// Reference: the scalar decoder, the oracle, at the same settings.
 	c, err := turbo.NewCode(pool.K)
 	if err != nil {
 		t.Fatal(err)
 	}
+	sd := turbo.NewDecoder(c)
+	sd.MaxIters = cfg.MaxIters
 	single := make(map[*turbo.LLRWord][]byte)
 	for _, w := range wants {
-		mem := simd.NewMemory(32 << 20)
-		e := simd.NewEngine(simd.W512, mem, nil)
-		sd := turbo.NewSIMDDecoder(c)
-		sd.MaxIters = cfg.MaxIters
-		in := sd.PrepareInput(e, core.ByStrategy(cfg.Strategy), w.word)
-		bits, _, err := sd.Decode(e, in)
+		bits, _, err := sd.Decode(w.word)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -85,22 +85,12 @@ func ParseClassList(csv string, cells int) ([]Class, error) {
 // unchanged.
 type SLAConfig struct {
 	// Classes maps cell index to traffic class; nil (or a short slice)
-	// defaults the remainder to ClassEMBB.
+	// defaults the remainder to ClassEMBB, and entries past Config.Cells
+	// are dropped by New.
 	Classes []Class
 	// URLLCDeadline overrides Config.Deadline for URLLC-class blocks
 	// (0: same deadline for both classes).
 	URLLCDeadline time.Duration
-	// URLLCWindow is the lane-fill batch window for URLLC blocks — a
-	// tight-deadline class should not wait long for lane co-travelers.
-	// 0 defaults to a quarter of Config.BatchWindow.
-	URLLCWindow time.Duration
-	// ShedQueueFrac is the per-cell eMBB backlog fraction at which shed
-	// level 1 starts rejecting that cell's eMBB arrivals (default 0.25).
-	ShedQueueFrac float64
-	// DownHold is how many consecutive calm dispatcher sweeps the shed
-	// ladder waits before stepping down one level — the hysteresis that
-	// stops it flapping at a threshold (default 8).
-	DownHold int
 	// ReserveWorkers dedicates that many workers to URLLC batches only.
 	// Work stealing keeps URLLC first in every worker's pull order, but
 	// stealing happens at batch boundaries: once every worker is inside
@@ -113,20 +103,14 @@ type SLAConfig struct {
 	ReserveWorkers int
 }
 
-func (s SLAConfig) withDefaults(window time.Duration) SLAConfig {
-	if s.URLLCWindow <= 0 {
-		s.URLLCWindow = window / 4
-		if s.URLLCWindow <= 0 {
-			s.URLLCWindow = window
-		}
+// urllcWindow is the lane-fill batch window for URLLC blocks: a quarter
+// of the eMBB window, because a tight-deadline class should not wait long
+// for lane co-travelers.
+func urllcWindow(window time.Duration) time.Duration {
+	if w := window / 4; w > 0 {
+		return w
 	}
-	if s.ShedQueueFrac <= 0 {
-		s.ShedQueueFrac = 0.25
-	}
-	if s.DownHold <= 0 {
-		s.DownHold = 8
-	}
-	return s
+	return window
 }
 
 // ClassOf returns the class of a cell (ClassEMBB beyond the configured
@@ -185,7 +169,7 @@ func (r *Runtime) classDeadline(c Class) time.Duration {
 func (r *Runtime) qi(cell int, c Class) int { return cell*int(NumClasses) + int(c) }
 
 // Shed ladder levels. Level 0 admits everything; level 1 sheds eMBB
-// arrivals whose own cell already has ShedQueueFrac of its eMBB queue
+// arrivals whose own cell already has shedQueueFrac of its eMBB queue
 // backed up; level 2 sheds every eMBB arrival. URLLC is never shed at
 // admission — its protection is the whole point of the ladder.
 const (
@@ -194,10 +178,20 @@ const (
 	shedAll      = 2
 )
 
+const (
+	// shedQueueFrac is the per-cell eMBB backlog fraction at which shed
+	// level 1 starts rejecting that cell's eMBB arrivals.
+	shedQueueFrac = 0.25
+	// shedDownHold is how many consecutive calm dispatcher sweeps the
+	// ladder waits before stepping down one level — the hysteresis that
+	// stops it flapping at a threshold.
+	shedDownHold = 8
+)
+
 // updateShed recomputes the shed level from the signals the controller
 // watches: per-class worst backlog fractions, the burst predictor's
 // state, and predicted demand against the measured decode capacity.
-// Escalation is immediate; de-escalation needs DownHold consecutive
+// Escalation is immediate; de-escalation needs shedDownHold consecutive
 // calm sweeps (hysteresis). Called by the dispatcher each sweep, after
 // updateDegrade.
 func (r *Runtime) updateShed() {
@@ -242,7 +236,7 @@ func (r *Runtime) updateShed() {
 		r.shedCalm = 0
 	case want < cur:
 		r.shedCalm++
-		if r.shedCalm >= r.cfg.SLA.DownHold {
+		if r.shedCalm >= shedDownHold {
 			r.shed.Store(int32(cur - 1))
 			r.shedCalm = 0
 		}
@@ -262,7 +256,7 @@ func (r *Runtime) shouldShed(cell int, c Class) bool {
 		return true
 	case shedPressure:
 		f := float64(r.queues[r.qi(cell, ClassEMBB)].depth()) / float64(r.cfg.QueueDepth)
-		return f >= r.cfg.SLA.ShedQueueFrac
+		return f >= shedQueueFrac
 	}
 	return false
 }

@@ -1,6 +1,8 @@
 package ran
 
 import (
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -17,7 +19,7 @@ func bareSLARuntime(cells, qdepth, maxIters int, sla SLAConfig, predict bool) *R
 	cfg.Cells = cells
 	cfg.QueueDepth = qdepth
 	cfg.MaxIters = maxIters
-	cfg.SLA = sla.withDefaults(cfg.BatchWindow)
+	cfg.SLA = sla
 	r := &Runtime{
 		cfg:       cfg,
 		met:       NewMetrics(cells),
@@ -162,10 +164,10 @@ func TestShedLadderEscalation(t *testing.T) {
 }
 
 // TestShedLadderHysteresis: the ladder steps up immediately but waits
-// DownHold consecutive calm sweeps per step down, and an escalation
+// shedDownHold consecutive calm sweeps per step down, and an escalation
 // mid-descent resets the calm streak.
 func TestShedLadderHysteresis(t *testing.T) {
-	sla := SLAConfig{Classes: []Class{ClassURLLC, ClassEMBB}, DownHold: 4}
+	sla := SLAConfig{Classes: []Class{ClassURLLC, ClassEMBB}}
 	r := bareSLARuntime(2, 100, 4, sla, false)
 	embb := r.queues[r.qi(1, ClassEMBB)]
 
@@ -176,15 +178,15 @@ func TestShedLadderHysteresis(t *testing.T) {
 	}
 
 	embb.drain()
-	for i := 1; i < 4; i++ {
+	for i := 1; i < shedDownHold; i++ {
 		r.updateShed()
 		if got := int(r.shed.Load()); got != shedAll {
-			t.Fatalf("stepped down after only %d calm sweeps (DownHold 4): level %d", i, got)
+			t.Fatalf("stepped down after only %d calm sweeps (shedDownHold %d): level %d", i, shedDownHold, got)
 		}
 	}
-	r.updateShed() // 4th calm sweep: one step down
+	r.updateShed() // the shedDownHold-th calm sweep: one step down
 	if got := int(r.shed.Load()); got != shedPressure {
-		t.Fatalf("level %d after DownHold calm sweeps, want %d", got, shedPressure)
+		t.Fatalf("level %d after shedDownHold calm sweeps, want %d", got, shedPressure)
 	}
 
 	// Escalation mid-descent resets the calm streak.
@@ -193,7 +195,7 @@ func TestShedLadderHysteresis(t *testing.T) {
 	fill(t, embb, 60)
 	r.updateShed() // pressure again: back up... (already at pressure) streak reset
 	embb.drain()
-	for i := 1; i < 4; i++ {
+	for i := 1; i < shedDownHold; i++ {
 		r.updateShed()
 		if got := int(r.shed.Load()); got != shedPressure {
 			t.Fatalf("calm streak not reset by re-escalation: level %d after %d sweeps", got, i)
@@ -209,9 +211,9 @@ func TestShedLadderHysteresis(t *testing.T) {
 // sheds at any level; eMBB sheds everywhere at shedAll but only on
 // pressured cells at shedPressure; a class-blind runtime never sheds.
 func TestShouldShedPolicy(t *testing.T) {
-	sla := SLAConfig{Classes: []Class{ClassURLLC, ClassEMBB, ClassEMBB}, ShedQueueFrac: 0.25}
+	sla := SLAConfig{Classes: []Class{ClassURLLC, ClassEMBB, ClassEMBB}}
 	r := bareSLARuntime(3, 100, 4, sla, false)
-	fill(t, r.queues[r.qi(1, ClassEMBB)], 30) // cell 1 pressured (>= 25%)
+	fill(t, r.queues[r.qi(1, ClassEMBB)], 30) // cell 1 pressured (>= shedQueueFrac)
 
 	r.shed.Store(shedOff)
 	for cell := 0; cell < 3; cell++ {
@@ -380,5 +382,48 @@ func TestClassDeadline(t *testing.T) {
 	r.cfg.SLA.URLLCDeadline = 0
 	if d := r.classDeadline(ClassURLLC); d != 10*time.Millisecond {
 		t.Errorf("unset URLLC deadline %v, want the shared 10ms", d)
+	}
+}
+
+// TestClassListLongerThanCells: only the first Cells entries of the class
+// list class a cell, so a URLLC entry past the last cell must not arm the
+// class machinery — it would reserve a worker for a channel nothing can
+// ever arrive on. Both workers must decode: two OnDecoded calls are in
+// flight at once only if two workers pulled a batch.
+func TestClassListLongerThanCells(t *testing.T) {
+	cfg := testConfig(simd.W128) // one block a batch
+	cfg.SLA.Classes = []Class{ClassEMBB, ClassEMBB, ClassURLLC}
+	both := make(chan struct{})
+	var once sync.Once
+	release := func() { once.Do(func() { close(both) }) }
+	var inFlight atomic.Int32
+	cfg.OnDecoded = func(*Block, []byte) {
+		if inFlight.Add(1) == 2 {
+			release()
+		}
+		<-both
+	}
+	rt, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := rt.Snapshot().ReservedWorkers; got != 0 {
+		t.Errorf("%d workers reserved for a URLLC class no cell carries", got)
+	}
+	pool := mustPool(t, 40, 2, 5)
+	for i := 0; i < 2; i++ {
+		w, _ := pool.Get(i)
+		if a := rt.Submit(i, i, pool.K, w); a != Admitted {
+			t.Fatalf("block %d: %v", i, a)
+		}
+	}
+	select {
+	case <-both:
+	case <-time.After(10 * time.Second):
+		t.Error("the second block never reached a worker while the first held one: a worker is idle")
+		release()
+	}
+	if s := rt.Stop(); s.Delivered != 2 {
+		t.Errorf("delivered %d of 2", s.Delivered)
 	}
 }

@@ -7,7 +7,6 @@ import (
 
 	"vransim/internal/simd/program"
 	"vransim/internal/telemetry"
-	"vransim/internal/uarch"
 )
 
 // Families renders the snapshot in the vran_* metric naming scheme:
@@ -115,7 +114,6 @@ func (s *Snapshot) Families() []telemetry.Family {
 		telemetry.F("vran_decoded_blocks_total", "Blocks decoded (delivered or late).", telemetry.Counter, float64(s.DecodedBlocks)),
 		telemetry.F("vran_lane_occupancy", "Fraction of register lane groups carrying a real block.", telemetry.Gauge, s.LaneOccupancy),
 		iters,
-		telemetry.F("vran_decode_pack_fill", "Fraction of packed lane slots carrying a real block (cross-block SoA path; -1 before the first packed decode).", telemetry.Gauge, s.PackFill),
 		telemetry.F("vran_worker_utilization", "Decode busy time over workers x elapsed.", telemetry.Gauge, s.WorkerUtilization),
 		telemetry.F("vran_decode_cost_seconds", "Mean per-block decode cost.", telemetry.Gauge, s.AvgDecodeUs/1e6),
 		telemetry.F("vran_decode_allocs_per_op", "Sampled heap objects allocated per batch decode (upper bound; -1 before first sample).", telemetry.Gauge, s.DecodeAllocsPerOp),
@@ -274,20 +272,16 @@ type snapshotBody struct {
 	Stages       []telemetry.StageSummary `json:"stages,omitempty"`
 }
 
-// MountAdmin wires a runtime, an optional tracer and an optional uarch
-// calibration result into an admin server on addr (not yet started).
-// All endpoint bodies are built from live Snapshot/tracer state at
-// request time. Extra family sources (e.g. a chaos injector's
-// Families) are appended to every /metrics scrape.
-func MountAdmin(rt *Runtime, tr *telemetry.Tracer, cal *uarch.Result, addr string, pol HealthPolicy, extra ...func() []telemetry.Family) *telemetry.AdminServer {
+// MountAdmin wires a runtime and an optional tracer into an admin server
+// on addr (not yet started). All endpoint bodies are built from live
+// Snapshot/tracer state at request time. Extra family sources (e.g. a
+// chaos injector's Families) are appended to every /metrics scrape.
+func MountAdmin(rt *Runtime, tr *telemetry.Tracer, addr string, pol HealthPolicy, extra ...func() []telemetry.Family) *telemetry.AdminServer {
 	return telemetry.NewAdmin(telemetry.AdminConfig{
 		Addr: addr,
 		Metrics: func() []telemetry.Family {
 			fams := append(rt.Snapshot().Families(), kernelInfo())
 			fams = append(fams, tr.Families()...)
-			if cal != nil {
-				fams = append(fams, telemetry.UarchFamilies(*cal, "calibration")...)
-			}
 			for _, fn := range extra {
 				fams = append(fams, fn()...)
 			}

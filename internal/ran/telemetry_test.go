@@ -101,14 +101,7 @@ func TestAdminLiveExposition(t *testing.T) {
 		w, _ := pool.Get(i)
 		rt.Submit(i%cfg.Cells, i, pool.K, w)
 	}
-	cal, err := CalibrateUarch(cfg, 40)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cal.IPC() <= 0 {
-		t.Fatalf("calibration produced no IPC: %+v", cal)
-	}
-	admin := MountAdmin(rt, tr, &cal, "127.0.0.1:0", HealthPolicy{})
+	admin := MountAdmin(rt, tr, "127.0.0.1:0", HealthPolicy{})
 	srv := httptest.NewServer(admin.Handler())
 	defer srv.Close()
 
@@ -124,12 +117,18 @@ func TestAdminLiveExposition(t *testing.T) {
 		`vran_dropped_total{cell="1",cause="backlog"}`,
 		`vran_stage_latency_seconds{stage="queue",quantile="0.99"}`,
 		`vran_stage_latency_seconds{stage="decode",quantile="0.5"}`,
-		`vran_uarch_ipc{source="calibration"}`,
-		`vran_uarch_port_utilization{source="calibration",port="0"}`,
 		"# TYPE vran_latency_seconds gauge",
+		"\nvran_lane_occupancy ",
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("/metrics missing %q", want)
+		}
+	}
+	// The port model is vranbench's (fig3, fig5), not the serving
+	// process's, and pack fill was lane occupancy under a second name.
+	for _, gone := range []string{"vran_uarch_", "vran_decode_pack_fill"} {
+		if strings.Contains(body, gone) {
+			t.Errorf("/metrics carries a %s family", gone)
 		}
 	}
 
@@ -213,7 +212,7 @@ func TestProgramMetricsExposition(t *testing.T) {
 		t.Errorf("/healthz unhealthy on a clean runtime: %s", st.Reason)
 	}
 
-	srv := httptest.NewServer(MountAdmin(rt, nil, nil, "", HealthPolicy{}).Handler())
+	srv := httptest.NewServer(MountAdmin(rt, nil, "", HealthPolicy{}).Handler())
 	defer srv.Close()
 	body := httpGet(t, srv.URL+"/metrics")
 	for _, want := range []string{
@@ -294,7 +293,7 @@ func TestHealthzFlipsUnderOverload(t *testing.T) {
 		w, _ := pool.Get(i)
 		rt.Submit(i%cfg.Cells, i, pool.K, w)
 	}
-	srv := httptest.NewServer(MountAdmin(rt, nil, nil, "", HealthPolicy{}).Handler())
+	srv := httptest.NewServer(MountAdmin(rt, nil, "", HealthPolicy{}).Handler())
 	resp, err := http.Get(srv.URL + "/healthz")
 	if err != nil {
 		t.Fatal(err)
@@ -323,7 +322,7 @@ func TestHealthzFlipsUnderOverload(t *testing.T) {
 		w, _ := big.Get(i)
 		rt.Submit(i%cfg.Cells, i, big.K, w)
 	}
-	srv = httptest.NewServer(MountAdmin(rt, nil, nil, "", HealthPolicy{}).Handler())
+	srv = httptest.NewServer(MountAdmin(rt, nil, "", HealthPolicy{}).Handler())
 	defer srv.Close()
 	resp, err = http.Get(srv.URL + "/healthz")
 	if err != nil {

@@ -5,10 +5,7 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
 	"strings"
-
-	"vransim/internal/uarch"
 )
 
 // MetricType distinguishes Prometheus metric kinds.
@@ -175,56 +172,4 @@ func (t *Tracer) Families() []Family {
 		}
 	}
 	return []Family{spans, lat}
-}
-
-// UarchFamilies renders a simulator result as gauges: the counters the
-// paper's attribution methodology is built on (IPC, top-down split,
-// port utilization, store bandwidth), labelled with where the result
-// came from (e.g. source="calibration").
-func UarchFamilies(r uarch.Result, source string) []Family {
-	src := L("source", source)
-	td := Family{Name: "vran_uarch_topdown_fraction",
-		Help: "Top-down pipeline-slot fractions of the calibration decode.", Type: Gauge}
-	for _, c := range []struct {
-		name string
-		v    float64
-	}{
-		{"retiring", r.TopDown.Retiring},
-		{"frontend_bound", r.TopDown.FrontendBound},
-		{"bad_speculation", r.TopDown.BadSpec},
-		{"backend_bound", r.TopDown.BackendBound},
-		{"core_bound", r.TopDown.CoreBound},
-		{"memory_bound", r.TopDown.MemoryBound},
-	} {
-		td.Samples = append(td.Samples, Sample{Labels: []Label{src, L("category", c.name)}, Value: c.v})
-	}
-	ports := Family{Name: "vran_uarch_port_utilization",
-		Help: "Busy fraction per execution port of the calibration decode.", Type: Gauge}
-	for p := 0; p < uarch.NumPorts; p++ {
-		ports.Samples = append(ports.Samples, Sample{
-			Labels: []Label{src, L("port", fmt.Sprintf("%d", p))},
-			Value:  r.PortUtilization(p),
-		})
-	}
-	return []Family{
-		F("vran_uarch_ipc", "Retired µops per cycle of the calibration decode.", Gauge, r.IPC(), src),
-		td,
-		ports,
-		F("vran_uarch_store_bits_per_cycle", "Register→L1 store bandwidth of the calibration decode.", Gauge, r.StoreBitsPerCycle(), src),
-		F("vran_uarch_cycles", "Simulated cycles of the calibration decode.", Gauge, float64(r.Cycles), src),
-	}
-}
-
-// SortSamples orders a family's samples lexically by labels — useful
-// for deterministic test output, not required by the format.
-func SortSamples(f *Family) {
-	sort.Slice(f.Samples, func(i, j int) bool {
-		a, b := f.Samples[i].Labels, f.Samples[j].Labels
-		for k := 0; k < len(a) && k < len(b); k++ {
-			if a[k].Value != b[k].Value {
-				return a[k].Value < b[k].Value
-			}
-		}
-		return len(a) < len(b)
-	})
 }

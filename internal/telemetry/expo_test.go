@@ -6,8 +6,6 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"vransim/internal/uarch"
 )
 
 func TestWriteProm(t *testing.T) {
@@ -103,28 +101,6 @@ func TestTracerFamilies(t *testing.T) {
 		`vran_stage_spans_total{stage="queue"} 1`,
 		`vran_stage_spans_total{stage="decode"} 1`,
 		`vran_stage_latency_seconds{stage="queue",quantile="0.99"}`,
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("missing %q in:\n%s", want, out)
-		}
-	}
-}
-
-func TestUarchFamilies(t *testing.T) {
-	r := uarch.Result{Cycles: 1000, Insts: 2500, FrequencyGHz: 3.2, StoreBytes: 4000}
-	r.TopDown = uarch.TopDown{Retiring: 0.6, BackendBound: 0.3, CoreBound: 0.2, MemoryBound: 0.1, FrontendBound: 0.05, BadSpec: 0.05}
-	r.PortBusy[0] = 500
-	fams := UarchFamilies(r, "calibration")
-	var sb strings.Builder
-	if err := WriteProm(&sb, fams); err != nil {
-		t.Fatal(err)
-	}
-	out := sb.String()
-	for _, want := range []string{
-		`vran_uarch_ipc{source="calibration"} 2.5`,
-		`vran_uarch_topdown_fraction{source="calibration",category="backend_bound"} 0.3`,
-		`vran_uarch_port_utilization{source="calibration",port="0"} 0.5`,
-		`vran_uarch_store_bits_per_cycle{source="calibration"} 32`,
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("missing %q in:\n%s", want, out)

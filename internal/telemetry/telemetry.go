@@ -13,8 +13,7 @@
 // split (internal/shard) carried across process boundaries by a
 // propagatable SpanContext.
 //
-// The package is a leaf: it depends only on the standard library and
-// internal/uarch (for rendering simulator counters as gauges), so the
+// The package is a leaf: it depends only on the standard library, so the
 // runtime packages (internal/ran, internal/pipeline) can import it
 // without cycles.
 package telemetry

@@ -248,14 +248,6 @@ func (t *Tracer) Slowest(st Stage) []Span {
 	return append([]Span(nil), t.slow[st]...)
 }
 
-// StageHist exposes the stage's histogram (nil tracer → nil).
-func (t *Tracer) StageHist(st Stage) *Hist {
-	if t == nil || st < 0 || st >= NumStages {
-		return nil
-	}
-	return &t.hists[st]
-}
-
 // Summaries renders every stage's aggregate, in pipeline order.
 func (t *Tracer) Summaries() []StageSummary {
 	if t == nil {

@@ -49,16 +49,20 @@ type decodePlan struct {
 // allocates this decoder's state for it: a region of the arena, a register
 // file and the output buffers. Subsequent Decodes of the same K reuse the
 // state, rewriting it in place. If the arena cannot fit a new K's region,
-// every state is evicted and the arena rewound; plans and programs are
-// not the decoder's to evict.
+// every state is dropped and the arena replaced by a larger one, or, at
+// its budget, rewound (an eviction); plans and programs are not the
+// decoder's to evict.
 // There is one decode path: blocks packed across lanes at the element
 // level, replayed through the compiled program.
 // It is NOT safe for concurrent use — give each worker goroutine its
 // own BatchDecoder; they share what can be shared by themselves.
 type BatchDecoder struct {
 	eng *simd.Engine
-	ar  core.Arranger
-	s   core.Strategy
+	// memBytes is the arena's budget; the arena itself starts at
+	// arenaStart and doubles towards it (makeRoom).
+	memBytes int
+	ar       core.Arranger
+	s        core.Strategy
 	// plans is keyed by K: width and strategy are fixed per BatchDecoder
 	// (one engine, one arranger).
 	plans map[int]*decodePlan
@@ -133,11 +137,13 @@ type BatchDecoder struct {
 
 // NewBatchDecoder builds a decoder for width w and arrangement strategy
 // s with a memBytes emulated-memory arena: the budget for this decoder's
-// state regions (32 MiB comfortably fits the largest supported K at
-// W512). Plans and programs live in the process-wide cache, outside it.
+// state regions (the largest supported K takes 1.4 MiB at W512, the 188
+// LTE sizes together some 80 MiB). Plans and programs live in the
+// process-wide cache, outside it.
 func NewBatchDecoder(w simd.Width, s core.Strategy, memBytes int) *BatchDecoder {
 	return &BatchDecoder{
-		eng:       simd.NewEngine(w, simd.NewMemory(memBytes), nil),
+		eng:       simd.NewEngine(w, simd.NewMemory(min(memBytes, arenaStart)), nil),
+		memBytes:  memBytes,
 		ar:        core.ByStrategy(s),
 		s:         s,
 		plans:     make(map[int]*decodePlan),
@@ -195,14 +201,42 @@ func (bd *BatchDecoder) plan(k int) (*decodePlan, error) {
 // shared program on it: an eviction costs allocations, never a compile.
 // Results are unaffected.
 func (bd *BatchDecoder) EvictAll() {
+	bd.dropStates()
+	bd.eng.Mem.AllocReset()
+	bd.Evictions++
+}
+
+// dropStates forgets every block size's decode state. An Exec is bound to
+// the region it was made over; replaying it after the arena was rewound or
+// replaced would corrupt whatever the arena now holds there.
+func (bd *BatchDecoder) dropStates() {
 	for _, q := range bd.plans {
-		// An Exec is bound to the region it was made over; replaying it
-		// after the reset would corrupt whatever the arena now holds there.
 		q.pst, q.exec, q.dec = nil, nil, nil
 	}
 	bd.compiledPlans = 0
-	bd.eng.Mem.AllocReset()
-	bd.Evictions++
+}
+
+// arenaStart is the arena a decoder begins with: room for a handful of
+// block sizes at W512. The whole budget up front would be tens of MiB per
+// decoder that a worker serving a few sizes never writes, and the
+// allocator zeroes all of it whenever it reuses freed memory for it — a
+// process that builds runtimes one after another then holds 17-25 MiB
+// more or less resident from one run to the next.
+const arenaStart = 4 << 20
+
+// makeRoom is called when the arena cannot take a region of need bytes
+// that the budget can. Under budget, the arena is replaced by one at least
+// twice as large, which holds every state the old one held and the new
+// region; at the budget, every state is evicted. Either way each block
+// size rebuilds its state on its next decode.
+func (bd *BatchDecoder) makeRoom(need int64) {
+	old := int64(bd.eng.Mem.Size())
+	if size := min(int64(bd.memBytes), max(2*old, old+need)); size > old {
+		bd.dropStates()
+		bd.eng.Mem = simd.NewMemory(int(size))
+		return
+	}
+	bd.EvictAll()
 }
 
 // effIters is the iteration budget decodes actually run under:
@@ -217,11 +251,11 @@ func (bd *BatchDecoder) effIters() int {
 // buildState gives plan p a decode state: the plan itself on the first
 // decode of its K (adopted from the process-wide cache, which compiles it
 // if no decoder has asked before, or built privately when this decoder
-// does not compile), then a region of the arena — evicting every state if
-// the remaining space cannot hold it — the Go-side buffers, and the
-// compiled program's execution state or the interpreter. Scratch contents
-// are rewritten on every decode, so eviction never affects results — it
-// only costs the rebuild.
+// does not compile), then a region of the arena — growing the arena or
+// evicting every state if the remaining space cannot hold it (makeRoom)
+// — the Go-side buffers, and the compiled program's execution state or
+// the interpreter. Scratch contents are rewritten on every decode, so
+// eviction never affects results — it only costs the rebuild.
 func (bd *BatchDecoder) buildState(p *decodePlan) error {
 	k := p.k
 	if p.plan == nil {
@@ -241,11 +275,11 @@ func (bd *BatchDecoder) buildState(p *decodePlan) error {
 		}
 	}
 	need := p.plan.size + 63 // the region, and the padding that aligns its start
+	if int64(bd.memBytes) < need {
+		return fmt.Errorf("turbo: arena too small for K=%d at %v (need %d bytes)", k, bd.eng.W, need)
+	}
 	if bd.eng.Mem.Remaining() < need {
-		bd.EvictAll()
-		if bd.eng.Mem.Remaining() < need {
-			return fmt.Errorf("turbo: arena too small for K=%d at %v (need %d bytes)", k, bd.eng.W, need)
-		}
+		bd.makeRoom(need)
 	}
 	base := bd.eng.Mem.Alloc(int(p.plan.size), 64)
 	p.pst = newPackedState(bd.eng, bd.ar, p.plan, base)

@@ -280,6 +280,7 @@ func TestTracedEngineStaysInterpreted(t *testing.T) {
 	const k = 104
 	bd := &BatchDecoder{
 		eng:       simd.NewEngine(simd.W128, simd.NewMemory(32<<20), trace.NewRecorder(1<<20)),
+		memBytes:  32 << 20,
 		ar:        core.ByStrategy(core.StrategyAPCM),
 		plans:     make(map[int]*decodePlan),
 		MaxIters:  4,

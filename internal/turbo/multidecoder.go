@@ -7,6 +7,41 @@ import (
 	"vransim/internal/simd"
 )
 
+// negInf16 marks unreachable trellis states in the SIMD build. It is far
+// enough below any reachable metric (inputs are bounded by LLRLimit) that
+// unreachable states can never win a max, yet far enough above the int16
+// saturation floor that saturating subtracts keep the ordering.
+const negInf16 = -12288
+
+// LLRLimit bounds the channel LLR magnitude accepted by the SIMD
+// decoder; within it the int16 saturating arithmetic is exact and the
+// SIMD build matches the int32 scalar reference bit for bit.
+const LLRLimit = 256
+
+// PhaseMark labels a half-open µop range [Lo, Hi) of the engine trace
+// with the decoder submodule that produced it; the experiment harness
+// uses the marks to attribute cycles to arrangement / gamma / alpha /
+// beta / extrinsic, as the paper's Figures 9 and 14 do.
+type PhaseMark struct {
+	Name   string
+	Lo, Hi int
+}
+
+// ArrangedInput is the decoder's view of one block's LLR arrays living in
+// engine memory: Src is the interleaved [S P1 P2] stream the arrangement
+// reads (re-run per half-iteration under RearrangePerHalfIter), S, P1 and
+// P2 the arranged arrays it writes.
+type ArrangedInput struct {
+	Src     int64
+	S       int64 // systematic, natural bit order
+	P1      int64 // parity 1, natural order
+	P2      int64 // parity 2, interleaved order
+	TailSys [3]int16
+	TailP1  [3]int16
+}
+
+func sat16(x int32) int16 { return int16(min(max(x, -32768), 32767)) }
+
 // MultiSIMDDecoder decodes several equal-size code blocks *in parallel
 // lanes*: the 8 trellis states of block b occupy lanes 8b..8b+7, so an
 // AVX256 register carries two blocks' recursions and an AVX512 register
@@ -16,17 +51,28 @@ import (
 // makes the decoder's calculation time scale with register width as in
 // the paper's Figure 9.
 //
-// Functionally each lane group is independent, so the result is
-// bit-identical to running SIMDDecoder on each block (tested).
+// Functionally each lane group is independent, so a batch decodes to
+// exactly the bits its blocks decode to one at a time (tested), and a
+// single block is a one-word batch: the whole register at W128, a
+// partial batch at W256 and W512.
 type MultiSIMDDecoder struct {
-	Code                 *Code
-	MaxIters             int
-	EarlyExit            bool
+	Code      *Code
+	MaxIters  int
+	EarlyExit bool
+
+	// RearrangePerHalfIter re-runs the data arrangement before each
+	// constituent (MAP) invocation, matching the OAI structure the
+	// paper profiles, where the arrangement "generates the input values
+	// systematic1, yparity1 and yparity2 for the gamma, alpha, beta and
+	// ext calculations" on every decoder call. This is what makes the
+	// arrangement 13-19.5% of decode time (Figure 9); disable it for
+	// the one-shot-arrangement ablation.
 	RearrangePerHalfIter bool
 
-	// Marks accumulates per-phase trace attribution like SIMDDecoder.
-	// It stays empty on an untraced engine (there is no µop stream to
-	// attribute, and the serving path must not allocate per decode).
+	// Marks accumulates the per-phase trace attribution of the last
+	// Decode call. It stays empty on an untraced engine (there is no µop
+	// stream to attribute, and the serving path must not allocate per
+	// decode).
 	Marks []PhaseMark
 }
 
@@ -75,14 +121,7 @@ type multiState struct {
 	blockMask []*simd.Vec
 	// Scratch registers for the gamma packing.
 	packT, packA *simd.Vec
-	// Permutation index tables, replicated per block.
-	prevIdx0, prevIdx1 []int
-	nextIdx0, nextIdx1 []int
-	lane0Idx           []int
-	hmaxIdx            [3][]int
-	// negInfInit is the recursion-init lane pattern (state 0 reachable,
-	// the rest at negInf16), shared by the alpha and beta phases.
-	negInfInit []int16
+	laneTables
 
 	// Go-side buffers: per-block hard decisions, per-block convergence
 	// masks and iterations-to-converge, and the lane-padding scratch for
@@ -167,7 +206,7 @@ func (st *multiState) vecAddr(base int64, g, rot int) int64 {
 func newMultiState(e *simd.Engine, ar core.Arranger, c *Code, nb int) *multiState {
 	k := c.K
 	lay := ar.Layout(e.W)
-	st := &multiState{e: e, ar: ar, code: c, lay: lay, nb: nb}
+	st := &multiState{e: e, ar: ar, code: c, lay: lay, nb: nb, laneTables: newLaneTables(c.trellis, e.W, nb)}
 	arrBytes := lay.DstBytes(k)
 	st.in = make([]ArrangedInput, nb)
 	st.sPerm = make([]int64, nb)
@@ -185,10 +224,7 @@ func newMultiState(e *simd.Engine, ar core.Arranger, c *Code, nb int) *multiStat
 			P1: e.Mem.Alloc(arrBytes, 64),
 			P2: e.Mem.Alloc(arrBytes, 64),
 		}
-		st.in[b] = ArrangedInput{
-			Lay: lay, S: dst.S, P1: dst.P1, P2: dst.P2,
-			Src: src, Arr: ar,
-		}
+		st.in[b] = ArrangedInput{Src: src, S: dst.S, P1: dst.P1, P2: dst.P2}
 		st.sPerm[b] = e.Mem.Alloc(arrBytes, 64)
 		st.la1[b] = e.Mem.Alloc(arrBytes, 64)
 		st.la2[b] = e.Mem.Alloc(arrBytes, 64)
@@ -237,12 +273,6 @@ func (d *MultiSIMDDecoder) Decode(e *simd.Engine, ar core.Arranger, words []*LLR
 // caller.
 func (d *MultiSIMDDecoder) run(st *multiState, words []*LLRWord) ([][]byte, int, error) {
 	nb := st.nb
-	if len(words) < 1 || len(words) > nb {
-		return nil, 0, fmt.Errorf("turbo: got %d blocks, state decodes 1..%d at once", len(words), nb)
-	}
-	if st.code.K != d.Code.K {
-		return nil, 0, fmt.Errorf("turbo: state built for K=%d, decoder configured for K=%d", st.code.K, d.Code.K)
-	}
 	requested := len(words)
 	st.words = append(st.words[:0], words...)
 	for len(st.words) < nb {
@@ -373,8 +403,8 @@ func (d *MultiSIMDDecoder) setHi(m int, e *simd.Engine) {
 	}
 }
 
-// initConstants mirrors SIMDDecoder's constants, replicated across the
-// nb lane groups.
+// initConstants loads the zero register, the trellis mask constants and
+// the lane-group masks, replicated across the nb lane groups.
 func (d *MultiSIMDDecoder) initConstants(st *multiState, tr *Trellis) {
 	e := st.e
 	nb := st.nb
@@ -404,20 +434,6 @@ func (d *MultiSIMDDecoder) initConstants(st *multiState, tr *Trellis) {
 	st.maskCurU0, st.maskCurU0N = pattern(func(s int) bool { return tr.Parity[s][0] == 0 })
 	st.maskCurU1, st.maskCurU1N = pattern(func(s int) bool { return tr.Parity[s][1] == 0 })
 
-	rep := func(f func(s int) int) []int {
-		idx := make([]int, lanes)
-		for b := 0; b < nb; b++ {
-			for s := 0; s < NumStates; s++ {
-				idx[b*NumStates+s] = b*NumStates + f(s)
-			}
-		}
-		return idx
-	}
-	st.prevIdx0 = rep(func(s int) int { return tr.Prev[s][0] })
-	st.prevIdx1 = rep(func(s int) int { return tr.Prev[s][1] })
-	st.nextIdx0 = rep(func(s int) int { return tr.Next[s][0] })
-	st.nextIdx1 = rep(func(s int) int { return tr.Next[s][1] })
-	st.lane0Idx = rep(func(s int) int { return 0 })
 	st.blockMask = make([]*simd.Vec, nb)
 	for b := 0; b < nb; b++ {
 		pat := make([]int16, lanes)
@@ -428,20 +444,13 @@ func (d *MultiSIMDDecoder) initConstants(st *multiState, tr *Trellis) {
 		e.SetImm(st.blockMask[b], pat)
 	}
 	st.packT, st.packA = e.NewVec(), e.NewVec()
-	st.hmaxIdx[0] = rep(func(s int) int { return (s + 4) % 8 })
-	st.hmaxIdx[1] = rep(func(s int) int { return s ^ 2 })
-	st.hmaxIdx[2] = rep(func(s int) int { return s ^ 1 })
-	st.negInfInit = make([]int16, lanes)
-	for b := 0; b < nb; b++ {
-		for s := 1; s < NumStates; s++ {
-			st.negInfInit[b*NumStates+s] = negInf16
-		}
-	}
 }
 
-// gamma runs the vectorized per-block gamma phase (identical to the
-// single-block decoder: the gamma computation is elementwise over each
-// block's arranged arrays and already uses the full register width).
+// gamma runs the vectorized per-block gamma phase: g0[k] = (sys+la)+par
+// and g1[k] = (sys+la)-par, elementwise over one block's arranged arrays
+// at the full register width (reading yparity at the rotate-mimic
+// offsets) — the SIMD calculation stage whose inputs the arrangement
+// feeds.
 func (d *MultiSIMDDecoder) gamma(st *multiState, b int, sysBase, parBase int64, parC core.Cluster, laBase int64, k int) {
 	e := st.e
 	m := d.mark(e, "gamma")
@@ -527,6 +536,9 @@ func (d *MultiSIMDDecoder) packGammas(st *multiState, k, blockK int, bg0, bg1 *s
 	}
 }
 
+// bmVecs builds the two branch-metric vectors for one trellis step from
+// the packed g0/g1 registers: bm0 selects +g0/+g1 by the u=0 parity
+// mask, bm1 selects -g1/-g0 by the u=1 parity mask.
 func (st *multiState) bmVecs(bg0, bg1, ng0, ng1, t1, t2, bm0, bm1 *simd.Vec, m0, m0n, m1, m1n *simd.Vec) {
 	e := st.e
 	e.PAnd(t1, bg0, m0)
@@ -570,6 +582,8 @@ func (d *MultiSIMDDecoder) alpha(st *multiState, blockK int, terminated bool) {
 		e.PAddSW(c0, a0, bm0)
 		e.PAddSW(c1, a1, bm1)
 		e.PMaxSW(alpha, c0, c1)
+		// Normalize by state 0 (lane-0 broadcast + subtract), the same
+		// rule the scalar reference applies.
 		e.PermuteW(norm, alpha, st.lane0Idx)
 		e.PSubSW(alpha, alpha, norm)
 		e.StoreVec(st.alpha+int64(int(e.W))*int64(k+1), alpha)
@@ -578,8 +592,11 @@ func (d *MultiSIMDDecoder) alpha(st *multiState, blockK int, terminated bool) {
 	d.setHi(m, e)
 }
 
-// betaExt runs the fused backward recursion + posterior extraction for
-// all blocks.
+// betaExt runs the backward recursion for all blocks and, fused with it,
+// the posterior computation: at step k it has beta[k+1] in a register,
+// computes the branch sums v_u = bm_u + beta[next], derives beta[k] =
+// max_u v_u, and for information steps loads alpha[k] to form the
+// posterior difference D[k] = max(alpha+v0) - max(alpha+v1).
 func (d *MultiSIMDDecoder) betaExt(st *multiState, blockK int, terminated bool) {
 	e := st.e
 	m := d.mark(e, "beta+ext")
@@ -613,8 +630,8 @@ func (d *MultiSIMDDecoder) betaExt(st *multiState, blockK int, terminated bool) 
 			e.LoadVec(alpha, st.alpha+int64(int(e.W))*int64(k))
 			e.PAddSW(e0, alpha, v0)
 			e.PAddSW(e1, alpha, v1)
-			d.hmaxBlocks(st, e0, m0, t1)
-			d.hmaxBlocks(st, e1, m1, t1)
+			st.hmax(e, e0, m0, t1)
+			st.hmax(e, e1, m1, t1)
 			e.PSubSW(dv, m0, m1)
 			for b := 0; b < st.nb; b++ {
 				e.PExtrWToMem(st.elemAddr(st.dPost[b], k), dv, b*NumStates)
@@ -630,18 +647,8 @@ func (d *MultiSIMDDecoder) betaExt(st *multiState, blockK int, terminated bool) 
 	d.setHi(m, e)
 }
 
-// hmaxBlocks reduces the maximum within each 8-lane block group.
-func (d *MultiSIMDDecoder) hmaxBlocks(st *multiState, v, dst, tmp *simd.Vec) {
-	e := st.e
-	e.PermuteW(tmp, v, st.hmaxIdx[0])
-	e.PMaxSW(dst, v, tmp)
-	e.PermuteW(tmp, dst, st.hmaxIdx[1])
-	e.PMaxSW(dst, dst, tmp)
-	e.PermuteW(tmp, dst, st.hmaxIdx[2])
-	e.PMaxSW(dst, dst, tmp)
-}
-
-// extFin is the per-block vectorized extrinsic finalization.
+// extFin converts one block's stored posteriors into clamped extrinsics:
+// ext[k] = clamp(D[k]>>1 - (sys[k]+la[k])), vectorized at full width.
 func (d *MultiSIMDDecoder) extFin(st *multiState, b int, sysBase, laBase int64, k int) {
 	e := st.e
 	m := d.mark(e, "ext")

@@ -84,12 +84,8 @@ type packedPlan struct {
 	size     int64
 	arrBytes int
 
-	negInfInit []int16
-	// Recursion permute tables (replicated per block, as in multiState).
-	prevIdx0, prevIdx1 []int
-	nextIdx0, nextIdx1 []int
-	lane0Idx           []int
-	hmaxIdx            [3][]int
+	// Recursion permute tables, the ones multiState runs on.
+	laneTables
 	// Quad-read tables: bm0/bm1 of the alpha and beta recursions as one
 	// permute each over the step's quad group.
 	bmA0, bmA1 []int
@@ -173,7 +169,7 @@ func (st *packedState) alphaAddr(step int) int64 {
 func newPackedPlan(c *Code, lay core.Layout, w simd.Width, nb int) *packedPlan {
 	k := c.K
 	n := nb * k
-	pl := &packedPlan{code: c, w: w, lay: lay, nb: nb, n: n, arrBytes: lay.DstBytes(n)}
+	pl := &packedPlan{code: c, w: w, lay: lay, nb: nb, n: n, arrBytes: lay.DstBytes(n), laneTables: newLaneTables(c.trellis, w, nb)}
 	// Every array starts on a 64-byte boundary of the region, as
 	// consecutive simd.Memory.Alloc(_, 64) calls from its start would
 	// place them.
@@ -217,36 +213,12 @@ func newPackedState(e *simd.Engine, ar core.Arranger, pl *packedPlan, base int64
 	return st
 }
 
-// buildTables builds the permute tables and gather programs: pure index
+// buildTables builds the quad tables and gather programs: pure index
 // arithmetic over (trellis, layout, interleaver), no engine.
 func (pl *packedPlan) buildTables() {
 	tr := pl.code.trellis
 	nb := pl.nb
 	lanes := pl.w.Lanes16()
-
-	rep := func(f func(s int) int) []int {
-		idx := make([]int, lanes)
-		for b := 0; b < nb; b++ {
-			for s := 0; s < NumStates; s++ {
-				idx[b*NumStates+s] = b*NumStates + f(s)
-			}
-		}
-		return idx
-	}
-	pl.prevIdx0 = rep(func(s int) int { return tr.Prev[s][0] })
-	pl.prevIdx1 = rep(func(s int) int { return tr.Prev[s][1] })
-	pl.nextIdx0 = rep(func(s int) int { return tr.Next[s][0] })
-	pl.nextIdx1 = rep(func(s int) int { return tr.Next[s][1] })
-	pl.lane0Idx = rep(func(s int) int { return 0 })
-	pl.hmaxIdx[0] = rep(func(s int) int { return (s + 4) % 8 })
-	pl.hmaxIdx[1] = rep(func(s int) int { return s ^ 2 })
-	pl.hmaxIdx[2] = rep(func(s int) int { return s ^ 1 })
-	pl.negInfInit = make([]int16, lanes)
-	for b := 0; b < nb; b++ {
-		for s := 1; s < NumStates; s++ {
-			pl.negInfInit[b*NumStates+s] = negInf16
-		}
-	}
 
 	// Quad-read tables. The per-block path selects branch metrics with
 	// masks: alpha bm0 = g0 where Parity[Prev[s][0]][0]==0 else g1,
@@ -498,8 +470,8 @@ func (d *MultiSIMDDecoder) betaExtPacked(st *packedState, blockK int, terminated
 			e.LoadVec(alpha, st.alphaAddr(j))
 			e.PAddSW(e0, alpha, v0)
 			e.PAddSW(e1, alpha, v1)
-			d.hmaxPacked(st, e0, m0, tmp)
-			d.hmaxPacked(st, e1, m1, tmp)
+			st.hmax(e, e0, m0, tmp)
+			st.hmax(e, e1, m1, tmp)
 			e.PSubSW(dv, m0, m1)
 			for b := 0; b < st.nb; b++ {
 				e.PExtrWToMem(st.elemAddr(st.dPost, j*st.nb+b), dv, b*NumStates)
@@ -511,16 +483,6 @@ func (d *MultiSIMDDecoder) betaExtPacked(st *packedState, blockK int, terminated
 	}
 	e.ReleaseVec(beta, quad, bm0, bm1, b0, b1, v0, v1, alpha, e0, e1, m0, m1, dv, tmp, norm)
 	d.setHi(m, e)
-}
-
-func (d *MultiSIMDDecoder) hmaxPacked(st *packedState, v, dst, tmp *simd.Vec) {
-	e := st.e
-	e.PermuteW(tmp, v, st.hmaxIdx[0])
-	e.PMaxSW(dst, v, tmp)
-	e.PermuteW(tmp, dst, st.hmaxIdx[1])
-	e.PMaxSW(dst, dst, tmp)
-	e.PermuteW(tmp, dst, st.hmaxIdx[2])
-	e.PMaxSW(dst, dst, tmp)
 }
 
 // extFinPacked finalizes the extrinsic for all blocks in one sweep over

@@ -66,8 +66,9 @@ func TestMultiDecodeNoiseless(t *testing.T) {
 }
 
 // TestMultiMatchesSingle is the lane-independence property: decoding nb
-// blocks in parallel lanes must produce exactly the bits the
-// single-block SIMD decoder produces per block.
+// blocks in parallel lanes must produce exactly the bits each block gets
+// decoded alone — as a one-word batch of the same decoder and by the
+// scalar reference.
 func TestMultiMatchesSingle(t *testing.T) {
 	for _, w := range []simd.Width{simd.W256, simd.W512} {
 		nb := BlocksPerRegister(w)
@@ -76,28 +77,31 @@ func TestMultiMatchesSingle(t *testing.T) {
 			t.Fatal(err)
 		}
 		words, _ := buildWords(t, c, nb, 99, false)
+		ar := core.ByStrategy(core.StrategyAPCM)
 
-		mem := simd.NewMemory(32 << 20)
-		e := simd.NewEngine(w, mem, nil)
 		md := NewMultiSIMDDecoder(c)
 		md.MaxIters, md.EarlyExit = 3, false
-		multi, _, err := md.Decode(e, core.ByStrategy(core.StrategyAPCM), words)
+		multi, _, err := md.Decode(simd.NewEngine(w, simd.NewMemory(32<<20), nil), ar, words)
 		if err != nil {
 			t.Fatal(err)
 		}
 
+		sc := NewDecoder(c)
+		sc.MaxIters, sc.EarlyExit = 3, false
 		for b := 0; b < nb; b++ {
-			memS := simd.NewMemory(32 << 20)
-			eS := simd.NewEngine(w, memS, nil)
-			sd := NewSIMDDecoder(c)
-			sd.MaxIters, sd.EarlyExit = 3, false
-			in := sd.PrepareInput(eS, core.ByStrategy(core.StrategyAPCM), words[b])
-			single, _, err := sd.Decode(eS, in)
+			single, _, err := md.Decode(simd.NewEngine(w, simd.NewMemory(32<<20), nil), ar, words[b:b+1])
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !equalBits(multi[b], single) {
-				t.Errorf("%v block %d: multi and single decoders disagree", w, b)
+			if !equalBits(multi[b], single[0]) {
+				t.Errorf("%v block %d: full batch and one-word batch disagree", w, b)
+			}
+			scalar, _, err := sc.Decode(words[b])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !equalBits(multi[b], scalar) {
+				t.Errorf("%v block %d: full batch and scalar decoder disagree", w, b)
 			}
 		}
 	}

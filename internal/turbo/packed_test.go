@@ -317,6 +317,42 @@ func TestPackedPlanEviction(t *testing.T) {
 	}
 }
 
+// TestArenaGrowsBeforeItEvicts: a decoder starts on an arena smaller than
+// its budget. Block sizes that outgrow it must get a larger arena, not an
+// eviction, and every size must decode correctly on the state it rebuilds
+// there.
+func TestArenaGrowsBeforeItEvicts(t *testing.T) {
+	bd := NewBatchDecoder(simd.W512, core.StrategyAPCM, 32<<20)
+	bd.MaxIters, bd.Compile = 4, false // interpreted: the arena is used the same way, and nothing compiles
+	if got := bd.eng.Mem.Size(); got != arenaStart {
+		t.Fatalf("a 32 MiB budget starts on %d bytes, want %d", got, arenaStart)
+	}
+	ks := []int{6144, 5952, 5056, 4096, 6144, 5952, 5056, 4096}
+	for round, k := range ks {
+		c, err := bd.Code(k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		words, truth := buildWords(t, c, 1, int64(890+round), true)
+		bits, _, err := bd.Decode(k, words)
+		if err != nil {
+			t.Fatalf("round %d (K=%d): %v", round, k, err)
+		}
+		if !equalBits(bits[0], truth[0]) {
+			t.Errorf("round %d (K=%d): wrong bits", round, k)
+		}
+	}
+	if got := bd.eng.Mem.Size(); got != 2*arenaStart {
+		t.Errorf("arena is %d bytes after four sizes of 4.6 MiB together, want %d", got, 2*arenaStart)
+	}
+	if bd.Evictions != 0 {
+		t.Errorf("%d evictions under a 32 MiB budget", bd.Evictions)
+	}
+	if small := NewBatchDecoder(simd.W512, core.StrategyAPCM, 1<<20); small.eng.Mem.Size() != 1<<20 {
+		t.Errorf("a 1 MiB budget starts on %d bytes", small.eng.Mem.Size())
+	}
+}
+
 // FuzzPackedDecode is the serving path's fuzz target: random width,
 // block size, fill and fully random (not necessarily decodable) LLR
 // payloads must decode bit- and iteration-identically every way

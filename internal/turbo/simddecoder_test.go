@@ -9,9 +9,15 @@ import (
 	"vransim/internal/trace"
 )
 
-// simdDecodeOnce runs arrangement + SIMD decode for one random block and
-// returns the decoded bits, the true bits, and the engine.
-func simdDecodeOnce(t *testing.T, k int, w simd.Width, strat core.Strategy, snrNoiseless bool, seed int64, iters int) (got, want []byte, e *simd.Engine, d *SIMDDecoder) {
+// A single block on the SIMD decoder is a one-word batch of
+// MultiSIMDDecoder: the whole register at W128, where a register holds
+// one block, and a partial batch at W256 and W512, whose other lane
+// groups carry discarded copies. The TestSIMD* tests pin that case.
+
+// simdDecodeOnce runs arrangement + SIMD decode for one random block on a
+// traced engine and returns the decoded bits, the true bits, the engine
+// and the decoder (for its marks).
+func simdDecodeOnce(t *testing.T, k int, w simd.Width, strat core.Strategy, snrNoiseless bool, seed int64, iters int) (got, want []byte, e *simd.Engine, d *MultiSIMDDecoder) {
 	t.Helper()
 	c, err := NewCode(k)
 	if err != nil {
@@ -33,14 +39,13 @@ func simdDecodeOnce(t *testing.T, k int, w simd.Width, strat core.Strategy, snrN
 
 	mem := simd.NewMemory(8 << 20)
 	e = simd.NewEngine(w, mem, trace.NewRecorder(1<<16))
-	d = NewSIMDDecoder(c)
+	d = NewMultiSIMDDecoder(c)
 	d.MaxIters = iters
-	in := d.PrepareInput(e, core.ByStrategy(strat), word)
-	got, _, err = d.Decode(e, in)
+	out, _, err := d.Decode(e, core.ByStrategy(strat), []*LLRWord{word})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return got, bits, e, d
+	return out[0], bits, e, d
 }
 
 func clampWord(w *LLRWord, lim int16) {
@@ -86,7 +91,8 @@ func TestSIMDDecodeNoiseless(t *testing.T) {
 
 // TestSIMDMatchesScalar is the central functional equivalence check: the
 // SIMD decoder (through either arrangement mechanism) and the scalar
-// reference must produce identical hard decisions on noisy input.
+// reference must produce identical hard decisions on noisy input, for a
+// single block at every width.
 func TestSIMDMatchesScalar(t *testing.T) {
 	for _, w := range simd.Widths {
 		for _, strat := range []core.Strategy{core.StrategyExtract, core.StrategyAPCM, core.StrategyAPCMShuffle} {
@@ -112,13 +118,13 @@ func TestSIMDMatchesScalar(t *testing.T) {
 
 				mem := simd.NewMemory(8 << 20)
 				e := simd.NewEngine(w, mem, nil) // functional only
-				sd := NewSIMDDecoder(c)
+				sd := NewMultiSIMDDecoder(c)
 				sd.MaxIters, sd.EarlyExit = 4, false
-				in := sd.PrepareInput(e, core.ByStrategy(strat), word)
-				simdBits, _, err := sd.Decode(e, in)
+				out, _, err := sd.Decode(e, core.ByStrategy(strat), []*LLRWord{word})
 				if err != nil {
 					t.Fatal(err)
 				}
+				simdBits := out[0]
 				if !equalBits(simdBits, scalarBits) {
 					diff := 0
 					for i := range simdBits {
@@ -193,13 +199,14 @@ func TestSIMDGammaUsesCalcInstructions(t *testing.T) {
 	}
 }
 
+// TestSIMDLayoutWidthMismatch: the arranged layout is always taken from
+// the engine's own width, so the one mismatch left to refuse is a
+// register too narrow to hold a block's eight states.
 func TestSIMDLayoutWidthMismatch(t *testing.T) {
 	c, _ := NewCode(40)
-	d := NewSIMDDecoder(c)
-	mem := simd.NewMemory(1 << 20)
-	e := simd.NewEngine(simd.W256, mem, nil)
-	in := ArrangedInput{Lay: core.ByStrategy(core.StrategyAPCM).Layout(simd.W128)}
-	if _, _, err := d.Decode(e, in); err == nil {
-		t.Error("expected width-mismatch error")
+	d := NewMultiSIMDDecoder(c)
+	e := simd.NewEngine(simd.Width(8), simd.NewMemory(1<<20), nil)
+	if _, _, err := d.Decode(e, core.ByStrategy(core.StrategyAPCM), []*LLRWord{NewLLRWord(40)}); err == nil {
+		t.Error("expected a too-narrow-width error")
 	}
 }

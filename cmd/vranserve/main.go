@@ -8,7 +8,7 @@
 //
 //	vranserve [-cells 3] [-ues 8] [-workers 4] [-width 512] [-mech apcm]
 //	          [-k 104] [-iters 4] [-rate 2.0] [-burst] [-ttis 2000]
-//	          [-tti 1ms] [-deadline 3ms] [-window 500µs] [-queue 64]
+//	          [-tti 1ms] [-deadline 3ms] [-queue 64]
 //	          [-saturate] [-stats 1s] [-seed 1] [-admin :9090] [-notrace]
 //	          [-harq-retries 3] [-harq-procs 8]
 //	          [-class urllc,embb] [-urllc-deadline 0] [-predict]
@@ -23,7 +23,7 @@
 //
 // -class assigns SLA classes to cells (the list cycles: "urllc,embb"
 // makes every other cell URLLC). With URLLC cells configured the
-// runtime dispatches URLLC ahead of eMBB, sheds eMBB first under
+// runtime decodes URLLC ahead of eMBB, sheds eMBB first under
 // overload, and reports per-class ledgers (vran_class_* families).
 // -predict arms the per-cell MMPP burst predictor so shedding starts
 // when a burst begins rather than when the backlog crosses a
@@ -121,8 +121,8 @@ func main() {
 
 	fmt.Printf("vranserve: %d cells x %d UEs, %d workers, %v/%s, %s kernel, K=%d, %s arrivals at %.2f blocks/cell/TTI\n",
 		cfg.Cells, *ues, cfg.Workers, cfg.Width, *rf.Mech, program.Kernel(), *k, arrivalName(*burst), *rate)
-	fmt.Printf("deadline %v, batch window %v (%d lanes), queue depth %d, %d TTIs of %v\n",
-		cfg.Deadline, cfg.BatchWindow, rt.Lanes(), cfg.QueueDepth, *ttis, *tti)
+	fmt.Printf("deadline %v, %d lanes, queue depth %d, %d TTIs of %v\n",
+		cfg.Deadline, rt.Lanes(), cfg.QueueDepth, *ttis, *tti)
 	fmt.Printf("HARQ: %d retries, %d processes/UE\n", cfg.HARQ.MaxRetries, cfg.HARQ.Processes)
 	if len(cfg.SLA.Classes) > 0 {
 		fmt.Printf("SLA classes:")

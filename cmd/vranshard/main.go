@@ -7,7 +7,7 @@
 //
 //	vranshard -listen 127.0.0.1:7101 [-admin :9191]
 //	          [-cells 3] [-workers 4] [-width 512] [-mech apcm]
-//	          [-iters 4] [-deadline 10ms] [-window 500µs] [-queue 64]
+//	          [-iters 4] [-deadline 10ms] [-queue 64]
 //	          [-harq-retries 3] [-harq-procs 8]
 //	          [-chaos] [-chaos-crc 0.05] [-chaos-corrupt 0.05] …
 //

@@ -23,7 +23,7 @@ type RuntimeFlags struct {
 	Cells, Workers, Width *int
 	Mech                  *string
 	K, Iters, Queue       *int
-	Deadline, Window      *time.Duration
+	Deadline              *time.Duration
 	HARQRetries           *int
 	HARQProcs             *int
 	Class                 *string
@@ -42,8 +42,7 @@ func RegisterRuntime(fs *flag.FlagSet) *RuntimeFlags {
 		K:             fs.Int("k", 40, "turbo code block size"),
 		Iters:         fs.Int("iters", 4, "turbo decoder iteration budget"),
 		Deadline:      fs.Duration("deadline", 10*time.Millisecond, "per-block HARQ processing budget (the emulated decoder is ~1000x a real one, so the default budget is loose)"),
-		Window:        fs.Duration("window", 500*time.Microsecond, "lane-fill batch window"),
-		Queue:         fs.Int("queue", 64, "per-cell ingress queue depth"),
+		Queue:         fs.Int("queue", 64, "blocks one cell may have waiting for a worker, per traffic class"),
 		HARQRetries:   fs.Int("harq-retries", 3, "HARQ retransmission budget per block (0 disables the retry path)"),
 		HARQProcs:     fs.Int("harq-procs", 8, "HARQ processes per (cell, UE)"),
 		Class:         fs.String("class", "", "per-cell SLA class list, comma-separated and cycled over cells (e.g. \"urllc,embb\"); empty = class-blind"),
@@ -69,7 +68,6 @@ func (rf *RuntimeFlags) Config() (ran.Config, error) {
 	cfg.Workers = *rf.Workers
 	cfg.QueueDepth = *rf.Queue
 	cfg.MaxIters = *rf.Iters
-	cfg.BatchWindow = *rf.Window
 	cfg.Deadline = *rf.Deadline
 	cfg.HARQ = ran.HARQConfig{MaxRetries: *rf.HARQRetries, Processes: *rf.HARQProcs}
 	classes, err := ran.ParseClassList(*rf.Class, cfg.Cells)

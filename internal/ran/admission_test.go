@@ -36,14 +36,14 @@ func oneBlockCost(t *testing.T, w simd.Width, pool *WordPool) (first, warm time.
 	return first, warm
 }
 
-// guardConfig is ran.DefaultConfig (admission guard on, 3 ms deadline,
-// 500 µs window) on one cell and one worker, its deadline stretched where
-// this host's warm decode would not fit it.
+// guardConfig is ran.DefaultConfig (admission guard on, 3 ms deadline)
+// on one cell and one worker, its deadline stretched where this host's
+// warm decode would not fit it.
 func guardConfig(warm time.Duration) Config {
 	cfg := DefaultConfig(simd.W512, core.StrategyAPCM)
 	cfg.Cells, cfg.Workers = 1, 1
 	cfg.QueueDepth = 256
-	cfg.Deadline = max(cfg.Deadline, cfg.BatchWindow+8*warm)
+	cfg.Deadline = max(cfg.Deadline, 8*warm)
 	return cfg
 }
 

@@ -79,7 +79,6 @@ func soak(t *testing.T, seed int64, faults bool) {
 	cfg.Workers = 4
 	cfg.QueueDepth = 256
 	cfg.MaxIters = 4
-	cfg.BatchWindow = 200 * time.Microsecond
 	cfg.Deadline = 30 * time.Second // the soak is about faults, not the clock
 	cfg.AdmissionGuard = false
 	if faults {
@@ -110,7 +109,7 @@ func soak(t *testing.T, seed int64, faults bool) {
 			}
 			idx++
 		}
-		// Yield so the dispatcher interleaves with submission — the
+		// Yield so the workers interleave with submission — the
 		// simulated TTI clock, compressed.
 		time.Sleep(50 * time.Microsecond)
 	}

@@ -74,7 +74,6 @@ func FuzzAdmission(f *testing.F) {
 		cfg.Workers = 2
 		cfg.QueueDepth = 8 // small: the backlog reject path must fire under fuzz
 		cfg.MaxIters = 4
-		cfg.BatchWindow = 200 * time.Microsecond
 		// Deadlines down to 1µs are legal inputs: hopeless blocks must be
 		// rejected or expired, never lost.
 		cfg.Deadline = time.Duration(deadlineUs) * time.Microsecond

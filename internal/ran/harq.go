@@ -1,7 +1,6 @@
 package ran
 
 import (
-	"sync"
 	"time"
 
 	"vransim/internal/telemetry"
@@ -12,7 +11,7 @@ import (
 // CRC check fails (Config.CheckCRC, or a chaos-forced failure) is not
 // dropped: its received word is chase-combined into the (cell, UE,
 // process) soft buffer, a retransmission is received, and the combined
-// word is re-enqueued for another decode — up to MaxRetries times, each
+// word is pushed back for another decode — up to MaxRetries times, each
 // retry under a fresh per-transmission deadline. Exhausting the budget
 // (or a combine rejection) terminates the block as a DropHARQ.
 type HARQConfig struct {
@@ -22,65 +21,6 @@ type HARQConfig struct {
 	// Processes is the HARQ process count per (cell, UE); process ids
 	// wrap modulo it (LTE FDD: 8). Default 8.
 	Processes int
-}
-
-// retryQueue carries CRC-failed blocks from the workers back to the
-// dispatcher. It is unbounded (its occupancy is already bounded by
-// MaxRetries times the in-flight block count) so the requeue never
-// blocks a worker, and it closes exactly once — at Stop, after the
-// workers have drained — so every block is either decoded again or
-// visible to the shutdown reconciliation. An offer against the closed
-// queue fails, and the caller accounts the block as a shutdown drop.
-type retryQueue struct {
-	mu     sync.Mutex
-	buf    []*Block
-	closed bool
-}
-
-// offer enqueues b unless the queue is closed.
-func (q *retryQueue) offer(b *Block) bool {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if q.closed {
-		return false
-	}
-	q.buf = append(q.buf, b)
-	return true
-}
-
-// drain removes and returns all queued retries, stamping dequeue like a
-// cell queue drain.
-func (q *retryQueue) drain() []*Block {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if len(q.buf) == 0 {
-		return nil
-	}
-	out := q.buf
-	q.buf = nil
-	now := time.Now()
-	for _, b := range out {
-		b.dequeued = now
-	}
-	return out
-}
-
-// depth reports the current retry backlog.
-func (q *retryQueue) depth() int {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return len(q.buf)
-}
-
-// closeAndDrain marks the queue closed and returns whatever was still
-// enqueued — the shutdown reconciliation path.
-func (q *retryQueue) closeAndDrain() []*Block {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	q.closed = true
-	out := q.buf
-	q.buf = nil
-	return out
 }
 
 // harqRelease frees the block's soft buffer after a terminal outcome
@@ -93,9 +33,9 @@ func (r *Runtime) harqRelease(b *Block) {
 
 // retryOrDrop is the worker-side failure path: called for a block whose
 // decode finished in deadline but failed its CRC check. It either
-// re-enqueues a soft-combined retransmission or terminates the block
-// with a drop — exactly one of the two, so block accounting stays
-// conserved.
+// pushes a soft-combined retransmission back into the ready structure
+// or terminates the block with a drop — exactly one of the two, so block
+// accounting stays conserved.
 func (r *Runtime) retryOrDrop(b *Block, now time.Time, busy time.Duration, iters int) {
 	if r.harq == nil || b.Attempt >= r.cfg.HARQ.MaxRetries {
 		r.met.drop(b.Cell, b.Class, DropHARQ)
@@ -103,17 +43,9 @@ func (r *Runtime) retryOrDrop(b *Block, now time.Time, busy time.Duration, iters
 		r.harqRelease(b)
 		return
 	}
-	if r.stopped.Load() {
-		// The dispatcher is (or is about to be) gone; a requeued block
-		// would never be decoded. Terminate it visibly instead.
-		r.met.drop(b.Cell, b.Class, DropShutdown)
-		r.recordSpan(b, now, busy, iters, "harq_shutdown")
-		r.harqRelease(b)
-		return
-	}
 	// Deadline-aware backoff: the retry lives under a fresh
-	// per-transmission deadline; if that budget cannot even cover the
-	// batch window plus one measured decode, requeuing is hopeless work.
+	// per-transmission deadline; if that budget cannot even cover one
+	// measured decode, requeuing is hopeless work.
 	if !r.guardAdmits(r.classDeadline(b.Class)) {
 		r.met.drop(b.Cell, b.Class, DropHARQ)
 		r.recordSpan(b, now, busy, iters, "harq_exhausted")
@@ -162,7 +94,10 @@ func (r *Runtime) retryOrDrop(b *Block, now time.Time, busy time.Duration, iters
 		prev = b.Arrived
 	}
 	nb.acc[telemetry.SpanHARQRetry] += clampDur(now.Sub(prev))
-	if !r.retryq.offer(nb) {
+	// A retry is never refused for backlog (its count is already bounded
+	// by MaxRetries times the blocks in flight); only Stop refuses it, and
+	// then it ends here as a shutdown drop.
+	if r.rq.push(nb, false) != Admitted {
 		r.met.drop(b.Cell, b.Class, DropShutdown)
 		r.recordSpan(b, now, busy, iters, "harq_shutdown")
 		r.harqRelease(b)
@@ -170,46 +105,40 @@ func (r *Runtime) retryOrDrop(b *Block, now time.Time, busy time.Duration, iters
 	}
 	r.met.harqRetry()
 	r.recordSpan(b, now, busy, iters, "harq_retry")
-	r.kick()
 }
 
-// updateDegrade recomputes the graceful-degradation level from queue
-// pressure: the worst cell (or retry) backlog fraction maps onto a
-// ladder of iteration clamps the workers apply before the admission
-// path starts shedding load. Levels: ≥50 % backlog → 1, ≥75 % → 2,
-// ≥90 % → 3, clamped so the effective budget never drops below one
-// iteration. Called by the dispatcher each sweep; lock cost is one
-// mutex acquire per queue, which the sweep pays anyway.
+// backlog is one (cell, class)'s waiting count over the QueueDepth
+// bound (rq.mu held).
+func (r *Runtime) backlog(cell int, c Class) float64 {
+	return float64(r.rq.waiting[qi(cell, c)]) / float64(r.cfg.QueueDepth)
+}
+
+// updateDegrade recomputes the graceful-degradation level from backlog
+// pressure: the worst (cell, class) backlog fraction, HARQ retries
+// included, maps onto a ladder of iteration clamps the workers apply
+// before the admission path starts shedding load. Levels: ≥50 % backlog
+// → 1, ≥75 % → 2, ≥90 % → 3, clamped so the effective budget never drops
+// below one iteration. Called at every take, with rq.mu held.
 func (r *Runtime) updateDegrade() {
 	if r.cfg.MaxIters <= 1 {
 		return
 	}
-	worst := 0.0
-	for _, q := range r.queues {
-		if f := float64(q.depth()) / float64(r.cfg.QueueDepth); f > worst {
-			worst = f
-		}
+	worst, worstU := 0.0, 0.0
+	for cell := 0; cell < r.cfg.Cells; cell++ {
+		worst = max(worst, r.backlog(cell, ClassEMBB))
+		worstU = max(worstU, r.backlog(cell, ClassURLLC))
 	}
-	if f := float64(r.retryq.depth()) / float64(r.cfg.QueueDepth); f > worst {
-		worst = f
-	}
-	r.degrade.Store(int32(r.degradeLadder(worst)))
-	// Class-aware runtimes track a second level from the URLLC queues
-	// alone. The global level above rises whenever ANY queue backs up —
+	r.degrade.Store(int32(r.degradeLadder(max(worst, worstU))))
+	// Class-aware runtimes track a second level from the URLLC backlog
+	// alone. The global level above rises whenever ANY backlog builds —
 	// during an eMBB burst that is every dwell — and clamping URLLC's
-	// iteration budget because eMBB queues are full trades URLLC CRC
+	// iteration budget because eMBB is backed up trades URLLC CRC
 	// failures (and their HARQ retry-chain latency) for capacity that
 	// shedding eMBB should reclaim instead. URLLC batches therefore
 	// clamp only on their own class's backlog; eMBB keeps the global
 	// signal (giving up eMBB iterations because URLLC is backed up is
 	// the right direction).
 	if r.slaActive {
-		worstU := 0.0
-		for cell := 0; cell < r.cfg.Cells; cell++ {
-			if f := float64(r.queues[r.qi(cell, ClassURLLC)].depth()) / float64(r.cfg.QueueDepth); f > worstU {
-				worstU = f
-			}
-		}
 		r.degradeU.Store(int32(r.degradeLadder(worstU)))
 	}
 }

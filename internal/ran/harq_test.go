@@ -147,12 +147,11 @@ func TestHARQDisabled(t *testing.T) {
 // Stop is called immediately, so workers requeue retries while the
 // runtime is tearing down. Every accepted block must end as a delivery
 // or a counted drop — the seed behavior silently lost retries that were
-// requeued after the dispatcher's final sweep.
+// requeued after its dispatcher goroutine's final sweep.
 func TestStopFlushesInflightRetries(t *testing.T) {
 	const k = 40
 	for round := 0; round < 5; round++ {
 		cfg := testConfig(simd.W512)
-		cfg.BatchWindow = 100 * time.Microsecond
 		cfg.CheckCRC = func(*Block, []byte) bool { return false }
 		rt, err := New(cfg)
 		if err != nil {
@@ -214,7 +213,6 @@ func TestDegradationClampsUnderBacklog(t *testing.T) {
 	cfg := testConfig(simd.W512)
 	cfg.Workers = 1
 	cfg.QueueDepth = 64
-	cfg.BatchWindow = 100 * time.Microsecond
 	rt, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)

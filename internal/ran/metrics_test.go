@@ -234,16 +234,15 @@ func TestWorkerAllocsPerOpSteadyState(t *testing.T) {
 			t.Fatalf("submit %d rejected", i)
 		}
 		if i%lanes == lanes-1 {
-			time.Sleep(50 * time.Microsecond) // let the batcher drain
+			time.Sleep(50 * time.Microsecond) // let the worker take them
 		}
 	}
 	s := rt.Stop()
 	if s.DecodeAllocsPerOp < 0 {
 		t.Fatalf("no alloc sample taken across %d batches", s.Batches)
 	}
-	// The gauge brackets a process-wide counter, so the submitter, the
-	// dispatcher and the GC all leak into it — the budget is deliberately
-	// loose. It still catches the pre-plan-cache regime, where every
+	// The gauge brackets a process-wide counter, so the submitter and the
+	// GC leak into it — the budget is deliberately loose. It still catches the pre-plan-cache regime, where every
 	// batch rebuilt its working set and each PermuteW allocated its index
 	// scratch (thousands of objects per decode).
 	if s.DecodeAllocsPerOp > 2000 {

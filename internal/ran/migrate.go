@@ -14,13 +14,13 @@ import (
 //
 // Protocol, from this runtime's point of view (the source):
 //
-//  1. DrainCell seals the cell — new submissions bounce with
-//     RejectedSealed — and marks it migrating, which makes the
-//     dispatcher's sweep divert the cell's blocks into the migration
-//     queue instead of the decode path.
-//  2. Blocks already past the sweep (batcher, workers) finish normally:
-//     delivered, dropped, or CRC-failed into the retry queue, where the
-//     next sweep diverts them. The drain loop waits until the migration
+//  1. DrainCell marks the cell migrating, which moves its waiting blocks
+//     out of the ready structure into the migration queue under the
+//     structure's lock, and seals it — new submissions bounce with
+//     RejectedSealed.
+//  2. Blocks a worker already took finish normally: delivered, dropped,
+//     or CRC-failed into a HARQ retry, which the push diverts to the
+//     migration queue too. The drain loop waits until the migration
 //     queue holds every non-terminal block of the cell.
 //  3. The drained blocks are un-accepted (the target re-accepts them,
 //     so the fleet ledger counts each exactly once) and returned with
@@ -54,24 +54,20 @@ func (r *Runtime) Sealed(cell int) bool {
 }
 
 // DrainCell seals cell and extracts its complete state: every
-// non-terminal block (wherever it was — queued, batching, decoding,
-// awaiting retry) and every HARQ soft buffer. Blocks that reach a
-// terminal outcome while the drain converges are counted normally on
-// this runtime; everything else leaves with the state. At most one
-// drain runs at a time. On timeout the drain aborts: the cell unseals
-// and its blocks re-enter the decode path.
+// non-terminal block (wherever it was — waiting, decoding, awaiting
+// retry) and every HARQ soft buffer. Blocks that reach a terminal
+// outcome while the drain converges are counted normally on this
+// runtime; everything else leaves with the state. At most one drain
+// runs at a time. On timeout the drain aborts: the cell unseals and its
+// blocks re-enter the decode path.
 func (r *Runtime) DrainCell(cell int, timeout time.Duration) (*CellState, error) {
 	if cell < 0 || cell >= r.cfg.Cells {
 		return nil, fmt.Errorf("ran: drain of unknown cell %d", cell)
 	}
-	if r.stopped.Load() {
-		return nil, fmt.Errorf("ran: drain during shutdown")
-	}
-	if !r.migrating.CompareAndSwap(-1, int64(cell)) {
-		return nil, fmt.Errorf("ran: a migration is already in progress")
+	if err := r.rq.beginMigration(cell); err != nil {
+		return nil, err
 	}
 	r.sealed[cell].Store(true)
-	r.kick()
 	deadline := time.Now().Add(timeout)
 	for {
 		// Read inflight before the queue depth: with the cell sealed the
@@ -79,18 +75,16 @@ func (r *Runtime) DrainCell(cell int, timeout time.Duration) (*CellState, error)
 		// the equality below is reached exactly when every non-terminal
 		// block sits in the migration queue.
 		in := r.met.inflight(cell)
-		if uint64(r.migq.depth()) >= in {
+		if uint64(r.rq.migrated()) >= in {
 			break
 		}
 		if time.Now().After(deadline) {
 			r.abortDrain(cell)
 			return nil, fmt.Errorf("ran: drain of cell %d timed out with %d blocks in flight", cell, in)
 		}
-		r.kick()
 		time.Sleep(100 * time.Microsecond)
 	}
-	blocks := r.migq.drain()
-	r.migrating.Store(-1)
+	blocks := r.rq.endMigration()
 	st := &CellState{Cell: cell}
 	for _, b := range blocks {
 		r.met.unaccept(cell, b.Class)
@@ -108,16 +102,14 @@ func (r *Runtime) DrainCell(cell int, timeout time.Duration) (*CellState, error)
 // abortDrain puts a timed-out drain's blocks back into the decode path
 // and unseals the cell.
 func (r *Runtime) abortDrain(cell int) {
-	r.migrating.Store(-1)
-	for _, b := range r.migq.drain() {
-		if !r.retryq.offer(b) {
+	for _, b := range r.rq.endMigration() {
+		if r.rq.push(b, false) != Admitted {
 			r.met.drop(b.Cell, b.Class, DropShutdown)
 			r.recordSpan(b, time.Now(), 0, 0, "migrate_shutdown")
 			r.harqRelease(b)
 		}
 	}
 	r.sealed[cell].Store(false)
-	r.kick()
 }
 
 // ImportCell installs a drained cell's state on this runtime: HARQ soft
@@ -125,8 +117,9 @@ func (r *Runtime) abortDrain(cell int) {
 // fresh arrival stamps and deadlines (a migrated block is re-scheduled,
 // and cross-process clocks make the original stamps meaningless), and
 // the cell is unsealed. Returns how many blocks re-entered the decode
-// path; a block the cell queue cannot hold is accounted as a backlog
-// drop, so conservation stays exact even under an overloaded target.
+// path; a block the cell's backlog cannot hold is accounted as a backlog
+// drop (a shutdown drop if Stop closed the runtime meanwhile), so
+// conservation stays exact even under an overloaded target.
 func (r *Runtime) ImportCell(st *CellState) (int, error) {
 	if st.Cell < 0 || st.Cell >= r.cfg.Cells {
 		return 0, fmt.Errorf("ran: import of unknown cell %d", st.Cell)
@@ -151,14 +144,17 @@ func (r *Runtime) ImportCell(st *CellState) (int, error) {
 			hopArrived: now,
 		}
 		r.met.accept(st.Cell, class)
-		if !r.queues[r.qi(st.Cell, class)].offer(b) {
-			r.met.drop(st.Cell, class, DropBacklog)
+		if a := r.rq.push(b, true); a != Admitted {
+			cause := DropBacklog
+			if a == RejectedStopped {
+				cause = DropShutdown
+			}
+			r.met.drop(st.Cell, class, cause)
 			r.harqRelease(b)
 			continue
 		}
 		n++
 	}
 	r.sealed[st.Cell].Store(false)
-	r.kick()
 	return n, nil
 }

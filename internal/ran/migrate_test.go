@@ -13,7 +13,6 @@ import (
 func migrateConfig(pass bool) Config {
 	cfg := testConfig(simd.W256)
 	cfg.HARQ = HARQConfig{MaxRetries: 1 << 20, Processes: 8}
-	cfg.BatchWindow = 200 * time.Microsecond
 	if !pass {
 		cfg.CheckCRC = func(*Block, []byte) bool { return false }
 	}
@@ -161,9 +160,21 @@ func TestMigrateConservation(t *testing.T) {
 
 // TestDrainTimeoutAborts: an impossible drain deadline aborts cleanly —
 // the cell unseals, its blocks re-enter the decode path, and accounting
-// stays conserved through Stop.
+// stays conserved through Stop. Waiting blocks move to the migration
+// queue the moment a drain starts, so the cell is kept busy by holding
+// one of its blocks inside a worker's CRC check until the drain is over.
 func TestDrainTimeoutAborts(t *testing.T) {
-	rt, err := New(migrateConfig(false))
+	cfg := migrateConfig(false)
+	inCRC, release := make(chan struct{}, 1), make(chan struct{})
+	cfg.CheckCRC = func(*Block, []byte) bool {
+		select {
+		case inCRC <- struct{}{}:
+			<-release
+		default:
+		}
+		return false
+	}
+	rt, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +184,10 @@ func TestDrainTimeoutAborts(t *testing.T) {
 		w, _ := pool.Get(i)
 		rt.SubmitProcess(0, i, 0, pool.K, w)
 	}
-	if _, err := rt.DrainCell(0, 0); err == nil {
+	<-inCRC
+	_, err = rt.DrainCell(0, 0)
+	close(release)
+	if err == nil {
 		t.Fatal("zero-timeout drain of a busy cell succeeded")
 	}
 	if rt.Sealed(0) {

@@ -71,7 +71,7 @@ const (
 
 // Predictor is one cell's burst estimator. Safe for concurrent use;
 // the runtime calls Observe from every Submit, the shed controller
-// reads Burst/Rate from the dispatcher, and tests drive Tick directly
+// reads Burst/Rate at every worker's take, and tests drive Tick directly
 // with synthetic per-window counts.
 type Predictor struct {
 	mu     sync.Mutex

@@ -3,25 +3,26 @@
 // serves traffic instead of answering an analytic model's question
 // (pipeline.TTIConfig).
 //
-// Transport blocks arrive per cell and are sharded across per-cell
-// bounded ingress queues with deadline-aware admission: a block whose
-// HARQ deadline is already infeasible is rejected at the door, and a
-// full queue pushes back instead of buffering without bound. A single
-// dispatcher drains the cells round-robin into a lane-fill batcher that
-// aggregates same-K code blocks across UEs and cells — the point is to
-// fill all width/128 lane groups of turbo.MultiSIMDDecoder, because an
-// AVX512 register carrying one block wastes three quarters of the
-// silicon the paper's APCM mechanism fought to feed. Batches go to a
-// worker pool where every worker owns its own simd.Engine (engines are
-// not goroutine-safe, and per-worker state is what makes the pool scale
-// without locks). An atomic metrics layer counts everything: per-cell
-// goodput, drops by cause, lane occupancy, latency percentiles, worker
-// utilization.
+// Transport blocks arrive per cell with deadline-aware admission: a
+// block whose HARQ deadline is already infeasible is rejected at the
+// door, and a full (cell, class) backlog pushes back instead of
+// buffering without bound. Admitted blocks wait in one ready structure
+// (ready.go), grouped by class and K, that the decode workers pull their
+// own batches from: an idle worker takes up to width/128 same-K blocks
+// across UEs and cells — filling the lane groups of
+// turbo.MultiSIMDDecoder is what makes a wide register pay — but never
+// waits for co-travellers, so lanes fill under load and a block arriving
+// at an idle pool is decoded at once. Every worker owns its own
+// simd.Engine (engines are not goroutine-safe, and per-worker state is
+// what makes the pool scale without locks). An atomic metrics layer
+// counts everything: per-cell goodput, drops by cause, lane occupancy,
+// latency percentiles, worker utilization.
 package ran
 
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"runtime/pprof"
 	"sync"
 	"sync/atomic"
@@ -46,8 +47,8 @@ type Block struct {
 	// equal K.
 	K int
 	// Class is the block's SLA traffic class, stamped at Submit from
-	// the cell's configured class (sla.go). It decides dispatch
-	// priority, shed eligibility and the degradation clamp exposure.
+	// the cell's configured class (sla.go). It decides take priority,
+	// shed eligibility and the degradation clamp exposure.
 	Class Class
 	// Word is the received soft information: the submitted word, a
 	// chaos-corrupted copy of it, or — on a retry — the HARQ-combined
@@ -64,11 +65,10 @@ type Block struct {
 	// retransmission is regenerated from (see Submitted).
 	tx *turbo.LLRWord
 
-	// dequeued and batched are span-tracing stamps: when the dispatcher
-	// drained the block out of its cell queue, and when it entered the
-	// lane-fill batcher. Zero when tracing never saw the block.
-	dequeued time.Time
-	batched  time.Time
+	// taken is when a worker took the block out of the ready structure:
+	// it ends the span's queue stage and starts its batch stage. Zero
+	// until then.
+	taken time.Time
 
 	// Distributed-trace state (zero traceID = untraced). acc carries
 	// the stage dwell accumulated before this runtime saw the block
@@ -89,9 +89,10 @@ type Admit int
 
 // Submit outcomes.
 const (
-	// Admitted: the block entered its cell's queue.
+	// Admitted: the block entered the ready structure.
 	Admitted Admit = iota
-	// RejectedBacklog: the cell queue was full (backpressure).
+	// RejectedBacklog: the cell's backlog of its class was full
+	// (backpressure).
 	RejectedBacklog
 	// RejectedDeadline: the deadline was infeasible at admission.
 	RejectedDeadline
@@ -107,9 +108,10 @@ const (
 
 // Config parameterizes a Runtime.
 type Config struct {
-	// Cells is the number of served cells (each gets its own queue).
+	// Cells is the number of served cells.
 	Cells int
-	// QueueDepth bounds each cell's ingress queue.
+	// QueueDepth bounds the blocks of one (cell, class) waiting for a
+	// worker.
 	QueueDepth int
 	// Workers sizes the decode pool; each worker owns an engine.
 	Workers int
@@ -118,16 +120,13 @@ type Config struct {
 	Strategy core.Strategy
 	// MaxIters is the turbo iteration budget.
 	MaxIters int
-	// BatchWindow is how long the batcher waits for lane co-travelers
-	// before dispatching an under-filled batch.
-	BatchWindow time.Duration
 	// Deadline is the per-block HARQ processing budget; blocks older
 	// than this are dropped, not decoded.
 	Deadline time.Duration
 	// AdmissionGuard enables the deadline feasibility check at Submit:
-	// reject immediately when the remaining slack cannot cover the batch
-	// window plus the measured decode cost, so hopeless blocks don't
-	// occupy queue space. Off, they are still dropped later as expired.
+	// reject immediately when the remaining slack cannot cover the
+	// measured decode cost, so hopeless blocks don't occupy queue space.
+	// Off, they are still dropped later as expired.
 	AdmissionGuard bool
 	// OnDecoded, when non-nil, is called from worker goroutines with
 	// every decoded block and its hard decisions (including blocks that
@@ -171,7 +170,6 @@ func DefaultConfig(w simd.Width, s core.Strategy) Config {
 		Width:          w,
 		Strategy:       s,
 		MaxIters:       4,
-		BatchWindow:    500 * time.Microsecond,
 		Deadline:       3 * time.Millisecond,
 		AdmissionGuard: true,
 		HARQ:           HARQConfig{MaxRetries: 3, Processes: 8},
@@ -183,37 +181,21 @@ func DefaultConfig(w simd.Width, s core.Strategy) Config {
 type Runtime struct {
 	cfg Config
 	met *Metrics
-	// queues holds one bounded ingress queue per (cell, class), indexed
-	// by qi(cell, class) — the per-class split is what lets the
-	// dispatcher drain every cell's URLLC backlog before any cell's
-	// eMBB, and the shed ladder watch per-class pressure.
-	queues []*cellQueue
+	// rq holds every block waiting for a worker — arrivals, HARQ retries
+	// and a migrating cell's diverted blocks (ready.go).
+	rq *ready
 
 	// harq holds the soft combining buffers (nil when the retry path is
-	// disabled); retryq carries CRC-failed blocks back to the
-	// dispatcher.
-	harq   *phy.ProcessSet
-	retryq *retryQueue
+	// disabled).
+	harq *phy.ProcessSet
 
-	notify chan struct{}
-	// batchesHi carries URLLC batches, batchesLo everything else; a
-	// worker always drains Hi first, so an idle worker steals another
-	// cell's URLLC work before serving its own class's eMBB backlog.
-	batchesHi chan batch
-	batchesLo chan batch
-	stop      chan struct{}
-	dispDone  chan struct{}
-	workerWG  sync.WaitGroup
-	// recDone closes after Stop's retry reconciliation, so racing Stop
-	// callers never snapshot before the shutdown drops are counted.
+	workerWG sync.WaitGroup
+	// recDone closes after Stop's migration reconciliation, so racing
+	// Stop callers never snapshot before the shutdown drops are counted.
 	recDone chan struct{}
 
-	// Cell-migration state: sealed cells reject new submissions,
-	// migrating is the one cell currently draining (-1 otherwise), and
-	// migq collects its diverted in-flight blocks (see migrate.go).
-	sealed    []atomic.Bool
-	migrating atomic.Int64
-	migq      *retryQueue
+	// sealed cells reject new submissions (see migrate.go).
+	sealed []atomic.Bool
 
 	// spanSink, when set, receives every terminal-outcome span of a
 	// traced block (shard-side span shipping). Stored as a
@@ -223,8 +205,8 @@ type Runtime struct {
 
 	stopped atomic.Bool
 	// degrade is the current graceful-degradation level (0 = full
-	// iteration budget), recomputed by the dispatcher from queue
-	// pressure and read by every worker per batch.
+	// iteration budget), recomputed at every take from the backlog and
+	// read by every worker per batch.
 	degrade atomic.Int32
 	// estDecodeNs is an EWMA of per-block decode cost, feeding the
 	// admission guard (updateEstimate, guardAdmits).
@@ -232,23 +214,23 @@ type Runtime struct {
 
 	// SLA-class overload state (sla.go / predict.go): slaActive latches
 	// whether any cell carries the URLLC class; shed is the current
-	// shed-ladder level, raised by the dispatcher and read at every
-	// Submit; shedCalm is the dispatcher-private de-escalation streak;
-	// preds holds one burst predictor per cell when Predict is armed.
+	// shed-ladder level, raised at a take and read at every Submit;
+	// shedCalm is the de-escalation streak, owned by rq's lock; preds
+	// holds one burst predictor per cell when Predict is armed.
 	// degradeU is the URLLC-only iteration-clamp level, computed from
-	// the URLLC queues alone so an eMBB burst's backlog can never cost
+	// the URLLC backlog alone so an eMBB burst's backlog can never cost
 	// URLLC decode iterations (harq.go updateDegrade).
 	degradeU  atomic.Int32
 	slaActive bool
 	shed      atomic.Int32
 	shedCalm  int
 	preds     []*Predictor
-	// reserved is how many workers serve only the URLLC batch channel
+	// reserved is how many workers take only URLLC blocks
 	// (resolveReserve over SLA.ReserveWorkers; 0 when class-blind).
 	reserved int
 }
 
-// New validates cfg and starts the dispatcher and worker goroutines.
+// New validates cfg and starts the worker goroutines.
 func New(cfg Config) (*Runtime, error) {
 	if cfg.Cells <= 0 || cfg.Workers <= 0 || cfg.QueueDepth <= 0 {
 		return nil, fmt.Errorf("ran: config needs cells, workers and queue depth")
@@ -273,27 +255,16 @@ func New(cfg Config) (*Runtime, error) {
 	r := &Runtime{
 		cfg:       cfg,
 		met:       NewMetrics(cfg.Cells),
-		queues:    make([]*cellQueue, cfg.Cells*int(NumClasses)),
-		retryq:    &retryQueue{},
-		migq:      &retryQueue{},
+		rq:        newReady(cfg.Cells, turbo.BlocksPerRegister(cfg.Width), cfg.QueueDepth),
 		sealed:    make([]atomic.Bool, cfg.Cells),
-		notify:    make(chan struct{}, 1),
-		batchesHi: make(chan batch, 2*cfg.Workers),
-		batchesLo: make(chan batch, 2*cfg.Workers),
-		stop:      make(chan struct{}),
-		dispDone:  make(chan struct{}),
 		recDone:   make(chan struct{}),
 		slaActive: cfg.SLA.hasURLLC(),
 	}
-	r.migrating.Store(-1)
 	if cfg.HARQ.MaxRetries > 0 {
-		// One live soft buffer per block the queues can hold; beyond that
+		// One live soft buffer per block the backlog can hold; beyond that
 		// the least-recently-combined buffer is evicted and its block's
 		// recovery rests on later retransmissions alone.
 		r.harq = phy.NewProcessSet(cfg.HARQ.Processes, cfg.Cells*cfg.QueueDepth)
-	}
-	for i := range r.queues {
-		r.queues[i] = newCellQueue(cfg.QueueDepth)
 	}
 	if cfg.Predict.Enabled {
 		r.preds = make([]*Predictor, cfg.Cells)
@@ -301,7 +272,6 @@ func New(cfg Config) (*Runtime, error) {
 			r.preds[i] = NewPredictor(cfg.Predict)
 		}
 	}
-	go r.dispatch()
 	r.reserved = resolveReserve(r.slaActive, cfg.SLA.ReserveWorkers, cfg.Workers)
 	r.workerWG.Add(cfg.Workers)
 	for i := 0; i < cfg.Workers; i++ {
@@ -315,8 +285,9 @@ func (r *Runtime) Lanes() int { return turbo.BlocksPerRegister(r.cfg.Width) }
 
 // Submit offers one block for cell/UE with soft input word on HARQ
 // process 0. It stamps arrival and deadline, runs admission, and
-// returns the outcome. Safe for concurrent use; callers must stop
-// submitting before Stop.
+// returns the outcome. Safe for concurrent use, Stop included: a block
+// racing Stop is either admitted and then decoded or rejected with
+// RejectedStopped.
 func (r *Runtime) Submit(cell, ue, k int, word *turbo.LLRWord) Admit {
 	return r.SubmitProcess(cell, ue, 0, k, word)
 }
@@ -375,50 +346,38 @@ func (r *Runtime) SubmitTraced(cell, ue, proc, k int, word *turbo.LLRWord, tc te
 		r.met.drop(cell, class, DropAdmission)
 		return RejectedDeadline
 	}
-	if r.cfg.Chaos.QueueOverflow() || !r.queues[r.qi(cell, class)].offer(b) {
+	a := RejectedBacklog
+	if !r.cfg.Chaos.QueueOverflow() {
+		// RejectedStopped here means Stop closed the structure after the
+		// check above: the block was never accepted.
+		a = r.rq.push(b, true)
+	}
+	switch a {
+	case Admitted:
+		r.met.accept(cell, class)
+	case RejectedBacklog:
 		r.met.drop(cell, class, DropBacklog)
-		return RejectedBacklog
 	}
-	r.met.accept(cell, class)
-	r.kick()
-	return Admitted
+	return a
 }
 
-// kick nudges the dispatcher without blocking (the notify channel is a
-// one-slot edge trigger).
-func (r *Runtime) kick() {
-	select {
-	case r.notify <- struct{}{}:
-	default:
-	}
-}
-
-// Stop flushes pending work, waits for the workers to drain, and
-// returns the final metrics snapshot. Blocks already admitted are still
-// decoded (or dropped against their deadline); Submit calls racing Stop
-// may be rejected.
+// Stop closes the ready structure, waits for the workers to drain what
+// it still holds, and returns the final metrics snapshot. Blocks already
+// admitted are still decoded (or dropped against their deadline);
+// anything pushed after the close — an arrival or a HARQ retry — is
+// refused, a retry as a shutdown drop.
 func (r *Runtime) Stop() *Snapshot {
 	if !r.stopped.CompareAndSwap(false, true) {
 		<-r.recDone
 		return r.Snapshot()
 	}
-	close(r.stop)
-	<-r.dispDone
+	r.rq.close()
 	r.workerWG.Wait()
-	// Workers may have requeued HARQ retries after the dispatcher's
-	// final sweep; nothing will decode them now. Count every one as a
-	// shutdown drop so block accounting stays conserved — a requeued
-	// block is never silently lost.
+	// Blocks parked for a migration that never completed were diverted
+	// out of the decode path and nothing will move them now. Shutdown
+	// drops keep the conservation ledger exact.
 	now := time.Now()
-	for _, b := range r.retryq.closeAndDrain() {
-		r.met.drop(b.Cell, b.Class, DropShutdown)
-		r.recordSpan(b, now, 0, 0, "harq_shutdown")
-		r.harqRelease(b)
-	}
-	// Likewise blocks parked for a migration that never completed: they
-	// were diverted out of the decode path and nothing will move them
-	// now. Shutdown drops keep the conservation ledger exact.
-	for _, b := range r.migq.closeAndDrain() {
+	for _, b := range r.rq.endMigration() {
 		r.met.drop(b.Cell, b.Class, DropShutdown)
 		r.recordSpan(b, now, 0, 0, "migrate_shutdown")
 		r.harqRelease(b)
@@ -429,20 +388,12 @@ func (r *Runtime) Stop() *Snapshot {
 
 // Snapshot returns the current metrics view.
 func (r *Runtime) Snapshot() *Snapshot {
-	depths := make([]int, r.cfg.Cells)
-	var classDepths [NumClasses]int
-	for cell := 0; cell < r.cfg.Cells; cell++ {
-		for c := Class(0); c < NumClasses; c++ {
-			d := r.queues[r.qi(cell, c)].depth()
-			depths[cell] += d
-			classDepths[c] += d
-		}
-	}
+	depths, classDepths, retries := r.rq.depths()
 	s := r.met.snapshot(depths, classDepths, r.cfg.Workers)
 	// Runtime-owned HARQ/degradation/SLA state rides on top of the
 	// counter view (the metrics layer has no handle on the process set
 	// or the predictors).
-	s.RetryDepth = r.retryq.depth()
+	s.RetryDepth = retries
 	s.DegradeLevel = int(r.degrade.Load())
 	s.ShedLevel = int(r.shed.Load())
 	s.ReservedWorkers = r.reserved
@@ -462,135 +413,53 @@ func (r *Runtime) Snapshot() *Snapshot {
 // labelLayer tags the calling goroutine with the ledger layer it works
 // for, so a CPU or goroutine profile of a live runtime splits the way
 // the span stages do (pprof -tagfocus layer=decode). Set once when the
-// goroutine starts; nothing is relabelled per batch.
+// goroutine starts; nothing is relabelled per batch. The workers are the
+// runtime's only goroutines: batch forming runs on them, inside take.
 func labelLayer(layer string) {
 	pprof.SetGoroutineLabels(pprof.WithLabels(context.Background(), pprof.Labels("layer", layer)))
 }
 
-// dispatch is the single goroutine that moves blocks from the cell
-// queues into the per-class lane-fill batchers and full/due batches to
-// the priority worker channels. Single ownership of the batchers is
-// what keeps the lane accounting lock-free.
-func (r *Runtime) dispatch() {
-	defer close(r.dispDone)
-	labelLayer("dispatch")
-	// One batcher per class: the URLLC batcher runs a tighter flush
-	// window (a tight-deadline block should not wait long for lane
-	// co-travelers), and keeping the classes apart is what lets the
-	// workers drain URLLC batches first.
-	var lbs [NumClasses]*laneBatcher
-	lbs[ClassEMBB] = newLaneBatcher(r.Lanes(), r.cfg.BatchWindow)
-	lbs[ClassURLLC] = newLaneBatcher(r.Lanes(), urllcWindow(r.cfg.BatchWindow))
-	timer := time.NewTimer(time.Hour)
-	if !timer.Stop() {
-		<-timer.C
-	}
-	timerArmed := false
-	nextDue := func() (time.Time, bool) {
-		var due time.Time
-		found := false
-		for _, lb := range lbs {
-			if d, ok := lb.nextDue(); ok && (!found || d.Before(due)) {
-				due, found = d, true
-			}
-		}
-		return due, found
-	}
-	flush := func(force bool) {
-		now := time.Now()
-		for c := NumClasses; c > 0; c-- {
-			class := c - 1 // URLLC flushes first
-			for _, bt := range lbs[class].flushDue(now, force) {
-				bt.class = class
-				r.forward(bt)
-			}
-		}
-	}
+// take hands the calling worker its next batch, appended to out: up to
+// Lanes() blocks of one (class, K) group, URLLC first (ready.pick),
+// parking the worker while nothing it may take waits and yielding once
+// before a partial take. A general worker taking URLLC while eMBB waits
+// is a steal. The degradation and shed
+// levels are recomputed from the backlog the take leaves, under the same
+// lock. ok is false once Stop has closed the structure and nothing is
+// left for this worker.
+func (r *Runtime) take(reserved bool, out []*Block) (class Class, batch []*Block, ok bool) {
+	q := r.rq
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	yielded := false
 	for {
-		// Arm the flush timer for the oldest pending group.
-		if timerArmed {
-			if !timer.Stop() {
-				select {
-				case <-timer.C:
-				default:
-				}
+		if c, k, found := q.pick(reserved); found {
+			if len(q.groups[c][k]) < q.lanes && !yielded {
+				// A goroutine this worker readied — a submitter its
+				// OnDecoded callbacks woke — is queued behind it, and with a
+				// worker on every processor would not run until the backlog
+				// ran dry: the take would come up short. One yield lets it
+				// add its blocks first, and returns at once when nothing
+				// else is ready to run. No timer: nothing waits for blocks
+				// that have not arrived.
+				yielded = true
+				q.mu.Unlock()
+				runtime.Gosched()
+				q.mu.Lock()
+				continue
 			}
-			timerArmed = false
-		}
-		var timerC <-chan time.Time
-		if due, ok := nextDue(); ok {
-			d := time.Until(due)
-			if d < 0 {
-				d = 0
+			if c == ClassURLLC && !reserved && q.holds(ClassEMBB) {
+				r.met.steals.Add(1)
 			}
-			timer.Reset(d)
-			timerArmed = true
-			timerC = timer.C
+			out = q.pop(c, k, out)
+			r.updateDegrade()
+			r.updateShed()
+			return c, out, true
 		}
-		select {
-		case <-r.stop:
-			// Final sweep: queued blocks still get their chance.
-			r.sweep(&lbs)
-			flush(true)
-			close(r.batchesHi)
-			close(r.batchesLo)
-			return
-		case <-r.notify:
-		case <-timerC:
-			timerArmed = false
+		if q.closed {
+			return 0, out, false
 		}
-		r.sweep(&lbs)
-		flush(false)
-	}
-}
-
-// forward hands one batch to the worker pool on its class's priority
-// channel.
-func (r *Runtime) forward(bt batch) {
-	if bt.class == ClassURLLC {
-		r.batchesHi <- bt
-	} else {
-		r.batchesLo <- bt
-	}
-}
-
-// sweep drains the retry queue and every cell queue into the class
-// batchers, forwarding batches as they fill — URLLC queues across ALL
-// cells first, then eMBB, so one cell's burst can never starve another
-// cell's tight-deadline traffic of dispatch order. It first recomputes
-// the degradation and shed levels from the backlog it is about to
-// drain — pressure the workers and the admission gate respond to one
-// batch later.
-func (r *Runtime) sweep(lbs *[NumClasses]*laneBatcher) {
-	r.updateDegrade()
-	r.updateShed()
-	// A draining cell's blocks are diverted into the migration queue
-	// instead of the batcher — they will decode on the target shard.
-	mig := r.migrating.Load()
-	route := func(b *Block) {
-		if mig >= 0 && int64(b.Cell) == mig {
-			if !r.migq.offer(b) {
-				r.met.drop(b.Cell, b.Class, DropShutdown)
-				r.recordSpan(b, time.Now(), 0, 0, "migrate_shutdown")
-				r.harqRelease(b)
-			}
-			return
-		}
-		if bt, full := lbs[b.Class].add(b, time.Now()); full {
-			bt.class = b.Class
-			r.forward(bt)
-		}
-	}
-	for _, b := range r.retryq.drain() {
-		route(b)
-	}
-	for c := NumClasses; c > 0; c-- {
-		class := c - 1
-		for cell := 0; cell < r.cfg.Cells; cell++ {
-			for _, b := range r.queues[r.qi(cell, class)].drain() {
-				route(b)
-			}
-		}
+		q.park(reserved)
 	}
 }
 
@@ -600,13 +469,13 @@ func (r *Runtime) sweep(lbs *[NumClasses]*laneBatcher) {
 // (turbo.BatchDecoder).
 const workerArenaBytes = 32 << 20
 
-// worker pulls batches, drops expired blocks, decodes the rest on its
-// private engine, and records the outcome. A reserved worker consumes
-// only the URLLC priority channel, so the tight-deadline class always
-// has decode capacity no eMBB batch can occupy — without it, stealing
-// only helps at batch boundaries and a fleet of workers mid-way
-// through full-lane eMBB batches blocks URLLC for a whole service
-// time. The decoder's plan cache makes the steady state
+// worker takes batches, drops expired blocks, decodes the rest on its
+// private engine, and records the outcome. A reserved worker takes only
+// URLLC blocks, so the tight-deadline class always has decode capacity
+// no eMBB batch can occupy — without it, URLLC-first ordering only helps
+// at batch boundaries and a fleet of workers mid-way through full-lane
+// eMBB batches blocks URLLC for a whole service time. The decoder's plan
+// cache makes the steady state
 // allocation-free, so the worker also keeps its own words slice across
 // batches; every ~64th decode is wrapped in a heap-allocation sample
 // feeding the vran_decode_allocs_per_op gauge.
@@ -633,7 +502,7 @@ func (r *Runtime) worker(reserved bool) {
 	}
 	// A block size no decoder of the process has seen (nothing named it at
 	// start-up) compiles on the first batch that carries it, on whichever
-	// worker pulled that batch, while later arrivals wait on the same
+	// worker took that batch, while later arrivals wait on the same
 	// flight. That one-time cost becomes a compile-stage span and shows up
 	// in /spans like any other stage outlier.
 	if r.cfg.Tracer != nil {
@@ -658,22 +527,20 @@ func (r *Runtime) worker(reserved bool) {
 	}
 	lanes := bd.Lanes()
 	words := make([]*turbo.LLRWord, 0, lanes)
+	batch := make([]*Block, 0, lanes)
 	var sampler allocSampler
 	var batchNo uint64
-	hi, lo := r.batchesHi, r.batchesLo
-	if reserved {
-		// nextBatch treats a nil lo as already-drained: the worker
-		// blocks on hi alone and exits when it closes.
-		lo = nil
-	}
 	for {
-		bt, ok := nextBatch(&hi, &lo, &r.met.steals)
+		class, taken, ok := r.take(reserved, batch[:0])
 		if !ok {
 			return
 		}
+		batch = taken
+		k := batch[0].K
 		now := time.Now()
-		live := bt.blocks[:0]
-		for _, b := range bt.blocks {
+		live := batch[:0]
+		for _, b := range batch {
+			b.taken = now
 			if now.After(b.Deadline) {
 				r.met.drop(b.Cell, b.Class, DropExpired)
 				r.recordSpan(b, now, 0, 0, "expired")
@@ -697,18 +564,18 @@ func (r *Runtime) worker(reserved bool) {
 		if r.cfg.Chaos.EvictPlans() {
 			bd.EvictAll()
 		}
-		// Graceful degradation: under backlog pressure the dispatcher
-		// raises the level and every worker clamps its iteration budget
-		// (never below one iteration) until the backlog clears. With SLA
-		// classes active, eMBB batches absorb the clamp first — URLLC
-		// reads its class-private level (its own queues' backlog, so an
-		// eMBB burst cannot cost it iterations) and even that clamps
-		// only at the last level (sla.go).
+		// Graceful degradation: under backlog pressure the take raises
+		// the level and every worker clamps its iteration budget (never
+		// below one iteration) until the backlog clears. With SLA classes
+		// active, eMBB batches absorb the clamp first — URLLC reads its
+		// class-private level (its own class's backlog, so an eMBB burst
+		// cannot cost it iterations) and even that clamps only at the
+		// last level (sla.go).
 		lvl := int(r.degrade.Load())
-		if r.slaActive && bt.class == ClassURLLC {
+		if r.slaActive && class == ClassURLLC {
 			lvl = int(r.degradeU.Load())
 		}
-		if lvl > 0 && r.clampClass(bt.class, lvl) {
+		if lvl > 0 && r.clampClass(class, lvl) {
 			over := r.cfg.MaxIters - lvl
 			if over < 1 {
 				over = 1
@@ -731,7 +598,7 @@ func (r *Runtime) worker(reserved bool) {
 		}
 		t0 := time.Now()
 		decodeDur, decodeIters = 0, 0
-		bits, _, err := bd.Decode(bt.k, words)
+		bits, _, err := bd.Decode(k, words)
 		if sampling {
 			r.met.allocSample(sampler.end())
 		}
@@ -740,7 +607,7 @@ func (r *Runtime) worker(reserved bool) {
 			busy = time.Since(t0)
 		}
 		busy += stall
-		reportProgram(bt.k)
+		reportProgram(k)
 		r.met.batchDone(len(live), lanes, busy)
 		if err == nil {
 			// Per-block convergence histogram: the decoder reports each
@@ -786,67 +653,6 @@ func (r *Runtime) worker(reserved bool) {
 	}
 }
 
-// nextBatch pulls the worker's next unit of work, URLLC batches
-// strictly first: the non-blocking probe of the high-priority channel
-// means a worker about to serve eMBB "steals" any cell's pending URLLC
-// batch instead — cross-cell work stealing through the shared priority
-// pool. Taking URLLC work while eMBB batches wait is counted as a
-// steal. A closed channel is parked (set nil in the caller's slot) so
-// the worker drains the survivor and exits when both are gone.
-func nextBatch(hi, lo *chan batch, steals *atomic.Uint64) (batch, bool) {
-	for {
-		if *hi != nil {
-			select {
-			case bt, ok := <-*hi:
-				if ok {
-					if len(*lo) > 0 {
-						steals.Add(1)
-					}
-					return bt, true
-				}
-				*hi = nil
-			default:
-			}
-		}
-		if *hi == nil && *lo == nil {
-			return batch{}, false
-		}
-		if *hi == nil {
-			bt, ok := <-*lo
-			if !ok {
-				*lo = nil
-				continue
-			}
-			return bt, true
-		}
-		if *lo == nil {
-			bt, ok := <-*hi
-			if !ok {
-				*hi = nil
-				continue
-			}
-			return bt, true
-		}
-		select {
-		case bt, ok := <-*hi:
-			if !ok {
-				*hi = nil
-				continue
-			}
-			if len(*lo) > 0 {
-				steals.Add(1)
-			}
-			return bt, true
-		case bt, ok := <-*lo:
-			if !ok {
-				*lo = nil
-				continue
-			}
-			return bt, true
-		}
-	}
-}
-
 // SetSpanSink installs fn as the receiver of every terminal span of a
 // traced block (delivered, late, expired, or HARQ-terminated — not the
 // intermediate harq_retry records, whose dwell the final span already
@@ -858,8 +664,8 @@ func (r *Runtime) SetSpanSink(fn func(telemetry.Span)) {
 }
 
 // recordSpan attributes a finished block's life to the tracing stages:
-// queue wait (Submit → dispatcher drain), batch wait (batcher entry →
-// decode start) and the decode itself, on top of whatever the block
+// queue wait (Submit → a worker's take), batch wait (take → decode
+// start) and the decode itself, on top of whatever the block
 // already accumulated upstream (fronthaul hops, earlier HARQ attempts).
 // The whole batch decode cost is attributed to each of its blocks —
 // they occupied lanes of the same register, so each one's wall-clock
@@ -887,17 +693,13 @@ func (r *Runtime) recordSpan(b *Block, end time.Time, decode time.Duration, iter
 	if start.IsZero() {
 		start = b.Arrived
 	}
-	dq := b.dequeued
-	if dq.IsZero() {
-		dq = end
-	}
-	bt := b.batched
-	if bt.IsZero() {
-		bt = dq
+	taken := b.taken
+	if taken.IsZero() {
+		taken = end
 	}
 	sp.Stages = b.acc
-	sp.Stages[telemetry.SpanQueue] += clampDur(dq.Sub(start))
-	sp.Stages[telemetry.SpanBatch] += clampDur(end.Sub(bt) - decode)
+	sp.Stages[telemetry.SpanQueue] += clampDur(taken.Sub(start))
+	sp.Stages[telemetry.SpanBatch] += clampDur(end.Sub(taken) - decode)
 	sp.Stages[telemetry.SpanDecode] += decode
 	tr.Record(sp)
 	if shipping {
@@ -934,8 +736,8 @@ func (r *Runtime) updateEstimate(busy time.Duration, blocks int) {
 }
 
 // guardAdmits is the admission guard's feasibility check, shared by
-// Submit and the HARQ requeue: a block must survive the batch window plus
-// one decode at the workers' measured cost (before the first measurement
+// Submit and the HARQ requeue: a block must survive one decode at the
+// workers' measured cost (before the first measurement
 // everything is feasible). A refusal also folds a zero sample into the
 // estimate. The guard has no other source of samples while it is shut —
 // nothing it refuses is decoded — so without the decay one bad estimate
@@ -948,7 +750,7 @@ func (r *Runtime) guardAdmits(deadline time.Duration) bool {
 		return true
 	}
 	est := r.estDecodeNs.Load()
-	if deadline >= r.cfg.BatchWindow+time.Duration(est) {
+	if deadline >= time.Duration(est) {
 		return true
 	}
 	r.estDecodeNs.CompareAndSwap(est, est-est/8)

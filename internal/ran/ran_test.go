@@ -22,7 +22,6 @@ func testConfig(w simd.Width) Config {
 	cfg.QueueDepth = 256
 	cfg.MaxIters = 4
 	cfg.Deadline = 30 * time.Second // correctness tests never race the clock
-	cfg.BatchWindow = 2 * time.Millisecond
 	cfg.AdmissionGuard = false
 	return cfg
 }
@@ -159,6 +158,51 @@ func TestDecodeMatchesSingleAndTruth(t *testing.T) {
 	}
 }
 
+// TestSubmitRacingStopConserves: Submit calls racing Stop either end up
+// accepted — and then decoded, since Stop drains everything it let in —
+// or rejected outside the ledger. Round after round, four submitters are
+// mid-flight when Stop closes the runtime, and every accepted block must
+// reach exactly one terminal outcome.
+func TestSubmitRacingStopConserves(t *testing.T) {
+	pool := mustPool(t, 40, 16, 12)
+	for round := 0; round < 2000; round++ {
+		cfg := testConfig(simd.W512)
+		cfg.Workers = 1
+		rt, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var wg, started sync.WaitGroup
+		wg.Add(4)
+		started.Add(4)
+		for g := 0; g < 4; g++ {
+			go func(g int) {
+				defer wg.Done()
+				for i := 0; i < 8; i++ {
+					w, _ := pool.Get(g + i)
+					a := rt.Submit(g%2, g, pool.K, w)
+					if i == 0 {
+						started.Done()
+					}
+					if a == RejectedStopped {
+						return
+					}
+				}
+			}(g)
+		}
+		started.Wait()
+		rt.Stop()
+		wg.Wait()
+		s := rt.Snapshot()
+		end := s.Delivered + s.Drops[DropExpired] + s.Drops[DropLate] + s.Drops[DropHARQ] +
+			s.Drops[DropShed] + s.Drops[DropShutdown]
+		if s.Accepted != end {
+			t.Fatalf("round %d: accepted %d, delivered %d, dropped after admission %d (%v)",
+				round, s.Accepted, s.Delivered, end-s.Delivered, s.DropsByCause())
+		}
+	}
+}
+
 // TestDeadlineDropsUnderOverload drives an expensive-K flood at one
 // worker with a deadline far below the service capacity: the runtime
 // must shed load (by any cause) rather than deliver everything late,
@@ -168,7 +212,6 @@ func TestDeadlineDropsUnderOverload(t *testing.T) {
 	cfg.Workers = 1
 	cfg.QueueDepth = 8
 	cfg.Deadline = 2 * time.Millisecond
-	cfg.BatchWindow = 100 * time.Microsecond
 	cfg.AdmissionGuard = true
 	rt, err := New(cfg)
 	if err != nil {
@@ -192,12 +235,11 @@ func TestDeadlineDropsUnderOverload(t *testing.T) {
 	}
 }
 
-// TestGracefulShutdown checks Stop semantics: pending admitted work is
-// drained (not leaked), repeated Stop is safe, and Submit after Stop is
-// rejected.
+// TestGracefulShutdown checks Stop semantics: everything admitted before
+// Stop is decoded (not leaked), repeated Stop is safe, and Submit after
+// Stop is rejected.
 func TestGracefulShutdown(t *testing.T) {
 	cfg := testConfig(simd.W512)
-	cfg.BatchWindow = time.Hour // nothing flushes on its own...
 	rt, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -209,7 +251,7 @@ func TestGracefulShutdown(t *testing.T) {
 			t.Fatalf("block %d not admitted: %v", i, a)
 		}
 	}
-	s := rt.Stop() // ...so Stop must force the partial batches out.
+	s := rt.Stop()
 	if s.Delivered+s.Drops[DropExpired]+s.Drops[DropLate] != uint64(pool.Len()) {
 		t.Errorf("shutdown leaked blocks: delivered %d, expired %d, late %d of %d",
 			s.Delivered, s.Drops[DropExpired], s.Drops[DropLate], pool.Len())
@@ -227,20 +269,23 @@ func TestGracefulShutdown(t *testing.T) {
 	}
 }
 
-// TestSaturatingLoadFillsLanes floods a W512 build and checks the lane
-// batcher actually fills registers: occupancy must clear the 75% bar
-// the serving layer is designed around.
+// TestSaturatingLoadFillsLanes floods a W512 build and checks the
+// workers' takes actually fill registers: occupancy must clear the 75%
+// bar the serving layer is designed around. Nothing waits for lane
+// co-travellers, so the load must really saturate — K=512, whose batch
+// decode outlasts the submission of many blocks, so blocks pile up
+// while both workers are busy and every take after the first few is
+// full.
 func TestSaturatingLoadFillsLanes(t *testing.T) {
 	cfg := testConfig(simd.W512)
 	cfg.Cells = 4
 	cfg.Workers = 2
 	cfg.QueueDepth = 1024
-	cfg.BatchWindow = 20 * time.Millisecond
 	rt, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pool := mustPool(t, 40, 64, 5)
+	pool := mustPool(t, 512, 64, 5)
 	const offered = 480
 	for i := 0; i < offered; i++ {
 		w, _ := pool.Get(i)
@@ -271,9 +316,10 @@ func bitsEqual(a, b []byte) bool {
 }
 
 // TestServingGoroutinesCarryLayerLabels: a goroutine profile of a
-// running runtime attributes every worker to layer=decode and the
-// dispatcher to layer=dispatch, which is what lets a CPU profile of a
-// live vranserve be split by ledger layer.
+// running runtime attributes every worker to layer=decode, which is what
+// lets a CPU profile of a live vranserve be split by ledger layer — and
+// shows no other goroutine: no dispatcher stands between Submit and the
+// workers.
 func TestServingGoroutinesCarryLayerLabels(t *testing.T) {
 	cfg := testConfig(simd.W128)
 	rt, err := New(cfg)
@@ -308,11 +354,11 @@ func TestServingGoroutinesCarryLayerLabels(t *testing.T) {
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		got := count()
-		if got["decode"] == cfg.Workers && got["dispatch"] == 1 {
+		if got["decode"] == cfg.Workers && got["dispatch"] == 0 {
 			return
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("labelled goroutines %v, want decode=%d dispatch=1", got, cfg.Workers)
+			t.Fatalf("labelled goroutines %v, want decode=%d and no dispatch", got, cfg.Workers)
 		}
 		time.Sleep(time.Millisecond)
 	}

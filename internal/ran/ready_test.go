@@ -1,0 +1,190 @@
+package ran
+
+import (
+	"runtime"
+	"testing"
+	"time"
+
+	"vransim/internal/simd"
+)
+
+func mkBlock(k int) *Block { return &Block{K: k} }
+
+// mixedRuntime is a bare runtime (no goroutines) whose cell 0 is URLLC
+// and cell 1 eMBB, 4 lanes a batch.
+func mixedRuntime() *Runtime {
+	return bareSLARuntime(2, 64, 4, SLAConfig{Classes: []Class{ClassURLLC, ClassEMBB}}, false)
+}
+
+// pushAt pushes one arrival of cell and size k due after due.
+func pushAt(t *testing.T, r *Runtime, cell, k int, due time.Duration, now time.Time) {
+	t.Helper()
+	b := &Block{Cell: cell, K: k, Class: r.cfg.SLA.ClassOf(cell), Deadline: now.Add(due)}
+	if a := r.rq.push(b, true); a != Admitted {
+		t.Fatalf("push: %v", a)
+	}
+}
+
+// TestBatcherFillsLaneGroups: a take holds at most lanes blocks, all of
+// one K, and leaves the rest for the next take.
+func TestBatcherFillsLaneGroups(t *testing.T) {
+	r := bareSLARuntime(1, 64, 4, SLAConfig{}, false)
+	for i := 0; i < 6; i++ {
+		r.rq.push(mkBlock(104), true)
+	}
+	for _, want := range []int{4, 2} {
+		_, got, ok := r.take(false, nil)
+		if !ok || len(got) != want {
+			t.Fatalf("take returned %d blocks (ok=%v), want %d", len(got), ok, want)
+		}
+		for _, b := range got {
+			if b.K != 104 {
+				t.Fatalf("K=%d block in a K=104 take", b.K)
+			}
+		}
+	}
+	if d := r.rq.depth(qi(0, ClassEMBB)); d != 0 {
+		t.Errorf("%d blocks left waiting after both takes", d)
+	}
+}
+
+// TestBatcherKeepsKsApart: blocks of different K never share a take;
+// URLLC comes before eMBB whatever the deadlines, and within a class the
+// K whose head deadline is earliest wins. A general worker's URLLC take
+// while eMBB waits is a steal.
+func TestBatcherKeepsKsApart(t *testing.T) {
+	r := mixedRuntime()
+	now := time.Now()
+	pushAt(t, r, 1, 40, 3*time.Millisecond, now)
+	pushAt(t, r, 1, 104, 2*time.Millisecond, now)
+	pushAt(t, r, 1, 40, 4*time.Millisecond, now)
+	pushAt(t, r, 0, 40, 9*time.Millisecond, now)
+	for i, want := range []struct {
+		class  Class
+		k, len int
+	}{{ClassURLLC, 40, 1}, {ClassEMBB, 104, 1}, {ClassEMBB, 40, 2}} {
+		class, got, ok := r.take(false, nil)
+		if !ok || class != want.class || len(got) != want.len {
+			t.Fatalf("take %d: %v x%d (ok=%v), want %v x%d", i, class, len(got), ok, want.class, want.len)
+		}
+		for _, b := range got {
+			if b.K != want.k || b.Class != want.class {
+				t.Fatalf("take %d: block %v K=%d, want %v K=%d", i, b.Class, b.K, want.class, want.k)
+			}
+		}
+		if len(got) == 2 && got[1].Deadline.Before(got[0].Deadline) {
+			t.Error("a take is not in deadline order")
+		}
+	}
+	if n := r.met.steals.Load(); n != 1 {
+		t.Errorf("steals = %d, want 1 (the URLLC take while eMBB waited)", n)
+	}
+}
+
+// TestBatcherFlushOnTimeout: nothing waits for lane co-travellers — a
+// lone block is taken at once, by a taker already waiting for work too.
+func TestBatcherFlushOnTimeout(t *testing.T) {
+	r := bareSLARuntime(1, 64, 4, SLAConfig{}, false)
+	r.rq.push(mkBlock(40), true)
+	if _, got, ok := r.take(false, nil); !ok || len(got) != 1 {
+		t.Fatalf("lone block: take returned %d blocks (ok=%v), want 1", len(got), ok)
+	}
+	got := make(chan []*Block)
+	go func() {
+		_, b, _ := r.take(false, nil)
+		got <- b
+	}()
+	waitParked(r, func(q *ready) bool { return q.idleGeneral == 1 })
+	r.rq.push(mkBlock(40), true)
+	if b := <-got; len(b) != 1 {
+		t.Fatalf("a parked taker woken by a lone block took %d", len(b))
+	}
+}
+
+// TestBatcherForceFlush: a reserved taker sees only URLLC, and an eMBB
+// arrival never wakes one; close hands back every group — a general
+// taker drains them all, and every push after it is refused.
+func TestBatcherForceFlush(t *testing.T) {
+	r := mixedRuntime()
+	now := time.Now()
+	got := make(chan []*Block)
+	go func() {
+		_, b, _ := r.take(true, nil)
+		got <- b
+	}()
+	waitParked(r, func(q *ready) bool { return q.idleURLLC == 1 })
+	pushAt(t, r, 1, 40, time.Second, now)
+	r.rq.mu.Lock()
+	idle := r.rq.idleURLLC
+	r.rq.mu.Unlock()
+	if idle != 1 {
+		t.Fatal("an eMBB arrival woke the reserved taker")
+	}
+	pushAt(t, r, 0, 40, time.Second, now)
+	if b := <-got; len(b) != 1 || b[0].Class != ClassURLLC {
+		t.Fatalf("reserved taker got %d blocks, want the URLLC one", len(b))
+	}
+
+	pushAt(t, r, 1, 104, time.Second, now)
+	pushAt(t, r, 0, 40, time.Second, now)
+	r.rq.close()
+	if _, b, ok := r.take(true, nil); !ok || len(b) != 1 || b[0].Class != ClassURLLC {
+		t.Fatalf("reserved taker after close: %d blocks (ok=%v), want the URLLC one", len(b), ok)
+	}
+	if _, b, ok := r.take(true, nil); ok {
+		t.Fatalf("reserved taker took %d eMBB blocks", len(b))
+	}
+	ks := map[int]bool{}
+	for {
+		_, b, ok := r.take(false, nil)
+		if !ok {
+			break
+		}
+		ks[b[0].K] = true
+	}
+	if len(ks) != 2 {
+		t.Errorf("after close the general taker drained K groups %v, want 40 and 104", ks)
+	}
+	if a := r.rq.push(mkBlock(40), true); a != RejectedStopped {
+		t.Errorf("push after close: %v, want RejectedStopped", a)
+	}
+}
+
+// waitParked yields until parked reports the taker goroutine is waiting.
+func waitParked(r *Runtime, parked func(*ready) bool) {
+	for {
+		r.rq.mu.Lock()
+		ok := parked(r.rq)
+		r.rq.mu.Unlock()
+		if ok {
+			return
+		}
+		runtime.Gosched()
+	}
+}
+
+// TestRuntimeFlushOnTimeout covers the wired-up path: a single block in
+// a 4-lane build is decoded as soon as it arrives, alone, with the waste
+// showing up in the lane-occupancy metric.
+func TestRuntimeFlushOnTimeout(t *testing.T) {
+	rt, err := New(testConfig(simd.W512))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool := mustPool(t, 40, 1, 6)
+	w, _ := pool.Get(0)
+	if a := rt.Submit(0, 0, pool.K, w); a != Admitted {
+		t.Fatalf("not admitted: %v", a)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for time.Now().Before(deadline) && rt.Snapshot().Delivered != 1 {
+		time.Sleep(time.Millisecond)
+	}
+	s := rt.Stop()
+	if s.Delivered != 1 {
+		t.Fatalf("lone block never decoded: delivered=%d", s.Delivered)
+	}
+	if s.Batches != 1 || s.LaneOccupancy > 0.26 {
+		t.Errorf("batches=%d occupancy=%.2f, want one quarter-full batch", s.Batches, s.LaneOccupancy)
+	}
+}

@@ -29,7 +29,6 @@ func BenchmarkServeThroughput(b *testing.B) {
 			cfg.QueueDepth = 512
 			cfg.MaxIters = 2
 			cfg.Deadline = time.Hour // throughput, not shedding
-			cfg.BatchWindow = 5 * time.Millisecond
 			cfg.AdmissionGuard = false
 			rt, err := New(cfg)
 			if err != nil {
@@ -82,7 +81,6 @@ func BenchmarkServeTracingOverhead(b *testing.B) {
 			cfg.QueueDepth = 512
 			cfg.MaxIters = 2
 			cfg.Deadline = time.Hour
-			cfg.BatchWindow = 5 * time.Millisecond
 			cfg.AdmissionGuard = false
 			if traced {
 				cfg.Tracer = telemetry.NewTracer(512, 16)

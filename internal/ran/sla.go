@@ -10,9 +10,8 @@ import (
 // controller: per-cell traffic classes (a URLLC-like tight-deadline
 // class vs an eMBB-like throughput class), a shed ladder that drops the
 // cheapest class first when the runtime is (or is about to be)
-// overloaded, and the class-priority dispatch policy that lets an idle
-// worker steal another cell's URLLC backlog before serving any cell's
-// eMBB. The reactive degradation ladder (harq.go) stays; the shed
+// overloaded, and the URLLC-first take that lets an idle worker serve
+// any cell's URLLC backlog before any cell's eMBB. The reactive degradation ladder (harq.go) stays; the shed
 // ladder in front of it is what makes overload class-aware — and, with
 // the predictor (predict.go) armed, anticipatory instead of reactive.
 
@@ -26,8 +25,8 @@ const (
 	// ClassEMBB is the throughput class: loose deadline, sheddable
 	// under overload (capacity spent here is the cheapest to reclaim).
 	ClassEMBB Class = iota
-	// ClassURLLC is the tight-deadline class: dispatched ahead of all
-	// eMBB work, never shed at admission, and exempt from the iteration
+	// ClassURLLC is the tight-deadline class: taken ahead of all eMBB
+	// work, never shed at admission, and exempt from the iteration
 	// clamp until the last degradation level.
 	ClassURLLC
 	// NumClasses sizes per-class arrays.
@@ -81,7 +80,7 @@ func ParseClassList(csv string, cells int) ([]Class, error) {
 }
 
 // SLAConfig shapes the class model on a Config. The zero value is
-// class-blind: every cell is eMBB, nothing sheds, dispatch order is
+// class-blind: every cell is eMBB, nothing sheds, take order is
 // unchanged.
 type SLAConfig struct {
 	// Classes maps cell index to traffic class; nil (or a short slice)
@@ -92,8 +91,8 @@ type SLAConfig struct {
 	// (0: same deadline for both classes).
 	URLLCDeadline time.Duration
 	// ReserveWorkers dedicates that many workers to URLLC batches only.
-	// Work stealing keeps URLLC first in every worker's pull order, but
-	// stealing happens at batch boundaries: once every worker is inside
+	// Every worker takes URLLC first, but only at batch boundaries: once
+	// every worker is inside
 	// a large eMBB batch, a URLLC batch waits a full service time. A
 	// reserved worker can never be occupied by eMBB, which bounds URLLC
 	// head-of-line blocking by its own class's service time. 0 resolves
@@ -101,16 +100,6 @@ type SLAConfig struct {
 	// disables the reservation; values >= Workers are clamped so at
 	// least one general worker always serves eMBB.
 	ReserveWorkers int
-}
-
-// urllcWindow is the lane-fill batch window for URLLC blocks: a quarter
-// of the eMBB window, because a tight-deadline class should not wait long
-// for lane co-travelers.
-func urllcWindow(window time.Duration) time.Duration {
-	if w := window / 4; w > 0 {
-		return w
-	}
-	return window
 }
 
 // ClassOf returns the class of a cell (ClassEMBB beyond the configured
@@ -135,9 +124,9 @@ func (s SLAConfig) hasURLLC() bool {
 }
 
 // resolveReserve turns the ReserveWorkers knob into the number of
-// workers New actually dedicates to the URLLC channel. Class-blind
-// runtimes never reserve (there is no URLLC work to wait for, so a
-// hi-only worker would idle forever).
+// workers New actually dedicates to URLLC. Class-blind runtimes never
+// reserve (there is no URLLC work to wait for, so a URLLC-only worker
+// would idle forever).
 func resolveReserve(active bool, want, workers int) int {
 	if !active || want < 0 {
 		return 0
@@ -165,9 +154,6 @@ func (r *Runtime) classDeadline(c Class) time.Duration {
 	return r.cfg.Deadline
 }
 
-// qi indexes the per-(cell, class) ingress queue.
-func (r *Runtime) qi(cell int, c Class) int { return cell*int(NumClasses) + int(c) }
-
 // Shed ladder levels. Level 0 admits everything; level 1 sheds eMBB
 // arrivals whose own cell already has shedQueueFrac of its eMBB queue
 // backed up; level 2 sheds every eMBB arrival. URLLC is never shed at
@@ -182,9 +168,9 @@ const (
 	// shedQueueFrac is the per-cell eMBB backlog fraction at which shed
 	// level 1 starts rejecting that cell's eMBB arrivals.
 	shedQueueFrac = 0.25
-	// shedDownHold is how many consecutive calm dispatcher sweeps the
-	// ladder waits before stepping down one level — the hysteresis that
-	// stops it flapping at a threshold.
+	// shedDownHold is how many consecutive calm takes the ladder waits
+	// before stepping down one level — the hysteresis that stops it
+	// flapping at a threshold.
 	shedDownHold = 8
 )
 
@@ -192,22 +178,16 @@ const (
 // watches: per-class worst backlog fractions, the burst predictor's
 // state, and predicted demand against the measured decode capacity.
 // Escalation is immediate; de-escalation needs shedDownHold consecutive
-// calm sweeps (hysteresis). Called by the dispatcher each sweep, after
-// updateDegrade.
+// calm takes (hysteresis). Called at every take, after updateDegrade,
+// with rq.mu held — which is what keeps shedCalm single-owner.
 func (r *Runtime) updateShed() {
 	if !r.slaActive {
 		return
 	}
 	var worstE, worstU float64
 	for cell := 0; cell < r.cfg.Cells; cell++ {
-		fE := float64(r.queues[r.qi(cell, ClassEMBB)].depth()) / float64(r.cfg.QueueDepth)
-		fU := float64(r.queues[r.qi(cell, ClassURLLC)].depth()) / float64(r.cfg.QueueDepth)
-		if fE > worstE {
-			worstE = fE
-		}
-		if fU > worstU {
-			worstU = fU
-		}
+		worstE = max(worstE, r.backlog(cell, ClassEMBB))
+		worstU = max(worstU, r.backlog(cell, ClassURLLC))
 	}
 	burst := false
 	demand := 0.0 // predicted fleet arrival rate, blocks/s
@@ -255,7 +235,7 @@ func (r *Runtime) shouldShed(cell int, c Class) bool {
 	case shedAll:
 		return true
 	case shedPressure:
-		f := float64(r.queues[r.qi(cell, ClassEMBB)].depth()) / float64(r.cfg.QueueDepth)
+		f := float64(r.rq.depth(qi(cell, ClassEMBB))) / float64(r.cfg.QueueDepth)
 		return f >= shedQueueFrac
 	}
 	return false

@@ -8,12 +8,13 @@ import (
 
 	"vransim/internal/core"
 	"vransim/internal/simd"
+	"vransim/internal/turbo"
 )
 
-// bareSLARuntime builds a Runtime with queues and metrics but no
-// goroutines — the controller methods (updateDegrade, updateShed,
-// shouldShed, clampClass) are pure functions of this state, so the
-// table tests drive them directly instead of racing a live dispatcher.
+// bareSLARuntime builds a Runtime with its ready structure and metrics
+// but no goroutines — the controller methods (updateDegrade, updateShed,
+// shouldShed, clampClass) and take are pure functions of this state, so
+// the table tests drive them directly instead of racing live workers.
 func bareSLARuntime(cells, qdepth, maxIters int, sla SLAConfig, predict bool) *Runtime {
 	cfg := DefaultConfig(simd.W512, core.StrategyAPCM)
 	cfg.Cells = cells
@@ -23,12 +24,8 @@ func bareSLARuntime(cells, qdepth, maxIters int, sla SLAConfig, predict bool) *R
 	r := &Runtime{
 		cfg:       cfg,
 		met:       NewMetrics(cells),
-		queues:    make([]*cellQueue, cells*int(NumClasses)),
-		retryq:    &retryQueue{},
+		rq:        newReady(cells, turbo.BlocksPerRegister(cfg.Width), qdepth),
 		slaActive: cfg.SLA.hasURLLC(),
-	}
-	for i := range r.queues {
-		r.queues[i] = newCellQueue(qdepth)
 	}
 	if predict {
 		r.preds = make([]*Predictor, cells)
@@ -39,18 +36,9 @@ func bareSLARuntime(cells, qdepth, maxIters int, sla SLAConfig, predict bool) *R
 	return r
 }
 
-// fill sets a queue's depth to n blocks (dummy payloads; the controllers
-// only read depth).
-func fill(t *testing.T, q *cellQueue, n int) {
-	t.Helper()
-	for len(q.drain()) > 0 {
-	}
-	for i := 0; i < n; i++ {
-		if !q.offer(&Block{}) {
-			t.Fatalf("queue full at %d", i)
-		}
-	}
-}
+// fill sets one (cell, class)'s waiting count to n (the controllers
+// only read the counts).
+func fill(r *Runtime, cell int, c Class, n int) { r.rq.waiting[qi(cell, c)] = n }
 
 // TestDegradeLadderTransitions walks the reactive iteration-clamp
 // ladder through its thresholds in both directions: worst backlog
@@ -80,14 +68,14 @@ func TestDegradeLadderTransitions(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			r := bareSLARuntime(2, qd, tc.maxIters, SLAConfig{}, false)
-			fill(t, r.queues[r.qi(1, ClassEMBB)], tc.depth)
+			fill(r, 1, ClassEMBB, tc.depth)
 			r.updateDegrade()
 			if got := int(r.degrade.Load()); got != tc.want {
 				t.Errorf("depth %d/%d, MaxIters %d: level %d, want %d", tc.depth, qd, tc.maxIters, got, tc.want)
 			}
 			// Restore: draining the backlog returns the ladder to level 0
-			// on the next sweep — no residual clamp.
-			r.queues[r.qi(1, ClassEMBB)].drain()
+			// on the next take — no residual clamp.
+			fill(r, 1, ClassEMBB, 0)
 			r.updateDegrade()
 			if got := int(r.degrade.Load()); got != 0 {
 				t.Errorf("level %d after drain, want 0", got)
@@ -96,29 +84,35 @@ func TestDegradeLadderTransitions(t *testing.T) {
 	}
 }
 
-// TestDegradeWatchesEveryQueue: the ladder reacts to the worst queue
-// across cells AND classes, and to the retry queue.
+// TestDegradeWatchesEveryQueue: the ladder reacts to the worst backlog
+// across cells AND classes, HARQ retries included — a retry waits in its
+// (cell, class) like an arrival, and is never refused for backlog.
 func TestDegradeWatchesEveryQueue(t *testing.T) {
 	r := bareSLARuntime(3, 100, 4, SLAConfig{Classes: []Class{ClassURLLC, ClassEMBB, ClassEMBB}}, false)
-	fill(t, r.queues[r.qi(0, ClassURLLC)], 80)
+	fill(r, 0, ClassURLLC, 80)
 	r.updateDegrade()
 	if got := int(r.degrade.Load()); got != 2 {
 		t.Errorf("URLLC backlog: level %d, want 2", got)
 	}
-	r.queues[r.qi(0, ClassURLLC)].drain()
-	for i := 0; i < 95; i++ {
-		r.retryq.offer(&Block{})
+	fill(r, 0, ClassURLLC, 0)
+	for i := 0; i < 105; i++ {
+		if a := r.rq.push(&Block{Cell: 2, K: 40, Attempt: 1}, false); a != Admitted {
+			t.Fatalf("retry %d refused: %v", i, a)
+		}
 	}
 	r.updateDegrade()
 	if got := int(r.degrade.Load()); got != 3 {
 		t.Errorf("retry backlog: level %d, want 3", got)
+	}
+	if _, _, retries := r.rq.depths(); retries != 105 {
+		t.Errorf("retry depth %d, want 105", retries)
 	}
 }
 
 // TestShedLadderEscalation drives updateShed through its signal table:
 // queue-pressure thresholds on each class and the predictor's burst
 // state, asserting the level each combination lands on. Escalation is
-// immediate (a single sweep).
+// immediate (a single take).
 func TestShedLadderEscalation(t *testing.T) {
 	sla := SLAConfig{Classes: []Class{ClassURLLC, ClassEMBB}}
 	const qd = 100
@@ -140,8 +134,8 @@ func TestShedLadderEscalation(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			r := bareSLARuntime(2, qd, 4, sla, tc.burst)
-			fill(t, r.queues[r.qi(1, ClassEMBB)], tc.embbDepth)
-			fill(t, r.queues[r.qi(0, ClassURLLC)], tc.urllcDepth)
+			fill(r, 1, ClassEMBB, tc.embbDepth)
+			fill(r, 0, ClassURLLC, tc.urllcDepth)
 			if tc.burst {
 				// Force the predictor into a declared burst: a quiet
 				// baseline, then a sustained jump.
@@ -164,41 +158,40 @@ func TestShedLadderEscalation(t *testing.T) {
 }
 
 // TestShedLadderHysteresis: the ladder steps up immediately but waits
-// shedDownHold consecutive calm sweeps per step down, and an escalation
+// shedDownHold consecutive calm takes per step down, and an escalation
 // mid-descent resets the calm streak.
 func TestShedLadderHysteresis(t *testing.T) {
 	sla := SLAConfig{Classes: []Class{ClassURLLC, ClassEMBB}}
 	r := bareSLARuntime(2, 100, 4, sla, false)
-	embb := r.queues[r.qi(1, ClassEMBB)]
 
-	fill(t, embb, 80) // >= 75% => shedAll, in one sweep
+	fill(r, 1, ClassEMBB, 80) // >= 75% => shedAll, in one take
 	r.updateShed()
 	if got := int(r.shed.Load()); got != shedAll {
 		t.Fatalf("escalation not immediate: level %d, want %d", got, shedAll)
 	}
 
-	embb.drain()
+	fill(r, 1, ClassEMBB, 0)
 	for i := 1; i < shedDownHold; i++ {
 		r.updateShed()
 		if got := int(r.shed.Load()); got != shedAll {
-			t.Fatalf("stepped down after only %d calm sweeps (shedDownHold %d): level %d", i, shedDownHold, got)
+			t.Fatalf("stepped down after only %d calm takes (shedDownHold %d): level %d", i, shedDownHold, got)
 		}
 	}
-	r.updateShed() // the shedDownHold-th calm sweep: one step down
+	r.updateShed() // the shedDownHold-th calm take: one step down
 	if got := int(r.shed.Load()); got != shedPressure {
-		t.Fatalf("level %d after shedDownHold calm sweeps, want %d", got, shedPressure)
+		t.Fatalf("level %d after shedDownHold calm takes, want %d", got, shedPressure)
 	}
 
 	// Escalation mid-descent resets the calm streak.
 	r.updateShed()
-	r.updateShed() // 2 calm sweeps toward the next step
-	fill(t, embb, 60)
+	r.updateShed() // 2 calm takes toward the next step
+	fill(r, 1, ClassEMBB, 60)
 	r.updateShed() // pressure again: back up... (already at pressure) streak reset
-	embb.drain()
+	fill(r, 1, ClassEMBB, 0)
 	for i := 1; i < shedDownHold; i++ {
 		r.updateShed()
 		if got := int(r.shed.Load()); got != shedPressure {
-			t.Fatalf("calm streak not reset by re-escalation: level %d after %d sweeps", got, i)
+			t.Fatalf("calm streak not reset by re-escalation: level %d after %d takes", got, i)
 		}
 	}
 	r.updateShed()
@@ -213,7 +206,7 @@ func TestShedLadderHysteresis(t *testing.T) {
 func TestShouldShedPolicy(t *testing.T) {
 	sla := SLAConfig{Classes: []Class{ClassURLLC, ClassEMBB, ClassEMBB}}
 	r := bareSLARuntime(3, 100, 4, sla, false)
-	fill(t, r.queues[r.qi(1, ClassEMBB)], 30) // cell 1 pressured (>= shedQueueFrac)
+	fill(r, 1, ClassEMBB, 30) // cell 1 pressured (>= shedQueueFrac)
 
 	r.shed.Store(shedOff)
 	for cell := 0; cell < 3; cell++ {
@@ -246,7 +239,7 @@ func TestShouldShedPolicy(t *testing.T) {
 		t.Error("class-blind runtime shed an arrival")
 	}
 	blind.updateShed() // and updateShed is a no-op without URLLC cells
-	fill(t, blind.queues[blind.qi(0, ClassEMBB)], 90)
+	fill(blind, 0, ClassEMBB, 90)
 	blind.shed.Store(shedOff)
 	blind.updateShed()
 	if got := int(blind.shed.Load()); got != shedOff {
@@ -283,14 +276,14 @@ func TestClampClassPolicy(t *testing.T) {
 }
 
 // TestDegradeClassSignals: with SLA classes active, the iteration-clamp
-// level a URLLC batch sees comes from the URLLC queues alone — a
+// level a URLLC batch sees comes from the URLLC backlog alone — a
 // saturated eMBB queue raises the global (eMBB) level but leaves the
 // URLLC level at 0, and vice versa the URLLC backlog raises both (the
 // global level watches every queue).
 func TestDegradeClassSignals(t *testing.T) {
 	r := bareSLARuntime(2, 100, 4, SLAConfig{Classes: []Class{ClassURLLC, ClassEMBB}}, false)
 
-	fill(t, r.queues[r.qi(1, ClassEMBB)], 95) // eMBB saturated
+	fill(r, 1, ClassEMBB, 95) // eMBB saturated
 	r.updateDegrade()
 	if got := int(r.degrade.Load()); got != 3 {
 		t.Errorf("global level %d with saturated eMBB queue, want 3", got)
@@ -299,8 +292,8 @@ func TestDegradeClassSignals(t *testing.T) {
 		t.Errorf("URLLC level %d with only eMBB backed up, want 0", got)
 	}
 
-	r.queues[r.qi(1, ClassEMBB)].drain()
-	fill(t, r.queues[r.qi(0, ClassURLLC)], 80) // URLLC at 80%
+	fill(r, 1, ClassEMBB, 0)
+	fill(r, 0, ClassURLLC, 80) // URLLC at 80%
 	r.updateDegrade()
 	if got := int(r.degrade.Load()); got != 2 {
 		t.Errorf("global level %d with URLLC at 80%%, want 2", got)
@@ -387,9 +380,9 @@ func TestClassDeadline(t *testing.T) {
 
 // TestClassListLongerThanCells: only the first Cells entries of the class
 // list class a cell, so a URLLC entry past the last cell must not arm the
-// class machinery — it would reserve a worker for a channel nothing can
-// ever arrive on. Both workers must decode: two OnDecoded calls are in
-// flight at once only if two workers pulled a batch.
+// class machinery — it would reserve a worker for a class nothing can
+// ever arrive in. Both workers must decode: two OnDecoded calls are in
+// flight at once only if two workers took a batch.
 func TestClassListLongerThanCells(t *testing.T) {
 	cfg := testConfig(simd.W128) // one block a batch
 	cfg.SLA.Classes = []Class{ClassEMBB, ClassEMBB, ClassURLLC}

@@ -16,13 +16,13 @@ import (
 // and JSON expositions.
 func (s *Snapshot) Families() []telemetry.Family {
 	accepted := telemetry.Family{Name: "vran_accepted_total",
-		Help: "Blocks admitted into the cell ingress queue.", Type: telemetry.Counter}
+		Help: "Blocks admitted for decode.", Type: telemetry.Counter}
 	delivered := telemetry.Family{Name: "vran_delivered_total",
 		Help: "Blocks decoded and delivered within deadline.", Type: telemetry.Counter}
 	dropped := telemetry.Family{Name: "vran_dropped_total",
 		Help: "Blocks dropped, by cell and cause.", Type: telemetry.Counter}
 	depth := telemetry.Family{Name: "vran_queue_depth",
-		Help: "Current per-cell ingress queue backlog.", Type: telemetry.Gauge}
+		Help: "Blocks of the cell waiting for a worker (HARQ retries included).", Type: telemetry.Gauge}
 	cellMbps := telemetry.Family{Name: "vran_cell_goodput_mbps",
 		Help: "Per-cell delivered information bits over elapsed time.", Type: telemetry.Gauge}
 	for i := range s.Cells {
@@ -81,7 +81,7 @@ func (s *Snapshot) Families() []telemetry.Family {
 	clsDropped := telemetry.Family{Name: "vran_class_dropped_total",
 		Help: "Blocks dropped, by SLA class and cause.", Type: telemetry.Counter}
 	clsDepth := telemetry.Family{Name: "vran_class_queue_depth",
-		Help: "Current ingress backlog summed over cells, by SLA class.", Type: telemetry.Gauge}
+		Help: "Blocks waiting for a worker summed over cells, by SLA class.", Type: telemetry.Gauge}
 	clsLat := telemetry.Family{Name: "vran_class_latency_seconds",
 		Help: "Delivered-block latency quantiles, by SLA class.", Type: telemetry.Gauge}
 	for c := Class(0); c < NumClasses; c++ {
@@ -110,7 +110,7 @@ func (s *Snapshot) Families() []telemetry.Family {
 		telemetry.F("vran_uptime_seconds", "Time since the metrics layer started.", telemetry.Gauge, s.Elapsed.Seconds()),
 		accepted, delivered, dropped, depth, cellMbps,
 		telemetry.F("vran_goodput_mbps", "Delivered information bits over elapsed time.", telemetry.Gauge, s.GoodputMbps),
-		telemetry.F("vran_batches_total", "Decode batches dispatched to the worker pool.", telemetry.Counter, float64(s.Batches)),
+		telemetry.F("vran_batches_total", "Decode batches the workers took.", telemetry.Counter, float64(s.Batches)),
 		telemetry.F("vran_decoded_blocks_total", "Blocks decoded (delivered or late).", telemetry.Counter, float64(s.DecodedBlocks)),
 		telemetry.F("vran_lane_occupancy", "Fraction of register lane groups carrying a real block.", telemetry.Gauge, s.LaneOccupancy),
 		iters,
@@ -129,12 +129,12 @@ func (s *Snapshot) Families() []telemetry.Family {
 		telemetry.F("vran_harq_combines_total", "Receptions chase-combined into soft buffers.", telemetry.Counter, float64(s.HARQCombines)),
 		telemetry.F("vran_harq_evictions_total", "Soft buffers evicted under capacity pressure.", telemetry.Counter, float64(s.HARQEvictions)),
 		telemetry.F("vran_harq_buffers", "Live HARQ soft combining buffers.", telemetry.Gauge, float64(s.HARQBuffers)),
-		telemetry.F("vran_harq_retry_depth", "Blocks waiting in the retry queue.", telemetry.Gauge, float64(s.RetryDepth)),
+		telemetry.F("vran_harq_retry_depth", "HARQ retransmissions waiting for a worker.", telemetry.Gauge, float64(s.RetryDepth)),
 		telemetry.F("vran_degrade_level", "Current graceful-degradation iteration-clamp level (0 = full budget).", telemetry.Gauge, float64(s.DegradeLevel)),
 		telemetry.F("vran_degraded_batches_total", "Batches decoded under a clamped iteration budget.", telemetry.Counter, float64(s.DegradedBatches)),
 		lat,
 		clsAccepted, clsDelivered, clsDropped, clsDepth, clsLat,
-		telemetry.F("vran_class_steals_total", "URLLC batches a worker pulled while eMBB batches waited.", telemetry.Counter, float64(s.Steals)),
+		telemetry.F("vran_class_steals_total", "URLLC batches a general worker took while eMBB blocks waited.", telemetry.Counter, float64(s.Steals)),
 		telemetry.F("vran_class_shed_level", "Current class-aware shed ladder level (0 = admit all).", telemetry.Gauge, float64(s.ShedLevel)),
 		telemetry.F("vran_class_reserved_workers", "Workers dedicated to URLLC batches (0 when class-blind).", telemetry.Gauge, float64(s.ReservedWorkers)),
 	}

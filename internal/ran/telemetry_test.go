@@ -76,8 +76,8 @@ func TestTracerSpansThroughRuntime(t *testing.T) {
 	if sums[telemetry.SpanDecode].Count != uint64(pool.Len()) {
 		t.Errorf("decode stage count %d, want %d", sums[telemetry.SpanDecode].Count, pool.Len())
 	}
-	// Queue and batch waits exist (blocks waited at least for the
-	// dispatcher and the batch window machinery).
+	// Queue waits exist (every block waits at least for a worker's
+	// take).
 	if sums[telemetry.SpanQueue].Count == 0 {
 		t.Error("no queue-wait observations")
 	}
@@ -311,7 +311,6 @@ func TestHealthzFlipsUnderOverload(t *testing.T) {
 	cfg.Workers = 1
 	cfg.QueueDepth = 8
 	cfg.Deadline = 2 * time.Millisecond
-	cfg.BatchWindow = 100 * time.Microsecond
 	cfg.AdmissionGuard = true
 	rt, err = New(cfg)
 	if err != nil {

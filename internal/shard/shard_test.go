@@ -25,7 +25,6 @@ func fleetRuntime(cells int, pool *CRCPool) func(int) ran.Config {
 		// under -race — keeps DropBacklog out of the ledger, so the
 		// conservation assertions can demand exact equality.
 		cfg.QueueDepth = 1024
-		cfg.BatchWindow = 200 * time.Microsecond
 		cfg.Deadline = 30 * time.Second
 		cfg.AdmissionGuard = false
 		cfg.CheckCRC = pool.CheckCRC()

@@ -41,11 +41,14 @@ const (
 	// StageIngest is the shard-side frame decode: wire bytes back into
 	// a soft word, up to the Submit call.
 	StageIngest = "ingest"
-	// StageQueue is the time from Submit until the dispatcher drains the
-	// block out of its cell's ingress queue.
+	// StageQueue is the time from Submit until a worker takes the block,
+	// with up to a register's worth of same-K co-travellers, out of the
+	// runtime's ready structure.
 	StageQueue = "queue"
-	// StageBatch is the time a block waits in the lane-fill batcher plus
-	// the batch channel, until a worker starts decoding it.
+	// StageBatch is the time from that take until the worker starts
+	// decoding the batch (its expiry checks and, on a block size's first
+	// decode on that worker, the state build). Nothing waits for lane
+	// co-travellers, so it is near zero.
 	StageBatch = "batch"
 	// StageDecode is the lane-parallel turbo decode itself.
 	StageDecode = "decode"

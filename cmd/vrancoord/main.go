@@ -21,8 +21,8 @@
 // coordinator exposes /metrics: the fleet-aggregated vran_* families
 // plus the vran_shard_* routing/migration/link overlay; -hold keeps the
 // endpoint up after the run for scrapers. The process exits non-zero if
-// the fleet ledger does not balance (accepted ≠ delivered + terminal
-// drops after settling).
+// the fleet ledger does not balance (accepted ≠ ran.Ledger.Terminal
+// after settling).
 package main
 
 import (
@@ -159,14 +159,12 @@ func main() {
 	}
 	report(coord, agg, per, offered, inj)
 
-	terminal := agg.Delivered + agg.Drops[ran.DropExpired] + agg.Drops[ran.DropLate] +
-		agg.Drops[ran.DropHARQ] + agg.Drops[ran.DropShutdown]
 	if *hold > 0 {
 		fmt.Printf("holding admin endpoint for %v\n", *hold)
 		time.Sleep(*hold)
 	}
 	coord.Stop()
-	if agg.Accepted != terminal {
+	if terminal := agg.Terminal(); agg.Accepted != terminal {
 		fatal("fleet ledger broken: accepted %d != terminal %d", agg.Accepted, terminal)
 	}
 }
@@ -199,8 +197,7 @@ func settle(c *shard.Coordinator, budget time.Duration) (*ran.Snapshot, []*ran.S
 		if err != nil {
 			return nil, nil, err
 		}
-		terminal := agg.Delivered + agg.Drops[ran.DropExpired] + agg.Drops[ran.DropLate] +
-			agg.Drops[ran.DropHARQ] + agg.Drops[ran.DropShutdown]
+		terminal := agg.Terminal()
 		if terminal >= agg.Accepted && agg.RetryDepth == 0 {
 			if agg.Accepted == last {
 				if stable++; stable >= 5 {

@@ -33,6 +33,10 @@
 // /metrics (Prometheus text, ?format=json for JSON), /snapshot,
 // /spans, /healthz, and /debug/pprof. Span tracing is on by default
 // when the admin endpoint is mounted; -notrace disables it.
+//
+// The process exits non-zero if the runtime's ledger does not balance
+// after Stop: every offered block counted (ran.Ledger.Offered) and every
+// accepted one ended (ran.Ledger.Terminal).
 package main
 
 import (
@@ -168,6 +172,10 @@ func main() {
 	}
 	snap := rt.Stop()
 	final(snap, report, cfg, pool.K, *tti, inj)
+	if snap.Offered() != uint64(report.Offered) || snap.Terminal() != snap.Accepted {
+		fatal("ledger broken: offered %d, runtime counted %d; accepted %d, terminal %d",
+			report.Offered, snap.Offered(), snap.Accepted, snap.Terminal())
+	}
 }
 
 func arrivalName(burst bool) string {

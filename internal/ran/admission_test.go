@@ -53,7 +53,7 @@ func waitSettled(t *testing.T, rt *Runtime) {
 	t.Helper()
 	for deadline := time.Now().Add(2 * time.Minute); ; time.Sleep(200 * time.Microsecond) {
 		s := rt.Snapshot()
-		if s.Delivered+s.Dropped()-s.Drops[DropAdmission]-s.Drops[DropBacklog] >= s.Accepted {
+		if s.Terminal() >= s.Accepted {
 			return
 		}
 		if time.Now().After(deadline) {

@@ -118,9 +118,7 @@ func soak(t *testing.T, seed int64, faults bool) {
 	settleBy := time.Now().Add(maxWait)
 	for time.Now().Before(settleBy) {
 		s := rt.Snapshot()
-		term := s.Delivered + s.Drops[DropExpired] + s.Drops[DropLate] +
-			s.Drops[DropHARQ] + s.Drops[DropShutdown]
-		if term >= s.Accepted && s.RetryDepth == 0 {
+		if s.Terminal() >= s.Accepted && s.RetryDepth == 0 {
 			break
 		}
 		time.Sleep(2 * time.Millisecond)
@@ -133,17 +131,15 @@ func soak(t *testing.T, seed int64, faults bool) {
 	if s.Accepted != admitted {
 		t.Errorf("accepted %d, Submit admitted %d", s.Accepted, admitted)
 	}
-	preDrops := s.Drops[DropBacklog] + s.Drops[DropAdmission]
-	if preDrops != rejected {
+	if preDrops := s.Offered() - s.Accepted; preDrops != rejected {
 		t.Errorf("pre-admission drops %d, Submit rejected %d", preDrops, rejected)
 	}
 	if offered != admitted+rejected {
 		t.Errorf("offered %d != admitted %d + rejected %d", offered, admitted, rejected)
 	}
-	post := s.Drops[DropExpired] + s.Drops[DropLate] + s.Drops[DropHARQ] + s.Drops[DropShutdown]
-	if s.Accepted != s.Delivered+post {
-		t.Errorf("accounting leak: accepted %d != delivered %d + post-admission drops %d (%v)",
-			s.Accepted, s.Delivered, post, s.DropsByCause())
+	if s.Accepted != s.Terminal() {
+		t.Errorf("accounting leak: accepted %d != terminal %d (delivered %d, drops %v)",
+			s.Accepted, s.Terminal(), s.Delivered, s.DropsByCause())
 	}
 	if s.RetryDepth != 0 {
 		t.Errorf("retry queue depth %d after stop", s.RetryDepth)

@@ -127,9 +127,7 @@ func FuzzAdmission(f *testing.F) {
 		settled := false
 		for time.Now().Before(settleBy) {
 			s := rt.Snapshot()
-			term := s.Delivered + s.Drops[DropExpired] + s.Drops[DropLate] +
-				s.Drops[DropHARQ] + s.Drops[DropShutdown]
-			if term >= s.Accepted && s.RetryDepth == 0 {
+			if s.Terminal() >= s.Accepted && s.RetryDepth == 0 {
 				settled = true
 				break
 			}
@@ -150,15 +148,14 @@ func FuzzAdmission(f *testing.F) {
 			if ks.Accepted != admitted[c] {
 				t.Errorf("class %s: accepted %d, Submit admitted %d", c, ks.Accepted, admitted[c])
 			}
-			pre := ks.Drops[DropBacklog] + ks.Drops[DropAdmission] + ks.Drops[DropShed]
+			pre := ks.Offered() - ks.Accepted
 			preSum += pre
 			if pre != rejected[c] {
 				t.Errorf("class %s: ledger rejects %d, Submit rejected %d", c, pre, rejected[c])
 			}
-			post := ks.Drops[DropExpired] + ks.Drops[DropLate] + ks.Drops[DropHARQ] + ks.Drops[DropShutdown]
-			if ks.Accepted != ks.Delivered+post {
-				t.Errorf("class %s accounting leak: accepted %d != delivered %d + post drops %d",
-					c, ks.Accepted, ks.Delivered, post)
+			if ks.Accepted != ks.Terminal() {
+				t.Errorf("class %s accounting leak: accepted %d != terminal %d (delivered %d)",
+					c, ks.Accepted, ks.Terminal(), ks.Delivered)
 			}
 		}
 		if accSum != s.Accepted || delSum != s.Delivered {

@@ -8,16 +8,13 @@ import (
 )
 
 // conserve asserts the block-accounting invariant every terminal path
-// must preserve: accepted == delivered + every drop cause, with nothing
-// left in a queue or soft buffer.
+// must preserve: every accepted block ended (Ledger.Terminal), with
+// nothing left in a queue or soft buffer.
 func conserve(t *testing.T, s *Snapshot, harqLen int) {
 	t.Helper()
-	// Backlog/admission drops reject blocks before acceptance; every
-	// accepted block must end delivered or in a post-admission drop.
-	post := s.Drops[DropExpired] + s.Drops[DropLate] + s.Drops[DropHARQ] + s.Drops[DropShutdown]
-	if s.Accepted != s.Delivered+post {
-		t.Errorf("accounting leak: accepted %d != delivered %d + post-admission drops %d (%v)",
-			s.Accepted, s.Delivered, post, s.DropsByCause())
+	if s.Accepted != s.Terminal() {
+		t.Errorf("accounting leak: accepted %d != terminal %d (delivered %d, drops %v)",
+			s.Accepted, s.Terminal(), s.Delivered, s.DropsByCause())
 	}
 	for i, c := range s.Cells {
 		if c.QueueDepth != 0 {
@@ -243,9 +240,7 @@ func waitSettle(t *testing.T, rt *Runtime, _ uint64) {
 	deadline := time.Now().Add(30 * time.Second)
 	for time.Now().Before(deadline) {
 		s := rt.Snapshot()
-		term := s.Delivered + s.Drops[DropExpired] + s.Drops[DropLate] +
-			s.Drops[DropHARQ] + s.Drops[DropShutdown]
-		if term >= s.Accepted && s.RetryDepth == 0 {
+		if s.Terminal() >= s.Accepted && s.RetryDepth == 0 {
 			return
 		}
 		time.Sleep(5 * time.Millisecond)

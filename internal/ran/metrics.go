@@ -55,23 +55,106 @@ func (c DropCause) String() string {
 	return "unknown"
 }
 
-// cellCounters is the per-cell slice of the metrics, all atomics so the
-// hot path never takes a lock.
-type cellCounters struct {
+// refusal reports whether c refuses a block at the door — it was never
+// accepted, so the drop counts towards Offered — rather than ending an
+// accepted block, which counts towards Terminal. This is the one place
+// the split is decided.
+func (c DropCause) refusal() bool {
+	switch c {
+	case DropBacklog, DropAdmission, DropShed:
+		return true
+	}
+	return false
+}
+
+// Ledger is the block-conservation ledger of a cell, a class or a whole
+// runtime (or fleet, once folded by Merge). Every block offered is either
+// refused at the door or accepted, and every accepted block ends
+// delivered or dropped after admission:
+//
+//	Offered()  = Accepted + backlog + admission + shed drops
+//	Terminal() = Delivered + expired + late + harq + shutdown drops
+//
+// Once nothing is in flight, Terminal() == Accepted.
+type Ledger struct {
+	Accepted  uint64
+	Delivered uint64
+	Drops     [numDropCauses]uint64
+}
+
+// Dropped totals the drops across causes.
+func (l Ledger) Dropped() uint64 {
+	var n uint64
+	for _, d := range l.Drops {
+		n += d
+	}
+	return n
+}
+
+// Offered is every block that reached the door: accepted or refused.
+func (l Ledger) Offered() uint64 {
+	n := l.Accepted
+	for c, d := range l.Drops {
+		if DropCause(c).refusal() {
+			n += d
+		}
+	}
+	return n
+}
+
+// Terminal is every accepted block that has an outcome: delivered or
+// dropped after admission.
+func (l Ledger) Terminal() uint64 {
+	n := l.Delivered
+	for c, d := range l.Drops {
+		if !DropCause(c).refusal() {
+			n += d
+		}
+	}
+	return n
+}
+
+func (l *Ledger) add(o Ledger) {
+	l.Accepted += o.Accepted
+	l.Delivered += o.Delivered
+	for c, d := range o.Drops {
+		l.Drops[c] += d
+	}
+}
+
+// ledgerCounters is the atomic side of a Ledger, shared by the per-cell
+// and per-class counters so the hot path never takes a lock.
+type ledgerCounters struct {
 	accepted  atomic.Uint64
 	delivered atomic.Uint64
 	drops     [numDropCauses]atomic.Uint64
-	bits      atomic.Uint64 // delivered information bits
+}
+
+// load reads the counters, the terminal ones before accepted: for a cell
+// whose accepted count is frozen (sealed for a drain), the difference
+// Accepted - Terminal() then never undercounts the blocks in flight.
+func (c *ledgerCounters) load() Ledger {
+	var l Ledger
+	l.Delivered = c.delivered.Load()
+	for d := range c.drops {
+		l.Drops[d] = c.drops[d].Load()
+	}
+	l.Accepted = c.accepted.Load()
+	return l
+}
+
+// cellCounters is the per-cell slice of the metrics.
+type cellCounters struct {
+	ledgerCounters
+	bits atomic.Uint64 // delivered information bits
 }
 
 // classCounters is the per-SLA-class view: the same ledger as a cell's,
 // plus the class's own delivered-latency histogram so URLLC p99 is
 // never diluted by eMBB deliveries.
 type classCounters struct {
-	accepted  atomic.Uint64
-	delivered atomic.Uint64
-	drops     [numDropCauses]atomic.Uint64
-	latency   telemetry.Hist
+	ledgerCounters
+	latency telemetry.Hist
 }
 
 // Metrics is the runtime's atomic-counter metrics layer. All methods
@@ -150,21 +233,15 @@ func (m *Metrics) unaccept(cell int, class Class) {
 	m.classes[class].accepted.Add(^uint64(0))
 }
 
-// inflight estimates a cell's non-terminal block count (accepted minus
-// delivered and drops). Terminal counters are read before accepted, so
-// with a sealed cell (accepted frozen) the estimate never undercounts —
-// the drain loop's convergence rests on that.
+// inflight estimates a cell's non-terminal block count, Accepted -
+// Terminal(). With a sealed cell (accepted frozen) the estimate never
+// undercounts (see load) — the drain loop's convergence rests on that.
 func (m *Metrics) inflight(cell int) uint64 {
-	c := &m.cells[cell]
-	term := c.delivered.Load()
-	for d := DropCause(0); d < numDropCauses; d++ {
-		term += c.drops[d].Load()
+	l := m.cells[cell].load()
+	if term := l.Terminal(); l.Accepted > term {
+		return l.Accepted - term
 	}
-	acc := c.accepted.Load()
-	if acc <= term {
-		return 0
-	}
-	return acc - term
+	return 0
 }
 
 func (m *Metrics) deliver(cell int, class Class, bits int, latency time.Duration) {
@@ -226,30 +303,20 @@ func (m *Metrics) observeIters(itersB []int) {
 
 // CellSnapshot is one cell's view in a Snapshot.
 type CellSnapshot struct {
-	Accepted   uint64
-	Delivered  uint64
-	Drops      [numDropCauses]uint64
+	Ledger
 	QueueDepth int
-	Mbps       float64
-}
-
-// Dropped totals the cell's drops across causes.
-func (c CellSnapshot) Dropped() uint64 {
-	var n uint64
-	for _, d := range c.Drops {
-		n += d
-	}
-	return n
+	// Bits is the cell's delivered information bits; Mbps is derived
+	// from it.
+	Bits uint64
+	Mbps float64
 }
 
 // ClassSnapshot is one SLA class's view in a Snapshot: the class
-// ledger, its aggregate queue backlog, and its own latency percentiles
-// (plus the raw histogram buckets, so shard.Aggregate can reconstruct
-// correct fleet-wide per-class percentiles).
+// ledger, its aggregate queue backlog, and its own latency percentiles,
+// derived from the raw histogram buckets (which Merge adds across
+// runtimes).
 type ClassSnapshot struct {
-	Accepted   uint64
-	Delivered  uint64
-	Drops      [numDropCauses]uint64
+	Ledger
 	QueueDepth int
 
 	LatencyP50 time.Duration
@@ -259,28 +326,32 @@ type ClassSnapshot struct {
 	LatencyBuckets []uint64
 }
 
-// Dropped totals the class's drops across causes.
-func (c ClassSnapshot) Dropped() uint64 {
-	var n uint64
-	for _, d := range c.Drops {
-		n += d
-	}
-	return n
-}
-
 // Snapshot is a consistent-enough point-in-time view of the metrics
 // (individual counters are read atomically; cross-counter skew is at
-// most one in-flight block).
+// most one in-flight block). It carries the raw counters behind every
+// ratio gauge, and derive computes the ratios from them, so a fold over
+// snapshots (Merge) is a sum followed by the same derive.
 type Snapshot struct {
 	Elapsed time.Duration
 	Cells   []CellSnapshot
 
-	Accepted  uint64
-	Delivered uint64
-	Drops     [numDropCauses]uint64
+	Ledger
 
 	Batches       uint64
 	DecodedBlocks uint64
+
+	// Raw sums behind the derived gauges: lane groups carrying a real
+	// block and available across batches, decode busy time, delivered
+	// information bits, the allocation sampler's decodes and heap objects,
+	// and the runtime's worker count.
+	LaneSlotsUsed   uint64
+	LaneSlotsTotal  uint64
+	DecodeBusyNs    int64
+	DeliveredBits   uint64
+	AllocSampleOps  uint64
+	AllocSampleObjs uint64
+	Workers         int
+
 	// LaneOccupancy is the fraction of register lane groups that carried
 	// a real block (1.0 = every decode used the full width).
 	LaneOccupancy float64
@@ -317,7 +388,7 @@ type Snapshot struct {
 	// turbo.PlanCacheStats: programs are compiled once a process, for every
 	// worker of every runtime in it, so each runtime of a process reports
 	// the same pair. Process says which process that is (a random id drawn
-	// at start), so a fold over snapshots counts the pair once a process.
+	// at start), so Merge counts the pair once a process.
 	ProgramCompiles uint64
 	CompileSeconds  float64
 	Process         uint64
@@ -361,18 +432,9 @@ type Snapshot struct {
 
 	// LatencyBuckets is the raw delivered-latency histogram (trimmed
 	// telemetry.Hist bucket counters). Percentiles do not compose
-	// across runtimes, bucket counts do — shard.Aggregate merges these
-	// to reconstruct correct fleet-wide percentiles.
+	// across runtimes, bucket counts do: the percentiles are derived
+	// from these, after Merge has added them.
 	LatencyBuckets []uint64
-}
-
-// Dropped totals drops across cells and causes.
-func (s *Snapshot) Dropped() uint64 {
-	var n uint64
-	for _, d := range s.Drops {
-		n += d
-	}
-	return n
 }
 
 // DropsByCause renders the drop breakdown as a name->count map.
@@ -384,6 +446,116 @@ func (s *Snapshot) DropsByCause() map[string]uint64 {
 	return out
 }
 
+// derive fills every ratio gauge from the raw counters.
+func (s *Snapshot) derive() {
+	elapsedUs := float64(s.Elapsed.Nanoseconds()) / 1e3
+	if elapsedUs > 0 {
+		s.GoodputMbps = float64(s.DeliveredBits) / elapsedUs
+		for i := range s.Cells {
+			s.Cells[i].Mbps = float64(s.Cells[i].Bits) / elapsedUs
+		}
+	}
+	if s.LaneSlotsTotal > 0 {
+		s.LaneOccupancy = float64(s.LaneSlotsUsed) / float64(s.LaneSlotsTotal)
+	}
+	if s.DecodedBlocks > 0 {
+		s.AvgDecodeUs = float64(s.DecodeBusyNs) / 1e3 / float64(s.DecodedBlocks)
+	}
+	if s.Workers > 0 && s.Elapsed > 0 {
+		s.WorkerUtilization = float64(s.DecodeBusyNs) / (float64(s.Workers) * float64(s.Elapsed.Nanoseconds()))
+	}
+	if tot := s.ProgramHits + s.ProgramMisses; tot > 0 {
+		s.CompiledRatio = float64(s.ProgramHits) / float64(tot)
+	}
+	s.DecodeAllocsPerOp = -1
+	if s.AllocSampleOps > 0 {
+		s.DecodeAllocsPerOp = float64(s.AllocSampleObjs) / float64(s.AllocSampleOps)
+	}
+	s.LatencyP50, s.LatencyP90, s.LatencyP99 = percentiles(s.LatencyBuckets)
+	for c := range s.Classes {
+		ks := &s.Classes[c]
+		ks.LatencyP50, ks.LatencyP90, ks.LatencyP99 = percentiles(ks.LatencyBuckets)
+	}
+}
+
+func percentiles(buckets []uint64) (p50, p90, p99 time.Duration) {
+	return telemetry.PercentileFromBuckets(buckets, 0.50),
+		telemetry.PercentileFromBuckets(buckets, 0.90),
+		telemetry.PercentileFromBuckets(buckets, 0.99)
+}
+
+// Merge folds snapshots of several runtimes (the shards of a fleet) into
+// one. It is a sum, except: Elapsed, DegradeLevel and ShedLevel take the
+// max; latency buckets merge element-wise; Predict rows concatenate (a
+// cell is owned by one runtime at a time, so a migrated cell keeps both
+// rows); the compile pair counts once per Process; ProgramMissK is the
+// last miss seen. The ratio gauges are then derived from the summed raw
+// counters, exactly as for one runtime. Nil entries are skipped.
+func Merge(snaps []*Snapshot) *Snapshot {
+	out := &Snapshot{}
+	procs := make(map[uint64]bool)
+	for _, s := range snaps {
+		if s == nil {
+			continue
+		}
+		if len(s.Cells) > len(out.Cells) {
+			out.Cells = append(out.Cells, make([]CellSnapshot, len(s.Cells)-len(out.Cells))...)
+		}
+		for i, c := range s.Cells {
+			o := &out.Cells[i]
+			o.Ledger.add(c.Ledger)
+			o.QueueDepth += c.QueueDepth
+			o.Bits += c.Bits
+		}
+		out.Ledger.add(s.Ledger)
+		out.Elapsed = max(out.Elapsed, s.Elapsed)
+		out.Batches += s.Batches
+		out.DecodedBlocks += s.DecodedBlocks
+		out.LaneSlotsUsed += s.LaneSlotsUsed
+		out.LaneSlotsTotal += s.LaneSlotsTotal
+		out.DecodeBusyNs += s.DecodeBusyNs
+		out.DeliveredBits += s.DeliveredBits
+		out.AllocSampleOps += s.AllocSampleOps
+		out.AllocSampleObjs += s.AllocSampleObjs
+		out.Workers += s.Workers
+		// DecodeIters is not folded (ROADMAP 1(e)): the benchmark adds the
+		// per-runtime histograms itself.
+		out.ProgramHits += s.ProgramHits
+		out.ProgramMisses += s.ProgramMisses
+		if s.ProgramMisses > 0 {
+			out.ProgramMissK = s.ProgramMissK
+		}
+		out.CompiledPlans += s.CompiledPlans
+		if !procs[s.Process] {
+			procs[s.Process] = true
+			out.ProgramCompiles += s.ProgramCompiles
+			out.CompileSeconds += s.CompileSeconds
+		}
+		out.CRCFailures += s.CRCFailures
+		out.HARQRetries += s.HARQRetries
+		out.HARQRecovered += s.HARQRecovered
+		out.HARQCombines += s.HARQCombines
+		out.HARQEvictions += s.HARQEvictions
+		out.HARQBuffers += s.HARQBuffers
+		out.RetryDepth += s.RetryDepth
+		out.DegradeLevel = max(out.DegradeLevel, s.DegradeLevel)
+		out.DegradedBatches += s.DegradedBatches
+		for c := range s.Classes {
+			ks, ok := &s.Classes[c], &out.Classes[c]
+			ok.Ledger.add(ks.Ledger)
+			ok.QueueDepth += ks.QueueDepth
+			ok.LatencyBuckets = telemetry.MergeBuckets(ok.LatencyBuckets, ks.LatencyBuckets)
+		}
+		out.Steals += s.Steals
+		out.ShedLevel = max(out.ShedLevel, s.ShedLevel)
+		out.ReservedWorkers += s.ReservedWorkers
+		out.Predict = append(out.Predict, s.Predict...)
+		out.LatencyBuckets = telemetry.MergeBuckets(out.LatencyBuckets, s.LatencyBuckets)
+	}
+	out.derive()
+	return out
+}
+
 // snapshot assembles the exported view. queueDepths (per cell),
 // classDepths (per class) and workers come from the runtime (the
 // metrics layer itself has no queue handle).
@@ -391,52 +563,27 @@ func (m *Metrics) snapshot(queueDepths []int, classDepths [NumClasses]int, worke
 	s := &Snapshot{
 		Elapsed: time.Since(m.start),
 		Cells:   make([]CellSnapshot, len(m.cells)),
+		Workers: workers,
 	}
-	elapsedUs := float64(s.Elapsed.Nanoseconds()) / 1e3
-	var totalBits uint64
 	for i := range m.cells {
 		c := &m.cells[i]
-		cs := CellSnapshot{
-			Accepted:  c.accepted.Load(),
-			Delivered: c.delivered.Load(),
-		}
-		for d := DropCause(0); d < numDropCauses; d++ {
-			cs.Drops[d] = c.drops[d].Load()
-			s.Drops[d] += cs.Drops[d]
-		}
+		cs := CellSnapshot{Ledger: c.load(), Bits: c.bits.Load()}
 		if i < len(queueDepths) {
 			cs.QueueDepth = queueDepths[i]
 		}
-		bits := c.bits.Load()
-		totalBits += bits
-		if elapsedUs > 0 {
-			cs.Mbps = float64(bits) / elapsedUs
-		}
-		s.Accepted += cs.Accepted
-		s.Delivered += cs.Delivered
+		s.Ledger.add(cs.Ledger)
+		s.DeliveredBits += cs.Bits
 		s.Cells[i] = cs
-	}
-	if elapsedUs > 0 {
-		s.GoodputMbps = float64(totalBits) / elapsedUs
 	}
 	s.Batches = m.batches.Load()
 	s.DecodedBlocks = m.decodedBlocks.Load()
-	if tot := m.laneSlotsTotal.Load(); tot > 0 {
-		s.LaneOccupancy = float64(m.laneSlotsUsed.Load()) / float64(tot)
-	}
+	s.LaneSlotsUsed = m.laneSlotsUsed.Load()
+	s.LaneSlotsTotal = m.laneSlotsTotal.Load()
+	s.DecodeBusyNs = m.decodeBusyNs.Load()
+	s.AllocSampleOps = m.allocSampleOps.Load()
+	s.AllocSampleObjs = m.allocSampleObjs.Load()
 	for i := range s.DecodeIters {
 		s.DecodeIters[i] = m.decodeIters[i].Load()
-	}
-	if s.DecodedBlocks > 0 {
-		s.AvgDecodeUs = float64(m.decodeBusyNs.Load()) / 1e3 / float64(s.DecodedBlocks)
-	}
-	if ops := m.allocSampleOps.Load(); ops > 0 {
-		s.DecodeAllocsPerOp = float64(m.allocSampleObjs.Load()) / float64(ops)
-	} else {
-		s.DecodeAllocsPerOp = -1
-	}
-	if workers > 0 && s.Elapsed > 0 {
-		s.WorkerUtilization = float64(m.decodeBusyNs.Load()) / (float64(workers) * float64(s.Elapsed.Nanoseconds()))
 	}
 	s.ProgramHits = m.progHits.Load()
 	s.ProgramMisses = m.progMisses.Load()
@@ -446,33 +593,20 @@ func (m *Metrics) snapshot(queueDepths []int, classDepths [NumClasses]int, worke
 	s.CompileSeconds = cache.CompileTime.Seconds()
 	s.Process = processID
 	s.CompiledPlans = int(m.compiledPlans.Load())
-	if tot := s.ProgramHits + s.ProgramMisses; tot > 0 {
-		s.CompiledRatio = float64(s.ProgramHits) / float64(tot)
-	}
 	s.CRCFailures = m.crcFailures.Load()
 	s.HARQRetries = m.harqRetries.Load()
 	s.HARQRecovered = m.harqRecovered.Load()
 	s.DegradedBatches = m.degradedBatches.Load()
-	s.LatencyP50 = m.latency.Percentile(0.50)
-	s.LatencyP90 = m.latency.Percentile(0.90)
-	s.LatencyP99 = m.latency.Percentile(0.99)
 	s.LatencyBuckets = m.latency.Buckets()
 	for c := Class(0); c < NumClasses; c++ {
 		cc := &m.classes[c]
-		ks := ClassSnapshot{
-			Accepted:   cc.accepted.Load(),
-			Delivered:  cc.delivered.Load(),
-			QueueDepth: classDepths[c],
+		s.Classes[c] = ClassSnapshot{
+			Ledger:         cc.load(),
+			QueueDepth:     classDepths[c],
+			LatencyBuckets: cc.latency.Buckets(),
 		}
-		for d := DropCause(0); d < numDropCauses; d++ {
-			ks.Drops[d] = cc.drops[d].Load()
-		}
-		ks.LatencyP50 = cc.latency.Percentile(0.50)
-		ks.LatencyP90 = cc.latency.Percentile(0.90)
-		ks.LatencyP99 = cc.latency.Percentile(0.99)
-		ks.LatencyBuckets = cc.latency.Buckets()
-		s.Classes[c] = ks
 	}
 	s.Steals = m.steals.Load()
+	s.derive()
 	return s
 }

@@ -27,6 +27,43 @@ func TestDropCauseNames(t *testing.T) {
 	}
 }
 
+// TestLedgerIdentities pins the two conservation identities by explicit
+// arithmetic over every drop cause, and fails when a cause is added
+// without being placed on one side of admission.
+func TestLedgerIdentities(t *testing.T) {
+	refused := map[DropCause]bool{DropBacklog: true, DropAdmission: true, DropShed: true}
+	ended := map[DropCause]bool{DropExpired: true, DropLate: true, DropHARQ: true, DropShutdown: true}
+	// One distinct bit per counter, so every sum says which terms it holds.
+	l := Ledger{Accepted: 1 << 20, Delivered: 1 << 21}
+	for c := DropCause(0); c < numDropCauses; c++ {
+		l.Drops[c] = 1 << c
+	}
+	wantOffered, wantTerminal, wantDropped := l.Accepted, l.Delivered, uint64(0)
+	for c := DropCause(0); c < numDropCauses; c++ {
+		switch {
+		case refused[c] && !ended[c]:
+			wantOffered += l.Drops[c]
+		case ended[c] && !refused[c]:
+			wantTerminal += l.Drops[c]
+		default:
+			t.Errorf("cause %s is neither a refusal at the door nor an end of an accepted block", c)
+		}
+		wantDropped += l.Drops[c]
+		if inOffered, inTerminal := l.Offered()&(1<<c) != 0, l.Terminal()&(1<<c) != 0; inOffered == inTerminal {
+			t.Errorf("cause %s: in Offered %v, in Terminal %v — want exactly one", c, inOffered, inTerminal)
+		}
+	}
+	if got := l.Offered(); got != wantOffered {
+		t.Errorf("Offered %#x, want accepted + backlog + admission + shed = %#x", got, wantOffered)
+	}
+	if got := l.Terminal(); got != wantTerminal {
+		t.Errorf("Terminal %#x, want delivered + expired + late + harq + shutdown = %#x", got, wantTerminal)
+	}
+	if got := l.Dropped(); got != wantDropped {
+		t.Errorf("Dropped %#x, want %#x", got, wantDropped)
+	}
+}
+
 // TestSnapshotPercentileReconstruction feeds a known latency population
 // through the delivery path and asserts the log-bucketed histogram
 // reproduces its quantiles within the documented relative-error bound

@@ -117,9 +117,10 @@ func (r *Runtime) abortDrain(cell int) {
 // fresh arrival stamps and deadlines (a migrated block is re-scheduled,
 // and cross-process clocks make the original stamps meaningless), and
 // the cell is unsealed. Returns how many blocks re-entered the decode
-// path; a block the cell's backlog cannot hold is accounted as a backlog
-// drop (a shutdown drop if Stop closed the runtime meanwhile), so
-// conservation stays exact even under an overloaded target.
+// path; a block the cell's backlog cannot hold is a backlog drop, refused
+// at the door (an accepted shutdown drop if Stop closed the runtime
+// meanwhile), so both Ledger identities stay exact even under an
+// overloaded target.
 func (r *Runtime) ImportCell(st *CellState) (int, error) {
 	if st.Cell < 0 || st.Cell >= r.cfg.Cells {
 		return 0, fmt.Errorf("ran: import of unknown cell %d", st.Cell)
@@ -143,17 +144,22 @@ func (r *Runtime) ImportCell(st *CellState) (int, error) {
 			Deadline:   now.Add(r.classDeadline(class)),
 			hopArrived: now,
 		}
-		r.met.accept(st.Cell, class)
-		if a := r.rq.push(b, true); a != Admitted {
-			cause := DropBacklog
-			if a == RejectedStopped {
-				cause = DropShutdown
-			}
-			r.met.drop(st.Cell, class, cause)
-			r.harqRelease(b)
+		switch r.rq.push(b, true) {
+		case Admitted:
+			r.met.accept(st.Cell, class)
+			n++
 			continue
+		case RejectedStopped:
+			// Accepted, then lost to the shutdown.
+			r.met.accept(st.Cell, class)
+			r.met.drop(st.Cell, class, DropShutdown)
+		default:
+			// Refused at the door, as Submit refuses a block the queue
+			// cannot hold: the source un-accepted it, so the fleet ledger
+			// counts it once, as offered.
+			r.met.drop(st.Cell, class, DropBacklog)
 		}
-		n++
+		r.harqRelease(b)
 	}
 	r.sealed[st.Cell].Store(false)
 	return n, nil

@@ -129,7 +129,7 @@ func TestMigrateConservation(t *testing.T) {
 	for time.Now().Before(deadline) {
 		s := dst.Snapshot()
 		c := s.Cells[0]
-		if c.Accepted > 0 && c.Delivered+c.Dropped() >= c.Accepted && s.RetryDepth == 0 {
+		if c.Accepted > 0 && c.Terminal() >= c.Accepted && s.RetryDepth == 0 {
 			break
 		}
 		time.Sleep(time.Millisecond)
@@ -195,15 +195,15 @@ func TestDrainTimeoutAborts(t *testing.T) {
 	}
 	s := rt.Stop()
 	c := s.Cells[0]
-	if c.Accepted != n || c.Delivered+c.Dropped() != n {
+	if c.Accepted != n || c.Terminal() != n {
 		t.Errorf("conservation broken after abort: accepted %d, terminal %d, want %d",
-			c.Accepted, c.Delivered+c.Dropped(), n)
+			c.Accepted, c.Terminal(), n)
 	}
 }
 
 // TestImportBacklogOverflow: a target whose cell queue cannot hold the
-// migrated blocks accounts the excess as backlog drops — accepted and
-// terminal stay equal, nothing vanishes.
+// migrated blocks refuses the excess at the door, as backlog drops —
+// offered counts every block, terminal equals accepted, nothing vanishes.
 func TestImportBacklogOverflow(t *testing.T) {
 	cfg := migrateConfig(true)
 	cfg.QueueDepth = 4
@@ -227,13 +227,13 @@ func TestImportBacklogOverflow(t *testing.T) {
 	}
 	s := dst.Stop()
 	c := s.Cells[0]
-	if c.Accepted != 12 {
-		t.Errorf("accepted = %d, want 12", c.Accepted)
+	if c.Accepted != uint64(moved) || c.Offered() != 12 {
+		t.Errorf("accepted %d, offered %d; want %d and 12", c.Accepted, c.Offered(), moved)
 	}
-	if c.Delivered+c.Dropped() != 12 {
-		t.Errorf("terminal = %d, want 12", c.Delivered+c.Dropped())
+	if c.Terminal() != c.Accepted {
+		t.Errorf("terminal %d != accepted %d", c.Terminal(), c.Accepted)
 	}
-	if c.Drops[DropBacklog] == 0 {
-		t.Error("no backlog drops recorded for the overflow")
+	if c.Drops[DropBacklog] != uint64(12-moved) {
+		t.Errorf("backlog drops %d, want %d for the overflow", c.Drops[DropBacklog], 12-moved)
 	}
 }

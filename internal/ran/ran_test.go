@@ -70,16 +70,16 @@ func TestConcurrentSubmitConservation(t *testing.T) {
 	totalRej := 0
 	rejected.Range(func(_, v interface{}) bool { totalRej += v.(int); return true })
 	offered := uint64(goroutines * perG)
-	if s.Accepted+s.Drops[DropBacklog]+s.Drops[DropAdmission] != offered {
-		t.Errorf("offered %d != accepted %d + backlog %d + admission %d",
-			offered, s.Accepted, s.Drops[DropBacklog], s.Drops[DropAdmission])
+	if s.Offered() != offered {
+		t.Errorf("offered %d != ledger offered %d (accepted %d, drops %v)",
+			offered, s.Offered(), s.Accepted, s.DropsByCause())
 	}
-	if s.Accepted != s.Delivered+s.Drops[DropExpired]+s.Drops[DropLate] {
-		t.Errorf("accepted %d != delivered %d + expired %d + late %d",
-			s.Accepted, s.Delivered, s.Drops[DropExpired], s.Drops[DropLate])
+	if s.Accepted != s.Terminal() {
+		t.Errorf("accepted %d != terminal %d (delivered %d, drops %v)",
+			s.Accepted, s.Terminal(), s.Delivered, s.DropsByCause())
 	}
-	if uint64(totalRej) != s.Drops[DropBacklog]+s.Drops[DropAdmission] {
-		t.Errorf("caller saw %d rejections, metrics say %d", totalRej, s.Drops[DropBacklog]+s.Drops[DropAdmission])
+	if rej := s.Offered() - s.Accepted; uint64(totalRej) != rej {
+		t.Errorf("caller saw %d rejections, metrics say %d", totalRej, rej)
 	}
 	if s.Delivered == 0 {
 		t.Error("nothing delivered under a 30s deadline")
@@ -194,9 +194,7 @@ func TestSubmitRacingStopConserves(t *testing.T) {
 		rt.Stop()
 		wg.Wait()
 		s := rt.Snapshot()
-		end := s.Delivered + s.Drops[DropExpired] + s.Drops[DropLate] + s.Drops[DropHARQ] +
-			s.Drops[DropShed] + s.Drops[DropShutdown]
-		if s.Accepted != end {
+		if end := s.Terminal(); s.Accepted != end {
 			t.Fatalf("round %d: accepted %d, delivered %d, dropped after admission %d (%v)",
 				round, s.Accepted, s.Delivered, end-s.Delivered, s.DropsByCause())
 		}
@@ -252,9 +250,9 @@ func TestGracefulShutdown(t *testing.T) {
 		}
 	}
 	s := rt.Stop()
-	if s.Delivered+s.Drops[DropExpired]+s.Drops[DropLate] != uint64(pool.Len()) {
-		t.Errorf("shutdown leaked blocks: delivered %d, expired %d, late %d of %d",
-			s.Delivered, s.Drops[DropExpired], s.Drops[DropLate], pool.Len())
+	if s.Terminal() != uint64(pool.Len()) {
+		t.Errorf("shutdown leaked blocks: terminal %d of %d (delivered %d, drops %v)",
+			s.Terminal(), pool.Len(), s.Delivered, s.DropsByCause())
 	}
 	if s.Delivered != uint64(pool.Len()) {
 		t.Errorf("delivered %d of %d under infinite deadline", s.Delivered, pool.Len())

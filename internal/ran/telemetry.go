@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strconv"
 	"sync"
+	"time"
 
 	"vransim/internal/simd/program"
 	"vransim/internal/telemetry"
@@ -15,12 +16,13 @@ import (
 // latency quantiles). The same families back both the Prometheus text
 // and JSON expositions.
 func (s *Snapshot) Families() []telemetry.Family {
-	accepted := telemetry.Family{Name: "vran_accepted_total",
-		Help: "Blocks admitted for decode.", Type: telemetry.Counter}
-	delivered := telemetry.Family{Name: "vran_delivered_total",
-		Help: "Blocks decoded and delivered within deadline.", Type: telemetry.Counter}
-	dropped := telemetry.Family{Name: "vran_dropped_total",
-		Help: "Blocks dropped, by cell and cause.", Type: telemetry.Counter}
+	cellLedger := ledgerFamilies("vran_", [3]string{
+		"Blocks admitted for decode.",
+		"Blocks decoded and delivered within deadline.",
+		"Blocks dropped, by cell and cause."}, len(s.Cells),
+		func(i int) (telemetry.Label, *Ledger) {
+			return telemetry.L("cell", strconv.Itoa(i)), &s.Cells[i].Ledger
+		})
 	depth := telemetry.Family{Name: "vran_queue_depth",
 		Help: "Blocks of the cell waiting for a worker (HARQ retries included).", Type: telemetry.Gauge}
 	cellMbps := telemetry.Family{Name: "vran_cell_goodput_mbps",
@@ -28,15 +30,6 @@ func (s *Snapshot) Families() []telemetry.Family {
 	for i := range s.Cells {
 		c := &s.Cells[i]
 		cell := telemetry.L("cell", strconv.Itoa(i))
-		accepted.Samples = append(accepted.Samples, telemetry.Sample{
-			Labels: []telemetry.Label{cell}, Value: float64(c.Accepted)})
-		delivered.Samples = append(delivered.Samples, telemetry.Sample{
-			Labels: []telemetry.Label{cell}, Value: float64(c.Delivered)})
-		for d := DropCause(0); d < numDropCauses; d++ {
-			dropped.Samples = append(dropped.Samples, telemetry.Sample{
-				Labels: []telemetry.Label{cell, telemetry.L("cause", d.String())},
-				Value:  float64(c.Drops[d])})
-		}
 		depth.Samples = append(depth.Samples, telemetry.Sample{
 			Labels: []telemetry.Label{cell}, Value: float64(c.QueueDepth)})
 		cellMbps.Samples = append(cellMbps.Samples, telemetry.Sample{
@@ -54,32 +47,18 @@ func (s *Snapshot) Families() []telemetry.Family {
 			Labels: []telemetry.Label{telemetry.L("iters", lbl)}, Value: float64(n)})
 	}
 	lat := telemetry.Family{Name: "vran_latency_seconds",
-		Help: "Delivered-block end-to-end latency quantiles.", Type: telemetry.Gauge}
-	for _, q := range []struct {
-		v float64
-		s string
-	}{{0.5, "0.5"}, {0.9, "0.9"}, {0.99, "0.99"}} {
-		var d float64
-		switch q.s {
-		case "0.5":
-			d = s.LatencyP50.Seconds()
-		case "0.9":
-			d = s.LatencyP90.Seconds()
-		default:
-			d = s.LatencyP99.Seconds()
-		}
-		lat.Samples = append(lat.Samples, telemetry.Sample{
-			Labels: []telemetry.Label{telemetry.L("quantile", q.s)}, Value: d})
-	}
+		Help: "Delivered-block end-to-end latency quantiles.", Type: telemetry.Gauge,
+		Samples: latencySamples(nil, s.LatencyP50, s.LatencyP90, s.LatencyP99)}
 	// SLA-class families: the per-class ledger mirrors the per-cell one,
 	// plus class latency quantiles so a scraper can watch URLLC p99
 	// directly without reconstructing it from cells.
-	clsAccepted := telemetry.Family{Name: "vran_class_accepted_total",
-		Help: "Blocks admitted, by SLA class.", Type: telemetry.Counter}
-	clsDelivered := telemetry.Family{Name: "vran_class_delivered_total",
-		Help: "Blocks delivered within deadline, by SLA class.", Type: telemetry.Counter}
-	clsDropped := telemetry.Family{Name: "vran_class_dropped_total",
-		Help: "Blocks dropped, by SLA class and cause.", Type: telemetry.Counter}
+	clsLedger := ledgerFamilies("vran_class_", [3]string{
+		"Blocks admitted, by SLA class.",
+		"Blocks delivered within deadline, by SLA class.",
+		"Blocks dropped, by SLA class and cause."}, int(NumClasses),
+		func(i int) (telemetry.Label, *Ledger) {
+			return telemetry.L("class", Class(i).String()), &s.Classes[i].Ledger
+		})
 	clsDepth := telemetry.Family{Name: "vran_class_queue_depth",
 		Help: "Blocks waiting for a worker summed over cells, by SLA class.", Type: telemetry.Gauge}
 	clsLat := telemetry.Family{Name: "vran_class_latency_seconds",
@@ -87,28 +66,13 @@ func (s *Snapshot) Families() []telemetry.Family {
 	for c := Class(0); c < NumClasses; c++ {
 		ks := &s.Classes[c]
 		lbl := telemetry.L("class", c.String())
-		clsAccepted.Samples = append(clsAccepted.Samples, telemetry.Sample{
-			Labels: []telemetry.Label{lbl}, Value: float64(ks.Accepted)})
-		clsDelivered.Samples = append(clsDelivered.Samples, telemetry.Sample{
-			Labels: []telemetry.Label{lbl}, Value: float64(ks.Delivered)})
-		for d := DropCause(0); d < numDropCauses; d++ {
-			clsDropped.Samples = append(clsDropped.Samples, telemetry.Sample{
-				Labels: []telemetry.Label{lbl, telemetry.L("cause", d.String())},
-				Value:  float64(ks.Drops[d])})
-		}
 		clsDepth.Samples = append(clsDepth.Samples, telemetry.Sample{
 			Labels: []telemetry.Label{lbl}, Value: float64(ks.QueueDepth)})
-		for _, q := range []struct {
-			s string
-			d float64
-		}{{"0.5", ks.LatencyP50.Seconds()}, {"0.9", ks.LatencyP90.Seconds()}, {"0.99", ks.LatencyP99.Seconds()}} {
-			clsLat.Samples = append(clsLat.Samples, telemetry.Sample{
-				Labels: []telemetry.Label{lbl, telemetry.L("quantile", q.s)}, Value: q.d})
-		}
+		clsLat.Samples = latencySamples(clsLat.Samples, ks.LatencyP50, ks.LatencyP90, ks.LatencyP99, lbl)
 	}
 	fams := []telemetry.Family{
 		telemetry.F("vran_uptime_seconds", "Time since the metrics layer started.", telemetry.Gauge, s.Elapsed.Seconds()),
-		accepted, delivered, dropped, depth, cellMbps,
+		cellLedger[0], cellLedger[1], cellLedger[2], depth, cellMbps,
 		telemetry.F("vran_goodput_mbps", "Delivered information bits over elapsed time.", telemetry.Gauge, s.GoodputMbps),
 		telemetry.F("vran_batches_total", "Decode batches the workers took.", telemetry.Counter, float64(s.Batches)),
 		telemetry.F("vran_decoded_blocks_total", "Blocks decoded (delivered or late).", telemetry.Counter, float64(s.DecodedBlocks)),
@@ -133,7 +97,7 @@ func (s *Snapshot) Families() []telemetry.Family {
 		telemetry.F("vran_degrade_level", "Current graceful-degradation iteration-clamp level (0 = full budget).", telemetry.Gauge, float64(s.DegradeLevel)),
 		telemetry.F("vran_degraded_batches_total", "Batches decoded under a clamped iteration budget.", telemetry.Counter, float64(s.DegradedBatches)),
 		lat,
-		clsAccepted, clsDelivered, clsDropped, clsDepth, clsLat,
+		clsLedger[0], clsLedger[1], clsLedger[2], clsDepth, clsLat,
 		telemetry.F("vran_class_steals_total", "URLLC batches a general worker took while eMBB blocks waited.", telemetry.Counter, float64(s.Steals)),
 		telemetry.F("vran_class_shed_level", "Current class-aware shed ladder level (0 = admit all).", telemetry.Gauge, float64(s.ShedLevel)),
 		telemetry.F("vran_class_reserved_workers", "Workers dedicated to URLLC batches (0 when class-blind).", telemetry.Gauge, float64(s.ReservedWorkers)),
@@ -171,6 +135,43 @@ func (s *Snapshot) Families() []telemetry.Family {
 		)
 	}
 	return fams
+}
+
+// ledgerFamilies renders n ledgers, each under its own label, as the
+// prefix+"accepted_total", prefix+"delivered_total" and
+// prefix+"dropped_total" (by cause) families, with the given help strings.
+func ledgerFamilies(prefix string, help [3]string, n int, row func(int) (telemetry.Label, *Ledger)) [3]telemetry.Family {
+	fams := [3]telemetry.Family{
+		{Name: prefix + "accepted_total", Help: help[0], Type: telemetry.Counter},
+		{Name: prefix + "delivered_total", Help: help[1], Type: telemetry.Counter},
+		{Name: prefix + "dropped_total", Help: help[2], Type: telemetry.Counter},
+	}
+	for i := 0; i < n; i++ {
+		lbl, l := row(i)
+		fams[0].Samples = append(fams[0].Samples, telemetry.Sample{
+			Labels: []telemetry.Label{lbl}, Value: float64(l.Accepted)})
+		fams[1].Samples = append(fams[1].Samples, telemetry.Sample{
+			Labels: []telemetry.Label{lbl}, Value: float64(l.Delivered)})
+		for d := DropCause(0); d < numDropCauses; d++ {
+			fams[2].Samples = append(fams[2].Samples, telemetry.Sample{
+				Labels: []telemetry.Label{lbl, telemetry.L("cause", d.String())},
+				Value:  float64(l.Drops[d])})
+		}
+	}
+	return fams
+}
+
+// latencySamples appends the p50/p90/p99 samples, labelled lbls plus
+// the quantile, to out.
+func latencySamples(out []telemetry.Sample, p50, p90, p99 time.Duration, lbls ...telemetry.Label) []telemetry.Sample {
+	for _, q := range []struct {
+		s string
+		d time.Duration
+	}{{"0.5", p50}, {"0.9", p90}, {"0.99", p99}} {
+		labels := append(append([]telemetry.Label(nil), lbls...), telemetry.L("quantile", q.s))
+		out = append(out, telemetry.Sample{Labels: labels, Value: q.d.Seconds()})
+	}
+	return out
 }
 
 // HealthPolicy sets the /healthz thresholds. Zero values take the
@@ -213,8 +214,7 @@ func (r *Runtime) Health(pol HealthPolicy) func() telemetry.HealthStatus {
 	var prevOffered, prevDropped, prevMisses uint64
 	return func() telemetry.HealthStatus {
 		s := r.Snapshot()
-		offered := s.Accepted + s.Drops[DropBacklog] + s.Drops[DropAdmission]
-		dropped := s.Dropped()
+		offered, dropped := s.Offered(), s.Dropped()
 
 		mu.Lock()
 		dOff := offered - prevOffered

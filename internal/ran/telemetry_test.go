@@ -277,6 +277,25 @@ func TestHealthzNamesInterpretedBlockSize(t *testing.T) {
 	}
 }
 
+// TestHealthzCountsShedAsOffered: a shed arrival was offered, so it counts
+// in the drop rate's denominator as well as its numerator. 40 of 100 eMBB
+// arrivals shed and 60 delivered is a rate of 0.40, healthy under the 0.5
+// default.
+func TestHealthzCountsShedAsOffered(t *testing.T) {
+	r := bareSLARuntime(2, 64, 4, SLAConfig{Classes: []Class{ClassURLLC, ClassEMBB}}, false)
+	for i := 0; i < 40; i++ {
+		r.met.drop(1, ClassEMBB, DropShed)
+	}
+	for i := 0; i < 60; i++ {
+		r.met.accept(1, ClassEMBB)
+		r.met.deliver(1, ClassEMBB, 512, time.Millisecond)
+	}
+	st := r.Health(HealthPolicy{})()
+	if st.DropRate < 0.3999 || st.DropRate > 0.4001 || !st.Healthy {
+		t.Errorf("drop rate %.3f healthy=%v (%s), want 0.400 and healthy", st.DropRate, st.Healthy, st.Reason)
+	}
+}
+
 // TestHealthzFlipsUnderOverload reuses the overload-shedding harness:
 // a healthy lightly-loaded runtime must report 200, and the same
 // expensive-K flood that TestDeadlineDropsUnderOverload sheds must

@@ -306,7 +306,7 @@ func (c *Coordinator) ShardSnapshot(i int) (*ran.Snapshot, error) {
 	return &s, nil
 }
 
-// FleetSnapshot fetches every shard's snapshot and the aggregate view.
+// FleetSnapshot fetches every shard's snapshot and their fold, ran.Merge.
 func (c *Coordinator) FleetSnapshot() (*ran.Snapshot, []*ran.Snapshot, error) {
 	per := make([]*ran.Snapshot, len(c.shards))
 	for i := range c.shards {
@@ -316,7 +316,7 @@ func (c *Coordinator) FleetSnapshot() (*ran.Snapshot, []*ran.Snapshot, error) {
 		}
 		per[i] = s
 	}
-	return Aggregate(per), per, nil
+	return ran.Merge(per), per, nil
 }
 
 // MigrateCell drains cell from its current shard and installs its state

@@ -111,9 +111,9 @@ func TestMigrateCellMidTraffic(t *testing.T) {
 	var accepted, terminal uint64
 	for _, s := range snaps {
 		accepted += s.Accepted
-		terminal += s.Delivered + postDrops(s)
-		if b := s.Drops[ran.DropBacklog] + s.Drops[ran.DropAdmission]; b != 0 {
-			t.Errorf("%d backlog/admission drops — queues undersized, ledger not exact", b)
+		terminal += s.Terminal()
+		if b := s.Offered() - s.Accepted; b != 0 {
+			t.Errorf("%d refused at the door — queues undersized, ledger not exact", b)
 		}
 	}
 	if accepted != terminal {
@@ -224,7 +224,7 @@ func TestRebalanceMovesSkewedCell(t *testing.T) {
 	var accepted, terminal uint64
 	for _, s := range snaps {
 		accepted += s.Accepted
-		terminal += s.Delivered + postDrops(s)
+		terminal += s.Terminal()
 	}
 	if accepted != terminal {
 		t.Errorf("fleet ledger broken after rebalance: accepted %d != terminal %d", accepted, terminal)

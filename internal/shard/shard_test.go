@@ -32,13 +32,6 @@ func fleetRuntime(cells int, pool *CRCPool) func(int) ran.Config {
 	}
 }
 
-// postDrops totals the drop causes a block can only reach after being
-// accepted (the terminal side of the runtime's ledger).
-func postDrops(s *ran.Snapshot) uint64 {
-	return s.Drops[ran.DropExpired] + s.Drops[ran.DropLate] +
-		s.Drops[ran.DropHARQ] + s.Drops[ran.DropShutdown]
-}
-
 func mustCRCPool(t *testing.T, k, n int, seed int64) *CRCPool {
 	t.Helper()
 	p, err := NewCRCPool(k, n, 24, rand.New(rand.NewSource(seed)))
@@ -64,9 +57,7 @@ func settle(t *testing.T, c *Coordinator, maxWait time.Duration, minAccepted uin
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Post-admission drops only: submit-path backlog/admission drops
-		// count blocks that were never accepted.
-		term := agg.Delivered + postDrops(agg)
+		term := agg.Terminal()
 		if term >= agg.Accepted && agg.RetryDepth == 0 && agg.Accepted >= minAccepted {
 			if agg.Accepted == last {
 				stable++
@@ -137,7 +128,7 @@ func TestFleetRoutesAndAggregates(t *testing.T) {
 		delivered += s.Delivered
 		dropped += s.Dropped()
 	}
-	if agg2 := Aggregate(per); agg2.Accepted != accepted || agg2.Delivered != delivered || agg2.Dropped() != dropped {
+	if agg2 := ran.Merge(per); agg2.Accepted != accepted || agg2.Delivered != delivered || agg2.Dropped() != dropped {
 		t.Errorf("aggregate %d/%d/%d != per-shard sums %d/%d/%d",
 			agg2.Accepted, agg2.Delivered, agg2.Dropped(), accepted, delivered, dropped)
 	}
@@ -178,34 +169,54 @@ func TestFleetRoutesAndAggregates(t *testing.T) {
 	}
 }
 
-// TestAggregateGauges: the weighted and max-folded gauges behave.
+// TestAggregateGauges: the fleet fold sums the raw counters and derives
+// every ratio from the sums — not from the shards' own ratios — with max
+// for the levels and the compile pair counted once a process.
 func TestAggregateGauges(t *testing.T) {
-	a := &ran.Snapshot{Batches: 10, LaneOccupancy: 1.0, DecodedBlocks: 10, AvgDecodeUs: 4,
-		WorkerUtilization: 0.5, DecodeAllocsPerOp: -1, ProgramHits: 8, ProgramMisses: 2,
-		LatencyP99: 5 * time.Millisecond, DegradeLevel: 1}
-	b := &ran.Snapshot{Batches: 30, LaneOccupancy: 0.5, DecodedBlocks: 30, AvgDecodeUs: 8,
-		WorkerUtilization: 0.7, DecodeAllocsPerOp: 2, ProgramHits: 0, ProgramMisses: 10,
-		LatencyP99: 9 * time.Millisecond}
-	agg := Aggregate([]*ran.Snapshot{a, nil, b})
-	if got, want := agg.LaneOccupancy, (1.0*10+0.5*30)/40; got != want {
-		t.Errorf("lane occupancy %v, want %v", got, want)
+	a := &ran.Snapshot{Elapsed: 2 * time.Second, Workers: 1, Process: 7,
+		Cells:         []ran.CellSnapshot{{Bits: 1e6}},
+		DeliveredBits: 1e6, Batches: 10, LaneSlotsUsed: 40, LaneSlotsTotal: 40,
+		DecodedBlocks: 10, DecodeBusyNs: 40e3, ProgramHits: 8, ProgramMisses: 2,
+		ProgramCompiles: 3, DegradeLevel: 1}
+	b := &ran.Snapshot{Elapsed: time.Second, Workers: 3, Process: 7,
+		Cells:         []ran.CellSnapshot{{Bits: 2e6}, {Bits: 1e6}},
+		DeliveredBits: 3e6, Batches: 30, LaneSlotsUsed: 60, LaneSlotsTotal: 120,
+		DecodedBlocks: 30, DecodeBusyNs: 240e3, AllocSampleOps: 4, AllocSampleObjs: 8,
+		ProgramMisses: 10, ProgramCompiles: 3, ShedLevel: 2}
+	agg := ran.Merge([]*ran.Snapshot{a, nil, b})
+	if agg.Elapsed != 2*time.Second || agg.Workers != 4 {
+		t.Errorf("elapsed %v workers %d, want the max 2s and the sum 4", agg.Elapsed, agg.Workers)
 	}
-	if got, want := agg.AvgDecodeUs, (4.0*10+8.0*30)/40; got != want {
-		t.Errorf("decode cost %v, want %v", got, want)
+	if got, want := agg.LaneOccupancy, 100.0/160; got != want {
+		t.Errorf("lane occupancy %v, want Σused/Σtotal = %v", got, want)
 	}
-	if got := agg.WorkerUtilization; got < 0.59 || got > 0.61 {
-		t.Errorf("utilization %v, want 0.6", got)
+	if got, want := agg.AvgDecodeUs, 280e3/1e3/40; got != want {
+		t.Errorf("decode cost %v, want Σbusy/Σblocks = %v µs", got, want)
+	}
+	// Unequal worker counts: the mean of the shard values (2e-5 and 8e-5)
+	// would read 5e-5.
+	if got, want := agg.WorkerUtilization, 280e3/(4*2e9); got != want {
+		t.Errorf("utilization %v, want Σbusy/(Σworkers·elapsed) = %v", got, want)
 	}
 	if agg.DecodeAllocsPerOp != 2 {
-		t.Errorf("allocs/op %v, want 2 (unsampled shard excluded)", agg.DecodeAllocsPerOp)
+		t.Errorf("allocs/op %v, want Σobjects/Σops = 2", agg.DecodeAllocsPerOp)
 	}
 	if got, want := agg.CompiledRatio, 8.0/20.0; got != want {
 		t.Errorf("compiled ratio %v, want %v", got, want)
 	}
-	if agg.LatencyP99 != 9*time.Millisecond || agg.DegradeLevel != 1 {
-		t.Errorf("max folds: p99 %v degrade %d", agg.LatencyP99, agg.DegradeLevel)
+	if got, want := agg.GoodputMbps, 4e6/2e6; got != want {
+		t.Errorf("goodput %v Mbps, want Σbits/elapsed = %v", got, want)
 	}
-	if empty := Aggregate(nil); empty.DecodeAllocsPerOp != -1 {
+	if len(agg.Cells) != 2 || agg.Cells[0].Mbps != 1.5 || agg.Cells[1].Mbps != 0.5 {
+		t.Errorf("cell rows %+v, want bits summed per cell over the fleet elapsed", agg.Cells)
+	}
+	if agg.ProgramCompiles != 3 {
+		t.Errorf("compiles %d, want 3: one process, counted once", agg.ProgramCompiles)
+	}
+	if agg.DegradeLevel != 1 || agg.ShedLevel != 2 {
+		t.Errorf("max folds: degrade %d shed %d", agg.DegradeLevel, agg.ShedLevel)
+	}
+	if empty := ran.Merge(nil); empty.DecodeAllocsPerOp != -1 {
 		t.Errorf("empty aggregate allocs/op %v, want -1", empty.DecodeAllocsPerOp)
 	}
 }

@@ -115,8 +115,8 @@ func shardSoak(t *testing.T, seed int64) {
 	var accepted, terminal, backlog, buffers, linkDropped, linkSent uint64
 	for _, s := range snaps {
 		accepted += s.Accepted
-		terminal += s.Delivered + postDrops(s)
-		backlog += s.Drops[ran.DropBacklog] + s.Drops[ran.DropAdmission]
+		terminal += s.Terminal()
+		backlog += s.Offered() - s.Accepted
 		buffers += uint64(s.HARQBuffers)
 	}
 	for _, sh := range f.Coord.shards {
@@ -127,7 +127,7 @@ func shardSoak(t *testing.T, seed int64) {
 	// The queues are sized so nothing overflows — every accepted block
 	// must reach exactly one post-admission terminal outcome.
 	if backlog != 0 {
-		t.Errorf("%d backlog/admission drops — queues undersized, ledger not exact", backlog)
+		t.Errorf("%d refused at the door — queues undersized, ledger not exact", backlog)
 	}
 	if accepted != terminal {
 		t.Errorf("fleet ledger broken: accepted %d != terminal %d", accepted, terminal)

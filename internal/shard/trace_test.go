@@ -287,10 +287,10 @@ func TestTraceSurvivesLinkChaos(t *testing.T) {
 	}
 }
 
-// TestAggregateMergesLatencyBuckets: the fleet aggregate reconstructs
-// percentiles from pooled histogram buckets — the satellite fix for
-// the old max-fold, which reported the worst shard's percentile as the
-// fleet's.
+// TestAggregateMergesLatencyBuckets: the fleet fold reconstructs global
+// and per-class percentiles from pooled histogram buckets, not from the
+// shards' own percentiles (a max-fold would report the worst shard's as
+// the fleet's).
 func TestAggregateMergesLatencyBuckets(t *testing.T) {
 	var fast, slow telemetry.Hist
 	for i := 0; i < 900; i++ {
@@ -300,29 +300,25 @@ func TestAggregateMergesLatencyBuckets(t *testing.T) {
 		slow.Observe(100 * time.Millisecond)
 	}
 	mk := func(h *telemetry.Hist) *ran.Snapshot {
-		return &ran.Snapshot{
-			LatencyBuckets: h.Buckets(),
-			LatencyP50:     h.Percentile(0.50),
-			LatencyP90:     h.Percentile(0.90),
-			LatencyP99:     h.Percentile(0.99),
+		s := &ran.Snapshot{LatencyBuckets: h.Buckets()}
+		s.Classes[ran.ClassURLLC].LatencyBuckets = h.Buckets()
+		return s
+	}
+	agg := ran.Merge([]*ran.Snapshot{mk(&fast), mk(&slow)})
+	for _, p := range []struct {
+		name     string
+		p50, p99 time.Duration
+	}{
+		{"fleet", agg.LatencyP50, agg.LatencyP99},
+		{"urllc", agg.Classes[ran.ClassURLLC].LatencyP50, agg.Classes[ran.ClassURLLC].LatencyP99},
+	} {
+		// 90 % of the pooled blocks are ~1 ms, so p50 is the fast mode.
+		if p.p50 > 10*time.Millisecond {
+			t.Errorf("%s p50 %v — not the pooled population's", p.name, p.p50)
 		}
-	}
-	agg := Aggregate([]*ran.Snapshot{mk(&fast), mk(&slow)})
-	// Old behavior: p50 = max(1ms, 100ms) = 100ms. Pooled truth: 90% of
-	// blocks are ~1ms, so p50 must be the fast mode.
-	if agg.LatencyP50 > 10*time.Millisecond {
-		t.Errorf("fleet p50 %v — still max-folding per-shard percentiles", agg.LatencyP50)
-	}
-	// The tail is real: pooled p99 is the slow shard's mode.
-	if agg.LatencyP99 < 80*time.Millisecond {
-		t.Errorf("fleet p99 %v lost the slow tail", agg.LatencyP99)
-	}
-	// Snapshots predating LatencyBuckets still fall back to max-fold.
-	legacy := Aggregate([]*ran.Snapshot{
-		{LatencyP50: 2 * time.Millisecond},
-		{LatencyP50: 8 * time.Millisecond},
-	})
-	if legacy.LatencyP50 != 8*time.Millisecond {
-		t.Errorf("legacy fallback p50 %v, want max-fold 8ms", legacy.LatencyP50)
+		// The tail is real: pooled p99 is the slow shard's mode.
+		if p.p99 < 80*time.Millisecond {
+			t.Errorf("%s p99 %v lost the slow tail", p.name, p.p99)
+		}
 	}
 }

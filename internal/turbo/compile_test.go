@@ -166,53 +166,6 @@ func TestCompileNeedsTwoIterations(t *testing.T) {
 	}
 }
 
-// TestCompiledEvictionRecompiles: arena eviction discards this decoder's
-// states and must not cost a compile (the name is from when it did):
-// later decodes of the same K install the same shared program over a
-// fresh region and stay correct.
-func TestCompiledEvictionRecompiles(t *testing.T) {
-	resetPlanCache()
-	bd := NewBatchDecoder(simd.W512, core.StrategyAPCM, 2<<20)
-	bd.MaxIters = 4
-	ks := []int{6144, 5056, 6144, 4096, 5056, 6144}
-	progs := make(map[int]any)
-	for round, k := range ks {
-		c, err := bd.Code(k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		words, truth := buildWords(t, c, bd.Lanes(), int64(700+round), true)
-		bits, _, err := bd.Decode(k, words)
-		if err != nil {
-			t.Fatalf("round %d (K=%d): %v", round, k, err)
-		}
-		for b := range words {
-			if !equalBits(bits[b], truth[b]) {
-				t.Errorf("round %d (K=%d) block %d: wrong bits", round, k, b)
-			}
-		}
-		prog := bd.PlanProgram(k)
-		if prog == nil {
-			t.Errorf("round %d (K=%d): current plan not compiled", round, k)
-		}
-		if was, seen := progs[k]; seen && was != any(prog) {
-			t.Errorf("round %d (K=%d): a different program after eviction", round, k)
-		}
-		progs[k] = prog
-	}
-	if bd.Evictions == 0 {
-		t.Fatal("2 MiB arena fit three K=4096..6144 W512 plans without evicting")
-	}
-	// Three distinct Ks, three compiles, and more installs than that: each
-	// eviction dropped the states and later rounds re-adopted the programs.
-	if cs := PlanCacheStats(); cs.Compiles != 3 {
-		t.Errorf("%d compiles for three block sizes through %d evictions, want 3", cs.Compiles, bd.Evictions)
-	}
-	if s := bd.ProgramStats(); s.Compiles <= 3 || s.Misses != 0 {
-		t.Errorf("want >3 installs (re-adoption after eviction) and no interpreted decode, got %+v", s)
-	}
-}
-
 // TestProgramStatsCounters pins the hit/miss/install accounting that the
 // serving metrics export, on the decoder that compiles a block size for
 // the process and on one that adopts it.

@@ -247,13 +247,14 @@ func TestPackedMidStreamKChange(t *testing.T) {
 // TestPackedPlanEviction forces arena-pressure eviction: an execution
 // state is bound to its arena region, so eviction must discard it with the
 // rest of the state, and later decodes of the same K must transparently
-// rebuild the state over a new region, install the shared program on it —
-// without a compile — and stay correct.
+// rebuild the state over a new region, install the same shared program on
+// it — without a compile or an interpreted decode — and stay correct.
 func TestPackedPlanEviction(t *testing.T) {
 	resetPlanCache()
 	bd := NewBatchDecoder(simd.W512, core.StrategyAPCM, 2<<20)
 	bd.MaxIters = 4
 	ks := []int{6144, 5056, 6144, 4096, 5056, 6144}
+	progs := make(map[int]any)
 	for round, k := range ks {
 		c, err := bd.Code(k)
 		if err != nil {
@@ -269,15 +270,20 @@ func TestPackedPlanEviction(t *testing.T) {
 				t.Errorf("round %d (K=%d) block %d: wrong bits after eviction", round, k, b)
 			}
 		}
-		if bd.PlanProgram(k) == nil {
+		prog := bd.PlanProgram(k)
+		if prog == nil {
 			t.Errorf("round %d (K=%d): current packed plan not compiled", round, k)
 		}
+		if was, seen := progs[k]; seen && was != any(prog) {
+			t.Errorf("round %d (K=%d): a different program after eviction", round, k)
+		}
+		progs[k] = prog
 	}
 	if bd.Evictions == 0 {
 		t.Fatal("2 MiB arena fit three K=4096..6144 W512 packed plans without evicting")
 	}
-	if s := bd.ProgramStats(); s.Compiles <= 3 {
-		t.Errorf("want >3 installs (re-adoption after eviction), got %d", s.Compiles)
+	if s := bd.ProgramStats(); s.Compiles <= 3 || s.Misses != 0 {
+		t.Errorf("want >3 installs (re-adoption after eviction) and no interpreted decode, got %+v", s)
 	}
 	if cs := PlanCacheStats(); cs.Compiles != 3 {
 		t.Errorf("%d compiles for three block sizes, want 3 however often the arena was flushed", cs.Compiles)

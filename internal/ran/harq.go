@@ -97,7 +97,7 @@ func (r *Runtime) retryOrDrop(b *Block, now time.Time, busy time.Duration, iters
 	// A retry is never refused for backlog (its count is already bounded
 	// by MaxRetries times the blocks in flight); only Stop refuses it, and
 	// then it ends here as a shutdown drop.
-	if r.rq.push(nb, false) != Admitted {
+	if a, _ := r.rq.push(nb, false); a != Admitted {
 		r.met.drop(b.Cell, b.Class, DropShutdown)
 		r.recordSpan(b, now, busy, iters, "harq_shutdown")
 		r.harqRelease(b)

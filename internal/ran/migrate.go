@@ -103,7 +103,7 @@ func (r *Runtime) DrainCell(cell int, timeout time.Duration) (*CellState, error)
 // and unseals the cell.
 func (r *Runtime) abortDrain(cell int) {
 	for _, b := range r.rq.endMigration() {
-		if r.rq.push(b, false) != Admitted {
+		if a, _ := r.rq.push(b, false); a != Admitted {
 			r.met.drop(b.Cell, b.Class, DropShutdown)
 			r.recordSpan(b, time.Now(), 0, 0, "migrate_shutdown")
 			r.harqRelease(b)
@@ -144,7 +144,7 @@ func (r *Runtime) ImportCell(st *CellState) (int, error) {
 			Deadline:   now.Add(r.classDeadline(class)),
 			hopArrived: now,
 		}
-		switch r.rq.push(b, true) {
+		switch a, _ := r.rq.push(b, true); a {
 		case Admitted:
 			r.met.accept(st.Cell, class)
 			n++

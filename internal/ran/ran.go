@@ -255,7 +255,7 @@ func New(cfg Config) (*Runtime, error) {
 	r := &Runtime{
 		cfg:       cfg,
 		met:       NewMetrics(cfg.Cells),
-		rq:        newReady(cfg.Cells, turbo.BlocksPerRegister(cfg.Width), cfg.QueueDepth),
+		rq:        newReady(cfg.Cells, turbo.BlocksPerRegister(cfg.Width), cfg.QueueDepth, cfg.Workers),
 		sealed:    make([]atomic.Bool, cfg.Cells),
 		recDone:   make(chan struct{}),
 		slaActive: cfg.SLA.hasURLLC(),
@@ -287,7 +287,9 @@ func (r *Runtime) Lanes() int { return turbo.BlocksPerRegister(r.cfg.Width) }
 // process 0. It stamps arrival and deadline, runs admission, and
 // returns the outcome. Safe for concurrent use, Stop included: a block
 // racing Stop is either admitted and then decoded or rejected with
-// RejectedStopped.
+// RejectedStopped. A Submit that wakes a worker while every worker is
+// parked yields the caller's processor once (runtime.Gosched) before it
+// returns, so the block may already be decoding when it does.
 func (r *Runtime) Submit(cell, ue, k int, word *turbo.LLRWord) Admit {
 	return r.SubmitProcess(cell, ue, 0, k, word)
 }
@@ -346,17 +348,27 @@ func (r *Runtime) SubmitTraced(cell, ue, proc, k int, word *turbo.LLRWord, tc te
 		r.met.drop(cell, class, DropAdmission)
 		return RejectedDeadline
 	}
-	a := RejectedBacklog
+	a, handOff := RejectedBacklog, false
 	if !r.cfg.Chaos.QueueOverflow() {
 		// RejectedStopped here means Stop closed the structure after the
 		// check above: the block was never accepted.
-		a = r.rq.push(b, true)
+		a, handOff = r.rq.push(b, true)
 	}
 	switch a {
 	case Admitted:
 		r.met.accept(cell, class)
 	case RejectedBacklog:
 		r.met.drop(cell, class, DropBacklog)
+	}
+	if handOff {
+		// The wake put the worker in this processor's runnext slot, where
+		// it would wait for this goroutine to block inside Go — and a
+		// caller that sleeps in a raw syscall leaves it stranded until
+		// sysmon retakes the processor. Yield it instead: the worker runs
+		// here, and this goroutine moves to the processor the wake started.
+		// Only from idle: under load, handing each woken worker its
+		// processor empties the lanes (DESIGN §6).
+		runtime.Gosched()
 	}
 	return a
 }
@@ -422,11 +434,13 @@ func labelLayer(layer string) {
 // take hands the calling worker its next batch, appended to out: up to
 // Lanes() blocks of one (class, K) group, URLLC first (ready.pick),
 // parking the worker while nothing it may take waits and yielding once
-// before a partial take. A general worker taking URLLC while eMBB waits
-// is a steal. The degradation and shed
-// levels are recomputed from the backlog the take leaves, under the same
-// lock. ok is false once Stop has closed the structure and nothing is
-// left for this worker.
+// before a partial take. A worker that a push woke from an idle runtime
+// returns from park on its submitter's processor, which that Submit
+// yields to it (SubmitTraced); the yield before a partial take is the
+// same either way. A general worker taking URLLC while eMBB waits is a
+// steal. The degradation and shed levels are recomputed from the backlog
+// the take leaves, under the same lock. ok is false once Stop has closed
+// the structure and nothing is left for this worker.
 func (r *Runtime) take(reserved bool, out []*Block) (class Class, batch []*Block, ok bool) {
 	q := r.rq
 	q.mu.Lock()

@@ -3,6 +3,7 @@ package ran
 import (
 	"bytes"
 	"math/rand"
+	"runtime"
 	"runtime/pprof"
 	"strconv"
 	"strings"
@@ -268,36 +269,56 @@ func TestGracefulShutdown(t *testing.T) {
 }
 
 // TestSaturatingLoadFillsLanes floods a W512 build and checks the
-// workers' takes actually fill registers: occupancy must clear the 75%
-// bar the serving layer is designed around. Nothing waits for lane
-// co-travellers, so the load must really saturate — K=512, whose batch
-// decode outlasts the submission of many blocks, so blocks pile up
-// while both workers are busy and every take after the first few is
-// full.
+// workers' takes actually fill registers. Nothing waits for lane
+// co-travellers, so the load must really saturate: blocks pile up while
+// every worker is busy and every take after the first few is full.
+//   - two_workers: K=512, whose batch decode outlasts the submission of
+//     many blocks; occupancy must clear the 75% bar the serving layer is
+//     designed around.
+//   - more_workers_than_processors: 8 workers on 2 processors, K=104. A
+//     submitter yields its processor to the worker it woke only when
+//     every worker was parked (DESIGN §6); handing off at every wake
+//     gives each woken worker a one-block batch (0.55–0.60 here), the
+//     idle rule keeps the takes full (0.99–1.00).
 func TestSaturatingLoadFillsLanes(t *testing.T) {
-	cfg := testConfig(simd.W512)
-	cfg.Cells = 4
-	cfg.Workers = 2
-	cfg.QueueDepth = 1024
-	rt, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pool := mustPool(t, 512, 64, 5)
-	const offered = 480
-	for i := 0; i < offered; i++ {
-		w, _ := pool.Get(i)
-		for rt.Submit(i%cfg.Cells, i, pool.K, w) == RejectedBacklog {
-			time.Sleep(50 * time.Microsecond)
-		}
-	}
-	s := rt.Stop()
-	if s.LaneOccupancy <= 0.75 {
-		t.Errorf("lane occupancy %.2f under saturating load, want > 0.75 (batches=%d)",
-			s.LaneOccupancy, s.Batches)
-	}
-	if s.Delivered == 0 {
-		t.Fatal("nothing delivered")
+	for _, tc := range []struct {
+		name                       string
+		procs, workers, k, offered int
+		depth, maxIters            int
+		min                        float64
+	}{
+		{"two_workers", 0, 2, 512, 480, 1024, 4, 0.75},
+		{"more_workers_than_processors", 2, 8, 104, 4000, 512, 2, 0.9},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if tc.procs > 0 {
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(tc.procs))
+			}
+			cfg := testConfig(simd.W512)
+			cfg.Cells = 4
+			cfg.Workers = tc.workers
+			cfg.QueueDepth = tc.depth
+			cfg.MaxIters = tc.maxIters
+			rt, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pool := mustPool(t, tc.k, 64, 11)
+			for i := 0; i < tc.offered; i++ {
+				w, _ := pool.Get(i)
+				for rt.Submit(i%cfg.Cells, i, pool.K, w) == RejectedBacklog {
+					runtime.Gosched()
+				}
+			}
+			s := rt.Stop()
+			if s.Delivered != uint64(tc.offered) {
+				t.Fatalf("delivered %d of %d", s.Delivered, tc.offered)
+			}
+			if s.LaneOccupancy < tc.min {
+				t.Errorf("lane occupancy %.3f under saturating load, want >= %.2f (batches=%d)",
+					s.LaneOccupancy, tc.min, s.Batches)
+			}
+		})
 	}
 }
 

@@ -37,13 +37,14 @@ type ready struct {
 	closed bool
 	// Idle workers park on general, or on urllc when reserved for URLLC;
 	// idleGeneral and idleURLLC count the parked ones no push has
-	// signalled yet.
+	// signalled yet, out of workers.
 	general, urllc         sync.Cond
 	idleGeneral, idleURLLC int
+	workers                int
 }
 
-func newReady(cells, lanes, bound int) *ready {
-	q := &ready{lanes: lanes, bound: bound, waiting: make([]int, cells*int(NumClasses)), mig: -1}
+func newReady(cells, lanes, bound, workers int) *ready {
+	q := &ready{lanes: lanes, bound: bound, workers: workers, waiting: make([]int, cells*int(NumClasses)), mig: -1}
 	for c := range q.groups {
 		q.groups[c] = make(map[int][]*Block)
 	}
@@ -61,19 +62,24 @@ func qi(cell int, c Class) int { return cell*int(NumClasses) + int(c) }
 // block back from an aborted drain is not. A block of the cell being
 // drained goes to migq instead. Once the structure is closed every push
 // fails with RejectedStopped.
-func (q *ready) push(b *Block, bounded bool) Admit {
+//
+// handOff reports that the push woke a worker while every worker was
+// parked: the runtime was idle, so no batch is forming for later
+// arrivals to join, and the caller may yield its processor to the worker
+// the wake queued there (Runtime.SubmitTraced).
+func (q *ready) push(b *Block, bounded bool) (a Admit, handOff bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	if q.closed {
-		return RejectedStopped
+		return RejectedStopped, false
 	}
 	if b.Cell == q.mig {
 		q.migq = append(q.migq, b)
-		return Admitted
+		return Admitted, false
 	}
 	i := qi(b.Cell, b.Class)
 	if bounded && q.waiting[i] >= q.bound {
-		return RejectedBacklog
+		return RejectedBacklog, false
 	}
 	q.count(b, 1)
 	g := append(q.groups[b.Class][b.K], b)
@@ -81,6 +87,7 @@ func (q *ready) push(b *Block, bounded bool) Admit {
 		g[j], g[j-1] = g[j-1], g[j]
 	}
 	q.groups[b.Class][b.K] = g
+	idle := q.idleGeneral+q.idleURLLC == q.workers
 	switch {
 	case b.Class == ClassURLLC && q.idleURLLC > 0:
 		q.idleURLLC--
@@ -88,8 +95,10 @@ func (q *ready) push(b *Block, bounded bool) Admit {
 	case q.idleGeneral > 0:
 		q.idleGeneral--
 		q.general.Signal()
+	default:
+		idle = false
 	}
-	return Admitted
+	return Admitted, idle
 }
 
 // count moves b's (cell, class) and retry counts by d (+1 in, -1 out).

@@ -20,7 +20,7 @@ func mixedRuntime() *Runtime {
 func pushAt(t *testing.T, r *Runtime, cell, k int, due time.Duration, now time.Time) {
 	t.Helper()
 	b := &Block{Cell: cell, K: k, Class: r.cfg.SLA.ClassOf(cell), Deadline: now.Add(due)}
-	if a := r.rq.push(b, true); a != Admitted {
+	if a, _ := r.rq.push(b, true); a != Admitted {
 		t.Fatalf("push: %v", a)
 	}
 }
@@ -145,8 +145,68 @@ func TestBatcherForceFlush(t *testing.T) {
 	if len(ks) != 2 {
 		t.Errorf("after close the general taker drained K groups %v, want 40 and 104", ks)
 	}
-	if a := r.rq.push(mkBlock(40), true); a != RejectedStopped {
+	if a, _ := r.rq.push(mkBlock(40), true); a != RejectedStopped {
 		t.Errorf("push after close: %v, want RejectedStopped", a)
+	}
+}
+
+// TestPushHandsOffOnlyFromIdle: a push reports a hand-off only when it
+// wakes a worker while every worker is parked — the first arrival at an
+// idle runtime — and never when it signals nobody, when another worker
+// is already awake, or when it does not queue the block at all.
+func TestPushHandsOffOnlyFromIdle(t *testing.T) {
+	r := bareSLARuntime(2, 64, 4, SLAConfig{}, false)
+	r.rq.workers = 2
+	got := make(chan []*Block, 2)
+	for i := 0; i < 2; i++ {
+		go func() {
+			_, b, _ := r.take(false, nil)
+			got <- b
+		}()
+	}
+	waitParked(r, func(q *ready) bool { return q.idleGeneral == 2 })
+	push := func(b *Block, want Admit, wantHandOff bool, what string) {
+		t.Helper()
+		if a, h := r.rq.push(b, true); a != want || h != wantHandOff {
+			t.Fatalf("%s: push = (%v, %v), want (%v, %v)", what, a, h, want, wantHandOff)
+		}
+	}
+
+	// Refused or diverted arrivals wake nobody, whoever is parked.
+	if err := r.rq.beginMigration(1); err != nil {
+		t.Fatal(err)
+	}
+	push(&Block{Cell: 1, K: 40}, Admitted, false, "migrating cell")
+	r.rq.endMigration()
+	fill(r, 0, ClassEMBB, 64)
+	push(&Block{Cell: 0, K: 40}, RejectedBacklog, false, "full backlog")
+	fill(r, 0, ClassEMBB, 0)
+
+	// Different K, so each taker's batch is one block and both return.
+	push(&Block{Cell: 0, K: 40}, Admitted, true, "first arrival at an idle runtime")
+	push(&Block{Cell: 0, K: 104}, Admitted, false, "second arrival, one worker already woken")
+	for i := 0; i < 2; i++ {
+		if b := <-got; len(b) != 1 {
+			t.Fatalf("a woken taker got %d blocks, want 1", len(b))
+		}
+	}
+	push(&Block{Cell: 0, K: 40}, Admitted, false, "arrival with nobody parked")
+	r.rq.close()
+	push(&Block{Cell: 0, K: 40}, RejectedStopped, false, "closed structure")
+
+	// The only worker reserved for URLLC: an eMBB arrival may not wake it,
+	// so it hands nothing off although every worker is parked.
+	r = mixedRuntime()
+	r.rq.workers = 1
+	go func() {
+		_, b, _ := r.take(true, nil)
+		got <- b
+	}()
+	waitParked(r, func(q *ready) bool { return q.idleURLLC == 1 })
+	push(&Block{Cell: 1, K: 40, Class: ClassEMBB}, Admitted, false, "eMBB arrival, URLLC-reserved taker parked")
+	push(&Block{Cell: 0, K: 40, Class: ClassURLLC}, Admitted, true, "URLLC arrival, URLLC-reserved taker parked")
+	if b := <-got; len(b) != 1 || b[0].Class != ClassURLLC {
+		t.Fatalf("reserved taker got %d blocks, want the URLLC one", len(b))
 	}
 }
 

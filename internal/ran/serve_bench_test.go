@@ -4,12 +4,14 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"syscall"
 	"testing"
 	"time"
 
 	"vransim/internal/core"
 	"vransim/internal/simd"
 	"vransim/internal/telemetry"
+	"vransim/internal/turbo"
 )
 
 // BenchmarkServeThroughput is the serving-layer perf baseline: goodput
@@ -58,6 +60,73 @@ func BenchmarkServeThroughput(b *testing.B) {
 			b.ReportMetric(s.LaneOccupancy*100, "lane-%")
 		})
 	}
+}
+
+// BenchmarkServeLoneBlock is the worker-wake probe of a lightly loaded
+// runtime: one submitter offers one K=40 block at a time to an idle
+// 2-worker runtime, 500 µs apart, and the benchmark reports the process
+// CPU each block costs (getrusage, every thread, the Go runtime's sysmon
+// included) and the blocks' p50 latency. sleep=syscall waits in a raw
+// nanosleep, as the end-to-end benchmark's open-loop generator does, so
+// the submitter's thread blocks outside Go's scheduler; sleep=go parks in
+// time.Sleep.
+func BenchmarkServeLoneBlock(b *testing.B) {
+	pool, err := NewWordPool(40, 64, 24, rand.New(rand.NewSource(11)))
+	if err != nil {
+		b.Fatal(err)
+	}
+	const gap = 500 * time.Microsecond
+	for _, mode := range []struct {
+		name  string
+		sleep func()
+	}{
+		{"sleep=syscall", func() {
+			ts := syscall.NsecToTimespec(int64(gap))
+			_ = syscall.Nanosleep(&ts, nil) // an early wake-up only shortens the gap
+		}},
+		{"sleep=go", func() { time.Sleep(gap) }},
+	} {
+		b.Run(mode.name, func(b *testing.B) {
+			cfg := DefaultConfig(simd.W512, core.StrategyAPCM)
+			cfg.Cells = 1
+			cfg.Workers = 2
+			cfg.Deadline = time.Hour
+			cfg.AdmissionGuard = false
+			if err := turbo.Precompile(cfg.Width, cfg.Strategy, pool.K); err != nil {
+				b.Fatal(err)
+			}
+			rt, err := New(cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			cpu0 := processCPU(b)
+			for i := 0; i < b.N; i++ {
+				w, _ := pool.Get(i)
+				if a := rt.Submit(0, i, pool.K, w); a != Admitted {
+					b.Fatalf("block %d: %v", i, a)
+				}
+				mode.sleep()
+			}
+			s := rt.Stop()
+			cpu := processCPU(b) - cpu0
+			b.StopTimer()
+			if s.Delivered != uint64(b.N) {
+				b.Fatalf("delivered %d of %d", s.Delivered, b.N)
+			}
+			b.ReportMetric(float64(cpu.Nanoseconds())/1e3/float64(b.N), "cpu-µs/block")
+			b.ReportMetric(float64(s.LatencyP50.Nanoseconds())/1e3, "p50-µs")
+		})
+	}
+}
+
+// processCPU is the process's user+system CPU time so far.
+func processCPU(b *testing.B) time.Duration {
+	var ru syscall.Rusage
+	if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err != nil {
+		b.Fatal(err)
+	}
+	return time.Duration(ru.Utime.Nano() + ru.Stime.Nano())
 }
 
 // BenchmarkServeTracingOverhead measures the span tracer's cost on the

@@ -24,7 +24,7 @@ func bareSLARuntime(cells, qdepth, maxIters int, sla SLAConfig, predict bool) *R
 	r := &Runtime{
 		cfg:       cfg,
 		met:       NewMetrics(cells),
-		rq:        newReady(cells, turbo.BlocksPerRegister(cfg.Width), qdepth),
+		rq:        newReady(cells, turbo.BlocksPerRegister(cfg.Width), qdepth, cfg.Workers),
 		slaActive: cfg.SLA.hasURLLC(),
 	}
 	if predict {
@@ -96,7 +96,7 @@ func TestDegradeWatchesEveryQueue(t *testing.T) {
 	}
 	fill(r, 0, ClassURLLC, 0)
 	for i := 0; i < 105; i++ {
-		if a := r.rq.push(&Block{Cell: 2, K: 40, Attempt: 1}, false); a != Admitted {
+		if a, _ := r.rq.push(&Block{Cell: 2, K: 40, Attempt: 1}, false); a != Admitted {
 			t.Fatalf("retry %d refused: %v", i, a)
 		}
 	}

@@ -9,12 +9,14 @@
 //	vrancoord -shards 127.0.0.1:7101,127.0.0.1:7102
 //	          [-cells 4] [-k 40] [-per-tti 8] [-ttis 400] [-tti 1ms]
 //	          [-deadline 10ms] [-seed 1] [-admin :9190] [-hold 0s]
-//	          [-migrate-cell -1] [-migrate-at -1]
-//	          [-rebalance-every 0] [-rebalance-skew 32] …
-//	          [-chaos] [-chaos-linkdrop 0.02] …
+//	          [-migrate-cell -1] [-migrate-at -1] [-rebalance-every 0]
+//	          [-trace-sample 1] [-slo-target 0] [-slo-objective 0.999]
+//	          [-slo-window 1m] [-connect-timeout 10s] [-settle 30s]
+//	          [-chaos] [-chaos-linkdrop 0.02] [-chaos-linkdelay 0.05]
 //
 // Each shard gets two connections: a data link (the lossy U-plane,
-// where -chaos-link* faults apply) and a control link (the reliable
+// where -chaos arms the link-drop and reorder sites, seeded from -seed;
+// the decode-path sites are the shards' own) and a control link (the reliable
 // M-plane carrying snapshot and migration RPCs). Traffic is -per-tti
 // blocks per TTI, round-robined across cells with distinct (UE, HARQ
 // process) pairs per concurrently-live block. With -admin the
@@ -61,8 +63,8 @@ func main() {
 	sloWindow := flag.Duration("slo-window", time.Minute, "fast burn-rate window (slow window is 10x)")
 	connectTimeout := flag.Duration("connect-timeout", 10*time.Second, "per-shard dial budget (retries until it expires)")
 	settleTimeout := flag.Duration("settle", 30*time.Second, "post-traffic settle budget")
-	rb := cliutil.RegisterRebalance(flag.CommandLine)
-	cf := cliutil.RegisterChaos(flag.CommandLine)
+	rebalance := cliutil.RegisterRebalance(flag.CommandLine)
+	cf := cliutil.RegisterChaos(flag.CommandLine, cliutil.LinkChaos)
 	flag.Parse()
 
 	addrs, err := cliutil.ParseShardAddrs(*shards)
@@ -91,7 +93,7 @@ func main() {
 	}
 
 	coord, err := shard.NewCoordinator(shard.Config{
-		Cells: *cells, Deadline: *deadline, Rebalance: rb.Config(),
+		Cells: *cells, Deadline: *deadline, Rebalance: rebalance(),
 		Trace: shard.TraceConfig{
 			Sample: *traceSample,
 			SLO: telemetry.SLOConfig{
@@ -136,7 +138,7 @@ func main() {
 			// Distinct (UE, process) per concurrently-live block of a
 			// cell, as stop-and-wait HARQ requires.
 			ue := (idx / *cells) % 8
-			proc := (idx / (*cells * 8)) % 8
+			proc := (idx / (*cells * 8)) % ran.HARQProcesses
 			if err := coord.Submit(cell, ue, proc, pool.K, w); err != nil {
 				fatal("submit: %v", err)
 			}

@@ -6,20 +6,20 @@
 //
 // Usage:
 //
-//	vranserve [-cells 3] [-ues 8] [-workers 4] [-width 512] [-mech apcm]
-//	          [-k 104] [-iters 4] [-rate 2.0] [-burst] [-ttis 2000]
-//	          [-tti 1ms] [-deadline 3ms] [-queue 64]
+//	vranserve [-cells 3] [-ues 8] [-workers 4] [-k 40] [-iters 4]
+//	          [-rate 0.3] [-burst] [-ttis 2000] [-tti 1ms]
+//	          [-deadline 10ms] [-queue 64] [-harq-retries 3]
 //	          [-saturate] [-stats 1s] [-seed 1] [-admin :9090] [-notrace]
-//	          [-harq-retries 3] [-harq-procs 8]
-//	          [-class urllc,embb] [-urllc-deadline 0] [-predict]
-//	          [-chaos] [-chaos-seed 0] [-chaos-corrupt 0.05] [-chaos-crc 0.05]
-//	          [-chaos-stall 0] [-chaos-queue 0] [-chaos-evict 0]
-//	          [-chaos-compilefail 0]
+//	          [-class urllc,embb] [-predict]
+//	          [-chaos] [-chaos-corrupt 0.05] [-chaos-crc 0.05]
 //
-// -chaos arms the seeded fault injector (internal/chaos) at the
-// runtime's fault sites; decode failures route through the HARQ
+// The decoder build is W512/APCM (vranpipe and vranbench compare the rest).
+//
+// -chaos arms the fault injector (internal/chaos), seeded from -seed, at
+// the two decode-path sites: received words corrupted at submit and CRC
+// verdicts forced to fail. Decode failures route through the HARQ
 // soft-combining retry path instead of dropping, visible as the
-// vran_harq_* and vran_chaos_* metric families on /metrics.
+// vran_harq_* and vran_chaos_injected_total families on /metrics.
 //
 // -class assigns SLA classes to cells (the list cycles: "urllc,embb"
 // makes every other cell URLLC). With URLLC cells configured the
@@ -65,10 +65,10 @@ func main() {
 	tti := flag.Duration("tti", time.Millisecond, "TTI length")
 	saturate := flag.Bool("saturate", false, "submit without TTI pacing (saturating load)")
 	stats := flag.Duration("stats", time.Second, "live stats interval (0 disables)")
-	seed := flag.Int64("seed", 1, "traffic seed")
+	seed := flag.Int64("seed", 1, "traffic and chaos seed")
 	admin := flag.String("admin", "", "admin HTTP listen address (e.g. :9090; empty disables)")
 	notrace := flag.Bool("notrace", false, "disable span tracing even when -admin is set")
-	cf := cliutil.RegisterChaos(flag.CommandLine)
+	cf := cliutil.RegisterChaos(flag.CommandLine, cliutil.DecodeChaos)
 	flag.Parse()
 
 	cfg, err := rf.Config()
@@ -124,27 +124,22 @@ func main() {
 	}
 
 	fmt.Printf("vranserve: %d cells x %d UEs, %d workers, %v/%s, %s kernel, K=%d, %s arrivals at %.2f blocks/cell/TTI\n",
-		cfg.Cells, *ues, cfg.Workers, cfg.Width, *rf.Mech, program.Kernel(), *k, arrivalName(*burst), *rate)
+		cfg.Cells, *ues, cfg.Workers, cfg.Width, cfg.Strategy, program.Kernel(), *k, arrivalName(*burst), *rate)
 	fmt.Printf("deadline %v, %d lanes, queue depth %d, %d TTIs of %v\n",
 		cfg.Deadline, rt.Lanes(), cfg.QueueDepth, *ttis, *tti)
-	fmt.Printf("HARQ: %d retries, %d processes/UE\n", cfg.HARQ.MaxRetries, cfg.HARQ.Processes)
+	fmt.Printf("HARQ: %d retries, %d processes/UE\n", cfg.HARQ.MaxRetries, ran.HARQProcesses)
 	if len(cfg.SLA.Classes) > 0 {
 		fmt.Printf("SLA classes:")
 		for i, c := range cfg.SLA.Classes {
 			fmt.Printf(" cell%d=%s", i, c)
 		}
 		if cfg.Predict.Enabled {
-			fmt.Printf("; burst predictor armed (window %v)", cfg.Predict.Window)
+			fmt.Printf("; burst predictor armed")
 		}
 		fmt.Println()
 	}
 	if inj != nil {
-		cs := *cf.Seed
-		if cs == 0 {
-			cs = *seed
-		}
-		fmt.Printf("chaos armed (seed %d): corrupt=%.2f crc=%.2f stall=%.2f queue=%.2f evict=%.2f compilefail=%.2f\n",
-			cs, *cf.Corrupt, *cf.CRC, *cf.Stall, *cf.Queue, *cf.Evict, *cf.Compile)
+		fmt.Printf("chaos armed (seed %d): corrupt=%.2f crc=%.2f\n", *seed, *cf.Corrupt, *cf.CRC)
 	}
 	fmt.Println()
 
@@ -265,13 +260,6 @@ func final(s *ran.Snapshot, rep *ran.LoadReport, cfg ran.Config, k int, tti time
 }
 
 func ttiUs(d time.Duration) float64 { return float64(d.Nanoseconds()) / 1e3 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
 
 func fatal(format string, args ...interface{}) {
 	fmt.Fprintf(os.Stderr, "vranserve: "+format+"\n", args...)

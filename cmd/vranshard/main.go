@@ -6,10 +6,13 @@
 // Usage:
 //
 //	vranshard -listen 127.0.0.1:7101 [-admin :9191]
-//	          [-cells 3] [-workers 4] [-width 512] [-mech apcm]
-//	          [-iters 4] [-deadline 10ms] [-queue 64]
-//	          [-harq-retries 3] [-harq-procs 8]
-//	          [-chaos] [-chaos-crc 0.05] [-chaos-corrupt 0.05] …
+//	          [-cells 3] [-workers 4] [-k 40] [-iters 4]
+//	          [-deadline 10ms] [-queue 64] [-harq-retries 3]
+//	          [-class urllc,embb] [-predict] [-seed 1] [-trace-ring 256]
+//	          [-chaos] [-chaos-corrupt 0.05] [-chaos-crc 0.05]
+//
+// As on vranserve, the decoder is W512/APCM and -chaos arms the
+// decode-path fault sites, seeded from -seed.
 //
 // The worker accepts any number of fronthaul connections on -listen and
 // serves each until EOF; the coordinator conventionally opens two per
@@ -47,9 +50,9 @@ func main() {
 	rf := cliutil.RegisterRuntime(flag.CommandLine)
 	listen := flag.String("listen", "127.0.0.1:7101", "fronthaul listen address")
 	admin := flag.String("admin", "", "admin HTTP listen address (e.g. :9191; empty disables)")
-	seed := flag.Int64("seed", 1, "default chaos seed when -chaos-seed is 0")
+	seed := flag.Int64("seed", 1, "chaos seed")
 	traceRing := flag.Int("trace-ring", 256, "local span ring size for the admin /spans view")
-	cf := cliutil.RegisterChaos(flag.CommandLine)
+	cf := cliutil.RegisterChaos(flag.CommandLine, cliutil.DecodeChaos)
 	flag.Parse()
 
 	cfg, err := rf.Config()
@@ -82,7 +85,7 @@ func main() {
 		fatal("%v", err)
 	}
 	fmt.Printf("vranshard: serving %d fleet cells on %s (%d workers, %v/%s, %s kernel, queue %d)\n",
-		cfg.Cells, ln.Addr(), cfg.Workers, cfg.Width, *rf.Mech, program.Kernel(), cfg.QueueDepth)
+		cfg.Cells, ln.Addr(), cfg.Workers, cfg.Width, cfg.Strategy, program.Kernel(), cfg.QueueDepth)
 
 	if *admin != "" {
 		srv := ran.MountAdmin(rt, tr, *admin, ran.HealthPolicy{}, inj.Families)

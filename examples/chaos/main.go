@@ -16,26 +16,14 @@ import (
 	"time"
 
 	"vransim/internal/chaos"
-	"vransim/internal/cliutil"
 	"vransim/internal/core"
 	"vransim/internal/ran"
 	"vransim/internal/simd"
 )
 
 func main() {
-	width := flag.Int("width", 512, cliutil.WidthHelp)
-	mech := flag.String("mech", "apcm", cliutil.MechHelp)
 	seed := flag.Int64("seed", 1, "traffic and chaos seed")
 	flag.Parse()
-
-	w, err := cliutil.ParseWidth(*width)
-	if err != nil {
-		log.Fatal(err)
-	}
-	s, err := cliutil.ParseStrategy(*mech)
-	if err != nil {
-		log.Fatal(err)
-	}
 
 	const k = 104
 	pool, err := ran.NewWordPool(k, 128, 24, rand.New(rand.NewSource(*seed)))
@@ -44,7 +32,7 @@ func main() {
 	}
 
 	fmt.Println("=== 1. clean baseline ===")
-	run(w, s, pool, *seed, nil, 1.0, true)
+	run(pool, *seed, nil, 1.0, true)
 
 	fmt.Println("\n=== 2. chaos: 10% forced CRC failures, 10% noisy receptions ===")
 	inj := chaos.New(chaos.Config{
@@ -52,7 +40,7 @@ func main() {
 		CRCRate:     0.10,
 		CorruptRate: 0.10,
 	})
-	run(w, s, pool, *seed, inj, 1.0, true)
+	run(pool, *seed, inj, 1.0, true)
 	fmt.Println("fault-site ledger (injected/trials):")
 	for _, c := range inj.Counters() {
 		if c.Trials > 0 {
@@ -61,13 +49,14 @@ func main() {
 	}
 
 	fmt.Println("\n=== 3. overload: degradation ladder under saturating load ===")
-	run(w, s, pool, *seed, nil, 16.0, false)
+	run(pool, *seed, nil, 16.0, false)
 }
 
-// run serves Poisson traffic through a fresh runtime (optionally under
-// chaos injection) and prints the delivery/recovery ledger.
-func run(w simd.Width, s core.Strategy, pool *ran.WordPool, seed int64, inj *chaos.Injector, rate float64, paced bool) {
-	cfg := ran.DefaultConfig(w, s)
+// run serves Poisson traffic through a fresh runtime with the serving
+// decoder build, W512/APCM (optionally under chaos injection), and
+// prints the delivery/recovery ledger.
+func run(pool *ran.WordPool, seed int64, inj *chaos.Injector, rate float64, paced bool) {
+	cfg := ran.DefaultConfig(simd.W512, core.StrategyAPCM)
 	// The emulated decoder is ~1000x a real one, so the per-block budget
 	// is loose — the point here is the failure path, not the deadline.
 	cfg.Deadline = 100 * time.Millisecond

@@ -14,7 +14,6 @@ package main
 import (
 	"context"
 	"encoding/json"
-	"flag"
 	"fmt"
 	"log"
 	"math/rand"
@@ -22,9 +21,9 @@ import (
 	"syscall"
 	"time"
 
-	"vransim/internal/cliutil"
 	"vransim/internal/core"
 	"vransim/internal/ran"
+	"vransim/internal/simd"
 	"vransim/internal/telemetry"
 	"vransim/internal/turbo"
 )
@@ -39,21 +38,8 @@ type snapshot struct {
 }
 
 func main() {
-	width := flag.Int("width", 512, cliutil.WidthHelp)
-	mech := flag.String("mech", "apcm", cliutil.MechHelp)
-	flag.Parse()
-	w, err := cliutil.ParseWidth(*width)
-	if err != nil {
-		log.Fatal(err)
-	}
-	s, err := cliutil.ParseStrategy(*mech)
-	if err != nil {
-		log.Fatal(err)
-	}
-	if s != core.StrategyAPCM {
-		fmt.Printf("note: serving built with %q arrangement\n", *mech)
-	}
-
+	// The serving decoder build, as on vranserve.
+	const w, s = simd.W512, core.StrategyAPCM
 	pool, err := ran.NewWordPool(40, 64, 24, rand.New(rand.NewSource(3)))
 	if err != nil {
 		log.Fatal(err)

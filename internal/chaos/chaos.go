@@ -312,22 +312,18 @@ func (in *Injector) Counters() []SiteCounters {
 	return out
 }
 
-// Families renders the injector's counters in the vran_chaos_* metric
-// families (nil-safe: a nil injector exposes nothing).
+// Families renders the injector's fire counts as the
+// vran_chaos_injected_total family (nil-safe: a nil injector exposes
+// nothing). The trial counts stay on Counters, for the binaries' reports.
 func (in *Injector) Families() []telemetry.Family {
 	if in == nil {
 		return nil
 	}
-	trials := telemetry.Family{Name: "vran_chaos_trials_total",
-		Help: "Fault-point consultations, by site.", Type: telemetry.Counter}
 	fires := telemetry.Family{Name: "vran_chaos_injected_total",
 		Help: "Faults actually injected, by site.", Type: telemetry.Counter}
 	for _, c := range in.Counters() {
-		l := telemetry.L("site", c.Site)
-		trials.Samples = append(trials.Samples, telemetry.Sample{
-			Labels: []telemetry.Label{l}, Value: float64(c.Trials)})
 		fires.Samples = append(fires.Samples, telemetry.Sample{
-			Labels: []telemetry.Label{l}, Value: float64(c.Fires)})
+			Labels: []telemetry.Label{telemetry.L("site", c.Site)}, Value: float64(c.Fires)})
 	}
-	return []telemetry.Family{trials, fires}
+	return []telemetry.Family{fires}
 }

@@ -168,35 +168,23 @@ func TestShapeDefaults(t *testing.T) {
 	}
 }
 
-// TestFamilies: the exposition carries both families with one sample per
-// site, and values mirror Counters.
+// TestFamilies: the exposition carries the injected family with one
+// sample per site, and values mirror Counters.
 func TestFamilies(t *testing.T) {
 	in := New(Config{Seed: 5, CRCRate: 1.0})
 	for i := 0; i < 10; i++ {
 		in.ForceCRCFail()
 	}
 	fams := in.Families()
-	if len(fams) != 2 {
-		t.Fatalf("got %d families, want 2", len(fams))
+	if len(fams) != 1 || fams[0].Name != "vran_chaos_injected_total" {
+		t.Fatalf("got families %+v, want vran_chaos_injected_total alone", fams)
 	}
-	names := map[string]bool{}
-	for _, f := range fams {
-		names[f.Name] = true
-		if len(f.Samples) != int(numSites) {
-			t.Errorf("family %s has %d samples, want %d", f.Name, len(f.Samples), numSites)
-		}
+	if len(fams[0].Samples) != int(numSites) {
+		t.Errorf("family has %d samples, want %d", len(fams[0].Samples), numSites)
 	}
-	if !names["vran_chaos_trials_total"] || !names["vran_chaos_injected_total"] {
-		t.Errorf("family names wrong: %v", names)
-	}
-	for _, f := range fams {
-		if f.Name != "vran_chaos_injected_total" {
-			continue
-		}
-		for _, s := range f.Samples {
-			if s.Labels[0].Value == "crc" && s.Value != 10 {
-				t.Errorf("crc injected sample = %v, want 10", s.Value)
-			}
+	for _, s := range fams[0].Samples {
+		if s.Labels[0].Value == "crc" && s.Value != 10 {
+			t.Errorf("crc injected sample = %v, want 10", s.Value)
 		}
 	}
 }

@@ -1,7 +1,10 @@
-// Package cliutil centralizes the width/mechanism/protocol flag
-// vocabulary shared by the command-line front-ends (vranpipe,
-// vranserve) and flag-driven examples, so every binary accepts the same
-// spellings and prints the same error messages.
+// Package cliutil centralizes the flag vocabulary of the command-line
+// front-ends, so every binary accepts the same spellings and prints the
+// same error messages: vranpipe's width, mechanism and protocol parsers
+// (the paper path, which compares every width and strategy), and the
+// runtime, chaos and rebalance flag sets of the serving binaries
+// vranserve, vranshard and vrancoord, which build the one W512/APCM
+// decoder and have no width or mechanism flag (shardflags.go).
 package cliutil
 
 import (

@@ -18,10 +18,11 @@ type HARQConfig struct {
 	// MaxRetries bounds the retransmissions after the first attempt.
 	// 0 disables the retry path entirely: CRC failures drop immediately.
 	MaxRetries int
-	// Processes is the HARQ process count per (cell, UE); process ids
-	// wrap modulo it (LTE FDD: 8). Default 8.
-	Processes int
 }
+
+// HARQProcesses is the HARQ process count per (cell, UE), LTE FDD's
+// eight stop-and-wait processes; process ids wrap modulo it.
+const HARQProcesses = 8
 
 // harqRelease frees the block's soft buffer after a terminal outcome
 // (delivered or dropped for any cause).

@@ -191,10 +191,9 @@ type Metrics struct {
 	// (each worker's BatchDecoder keeps its own ProgramStats). progMissK is
 	// the block size of the most recent interpreted batch: what /healthz
 	// names when misses move on a runtime with no chaos configured.
-	progHits      atomic.Uint64
-	progMisses    atomic.Uint64
-	progMissK     atomic.Int64
-	compiledPlans atomic.Int64 // signed: eviction shrinks it
+	progHits   atomic.Uint64
+	progMisses atomic.Uint64
+	progMissK  atomic.Int64
 
 	// HARQ/degradation counters: CRC-failed decodes, retransmissions
 	// requeued, blocks recovered by a combined retry, and batches
@@ -266,13 +265,12 @@ func (m *Metrics) allocSample(objs uint64) {
 
 // programDelta folds one worker's program counter movement since its last
 // report, over a batch of block size k, into the runtime-wide totals.
-func (m *Metrics) programDelta(k int, hits, misses uint64, plans int) {
+func (m *Metrics) programDelta(k int, hits, misses uint64) {
 	m.progHits.Add(hits)
 	if misses > 0 {
 		m.progMisses.Add(misses)
 		m.progMissK.Store(int64(k))
 	}
-	m.compiledPlans.Add(int64(plans))
 }
 
 func (m *Metrics) batchDone(used, lanes int, busy time.Duration) {
@@ -312,12 +310,10 @@ type CellSnapshot struct {
 }
 
 // ClassSnapshot is one SLA class's view in a Snapshot: the class
-// ledger, its aggregate queue backlog, and its own latency percentiles,
-// derived from the raw histogram buckets (which Merge adds across
-// runtimes).
+// ledger and its own latency percentiles, derived from the raw histogram
+// buckets (which Merge adds across runtimes).
 type ClassSnapshot struct {
 	Ledger
-	QueueDepth int
 
 	LatencyP50 time.Duration
 	LatencyP90 time.Duration
@@ -372,25 +368,22 @@ type Snapshot struct {
 	GoodputMbps float64
 
 	// Program view (the trace-replay compiler in internal/simd/program):
-	// decodes served by compiled replay vs the interpreter, and how many
-	// decode states across workers are currently driven by a program. A
-	// miss is a live batch decoded 25 times slower than it should be: a
-	// block size whose program failed to compile, or whose install the
-	// chaos compile-verify site vetoed on that worker. No decode of a
-	// healthy runtime is one (programs are recorded from a synthetic word,
-	// not from a live batch), and /healthz says so. ProgramMissK is the
-	// block size of the latest.
+	// decodes served by compiled replay vs the interpreter. A miss is a
+	// live batch decoded 25 times slower than it should be: a block size
+	// whose program failed to compile, or whose install the chaos
+	// compile-verify site vetoed on that worker. No decode of a healthy
+	// runtime is one (programs are recorded from a synthetic word, not
+	// from a live batch), and /healthz says so. ProgramMissK is the block
+	// size of the latest.
 	ProgramHits   uint64
 	ProgramMisses uint64
 	ProgramMissK  int
-	CompiledPlans int
-	// ProgramCompiles and CompileSeconds are the process's, read from
-	// turbo.PlanCacheStats: programs are compiled once a process, for every
-	// worker of every runtime in it, so each runtime of a process reports
-	// the same pair. Process says which process that is (a random id drawn
-	// at start), so Merge counts the pair once a process.
+	// ProgramCompiles is the process's, read from turbo.PlanCacheStats:
+	// programs are compiled once a process, for every worker of every
+	// runtime in it, so each runtime of a process reports the same count.
+	// Process says which process that is (a random id drawn at start), so
+	// Merge counts it once a process.
 	ProgramCompiles uint64
-	CompileSeconds  float64
 	Process         uint64
 	// CompiledRatio is ProgramHits over all compile-eligible decodes
 	// (hits+misses); 0 until the first decode.
@@ -488,7 +481,7 @@ func percentiles(buckets []uint64) (p50, p90, p99 time.Duration) {
 // one. It is a sum, except: Elapsed, DegradeLevel and ShedLevel take the
 // max; latency buckets merge element-wise; Predict rows concatenate (a
 // cell is owned by one runtime at a time, so a migrated cell keeps both
-// rows); the compile pair counts once per Process; ProgramMissK is the
+// rows); ProgramCompiles counts once per Process; ProgramMissK is the
 // last miss seen. The ratio gauges are then derived from the summed raw
 // counters, exactly as for one runtime. Nil entries are skipped.
 func Merge(snaps []*Snapshot) *Snapshot {
@@ -525,11 +518,9 @@ func Merge(snaps []*Snapshot) *Snapshot {
 		if s.ProgramMisses > 0 {
 			out.ProgramMissK = s.ProgramMissK
 		}
-		out.CompiledPlans += s.CompiledPlans
 		if !procs[s.Process] {
 			procs[s.Process] = true
 			out.ProgramCompiles += s.ProgramCompiles
-			out.CompileSeconds += s.CompileSeconds
 		}
 		out.CRCFailures += s.CRCFailures
 		out.HARQRetries += s.HARQRetries
@@ -543,7 +534,6 @@ func Merge(snaps []*Snapshot) *Snapshot {
 		for c := range s.Classes {
 			ks, ok := &s.Classes[c], &out.Classes[c]
 			ok.Ledger.add(ks.Ledger)
-			ok.QueueDepth += ks.QueueDepth
 			ok.LatencyBuckets = telemetry.MergeBuckets(ok.LatencyBuckets, ks.LatencyBuckets)
 		}
 		out.Steals += s.Steals
@@ -556,10 +546,10 @@ func Merge(snaps []*Snapshot) *Snapshot {
 	return out
 }
 
-// snapshot assembles the exported view. queueDepths (per cell),
-// classDepths (per class) and workers come from the runtime (the
-// metrics layer itself has no queue handle).
-func (m *Metrics) snapshot(queueDepths []int, classDepths [NumClasses]int, workers int) *Snapshot {
+// snapshot assembles the exported view. queueDepths (per cell) and
+// workers come from the runtime (the metrics layer itself has no queue
+// handle).
+func (m *Metrics) snapshot(queueDepths []int, workers int) *Snapshot {
 	s := &Snapshot{
 		Elapsed: time.Since(m.start),
 		Cells:   make([]CellSnapshot, len(m.cells)),
@@ -588,11 +578,8 @@ func (m *Metrics) snapshot(queueDepths []int, classDepths [NumClasses]int, worke
 	s.ProgramHits = m.progHits.Load()
 	s.ProgramMisses = m.progMisses.Load()
 	s.ProgramMissK = int(m.progMissK.Load())
-	cache := turbo.PlanCacheStats()
-	s.ProgramCompiles = cache.Compiles
-	s.CompileSeconds = cache.CompileTime.Seconds()
+	s.ProgramCompiles = turbo.PlanCacheStats().Compiles
 	s.Process = processID
-	s.CompiledPlans = int(m.compiledPlans.Load())
 	s.CRCFailures = m.crcFailures.Load()
 	s.HARQRetries = m.harqRetries.Load()
 	s.HARQRecovered = m.harqRecovered.Load()
@@ -600,11 +587,7 @@ func (m *Metrics) snapshot(queueDepths []int, classDepths [NumClasses]int, worke
 	s.LatencyBuckets = m.latency.Buckets()
 	for c := Class(0); c < NumClasses; c++ {
 		cc := &m.classes[c]
-		s.Classes[c] = ClassSnapshot{
-			Ledger:         cc.load(),
-			QueueDepth:     classDepths[c],
-			LatencyBuckets: cc.latency.Buckets(),
-		}
+		s.Classes[c] = ClassSnapshot{Ledger: cc.load(), LatencyBuckets: cc.latency.Buckets()}
 	}
 	s.Steals = m.steals.Load()
 	s.derive()

@@ -74,7 +74,7 @@ func TestSnapshotPercentileReconstruction(t *testing.T) {
 	for i := 1; i <= 1000; i++ {
 		m.deliver(0, ClassEMBB, 40, time.Duration(i)*time.Microsecond)
 	}
-	s := m.snapshot([]int{0}, [NumClasses]int{}, 1)
+	s := m.snapshot([]int{0}, 1)
 	check := func(name string, got, want time.Duration) {
 		t.Helper()
 		relErr := math.Abs(float64(got-want)) / float64(want)
@@ -97,7 +97,7 @@ func TestSnapshotPercentileOverflowBucket(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		m.deliver(0, ClassEMBB, 40, huge)
 	}
-	s := m.snapshot([]int{0}, [NumClasses]int{}, 1)
+	s := m.snapshot([]int{0}, 1)
 	idx := telemetry.HistIndex(huge.Nanoseconds())
 	if idx >= telemetry.HistBuckets {
 		t.Fatalf("index %d out of range", idx)
@@ -124,7 +124,7 @@ func TestDropsAcrossAllCauses(t *testing.T) {
 		}
 		m.drop(1, ClassEMBB, c)
 	}
-	s := m.snapshot([]int{0, 0}, [NumClasses]int{}, 1)
+	s := m.snapshot([]int{0, 0}, 1)
 
 	n := uint64(numDropCauses)
 	cell0 := n * (n + 1) / 2 // 1+2+...+numDropCauses
@@ -160,7 +160,7 @@ func TestSnapshotAggregation(t *testing.T) {
 	m.deliver(1, ClassEMBB, 104, 4*time.Millisecond)
 	m.batchDone(2, 4, 300*time.Microsecond)
 
-	s := m.snapshot([]int{3, 0}, [NumClasses]int{}, 2)
+	s := m.snapshot([]int{3, 0}, 2)
 	if s.Accepted != 3 || s.Delivered != 2 {
 		t.Errorf("accepted=%d delivered=%d, want 3/2", s.Accepted, s.Delivered)
 	}
@@ -194,7 +194,7 @@ func TestSnapshotFamilies(t *testing.T) {
 	m.accept(0, ClassEMBB)
 	m.deliver(0, ClassEMBB, 104, time.Millisecond)
 	m.drop(1, ClassEMBB, DropLate)
-	s := m.snapshot([]int{1, 2}, [NumClasses]int{}, 2)
+	s := m.snapshot([]int{1, 2}, 2)
 	fams := s.Families()
 	byName := map[string]telemetry.Family{}
 	for _, f := range fams {
@@ -220,12 +220,12 @@ func TestSnapshotFamilies(t *testing.T) {
 // the exposition as vran_decode_allocs_per_op.
 func TestDecodeAllocsGauge(t *testing.T) {
 	m := NewMetrics(1)
-	if s := m.snapshot(nil, [NumClasses]int{}, 1); s.DecodeAllocsPerOp != -1 {
+	if s := m.snapshot(nil, 1); s.DecodeAllocsPerOp != -1 {
 		t.Errorf("unsampled gauge = %v, want -1", s.DecodeAllocsPerOp)
 	}
 	m.allocSample(6)
 	m.allocSample(2)
-	s := m.snapshot(nil, [NumClasses]int{}, 1)
+	s := m.snapshot(nil, 1)
 	if s.DecodeAllocsPerOp != 4 {
 		t.Errorf("sampled gauge = %v, want 4", s.DecodeAllocsPerOp)
 	}

@@ -12,7 +12,7 @@ import (
 // deterministic way to hold blocks in flight while a drain runs.
 func migrateConfig(pass bool) Config {
 	cfg := testConfig(simd.W256)
-	cfg.HARQ = HARQConfig{MaxRetries: 1 << 20, Processes: 8}
+	cfg.HARQ = HARQConfig{MaxRetries: 1 << 20}
 	if !pass {
 		cfg.CheckCRC = func(*Block, []byte) bool { return false }
 	}

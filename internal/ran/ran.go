@@ -41,7 +41,7 @@ type Block struct {
 	// Cell and UE identify the source (Cell indexes Config.Cells).
 	Cell, UE int
 	// Process is the HARQ process id the block's soft buffer is keyed
-	// by (wrapped modulo HARQConfig.Processes).
+	// by (wrapped modulo HARQProcesses).
 	Process int
 	// K is the turbo information block size; blocks batch only with
 	// equal K.
@@ -172,7 +172,7 @@ func DefaultConfig(w simd.Width, s core.Strategy) Config {
 		MaxIters:       4,
 		Deadline:       3 * time.Millisecond,
 		AdmissionGuard: true,
-		HARQ:           HARQConfig{MaxRetries: 3, Processes: 8},
+		HARQ:           HARQConfig{MaxRetries: 3},
 	}
 }
 
@@ -244,9 +244,6 @@ func New(cfg Config) (*Runtime, error) {
 	if turbo.BlocksPerRegister(cfg.Width) < 1 {
 		return nil, fmt.Errorf("ran: width %v too narrow for lane-parallel decode", cfg.Width)
 	}
-	if cfg.HARQ.MaxRetries > 0 && cfg.HARQ.Processes <= 0 {
-		cfg.HARQ.Processes = 8
-	}
 	// Only the first Cells entries class a cell (ClassOf); an entry past
 	// them must not arm the class machinery for traffic that cannot arrive.
 	if len(cfg.SLA.Classes) > cfg.Cells {
@@ -264,7 +261,7 @@ func New(cfg Config) (*Runtime, error) {
 		// One live soft buffer per block the backlog can hold; beyond that
 		// the least-recently-combined buffer is evicted and its block's
 		// recovery rests on later retransmissions alone.
-		r.harq = phy.NewProcessSet(cfg.HARQ.Processes, cfg.Cells*cfg.QueueDepth)
+		r.harq = phy.NewProcessSet(HARQProcesses, cfg.Cells*cfg.QueueDepth)
 	}
 	if cfg.Predict.Enabled {
 		r.preds = make([]*Predictor, cfg.Cells)
@@ -400,8 +397,8 @@ func (r *Runtime) Stop() *Snapshot {
 
 // Snapshot returns the current metrics view.
 func (r *Runtime) Snapshot() *Snapshot {
-	depths, classDepths, retries := r.rq.depths()
-	s := r.met.snapshot(depths, classDepths, r.cfg.Workers)
+	depths, retries := r.rq.depths()
+	s := r.met.snapshot(depths, r.cfg.Workers)
 	// Runtime-owned HARQ/degradation/SLA state rides on top of the
 	// counter view (the metrics layer has no handle on the process set
 	// or the predictors).
@@ -526,9 +523,9 @@ func (r *Runtime) worker(reserved bool) {
 			r.cfg.Tracer.Record(sp)
 		}
 	}
-	// Hit, miss and installed-program counters are per-decoder; fold them
-	// into the runtime metrics as deltas, after each batch that moved one.
-	// (Compiles are the process's, not a worker's: Snapshot reads them from
+	// Hit and miss counters are per-decoder; fold them into the runtime
+	// metrics as deltas, after each batch that moved one. (Compiles are
+	// the process's, not a worker's: Snapshot reads them from
 	// turbo.PlanCacheStats.)
 	var lastPS turbo.ProgramStats
 	reportProgram := func(k int) {
@@ -536,7 +533,7 @@ func (r *Runtime) worker(reserved bool) {
 		if ps == lastPS {
 			return
 		}
-		r.met.programDelta(k, ps.Hits-lastPS.Hits, ps.Misses-lastPS.Misses, ps.CompiledPlans-lastPS.CompiledPlans)
+		r.met.programDelta(k, ps.Hits-lastPS.Hits, ps.Misses-lastPS.Misses)
 		lastPS = ps
 	}
 	lanes := bd.Lanes()

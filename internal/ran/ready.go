@@ -234,15 +234,14 @@ func (q *ready) depth(i int) int {
 	return q.waiting[i]
 }
 
-// depths sums the waiting counts per cell and per class, and reports the
-// waiting retransmissions.
-func (q *ready) depths() (perCell []int, perClass [NumClasses]int, retries int) {
+// depths sums the waiting counts per cell, and reports the waiting
+// retransmissions.
+func (q *ready) depths() (perCell []int, retries int) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	perCell = make([]int, len(q.waiting)/int(NumClasses))
 	for i, n := range q.waiting {
 		perCell[i/int(NumClasses)] += n
-		perClass[i%int(NumClasses)] += n
 	}
-	return perCell, perClass, q.retries
+	return perCell, q.retries
 }

@@ -104,7 +104,7 @@ func TestDegradeWatchesEveryQueue(t *testing.T) {
 	if got := int(r.degrade.Load()); got != 3 {
 		t.Errorf("retry backlog: level %d, want 3", got)
 	}
-	if _, _, retries := r.rq.depths(); retries != 105 {
+	if _, retries := r.rq.depths(); retries != 105 {
 		t.Errorf("retry depth %d, want 105", retries)
 	}
 }

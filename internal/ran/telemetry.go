@@ -11,10 +11,11 @@ import (
 )
 
 // Families renders the snapshot in the vran_* metric naming scheme:
-// per-cell counters (accepted/delivered/dropped-by-cause, queue depth,
-// goodput) and runtime-wide gauges (lane occupancy, worker utilization,
-// latency quantiles). The same families back both the Prometheus text
-// and JSON expositions.
+// per-cell ledgers and queue depth, runtime-wide gauges (goodput, lane
+// occupancy, worker utilization, latency quantiles), the decode-path,
+// HARQ and SLA-class counters, and the predictor rows when it is armed.
+// Every family has a reader named in DESIGN §7. The same families back
+// both the Prometheus text and JSON expositions.
 func (s *Snapshot) Families() []telemetry.Family {
 	cellLedger := ledgerFamilies("vran_", [3]string{
 		"Blocks admitted for decode.",
@@ -25,15 +26,9 @@ func (s *Snapshot) Families() []telemetry.Family {
 		})
 	depth := telemetry.Family{Name: "vran_queue_depth",
 		Help: "Blocks of the cell waiting for a worker (HARQ retries included).", Type: telemetry.Gauge}
-	cellMbps := telemetry.Family{Name: "vran_cell_goodput_mbps",
-		Help: "Per-cell delivered information bits over elapsed time.", Type: telemetry.Gauge}
-	for i := range s.Cells {
-		c := &s.Cells[i]
-		cell := telemetry.L("cell", strconv.Itoa(i))
+	for i, c := range s.Cells {
 		depth.Samples = append(depth.Samples, telemetry.Sample{
-			Labels: []telemetry.Label{cell}, Value: float64(c.QueueDepth)})
-		cellMbps.Samples = append(cellMbps.Samples, telemetry.Sample{
-			Labels: []telemetry.Label{cell}, Value: c.Mbps})
+			Labels: []telemetry.Label{telemetry.L("cell", strconv.Itoa(i))}, Value: float64(c.QueueDepth)})
 	}
 	iters := telemetry.Family{Name: "vran_decode_iters",
 		Help: "Per-block decode iterations to converge (per-block early-exit latch; bucket 8+ absorbs the tail).",
@@ -59,45 +54,31 @@ func (s *Snapshot) Families() []telemetry.Family {
 		func(i int) (telemetry.Label, *Ledger) {
 			return telemetry.L("class", Class(i).String()), &s.Classes[i].Ledger
 		})
-	clsDepth := telemetry.Family{Name: "vran_class_queue_depth",
-		Help: "Blocks waiting for a worker summed over cells, by SLA class.", Type: telemetry.Gauge}
 	clsLat := telemetry.Family{Name: "vran_class_latency_seconds",
 		Help: "Delivered-block latency quantiles, by SLA class.", Type: telemetry.Gauge}
 	for c := Class(0); c < NumClasses; c++ {
 		ks := &s.Classes[c]
-		lbl := telemetry.L("class", c.String())
-		clsDepth.Samples = append(clsDepth.Samples, telemetry.Sample{
-			Labels: []telemetry.Label{lbl}, Value: float64(ks.QueueDepth)})
-		clsLat.Samples = latencySamples(clsLat.Samples, ks.LatencyP50, ks.LatencyP90, ks.LatencyP99, lbl)
+		clsLat.Samples = latencySamples(clsLat.Samples, ks.LatencyP50, ks.LatencyP90, ks.LatencyP99, telemetry.L("class", c.String()))
 	}
 	fams := []telemetry.Family{
-		telemetry.F("vran_uptime_seconds", "Time since the metrics layer started.", telemetry.Gauge, s.Elapsed.Seconds()),
-		cellLedger[0], cellLedger[1], cellLedger[2], depth, cellMbps,
+		cellLedger[0], cellLedger[1], cellLedger[2], depth,
 		telemetry.F("vran_goodput_mbps", "Delivered information bits over elapsed time.", telemetry.Gauge, s.GoodputMbps),
 		telemetry.F("vran_batches_total", "Decode batches the workers took.", telemetry.Counter, float64(s.Batches)),
-		telemetry.F("vran_decoded_blocks_total", "Blocks decoded (delivered or late).", telemetry.Counter, float64(s.DecodedBlocks)),
 		telemetry.F("vran_lane_occupancy", "Fraction of register lane groups carrying a real block.", telemetry.Gauge, s.LaneOccupancy),
 		iters,
 		telemetry.F("vran_worker_utilization", "Decode busy time over workers x elapsed.", telemetry.Gauge, s.WorkerUtilization),
-		telemetry.F("vran_decode_cost_seconds", "Mean per-block decode cost.", telemetry.Gauge, s.AvgDecodeUs/1e6),
 		telemetry.F("vran_decode_allocs_per_op", "Sampled heap objects allocated per batch decode (upper bound; -1 before first sample).", telemetry.Gauge, s.DecodeAllocsPerOp),
 		telemetry.F("vran_decode_compiled_ratio", "Fraction of decodes served by compiled replay programs.", telemetry.Gauge, s.CompiledRatio),
 		telemetry.F("vran_decode_program_hits_total", "Decodes served by a compiled replay program.", telemetry.Counter, float64(s.ProgramHits)),
 		telemetry.F("vran_decode_program_misses_total", "Live batches decoded by the interpreter: the block size's program failed to compile, or chaos vetoed its install. 0 on a healthy process; /healthz names the block size.", telemetry.Counter, float64(s.ProgramMisses)),
 		telemetry.F("vran_decode_compiles_total", "Replay programs compiled in this process, one per (K, width, strategy), shared by every worker.", telemetry.Counter, float64(s.ProgramCompiles)),
-		telemetry.F("vran_decode_compile_seconds_total", "Cumulative wall-clock time this process spent compiling replay programs.", telemetry.Counter, s.CompileSeconds),
-		telemetry.F("vran_decode_compiled_plans", "Per-worker decode states currently driven by a compiled program.", telemetry.Gauge, float64(s.CompiledPlans)),
 		telemetry.F("vran_crc_failures_total", "Decodes whose transport-block check failed (incl. chaos-forced).", telemetry.Counter, float64(s.CRCFailures)),
 		telemetry.F("vran_harq_retries_total", "HARQ retransmissions requeued for another decode.", telemetry.Counter, float64(s.HARQRetries)),
 		telemetry.F("vran_harq_recovered_total", "Blocks delivered by a soft-combined HARQ retry.", telemetry.Counter, float64(s.HARQRecovered)),
-		telemetry.F("vran_harq_combines_total", "Receptions chase-combined into soft buffers.", telemetry.Counter, float64(s.HARQCombines)),
 		telemetry.F("vran_harq_evictions_total", "Soft buffers evicted under capacity pressure.", telemetry.Counter, float64(s.HARQEvictions)),
-		telemetry.F("vran_harq_buffers", "Live HARQ soft combining buffers.", telemetry.Gauge, float64(s.HARQBuffers)),
-		telemetry.F("vran_harq_retry_depth", "HARQ retransmissions waiting for a worker.", telemetry.Gauge, float64(s.RetryDepth)),
-		telemetry.F("vran_degrade_level", "Current graceful-degradation iteration-clamp level (0 = full budget).", telemetry.Gauge, float64(s.DegradeLevel)),
 		telemetry.F("vran_degraded_batches_total", "Batches decoded under a clamped iteration budget.", telemetry.Counter, float64(s.DegradedBatches)),
 		lat,
-		clsLedger[0], clsLedger[1], clsLedger[2], clsDepth, clsLat,
+		clsLedger[0], clsLedger[1], clsLedger[2], clsLat,
 		telemetry.F("vran_class_steals_total", "URLLC batches a general worker took while eMBB blocks waited.", telemetry.Counter, float64(s.Steals)),
 		telemetry.F("vran_class_shed_level", "Current class-aware shed ladder level (0 = admit all).", telemetry.Gauge, float64(s.ShedLevel)),
 		telemetry.F("vran_class_reserved_workers", "Workers dedicated to URLLC batches (0 when class-blind).", telemetry.Gauge, float64(s.ReservedWorkers)),
@@ -107,8 +88,6 @@ func (s *Snapshot) Families() []telemetry.Family {
 			Help: "Per-cell burst predictor state (1 = ON dwell declared).", Type: telemetry.Gauge}
 		rate := telemetry.Family{Name: "vran_predict_rate",
 			Help: "Per-cell predicted arrival rate, blocks/s (est=fast/on/off).", Type: telemetry.Gauge}
-		trans := telemetry.Family{Name: "vran_predict_transitions_total",
-			Help: "Per-cell predictor state flips.", Type: telemetry.Counter}
 		var windows, burstCells float64
 		for _, p := range s.Predict {
 			cell := telemetry.L("cell", strconv.Itoa(p.Cell))
@@ -125,11 +104,9 @@ func (s *Snapshot) Families() []telemetry.Family {
 				rate.Samples = append(rate.Samples, telemetry.Sample{
 					Labels: []telemetry.Label{cell, telemetry.L("est", e.est)}, Value: e.v})
 			}
-			trans.Samples = append(trans.Samples, telemetry.Sample{
-				Labels: []telemetry.Label{cell}, Value: float64(p.Transitions)})
 			windows += float64(p.Windows)
 		}
-		fams = append(fams, state, rate, trans,
+		fams = append(fams, state, rate,
 			telemetry.F("vran_predict_windows_total", "Closed estimation windows across cell predictors.", telemetry.Counter, windows),
 			telemetry.F("vran_predict_burst_cells", "Cells whose predictor currently declares a burst.", telemetry.Gauge, burstCells),
 		)

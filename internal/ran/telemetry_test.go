@@ -195,15 +195,9 @@ func TestProgramMetricsExposition(t *testing.T) {
 	if s.ProgramCompiles != turbo.PlanCacheStats().Compiles || s.ProgramCompiles < 1 {
 		t.Errorf("ProgramCompiles = %d, the process has compiled %d", s.ProgramCompiles, turbo.PlanCacheStats().Compiles)
 	}
-	if s.CompiledPlans < 1 || s.CompiledPlans > cfg.Workers {
-		t.Errorf("CompiledPlans = %d, want one per worker that saw K (1..%d)", s.CompiledPlans, cfg.Workers)
-	}
 	if s.ProgramHits != s.Batches || s.ProgramMisses != 0 || s.CompiledRatio != 1 {
 		t.Errorf("%d batches: %d hits, %d misses, ratio %v; want every batch replayed",
 			s.Batches, s.ProgramHits, s.ProgramMisses, s.CompiledRatio)
-	}
-	if s.CompileSeconds <= 0 {
-		t.Error("CompileSeconds not accounted")
 	}
 	if s.Process == 0 {
 		t.Error("snapshot does not say which process it is from")
@@ -220,8 +214,6 @@ func TestProgramMetricsExposition(t *testing.T) {
 		"# TYPE vran_decode_program_hits_total counter",
 		"vran_decode_program_misses_total",
 		"vran_decode_compiles_total",
-		"vran_decode_compile_seconds_total",
-		"vran_decode_compiled_plans",
 		`vran_decode_kernel_info{kernel="` + program.Kernel() + `"} 1`,
 	} {
 		if !strings.Contains(body, want) {
@@ -259,7 +251,7 @@ func TestHealthzNamesInterpretedBlockSize(t *testing.T) {
 			t.Fatalf("idle runtime unhealthy: %s", st.Reason)
 		}
 		// What a worker reports after interpreting two K=2048 batches.
-		rt.met.programDelta(2048, 0, 2, 0)
+		rt.met.programDelta(2048, 0, 2)
 		st := health()
 		if withChaos {
 			if !st.Healthy {

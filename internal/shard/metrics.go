@@ -6,51 +6,33 @@ import (
 
 // Families renders the coordinator's own counters in the vran_shard_*
 // naming scheme — the fleet-level view layered over the per-shard
-// vran_* families.
+// vran_* families. Every family has a reader named in DESIGN §7.
 func (c *Coordinator) Families() []telemetry.Family {
 	routed := telemetry.Family{Name: "vran_shard_routed_total",
 		Help: "Data frames routed to each shard.", Type: telemetry.Counter}
-	cells := telemetry.Family{Name: "vran_shard_cells",
-		Help: "Cells currently routed to each shard.", Type: telemetry.Gauge}
 	sent := telemetry.Family{Name: "vran_shard_link_sent_total",
 		Help: "Frames written to each shard's data link.", Type: telemetry.Counter}
 	dropped := telemetry.Family{Name: "vran_shard_link_dropped_total",
 		Help: "Data frames lost to injected fronthaul faults.", Type: telemetry.Counter}
-	reordered := telemetry.Family{Name: "vran_shard_link_reordered_total",
-		Help: "Data frames delivered behind a successor.", Type: telemetry.Counter}
-	owned := make([]int, len(c.shards))
-	for cell := 0; cell < c.cfg.Cells; cell++ {
-		owned[c.Route(cell)]++
-	}
-	for i, sh := range c.shards {
+	var shipDropped uint64
+	for _, sh := range c.shards {
 		lbl := []telemetry.Label{telemetry.L("shard", sh.name)}
 		st := sh.data.Stats()
 		routed.Samples = append(routed.Samples, telemetry.Sample{Labels: lbl, Value: float64(sh.routed.Load())})
-		cells.Samples = append(cells.Samples, telemetry.Sample{Labels: lbl, Value: float64(owned[i])})
 		sent.Samples = append(sent.Samples, telemetry.Sample{Labels: lbl, Value: float64(st.Sent)})
 		dropped.Samples = append(dropped.Samples, telemetry.Sample{Labels: lbl, Value: float64(st.Dropped)})
-		reordered.Samples = append(reordered.Samples, telemetry.Sample{Labels: lbl, Value: float64(st.Reordered)})
-	}
-	var shipDropped uint64
-	for _, sh := range c.shards {
 		shipDropped += sh.shipDropped.Load()
 	}
 	fams := []telemetry.Family{
-		routed, cells, sent, dropped, reordered,
+		routed, sent, dropped,
 		telemetry.F("vran_shard_route_errors_total", "Submissions that failed to route (bad cell or link write error).",
 			telemetry.Counter, float64(c.routeErrors.Load())),
 		telemetry.F("vran_shard_migrations_total", "Completed cell migrations.",
 			telemetry.Counter, float64(c.migrations.Load())),
 		telemetry.F("vran_shard_migrated_blocks_total", "In-flight blocks moved across shards by migrations.",
 			telemetry.Counter, float64(c.migratedBlocks.Load())),
-		telemetry.F("vran_shard_migrated_buffers_total", "HARQ soft buffers moved across shards by migrations.",
-			telemetry.Counter, float64(c.migratedBuffers.Load())),
-		telemetry.F("vran_shard_rebalance_checks_total", "Rebalancer skew polls.",
-			telemetry.Counter, float64(c.rebalChecks.Load())),
 		telemetry.F("vran_shard_rebalance_moves_total", "Migrations triggered by the rebalancer.",
 			telemetry.Counter, float64(c.rebalMoves.Load())),
-		telemetry.F("vran_shard_held_flushed_total", "Parked frames flushed to the new owner after a migration.",
-			telemetry.Counter, float64(c.heldFlushed.Load())),
 		telemetry.F("vran_shard_held_dropped_total", "Parked frames dropped when the migration hold buffer overflowed.",
 			telemetry.Counter, float64(c.heldDropped.Load())),
 	}

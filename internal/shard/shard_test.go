@@ -149,7 +149,7 @@ func TestFleetRoutesAndAggregates(t *testing.T) {
 	body := httpGet(t, srv.URL+"/metrics")
 	for _, want := range []string{
 		"vran_accepted_total", "vran_delivered_total",
-		"vran_shard_routed_total", "vran_shard_cells", "vran_shard_migrations_total",
+		"vran_shard_routed_total", "vran_shard_migrations_total",
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("/metrics missing family %s", want)

@@ -182,16 +182,14 @@ func spanContextFromWire(tc *fronthaul.TraceCtx, recv time.Time, ingest time.Dur
 }
 
 // SpanCollector is the coordinator-side fleet span sink: exemplar
-// tracer (recent ring + slowest-N per hop), per-hop histograms, an
-// end-to-end histogram and the SLO tracker.
+// tracer (recent ring + slowest-N per hop), per-hop histograms and the
+// SLO tracker.
 type SpanCollector struct {
 	tracer *telemetry.Tracer
 	slo    *telemetry.SLOTracker
 	hops   [telemetry.NumStages]telemetry.Hist
-	e2e    telemetry.Hist
 
 	spans      atomic.Uint64 // spans merged
-	reports    atomic.Uint64 // report frames ingested
 	badReports atomic.Uint64 // report frames that failed to parse
 }
 
@@ -221,19 +219,16 @@ func (sc *SpanCollector) Record(sp telemetry.Span) {
 			sc.hops[st].Observe(sp.Stages[st])
 		}
 	}
-	total := sp.Total()
 	sc.spans.Add(1)
 	switch sp.Outcome {
 	case "migrated", "migrate_failed":
 	default:
-		sc.e2e.Observe(total)
-		sc.slo.Observe(total, sp.Outcome == "delivered")
+		sc.slo.Observe(sp.Total(), sp.Outcome == "delivered")
 	}
 }
 
 // ingest parses one TypeSpanReport frame from shard origin.
 func (sc *SpanCollector) ingest(origin string, payload []byte) {
-	sc.reports.Add(1)
 	var spans []telemetry.Span
 	if err := json.Unmarshal(payload, &spans); err != nil {
 		sc.badReports.Add(1)
@@ -277,8 +272,6 @@ func (sc *SpanCollector) HopSummaries() []telemetry.StageSummary {
 func (sc *SpanCollector) Families(shipDropped uint64) []telemetry.Family {
 	hopSeconds := telemetry.Family{Name: "vran_hop_seconds", Type: telemetry.Gauge,
 		Help: "Per-hop stage latency quantiles across the fronthaul split."}
-	hopSpans := telemetry.Family{Name: "vran_hop_spans_total", Type: telemetry.Counter,
-		Help: "Spans that paid each hop stage."}
 	hopBudget := telemetry.Family{Name: "vran_hop_budget_fraction", Type: telemetry.Gauge,
 		Help: "Fraction of the mean end-to-end latency attributed to each hop."}
 	var meanSum float64
@@ -304,8 +297,6 @@ func (sc *SpanCollector) Families(shipDropped uint64) []telemetry.Family {
 				Value:  h.Percentile(q.v).Seconds(),
 			})
 		}
-		hopSpans.Samples = append(hopSpans.Samples, telemetry.Sample{
-			Labels: []telemetry.Label{lbl}, Value: float64(h.Count())})
 		frac := 0.0
 		if meanSum > 0 {
 			frac = means[st] / meanSum
@@ -313,23 +304,10 @@ func (sc *SpanCollector) Families(shipDropped uint64) []telemetry.Family {
 		hopBudget.Samples = append(hopBudget.Samples, telemetry.Sample{
 			Labels: []telemetry.Label{lbl}, Value: frac})
 	}
-	e2e := telemetry.Family{Name: "vran_trace_e2e_seconds", Type: telemetry.Gauge,
-		Help: "End-to-end traced-block latency quantiles (sum of hop stages)."}
-	for _, q := range [...]struct {
-		name string
-		v    float64
-	}{{"0.5", 0.50}, {"0.9", 0.90}, {"0.99", 0.99}} {
-		e2e.Samples = append(e2e.Samples, telemetry.Sample{
-			Labels: []telemetry.Label{telemetry.L("quantile", q.name)},
-			Value:  sc.e2e.Percentile(q.v).Seconds(),
-		})
-	}
 	fams := []telemetry.Family{
-		hopSeconds, hopSpans, hopBudget, e2e,
+		hopSeconds, hopBudget,
 		telemetry.F("vran_trace_spans_total", "Completed spans merged into the fleet collector.",
 			telemetry.Counter, float64(sc.spans.Load())),
-		telemetry.F("vran_trace_reports_total", "Span report frames ingested from shards.",
-			telemetry.Counter, float64(sc.reports.Load())),
 		telemetry.F("vran_trace_bad_reports_total", "Span report frames that failed to parse.",
 			telemetry.Counter, float64(sc.badReports.Load())),
 		telemetry.F("vran_trace_ship_dropped_total", "Spans shards dropped before shipping (buffer overflow or link error).",

@@ -148,19 +148,16 @@ func WriteJSON(w io.Writer, fams []Family) error {
 }
 
 // Families renders the tracer's per-stage aggregates as exposition
-// families: a span counter per stage and latency quantile gauges in
-// seconds (Prometheus base unit).
+// families: latency quantile gauges per stage, in seconds (Prometheus
+// base unit).
 func (t *Tracer) Families() []Family {
 	if t == nil {
 		return nil
 	}
-	spans := Family{Name: "vran_stage_spans_total", Help: "Spans recorded per serving stage.", Type: Counter}
 	lat := Family{Name: "vran_stage_latency_seconds", Help: "Per-stage dwell time quantiles (queue wait, batch wait, decode).", Type: Gauge}
 	for st := Stage(0); st < NumStages; st++ {
 		h := &t.hists[st]
 		name := st.Name()
-		spans.Samples = append(spans.Samples, Sample{
-			Labels: []Label{L("stage", name)}, Value: float64(h.Count())})
 		for _, q := range []struct {
 			q float64
 			s string
@@ -171,5 +168,5 @@ func (t *Tracer) Families() []Family {
 			})
 		}
 	}
-	return []Family{spans, lat}
+	return []Family{lat}
 }

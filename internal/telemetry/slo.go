@@ -164,27 +164,13 @@ func (s *SLOTracker) BudgetRemaining(w time.Duration) float64 {
 	return r
 }
 
-// Families renders the tracker as vran_slo_* series: the objective and
-// target as gauges, all-time good/bad counters, and burn-rate /
+// Families renders the tracker as vran_slo_* series: burn-rate and
 // budget-remaining gauges per window.
 func (s *SLOTracker) Families() []Family {
 	if s == nil {
 		return nil
 	}
-	good, bad := s.Totals()
 	return []Family{
-		F("vran_slo_target_seconds",
-			"Latency bound a good block must meet.",
-			Gauge, s.cfg.Target.Seconds()),
-		F("vran_slo_objective",
-			"Fraction of blocks that must be good.",
-			Gauge, s.cfg.Objective),
-		{Name: "vran_slo_observed_total", Type: Counter,
-			Help: "Blocks judged against the SLO, by verdict.",
-			Samples: []Sample{
-				{Labels: []Label{L("verdict", "good")}, Value: float64(good)},
-				{Labels: []Label{L("verdict", "bad")}, Value: float64(bad)},
-			}},
 		{Name: "vran_slo_burn_rate", Type: Gauge,
 			Help: "Error-budget burn rate (1.0 = burning exactly at budget).",
 			Samples: []Sample{

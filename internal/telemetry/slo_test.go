@@ -118,10 +118,7 @@ func TestSLOFamilies(t *testing.T) {
 	for _, f := range fams {
 		byName[f.Name] = f
 	}
-	for _, want := range []string{
-		"vran_slo_target_seconds", "vran_slo_objective", "vran_slo_observed_total",
-		"vran_slo_burn_rate", "vran_slo_budget_remaining",
-	} {
+	for _, want := range []string{"vran_slo_burn_rate", "vran_slo_budget_remaining"} {
 		if _, ok := byName[want]; !ok {
 			t.Errorf("family %s missing", want)
 		}

@@ -31,7 +31,6 @@ var servingFamilies = []string{
 	"vran_harq_evictions_total", "vran_degraded_batches_total", "vran_latency_seconds",
 	"vran_class_accepted_total", "vran_class_delivered_total", "vran_class_dropped_total",
 	"vran_class_latency_seconds", "vran_class_steals_total", "vran_class_shed_level",
-	"vran_class_reserved_workers",
 }
 
 // runtimeFamilies is the rest of a vranserve scrape with -class, -predict

@@ -11,8 +11,8 @@
 // not benchmarks: "cold", the first decode of the block size in the
 // process, which compiles its program, and "adopt", the first decode of it
 // on a second decoder, which finds the program in the process-wide cache
-// and builds only its own state — the cost a second worker, a reserved
-// worker or a worker after an eviction pays (CI gates adopt <= cold / 5).
+// and builds only its own state — the cost a second worker or a worker
+// after an eviction pays (CI gates adopt <= cold / 5).
 package bench
 
 import (

@@ -407,12 +407,14 @@ type Snapshot struct {
 	DegradedBatches uint64
 
 	// SLA-class view: per-class ledgers with their own latency
-	// percentiles, the worker steal count (URLLC batches taken while
-	// eMBB batches waited), the shed ladder's current level, and how
-	// many workers are reserved for URLLC-only service.
-	Classes         [NumClasses]ClassSnapshot
-	Steals          uint64
-	ShedLevel       int
+	// percentiles, the steal count (URLLC batches taken while eMBB
+	// batches waited) and the shed ladder's current level.
+	Classes   [NumClasses]ClassSnapshot
+	Steals    uint64
+	ShedLevel int
+	// ReservedWorkers always reads 0: every worker serves both classes.
+	// It stays only for the benchmark harness, which still reads it, and
+	// goes with that reader.
 	ReservedWorkers int
 
 	// Predict holds one row per cell predictor; nil when the predictor
@@ -538,7 +540,6 @@ func Merge(snaps []*Snapshot) *Snapshot {
 		}
 		out.Steals += s.Steals
 		out.ShedLevel = max(out.ShedLevel, s.ShedLevel)
-		out.ReservedWorkers += s.ReservedWorkers
 		out.Predict = append(out.Predict, s.Predict...)
 		out.LatencyBuckets = telemetry.MergeBuckets(out.LatencyBuckets, s.LatencyBuckets)
 	}

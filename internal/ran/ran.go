@@ -225,9 +225,6 @@ type Runtime struct {
 	shed      atomic.Int32
 	shedCalm  int
 	preds     []*Predictor
-	// reserved is how many workers take only URLLC blocks
-	// (resolveReserve over SLA.ReserveWorkers; 0 when class-blind).
-	reserved int
 }
 
 // New validates cfg and starts the worker goroutines.
@@ -269,10 +266,9 @@ func New(cfg Config) (*Runtime, error) {
 			r.preds[i] = NewPredictor(cfg.Predict)
 		}
 	}
-	r.reserved = resolveReserve(r.slaActive, cfg.SLA.ReserveWorkers, cfg.Workers)
 	r.workerWG.Add(cfg.Workers)
 	for i := 0; i < cfg.Workers; i++ {
-		go r.worker(i < r.reserved)
+		go r.worker()
 	}
 	return r, nil
 }
@@ -405,7 +401,6 @@ func (r *Runtime) Snapshot() *Snapshot {
 	s.RetryDepth = retries
 	s.DegradeLevel = int(r.degrade.Load())
 	s.ShedLevel = int(r.shed.Load())
-	s.ReservedWorkers = r.reserved
 	if r.harq != nil {
 		s.HARQCombines, s.HARQEvictions = r.harq.Stats()
 		s.HARQBuffers = r.harq.Len()
@@ -434,17 +429,17 @@ func labelLayer(layer string) {
 // before a partial take. A worker that a push woke from an idle runtime
 // returns from park on its submitter's processor, which that Submit
 // yields to it (SubmitTraced); the yield before a partial take is the
-// same either way. A general worker taking URLLC while eMBB waits is a
-// steal. The degradation and shed levels are recomputed from the backlog
+// same either way. A take of URLLC while eMBB waits is a steal. The
+// degradation and shed levels are recomputed from the backlog
 // the take leaves, under the same lock. ok is false once Stop has closed
 // the structure and nothing is left for this worker.
-func (r *Runtime) take(reserved bool, out []*Block) (class Class, batch []*Block, ok bool) {
+func (r *Runtime) take(out []*Block) (class Class, batch []*Block, ok bool) {
 	q := r.rq
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	yielded := false
 	for {
-		if c, k, found := q.pick(reserved); found {
+		if c, k, found := q.pick(); found {
 			if len(q.groups[c][k]) < q.lanes && !yielded {
 				// A goroutine this worker readied — a submitter its
 				// OnDecoded callbacks woke — is queued behind it, and with a
@@ -459,7 +454,7 @@ func (r *Runtime) take(reserved bool, out []*Block) (class Class, batch []*Block
 				q.mu.Lock()
 				continue
 			}
-			if c == ClassURLLC && !reserved && q.holds(ClassEMBB) {
+			if c == ClassURLLC && q.holds(ClassEMBB) {
 				r.met.steals.Add(1)
 			}
 			out = q.pop(c, k, out)
@@ -470,7 +465,7 @@ func (r *Runtime) take(reserved bool, out []*Block) (class Class, batch []*Block
 		if q.closed {
 			return 0, out, false
 		}
-		q.park(reserved)
+		q.park()
 	}
 }
 
@@ -481,16 +476,13 @@ func (r *Runtime) take(reserved bool, out []*Block) (class Class, batch []*Block
 const workerArenaBytes = 32 << 20
 
 // worker takes batches, drops expired blocks, decodes the rest on its
-// private engine, and records the outcome. A reserved worker takes only
-// URLLC blocks, so the tight-deadline class always has decode capacity
-// no eMBB batch can occupy — without it, URLLC-first ordering only helps
-// at batch boundaries and a fleet of workers mid-way through full-lane
-// eMBB batches blocks URLLC for a whole service time. The decoder's plan
-// cache makes the steady state
-// allocation-free, so the worker also keeps its own words slice across
-// batches; every ~64th decode is wrapped in a heap-allocation sample
-// feeding the vran_decode_allocs_per_op gauge.
-func (r *Runtime) worker(reserved bool) {
+// private engine, and records the outcome. Every worker serves both
+// classes: the take's URLLC-first order bounds a URLLC block's
+// head-of-line wait to one eMBB batch (DESIGN §14). The decoder's plan
+// cache makes the steady state allocation-free, so the worker also keeps
+// its own words slice across batches; every ~64th decode is wrapped in a
+// heap-allocation sample feeding the vran_decode_allocs_per_op gauge.
+func (r *Runtime) worker() {
 	defer r.workerWG.Done()
 	labelLayer("decode")
 	bd := turbo.NewBatchDecoder(r.cfg.Width, r.cfg.Strategy, workerArenaBytes)
@@ -542,7 +534,7 @@ func (r *Runtime) worker(reserved bool) {
 	var sampler allocSampler
 	var batchNo uint64
 	for {
-		class, taken, ok := r.take(reserved, batch[:0])
+		class, taken, ok := r.take(batch[:0])
 		if !ok {
 			return
 		}

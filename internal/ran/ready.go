@@ -35,12 +35,11 @@ type ready struct {
 	migq []*Block
 	// closed refuses every push; the workers drain what is left and exit.
 	closed bool
-	// Idle workers park on general, or on urllc when reserved for URLLC;
-	// idleGeneral and idleURLLC count the parked ones no push has
+	// Idle workers park on cond; idle counts the parked ones no push has
 	// signalled yet, out of workers.
-	general, urllc         sync.Cond
-	idleGeneral, idleURLLC int
-	workers                int
+	cond    sync.Cond
+	idle    int
+	workers int
 }
 
 func newReady(cells, lanes, bound, workers int) *ready {
@@ -48,20 +47,19 @@ func newReady(cells, lanes, bound, workers int) *ready {
 	for c := range q.groups {
 		q.groups[c] = make(map[int][]*Block)
 	}
-	q.general.L, q.urllc.L = &q.mu, &q.mu
+	q.cond.L = &q.mu
 	return q
 }
 
 // qi indexes the per-(cell, class) waiting counts.
 func qi(cell int, c Class) int { return cell*int(NumClasses) + int(c) }
 
-// push adds b to its group and wakes one parked worker that may take it
-// — a reserved one first for URLLC, never one for eMBB — or none when
-// every such worker is busy. An arrival (bounded) is refused with
-// RejectedBacklog when its (cell, class) is full; a retransmission or a
-// block back from an aborted drain is not. A block of the cell being
-// drained goes to migq instead. Once the structure is closed every push
-// fails with RejectedStopped.
+// push adds b to its group and wakes one parked worker, whatever the
+// block's class, or none when every worker is busy. An arrival (bounded)
+// is refused with RejectedBacklog when its (cell, class) is full; a
+// retransmission or a block back from an aborted drain is not. A block of
+// the cell being drained goes to migq instead. Once the structure is
+// closed every push fails with RejectedStopped.
 //
 // handOff reports that the push woke a worker while every worker was
 // parked: the runtime was idle, so no batch is forming for later
@@ -87,18 +85,13 @@ func (q *ready) push(b *Block, bounded bool) (a Admit, handOff bool) {
 		g[j], g[j-1] = g[j-1], g[j]
 	}
 	q.groups[b.Class][b.K] = g
-	idle := q.idleGeneral+q.idleURLLC == q.workers
-	switch {
-	case b.Class == ClassURLLC && q.idleURLLC > 0:
-		q.idleURLLC--
-		q.urllc.Signal()
-	case q.idleGeneral > 0:
-		q.idleGeneral--
-		q.general.Signal()
-	default:
-		idle = false
+	if q.idle == 0 {
+		return Admitted, false
 	}
-	return Admitted, idle
+	handOff = q.idle == q.workers
+	q.idle--
+	q.cond.Signal()
+	return Admitted, handOff
 }
 
 // count moves b's (cell, class) and retry counts by d (+1 in, -1 out).
@@ -109,10 +102,11 @@ func (q *ready) count(b *Block, d int) {
 	}
 }
 
-// pick names the group a worker takes from next: URLLC before eMBB (a
-// URLLC-only worker sees nothing else), and within a class the K whose
-// head deadline is earliest.
-func (q *ready) pick(urllcOnly bool) (Class, int, bool) {
+// pick names the group a worker takes from next: URLLC before eMBB, and
+// within a class the K whose head deadline is earliest. This order is the
+// runtime's one class-priority rule: a URLLC block waits for at most the
+// batches already decoding when it arrives.
+func (q *ready) pick() (Class, int, bool) {
 	for _, c := range [...]Class{ClassURLLC, ClassEMBB} {
 		var head *Block
 		for _, g := range q.groups[c] {
@@ -122,9 +116,6 @@ func (q *ready) pick(urllcOnly bool) (Class, int, bool) {
 		}
 		if head != nil {
 			return c, head.K, true
-		}
-		if urllcOnly {
-			break
 		}
 	}
 	return 0, 0, false
@@ -160,14 +151,9 @@ func (q *ready) pop(c Class, k int, out []*Block) []*Block {
 
 // park blocks the calling worker (mu held) until a push signals it or
 // the structure closes.
-func (q *ready) park(urllcOnly bool) {
-	if urllcOnly {
-		q.idleURLLC++
-		q.urllc.Wait()
-	} else {
-		q.idleGeneral++
-		q.general.Wait()
-	}
+func (q *ready) park() {
+	q.idle++
+	q.cond.Wait()
 }
 
 // close refuses every later push and wakes every parked worker to drain
@@ -176,9 +162,8 @@ func (q *ready) close() {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	q.closed = true
-	q.idleGeneral, q.idleURLLC = 0, 0
-	q.general.Broadcast()
-	q.urllc.Broadcast()
+	q.idle = 0
+	q.cond.Broadcast()
 }
 
 // beginMigration diverts cell: its waiting blocks move to migq, and so

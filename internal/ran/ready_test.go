@@ -33,7 +33,7 @@ func TestBatcherFillsLaneGroups(t *testing.T) {
 		r.rq.push(mkBlock(104), true)
 	}
 	for _, want := range []int{4, 2} {
-		_, got, ok := r.take(false, nil)
+		_, got, ok := r.take(nil)
 		if !ok || len(got) != want {
 			t.Fatalf("take returned %d blocks (ok=%v), want %d", len(got), ok, want)
 		}
@@ -50,8 +50,8 @@ func TestBatcherFillsLaneGroups(t *testing.T) {
 
 // TestBatcherKeepsKsApart: blocks of different K never share a take;
 // URLLC comes before eMBB whatever the deadlines, and within a class the
-// K whose head deadline is earliest wins. A general worker's URLLC take
-// while eMBB waits is a steal.
+// K whose head deadline is earliest wins. A URLLC take while eMBB waits
+// is a steal.
 func TestBatcherKeepsKsApart(t *testing.T) {
 	r := mixedRuntime()
 	now := time.Now()
@@ -63,7 +63,7 @@ func TestBatcherKeepsKsApart(t *testing.T) {
 		class  Class
 		k, len int
 	}{{ClassURLLC, 40, 1}, {ClassEMBB, 104, 1}, {ClassEMBB, 40, 2}} {
-		class, got, ok := r.take(false, nil)
+		class, got, ok := r.take(nil)
 		if !ok || class != want.class || len(got) != want.len {
 			t.Fatalf("take %d: %v x%d (ok=%v), want %v x%d", i, class, len(got), ok, want.class, want.len)
 		}
@@ -86,64 +86,43 @@ func TestBatcherKeepsKsApart(t *testing.T) {
 func TestBatcherFlushOnTimeout(t *testing.T) {
 	r := bareSLARuntime(1, 64, 4, SLAConfig{}, false)
 	r.rq.push(mkBlock(40), true)
-	if _, got, ok := r.take(false, nil); !ok || len(got) != 1 {
+	if _, got, ok := r.take(nil); !ok || len(got) != 1 {
 		t.Fatalf("lone block: take returned %d blocks (ok=%v), want 1", len(got), ok)
 	}
 	got := make(chan []*Block)
 	go func() {
-		_, b, _ := r.take(false, nil)
+		_, b, _ := r.take(nil)
 		got <- b
 	}()
-	waitParked(r, func(q *ready) bool { return q.idleGeneral == 1 })
+	waitParked(r, func(q *ready) bool { return q.idle == 1 })
 	r.rq.push(mkBlock(40), true)
 	if b := <-got; len(b) != 1 {
 		t.Fatalf("a parked taker woken by a lone block took %d", len(b))
 	}
 }
 
-// TestBatcherForceFlush: a reserved taker sees only URLLC, and an eMBB
-// arrival never wakes one; close hands back every group — a general
-// taker drains them all, and every push after it is refused.
+// TestBatcherForceFlush: close hands back every group — a taker drains
+// them all, URLLC first — and every push after it is refused.
 func TestBatcherForceFlush(t *testing.T) {
 	r := mixedRuntime()
 	now := time.Now()
-	got := make(chan []*Block)
-	go func() {
-		_, b, _ := r.take(true, nil)
-		got <- b
-	}()
-	waitParked(r, func(q *ready) bool { return q.idleURLLC == 1 })
 	pushAt(t, r, 1, 40, time.Second, now)
-	r.rq.mu.Lock()
-	idle := r.rq.idleURLLC
-	r.rq.mu.Unlock()
-	if idle != 1 {
-		t.Fatal("an eMBB arrival woke the reserved taker")
-	}
-	pushAt(t, r, 0, 40, time.Second, now)
-	if b := <-got; len(b) != 1 || b[0].Class != ClassURLLC {
-		t.Fatalf("reserved taker got %d blocks, want the URLLC one", len(b))
-	}
-
 	pushAt(t, r, 1, 104, time.Second, now)
 	pushAt(t, r, 0, 40, time.Second, now)
 	r.rq.close()
-	if _, b, ok := r.take(true, nil); !ok || len(b) != 1 || b[0].Class != ClassURLLC {
-		t.Fatalf("reserved taker after close: %d blocks (ok=%v), want the URLLC one", len(b), ok)
-	}
-	if _, b, ok := r.take(true, nil); ok {
-		t.Fatalf("reserved taker took %d eMBB blocks", len(b))
+	if c, b, ok := r.take(nil); !ok || len(b) != 1 || c != ClassURLLC {
+		t.Fatalf("first take after close: %v x%d (ok=%v), want the URLLC block", c, len(b), ok)
 	}
 	ks := map[int]bool{}
 	for {
-		_, b, ok := r.take(false, nil)
+		_, b, ok := r.take(nil)
 		if !ok {
 			break
 		}
 		ks[b[0].K] = true
 	}
 	if len(ks) != 2 {
-		t.Errorf("after close the general taker drained K groups %v, want 40 and 104", ks)
+		t.Errorf("after the URLLC take the taker drained eMBB K groups %v, want 40 and 104", ks)
 	}
 	if a, _ := r.rq.push(mkBlock(40), true); a != RejectedStopped {
 		t.Errorf("push after close: %v, want RejectedStopped", a)
@@ -160,11 +139,11 @@ func TestPushHandsOffOnlyFromIdle(t *testing.T) {
 	got := make(chan []*Block, 2)
 	for i := 0; i < 2; i++ {
 		go func() {
-			_, b, _ := r.take(false, nil)
+			_, b, _ := r.take(nil)
 			got <- b
 		}()
 	}
-	waitParked(r, func(q *ready) bool { return q.idleGeneral == 2 })
+	waitParked(r, func(q *ready) bool { return q.idle == 2 })
 	push := func(b *Block, want Admit, wantHandOff bool, what string) {
 		t.Helper()
 		if a, h := r.rq.push(b, true); a != want || h != wantHandOff {
@@ -194,19 +173,20 @@ func TestPushHandsOffOnlyFromIdle(t *testing.T) {
 	r.rq.close()
 	push(&Block{Cell: 0, K: 40}, RejectedStopped, false, "closed structure")
 
-	// The only worker reserved for URLLC: an eMBB arrival may not wake it,
-	// so it hands nothing off although every worker is parked.
-	r = mixedRuntime()
-	r.rq.workers = 1
-	go func() {
-		_, b, _ := r.take(true, nil)
-		got <- b
-	}()
-	waitParked(r, func(q *ready) bool { return q.idleURLLC == 1 })
-	push(&Block{Cell: 1, K: 40, Class: ClassEMBB}, Admitted, false, "eMBB arrival, URLLC-reserved taker parked")
-	push(&Block{Cell: 0, K: 40, Class: ClassURLLC}, Admitted, true, "URLLC arrival, URLLC-reserved taker parked")
-	if b := <-got; len(b) != 1 || b[0].Class != ClassURLLC {
-		t.Fatalf("reserved taker got %d blocks, want the URLLC one", len(b))
+	// Mixed classes: an eMBB and a URLLC arrival at an all-parked runtime
+	// each hand off and wake the one taker, whatever the class.
+	for _, b := range []*Block{{Cell: 1, K: 40, Class: ClassEMBB}, {Cell: 0, K: 40, Class: ClassURLLC}} {
+		r = mixedRuntime()
+		r.rq.workers = 1
+		go func() {
+			_, b, _ := r.take(nil)
+			got <- b
+		}()
+		waitParked(r, func(q *ready) bool { return q.idle == 1 })
+		push(b, Admitted, true, b.Class.String()+" arrival, the one taker parked")
+		if g := <-got; len(g) != 1 || g[0] != b {
+			t.Fatalf("%v arrival: the woken taker got %d blocks, want that one", b.Class, len(g))
+		}
 	}
 }
 

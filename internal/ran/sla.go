@@ -11,9 +11,10 @@ import (
 // class vs an eMBB-like throughput class), a shed ladder that drops the
 // cheapest class first when the runtime is (or is about to be)
 // overloaded, and the URLLC-first take that lets an idle worker serve
-// any cell's URLLC backlog before any cell's eMBB. The reactive degradation ladder (harq.go) stays; the shed
-// ladder in front of it is what makes overload class-aware — and, with
-// the predictor (predict.go) armed, anticipatory instead of reactive.
+// any cell's URLLC backlog before any cell's eMBB. The reactive
+// degradation ladder (harq.go) stays; the shed ladder in front of it is
+// what makes overload class-aware — and, with the predictor (predict.go)
+// armed, anticipatory instead of reactive.
 
 // Class is a cell's SLA traffic class.
 type Class uint8
@@ -90,16 +91,6 @@ type SLAConfig struct {
 	// URLLCDeadline overrides Config.Deadline for URLLC-class blocks
 	// (0: same deadline for both classes).
 	URLLCDeadline time.Duration
-	// ReserveWorkers dedicates that many workers to URLLC batches only.
-	// Every worker takes URLLC first, but only at batch boundaries: once
-	// every worker is inside
-	// a large eMBB batch, a URLLC batch waits a full service time. A
-	// reserved worker can never be occupied by eMBB, which bounds URLLC
-	// head-of-line blocking by its own class's service time. 0 resolves
-	// to Workers/4 (min 1) when any cell is URLLC-class; negative
-	// disables the reservation; values >= Workers are clamped so at
-	// least one general worker always serves eMBB.
-	ReserveWorkers int
 }
 
 // ClassOf returns the class of a cell (ClassEMBB beyond the configured
@@ -121,29 +112,6 @@ func (s SLAConfig) hasURLLC() bool {
 		}
 	}
 	return false
-}
-
-// resolveReserve turns the ReserveWorkers knob into the number of
-// workers New actually dedicates to URLLC. Class-blind runtimes never
-// reserve (there is no URLLC work to wait for, so a URLLC-only worker
-// would idle forever).
-func resolveReserve(active bool, want, workers int) int {
-	if !active || want < 0 {
-		return 0
-	}
-	if want == 0 {
-		want = workers / 4
-		if want < 1 {
-			want = 1
-		}
-	}
-	if want >= workers {
-		want = workers - 1
-	}
-	if want < 0 {
-		want = 0
-	}
-	return want
 }
 
 // classDeadline is the per-class processing budget.

@@ -36,12 +36,11 @@ import (
 // kernel the ladder stops at K=152–512, where, when the pin was added, a
 // 1000-block capacity probe and both phases were dominated by per-worker
 // cold starts (each worker recorded and compiled on its first block of a
-// K, ~30 ms at K=512, the two reserved URLLC workers inside the measured
-// phase). Those are gone — a size is compiled once a process, by the
-// capacity probe here, and a reserved worker's first block costs a state
-// allocation — but the calibration has not been redone against the native
-// kernel's service times; ROADMAP item 2 (virtual time) retires it and
-// this pin together.
+// K, ~30 ms at K=512, inside the measured phase). Those are gone — a size
+// is compiled once a process, by the capacity probe here, and every other
+// worker's first block of it costs a state allocation — but the
+// calibration has not been redone against the native kernel's service
+// times; ROADMAP item 2 (virtual time) retires it and this pin together.
 func TestSLAOverloadSoak(t *testing.T) {
 	if testing.Short() {
 		t.Skip("soak test skipped in -short")
@@ -144,13 +143,11 @@ func slaSoak(t *testing.T, seed int64) {
 		// keep away from URLLC.
 		cfg.AdmissionGuard = false
 		cfg.CheckCRC = pool.CheckCRC()
-		// Two of the four workers are reserved for URLLC: without the
-		// reservation, stealing only helps at batch boundaries, and
-		// under -race a full-lane eMBB batch occupies a worker for
-		// ~100 ms — every burst dwell would block URLLC for a whole
-		// eMBB service time and the p99 comparison below would measure
-		// scheduler luck instead of the class policy.
-		cfg.SLA = SLAConfig{Classes: classes, ReserveWorkers: 2}
+		// Every worker serves both classes and takes URLLC first, so a
+		// URLLC block waits for at most one eMBB batch, which holds a
+		// processor for 8/capMs ms (0.6–0.8 ms at the calibrated K, see
+		// maxCapMs): well inside the bar's 6-TTI floor below.
+		cfg.SLA = SLAConfig{Classes: classes}
 		// The predictor's estimation window tracks the TTI so a burst's
 		// per-window count clears the MinRate-floored baseline on slow
 		// (race) builds too.
@@ -228,10 +225,10 @@ func slaSoak(t *testing.T, seed int64) {
 	if clean.Classes[ClassURLLC].Delivered == 0 || cleanP99 == 0 {
 		t.Fatal("clean phase delivered no URLLC blocks — baseline undefined")
 	}
-	t.Logf("seed %d: URLLC p99 clean %v → burst %v (%.2fx); burst drops urllc %v embb %v; steals %d, shed level %d, reserved %d",
+	t.Logf("seed %d: URLLC p99 clean %v → burst %v (%.2fx); burst drops urllc %v embb %v; steals %d, shed level %d",
 		seed, cleanP99, burstP99, float64(burstP99)/float64(cleanP99),
 		classDropTotal(burst, ClassURLLC), classDropTotal(burst, ClassEMBB),
-		burst.Steals, burst.ShedLevel, burst.ReservedWorkers)
+		burst.Steals, burst.ShedLevel)
 
 	// 1. URLLC latency holds under the eMBB burst: p99 within 1.5× of
 	// the clean baseline. Both p99s are reconstructed from log-bucketed
@@ -240,14 +237,13 @@ func slaSoak(t *testing.T, seed int64) {
 	// the bar carries a single-bucket (×1.25) quantization allowance on
 	// top of the 1.5× criterion. On a race build the strict bar is
 	// unmeasurable — instrumentation slows decode ~10× and the burst
-	// phase saturates the CPU, so even the reserved URLLC workers get
-	// descheduled and every wall-clock tail stretches with detector
-	// contention, not queueing policy (measured: ratios up to ~2.7×
-	// with the reservation active, from CPU-contention stalls alone).
-	// Race runs instead assert a 4× sanity bound — one histogram
-	// bucket above the measured contention ceiling, and low enough to
-	// catch the failure mode the reservation exists for (URLLC parked
-	// behind full-lane eMBB batches measured 4.3× before it). The CI
+	// phase saturates the CPU, so every worker gets descheduled and
+	// every wall-clock tail stretches with detector contention, not
+	// queueing policy (measured: ratios up to ~2.7× from CPU-contention
+	// stalls alone). Race runs instead assert a 4× sanity bound — one
+	// histogram bucket above the measured contention ceiling, and low
+	// enough to catch URLLC parked behind full-lane eMBB batches, which
+	// a race build with ~100 ms batches measured at 4.3×. The CI
 	// sla-soak job runs the soak natively as well, so the strict bar
 	// stays enforced per commit.
 	// The bar also carries an absolute slack floor of 6 TTIs: on a fast

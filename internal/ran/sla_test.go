@@ -303,35 +303,6 @@ func TestDegradeClassSignals(t *testing.T) {
 	}
 }
 
-// TestResolveReserve covers the URLLC worker-reservation defaulting:
-// auto = Workers/4 (min 1) when URLLC cells exist, explicit values are
-// clamped to leave at least one general worker, negative disables, and
-// class-blind runtimes never reserve.
-func TestResolveReserve(t *testing.T) {
-	cases := []struct {
-		active  bool
-		want    int
-		workers int
-		out     int
-	}{
-		{false, 0, 4, 0}, // class-blind: no reservation regardless
-		{false, 3, 4, 0}, // even explicit asks are ignored without URLLC
-		{true, 0, 4, 1},  // auto: Workers/4
-		{true, 0, 8, 2},  // auto scales with the pool
-		{true, 0, 2, 1},  // auto floor: min 1
-		{true, 0, 1, 0},  // a single worker can't be split
-		{true, 2, 4, 2},  // explicit honored
-		{true, 9, 4, 3},  // clamped: one general worker always remains
-		{true, -1, 4, 0}, // negative disables
-		{true, 4, 1, 0},  // clamp floor: never negative
-	}
-	for _, tc := range cases {
-		if got := resolveReserve(tc.active, tc.want, tc.workers); got != tc.out {
-			t.Errorf("resolveReserve(%v, %d, %d) = %d, want %d", tc.active, tc.want, tc.workers, got, tc.out)
-		}
-	}
-}
-
 // TestParseClassList covers the cycling expansion and error paths.
 func TestParseClassList(t *testing.T) {
 	got, err := ParseClassList("urllc,embb,embb", 7)
@@ -380,9 +351,9 @@ func TestClassDeadline(t *testing.T) {
 
 // TestClassListLongerThanCells: only the first Cells entries of the class
 // list class a cell, so a URLLC entry past the last cell must not arm the
-// class machinery — it would reserve a worker for a class nothing can
-// ever arrive in. Both workers must decode: two OnDecoded calls are in
-// flight at once only if two workers took a batch.
+// class machinery — the shed ladder and the URLLC-only clamp level — for a
+// class nothing can ever arrive in. Both workers must decode: two
+// OnDecoded calls are in flight at once only if two workers took a batch.
 func TestClassListLongerThanCells(t *testing.T) {
 	cfg := testConfig(simd.W128) // one block a batch
 	cfg.SLA.Classes = []Class{ClassEMBB, ClassEMBB, ClassURLLC}
@@ -400,8 +371,8 @@ func TestClassListLongerThanCells(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := rt.Snapshot().ReservedWorkers; got != 0 {
-		t.Errorf("%d workers reserved for a URLLC class no cell carries", got)
+	if rt.slaActive {
+		t.Error("a URLLC entry past the last cell armed the class machinery")
 	}
 	pool := mustPool(t, 40, 2, 5)
 	for i := 0; i < 2; i++ {

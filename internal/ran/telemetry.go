@@ -79,9 +79,8 @@ func (s *Snapshot) Families() []telemetry.Family {
 		telemetry.F("vran_degraded_batches_total", "Batches decoded under a clamped iteration budget.", telemetry.Counter, float64(s.DegradedBatches)),
 		lat,
 		clsLedger[0], clsLedger[1], clsLedger[2], clsLat,
-		telemetry.F("vran_class_steals_total", "URLLC batches a general worker took while eMBB blocks waited.", telemetry.Counter, float64(s.Steals)),
+		telemetry.F("vran_class_steals_total", "URLLC batches a worker took while eMBB blocks waited.", telemetry.Counter, float64(s.Steals)),
 		telemetry.F("vran_class_shed_level", "Current class-aware shed ladder level (0 = admit all).", telemetry.Gauge, float64(s.ShedLevel)),
-		telemetry.F("vran_class_reserved_workers", "Workers dedicated to URLLC batches (0 when class-blind).", telemetry.Gauge, float64(s.ReservedWorkers)),
 	}
 	if len(s.Predict) > 0 {
 		state := telemetry.Family{Name: "vran_predict_state",

@@ -7,7 +7,7 @@
 // Usage:
 //
 //	vrancoord -shards 127.0.0.1:7101,127.0.0.1:7102
-//	          [-cells 4] [-k 40] [-per-tti 8] [-ttis 400] [-tti 1ms]
+//	          [-cells 4] [-k 40] [-rate 2] [-ttis 400] [-tti 1ms]
 //	          [-deadline 10ms] [-seed 1] [-admin :9190] [-hold 0s]
 //	          [-migrate-cell -1] [-migrate-at -1] [-rebalance-every 0]
 //	          [-trace-sample 1] [-slo-target 0] [-slo-objective 0.999]
@@ -17,9 +17,11 @@
 // Each shard gets two connections: a data link (the lossy U-plane,
 // where -chaos arms the link-drop and reorder sites, seeded from -seed;
 // the decode-path sites are the shards' own) and a control link (the reliable
-// M-plane carrying snapshot and migration RPCs). Traffic is -per-tti
-// blocks per TTI, round-robined across cells with distinct (UE, HARQ
-// process) pairs per concurrently-live block. With -admin the
+// M-plane carrying snapshot and migration RPCs). Traffic is Poisson,
+// -rate mean blocks per cell per TTI as in vranserve, drawn up front and
+// paced by ran.OfferLoad; block n of a cell goes to UE n % 8 on HARQ
+// process (n / 8) % 8, so concurrently-live blocks of a cell hold
+// distinct (UE, process) pairs. With -admin the
 // coordinator exposes /metrics: the fleet-aggregated vran_* families
 // plus the vran_shard_* routing/migration/link overlay; -hold keeps the
 // endpoint up after the run for scrapers. The process exits non-zero if
@@ -42,13 +44,14 @@ import (
 	"vransim/internal/ran"
 	"vransim/internal/shard"
 	"vransim/internal/telemetry"
+	"vransim/internal/turbo"
 )
 
 func main() {
 	shards := flag.String("shards", "", "comma-separated vranshard addresses (required)")
 	cells := flag.Int("cells", 4, "fleet-wide cell count (must match the workers' -cells)")
 	k := flag.Int("k", 40, "turbo code block size")
-	perTTI := flag.Int("per-tti", 8, "blocks submitted per TTI (round-robin across cells)")
+	rate := flag.Float64("rate", 2, "mean code blocks per cell per TTI")
 	ttis := flag.Int("ttis", 400, "run horizon in TTIs")
 	tti := flag.Duration("tti", time.Millisecond, "TTI length")
 	deadline := flag.Duration("deadline", 10*time.Millisecond, "per-block budget hint stamped into data frames")
@@ -118,42 +121,42 @@ func main() {
 		}()
 	}
 
-	pool, err := shard.NewCRCPool(*k, 128, 24, rand.New(rand.NewSource(*seed)))
+	pool, err := ran.NewWordPool(*k, 128, rand.New(rand.NewSource(*seed)))
 	if err != nil {
 		fatal("%v", err)
 	}
-	fmt.Printf("vrancoord: %d cells over %d shards, %d blocks/TTI, %d TTIs of %v, K=%d\n",
-		*cells, len(addrs), *perTTI, *ttis, *tti, *k)
+	fmt.Printf("vrancoord: %d cells over %d shards, %.2f blocks/cell/TTI, %d TTIs of %v, K=%d\n",
+		*cells, len(addrs), *rate, *ttis, *tti, *k)
 
-	migAt := *migrateAt
-	if *migrateCell >= 0 && migAt < 0 {
-		migAt = *ttis / 2
-	}
-	var offered uint64
-	idx := 0
-	for t := 0; t < *ttis; t++ {
-		for j := 0; j < *perTTI; j++ {
-			cell := idx % *cells
-			w, _ := pool.Get(idx)
-			// Distinct (UE, process) per concurrently-live block of a
-			// cell, as stop-and-wait HARQ requires.
-			ue := (idx / *cells) % 8
-			proc := (idx / (*cells * 8)) % ran.HARQProcesses
-			if err := coord.Submit(cell, ue, proc, pool.K, w); err != nil {
-				fatal("submit: %v", err)
-			}
-			offered++
-			idx++
+	sched := ran.NewSchedule(ran.LoadConfig{
+		Cells: ran.Uniform(*cells, ran.Source{Mean: *rate}),
+		UEs:   8, TTI: *tti, TTIs: *ttis, Seed: *seed,
+	})
+	submit := func(cell, ue, proc, k int, w *turbo.LLRWord) error {
+		if err := coord.Submit(cell, ue, proc, k, w); err != nil {
+			fatal("submit: %v", err)
 		}
-		if *migrateCell >= 0 && t == migAt {
-			to := (coord.Route(*migrateCell) + 1) % coord.Shards()
-			if err := coord.MigrateCell(*migrateCell, to, 5*time.Second); err != nil {
-				fatal("migration: %v", err)
-			}
-			fmt.Printf("[tti %d] migrated cell %d to shard %d\n", t, *migrateCell, to)
-		}
-		time.Sleep(*tti)
+		return nil
 	}
+	// A forced migration runs after TTI migAt, between two calls over
+	// the one schedule.
+	split := *ttis
+	if *migrateCell >= 0 {
+		migAt := *migrateAt
+		if migAt < 0 {
+			migAt = *ttis / 2
+		}
+		split = min(migAt+1, *ttis)
+	}
+	offered := ran.OfferLoad(sched, 0, split, pool, submit).Offered
+	if *migrateCell >= 0 {
+		to := (coord.Route(*migrateCell) + 1) % coord.Shards()
+		if err := coord.MigrateCell(*migrateCell, to, 5*time.Second); err != nil {
+			fatal("migration: %v", err)
+		}
+		fmt.Printf("[tti %d] migrated cell %d to shard %d\n", split-1, *migrateCell, to)
+	}
+	offered += ran.OfferLoad(sched, split, *ttis, pool, submit).Offered
 
 	agg, per, err := settle(coord, *settleTimeout)
 	if err != nil {
@@ -220,7 +223,7 @@ func settle(c *shard.Coordinator, budget time.Duration) (*ran.Snapshot, []*ran.S
 	}
 }
 
-func report(c *shard.Coordinator, agg *ran.Snapshot, per []*ran.Snapshot, offered uint64, inj *chaos.Injector) {
+func report(c *shard.Coordinator, agg *ran.Snapshot, per []*ran.Snapshot, offered int, inj *chaos.Injector) {
 	fmt.Printf("\n===== fleet report =====\n")
 	fmt.Printf("%-24s %10s %10s %10s %8s\n", "shard", "accepted", "delivered", "dropped", "cells")
 	for i, s := range per {

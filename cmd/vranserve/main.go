@@ -83,14 +83,14 @@ func main() {
 	}
 	cfg.Tracer = tracer
 
-	pool, err := ran.NewWordPool(*k, 128, 24, rand.New(rand.NewSource(*seed)))
+	pool, err := ran.NewWordPool(*k, 128, rand.New(rand.NewSource(*seed)))
 	if err != nil {
 		fatal("%v", err)
 	}
-	// The pool's truth-compare hook is the closed-loop CRC stand-in: a
+	// Every pool word ends in a CRC24B, checked on the decoded bits: a
 	// chaos-corrupted reception that decodes to the wrong payload routes
 	// into the HARQ retry path instead of being delivered.
-	cfg.CheckCRC = pool.CheckCRC()
+	cfg.CheckCRC = ran.CRC24B
 
 	inj := cf.Injector(*seed)
 	if inj != nil {
@@ -143,12 +143,22 @@ func main() {
 	}
 	fmt.Println()
 
-	load := ran.LoadConfig{
-		UEsPerCell: *ues, TTI: *tti, MeanPerTTI: *rate,
-		Bursty: *burst, BurstFactor: 4, TTIs: *ttis, Seed: *seed,
+	src := ran.Source{Mean: *rate}
+	if *burst {
+		src.Burst = 4
 	}
+	load := ran.LoadConfig{
+		Cells: ran.Uniform(cfg.Cells, src), UEs: *ues, TTI: *tti, TTIs: *ttis, Seed: *seed,
+	}
+	if *saturate {
+		load.TTI = 0
+	}
+	sched := ran.NewSchedule(load)
 	done := make(chan *ran.LoadReport, 1)
-	go func() { done <- ran.OfferLoad(rt, pool, load, !*saturate) }()
+	go func() {
+		rep := ran.OfferLoad(sched, 0, *ttis, pool, rt.SubmitProcess)
+		done <- &rep
+	}()
 
 	var ticker *time.Ticker
 	var tick <-chan time.Time
@@ -198,8 +208,9 @@ func final(s *ran.Snapshot, rep *ran.LoadReport, cfg ran.Config, k int, tti time
 	for i, c := range s.Cells {
 		fmt.Printf("%-6d %10d %10d %10d %10.2f %10d\n", i, c.Accepted, c.Delivered, c.Dropped(), c.Mbps, c.QueueDepth)
 	}
-	fmt.Printf("\noffered %d blocks, accepted %d, delivered %d (%.1f%% of offered)\n",
-		rep.Offered, s.Accepted, s.Delivered, 100*float64(s.Delivered)/float64(max(1, rep.Offered)))
+	fmt.Printf("\noffered %d blocks, accepted %d, delivered %d (%.1f%% of offered); generator slip %v\n",
+		rep.Offered, s.Accepted, s.Delivered, 100*float64(s.Delivered)/float64(max(1, rep.Offered)),
+		rep.Slip.Round(time.Microsecond))
 	fmt.Printf("drops by cause: ")
 	for cause, n := range s.DropsByCause() {
 		fmt.Printf("%s=%d ", cause, n)

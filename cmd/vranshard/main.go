@@ -21,10 +21,10 @@
 // the FLEET cell count — cell ids are global across shards, and the
 // coordinator routes each cell to exactly one worker.
 //
-// Decode acceptance is the content CRC24B check (shard.ContentCRC24B):
-// unlike vranserve's in-process truth table, a shard worker only ever
-// sees the bits that crossed the wire. Blocks whose payload does not
-// end in a valid CRC24B suffix route into the HARQ retry path.
+// Decode acceptance is the content CRC24B check (ran.CRC24B), the same
+// as vranserve's: it needs only the bits that crossed the wire. Blocks
+// whose payload does not end in a valid CRC24B suffix route into the
+// HARQ retry path.
 package main
 
 import (
@@ -59,7 +59,7 @@ func main() {
 	if err != nil {
 		fatal("%v", err)
 	}
-	cfg.CheckCRC = shard.ContentCRC24B()
+	cfg.CheckCRC = ran.CRC24B
 	tr := telemetry.NewTracer(*traceRing, 0)
 	cfg.Tracer = tr
 	var inj *chaos.Injector

@@ -26,13 +26,13 @@ func main() {
 	flag.Parse()
 
 	const k = 104
-	pool, err := ran.NewWordPool(k, 128, 24, rand.New(rand.NewSource(*seed)))
+	pool, err := ran.NewWordPool(k, 128, rand.New(rand.NewSource(*seed)))
 	if err != nil {
 		log.Fatal(err)
 	}
 
 	fmt.Println("=== 1. clean baseline ===")
-	run(pool, *seed, nil, 1.0, true)
+	run(pool, *seed, nil, 1.0, time.Millisecond)
 
 	fmt.Println("\n=== 2. chaos: 10% forced CRC failures, 10% noisy receptions ===")
 	inj := chaos.New(chaos.Config{
@@ -40,7 +40,7 @@ func main() {
 		CRCRate:     0.10,
 		CorruptRate: 0.10,
 	})
-	run(pool, *seed, inj, 1.0, true)
+	run(pool, *seed, inj, 1.0, time.Millisecond)
 	fmt.Println("fault-site ledger (injected/trials):")
 	for _, c := range inj.Counters() {
 		if c.Trials > 0 {
@@ -49,28 +49,30 @@ func main() {
 	}
 
 	fmt.Println("\n=== 3. overload: degradation ladder under saturating load ===")
-	run(pool, *seed, nil, 16.0, false)
+	run(pool, *seed, nil, 16.0, 0)
 }
 
 // run serves Poisson traffic through a fresh runtime with the serving
 // decoder build, W512/APCM (optionally under chaos injection), and
 // prints the delivery/recovery ledger.
-func run(pool *ran.WordPool, seed int64, inj *chaos.Injector, rate float64, paced bool) {
+func run(pool *ran.WordPool, seed int64, inj *chaos.Injector, rate float64, tti time.Duration) {
 	cfg := ran.DefaultConfig(simd.W512, core.StrategyAPCM)
 	// The emulated decoder is ~1000x a real one, so the per-block budget
 	// is loose — the point here is the failure path, not the deadline.
 	cfg.Deadline = 100 * time.Millisecond
-	cfg.CheckCRC = pool.CheckCRC()
+	cfg.CheckCRC = ran.CRC24B
 	cfg.Chaos = inj
 	rt, err := ran.New(cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
+	// An unpaced run (TTI 0) offers the whole schedule as fast as the
+	// runtime takes it.
 	load := ran.LoadConfig{
-		UEsPerCell: 8, TTI: time.Millisecond, MeanPerTTI: rate,
-		TTIs: 400, Seed: seed,
+		Cells: ran.Uniform(cfg.Cells, ran.Source{Mean: rate}),
+		UEs:   8, TTI: tti, TTIs: 400, Seed: seed,
 	}
-	rep := ran.OfferLoad(rt, pool, load, paced)
+	rep := ran.OfferLoad(ran.NewSchedule(load), 0, 400, pool, rt.SubmitProcess)
 	snap := rt.Stop()
 
 	fmt.Printf("offered %d, accepted %d, delivered %d (%.1f%%)\n",

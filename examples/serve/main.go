@@ -40,7 +40,7 @@ type snapshot struct {
 func main() {
 	// The serving decoder build, as on vranserve.
 	const w, s = simd.W512, core.StrategyAPCM
-	pool, err := ran.NewWordPool(40, 64, 24, rand.New(rand.NewSource(3)))
+	pool, err := ran.NewWordPool(40, 64, rand.New(rand.NewSource(3)))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -68,13 +68,13 @@ func main() {
 		if err := admin.Start(); err != nil {
 			log.Fatal(err)
 		}
-		load := ran.LoadConfig{
-			UEsPerCell: 4, TTI: time.Millisecond,
-			MeanPerTTI: rate, TTIs: 600, Seed: 9,
-		}
+		sched := ran.NewSchedule(ran.LoadConfig{
+			Cells: ran.Uniform(cfg.Cells, ran.Source{Mean: rate}),
+			UEs:   4, TTI: time.Millisecond, TTIs: 600, Seed: 9,
+		})
 		cpu0 := processCPU()
 		done := make(chan struct{})
-		go func() { ran.OfferLoad(rt, pool, load, true); close(done) }()
+		go func() { ran.OfferLoad(sched, 0, 600, pool, rt.SubmitProcess); close(done) }()
 
 		// Poll the endpoint while traffic flows, keeping the last scrape.
 		var last snapshot

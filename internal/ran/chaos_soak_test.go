@@ -8,6 +8,7 @@ import (
 	"vransim/internal/chaos"
 	"vransim/internal/core"
 	"vransim/internal/simd"
+	"vransim/internal/turbo"
 )
 
 // TestChaosSoak drives the runtime through N simulated TTIs of traffic
@@ -57,7 +58,7 @@ func soak(t *testing.T, seed int64, faults bool) {
 	const (
 		k       = 40
 		ttis    = 250
-		perTTI  = 8 // blocks across all cells per simulated TTI
+		perTTI  = 8 // mean blocks across all cells per simulated TTI
 		maxWait = 60 * time.Second
 	)
 	baseline := runtime.NumGoroutine()
@@ -86,33 +87,30 @@ func soak(t *testing.T, seed int64, faults bool) {
 	}
 
 	pool := mustPool(t, k, 64, seed)
-	cfg.CheckCRC = pool.CheckCRC()
+	cfg.CheckCRC = CRC24B
 
 	rt, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	var offered, admitted, rejected uint64
-	idx := 0
-	for tti := 0; tti < ttis; tti++ {
-		for j := 0; j < perTTI; j++ {
-			cell := idx % cfg.Cells
-			ue := (idx / cfg.Cells) % 8
-			w, _ := pool.Get(idx)
-			offered++
-			switch rt.SubmitProcess(cell, ue, idx, k, w) {
-			case Admitted:
-				admitted++
-			default:
-				rejected++
-			}
-			idx++
+	// One arrival schedule at a compressed 50 µs TTI, so the workers
+	// interleave with submission.
+	sched := NewSchedule(LoadConfig{
+		Cells: Uniform(cfg.Cells, Source{Mean: perTTI / float64(cfg.Cells)}),
+		UEs:   8, TTI: 50 * time.Microsecond, TTIs: ttis, Seed: seed,
+	})
+	var admitted, rejected uint64
+	rep := OfferLoad(sched, 0, ttis, pool, func(cell, ue, proc, k int, w *turbo.LLRWord) Admit {
+		a := rt.SubmitProcess(cell, ue, proc, k, w)
+		if a == Admitted {
+			admitted++
+		} else {
+			rejected++
 		}
-		// Yield so the workers interleave with submission — the
-		// simulated TTI clock, compressed.
-		time.Sleep(50 * time.Microsecond)
-	}
+		return a
+	})
+	offered := uint64(rep.Offered)
 
 	// Settle: every accepted block terminal, no retry in flight.
 	settleBy := time.Now().Add(maxWait)

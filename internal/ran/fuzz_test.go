@@ -23,7 +23,7 @@ func fuzzPool(t testing.TB, k int) *WordPool {
 	if p, ok := fuzzPools[k]; ok {
 		return p
 	}
-	p, err := NewWordPool(k, 8, 24, rand.New(rand.NewSource(int64(k))))
+	p, err := NewWordPool(k, 8, rand.New(rand.NewSource(int64(k))))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +81,7 @@ func FuzzAdmission(f *testing.F) {
 			cfg.Deadline = time.Microsecond
 		}
 		cfg.AdmissionGuard = mode&0x80 != 0
-		cfg.CheckCRC = pool.CheckCRC()
+		cfg.CheckCRC = CRC24B
 		cfg.SLA = SLAConfig{
 			Classes:       classes,
 			URLLCDeadline: time.Duration(urllcUs) * time.Microsecond,

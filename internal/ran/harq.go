@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"vransim/internal/telemetry"
-	"vransim/internal/turbo"
 )
 
 // HARQConfig shapes the runtime's retransmission path. A decode whose
@@ -173,9 +172,3 @@ func (r *Runtime) checkBlock(b *Block, bits []byte) bool {
 	}
 	return true
 }
-
-// Submitted returns the originally submitted (transmitted) word for
-// this block — the pre-corruption reference CheckCRC implementations
-// key truth lookups on (Word may be a chaos-corrupted copy or a
-// HARQ-combined snapshot).
-func (b *Block) Submitted() *turbo.LLRWord { return b.tx }

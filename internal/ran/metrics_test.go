@@ -260,7 +260,7 @@ func TestWorkerAllocsPerOpSteadyState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pool, err := NewWordPool(k, 16, 24, rand.New(rand.NewSource(5)))
+	pool, err := NewWordPool(k, 16, rand.New(rand.NewSource(5)))
 	if err != nil {
 		t.Fatal(err)
 	}

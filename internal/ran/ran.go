@@ -62,7 +62,7 @@ type Block struct {
 	Deadline time.Time
 
 	// tx is the originally submitted word — the reference a
-	// retransmission is regenerated from (see Submitted).
+	// retransmission is regenerated from.
 	tx *turbo.LLRWord
 
 	// taken is when a worker took the block out of the ready structure:

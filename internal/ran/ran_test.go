@@ -29,7 +29,7 @@ func testConfig(w simd.Width) Config {
 
 func mustPool(t testing.TB, k, n int, seed int64) *WordPool {
 	t.Helper()
-	pool, err := NewWordPool(k, n, 24, rand.New(rand.NewSource(seed)))
+	pool, err := NewWordPool(k, n, rand.New(rand.NewSource(seed)))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,7 +19,7 @@ import (
 // count under a saturating flood. Future PRs regress against these
 // numbers; the 1-vs-8 ratio is the scalability acceptance check.
 func BenchmarkServeThroughput(b *testing.B) {
-	pool, err := NewWordPool(104, 64, 24, rand.New(rand.NewSource(11)))
+	pool, err := NewWordPool(104, 64, rand.New(rand.NewSource(11)))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func BenchmarkServeThroughput(b *testing.B) {
 // the submitter's thread blocks outside Go's scheduler; sleep=go parks in
 // time.Sleep.
 func BenchmarkServeLoneBlock(b *testing.B) {
-	pool, err := NewWordPool(40, 64, 24, rand.New(rand.NewSource(11)))
+	pool, err := NewWordPool(40, 64, rand.New(rand.NewSource(11)))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -134,7 +134,7 @@ func processCPU(b *testing.B) time.Duration {
 // telemetry acceptance bar is <5% goodput loss with the tracer mounted
 // (ring 512, slowest-16 — the vranserve -admin defaults).
 func BenchmarkServeTracingOverhead(b *testing.B) {
-	pool, err := NewWordPool(104, 64, 24, rand.New(rand.NewSource(11)))
+	pool, err := NewWordPool(104, 64, rand.New(rand.NewSource(11)))
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -3,42 +3,46 @@ package ran
 import (
 	"fmt"
 	"math/rand"
-	"sync"
 	"time"
 
+	"vransim/internal/phy"
 	"vransim/internal/transport"
 	"vransim/internal/turbo"
 )
 
 // WordPool pre-encodes a set of random code blocks so the hot serving
 // path hands out ready-made LLR words instead of paying the encoder per
-// arrival. Words are read-only once built, so one pool safely feeds any
-// number of generator goroutines and decode workers.
+// arrival. Every payload is k−24 random bits followed by their CRC24B,
+// so a decode is judged on its content alone (CRC24B) — in process, on
+// a shard across the fronthaul, or after a migration. Words are
+// read-only once built, so one pool safely feeds any number of
+// submitters and decode workers.
 type WordPool struct {
 	K     int
 	words []*turbo.LLRWord
 	truth [][]byte
-	// byWord keys truth by word identity, for CheckCRC implementations
-	// that verify decoded bits against the encoded payload.
-	byWord map[*turbo.LLRWord][]byte
 }
 
-// NewWordPool encodes n random K-bit blocks at LLR amplitude amp using
-// the caller's rng (explicit so concurrent pools never share a source).
-func NewWordPool(k, n int, amp int16, rng *rand.Rand) (*WordPool, error) {
+// NewWordPool encodes n random CRC24B-suffixed K-bit blocks using the
+// caller's rng (explicit so concurrent pools never share a source).
+func NewWordPool(k, n int, rng *rand.Rand) (*WordPool, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("ran: word pool needs n > 0")
+	}
+	if k <= 24 {
+		return nil, fmt.Errorf("ran: word pool needs k > 24 for its CRC24B, got %d", k)
 	}
 	c, err := turbo.NewCode(k)
 	if err != nil {
 		return nil, err
 	}
-	p := &WordPool{K: k, byWord: make(map[*turbo.LLRWord][]byte, n)}
+	p := &WordPool{K: k}
 	for i := 0; i < n; i++ {
-		bits := make([]byte, k)
-		for j := range bits {
-			bits[j] = byte(rng.Intn(2))
+		msg := make([]byte, k-24)
+		for j := range msg {
+			msg[j] = byte(rng.Intn(2))
 		}
+		bits := phy.AppendCRC(msg, phy.CRC24BPoly, 24)
 		cw, err := c.Encode(bits)
 		if err != nil {
 			return nil, err
@@ -47,41 +51,8 @@ func NewWordPool(k, n int, amp int16, rng *rand.Rand) (*WordPool, error) {
 		w.FromHard(cw, 24)
 		p.words = append(p.words, w)
 		p.truth = append(p.truth, bits)
-		p.byWord[w] = bits
 	}
 	return p, nil
-}
-
-// Lookup returns the encoded payload of a pool word (keyed by word
-// identity) — the truth reference a CheckCRC hook compares decoded
-// bits against. The word must be one the pool handed out via Get;
-// look up a Block's Submitted() word, not its possibly corrupted or
-// combined Word.
-func (p *WordPool) Lookup(w *turbo.LLRWord) ([]byte, bool) {
-	bits, ok := p.byWord[w]
-	return bits, ok
-}
-
-// CheckCRC returns a Config.CheckCRC hook that verifies decoded bits
-// against the pool's encoded payloads — the closed-loop stand-in for a
-// real transport-block CRC. Unknown words pass (the hook only judges
-// traffic it generated).
-func (p *WordPool) CheckCRC() func(b *Block, bits []byte) bool {
-	return func(b *Block, bits []byte) bool {
-		truth, ok := p.Lookup(b.Submitted())
-		if !ok {
-			return true
-		}
-		if len(truth) != len(bits) {
-			return false
-		}
-		for i := range truth {
-			if truth[i] != bits[i] {
-				return false
-			}
-		}
-		return true
-	}
 }
 
 // Get returns word i (mod pool size) and its true payload bits.
@@ -93,110 +64,139 @@ func (p *WordPool) Get(i int) (*turbo.LLRWord, []byte) {
 // Len reports the pool size.
 func (p *WordPool) Len() int { return len(p.words) }
 
+// CRC24B is the Config.CheckCRC hook for pool words: a decoded payload
+// is accepted iff its CRC24B suffix verifies. It needs no truth table,
+// so it judges a block wherever it decodes. A wrong decode passes with
+// probability 2⁻²⁴.
+func CRC24B(_ *Block, bits []byte) bool {
+	return phy.CheckCRC(bits, phy.CRC24BPoly, 24)
+}
+
+// Source is one cell's arrival process: Mean blocks per TTI, Poisson
+// when Burst ≤ 1, and when Burst > 1 a two-state MMPP that is ON at
+// Burst× the mean for 1/Burst of the time (ON dwell 8 TTIs on average)
+// and silent otherwise, so the long-run mean stays Mean.
+type Source struct {
+	Mean, Burst float64
+}
+
+// Uniform is n cells of the one source.
+func Uniform(n int, src Source) []Source {
+	cells := make([]Source, n)
+	for c := range cells {
+		cells[c] = src
+	}
+	return cells
+}
+
 // LoadConfig shapes the synthetic traffic the generator offers.
 type LoadConfig struct {
-	// UEsPerCell spreads arrivals across UE ids (round-robin).
-	UEsPerCell int
-	// TTI is the arrival clock period (LTE: 1 ms).
+	// Cells holds one arrival source per cell, in cell order.
+	Cells []Source
+	// UEs is the number of UE ids per cell (at least 1).
+	UEs int
+	// TTI is the arrival clock period (LTE: 1 ms); 0 offers the whole
+	// schedule unpaced, as fast as the submit callback returns.
 	TTI time.Duration
-	// MeanPerTTI is the per-cell Poisson arrival mean.
-	MeanPerTTI float64
-	// Bursty switches each cell to a two-state on/off arrival process
-	// with the same long-run mean but BurstFactor× the rate while on.
-	Bursty      bool
-	BurstFactor float64
-	// CellMeans overrides MeanPerTTI per cell (0 entries and cells past
-	// the slice keep the global mean) — how a soak offers steady URLLC
-	// on some cells and a heavier mean on others.
-	CellMeans []float64
-	// CellBursty overrides Bursty per cell when non-nil, so one run can
-	// mix MMPP-bursty eMBB cells with steady-Poisson URLLC cells.
-	CellBursty []bool
 	// TTIs is the run horizon.
 	TTIs int
 	// Seed derives one private rng per cell.
 	Seed int64
 }
 
+// Arrival is one scheduled block. Block n of a cell goes to UE n % UEs
+// on HARQ process (n / UEs) % HARQProcesses, so a (UE, process) pair of
+// a cell recurs only every UEs·HARQProcesses blocks and two live blocks
+// never share a soft buffer unless that many are in flight.
+type Arrival struct {
+	TTI, Cell, UE, Proc int
+}
+
+// Schedule is a load drawn up front: every arrival of the horizon,
+// merged across cells in TTI order. Arrival i carries pool word i.
+type Schedule struct {
+	TTI      time.Duration
+	Arrivals []Arrival
+	// first[t] is the index of TTI t's first arrival; len TTIs+1.
+	first []int
+}
+
+// NewSchedule draws cfg's arrivals. The same cfg draws the same
+// schedule.
+func NewSchedule(cfg LoadConfig) *Schedule {
+	ues := max(cfg.UEs, 1)
+	procs := make([]transport.ArrivalProcess, len(cfg.Cells))
+	for c, src := range cfg.Cells {
+		rng := rand.New(rand.NewSource(cfg.Seed + int64(c)*7919))
+		if src.Burst > 1 {
+			procs[c] = transport.NewBurstyProcess(src.Burst*src.Mean, 0, 8, 8*(src.Burst-1), rng)
+		} else {
+			procs[c] = transport.NewPoissonProcess(src.Mean, rng)
+		}
+	}
+	s := &Schedule{TTI: cfg.TTI, first: make([]int, cfg.TTIs+1)}
+	blocks := make([]int, len(cfg.Cells))
+	for t := 0; t < cfg.TTIs; t++ {
+		s.first[t] = len(s.Arrivals)
+		for c, p := range procs {
+			for j := p.Next(); j > 0; j-- {
+				n := blocks[c]
+				s.Arrivals = append(s.Arrivals, Arrival{
+					TTI: t, Cell: c, UE: n % ues, Proc: (n / ues) % HARQProcesses,
+				})
+				blocks[c]++
+			}
+		}
+	}
+	s.first[cfg.TTIs] = len(s.Arrivals)
+	return s
+}
+
 // LoadReport summarizes what a generator run actually offered.
 type LoadReport struct {
-	// Offered counts Submit attempts; Arrivals records the per-TTI
+	// Offered counts submit calls; Arrivals records the per-TTI
 	// aggregate arrival counts (for the analytic cross-check).
 	Offered  int
 	Arrivals []int
+	// Slip is how far the run fell behind the TTI clock for good.
+	Slip time.Duration
 }
 
-// OfferLoad drives rt with synthetic traffic from pool: one goroutine
-// per cell, each with its own arrival process and rng, paced by the
-// TTI clock. It blocks until the horizon elapses and returns what was
-// offered. Pass paced=false to disable pacing (saturation mode: every
-// cell submits its arrivals as fast as the runtime admits them).
-func OfferLoad(rt *Runtime, pool *WordPool, cfg LoadConfig, paced bool) *LoadReport {
-	nCells := rt.cfg.Cells
-	if cfg.UEsPerCell <= 0 {
-		cfg.UEsPerCell = 1
-	}
-	if cfg.TTI <= 0 {
-		cfg.TTI = time.Millisecond
-	}
-	perCell := make([][]int, nCells)
-	var wg sync.WaitGroup
-	wg.Add(nCells)
-	for cell := 0; cell < nCells; cell++ {
-		go func(cell int) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(cfg.Seed + int64(cell)*7919))
-			mean := cfg.MeanPerTTI
-			if cell < len(cfg.CellMeans) && cfg.CellMeans[cell] > 0 {
-				mean = cfg.CellMeans[cell]
+// OfferLoad offers TTIs [from, to) of s to submit, pool word i with
+// arrival i, on the calling goroutine, and returns what it offered.
+// Runtime.SubmitProcess and Coordinator.Submit both fit submit. A
+// caller that acts between two TTIs (a forced migration) offers the
+// schedule in two calls.
+//
+// TTI t is due (t−from)·TTI after the call plus the slip so far. The
+// catch-up rule is slip: a TTI the loop reaches more than one TTI past
+// its due time adds that lateness to the slip and is offered at once,
+// so later TTIs keep their spacing from it and a stall never turns
+// into a clump of the TTIs it missed; a TTI less late is offered at
+// once without slipping; an early one is slept for. Every arrival is
+// still offered exactly once. Lateness is judged before the sleep, not
+// after it: time.Sleep on an idle process wakes up to a millisecond
+// late, and judged after it, that alone stretched a run of 1 ms TTIs
+// by ~7 % on a 2-vCPU host.
+func OfferLoad[R any](s *Schedule, from, to int, pool *WordPool, submit func(cell, ue, proc, k int, w *turbo.LLRWord) R) LoadReport {
+	rep := LoadReport{Arrivals: make([]int, to-from)}
+	start := time.Now()
+	for t := from; t < to; t++ {
+		if s.TTI > 0 {
+			due := start.Add(time.Duration(t-from)*s.TTI + rep.Slip)
+			if late := time.Since(due); late > s.TTI {
+				rep.Slip += late
+			} else if late < 0 {
+				time.Sleep(-late)
 			}
-			bursty := cfg.Bursty
-			if cfg.CellBursty != nil {
-				bursty = cell < len(cfg.CellBursty) && cfg.CellBursty[cell]
-			}
-			var proc transport.ArrivalProcess
-			if bursty {
-				bf := cfg.BurstFactor
-				if bf <= 1 {
-					bf = 4
-				}
-				// On/off dwell split keeping the long-run mean at the
-				// cell's mean: on 1/bf of the time at bf× the rate.
-				proc = transport.NewBurstyProcess(bf*mean, 0, 8, 8*(bf-1), rng)
-			} else {
-				proc = transport.NewPoissonProcess(mean, rng)
-			}
-			arrivals := make([]int, cfg.TTIs)
-			next := time.Now()
-			wordIdx := cell // stagger pool starts across cells
-			for t := 0; t < cfg.TTIs; t++ {
-				n := proc.Next()
-				arrivals[t] = n
-				for j := 0; j < n; j++ {
-					w, _ := pool.Get(wordIdx)
-					// Cycle the HARQ process id so concurrent in-flight
-					// blocks of one UE never share a soft buffer (the id
-					// wraps modulo the runtime's process count).
-					rt.SubmitProcess(cell, j%cfg.UEsPerCell, wordIdx, pool.K, w)
-					wordIdx++
-				}
-				if paced {
-					next = next.Add(cfg.TTI)
-					if d := time.Until(next); d > 0 {
-						time.Sleep(d)
-					}
-				}
-			}
-			perCell[cell] = arrivals
-		}(cell)
-	}
-	wg.Wait()
-	rep := &LoadReport{Arrivals: make([]int, cfg.TTIs)}
-	for _, arr := range perCell {
-		for t, n := range arr {
-			rep.Arrivals[t] += n
-			rep.Offered += n
 		}
+		for i := s.first[t]; i < s.first[t+1]; i++ {
+			a := s.Arrivals[i]
+			w, _ := pool.Get(i)
+			submit(a.Cell, a.UE, a.Proc, pool.K, w)
+		}
+		rep.Arrivals[t-from] = s.first[t+1] - s.first[t]
+		rep.Offered += rep.Arrivals[t-from]
 	}
 	return rep
 }

@@ -18,8 +18,8 @@ import (
 // migrated blocks must deliver on the target.
 func TestMigrateCellMidTraffic(t *testing.T) {
 	const cells = 2
-	pool := mustCRCPool(t, 64, 32, 11)
-	base := fleetRuntime(cells, pool)
+	pool := mustPool(t, 64, 32, 11)
+	base := fleetRuntime(cells)
 	f, err := NewFleet(FleetConfig{
 		Coordinator: Config{Cells: cells, Deadline: 30 * time.Second},
 		Runtime: func(i int) ran.Config {
@@ -143,10 +143,9 @@ func TestMigrateCellMidTraffic(t *testing.T) {
 
 // TestMigrateValidation: bad arguments and no-op moves.
 func TestMigrateValidation(t *testing.T) {
-	pool := mustCRCPool(t, 64, 4, 3)
 	f, err := NewFleet(FleetConfig{
 		Coordinator: Config{Cells: 2, Deadline: time.Second},
-		Runtime:     fleetRuntime(2, pool),
+		Runtime:     fleetRuntime(2),
 		Shards:      2,
 	})
 	if err != nil {
@@ -172,8 +171,8 @@ func TestMigrateValidation(t *testing.T) {
 // blocks (undecodable on shard 0) deliver on shard 1.
 func TestRebalanceMovesSkewedCell(t *testing.T) {
 	const cells = 2
-	pool := mustCRCPool(t, 64, 32, 17)
-	base := fleetRuntime(cells, pool)
+	pool := mustPool(t, 64, 32, 17)
+	base := fleetRuntime(cells)
 	f, err := NewFleet(FleetConfig{
 		Coordinator: Config{
 			Cells:    cells,

@@ -16,7 +16,7 @@ import (
 // count, generous deadline (the tests are about routing and state
 // movement, not the clock), content-based CRC so verdicts survive the
 // fronthaul serialization boundary.
-func fleetRuntime(cells int, pool *CRCPool) func(int) ran.Config {
+func fleetRuntime(cells int) func(int) ran.Config {
 	return func(int) ran.Config {
 		cfg := ran.DefaultConfig(simd.W256, core.StrategyAPCM)
 		cfg.Cells = cells
@@ -27,14 +27,14 @@ func fleetRuntime(cells int, pool *CRCPool) func(int) ran.Config {
 		cfg.QueueDepth = 1024
 		cfg.Deadline = 30 * time.Second
 		cfg.AdmissionGuard = false
-		cfg.CheckCRC = pool.CheckCRC()
+		cfg.CheckCRC = ran.CRC24B
 		return cfg
 	}
 }
 
-func mustCRCPool(t *testing.T, k, n int, seed int64) *CRCPool {
+func mustPool(t *testing.T, k, n int, seed int64) *ran.WordPool {
 	t.Helper()
-	p, err := NewCRCPool(k, n, 24, rand.New(rand.NewSource(seed)))
+	p, err := ran.NewWordPool(k, n, rand.New(rand.NewSource(seed)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,10 +97,10 @@ func settle(t *testing.T, c *Coordinator, maxWait time.Duration, minAccepted uin
 // snapshot's families sum exactly to the per-shard values.
 func TestFleetRoutesAndAggregates(t *testing.T) {
 	const cells, n = 4, 48
-	pool := mustCRCPool(t, 64, 32, 1)
+	pool := mustPool(t, 64, 32, 1)
 	f, err := NewFleet(FleetConfig{
 		Coordinator: Config{Cells: cells, Deadline: 30 * time.Second},
-		Runtime:     fleetRuntime(cells, pool),
+		Runtime:     fleetRuntime(cells),
 		Shards:      2,
 	})
 	if err != nil {
@@ -218,26 +218,5 @@ func TestAggregateGauges(t *testing.T) {
 	}
 	if empty := ran.Merge(nil); empty.DecodeAllocsPerOp != -1 {
 		t.Errorf("empty aggregate allocs/op %v, want -1", empty.DecodeAllocsPerOp)
-	}
-}
-
-// TestCRCPool: encoded words decode to bits whose CRC24B suffix
-// verifies; a corrupted payload fails the check.
-func TestCRCPool(t *testing.T) {
-	pool := mustCRCPool(t, 64, 4, 2)
-	check := pool.CheckCRC()
-	for i := 0; i < pool.Len(); i++ {
-		_, bits := pool.Get(i)
-		if !check(nil, bits) {
-			t.Errorf("true payload %d fails its own CRC", i)
-		}
-		bad := append([]byte(nil), bits...)
-		bad[3] ^= 1
-		if check(nil, bad) {
-			t.Errorf("corrupted payload %d passes CRC", i)
-		}
-	}
-	if _, err := NewCRCPool(24, 1, 24, rand.New(rand.NewSource(1))); err == nil {
-		t.Error("k ≤ 24 pool accepted")
 	}
 }

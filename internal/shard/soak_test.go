@@ -7,6 +7,7 @@ import (
 
 	"vransim/internal/chaos"
 	"vransim/internal/ran"
+	"vransim/internal/turbo"
 )
 
 // TestShardChaosSoak drives a two-shard fleet through link-level chaos
@@ -39,10 +40,10 @@ func shardSoak(t *testing.T, seed int64) {
 		cells  = 4
 		shards = 2
 		ttis   = 200
-		perTTI = 8
+		perTTI = 8.0 // mean blocks across all cells per TTI
 	)
-	pool := mustCRCPool(t, 64, 64, seed)
-	base := fleetRuntime(cells, pool)
+	pool := mustPool(t, 64, 64, seed)
+	base := fleetRuntime(cells)
 
 	// One injector per shard link (deterministic per seed) and one per
 	// runtime; the link injectors own the fronthaul sites, the runtime
@@ -79,29 +80,25 @@ func shardSoak(t *testing.T, seed int64) {
 		t.Fatal(err)
 	}
 
-	var offered uint64
-	idx := 0
-	for tti := 0; tti < ttis; tti++ {
-		for j := 0; j < perTTI; j++ {
-			cell := idx % cells
-			w, _ := pool.Get(idx)
-			// Per cell, cycle all 64 (UE, process) pairs so concurrently
-			// live blocks never share a HARQ soft buffer.
-			if err := f.Coord.Submit(cell, (idx/cells)%8, (idx/(cells*8))%8, pool.K, w); err != nil {
-				t.Fatal(err)
-			}
-			offered++
-			idx++
+	// Per cell, blocks cycle all 64 (UE, process) pairs, so concurrently
+	// live blocks never share a HARQ soft buffer. Mid-soak, between the
+	// two halves of the schedule, a live cell moves to the other shard.
+	sched := ran.NewSchedule(ran.LoadConfig{
+		Cells: ran.Uniform(cells, ran.Source{Mean: perTTI / cells}),
+		UEs:   8, TTI: 50 * time.Microsecond, TTIs: ttis, Seed: seed,
+	})
+	submit := func(cell, ue, proc, k int, w *turbo.LLRWord) error {
+		if err := f.Coord.Submit(cell, ue, proc, k, w); err != nil {
+			t.Fatal(err)
 		}
-		if tti == ttis/2 {
-			// Mid-soak, move a live cell to the other shard.
-			from := f.Coord.Route(0)
-			if err := f.Coord.MigrateCell(0, 1-from, 5*time.Second); err != nil {
-				t.Fatalf("mid-soak migration: %v", err)
-			}
-		}
-		time.Sleep(50 * time.Microsecond)
+		return nil
 	}
+	offered := uint64(ran.OfferLoad(sched, 0, ttis/2+1, pool, submit).Offered)
+	from := f.Coord.Route(0)
+	if err := f.Coord.MigrateCell(0, 1-from, 5*time.Second); err != nil {
+		t.Fatalf("mid-soak migration: %v", err)
+	}
+	offered += uint64(ran.OfferLoad(sched, ttis/2+1, ttis, pool, submit).Offered)
 	// Release any reorder-held frames before settling the ledger.
 	f.Coord.Stop()
 

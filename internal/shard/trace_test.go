@@ -82,11 +82,11 @@ func TestSpanContextFromWireSkew(t *testing.T) {
 // hop histograms, SLO gauges and span exemplars over the admin server.
 func TestFleetTraceEndToEnd(t *testing.T) {
 	const cells, n = 4, 48
-	pool := mustCRCPool(t, 64, 32, 1)
+	pool := mustPool(t, 64, 32, 1)
 	f, err := NewFleet(FleetConfig{
 		Coordinator: Config{Cells: cells, Deadline: 30 * time.Second,
 			Trace: TraceConfig{Sample: 1}},
-		Runtime: fleetRuntime(cells, pool),
+		Runtime: fleetRuntime(cells),
 		Shards:  2,
 	})
 	if err != nil {
@@ -200,11 +200,11 @@ func TestFleetTraceEndToEnd(t *testing.T) {
 // blocks must not reach the collector.
 func TestTraceSampling(t *testing.T) {
 	const cells, n = 2, 32
-	pool := mustCRCPool(t, 64, 32, 2)
+	pool := mustPool(t, 64, 32, 2)
 	f, err := NewFleet(FleetConfig{
 		Coordinator: Config{Cells: cells, Deadline: 30 * time.Second,
 			Trace: TraceConfig{Sample: 4}},
-		Runtime: fleetRuntime(cells, pool),
+		Runtime: fleetRuntime(cells),
 		Shards:  2,
 	})
 	if err != nil {
@@ -233,11 +233,11 @@ func TestTraceSampling(t *testing.T) {
 // span that does come back parses and stays non-negative.
 func TestTraceSurvivesLinkChaos(t *testing.T) {
 	const cells, n = 4, 200
-	pool := mustCRCPool(t, 64, 64, 3)
+	pool := mustPool(t, 64, 64, 3)
 	f, err := NewFleet(FleetConfig{
 		Coordinator: Config{Cells: cells, Deadline: 30 * time.Second,
 			Trace: TraceConfig{Sample: 1}},
-		Runtime: fleetRuntime(cells, pool),
+		Runtime: fleetRuntime(cells),
 		Shards:  2,
 		LinkChaos: func(i int) *chaos.Injector {
 			return chaos.New(chaos.Config{

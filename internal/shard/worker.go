@@ -224,3 +224,8 @@ func (w *Worker) commitImport(link *fronthaul.Link, f *fronthaul.Frame) error {
 func (w *Worker) writeErr(link *fronthaul.Link, err error) error {
 	return link.WriteFrame(&fronthaul.Frame{Type: fronthaul.TypeError, Payload: []byte(err.Error())})
 }
+
+// ContentCRC24B returns ran.CRC24B, the decode check every pool word
+// carries. It is kept only for benchmark/, which calls it; ROADMAP item
+// 1(h) moves that caller onto ran.CRC24B and deletes this forward.
+func ContentCRC24B() func(*ran.Block, []byte) bool { return ran.CRC24B }

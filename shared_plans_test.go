@@ -27,7 +27,7 @@ func TestOneCompilePerProcess(t *testing.T) {
 	var wrong atomic.Uint64
 	pools := make(map[int]*ran.WordPool)
 	for _, k := range sizes {
-		p, err := ran.NewWordPool(k, perSize, 24, rand.New(rand.NewSource(int64(k))))
+		p, err := ran.NewWordPool(k, perSize, rand.New(rand.NewSource(int64(k))))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -39,8 +39,8 @@ func TestOneCompilePerProcess(t *testing.T) {
 		cfg.Deadline = time.Minute
 		cfg.AdmissionGuard = false
 		cfg.OnDecoded = func(b *ran.Block, bits []byte) {
-			want, ok := pools[b.K].Lookup(b.Submitted())
-			if !ok || !bytes.Equal(want, bits) {
+			// drain submits pool word i as UE i.
+			if _, want := pools[b.K].Get(b.UE); !bytes.Equal(want, bits) {
 				wrong.Add(1)
 			}
 		}

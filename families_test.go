@@ -24,7 +24,7 @@ import (
 var servingFamilies = []string{
 	"vran_accepted_total", "vran_delivered_total", "vran_dropped_total", "vran_queue_depth",
 	"vran_goodput_mbps", "vran_batches_total", "vran_lane_occupancy", "vran_decode_iters",
-	"vran_worker_utilization", "vran_decode_allocs_per_op",
+	"vran_worker_utilization",
 	"vran_decode_compiled_ratio", "vran_decode_program_hits_total",
 	"vran_decode_program_misses_total", "vran_decode_compiles_total",
 	"vran_crc_failures_total", "vran_harq_retries_total", "vran_harq_recovered_total",

@@ -81,7 +81,6 @@ func soak(t *testing.T, seed int64, faults bool) {
 	cfg.QueueDepth = 256
 	cfg.MaxIters = 4
 	cfg.Deadline = 30 * time.Second // the soak is about faults, not the clock
-	cfg.AdmissionGuard = false
 	if faults {
 		cfg.Chaos = inj
 	}

@@ -48,6 +48,8 @@ var fuzzKs = [...]int{40, 64, 104}
 //     that never serves one class fails here;
 //   - nothing is left behind after Stop (queues, retry path).
 //
+// mode picks the block size (bits 0-5) and arms the burst predictor (bit
+// 0x40); bit 0x80 is ignored, so the seeds that set it replay unchanged.
 // Each step byte encodes one submission burst: cell, HARQ process,
 // burst size and an optional sub-TTI arrival gap.
 func FuzzAdmission(f *testing.F) {
@@ -74,13 +76,12 @@ func FuzzAdmission(f *testing.F) {
 		cfg.Workers = 2
 		cfg.QueueDepth = 8 // small: the backlog reject path must fire under fuzz
 		cfg.MaxIters = 4
-		// Deadlines down to 1µs are legal inputs: hopeless blocks must be
-		// rejected or expired, never lost.
+		// Deadlines down to 1µs are legal inputs: hopeless blocks must
+		// expire or finish late, never be lost.
 		cfg.Deadline = time.Duration(deadlineUs) * time.Microsecond
 		if cfg.Deadline <= 0 {
 			cfg.Deadline = time.Microsecond
 		}
-		cfg.AdmissionGuard = mode&0x80 != 0
 		cfg.CheckCRC = CRC24B
 		cfg.SLA = SLAConfig{
 			Classes:       classes,
@@ -112,8 +113,10 @@ func FuzzAdmission(f *testing.F) {
 				switch verdict {
 				case Admitted:
 					admitted[classes[cell]]++
-				default:
+				case RejectedBacklog, RejectedShed:
 					rejected[classes[cell]]++
+				default:
+					t.Fatalf("cell %d: verdict %v, want admitted or refused for backlog or shed", cell, verdict)
 				}
 			}
 			if b&0x08 != 0 { // sub-TTI arrival gap
@@ -152,6 +155,9 @@ func FuzzAdmission(f *testing.F) {
 			preSum += pre
 			if pre != rejected[c] {
 				t.Errorf("class %s: ledger rejects %d, Submit rejected %d", c, pre, rejected[c])
+			}
+			if refused := ks.Drops[DropBacklog] + ks.Drops[DropShed]; pre != refused {
+				t.Errorf("class %s: Offered() - Accepted = %d, backlog + shed = %d", c, pre, refused)
 			}
 			if ks.Accepted != ks.Terminal() {
 				t.Errorf("class %s accounting leak: accepted %d != terminal %d (delivered %d)",

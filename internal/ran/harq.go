@@ -43,15 +43,6 @@ func (r *Runtime) retryOrDrop(b *Block, now time.Time, busy time.Duration, iters
 		r.harqRelease(b)
 		return
 	}
-	// Deadline-aware backoff: the retry lives under a fresh
-	// per-transmission deadline; if that budget cannot even cover one
-	// measured decode, requeuing is hopeless work.
-	if !r.guardAdmits(r.classDeadline(b.Class)) {
-		r.met.drop(b.Cell, b.Class, DropHARQ)
-		r.recordSpan(b, now, busy, iters, "harq_exhausted")
-		r.harqRelease(b)
-		return
-	}
 	// First failure: fold the first reception into the soft buffer.
 	// Later attempts' words are combined snapshots — already in there.
 	if b.Attempt == 0 {

@@ -15,17 +15,15 @@ var processID = rand.Uint64()
 // DropCause enumerates why a block failed to be delivered.
 type DropCause int
 
-// Drop causes, in pipeline order: backlog (ingress queue full),
-// admission (deadline infeasible on arrival), expired (deadline passed
-// while queued or batching), late (decoded, but after the deadline),
-// harq (CRC failed and the retry budget was exhausted, or a combine
-// was rejected), shutdown (a requeued HARQ retry could not be decoded
-// because the runtime was stopping), shed (the class-aware overload
-// controller rejected an eMBB arrival at the door to protect URLLC —
-// a pre-admission drop, like backlog and admission).
+// Drop causes, in pipeline order: backlog (ingress queue full), expired
+// (deadline passed while queued or batching), late (decoded, but after
+// the deadline), harq (CRC failed and the retry budget was exhausted, or
+// a combine was rejected), shutdown (a requeued HARQ retry could not be
+// decoded because the runtime was stopping), shed (the class-aware
+// overload controller rejected an eMBB arrival at the door to protect
+// URLLC — a pre-admission drop, like backlog).
 const (
 	DropBacklog DropCause = iota
-	DropAdmission
 	DropExpired
 	DropLate
 	DropHARQ
@@ -39,8 +37,6 @@ func (c DropCause) String() string {
 	switch c {
 	case DropBacklog:
 		return "backlog"
-	case DropAdmission:
-		return "admission"
 	case DropExpired:
 		return "expired"
 	case DropLate:
@@ -61,7 +57,7 @@ func (c DropCause) String() string {
 // the split is decided.
 func (c DropCause) refusal() bool {
 	switch c {
-	case DropBacklog, DropAdmission, DropShed:
+	case DropBacklog, DropShed:
 		return true
 	}
 	return false
@@ -72,7 +68,7 @@ func (c DropCause) refusal() bool {
 // refused at the door or accepted, and every accepted block ends
 // delivered or dropped after admission:
 //
-//	Offered()  = Accepted + backlog + admission + shed drops
+//	Offered()  = Accepted + backlog + shed drops
 //	Terminal() = Delivered + expired + late + harq + shutdown drops
 //
 // Once nothing is in flight, Terminal() == Accepted.
@@ -181,12 +177,6 @@ type Metrics struct {
 	decodedBlocks atomic.Uint64
 	decodeBusyNs  atomic.Int64
 
-	// Sampled heap-allocation accounting for the steady-state gauge:
-	// every allocSampleEvery-th worker decode contributes one sample of
-	// (decodes observed, heap objects allocated across them).
-	allocSampleOps  atomic.Uint64
-	allocSampleObjs atomic.Uint64
-
 	// Program counters, aggregated across workers by per-batch deltas
 	// (each worker's BatchDecoder keeps its own ProgramStats). progMissK is
 	// the block size of the most recent interpreted batch: what /healthz
@@ -257,11 +247,6 @@ func (m *Metrics) crcFail()       { m.crcFailures.Add(1) }
 func (m *Metrics) harqRetry()     { m.harqRetries.Add(1) }
 func (m *Metrics) harqRecover()   { m.harqRecovered.Add(1) }
 func (m *Metrics) degradedBatch() { m.degradedBatches.Add(1) }
-
-func (m *Metrics) allocSample(objs uint64) {
-	m.allocSampleOps.Add(1)
-	m.allocSampleObjs.Add(objs)
-}
 
 // programDelta folds one worker's program counter movement since its last
 // report, over a batch of block size k, into the runtime-wide totals.
@@ -338,15 +323,12 @@ type Snapshot struct {
 
 	// Raw sums behind the derived gauges: lane groups carrying a real
 	// block and available across batches, decode busy time, delivered
-	// information bits, the allocation sampler's decodes and heap objects,
-	// and the runtime's worker count.
-	LaneSlotsUsed   uint64
-	LaneSlotsTotal  uint64
-	DecodeBusyNs    int64
-	DeliveredBits   uint64
-	AllocSampleOps  uint64
-	AllocSampleObjs uint64
-	Workers         int
+	// information bits, and the runtime's worker count.
+	LaneSlotsUsed  uint64
+	LaneSlotsTotal uint64
+	DecodeBusyNs   int64
+	DeliveredBits  uint64
+	Workers        int
 
 	// LaneOccupancy is the fraction of register lane groups that carried
 	// a real block (1.0 = every decode used the full width).
@@ -357,11 +339,6 @@ type Snapshot struct {
 	DecodeIters [numIterBuckets]uint64
 	// AvgDecodeUs is the mean per-block decode cost in microseconds.
 	AvgDecodeUs float64
-	// DecodeAllocsPerOp is the sampled mean of heap objects allocated per
-	// batch decode (process-wide counter bracketing ~1/64 of decodes, so
-	// an approximate upper bound). Near zero on a warmed-up worker; -1
-	// when no sample has been taken yet.
-	DecodeAllocsPerOp float64
 	// WorkerUtilization is decode busy time over workers*elapsed.
 	WorkerUtilization float64
 	// GoodputMbps is delivered information bits over elapsed time.
@@ -462,10 +439,6 @@ func (s *Snapshot) derive() {
 	if tot := s.ProgramHits + s.ProgramMisses; tot > 0 {
 		s.CompiledRatio = float64(s.ProgramHits) / float64(tot)
 	}
-	s.DecodeAllocsPerOp = -1
-	if s.AllocSampleOps > 0 {
-		s.DecodeAllocsPerOp = float64(s.AllocSampleObjs) / float64(s.AllocSampleOps)
-	}
 	s.LatencyP50, s.LatencyP90, s.LatencyP99 = percentiles(s.LatencyBuckets)
 	for c := range s.Classes {
 		ks := &s.Classes[c]
@@ -510,8 +483,6 @@ func Merge(snaps []*Snapshot) *Snapshot {
 		out.LaneSlotsTotal += s.LaneSlotsTotal
 		out.DecodeBusyNs += s.DecodeBusyNs
 		out.DeliveredBits += s.DeliveredBits
-		out.AllocSampleOps += s.AllocSampleOps
-		out.AllocSampleObjs += s.AllocSampleObjs
 		out.Workers += s.Workers
 		// DecodeIters is not folded (ROADMAP 1(e)): the benchmark adds the
 		// per-runtime histograms itself.
@@ -571,8 +542,6 @@ func (m *Metrics) snapshot(queueDepths []int, workers int) *Snapshot {
 	s.LaneSlotsUsed = m.laneSlotsUsed.Load()
 	s.LaneSlotsTotal = m.laneSlotsTotal.Load()
 	s.DecodeBusyNs = m.decodeBusyNs.Load()
-	s.AllocSampleOps = m.allocSampleOps.Load()
-	s.AllocSampleObjs = m.allocSampleObjs.Load()
 	for i := range s.DecodeIters {
 		s.DecodeIters[i] = m.decodeIters[i].Load()
 	}

@@ -3,10 +3,10 @@
 // serves traffic instead of answering an analytic model's question
 // (pipeline.TTIConfig).
 //
-// Transport blocks arrive per cell with deadline-aware admission: a
-// block whose HARQ deadline is already infeasible is rejected at the
-// door, and a full (cell, class) backlog pushes back instead of
-// buffering without bound. Admitted blocks wait in one ready structure
+// Transport blocks arrive per cell with bounded admission: a full
+// (cell, class) backlog pushes back instead of buffering without bound,
+// and a block that cannot meet its HARQ deadline ends as expired at the
+// take or late after decode. Admitted blocks wait in one ready structure
 // (ready.go), grouped by class and K, that the decode workers pull their
 // own batches from: an idle worker takes up to width/128 same-K blocks
 // across UEs and cells — filling the lane groups of
@@ -94,8 +94,6 @@ const (
 	// RejectedBacklog: the cell's backlog of its class was full
 	// (backpressure).
 	RejectedBacklog
-	// RejectedDeadline: the deadline was infeasible at admission.
-	RejectedDeadline
 	// RejectedStopped: the runtime is shut down.
 	RejectedStopped
 	// RejectedSealed: the cell is sealed for migration — it no longer
@@ -123,10 +121,10 @@ type Config struct {
 	// Deadline is the per-block HARQ processing budget; blocks older
 	// than this are dropped, not decoded.
 	Deadline time.Duration
-	// AdmissionGuard enables the deadline feasibility check at Submit:
-	// reject immediately when the remaining slack cannot cover the
-	// measured decode cost, so hopeless blocks don't occupy queue space.
-	// Off, they are still dropped later as expired.
+	// AdmissionGuard stays only while the benchmark harness still sets it.
+	//
+	// Deprecated: no effect. A block that cannot meet its deadline ends
+	// as expired at the take or late after decode.
 	AdmissionGuard bool
 	// OnDecoded, when non-nil, is called from worker goroutines with
 	// every decoded block and its hard decisions (including blocks that
@@ -164,15 +162,14 @@ type Config struct {
 // DefaultConfig returns an LTE-shaped serving configuration.
 func DefaultConfig(w simd.Width, s core.Strategy) Config {
 	return Config{
-		Cells:          3,
-		QueueDepth:     64,
-		Workers:        4,
-		Width:          w,
-		Strategy:       s,
-		MaxIters:       4,
-		Deadline:       3 * time.Millisecond,
-		AdmissionGuard: true,
-		HARQ:           HARQConfig{MaxRetries: 3},
+		Cells:      3,
+		QueueDepth: 64,
+		Workers:    4,
+		Width:      w,
+		Strategy:   s,
+		MaxIters:   4,
+		Deadline:   3 * time.Millisecond,
+		HARQ:       HARQConfig{MaxRetries: 3},
 	}
 }
 
@@ -208,8 +205,9 @@ type Runtime struct {
 	// iteration budget), recomputed at every take from the backlog and
 	// read by every worker per batch.
 	degrade atomic.Int32
-	// estDecodeNs is an EWMA of per-block decode cost, feeding the
-	// admission guard (updateEstimate, guardAdmits).
+	// estDecodeNs is an EWMA of per-block decode cost (updateEstimate).
+	// Its one reader is the shed ladder's demand > capacity term
+	// (updateShed).
 	estDecodeNs atomic.Int64
 
 	// SLA-class overload state (sla.go / predict.go): slaActive latches
@@ -323,23 +321,18 @@ func (r *Runtime) SubmitTraced(cell, ue, proc, k int, word *turbo.LLRWord, tc te
 		r.met.drop(cell, class, DropShed)
 		return RejectedShed
 	}
-	deadline := r.classDeadline(class)
 	// A chaos injector may hand back a corrupted private copy — the
 	// noisy reception; the submitted word stays untouched as tx.
 	b := &Block{
 		Cell: cell, UE: ue, Process: proc, K: k, Class: class,
 		Word: r.cfg.Chaos.CorruptWord(word), tx: word,
 		Arrived:    now,
-		Deadline:   now.Add(deadline),
+		Deadline:   now.Add(r.classDeadline(class)),
 		hopArrived: now,
 	}
 	if tc.Valid() {
 		b.traceID, b.traceParent, b.acc = tc.TraceID, tc.Parent, tc.Upstream
 		b.origin = tc.Start
-	}
-	if !r.guardAdmits(deadline) {
-		r.met.drop(cell, class, DropAdmission)
-		return RejectedDeadline
 	}
 	a, handOff := RejectedBacklog, false
 	if !r.cfg.Chaos.QueueOverflow() {
@@ -480,8 +473,7 @@ const workerArenaBytes = 32 << 20
 // classes: the take's URLLC-first order bounds a URLLC block's
 // head-of-line wait to one eMBB batch (DESIGN §14). The decoder's plan
 // cache makes the steady state allocation-free, so the worker also keeps
-// its own words slice across batches; every ~64th decode is wrapped in a
-// heap-allocation sample feeding the vran_decode_allocs_per_op gauge.
+// its own words slice across batches.
 func (r *Runtime) worker() {
 	defer r.workerWG.Done()
 	labelLayer("decode")
@@ -531,8 +523,6 @@ func (r *Runtime) worker() {
 	lanes := bd.Lanes()
 	words := make([]*turbo.LLRWord, 0, lanes)
 	batch := make([]*Block, 0, lanes)
-	var sampler allocSampler
-	var batchNo uint64
 	for {
 		class, taken, ok := r.take(batch[:0])
 		if !ok {
@@ -592,19 +582,9 @@ func (r *Runtime) worker() {
 		for _, b := range live {
 			words = append(words, b.Word)
 		}
-		// Skip batch 0: the gauge is about the steady state, and the
-		// first decode of a K pays the one-time plan build.
-		sampling := batchNo > 0 && batchNo%allocSampleEvery == 0
-		batchNo++
-		if sampling {
-			sampler.begin()
-		}
 		t0 := time.Now()
 		decodeDur, decodeIters = 0, 0
 		bits, _, err := bd.Decode(k, words)
-		if sampling {
-			r.met.allocSample(sampler.end())
-		}
 		busy := decodeDur
 		if busy <= 0 {
 			busy = time.Since(t0)
@@ -718,14 +698,15 @@ func clampDur(d time.Duration) time.Duration {
 }
 
 // estSampleCap bounds one sample of the decode estimate to this many
-// times the estimate it is folded into: a host stall of 100-400 ms (the
-// shared hosts this runs on see several a minute) or a cold plan moves
+// times the estimate it is folded into: a host stall of 100-400 ms (a
+// shared host sees several a minute) or a cold plan moves
 // the estimate by at most (estSampleCap-1)/8 of itself, where unclamped
-// it would close the admission guard on a cost no later block pays.
+// it would put the shed ladder's capacity term far below what the
+// workers serve.
 const estSampleCap = 4
 
 // updateEstimate folds a measured batch cost into the per-block EWMA
-// the admission guard consults.
+// behind the shed ladder's measured capacity (updateShed).
 func (r *Runtime) updateEstimate(busy time.Duration, blocks int) {
 	per := busy.Nanoseconds() / int64(blocks)
 	old := r.estDecodeNs.Load()
@@ -736,26 +717,4 @@ func (r *Runtime) updateEstimate(busy time.Duration, blocks int) {
 	per = min(per, estSampleCap*old)
 	// 1/8 EWMA; a stale CAS just means another worker's sample won.
 	r.estDecodeNs.CompareAndSwap(old, old+(per-old)/8)
-}
-
-// guardAdmits is the admission guard's feasibility check, shared by
-// Submit and the HARQ requeue: a block must survive one decode at the
-// workers' measured cost (before the first measurement
-// everything is feasible). A refusal also folds a zero sample into the
-// estimate. The guard has no other source of samples while it is shut —
-// nothing it refuses is decoded — so without the decay one bad estimate
-// (the first sample is taken whole) would hold it shut for good; with it
-// the guard re-opens after a few dozen refusals, admits a block and
-// measures again. Under a deadline that really is infeasible it therefore
-// admits a probing fraction instead of nothing.
-func (r *Runtime) guardAdmits(deadline time.Duration) bool {
-	if !r.cfg.AdmissionGuard {
-		return true
-	}
-	est := r.estDecodeNs.Load()
-	if deadline >= time.Duration(est) {
-		return true
-	}
-	r.estDecodeNs.CompareAndSwap(est, est-est/8)
-	return false
 }

@@ -23,7 +23,6 @@ func testConfig(w simd.Width) Config {
 	cfg.QueueDepth = 256
 	cfg.MaxIters = 4
 	cfg.Deadline = 30 * time.Second // correctness tests never race the clock
-	cfg.AdmissionGuard = false
 	return cfg
 }
 
@@ -211,7 +210,6 @@ func TestDeadlineDropsUnderOverload(t *testing.T) {
 	cfg.Workers = 1
 	cfg.QueueDepth = 8
 	cfg.Deadline = 2 * time.Millisecond
-	cfg.AdmissionGuard = true
 	rt, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -31,7 +31,6 @@ func BenchmarkServeThroughput(b *testing.B) {
 			cfg.QueueDepth = 512
 			cfg.MaxIters = 2
 			cfg.Deadline = time.Hour // throughput, not shedding
-			cfg.AdmissionGuard = false
 			rt, err := New(cfg)
 			if err != nil {
 				b.Fatal(err)
@@ -91,7 +90,6 @@ func BenchmarkServeLoneBlock(b *testing.B) {
 			cfg.Cells = 1
 			cfg.Workers = 2
 			cfg.Deadline = time.Hour
-			cfg.AdmissionGuard = false
 			if err := turbo.Precompile(cfg.Width, cfg.Strategy, pool.K); err != nil {
 				b.Fatal(err)
 			}
@@ -150,7 +148,6 @@ func BenchmarkServeTracingOverhead(b *testing.B) {
 			cfg.QueueDepth = 512
 			cfg.MaxIters = 2
 			cfg.Deadline = time.Hour
-			cfg.AdmissionGuard = false
 			if traced {
 				cfg.Tracer = telemetry.NewTracer(512, 16)
 			}

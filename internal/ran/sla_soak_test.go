@@ -141,10 +141,9 @@ func slaSoak(t *testing.T, seed int64) {
 		// is about class isolation under queue pressure, not the HARQ
 		// clock — drops must come from backlog and shed, not expiry.
 		cfg.Deadline = 25 * tti
-		// No admission guard: rejects can only come from full queues or
-		// the shed ladder, which is exactly what the class policy must
-		// keep away from URLLC.
-		cfg.AdmissionGuard = false
+		// Rejects can only come from full queues or the shed ladder,
+		// which is exactly what the class policy must keep away from
+		// URLLC.
 		cfg.CheckCRC = CRC24B
 		// Every worker serves both classes and takes URLLC first, so a
 		// URLLC block waits for at most one eMBB batch, which holds a
@@ -266,8 +265,8 @@ func slaSoak(t *testing.T, seed int64) {
 	// full queue and the shed ladder never touches it.
 	u := &burst.Classes[ClassURLLC]
 	if rej := u.Offered() - u.Accepted; rej != 0 {
-		t.Errorf("%d URLLC admission rejects under burst (backlog %d, admission %d, shed %d), want 0",
-			rej, u.Drops[DropBacklog], u.Drops[DropAdmission], u.Drops[DropShed])
+		t.Errorf("%d URLLC admission rejects under burst (backlog %d, shed %d), want 0",
+			rej, u.Drops[DropBacklog], u.Drops[DropShed])
 	}
 
 	// 3. eMBB absorbs the degradation: ≥ 90% of dropped volume.
@@ -304,7 +303,6 @@ func measureCapacity(t *testing.T, pool *WordPool, cells, k int) float64 {
 	cfg.QueueDepth = 2048
 	cfg.MaxIters = 4
 	cfg.Deadline = time.Minute // nothing expires during the probe
-	cfg.AdmissionGuard = false
 	cfg.CheckCRC = CRC24B
 	rt, err := New(cfg)
 	if err != nil {

@@ -67,7 +67,6 @@ func (s *Snapshot) Families() []telemetry.Family {
 		telemetry.F("vran_lane_occupancy", "Fraction of register lane groups carrying a real block.", telemetry.Gauge, s.LaneOccupancy),
 		iters,
 		telemetry.F("vran_worker_utilization", "Decode busy time over workers x elapsed.", telemetry.Gauge, s.WorkerUtilization),
-		telemetry.F("vran_decode_allocs_per_op", "Sampled heap objects allocated per batch decode (upper bound; -1 before first sample).", telemetry.Gauge, s.DecodeAllocsPerOp),
 		telemetry.F("vran_decode_compiled_ratio", "Fraction of decodes served by compiled replay programs.", telemetry.Gauge, s.CompiledRatio),
 		telemetry.F("vran_decode_program_hits_total", "Decodes served by a compiled replay program.", telemetry.Counter, float64(s.ProgramHits)),
 		telemetry.F("vran_decode_program_misses_total", "Live batches decoded by the interpreter: the block size's program failed to compile, or chaos vetoed its install. 0 on a healthy process; /healthz names the block size.", telemetry.Counter, float64(s.ProgramMisses)),

@@ -16,6 +16,10 @@ import (
 	"vransim/internal/turbo"
 )
 
+// tracerK56Compiled records that TestTracerSpansThroughRuntime has already
+// decoded its block size in this process (an earlier -count round).
+var tracerK56Compiled bool
+
 // TestTracerSpansThroughRuntime drives traced traffic end to end and
 // checks the span accounting: one span per block reaching the pool,
 // stage dwell times populated, and outcomes matching the metrics.
@@ -42,13 +46,22 @@ func TestTracerSpansThroughRuntime(t *testing.T) {
 	if s.Delivered != uint64(pool.Len()) {
 		t.Fatalf("delivered %d of %d", s.Delivered, pool.Len())
 	}
-	// One span per block, plus one compile span for the one program the
-	// process compiled, however many workers went on to replay it.
+	// One span per block, plus one compile span for each program the
+	// process compiled while this runtime served, however many workers
+	// went on to replay it: one the first time the process meets K=56,
+	// none in a later -count round, which finds it in the cache.
 	compiled := tr.SpanCount() - uint64(pool.Len())
-	if d := turbo.PlanCacheStats().Compiles - before.Compiles; compiled != 1 || d != 1 {
-		t.Errorf("tracer saw %d spans for %d blocks and the process compiled %d programs: want one compile, one compile span",
+	d := turbo.PlanCacheStats().Compiles - before.Compiles
+	if compiled != d {
+		t.Errorf("tracer saw %d spans for %d blocks and the process compiled %d programs: want one compile span per compile",
 			tr.SpanCount(), pool.Len(), d)
 	}
+	if tracerK56Compiled {
+		t.Logf("K=56 was compiled by an earlier round of this test: %d compiles now, the cold compile is not checked", d)
+	} else if d != 1 {
+		t.Errorf("the process compiled %d programs on its first K=56 blocks, want one", d)
+	}
+	tracerK56Compiled = true
 	for _, sp := range tr.Recent() {
 		if sp.Outcome == "compiled" {
 			if sp.Stages[telemetry.SpanCompile] <= 0 {
@@ -322,7 +335,6 @@ func TestHealthzFlipsUnderOverload(t *testing.T) {
 	cfg.Workers = 1
 	cfg.QueueDepth = 8
 	cfg.Deadline = 2 * time.Millisecond
-	cfg.AdmissionGuard = true
 	rt, err = New(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -26,7 +26,6 @@ func fleetRuntime(cells int) func(int) ran.Config {
 		// conservation assertions can demand exact equality.
 		cfg.QueueDepth = 1024
 		cfg.Deadline = 30 * time.Second
-		cfg.AdmissionGuard = false
 		cfg.CheckCRC = ran.CRC24B
 		return cfg
 	}
@@ -181,7 +180,7 @@ func TestAggregateGauges(t *testing.T) {
 	b := &ran.Snapshot{Elapsed: time.Second, Workers: 3, Process: 7,
 		Cells:         []ran.CellSnapshot{{Bits: 2e6}, {Bits: 1e6}},
 		DeliveredBits: 3e6, Batches: 30, LaneSlotsUsed: 60, LaneSlotsTotal: 120,
-		DecodedBlocks: 30, DecodeBusyNs: 240e3, AllocSampleOps: 4, AllocSampleObjs: 8,
+		DecodedBlocks: 30, DecodeBusyNs: 240e3,
 		ProgramMisses: 10, ProgramCompiles: 3, ShedLevel: 2}
 	agg := ran.Merge([]*ran.Snapshot{a, nil, b})
 	if agg.Elapsed != 2*time.Second || agg.Workers != 4 {
@@ -198,9 +197,6 @@ func TestAggregateGauges(t *testing.T) {
 	if got, want := agg.WorkerUtilization, 280e3/(4*2e9); got != want {
 		t.Errorf("utilization %v, want Σbusy/(Σworkers·elapsed) = %v", got, want)
 	}
-	if agg.DecodeAllocsPerOp != 2 {
-		t.Errorf("allocs/op %v, want Σobjects/Σops = 2", agg.DecodeAllocsPerOp)
-	}
 	if got, want := agg.CompiledRatio, 8.0/20.0; got != want {
 		t.Errorf("compiled ratio %v, want %v", got, want)
 	}
@@ -216,7 +212,7 @@ func TestAggregateGauges(t *testing.T) {
 	if agg.DegradeLevel != 1 || agg.ShedLevel != 2 {
 		t.Errorf("max folds: degrade %d shed %d", agg.DegradeLevel, agg.ShedLevel)
 	}
-	if empty := ran.Merge(nil); empty.DecodeAllocsPerOp != -1 {
-		t.Errorf("empty aggregate allocs/op %v, want -1", empty.DecodeAllocsPerOp)
+	if empty := ran.Merge(nil); empty.LaneOccupancy != 0 || empty.GoodputMbps != 0 {
+		t.Errorf("empty aggregate occupancy %v goodput %v, want 0", empty.LaneOccupancy, empty.GoodputMbps)
 	}
 }

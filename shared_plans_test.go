@@ -37,7 +37,6 @@ func TestOneCompilePerProcess(t *testing.T) {
 		cfg := ran.DefaultConfig(simd.W512, core.StrategyAPCM)
 		cfg.Cells, cfg.Workers, cfg.QueueDepth = 2, 2, 4*perSize
 		cfg.Deadline = time.Minute
-		cfg.AdmissionGuard = false
 		cfg.OnDecoded = func(b *ran.Block, bits []byte) {
 			// drain submits pool word i as UE i.
 			if _, want := pools[b.K].Get(b.UE); !bytes.Equal(want, bits) {

@@ -222,8 +222,8 @@ func final(s *ran.Snapshot, rep *ran.LoadReport, cfg ran.Config, k int, tti time
 		s.LatencyP50.Round(10*time.Microsecond), s.LatencyP90.Round(10*time.Microsecond),
 		s.LatencyP99.Round(10*time.Microsecond), s.AvgDecodeUs)
 	if s.CRCFailures > 0 || s.HARQRetries > 0 {
-		fmt.Printf("HARQ: %d CRC failures, %d retries, %d recovered by combining; %d combines, %d buffer evictions; %d degraded batches\n",
-			s.CRCFailures, s.HARQRetries, s.HARQRecovered, s.HARQCombines, s.HARQEvictions, s.DegradedBatches)
+		fmt.Printf("HARQ: %d CRC failures, %d retries, %d recovered by combining; %d combines, %d buffer evictions\n",
+			s.CRCFailures, s.HARQRetries, s.HARQRecovered, s.HARQCombines, s.HARQEvictions)
 	}
 	if len(cfg.SLA.Classes) > 0 {
 		fmt.Printf("\n%-6s %10s %10s %10s %10s %10s %10s\n", "class", "accepted", "delivered", "dropped", "shed", "p99", "p50")

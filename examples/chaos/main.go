@@ -3,9 +3,9 @@
 // twice — once clean, once with a seeded injector forcing CRC failures
 // and corrupting received words — and the recovery ledger shows how
 // soft-combined retransmissions turn would-be losses back into
-// deliveries. A third, saturating run trips the graceful-degradation
-// ladder: under backlog pressure the workers clamp their turbo
-// iteration budget before the admission path starts shedding load.
+// deliveries. A third, saturating run shows overload met at the door:
+// arrivals past a full queue are refused for backlog, and every block
+// the runtime accepts decodes with the full iteration budget.
 package main
 
 import (
@@ -48,7 +48,7 @@ func main() {
 		}
 	}
 
-	fmt.Println("\n=== 3. overload: degradation ladder under saturating load ===")
+	fmt.Println("\n=== 3. overload: saturating load, refused at the door ===")
 	run(pool, *seed, nil, 16.0, 0)
 }
 
@@ -91,10 +91,6 @@ func run(pool *ran.WordPool, seed int64, inj *chaos.Injector, rate float64, tti 
 			snap.CRCFailures, snap.HARQRetries, snap.HARQRecovered, recovered)
 		fmt.Printf("      %d combines, %d buffer evictions, %d live buffers at stop\n",
 			snap.HARQCombines, snap.HARQEvictions, snap.HARQBuffers)
-	}
-	if snap.DegradedBatches > 0 {
-		fmt.Printf("degradation: %d of %d batches decoded under a clamped iteration budget (final level %d)\n",
-			snap.DegradedBatches, snap.Batches, snap.DegradeLevel)
 	}
 }
 

@@ -28,7 +28,7 @@ var servingFamilies = []string{
 	"vran_decode_compiled_ratio", "vran_decode_program_hits_total",
 	"vran_decode_program_misses_total", "vran_decode_compiles_total",
 	"vran_crc_failures_total", "vran_harq_retries_total", "vran_harq_recovered_total",
-	"vran_harq_evictions_total", "vran_degraded_batches_total", "vran_latency_seconds",
+	"vran_harq_evictions_total", "vran_latency_seconds",
 	"vran_class_accepted_total", "vran_class_delivered_total", "vran_class_dropped_total",
 	"vran_class_latency_seconds", "vran_class_steals_total", "vran_class_shed_level",
 }

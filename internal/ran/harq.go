@@ -98,60 +98,6 @@ func (r *Runtime) retryOrDrop(b *Block, now time.Time, busy time.Duration, iters
 	r.recordSpan(b, now, busy, iters, "harq_retry")
 }
 
-// backlog is one (cell, class)'s waiting count over the QueueDepth
-// bound (rq.mu held).
-func (r *Runtime) backlog(cell int, c Class) float64 {
-	return float64(r.rq.waiting[qi(cell, c)]) / float64(r.cfg.QueueDepth)
-}
-
-// updateDegrade recomputes the graceful-degradation level from backlog
-// pressure: the worst (cell, class) backlog fraction, HARQ retries
-// included, maps onto a ladder of iteration clamps the workers apply
-// before the admission path starts shedding load. Levels: ≥50 % backlog
-// → 1, ≥75 % → 2, ≥90 % → 3, clamped so the effective budget never drops
-// below one iteration. Called at every take, with rq.mu held.
-func (r *Runtime) updateDegrade() {
-	if r.cfg.MaxIters <= 1 {
-		return
-	}
-	worst, worstU := 0.0, 0.0
-	for cell := 0; cell < r.cfg.Cells; cell++ {
-		worst = max(worst, r.backlog(cell, ClassEMBB))
-		worstU = max(worstU, r.backlog(cell, ClassURLLC))
-	}
-	r.degrade.Store(int32(r.degradeLadder(max(worst, worstU))))
-	// Class-aware runtimes track a second level from the URLLC backlog
-	// alone. The global level above rises whenever ANY backlog builds —
-	// during an eMBB burst that is every dwell — and clamping URLLC's
-	// iteration budget because eMBB is backed up trades URLLC CRC
-	// failures (and their HARQ retry-chain latency) for capacity that
-	// shedding eMBB should reclaim instead. URLLC batches therefore
-	// clamp only on their own class's backlog; eMBB keeps the global
-	// signal (giving up eMBB iterations because URLLC is backed up is
-	// the right direction).
-	if r.slaActive {
-		r.degradeU.Store(int32(r.degradeLadder(worstU)))
-	}
-}
-
-// degradeLadder maps a worst backlog fraction to an iteration-clamp
-// level, capped so at least one iteration always remains.
-func (r *Runtime) degradeLadder(worst float64) int {
-	lvl := 0
-	switch {
-	case worst >= 0.9:
-		lvl = 3
-	case worst >= 0.75:
-		lvl = 2
-	case worst >= 0.5:
-		lvl = 1
-	}
-	if maxLvl := r.cfg.MaxIters - 1; lvl > maxLvl {
-		lvl = maxLvl
-	}
-	return lvl
-}
-
 // checkBlock runs the post-decode acceptance check for one block:
 // the configured CRC check first, then any chaos-forced failure.
 func (r *Runtime) checkBlock(b *Block, bits []byte) bool {

@@ -185,13 +185,11 @@ type Metrics struct {
 	progMisses atomic.Uint64
 	progMissK  atomic.Int64
 
-	// HARQ/degradation counters: CRC-failed decodes, retransmissions
-	// requeued, blocks recovered by a combined retry, and batches
-	// decoded under a clamped iteration budget.
-	crcFailures     atomic.Uint64
-	harqRetries     atomic.Uint64
-	harqRecovered   atomic.Uint64
-	degradedBatches atomic.Uint64
+	// HARQ counters: CRC-failed decodes, retransmissions requeued, and
+	// blocks recovered by a combined retry.
+	crcFailures   atomic.Uint64
+	harqRetries   atomic.Uint64
+	harqRecovered atomic.Uint64
 
 	// latency is the delivered-block end-to-end latency histogram
 	// (telemetry.Hist: lock-free log-bucketed, ≤12.5 % relative error on
@@ -243,10 +241,9 @@ func (m *Metrics) deliver(cell int, class Class, bits int, latency time.Duration
 	cc.latency.Observe(latency)
 }
 
-func (m *Metrics) crcFail()       { m.crcFailures.Add(1) }
-func (m *Metrics) harqRetry()     { m.harqRetries.Add(1) }
-func (m *Metrics) harqRecover()   { m.harqRecovered.Add(1) }
-func (m *Metrics) degradedBatch() { m.degradedBatches.Add(1) }
+func (m *Metrics) crcFail()     { m.crcFailures.Add(1) }
+func (m *Metrics) harqRetry()   { m.harqRetries.Add(1) }
+func (m *Metrics) harqRecover() { m.harqRecovered.Add(1) }
 
 // programDelta folds one worker's program counter movement since its last
 // report, over a batch of block size k, into the runtime-wide totals.
@@ -378,9 +375,9 @@ type Snapshot struct {
 	HARQBuffers   int
 	RetryDepth    int
 
-	// Graceful-degradation view: the current iteration-clamp level
-	// (0 = full budget) and how many batches decoded under a clamp.
-	DegradeLevel    int
+	// DegradedBatches always reads 0: every batch decodes with the full
+	// iteration budget. It stays only for the benchmark harness, which
+	// still reads it, and goes with that reader.
 	DegradedBatches uint64
 
 	// SLA-class view: per-class ledgers with their own latency
@@ -453,10 +450,10 @@ func percentiles(buckets []uint64) (p50, p90, p99 time.Duration) {
 }
 
 // Merge folds snapshots of several runtimes (the shards of a fleet) into
-// one. It is a sum, except: Elapsed, DegradeLevel and ShedLevel take the
-// max; latency buckets merge element-wise; Predict rows concatenate (a
-// cell is owned by one runtime at a time, so a migrated cell keeps both
-// rows); ProgramCompiles counts once per Process; ProgramMissK is the
+// one. It is a sum, except: Elapsed and ShedLevel take the max; latency
+// buckets merge element-wise; Predict rows concatenate (a cell is owned
+// by one runtime at a time, so a migrated cell keeps both rows);
+// ProgramCompiles counts once per Process; ProgramMissK is the
 // last miss seen. The ratio gauges are then derived from the summed raw
 // counters, exactly as for one runtime. Nil entries are skipped.
 func Merge(snaps []*Snapshot) *Snapshot {
@@ -502,8 +499,6 @@ func Merge(snaps []*Snapshot) *Snapshot {
 		out.HARQEvictions += s.HARQEvictions
 		out.HARQBuffers += s.HARQBuffers
 		out.RetryDepth += s.RetryDepth
-		out.DegradeLevel = max(out.DegradeLevel, s.DegradeLevel)
-		out.DegradedBatches += s.DegradedBatches
 		for c := range s.Classes {
 			ks, ok := &s.Classes[c], &out.Classes[c]
 			ok.Ledger.add(ks.Ledger)
@@ -553,7 +548,6 @@ func (m *Metrics) snapshot(queueDepths []int, workers int) *Snapshot {
 	s.CRCFailures = m.crcFailures.Load()
 	s.HARQRetries = m.harqRetries.Load()
 	s.HARQRecovered = m.harqRecovered.Load()
-	s.DegradedBatches = m.degradedBatches.Load()
 	s.LatencyBuckets = m.latency.Buckets()
 	for c := Class(0); c < NumClasses; c++ {
 		cc := &m.classes[c]

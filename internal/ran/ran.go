@@ -47,8 +47,8 @@ type Block struct {
 	// equal K.
 	K int
 	// Class is the block's SLA traffic class, stamped at Submit from
-	// the cell's configured class (sla.go). It decides take priority,
-	// shed eligibility and the degradation clamp exposure.
+	// the cell's configured class (sla.go). It decides take priority
+	// and shed eligibility.
 	Class Class
 	// Word is the received soft information: the submitted word, a
 	// chaos-corrupted copy of it, or — on a retry — the HARQ-combined
@@ -201,10 +201,6 @@ type Runtime struct {
 	spanSink atomic.Value
 
 	stopped atomic.Bool
-	// degrade is the current graceful-degradation level (0 = full
-	// iteration budget), recomputed at every take from the backlog and
-	// read by every worker per batch.
-	degrade atomic.Int32
 	// estDecodeNs is an EWMA of per-block decode cost (updateEstimate).
 	// Its one reader is the shed ladder's demand > capacity term
 	// (updateShed).
@@ -215,10 +211,6 @@ type Runtime struct {
 	// shed-ladder level, raised at a take and read at every Submit;
 	// shedCalm is the de-escalation streak, owned by rq's lock; preds
 	// holds one burst predictor per cell when Predict is armed.
-	// degradeU is the URLLC-only iteration-clamp level, computed from
-	// the URLLC backlog alone so an eMBB burst's backlog can never cost
-	// URLLC decode iterations (harq.go updateDegrade).
-	degradeU  atomic.Int32
 	slaActive bool
 	shed      atomic.Int32
 	shedCalm  int
@@ -388,11 +380,10 @@ func (r *Runtime) Stop() *Snapshot {
 func (r *Runtime) Snapshot() *Snapshot {
 	depths, retries := r.rq.depths()
 	s := r.met.snapshot(depths, r.cfg.Workers)
-	// Runtime-owned HARQ/degradation/SLA state rides on top of the
-	// counter view (the metrics layer has no handle on the process set
-	// or the predictors).
+	// Runtime-owned HARQ/SLA state rides on top of the counter view
+	// (the metrics layer has no handle on the process set or the
+	// predictors).
 	s.RetryDepth = retries
-	s.DegradeLevel = int(r.degrade.Load())
 	s.ShedLevel = int(r.shed.Load())
 	if r.harq != nil {
 		s.HARQCombines, s.HARQEvictions = r.harq.Stats()
@@ -423,10 +414,10 @@ func labelLayer(layer string) {
 // returns from park on its submitter's processor, which that Submit
 // yields to it (SubmitTraced); the yield before a partial take is the
 // same either way. A take of URLLC while eMBB waits is a steal. The
-// degradation and shed levels are recomputed from the backlog
-// the take leaves, under the same lock. ok is false once Stop has closed
-// the structure and nothing is left for this worker.
-func (r *Runtime) take(out []*Block) (class Class, batch []*Block, ok bool) {
+// shed level is recomputed from the backlog the take leaves, under the
+// same lock. ok is false once Stop has closed the structure and nothing
+// is left for this worker.
+func (r *Runtime) take(out []*Block) (batch []*Block, ok bool) {
 	q := r.rq
 	q.mu.Lock()
 	defer q.mu.Unlock()
@@ -451,12 +442,11 @@ func (r *Runtime) take(out []*Block) (class Class, batch []*Block, ok bool) {
 				r.met.steals.Add(1)
 			}
 			out = q.pop(c, k, out)
-			r.updateDegrade()
 			r.updateShed()
-			return c, out, true
+			return out, true
 		}
 		if q.closed {
-			return 0, out, false
+			return out, false
 		}
 		q.park()
 	}
@@ -524,7 +514,7 @@ func (r *Runtime) worker() {
 	words := make([]*turbo.LLRWord, 0, lanes)
 	batch := make([]*Block, 0, lanes)
 	for {
-		class, taken, ok := r.take(batch[:0])
+		taken, ok := r.take(batch[:0])
 		if !ok {
 			return
 		}
@@ -556,27 +546,6 @@ func (r *Runtime) worker() {
 		}
 		if r.cfg.Chaos.EvictPlans() {
 			bd.EvictAll()
-		}
-		// Graceful degradation: under backlog pressure the take raises
-		// the level and every worker clamps its iteration budget (never
-		// below one iteration) until the backlog clears. With SLA classes
-		// active, eMBB batches absorb the clamp first — URLLC reads its
-		// class-private level (its own class's backlog, so an eMBB burst
-		// cannot cost it iterations) and even that clamps only at the
-		// last level (sla.go).
-		lvl := int(r.degrade.Load())
-		if r.slaActive && class == ClassURLLC {
-			lvl = int(r.degradeU.Load())
-		}
-		if lvl > 0 && r.clampClass(class, lvl) {
-			over := r.cfg.MaxIters - lvl
-			if over < 1 {
-				over = 1
-			}
-			bd.ItersOverride = over
-			r.met.degradedBatch()
-		} else {
-			bd.ItersOverride = 0
 		}
 		words = words[:0]
 		for _, b := range live {

@@ -14,8 +14,8 @@ import (
 // so the next take fills the lanes, and below load a block is decoded as
 // soon as it arrives.
 //
-// Everything here is guarded by mu, and so is the degrade and shed
-// recomputation each take does (Runtime.take).
+// Everything here is guarded by mu, and so is the shed recomputation
+// each take does (Runtime.take).
 type ready struct {
 	mu    sync.Mutex
 	lanes int

@@ -13,7 +13,7 @@ func mkBlock(k int) *Block { return &Block{K: k} }
 // mixedRuntime is a bare runtime (no goroutines) whose cell 0 is URLLC
 // and cell 1 eMBB, 4 lanes a batch.
 func mixedRuntime() *Runtime {
-	return bareSLARuntime(2, 64, 4, SLAConfig{Classes: []Class{ClassURLLC, ClassEMBB}}, false)
+	return bareSLARuntime(2, 64, SLAConfig{Classes: []Class{ClassURLLC, ClassEMBB}}, false)
 }
 
 // pushAt pushes one arrival of cell and size k due after due.
@@ -28,12 +28,12 @@ func pushAt(t *testing.T, r *Runtime, cell, k int, due time.Duration, now time.T
 // TestBatcherFillsLaneGroups: a take holds at most lanes blocks, all of
 // one K, and leaves the rest for the next take.
 func TestBatcherFillsLaneGroups(t *testing.T) {
-	r := bareSLARuntime(1, 64, 4, SLAConfig{}, false)
+	r := bareSLARuntime(1, 64, SLAConfig{}, false)
 	for i := 0; i < 6; i++ {
 		r.rq.push(mkBlock(104), true)
 	}
 	for _, want := range []int{4, 2} {
-		_, got, ok := r.take(nil)
+		got, ok := r.take(nil)
 		if !ok || len(got) != want {
 			t.Fatalf("take returned %d blocks (ok=%v), want %d", len(got), ok, want)
 		}
@@ -63,9 +63,9 @@ func TestBatcherKeepsKsApart(t *testing.T) {
 		class  Class
 		k, len int
 	}{{ClassURLLC, 40, 1}, {ClassEMBB, 104, 1}, {ClassEMBB, 40, 2}} {
-		class, got, ok := r.take(nil)
-		if !ok || class != want.class || len(got) != want.len {
-			t.Fatalf("take %d: %v x%d (ok=%v), want %v x%d", i, class, len(got), ok, want.class, want.len)
+		got, ok := r.take(nil)
+		if !ok || len(got) != want.len {
+			t.Fatalf("take %d: x%d (ok=%v), want %v x%d", i, len(got), ok, want.class, want.len)
 		}
 		for _, b := range got {
 			if b.K != want.k || b.Class != want.class {
@@ -84,14 +84,14 @@ func TestBatcherKeepsKsApart(t *testing.T) {
 // TestBatcherFlushOnTimeout: nothing waits for lane co-travellers — a
 // lone block is taken at once, by a taker already waiting for work too.
 func TestBatcherFlushOnTimeout(t *testing.T) {
-	r := bareSLARuntime(1, 64, 4, SLAConfig{}, false)
+	r := bareSLARuntime(1, 64, SLAConfig{}, false)
 	r.rq.push(mkBlock(40), true)
-	if _, got, ok := r.take(nil); !ok || len(got) != 1 {
+	if got, ok := r.take(nil); !ok || len(got) != 1 {
 		t.Fatalf("lone block: take returned %d blocks (ok=%v), want 1", len(got), ok)
 	}
 	got := make(chan []*Block)
 	go func() {
-		_, b, _ := r.take(nil)
+		b, _ := r.take(nil)
 		got <- b
 	}()
 	waitParked(r, func(q *ready) bool { return q.idle == 1 })
@@ -110,12 +110,12 @@ func TestBatcherForceFlush(t *testing.T) {
 	pushAt(t, r, 1, 104, time.Second, now)
 	pushAt(t, r, 0, 40, time.Second, now)
 	r.rq.close()
-	if c, b, ok := r.take(nil); !ok || len(b) != 1 || c != ClassURLLC {
-		t.Fatalf("first take after close: %v x%d (ok=%v), want the URLLC block", c, len(b), ok)
+	if b, ok := r.take(nil); !ok || len(b) != 1 || b[0].Class != ClassURLLC {
+		t.Fatalf("first take after close: x%d (ok=%v), want the URLLC block", len(b), ok)
 	}
 	ks := map[int]bool{}
 	for {
-		_, b, ok := r.take(nil)
+		b, ok := r.take(nil)
 		if !ok {
 			break
 		}
@@ -134,12 +134,12 @@ func TestBatcherForceFlush(t *testing.T) {
 // idle runtime — and never when it signals nobody, when another worker
 // is already awake, or when it does not queue the block at all.
 func TestPushHandsOffOnlyFromIdle(t *testing.T) {
-	r := bareSLARuntime(2, 64, 4, SLAConfig{}, false)
+	r := bareSLARuntime(2, 64, SLAConfig{}, false)
 	r.rq.workers = 2
 	got := make(chan []*Block, 2)
 	for i := 0; i < 2; i++ {
 		go func() {
-			_, b, _ := r.take(nil)
+			b, _ := r.take(nil)
 			got <- b
 		}()
 	}
@@ -179,7 +179,7 @@ func TestPushHandsOffOnlyFromIdle(t *testing.T) {
 		r = mixedRuntime()
 		r.rq.workers = 1
 		go func() {
-			_, b, _ := r.take(nil)
+			b, _ := r.take(nil)
 			got <- b
 		}()
 		waitParked(r, func(q *ready) bool { return q.idle == 1 })

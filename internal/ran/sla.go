@@ -11,10 +11,11 @@ import (
 // class vs an eMBB-like throughput class), a shed ladder that drops the
 // cheapest class first when the runtime is (or is about to be)
 // overloaded, and the URLLC-first take that lets an idle worker serve
-// any cell's URLLC backlog before any cell's eMBB. The reactive
-// degradation ladder (harq.go) stays; the shed ladder in front of it is
-// what makes overload class-aware — and, with the predictor (predict.go)
-// armed, anticipatory instead of reactive.
+// any cell's URLLC backlog before any cell's eMBB. Shedding at the door
+// is the runtime's one response to overload: every accepted block
+// decodes with the full iteration budget, and the predictor
+// (predict.go), when armed, makes the ladder anticipatory instead of
+// reactive.
 
 // Class is a cell's SLA traffic class.
 type Class uint8
@@ -27,8 +28,7 @@ const (
 	// under overload (capacity spent here is the cheapest to reclaim).
 	ClassEMBB Class = iota
 	// ClassURLLC is the tight-deadline class: taken ahead of all eMBB
-	// work, never shed at admission, and exempt from the iteration
-	// clamp until the last degradation level.
+	// work and never shed at admission.
 	ClassURLLC
 	// NumClasses sizes per-class arrays.
 	NumClasses
@@ -142,12 +142,19 @@ const (
 	shedDownHold = 8
 )
 
+// backlog is one (cell, class)'s waiting count over the QueueDepth
+// bound (rq.mu held). HARQ retries wait in their (cell, class) like
+// arrivals, so they count.
+func (r *Runtime) backlog(cell int, c Class) float64 {
+	return float64(r.rq.waiting[qi(cell, c)]) / float64(r.cfg.QueueDepth)
+}
+
 // updateShed recomputes the shed level from the signals the controller
 // watches: per-class worst backlog fractions, the burst predictor's
 // state, and predicted demand against the measured decode capacity.
 // Escalation is immediate; de-escalation needs shedDownHold consecutive
-// calm takes (hysteresis). Called at every take, after updateDegrade,
-// with rq.mu held — which is what keeps shedCalm single-owner.
+// calm takes (hysteresis). Called at every take, with rq.mu held —
+// which is what keeps shedCalm single-owner.
 func (r *Runtime) updateShed() {
 	if !r.slaActive {
 		return
@@ -207,19 +214,4 @@ func (r *Runtime) shouldShed(cell int, c Class) bool {
 		return f >= shedQueueFrac
 	}
 	return false
-}
-
-// clampClass reports whether the degradation ladder's iteration clamp
-// applies to a batch of class c at level lvl: class-blind runtimes
-// clamp everything (the legacy behavior); class-aware runtimes clamp
-// eMBB first and exempt URLLC until the last level, so degradation is
-// absorbed by the class that can afford it.
-func (r *Runtime) clampClass(c Class, lvl int) bool {
-	if !r.slaActive {
-		return true
-	}
-	if c == ClassURLLC {
-		return lvl >= 3
-	}
-	return true
 }

@@ -12,14 +12,13 @@ import (
 )
 
 // bareSLARuntime builds a Runtime with its ready structure and metrics
-// but no goroutines — the controller methods (updateDegrade, updateShed,
-// shouldShed, clampClass) and take are pure functions of this state, so
-// the table tests drive them directly instead of racing live workers.
-func bareSLARuntime(cells, qdepth, maxIters int, sla SLAConfig, predict bool) *Runtime {
+// but no goroutines — the controller methods (updateShed, shouldShed)
+// and take are pure functions of this state, so the table tests drive
+// them directly instead of racing live workers.
+func bareSLARuntime(cells, qdepth int, sla SLAConfig, predict bool) *Runtime {
 	cfg := DefaultConfig(simd.W512, core.StrategyAPCM)
 	cfg.Cells = cells
 	cfg.QueueDepth = qdepth
-	cfg.MaxIters = maxIters
 	cfg.SLA = sla
 	r := &Runtime{
 		cfg:       cfg,
@@ -39,75 +38,6 @@ func bareSLARuntime(cells, qdepth, maxIters int, sla SLAConfig, predict bool) *R
 // fill sets one (cell, class)'s waiting count to n (the controllers
 // only read the counts).
 func fill(r *Runtime, cell int, c Class, n int) { r.rq.waiting[qi(cell, c)] = n }
-
-// TestDegradeLadderTransitions walks the reactive iteration-clamp
-// ladder through its thresholds in both directions: worst backlog
-// fraction 50/75/90% maps to levels 1/2/3, the level is clamped to
-// MaxIters-1, and a drained queue restores level 0 (full budget, no
-// ItersOverride clamp left behind).
-func TestDegradeLadderTransitions(t *testing.T) {
-	const qd = 100
-	cases := []struct {
-		name     string
-		depth    int // worst queue depth out of qd
-		maxIters int
-		want     int
-	}{
-		{"idle", 0, 4, 0},
-		{"under-half", 49, 4, 0},
-		{"at-half", 50, 4, 1},
-		{"under-three-quarters", 74, 4, 1},
-		{"at-three-quarters", 75, 4, 2},
-		{"under-ninety", 89, 4, 2},
-		{"at-ninety", 90, 4, 3},
-		{"full", 100, 4, 3},
-		{"clamped-by-iters", 100, 3, 2},
-		{"clamped-to-one", 100, 2, 1},
-		{"single-iter-never-degrades", 100, 1, 0},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			r := bareSLARuntime(2, qd, tc.maxIters, SLAConfig{}, false)
-			fill(r, 1, ClassEMBB, tc.depth)
-			r.updateDegrade()
-			if got := int(r.degrade.Load()); got != tc.want {
-				t.Errorf("depth %d/%d, MaxIters %d: level %d, want %d", tc.depth, qd, tc.maxIters, got, tc.want)
-			}
-			// Restore: draining the backlog returns the ladder to level 0
-			// on the next take — no residual clamp.
-			fill(r, 1, ClassEMBB, 0)
-			r.updateDegrade()
-			if got := int(r.degrade.Load()); got != 0 {
-				t.Errorf("level %d after drain, want 0", got)
-			}
-		})
-	}
-}
-
-// TestDegradeWatchesEveryQueue: the ladder reacts to the worst backlog
-// across cells AND classes, HARQ retries included — a retry waits in its
-// (cell, class) like an arrival, and is never refused for backlog.
-func TestDegradeWatchesEveryQueue(t *testing.T) {
-	r := bareSLARuntime(3, 100, 4, SLAConfig{Classes: []Class{ClassURLLC, ClassEMBB, ClassEMBB}}, false)
-	fill(r, 0, ClassURLLC, 80)
-	r.updateDegrade()
-	if got := int(r.degrade.Load()); got != 2 {
-		t.Errorf("URLLC backlog: level %d, want 2", got)
-	}
-	fill(r, 0, ClassURLLC, 0)
-	for i := 0; i < 105; i++ {
-		if a, _ := r.rq.push(&Block{Cell: 2, K: 40, Attempt: 1}, false); a != Admitted {
-			t.Fatalf("retry %d refused: %v", i, a)
-		}
-	}
-	r.updateDegrade()
-	if got := int(r.degrade.Load()); got != 3 {
-		t.Errorf("retry backlog: level %d, want 3", got)
-	}
-	if _, retries := r.rq.depths(); retries != 105 {
-		t.Errorf("retry depth %d, want 105", retries)
-	}
-}
 
 // TestShedLadderEscalation drives updateShed through its signal table:
 // queue-pressure thresholds on each class and the predictor's burst
@@ -133,7 +63,7 @@ func TestShedLadderEscalation(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			r := bareSLARuntime(2, qd, 4, sla, tc.burst)
+			r := bareSLARuntime(2, qd, sla, tc.burst)
 			fill(r, 1, ClassEMBB, tc.embbDepth)
 			fill(r, 0, ClassURLLC, tc.urllcDepth)
 			if tc.burst {
@@ -162,7 +92,7 @@ func TestShedLadderEscalation(t *testing.T) {
 // mid-descent resets the calm streak.
 func TestShedLadderHysteresis(t *testing.T) {
 	sla := SLAConfig{Classes: []Class{ClassURLLC, ClassEMBB}}
-	r := bareSLARuntime(2, 100, 4, sla, false)
+	r := bareSLARuntime(2, 100, sla, false)
 
 	fill(r, 1, ClassEMBB, 80) // >= 75% => shedAll, in one take
 	r.updateShed()
@@ -205,7 +135,7 @@ func TestShedLadderHysteresis(t *testing.T) {
 // pressured cells at shedPressure; a class-blind runtime never sheds.
 func TestShouldShedPolicy(t *testing.T) {
 	sla := SLAConfig{Classes: []Class{ClassURLLC, ClassEMBB, ClassEMBB}}
-	r := bareSLARuntime(3, 100, 4, sla, false)
+	r := bareSLARuntime(3, 100, sla, false)
 	fill(r, 1, ClassEMBB, 30) // cell 1 pressured (>= shedQueueFrac)
 
 	r.shed.Store(shedOff)
@@ -233,7 +163,7 @@ func TestShouldShedPolicy(t *testing.T) {
 	}
 
 	// Class-blind: no URLLC cells configured, the ladder never engages.
-	blind := bareSLARuntime(2, 100, 4, SLAConfig{}, false)
+	blind := bareSLARuntime(2, 100, SLAConfig{}, false)
 	blind.shed.Store(shedAll) // even if the level were somehow raised
 	if blind.shouldShed(0, ClassEMBB) {
 		t.Error("class-blind runtime shed an arrival")
@@ -247,59 +177,22 @@ func TestShouldShedPolicy(t *testing.T) {
 	}
 }
 
-// TestClampClassPolicy: the degradation ladder's iteration clamp is
-// class-blind on a legacy runtime, but with SLA classes active eMBB
-// absorbs the clamp first and URLLC stays at full budget until the
-// last level.
-func TestClampClassPolicy(t *testing.T) {
-	slaAware := bareSLARuntime(2, 100, 4, SLAConfig{Classes: []Class{ClassURLLC, ClassEMBB}}, false)
-	legacy := bareSLARuntime(2, 100, 4, SLAConfig{}, false)
-	cases := []struct {
-		class Class
-		lvl   int
-		aware bool // clamp applies on the class-aware runtime
-	}{
-		{ClassEMBB, 1, true},
-		{ClassEMBB, 3, true},
-		{ClassURLLC, 1, false},
-		{ClassURLLC, 2, false},
-		{ClassURLLC, 3, true},
-	}
-	for _, tc := range cases {
-		if got := slaAware.clampClass(tc.class, tc.lvl); got != tc.aware {
-			t.Errorf("class-aware clampClass(%v, %d) = %v, want %v", tc.class, tc.lvl, got, tc.aware)
-		}
-		if !legacy.clampClass(tc.class, tc.lvl) {
-			t.Errorf("legacy clampClass(%v, %d) = false, want true (class-blind clamps all)", tc.class, tc.lvl)
+// TestShedCountsRetries: a HARQ retry waits in its (cell, class) like an
+// arrival and is never refused for backlog, so a retry backlog past
+// QueueDepth raises the shed ladder as an arrival backlog would.
+func TestShedCountsRetries(t *testing.T) {
+	r := bareSLARuntime(2, 100, SLAConfig{Classes: []Class{ClassURLLC, ClassEMBB}}, false)
+	for i := 0; i < 105; i++ {
+		if a, _ := r.rq.push(&Block{Cell: 1, K: 40, Attempt: 1}, false); a != Admitted {
+			t.Fatalf("retry %d refused: %v", i, a)
 		}
 	}
-}
-
-// TestDegradeClassSignals: with SLA classes active, the iteration-clamp
-// level a URLLC batch sees comes from the URLLC backlog alone — a
-// saturated eMBB queue raises the global (eMBB) level but leaves the
-// URLLC level at 0, and vice versa the URLLC backlog raises both (the
-// global level watches every queue).
-func TestDegradeClassSignals(t *testing.T) {
-	r := bareSLARuntime(2, 100, 4, SLAConfig{Classes: []Class{ClassURLLC, ClassEMBB}}, false)
-
-	fill(r, 1, ClassEMBB, 95) // eMBB saturated
-	r.updateDegrade()
-	if got := int(r.degrade.Load()); got != 3 {
-		t.Errorf("global level %d with saturated eMBB queue, want 3", got)
+	if _, retries := r.rq.depths(); retries != 105 {
+		t.Errorf("retry depth %d, want 105", retries)
 	}
-	if got := int(r.degradeU.Load()); got != 0 {
-		t.Errorf("URLLC level %d with only eMBB backed up, want 0", got)
-	}
-
-	fill(r, 1, ClassEMBB, 0)
-	fill(r, 0, ClassURLLC, 80) // URLLC at 80%
-	r.updateDegrade()
-	if got := int(r.degrade.Load()); got != 2 {
-		t.Errorf("global level %d with URLLC at 80%%, want 2", got)
-	}
-	if got := int(r.degradeU.Load()); got != 2 {
-		t.Errorf("URLLC level %d with its own queue at 80%%, want 2", got)
+	r.updateShed()
+	if got := int(r.shed.Load()); got != shedAll {
+		t.Errorf("retry backlog: shed level %d, want %d", got, shedAll)
 	}
 }
 
@@ -335,7 +228,7 @@ func TestParseClassList(t *testing.T) {
 // TestClassDeadline: URLLC gets its own budget when configured, both
 // classes share Config.Deadline otherwise.
 func TestClassDeadline(t *testing.T) {
-	r := bareSLARuntime(2, 64, 4, SLAConfig{Classes: []Class{ClassURLLC, ClassEMBB}, URLLCDeadline: time.Millisecond}, false)
+	r := bareSLARuntime(2, 64, SLAConfig{Classes: []Class{ClassURLLC, ClassEMBB}, URLLCDeadline: time.Millisecond}, false)
 	r.cfg.Deadline = 10 * time.Millisecond
 	if d := r.classDeadline(ClassURLLC); d != time.Millisecond {
 		t.Errorf("URLLC deadline %v, want 1ms", d)

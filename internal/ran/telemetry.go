@@ -75,7 +75,6 @@ func (s *Snapshot) Families() []telemetry.Family {
 		telemetry.F("vran_harq_retries_total", "HARQ retransmissions requeued for another decode.", telemetry.Counter, float64(s.HARQRetries)),
 		telemetry.F("vran_harq_recovered_total", "Blocks delivered by a soft-combined HARQ retry.", telemetry.Counter, float64(s.HARQRecovered)),
 		telemetry.F("vran_harq_evictions_total", "Soft buffers evicted under capacity pressure.", telemetry.Counter, float64(s.HARQEvictions)),
-		telemetry.F("vran_degraded_batches_total", "Batches decoded under a clamped iteration budget.", telemetry.Counter, float64(s.DegradedBatches)),
 		lat,
 		clsLedger[0], clsLedger[1], clsLedger[2], clsLat,
 		telemetry.F("vran_class_steals_total", "URLLC batches a worker took while eMBB blocks waited.", telemetry.Counter, float64(s.Steals)),

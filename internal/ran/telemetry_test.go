@@ -287,7 +287,7 @@ func TestHealthzNamesInterpretedBlockSize(t *testing.T) {
 // arrivals shed and 60 delivered is a rate of 0.40, healthy under the 0.5
 // default.
 func TestHealthzCountsShedAsOffered(t *testing.T) {
-	r := bareSLARuntime(2, 64, 4, SLAConfig{Classes: []Class{ClassURLLC, ClassEMBB}}, false)
+	r := bareSLARuntime(2, 64, SLAConfig{Classes: []Class{ClassURLLC, ClassEMBB}}, false)
 	for i := 0; i < 40; i++ {
 		r.met.drop(1, ClassEMBB, DropShed)
 	}

@@ -77,13 +77,6 @@ type BatchDecoder struct {
 	MaxIters  int
 	EarlyExit bool
 
-	// ItersOverride, when positive, clamps the effective iteration
-	// budget to min(MaxIters, ItersOverride) without touching the
-	// configured MaxIters — the graceful-degradation knob a serving
-	// worker turns under overload and releases (set 0) when the backlog
-	// clears. It never raises the budget above MaxIters.
-	ItersOverride int
-
 	// CompileGate, when non-nil, is consulted each time this decoder is
 	// about to install a compiled program for a block size (on the first
 	// decode of the size, and again after an eviction); returning false
@@ -239,15 +232,6 @@ func (bd *BatchDecoder) makeRoom(need int64) {
 	bd.EvictAll()
 }
 
-// effIters is the iteration budget decodes actually run under:
-// MaxIters clamped by ItersOverride when the override is engaged.
-func (bd *BatchDecoder) effIters() int {
-	if bd.ItersOverride > 0 && bd.ItersOverride < bd.MaxIters {
-		return bd.ItersOverride
-	}
-	return bd.MaxIters
-}
-
 // buildState gives plan p a decode state: the plan itself on the first
 // decode of its K (adopted from the process-wide cache, which compiles it
 // if no decoder has asked before, or built privately when this decoder
@@ -330,7 +314,7 @@ func (bd *BatchDecoder) Decode(k int, words []*LLRWord) ([][]byte, int, error) {
 			// same: its program failed to compile or was vetoed here.
 			bd.progMisses++
 		}
-		p.dec.MaxIters, p.dec.EarlyExit = bd.effIters(), bd.EarlyExit
+		p.dec.MaxIters, p.dec.EarlyExit = bd.MaxIters, bd.EarlyExit
 		bits, iters, err = p.dec.runPacked(p.pst, words)
 	}
 	if err != nil {

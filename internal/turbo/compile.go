@@ -85,9 +85,9 @@ func (bd *BatchDecoder) runCompiled(p *decodePlan, words []*LLRWord) ([][]byte, 
 	st.writeTailQuads()
 
 	resetConv(st.conv, st.itersB, requested)
-	maxIters, prog := bd.effIters(), p.shared.prog
+	prog := p.shared.prog
 	iters := 0
-	for it := 0; it < maxIters; it++ {
+	for it := 0; it < bd.MaxIters; it++ {
 		iters++
 		seg := program.SegSteady
 		if it == 0 {

@@ -109,12 +109,12 @@ func TestCompiledRespectsConfigChanges(t *testing.T) {
 
 // TestCompileNeedsTwoIterations: a program needs a first and a steady
 // iteration recorded to exist at all, and used to get them from whatever
-// live decode came first — so a first decode under MaxIters=1 or under the
-// overload clamp (ItersOverride=1) could not record, ran interpreted, and
-// the plan recorded again later. The recording is a synthetic
-// three-iteration decode now, so the budget of the decode in hand no
-// longer matters: a one-iteration first decode is served by the compiled
-// program, and releasing the clamp needs no second recording.
+// live decode came first — so a first decode under MaxIters=1 could not
+// record, ran interpreted, and the plan recorded again later. The
+// recording is a synthetic three-iteration decode now, so the budget of
+// the decode in hand no longer matters: a one-iteration first decode is
+// served by the compiled program, and raising the budget afterwards
+// re-records nothing.
 func TestCompileNeedsTwoIterations(t *testing.T) {
 	resetPlanCache()
 	const k = 40
@@ -125,7 +125,7 @@ func TestCompileNeedsTwoIterations(t *testing.T) {
 		t.Fatal(err)
 	}
 	words, truth := buildWords(t, c, bd.Lanes(), 31, true)
-	decode := func(bd *BatchDecoder, label string, wantIters int) {
+	decode := func(label string, wantIters int) {
 		t.Helper()
 		bits, iters, err := bd.Decode(k, words)
 		if err != nil {
@@ -141,28 +141,21 @@ func TestCompileNeedsTwoIterations(t *testing.T) {
 		}
 	}
 	for round := 0; round < 3; round++ {
-		decode(bd, "MaxIters=1", 1)
+		decode("MaxIters=1", 1)
 	}
 	if s := bd.ProgramStats(); s.Hits != 3 || s.Misses != 0 || s.CompiledPlans != 1 {
 		t.Errorf("one-iteration decodes were not served by the compiled program: %+v", s)
 	}
 
-	// The overload clamp on the very first decode of a K, then released.
-	clamped := NewBatchDecoder(simd.W128, core.StrategyAPCM, 32<<20)
-	clamped.MaxIters = 4
-	clamped.ItersOverride = 1
-	decode(clamped, "ItersOverride=1", 1)
-	if s := clamped.ProgramStats(); s.Hits != 1 || s.Misses != 0 {
-		t.Fatalf("a first decode under the overload clamp ran interpreted: %+v", s)
-	}
-	clamped.ItersOverride = 0
-	decode(clamped, "override released", 2)
-	decode(clamped, "replay", 2)
-	if s := clamped.ProgramStats(); s.Hits != 3 || s.Misses != 0 || s.Compiles != 1 {
-		t.Errorf("want 3 hits on one installed program; got %+v", s)
+	// The same decoder, its budget raised: the installed program serves it.
+	bd.MaxIters = 4
+	decode("MaxIters=4", 2)
+	decode("replay", 2)
+	if s := bd.ProgramStats(); s.Hits != 5 || s.Misses != 0 || s.Compiles != 1 {
+		t.Errorf("want 5 hits on one installed program; got %+v", s)
 	}
 	if cs := PlanCacheStats(); cs.Compiles != 1 || cs.Failures != 0 {
-		t.Errorf("two decoders, budgets 1 and 4, clamp on and off: %d compiles (%d failures), want 1", cs.Compiles, cs.Failures)
+		t.Errorf("budgets 1 and 4 on one decoder: %d compiles (%d failures), want 1", cs.Compiles, cs.Failures)
 	}
 }
 

@@ -192,47 +192,6 @@ func TestCombinedDecodeRecovers(t *testing.T) {
 	}
 }
 
-// TestItersOverride: the degradation knob clamps the effective budget
-// without touching MaxIters, never raises it, and releases cleanly.
-// EarlyExit is off so the iteration count equals the budget exactly.
-func TestItersOverride(t *testing.T) {
-	const k = 104
-	bd := NewBatchDecoder(simd.W128, core.StrategyAPCM, 32<<20)
-	bd.MaxIters = 5
-	bd.EarlyExit = false
-	c, err := bd.Code(k)
-	if err != nil {
-		t.Fatal(err)
-	}
-	words, truth := buildWords(t, c, bd.Lanes(), 91, true)
-	for _, tc := range []struct {
-		override, want int
-	}{
-		{0, 5}, // disengaged: full budget
-		{2, 2}, // clamped
-		{9, 5}, // never raises above MaxIters
-		{1, 1}, // floor
-		{0, 5}, // released
-	} {
-		bd.ItersOverride = tc.override
-		bits, iters, err := bd.Decode(k, words)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if iters != tc.want {
-			t.Errorf("override=%d: ran %d iterations, want %d", tc.override, iters, tc.want)
-		}
-		for b := range words {
-			if !equalBits(bits[b], truth[b]) {
-				t.Errorf("override=%d block %d: wrong bits", tc.override, b)
-			}
-		}
-	}
-	if bd.MaxIters != 5 {
-		t.Errorf("override mutated MaxIters to %d", bd.MaxIters)
-	}
-}
-
 // TestEvictAll: the explicit flush discards every plan's state, counts an
 // eviction, and the next decode of each K transparently rebuilds the state
 // and installs the same shared program again — no compile — with identical

@@ -15,8 +15,11 @@ import (
 // kind the compiler defines occurs in none of them: a matcher, Run body
 // and visitEffects case that no recorded stream reaches is code nothing
 // but a synthetic kernel exercises. (K=6144 under all six strategies
-// holds the same kinds and costs 6 s of a shared tier-1 host.)
+// holds the same kinds and costs 6 s of a shared tier-1 host.) The plans
+// are compiled for the Go kernel: a native program of a packed plan holds
+// its streams alone, not the fused ops they were lowered from.
 func TestEveryFusedKindOccurs(t *testing.T) {
+	defer program.UseNativeKernel(program.UseNativeKernel(false))
 	total := make(map[string]int)
 	record := func(s core.Strategy, w simd.Width, k int) {
 		for name, n := range packedPlan(t, s, w, k).FusedKindCounts() {
@@ -41,9 +44,9 @@ func TestEveryFusedKindOccurs(t *testing.T) {
 }
 
 // packedPlan returns the replay program of the serving decoder's packed
-// plan for one (strategy, width, K). The process-wide plan cache compiles
-// each once per test binary, which matters here: the two tests walk
-// overlapping sets and a K=6144 recording costs the better part of a
+// plan for one (strategy, width, K), on the kernel programs are compiled
+// for now. The process-wide plan cache compiles each once per test
+// binary, which matters: a K=6144 recording costs the better part of a
 // second.
 func packedPlan(t *testing.T, s core.Strategy, w simd.Width, k int) *program.Program {
 	t.Helper()
@@ -63,15 +66,20 @@ func packedPlan(t *testing.T, s core.Strategy, w simd.Width, k int) *program.Pro
 // of every packed plan the serving path can record are lowered to a
 // descriptor stream that hands no op back to a Go body, for the serving
 // strategy at every width up to the largest block and for the other five
-// arrangements (whose arrangement segments differ) up to K=512. An op kind
-// that loses its native body, or a fused op whose intermediates turn out
-// live in a real plan, shows here and not as a slower benchmark.
+// arrangements (whose arrangement segments differ) up to K=512, and so the
+// program holds no Go form. An op kind that loses its native body, or a
+// fused op whose intermediates turn out live in a real plan, shows here
+// and not as a slower benchmark (or a plan cache five times its size).
 func TestPackedPlansRunNative(t *testing.T) {
 	if !program.NativeAvailable() {
 		t.Skip("no AVX-512BW on this host (or the OS does not save ZMM state): plans are not lowered")
 	}
 	check := func(s core.Strategy, w simd.Width, k int) {
-		lowered, goBodies := packedPlan(t, s, w, k).GoBodies()
+		p := packedPlan(t, s, w, k)
+		if p.Kernel() != "avx512bw" || p.GoForm() {
+			t.Errorf("%v/%v/K=%d: a %q program, Go form held: %v", s, w, k, p.Kernel(), p.GoForm())
+		}
+		lowered, goBodies := p.GoBodies()
 		for seg := range lowered {
 			if !lowered[seg] {
 				t.Errorf("%v/%v/K=%d segment %d: not lowered", s, w, k, seg)

@@ -14,15 +14,16 @@ import (
 var errBigEndian = errors.New("program: replay needs a little-endian host")
 
 // finalize derives everything Run needs beyond the fused segments —
-// validation, live masks, extent, sentinel tables and, where the host has
-// the native kernel, the descriptor streams — and is the one place a
-// program becomes runnable: Compile ends here.
-func (p *Program) finalize() error {
+// validation, live masks, extent, sentinel tables and, where the native
+// kernel is on, the descriptor streams — and is the one place a program
+// becomes runnable: Compile ends here. It reports how many ops the
+// streams hand to their Go bodies.
+func (p *Program) finalize() (goBodies int, err error) {
 	if binary.NativeEndian.Uint16([]byte{1, 0}) != 1 {
-		return errBigEndian
+		return 0, errBigEndian
 	}
 	if err := p.analyze(); err != nil {
-		return err
+		return 0, err
 	}
 	p.gat = make([][regStride]uint16, len(p.idxTabs))
 	for id, tb := range p.idxTabs {
@@ -34,9 +35,16 @@ func (p *Program) finalize() error {
 			}
 		}
 	}
-	if !nativeAvailable {
-		return nil
+	if !useNative {
+		return 0, nil
 	}
+	return p.lowerNative()
+}
+
+// lowerNative builds the pools the native kernel addresses beside gat and
+// lowers both segments to descriptor streams, reporting how many ops the
+// streams hand to their Go bodies.
+func (p *Program) lowerNative() (goBodies int, err error) {
 	p.gatAnd = make([][regStride]uint16, len(p.gat))
 	for id := range p.gat {
 		for i, j := range p.gat[id] {
@@ -50,12 +58,14 @@ func (p *Program) finalize() error {
 		copy(p.pats[id][:], pat)
 	}
 	for seg, ops := range p.segs {
-		var err error
-		if p.native[seg], err = p.lower(ops); err != nil {
-			return err
+		code, n, err := p.lower(ops)
+		if err != nil {
+			return 0, err
 		}
+		p.native[seg] = code
+		goBodies += n
 	}
-	return nil
+	return goBodies, nil
 }
 
 // lower translates a segment analyze has validated and marked into the
@@ -63,27 +73,29 @@ func (p *Program) finalize() error {
 // steps sharing their carried register and tables as one sweep record, a
 // stop record wherever the work since the last reaches yieldEvery, and a
 // stop record naming the op for every op that has no native body or has a
-// live intermediate. It is one forward pass and reads only what the
-// visitEffects walk has been over; every operand it emits is checked again
-// on the way out (lowerer.reg, .mem, .tab, .lane), against the register
-// file, the extent that walk computed and the table pool, so the stream
-// cannot address anything NewExec's extent check does not cover even if the
-// two disagreed about an op's layout. An error means a compiler bug, and
-// the caller stays on the interpreter as for any other.
-func (p *Program) lower(ops []mop) (code []uint32, err error) {
+// live intermediate (goBodies counts those). It is one forward pass and
+// reads only what the visitEffects walk has been over; every operand it
+// emits is checked again on the way out (lowerer.reg, .mem, .tab, .lane),
+// against the register file, the extent that walk computed and the table
+// pool, so the stream cannot address anything NewExec's extent check does
+// not cover even if the two disagreed about an op's layout. An error means
+// a compiler bug, and the caller stays on the interpreter as for any
+// other.
+func (p *Program) lower(ops []mop) (code []uint32, goBodies int, err error) {
 	lw := &lowerer{p: p, code: make([]uint32, 0, 8*len(ops))}
 	for i := 0; i < len(ops) && lw.err == nil; {
 		i += lw.op(ops, i)
 	}
 	lw.put(nStop, 0)
-	return slices.Clone(lw.code), lw.err
+	return slices.Clone(lw.code), lw.goBodies, lw.err
 }
 
 type lowerer struct {
-	p    *Program
-	code []uint32
-	work int // units of work since the last stop record
-	err  error
+	p        *Program
+	code     []uint32
+	work     int // units of work since the last stop record
+	goBodies int // stop records that name an op
+	err      error
 }
 
 func (lw *lowerer) fail(format string, args ...any) {
@@ -111,7 +123,7 @@ func (lw *lowerer) room() int {
 }
 
 // reg is the byte offset of the register at lane offset off.
-func (lw *lowerer) reg(off int64) uint32 { return lw.lane(off, 0, regStride) }
+func (lw *lowerer) reg(off int32) uint32 { return lw.lane(int64(off), 0, regStride) }
 
 // lane is the byte offset of lanes [from, from+n) of the register at lane
 // offset off.
@@ -133,12 +145,12 @@ func (lw *lowerer) mem(addr, n int64) uint32 {
 }
 
 // tab is the byte offset of index table id in gat and gatAnd.
-func (lw *lowerer) tab(id int64) uint32 {
-	if id < 0 || id >= int64(len(lw.p.gat)) {
+func (lw *lowerer) tab(id int32) uint32 {
+	if id < 0 || int(id) >= len(lw.p.gat) {
 		lw.fail("index table %d outside %d", id, len(lw.p.gat))
 		return 0
 	}
-	return uint32(id * 2 * regStride)
+	return uint32(id) * 2 * regStride
 }
 
 // shift is a VPSRAW count: any count above 15 fills with the sign, as Go's
@@ -149,6 +161,7 @@ func shift(imm int64) int { return int(min(uint64(imm), 16)) }
 func (lw *lowerer) goBody(i int) int {
 	lw.put(nStop, i+1)
 	lw.work = 0
+	lw.goBodies++
 	return 1
 }
 
@@ -162,29 +175,29 @@ func (lw *lowerer) op(ops []mop, i int) int {
 	lw.work++
 	switch op.kind {
 	case mClear:
-		lw.put(nClear, 0, lw.reg(int64(op.d)))
+		lw.put(nClear, 0, lw.reg(op.d))
 	case mAddS, mSubS, mMaxS, mMinS, mAnd, mOr, mXor, mAndN:
-		lw.put(nAddS+uint32(op.kind-mAddS), 0, lw.reg(int64(op.d)), lw.reg(int64(op.a)), lw.reg(int64(op.b)))
+		lw.put(nAddS+uint32(op.kind-mAddS), 0, lw.reg(op.d), lw.reg(op.a), lw.reg(op.b))
 	case mSra:
-		lw.put(nSra, shift(op.imm), lw.reg(int64(op.d)), lw.reg(int64(op.a)))
+		lw.put(nSra, shift(op.imm), lw.reg(op.d), lw.reg(op.a))
 	case mBcastImm:
-		lw.put(nBcastImm, int(uint16(op.imm)), lw.reg(int64(op.d)))
+		lw.put(nBcastImm, int(uint16(op.imm)), lw.reg(op.d))
 	case mBcastMem:
-		lw.put(nBcastMem, 0, lw.reg(int64(op.d)), lw.mem(op.addr, 2))
+		lw.put(nBcastMem, 0, lw.reg(op.d), lw.mem(op.addr, 2))
 	case mSetImm:
 		if op.tab < 0 || int(op.tab) >= len(p.pats) {
 			lw.fail("pattern %d outside %d", op.tab, len(p.pats))
 		}
-		lw.put(nSetImm, 0, lw.reg(int64(op.d)), uint32(op.tab)*2*regStride)
+		lw.put(nSetImm, 0, lw.reg(op.d), uint32(op.tab)*2*regStride)
 	case mPermute:
-		lw.put(nPermute, 0, lw.reg(int64(op.d)), lw.reg(int64(op.a)), lw.tab(int64(op.tab)))
+		lw.put(nPermute, 0, lw.reg(op.d), lw.reg(op.a), lw.tab(op.tab))
 	case mExt128:
-		lw.put(nLoadReg, 0, lw.reg(int64(op.d)), lw.lane(int64(op.a), 8*op.imm, 8), laneMask(8))
+		lw.put(nLoadReg, 0, lw.reg(op.d), lw.lane(int64(op.a), 8*op.imm, 8), laneMask(8))
 	case mExt256:
-		lw.put(nLoadReg, 0, lw.reg(int64(op.d)), lw.lane(int64(op.a), 16*op.imm, 16), laneMask(16))
+		lw.put(nLoadReg, 0, lw.reg(op.d), lw.lane(int64(op.a), 16*op.imm, 16), laneMask(16))
 	case mLoad:
 		lw.lane(int64(op.d), 0, op.imm/2)
-		lw.put(nLoad, 0, lw.reg(int64(op.d)), lw.mem(op.addr, op.imm), laneMask(int(op.imm/2)))
+		lw.put(nLoad, 0, lw.reg(op.d), lw.mem(op.addr, op.imm), laneMask(int(op.imm/2)))
 	case mStore:
 		lw.put(nStore, 0, lw.lane(int64(op.a), 0, op.imm/2), lw.mem(op.addr, op.imm), laneMask(int(op.imm/2)))
 	case mExtrW:
@@ -196,7 +209,7 @@ func (lw *lowerer) op(ops []mop, i int) int {
 			n := min(len(t)/2, 4*lw.room())
 			lw.put(nCopyRun, n)
 			for _, a := range t[:2*n] {
-				lw.code = append(lw.code, lw.mem(a, 2))
+				lw.code = append(lw.code, lw.mem(int64(a), 2))
 			}
 			lw.work += (n + 3) / 4
 			t = t[2*n:]
@@ -207,13 +220,13 @@ func (lw *lowerer) op(ops []mop, i int) int {
 		}
 		t := p.aux[op.tab : op.tab+11]
 		lw.put(nExtVec, shift(op.imm), lw.reg(t[5]), lw.reg(t[6]),
-			lw.mem(t[7], wb), lw.mem(t[8], wb), lw.mem(t[9], wb), lw.mem(t[10], wb))
+			lw.mem(int64(t[7]), wb), lw.mem(int64(t[8]), wb), lw.mem(int64(t[9]), wb), lw.mem(int64(t[10]), wb))
 	case mQuadScatter:
 		if op.live != 0 {
 			return lw.goBody(i)
 		}
 		t := p.aux[op.tab : op.tab+3+2*op.n]
-		lw.put(nMergeReg, int(op.n), lw.mem(t[2], wb))
+		lw.put(nMergeReg, int(op.n), lw.mem(int64(t[2]), wb))
 		for t = t[3:]; len(t) > 0; t = t[2:] {
 			lw.code = append(lw.code, lw.reg(t[0]), lw.tab(t[1]))
 		}
@@ -223,9 +236,9 @@ func (lw *lowerer) op(ops []mop, i int) int {
 			return lw.goBody(i)
 		}
 		t := p.aux[op.tab : op.tab+4+2*op.n]
-		lw.put(nMergeMem, int(op.n), lw.mem(t[3], wb))
+		lw.put(nMergeMem, int(op.n), lw.mem(int64(t[3]), wb))
 		for t = t[4:]; len(t) > 0; t = t[2:] {
-			lw.code = append(lw.code, lw.mem(t[0], wb), lw.tab(t[1]))
+			lw.code = append(lw.code, lw.mem(int64(t[0]), wb), lw.tab(t[1]))
 		}
 		lw.work += int(op.n) / 4
 	case mAlphaStepP, mBetaStepP:
@@ -292,13 +305,13 @@ func (lw *lowerer) sweep(steps []mop, wb int64) {
 			lw.tab(t[11]), lw.tab(t[12]), lw.tab(t[13]), lw.tab(t[14]), lw.tab(t[15]))
 		for i := range steps {
 			t := p.aux[steps[i].tab:]
-			lw.code = append(lw.code, lw.mem(t[9], wb), lw.mem(t[10], wb))
+			lw.code = append(lw.code, lw.mem(int64(t[9]), wb), lw.mem(int64(t[10]), wb))
 		}
 	case op.imm == 0:
 		lw.put(nBetaSweep, len(steps), lw.reg(t[7]),
 			lw.tab(t[10]), lw.tab(t[11]), lw.tab(t[12]), lw.tab(t[13]), lw.tab(t[14]))
 		for i := range steps {
-			lw.code = append(lw.code, lw.mem(p.aux[steps[i].tab+9], wb))
+			lw.code = append(lw.code, lw.mem(int64(p.aux[steps[i].tab+9]), wb))
 		}
 	default:
 		nx := int(op.n)
@@ -309,14 +322,14 @@ func (lw *lowerer) sweep(steps []mop, wb int64) {
 		// register of words, two to a stream word.
 		var lanes [regStride / 2]uint32
 		for x := 0; x < nx; x++ {
-			lanes[x/2] |= lw.lane(0, t[27+2*x], 1) / 2 << (16 * (x % 2))
+			lanes[x/2] |= lw.lane(0, int64(t[27+2*x]), 1) / 2 << (16 * (x % 2))
 		}
 		lw.code = append(lw.code, lanes[:]...)
 		for i := range steps {
 			t := p.aux[steps[i].tab:]
-			lw.code = append(lw.code, lw.mem(t[9], wb), lw.mem(t[22], wb))
+			lw.code = append(lw.code, lw.mem(int64(t[9]), wb), lw.mem(int64(t[22]), wb))
 			for x := 0; x < nx; x++ {
-				lw.code = append(lw.code, lw.mem(t[26+2*x], 2))
+				lw.code = append(lw.code, lw.mem(int64(t[26+2*x]), 2))
 			}
 		}
 	}
@@ -449,7 +462,7 @@ func (p *Program) visitEffects(op *mop, v *effectVisitor) error {
 		mem = func(int64, int64, bool) {}
 	}
 	// aux returns the op's aux window after bounds-checking it.
-	aux := func(need int32) ([]int64, error) {
+	aux := func(need int32) ([]int32, error) {
 		if need < 0 || op.tab < 0 || int(op.tab)+int(need) > len(p.aux) {
 			return nil, fmt.Errorf("program: op kind %d aux window [%d,+%d) outside pool of %d", op.kind, op.tab, need, len(p.aux))
 		}
@@ -555,8 +568,8 @@ func (p *Program) visitEffects(op *mop, v *effectVisitor) error {
 			return err
 		}
 		for i := 0; i < len(t); i += 2 {
-			mem(t[i+1], 2, false)
-			mem(t[i], 2, true)
+			mem(int64(t[i+1]), 2, false)
+			mem(int64(t[i]), 2, true)
 		}
 	case mExtVec:
 		t, err := aux(11)
@@ -568,10 +581,10 @@ func (p *Program) visitEffects(op *mop, v *effectVisitor) error {
 		}
 		reg(int32(t[5]), false)
 		reg(int32(t[6]), false)
-		mem(t[7], wb, false)
-		mem(t[8], wb, false)
-		mem(t[9], wb, false)
-		mem(t[10], wb, true)
+		mem(int64(t[7]), wb, false)
+		mem(int64(t[8]), wb, false)
+		mem(int64(t[9]), wb, false)
+		mem(int64(t[10]), wb, true)
 	case mQuadScatter:
 		if op.n < 2 {
 			return fmt.Errorf("program: mQuadScatter n=%d", op.n)
@@ -588,7 +601,7 @@ func (p *Program) visitEffects(op *mop, v *effectVisitor) error {
 		}
 		reg(int32(t[0]), true)
 		reg(int32(t[1]), true)
-		mem(t[2], wb, true)
+		mem(int64(t[2]), wb, true)
 	case mQuadGather:
 		if op.n < 1 {
 			return fmt.Errorf("program: mQuadGather n=%d", op.n)
@@ -601,14 +614,14 @@ func (p *Program) visitEffects(op *mop, v *effectVisitor) error {
 			if err := p.checkTabs(true, t[5+2*s]); err != nil {
 				return err
 			}
-			mem(t[4+2*s], wb, false)
+			mem(int64(t[4+2*s]), wb, false)
 		}
 		reg(int32(t[0]), true)
 		reg(int32(t[1]), true)
 		if op.n > 1 {
 			reg(int32(t[2]), true)
 		}
-		mem(t[3], wb, true)
+		mem(int64(t[3]), wb, true)
 	case mAlphaStepP:
 		t, err := aux(16)
 		if err != nil {
@@ -622,8 +635,8 @@ func (p *Program) visitEffects(op *mop, v *effectVisitor) error {
 		}
 		reg(int32(t[8]), false) // alpha: read then rewritten
 		reg(int32(t[8]), true)
-		mem(t[9], wb, false)
-		mem(t[10], wb, true)
+		mem(int64(t[9]), wb, false)
+		mem(int64(t[10]), wb, true)
 	case mBetaStepP:
 		need := int32(15)
 		if op.imm != 0 {
@@ -645,7 +658,7 @@ func (p *Program) visitEffects(op *mop, v *effectVisitor) error {
 		reg(int32(t[7]), false) // beta: read then rewritten
 		reg(int32(t[7]), true)
 		reg(int32(t[8]), true)
-		mem(t[9], wb, false)
+		mem(int64(t[9]), wb, false)
 		if op.imm != 0 {
 			if err := p.checkTabs(true, t[23], t[24], t[25]); err != nil {
 				return err
@@ -653,13 +666,13 @@ func (p *Program) visitEffects(op *mop, v *effectVisitor) error {
 			for _, o := range t[15:22] {
 				reg(int32(o), true)
 			}
-			mem(t[22], wb, false)
+			mem(int64(t[22]), wb, false)
 			et := t[26 : 26+2*op.n]
 			for x := 0; x < len(et); x += 2 {
 				if lane := et[x+1]; lane < 0 || lane >= regStride {
 					return fmt.Errorf("program: mBetaStepP extract lane %d out of range", lane)
 				}
-				mem(et[x], 2, true)
+				mem(int64(et[x]), 2, true)
 			}
 		}
 	default:
@@ -671,7 +684,7 @@ func (p *Program) visitEffects(op *mop, v *effectVisitor) error {
 // checkTabs verifies idxTabs ids are in range and, when full is set,
 // long enough for per-lane indexing without permute's short-table
 // guard (what fullTabs established at fuse time).
-func (p *Program) checkTabs(full bool, ids ...int64) error {
+func (p *Program) checkTabs(full bool, ids ...int32) error {
 	for _, id := range ids {
 		if id < 0 || int(id) >= len(p.idxTabs) {
 			return fmt.Errorf("program: index table %d outside %d", id, len(p.idxTabs))

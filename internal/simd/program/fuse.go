@@ -68,10 +68,14 @@ func (p *Program) fuse(raw []rawOp) []mop {
 }
 
 // pushAux appends operand words to the program pool and returns their
-// offset.
+// offset. Every operand is a register lane offset, a table id, a lane or
+// a recorded address, so it fits the pool's 32 bits: a rawOp holds
+// addresses as int32.
 func (p *Program) pushAux(xs ...int64) int32 {
 	o := int32(len(p.aux))
-	p.aux = append(p.aux, xs...)
+	for _, x := range xs {
+		p.aux = append(p.aux, int32(x))
+	}
 	return o
 }
 
@@ -91,7 +95,7 @@ func (p *Program) tryCopyRun(raw []rawOp) (mop, int) {
 	}
 	tab := int32(len(p.aux))
 	for _, r := range raw[:n] {
-		p.aux = append(p.aux, int64(r.addr), int64(r.addr2))
+		p.aux = append(p.aux, r.addr, r.addr2)
 	}
 	return mop{kind: mCopyRun, tab: tab, n: int32(n)}, n
 }

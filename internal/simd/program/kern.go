@@ -1,6 +1,9 @@
 package program
 
-import "unsafe"
+import (
+	"errors"
+	"unsafe"
+)
 
 // Native execution. The ops of a packed plan are recordings of vpermw,
 // vpaddsw, vpmaxsw, vpsubsw, vpand, vpor and friends; on a CPU that has
@@ -9,11 +12,13 @@ import "unsafe"
 // finalize.go) and runStreamAVX512 (kern_amd64.s) walks it: one call runs
 // whole alpha and beta sweeps, gamma, extrinsic, interleave and arrangement
 // runs without returning to Go. The []mop segments and their Go bodies in
-// run.go stay the specification: the only path on other architectures and
-// older CPUs, the path under UseNativeKernel(false), the path for an op
-// with a live intermediate or no native body (a stop record names it and
-// the stream resumes after it), and what every record kind is
-// differentially tested against.
+// run.go stay the specification: the only form on other architectures and
+// older CPUs, the form of a program compiled under UseNativeKernel(false),
+// the path for an op with a live intermediate or no native body (a stop
+// record names it and the stream resumes after it), and what every record
+// kind is differentially tested against. A native program whose streams
+// name no op drops them (Compile), so what it holds is what the kernel
+// reads.
 //
 // The stream is []uint32. A record is a header word, op code in the low
 // byte and a count n above it, followed by the operand words its kind
@@ -40,13 +45,16 @@ import "unsafe"
 //     preempted, and a GC stop-the-world waits for it.
 //   - VZEROUPPER precedes the one RET.
 
-// useNative selects the assembly kernel. It is set once, at init, from
-// what the CPU and OS report (nativeAvailable); nothing a user passes
-// changes it.
+// useNative selects the kernel Compile lowers programs for. It is set
+// once, at init, from what the CPU and OS report (nativeAvailable);
+// nothing a user passes changes it.
 var useNative = nativeAvailable
 
-// Kernel names the kernel Run executes compiled programs with:
-// "avx512bw" or "go".
+// errNoNative: lowering asked for on a host without the native kernel.
+var errNoNative = errors.New("program: no native kernel on this host")
+
+// Kernel names the kernel Compile lowers programs for, and so the one they
+// run on: "avx512bw" or "go".
 func Kernel() string {
 	if useNative {
 		return "avx512bw"
@@ -55,9 +63,11 @@ func Kernel() string {
 }
 
 // UseNativeKernel is a test seam, for _test.go files and the decode bench
-// only: it turns the native kernel off, or back on where the host has
-// it, and reports the previous setting so the caller can restore it
-// (t.Cleanup). It must not be called while any program is running.
+// only: it turns the native kernel off for the programs compiled after it,
+// or back on where the host has it, and reports the previous setting so
+// the caller can restore it (t.Cleanup). A program already compiled keeps
+// the kernel it was compiled for. It must not be called while any program
+// is compiling.
 func UseNativeKernel(on bool) (was bool) {
 	was = useNative
 	useNative = on && nativeAvailable

@@ -329,11 +329,11 @@ func recordAndCompile(t *testing.T, w simd.Width, memBytes int, iters int) (*Pro
 	k := newSynthKernel(w, mem)
 	k.seed(mem)
 	k.iters = iters
-	b := NewBuilder(0)
+	b := NewBuilder(w, 0)
 	e.SetProgSink(b)
 	k.run(e)
 	e.SetProgSink(nil)
-	p, err := b.Compile(w)
+	p, err := b.Compile()
 	if err != nil {
 		t.Fatalf("%v: compile: %v", w, err)
 	}
@@ -606,9 +606,9 @@ func TestFinalizeRejectsMalformedOps(t *testing.T) {
 		"odd load address":        {kind: mLoad, addr: 65, imm: 16},
 		"register past the file":  {kind: mClear, d: 2 * regStride},
 	} {
-		p := &Program{w: simd.W128, lanes: 8, nregs: 2 * regStride, aux: make([]int64, 8)}
+		p := &Program{w: simd.W128, lanes: 8, nregs: 2 * regStride, aux: make([]int32, 8)}
 		p.segs[SegSteady] = []mop{op}
-		if err := p.finalize(); err == nil {
+		if _, err := p.finalize(); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
 	}
@@ -625,11 +625,11 @@ func TestFinalizeRejectsMalformedOps(t *testing.T) {
 			{kind: mSetImm, d: 0, tab: 0},
 			{kind: mStore, a: 0, addr: 64, imm: 16},
 		}
-		if err := p.finalize(); err != nil {
+		if _, err := p.finalize(); err != nil {
 			t.Fatalf("well-formed program refused: %v", err)
 		}
 		p.pats = make([][regStride]int16, len(p.lanePats)) // as on a native host
-		if _, err := p.lower(p.segs[SegSteady]); err != nil {
+		if _, _, err := p.lower(p.segs[SegSteady]); err != nil {
 			t.Fatalf("well-formed program does not lower: %v", err)
 		}
 		return p
@@ -641,7 +641,7 @@ func TestFinalizeRejectsMalformedOps(t *testing.T) {
 	} {
 		p := build()
 		shrink(p)
-		if _, err := p.lower(p.segs[SegSteady]); err == nil {
+		if _, _, err := p.lower(p.segs[SegSteady]); err == nil {
 			t.Errorf("%s: lowered", name)
 		}
 	}
@@ -656,11 +656,11 @@ func TestCompileTooFewIterations(t *testing.T) {
 	k := newSynthKernel(simd.W128, mem)
 	k.seed(mem)
 	k.iters = 1
-	b := NewBuilder(0)
+	b := NewBuilder(simd.W128, 0)
 	e.SetProgSink(b)
 	k.run(e)
 	e.SetProgSink(nil)
-	if _, err := b.Compile(simd.W128); !errors.Is(err, errNoSteady) {
+	if _, err := b.Compile(); !errors.Is(err, errNoSteady) {
 		t.Fatalf("compile of 1-iteration recording: %v, want errNoSteady", err)
 	}
 }
@@ -673,7 +673,7 @@ func TestCompileUnstableStream(t *testing.T) {
 		mem := simd.NewMemory(1 << 12)
 		e := simd.NewEngine(simd.W128, mem, nil)
 		addr := mem.Alloc(64, 64)
-		b := NewBuilder(0)
+		b := NewBuilder(simd.W128, 0)
 		e.SetProgSink(b)
 		v := e.NewVec()
 		for it := 0; it < 4; it++ {
@@ -684,7 +684,7 @@ func TestCompileUnstableStream(t *testing.T) {
 			tamper(e, it, v)
 		}
 		e.SetProgSink(nil)
-		_, err := b.Compile(simd.W128)
+		_, err := b.Compile()
 		return err
 	}
 	if err := build(func(e *simd.Engine, it int, v *simd.Vec) {

@@ -42,7 +42,7 @@ func operands(r []int16, op *mop, L int) (d, a, b []int16) {
 }
 
 // line returns the n arena lanes at byte address a.
-func line(m []int16, a int64, n int) []int16 { return m[a>>1:][:n] }
+func line[I int32 | int64](m []int16, a I, n int) []int16 { return m[a>>1:][:n] }
 
 // region16 views a state region as int16 lanes. finalize has established
 // that the host is little-endian and that every offset the program touches
@@ -103,10 +103,10 @@ func (p *Program) Run(x *Exec, seg int) {
 }
 
 // run executes a segment over an execution state NewExec has checked: as
-// its descriptor stream where the host has the native kernel (kern.go),
-// else op by op.
+// its descriptor stream when the program was compiled for the native
+// kernel (kern.go), else op by op.
 func (p *Program) run(x *Exec, seg int) {
-	if code := p.native[seg]; useNative && code != nil {
+	if code := p.native[seg]; code != nil {
 		p.runStream(x, code, p.segs[seg])
 		return
 	}

@@ -240,12 +240,21 @@ func TestEvictAll(t *testing.T) {
 
 // TestCompileGate: a rejecting gate forces this decoder onto the
 // interpreter exactly like a verify failure — no program installed, the
-// veto latched until an eviction, decodes still correct — and poisons
-// nothing: the shared program stays cached and the next decoder gets it
-// without a compile. An accepting gate changes nothing.
+// veto latched until an eviction, decodes bit-exact against the scalar
+// decoder — and poisons nothing: the shared program stays cached and the
+// next decoder gets it without a compile. The veto hits a size whose plan
+// compiled before this decoder met it, so the plan holds no interpreter
+// tables: the fallback builds them. An accepting gate changes nothing.
 func TestCompileGate(t *testing.T) {
 	resetPlanCache()
 	const k = 104
+	if err := Precompile(simd.W128, core.StrategyAPCM, k); err != nil {
+		t.Fatal(err)
+	}
+	sp, _ := sharedPlanFor(keyFor(k, simd.W128, core.StrategyAPCM))
+	if sp.interp != nil {
+		t.Fatal("the compiled plan kept interpreter tables")
+	}
 	bd := NewBatchDecoder(simd.W128, core.StrategyAPCM, 32<<20)
 	bd.MaxIters = 4
 	gated := 0
@@ -260,17 +269,21 @@ func TestCompileGate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	words, truth := buildWords(t, c, bd.Lanes(), 95, true)
+	words, _ := buildWords(t, c, bd.Lanes(), 95, false)
+	oracle := scalarDecode(t, c, words, bd.MaxIters)
 	for i := 0; i < 3; i++ {
 		bits, _, err := bd.Decode(k, words)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for b := range words {
-			if !equalBits(bits[b], truth[b]) {
-				t.Errorf("decode %d block %d: wrong bits on gated fallback", i, b)
+			if !equalBits(bits[b], oracle[b]) {
+				t.Errorf("decode %d block %d: gated fallback differs from the scalar decoder", i, b)
 			}
 		}
+	}
+	if sp.interp == nil || bd.plans[k].pst.interpTables != sp.interp {
+		t.Error("the fallback did not interpret on the plan's rebuilt tables")
 	}
 	if gated != 1 {
 		t.Errorf("gate consulted %d times, want 1 (the veto must latch)", gated)

@@ -93,7 +93,7 @@ func TestLaneTablesFromFirstPrinciples(t *testing.T) {
 		if !reflect.DeepEqual(ms.laneTables, lt) {
 			t.Errorf("%v: multiState's lane tables drifted from newLaneTables", w)
 		}
-		if pl := newPackedPlan(c, ar.Layout(w), w, nb); !reflect.DeepEqual(pl.laneTables, lt) {
+		if pl := newPackedPlan(c, ar.Layout(w), w, nb); !reflect.DeepEqual(pl.interpreterTables().laneTables, lt) {
 			t.Errorf("%v: packedPlan's lane tables drifted from newLaneTables", w)
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"sync"
 
 	"vransim/internal/core"
 	"vransim/internal/simd"
@@ -66,9 +67,11 @@ func (r regionLayout) at(base int64) regionLayout {
 
 // packedPlan is everything about a packed decode that is a pure function
 // of (K, width, strategy): the code, the shape and size of the state
-// region, and the index tables. It is immutable once newPackedPlan
-// returns, so one serves every decoder of a process that decodes that
-// triple (plancache.go), whichever arena offset each runs it at.
+// region, the hard-decision map and, once an interpreted decode needs
+// them, the index tables. It is immutable once newPackedPlan returns but
+// for that one build, so one serves every decoder of a process that
+// decodes that triple (plancache.go), whichever arena offset each runs
+// it at.
 type packedPlan struct {
 	code *Code
 	w    simd.Width
@@ -84,6 +87,22 @@ type packedPlan struct {
 	size     int64
 	arrBytes int
 
+	// hdecAt[b*K+p] is the offset in the hdec array of the hard decision
+	// for bit p of block b, so the extraction walks each block's bits in
+	// order with the interleaver and the layout already resolved.
+	hdecAt []int32
+
+	// interp holds the tables only the interpreter reads, built on the
+	// first interpreted decode of the plan (interpreterTables): a plan
+	// whose decoders all replay its program never holds them.
+	interpOnce sync.Once
+	interp     *interpTables
+}
+
+// interpTables are the index tables of a packed decode that only the
+// interpreter reads: the replay program has them compiled in. They are a
+// pure function of the plan, and immutable once built.
+type interpTables struct {
 	// Recursion permute tables, the ones multiState runs on.
 	laneTables
 	// Quad-read tables: bm0/bm1 of the alpha and beta recursions as one
@@ -99,11 +118,6 @@ type packedPlan struct {
 	gSPerm [][]gatherSrc
 	gLa2   [][]gatherSrc
 	gLa1   [][]gatherSrc
-
-	// hdecAt[b*K+p] is the offset in the hdec array of the hard decision
-	// for bit p of block b, so the extraction walks each block's bits in
-	// order with the interleaver and the layout already resolved.
-	hdecAt []int32
 }
 
 // packedState is one decoder's mutable half of a packed decode: a state
@@ -115,6 +129,9 @@ type packedPlan struct {
 type packedState struct {
 	*packedPlan
 	regionLayout // arena addresses: the plan's rel at this state's region
+	// interpTables is nil until a decode is interpreted on this state: the
+	// plan's own (interpreterTables), or a recording's private ones.
+	*interpTables
 
 	e  *simd.Engine
 	ar core.Arranger
@@ -140,7 +157,7 @@ type packedState struct {
 
 // gatherSrc is one source group's contribution to a gather destination
 // group: load the source group, permute by Idx, OR into the
-// accumulator. Idx is pointer-stable for the plan's lifetime (the
+// accumulator. Idx is pointer-stable for the tables' lifetime (the
 // replay builder interns permute tables by the slice's backing array).
 type gatherSrc struct {
 	Group int
@@ -169,7 +186,7 @@ func (st *packedState) alphaAddr(step int) int64 {
 func newPackedPlan(c *Code, lay core.Layout, w simd.Width, nb int) *packedPlan {
 	k := c.K
 	n := nb * k
-	pl := &packedPlan{code: c, w: w, lay: lay, nb: nb, n: n, arrBytes: lay.DstBytes(n), laneTables: newLaneTables(c.trellis, w, nb)}
+	pl := &packedPlan{code: c, w: w, lay: lay, nb: nb, n: n, arrBytes: lay.DstBytes(n)}
 	// Every array starts on a 64-byte boundary of the region, as
 	// consecutive simd.Memory.Alloc(_, 64) calls from its start would
 	// place them.
@@ -191,7 +208,6 @@ func newPackedPlan(c *Code, lay core.Layout, w simd.Width, nb int) *packedPlan {
 			pl.hdecAt[b*k+c.qpp.Perm(i)] = int32(pl.elemAddr(0, i*nb+b))
 		}
 	}
-	pl.buildTables()
 	return pl
 }
 
@@ -213,12 +229,20 @@ func newPackedState(e *simd.Engine, ar core.Arranger, pl *packedPlan, base int64
 	return st
 }
 
-// buildTables builds the quad tables and gather programs: pure index
-// arithmetic over (trellis, layout, interleaver), no engine.
-func (pl *packedPlan) buildTables() {
+// interpreterTables returns the plan's interpreter tables, building them
+// the first time any decoder asks. Safe for concurrent use.
+func (pl *packedPlan) interpreterTables() *interpTables {
+	pl.interpOnce.Do(func() { pl.interp = pl.newInterpTables() })
+	return pl.interp
+}
+
+// newInterpTables builds the lane and quad tables and the gather programs:
+// pure index arithmetic over (trellis, layout, interleaver), no engine.
+func (pl *packedPlan) newInterpTables() *interpTables {
 	tr := pl.code.trellis
 	nb := pl.nb
 	lanes := pl.w.Lanes16()
+	it := &interpTables{laneTables: newLaneTables(tr, pl.w, nb)}
 
 	// Quad-read tables. The per-block path selects branch metrics with
 	// masks: alpha bm0 = g0 where Parity[Prev[s][0]][0]==0 else g1,
@@ -236,7 +260,7 @@ func (pl *packedPlan) buildTables() {
 		}
 		return t0, t1
 	}
-	pl.bmA0, pl.bmA1 = quadSel(
+	it.bmA0, it.bmA1 = quadSel(
 		func(s int) int {
 			if tr.Parity[tr.Prev[s][0]][0] == 0 {
 				return 0
@@ -249,7 +273,7 @@ func (pl *packedPlan) buildTables() {
 			}
 			return 2
 		})
-	pl.bmB0, pl.bmB1 = quadSel(
+	it.bmB0, it.bmB1 = quadSel(
 		func(s int) int {
 			if tr.Parity[s][0] == 0 {
 				return 0
@@ -277,15 +301,16 @@ func (pl *packedPlan) buildTables() {
 			for b := 0; b < nb; b++ {
 				t[b*4+v] = pl.lay.LanePos[(si*nb+b)%pl.lay.GroupLanes]
 			}
-			pl.scat[si][v] = t
+			it.scat[si][v] = t
 		}
 	}
 
 	// Interleave gather programs.
 	qpp := pl.code.qpp
-	pl.gSPerm = pl.buildGather(func(i int) int { return qpp.Perm(i) })
-	pl.gLa2 = pl.gSPerm // same permutation, different arrays
-	pl.gLa1 = pl.buildGather(func(i int) int { return qpp.InvPerm(i) })
+	it.gSPerm = pl.buildGather(func(i int) int { return qpp.Perm(i) })
+	it.gLa2 = it.gSPerm // same permutation, different arrays
+	it.gLa1 = pl.buildGather(func(i int) int { return qpp.InvPerm(i) })
+	return it
 }
 
 // buildGather compiles dst[i*nb+b] = src[f(i)*nb+b] into per-dst-group
@@ -629,6 +654,9 @@ func (d *MultiSIMDDecoder) runPacked(st *packedState, words []*LLRWord) ([][]byt
 	requested := len(words)
 	if err := st.loadWordsPacked(words); err != nil {
 		return nil, 0, err
+	}
+	if st.interpTables == nil {
+		st.interpTables = st.interpreterTables()
 	}
 	e := st.e
 	d.Marks = d.Marks[:0]

@@ -10,6 +10,7 @@ import (
 
 	"vransim/internal/core"
 	"vransim/internal/simd"
+	"vransim/internal/simd/program"
 )
 
 // scalarDecode is the oracle: each word alone through the scalar decoder.
@@ -113,7 +114,7 @@ func TestSharedProgramIsImmutable(t *testing.T) {
 	}
 	var sums [][32]byte
 	for _, k := range ks {
-		sp, _ := sharedPlanFor(planKey{k, simd.W512, core.StrategyAPCM})
+		sp, _ := sharedPlanFor(keyFor(k, simd.W512, core.StrategyAPCM))
 		sums = append(sums, sp.prog.Checksum())
 	}
 	var wg sync.WaitGroup
@@ -158,7 +159,7 @@ func TestSharedProgramIsImmutable(t *testing.T) {
 	}
 	wg.Wait()
 	for i, k := range ks {
-		sp, led := sharedPlanFor(planKey{k, simd.W512, core.StrategyAPCM})
+		sp, led := sharedPlanFor(keyFor(k, simd.W512, core.StrategyAPCM))
 		if led {
 			t.Fatalf("K=%d was compiled again", k)
 		}
@@ -251,7 +252,7 @@ func TestSyntheticRecordingMatchesLive(t *testing.T) {
 	}
 	for _, cf := range configs {
 		name := fmt.Sprintf("%v/%v/K%d", cf.s, cf.w, cf.k)
-		sp, _ := sharedPlanFor(planKey{cf.k, cf.w, cf.s})
+		sp, _ := sharedPlanFor(keyFor(cf.k, cf.w, cf.s))
 		if sp.err != nil {
 			t.Fatalf("%s: synthetic recording: %v", name, sp.err)
 		}
@@ -334,5 +335,114 @@ func TestPrecompile(t *testing.T) {
 	}
 	if err := Precompile(simd.W128, core.StrategyAPCM, 41); err == nil {
 		t.Error("Precompile accepted block size 41")
+	}
+}
+
+// TestServingPlansAreNativeOnly: on the native kernel, the program of every
+// serving-size W512/APCM plan holds its descriptor streams and their tables
+// alone — no fused ops, operand pools or interned tables beside them — and
+// is, to the checksum (streams, gat, gatAnd, pats, register count,
+// extent), what lowering the Go-form program compiled from the same
+// recording gives. The first half holds because no stop record of those
+// streams names an op, so nothing ever runs a Go body; the second says the
+// kernel replays exactly the stream a program holding both forms would.
+// The Go-form program comes from the cache under the "go" kernel, so this
+// also shows the kernel keys the cache: one entry per kernel, each compiled
+// once.
+func TestServingPlansAreNativeOnly(t *testing.T) {
+	if program.Kernel() != "avx512bw" {
+		t.Skipf("programs compile for the %q kernel here (no AVX-512BW, or the OS does not save ZMM state): there is no native form", program.Kernel())
+	}
+	for _, k := range []int{40, 104, 512, 1024, 2048, 6144} {
+		sp, _ := sharedPlanFor(keyFor(k, simd.W512, core.StrategyAPCM))
+		if sp.err != nil {
+			t.Fatalf("K=%d: %v", k, sp.err)
+		}
+		if sp.prog.Kernel() != "avx512bw" || sp.prog.GoForm() {
+			t.Errorf("K=%d: a %q program, Go form held: %v; want the native form alone", k, sp.prog.Kernel(), sp.prog.GoForm())
+		}
+		was := program.UseNativeKernel(false)
+		gp, _ := sharedPlanFor(keyFor(k, simd.W512, core.StrategyAPCM))
+		program.UseNativeKernel(was)
+		if gp.err != nil {
+			t.Fatalf("K=%d, Go kernel: %v", k, gp.err)
+		}
+		if gp == sp || gp.prog.Kernel() != "go" || !gp.prog.GoForm() {
+			t.Fatalf("K=%d: with the native kernel off the cache gave a %q program (Go form %v, the native entry: %v)", k, gp.prog.Kernel(), gp.prog.GoForm(), gp == sp)
+		}
+		lowered, err := gp.prog.Lowered()
+		if err != nil {
+			t.Fatalf("K=%d: lowering the Go form: %v", k, err)
+		}
+		if lowered.Checksum() != sp.prog.Checksum() {
+			t.Errorf("K=%d: the native program is not the lowered Go form (Go form held after lowering: %v)", k, lowered.GoForm())
+		}
+	}
+}
+
+// TestConcurrentVetoBuildsTablesOnce: decoders whose CompileGate vetoes a
+// compiled plan's program meet it at the same moment. The compile left the
+// plan no interpreter tables; they are built again exactly once, every
+// decoder's state interprets on that one set, and every decode is
+// bit-exact against the scalar decoder. Under -race this is the proof that
+// the build publishes the tables safely to the decoders that did not make
+// it.
+func TestConcurrentVetoBuildsTablesOnce(t *testing.T) {
+	resetPlanCache()
+	const k, workers, maxIters = 104, 4, 4
+	if err := Precompile(simd.W512, core.StrategyAPCM, k); err != nil {
+		t.Fatal(err)
+	}
+	sp, _ := sharedPlanFor(keyFor(k, simd.W512, core.StrategyAPCM))
+	if sp.interp != nil {
+		t.Fatal("the compiled plan kept interpreter tables")
+	}
+	type job struct {
+		words []*LLRWord
+		want  [][]byte
+	}
+	jobs := make([]job, workers)
+	for i := range jobs {
+		words, _ := buildWords(t, sp.code, BlocksPerRegister(simd.W512), int64(6000+i), false)
+		jobs[i] = job{words, scalarDecode(t, sp.code, words, maxIters)}
+	}
+	start := make(chan struct{})
+	tabs := make([]*interpTables, workers)
+	var wg sync.WaitGroup
+	for i := range jobs {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			bd := NewBatchDecoder(simd.W512, core.StrategyAPCM, 32<<20)
+			bd.MaxIters = maxIters
+			bd.CompileGate = func(int) bool { return false }
+			<-start
+			for round := 0; round < 2; round++ {
+				bits, _, err := bd.Decode(k, jobs[i].words)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				for b := range bits {
+					if !equalBits(bits[b], jobs[i].want[b]) {
+						t.Errorf("worker %d round %d block %d: differs from the scalar decoder", i, round, b)
+					}
+				}
+			}
+			if s := bd.ProgramStats(); s.Misses != 2 || s.Hits != 0 {
+				t.Errorf("worker %d: %+v, want 2 interpreted decodes", i, s)
+			}
+			tabs[i] = bd.plans[k].pst.interpTables
+		}(i)
+	}
+	close(start)
+	wg.Wait()
+	for i, tb := range tabs {
+		if tb == nil || tb != sp.interp {
+			t.Errorf("worker %d interpreted on tables %p, the plan holds %p", i, tb, sp.interp)
+		}
+	}
+	if cs := PlanCacheStats(); cs.Compiles != 1 || cs.Failures != 0 {
+		t.Errorf("vetoes changed the cache: %+v, want the one compile", cs)
 	}
 }

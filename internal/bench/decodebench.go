@@ -52,8 +52,8 @@ type DecodeBenchRow struct {
 	// Mode is "packed" (the serving path: the cross-block SoA stream
 	// replayed as one compiled program per iteration), "interpreted"
 	// (the same stream with the interpreter pinned via Compile=false) or
-	// "portable" ("packed" with the replay forced onto its Go kernel;
-	// only on a host that has the native one); or one of the single-decode
+	// "portable" ("packed" on a program compiled, during the warm-up,
+	// for the Go kernel; only on a host that has the native one); or one of the single-decode
 	// rows, "cold" (the process's first decode of this width and K: plan
 	// build, recording, compile, state, decode; absent when something
 	// earlier in the process had compiled it) and "adopt" (a second

@@ -55,7 +55,7 @@ type DecodeBenchRow struct {
 	// "portable" ("packed" on a program compiled, during the warm-up,
 	// for the Go kernel; only on a host that has the native one); or one of the single-decode
 	// rows, "cold" (the process's first decode of this width and K: plan
-	// build, recording, compile, state, decode; absent when something
+	// build, compile, state, decode; absent when something
 	// earlier in the process had compiled it) and "adopt" (a second
 	// decoder's first: state and decode), whose NsPerOp is that one
 	// decode's wall-clock time and whose bytes and allocs are what it left
@@ -84,10 +84,15 @@ type DecodeBenchReport struct {
 	GOMAXPROCS int `json:"gomaxprocs"`
 	// Kernel is program.Kernel() on this host: what every compiled row
 	// but "portable" replayed the packed trellis ops with.
-	Kernel    string           `json:"kernel"`
-	MaxIters  int              `json:"turbo_max_iters"`
-	BenchTime string           `json:"bench_time"`
-	Rows      []DecodeBenchRow `json:"rows"`
+	Kernel    string `json:"kernel"`
+	MaxIters  int    `json:"turbo_max_iters"`
+	BenchTime string `json:"bench_time"`
+	// PrecompileLTEMs is what compiling the program of every LTE block size
+	// at W512/APCM costs this host on one core: turbo.Precompile of all 188
+	// under GOMAXPROCS 1, after the rows, plus what the W512 cold rows'
+	// compiles of the sizes they had cached took. The full report only.
+	PrecompileLTEMs float64          `json:"precompile_lte_ms,omitempty"`
+	Rows            []DecodeBenchRow `json:"rows"`
 }
 
 // decodeBenchKs is the block-size spread of the JSON artifact: the
@@ -144,6 +149,7 @@ func RunDecodeBench(quick bool) (*DecodeBenchReport, error) {
 	if rep.Kernel != "go" {
 		modes = append(modes, "portable")
 	}
+	var cached time.Duration // W512 compiles the cold rows made
 	for _, w := range []simd.Width{simd.W128, simd.W256, simd.W512} {
 		for _, k := range ks {
 			c, err := turbo.NewCode(k)
@@ -154,9 +160,12 @@ func RunDecodeBench(quick bool) (*DecodeBenchReport, error) {
 			if err != nil {
 				return nil, err
 			}
-			first, err := runFirstDecodes(w, k, words)
+			first, compileTime, err := runFirstDecodes(w, k, words)
 			if err != nil {
 				return nil, err
+			}
+			if w == simd.W512 {
+				cached += compileTime
 			}
 			rep.Rows = append(rep.Rows, first...)
 			for _, mode := range modes {
@@ -168,15 +177,23 @@ func RunDecodeBench(quick bool) (*DecodeBenchReport, error) {
 			}
 		}
 	}
+	if !quick {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+		start := time.Now()
+		if err := turbo.Precompile(simd.W512, core.StrategyAPCM, turbo.BlockSizes...); err != nil {
+			return nil, err
+		}
+		rep.PrecompileLTEMs = float64(time.Since(start)+cached) / 1e6
+	}
 	return rep, nil
 }
 
 // runFirstDecodes times the first decode of (w, k) on two fresh decoders
 // in turn: the "cold" row if the first one compiled the program for the
-// process, and the "adopt" row.
-func runFirstDecodes(w simd.Width, k int, words []*turbo.LLRWord) ([]DecodeBenchRow, error) {
+// process, and the "adopt" row. It also reports what that compile took
+// (zero when there was none).
+func runFirstDecodes(w simd.Width, k int, words []*turbo.LLRWord) (rows []DecodeBenchRow, compileTime time.Duration, err error) {
 	nb := len(words)
-	var rows []DecodeBenchRow
 	for _, mode := range []string{"cold", "adopt"} {
 		bd := turbo.NewBatchDecoder(w, core.StrategyAPCM, 32<<20)
 		bd.MaxIters = decodeBenchIters
@@ -188,14 +205,17 @@ func runFirstDecodes(w simd.Width, k int, words []*turbo.LLRWord) ([]DecodeBench
 		elapsed := time.Since(start)
 		runtime.ReadMemStats(&m1)
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 		compiled := turbo.PlanCacheStats().Compiles != compiles
 		if mode == "adopt" && compiled {
-			return nil, fmt.Errorf("bench: a second decoder compiled K=%d at %v again", k, w)
+			return nil, 0, fmt.Errorf("bench: a second decoder compiled K=%d at %v again", k, w)
 		}
 		if mode == "cold" && !compiled {
 			continue // compiled earlier in this process: not a cold start
+		}
+		if mode == "cold" {
+			compileTime = bd.ProgramStats().CompileTime
 		}
 		rows = append(rows, DecodeBenchRow{
 			Mode: mode, Width: w.String(), K: k, Lanes: nb,
@@ -206,7 +226,7 @@ func runFirstDecodes(w simd.Width, k int, words []*turbo.LLRWord) ([]DecodeBench
 			Iterations:  1,
 		})
 	}
-	return rows, nil
+	return rows, compileTime, nil
 }
 
 // runDecodeCell benchmarks one (mode, width, K) combination over a full

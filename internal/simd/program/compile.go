@@ -247,6 +247,13 @@ func (b *Builder) Compile() (*Program, error) {
 	// here; let go of it before finalize allocates the descriptor streams,
 	// so the raw, fused and lowered forms are never all live at once.
 	b.ops, b.p, b.err = nil, nil, errSpent
+	return p.finish()
+}
+
+// finish makes p runnable (finalize) and keeps the one form its kernel
+// runs: the Go form is dropped once the streams name no op for it. It ends
+// Compile and Emit alike.
+func (p *Program) finish() (*Program, error) {
 	goBodies, err := p.finalize()
 	if err != nil {
 		return nil, err

@@ -154,7 +154,7 @@ func (p *Program) tryExtVec(raw []rawOp) (mop, int) {
 // The packed-step fusions execute whole recorded phases in one pass,
 // which is only equivalent to op-by-op execution when no written
 // register aliases another operand still live in the sequence.
-func distinctRegs(ids ...int16) bool {
+func distinctRegs[R int16 | Reg](ids ...R) bool {
 	for i := range ids {
 		for j := i + 1; j < len(ids); j++ {
 			if ids[i] == ids[j] {

@@ -20,17 +20,19 @@ import (
 // it once, here, and every BatchDecoder (each runtime worker, every shard
 // of an in-process fleet, a benchmark's pool decoder) adopts it: a
 // decoder's own cost for a K is a state region of its arena and the
-// Go-side buffers. The program is recorded off the live path, from a
-// synthetic word on a throwaway engine (recordProgram), by whichever
+// Go-side buffers. The program is compiled off the live path by whichever
 // caller asks for the key first; callers that arrive while that flight is
-// up wait for it instead of recording their own. The recording's
-// interpreter tables go with its engine: the plan builds its own only for
-// a decoder that interprets it (packedPlan.interpreterTables).
+// up wait for it instead of compiling their own. A plan of the serving
+// strategy is emitted from the plan itself (emit.go); any other is
+// recorded from a synthetic word on a throwaway engine (recordProgram),
+// whose interpreter tables go with it. Either way the plan holds no
+// interpreter tables until a decoder interprets it
+// (packedPlan.interpreterTables).
 //
 // A key that cannot compile is cached too, as its error: every decoder
 // learns it from the one attempt and serves that K interpreted (counted as
 // program misses, which a serving runtime without chaos configured turns
-// into an unhealthy /healthz), instead of each worker re-recording it.
+// into an unhealthy /healthz), instead of each worker compiling it again.
 // Nothing is ever evicted: an entry is about 0.4 MB at K=512 and 4.7 MB at
 // K=6144 on the native kernel, and the key space is the block sizes a
 // deployment serves.
@@ -58,8 +60,9 @@ func keyFor(k int, w simd.Width, s core.Strategy) planKey {
 type sharedPlan struct {
 	*packedPlan
 	// prog is the compiled replay program, nil when err says why there is
-	// none. compileTime is what Builder.Compile took (the recording decode
-	// before it is not counted, as it never was).
+	// none. compileTime is what compiling it took: the emission, or
+	// Builder.Compile of a recording (the recording decode before it is not
+	// counted, as it never was).
 	prog        *program.Program
 	err         error
 	compileTime time.Duration
@@ -76,8 +79,8 @@ var planCache struct {
 	mu      sync.Mutex
 	flights map[planKey]*planFlight
 
-	compiles, waiters, failures atomic.Uint64
-	compileNs                   atomic.Int64
+	compiles, recordings, waiters, failures atomic.Uint64
+	compileNs                               atomic.Int64
 }
 
 // CacheStats is a snapshot of the process-wide plan cache counters.
@@ -85,9 +88,15 @@ type CacheStats struct {
 	// Compiles counts programs compiled in this process, one per
 	// (K, width, strategy, kernel) that compiled — one per triple unless
 	// the native kernel was turned off and on again; CompileTime is their
-	// cumulative Builder.Compile wall-clock cost.
+	// cumulative cost: the whole emission of an emitted program,
+	// Builder.Compile of a recorded one (not the recording decode before
+	// it).
 	Compiles    uint64
 	CompileTime time.Duration
+	// Recordings counts the plans compiled from a recorded decode: those
+	// of the strategies the emitter does not cover (emits). A W512/APCM
+	// serving process reads 0.
+	Recordings uint64
 	// Waiters counts callers that found a key's compile in flight and
 	// waited for it instead of starting their own.
 	Waiters uint64
@@ -101,6 +110,7 @@ func PlanCacheStats() CacheStats {
 	return CacheStats{
 		Compiles:    planCache.compiles.Load(),
 		CompileTime: time.Duration(planCache.compileNs.Load()),
+		Recordings:  planCache.recordings.Load(),
 		Waiters:     planCache.waiters.Load(),
 		Failures:    planCache.failures.Load(),
 	}
@@ -153,12 +163,14 @@ func sharedPlanFor(key planKey) (sp *sharedPlan, led bool) {
 // recordIters is how many iterations a program is recorded over: the
 // first makes SegFirst, the second SegSteady, and the third is checked op
 // for op against the second through the builder's register bijection, so
-// every compile proves the stream iteration-invariant rather than only
+// every recording proves the stream iteration-invariant rather than only
 // those whose live word happened to need a third iteration. It is a
 // variable for one test: recorded over one iteration nothing compiles,
 // which is the only way to reach the cache's failure entries on demand.
 var recordIters = 3
 
+// buildSharedPlan compiles key's plan: from the plan alone when the
+// emitter covers its strategy, else from a recording of a synthetic decode.
 func buildSharedPlan(key planKey) *sharedPlan {
 	c, err := NewCode(key.k)
 	if err != nil {
@@ -166,21 +178,42 @@ func buildSharedPlan(key planKey) *sharedPlan {
 	}
 	ar := core.ByStrategy(key.s)
 	nb := BlocksPerRegister(key.w)
-	sp := &sharedPlan{packedPlan: newPackedPlan(c, ar.Layout(key.w), key.w, nb)}
-	// The op stream does not depend on the words (iterPacked), so the
-	// all-zero batch records the program every batch replays.
-	words := make([]*LLRWord, nb)
-	for b := range words {
-		words[b] = NewLLRWord(key.k)
+	pl := newPackedPlan(c, ar.Layout(key.w), key.w, nb)
+	sp := &sharedPlan{packedPlan: pl}
+	if emits(key.s) {
+		start := time.Now()
+		sp.prog, sp.err = emitProgram(pl)
+		sp.compileTime = time.Since(start)
+	} else {
+		planCache.recordings.Add(1)
+		// The op stream does not depend on the words (iterPacked), so the
+		// all-zero batch records the program every batch replays.
+		words := make([]*LLRWord, nb)
+		for b := range words {
+			words[b] = NewLLRWord(key.k)
+		}
+		sp.prog, sp.compileTime, sp.err = recordProgram(pl, ar, words, recordIters, false)
 	}
-	sp.prog, sp.compileTime, sp.err = recordProgram(sp.packedPlan, ar, words, recordIters, false)
+	if sp.err == nil {
+		sp.err = pl.checkExtent(sp.prog)
+	}
 	if sp.err != nil {
+		sp.prog = nil
 		planCache.failures.Add(1)
 	} else {
 		planCache.compiles.Add(1)
 		planCache.compileNs.Add(sp.compileTime.Nanoseconds())
 	}
 	return sp
+}
+
+// checkExtent refuses a program that would reach past the plan's state
+// region.
+func (pl *packedPlan) checkExtent(prog *program.Program) error {
+	if prog.Extent() > pl.size {
+		return fmt.Errorf("turbo: program touches %d bytes of a %d-byte state region", prog.Extent(), pl.size)
+	}
+	return nil
 }
 
 // recordProgram interprets one decode of words under plan pl on a
@@ -205,11 +238,7 @@ func recordProgram(pl *packedPlan, ar core.Arranger, words []*LLRWord, maxIters 
 	}
 	start := time.Now()
 	prog, err = b.Compile()
-	elapsed = time.Since(start)
-	if err == nil && prog.Extent() > pl.size {
-		prog, err = nil, fmt.Errorf("turbo: program touches %d bytes of a %d-byte state region", prog.Extent(), pl.size)
-	}
-	return prog, elapsed, err
+	return prog, time.Since(start), err
 }
 
 // recordedOps bounds the ops a recording of plan pl stores raw at once:

@@ -1,26 +1,36 @@
-// Package program compiles one recorded decode into a fused replay
-// program. The interpreter (internal/simd.Engine) pays per-µop overhead
-// on every call — method dispatch, a closure call per 16-bit lane,
-// dependency bookkeeping — even though the µop stream per
-// (K, width, strategy) is deterministic: the same instructions touch the
-// same arena addresses with the same index tables every decode, only
-// the data differs. This package exploits that. A Builder attached as
-// the engine's ProgSink records the semantic operation stream of one
-// interpreted decode; Compile splits it at the decoder's iteration
-// marks into a "first" segment (setup + constants + iteration 0) and a
-// "steady" segment (one mid-iteration, identical for all later ones),
-// lowers both to a flat slice of width-specialized ops, and fuses the
+// Package program makes fused replay programs of a decode. The
+// interpreter (internal/simd.Engine) pays per-µop overhead on every call —
+// method dispatch, a closure call per 16-bit lane, dependency bookkeeping —
+// even though the µop stream per (K, width, strategy) is deterministic: the
+// same instructions touch the same arena addresses with the same index
+// tables every decode, only the data differs. This package exploits that.
+// A program has two segments, a "first" one (setup + constants +
+// iteration 0) and a "steady" one (one mid-iteration, identical for all
+// later ones), each a flat slice of width-specialized ops in which the
 // packed decode stream's hot patterns — whole alpha and beta trellis
 // steps, quad branch-metric scatters, interleave gathers, the extrinsic
-// group, scalar element-copy runs — into single ops executed by a tight
+// group, scalar element-copy runs — are single ops executed by a tight
 // loop directly over the arena.
 //
-// What Compile returns is split in two. The Program is immutable, holds
-// the one executable form its kernel runs — descriptor streams and their
-// tables on the native kernel, fused segments and their pools otherwise —
-// and holds addresses only as offsets from the start of the state region
-// the recording ran in, so a process compiles a (K, width, strategy) once
-// and every worker shares the result. What a replay mutates is an Exec: a
+// There are two ways to make one, and one way to finish it. An Emitter
+// (emit.go) is handed the ops by a caller that describes the decode from
+// its plan, fused ops whole: the serving decoder's APCM plans are made so,
+// with no engine and no recording. A Builder attached as an engine's
+// ProgSink records the semantic operation stream of one interpreted
+// decode; Compile splits it at the decoder's iteration marks and fuses the
+// patterns (fuse.go). That is the compiler of every other strategy and the
+// oracle the emitter is tested against: the two make checksum-equal
+// programs of one plan. Both end in finalize, the one validator (bounds,
+// extent, live masks) and the one lowering (descriptor streams on the
+// native kernel, the Go form otherwise). No flag chooses between them; the
+// caller's coverage does.
+//
+// What Compile and Emit return is split in two. The Program is immutable,
+// holds the one executable form its kernel runs — descriptor streams and
+// their tables on the native kernel, fused segments and their pools
+// otherwise — and holds addresses only as offsets from the start of a
+// state region (a recording's whole arena is one), so a process compiles
+// a (K, width, strategy) once and every worker shares the result. What a replay mutates is an Exec: a
 // register file and one such region of that worker's arena (run.go).
 //
 // Replay is bit-identical to interpretation by construction, where the
@@ -30,10 +40,11 @@
 // reads them (lane-local op runs execute per lane in original
 // op order, which is equivalent under any register aliasing; fusions
 // spanning loads and stores are only formed when their address ranges
-// are provably disjoint), and while recording continues past the second
-// iteration every further iteration is verified op-by-op against the
-// steady segment — any divergence aborts compilation and the caller
-// stays on the interpreter.
+// are provably disjoint; an Emitter forms a fused op only under the same
+// conditions), and while recording continues past the second iteration
+// every further iteration is verified op-by-op against the steady
+// segment — any divergence aborts compilation and the caller stays on the
+// interpreter.
 package program
 
 import (

@@ -9,15 +9,17 @@ import (
 	"vransim/internal/turbo"
 )
 
-// TestEveryFusedKindOccurs records the serving decoder's packed plan over
+// TestEveryFusedKindOccurs compiles the serving decoder's packed plan over
 // every arrangement strategy and width at small and mid block sizes, and
 // the largest block size under the serving strategy, and fails if a fused
 // kind the compiler defines occurs in none of them: a matcher, Run body
-// and visitEffects case that no recorded stream reaches is code nothing
-// but a synthetic kernel exercises. (K=6144 under all six strategies
-// holds the same kinds and costs 6 s of a shared tier-1 host.) The plans
-// are compiled for the Go kernel: a native program of a packed plan holds
-// its streams alone, not the fused ops they were lowered from.
+// and visitEffects case that no real plan reaches is code nothing but a
+// synthetic kernel exercises. The APCM plans are emitted, the others
+// recorded; the emitter forms exactly the ops the matchers would
+// (TestEmittedMatchesRecorded in internal/turbo). (K=6144 under all six
+// strategies holds the same kinds and costs 6 s of a shared tier-1 host.)
+// The plans are compiled for the Go kernel: a native program of a packed
+// plan holds its streams alone, not the fused ops they were lowered from.
 func TestEveryFusedKindOccurs(t *testing.T) {
 	defer program.UseNativeKernel(program.UseNativeKernel(false))
 	total := make(map[string]int)
@@ -46,8 +48,8 @@ func TestEveryFusedKindOccurs(t *testing.T) {
 // packedPlan returns the replay program of the serving decoder's packed
 // plan for one (strategy, width, K), on the kernel programs are compiled
 // for now. The process-wide plan cache compiles each once per test
-// binary, which matters: a K=6144 recording costs the better part of a
-// second.
+// binary, which matters for the recorded strategies: a recording costs
+// about 60 µs per unit of K.
 func packedPlan(t *testing.T, s core.Strategy, w simd.Width, k int) *program.Program {
 	t.Helper()
 	bd := turbo.NewBatchDecoder(w, s, 32<<20)

@@ -19,44 +19,71 @@ var errBigEndian = errors.New("program: replay needs a little-endian host")
 // becomes runnable: Compile ends here. It reports how many ops the
 // streams hand to their Go bodies.
 func (p *Program) finalize() (goBodies int, err error) {
-	if binary.NativeEndian.Uint16([]byte{1, 0}) != 1 {
-		return 0, errBigEndian
+	if err := checkHost(); err != nil {
+		return 0, err
 	}
 	if err := p.analyze(); err != nil {
 		return 0, err
 	}
-	p.gat = make([][regStride]uint16, len(p.idxTabs))
-	for id, tb := range p.idxTabs {
-		g := &p.gat[id]
-		for i := range g {
-			g[i] = sentinel
-			if i < p.lanes && i < len(tb) && tb[i] >= 0 && int(tb[i]) < p.lanes {
-				g[i] = uint16(tb[i])
-			}
-		}
-	}
+	p.resolve(false)
 	if !useNative {
 		return 0, nil
 	}
 	return p.lowerNative()
 }
 
+// checkHost refuses a big-endian host.
+func checkHost() error {
+	if binary.NativeEndian.Uint16([]byte{1, 0}) != 1 {
+		return errBigEndian
+	}
+	return nil
+}
+
+// resolve extends gat to every index table p holds and, for the native
+// kernel, gatAnd and pats to every table and lane pattern: the pools the
+// descriptor streams address beside gat (per table the mask that zeroes a
+// VPERMW result's sentinel lanes, and the patterns zero-extended to whole
+// registers). What is resolved already stays, so a program lowered one
+// segment at a time resolves what each segment added.
+func (p *Program) resolve(native bool) {
+	p.gat = slices.Grow(p.gat, len(p.idxTabs)-len(p.gat))
+	for _, tb := range p.idxTabs[len(p.gat):] {
+		var g [regStride]uint16
+		for i := range g {
+			g[i] = sentinel
+			if i < p.lanes && i < len(tb) && tb[i] >= 0 && int(tb[i]) < p.lanes {
+				g[i] = uint16(tb[i])
+			}
+		}
+		p.gat = append(p.gat, g)
+	}
+	if !native {
+		return
+	}
+	p.gatAnd = slices.Grow(p.gatAnd, len(p.gat)-len(p.gatAnd))
+	for _, g := range p.gat[len(p.gatAnd):] {
+		var and [regStride]uint16
+		for i, j := range g {
+			if j != sentinel {
+				and[i] = 0xffff
+			}
+		}
+		p.gatAnd = append(p.gatAnd, and)
+	}
+	p.pats = slices.Grow(p.pats, len(p.lanePats)-len(p.pats))
+	for _, pat := range p.lanePats[len(p.pats):] {
+		var r [regStride]int16
+		copy(r[:], pat)
+		p.pats = append(p.pats, r)
+	}
+}
+
 // lowerNative builds the pools the native kernel addresses beside gat and
 // lowers both segments to descriptor streams, reporting how many ops the
 // streams hand to their Go bodies.
 func (p *Program) lowerNative() (goBodies int, err error) {
-	p.gatAnd = make([][regStride]uint16, len(p.gat))
-	for id := range p.gat {
-		for i, j := range p.gat[id] {
-			if j != sentinel {
-				p.gatAnd[id][i] = 0xffff
-			}
-		}
-	}
-	p.pats = make([][regStride]int16, len(p.lanePats))
-	for id, pat := range p.lanePats {
-		copy(p.pats[id][:], pat)
-	}
+	p.resolve(true)
 	for seg, ops := range p.segs {
 		code, n, err := p.lower(ops)
 		if err != nil {
@@ -358,19 +385,130 @@ func (lw *lowerer) sweep(steps []mop, wb int64) {
 // they write it, and the first of them to touch it does so in some
 // segment, ahead of that segment's writes.
 func (p *Program) analyze() error {
-	nregs := p.nregs
-	live := make([]bool, nregs/regStride) // read later in the segment, not written in between
-	touched := make([]bool, len(live))    // read or written later in the segment
-	boundary := make([]bool, len(live))   // live into some segment
-	type write struct {
-		op  *mop
-		bit int
-		id  int32
+	var live [2]segLive
+	boundary := make([]bool, p.nregs/regStride)
+	p.extent = 0
+	for seg, ops := range p.segs {
+		l, err := p.walkLive(ops)
+		if err != nil {
+			return err
+		}
+		live[seg] = l
+		p.extent = max(p.extent, l.extent)
+		for id, in := range l.in {
+			boundary[id] = boundary[id] || in
+		}
 	}
-	var tails []write         // writes that reach the end of their segment
-	var reads, writes []int32 // the op being walked, in visitEffects order
+	for seg := range live {
+		live[seg].setTails(boundary)
+	}
+	return nil
+}
+
+// lowerFirst finalizes SegFirst alone, lowers it and drops its Go form,
+// before SegSteady exists: Emit's segment-at-a-time path, which keeps the
+// Go forms of the two segments from ever being live at once. SegFirst's
+// tail writes are live when their register is live into SegFirst; whether
+// one is live into SegSteady as well, which would make it live too, is
+// known only once SegSteady is built, so lowerFirst returns the registers
+// SegFirst reads first (in) and those of the tail writes it left dead
+// (dead) for lowerSteady to check. It returns errLowerWhole when a stream
+// hands an op to its Go body: the program then keeps its Go form, all of
+// it.
+func (p *Program) lowerFirst() (in, dead []bool, err error) {
+	l, err := p.walkLive(p.segs[SegFirst])
+	if err != nil {
+		return nil, nil, err
+	}
+	l.setTails(l.in)
+	dead = make([]bool, len(l.in))
+	for _, w := range l.tails {
+		dead[w.id] = dead[w.id] || !l.in[w.id]
+	}
+	p.extent = l.extent
+	p.resolve(true)
+	code, goBodies, err := p.lower(p.segs[SegFirst])
+	if err == nil && goBodies > 0 {
+		err = errLowerWhole
+	}
+	if err != nil {
+		return nil, nil, err
+	}
+	p.native[SegFirst] = code
+	p.segs[SegFirst], p.aux = nil, nil
+	return l.in, dead, nil
+}
+
+// lowerSteady finalizes and lowers SegSteady after lowerFirst, and drops
+// the Go form. Its result is what finalize makes of the two segments:
+// errLowerWhole, and the caller lowers the program whole, when a register
+// of a tail write lowerFirst left dead is live into SegSteady (the
+// live-out rule would have made that write live) or a stream hands an op
+// to its Go body.
+func (p *Program) lowerSteady(firstIn, firstDead []bool) error {
+	l, err := p.walkLive(p.segs[SegSteady])
+	if err != nil {
+		return err
+	}
+	boundary := make([]bool, len(l.in))
+	for id, in := range l.in {
+		if in && firstDead[id] {
+			return errLowerWhole
+		}
+		boundary[id] = in || firstIn[id]
+	}
+	l.setTails(boundary)
+	p.extent = max(p.extent, l.extent)
+	p.resolve(true)
+	code, goBodies, err := p.lower(p.segs[SegSteady])
+	if err == nil && goBodies > 0 {
+		err = errLowerWhole
+	}
+	if err != nil {
+		return err
+	}
+	p.native[SegSteady] = code
+	p.dropGoForm()
+	return nil
+}
+
+// segLive is what the backward walk of one segment leaves: the registers
+// the segment reads before it writes them (live into it), the writes that
+// reach its end untouched, and the end of the highest byte range it
+// touches.
+type segLive struct {
+	in     []bool
+	tails  []tailWrite
+	extent int64
+}
+
+// tailWrite is the bit-th register write of op, to register id, which no
+// later op of its segment reads or writes.
+type tailWrite struct {
+	op  *mop
+	bit int
+	id  int32
+}
+
+// setTails marks live the tail writes to a register live at a segment
+// boundary.
+func (l *segLive) setTails(boundary []bool) {
+	for _, w := range l.tails {
+		if boundary[w.id] {
+			w.op.live |= 1 << w.bit
+		}
+	}
+}
+
+// walkLive validates ops and sets their live masks, all but the bits of
+// tail writes, walking the segment backwards (analyze).
+func (p *Program) walkLive(ops []mop) (segLive, error) {
+	nregs := p.nregs
+	l := segLive{in: make([]bool, nregs/regStride)}
+	live := l.in                       // read later in the segment, not written in between
+	touched := make([]bool, len(live)) // read or written later in the segment
+	var reads, writes []int32          // the op being walked, in visitEffects order
 	var verr error
-	var extent int64
 	v := &effectVisitor{
 		reg: func(off int32, write bool) {
 			if off < 0 || off+regStride > nregs {
@@ -390,49 +528,36 @@ func (p *Program) analyze() error {
 			if verr == nil && addr&1 != 0 {
 				verr = fmt.Errorf("program: memory access at odd address %d", addr)
 			}
-			extent = max(extent, addr+n)
+			l.extent = max(l.extent, addr+n)
 		},
 	}
-	for _, ops := range p.segs {
-		clear(live)
-		clear(touched)
-		for i := len(ops) - 1; i >= 0; i-- {
-			op := &ops[i]
-			reads, writes = reads[:0], writes[:0]
-			if err := p.visitEffects(op, v); err != nil {
-				return err
-			}
-			if verr != nil {
-				return verr
-			}
-			op.live = 0
-			for k, id := range writes {
-				if live[id] {
-					op.live |= 1 << k
-				} else if !touched[id] {
-					tails = append(tails, write{op, k, id})
-				}
-			}
-			// Writes kill before reads revive: an op reporting both for
-			// one register (mInsrW, the carried alpha/beta) keeps it live.
-			for _, id := range writes {
-				live[id], touched[id] = false, true
-			}
-			for _, id := range reads {
-				live[id], touched[id] = true, true
+	for i := len(ops) - 1; i >= 0; i-- {
+		op := &ops[i]
+		reads, writes = reads[:0], writes[:0]
+		if err := p.visitEffects(op, v); err != nil {
+			return l, err
+		}
+		if verr != nil {
+			return l, verr
+		}
+		op.live = 0
+		for k, id := range writes {
+			if live[id] {
+				op.live |= 1 << k
+			} else if !touched[id] {
+				l.tails = append(l.tails, tailWrite{op, k, id})
 			}
 		}
-		for id, l := range live {
-			boundary[id] = boundary[id] || l
+		// Writes kill before reads revive: an op reporting both for
+		// one register (mInsrW, the carried alpha/beta) keeps it live.
+		for _, id := range writes {
+			live[id], touched[id] = false, true
+		}
+		for _, id := range reads {
+			live[id], touched[id] = true, true
 		}
 	}
-	for _, w := range tails {
-		if boundary[w.id] {
-			w.op.live |= 1 << w.bit
-		}
-	}
-	p.extent = extent
-	return nil
+	return l, nil
 }
 
 // effectVisitor receives one mop's effects. Nil callbacks are skipped.

@@ -346,8 +346,8 @@ type Snapshot struct {
 	// live batch decoded 25 times slower than it should be: a block size
 	// whose program failed to compile, or whose install the chaos
 	// compile-verify site vetoed on that worker. No decode of a healthy
-	// runtime is one (programs are recorded from a synthetic word, not
-	// from a live batch), and /healthz says so. ProgramMissK is the block
+	// runtime is one (programs are made from the plan or a synthetic
+	// word, not from a live batch), and /healthz says so. ProgramMissK is the block
 	// size of the latest.
 	ProgramHits   uint64
 	ProgramMisses uint64

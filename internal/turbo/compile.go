@@ -6,10 +6,11 @@ import (
 	"vransim/internal/simd/program"
 )
 
-// This file is the BatchDecoder side of the trace-replay compiler: a
-// (K, width, strategy)'s engine op stream is recorded once per process
-// from a synthetic decode (plancache.go), internal/simd/program compiles
-// it into a fused replay program, and runCompiled drives that program
+// This file is the BatchDecoder side of the replay compiler: a
+// (K, width, strategy)'s fused replay program is made once per process —
+// emitted from the plan (emit.go) or, for the strategies the emitter does
+// not cover, compiled from a recording of a synthetic decode
+// (plancache.go) — and runCompiled drives that program
 // through the same iteration/early-exit protocol as
 // MultiSIMDDecoder.runPacked — producing bit-identical outputs without
 // per-µop interpretation.
@@ -33,8 +34,8 @@ type ProgramStats struct {
 	// Hits counts Decodes served by compiled replay; Misses counts
 	// Decodes served by the interpreter while compilation was enabled:
 	// block sizes whose program failed to compile, or whose install
-	// CompileGate vetoed. No decode of a healthy decoder is a miss — the
-	// recording decode is not a live one.
+	// CompileGate vetoed. No decode of a healthy decoder is a miss — a
+	// compile decodes no live block.
 	Hits, Misses uint64
 	// Compiles counts the programs this decoder installed: one for each
 	// block size it adopted from the process-wide cache, and one more each

@@ -185,6 +185,13 @@ func TestDecodeBenchQuick(t *testing.T) {
 			t.Errorf("%s/K=%d %s: %d allocs/op over budget 8", r.Width, r.K, r.Mode, r.AllocsOp)
 		}
 		perOp[fmt.Sprintf("%s/%s/%d", r.Mode, r.Width, r.K)] = r.NsPerOp
+		// The segment timings: on the W512 packed rows only, and the prefix
+		// (about a twentieth of an iteration's ops) below the iteration.
+		if w512 := r.Mode == "packed" && r.Width == "AVX512"; w512 != (r.PrefixNs > 0) || w512 != (r.IterationNs > 0) {
+			t.Errorf("%s/%s/K=%d: prefix %.0f ns, iteration %.0f ns", r.Mode, r.Width, r.K, r.PrefixNs, r.IterationNs)
+		} else if w512 && r.PrefixNs >= r.IterationNs {
+			t.Errorf("%s/K=%d: the prefix (%.0f ns) costs no less than an iteration (%.0f ns)", r.Width, r.K, r.PrefixNs, r.IterationNs)
+		}
 	}
 	// Adopting a compiled program is building a state: far below compiling
 	// one (CI holds the W512 K=512 pair to a fifth, on a quieter host).

@@ -12,7 +12,9 @@
 // process, which compiles its program, and "adopt", the first decode of it
 // on a second decoder, which finds the program in the process-wide cache
 // and builds only its own state — the cost a second worker or a worker
-// after an eviction pays (CI gates adopt <= cold / 5).
+// after an eviction pays (CI gates adopt <= cold / 5). The W512 packed
+// rows also time one hot Run of each program segment: the prefix (the
+// arrangement stage, once a decode) and one iteration.
 package bench
 
 import (
@@ -71,6 +73,12 @@ type DecodeBenchRow struct {
 	// (emulated decode — the number compares modes, not hardware).
 	GoodputMbps float64 `json:"goodput_mbps"`
 	Iterations  int     `json:"benchmark_iterations"`
+	// PrefixNs and IterationNs are one hot Run of the row's program
+	// segments: SegFirst, the prefix a decode runs once (arrangement,
+	// systematic interleave, la1 clear), and SegSteady, one iteration. W512
+	// packed rows only.
+	PrefixNs    float64 `json:"prefix_ns,omitempty"`
+	IterationNs float64 `json:"iteration_ns,omitempty"`
 }
 
 // DecodeBenchReport is the BENCH_decode.json shape.
@@ -273,7 +281,25 @@ func runDecodeCell(mode string, w simd.Width, k int, words []*turbo.LLRWord) (De
 		// Mb of decoded information bits per second of wall-clock.
 		row.GoodputMbps = float64(k*nb) / (row.NsPerOp / 1e3)
 	}
+	if mode == "packed" && w == simd.W512 {
+		prog := bd.PlanProgram(k)
+		row.PrefixNs = timeSegment(prog, program.SegFirst)
+		row.IterationNs = timeSegment(prog, program.SegSteady)
+	}
 	return row, nil
+}
+
+// timeSegment benchmarks one hot Run of segment seg of prog over a region
+// of its own. A segment does the same work whatever its region holds, so
+// the region is left as it is.
+func timeSegment(prog *program.Program, seg int) float64 {
+	x := prog.NewExec(simd.NewMemory(int(prog.Extent())+1), 0)
+	res := testing.Benchmark(func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			prog.Run(x, seg)
+		}
+	})
+	return float64(res.T.Nanoseconds()) / float64(res.N)
 }
 
 // WriteDecodeBenchJSON runs the decode benchmark and writes the report.

@@ -4,9 +4,10 @@
 // even though the µop stream per (K, width, strategy) is deterministic: the
 // same instructions touch the same arena addresses with the same index
 // tables every decode, only the data differs. This package exploits that.
-// A program has two segments, a "first" one (setup + constants +
-// iteration 0) and a "steady" one (one mid-iteration, identical for all
-// later ones), each a flat slice of width-specialized ops in which the
+// A program has two segments, a "first" one (the prefix: setup and
+// constants, run once a decode) and a "steady" one (one iteration,
+// identical for every iteration, the first included), each a flat slice
+// of width-specialized ops in which the
 // packed decode stream's hot patterns — whole alpha and beta trellis
 // steps, quad branch-metric scatters, interleave gathers, the extrinsic
 // group, scalar element-copy runs — are single ops executed by a tight
@@ -17,7 +18,7 @@
 // its plan, fused ops whole: the serving decoder's APCM plans are made so,
 // with no engine and no recording. A Builder attached as an engine's
 // ProgSink records the semantic operation stream of one interpreted
-// decode; Compile splits it at the decoder's iteration marks and fuses the
+// decode; Compile cuts it at the decoder's first iteration mark and fuses the
 // patterns (fuse.go). That is the compiler of every other strategy and the
 // oracle the emitter is tested against: the two make checksum-equal
 // programs of one plan. Both end in finalize, the one validator (bounds,
@@ -41,10 +42,9 @@
 // op order, which is equivalent under any register aliasing; fusions
 // spanning loads and stores are only formed when their address ranges
 // are provably disjoint; an Emitter forms a fused op only under the same
-// conditions), and while recording continues past the second iteration
-// every further iteration is verified op-by-op against the steady
-// segment — any divergence aborts compilation and the caller stays on the
-// interpreter.
+// conditions), and every recorded iteration after the first is verified
+// op-by-op against the steady segment — any divergence aborts compilation
+// and the caller stays on the interpreter.
 package program
 
 import (
@@ -58,12 +58,12 @@ import (
 // Compilation errors (callers fall back to the interpreter on any of
 // them; they are ordinary conditions, not bugs).
 var (
-	// ErrUnstable: an iteration after the second diverged from the
+	// ErrUnstable: an iteration after the first diverged from the
 	// steady segment, so the kernel's op stream is not iteration-
 	// invariant and cannot be replayed.
 	ErrUnstable = errors.New("program: op stream differs across iterations")
-	// errNoSteady: the recording ran fewer than two iterations, so it has
-	// no steady-state iteration to replay. Serving code records three.
+	// errNoSteady: the recording ran fewer than two iterations, so no
+	// iteration verified the steady segment. Serving code records two.
 	errNoSteady = errors.New("program: need >= 2 recorded iterations to compile")
 	// errSpent: Compile consumed the builder's stream.
 	errSpent = errors.New("program: builder already compiled")
@@ -74,7 +74,7 @@ var (
 // triples interned into side pools. It is comparable field-by-field,
 // which is what the cross-iteration stability check relies on. Keeping
 // it at 24 bytes matters: a W512 K=6144 decode records 0.67 M ops an
-// iteration, and the builder holds the prefix and iteration 0 raw.
+// iteration, and the builder holds iteration 0 raw.
 type rawOp struct {
 	kind    simd.ProgKind
 	d, a, b int16 // register ids, -1 when absent
@@ -88,14 +88,15 @@ type rawOp struct {
 // It is single-use: attach to an engine, run one decode, detach, call
 // Compile once.
 //
-// It stores at most one segment raw. When the second iteration mark
-// arrives the first segment is complete: it is fused into the program
-// under construction at once, and its raw buffer is reused for the
-// steady iteration, the only raw ops Compile still needs.
+// It stores at most one segment raw. When the first iteration mark
+// arrives the prefix is complete: it is fused into the program under
+// construction at once as the first segment, and its raw buffer is reused
+// for iteration 0, the steady segment and the only raw ops Compile still
+// needs.
 type Builder struct {
 	// p is the program under construction: its idxTabs, lanePats and
 	// aux32 are the pools lower interns into, and segs[SegFirst] is
-	// filled at the second mark.
+	// filled at the first mark.
 	p *Program
 
 	ops   []rawOp // the segment being recorded
@@ -108,7 +109,7 @@ type Builder struct {
 
 	err error
 
-	// After the third iteration mark the stored stream is frozen and
+	// After the second iteration mark the stored stream is frozen and
 	// further ops are verified against the steady segment instead.
 	verifying bool
 	vpos      int
@@ -126,11 +127,11 @@ type Builder struct {
 
 // NewBuilder returns an empty recording sink for a program of width w,
 // with room for ops recorded ops (0 when the caller cannot say): the
-// first segment, setup and iteration 0, is the longest stretch stored
-// raw, and a decode kernel's op count is linear in the elements it works
-// on, so the caller that knows those can spare the stream its regrowth —
-// a fifth of a compile's CPU, and what kept several copies of a K=6144
-// recording in the peak RSS.
+// longest stretch stored raw, the prefix or iteration 0. A decode
+// kernel's op count is linear in the elements it works on, so the caller
+// that knows those can spare the stream its regrowth — a fifth of a
+// compile's CPU, and what kept several copies of a K=6144 recording in
+// the peak RSS.
 func NewBuilder(w simd.Width, ops int) *Builder {
 	return &Builder{
 		p:        &Program{w: w, lanes: w.Lanes16()},
@@ -162,22 +163,22 @@ func (b *Builder) Mark(name string) {
 	}
 	b.marks++
 	switch b.marks {
-	case 2:
-		// Iteration 0 has just ended, so the first segment is complete.
-		// Fuse it now; its raw buffer, which holds the setup as well as
-		// an iteration, then takes the steady iteration without
-		// regrowing. The operand pool is reserved for both segments: the
-		// packed stream's fused ops take 1.12 to 1.23 aux words a raw op
-		// they replace (a beta step with extraction 26 + 2 a block for
-		// its 30-odd ops, a four-source scatter 11 for 8), so five words
-		// to four raw ops holds it, counting the steady segment as long
-		// as this one; a stream that needs more still appends.
+	case 1:
+		// The prefix has just ended, so the first segment is complete.
+		// Fuse it now; its raw buffer then takes iteration 0, the steady
+		// segment, without regrowing when the caller sized it. The operand
+		// pool is reserved for both segments: the packed stream's fused
+		// ops take 1.12 to 1.23 aux words a raw op they replace (a beta
+		// step with extraction 26 + 2 a block for its 30-odd ops, a
+		// four-source scatter 11 for 8), so five words to four raw ops
+		// holds it, counting the iteration as long as the buffer; a stream
+		// that needs more still appends.
 		p := b.p
-		p.aux = make([]int32, 0, len(b.ops)*5/2)
+		p.aux = make([]int32, 0, (len(b.ops)+cap(b.ops))*5/4)
 		p.RawOps[SegFirst] = len(b.ops)
 		p.segs[SegFirst] = p.fuse(b.ops)
 		b.ops = b.ops[:0]
-	case 3:
+	case 2:
 		b.verifying = true
 		b.vpos = 0
 		// At freeze time the replay state corresponds to the recorded
@@ -278,7 +279,7 @@ func (b *Builder) lower(op simd.ProgOp) (rawOp, error) {
 	return r, nil
 }
 
-// verify compares an op recorded during iteration >= 3 against the
+// verify compares an op recorded during iteration >= 1 against the
 // frozen steady segment, without growing any pool.
 func (b *Builder) verify(op simd.ProgOp) {
 	if b.vpos >= len(b.ops) {

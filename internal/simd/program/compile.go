@@ -76,8 +76,9 @@ const (
 const regStride = 32
 
 // SegFirst and SegSteady select the two replay segments: the first
-// segment is setup + constants + iteration 0, the steady segment is one
-// mid-decode iteration (identical for every iteration after the first).
+// segment is the prefix (setup and constants), run once a decode, and the
+// steady segment one iteration, run for every iteration, the first
+// included.
 const (
 	SegFirst  = 0
 	SegSteady = 1
@@ -242,10 +243,10 @@ func (b *Builder) Compile() (*Program, error) {
 	p.RawOps[SegSteady] = len(b.ops)
 	p.segs[SegSteady] = p.fuse(b.ops)
 	p.FusedOps = [2]int{len(p.segs[SegFirst]), len(p.segs[SegSteady])}
-	// The raw steady iteration (24 B an op: 16 MB at W512 K=6144, in a
-	// buffer sized for the setup and iteration 0, 19 MB) is dead from
-	// here; let go of it before finalize allocates the descriptor streams,
-	// so the raw, fused and lowered forms are never all live at once.
+	// The raw steady iteration (24 B an op: 16 MB at W512 K=6144) is dead
+	// from here; let go of it before finalize allocates the descriptor
+	// streams, so the raw, fused and lowered forms are never all live at
+	// once.
 	b.ops, b.p, b.err = nil, nil, errSpent
 	return p.finish()
 }

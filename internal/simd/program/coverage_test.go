@@ -24,8 +24,11 @@ func TestEveryFusedKindOccurs(t *testing.T) {
 	defer program.UseNativeKernel(program.UseNativeKernel(false))
 	total := make(map[string]int)
 	record := func(s core.Strategy, w simd.Width, k int) {
-		for name, n := range packedPlan(t, s, w, k).FusedKindCounts() {
-			total[name] += n
+		p := packedPlan(t, s, w, k)
+		for _, seg := range []int{program.SegFirst, program.SegSteady} {
+			for name, n := range p.FusedKindCounts(seg) {
+				total[name] += n
+			}
 		}
 	}
 	for _, w := range simd.Widths {
@@ -41,6 +44,36 @@ func TestEveryFusedKindOccurs(t *testing.T) {
 			t.Error("a fused kind has no name in export_test.go")
 		} else if total[name] == 0 {
 			t.Errorf("fused kind %q occurs in no packed plan", name)
+		}
+	}
+}
+
+// TestFirstSegmentIsThePrefix: the first segment of every packed plan is
+// the prefix alone — the arrangement, the systematic interleave gather and
+// the la1 clear — and the steady segment is the whole iteration. SegFirst
+// holds no trellis step, gamma scatter or extrinsic group, whichever
+// arrangement made it. The prefix's gather is a quad gather like the
+// iteration's two, so under the serving strategy, whose arrangement forms
+// none, SegFirst holds exactly half the steady segment's quad gathers.
+// The plans are compiled for the Go kernel, which keeps the fused ops.
+func TestFirstSegmentIsThePrefix(t *testing.T) {
+	defer program.UseNativeKernel(program.UseNativeKernel(false))
+	for _, w := range simd.Widths {
+		for s := core.StrategyScalar; s <= core.StrategyShuffle; s++ {
+			for _, k := range []int{40, 512} {
+				p := packedPlan(t, s, w, k)
+				first, steady := p.FusedKindCounts(program.SegFirst), p.FusedKindCounts(program.SegSteady)
+				for _, name := range []string{"alpha step", "beta step", "quad scatter", "ext vec"} {
+					if first[name] != 0 || steady[name] == 0 {
+						t.Errorf("%v/%v/K=%d: %d %s ops in SegFirst, %d in SegSteady; want none and some",
+							s, w, k, first[name], name, steady[name])
+					}
+				}
+				if g := first["quad gather"]; s == core.StrategyAPCM && (g == 0 || 2*g != steady["quad gather"]) {
+					t.Errorf("%v/%v/K=%d: %d quad gathers in SegFirst, %d in SegSteady; want one pass and two",
+						s, w, k, g, steady["quad gather"])
+				}
+			}
 		}
 	}
 }

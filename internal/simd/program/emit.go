@@ -32,19 +32,11 @@ type Emitter struct {
 	lanes int
 
 	// p is nil on Emit's sizing pass, which only counts: n is what has
-	// been emitted so far, and on a filling pass every slice of p was made
-	// with the capacity the sizing pass counted.
-	p    *Program
-	n    emitSizes
-	want emitSizes // on a filling pass, what the sizing pass counted
-	seg  int
-
-	// lowering is set on a filling pass that lowers SegFirst, and drops
-	// its Go form, when Steady is called (lowerFirst); firstIn and
-	// firstDead are then SegFirst's live-in registers and the registers
-	// of its tail writes that were left dead.
-	lowering           bool
-	firstIn, firstDead []bool
+	// been emitted so far, and on the filling pass every slice of p was
+	// made with the capacity the sizing pass counted.
+	p   *Program
+	n   emitSizes
+	seg int
 
 	tabIDs map[*int32]int32
 	// recent caches tabIDs, direct-mapped by address: a trellis step names
@@ -59,70 +51,42 @@ type Emitter struct {
 	err   error
 }
 
-// emitSizes counts an emission: ops and operand words per segment, and
-// the table and pattern pools.
+// emitSizes counts an emission: ops per segment, and the operand, table
+// and pattern pools.
 type emitSizes struct {
-	ops, aux   [2]int
-	tabs, pats int
+	ops             [2]int
+	aux, tabs, pats int
 }
 
-var (
-	// errNondeterministic: the passes of Emit described different programs.
-	errNondeterministic = errors.New("program: emit walk is not deterministic")
-	// errLowerWhole: a program cannot be lowered one segment at a time
-	// (lowerFirst, lowerSteady), and is lowered whole instead.
-	errLowerWhole = errors.New("program: emit: lower the program whole")
-)
+// errNondeterministic: the passes of Emit described different programs.
+var errNondeterministic = errors.New("program: emit walk is not deterministic")
 
 // Emit builds the program walk describes. It calls walk on fresh emitters,
 // first to size every segment and pool and then to fill them, so walk must
 // describe the same program each time; the program then holds no spare
-// capacity. walk emits SegFirst, calls Steady, and emits SegSteady. The
-// result is finalized as Compile finalizes a recording — validated, given
-// its live masks and extent, and lowered to descriptor streams when the
-// native kernel is on — so a program has one validator and one lowering
-// however it was made. On the native kernel SegFirst is lowered, and its
-// Go form let go of, before SegSteady is built, so the Go forms of the two
-// segments are never live at once; where the live-out rule or an op run as
-// its Go body does not allow that, the program is filled again and lowered
-// whole.
+// capacity. walk emits SegFirst, the prefix, calls Steady, and emits
+// SegSteady, one iteration. The result is finalized as Compile finalizes
+// a recording — validated, given its live masks and extent, and lowered to
+// descriptor streams when the native kernel is on — so a program has one
+// validator and one lowering however it was made.
 func Emit(w simd.Width, walk func(*Emitter)) (*Program, error) {
 	size := &Emitter{w: w, lanes: w.Lanes16(), tabIDs: make(map[*int32]int32)}
 	walk(size)
 	if size.err != nil {
 		return nil, size.err
 	}
-	if err := checkHost(); err != nil {
-		return nil, err
-	}
-	if useNative {
-		p, err := size.fill(walk, true)
-		if err != errLowerWhole {
-			return p, err
-		}
-	}
-	return size.fill(walk, false)
-}
-
-// fill runs walk's filling pass into a program sized by size, the sizing
-// pass, and finishes it, one segment at a time when lowering is set.
-func (size *Emitter) fill(walk func(*Emitter), lowering bool) (*Program, error) {
 	n := size.n
-	auxCap := n.aux[SegFirst] + n.aux[SegSteady]
-	if lowering {
-		auxCap = n.aux[SegFirst]
-	}
 	p := &Program{
-		w:        size.w,
+		w:        w,
 		lanes:    size.lanes,
 		nregs:    int32(size.nregs * regStride),
 		segs:     [2][]mop{make([]mop, 0, n.ops[SegFirst]), make([]mop, 0, n.ops[SegSteady])},
 		idxTabs:  make([][]int32, 0, n.tabs),
 		lanePats: make([][]int16, 0, n.pats),
-		aux:      make([]int32, 0, auxCap),
+		aux:      make([]int32, 0, n.aux),
 		FusedOps: n.ops,
 	}
-	e := &Emitter{w: size.w, lanes: size.lanes, p: p, want: n, tabIDs: make(map[*int32]int32, n.tabs), lowering: lowering}
+	e := &Emitter{w: w, lanes: size.lanes, p: p, tabIDs: make(map[*int32]int32, n.tabs)}
 	walk(e)
 	if e.err != nil {
 		return nil, e.err
@@ -130,13 +94,7 @@ func (size *Emitter) fill(walk func(*Emitter), lowering bool) (*Program, error) 
 	if e.n != n || e.nregs != size.nregs || e.seg != SegSteady {
 		return nil, errNondeterministic
 	}
-	if !lowering {
-		return p.finish()
-	}
-	if err := p.lowerSteady(e.firstIn, e.firstDead); err != nil {
-		return nil, err
-	}
-	return p, nil
+	return p.finish()
 }
 
 // Steady ends SegFirst: what is emitted from here on is SegSteady.
@@ -145,10 +103,6 @@ func (e *Emitter) Steady() {
 		e.fail("Steady called twice")
 	}
 	e.seg = SegSteady
-	if e.lowering && e.err == nil {
-		e.firstIn, e.firstDead, e.err = e.p.lowerFirst()
-		e.p.aux = make([]int32, 0, e.want.aux[SegSteady])
-	}
 }
 
 func (e *Emitter) fail(format string, args ...any) {
@@ -184,7 +138,7 @@ func (e *Emitter) addr(a int64) int32 {
 
 // aux appends operand words to the pool and returns their offset.
 func (e *Emitter) aux(xs ...int32) int32 {
-	e.n.aux[e.seg] += len(xs)
+	e.n.aux += len(xs)
 	if e.p == nil {
 		return 0 // the sizing pass stores no op
 	}

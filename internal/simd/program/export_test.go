@@ -21,15 +21,13 @@ func FusedKinds() []string {
 	return names
 }
 
-// FusedKindCounts reports how many ops of each fused kind p holds, over
-// both segments.
-func (p *Program) FusedKindCounts() map[string]int {
+// FusedKindCounts reports how many ops of each fused kind segment seg of
+// p holds.
+func (p *Program) FusedKindCounts(seg int) map[string]int {
 	counts := make(map[string]int)
-	for _, seg := range p.segs {
-		for i := range seg {
-			if k := seg[i].kind; k >= firstFused {
-				counts[fusedKindNames[k]]++
-			}
+	for _, op := range p.segs[seg] {
+		if op.kind >= firstFused {
+			counts[fusedKindNames[op.kind]]++
 		}
 	}
 	return counts

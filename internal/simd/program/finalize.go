@@ -19,71 +19,50 @@ var errBigEndian = errors.New("program: replay needs a little-endian host")
 // becomes runnable: Compile ends here. It reports how many ops the
 // streams hand to their Go bodies.
 func (p *Program) finalize() (goBodies int, err error) {
-	if err := checkHost(); err != nil {
-		return 0, err
+	if binary.NativeEndian.Uint16([]byte{1, 0}) != 1 {
+		return 0, errBigEndian
 	}
 	if err := p.analyze(); err != nil {
 		return 0, err
 	}
-	p.resolve(false)
+	p.resolve()
 	if !useNative {
 		return 0, nil
 	}
 	return p.lowerNative()
 }
 
-// checkHost refuses a big-endian host.
-func checkHost() error {
-	if binary.NativeEndian.Uint16([]byte{1, 0}) != 1 {
-		return errBigEndian
-	}
-	return nil
-}
-
-// resolve extends gat to every index table p holds and, for the native
-// kernel, gatAnd and pats to every table and lane pattern: the pools the
-// descriptor streams address beside gat (per table the mask that zeroes a
-// VPERMW result's sentinel lanes, and the patterns zero-extended to whole
-// registers). What is resolved already stays, so a program lowered one
-// segment at a time resolves what each segment added.
-func (p *Program) resolve(native bool) {
-	p.gat = slices.Grow(p.gat, len(p.idxTabs)-len(p.gat))
-	for _, tb := range p.idxTabs[len(p.gat):] {
-		var g [regStride]uint16
-		for i := range g {
-			g[i] = sentinel
+// resolve builds gat from every index table p holds.
+func (p *Program) resolve() {
+	p.gat = make([][regStride]uint16, len(p.idxTabs))
+	for t, tb := range p.idxTabs {
+		for i := range p.gat[t] {
+			p.gat[t][i] = sentinel
 			if i < p.lanes && i < len(tb) && tb[i] >= 0 && int(tb[i]) < p.lanes {
-				g[i] = uint16(tb[i])
+				p.gat[t][i] = uint16(tb[i])
 			}
 		}
-		p.gat = append(p.gat, g)
 	}
-	if !native {
-		return
-	}
-	p.gatAnd = slices.Grow(p.gatAnd, len(p.gat)-len(p.gatAnd))
-	for _, g := range p.gat[len(p.gatAnd):] {
-		var and [regStride]uint16
+}
+
+// lowerNative builds the pools the native kernel addresses beside gat —
+// per index table the mask that zeroes a VPERMW result's sentinel lanes,
+// and the lane patterns zero-extended to whole registers — and lowers both
+// segments to descriptor streams, reporting how many ops the streams hand
+// to their Go bodies.
+func (p *Program) lowerNative() (goBodies int, err error) {
+	p.gatAnd = make([][regStride]uint16, len(p.gat))
+	for t, g := range p.gat {
 		for i, j := range g {
 			if j != sentinel {
-				and[i] = 0xffff
+				p.gatAnd[t][i] = 0xffff
 			}
 		}
-		p.gatAnd = append(p.gatAnd, and)
 	}
-	p.pats = slices.Grow(p.pats, len(p.lanePats)-len(p.pats))
-	for _, pat := range p.lanePats[len(p.pats):] {
-		var r [regStride]int16
-		copy(r[:], pat)
-		p.pats = append(p.pats, r)
+	p.pats = make([][regStride]int16, len(p.lanePats))
+	for t, pat := range p.lanePats {
+		copy(p.pats[t][:], pat)
 	}
-}
-
-// lowerNative builds the pools the native kernel addresses beside gat and
-// lowers both segments to descriptor streams, reporting how many ops the
-// streams hand to their Go bodies.
-func (p *Program) lowerNative() (goBodies int, err error) {
-	p.resolve(true)
 	for seg, ops := range p.segs {
 		code, n, err := p.lower(ops)
 		if err != nil {
@@ -402,73 +381,6 @@ func (p *Program) analyze() error {
 	for seg := range live {
 		live[seg].setTails(boundary)
 	}
-	return nil
-}
-
-// lowerFirst finalizes SegFirst alone, lowers it and drops its Go form,
-// before SegSteady exists: Emit's segment-at-a-time path, which keeps the
-// Go forms of the two segments from ever being live at once. SegFirst's
-// tail writes are live when their register is live into SegFirst; whether
-// one is live into SegSteady as well, which would make it live too, is
-// known only once SegSteady is built, so lowerFirst returns the registers
-// SegFirst reads first (in) and those of the tail writes it left dead
-// (dead) for lowerSteady to check. It returns errLowerWhole when a stream
-// hands an op to its Go body: the program then keeps its Go form, all of
-// it.
-func (p *Program) lowerFirst() (in, dead []bool, err error) {
-	l, err := p.walkLive(p.segs[SegFirst])
-	if err != nil {
-		return nil, nil, err
-	}
-	l.setTails(l.in)
-	dead = make([]bool, len(l.in))
-	for _, w := range l.tails {
-		dead[w.id] = dead[w.id] || !l.in[w.id]
-	}
-	p.extent = l.extent
-	p.resolve(true)
-	code, goBodies, err := p.lower(p.segs[SegFirst])
-	if err == nil && goBodies > 0 {
-		err = errLowerWhole
-	}
-	if err != nil {
-		return nil, nil, err
-	}
-	p.native[SegFirst] = code
-	p.segs[SegFirst], p.aux = nil, nil
-	return l.in, dead, nil
-}
-
-// lowerSteady finalizes and lowers SegSteady after lowerFirst, and drops
-// the Go form. Its result is what finalize makes of the two segments:
-// errLowerWhole, and the caller lowers the program whole, when a register
-// of a tail write lowerFirst left dead is live into SegSteady (the
-// live-out rule would have made that write live) or a stream hands an op
-// to its Go body.
-func (p *Program) lowerSteady(firstIn, firstDead []bool) error {
-	l, err := p.walkLive(p.segs[SegSteady])
-	if err != nil {
-		return err
-	}
-	boundary := make([]bool, len(l.in))
-	for id, in := range l.in {
-		if in && firstDead[id] {
-			return errLowerWhole
-		}
-		boundary[id] = in || firstIn[id]
-	}
-	l.setTails(boundary)
-	p.extent = max(p.extent, l.extent)
-	p.resolve(true)
-	code, goBodies, err := p.lower(p.segs[SegSteady])
-	if err == nil && goBodies > 0 {
-		err = errLowerWhole
-	}
-	if err != nil {
-		return err
-	}
-	p.native[SegSteady] = code
-	p.dropGoForm()
 	return nil
 }
 

@@ -341,7 +341,7 @@ func recordAndCompile(t *testing.T, w simd.Width, memBytes int, iters int) (*Pro
 }
 
 // TestReplayMatchesInterpreter is the core equivalence property: running
-// SegFirst once and SegSteady iters-1 times over a freshly seeded arena
+// SegFirst once and SegSteady iters times over a freshly seeded arena
 // must leave byte-identical memory to the interpreted run — across all
 // widths, with register state carried across iterations and with
 // per-iteration pointer churn in the recording.
@@ -364,7 +364,7 @@ func testReplayMatchesInterpreter(t *testing.T) {
 		rk.seed(replayMem)
 		x := p.NewExec(replayMem, 0)
 		p.Run(x, SegFirst)
-		for it := 1; it < iters; it++ {
+		for it := 0; it < iters; it++ {
 			p.Run(x, SegSteady)
 		}
 		if !bytes.Equal(interpMem.Bytes(0, interpMem.Size()), replayMem.Bytes(0, replayMem.Size())) {
@@ -402,7 +402,7 @@ func TestReplayIsRestartable(t *testing.T) {
 			x = p.NewExec(mem, 0)
 		}
 		p.Run(x, SegFirst)
-		for it := 1; it < iters; it++ {
+		for it := 0; it < iters; it++ {
 			p.Run(x, SegSteady)
 		}
 		if !bytes.Equal(interpMem.Bytes(0, interpMem.Size()), mem.Bytes(0, mem.Size())) {
@@ -446,7 +446,7 @@ func testSharedProgramConcurrentRuns(t *testing.T) {
 					copy(mem.Bytes(base, size), region.Bytes(0, size))
 					x := p.NewExec(mem, base)
 					p.Run(x, SegFirst)
-					for it := 1; it < iters; it++ {
+					for it := 0; it < iters; it++ {
 						p.Run(x, SegSteady)
 					}
 					if !bytes.Equal(want, mem.Bytes(base, size)) {
@@ -491,7 +491,7 @@ func replayBytes(t *testing.T, p *Program, k *synthKernel, memBytes, iters int, 
 		run = func(seg int) { p.runPoisoned(x, seg, rng) }
 	}
 	run(SegFirst)
-	for it := 1; it < iters; it++ {
+	for it := 0; it < iters; it++ {
 		run(SegSteady)
 	}
 	return mem.Bytes(0, mem.Size())
@@ -647,9 +647,9 @@ func TestFinalizeRejectsMalformedOps(t *testing.T) {
 	}
 }
 
-// TestCompileTooFewIterations: a single recorded iteration has no
-// steady segment and must refuse to compile (serving code always records
-// three; this is the builder's own guard against a malformed recording).
+// TestCompileTooFewIterations: a single recorded iteration verifies
+// nothing and must refuse to compile (serving code always records two;
+// this is the builder's own guard against a malformed recording).
 func TestCompileTooFewIterations(t *testing.T) {
 	mem := simd.NewMemory(1 << 14)
 	e := simd.NewEngine(simd.W128, mem, nil)
@@ -687,12 +687,14 @@ func TestCompileUnstableStream(t *testing.T) {
 		_, err := b.Compile()
 		return err
 	}
-	if err := build(func(e *simd.Engine, it int, v *simd.Vec) {
-		if it == 3 {
-			e.PMaxSW(v, v, v) // extra op after freeze
+	for _, at := range []int{1, 3} {
+		if err := build(func(e *simd.Engine, it int, v *simd.Vec) {
+			if it == at {
+				e.PMaxSW(v, v, v) // extra op after freeze
+			}
+		}); !errors.Is(err, ErrUnstable) {
+			t.Errorf("extra op in iteration %d: %v, want ErrUnstable", at, err)
 		}
-	}); !errors.Is(err, ErrUnstable) {
-		t.Errorf("extra op in iteration 3: %v, want ErrUnstable", err)
 	}
 	if err := build(func(e *simd.Engine, it int, v *simd.Vec) {
 		imm := uint(1)

@@ -89,8 +89,8 @@ func (p *Program) NewExec(mem *simd.Memory, base int64) *Exec {
 }
 
 // Run replays one segment over x's region. The register file persists
-// across calls; a decode runs SegFirst once and SegSteady for every
-// iteration after the first. Region bytes are the only observable state:
+// across calls; a decode runs SegFirst once and then SegSteady for every
+// iteration, the first included. Region bytes are the only observable state:
 // the register file is private to x, and a fused op writes an
 // intermediate register only when finalize's liveness pass found a later
 // reader (op.live). The program itself is only read, so Runs over

@@ -74,8 +74,9 @@ func (bd *BatchDecoder) PlanProgram(k int) *program.Program {
 
 // runCompiled is the replay driver: the same copy-in, tail-quad writes,
 // iteration loop and per-block early-exit protocol as
-// MultiSIMDDecoder.runPacked, with each iteration's engine work replaced
-// by one Program.Run over the state's region. The returned slices alias
+// MultiSIMDDecoder.runPacked, with the prefix's engine work replaced by
+// one Run of SegFirst and each iteration's by one Run of SegSteady, over
+// the state's region. The returned slices alias
 // p.pst.bits exactly like runPacked's.
 func (bd *BatchDecoder) runCompiled(p *decodePlan, words []*LLRWord) ([][]byte, int, error) {
 	st := p.pst
@@ -87,14 +88,11 @@ func (bd *BatchDecoder) runCompiled(p *decodePlan, words []*LLRWord) ([][]byte, 
 
 	resetConv(st.conv, st.itersB, requested)
 	prog := p.shared.prog
+	prog.Run(p.exec, program.SegFirst)
 	iters := 0
 	for it := 0; it < bd.MaxIters; it++ {
 		iters++
-		seg := program.SegSteady
-		if it == 0 {
-			seg = program.SegFirst
-		}
-		prog.Run(p.exec, seg)
+		prog.Run(p.exec, program.SegSteady)
 		if st.extractPacked(bd.EarlyExit, it) {
 			break
 		}

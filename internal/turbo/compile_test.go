@@ -1,7 +1,9 @@
 package turbo
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -39,6 +41,59 @@ func testCompiledMatchesInterpretedAndScalar(t *testing.T) {
 				words, _ := buildWords(t, c, tc.fill, tc.seed, tc.noiseless)
 				label := w.String() + "/K" + itoa(k) + "/" + tc.name
 				decodeAllWays(t, w, k, words, 4, label)
+			}
+		}
+	}
+}
+
+// TestCompiledEveryBudget: a decode runs SegFirst once and SegSteady for
+// every iteration, so a budget of one iteration replays the prefix and one
+// steady segment and nothing else. At every budget from 1 to 4, under the
+// serving strategy (an emitted program) and one recorded strategy, the
+// compiled, interpreted and scalar decodes give the same bits and each
+// block the same iterations, on both kernels.
+func TestCompiledEveryBudget(t *testing.T) { eachKernel(t, testCompiledEveryBudget) }
+
+func testCompiledEveryBudget(t *testing.T) {
+	for _, s := range []core.Strategy{core.StrategyAPCM, core.StrategyShuffle} {
+		for _, w := range []simd.Width{simd.W128, simd.W512} {
+			for _, k := range []int{40, 512} {
+				c, err := NewCode(k)
+				if err != nil {
+					t.Fatal(err)
+				}
+				words, _ := buildWords(t, c, BlocksPerRegister(w), int64(300+k), false)
+				for maxIters := 1; maxIters <= 4; maxIters++ {
+					label := fmt.Sprintf("%v/%v/K%d/MaxIters%d", s, w, k, maxIters)
+					decode := func(compile bool) ([][]byte, []int) {
+						bd := NewBatchDecoder(w, s, 32<<20)
+						bd.MaxIters, bd.Compile = maxIters, compile
+						bits, _, err := bd.Decode(k, words)
+						if err != nil {
+							t.Fatalf("%s: %v", label, err)
+						}
+						if st := bd.ProgramStats(); compile && st.Hits != 1 {
+							t.Fatalf("%s: the decode did not replay a compiled program: %+v", label, st)
+						}
+						return bits, slices.Clone(bd.BlockIters())
+					}
+					cBits, cIters := decode(true)
+					iBits, iIters := decode(false)
+					for b, word := range words {
+						sc := NewDecoder(c)
+						sc.MaxIters = maxIters
+						sBits, sIters, err := sc.Decode(word)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if !equalBits(cBits[b], iBits[b]) || !equalBits(cBits[b], sBits) {
+							t.Errorf("%s block %d: compiled, interpreted and scalar decisions differ", label, b)
+						}
+						if cIters[b] != iIters[b] || cIters[b] != sIters {
+							t.Errorf("%s block %d: iterations compiled %d, interpreted %d, scalar %d", label, b, cIters[b], iIters[b], sIters)
+						}
+					}
+				}
 			}
 		}
 	}
@@ -107,14 +162,14 @@ func TestCompiledRespectsConfigChanges(t *testing.T) {
 	}
 }
 
-// TestCompileNeedsTwoIterations: a program needs a first and a steady
-// iteration recorded to exist at all, and used to get them from whatever
-// live decode came first — so a first decode under MaxIters=1 could not
-// record, ran interpreted, and the plan recorded again later. The
-// recording is a synthetic three-iteration decode now, so the budget of
-// the decode in hand no longer matters: a one-iteration first decode is
-// served by the compiled program, and raising the budget afterwards
-// re-records nothing.
+// TestCompileNeedsTwoIterations: a recorded program needs one iteration
+// recorded and another verified against it, and used to get them from
+// whatever live decode came first — so a first decode under MaxIters=1
+// could not record, ran interpreted, and the plan recorded again later.
+// The program is made apart from the decode in hand now, so the budget of
+// that decode no longer matters: a one-iteration first decode is served
+// by the compiled program, and raising the budget afterwards compiles
+// nothing again.
 func TestCompileNeedsTwoIterations(t *testing.T) {
 	resetPlanCache()
 	const k = 40

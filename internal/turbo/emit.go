@@ -7,9 +7,10 @@ import (
 
 // This file compiles a packed plan without recording it. emitProgram walks
 // the plan phase by phase — the prefix runPacked runs once (arrangement,
-// systematic gather, la1 clear, zero register) and iterPacked's iteration
-// — and names each op the interpreter would record, fused as fuse.go would
-// fuse it, to a program.Emitter. No engine runs, no word is decoded and no
+// systematic gather, la1 clear, zero register), which is SegFirst, and
+// iterPacked's iteration, which is SegSteady — and names each op the
+// interpreter would record, fused as fuse.go would fuse it, to a
+// program.Emitter. No engine runs, no word is decoded and no
 // raw stream or interpreter table exists: what a recording spends half a
 // second on at K=6144 is index arithmetic over the plan.
 //
@@ -138,12 +139,11 @@ func (pe *planEmitter) release(rs ...program.Reg) {
 	pe.pool.free = append(pe.pool.free, rs...)
 }
 
-// walk describes the program: SegFirst is the prefix and iteration 0,
-// SegSteady iteration 1, as a recording's iteration marks cut them.
+// walk describes the program: SegFirst is the prefix, SegSteady one
+// iteration, as a recording's first iteration mark cuts them.
 func (pe *planEmitter) walk(e *program.Emitter) {
 	pe.e, pe.pool = e, regPool{free: pe.pool.free[:0]}
 	pe.prefix()
-	pe.iteration()
 	e.Steady()
 	pe.iteration()
 }

@@ -20,14 +20,15 @@ var emitAll = flag.Bool("emit.all", false, "compare emitted and recorded program
 var gridSizes = []int{40, 512, 2048, 6144}
 
 // recordedPlan is what the recorder compiles of plan pl from the all-zero
-// batch, as the plan cache did before the emitter.
+// batch, as the plan cache compiles the strategies the emitter does not
+// cover.
 func recordedPlan(t *testing.T, pl *packedPlan) *program.Program {
 	t.Helper()
 	words := make([]*LLRWord, pl.nb)
 	for b := range words {
 		words[b] = NewLLRWord(pl.code.K)
 	}
-	prog, _, err := recordProgram(pl, core.ByStrategy(core.StrategyAPCM), words, 3, false)
+	prog, _, err := recordProgram(pl, core.ByStrategy(core.StrategyAPCM), words, recordIters, false)
 	if err != nil {
 		t.Fatalf("recording: %v", err)
 	}

@@ -33,7 +33,7 @@ import (
 // learns it from the one attempt and serves that K interpreted (counted as
 // program misses, which a serving runtime without chaos configured turns
 // into an unhealthy /healthz), instead of each worker compiling it again.
-// Nothing is ever evicted: an entry is about 0.4 MB at K=512 and 4.7 MB at
+// Nothing is ever evicted: an entry is about 0.3 MB at K=512 and 3.4 MB at
 // K=6144 on the native kernel, and the key space is the block sizes a
 // deployment serves.
 
@@ -161,13 +161,14 @@ func sharedPlanFor(key planKey) (sp *sharedPlan, led bool) {
 }
 
 // recordIters is how many iterations a program is recorded over: the
-// first makes SegFirst, the second SegSteady, and the third is checked op
-// for op against the second through the builder's register bijection, so
-// every recording proves the stream iteration-invariant rather than only
-// those whose live word happened to need a third iteration. It is a
-// variable for one test: recorded over one iteration nothing compiles,
-// which is the only way to reach the cache's failure entries on demand.
-var recordIters = 3
+// prefix before the first makes SegFirst, the first SegSteady, and the
+// second is checked op for op against the first through the builder's
+// register bijection, so every recording proves the stream
+// iteration-invariant rather than only those whose live word happened to
+// need a second iteration. It is a variable for one test: recorded over
+// one iteration nothing compiles, which is the only way to reach the
+// cache's failure entries on demand.
+var recordIters = 2
 
 // buildSharedPlan compiles key's plan: from the plan alone when the
 // emitter covers its strategy, else from a recording of a synthetic decode.
@@ -242,17 +243,15 @@ func recordProgram(pl *packedPlan, ar core.Arranger, words []*LLRWord, maxIters 
 }
 
 // recordedOps bounds the ops a recording of plan pl stores raw at once:
-// the first segment, the prefix and iteration 0 (the builder fuses it at
-// the second iteration mark and records the steady iteration into the
-// same buffer; a third is only compared), so the builder takes its stream
-// in one allocation. The packed stream is linear in the plan's size: an
-// iteration records 102 ops a trellis step (two halves of alpha, beta +
-// extraction and the gamma scatter) and 2 an element (gamma, extrinsic,
-// interleave and hard-decision groups), and the prefix — the arrangement,
-// which is where the six strategies differ, the first interleave and the
-// la1 clear — at most 8 a step and 4 an element. Measured over all six
+// one iteration, the longest stretch (the builder fuses the prefix at the
+// first iteration mark and records iteration 0 into the same buffer; a
+// second is only compared), so the builder takes its stream in one
+// allocation. The packed stream is linear in the plan's size: an
+// iteration records about 102 ops a trellis step (two halves of alpha,
+// beta + extraction and the gamma scatter) and up to 2 an element (gamma,
+// extrinsic, interleave and hard-decision groups). Measured over all six
 // strategies at K 40 and 512 and APCM to K 6144, at the three widths, the
-// bound is 2 to 13 % above the count; a stream that outgrows it appends.
+// bound is 3 to 4 % above the count; a stream that outgrows it appends.
 func recordedOps(pl *packedPlan) int {
-	return 107*pl.code.K + 5*pl.n + 64
+	return 104*pl.code.K + 2*pl.n + 64
 }

@@ -182,7 +182,7 @@ func TestSharedProgramIsImmutable(t *testing.T) {
 func TestSharedCompileFailureIsCached(t *testing.T) {
 	resetPlanCache()
 	recordIters = 1
-	t.Cleanup(func() { recordIters = 3; resetPlanCache() })
+	t.Cleanup(func() { recordIters = 2; resetPlanCache() })
 	const k, s = 40, core.StrategyShuffle
 	if emits(s) {
 		t.Fatalf("the emitter covers %v: the failure entry needs a recorded strategy", s)
@@ -222,22 +222,23 @@ func TestSharedCompileFailureIsCached(t *testing.T) {
 		t.Errorf("Precompile recorded the cached failure again: %+v", cs)
 	}
 
-	recordIters = 3
+	recordIters = 2
 	resetPlanCache()
 	if err := Precompile(simd.W256, s, k); err != nil {
-		t.Errorf("with three recorded iterations: %v", err)
+		t.Errorf("with two recorded iterations: %v", err)
 	}
 }
 
 // TestSyntheticRecordingMatchesLive shows what the cache assumes: the
 // program it holds — emitted from the plan for APCM, recorded from the
-// all-zero batch over three iterations with early exit off for the other
+// all-zero batch over two iterations with early exit off for the other
 // strategies — is, to the checksum — every fused op and live mask, every
 // table and pool, every word of the descriptor streams — the one a live
-// batch records, whether that batch ran two iterations (clean words, early
-// exit), three or four (words that never converge, so the third and fourth
-// are verified against the second through the register bijection). The op
-// stream depends on (K, width, strategy) and on nothing else.
+// batch records: the prefix as SegFirst and iteration 0 as SegSteady,
+// whether that batch ran two iterations (clean words, early exit), three
+// or four (words that never converge), every one after the first verified
+// against it through the register bijection. The op stream depends on
+// (K, width, strategy) and on nothing else.
 func TestSyntheticRecordingMatchesLive(t *testing.T) {
 	resetPlanCache()
 	type config struct {

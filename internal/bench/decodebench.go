@@ -2,8 +2,8 @@
 // cmd/vranbench -decodejson and the committed BENCH_decode.json. It
 // drives testing.Benchmark over the serving decode path — packed
 // (compiled replay), interpreted (the same stream with the interpreter
-// pinned) and, on a host with the native kernel, portable (compiled
-// replay on the Go kernel) — for every width × a spread of K, reporting
+// pinned) and, on a host with the native kernel, portable (the same
+// compiled program run by the Go executor) — for every width × a spread of K, reporting
 // ns/op, B/op, allocs/op and emulated goodput per row. The
 // interpreted/packed pairs are the replay compiler's speedup evidence
 // and the portable/packed pairs the native kernel's (CI gates both
@@ -54,8 +54,8 @@ type DecodeBenchRow struct {
 	// Mode is "packed" (the serving path: the cross-block SoA stream
 	// replayed as one compiled program per iteration), "interpreted"
 	// (the same stream with the interpreter pinned via Compile=false) or
-	// "portable" ("packed" on a program compiled, during the warm-up,
-	// for the Go kernel; only on a host that has the native one); or one of the single-decode
+	// "portable" ("packed" with the program's streams run by the Go
+	// executor; only on a host that has the native one); or one of the single-decode
 	// rows, "cold" (the process's first decode of this width and K: plan
 	// build, compile, state, decode; absent when something
 	// earlier in the process had compiled it) and "adopt" (a second
@@ -151,8 +151,8 @@ func RunDecodeBench(quick bool) (*DecodeBenchReport, error) {
 	if err := flagSet("test.benchtime", benchtime); err != nil {
 		return nil, err
 	}
-	// "portable" is "packed" on the Go replay kernel; on a host whose only
-	// kernel that is, it would repeat the packed row.
+	// "portable" is "packed" on the Go executor; on a host whose only
+	// executor that is, it would repeat the packed row.
 	modes := []string{"packed", "interpreted"}
 	if rep.Kernel != "go" {
 		modes = append(modes, "portable")

@@ -29,18 +29,21 @@ import (
 //
 // Run under -race (the CI sla-soak job does).
 //
-// The soak runs on the portable Go replay kernel whatever the host has.
-// Its subject is the batcher/worker class policy above the kernel, and
-// its load calibration (block-size ladder, TTI floor, queue depth — see
-// slaSoak) was made against that kernel's service times. On the native
-// kernel the ladder stops at K=152–512, where, when the pin was added, a
-// 1000-block capacity probe and both phases were dominated by per-worker
-// cold starts (each worker recorded and compiled on its first block of a
-// K, ~30 ms at K=512, inside the measured phase). Those are gone — a size
-// is compiled once a process, by the capacity probe here, and every other
-// worker's first block of it costs a state allocation — but the
-// calibration has not been redone against the native kernel's service
-// times; ROADMAP item 2 (virtual time) retires it and this pin together.
+// The soak runs its replay programs on the Go executor whatever the host
+// has: the pin selects the executor of every Exec the runtimes' workers
+// make, and the programs are the ones the plan cache holds either way, so
+// it compiles nothing a second time. Its subject is the batcher/worker
+// class policy above the kernel, and its load calibration (block-size
+// ladder, TTI floor, queue depth — see slaSoak) was made against the Go
+// executor's service times. On the native kernel the ladder stops at
+// K=152–512, where, when the pin was added, a 1000-block capacity probe
+// and both phases were dominated by per-worker cold starts (each worker
+// recorded and compiled on its first block of a K, ~30 ms at K=512, inside
+// the measured phase). Those are gone — a size is compiled once a process,
+// by the capacity probe here, and every other worker's first block of it
+// costs a state allocation — but the calibration has not been redone
+// against the native kernel's service times; ROADMAP item 2 (virtual time)
+// retires it and this pin together.
 func TestSLAOverloadSoak(t *testing.T) {
 	if testing.Short() {
 		t.Skip("soak test skipped in -short")

@@ -6,12 +6,12 @@
 // tables every decode, only the data differs. This package exploits that.
 // A program has two segments, a "first" one (the prefix: setup and
 // constants, run once a decode) and a "steady" one (one iteration,
-// identical for every iteration, the first included), each a flat slice
-// of width-specialized ops in which the
-// packed decode stream's hot patterns — whole alpha and beta trellis
-// steps, quad branch-metric scatters, interleave gathers, the extrinsic
-// group, scalar element-copy runs — are single ops executed by a tight
-// loop directly over the arena.
+// identical for every iteration, the first included). Each is compiled to
+// a flat slice of width-specialized ops in which the packed decode
+// stream's hot patterns — whole alpha and beta trellis steps, quad
+// branch-metric scatters, interleave gathers, the extrinsic group, scalar
+// element-copy runs — are single ops, and then lowered to a descriptor
+// stream that runs them directly over the arena.
 //
 // There are two ways to make one, and one way to finish it. An Emitter
 // (emit.go) is handed the ops by a caller that describes the decode from
@@ -21,30 +21,33 @@
 // decode; Compile cuts it at the decoder's first iteration mark and fuses the
 // patterns (fuse.go). That is the compiler of every other strategy and the
 // oracle the emitter is tested against: the two make checksum-equal
-// programs of one plan. Both end in finalize, the one validator (bounds,
-// extent, live masks) and the one lowering (descriptor streams on the
-// native kernel, the Go form otherwise). No flag chooses between them; the
-// caller's coverage does.
+// programs of one plan. Both end in finish: finalize, the one validator
+// (bounds, extent, live masks) and the one lowering (descriptor streams),
+// then the release of the fused ops. No flag chooses between the two
+// compilers; the caller's coverage does.
 //
 // What Compile and Emit return is split in two. The Program is immutable,
-// holds the one executable form its kernel runs — descriptor streams and
-// their tables on the native kernel, fused segments and their pools
-// otherwise — and holds addresses only as offsets from the start of a
+// holds one executable form on every host — the descriptor streams and the
+// tables they address, run by the AVX-512BW assembly or by its Go twin
+// (kern.go) — and holds addresses only as offsets from the start of a
 // state region (a recording's whole arena is one), so a process compiles
-// a (K, width, strategy) once and every worker shares the result. What a replay mutates is an Exec: a
-// register file and one such region of that worker's arena (run.go).
+// a (K, width, strategy) once and every worker shares the result. What a
+// replay mutates is an Exec: a register file and one such region of that
+// worker's arena, and the executor it was made with (run.go).
 //
 // Replay is bit-identical to interpretation by construction, where the
 // observable state is the region (the register file is private to the
 // Exec): every fused op preserves the exact memory effects of the
 // sequence it replaces, and its register effects wherever a later op
-// reads them (lane-local op runs execute per lane in original
-// op order, which is equivalent under any register aliasing; fusions
-// spanning loads and stores are only formed when their address ranges
-// are provably disjoint; an Emitter forms a fused op only under the same
-// conditions), and every recorded iteration after the first is verified
-// op-by-op against the steady segment — any divergence aborts compilation
-// and the caller stays on the interpreter.
+// reads them — lowering refuses a fused op with such a reader, so every
+// op the streams run writes no intermediate register at all (lane-local
+// op runs execute per lane in original op order, which is equivalent
+// under any register aliasing; fusions spanning loads and stores are only
+// formed when their address ranges are provably disjoint; an Emitter
+// forms a fused op only under the same conditions), and every recorded
+// iteration after the first is verified op-by-op against the steady
+// segment — any divergence aborts compilation and the caller stays on the
+// interpreter.
 package program
 
 import (
@@ -67,11 +70,14 @@ var (
 	errNoSteady = errors.New("program: need >= 2 recorded iterations to compile")
 	// errSpent: Compile consumed the builder's stream.
 	errSpent = errors.New("program: builder already compiled")
+	// errUnsupported: the recording holds an op with no executable kind,
+	// one of the per-block decoder's scalar helpers.
+	errUnsupported = errors.New("program: unsupported op")
 )
 
 // rawOp is the compact lowered form of one recorded simd.ProgOp: register
-// pointers interned to small ids, index tables and scalar-helper address
-// triples interned into side pools. It is comparable field-by-field,
+// pointers interned to small ids, index tables and lane patterns interned
+// into side pools. It is comparable field-by-field,
 // which is what the cross-iteration stability check relies on. Keeping
 // it at 24 bytes matters: a W512 K=6144 decode records 0.67 M ops an
 // iteration, and the builder holds iteration 0 raw.
@@ -81,7 +87,7 @@ type rawOp struct {
 	imm     int32
 	addr    int32
 	addr2   int32
-	tab     int32 // idxTabs / lanePats / aux32 pool reference, -1 when absent
+	tab     int32 // idxTabs / lanePats pool reference, -1 when absent
 }
 
 // Builder is a simd.ProgSink that records one decode and compiles it.
@@ -94,9 +100,9 @@ type rawOp struct {
 // for iteration 0, the steady segment and the only raw ops Compile still
 // needs.
 type Builder struct {
-	// p is the program under construction: its idxTabs, lanePats and
-	// aux32 are the pools lower interns into, and segs[SegFirst] is
-	// filled at the first mark.
+	// p is the program under construction: its idxTabs and lanePats are
+	// the pools lower interns into, and segs[SegFirst] is filled at the
+	// first mark.
 	p *Program
 
 	ops   []rawOp // the segment being recorded
@@ -176,7 +182,7 @@ func (b *Builder) Mark(name string) {
 		p := b.p
 		p.aux = make([]int32, 0, (len(b.ops)+cap(b.ops))*5/4)
 		p.RawOps[SegFirst] = len(b.ops)
-		p.segs[SegFirst] = p.fuse(b.ops)
+		p.segs[SegFirst], b.err = p.fuse(b.ops)
 		b.ops = b.ops[:0]
 	case 2:
 		b.verifying = true
@@ -266,15 +272,6 @@ func (b *Builder) lower(op simd.ProgOp) (rawOp, error) {
 			b.idxByPtr[key] = id
 		}
 		r.tab = id
-	case simd.PGammaPoint, simd.PExtPoint:
-		r.tab = int32(len(b.p.aux32))
-		for _, x := range op.Xa {
-			xa, err := checkAddr(x)
-			if err != nil {
-				return r, err
-			}
-			b.p.aux32 = append(b.p.aux32, xa)
-		}
 	}
 	return r, nil
 }
@@ -310,13 +307,6 @@ func (b *Builder) verify(op simd.ProgOp) {
 	switch {
 	case op.Dst == nil:
 		if e.d != -1 {
-			b.err = ErrUnstable
-			return
-		}
-	case op.Kind == simd.PInsrW:
-		// Partial write: dst is read-modify-write, so it must already
-		// be bound like a source operand.
-		if !expect(op.Dst, e.d) {
 			b.err = ErrUnstable
 			return
 		}
@@ -365,13 +355,6 @@ func (b *Builder) verify(op simd.ProgOp) {
 		}
 		for i, x := range op.Idx {
 			if t[i] != int32(x) {
-				b.err = ErrUnstable
-				return
-			}
-		}
-	case simd.PGammaPoint, simd.PExtPoint:
-		for i, x := range op.Xa {
-			if int64(b.p.aux32[e.tab+int32(i)]) != x {
 				b.err = ErrUnstable
 				return
 			}

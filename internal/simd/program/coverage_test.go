@@ -12,16 +12,13 @@ import (
 // TestEveryFusedKindOccurs compiles the serving decoder's packed plan over
 // every arrangement strategy and width at small and mid block sizes, and
 // the largest block size under the serving strategy, and fails if a fused
-// kind the compiler defines occurs in none of them: a matcher, Run body
-// and visitEffects case that no real plan reaches is code nothing but a
-// synthetic kernel exercises. The APCM plans are emitted, the others
+// kind the compiler defines occurs in the streams of none of them: a
+// matcher, record kind and visitEffects case that no real plan reaches is
+// code nothing but a synthetic kernel exercises. The APCM plans are emitted, the others
 // recorded; the emitter forms exactly the ops the matchers would
 // (TestEmittedMatchesRecorded in internal/turbo). (K=6144 under all six
 // strategies holds the same kinds and costs 6 s of a shared tier-1 host.)
-// The plans are compiled for the Go kernel: a native program of a packed
-// plan holds its streams alone, not the fused ops they were lowered from.
 func TestEveryFusedKindOccurs(t *testing.T) {
-	defer program.UseNativeKernel(program.UseNativeKernel(false))
 	total := make(map[string]int)
 	record := func(s core.Strategy, w simd.Width, k int) {
 		p := packedPlan(t, s, w, k)
@@ -79,8 +76,7 @@ func TestFirstSegmentIsThePrefix(t *testing.T) {
 }
 
 // packedPlan returns the replay program of the serving decoder's packed
-// plan for one (strategy, width, K), on the kernel programs are compiled
-// for now. The process-wide plan cache compiles each once per test
+// plan for one (strategy, width, K). The process-wide plan cache compiles each once per test
 // binary, which matters for the recorded strategies: a recording costs
 // about 60 µs per unit of K.
 func packedPlan(t *testing.T, s core.Strategy, w simd.Width, k int) *program.Program {
@@ -97,40 +93,22 @@ func packedPlan(t *testing.T, s core.Strategy, w simd.Width, k int) *program.Pro
 	return p
 }
 
-// TestPackedPlansRunNative: on a host with the native kernel, both segments
-// of every packed plan the serving path can record are lowered to a
-// descriptor stream that hands no op back to a Go body, for the serving
-// strategy at every width up to the largest block and for the other five
-// arrangements (whose arrangement segments differ) up to K=512, and so the
-// program holds no Go form. An op kind that loses its native body, or a
-// fused op whose intermediates turn out live in a real plan, shows here
-// and not as a slower benchmark (or a plan cache five times its size).
+// TestPackedPlansRunNative: every packed plan the serving path can compile
+// does compile, for the serving strategy at every width up to the largest
+// block and for the other five arrangements (whose arrangement segments
+// differ) up to K=512: every op lowers to a record, on every host. An op
+// kind that loses its record kind, or a fused op whose intermediates turn
+// out live in a real plan, shows here and not as a block served
+// interpreted.
 func TestPackedPlansRunNative(t *testing.T) {
-	if !program.NativeAvailable() {
-		t.Skip("no AVX-512BW on this host (or the OS does not save ZMM state): plans are not lowered")
-	}
-	check := func(s core.Strategy, w simd.Width, k int) {
-		p := packedPlan(t, s, w, k)
-		if p.Kernel() != "avx512bw" || p.GoForm() {
-			t.Errorf("%v/%v/K=%d: a %q program, Go form held: %v", s, w, k, p.Kernel(), p.GoForm())
-		}
-		lowered, goBodies := p.GoBodies()
-		for seg := range lowered {
-			if !lowered[seg] {
-				t.Errorf("%v/%v/K=%d segment %d: not lowered", s, w, k, seg)
-			} else if goBodies[seg] != 0 {
-				t.Errorf("%v/%v/K=%d segment %d: %d ops fall back to their Go body", s, w, k, seg, goBodies[seg])
-			}
-		}
-	}
 	for _, w := range simd.Widths {
 		for _, k := range []int{40, 512, 2048, 6144} {
-			check(core.StrategyAPCM, w, k)
+			packedPlan(t, core.StrategyAPCM, w, k)
 		}
 		for s := core.StrategyScalar; s <= core.StrategyShuffle; s++ {
 			if s != core.StrategyAPCM {
-				check(s, w, 40)
-				check(s, w, 512)
+				packedPlan(t, s, w, 40)
+				packedPlan(t, s, w, 512)
 			}
 		}
 	}

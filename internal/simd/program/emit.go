@@ -65,10 +65,10 @@ var errNondeterministic = errors.New("program: emit walk is not deterministic")
 // first to size every segment and pool and then to fill them, so walk must
 // describe the same program each time; the program then holds no spare
 // capacity. walk emits SegFirst, the prefix, calls Steady, and emits
-// SegSteady, one iteration. The result is finalized as Compile finalizes
-// a recording — validated, given its live masks and extent, and lowered to
-// descriptor streams when the native kernel is on — so a program has one
-// validator and one lowering however it was made.
+// SegSteady, one iteration. The result is finished as Compile finishes a
+// recording — validated, given its live masks and extent, and lowered to
+// descriptor streams — so a program has one validator and one lowering
+// however it was made.
 func Emit(w simd.Width, walk func(*Emitter)) (*Program, error) {
 	size := &Emitter{w: w, lanes: w.Lanes16(), tabIDs: make(map[*int32]int32)}
 	walk(size)

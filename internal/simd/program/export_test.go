@@ -21,28 +21,33 @@ func FusedKinds() []string {
 	return names
 }
 
-// FusedKindCounts reports how many ops of each fused kind segment seg of
-// p holds.
-func (p *Program) FusedKindCounts(seg int) map[string]int {
-	counts := make(map[string]int)
-	for _, op := range p.segs[seg] {
-		if op.kind >= firstFused {
-			counts[fusedKindNames[op.kind]]++
-		}
-	}
-	return counts
+// recordOf is the fused kind each record kind runs.
+var recordOf = map[uint32]uint8{
+	nCopyRun:      mCopyRun,
+	nExtVec:       mExtVec,
+	nMergeReg:     mQuadScatter,
+	nMergeMem:     mQuadGather,
+	nAlphaSweep:   mAlphaStepP,
+	nBetaSweep:    mBetaStepP,
+	nBetaExtSweep: mBetaStepP,
 }
 
-// NativeAvailable reports whether this host has the native kernel.
-func NativeAvailable() bool { return nativeAvailable }
-
-// GoBodies reports, per segment, whether finalize lowered it to a
-// descriptor stream and how many of its ops that stream hands back to
-// their Go body.
-func (p *Program) GoBodies() (lowered [2]bool, goBodies [2]int) {
-	for seg, code := range p.native {
-		lowered[seg] = code != nil
-		_, goBodies[seg] = countStops(code)
+// FusedKindCounts reports how many ops of each fused kind the stream of
+// segment seg of p runs: a sweep record counts its steps, any other record
+// once (so a copy run cut at a yield counts once a piece).
+func (p *Program) FusedKindCounts(seg int) map[string]int {
+	counts := make(map[string]int)
+	code := p.code[seg]
+	for pc := 0; pc < len(code); pc += recordWords(code[pc:]) {
+		kind, ok := recordOf[code[pc]&0xff]
+		if !ok {
+			continue
+		}
+		n := 1
+		if kind == mAlphaStepP || kind == mBetaStepP {
+			n = int(code[pc] >> 8)
+		}
+		counts[fusedKindNames[kind]] += n
 	}
-	return lowered, goBodies
+	return counts
 }

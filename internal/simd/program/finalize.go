@@ -13,48 +13,39 @@ import (
 // Callers fall back to the interpreter, as for any compile error.
 var errBigEndian = errors.New("program: replay needs a little-endian host")
 
-// finalize derives everything Run needs beyond the fused segments —
-// validation, live masks, extent, sentinel tables and, where the native
-// kernel is on, the descriptor streams — and is the one place a program
-// becomes runnable: Compile ends here. It reports how many ops the
-// streams hand to their Go bodies.
-func (p *Program) finalize() (goBodies int, err error) {
+// finalize derives everything Run needs from the fused segments —
+// validation, live masks, extent, the pools the streams address and the
+// descriptor streams themselves — and is the one place a program becomes
+// runnable: Compile and Emit end here.
+func (p *Program) finalize() error {
 	if binary.NativeEndian.Uint16([]byte{1, 0}) != 1 {
-		return 0, errBigEndian
+		return errBigEndian
 	}
 	if err := p.analyze(); err != nil {
-		return 0, err
+		return err
 	}
 	p.resolve()
-	if !useNative {
-		return 0, nil
+	for seg, ops := range p.segs {
+		code, err := p.lower(ops)
+		if err != nil {
+			return err
+		}
+		p.code[seg] = code
 	}
-	return p.lowerNative()
+	return nil
 }
 
-// resolve builds gat from every index table p holds.
+// resolve builds the pools the streams address: gat from every index
+// table p holds, per table the mask gatAnd that zeroes a VPERMW result's
+// sentinel lanes, and the lane patterns zero-extended to whole registers.
 func (p *Program) resolve() {
 	p.gat = make([][regStride]uint16, len(p.idxTabs))
+	p.gatAnd = make([][regStride]uint16, len(p.idxTabs))
 	for t, tb := range p.idxTabs {
 		for i := range p.gat[t] {
 			p.gat[t][i] = sentinel
 			if i < p.lanes && i < len(tb) && tb[i] >= 0 && int(tb[i]) < p.lanes {
 				p.gat[t][i] = uint16(tb[i])
-			}
-		}
-	}
-}
-
-// lowerNative builds the pools the native kernel addresses beside gat —
-// per index table the mask that zeroes a VPERMW result's sentinel lanes,
-// and the lane patterns zero-extended to whole registers — and lowers both
-// segments to descriptor streams, reporting how many ops the streams hand
-// to their Go bodies.
-func (p *Program) lowerNative() (goBodies int, err error) {
-	p.gatAnd = make([][regStride]uint16, len(p.gat))
-	for t, g := range p.gat {
-		for i, j := range g {
-			if j != sentinel {
 				p.gatAnd[t][i] = 0xffff
 			}
 		}
@@ -63,45 +54,35 @@ func (p *Program) lowerNative() (goBodies int, err error) {
 	for t, pat := range p.lanePats {
 		copy(p.pats[t][:], pat)
 	}
-	for seg, ops := range p.segs {
-		code, n, err := p.lower(ops)
-		if err != nil {
-			return 0, err
-		}
-		p.native[seg] = code
-		goBodies += n
-	}
-	return goBodies, nil
 }
 
 // lower translates a segment analyze has validated and marked into the
 // descriptor stream of kern.go: one record an op, a run of lean trellis
-// steps sharing their carried register and tables as one sweep record, a
-// stop record wherever the work since the last reaches yieldEvery, and a
-// stop record naming the op for every op that has no native body or has a
-// live intermediate (goBodies counts those). It is one forward pass and
-// reads only what the visitEffects walk has been over; every operand it
-// emits is checked again on the way out (lowerer.reg, .mem, .tab, .lane),
-// against the register file, the extent that walk computed and the table
-// pool, so the stream cannot address anything NewExec's extent check does
-// not cover even if the two disagreed about an op's layout. An error means
-// a compiler bug, and the caller stays on the interpreter as for any
-// other.
-func (p *Program) lower(ops []mop) (code []uint32, goBodies int, err error) {
+// steps sharing their carried register and tables as one sweep record, and
+// a stop record wherever the work since the last reaches yieldEvery. It is
+// one forward pass and reads only what the visitEffects walk has been
+// over; every operand it emits is checked again on the way out
+// (lowerer.reg, .mem, .tab, .lane), against the register file, the extent
+// that walk computed and the table pool, so the stream cannot address
+// anything NewExec's extent check does not cover even if the two disagreed
+// about an op's layout. It refuses an op that has no record kind, and a
+// fused op whose intermediate registers a later op reads: the streams
+// write only what a lean op writes. An error means the caller stays on the
+// interpreter, as for any other compile error.
+func (p *Program) lower(ops []mop) (code []uint32, err error) {
 	lw := &lowerer{p: p, code: make([]uint32, 0, 8*len(ops))}
 	for i := 0; i < len(ops) && lw.err == nil; {
 		i += lw.op(ops, i)
 	}
 	lw.put(nStop, 0)
-	return slices.Clone(lw.code), lw.goBodies, lw.err
+	return slices.Clone(lw.code), lw.err
 }
 
 type lowerer struct {
-	p        *Program
-	code     []uint32
-	work     int // units of work since the last stop record
-	goBodies int // stop records that name an op
-	err      error
+	p    *Program
+	code []uint32
+	work int // units of work since the last stop record
+	err  error
 }
 
 func (lw *lowerer) fail(format string, args ...any) {
@@ -163,11 +144,9 @@ func (lw *lowerer) tab(id int32) uint32 {
 // >> does.
 func shift(imm int64) int { return int(min(uint64(imm), 16)) }
 
-// goBody hands ops[i] to its Go body.
-func (lw *lowerer) goBody(i int) int {
-	lw.put(nStop, i+1)
-	lw.work = 0
-	lw.goBodies++
+// live refuses op i, whose intermediate registers a later op reads.
+func (lw *lowerer) live(i int, op *mop) int {
+	lw.fail("op %d (kind %d) has a live intermediate register", i, op.kind)
 	return 1
 }
 
@@ -222,14 +201,14 @@ func (lw *lowerer) op(ops []mop, i int) int {
 		}
 	case mExtVec:
 		if op.live != 0 {
-			return lw.goBody(i)
+			return lw.live(i, op)
 		}
 		t := p.aux[op.tab : op.tab+11]
 		lw.put(nExtVec, shift(op.imm), lw.reg(t[5]), lw.reg(t[6]),
 			lw.mem(int64(t[7]), wb), lw.mem(int64(t[8]), wb), lw.mem(int64(t[9]), wb), lw.mem(int64(t[10]), wb))
 	case mQuadScatter:
 		if op.live != 0 {
-			return lw.goBody(i)
+			return lw.live(i, op)
 		}
 		t := p.aux[op.tab : op.tab+3+2*op.n]
 		lw.put(nMergeReg, int(op.n), lw.mem(int64(t[2]), wb))
@@ -239,7 +218,7 @@ func (lw *lowerer) op(ops []mop, i int) int {
 		lw.work += int(op.n) / 4
 	case mQuadGather:
 		if op.live != 0 {
-			return lw.goBody(i)
+			return lw.live(i, op)
 		}
 		t := p.aux[op.tab : op.tab+4+2*op.n]
 		lw.put(nMergeMem, int(op.n), lw.mem(int64(t[3]), wb))
@@ -248,8 +227,12 @@ func (lw *lowerer) op(ops []mop, i int) int {
 		}
 		lw.work += int(op.n) / 4
 	case mAlphaStepP, mBetaStepP:
-		if !leanStep(op) || op.n > regStride {
-			return lw.goBody(i)
+		if !leanStep(op) {
+			return lw.live(i, op)
+		}
+		if op.n > regStride {
+			lw.fail("op %d extracts %d lanes of a %d-lane register", i, op.n, regStride)
+			return 1
 		}
 		// A step with many extractions counts for more than one unit.
 		n, cost := 1, 1+int(op.n)/8
@@ -260,9 +243,7 @@ func (lw *lowerer) op(ops []mop, i int) int {
 		lw.work += n*cost - 1
 		return n
 	default:
-		// mInsrW, mCopy16, mGammaPoint, mExtPoint: scalar helpers of the
-		// per-block path; no packed plan holds one.
-		return lw.goBody(i)
+		lw.fail("op %d has kind %d, which no record kind runs", i, op.kind)
 	}
 	return 1
 }
@@ -461,7 +442,7 @@ func (p *Program) walkLive(ops []mop) (segLive, error) {
 			}
 		}
 		// Writes kill before reads revive: an op reporting both for
-		// one register (mInsrW, the carried alpha/beta) keeps it live.
+		// one register (the carried alpha/beta) keeps it live.
 		for _, id := range writes {
 			live[id], touched[id] = false, true
 		}
@@ -481,10 +462,10 @@ type effectVisitor struct {
 }
 
 // visitEffects walks op's reads and writes: registers as whole register
-// file entries, memory as byte ranges. It is the single authority on each
-// kind's operand layout, mirroring Run's semantics op for op; run.go stays
-// the executable truth it is checked against by the differential tests.
-// It returns an error — and guarantees the callbacks saw nothing out of
+// file entries, memory as byte ranges, every register an op writes
+// whether or not its record does (an intermediate of a lean op). It is the
+// single authority on each kind's operand layout, which lower reads the
+// same way. It returns an error — and guarantees the callbacks saw nothing out of
 // the op's true layout — when the op is structurally malformed: unknown
 // kind, aux window out of pool bounds, a table id out of range, or an
 // immediate outside the range Run indexes with. The matchers never emit
@@ -504,12 +485,6 @@ func (p *Program) visitEffects(op *mop, v *effectVisitor) error {
 			return nil, fmt.Errorf("program: op kind %d aux window [%d,+%d) outside pool of %d", op.kind, op.tab, need, len(p.aux))
 		}
 		return p.aux[op.tab : op.tab+need], nil
-	}
-	aux32 := func(need int32) ([]int32, error) {
-		if op.tab < 0 || int(op.tab)+int(need) > len(p.aux32) {
-			return nil, fmt.Errorf("program: op kind %d aux32 window [%d,+%d) outside pool of %d", op.kind, op.tab, need, len(p.aux32))
-		}
-		return p.aux32[op.tab : op.tab+need], nil
 	}
 	wb := int64(2 * p.lanes)
 
@@ -566,35 +541,6 @@ func (p *Program) visitEffects(op *mop, v *effectVisitor) error {
 			return fmt.Errorf("program: mExtrW lane %d out of range", op.imm)
 		}
 		reg(op.a, false)
-		mem(op.addr, 2, true)
-	case mInsrW:
-		if op.imm < 0 || op.imm >= regStride {
-			return fmt.Errorf("program: mInsrW lane %d out of range", op.imm)
-		}
-		mem(op.addr, 2, false)
-		reg(op.d, false) // single-lane insert: the other lanes persist
-		reg(op.d, true)
-	case mCopy16:
-		mem(op.addr2, 2, false)
-		mem(op.addr, 2, true)
-	case mGammaPoint:
-		t, err := aux32(3)
-		if err != nil {
-			return err
-		}
-		for _, a := range t {
-			mem(int64(a), 2, false)
-		}
-		mem(op.addr, 2, true)
-		mem(op.addr2, 2, true)
-	case mExtPoint:
-		t, err := aux32(3)
-		if err != nil {
-			return err
-		}
-		for _, a := range t {
-			mem(int64(a), 2, false)
-		}
 		mem(op.addr, 2, true)
 	case mCopyRun:
 		if op.n < 1 {

@@ -1,6 +1,7 @@
 package program
 
 import (
+	"fmt"
 	"slices"
 
 	"vransim/internal/simd"
@@ -11,9 +12,10 @@ import (
 // exact:
 //
 //  1. Fused ops preserve every observable effect of the sequence they
-//     replace: all memory writes, and each intermediate register's final
-//     value wherever finalize's liveness pass finds a later op reading
-//     it (visitEffects lists them all; Run may skip the dead ones).
+//     replace: all memory writes, and the final value of every register a
+//     later op reads — a trellis step's carried state. visitEffects lists
+//     the intermediate registers too; finalize's liveness pass proves no
+//     later op reads one, or lowering refuses the op.
 //  2. Lane-local op runs (adds, subs, min/max, and/or, broadcasts)
 //     execute per lane in original op order. Because each such op's
 //     output lane i depends only on lane i of its inputs, per-lane
@@ -24,11 +26,11 @@ import (
 //     ranges are disjoint from the load ranges and each other.
 
 // fuse lowers a raw segment, greedily matching fusion patterns and
-// falling back to singletons. The segment it returns has no spare
-// capacity: it lives as long as the process, and the packed stream fuses
-// about ten raw ops into one, so any estimate made from len(raw) strands
-// most of itself.
-func (p *Program) fuse(raw []rawOp) []mop {
+// falling back to singletons; an op that is neither is refused
+// (errUnsupported). The segment it returns has no spare capacity, and the
+// packed stream fuses about ten raw ops into one, so any estimate made
+// from len(raw) strands most of itself.
+func (p *Program) fuse(raw []rawOp) ([]mop, error) {
 	out := make([]mop, 0, len(raw)/8+16)
 	for i := 0; i < len(raw); {
 		if m, n := p.tryCopyRun(raw[i:]); n > 0 {
@@ -61,10 +63,14 @@ func (p *Program) fuse(raw []rawOp) []mop {
 			i += n
 			continue
 		}
-		out = append(out, single(raw[i]))
+		m, ok := single(raw[i])
+		if !ok {
+			return nil, fmt.Errorf("%w: recorded kind %d", errUnsupported, raw[i].kind)
+		}
+		out = append(out, m)
 		i++
 	}
-	return slices.Clone(out)
+	return slices.Clone(out), nil
 }
 
 // pushAux appends operand words to the program pool and returns their

@@ -1,34 +1,32 @@
 package program
 
 import (
-	"errors"
+	"sync/atomic"
 	"unsafe"
 )
 
-// Native execution. The ops of a packed plan are recordings of vpermw,
-// vpaddsw, vpmaxsw, vpsubsw, vpand, vpor and friends; on a CPU that has
-// those instructions Run executes them as the instructions themselves.
-// finalize lowers each segment to a descriptor stream (lower, in
-// finalize.go) and runStreamAVX512 (kern_amd64.s) walks it: one call runs
-// whole alpha and beta sweeps, gamma, extrinsic, interleave and arrangement
-// runs without returning to Go. The []mop segments and their Go bodies in
-// run.go stay the specification: the only form on other architectures and
-// older CPUs, the form of a program compiled under UseNativeKernel(false),
-// the path for an op with a live intermediate or no native body (a stop
-// record names it and the stream resumes after it), and what every record
-// kind is differentially tested against. A native program whose streams
-// name no op drops them (Compile), so what it holds is what the kernel
-// reads.
+// Execution. The ops of a packed plan are recordings of vpermw, vpaddsw,
+// vpmaxsw, vpsubsw, vpand, vpor and friends. finalize lowers each segment
+// to a descriptor stream (lower, in finalize.go), the one executable form
+// of a program on every host. Two executors run the same bytes: on a CPU
+// that has those instructions, runStreamAVX512 (kern_amd64.s) executes
+// them as the instructions themselves, one call running whole alpha and
+// beta sweeps, gamma, extrinsic, interleave and arrangement runs without
+// returning to Go; elsewhere runStreamGo (run.go) executes them record
+// kind by record kind. The Go executor is the assembly's twin and the
+// per-record reference it is differentially tested against; the
+// interpreter (internal/simd.Engine) stays the program-level oracle.
 //
-// The stream is []uint32. A record is a header word, op code in the low
-// byte and a count n above it, followed by the operand words its kind
+// The stream is []uint32. A record is a header word, record kind in the
+// low byte and a count n above it, followed by the operand words its kind
 // defines below. Operands are byte offsets — into the state region and
 // the register file of whichever Exec is running, the index-table pool
 // p.gat / p.gatAnd, the pattern pool p.pats — never Go pointers, so a
 // program stays GC-inert, position-independent and shareable: the five
 // base pointers are passed per call.
 //
-// What keeps the assembly as safe as the Go it replaces:
+// What keeps the assembly as safe as the Go executor, which indexes Go
+// slices and keeps their bounds checks:
 //
 //   - Every operand word is emitted through lowerer.reg, .mem or .tab,
 //     which check it against the register file, against the extent
@@ -45,33 +43,29 @@ import (
 //     preempted, and a GC stop-the-world waits for it.
 //   - VZEROUPPER precedes the one RET.
 
-// useNative selects the kernel Compile lowers programs for. It is set
-// once, at init, from what the CPU and OS report (nativeAvailable);
-// nothing a user passes changes it.
-var useNative = nativeAvailable
+// useNative selects the executor of the Execs made from now on. It starts
+// as what the CPU and OS report (nativeAvailable); nothing a user passes
+// changes it. It is read where an Exec is made, on worker goroutines.
+var useNative atomic.Bool
 
-// errNoNative: lowering asked for on a host without the native kernel.
-var errNoNative = errors.New("program: no native kernel on this host")
+func init() { useNative.Store(nativeAvailable) }
 
-// Kernel names the kernel Compile lowers programs for, and so the one they
-// run on: "avx512bw" or "go".
+// Kernel names the executor the Execs made now run on: "avx512bw" or
+// "go".
 func Kernel() string {
-	if useNative {
+	if useNative.Load() {
 		return "avx512bw"
 	}
 	return "go"
 }
 
 // UseNativeKernel is a test seam, for _test.go files and the decode bench
-// only: it turns the native kernel off for the programs compiled after it,
-// or back on where the host has it, and reports the previous setting so
-// the caller can restore it (t.Cleanup). A program already compiled keeps
-// the kernel it was compiled for. It must not be called while any program
-// is compiling.
+// only: it turns the native executor off for the Execs made after it, or
+// back on where the host has it, and reports the previous setting so the
+// caller can restore it (t.Cleanup). An Exec already made keeps the
+// executor it was made with; the programs are the same bytes either way.
 func UseNativeKernel(on bool) (was bool) {
-	was = useNative
-	useNative = on && nativeAvailable
-	return was
+	return useNative.Swap(on && nativeAvailable)
 }
 
 // Record kinds of the descriptor stream, with their operand words after
@@ -79,7 +73,7 @@ func UseNativeKernel(on bool) (was bool) {
 // offsets; addr, dst, q, out, al are arena byte offsets; tab, g*, h* are
 // byte offsets into the index-table pool.
 const (
-	nStop         = iota // n = 1 + index of the op whose Go body runs here; 0 = yield or end
+	nStop         = iota // a preemption point, or the end of the stream
 	nClear               // d
 	nAddS                // d a b, and the seven kinds after it
 	nSubS                //
@@ -115,17 +109,14 @@ const yieldEvery = 512
 // laneMask is the k-mask of the low n lanes.
 func laneMask(n int) uint32 { return uint32(1<<uint(n) - 1) }
 
-// runStream executes a lowered segment: the assembly runs records until a
-// stop record, which is a preemption point, the end of the stream, or the
-// place of one op (ops[n-1]) that has no native body.
-func (p *Program) runStream(x *Exec, code []uint32, ops []mop) {
+// runStream executes a segment's stream on the native kernel: the assembly
+// runs records up to each stop record, where Go may preempt it, until the
+// stream ends.
+func (p *Program) runStream(x *Exec, code []uint32) {
 	arena, regs := unsafe.SliceData(x.m), unsafe.SliceData(x.regs)
 	gat, gatAnd, pats := unsafe.SliceData(p.gat), unsafe.SliceData(p.gatAnd), unsafe.SliceData(p.pats)
 	mask := uint64(laneMask(p.lanes))
 	for pc := 0; pc < len(code); pc++ {
 		pc = runStreamAVX512(&code[0], pc, arena, regs, gat, gatAnd, pats, mask)
-		if n := code[pc] >> 8; n != 0 {
-			p.exec(x, ops[n-1:n])
-		}
 	}
 }

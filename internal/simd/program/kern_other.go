@@ -2,8 +2,8 @@
 
 package program
 
-// No native kernel on this architecture: finalize lowers nothing, Run
-// always takes the Go bodies and this is never called.
+// No native kernel on this architecture: every Exec runs its streams on
+// the Go executor (runStreamGo) and this is never called.
 
 const nativeAvailable = false
 

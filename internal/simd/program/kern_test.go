@@ -17,9 +17,9 @@ func skipWithoutNative(t testing.TB) {
 	}
 }
 
-// eachKernel runs f once on the Go bodies and once on the native kernel,
-// restoring the selection afterwards. On a host without the native
-// kernel that half is skipped, with the reason.
+// eachKernel runs f once on the Go executor and once on the native
+// kernel: the Execs f makes run on the one it names. On a host without the
+// native kernel that half is skipped, with the reason.
 func eachKernel(t *testing.T, f func(t *testing.T)) {
 	for _, on := range []bool{false, true} {
 		name := "go"
@@ -40,23 +40,8 @@ func eachKernel(t *testing.T, f func(t *testing.T)) {
 	}
 }
 
-// runOps is run for any slice of p's ops: in a program compiled for the
-// native kernel they are lowered on the spot, so a test can step it op by
-// op through the same records Run executes.
-func (p *Program) runOps(x *Exec, ops []mop) {
-	if p.Kernel() == "go" {
-		p.exec(x, ops)
-		return
-	}
-	code, _, err := p.lower(ops)
-	if err != nil {
-		panic(err)
-	}
-	p.runStream(x, code, ops)
-}
-
-// opHarness builds small programs op by op for the native-vs-Go
-// differential tests. Arena lines sit 192 bytes apart so every line has at
+// opHarness builds small programs op by op for the differential tests of
+// the two executors. Arena lines sit 192 bytes apart so every line has at
 // least 64 canary bytes either side, and the arena ends exactly where the
 // last line does, with 64 more canary bytes behind it that are no part of
 // the arena: a record that touched a byte past an L-lane line trips one.
@@ -134,22 +119,18 @@ func (h *opHarness) fill(xs []int16, pinned bool) {
 	}
 }
 
-// diff finalizes the program, checks the stream hands exactly wantGo ops
-// back to their Go bodies, runs it on identical random state under both
-// kernels and compares the whole register file and every arena byte, then
-// checks the canaries directly: the 64 bytes either side of every written
-// line and lanes >= L of every register written under the lane mask must
-// hold what they held before the native run.
-func (h *opHarness) diff(t *testing.T, wantGo int, pinned bool) {
+// diff finalizes the program, runs its one stream on identical random
+// state through both executors and compares the whole register file and
+// every arena byte, then checks the canaries of each run directly: the 64
+// bytes either side of every written line and lanes >= L of every register
+// written under the lane mask must hold what they held before.
+func (h *opHarness) diff(t *testing.T, pinned bool) {
 	t.Helper()
 	p := h.p
 	p.nregs = int32(h.nreg * regStride)
 	p.segs[SegSteady] = h.ops
-	if _, err := p.finalize(); err != nil {
+	if err := p.finalize(); err != nil {
 		t.Fatalf("finalize: %v", err)
-	}
-	if _, named := countStops(p.native[SegSteady]); named != wantGo {
-		t.Fatalf("stream hands %d ops to their Go bodies, want %d", named, wantGo)
 	}
 	regs0 := make([]int16, p.nregs)
 	size := (64+(h.nlin-1)*192)/2 + h.L
@@ -162,19 +143,11 @@ func (h *opHarness) diff(t *testing.T, wantGo int, pinned bool) {
 
 	run := func(native bool) (regs, mem []int16) {
 		regs, mem = slices.Clone(regs0), slices.Clone(mem0)
-		x := &Exec{p: p, regs: regs, m: mem[:size:size]}
-		if native {
-			p.run(x, SegSteady)
-		} else {
-			p.exec(x, p.segs[SegSteady])
-		}
+		p.run(&Exec{p: p, regs: regs, m: mem[:size:size], native: native}, p.code[SegSteady])
 		return regs, mem
 	}
 	wantR, wantM := run(false)
 	gotR, gotM := run(true)
-	if !slices.Equal(gotM[size:], mem0[size:]) {
-		t.Fatalf("canary behind the arena's end overwritten")
-	}
 	for i := range wantR {
 		if gotR[i] != wantR[i] {
 			t.Fatalf("register %d lane %d: native %d, Go %d", i/regStride, i%regStride, gotR[i], wantR[i])
@@ -191,18 +164,24 @@ func (h *opHarness) diff(t *testing.T, wantGo int, pinned bool) {
 			written[int(a/2)+i] = true
 		}
 	}
-	for _, a := range h.outLines {
-		lo, hi := int(a/2), int(a/2)+h.L
-		for i := max(lo-32, 0); i < min(hi+32, len(gotM)); i++ {
-			if !written[i] && gotM[i] != mem0[i] {
-				t.Fatalf("canary at byte %d beside the output line at %d overwritten", 2*i, a)
+	for name, out := range map[string][2][]int16{"native": {gotR, gotM}, "Go": {wantR, wantM}} {
+		regs, mem := out[0], out[1]
+		if !slices.Equal(mem[size:], mem0[size:]) {
+			t.Fatalf("%s: canary behind the arena's end overwritten", name)
+		}
+		for _, a := range h.outLines {
+			lo, hi := int(a/2), int(a/2)+h.L
+			for i := max(lo-32, 0); i < min(hi+32, len(mem)); i++ {
+				if !written[i] && mem[i] != mem0[i] {
+					t.Fatalf("%s: canary at byte %d beside the output line at %d overwritten", name, 2*i, a)
+				}
 			}
 		}
-	}
-	for _, r := range h.outRegs {
-		for i := h.L; i < regStride; i++ {
-			if gotR[int(r)+i] != regs0[int(r)+i] {
-				t.Fatalf("register %d lane %d (>= L = %d) overwritten", r/regStride, i, h.L)
+		for _, r := range h.outRegs {
+			for i := h.L; i < regStride; i++ {
+				if regs[int(r)+i] != regs0[int(r)+i] {
+					t.Fatalf("%s: register %d lane %d (>= L = %d) overwritten", name, r/regStride, i, h.L)
+				}
 			}
 		}
 	}
@@ -210,9 +189,9 @@ func (h *opHarness) diff(t *testing.T, wantGo int, pinned bool) {
 
 const diffTrials = 40
 
-// TestNativeLaneOpsMatchGo: every singleton kind with a native body, and
-// the lean extrinsic group, in random order over shared registers and
-// lines, so each op reads what earlier ones wrote.
+// TestNativeLaneOpsMatchGo: every singleton kind, a copy run and the lean
+// extrinsic group, in random order over shared registers and lines, so
+// each op reads what earlier ones wrote.
 func TestNativeLaneOpsMatchGo(t *testing.T) {
 	skipWithoutNative(t)
 	for _, w := range simd.Widths {
@@ -276,7 +255,7 @@ func TestNativeLaneOpsMatchGo(t *testing.T) {
 					h.push(mop{kind: mExtVec, imm: shifts[rng.Intn(len(shifts))]},
 						h.reg(), h.reg(), h.reg(), h.reg(), h.reg(), src(), src(), line(), line(), line(), h.outLine())
 				default:
-					continue // the scalar helpers, below
+					t.Fatalf("op kind %d not exercised", kind)
 				}
 				if masked {
 					h.outRegs = append(h.outRegs, dst)
@@ -284,12 +263,7 @@ func TestNativeLaneOpsMatchGo(t *testing.T) {
 				// What an op wrote, later ops read.
 				srcs = append(srcs, dst)
 			}
-			// The scalar helpers have no native body: the stream hands each
-			// to Go and resumes.
-			h.ops = append(h.ops, mop{kind: mCopy16, addr: h.outLine(), addr2: line()},
-				mop{kind: mInsrW, d: int32(srcs[0]), addr: line(), imm: 3},
-				mop{kind: mStore, a: int32(srcs[0]), addr: h.outLine(), imm: int64(2 * h.L)})
-			h.diff(t, 2, trial%4 == 1)
+			h.diff(t, trial%4 == 1)
 		}
 	}
 }
@@ -308,28 +282,25 @@ func TestNativeCopyRunSplitsAtYield(t *testing.T) {
 		a, b = b, a
 	}
 	h.push(mop{kind: mCopyRun, n: int32(n)}, aux...)
-	h.diff(t, 0, false)
-	if stops, _ := countStops(h.p.native[SegSteady]); stops < 3 {
+	h.diff(t, false)
+	if stops := countStops(h.p.code[SegSteady]); stops < 3 {
 		t.Errorf("%d copies lowered with %d stop records, want the run cut at least twice", n, stops)
 	}
 }
 
 // countStops walks a stream's records and counts its stop records: the
-// yields and the end, and those that name an op for its Go body.
-func countStops(code []uint32) (yields, named int) {
+// yields and the end.
+func countStops(code []uint32) (stops int) {
 	for pc := 0; pc < len(code); pc += recordWords(code[pc:]) {
-		switch {
-		case code[pc] == nStop:
-			yields++
-		case code[pc]&0xff == nStop:
-			named++
+		if code[pc]&0xff == nStop {
+			stops++
 		}
 	}
-	return yields, named
+	return stops
 }
 
 // recordWords is the length of the record at the head of code: the
-// decoder's view of what lower encodes and runStreamAVX512 steps over.
+// decoder's view of what lower encodes and both executors step over.
 func recordWords(code []uint32) int {
 	n := int(code[0] >> 8)
 	switch code[0] & 0xff {
@@ -372,7 +343,7 @@ func TestNativeQuadScatterMatchesGo(t *testing.T) {
 					aux = append(aux, h.reg(), h.tab())
 				}
 				h.push(mop{kind: mQuadScatter, n: int32(ns)}, aux...)
-				h.diff(t, 0, trial%4 == 1)
+				h.diff(t, trial%4 == 1)
 			}
 		}
 	}
@@ -399,7 +370,7 @@ func TestNativeQuadGatherMatchesGo(t *testing.T) {
 					aux = append(aux, src, h.tab())
 				}
 				h.push(mop{kind: mQuadGather, n: int32(ns)}, aux...)
-				h.diff(t, 0, trial%4 == 1)
+				h.diff(t, trial%4 == 1)
 			}
 		}
 	}
@@ -485,9 +456,9 @@ func testNativeSweeps(t *testing.T, seed int64, forms ...sweepForm) {
 						h.p.aux[op.tab+at] = carried
 					}
 					h.ops = append(h.ops, mop{kind: mStore, a: int32(carried), addr: h.outLine(), imm: int64(2 * h.L)})
-					h.diff(t, 0, trial%4 == 1)
+					h.diff(t, trial%4 == 1)
 					if n > yieldEvery {
-						if stops, _ := countStops(h.p.native[SegSteady]); stops < 3 {
+						if stops := countStops(h.p.code[SegSteady]); stops < 3 {
 							t.Errorf("%v: %d steps lowered with %d stop records, want the sweep cut at least twice", w, n, stops)
 						}
 					}
@@ -520,31 +491,22 @@ func carriedAt(kind uint8) int32 {
 }
 
 // TestLoweredStreamIsWellFormed: the stream of a compiled program decodes
-// record by record to exactly its end, its last record is a stop, and the
-// stops that name an op for its Go body name ops of the segment, in order.
+// record by record to exactly its end, its last record is a stop, and no
+// stop record carries a count.
 func TestLoweredStreamIsWellFormed(t *testing.T) {
-	skipWithoutNative(t)
 	for _, w := range simd.Widths {
 		p, _, _ := recordAndCompile(t, w, 1<<14, 4)
-		for seg, code := range p.native {
-			pc, named, last, prev := 0, 0, 0, -1
+		for seg, code := range p.code {
+			pc, last := 0, 0
 			for pc < len(code) {
-				if code[pc]&0xff == nStop && code[pc]>>8 != 0 {
-					named++
-					i := int(code[pc]>>8) - 1
-					if i <= prev || i >= len(p.segs[seg]) {
-						t.Fatalf("%v seg %d: stop record names op %d of %d after op %d", w, seg, i, len(p.segs[seg]), prev)
-					}
-					prev = i
+				if code[pc]&0xff == nStop && code[pc] != nStop {
+					t.Fatalf("%v seg %d: stop record %#x at word %d carries a count", w, seg, code[pc], pc)
 				}
 				last = pc
 				pc += recordWords(code[pc:])
 			}
-			if pc != len(code) || code[last] != nStop {
-				t.Errorf("%v seg %d: stream of %d words decodes to %d, last record %#x", w, seg, len(code), pc, code[last])
-			}
-			if named == 0 && seg == SegSteady {
-				t.Errorf("%v: no stop record of the steady segment names an op; the synthetic kernel's iteration has ops with live intermediates", w)
+			if len(code) == 0 || pc != len(code) || code[last] != nStop {
+				t.Errorf("%v seg %d: stream of %d words decodes to %d, last record at %d", w, seg, len(code), pc, last)
 			}
 		}
 	}
@@ -600,8 +562,8 @@ func TestRunRefusesShortArena(t *testing.T) {
 // seam can only turn the native kernel off, never on where it is
 // missing.
 func TestKernelSelection(t *testing.T) {
-	if useNative != nativeAvailable {
-		t.Fatalf("useNative = %v at start, host reports %v", useNative, nativeAvailable)
+	if useNative.Load() != nativeAvailable {
+		t.Fatalf("useNative = %v at start, host reports %v", useNative.Load(), nativeAvailable)
 	}
 	was := UseNativeKernel(false)
 	defer UseNativeKernel(was)
@@ -619,10 +581,31 @@ func TestKernelSelection(t *testing.T) {
 	t.Logf("host kernel: %s", want)
 }
 
+// benchExecutors times a hot Run of p's steady segment, over a region of
+// random lanes, on each executor the host has.
+func benchExecutors(b *testing.B, p *Program, h *opHarness) {
+	for _, native := range []bool{false, true} {
+		name := "go"
+		if native {
+			name = "avx512bw"
+		}
+		b.Run(name, func(b *testing.B) {
+			if native {
+				skipWithoutNative(b)
+			}
+			x := &Exec{p: p, regs: make([]int16, p.nregs), m: make([]int16, p.extent/2), native: native}
+			h.fill(x.m, false)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				p.Run(x, SegSteady)
+			}
+		})
+	}
+}
+
 // BenchmarkNativeSweeps times one 1027-step sweep of each form at W512:
 // ns/op divided by 1027 is the cost of a trellis step.
 func BenchmarkNativeSweeps(b *testing.B) {
-	skipWithoutNative(b)
 	for _, form := range []struct {
 		name string
 		kind uint8
@@ -634,15 +617,10 @@ func BenchmarkNativeSweeps(b *testing.B) {
 			p := h.p
 			p.nregs = int32(h.nreg * regStride)
 			p.segs[SegSteady] = h.ops
-			if _, err := p.finalize(); err != nil {
+			if err := p.finalize(); err != nil {
 				b.Fatal(err)
 			}
-			x := &Exec{p: p, regs: make([]int16, p.nregs), m: make([]int16, p.extent/2)}
-			h.fill(x.m, false)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				p.run(x, SegSteady)
-			}
+			benchExecutors(b, p, h)
 		})
 	}
 }
@@ -650,7 +628,6 @@ func BenchmarkNativeSweeps(b *testing.B) {
 // BenchmarkNativeGamma times 64 gamma groups at W512 as the packed decoder
 // records them: three loads, five lane ops, eight four-source scatters.
 func BenchmarkNativeGamma(b *testing.B) {
-	skipWithoutNative(b)
 	h := newOpHarness(simd.W512, rand.New(rand.NewSource(1)))
 	s, p, la, t, g0, g1, n0, n1, zero := h.reg(), h.reg(), h.reg(), h.reg(), h.reg(), h.reg(), h.reg(), h.reg(), h.reg()
 	acc, tmp := h.reg(), h.reg()
@@ -678,16 +655,8 @@ func BenchmarkNativeGamma(b *testing.B) {
 	pr := h.p
 	pr.nregs = int32(h.nreg * regStride)
 	pr.segs[SegSteady] = h.ops
-	if _, err := pr.finalize(); err != nil {
+	if err := pr.finalize(); err != nil {
 		b.Fatal(err)
 	}
-	if _, named := countStops(pr.native[SegSteady]); named != 0 {
-		b.Fatal("not native")
-	}
-	x := &Exec{p: pr, regs: make([]int16, pr.nregs), m: make([]int16, pr.extent/2)}
-	h.fill(x.m, false)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		pr.run(x, SegSteady)
-	}
+	benchExecutors(b, pr, h)
 }

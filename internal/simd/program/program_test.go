@@ -3,7 +3,9 @@ package program
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 
@@ -11,12 +13,11 @@ import (
 )
 
 // synthKernel is a width-generic "decode-like" kernel exercising every
-// recorded op kind and every fusion shape the compiler knows: vector
-// arithmetic and mask logic, aliased and out-of-range permutes, a scalar
-// copy run and the scalar gamma/ext helpers, lane extract/insert, the
-// packed stream's quad scatter/gather, alpha/beta steps and vector ext
-// group (see packed), and register state that is live across
-// iterations (acc, alpha, beta). It deliberately allocates
+// recorded op kind a program executes and every fusion shape the compiler
+// knows: vector arithmetic and mask logic, aliased and out-of-range
+// permutes, a scalar copy run, lane extracts, the packed stream's quad
+// scatter/gather, alpha/beta steps and vector ext group (see packed), and
+// register state that is live across iterations (acc, alpha, beta). It deliberately allocates
 // a throwaway register with NewVec every iteration — a fresh pointer
 // each time — so compiling it at >= 4 iterations proves the verifier's
 // register bijection rather than pointer identity.
@@ -28,12 +29,9 @@ type synthKernel struct {
 	salt int
 }
 
-// packedBytes is the arena the two packed() calls of one iteration use:
-// 7 result lines for the lean call, then 7 result and 43 spill lines.
-const (
-	packedLean  = 7 * 64
-	packedBytes = packedLean + (7+43)*64
-)
+// packedBytes is the arena the packed() call of one iteration uses: 7
+// result lines.
+const packedBytes = 7 * 64
 
 func newSynthKernel(w simd.Width, mem *simd.Memory) *synthKernel {
 	k := &synthKernel{w: w}
@@ -100,23 +98,12 @@ func newPackedTabs(n int) *packedTabs {
 }
 
 // packed emits each packed-stream shape once, writing results to the 64-
-// byte lines from base on. With spill set every intermediate register is
-// stored after its shape, so the fused op must write them all; without,
-// nothing reads them before the next call redefines them and it may
-// skip them all.
-func (k *synthKernel) packed(e *simd.Engine, t *packedTabs, alpha, beta, lim, nlim *simd.Vec, srcs [3]*simd.Vec, base int64, spill bool) {
+// byte lines from base on. Nothing reads a shape's intermediate registers
+// before a later shape redefines them, so every fused op is lean.
+func (k *synthKernel) packed(e *simd.Engine, t *packedTabs, alpha, beta, lim, nlim *simd.Vec, srcs [3]*simd.Vec, base int64) {
 	n := k.w.Lanes16()
 	wb := int64(2 * n)
 	at := func(i int) int64 { return base + int64(i)*64 }
-	next := 7
-	dump := func(vs ...*simd.Vec) {
-		for _, v := range vs {
-			if spill {
-				e.StoreVec(at(next), v)
-				next++
-			}
-		}
-	}
 	v := make([]*simd.Vec, 16)
 	for i := range v {
 		v[i] = e.AcquireVec()
@@ -130,7 +117,6 @@ func (k *synthKernel) packed(e *simd.Engine, t *packedTabs, alpha, beta, lim, nl
 	e.PermuteW(tmp, srcs[2], t.s2)
 	e.POr(acc, acc, tmp)
 	e.StoreVec(at(0), acc)
-	dump(acc, tmp)
 
 	// Quad gather, of two source lines and of one.
 	rr := v[2]
@@ -140,11 +126,9 @@ func (k *synthKernel) packed(e *simd.Engine, t *packedTabs, alpha, beta, lim, nl
 	e.PermuteW(tmp, rr, t.p1)
 	e.POr(acc, acc, tmp)
 	e.StoreVec(at(1), acc)
-	dump(rr, acc, tmp)
 	e.LoadVec(rr, k.in)
 	e.PermuteW(acc, rr, t.a1)
 	e.StoreVec(at(2), acc)
-	dump(rr, acc)
 
 	// Alpha step over the scattered quad line.
 	qd, bm0, bm1, a0, a1, c0, c1, norm := v[3], v[4], v[5], v[6], v[7], v[8], v[9], v[10]
@@ -159,7 +143,6 @@ func (k *synthKernel) packed(e *simd.Engine, t *packedTabs, alpha, beta, lim, nl
 	e.PermuteW(norm, alpha, t.nrm)
 	e.PSubSW(alpha, alpha, norm)
 	e.StoreVec(at(3), alpha)
-	dump(qd, bm0, bm1, a0, a1, c0, c1, norm)
 
 	// Beta step, tail form (no posterior extraction). Its result is
 	// observed through the next step; storing beta right here would turn
@@ -181,7 +164,6 @@ func (k *synthKernel) packed(e *simd.Engine, t *packedTabs, alpha, beta, lim, nl
 	}
 	betaPrefix(at(1))
 	betaUpdate()
-	dump(qd, bm0, bm1, b0, b1, w0, w1, norm)
 
 	// Beta step, in-block form: posterior extraction through two
 	// horizontal-max butterflies sharing tmp and the index tables.
@@ -205,7 +187,6 @@ func (k *synthKernel) packed(e *simd.Engine, t *packedTabs, alpha, beta, lim, nl
 		e.PExtrWToMem(at(4)+int64(2*b), dv, 8*b)
 	}
 	betaUpdate()
-	dump(qd, bm0, bm1, b0, b1, w0, w1, norm, al, e0, e1, m0, m1, tmp, dv)
 	e.StoreVec(at(5), beta)
 
 	// Vector extrinsic group.
@@ -219,7 +200,6 @@ func (k *synthKernel) packed(e *simd.Engine, t *packedTabs, alpha, beta, lim, nl
 	e.PMinSW(half, half, lim)
 	e.PMaxSW(half, half, nlim)
 	e.StoreVec(at(6), half)
-	dump(dvec, s, la, tt, half)
 
 	e.ReleaseVec(v...)
 }
@@ -287,17 +267,14 @@ func (k *synthKernel) run(e *simd.Engine) {
 
 		e.StoreVec(k.acc, acc)
 
-		// Scalar copy run (fused) and the scalar gamma/ext helpers.
+		// Scalar copy run (fused).
 		for i := 0; i < 6; i++ {
 			e.CopyI16(k.out+int64(6*n+2*i), k.scalars+int64(2*i))
 		}
-		e.ScalarGammaPoint(k.gamma, k.gamma+2, k.scalars, k.scalars+8, k.acc)
-		e.ScalarExtPoint(k.out+int64(8*n), k.scalars, k.acc, k.gamma, 8191)
 
 		// Lane traffic and 128-bit views.
 		e.PExtrWToMem(k.scalars+96, t2, n/2)
-		e.PInsrWFromMem(t2, k.scalars+96, 0)
-		e.Broadcast16FromMem(b, k.gamma)
+		e.Broadcast16FromMem(b, k.scalars+96)
 		e.LoadVec128(t1, k.in)
 		e.StoreVec128(k.out+int64(10*n), t1)
 		if k.w != simd.W128 {
@@ -311,8 +288,7 @@ func (k *synthKernel) run(e *simd.Engine) {
 		e.StoreVec(k.out+int64(2*n), scratch)
 
 		e.LoadVec(b, k.in+int64(2*n))
-		k.packed(e, pt, alpha, beta, hi, lo, [3]*simd.Vec{a, b, acc}, k.pk, false)
-		k.packed(e, pt, alpha, beta, hi, lo, [3]*simd.Vec{a, b, acc}, k.pk+packedLean, true)
+		k.packed(e, pt, alpha, beta, hi, lo, [3]*simd.Vec{a, b, acc}, k.pk)
 
 		e.ReleaseVec(d, t2, t1, b, a)
 		// scratch is deliberately NOT released: next iteration's NewVec
@@ -320,10 +296,9 @@ func (k *synthKernel) run(e *simd.Engine) {
 	}
 }
 
-// recordAndCompile runs the kernel interpreted with a Builder attached
-// and compiles the recording.
-func recordAndCompile(t *testing.T, w simd.Width, memBytes int, iters int) (*Program, *simd.Memory, *synthKernel) {
-	t.Helper()
+// record runs the kernel interpreted with a Builder attached and returns
+// the builder, the arena and the kernel.
+func record(w simd.Width, memBytes int, iters int) (*Builder, *simd.Memory, *synthKernel) {
 	mem := simd.NewMemory(memBytes)
 	e := simd.NewEngine(w, mem, nil)
 	k := newSynthKernel(w, mem)
@@ -333,11 +308,34 @@ func recordAndCompile(t *testing.T, w simd.Width, memBytes int, iters int) (*Pro
 	e.SetProgSink(b)
 	k.run(e)
 	e.SetProgSink(nil)
+	return b, mem, k
+}
+
+// recordAndCompile runs the kernel interpreted with a Builder attached
+// and compiles the recording.
+func recordAndCompile(t *testing.T, w simd.Width, memBytes int, iters int) (*Program, *simd.Memory, *synthKernel) {
+	t.Helper()
+	b, mem, k := record(w, memBytes, iters)
 	p, err := b.Compile()
 	if err != nil {
 		t.Fatalf("%v: compile: %v", w, err)
 	}
 	return p, mem, k
+}
+
+// recordFused is recordAndCompile with the fused segments kept: the
+// program is finalized but not finished, so a test can step it op by op.
+func recordFused(t *testing.T, w simd.Width, memBytes int, iters int) (*Program, *synthKernel) {
+	t.Helper()
+	b, _, k := record(w, memBytes, iters)
+	p, err := b.fused()
+	if err == nil {
+		err = p.finalize()
+	}
+	if err != nil {
+		t.Fatalf("%v: compile: %v", w, err)
+	}
+	return p, k
 }
 
 // TestReplayMatchesInterpreter is the core equivalence property: running
@@ -497,21 +495,26 @@ func replayBytes(t *testing.T, p *Program, k *synthKernel, memBytes, iters int, 
 	return mem.Bytes(0, mem.Size())
 }
 
-// runPoisoned is Run, except that after every op each register write
+// runPoisoned is Run op by op, each op lowered to a stream of its own and
+// run on x's executor, except that after every op each register write
 // whose live bit is clear — every write finalize says nothing reads — is
 // overwritten with random lanes. If the masks are right the arena cannot
 // tell; if they are stale or wrong, a later op reads the poison.
 func (p *Program) runPoisoned(x *Exec, seg int, rng *rand.Rand) {
 	ops := p.segs[seg]
 	for i := range ops {
-		p.runOps(x, ops[i:i+1])
+		code, err := p.lower(ops[i : i+1])
+		if err != nil {
+			panic(err)
+		}
+		p.run(x, code)
 		k := 0
 		_ = p.visitEffects(&ops[i], &effectVisitor{reg: func(off int32, write bool) {
 			if !write {
 				return
 			}
 			if ops[i].live>>k&1 == 0 {
-				for l := range lanes(x.regs, off) {
+				for l := range regStride {
 					x.regs[int(off)+l] = int16(rng.Uint32())
 				}
 			}
@@ -522,45 +525,30 @@ func (p *Program) runPoisoned(x *Exec, seg int, rng *rand.Rand) {
 
 // TestSynthKernelCoversFusedOps: the equivalence tests below only mean
 // something for the packed ops if the kernel's shapes really fuse, and
-// for dead-write elimination only if each fused op occurs both with all
-// intermediates dead and with them live.
+// every fused op the streams run is lean.
 func TestSynthKernelCoversFusedOps(t *testing.T) {
 	for _, w := range simd.Widths {
-		p, _, _ := recordAndCompile(t, w, 1<<14, 4)
-		type count struct{ lean, full int }
-		got := map[string]*count{
-			"quad scatter": {}, "quad gather": {}, "alpha step": {},
-			"beta step": {}, "beta step + extract": {}, "ext vec": {},
+		p, _ := recordFused(t, w, 1<<14, 4)
+		got := map[string]int{
+			"quad scatter": 0, "quad gather": 0, "alpha step": 0,
+			"beta step": 0, "beta step + extract": 0, "ext vec": 0, "copy run": 0,
 		}
 		for _, op := range p.segs[SegSteady] {
-			name, inter := "", op.live
 			switch op.kind {
-			case mQuadScatter:
-				name = "quad scatter"
-			case mQuadGather:
-				name = "quad gather"
-			case mAlphaStepP:
-				name, inter = "alpha step", op.live&0xff
 			case mBetaStepP:
-				name, inter = "beta step", op.live&^(1<<7)
 				if op.imm != 0 {
-					name = "beta step + extract"
+					got["beta step + extract"]++
+					continue
 				}
-			case mExtVec:
-				name = "ext vec"
+			case mQuadScatter, mQuadGather, mAlphaStepP, mExtVec, mCopyRun:
 			default:
 				continue
 			}
-			if inter == 0 {
-				got[name].lean++
-			} else {
-				got[name].full++
-			}
+			got[fusedKindNames[op.kind]]++
 		}
-		for name, c := range got {
-			if c.lean == 0 || c.full == 0 {
-				t.Errorf("%v: %s fused %d times with dead intermediates, %d with live ones; want both",
-					w, name, c.lean, c.full)
+		for name, n := range got {
+			if n == 0 {
+				t.Errorf("%v: %s never fused", w, name)
 			}
 		}
 	}
@@ -570,14 +558,15 @@ func TestSynthKernelCoversFusedOps(t *testing.T) {
 // decode with different inputs on the same program (a decode follows a
 // decode, so whatever SegFirst reads must have survived the previous
 // one), replay byte-identically to the interpreter while every register
-// write the live masks call dead is poisoned. Then the check is shown to
-// have teeth: with every mask cleared the same replay must diverge.
+// write the live masks call dead is poisoned — the intermediates of every
+// lean fused op among them. Then the check is shown to have teeth: with
+// every mask cleared the same replay must diverge.
 func TestPoisonedReplay(t *testing.T) { eachKernel(t, testPoisonedReplay) }
 
 func testPoisonedReplay(t *testing.T) {
 	const iters = 4
 	for _, w := range simd.Widths {
-		p, _, k := recordAndCompile(t, w, 1<<14, iters)
+		p, k := recordFused(t, w, 1<<14, iters)
 		rng := rand.New(rand.NewSource(int64(w)))
 		for _, salt := range []int{0, 3} {
 			k.salt = salt
@@ -608,7 +597,7 @@ func TestFinalizeRejectsMalformedOps(t *testing.T) {
 	} {
 		p := &Program{w: simd.W128, lanes: 8, nregs: 2 * regStride, aux: make([]int32, 8)}
 		p.segs[SegSteady] = []mop{op}
-		if _, err := p.finalize(); err == nil {
+		if err := p.finalize(); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
 	}
@@ -625,11 +614,10 @@ func TestFinalizeRejectsMalformedOps(t *testing.T) {
 			{kind: mSetImm, d: 0, tab: 0},
 			{kind: mStore, a: 0, addr: 64, imm: 16},
 		}
-		if _, err := p.finalize(); err != nil {
+		if err := p.finalize(); err != nil {
 			t.Fatalf("well-formed program refused: %v", err)
 		}
-		p.pats = make([][regStride]int16, len(p.lanePats)) // as on a native host
-		if _, _, err := p.lower(p.segs[SegSteady]); err != nil {
+		if _, err := p.lower(p.segs[SegSteady]); err != nil {
 			t.Fatalf("well-formed program does not lower: %v", err)
 		}
 		return p
@@ -641,9 +629,64 @@ func TestFinalizeRejectsMalformedOps(t *testing.T) {
 	} {
 		p := build()
 		shrink(p)
-		if _, _, err := p.lower(p.segs[SegSteady]); err == nil {
+		if _, err := p.lower(p.segs[SegSteady]); err == nil {
 			t.Errorf("%s: lowered", name)
 		}
+	}
+}
+
+// TestCompileRefusesUnsupported: a recording holding one of the per-block
+// decoder's scalar helpers, or a fused op whose intermediate a later op
+// reads, has no stream to run, so Compile returns an error (and the
+// caller interprets) instead of panicking.
+func TestCompileRefusesUnsupported(t *testing.T) {
+	compile := func(body func(e *simd.Engine, addr int64, v, u *simd.Vec)) (err error) {
+		defer func() {
+			if r := recover(); r != nil {
+				err = fmt.Errorf("panicked: %v", r)
+			}
+		}()
+		mem := simd.NewMemory(1 << 12)
+		e := simd.NewEngine(simd.W128, mem, nil)
+		addr := mem.Alloc(512, 64)
+		b := NewBuilder(simd.W128, 0)
+		e.SetProgSink(b)
+		v, u := e.NewVec(), e.NewVec()
+		for it := 0; it < 3; it++ {
+			e.ProgMark("iteration")
+			e.LoadVec(v, addr)
+			body(e, addr, v, u)
+		}
+		e.SetProgSink(nil)
+		_, err = b.Compile()
+		return err
+	}
+	tab := []int{1, 0, 3, 2, 5, 4, 7, 6}
+	for name, body := range map[string]func(e *simd.Engine, addr int64, v, u *simd.Vec){
+		"insert":    func(e *simd.Engine, addr int64, v, _ *simd.Vec) { e.PInsrWFromMem(v, addr+64, 2) },
+		"lone copy": func(e *simd.Engine, addr int64, _, _ *simd.Vec) { e.CopyI16(addr+64, addr+2) },
+		"gamma point": func(e *simd.Engine, addr int64, _, _ *simd.Vec) {
+			e.ScalarGammaPoint(addr+64, addr+66, addr, addr+2, addr+4)
+		},
+		"ext point": func(e *simd.Engine, addr int64, _, _ *simd.Vec) { e.ScalarExtPoint(addr+64, addr, addr+2, addr+4, 100) },
+		"live scratch": func(e *simd.Engine, addr int64, v, u *simd.Vec) {
+			// A quad scatter whose scratch register is stored afterwards.
+			acc := e.AcquireVec()
+			e.PermuteW(acc, v, tab)
+			e.PermuteW(u, v, tab)
+			e.POr(acc, acc, u)
+			e.StoreVec(addr+64, acc)
+			e.StoreVec(addr+128, u)
+			e.ReleaseVec(acc)
+		},
+	} {
+		err := compile(body)
+		if err == nil || strings.HasPrefix(err.Error(), "panicked") {
+			t.Errorf("%s: Compile returned %v, want an error", name, err)
+		}
+	}
+	if err := compile(func(*simd.Engine, int64, *simd.Vec, *simd.Vec) {}); err != nil {
+		t.Errorf("control: %v", err)
 	}
 }
 

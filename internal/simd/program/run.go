@@ -1,6 +1,7 @@
 package program
 
 import (
+	"math/bits"
 	"unsafe"
 
 	"vransim/internal/simd"
@@ -13,10 +14,8 @@ func satAdd(a, b int16) int16 { return sat16(int32(a) + int32(b)) }
 
 func satSub(a, b int16) int16 { return sat16(int32(a) - int32(b)) }
 
-func clampi(x, c int32) int16 { return int16(max(min(x, c), -c)) }
-
-// sentinel indexes the always-zero upper half of a gather source. The
-// fused ops gather from 2*regStride-lane local copies whose lanes
+// sentinel indexes the always-zero upper half of a gather source. The Go
+// executor gathers from 2*regStride-lane local copies whose lanes
 // [regStride, 2*regStride) stay zero; finalize resolves every invalid or
 // inactive index-table entry to regStride, so "out-of-range selects
 // zero" costs no branch, and masking a table entry with gmask bounds it
@@ -30,19 +29,16 @@ const (
 
 type gatherSrc = [2 * regStride]int16
 
-// lanes views the register at lane offset off as a fixed-size array, so
-// the per-lane loops below index it without bounds checks.
-func lanes[I int32 | int64](r []int16, off I) *[regStride]int16 {
-	return (*[regStride]int16)(r[off:])
+// reg views the register at byte offset off of the register file.
+func reg(r []int16, off uint32) *[regStride]int16 {
+	return (*[regStride]int16)(r[off>>1:])
 }
 
-// operands returns the active lanes of a three-register op's d, a and b.
-func operands(r []int16, op *mop, L int) (d, a, b []int16) {
-	return lanes(r, op.d)[:L], lanes(r, op.a)[:L], lanes(r, op.b)[:L]
-}
+// line returns the n arena lanes at byte offset a.
+func line(m []int16, a uint32, n int) []int16 { return m[a>>1:][:n] }
 
-// line returns the n arena lanes at byte address a.
-func line[I int32 | int64](m []int16, a I, n int) []int16 { return m[a>>1:][:n] }
+// tab returns the index table at byte offset off of the table pool.
+func (p *Program) tab(off uint32) *[regStride]uint16 { return &p.gat[off/(2*regStride)] }
 
 // region16 views a state region as int16 lanes. finalize has established
 // that the host is little-endian and that every offset the program touches
@@ -63,20 +59,23 @@ func region16(b []byte) []int16 {
 // region a worker runs them over starts on one too.
 const regionAlign = 64
 
-// Exec is one worker's execution state for a Program: its register file
-// and the state region the program's offsets are applied to. It is what
-// is mutable about a replay, and it is not safe for concurrent use; a
-// worker holds one per plan and drops it when the region is evicted.
+// Exec is one worker's execution state for a Program: its register file,
+// the state region the program's offsets are applied to, and the executor
+// that runs the program's streams over them. It is what is mutable about a
+// replay, and it is not safe for concurrent use; a worker holds one per
+// plan and drops it when the region is evicted.
 type Exec struct {
-	p    *Program
-	regs []int16
-	m    []int16
+	p      *Program
+	regs   []int16
+	m      []int16
+	native bool
 }
 
 // NewExec returns a fresh execution state (registers zero, as the
-// recording engine's were) over the region of mem that starts at base. It
-// panics when base is not 64-byte aligned or fewer than Extent bytes
-// follow it, as the first out-of-range slice expression of a Run would.
+// recording engine's were) over the region of mem that starts at base, on
+// the executor UseNativeKernel selects now. It panics when base is not
+// 64-byte aligned or fewer than Extent bytes follow it, as the first
+// out-of-range slice expression of a Run would.
 func (p *Program) NewExec(mem *simd.Memory, base int64) *Exec {
 	if base < 0 || base%regionAlign != 0 {
 		panic("program: state region is not 64-byte aligned")
@@ -85,7 +84,7 @@ func (p *Program) NewExec(mem *simd.Memory, base int64) *Exec {
 	if base+n > int64(mem.Size()) {
 		panic("program: state region smaller than the program's extent")
 	}
-	return &Exec{p: p, regs: make([]int16, p.nregs), m: region16(mem.Bytes(base, int(n)))}
+	return &Exec{p: p, regs: make([]int16, p.nregs), m: region16(mem.Bytes(base, int(n))), native: useNative.Load()}
 }
 
 // Run replays one segment over x's region. The register file persists
@@ -93,301 +92,271 @@ func (p *Program) NewExec(mem *simd.Memory, base int64) *Exec {
 // iteration, the first included. Region bytes are the only observable state:
 // the register file is private to x, and a fused op writes an
 // intermediate register only when finalize's liveness pass found a later
-// reader (op.live). The program itself is only read, so Runs over
-// different Execs may overlap in time. The loop performs no allocation.
+// reader, which lowering refuses. The program itself is only read, so Runs
+// over different Execs may overlap in time. The loop performs no
+// allocation.
 func (p *Program) Run(x *Exec, seg int) {
 	if x.p != p {
 		panic("program: Exec belongs to another program")
 	}
-	p.run(x, seg)
+	p.run(x, p.code[seg])
 }
 
-// run executes a segment over an execution state NewExec has checked: as
-// its descriptor stream when the program was compiled for the native
-// kernel (kern.go), else op by op.
-func (p *Program) run(x *Exec, seg int) {
-	if code := p.native[seg]; code != nil {
-		p.runStream(x, code, p.segs[seg])
-		return
+// run executes a stream on x's executor.
+func (p *Program) run(x *Exec, code []uint32) {
+	if x.native {
+		p.runStream(x, code)
+	} else {
+		p.runStreamGo(x, code)
 	}
-	p.exec(x, p.segs[seg])
 }
 
-// exec runs ops in order through their Go bodies: the specification of
-// every op kind, which the native kernel is differentially tested against.
-func (p *Program) exec(x *Exec, ops []mop) {
-	r, m := x.regs, x.m
-	L := p.lanes
-	for oi := range ops {
-		op := &ops[oi]
-		switch op.kind {
-		case mClear:
-			*lanes(r, op.d) = [regStride]int16{}
-		case mAddS:
-			d, a, b := operands(r, op, L)
+// runStreamGo executes a segment's stream in Go: record kind by record
+// kind what runStreamAVX512 does with the instructions, over Go slices
+// whose bounds checks stay. A register a record writes under the lane mask
+// keeps its lanes >= L; a load zeroes them. A stop record is only a record
+// here, since Go code can be preempted anywhere.
+func (p *Program) runStreamGo(x *Exec, code []uint32) {
+	r, m, L := x.regs, x.m, p.lanes
+	for pc := 0; pc < len(code); {
+		kind, n, w := code[pc]&0xff, int(code[pc]>>8), code[pc+1:]
+		switch kind {
+		case nStop:
+			pc++
+		case nClear:
+			*reg(r, w[0]) = [regStride]int16{}
+			pc += 2
+		case nAddS, nSubS, nMaxS, nMinS, nAnd, nOr, nXor, nAndN:
+			binop(kind, reg(r, w[0])[:L], reg(r, w[1])[:L], reg(r, w[2])[:L])
+			pc += 4
+		case nSra:
+			d, a := reg(r, w[0])[:L], reg(r, w[1])[:L]
 			for i := range d {
-				d[i] = satAdd(a[i], b[i])
+				d[i] = a[i] >> uint(n)
 			}
-		case mSubS:
-			d, a, b := operands(r, op, L)
+			pc += 3
+		case nBcastImm, nBcastMem:
+			v := int16(uint16(n))
+			if kind == nBcastMem {
+				v = m[w[1]>>1]
+			}
+			d := reg(r, w[0])[:L]
 			for i := range d {
-				d[i] = satSub(a[i], b[i])
+				d[i] = v
 			}
-		case mMaxS:
-			d, a, b := operands(r, op, L)
-			for i := range d {
-				d[i] = max(a[i], b[i])
-			}
-		case mMinS:
-			d, a, b := operands(r, op, L)
-			for i := range d {
-				d[i] = min(a[i], b[i])
-			}
-		case mAnd:
-			d, a, b := operands(r, op, L)
-			for i := range d {
-				d[i] = a[i] & b[i]
-			}
-		case mOr:
-			d, a, b := operands(r, op, L)
-			for i := range d {
-				d[i] = a[i] | b[i]
-			}
-		case mXor:
-			d, a, b := operands(r, op, L)
-			for i := range d {
-				d[i] = a[i] ^ b[i]
-			}
-		case mAndN:
-			d, a, b := operands(r, op, L)
-			for i := range d {
-				d[i] = ^a[i] & b[i]
-			}
-		case mSra:
-			d, a := lanes(r, op.d)[:L], lanes(r, op.a)[:L]
-			sh := uint(op.imm)
-			for i := range d {
-				d[i] = a[i] >> sh
-			}
-		case mBcastImm:
-			d := lanes(r, op.d)[:L]
-			x := int16(op.imm)
-			for i := range d {
-				d[i] = x
-			}
-		case mBcastMem:
-			d := lanes(r, op.d)[:L]
-			x := m[op.addr>>1]
-			for i := range d {
-				d[i] = x
-			}
-		case mSetImm:
-			d := lanes(r, op.d)
-			*d = [regStride]int16{}
-			copy(d[:], p.lanePats[op.tab])
-		case mPermute:
-			p.permute(r, int64(op.d), int64(op.a), int64(op.tab))
-		case mExt128:
-			extract(r, op.d, op.a, 8*int(op.imm), 8)
-		case mExt256:
-			extract(r, op.d, op.a, 16*int(op.imm), 16)
-		case mLoad:
-			d := lanes(r, op.d)
-			*d = [regStride]int16{}
-			n := int(op.imm) / 2
-			copy(d[:n], line(m, op.addr, n))
-		case mStore:
-			n := int(op.imm) / 2
-			copy(line(m, op.addr, n), lanes(r, op.a)[:n])
-		case mExtrW:
-			m[op.addr>>1] = r[op.a+int32(op.imm)]
-		case mInsrW:
-			r[op.d+int32(op.imm)] = m[op.addr>>1]
-		case mCopy16:
-			m[op.addr>>1] = m[op.addr2>>1]
-		case mGammaPoint:
-			t := p.aux32[op.tab : op.tab+3]
-			sa := int32(m[t[0]>>1]) + int32(m[t[2]>>1])
-			pv := int32(m[t[1]>>1])
-			m[op.addr>>1] = sat16(sa + pv)
-			m[op.addr2>>1] = sat16(sa - pv)
-		case mExtPoint:
-			t := p.aux32[op.tab : op.tab+3]
-			x := int32(m[t[2]>>1]>>1) - int32(m[t[0]>>1]) - int32(m[t[1]>>1])
-			m[op.addr>>1] = clampi(x, int32(op.imm))
-
-		case mCopyRun:
-			t := p.aux[op.tab : op.tab+2*op.n]
-			for i := 0; i+1 < len(t); i += 2 {
-				m[t[i]>>1] = m[t[i+1]>>1]
-			}
-		case mExtVec:
-			t := p.aux[op.tab : op.tab+11]
-			dv, sv, lv, out := line(m, t[7], L), line(m, t[8], L), line(m, t[9], L), line(m, t[10], L)
-			lim, nlim := lanes(r, t[5])[:L], lanes(r, t[6])[:L]
-			full := op.live != 0
-			dvec, s, la := lanes(r, t[0])[:L], lanes(r, t[1])[:L], lanes(r, t[2])[:L]
-			tt, half := lanes(r, t[3])[:L], lanes(r, t[4])[:L]
-			sh := uint(op.imm)
-			for i := range out {
-				tv := satAdd(sv[i], lv[i])
-				h := max(min(satSub(dv[i]>>sh, tv), lim[i]), nlim[i])
-				if full {
-					dvec[i], s[i], la[i], tt[i], half[i] = dv[i], sv[i], lv[i], tv, h
-				}
-				out[i] = h
-			}
-		case mQuadScatter:
-			// live bits: 0 acc, 1 tmp.
-			ns := int(op.n)
-			t := p.aux[op.tab : op.tab+int32(3+2*ns)]
-			var v [regStride]int16
+			pc += 2 + int(kind-nBcastImm)
+		case nSetImm:
+			*reg(r, w[0]) = p.pats[w[1]/(2*regStride)]
+			pc += 3
+		case nPermute:
 			var src gatherSrc
-			for s := 0; s < ns; s++ {
-				copy(src[:regStride], lanes(r, t[3+2*s])[:])
-				for i, j := range p.gat[t[4+2*s]][:L] {
-					v[i] |= src[j&gmask]
-				}
-			}
-			copy(line(m, t[2], L), v[:L])
-			if op.live&1 != 0 {
-				copy(lanes(r, t[0])[:L], v[:L])
-			}
-			if op.live&2 != 0 {
-				// tmp's final value is the last permute's output.
-				gather(lanes(r, t[1])[:L], &src, &p.gat[t[2+2*ns]])
-			}
-		case mQuadGather:
-			// live bits: 0 source register, 1 acc, 2 tmp (ns > 1 only).
-			ns := int(op.n)
-			t := p.aux[op.tab : op.tab+int32(4+2*ns)]
+			copy(src[:regStride], reg(r, w[1])[:])
+			gather(reg(r, w[0])[:L], &src, p.tab(w[2]))
+			pc += 4
+		case nLoad, nLoadReg:
+			// lower emits only masks of the low lanes (laneMask).
 			var v [regStride]int16
-			var src gatherSrc
-			for s := 0; s < ns; s++ {
-				copy(src[:L], line(m, t[4+2*s], L))
-				for i, j := range p.gat[t[5+2*s]][:L] {
-					v[i] |= src[j&gmask]
-				}
+			k, src := bits.Len32(w[2]), m
+			if kind == nLoadReg {
+				src = r
 			}
-			// The store range is disjoint from every load range (checked
-			// at fuse time), so src still holds the last load.
-			copy(line(m, t[3], L), v[:L])
-			if op.live&1 != 0 {
-				copy(lanes(r, t[0])[:], src[:regStride])
+			copy(v[:k], src[w[1]>>1:][:k])
+			*reg(r, w[0]) = v
+			pc += 4
+		case nStore:
+			k := bits.Len32(w[2])
+			copy(line(m, w[1], k), reg(r, w[0])[:k])
+			pc += 4
+		case nExtrW:
+			m[w[1]>>1] = r[w[0]>>1]
+			pc += 3
+		case nCopyRun:
+			for t := w[:2*n]; len(t) >= 2; t = t[2:] {
+				m[t[0]>>1] = m[t[1]>>1]
 			}
-			if op.live&2 != 0 {
-				copy(lanes(r, t[1])[:L], v[:L])
+			pc += 1 + 2*n
+		case nExtVec:
+			p.extVec(r, m, w[:6], uint(n))
+			pc += 7
+		case nMergeReg, nMergeMem:
+			p.merge(r, m, kind == nMergeReg, w[0], w[1:][:2*n])
+			pc += 2 + 2*n
+		case nAlphaSweep, nBetaSweep:
+			stride := 1
+			if kind == nAlphaSweep {
+				stride = 2
 			}
-			if op.live&4 != 0 {
-				gather(lanes(r, t[2])[:L], &src, &p.gat[t[3+2*ns]])
-			}
-		case mAlphaStepP:
-			// live bits: 0-7 qd bm0 bm1 a0 a1 c0 c1 norm, 8 alpha (the
-			// carried state, always written).
-			t := p.aux[op.tab : op.tab+16]
-			al := lanes(r, t[8])
-			full := op.live&0xff != 0
-			var q, a, na gatherSrc
-			copy(q[:L], line(m, t[9], L))
-			copy(a[:regStride], al[:])
-			g0, g1, g2, g3 := p.gat[t[11]][:L], p.gat[t[12]][:L], p.gat[t[13]][:L], p.gat[t[14]][:L]
-			bm0, bm1, a0, a1 := lanes(r, t[1])[:L], lanes(r, t[2])[:L], lanes(r, t[3])[:L], lanes(r, t[4])[:L]
-			c0, c1, norm := lanes(r, t[5])[:L], lanes(r, t[6])[:L], lanes(r, t[7])[:L]
-			for i := range g0 {
-				x0, x1 := q[g0[i]&gmask], q[g1[i]&gmask]
-				y0, y1 := a[g2[i]&gmask], a[g3[i]&gmask]
-				s0, s1 := satAdd(y0, x0), satAdd(y1, x1)
-				if full {
-					bm0[i], bm1[i], a0[i], a1[i], c0[i], c1[i] = x0, x1, y0, y1, s0, s1
-				}
-				na[i] = max(s0, s1)
-			}
-			out := line(m, t[10], L)
-			for i, j := range p.gat[t[15]][:L] {
-				nv := na[j&gmask]
-				if full {
-					norm[i] = nv
-				}
-				v := satSub(na[i], nv)
-				al[i], out[i] = v, v
-			}
-			if full {
-				copy(lanes(r, t[0])[:], q[:regStride])
-			}
-		case mBetaStepP:
-			// live bits: 0-6 qd bm0 bm1 b0 b1 v0 v1, 7 beta (the carried
-			// state, always written), 8 norm, 9-15 al e0 e1 m0 m1 tmp dv.
-			t := p.aux[op.tab:]
-			beta := lanes(r, t[7])
-			full := op.live&^(1<<7) != 0
-			var q, b, nb gatherSrc
-			var v0, v1 [regStride]int16
-			copy(q[:L], line(m, t[9], L))
-			copy(b[:regStride], beta[:])
-			g0, g1, g2, g3 := p.gat[t[10]][:L], p.gat[t[11]][:L], p.gat[t[12]][:L], p.gat[t[13]][:L]
-			bm0, bm1, b0, b1 := lanes(r, t[1])[:L], lanes(r, t[2])[:L], lanes(r, t[3])[:L], lanes(r, t[4])[:L]
-			rv0, rv1, norm := lanes(r, t[5])[:L], lanes(r, t[6])[:L], lanes(r, t[8])[:L]
-			for i := range g0 {
-				x0, x1 := q[g0[i]&gmask], q[g1[i]&gmask]
-				y0, y1 := b[g2[i]&gmask], b[g3[i]&gmask]
-				w0, w1 := satAdd(y0, x0), satAdd(y1, x1)
-				if full {
-					bm0[i], bm1[i], b0[i], b1[i], rv0[i], rv1[i] = x0, x1, y0, y1, w0, w1
-				}
-				v0[i], v1[i], nb[i] = w0, w1, max(w0, w1)
-			}
-			if op.imm != 0 {
-				// Fused posterior extraction for in-block steps.
-				var e0, e1, m0, m1 gatherSrc
-				av := line(m, t[22], L)
-				for i, x := range av {
-					e0[i], e1[i] = satAdd(x, v0[i]), satAdd(x, v1[i])
-				}
-				if full {
-					al := lanes(r, t[15])
-					*al = [regStride]int16{}
-					copy(al[:L], av)
-					copy(lanes(r, t[16])[:L], e0[:L])
-					copy(lanes(r, t[17])[:L], e1[:L])
-				}
-				// Both butterflies share the index tables. Stages 1 and 2
-				// leave the stage-2 reductions in e0/e1; of stage 3 only
-				// the extracted lanes are observable unless m0, m1, tmp or
-				// dv is read later.
-				h2 := &p.gat[t[25]]
-				hmaxStage(&m0, &e0, &m1, &e1, p.gat[t[23]][:L])
-				hmaxStage(&e0, &m0, &e1, &m1, p.gat[t[24]][:L])
-				et := t[26 : 26+2*op.n]
-				for ; len(et) >= 2; et = et[2:] {
-					i := et[1] & (regStride - 1)
-					j := h2[i] & gmask
-					m[et[0]>>1] = satSub(max(e0[i], e0[j]), max(e1[i], e1[j]))
-				}
-				if full {
-					// tmp's final value is the second butterfly's last
-					// permute.
-					gather(lanes(r, t[20])[:L], &e1, h2)
-					hmaxStage(&m0, &e0, &m1, &e1, h2[:L])
-					copy(lanes(r, t[18])[:L], m0[:L])
-					copy(lanes(r, t[19])[:L], m1[:L])
-					dv := lanes(r, t[21])[:L]
-					for i := range dv {
-						dv[i] = satSub(m0[i], m1[i])
-					}
-				}
-			}
-			for i, j := range p.gat[t[14]][:L] {
-				nv := nb[j&gmask]
-				if full {
-					norm[i] = nv
-				}
-				beta[i] = satSub(nb[i], nv)
-			}
-			if full {
-				copy(lanes(r, t[0])[:], q[:regStride])
-			}
+			p.sweep(r, m, w[:6], w[6:][:stride*n], stride)
+			pc += 7 + stride*n
+		case nBetaExtSweep:
+			nx := int(w[9])
+			stride := 2 + nx
+			p.betaExtSweep(r, m, w[:10+regStride/2], w[10+regStride/2:][:stride*n], stride)
+			pc += 11 + regStride/2 + stride*n
+		default:
+			panic("program: unknown record kind in a stream")
 		}
 	}
+}
+
+// binop is d = a op b lane by lane, for the eight lane ops. Each lane
+// reads a and b before it writes d, so d may alias either.
+func binop(kind uint32, d, a, b []int16) {
+	a, b = a[:len(d)], b[:len(d)]
+	switch kind {
+	case nAddS:
+		for i := range d {
+			d[i] = satAdd(a[i], b[i])
+		}
+	case nSubS:
+		for i := range d {
+			d[i] = satSub(a[i], b[i])
+		}
+	case nMaxS:
+		for i := range d {
+			d[i] = max(a[i], b[i])
+		}
+	case nMinS:
+		for i := range d {
+			d[i] = min(a[i], b[i])
+		}
+	case nAnd:
+		for i := range d {
+			d[i] = a[i] & b[i]
+		}
+	case nOr:
+		for i := range d {
+			d[i] = a[i] | b[i]
+		}
+	case nXor:
+		for i := range d {
+			d[i] = a[i] ^ b[i]
+		}
+	case nAndN:
+		for i := range d {
+			d[i] = ^a[i] & b[i]
+		}
+	}
+}
+
+// extVec is the extrinsic group over w = {lim, nlim, dv, sv, lv, out}:
+// out = max(min((dv >> sh) - (sv + lv), lim), nlim), saturating, every
+// line read before out is written.
+func (p *Program) extVec(r, m []int16, w []uint32, sh uint) {
+	L := p.lanes
+	lim, nlim := reg(r, w[0])[:L], reg(r, w[1])[:L]
+	dv, sv, lv := line(m, w[2], L), line(m, w[3], L), line(m, w[4], L)
+	var out [regStride]int16
+	for i := range lim {
+		t := satAdd(sv[i], lv[i])
+		out[i] = max(min(satSub(dv[i]>>sh, t), lim[i]), nlim[i])
+	}
+	copy(line(m, w[5], L), out[:L])
+}
+
+// merge ORs the sources of srcs, (register or line, table) pairs, each
+// permuted by its table, and stores the result at dst: a quad scatter from
+// registers or a gather from lines, every line read before dst is written.
+func (p *Program) merge(r, m []int16, regs bool, dst uint32, srcs []uint32) {
+	L := p.lanes
+	var acc [regStride]int16
+	for ; len(srcs) >= 2; srcs = srcs[2:] {
+		var src gatherSrc
+		if regs {
+			copy(src[:regStride], reg(r, srcs[0])[:])
+		} else {
+			copy(src[:L], line(m, srcs[0], L))
+		}
+		for i, j := range p.tab(srcs[1])[:L] {
+			acc[i] |= src[j&gmask]
+		}
+	}
+	copy(line(m, dst, L), acc[:L])
+}
+
+// trellis holds the five recursion tables of a sweep, its carried state c
+// (alpha or beta), which the steps update in place, and the scratch nb.
+// Every table entry is a lane below L or the sentinel, so lanes >= L of
+// either are never read, and their upper halves stay zero.
+type trellis struct {
+	g0, g1, g2, g3, gn *[regStride]uint16
+	c, nb              gatherSrc
+}
+
+// newTrellis loads a sweep's tables and carried register from w = {c, g0,
+// g1, g2, g3, gn}.
+func (p *Program) newTrellis(r []int16, w []uint32) trellis {
+	t := trellis{g0: p.tab(w[1]), g1: p.tab(w[2]), g2: p.tab(w[3]), g3: p.tab(w[4]), gn: p.tab(w[5])}
+	copy(t.c[:regStride], reg(r, w[0])[:])
+	return t
+}
+
+// step is one trellis step over the quad line q: the two branch sums v0
+// and v1 of the carried state's predecessors and the line's branch
+// metrics, and the carried state their maximum less its normalising lane.
+func (t *trellis) step(q *gatherSrc, v0, v1 *[regStride]int16, L int) {
+	nb := &t.nb
+	g0 := t.g0[:L]
+	g1, g2, g3 := t.g1[:len(g0)], t.g2[:len(g0)], t.g3[:len(g0)]
+	for i, j := range g0 {
+		s0 := satAdd(t.c[g2[i]&gmask], q[j&gmask])
+		s1 := satAdd(t.c[g3[i]&gmask], q[g1[i]&gmask])
+		v0[i], v1[i], nb[i] = s0, s1, max(s0, s1)
+	}
+	for i, j := range t.gn[:L] {
+		t.c[i] = satSub(nb[i], nb[j&gmask])
+	}
+}
+
+// sweep runs an alpha sweep (stride 2: each step's quad line and the line
+// it stores the new alpha to) or a beta sweep (stride 1: the quad line)
+// and writes the carried register back.
+func (p *Program) sweep(r, m []int16, w, steps []uint32, stride int) {
+	L := p.lanes
+	t := p.newTrellis(r, w)
+	var q gatherSrc
+	var v0, v1 [regStride]int16
+	for ; len(steps) >= stride; steps = steps[stride:] {
+		copy(q[:L], line(m, steps[0], L))
+		t.step(&q, &v0, &v1, L)
+		if stride == 2 {
+			copy(line(m, steps[1], L), t.c[:L])
+		}
+	}
+	copy(reg(r, w[0])[:L], t.c[:L])
+}
+
+// betaExtSweep runs a beta sweep that extracts the posterior of each step:
+// w holds the carried register, the five recursion and three
+// horizontal-max tables, the count nx and the nx extracted lanes two to a
+// word; each step is its quad line, its alpha line and nx word addresses.
+func (p *Program) betaExtSweep(r, m []int16, w, steps []uint32, stride int) {
+	L := p.lanes
+	t := p.newTrellis(r, w)
+	h0, h1, h2 := p.tab(w[6]), p.tab(w[7]), p.tab(w[8])
+	var lanes [regStride]int
+	for x := range stride - 2 {
+		lanes[x] = int(w[10+x/2]>>(16*(x%2))) & (regStride - 1)
+	}
+	var q, e0, e1, m0, m1 gatherSrc
+	var v0, v1 [regStride]int16
+	for ; len(steps) >= stride; steps = steps[stride:] {
+		copy(q[:L], line(m, steps[0], L))
+		t.step(&q, &v0, &v1, L)
+		for i, a := range line(m, steps[1], L) {
+			e0[i], e1[i] = satAdd(a, v0[i]), satAdd(a, v1[i])
+		}
+		// Stages 1 and 2 of both butterflies leave their reductions in e0
+		// and e1; of stage 3 only the extracted lanes are observable.
+		hmaxStage(&m0, &e0, &m1, &e1, h0[:L])
+		hmaxStage(&e0, &m0, &e1, &m1, h1[:L])
+		for x, a := range steps[2:stride] {
+			i := lanes[x]
+			j := h2[i] & gmask
+			m[a>>1] = satSub(max(e0[i], e0[j]), max(e1[i], e1[j]))
+		}
+	}
+	copy(reg(r, w[0])[:L], t.c[:L])
 }
 
 // hmaxStage is one vpermw+pmax stage of two horizontal-max butterflies
@@ -408,21 +377,4 @@ func gather(dst []int16, src *gatherSrc, g *[regStride]uint16) {
 	for i, j := range g[:len(dst)] {
 		dst[i] = src[j&gmask]
 	}
-}
-
-// permute implements the engine's PermuteW semantics: active lanes only,
-// out-of-range or missing indices select zero, staging through a local
-// copy so dst == src aliasing behaves identically.
-func (p *Program) permute(r []int16, d, a, tab int64) {
-	var src gatherSrc
-	copy(src[:regStride], lanes(r, a)[:])
-	gather(lanes(r, d)[:p.lanes], &src, &p.gat[tab])
-}
-
-// extract implements VExtractI128/VExtractI32x8: lanes [from, from+n) of
-// a into lanes [0, n) of d, the rest of d zeroed.
-func extract(r []int16, d, a int32, from, n int) {
-	var x [regStride]int16
-	copy(x[:n], lanes(r, a)[from:from+n])
-	*lanes(r, d) = x
 }

@@ -245,7 +245,7 @@ func (bd *BatchDecoder) buildState(p *decodePlan) error {
 	if p.plan == nil {
 		if bd.Compile && bd.eng.Recorder() == nil {
 			var led bool
-			p.shared, led = sharedPlanFor(keyFor(k, bd.eng.W, bd.s))
+			p.shared, led = sharedPlanFor(planKey{k, bd.eng.W, bd.s})
 			p.plan, p.code = p.shared.packedPlan, p.shared.code
 			if led && p.shared.err == nil && bd.OnCompile != nil {
 				bd.OnCompile(k, p.shared.compileTime)

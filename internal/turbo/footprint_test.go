@@ -15,7 +15,6 @@ import (
 
 	"vransim/internal/core"
 	"vransim/internal/simd"
-	"vransim/internal/simd/program"
 )
 
 // coldCompileChild is the argument that makes TestCompiledPlanFootprint,
@@ -53,8 +52,8 @@ func liveHeap() uint64 {
 }
 
 // TestCompiledPlanFootprint pins what a compiled plan costs to keep and to
-// make on the native kernel, where a program holds its descriptor streams
-// and their tables alone, one iteration of them. Kept: the live heap one
+// make on every host: a program holds its descriptor streams and their
+// tables alone, one iteration of them. Kept: the live heap one
 // cold W512/APCM compile adds to the process, the whole cache entry, is at
 // most 3.95 MB at K=6144 and 0.34 MB at K=512 (3.43 and 0.29 measured; a
 // program holding the iteration twice, as SegFirst and SegSteady, read
@@ -78,9 +77,6 @@ func TestCompiledPlanFootprint(t *testing.T) {
 		}
 		fmt.Printf("peak RSS %.1f MB\n", rss)
 		return
-	}
-	if program.Kernel() != "avx512bw" {
-		t.Skipf("programs compile for the %q kernel here (no AVX-512BW, or the OS does not save ZMM state): they hold the Go form, which these budgets are not for", program.Kernel())
 	}
 	for _, c := range []struct {
 		k      int

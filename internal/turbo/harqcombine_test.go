@@ -251,7 +251,7 @@ func TestCompileGate(t *testing.T) {
 	if err := Precompile(simd.W128, core.StrategyAPCM, k); err != nil {
 		t.Fatal(err)
 	}
-	sp, _ := sharedPlanFor(keyFor(k, simd.W128, core.StrategyAPCM))
+	sp, _ := sharedPlanFor(planKey{k, simd.W128, core.StrategyAPCM})
 	if sp.interp != nil {
 		t.Fatal("the compiled plan kept interpreter tables")
 	}

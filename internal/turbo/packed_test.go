@@ -9,10 +9,11 @@ import (
 	"vransim/internal/simd/program"
 )
 
-// eachKernel runs f once with the replay program on its portable Go
-// kernel and once on the native one, so one binary checks both against
-// the interpreter and the scalar decoder. On a host without the native
-// kernel that half is skipped, with the reason.
+// eachKernel runs f once with the replay programs run by the Go executor
+// and once by the native kernel, so one binary checks both against the
+// interpreter and the scalar decoder. The executor is chosen where a
+// decoder makes its Exec, so f must make its decoders itself. On a host
+// without the native kernel that half is skipped, with the reason.
 func eachKernel(t *testing.T, f func(t *testing.T)) {
 	for _, name := range []string{"go", "avx512bw"} {
 		t.Run(name, func(t *testing.T) {

@@ -16,8 +16,7 @@ import (
 // block size K at width w under arrangement strategy s that does not
 // depend on the words — the code, the state-region layout, the index
 // tables and the compiled replay program — is a pure function of those
-// three and of the kernel the program is compiled for, so a process builds
-// it once, here, and every BatchDecoder (each runtime worker, every shard
+// three, so a process builds it once, here, and every BatchDecoder (each runtime worker, every shard
 // of an in-process fleet, a benchmark's pool decoder) adopts it: a
 // decoder's own cost for a K is a state region of its arena and the
 // Go-side buffers. The program is compiled off the live path by whichever
@@ -34,25 +33,16 @@ import (
 // program misses, which a serving runtime without chaos configured turns
 // into an unhealthy /healthz), instead of each worker compiling it again.
 // Nothing is ever evicted: an entry is about 0.3 MB at K=512 and 3.4 MB at
-// K=6144 on the native kernel, and the key space is the block sizes a
-// deployment serves.
+// K=6144, and the key space is the block sizes a deployment serves. A
+// program is the same bytes whichever executor runs it
+// (program.UseNativeKernel picks that per Exec), so the kernel is no part
+// of the key.
 
-// planKey names a cache entry. kernel is program.Kernel() when the entry
-// was asked for: a program runs on the kernel it was compiled for, so a
-// process that turns the native kernel off (program.UseNativeKernel, a
-// test seam) compiles the Go form once per triple rather than every
-// program carrying both.
+// planKey names a cache entry.
 type planKey struct {
-	k      int
-	w      simd.Width
-	s      core.Strategy
-	kernel string
-}
-
-// keyFor is the cache key of (k, w, s) on the kernel programs are
-// compiled for now.
-func keyFor(k int, w simd.Width, s core.Strategy) planKey {
-	return planKey{k, w, s, program.Kernel()}
+	k int
+	w simd.Width
+	s core.Strategy
 }
 
 // sharedPlan is what a cache entry holds once its flight has landed. It is
@@ -86,8 +76,7 @@ var planCache struct {
 // CacheStats is a snapshot of the process-wide plan cache counters.
 type CacheStats struct {
 	// Compiles counts programs compiled in this process, one per
-	// (K, width, strategy, kernel) that compiled — one per triple unless
-	// the native kernel was turned off and on again; CompileTime is their
+	// (K, width, strategy) that compiled; CompileTime is their
 	// cumulative cost: the whole emission of an emitted program,
 	// Builder.Compile of a recorded one (not the recording decode before
 	// it).
@@ -129,7 +118,7 @@ func Precompile(w simd.Width, s core.Strategy, ks ...int) error {
 			errs = append(errs, err)
 			continue
 		}
-		if sp, _ := sharedPlanFor(keyFor(k, w, s)); sp.err != nil {
+		if sp, _ := sharedPlanFor(planKey{k, w, s}); sp.err != nil {
 			errs = append(errs, fmt.Errorf("turbo: K=%d at %v/%v does not compile: %w", k, w, s, sp.err))
 		}
 	}

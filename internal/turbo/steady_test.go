@@ -184,8 +184,8 @@ func TestBatchDecoderOutputStable(t *testing.T) {
 // path — the cross-block SoA-packed stream compiled to a fused replay
 // program; "interpreted" is the same stream with Compile=false, what a
 // plan that failed to compile costs. "portable" is
-// "packed" with the replay program forced onto its Go kernel, so one
-// binary on an AVX-512BW host reads both kernels; where the Go kernel is
+// "packed" with the replay program run by the Go executor, so one
+// binary on an AVX-512BW host reads both executors; where the Go one is
 // the only one it would repeat "packed" and is left out. Run with
 // -benchmem; CI gates allocs/op on it.
 func BenchmarkBatchDecodeSteadyState(b *testing.B) {

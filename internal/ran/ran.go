@@ -452,9 +452,10 @@ func (r *Runtime) take(out []*Block) (batch []*Block, ok bool) {
 	}
 }
 
-// workerArenaBytes is the budget of each worker's emulated memory arena,
-// which holds the state regions of the block sizes it decodes: the arena
-// grows towards it, and a size that no longer fits then evicts the others
+// workerArenaBytes is the budget of each worker's emulated memory: the
+// state regions of the block sizes it decodes, one each and exactly the
+// size's plan (2.0 MB for the benchmark's four sizes at W512). A size whose
+// region would take them past it evicts the others first
 // (turbo.BatchDecoder).
 const workerArenaBytes = 32 << 20
 

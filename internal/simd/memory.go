@@ -3,6 +3,7 @@ package simd
 import (
 	"encoding/binary"
 	"fmt"
+	"unsafe"
 )
 
 // Memory is the flat byte-addressable memory the emulated instructions
@@ -15,9 +16,20 @@ type Memory struct {
 	next int64
 }
 
-// NewMemory creates a memory of the given size in bytes.
+// lineBytes is the cache line, and the register width of W512.
+const lineBytes = 64
+
+// NewMemory creates a memory of the given size in bytes. Its address 0 is
+// the start of a cache line, so an address that is a multiple of 64 is one
+// in host memory too, and a 64-byte access there touches one line.
 func NewMemory(size int) *Memory {
-	return &Memory{data: make([]byte, size)}
+	data := make([]byte, size)
+	if at := uintptr(unsafe.Pointer(unsafe.SliceData(data))) % lineBytes; at != 0 {
+		data = make([]byte, size+lineBytes)
+		at = uintptr(unsafe.Pointer(unsafe.SliceData(data))) % lineBytes
+		data = data[(lineBytes-at)%lineBytes:][:size:size]
+	}
+	return &Memory{data: data}
 }
 
 // Size returns the memory capacity in bytes.
@@ -37,15 +49,6 @@ func (m *Memory) Alloc(n int, align int) int64 {
 	m.next = base + int64(n)
 	return base
 }
-
-// AllocReset rewinds the bump allocator, invalidating prior allocations.
-func (m *Memory) AllocReset() { m.next = 0 }
-
-// Remaining reports how many bytes are still available to Alloc (before
-// alignment padding). Long-lived consumers that cache allocations check
-// it to decide when a cache flush plus AllocReset is needed instead of
-// letting Alloc panic.
-func (m *Memory) Remaining() int64 { return int64(len(m.data)) - m.next }
 
 // Bytes returns the n bytes starting at addr.
 func (m *Memory) Bytes(addr int64, n int) []byte { return m.data[addr : addr+int64(n)] }

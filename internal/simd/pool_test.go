@@ -1,6 +1,10 @@
 package simd
 
-import "testing"
+import (
+	"runtime"
+	"testing"
+	"unsafe"
+)
 
 // TestAcquireVecSemantics: a recycled register must be indistinguishable
 // from a fresh one — zero lanes, no dependency — even when released dirty.
@@ -101,23 +105,23 @@ func TestReleaseVecBounded(t *testing.T) {
 	}
 }
 
-// TestMemoryRemaining tracks the bump allocator's headroom through
-// aligned allocations and a reset.
-func TestMemoryRemaining(t *testing.T) {
-	m := NewMemory(1 << 10)
-	if m.Remaining() != 1<<10 {
-		t.Fatalf("fresh arena has %d remaining, want %d", m.Remaining(), 1<<10)
+// TestNewMemoryAligned: every memory starts on a cache line, whatever its
+// size and whatever the allocator handed out before it.
+func TestNewMemoryAligned(t *testing.T) {
+	var keep []any
+	for _, size := range []int{0, 1, 10, 48, 100, 1000, 10048, 1 << 16} {
+		for range 8 {
+			m := NewMemory(size)
+			if m.Size() != size {
+				t.Fatalf("NewMemory(%d) holds %d bytes", size, m.Size())
+			}
+			if size > 0 {
+				if at := uintptr(unsafe.Pointer(&m.data[0])) % lineBytes; at != 0 {
+					t.Errorf("NewMemory(%d) starts %d bytes into a line", size, at)
+				}
+			}
+			keep = append(keep, m, make([]byte, 1+size%7)) // the next one starts off a line
+		}
 	}
-	m.Alloc(100, 64)
-	if got := m.Remaining(); got != 1<<10-100 {
-		t.Errorf("after Alloc(100): %d remaining, want %d", got, 1<<10-100)
-	}
-	m.Alloc(4, 64) // aligns next to 128 first
-	if got := m.Remaining(); got != 1<<10-132 {
-		t.Errorf("after aligned Alloc(4): %d remaining, want %d", got, 1<<10-132)
-	}
-	m.AllocReset()
-	if m.Remaining() != 1<<10 {
-		t.Errorf("after reset: %d remaining, want full arena", m.Remaining())
-	}
+	runtime.KeepAlive(keep)
 }

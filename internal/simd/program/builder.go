@@ -11,7 +11,7 @@
 // stream's hot patterns — whole alpha and beta trellis steps, quad
 // branch-metric scatters, interleave gathers, the extrinsic group, scalar
 // element-copy runs — are single ops, and then lowered to a descriptor
-// stream that runs them directly over the arena.
+// stream that runs them directly over a state region.
 //
 // There are two ways to make one, and one way to finish it. An Emitter
 // (emit.go) is handed the ops by a caller that describes the decode from
@@ -28,12 +28,13 @@
 //
 // What Compile and Emit return is split in two. The Program is immutable,
 // holds one executable form on every host — the descriptor streams and the
-// tables they address, run by the AVX-512BW assembly or by its Go twin
-// (kern.go) — and holds addresses only as offsets from the start of a
-// state region (a recording's whole arena is one), so a process compiles
-// a (K, width, strategy) once and every worker shares the result. What a
-// replay mutates is an Exec: a register file and one such region of that
-// worker's arena, and the executor it was made with (run.go).
+// tables they address, each distinct table once however many ops refer to
+// it, run by the AVX-512BW assembly or by its Go twin (kern.go) — and
+// holds addresses only as offsets from the start of a state region (a
+// recording's whole arena is one), so a process compiles a (K, width,
+// strategy) once and every worker shares the result. What a replay mutates
+// is an Exec: a register file, one such region of the worker's own, and
+// the executor it was made with (run.go).
 //
 // Replay is bit-identical to interpretation by construction, where the
 // observable state is the region (the register file is private to the

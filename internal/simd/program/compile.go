@@ -99,22 +99,24 @@ type Program struct {
 
 	// What the compilers fill and finalize lowers from: the fused
 	// segments, and the interned index tables, lane patterns and operand
-	// pool they address. finish releases them.
+	// pool they address; and tabSlot, which resolve fills, the vector of
+	// gat each index table resolved to. finish releases them.
 	segs     [2][]mop
 	idxTabs  [][]int32
 	lanePats [][]int16
 	aux      []int32
+	tabSlot  []int32
 
 	// extent is the end of the highest byte range of the region any op
 	// touches, recorded by analyze; NewExec refuses a smaller region.
 	extent int64
 
 	// code holds each segment lowered to its descriptor stream, and gat,
-	// gatAnd and pats the pools the streams address: idxTabs resolved to
-	// one word per lane (the index operand VPERMI2W takes), invalid and
-	// inactive entries pointing at the zero sentinel lane; per index table
-	// the mask that zeroes a VPERMW result's sentinel lanes; and lanePats
-	// zero-extended to whole registers.
+	// gatAnd and pats the pools the streams address: the distinct vectors
+	// idxTabs resolve to, one word per lane (the index operand VPERMI2W
+	// takes), invalid and inactive entries pointing at the zero sentinel
+	// lane; per vector the mask that zeroes a VPERMW result's sentinel
+	// lanes; and lanePats zero-extended to whole registers.
 	code   [2][]uint32
 	gat    [][regStride]uint16
 	gatAnd [][regStride]uint16
@@ -128,6 +130,10 @@ type Program struct {
 
 // Width reports the register width the program was compiled for.
 func (p *Program) Width() simd.Width { return p.w }
+
+// GatherPool reports how many distinct index vectors the program's
+// gather pool holds.
+func (p *Program) GatherPool() int { return len(p.gat) }
 
 // Extent reports how many bytes of its state region the program touches:
 // the least a region handed to NewExec may hold.
@@ -228,7 +234,7 @@ func (p *Program) finish() (*Program, error) {
 		return nil, err
 	}
 	p.segs = [2][]mop{}
-	p.idxTabs, p.lanePats, p.aux = nil, nil, nil
+	p.idxTabs, p.lanePats, p.aux, p.tabSlot = nil, nil, nil, nil
 	return p, nil
 }
 

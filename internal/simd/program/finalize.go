@@ -35,21 +35,36 @@ func (p *Program) finalize() error {
 	return nil
 }
 
-// resolve builds the pools the streams address: gat from every index
-// table p holds, per table the mask gatAnd that zeroes a VPERMW result's
+// resolve builds the pools the streams address: gat from the index tables
+// p holds, per vector the mask gatAnd that zeroes a VPERMW result's
 // sentinel lanes, and the lane patterns zero-extended to whole registers.
+// The vectors are interned by content, in order of first use: a W512 plan
+// refers to 84 (K=40) to 12,332 (K=6144) tables but resolves them to 51 to
+// 68 distinct vectors, a pool small enough to stay in L1. tabSlot maps each
+// table id to its vector.
 func (p *Program) resolve() {
-	p.gat = make([][regStride]uint16, len(p.idxTabs))
-	p.gatAnd = make([][regStride]uint16, len(p.idxTabs))
+	type vec struct{ gat, gatAnd [regStride]uint16 }
+	slots := make(map[vec]int32)
+	p.tabSlot = make([]int32, len(p.idxTabs))
+	p.gat, p.gatAnd = nil, nil
 	for t, tb := range p.idxTabs {
-		for i := range p.gat[t] {
-			p.gat[t][i] = sentinel
+		var v vec
+		for i := range v.gat {
+			v.gat[i] = sentinel
 			if i < p.lanes && i < len(tb) && tb[i] >= 0 && int(tb[i]) < p.lanes {
-				p.gat[t][i] = uint16(tb[i])
-				p.gatAnd[t][i] = 0xffff
+				v.gat[i] = uint16(tb[i])
+				v.gatAnd[i] = 0xffff
 			}
 		}
+		slot, ok := slots[v]
+		if !ok {
+			slot = int32(len(p.gat))
+			slots[v] = slot
+			p.gat, p.gatAnd = append(p.gat, v.gat), append(p.gatAnd, v.gatAnd)
+		}
+		p.tabSlot[t] = slot
 	}
+	p.gat, p.gatAnd = slices.Clip(p.gat), slices.Clip(p.gatAnd)
 	p.pats = make([][regStride]int16, len(p.lanePats))
 	for t, pat := range p.lanePats {
 		copy(p.pats[t][:], pat)
@@ -131,13 +146,18 @@ func (lw *lowerer) mem(addr, n int64) uint32 {
 	return uint32(addr)
 }
 
-// tab is the byte offset of index table id in gat and gatAnd.
+// tab is the byte offset in gat and gatAnd of index table id's vector.
 func (lw *lowerer) tab(id int32) uint32 {
-	if id < 0 || int(id) >= len(lw.p.gat) {
-		lw.fail("index table %d outside %d", id, len(lw.p.gat))
+	if id < 0 || int(id) >= len(lw.p.tabSlot) {
+		lw.fail("index table %d outside %d", id, len(lw.p.tabSlot))
 		return 0
 	}
-	return uint32(id) * 2 * regStride
+	slot := lw.p.tabSlot[id]
+	if slot < 0 || int(slot) >= len(lw.p.gat) {
+		lw.fail("index table %d in slot %d outside the pool of %d", id, slot, len(lw.p.gat))
+		return 0
+	}
+	return uint32(slot) * 2 * regStride
 }
 
 // shift is a VPSRAW count: any count above 15 fills with the sign, as Go's

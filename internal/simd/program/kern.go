@@ -23,7 +23,10 @@ import (
 // the register file of whichever Exec is running, the index-table pool
 // p.gat / p.gatAnd, the pattern pool p.pats — never Go pointers, so a
 // program stays GC-inert, position-independent and shareable: the five
-// base pointers are passed per call.
+// base pointers are passed per call. The table pool holds each distinct
+// index vector once (resolve interns them by content), so every table
+// operand of a W512 program points into 51 to 68 vectors, 6.5 to 8.7 KB
+// with their masks: the gathers of a K=6144 sweep read the pool from L1.
 //
 // What keeps the assembly as safe as the Go executor, which indexes Go
 // slices and keeps their bounds checks:

@@ -7,6 +7,7 @@ import (
 	"vransim/internal/core"
 	"vransim/internal/simd"
 	"vransim/internal/simd/program"
+	"vransim/internal/trace"
 )
 
 // decodePlan is one decoder's entry for a block size: the immutable plan
@@ -22,49 +23,53 @@ type decodePlan struct {
 	code *Code
 	// plan is nil until the first decode. shared is the cache entry it
 	// came from; nil when the decoder does not compile (Compile off, or a
-	// traced engine) and plan is private to it.
+	// traced decoder) and plan is private to it.
 	plan   *packedPlan
 	shared *sharedPlan
 
-	// pst is the cross-block SoA-packed working set over a region of this
-	// decoder's arena (nil until the first decode, and again after an
-	// eviction), and exactly one of exec and dec drives it: exec replays
-	// shared.prog over that region — the program holds region-relative
-	// offsets only, so any decoder's region serves — and dec interprets,
-	// when the decoder does not compile, the program failed to compile, or
-	// CompileGate vetoed it at install.
+	// pst is the cross-block SoA-packed working set over a state region of
+	// its own, the whole memory of its own engine (nil until the first
+	// decode, and again after an eviction), and exactly one of exec and dec
+	// drives it: exec replays shared.prog over that region — the program
+	// holds region-relative offsets only, so any decoder's region serves —
+	// and dec interprets, when the decoder does not compile, the program
+	// failed to compile, or CompileGate vetoed it at install.
 	pst  *packedState
 	exec *program.Exec
 	dec  *MultiSIMDDecoder
 }
 
 // BatchDecoder is the serving-side entry point for lane-parallel
-// decoding: it owns one untraced engine (and its memory arena) and a
-// per-K plan table, so a long-lived worker can decode an unbounded
-// stream of batches with ~zero steady-state heap allocation. The first
+// decoding: it owns a per-K plan table and, per block size it decodes, a
+// state region and an engine over it, so a long-lived worker can decode an
+// unbounded stream of batches with ~zero steady-state heap allocation. The
+// first
 // Decode of a block size adopts that size's shared plan and compiled
 // program from the process-wide cache — compiling them there, from a
 // synthetic word and never from the batch in hand, only if no decoder of
 // the process has asked for that (K, width, strategy) before — and
-// allocates this decoder's state for it: a region of the arena, a register
-// file and the output buffers. Subsequent Decodes of the same K reuse the
-// state, rewriting it in place. If the arena cannot fit a new K's region,
-// every state is dropped and the arena replaced by a larger one, or, at
-// its budget, rewound (an eviction); plans and programs are not the
-// decoder's to evict.
+// allocates this decoder's state for it: a region of exactly the plan's
+// size, a register file and the output buffers. Subsequent Decodes of the
+// same K reuse the state, rewriting it in place. If a new K's region would
+// take the regions past the decoder's budget, every state is dropped first
+// (an eviction); plans and programs are not the decoder's to evict.
 // There is one decode path: blocks packed across lanes at the element
 // level, replayed through the compiled program.
 // It is NOT safe for concurrent use — give each worker goroutine its
 // own BatchDecoder; they share what can be shared by themselves.
 type BatchDecoder struct {
-	eng *simd.Engine
-	// memBytes is the arena's budget; the arena itself starts at
-	// arenaStart and doubles towards it (makeRoom).
-	memBytes int
-	ar       core.Arranger
-	s        core.Strategy
+	w simd.Width
+	// rec, when non-nil, is the trace recorder every state's engine emits
+	// into: a traced decoder interprets and never consults the cache. No
+	// constructor sets it; it is nil on every serving decoder.
+	rec *trace.Recorder
+	// memBytes caps stateBytes, the bytes of the state regions this
+	// decoder holds (buildState).
+	memBytes, stateBytes int64
+	ar                   core.Arranger
+	s                    core.Strategy
 	// plans is keyed by K: width and strategy are fixed per BatchDecoder
-	// (one engine, one arranger).
+	// (one width, one arranger).
 	plans map[int]*decodePlan
 
 	// lastIters holds the per-block iterations-to-converge of the most
@@ -91,7 +96,7 @@ type BatchDecoder struct {
 	// by the process-wide replay program for (K, width, strategy)
 	// (bit-identical to interpretation, no per-µop dispatch). It is read
 	// when a block size is first decoded. Defaults to true; with it off,
-	// and on engines with a trace recorder attached (replay emits no µops,
+	// and on a decoder with a trace recorder attached (replay emits no µops,
 	// which would silently starve the timing model), the decoder builds a
 	// private plan, interprets, and never consults the cache.
 	Compile bool
@@ -104,8 +109,9 @@ type BatchDecoder struct {
 	// single-goroutine rules as OnDecode.
 	OnCompile func(k int, elapsed time.Duration)
 
-	// Evictions counts how many times the arena filled up and the states
-	// were flushed (a serving gauge; 0 in any sane configuration).
+	// Evictions counts how many times the state regions reached the budget
+	// and were all dropped, or EvictAll dropped them (a serving gauge; 0 in
+	// any sane configuration).
 	Evictions uint64
 
 	// Program counters (see ProgramStats). compiledPlans is the number of
@@ -129,14 +135,14 @@ type BatchDecoder struct {
 }
 
 // NewBatchDecoder builds a decoder for width w and arrangement strategy
-// s with a memBytes emulated-memory arena: the budget for this decoder's
-// state regions (the largest supported K takes 1.4 MiB at W512, the 188
-// LTE sizes together some 80 MiB). Plans and programs live in the
+// s whose state regions together hold at most memBytes bytes of emulated
+// memory (the largest supported K takes 1.4 MiB at W512, the 188 LTE
+// sizes together some 80 MiB). Plans and programs live in the
 // process-wide cache, outside it.
 func NewBatchDecoder(w simd.Width, s core.Strategy, memBytes int) *BatchDecoder {
 	return &BatchDecoder{
-		eng:       simd.NewEngine(w, simd.NewMemory(min(memBytes, arenaStart)), nil),
-		memBytes:  memBytes,
+		w:         w,
+		memBytes:  int64(memBytes),
 		ar:        core.ByStrategy(s),
 		s:         s,
 		plans:     make(map[int]*decodePlan),
@@ -147,7 +153,7 @@ func NewBatchDecoder(w simd.Width, s core.Strategy, memBytes int) *BatchDecoder 
 }
 
 // Lanes returns how many same-K blocks one Decode call carries.
-func (bd *BatchDecoder) Lanes() int { return BlocksPerRegister(bd.eng.W) }
+func (bd *BatchDecoder) Lanes() int { return BlocksPerRegister(bd.w) }
 
 // Plans returns how many block sizes have a cached plan.
 func (bd *BatchDecoder) Plans() int { return len(bd.plans) }
@@ -186,66 +192,39 @@ func (bd *BatchDecoder) plan(k int) (*decodePlan, error) {
 	return p, nil
 }
 
-// EvictAll flushes every block size's decode state and rewinds the arena
-// — the reset an arena-pressure eviction performs, driven explicitly (the
-// chaos injector's eviction-storm hook, and a recovery lever after a
-// suspected arena corruption). The next Decode of each K builds a fresh
-// state over a fresh region from the plan it kept, and installs the same
-// shared program on it: an eviction costs allocations, never a compile.
-// Results are unaffected.
+// EvictAll drops every block size's decode state and its region — what
+// reaching the budget does, driven explicitly (the chaos injector's
+// eviction-storm hook, and a recovery lever after a suspected state
+// corruption). The next Decode of each K builds a fresh state over a fresh
+// region from the plan it kept, and installs the same shared program on
+// it: an eviction costs allocations, never a compile. Results are
+// unaffected.
 func (bd *BatchDecoder) EvictAll() {
-	bd.dropStates()
-	bd.eng.Mem.AllocReset()
-	bd.Evictions++
-}
-
-// dropStates forgets every block size's decode state. An Exec is bound to
-// the region it was made over; replaying it after the arena was rewound or
-// replaced would corrupt whatever the arena now holds there.
-func (bd *BatchDecoder) dropStates() {
 	for _, q := range bd.plans {
 		q.pst, q.exec, q.dec = nil, nil, nil
 	}
-	bd.compiledPlans = 0
+	bd.stateBytes, bd.compiledPlans = 0, 0
+	bd.Evictions++
 }
 
-// arenaStart is the arena a decoder begins with: room for a handful of
-// block sizes at W512. The whole budget up front would be tens of MiB per
-// decoder that a worker serving a few sizes never writes, and the
-// allocator zeroes all of it whenever it reuses freed memory for it — a
-// process that builds runtimes one after another then holds 17-25 MiB
-// more or less resident from one run to the next.
-const arenaStart = 4 << 20
-
-// makeRoom is called when the arena cannot take a region of need bytes
-// that the budget can. Under budget, the arena is replaced by one at least
-// twice as large, which holds every state the old one held and the new
-// region; at the budget, every state is evicted. Either way each block
-// size rebuilds its state on its next decode.
-func (bd *BatchDecoder) makeRoom(need int64) {
-	old := int64(bd.eng.Mem.Size())
-	if size := min(int64(bd.memBytes), max(2*old, old+need)); size > old {
-		bd.dropStates()
-		bd.eng.Mem = simd.NewMemory(int(size))
-		return
-	}
-	bd.EvictAll()
-}
+// regionBytes is the memory a state of plan pl takes: its region, rounded
+// up to the 64-byte alignment regions keep.
+func regionBytes(pl *packedPlan) int64 { return (pl.size + 63) &^ 63 }
 
 // buildState gives plan p a decode state: the plan itself on the first
 // decode of its K (adopted from the process-wide cache, which compiles it
 // if no decoder has asked before, or built privately when this decoder
-// does not compile), then a region of the arena — growing the arena or
-// evicting every state if the remaining space cannot hold it (makeRoom)
-// — the Go-side buffers, and the compiled program's execution state or
-// the interpreter. Scratch contents are rewritten on every decode, so
+// does not compile), then a region of its own — evicting every state
+// first if the regions would pass the budget — an engine over it, the
+// Go-side buffers, and the compiled program's execution state or the
+// interpreter. Scratch contents are rewritten on every decode, so
 // eviction never affects results — it only costs the rebuild.
 func (bd *BatchDecoder) buildState(p *decodePlan) error {
 	k := p.k
 	if p.plan == nil {
-		if bd.Compile && bd.eng.Recorder() == nil {
+		if bd.Compile && bd.rec == nil {
 			var led bool
-			p.shared, led = sharedPlanFor(planKey{k, bd.eng.W, bd.s})
+			p.shared, led = sharedPlanFor(planKey{k, bd.w, bd.s})
 			p.plan, p.code = p.shared.packedPlan, p.shared.code
 			if led && p.shared.err == nil && bd.OnCompile != nil {
 				bd.OnCompile(k, p.shared.compileTime)
@@ -255,20 +234,21 @@ func (bd *BatchDecoder) buildState(p *decodePlan) error {
 			if err != nil {
 				return err
 			}
-			p.plan = newPackedPlan(c, bd.ar.Layout(bd.eng.W), bd.eng.W, bd.Lanes())
+			p.plan = newPackedPlan(c, bd.ar.Layout(bd.w), bd.w, bd.Lanes())
 		}
 	}
-	need := p.plan.size + 63 // the region, and the padding that aligns its start
-	if int64(bd.memBytes) < need {
-		return fmt.Errorf("turbo: arena too small for K=%d at %v (need %d bytes)", k, bd.eng.W, need)
+	need := regionBytes(p.plan)
+	if need > bd.memBytes {
+		return fmt.Errorf("turbo: state budget too small for K=%d at %v (need %d bytes)", k, bd.w, need)
 	}
-	if bd.eng.Mem.Remaining() < need {
-		bd.makeRoom(need)
+	if bd.stateBytes+need > bd.memBytes {
+		bd.EvictAll()
 	}
-	base := bd.eng.Mem.Alloc(int(p.plan.size), 64)
-	p.pst = newPackedState(bd.eng, bd.ar, p.plan, base)
+	bd.stateBytes += need
+	e := simd.NewEngine(bd.w, simd.NewMemory(int(need)), bd.rec)
+	p.pst = newPackedState(e, bd.ar, p.plan)
 	if sp := p.shared; sp != nil && sp.prog != nil && (bd.CompileGate == nil || bd.CompileGate(k)) {
-		p.exec = sp.prog.NewExec(bd.eng.Mem, base)
+		p.exec = sp.prog.NewExec(e.Mem, 0)
 		bd.compiledPlans++
 		bd.compiles++
 		bd.compileNs += sp.compileTime.Nanoseconds()

@@ -273,14 +273,14 @@ func TestProgramStatsCounters(t *testing.T) {
 }
 
 // TestTracedEngineStaysInterpreted: replay emits no µops, so a decoder
-// whose engine carries a trace recorder must never take the compiled
-// path — otherwise experiment traces would silently lose their decode
-// instruction stream.
+// with a trace recorder must never take the compiled path — otherwise
+// experiment traces would silently lose their decode instruction stream.
 func TestTracedEngineStaysInterpreted(t *testing.T) {
 	resetPlanCache()
 	const k = 104
 	bd := &BatchDecoder{
-		eng:       simd.NewEngine(simd.W128, simd.NewMemory(32<<20), trace.NewRecorder(1<<20)),
+		w:         simd.W128,
+		rec:       trace.NewRecorder(1 << 20),
 		memBytes:  32 << 20,
 		ar:        core.ByStrategy(core.StrategyAPCM),
 		plans:     make(map[int]*decodePlan),
@@ -293,13 +293,13 @@ func TestTracedEngineStaysInterpreted(t *testing.T) {
 		t.Fatal(err)
 	}
 	words, truth := buildWords(t, c, bd.Lanes(), 61, true)
-	before := bd.eng.TraceLen()
+	before := bd.rec.Len()
 	for round := 0; round < 3; round++ {
 		bits, _, err := bd.Decode(k, words)
 		if err != nil {
 			t.Fatal(err)
 		}
-		after := bd.eng.TraceLen()
+		after := bd.rec.Len()
 		if after <= before {
 			t.Fatalf("round %d: traced decode emitted no µops (%d -> %d)", round, before, after)
 		}

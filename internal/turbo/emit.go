@@ -59,7 +59,7 @@ type planEmitter struct {
 func newPlanEmitter(pl *packedPlan) *planEmitter {
 	lt := newLaneTables(pl.code.trellis, pl.w, pl.nb)
 	pe := &planEmitter{
-		pl: pl, rel: pl.rel, wb: int64(pl.w),
+		pl: pl, rel: pl.regionLayout, wb: int64(pl.w),
 		prevIdx0: i32(lt.prevIdx0), prevIdx1: i32(lt.prevIdx1),
 		nextIdx0: i32(lt.nextIdx0), nextIdx1: i32(lt.nextIdx1),
 		lane0Idx:   i32(lt.lane0Idx),

@@ -35,6 +35,11 @@ func recordedPlan(t *testing.T, pl *packedPlan) *program.Program {
 	return prog
 }
 
+// maxGatherPool bounds a program's gather pool. The APCM plans need 51 to
+// 56 distinct vectors at 185 of the 188 sizes at W512, and 60, 66 and 68
+// at K=200, 392 and 216; 48 to 54 at the W128 and W256 grid.
+const maxGatherPool = 72
+
 // apcmPlan is a fresh W/APCM plan of block size k, shared with nothing.
 func apcmPlan(t *testing.T, w simd.Width, k int) *packedPlan {
 	t.Helper()
@@ -50,7 +55,10 @@ func apcmPlan(t *testing.T, w simd.Width, k int) *packedPlan {
 // interpreted decode of that plan — every word of the descriptor streams,
 // every table they address, the register count and the extent. It covers
 // W512 at every 16th LTE block size and the grid sizes, and W128 and W256
-// at the grid sizes; -emit.all takes W512 to all 188.
+// at the grid sizes; -emit.all takes W512 to all 188. Every program's
+// gather pool holds at most maxGatherPool vectors: the tables are interned
+// by content, and a pool that holds one vector per table reference (84 at
+// K=40, 12,332 at K=6144) is over.
 func TestEmittedMatchesRecorded(t *testing.T) {
 	type config struct {
 		w simd.Width
@@ -67,6 +75,7 @@ func TestEmittedMatchesRecorded(t *testing.T) {
 			configs = append(configs, config{w, k})
 		}
 	}
+	var pools []int
 	for _, cf := range configs {
 		name := fmt.Sprintf("%v/K%d", cf.w, cf.k)
 		pl := apcmPlan(t, cf.w, cf.k)
@@ -79,7 +88,12 @@ func TestEmittedMatchesRecorded(t *testing.T) {
 			t.Errorf("%s: the emitted program (%v raw, %v fused ops) is not the recorded one (%v raw, %v fused)",
 				name, emitted.RawOps, emitted.FusedOps, rec.RawOps, rec.FusedOps)
 		}
+		if n := emitted.GatherPool(); n > maxGatherPool {
+			t.Errorf("%s: the gather pool holds %d vectors, over %d", name, n, maxGatherPool)
+		}
+		pools = append(pools, emitted.GatherPool())
 	}
+	t.Logf("gather pools of %d to %d vectors", slices.Min(pools), slices.Max(pools))
 	t.Logf("%d configurations", len(configs))
 }
 
@@ -114,7 +128,7 @@ func replayProgram(t *testing.T, prog *program.Program, pl *packedPlan, words []
 	p := &decodePlan{
 		k: pl.code.K, code: pl.code, plan: pl,
 		shared: &sharedPlan{packedPlan: pl, prog: prog},
-		pst:    newPackedState(e, core.ByStrategy(core.StrategyAPCM), pl, 0),
+		pst:    newPackedState(e, core.ByStrategy(core.StrategyAPCM), pl),
 		exec:   prog.NewExec(e.Mem, 0),
 	}
 	bd := &BatchDecoder{MaxIters: maxIters, EarlyExit: true}

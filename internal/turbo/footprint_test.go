@@ -52,19 +52,21 @@ func liveHeap() uint64 {
 }
 
 // TestCompiledPlanFootprint pins what a compiled plan costs to keep and to
-// make on every host: a program holds its descriptor streams and their
-// tables alone, one iteration of them. Kept: the live heap one
+// make on every host: a program holds its descriptor streams and one copy
+// of each distinct table, one iteration of them. Kept: the live heap one
 // cold W512/APCM compile adds to the process, the whole cache entry, is at
-// most 3.95 MB at K=6144 and 0.34 MB at K=512 (3.43 and 0.29 measured; a
-// program holding the iteration twice, as SegFirst and SegSteady, read
-// 4.70 and 0.40); a program that kept its fused ops and operand pools, or
-// a plan that kept interpreter tables, is over. Made: the bytes one cold
-// K=6144 compile allocates are at most 19.7 MB (17.1 MB measured; 26.4 MB
+// most 2.13 MB at K=6144 and 0.20 MB at K=512 (1.85 and 0.17 measured;
+// 3.43 and 0.29 while the pool held a table per reference, 4.70 and 0.40
+// while a program held the iteration twice); a program that kept its
+// fused ops and operand pools, or a plan that kept interpreter tables, is
+// over. Made: the bytes one cold K=6144 compile allocates are at most
+// 17.3 MB (15.0 MB measured; 16.5 MB with a table per reference, 26.4 MB
 // emitting the iteration twice, 62 MB recording it), and a process that
-// cold-compiles the four sizes of the benchmark's grid peaks at most 27 MB
-// resident (22.3–24.1 MB measured; 31.7–33.9 MB with the iteration twice,
-// 56–58 MB recorded). The budgets are the measured values and 15 %. The
-// resident-set half is skipped under the race detector.
+// cold-compiles the four sizes of the benchmark's grid peaks at most
+// 24.7 MB resident (20.9–21.5 MB measured; 22.5–23.2 MB with a table per
+// reference, 31.7–33.9 MB with the iteration twice, 56–58 MB recorded).
+// The budgets are the measured values and 15 %. The resident-set half is
+// skipped under the race detector.
 func TestCompiledPlanFootprint(t *testing.T) {
 	grid := []int{40, 512, 2048, 6144}
 	if flag.Arg(0) == coldCompileChild {
@@ -81,7 +83,7 @@ func TestCompiledPlanFootprint(t *testing.T) {
 	for _, c := range []struct {
 		k      int
 		budget float64 // MB
-	}{{512, 0.34}, {6144, 3.95}} {
+	}{{512, 0.20}, {6144, 2.13}} {
 		resetPlanCache()
 		before := liveHeap()
 		var ms0, ms1 runtime.MemStats
@@ -96,7 +98,7 @@ func TestCompiledPlanFootprint(t *testing.T) {
 			t.Errorf("K=%d: a compiled plan holds %.2f MB, over its %.2f MB budget", c.k, mb, c.budget)
 		}
 		if c.k == 6144 {
-			const allocBudget = 19.7
+			const allocBudget = 17.3
 			alloc := float64(ms1.TotalAlloc-ms0.TotalAlloc) / 1e6
 			t.Logf("K=%d: one cold compile allocates %.1f MB (budget %.1f)", c.k, alloc, allocBudget)
 			if alloc > allocBudget {
@@ -118,9 +120,9 @@ func TestCompiledPlanFootprint(t *testing.T) {
 	if _, err := fmt.Sscanf(string(out), "peak RSS %f MB", &rss); err != nil {
 		t.Fatalf("cold-compile subprocess printed no peak: %v\n%s", err, out)
 	}
-	const budget = 27
-	t.Logf("cold compile of K=%v: peak RSS %.1f MB (budget %d)", grid, rss, budget)
+	const budget = 24.7
+	t.Logf("cold compile of K=%v: peak RSS %.1f MB (budget %.1f)", grid, rss, budget)
 	if rss > budget {
-		t.Errorf("cold-compiling K=%v peaks at %.1f MB resident, over the %d MB budget", grid, rss, budget)
+		t.Errorf("cold-compiling K=%v peaks at %.1f MB resident, over the %.1f MB budget", grid, rss, budget)
 	}
 }

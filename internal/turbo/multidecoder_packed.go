@@ -33,8 +33,8 @@ import (
 // shape it fuses into a single-pass op (see program/fuse.go).
 
 // regionLayout is where the packed working arrays lie: byte offsets from
-// the start of a plan's state region in a packedPlan, arena addresses in a
-// packedState.
+// the start of a plan's state region, which are a state's addresses too,
+// since a state's engine has the region for its whole memory.
 type regionLayout struct {
 	// Packed interleaved input and its arranged clusters.
 	src    int64
@@ -57,21 +57,12 @@ type regionLayout struct {
 	alpha int64
 }
 
-// at returns the layout moved to a region that starts at base.
-func (r regionLayout) at(base int64) regionLayout {
-	for _, a := range []*int64{&r.src, &r.s, &r.p1, &r.p2, &r.sPerm, &r.la1, &r.la2, &r.ext, &r.dPost, &r.hdec, &r.quad, &r.alpha} {
-		*a += base
-	}
-	return r
-}
-
 // packedPlan is everything about a packed decode that is a pure function
 // of (K, width, strategy): the code, the shape and size of the state
 // region, the hard-decision map and, once an interpreted decode needs
 // them, the index tables. It is immutable once newPackedPlan returns but
 // for that one build, so one serves every decoder of a process that
-// decodes that triple (plancache.go), whichever arena offset each runs
-// it at.
+// decodes that triple (plancache.go), each over a region of its own.
 type packedPlan struct {
 	code *Code
 	w    simd.Width
@@ -79,11 +70,12 @@ type packedPlan struct {
 	nb   int // blocks in flight
 	n    int // nb*K packed elements
 
-	// rel is the layout relative to the start of the state region, size
-	// the bytes a region holds, and arrBytes those of one packed array. A
-	// region starts 64-byte aligned, which keeps every array and every
-	// trellis group on the alignment the offsets here were laid out at.
-	rel      regionLayout
+	// regionLayout is the layout relative to the start of the state
+	// region, size the bytes a region holds, and arrBytes those of one
+	// packed array. A region starts 64-byte aligned, which keeps every
+	// array and every trellis group on the alignment the offsets here were
+	// laid out at.
+	regionLayout
 	size     int64
 	arrBytes int
 
@@ -121,14 +113,13 @@ type interpTables struct {
 }
 
 // packedState is one decoder's mutable half of a packed decode: a state
-// region of its engine's arena laid out as the plan says, the constant
-// register the interpreter keeps, and the Go-side buffers. Building one
+// region, its engine's whole memory, laid out as the plan says, the
+// constant register the interpreter keeps, and the Go-side buffers. Building one
 // allocates and computes nothing that depends on K beyond those buffers,
 // and it is reused for an unbounded stream of decodes with no steady-state
 // allocation.
 type packedState struct {
 	*packedPlan
-	regionLayout // arena addresses: the plan's rel at this state's region
 	// interpTables is nil until a decode is interpreted on this state: the
 	// plan's own (interpreterTables), or a recording's private ones.
 	*interpTables
@@ -195,12 +186,12 @@ func newPackedPlan(c *Code, lay core.Layout, w simd.Width, nb int) *packedPlan {
 		pl.size = base + int64(bytes)
 		return base
 	}
-	pl.rel.src = alloc(core.InterleavedBytes(n))
-	for _, a := range []*int64{&pl.rel.s, &pl.rel.p1, &pl.rel.p2, &pl.rel.sPerm, &pl.rel.la1, &pl.rel.la2, &pl.rel.ext, &pl.rel.dPost, &pl.rel.hdec} {
+	pl.src = alloc(core.InterleavedBytes(n))
+	for _, a := range []*int64{&pl.s, &pl.p1, &pl.p2, &pl.sPerm, &pl.la1, &pl.la2, &pl.ext, &pl.dPost, &pl.hdec} {
 		*a = alloc(pl.arrBytes)
 	}
-	pl.rel.quad = alloc(int(w) * (k + 4))
-	pl.rel.alpha = alloc(int(w) * (k + 4))
+	pl.quad = alloc(int(w) * (k + 4))
+	pl.alpha = alloc(int(w) * (k + 4))
 
 	pl.hdecAt = make([]int32, nb*k)
 	for b := 0; b < nb; b++ {
@@ -211,10 +202,10 @@ func newPackedPlan(c *Code, lay core.Layout, w simd.Width, nb int) *packedPlan {
 	return pl
 }
 
-// newPackedState builds a decoder's state for plan pl over the pl.size
-// bytes of e's arena that start at base, which must be 64-byte aligned.
-func newPackedState(e *simd.Engine, ar core.Arranger, pl *packedPlan, base int64) *packedState {
-	st := &packedState{packedPlan: pl, regionLayout: pl.rel.at(base), e: e, ar: ar}
+// newPackedState builds a decoder's state for plan pl over e's memory,
+// which must hold at least pl.size bytes: the state region, from address 0.
+func newPackedState(e *simd.Engine, ar core.Arranger, pl *packedPlan) *packedState {
+	st := &packedState{packedPlan: pl, e: e, ar: ar}
 	st.tailSys = make([][3]int16, pl.nb)
 	st.tailP1 = make([][3]int16, pl.nb)
 	st.bits = make([][]byte, pl.nb)

@@ -324,39 +324,66 @@ func TestPackedPlanEviction(t *testing.T) {
 	}
 }
 
-// TestArenaGrowsBeforeItEvicts: a decoder starts on an arena smaller than
-// its budget. Block sizes that outgrow it must get a larger arena, not an
-// eviction, and every size must decode correctly on the state it rebuilds
-// there.
-func TestArenaGrowsBeforeItEvicts(t *testing.T) {
+// TestStateRegionsFitTheirSizes: a decoder holds, per block size it
+// decodes, a region of exactly that size's plan (64-byte rounded), and
+// nothing more: after the four grid sizes its state bytes are the sum of
+// their regions, each size decoding correctly on its own. A budget below
+// that sum still evicts — through EvictAll, counted once, and without a
+// compile.
+func TestStateRegionsFitTheirSizes(t *testing.T) {
+	grid := []int{40, 512, 2048, 6144}
+	decodeGrid := func(bd *BatchDecoder) {
+		t.Helper()
+		for round, k := range grid {
+			c, err := bd.Code(k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			words, truth := buildWords(t, c, 1, int64(890+round), true)
+			bits, _, err := bd.Decode(k, words)
+			if err != nil {
+				t.Fatalf("K=%d: %v", k, err)
+			}
+			if !equalBits(bits[0], truth[0]) {
+				t.Errorf("K=%d: wrong bits", k)
+			}
+		}
+	}
+	held := func(bd *BatchDecoder) (n int64) {
+		for _, p := range bd.plans {
+			if p.pst != nil {
+				n += int64(p.pst.e.Mem.Size())
+			}
+		}
+		return n
+	}
+
 	bd := NewBatchDecoder(simd.W512, core.StrategyAPCM, 32<<20)
-	bd.MaxIters, bd.Compile = 4, false // interpreted: the arena is used the same way, and nothing compiles
-	if got := bd.eng.Mem.Size(); got != arenaStart {
-		t.Fatalf("a 32 MiB budget starts on %d bytes, want %d", got, arenaStart)
+	bd.MaxIters = 4
+	decodeGrid(bd)
+	var want int64
+	for _, k := range grid {
+		want += regionBytes(bd.plans[k].plan)
 	}
-	ks := []int{6144, 5952, 5056, 4096, 6144, 5952, 5056, 4096}
-	for round, k := range ks {
-		c, err := bd.Code(k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		words, truth := buildWords(t, c, 1, int64(890+round), true)
-		bits, _, err := bd.Decode(k, words)
-		if err != nil {
-			t.Fatalf("round %d (K=%d): %v", round, k, err)
-		}
-		if !equalBits(bits[0], truth[0]) {
-			t.Errorf("round %d (K=%d): wrong bits", round, k)
-		}
-	}
-	if got := bd.eng.Mem.Size(); got != 2*arenaStart {
-		t.Errorf("arena is %d bytes after four sizes of 4.6 MiB together, want %d", got, 2*arenaStart)
+	if got := held(bd); got != want || bd.stateBytes != want {
+		t.Errorf("after K=%v the states hold %d bytes (counted %d), want their regions' %d", grid, got, bd.stateBytes, want)
 	}
 	if bd.Evictions != 0 {
 		t.Errorf("%d evictions under a 32 MiB budget", bd.Evictions)
 	}
-	if small := NewBatchDecoder(simd.W512, core.StrategyAPCM, 1<<20); small.eng.Mem.Size() != 1<<20 {
-		t.Errorf("a 1 MiB budget starts on %d bytes", small.eng.Mem.Size())
+
+	compiles := PlanCacheStats().Compiles
+	tight := NewBatchDecoder(simd.W512, core.StrategyAPCM, int(want-64))
+	tight.MaxIters = 4
+	decodeGrid(tight)
+	if tight.Evictions != 1 {
+		t.Errorf("a budget 64 bytes short of K=%v evicted %d times, want 1", grid, tight.Evictions)
+	}
+	if last := regionBytes(tight.plans[6144].plan); held(tight) != last || tight.stateBytes != last {
+		t.Errorf("after the eviction the states hold %d bytes (counted %d), want K=6144's %d", held(tight), tight.stateBytes, last)
+	}
+	if got := PlanCacheStats().Compiles; got != compiles {
+		t.Errorf("the eviction cost %d compiles", got-compiles)
 	}
 }
 

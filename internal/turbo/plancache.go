@@ -213,7 +213,7 @@ func (pl *packedPlan) checkExtent(prog *program.Program) error {
 // are garbage when it returns; elapsed is the time Builder.Compile took.
 func recordProgram(pl *packedPlan, ar core.Arranger, words []*LLRWord, maxIters int, earlyExit bool) (prog *program.Program, elapsed time.Duration, err error) {
 	e := simd.NewEngine(pl.w, simd.NewMemory(int(pl.size)), nil)
-	st := newPackedState(e, ar, pl, 0)
+	st := newPackedState(e, ar, pl)
 	d := NewMultiSIMDDecoder(pl.code)
 	d.MaxIters, d.EarlyExit = maxIters, earlyExit
 	// The recording interprets on tables of its own, garbage with the

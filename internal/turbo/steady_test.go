@@ -89,8 +89,8 @@ func TestBatchDecoderSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// TestBatchDecoderPlanEviction forces the arena-full path with a tiny
-// arena: cycling through more block sizes than it holds must evict and
+// TestBatchDecoderPlanEviction forces the budget-full path with a tiny
+// budget: cycling through more block sizes than it holds must evict and
 // rebuild — and stay bit-correct throughout.
 func TestBatchDecoderPlanEviction(t *testing.T) {
 	bd := NewBatchDecoder(simd.W512, core.StrategyAPCM, 2<<20)
@@ -113,7 +113,7 @@ func TestBatchDecoderPlanEviction(t *testing.T) {
 		}
 	}
 	if bd.Evictions == 0 {
-		t.Error("2 MiB arena fit three K=4096..6144 W512 plans without evicting — Remaining() check is dead")
+		t.Error("a 2 MiB budget fit three K=4096..6144 W512 plans without evicting — the budget check is dead")
 	}
 }
 

@@ -92,22 +92,37 @@ func TestBandwidthGainGrowsWithWidth(t *testing.T) {
 
 func TestDecodePhasesShares(t *testing.T) {
 	// Arrangement share of decode: substantial under the original
-	// mechanism, small under APCM (the Figure 9 contrast).
-	po, err := DecodePhases(core.StrategyExtract, simd.W128, 512, 1)
-	if err != nil {
-		t.Fatal(err)
+	// mechanism, small under APCM (the Figure 9 contrast), at every width.
+	// As the calculation phases speed up with width, the original share
+	// grows, while APCM's does not.
+	so, sa := make([]float64, len(simd.Widths)), make([]float64, len(simd.Widths))
+	for i, w := range simd.Widths {
+		po, err := DecodePhases(core.StrategyExtract, w, 512, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pa, err := DecodePhases(core.StrategyAPCM, w, 512, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		so[i] = po.Us("arrangement") / po.TotalUs()
+		sa[i] = pa.Us("arrangement") / pa.TotalUs()
+		if so[i] < 0.05 {
+			t.Errorf("%v: original arrangement share %.1f%%, want substantial", w, 100*so[i])
+		}
+		if sa[i] > so[i]/2 {
+			t.Errorf("%v: APCM arrangement share %.1f%% not well below original %.1f%%", w, 100*sa[i], 100*so[i])
+		}
 	}
-	pa, err := DecodePhases(core.StrategyAPCM, simd.W128, 512, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	so := po.Us("arrangement") / po.TotalUs()
-	sa := pa.Us("arrangement") / pa.TotalUs()
-	if so < 0.05 {
-		t.Errorf("original arrangement share %.1f%%, want substantial", 100*so)
-	}
-	if sa > so/2 {
-		t.Errorf("APCM arrangement share %.1f%% not well below original %.1f%%", 100*sa, 100*so)
+	for i := 1; i < len(so); i++ {
+		if so[i] <= so[i-1] {
+			t.Errorf("original arrangement share does not grow with width: %.1f%% at %v, %.1f%% at %v",
+				100*so[i-1], simd.Widths[i-1], 100*so[i], simd.Widths[i])
+		}
+		if sa[i] > sa[0]+0.0025 {
+			t.Errorf("%v: APCM arrangement share %.2f%% grew past its %v value %.2f%% by more than 0.25 points",
+				simd.Widths[i], 100*sa[i], simd.Widths[0], 100*sa[0])
+		}
 	}
 }
 

@@ -44,7 +44,9 @@ func (p *Phases) TotalUs() float64 {
 // DecodePhases runs one lane-parallel SIMD turbo decode (arrangement
 // included; BlocksPerRegister(w) blocks fill the lanes, and every
 // attribution is divided by the block count) on noiseless blocks of size
-// k and attributes cycles per decoder phase on the wimpy platform.
+// k and attributes cycles per decoder phase on the wimpy platform. The
+// decode is the packed one the serving decoder runs, interpreted on a
+// traced engine.
 func DecodePhases(s core.Strategy, w simd.Width, k, iters int) (*Phases, error) {
 	return decodePhasesPolicy(s, w, k, iters, true)
 }
@@ -72,8 +74,9 @@ func decodePhasesPolicy(s core.Strategy, w simd.Width, k, iters int, rearrange b
 		words[b].FromHard(cw, 32)
 	}
 
-	mem := simd.NewMemory(64 << 20)
-	e := simd.NewEngine(w, mem, trace.NewRecorder(1<<18))
+	// Decode decodes over a memory of its own: the engine gives it the
+	// width and the recorder.
+	e := simd.NewEngine(w, nil, trace.NewRecorder(1<<18))
 	d := turbo.NewMultiSIMDDecoder(c)
 	d.MaxIters = iters
 	d.EarlyExit = false
@@ -131,8 +134,9 @@ func init() {
 			}
 			t.write(w)
 			fmt.Fprintln(w, "  (paper: arrangement share 13/17/19.5% original -> 4.7/3.4/1.8% APCM;")
-			fmt.Fprintln(w, "   note: our alpha/beta recursions stay 8-state xmm kernels at every width,")
-			fmt.Fprintln(w, "   so the calculation side scales less with width than the paper's — see EXPERIMENTS.md)")
+			fmt.Fprintln(w, "   note: every phase of our decode packs width/128 blocks, so the calculation")
+			fmt.Fprintln(w, "   halves with each width doubling, as APCM's arrangement does: the original")
+			fmt.Fprintln(w, "   share grows faster than the paper's and APCM's stays flat — see EXPERIMENTS.md)")
 			return nil
 		},
 	})

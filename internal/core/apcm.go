@@ -79,9 +79,9 @@ func buildAPCMLanePos(L int) []int {
 // supported width at init and shared read-only across engines, so a
 // steady-state Arrange call allocates nothing.
 type apcmTables struct {
-	lanePos  []int
-	masks    [3][]int16
-	natural  [3][]int
+	lanePos []int
+	masks   [3][]int16
+	natural [3][]int
 }
 
 var apcmTablesByL = func() map[int]*apcmTables {

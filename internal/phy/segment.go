@@ -48,10 +48,10 @@ func Segment(b int) (Segmentation, error) {
 
 // SegmentLaneFill segments like Segment but rounds the code-block count
 // up to a multiple of laneBlocks, so a lane-parallel SIMD decoder
-// (internal/turbo.MultiSIMDDecoder) fills every register lane group
-// instead of idling lanes on the tail batch. Blocks are kept at or above
-// the minimum turbo block size; when the transport block is too small to
-// split that far, the standard segmentation is returned.
+// (internal/turbo, BlocksPerRegister blocks a batch) fills every register
+// lane group instead of idling lanes on the tail batch. Blocks are kept at
+// or above the minimum turbo block size; when the transport block is too
+// small to split that far, the standard segmentation is returned.
 func SegmentLaneFill(b, laneBlocks int) (Segmentation, error) {
 	seg, err := Segment(b)
 	if err != nil || laneBlocks <= 1 || seg.C%laneBlocks == 0 {

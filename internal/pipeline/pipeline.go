@@ -41,9 +41,6 @@ type Config struct {
 	SNRdB float64
 	// Seed makes the run deterministic.
 	Seed int64
-	// RearrangePerHalfIter mirrors the OAI decoder structure (default
-	// true via DefaultConfig).
-	RearrangePerHalfIter bool
 }
 
 // DefaultConfig returns a 5 MHz-class configuration for the given
@@ -56,7 +53,6 @@ func DefaultConfig(w simd.Width, s core.Strategy, proto transport.Proto, packetB
 		// the decoder genuinely iterating (2-4 of the allowed 4
 		// iterations), as an operating base station would.
 		Mod: phy.QPSK, Iters: 4, SNRdB: 6, Seed: 1,
-		RearrangePerHalfIter: true,
 	}
 }
 
@@ -339,7 +335,6 @@ func RunUplink(cfg Config) (*Result, error) {
 			}
 			dec := turbo.NewMultiSIMDDecoder(code)
 			dec.MaxIters = cfg.Iters
-			dec.RearrangePerHalfIter = cfg.RearrangePerHalfIter
 			bits, _, err2 := dec.Decode(r.eng, core.ByStrategy(cfg.Strategy), words)
 			if err2 != nil {
 				err = err2

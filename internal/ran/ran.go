@@ -9,8 +9,8 @@
 // take or late after decode. Admitted blocks wait in one ready structure
 // (ready.go), grouped by class and K, that the decode workers pull their
 // own batches from: an idle worker takes up to width/128 same-K blocks
-// across UEs and cells — filling the lane groups of
-// turbo.MultiSIMDDecoder is what makes a wide register pay — but never
+// across UEs and cells — filling the lane groups of a turbo.BatchDecoder
+// batch is what makes a wide register pay — but never
 // waits for co-travellers, so lanes fill under load and a block arriving
 // at an idle pool is decoded at once. Every worker owns its own
 // simd.Engine (engines are not goroutine-safe, and per-worker state is

@@ -524,14 +524,14 @@ func (e *Engine) EmitBranch(mnem string) {
 	e.emit(trace.Inst{Class: trace.Branch, Mnemonic: mnem, Deps: trace.Deps3()})
 }
 
-// ---- recordable scalar element helpers ----
+// ---- recordable scalar element helper ----
 //
-// Scalar-tail work inside SIMD kernels (interleavers, arrangement
-// remainders, gamma/extrinsic tails) historically mixed direct Memory
-// access with loose EmitScalar* µop emission, which the replay compiler
-// cannot see. These helpers perform the same memory effect and emit the
-// same µop stream as the inline code they replaced — traced experiments
-// observe an identical trace — while also recording one semantic ProgOp.
+// Scalar element copies inside SIMD kernels (arrangement remainders)
+// historically mixed direct Memory access with loose EmitScalar* µop
+// emission, which the replay compiler cannot see. CopyI16 performs the
+// same memory effect and emits the same µop stream as the inline code it
+// replaced — traced experiments observe an identical trace — while also
+// recording one semantic ProgOp.
 
 // CopyI16 copies the int16 at src to dst, emitting the scalar load+store
 // µop pair the element-copy loops have always emitted.
@@ -540,61 +540,4 @@ func (e *Engine) CopyI16(dst, src int64) {
 	e.EmitScalarLoad("movzx", src, 2)
 	e.EmitScalarStore("mov", dst, 2)
 	e.rec3(ProgOp{Kind: PCopy16, Addr: dst, Addr2: src})
-}
-
-// sati16 saturates a 32-bit intermediate to int16 range, matching
-// saturating SIMD arithmetic on the scalar tail path.
-func sati16(x int32) int16 {
-	if x > 32767 {
-		return 32767
-	}
-	if x < -32768 {
-		return -32768
-	}
-	return int16(x)
-}
-
-// ScalarGammaPoint computes one scalar branch-metric point:
-//
-//	mem[g0] = sat16(mem[s] + mem[la] + mem[p])
-//	mem[g1] = sat16(mem[s] + mem[la] - mem[p])
-//
-// with the µop stream of the historical inline tail (two adds, one
-// scalar load, two scalar stores).
-func (e *Engine) ScalarGammaPoint(g0, g1, s, p, la int64) {
-	sv := e.Mem.ReadI16(s)
-	pv := e.Mem.ReadI16(p)
-	lv := e.Mem.ReadI16(la)
-	sa := int32(sv) + int32(lv)
-	e.Mem.WriteI16(g0, sati16(sa+int32(pv)))
-	e.Mem.WriteI16(g1, sati16(sa-int32(pv)))
-	e.EmitScalar("add", 2)
-	e.EmitScalarLoad("mov", la, 2)
-	e.EmitScalarStore("mov", g0, 2)
-	e.EmitScalarStore("mov", g1, 2)
-	e.rec3(ProgOp{Kind: PGammaPoint, Addr: g0, Addr2: g1, Xa: [3]int64{s, p, la}})
-}
-
-// ScalarExtPoint computes one scalar extrinsic point:
-//
-//	mem[dst] = clamp(mem[d]>>1 - mem[s] - mem[la], ±clamp)
-//
-// with the µop stream of the historical inline tail (two subs, one
-// scalar load, one scalar store).
-func (e *Engine) ScalarExtPoint(dst, s, la, d int64, clamp int16) {
-	sv := e.Mem.ReadI16(s)
-	lv := e.Mem.ReadI16(la)
-	dV := e.Mem.ReadI16(d)
-	x := int32(dV>>1) - int32(sv) - int32(lv)
-	if x > int32(clamp) {
-		x = int32(clamp)
-	}
-	if x < -int32(clamp) {
-		x = -int32(clamp)
-	}
-	e.Mem.WriteI16(dst, int16(x))
-	e.EmitScalar("sub", 2)
-	e.EmitScalarLoad("mov", d, 2)
-	e.EmitScalarStore("mov", dst, 2)
-	e.rec3(ProgOp{Kind: PExtPoint, Addr: dst, Imm: int64(clamp), Xa: [3]int64{s, la, d}})
 }

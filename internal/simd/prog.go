@@ -20,7 +20,7 @@ package simd
 
 // ProgKind identifies the semantic operation a ProgOp records. The set
 // mirrors the Engine's public API one-to-one (plus PClear for register
-// recycling and the scalar-tail helpers).
+// recycling and the scalar element copy).
 type ProgKind uint8
 
 // Recorded operation kinds.
@@ -60,16 +60,8 @@ const (
 	PExtrW
 	PInsrW
 	// PCopy16 copies one int16 from Addr2 to Addr (the scalar
-	// element-copy helper used by interleavers and arrangement tails).
+	// element-copy helper used by arrangement tails).
 	PCopy16
-	// PGammaPoint is the scalar branch-metric tail:
-	// mem[Addr] = sat16(s+la+p), mem[Addr2] = sat16(s+la-p) with
-	// s, p, la read from Xa[0..2].
-	PGammaPoint
-	// PExtPoint is the scalar extrinsic tail:
-	// mem[Addr] = clamp(d>>1 - s - la, Imm) with s, la, d read from
-	// Xa[0..2].
-	PExtPoint
 )
 
 // ProgOp is one semantically complete engine operation. Dst/A/B
@@ -80,14 +72,13 @@ const (
 // storage: sinks that retain ops beyond the recording call must copy
 // them.
 type ProgOp struct {
-	Kind       ProgKind
-	Dst, A, B  *Vec
-	Addr       int64
-	Addr2      int64
-	Imm        int64
-	Lanes      []int16
-	Idx        []int
-	Xa         [3]int64
+	Kind      ProgKind
+	Dst, A, B *Vec
+	Addr      int64
+	Addr2     int64
+	Imm       int64
+	Lanes     []int16
+	Idx       []int
 }
 
 // ProgSink receives the recorded operation stream. Mark lets the

@@ -71,8 +71,9 @@ var (
 	errNoSteady = errors.New("program: need >= 2 recorded iterations to compile")
 	// errSpent: Compile consumed the builder's stream.
 	errSpent = errors.New("program: builder already compiled")
-	// errUnsupported: the recording holds an op with no executable kind,
-	// one of the per-block decoder's scalar helpers.
+	// errUnsupported: the recording holds an op with no executable kind:
+	// an insert, or a copy outside a copy run, which no packed plan
+	// records.
 	errUnsupported = errors.New("program: unsupported op")
 )
 

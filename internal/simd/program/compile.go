@@ -248,9 +248,8 @@ func off(id int16) int32 {
 }
 
 // single lowers one recorded op to its executable singleton. It reports
-// false for an op that has none: the per-block decoder's scalar helpers
-// (PInsrW, PGammaPoint, PExtPoint, and a PCopy16 outside a copy run),
-// which no packed plan records.
+// false for an op that has none: a PInsrW, or a PCopy16 outside a copy
+// run, which no packed plan records.
 func single(r rawOp) (mop, bool) {
 	m := mop{
 		d: off(r.d), a: off(r.a), b: off(r.b),

@@ -635,10 +635,11 @@ func TestFinalizeRejectsMalformedOps(t *testing.T) {
 	}
 }
 
-// TestCompileRefusesUnsupported: a recording holding one of the per-block
-// decoder's scalar helpers, or a fused op whose intermediate a later op
-// reads, has no stream to run, so Compile returns an error (and the
-// caller interprets) instead of panicking.
+// TestCompileRefusesUnsupported: a recording holding a scalar helper no
+// packed plan records (an insert, or a copy outside a copy run), or a
+// fused op whose intermediate a later op reads, has no stream to run, so
+// Compile returns an error (and the caller interprets) instead of
+// panicking.
 func TestCompileRefusesUnsupported(t *testing.T) {
 	compile := func(body func(e *simd.Engine, addr int64, v, u *simd.Vec)) (err error) {
 		defer func() {
@@ -665,10 +666,6 @@ func TestCompileRefusesUnsupported(t *testing.T) {
 	for name, body := range map[string]func(e *simd.Engine, addr int64, v, u *simd.Vec){
 		"insert":    func(e *simd.Engine, addr int64, v, _ *simd.Vec) { e.PInsrWFromMem(v, addr+64, 2) },
 		"lone copy": func(e *simd.Engine, addr int64, _, _ *simd.Vec) { e.CopyI16(addr+64, addr+2) },
-		"gamma point": func(e *simd.Engine, addr int64, _, _ *simd.Vec) {
-			e.ScalarGammaPoint(addr+64, addr+66, addr, addr+2, addr+4)
-		},
-		"ext point": func(e *simd.Engine, addr int64, _, _ *simd.Vec) { e.ScalarExtPoint(addr+64, addr, addr+2, addr+4, 100) },
 		"live scratch": func(e *simd.Engine, addr int64, v, u *simd.Vec) {
 			// A quad scatter whose scratch register is stored afterwards.
 			acc := e.AcquireVec()

@@ -12,8 +12,8 @@ import (
 
 // HealthStatus is the /healthz verdict.
 type HealthStatus struct {
-	Healthy bool    `json:"healthy"`
-	Reason  string  `json:"reason,omitempty"`
+	Healthy bool   `json:"healthy"`
+	Reason  string `json:"reason,omitempty"`
 	// DropRate is the observed drop fraction the verdict was keyed on;
 	// QueueFrac the worst per-cell queue fill fraction.
 	DropRate  float64 `json:"drop_rate"`

@@ -40,9 +40,9 @@ type Sample struct {
 // model is deliberately tiny — enough to render valid Prometheus text
 // format and a JSON mirror without a third-party client library.
 type Family struct {
-	Name string
-	Help string
-	Type MetricType
+	Name    string
+	Help    string
+	Type    MetricType
 	Samples []Sample
 }
 

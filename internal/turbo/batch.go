@@ -254,6 +254,7 @@ func (bd *BatchDecoder) buildState(p *decodePlan) error {
 		bd.compileNs += sp.compileTime.Nanoseconds()
 	} else {
 		p.dec = NewMultiSIMDDecoder(p.plan.code)
+		p.dec.RearrangePerHalfIter = false
 	}
 	return nil
 }

@@ -6,11 +6,10 @@ import "vransim/internal/simd"
 // for nb blocks side by side in one register: block b's eight trellis
 // states occupy lanes 8b..8b+7, and every table maps a lane to a lane of
 // the same block, so no permute ever crosses a block boundary. They are a
-// pure function of (trellis, width), built in one place and embedded by
-// both decoders' working sets (multiState and packedPlan), which must
-// agree on them lane for lane. The slices are never written after
-// newLaneTables returns: the replay builder interns a permute table by
-// its backing array.
+// pure function of (trellis, width), embedded in a packed plan's
+// interpreter tables. The slices are never written after newLaneTables
+// returns: the replay builder interns a permute table by its backing
+// array.
 type laneTables struct {
 	// prevIdxU[b*8+s] is the lane of the state that reaches s under input
 	// bit U (alpha), nextIdxU[b*8+s] the lane of the state s moves to

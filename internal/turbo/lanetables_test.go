@@ -9,10 +9,9 @@ import (
 	"vransim/internal/simd"
 )
 
-// TestLaneTablesFromFirstPrinciples checks the shared recursion tables
-// against the trellis and the lane layout directly, at every width, and
-// that both working sets that embed them — the per-block multiState and
-// the packed plan — carry exactly those tables.
+// TestLaneTablesFromFirstPrinciples checks the recursion tables against
+// the trellis and the lane layout directly, at every width, and that the
+// packed plan's interpreter tables carry exactly those tables.
 func TestLaneTablesFromFirstPrinciples(t *testing.T) {
 	tr := NewTrellis()
 	c, err := NewCode(40)
@@ -89,10 +88,6 @@ func TestLaneTablesFromFirstPrinciples(t *testing.T) {
 			t.Errorf("%v negInfInit has %d reachable lanes, want one per block (%d)", w, zeros, nb)
 		}
 
-		ms := newMultiState(simd.NewEngine(w, simd.NewMemory(1<<20), nil), ar, c, nb)
-		if !reflect.DeepEqual(ms.laneTables, lt) {
-			t.Errorf("%v: multiState's lane tables drifted from newLaneTables", w)
-		}
 		if pl := newPackedPlan(c, ar.Layout(w), w, nb); !reflect.DeepEqual(pl.interpreterTables().laneTables, lt) {
 			t.Errorf("%v: packedPlan's lane tables drifted from newLaneTables", w)
 		}

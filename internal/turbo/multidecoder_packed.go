@@ -10,27 +10,27 @@ import (
 	"vransim/internal/simd"
 )
 
-// This file is the cross-block SoA-packed decode path, the one
-// BatchDecoder serves from. The per-block decoder (multidecoder.go, the
-// traced paper path) packs the nb in-flight blocks across lanes for the
-// alpha/beta recursions only; every K-indexed phase — arrangement,
-// gamma, extrinsic finalize, the QPP interleave, hard-decision
-// extraction — still runs once per block. Here the blocks are packed at
-// the *element* level instead: element i of blocks 0..nb-1 occupy
-// adjacent positions of one shared stream (packed index ip = i*nb+b),
-// so each K-indexed phase runs once per iteration over nb*K elements.
-// Since every 3GPP block size is a multiple of 8 and nb*8 = L, the
-// packed arrays have no scalar tails at any width — the interleave
-// becomes pure vector gather programs and the hard decisions one
-// vector sign-extract sweep.
+// This file is the cross-block SoA-packed decode path, the one emulated
+// SIMD decoder: BatchDecoder serves from it, the recorder compiles it, and
+// MultiSIMDDecoder.Decode traces it for the paper's figures. The nb
+// in-flight blocks share every register: block b's eight trellis states
+// occupy lanes 8b..8b+7 of the alpha/beta recursions, and every K-indexed
+// phase — arrangement, gamma, extrinsic finalize, the QPP interleave,
+// hard-decision extraction — sees the blocks packed at the *element*
+// level: element i of blocks 0..nb-1 occupy adjacent positions of one
+// shared stream (packed index ip = i*nb+b), so each such phase runs once
+// per iteration over nb*K elements. Since every 3GPP block size is a
+// multiple of 8 and nb*8 = L, the packed arrays have no scalar tails at
+// any width — the interleave is pure vector gather programs and the hard
+// decisions one vector sign-extract sweep.
 //
 // The recursions read their branch metrics from a quad layout written
 // by the packed gamma: one register group per trellis step holding
 // [g0, g1, -g0, -g1] per block in lanes b*4+v (the upper half of the
-// register is zero). One load plus two constant-table permutes replace
-// the per-block broadcast/mask/merge chain and the mask-select of the
-// per-block path — and give the replay compiler a fixed 11-op step
-// shape it fuses into a single-pass op (see program/fuse.go).
+// register is zero). One load plus two constant-table permutes give both
+// branch-metric vectors of a step, with no per-block broadcast, mask or
+// merge — and give the replay compiler a fixed 11-op step shape it fuses
+// into a single-pass op (see program/fuse.go).
 
 // regionLayout is where the packed working arrays lie: byte offsets from
 // the start of a plan's state region, which are a state's addresses too,
@@ -95,7 +95,7 @@ type packedPlan struct {
 // interpreter reads: the replay program has them compiled in. They are a
 // pure function of the plan, and immutable once built.
 type interpTables struct {
-	// Recursion permute tables, the ones multiState runs on.
+	// Recursion permute tables (lanetables.go).
 	laneTables
 	// Quad-read tables: bm0/bm1 of the alpha and beta recursions as one
 	// permute each over the step's quad group.
@@ -246,11 +246,11 @@ func (pl *packedPlan) quadTables() (bmA0, bmA1, bmB0, bmB1 []int) {
 	tr := pl.code.trellis
 	nb := pl.nb
 	lanes := pl.w.Lanes16()
-	// The per-block path selects branch metrics with masks: alpha bm0 =
-	// g0 where Parity[Prev[s][0]][0]==0 else g1, alpha bm1 = -g1 where
-	// Parity[Prev[s][1]][1]==0 else -g0; the beta forms test Parity[s][u]
-	// instead. In the quad layout those four choices are lanes
-	// b*4+{0,1,3,2} of the step's group.
+	// Alpha's bm0 is g0 where Parity[Prev[s][0]][0]==0 else g1, and its
+	// bm1 is -g1 where Parity[Prev[s][1]][1]==0 else -g0; the beta forms
+	// test Parity[s][u] instead. In the quad layout those four choices are
+	// lanes b*4+{0,1,3,2} of the step's group, so each vector is one
+	// permute.
 	quadSel := func(v0 func(s int) int, v1 func(s int) int) (t0, t1 []int) {
 		t0 = make([]int, lanes)
 		t1 = make([]int, lanes)
@@ -353,8 +353,8 @@ func buildGather[T int | int32](pl *packedPlan, f func(i int) int) [][]gatherSrc
 // gather emits one vectorized gather program: per destination group,
 // load each contributing source group (aligned view at rot srcRot),
 // permute its lanes into place and OR-merge, then store the assembled
-// group. This replaces the per-block path's k scalar CopyI16 calls per
-// interleave direction.
+// group. An interleave direction is vector ops only: no scalar element
+// copy.
 func (st *packedState) gather(prog [][]gatherSrc[int], dstBase, srcBase int64, srcRot int) {
 	e := st.e
 	src, acc, tmp := e.AcquireVec(), e.AcquireVec(), e.AcquireVec()
@@ -511,8 +511,7 @@ func (d *MultiSIMDDecoder) betaExtPacked(st *packedState, blockK int, terminated
 }
 
 // extFinPacked finalizes the extrinsic for all blocks in one sweep over
-// the packed arrays (same op shape as the per-block extFin, nb times
-// fewer dispatch rounds and no scalar tail).
+// the packed arrays: ext = clamp(D>>1 - (sys+la)), with no scalar tail.
 func (d *MultiSIMDDecoder) extFinPacked(st *packedState, sysBase int64, sysRot int, laBase int64) {
 	e := st.e
 	m := d.mark(e, "ext")
@@ -553,12 +552,27 @@ func (d *MultiSIMDDecoder) hdecPacked(st *packedState) {
 	d.setHi(m, e)
 }
 
-// iterPacked emits one full decode iteration's engine ops. The stream
-// is identical for every iteration and independent of the convergence
-// masks (frozen blocks are skipped only in the Go-side extraction), so
-// the replay compiler's stability check always holds.
-func (d *MultiSIMDDecoder) iterPacked(st *packedState) {
+// arrangePacked arranges the packed interleaved input into its S, P1 and
+// P2 clusters under an "arrangement" mark.
+func (d *MultiSIMDDecoder) arrangePacked(st *packedState) {
+	m := d.mark(st.e, "arrangement")
+	st.ar.Arrange(st.e, st.src, core.Dest{S: st.s, P1: st.p1, P2: st.p2}, st.n)
+	d.setHi(m, st.e)
+}
+
+// iterPacked emits decode iteration it's engine ops. With
+// RearrangePerHalfIter off the stream is identical for every iteration
+// and independent of the convergence masks (frozen blocks are skipped
+// only in the Go-side extraction), so the replay compiler's stability
+// check always holds. With it on, each half re-arranges the input first,
+// but for the first half of iteration 0, which runPacked's arrangement
+// has just fed; the arrays it rewrites are only read, so the bits do not
+// change.
+func (d *MultiSIMDDecoder) iterPacked(st *packedState, it int) {
 	// Half 1: natural order, terminated.
+	if d.RearrangePerHalfIter && it > 0 {
+		d.arrangePacked(st)
+	}
 	d.gammaPacked(st, st.s, st.lay.Rot[core.ClusterS], st.p1, core.ClusterP1, st.la1)
 	d.alphaPacked(st, st.code.K, true)
 	d.betaExtPacked(st, st.code.K, true)
@@ -568,14 +582,17 @@ func (d *MultiSIMDDecoder) iterPacked(st *packedState) {
 	d.setHi(m, st.e)
 
 	// Half 2: interleaved order, unterminated.
+	if d.RearrangePerHalfIter {
+		d.arrangePacked(st)
+	}
 	d.gammaPacked(st, st.sPerm, 0, st.p2, core.ClusterP2, st.la2)
 	d.alphaPacked(st, st.code.K, false)
 	d.betaExtPacked(st, st.code.K, false)
 	d.extFinPacked(st, st.sPerm, 0, st.la2)
 	m = d.mark(st.e, "interleave")
 	st.gather(st.gLa1, st.la1, st.ext, 0)
-	d.hdecPacked(st)
 	d.setHi(m, st.e)
+	d.hdecPacked(st)
 }
 
 // loadWordsPacked pads the batch, copies the packed interleaved input
@@ -598,9 +615,8 @@ func (st *packedState) loadWordsPacked(words []*LLRWord) error {
 }
 
 // extractPacked scans the hard-decision array for every still-live
-// block, updating bits in place and tracking a dirty flag per block —
-// the O(k) equalBits re-compare of the per-block path folded into the
-// extraction itself. A block whose iteration left its bits unchanged
+// block, updating bits in place and tracking a dirty flag per block — an
+// O(k) re-compare of the bits folded into the extraction itself. A block whose iteration left its bits unchanged
 // (it > 0) freezes: its bits stop updating, exactly like the scalar
 // reference exiting that block's loop. Returns true when every real
 // block has frozen.
@@ -662,9 +678,7 @@ func (d *MultiSIMDDecoder) runPacked(st *packedState, words []*LLRWord) ([][]byt
 	e := st.e
 	d.Marks = d.Marks[:0]
 
-	m := d.mark(e, "arrangement")
-	st.ar.Arrange(e, st.src, core.Dest{S: st.s, P1: st.p1, P2: st.p2}, st.n)
-	d.setHi(m, e)
+	d.arrangePacked(st)
 	if st.zero == nil {
 		// The one constant register, once per state; a recording takes it
 		// into SegFirst, so a replay re-establishes it every decode.
@@ -674,7 +688,7 @@ func (d *MultiSIMDDecoder) runPacked(st *packedState, words []*LLRWord) ([][]byt
 	st.writeTailQuads()
 
 	// One-time interleaved systematic gather and la1 zero-init.
-	m = d.mark(e, "interleave")
+	m := d.mark(e, "interleave")
 	st.gather(st.gSPerm, st.sPerm, st.s, st.lay.Rot[core.ClusterS])
 	d.setHi(m, e)
 	m = d.mark(e, "init")
@@ -689,7 +703,7 @@ func (d *MultiSIMDDecoder) runPacked(st *packedState, words []*LLRWord) ([][]byt
 	for it := 0; it < d.MaxIters; it++ {
 		iters++
 		e.ProgMark("iteration")
-		d.iterPacked(st)
+		d.iterPacked(st, it)
 		if st.extractPacked(d.EarlyExit, it) {
 			break
 		}

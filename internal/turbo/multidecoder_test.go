@@ -49,8 +49,7 @@ func TestMultiDecodeNoiseless(t *testing.T) {
 			t.Fatal(err)
 		}
 		words, truth := buildWords(t, c, nb, 7, true)
-		mem := simd.NewMemory(32 << 20)
-		e := simd.NewEngine(w, mem, nil)
+		e := simd.NewEngine(w, nil, nil)
 		d := NewMultiSIMDDecoder(c)
 		d.MaxIters = 4
 		got, _, err := d.Decode(e, core.ByStrategy(core.StrategyAPCM), words)
@@ -81,7 +80,7 @@ func TestMultiMatchesSingle(t *testing.T) {
 
 		md := NewMultiSIMDDecoder(c)
 		md.MaxIters, md.EarlyExit = 3, false
-		multi, _, err := md.Decode(simd.NewEngine(w, simd.NewMemory(32<<20), nil), ar, words)
+		multi, _, err := md.Decode(simd.NewEngine(w, nil, nil), ar, words)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -89,7 +88,7 @@ func TestMultiMatchesSingle(t *testing.T) {
 		sc := NewDecoder(c)
 		sc.MaxIters, sc.EarlyExit = 3, false
 		for b := 0; b < nb; b++ {
-			single, _, err := md.Decode(simd.NewEngine(w, simd.NewMemory(32<<20), nil), ar, words[b:b+1])
+			single, _, err := md.Decode(simd.NewEngine(w, nil, nil), ar, words[b:b+1])
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -110,7 +109,7 @@ func TestMultiMatchesSingle(t *testing.T) {
 func TestMultiDecodeValidation(t *testing.T) {
 	c, _ := NewCode(40)
 	d := NewMultiSIMDDecoder(c)
-	e := simd.NewEngine(simd.W256, simd.NewMemory(1<<20), nil)
+	e := simd.NewEngine(simd.W256, nil, nil)
 	three := []*LLRWord{NewLLRWord(40), NewLLRWord(40), NewLLRWord(40)}
 	if _, _, err := d.Decode(e, core.ByStrategy(core.StrategyAPCM), three); err == nil {
 		t.Error("expected too-many-blocks error")
@@ -128,7 +127,7 @@ func TestMultiPartialBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	words, truth := buildWords(t, c, 2, 3, true)
-	e := simd.NewEngine(simd.W512, simd.NewMemory(32<<20), nil)
+	e := simd.NewEngine(simd.W512, nil, nil)
 	d := NewMultiSIMDDecoder(c)
 	d.MaxIters = 4
 	got, _, err := d.Decode(e, core.ByStrategy(core.StrategyAPCM), words)
@@ -155,8 +154,7 @@ func TestMultiAmortizesRecursion(t *testing.T) {
 			t.Fatal(err)
 		}
 		words, _ := buildWords(t, c, nb, 5, true)
-		mem := simd.NewMemory(32 << 20)
-		e := simd.NewEngine(w, mem, trace.NewRecorder(1<<16))
+		e := simd.NewEngine(w, nil, trace.NewRecorder(1<<16))
 		d := NewMultiSIMDDecoder(c)
 		d.MaxIters, d.EarlyExit = 1, false
 		if _, _, err := d.Decode(e, core.ByStrategy(core.StrategyAPCM), words); err != nil {
@@ -175,5 +173,51 @@ func TestMultiAmortizesRecursion(t *testing.T) {
 	u512 := perBlockRecursion(simd.W512)
 	if !(u512 < u256 && u256 < u128) {
 		t.Errorf("per-block recursion µops not decreasing with width: %.0f, %.0f, %.0f", u128, u256, u512)
+	}
+}
+
+// TestRearrangePolicyKeepsBits: re-arranging before each half-iteration
+// rewrites arrays the decode only reads, so a traced Decode returns the
+// same bits and iterations with RearrangePerHalfIter on and off. On adds
+// one arrangement mark for every half but the first of iteration 0, which
+// the decode's own arrangement feeds.
+func TestRearrangePolicyKeepsBits(t *testing.T) {
+	ar := core.ByStrategy(core.StrategyAPCM)
+	for _, w := range simd.Widths {
+		c, err := NewCode(104)
+		if err != nil {
+			t.Fatal(err)
+		}
+		words, _ := buildWords(t, c, BlocksPerRegister(w), 21, false)
+		var bits [2][][]byte
+		var iters, arranges [2]int
+		for i, per := range []bool{true, false} {
+			d := NewMultiSIMDDecoder(c)
+			d.MaxIters = 4
+			d.RearrangePerHalfIter = per
+			e := simd.NewEngine(w, nil, trace.NewRecorder(1<<16))
+			if bits[i], iters[i], err = d.Decode(e, ar, words); err != nil {
+				t.Fatal(err)
+			}
+			for _, m := range d.Marks {
+				if m.Name == "arrangement" {
+					arranges[i]++
+				}
+			}
+		}
+		if iters[0] != iters[1] {
+			t.Errorf("%v: %d iterations re-arranging, %d arranging once", w, iters[0], iters[1])
+		}
+		if iters[0] < 2 {
+			t.Errorf("%v: decoded in %d iteration(s); the words must take at least two", w, iters[0])
+		}
+		for b := range words {
+			if !equalBits(bits[0][b], bits[1][b]) {
+				t.Errorf("%v block %d: re-arranging changed the decisions", w, b)
+			}
+		}
+		if got, want := arranges[0]-arranges[1], 2*iters[0]-1; got != want || arranges[1] != 1 {
+			t.Errorf("%v: %d arrangement marks re-arranging, %d once; want %d more", w, arranges[0], arranges[1], want)
+		}
 	}
 }

@@ -215,7 +215,7 @@ func recordProgram(pl *packedPlan, ar core.Arranger, words []*LLRWord, maxIters 
 	e := simd.NewEngine(pl.w, simd.NewMemory(int(pl.size)), nil)
 	st := newPackedState(e, ar, pl)
 	d := NewMultiSIMDDecoder(pl.code)
-	d.MaxIters, d.EarlyExit = maxIters, earlyExit
+	d.MaxIters, d.EarlyExit, d.RearrangePerHalfIter = maxIters, earlyExit, false
 	// The recording interprets on tables of its own, garbage with the
 	// engine: the plan holds none unless a decoder interprets it.
 	st.interpTables = pl.newInterpTables()

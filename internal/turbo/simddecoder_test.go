@@ -37,8 +37,7 @@ func simdDecodeOnce(t *testing.T, k int, w simd.Width, strat core.Strategy, snrN
 		clampWord(word, LLRLimit-1)
 	}
 
-	mem := simd.NewMemory(8 << 20)
-	e = simd.NewEngine(w, mem, trace.NewRecorder(1<<16))
+	e = simd.NewEngine(w, nil, trace.NewRecorder(1<<16))
 	d = NewMultiSIMDDecoder(c)
 	d.MaxIters = iters
 	out, _, err := d.Decode(e, core.ByStrategy(strat), []*LLRWord{word})
@@ -116,8 +115,7 @@ func TestSIMDMatchesScalar(t *testing.T) {
 					t.Fatal(err)
 				}
 
-				mem := simd.NewMemory(8 << 20)
-				e := simd.NewEngine(w, mem, nil) // functional only
+				e := simd.NewEngine(w, nil, nil) // functional only
 				sd := NewMultiSIMDDecoder(c)
 				sd.MaxIters, sd.EarlyExit = 4, false
 				out, _, err := sd.Decode(e, core.ByStrategy(strat), []*LLRWord{word})
@@ -205,7 +203,7 @@ func TestSIMDGammaUsesCalcInstructions(t *testing.T) {
 func TestSIMDLayoutWidthMismatch(t *testing.T) {
 	c, _ := NewCode(40)
 	d := NewMultiSIMDDecoder(c)
-	e := simd.NewEngine(simd.Width(8), simd.NewMemory(1<<20), nil)
+	e := simd.NewEngine(simd.Width(8), nil, nil)
 	if _, _, err := d.Decode(e, core.ByStrategy(core.StrategyAPCM), []*LLRWord{NewLLRWord(40)}); err == nil {
 		t.Error("expected a too-narrow-width error")
 	}

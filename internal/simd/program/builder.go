@@ -7,11 +7,12 @@
 // A program has two segments, a "first" one (the prefix: setup and
 // constants, run once a decode) and a "steady" one (one iteration,
 // identical for every iteration, the first included). Each is compiled to
-// a flat slice of width-specialized ops in which the packed decode
-// stream's hot patterns — whole alpha and beta trellis steps, quad
-// branch-metric scatters, interleave gathers, the extrinsic group, scalar
-// element-copy runs — are single ops, and then lowered to a descriptor
-// stream that runs them directly over a state region.
+// a slice of width-specialized ops in which the packed decode stream's hot
+// patterns — whole alpha and beta trellis steps, quad branch-metric
+// scatters, interleave gathers, the extrinsic group, scalar element-copy
+// runs — are single ops, and runs of them that repeat with their addresses
+// moving by fixed strides are loops (roll.go), and then lowered to a
+// descriptor stream that runs them directly over a state region.
 //
 // There are two ways to make one, and one way to finish it. An Emitter
 // (emit.go) is handed the ops by a caller that describes the decode from
@@ -174,17 +175,10 @@ func (b *Builder) Mark(name string) {
 	case 1:
 		// The prefix has just ended, so the first segment is complete.
 		// Fuse it now; its raw buffer then takes iteration 0, the steady
-		// segment, without regrowing when the caller sized it. The operand
-		// pool is reserved for both segments: the packed stream's fused
-		// ops take 1.12 to 1.23 aux words a raw op they replace (a beta
-		// step with extraction 26 + 2 a block for its 30-odd ops, a
-		// four-source scatter 11 for 8), so five words to four raw ops
-		// holds it, counting the iteration as long as the buffer; a stream
-		// that needs more still appends.
+		// segment, without regrowing when the caller sized it.
 		p := b.p
-		p.aux = make([]int32, 0, (len(b.ops)+cap(b.ops))*5/4)
 		p.RawOps[SegFirst] = len(b.ops)
-		p.segs[SegFirst], b.err = p.fuse(b.ops)
+		p.segs[SegFirst], p.FusedOps[SegFirst], b.err = p.fuse(b.ops)
 		b.ops = b.ops[:0]
 	case 2:
 		b.verifying = true

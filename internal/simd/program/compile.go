@@ -58,6 +58,10 @@ const (
 	mAlphaStepP  // load quad + 4 vpermw + 2 padds + pmax + norm + store: alpha step
 	mBetaStepP   // beta recursion step, optionally with fused posterior extract
 
+	// mLoop heads a loop the roller folded (roll.go): n body ops follow,
+	// run imm times; its aux holds a stride per address of the body.
+	mLoop
+
 	numKinds
 	firstFused = mCopyRun
 )
@@ -212,7 +216,7 @@ func (b *Builder) fused() (*Program, error) {
 	p := b.p
 	p.nregs = int32(b.nreg * regStride)
 	p.RawOps[SegSteady] = len(b.ops)
-	steady, err := p.fuse(b.ops)
+	steady, fused, err := p.fuse(b.ops)
 	// The raw steady iteration (24 B an op: 16 MB at W512 K=6144) is dead
 	// from here; let go of it before finalize allocates the descriptor
 	// streams, so the raw, fused and lowered forms are never all live at
@@ -221,8 +225,7 @@ func (b *Builder) fused() (*Program, error) {
 	if err != nil {
 		return nil, err
 	}
-	p.segs[SegSteady] = steady
-	p.FusedOps = [2]int{len(p.segs[SegFirst]), len(steady)}
+	p.segs[SegSteady], p.FusedOps[SegSteady] = steady, fused
 	return p, nil
 }
 

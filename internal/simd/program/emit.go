@@ -1,7 +1,6 @@
 package program
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"unsafe"
@@ -31,12 +30,9 @@ type Emitter struct {
 	w     simd.Width
 	lanes int
 
-	// p is nil on Emit's sizing pass, which only counts: n is what has
-	// been emitted so far, and on the filling pass every slice of p was
-	// made with the capacity the sizing pass counted.
-	p   *Program
-	n   emitSizes
-	seg int
+	p    *Program
+	roll *roller // the segment being emitted
+	seg  int
 
 	tabIDs map[*int32]int32
 	// recent caches tabIDs, direct-mapped by address: a trellis step names
@@ -51,49 +47,26 @@ type Emitter struct {
 	err   error
 }
 
-// emitSizes counts an emission: ops per segment, and the operand, table
-// and pattern pools.
-type emitSizes struct {
-	ops             [2]int
-	aux, tabs, pats int
-}
-
-// errNondeterministic: the passes of Emit described different programs.
-var errNondeterministic = errors.New("program: emit walk is not deterministic")
-
-// Emit builds the program walk describes. It calls walk on fresh emitters,
-// first to size every segment and pool and then to fill them, so walk must
-// describe the same program each time; the program then holds no spare
-// capacity. walk emits SegFirst, the prefix, calls Steady, and emits
-// SegSteady, one iteration. The result is finished as Compile finishes a
-// recording — validated, given its live masks and extent, and lowered to
-// descriptor streams — so a program has one validator and one lowering
-// however it was made.
+// Emit builds the program walk describes. walk emits SegFirst, the prefix,
+// calls Steady, and emits SegSteady, one iteration. Every op goes through
+// the roller as it is appended, and a Loop adds the trips past those the
+// roller needed to fold it as a count, so no segment is ever held
+// unrolled. The result is finished as Compile finishes a recording —
+// validated, given its live masks and extent, and lowered to descriptor
+// streams — so a program has one validator and one lowering however it
+// was made.
 func Emit(w simd.Width, walk func(*Emitter)) (*Program, error) {
-	size := &Emitter{w: w, lanes: w.Lanes16(), tabIDs: make(map[*int32]int32)}
-	walk(size)
-	if size.err != nil {
-		return nil, size.err
-	}
-	n := size.n
-	p := &Program{
-		w:        w,
-		lanes:    size.lanes,
-		nregs:    int32(size.nregs * regStride),
-		segs:     [2][]mop{make([]mop, 0, n.ops[SegFirst]), make([]mop, 0, n.ops[SegSteady])},
-		idxTabs:  make([][]int32, 0, n.tabs),
-		lanePats: make([][]int16, 0, n.pats),
-		aux:      make([]int32, 0, n.aux),
-		FusedOps: n.ops,
-	}
-	e := &Emitter{w: w, lanes: size.lanes, p: p, tabIDs: make(map[*int32]int32, n.tabs)}
+	p := &Program{w: w, lanes: w.Lanes16()}
+	e := &Emitter{w: w, lanes: p.lanes, p: p, roll: newRoller(p), tabIDs: make(map[*int32]int32)}
 	walk(e)
+	if e.err == nil && e.seg != SegSteady {
+		e.fail("Steady never called")
+	}
 	if e.err != nil {
 		return nil, e.err
 	}
-	if e.n != n || e.nregs != size.nregs || e.seg != SegSteady {
-		return nil, errNondeterministic
-	}
+	p.segs[SegSteady] = e.roll.flush()
+	p.nregs = int32(e.nregs * regStride)
 	return p.finish()
 }
 
@@ -101,8 +74,32 @@ func Emit(w simd.Width, walk func(*Emitter)) (*Program, error) {
 func (e *Emitter) Steady() {
 	if e.seg == SegSteady {
 		e.fail("Steady called twice")
+		return
 	}
-	e.seg = SegSteady
+	e.p.segs[SegFirst] = e.roll.flush()
+	e.roll, e.seg = newRoller(e.p), SegSteady
+}
+
+// Loop emits trips trips of a loop: body(t) emits trip t, which must be
+// trip 0 with each address moved by t times a stride of its own. Once the
+// roller has folded the trips emitted so far into a loop of one trip's
+// ops, opened during this call, the remaining trips join it as a count:
+// the program is the one the trips emitted op by op roll to, for a few
+// trips' cost whatever the count.
+func (e *Emitter) Loop(trips int, body func(t int)) {
+	from := len(e.roll.out)
+	for t := 0; t < trips; t++ {
+		fused, raw := e.p.FusedOps[e.seg], e.p.RawOps[e.seg]
+		body(t)
+		fused, raw = e.p.FusedOps[e.seg]-fused, e.p.RawOps[e.seg]-raw
+		if n, head, ok := e.roll.openBody(); ok && n == fused && head >= from {
+			rest := trips - t - 1
+			e.roll.extend(rest)
+			e.p.FusedOps[e.seg] += rest * fused
+			e.p.RawOps[e.seg] += rest * raw
+			return
+		}
+	}
 }
 
 func (e *Emitter) fail(format string, args ...any) {
@@ -111,14 +108,12 @@ func (e *Emitter) fail(format string, args ...any) {
 	}
 }
 
-// put appends op to the current segment, counting raw recorded ops it
-// stands for.
-func (e *Emitter) put(op mop, raw int) {
-	e.n.ops[e.seg]++
-	if e.p != nil {
-		e.p.segs[e.seg] = append(e.p.segs[e.seg], op)
-		e.p.RawOps[e.seg] += raw
-	}
+// put appends op, with its aux words, to the current segment, counting
+// the raw recorded ops it stands for.
+func (e *Emitter) put(op mop, words []int32, raw int) {
+	e.roll.push(op, words)
+	e.p.FusedOps[e.seg]++
+	e.p.RawOps[e.seg] += raw
 }
 
 // reg is r's lane offset, -1 for an absent operand (r < 0).
@@ -136,17 +131,6 @@ func (e *Emitter) addr(a int64) int32 {
 	return int32(a)
 }
 
-// aux appends operand words to the pool and returns their offset.
-func (e *Emitter) aux(xs ...int32) int32 {
-	e.n.aux += len(xs)
-	if e.p == nil {
-		return 0 // the sizing pass stores no op
-	}
-	o := int32(len(e.p.aux))
-	e.p.aux = append(e.p.aux, xs...)
-	return o
-}
-
 // tab interns index table t and returns its id.
 func (e *Emitter) tab(t []int32) int32 {
 	if len(t) < e.lanes {
@@ -162,12 +146,9 @@ func (e *Emitter) tab(t []int32) int32 {
 	}
 	id, ok := e.tabIDs[key]
 	if !ok {
-		id = int32(e.n.tabs)
-		e.n.tabs++
+		id = int32(len(e.p.idxTabs))
 		e.tabIDs[key] = id
-		if e.p != nil {
-			e.p.idxTabs = append(e.p.idxTabs, t)
-		}
+		e.p.idxTabs = append(e.p.idxTabs, t)
 	}
 	slot.t, slot.id = key, id
 	return id
@@ -175,7 +156,7 @@ func (e *Emitter) tab(t []int32) int32 {
 
 // single appends a singleton of kind with register operands d, a, b.
 func (e *Emitter) single(kind uint8, d, a, b Reg, addr, imm int64, tab int32) {
-	e.put(mop{kind: kind, d: e.reg(d), a: e.reg(a), b: e.reg(b), addr: addr, imm: imm, tab: tab}, 1)
+	e.put(mop{kind: kind, d: e.reg(d), a: e.reg(a), b: e.reg(b), addr: addr, imm: imm, tab: tab}, nil, 1)
 }
 
 // Clear zeroes d (a register taken from the engine's pool).
@@ -184,11 +165,8 @@ func (e *Emitter) Clear(d Reg) { e.single(mClear, d, -1, -1, 0, 0, -1) }
 // SetImm loads lane pattern pat into d; every SetImm adds a pattern to the
 // pool, as every recorded one does.
 func (e *Emitter) SetImm(d Reg, pat []int16) {
-	id := int32(e.n.pats)
-	e.n.pats++
-	if e.p != nil {
-		e.p.lanePats = append(e.p.lanePats, append([]int16(nil), pat...))
-	}
+	id := int32(len(e.p.lanePats))
+	e.p.lanePats = append(e.p.lanePats, append([]int16(nil), pat...))
 	e.single(mSetImm, d, -1, -1, 0, 0, id)
 }
 
@@ -239,8 +217,7 @@ func (e *Emitter) QuadScatter(acc, tmp Reg, dst int64, srcs []Reg, tabs [][]int3
 		}
 		w[3+2*j], w[4+2*j] = e.reg(s), e.tab(tabs[j])
 	}
-	o := e.aux(w[:3+2*n]...)
-	e.put(mop{kind: mQuadScatter, tab: o, n: int32(n)}, 2*n)
+	e.put(mop{kind: mQuadScatter, n: int32(n)}, w[:3+2*n], 2*n)
 }
 
 // QuadGather is tryQuadGather's op: the register loaded from each of srcs
@@ -268,8 +245,7 @@ func (e *Emitter) QuadGather(r, acc, tmp Reg, dst int64, srcs []int64, tabs [][]
 		}
 		w[4+2*j], w[5+2*j] = e.addr(s), e.tab(tabs[j])
 	}
-	o := e.aux(w[:4+2*n]...)
-	e.put(mop{kind: mQuadGather, tab: o, n: int32(n)}, 3*n)
+	e.put(mop{kind: mQuadGather, n: int32(n)}, w[:4+2*n], 3*n)
 }
 
 // AlphaStep is tryAlphaStepP's op, one forward recursion step over the
@@ -291,8 +267,7 @@ func (e *Emitter) AlphaStep(r *[9]Reg, quad, out int64, t *[5][]int32) {
 	for j := range t {
 		w[11+j] = e.tab(t[j])
 	}
-	o := e.aux(w[:]...)
-	e.put(mop{kind: mAlphaStepP, tab: o}, 11)
+	e.put(mop{kind: mAlphaStepP}, w[:], 11)
 }
 
 // BetaExt is the posterior extraction a beta step fuses (tryBetaStepP's
@@ -338,8 +313,7 @@ func (e *Emitter) BetaStep(r *[9]Reg, quad int64, t *[5][]int32, x *BetaExt) {
 	}
 	if x == nil {
 		w[14] = e.tab(t[4])
-		o := e.aux(w[:15]...)
-		e.put(mop{kind: mBetaStepP, tab: o}, 10)
+		e.put(mop{kind: mBetaStepP}, w[:15], 10)
 		return
 	}
 	// The recorded step names the horizontal-max tables before the
@@ -354,8 +328,7 @@ func (e *Emitter) BetaStep(r *[9]Reg, quad int64, t *[5][]int32, x *BetaExt) {
 		w[26+2*j], w[27+2*j] = e.addr(out[0]), int32(out[1])
 	}
 	n := len(x.Out)
-	o := e.aux(w[:26+2*n]...)
-	e.put(mop{kind: mBetaStepP, tab: o, imm: 1, n: int32(n)}, 26+n)
+	e.put(mop{kind: mBetaStepP, imm: 1, n: int32(n)}, w[:26+2*n], 26+n)
 }
 
 // ExtVec is tryExtVec's op over the registers r = {d, s, la, t, half,
@@ -373,8 +346,7 @@ func (e *Emitter) ExtVec(r *[7]Reg, imm uint, in [3]int64, out int64) {
 		w[7+j] = e.addr(a)
 	}
 	w[10] = e.addr(out)
-	o := e.aux(w[:]...)
-	e.put(mop{kind: mExtVec, tab: o, imm: int64(imm)}, 9)
+	e.put(mop{kind: mExtVec, imm: int64(imm)}, w[:], 9)
 }
 
 // regs writes the lane offsets of rs to w.

@@ -9,6 +9,7 @@ var fusedKindNames = map[uint8]string{
 	mQuadGather:  "quad gather",
 	mAlphaStepP:  "alpha step",
 	mBetaStepP:   "beta step",
+	mLoop:        "loop",
 }
 
 // FusedKinds lists the name of every fused op kind the compiler defines
@@ -33,21 +34,35 @@ var recordOf = map[uint32]uint8{
 }
 
 // FusedKindCounts reports how many ops of each fused kind the stream of
-// segment seg of p runs: a sweep record counts its steps, any other record
-// once (so a copy run cut at a yield counts once a piece).
+// segment seg of p runs: a sweep record counts its steps, a record in a
+// loop's body once a trip, and any other record once (so a copy run cut at
+// a yield counts once a piece); "loop" counts the loop records, each piece
+// of a loop cut at a yield one.
 func (p *Program) FusedKindCounts(seg int) map[string]int {
 	counts := make(map[string]int)
-	code := p.code[seg]
-	for pc := 0; pc < len(code); pc += recordWords(code[pc:]) {
-		kind, ok := recordOf[code[pc]&0xff]
+	count := func(rec []uint32, times int) {
+		kind, ok := recordOf[rec[0]&0xff]
 		if !ok {
-			continue
+			return
 		}
 		n := 1
 		if kind == mAlphaStepP || kind == mBetaStepP {
-			n = int(code[pc] >> 8)
+			n = int(rec[0] >> 8)
 		}
-		counts[fusedKindNames[kind]] += n
+		counts[fusedKindNames[kind]] += n * times
+	}
+	code := p.code[seg]
+	for pc := 0; pc < len(code); pc += recordWords(code[pc:]) {
+		if code[pc]&0xff != nLoop {
+			count(code[pc:], 1)
+			continue
+		}
+		counts[fusedKindNames[mLoop]]++
+		def := code[pc-int(code[pc+2]):]
+		body := def[5+def[3]:][:def[4+def[3]]]
+		for i := 0; i < len(body); i += recordWords(body[i:]) {
+			count(body[i:], int(code[pc]>>8))
+		}
 	}
 	return counts
 }

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"math"
 	"slices"
 )
 
@@ -68,277 +67,6 @@ func (p *Program) resolve() {
 	p.pats = make([][regStride]int16, len(p.lanePats))
 	for t, pat := range p.lanePats {
 		copy(p.pats[t][:], pat)
-	}
-}
-
-// lower translates a segment analyze has validated and marked into the
-// descriptor stream of kern.go: one record an op, a run of lean trellis
-// steps sharing their carried register and tables as one sweep record, and
-// a stop record wherever the work since the last reaches yieldEvery. It is
-// one forward pass and reads only what the visitEffects walk has been
-// over; every operand it emits is checked again on the way out
-// (lowerer.reg, .mem, .tab, .lane), against the register file, the extent
-// that walk computed and the table pool, so the stream cannot address
-// anything NewExec's extent check does not cover even if the two disagreed
-// about an op's layout. It refuses an op that has no record kind, and a
-// fused op whose intermediate registers a later op reads: the streams
-// write only what a lean op writes. An error means the caller stays on the
-// interpreter, as for any other compile error.
-func (p *Program) lower(ops []mop) (code []uint32, err error) {
-	lw := &lowerer{p: p, code: make([]uint32, 0, 8*len(ops))}
-	for i := 0; i < len(ops) && lw.err == nil; {
-		i += lw.op(ops, i)
-	}
-	lw.put(nStop, 0)
-	return slices.Clone(lw.code), lw.err
-}
-
-type lowerer struct {
-	p    *Program
-	code []uint32
-	work int // units of work since the last stop record
-	err  error
-}
-
-func (lw *lowerer) fail(format string, args ...any) {
-	if lw.err == nil {
-		lw.err = fmt.Errorf("program: lowering: "+format, args...)
-	}
-}
-
-// put appends a record header and operand words.
-func (lw *lowerer) put(kind uint32, n int, words ...uint32) {
-	if n < 0 || n >= 1<<24 {
-		lw.fail("record count %d does not fit a header", n)
-	}
-	lw.code = append(append(lw.code, kind|uint32(n)<<8), words...)
-}
-
-// room returns how many units of work the next record may hold, after
-// emitting the stop record that is due.
-func (lw *lowerer) room() int {
-	if lw.work >= yieldEvery {
-		lw.put(nStop, 0)
-		lw.work = 0
-	}
-	return yieldEvery - lw.work
-}
-
-// reg is the byte offset of the register at lane offset off.
-func (lw *lowerer) reg(off int32) uint32 { return lw.lane(int64(off), 0, regStride) }
-
-// lane is the byte offset of lanes [from, from+n) of the register at lane
-// offset off.
-func (lw *lowerer) lane(off, from, n int64) uint32 {
-	if off < 0 || off+regStride > int64(lw.p.nregs) || from < 0 || n < 0 || from+n > regStride {
-		lw.fail("lanes [%d,+%d) of register offset %d outside the file", from, n, off)
-		return 0
-	}
-	return uint32(2 * (off + from))
-}
-
-// mem is the arena byte offset addr of an n-byte access.
-func (lw *lowerer) mem(addr, n int64) uint32 {
-	if addr < 0 || addr&1 != 0 || n < 0 || addr+n > lw.p.extent || addr > math.MaxUint32 {
-		lw.fail("memory access [%d,+%d) outside the extent %d", addr, n, lw.p.extent)
-		return 0
-	}
-	return uint32(addr)
-}
-
-// tab is the byte offset in gat and gatAnd of index table id's vector.
-func (lw *lowerer) tab(id int32) uint32 {
-	if id < 0 || int(id) >= len(lw.p.tabSlot) {
-		lw.fail("index table %d outside %d", id, len(lw.p.tabSlot))
-		return 0
-	}
-	slot := lw.p.tabSlot[id]
-	if slot < 0 || int(slot) >= len(lw.p.gat) {
-		lw.fail("index table %d in slot %d outside the pool of %d", id, slot, len(lw.p.gat))
-		return 0
-	}
-	return uint32(slot) * 2 * regStride
-}
-
-// shift is a VPSRAW count: any count above 15 fills with the sign, as Go's
-// >> does.
-func shift(imm int64) int { return int(min(uint64(imm), 16)) }
-
-// live refuses op i, whose intermediate registers a later op reads.
-func (lw *lowerer) live(i int, op *mop) int {
-	lw.fail("op %d (kind %d) has a live intermediate register", i, op.kind)
-	return 1
-}
-
-// op lowers ops[i], or the sweep that starts there, and returns how many
-// ops it consumed. The binary lane ops rely on mAddS..mAndN and
-// nAddS..nAndN being declared in the same order.
-func (lw *lowerer) op(ops []mop, i int) int {
-	p, op := lw.p, &ops[i]
-	wb := int64(2 * p.lanes)
-	room := lw.room()
-	lw.work++
-	switch op.kind {
-	case mClear:
-		lw.put(nClear, 0, lw.reg(op.d))
-	case mAddS, mSubS, mMaxS, mMinS, mAnd, mOr, mXor, mAndN:
-		lw.put(nAddS+uint32(op.kind-mAddS), 0, lw.reg(op.d), lw.reg(op.a), lw.reg(op.b))
-	case mSra:
-		lw.put(nSra, shift(op.imm), lw.reg(op.d), lw.reg(op.a))
-	case mBcastImm:
-		lw.put(nBcastImm, int(uint16(op.imm)), lw.reg(op.d))
-	case mBcastMem:
-		lw.put(nBcastMem, 0, lw.reg(op.d), lw.mem(op.addr, 2))
-	case mSetImm:
-		if op.tab < 0 || int(op.tab) >= len(p.pats) {
-			lw.fail("pattern %d outside %d", op.tab, len(p.pats))
-		}
-		lw.put(nSetImm, 0, lw.reg(op.d), uint32(op.tab)*2*regStride)
-	case mPermute:
-		lw.put(nPermute, 0, lw.reg(op.d), lw.reg(op.a), lw.tab(op.tab))
-	case mExt128:
-		lw.put(nLoadReg, 0, lw.reg(op.d), lw.lane(int64(op.a), 8*op.imm, 8), laneMask(8))
-	case mExt256:
-		lw.put(nLoadReg, 0, lw.reg(op.d), lw.lane(int64(op.a), 16*op.imm, 16), laneMask(16))
-	case mLoad:
-		lw.lane(int64(op.d), 0, op.imm/2)
-		lw.put(nLoad, 0, lw.reg(op.d), lw.mem(op.addr, op.imm), laneMask(int(op.imm/2)))
-	case mStore:
-		lw.put(nStore, 0, lw.lane(int64(op.a), 0, op.imm/2), lw.mem(op.addr, op.imm), laneMask(int(op.imm/2)))
-	case mExtrW:
-		lw.put(nExtrW, 0, lw.lane(int64(op.a), op.imm, 1), lw.mem(op.addr, 2))
-	case mCopyRun:
-		// Four copies to a unit of work; a long run is cut at the yield.
-		lw.work--
-		for t := p.aux[op.tab : op.tab+2*op.n]; len(t) > 0; {
-			n := min(len(t)/2, 4*lw.room())
-			lw.put(nCopyRun, n)
-			for _, a := range t[:2*n] {
-				lw.code = append(lw.code, lw.mem(int64(a), 2))
-			}
-			lw.work += (n + 3) / 4
-			t = t[2*n:]
-		}
-	case mExtVec:
-		if op.live != 0 {
-			return lw.live(i, op)
-		}
-		t := p.aux[op.tab : op.tab+11]
-		lw.put(nExtVec, shift(op.imm), lw.reg(t[5]), lw.reg(t[6]),
-			lw.mem(int64(t[7]), wb), lw.mem(int64(t[8]), wb), lw.mem(int64(t[9]), wb), lw.mem(int64(t[10]), wb))
-	case mQuadScatter:
-		if op.live != 0 {
-			return lw.live(i, op)
-		}
-		t := p.aux[op.tab : op.tab+3+2*op.n]
-		lw.put(nMergeReg, int(op.n), lw.mem(int64(t[2]), wb))
-		for t = t[3:]; len(t) > 0; t = t[2:] {
-			lw.code = append(lw.code, lw.reg(t[0]), lw.tab(t[1]))
-		}
-		lw.work += int(op.n) / 4
-	case mQuadGather:
-		if op.live != 0 {
-			return lw.live(i, op)
-		}
-		t := p.aux[op.tab : op.tab+4+2*op.n]
-		lw.put(nMergeMem, int(op.n), lw.mem(int64(t[3]), wb))
-		for t = t[4:]; len(t) > 0; t = t[2:] {
-			lw.code = append(lw.code, lw.mem(int64(t[0]), wb), lw.tab(t[1]))
-		}
-		lw.work += int(op.n) / 4
-	case mAlphaStepP, mBetaStepP:
-		if !leanStep(op) {
-			return lw.live(i, op)
-		}
-		if op.n > regStride {
-			lw.fail("op %d extracts %d lanes of a %d-lane register", i, op.n, regStride)
-			return 1
-		}
-		// A step with many extractions counts for more than one unit.
-		n, cost := 1, 1+int(op.n)/8
-		for n < room/cost && i+n < len(ops) && p.sameSweep(op, &ops[i+n]) {
-			n++
-		}
-		lw.sweep(ops[i:i+n], wb)
-		lw.work += n*cost - 1
-		return n
-	default:
-		lw.fail("op %d has kind %d, which no record kind runs", i, op.kind)
-	}
-	return 1
-}
-
-// leanStep reports whether a trellis step writes nothing but its carried
-// register that a later op reads.
-func leanStep(op *mop) bool {
-	if op.kind == mAlphaStepP {
-		return op.live&0xff == 0
-	}
-	return op.live&^(1<<7) == 0
-}
-
-// sameSweep reports whether step b can follow step a in one sweep record:
-// the same kind and form, lean, and the same carried register, tables and
-// extracted lanes, which the record holds once.
-func (p *Program) sameSweep(a, b *mop) bool {
-	if b.kind != a.kind || b.imm != a.imm || b.n != a.n || !leanStep(b) {
-		return false
-	}
-	ta, tb := p.aux[a.tab:], p.aux[b.tab:]
-	if a.kind == mAlphaStepP {
-		return ta[8] == tb[8] && slices.Equal(ta[11:16], tb[11:16])
-	}
-	if ta[7] != tb[7] || !slices.Equal(ta[10:15], tb[10:15]) {
-		return false
-	}
-	if a.imm == 0 {
-		return true
-	}
-	for x := int32(0); x < a.n; x++ {
-		if ta[27+2*x] != tb[27+2*x] {
-			return false
-		}
-	}
-	return slices.Equal(ta[23:26], tb[23:26])
-}
-
-// sweep emits one sweep record for steps, which sameSweep has matched.
-func (lw *lowerer) sweep(steps []mop, wb int64) {
-	p, op := lw.p, &steps[0]
-	t := p.aux[op.tab:]
-	switch {
-	case op.kind == mAlphaStepP:
-		lw.put(nAlphaSweep, len(steps), lw.reg(t[8]),
-			lw.tab(t[11]), lw.tab(t[12]), lw.tab(t[13]), lw.tab(t[14]), lw.tab(t[15]))
-		for i := range steps {
-			t := p.aux[steps[i].tab:]
-			lw.code = append(lw.code, lw.mem(int64(t[9]), wb), lw.mem(int64(t[10]), wb))
-		}
-	case op.imm == 0:
-		lw.put(nBetaSweep, len(steps), lw.reg(t[7]),
-			lw.tab(t[10]), lw.tab(t[11]), lw.tab(t[12]), lw.tab(t[13]), lw.tab(t[14]))
-		for i := range steps {
-			lw.code = append(lw.code, lw.mem(int64(p.aux[steps[i].tab+9]), wb))
-		}
-	default:
-		nx := int(op.n)
-		lw.put(nBetaExtSweep, len(steps), lw.reg(t[7]),
-			lw.tab(t[10]), lw.tab(t[11]), lw.tab(t[12]), lw.tab(t[13]), lw.tab(t[14]),
-			lw.tab(t[23]), lw.tab(t[24]), lw.tab(t[25]), uint32(nx))
-		// The extracted lanes as the index operand of one VPERMW: a whole
-		// register of words, two to a stream word.
-		var lanes [regStride / 2]uint32
-		for x := 0; x < nx; x++ {
-			lanes[x/2] |= lw.lane(0, int64(t[27+2*x]), 1) / 2 << (16 * (x % 2))
-		}
-		lw.code = append(lw.code, lanes[:]...)
-		for i := range steps {
-			t := p.aux[steps[i].tab:]
-			lw.code = append(lw.code, lw.mem(int64(t[9]), wb), lw.mem(int64(t[22]), wb))
-			for x := 0; x < nx; x++ {
-				lw.code = append(lw.code, lw.mem(int64(t[26+2*x]), 2))
-			}
-		}
 	}
 }
 
@@ -414,14 +142,30 @@ func (l *segLive) setTails(boundary []bool) {
 }
 
 // walkLive validates ops and sets their live masks, all but the bits of
-// tail writes, walking the segment backwards (analyze).
+// tail writes, walking the segment backwards (analyze). A loop's body is
+// walked twice: first as its last trip, which the ops after the loop
+// follow, then as any earlier trip, which the next trip follows. Liveness
+// into a trip is the same from the second walk on, so the two give every
+// trip's masks, and an op keeps the union. An address is validated, and
+// counted in the extent, at its first trip and at its last.
 func (p *Program) walkLive(ops []mop) (segLive, error) {
 	nregs := p.nregs
 	l := segLive{in: make([]bool, nregs/regStride)}
 	live := l.in                       // read later in the segment, not written in between
 	touched := make([]bool, len(live)) // read or written later in the segment
 	var reads, writes []int32          // the op being walked, in visitEffects order
+	var strides []int32                // of the op being walked: its addresses' strides, in operand order
+	var last int64                     // trips of the loop being walked, less one
 	var verr error
+	check := func(addr, n int64) {
+		if verr == nil && (addr < 0 || n < 0) {
+			verr = fmt.Errorf("program: negative memory access [%d,+%d)", addr, n)
+		}
+		if verr == nil && addr&1 != 0 {
+			verr = fmt.Errorf("program: memory access at odd address %d", addr)
+		}
+		l.extent = max(l.extent, addr+n)
+	}
 	v := &effectVisitor{
 		reg: func(off int32, write bool) {
 			if off < 0 || off+regStride > nregs {
@@ -435,25 +179,26 @@ func (p *Program) walkLive(ops []mop) (segLive, error) {
 			}
 		},
 		mem: func(addr, n int64, write bool) {
-			if verr == nil && (addr < 0 || n < 0) {
-				verr = fmt.Errorf("program: negative memory access [%d,+%d)", addr, n)
+			check(addr, n)
+			if last > 0 && len(strides) > 0 {
+				check(addr+last*int64(strides[0]), n)
+				strides = strides[1:]
+			} else if last > 0 && verr == nil {
+				verr = errors.New("program: a loop body has more addresses than strides")
 			}
-			if verr == nil && addr&1 != 0 {
-				verr = fmt.Errorf("program: memory access at odd address %d", addr)
-			}
-			l.extent = max(l.extent, addr+n)
 		},
 	}
-	for i := len(ops) - 1; i >= 0; i-- {
-		op := &ops[i]
+	walk := func(op *mop, union bool) error {
 		reads, writes = reads[:0], writes[:0]
 		if err := p.visitEffects(op, v); err != nil {
-			return l, err
+			return err
 		}
 		if verr != nil {
-			return l, verr
+			return verr
 		}
-		op.live = 0
+		if !union {
+			op.live = 0
+		}
 		for k, id := range writes {
 			if live[id] {
 				op.live |= 1 << k
@@ -469,6 +214,53 @@ func (p *Program) walkLive(ops []mop) (segLive, error) {
 		for _, id := range reads {
 			live[id], touched[id] = true, true
 		}
+		return nil
+	}
+	// The ops that begin an item: a loop header, or an op outside loops.
+	var heads []int
+	for i := 0; i < len(ops); i++ {
+		heads = append(heads, i)
+		if ops[i].kind == mLoop {
+			if ops[i].n < 1 || int(ops[i].n) >= len(ops)-i {
+				return l, fmt.Errorf("program: loop at op %d of %d ops overruns the segment", i, ops[i].n)
+			}
+			i += int(ops[i].n)
+		}
+	}
+	for h := len(heads) - 1; h >= 0; h-- {
+		i := heads[h]
+		if ops[i].kind != mLoop {
+			last = 0
+			if err := walk(&ops[i], false); err != nil {
+				return l, err
+			}
+			continue
+		}
+		body, all, err := p.loopAt(ops, i)
+		if err != nil {
+			return l, err
+		}
+		at := make([]int, len(body)+1)
+		for j := range body {
+			at[j+1] = at[j] + addrCount(&body[j])
+		}
+		for _, s := range all {
+			if s&1 != 0 {
+				return l, fmt.Errorf("program: loop at op %d moves an address by an odd stride %d", i, s)
+			}
+		}
+		last = ops[i].imm - 1
+		for pass := 0; pass < 2; pass++ {
+			for j := len(body) - 1; j >= 0; j-- {
+				strides = all[at[j]:at[j+1]]
+				if err := walk(&body[j], pass == 1); err != nil {
+					return l, err
+				}
+				if len(strides) != 0 {
+					return l, fmt.Errorf("program: op kind %d in a loop at op %d has %d addresses", body[j].kind, i, at[j+1]-at[j]-len(strides))
+				}
+			}
+		}
 	}
 	return l, nil
 }
@@ -482,7 +274,8 @@ type effectVisitor struct {
 }
 
 // visitEffects walks op's reads and writes: registers as whole register
-// file entries, memory as byte ranges, every register an op writes
+// file entries, memory as byte ranges in operand order (addrAt), every
+// register an op writes
 // whether or not its record does (an intermediate of a lean op). It is the
 // single authority on each kind's operand layout, which lower reads the
 // same way. It returns an error — and guarantees the callbacks saw nothing out of
@@ -571,8 +364,8 @@ func (p *Program) visitEffects(op *mop, v *effectVisitor) error {
 			return err
 		}
 		for i := 0; i < len(t); i += 2 {
-			mem(int64(t[i+1]), 2, false)
 			mem(int64(t[i]), 2, true)
+			mem(int64(t[i+1]), 2, false)
 		}
 	case mExtVec:
 		t, err := aux(11)
@@ -613,6 +406,7 @@ func (p *Program) visitEffects(op *mop, v *effectVisitor) error {
 		if err != nil {
 			return err
 		}
+		mem(int64(t[3]), wb, true)
 		for s := int32(0); s < op.n; s++ {
 			if err := p.checkTabs(true, t[5+2*s]); err != nil {
 				return err
@@ -624,7 +418,6 @@ func (p *Program) visitEffects(op *mop, v *effectVisitor) error {
 		if op.n > 1 {
 			reg(int32(t[2]), true)
 		}
-		mem(int64(t[3]), wb, true)
 	case mAlphaStepP:
 		t, err := aux(16)
 		if err != nil {

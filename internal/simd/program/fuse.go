@@ -2,7 +2,6 @@ package program
 
 import (
 	"fmt"
-	"slices"
 
 	"vransim/internal/simd"
 )
@@ -27,50 +26,44 @@ import (
 
 // fuse lowers a raw segment, greedily matching fusion patterns and
 // falling back to singletons; an op that is neither is refused
-// (errUnsupported). The segment it returns has no spare capacity, and the
-// packed stream fuses about ten raw ops into one, so any estimate made
-// from len(raw) strands most of itself.
-func (p *Program) fuse(raw []rawOp) ([]mop, error) {
-	out := make([]mop, 0, len(raw)/8+16)
-	for i := 0; i < len(raw); {
-		if m, n := p.tryCopyRun(raw[i:]); n > 0 {
-			out = append(out, m)
-			i += n
-			continue
+// (errUnsupported). Each op goes through the roller as it is formed, so
+// the segment fuse returns is rolled, and it reports how many fused ops
+// the segment runs unrolled.
+func (p *Program) fuse(raw []rawOp) ([]mop, int, error) {
+	r := newRoller(p)
+	var words []int32
+	n := 0
+	for i := 0; i < len(raw); n++ {
+		// A matcher leaves its op's operand words at the end of the pool,
+		// where the roller takes them from.
+		at := len(p.aux)
+		m, k := p.match(raw[i:])
+		if k == 0 {
+			var ok bool
+			if m, ok = single(raw[i]); !ok {
+				return nil, 0, fmt.Errorf("%w: recorded kind %d", errUnsupported, raw[i].kind)
+			}
+			k = 1
 		}
-		if m, n := p.tryExtVec(raw[i:]); n > 0 {
-			out = append(out, m)
-			i += n
-			continue
-		}
-		if m, n := p.tryAlphaStepP(raw[i:]); n > 0 {
-			out = append(out, m)
-			i += n
-			continue
-		}
-		if m, n := p.tryBetaStepP(raw[i:]); n > 0 {
-			out = append(out, m)
-			i += n
-			continue
-		}
-		if m, n := p.tryQuadGather(raw[i:]); n > 0 {
-			out = append(out, m)
-			i += n
-			continue
-		}
-		if m, n := p.tryQuadScatter(raw[i:]); n > 0 {
-			out = append(out, m)
-			i += n
-			continue
-		}
-		m, ok := single(raw[i])
-		if !ok {
-			return nil, fmt.Errorf("%w: recorded kind %d", errUnsupported, raw[i].kind)
-		}
-		out = append(out, m)
-		i++
+		words = append(words[:0], p.aux[at:]...)
+		p.aux = p.aux[:at]
+		r.push(m, words)
+		i += k
 	}
-	return slices.Clone(out), nil
+	return r.flush(), n, nil
+}
+
+// match fuses the pattern at the head of raw and reports how many raw ops
+// it took, 0 when none matches.
+func (p *Program) match(raw []rawOp) (mop, int) {
+	for _, try := range [...]func([]rawOp) (mop, int){
+		p.tryCopyRun, p.tryExtVec, p.tryAlphaStepP, p.tryBetaStepP, p.tryQuadGather, p.tryQuadScatter,
+	} {
+		if m, n := try(raw); n > 0 {
+			return m, n
+		}
+	}
+	return mop{}, 0
 }
 
 // pushAux appends operand words to the program pool and returns their

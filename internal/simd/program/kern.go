@@ -19,7 +19,11 @@ import (
 //
 // The stream is []uint32. A record is a header word, record kind in the
 // low byte and a count n above it, followed by the operand words its kind
-// defines below. Operands are byte offsets — into the state region and
+// defines below. A record's addresses are its words plus a base: the
+// region's start, or in a loop's body the base of the class the last base
+// record named, which moves by the class's stride a trip. A trip starts at
+// class 1, the class of the body's first record that addresses the
+// region, and a base record goes wherever the class changes. Operands are byte offsets — into the state region and
 // the register file of whichever Exec is running, the index-table pool
 // p.gat / p.gatAnd, the pattern pool p.pats — never Go pointers, so a
 // program stays GC-inert, position-independent and shareable: the five
@@ -33,9 +37,11 @@ import (
 //
 //   - Every operand word is emitted through lowerer.reg, .mem or .tab,
 //     which check it against the register file, against the extent
-//     analyze's visitEffects walk computed, and against the table pool;
-//     NewExec's extent check against the region it is handed stays the
-//     one bounds gate in front of native code.
+//     analyze's visitEffects walk computed, and against the table pool —
+//     an address that moves, in a sweep or a loop, at its first and its
+//     last step or trip, so every one between is in range too; NewExec's
+//     extent check against the region it is handed stays the one bounds
+//     gate in front of native code.
 //   - Arena lines are read and written only under the lane mask (or the
 //     narrower mask of a partial load or store): lanes >= L of a register
 //     and bytes past an L-lane line are never written.
@@ -74,7 +80,8 @@ func UseNativeKernel(on bool) (was bool) {
 // Record kinds of the descriptor stream, with their operand words after
 // the header (n is the header's count). d, a, b, src are register-file byte
 // offsets; addr, dst, q, out, al are arena byte offsets; tab, g*, h* are
-// byte offsets into the index-table pool.
+// byte offsets into the index-table pool; a d-prefixed word is a byte
+// stride, a two's-complement int32.
 const (
 	nStop         = iota // a preemption point, or the end of the stream
 	nClear               // d
@@ -99,14 +106,22 @@ const (
 	nExtVec              // lim nlim dv sv lv out; n = shift
 	nMergeReg            // dst, n × (src tab): OR of permuted registers (mQuadScatter)
 	nMergeMem            // dst, n × (addr tab): OR of permuted lines (mQuadGather)
-	nAlphaSweep          // alpha g0 g1 g2 g3 gn, n × (q out)
-	nBetaSweep           // beta g0 g1 g2 g3 gn, n × q
-	nBetaExtSweep        // beta g0 g1 g2 g3 gn h0 h1 h2 nx, the nx extracted lanes as a register of index words, n × (q al nx×addr)
+	nAlphaSweep          // alpha g0 g1 g2 g3 gn q dq out dout: n steps, step s reading quad line q+s·dq and storing to out+s·dout
+	nBetaSweep           // beta g0 g1 g2 g3 gn q dq
+	nBetaExtSweep        // beta g0 g1 g2 g3 gn h0 h1 h2 nx, the nx extracted lanes as a register of index words, q dq al dal dout np, np × nx addr: step s reads alpha line al+s·dal and stores its words to row s mod np, moved by (s/np)·dout
+	nLoop                // t0 back, and when back is 0 the definition: nc, d of each class 1..nc, B, B words of body ending in nEnd; n trips from trip t0, trip t running the body with each class's base at t times its d; back > 0 names the definition that many words back
+	nEnd                 // the end of a loop body
+	nBase                // n = the class whose base the records after it add their words to
 )
 
+// maxClasses bounds the stride classes of a loop's body.
+const maxClasses = 7
+
 // yieldEvery bounds the work between two returns to Go, in units of one
-// record or one trellis step (about 10 ns each): at most ~5 µs a call,
-// where a K=6144 segment run in one would hold its P for 0.5 ms.
+// record, one trellis step or one loop trip's records (about 10 ns each):
+// at most ~5 µs a call, where a K=6144 segment run in one would hold its P
+// for 0.5 ms. A sweep or loop longer than the room left is cut into pieces,
+// each a record of its own.
 const yieldEvery = 512
 
 // laneMask is the k-mask of the low n lanes.

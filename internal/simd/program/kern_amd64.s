@@ -9,13 +9,18 @@
 // Registers held for the whole call:
 //
 //   SI   the record being executed
-//   R8   arena          R9   register file
+//   R8   the arena, or where a loop trip moved the base of a class
+//   R9   register file
 //   R10  index tables   R11  their AND masks (0xffff valid, 0 sentinel)
 //   K1   the lane mask: bit i set for lane i < L
 //
-// In a record's body DX is the header's count n; AX, BX, CX, DI, R12 and
-// R13 are scratch. A sweep also holds
+// In a record's body DX is the header's count n; AX, BX, CX, DI, R12,
+// R13 and R14 are scratch (ABI0 leaves R14 to the callee; the wrapper
+// restores g). A sweep also holds
 //
+//   CX       the quad line's arena offset, R12 a beta sweep's alpha line's
+//   DI       an alpha sweep's output line, or the row of the extraction
+//            table a beta sweep is at, and R14 what the table has moved by
 //   Z15      the carried alpha or beta, written back when the sweep ends
 //   Z16-Z20  tables g0 g1 g2 g3 gn     Z21-Z23  tables h0 h1 h2
 //   Z24-Z25  AND masks of g0 g1        Z26      the lanes a beta step
@@ -25,6 +30,15 @@
 // Six of a step's eight tables zero their sentinel lanes through a k-mask,
 // which costs no instruction; there are seven mask registers, so the two
 // permutes of the quad line, which are off the carried chain, AND instead.
+//
+// A loop runs its body in place, a trip at a time. A base record naming
+// class c loads R8 from base c of the frame, which the loop record sets to
+// its first trip's and the nEnd record that closes the body moves by the
+// class's stride a trip, and points R8 at base 1 for the trip to start
+// from; the loop's end sets R8 back to the region's start. R15 counts the
+// trips left. The frame also holds the loop's trips left, the record after it,
+// its definition and its body's start, and a beta sweep's extraction table
+// bounds (row0, rowEnd).
 //
 // A table entry is a lane below L or the sentinel 32, which VPERMW reads as
 // lane 0: the AND mask (or k-mask) turns exactly those lanes to the zero
@@ -76,9 +90,9 @@
 	VMOVDQU16 (R9)(R12*1), Z15
 
 // BRANCHES is the first half of a trellis step: the quad line at arena
-// offset AX and the carried Z15 permuted into the two branch sums Z3, Z4.
-#define BRANCHES \
-	VMOVDQU16.Z (R8)(AX*1), K1, Z0; \
+// offset q and the carried Z15 permuted into the two branch sums Z3, Z4.
+#define BRANCHES(q) \
+	VMOVDQU16.Z (R8)(q*1), K1, Z0; \
 	PERMA(Z0, Z16, Z24, Z1); \
 	PERMA(Z0, Z17, Z25, Z2); \
 	VPERMW.Z Z15, Z18, K2, Z3; \
@@ -100,7 +114,7 @@
 	VPMAXSW Z11, Z9, Z9
 
 // func runStreamAVX512(code *uint32, pc int, arena, regs *int16, gat, gatAnd *[regStride]uint16, pats *[regStride]int16, mask uint64) int
-TEXT ·runStreamAVX512(SB), NOSPLIT, $0-72
+TEXT ·runStreamAVX512(SB), NOSPLIT, $104-72
 	MOVQ  code+0(FP), SI
 	MOVQ  pc+8(FP), AX
 	LEAQ  (SI)(AX*4), SI
@@ -116,7 +130,8 @@ dispatch:
 	MOVL DX, AX
 	SHRL $8, DX
 	ANDL $0xff, AX
-	// Most frequent first.
+	// Most frequent first: a decode's gamma body and the loop bookkeeping,
+	// the arrangement's, then its extrinsic and interleave.
 	CMPL AX, $const_nMergeReg
 	JEQ  mergeReg
 	CMPL AX, $const_nLoad
@@ -125,16 +140,26 @@ dispatch:
 	JEQ  subS
 	CMPL AX, $const_nAddS
 	JEQ  addS
-	CMPL AX, $const_nExtVec
-	JEQ  extVec
-	CMPL AX, $const_nMergeMem
-	JEQ  mergeMem
-	CMPL AX, $const_nClear
-	JEQ  clear
+	CMPL AX, $const_nEnd
+	JEQ  end
+	CMPL AX, $const_nBase
+	JEQ  base
+	CMPL AX, $const_nAnd
+	JEQ  and
+	CMPL AX, $const_nOr
+	JEQ  or
 	CMPL AX, $const_nStore
 	JEQ  store
+	CMPL AX, $const_nMergeMem
+	JEQ  mergeMem
+	CMPL AX, $const_nExtVec
+	JEQ  extVec
+	CMPL AX, $const_nClear
+	JEQ  clear
 	CMPL AX, $const_nSra
 	JEQ  sra
+	CMPL AX, $const_nExtrW
+	JEQ  extrW
 	CMPL AX, $const_nStop
 	JEQ  stop
 	CMPL AX, $const_nAlphaSweep
@@ -143,12 +168,8 @@ dispatch:
 	JEQ  betaExtSweep
 	CMPL AX, $const_nBetaSweep
 	JEQ  betaSweep
-	CMPL AX, $const_nExtrW
-	JEQ  extrW
-	CMPL AX, $const_nAnd
-	JEQ  and
-	CMPL AX, $const_nOr
-	JEQ  or
+	CMPL AX, $const_nLoop
+	JEQ  loop
 	CMPL AX, $const_nPermute
 	JEQ  permute
 	CMPL AX, $const_nLoadReg
@@ -364,33 +385,34 @@ mergeMemSrc:
 
 alphaSweep:
 	SWEEPTABS
-	ADDQ $28, SI
+	MOVL 28(SI), CX
+	MOVL 36(SI), DI
 
 alphaStep:
-	MOVL      (SI), AX
-	MOVL      4(SI), BX
-	BRANCHES
+	BRANCHES(CX)
 	RENORM
-	VMOVDQU16 Z15, K1, (R8)(BX*1)
-	ADDQ      $8, SI
+	VMOVDQU16 Z15, K1, (R8)(DI*1)
+	ADDL      32(SI), CX
+	ADDL      40(SI), DI
 	DECL      DX
 	JNZ       alphaStep
 	VMOVDQU16 Z15, K1, (R9)(R12*1)
+	ADDQ      $44, SI
 	JMP       dispatch
 
 betaSweep:
 	SWEEPTABS
-	ADDQ $28, SI
+	MOVL 28(SI), CX
 
 betaStep:
-	MOVL (SI), AX
-	BRANCHES
+	BRANCHES(CX)
 	RENORM
-	ADDQ $4, SI
-	DECL DX
-	JNZ  betaStep
+	ADDL      32(SI), CX
+	DECL      DX
+	JNZ       betaStep
 	VMOVDQU16 Z15, K1, (R9)(R12*1)
-	JMP  dispatch
+	ADDQ      $36, SI
+	JMP       dispatch
 
 betaExtSweep:
 	SWEEPTABS
@@ -406,15 +428,20 @@ betaExtSweep:
 	VMOVDQU16 (R10)(AX*1), Z23
 	VMOVDQU16 (R11)(AX*1), Z0
 	VPMOVW2M  Z0, K7
-	MOVL      40(SI), R13              // nx
 	VMOVDQU16 44(SI), Z26              // the nx lanes to extract, as a permute
-	ADDQ      $108, SI                 // first step
+	MOVL      108(SI), CX              // quad line
+	MOVL      116(SI), R12             // alpha line
+	XORL      R14, R14                 // what the table has moved by
+	LEAQ      132(SI), DI              // row 0 of the extraction table
+	MOVQ      DI, row0-8(SP)
+	MOVL      128(SI), AX
+	IMULL     40(SI), AX               // np × nx
+	LEAQ      (DI)(AX*4), AX
+	MOVQ      AX, rowEnd-16(SP)        // also the end of the record
 
 betaExtStep:
-	MOVL        (SI), AX
-	BRANCHES
-	MOVL        4(SI), AX
-	VMOVDQU16.Z (R8)(AX*1), K1, Z7     // alpha history line
+	BRANCHES(CX)
+	VMOVDQU16.Z (R8)(R12*1), K1, Z7    // alpha history line
 	RENORM
 	VPADDSW     Z3, Z7, Z8             // e0
 	VPADDSW     Z4, Z7, Z9             // e1
@@ -426,40 +453,139 @@ betaExtStep:
 	// The extracted lanes go to their words four at a time through a
 	// general register: word loads from a stored ZMM do not forward.
 	VPERMW Z8, Z26, Z10
-	LEAQ   8(SI), DI
-	MOVL   R13, CX
+	MOVL   40(SI), R13
 
 betaExtract:
 	VMOVQ   X10, AX
 	MOVL    (DI), BX
+	ADDL    R14, BX
 	MOVW    AX, (R8)(BX*1)
-	DECL    CX
+	ADDQ    $4, DI
+	DECL    R13
 	JZ      betaExtracted
 	SHRQ    $16, AX
-	MOVL    4(DI), BX
+	MOVL    (DI), BX
+	ADDL    R14, BX
 	MOVW    AX, (R8)(BX*1)
-	DECL    CX
+	ADDQ    $4, DI
+	DECL    R13
 	JZ      betaExtracted
 	SHRQ    $16, AX
-	MOVL    8(DI), BX
+	MOVL    (DI), BX
+	ADDL    R14, BX
 	MOVW    AX, (R8)(BX*1)
-	DECL    CX
+	ADDQ    $4, DI
+	DECL    R13
 	JZ      betaExtracted
 	SHRQ    $16, AX
-	MOVL    12(DI), BX
+	MOVL    (DI), BX
+	ADDL    R14, BX
 	MOVW    AX, (R8)(BX*1)
-	DECL    CX
+	ADDQ    $4, DI
+	DECL    R13
 	JZ      betaExtracted
-	ADDQ    $16, DI
 	VALIGNQ $1, Z10, Z10, Z10
 	JMP     betaExtract
 
 betaExtracted:
-	LEAQ      8(SI)(R13*4), SI
+	// Past the last row the table starts over, moved by dout.
+	CMPQ      DI, rowEnd-16(SP)
+	JNE       betaExtNext
+	MOVQ      row0-8(SP), DI
+	ADDL      124(SI), R14
+
+betaExtNext:
+	ADDL      112(SI), CX
+	ADDL      120(SI), R12
 	DECL      DX
 	JNZ       betaExtStep
+	MOVL      4(SI), R12
 	VMOVDQU16 Z15, K1, (R9)(R12*1)
+	MOVQ      rowEnd-16(SP), SI
 	JMP       dispatch
+
+base:
+	MOVQ bases-104(SP)(DX*8), R8
+	ADDQ $4, SI
+	JMP  dispatch
+
+loop:
+	// DI = the definition, AX = the record after this one.
+	MOVQ  DX, R15
+	MOVQ  SI, DI
+	LEAQ  12(SI), AX
+	MOVL  8(SI), BX                    // back
+	TESTL BX, BX
+	JZ    loopDef
+	SHLQ  $2, BX
+	SUBQ  BX, DI
+	JMP   loopBases
+
+loopDef:
+	MOVL 12(SI), CX                    // nc
+	MOVL 16(SI)(CX*4), BX              // B
+	LEAQ 20(SI)(CX*4), AX
+	LEAQ (AX)(BX*4), AX
+
+loopBases:
+	// Base c is the region's start moved t0 strides.
+	MOVQ    AX, next-40(SP)
+	MOVQ    DI, def-32(SP)
+	MOVL    12(DI), CX                 // nc
+	LEAQ    20(DI)(CX*4), AX
+	MOVQ    AX, body-24(SP)
+	MOVL    4(SI), DX                  // t0
+	LEAQ    bases-104(SP), R12
+	MOVQ    arena+16(FP), R13
+	MOVQ    R13, 8(R12)
+	XORL    BX, BX
+	TESTL   CX, CX
+	JZ      loopRun
+
+loopBase:
+	MOVLQSX 16(DI)(BX*4), AX
+	IMULQ   DX, AX
+	ADDQ    R13, AX
+	MOVQ    AX, 8(R12)(BX*8)
+	INCL    BX
+	CMPL    BX, CX
+	JB      loopBase
+
+loopRun:
+	// A trip starts with R8 at base 1: the body names its first class
+	// only if it changes to another.
+	MOVQ 8(R12), R8
+	MOVQ body-24(SP), SI
+	JMP  dispatch
+
+end:
+	// A trip is done: move every class's base a stride, then run the next
+	// trip, or go on after the loop record from the region's start.
+	MOVQ  def-32(SP), DI
+	MOVL  12(DI), CX
+	LEAQ  bases-104(SP), R12
+	XORL  BX, BX
+	TESTL CX, CX
+	JZ    endMoved
+
+endBase:
+	MOVLQSX 16(DI)(BX*4), AX
+	ADDQ    AX, 8(R12)(BX*8)
+	INCL    BX
+	CMPL    BX, CX
+	JB      endBase
+
+endMoved:
+	DECQ R15
+	JZ   endDone
+	MOVQ 8(R12), R8
+	MOVQ body-24(SP), SI
+	JMP  dispatch
+
+endDone:
+	MOVQ next-40(SP), SI
+	MOVQ arena+16(FP), R8
+	JMP  dispatch
 
 // func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 TEXT ·cpuid(SB), NOSPLIT, $0-24

@@ -119,7 +119,26 @@ func (h *opHarness) fill(xs []int16, pinned bool) {
 	}
 }
 
-// diff finalizes the program, runs its one stream on identical random
+// roll passes ops, whose aux words are in p.aux, through the roller as the
+// compilers append them.
+func (p *Program) roll(ops []mop) []mop {
+	r := newRoller(p)
+	for i := range ops {
+		var words []int32
+		if ops[i].kind >= firstFused {
+			words = slices.Clone(p.aux[ops[i].tab:][:auxLen(&ops[i])])
+		}
+		r.push(ops[i], words)
+	}
+	return r.flush()
+}
+
+// newTestExec is an Exec over regs and mem on the executor named.
+func (p *Program) newTestExec(regs, mem []int16, native bool) *Exec {
+	return &Exec{p: p, regs: regs, m: mem, native: native}
+}
+
+// diff rolls and finalizes the program, runs its one stream on identical random
 // state through both executors and compares the whole register file and
 // every arena byte, then checks the canaries of each run directly: the 64
 // bytes either side of every written line and lanes >= L of every register
@@ -128,7 +147,7 @@ func (h *opHarness) diff(t *testing.T, pinned bool) {
 	t.Helper()
 	p := h.p
 	p.nregs = int32(h.nreg * regStride)
-	p.segs[SegSteady] = h.ops
+	p.segs[SegSteady] = p.roll(h.ops)
 	if err := p.finalize(); err != nil {
 		t.Fatalf("finalize: %v", err)
 	}
@@ -143,7 +162,7 @@ func (h *opHarness) diff(t *testing.T, pinned bool) {
 
 	run := func(native bool) (regs, mem []int16) {
 		regs, mem = slices.Clone(regs0), slices.Clone(mem0)
-		p.run(&Exec{p: p, regs: regs, m: mem[:size:size], native: native}, p.code[SegSteady])
+		p.run(p.newTestExec(regs, mem[:size:size], native), p.code[SegSteady])
 		return regs, mem
 	}
 	wantR, wantM := run(false)
@@ -283,20 +302,9 @@ func TestNativeCopyRunSplitsAtYield(t *testing.T) {
 	}
 	h.push(mop{kind: mCopyRun, n: int32(n)}, aux...)
 	h.diff(t, false)
-	if stops := countStops(h.p.code[SegSteady]); stops < 3 {
+	if stops := countRecords(h.p.code[SegSteady], nStop); stops < 3 {
 		t.Errorf("%d copies lowered with %d stop records, want the run cut at least twice", n, stops)
 	}
-}
-
-// countStops walks a stream's records and counts its stop records: the
-// yields and the end.
-func countStops(code []uint32) (stops int) {
-	for pc := 0; pc < len(code); pc += recordWords(code[pc:]) {
-		if code[pc]&0xff == nStop {
-			stops++
-		}
-	}
-	return stops
 }
 
 // recordWords is the length of the record at the head of code: the
@@ -304,7 +312,7 @@ func countStops(code []uint32) (stops int) {
 func recordWords(code []uint32) int {
 	n := int(code[0] >> 8)
 	switch code[0] & 0xff {
-	case nStop:
+	case nStop, nBase:
 		return 1
 	case nClear, nBcastImm:
 		return 2
@@ -319,12 +327,18 @@ func recordWords(code []uint32) int {
 	case nMergeReg, nMergeMem:
 		return 2 + 2*n
 	case nAlphaSweep:
-		return 7 + 2*n
+		return 11
 	case nBetaSweep:
-		return 7 + n
+		return 9
 	case nBetaExtSweep:
-		nx := int(code[10])
-		return 11 + regStride/2 + n*(2+nx)
+		return 33 + int(code[32])*int(code[10])
+	case nLoop:
+		if code[2] != 0 {
+			return 3
+		}
+		return 5 + int(code[3]) + int(code[4+code[3]])
+	case nEnd:
+		return 1
 	}
 	panic(fmt.Sprintf("unknown record kind %d", code[0]&0xff))
 }
@@ -376,17 +390,36 @@ func TestNativeQuadGatherMatchesGo(t *testing.T) {
 	}
 }
 
+// lines allocates n consecutive lines and returns the first address and
+// the stride of a walk over them, forward or backward at random. When out
+// is set they are lines ops store to.
+func (h *opHarness) lines(n int, out bool) (base, stride int64) {
+	first := h.lineAddr()
+	for range n - 1 {
+		h.lineAddr()
+	}
+	if out {
+		for i := range n {
+			h.outLines = append(h.outLines, first+int64(192*i))
+		}
+	}
+	if h.rng.Intn(2) == 0 {
+		return first, 192
+	}
+	return first + int64(192*(n-1)), -192
+}
+
 // sweep appends n lean trellis steps of one form sharing a carried
 // register and tables: the alpha form, the beta tail form (nx = 0) or the
-// beta form extracting nx lanes, any of 0..31, to arbitrary words. Quad
-// lines are drawn from a small pool that the alpha steps' own output lines
-// join, so steps also depend on each other through the arena.
-func (h *opHarness) sweep(kind uint8, n, nx int) {
+// beta form extracting nx lanes, any of 0..31. Each step's lines move by a
+// fixed stride, forward or backward, so the roller makes them a sweep; an
+// alpha step j stores to the quad line of step 2j+2, so steps also depend
+// on each other through the arena. A beta step extracts to a
+// table of np rows of words, row s mod np, moved by a line every np steps.
+func (h *opHarness) sweep(kind uint8, n, nx, np int) {
 	carried := h.outReg()
 	tabs := []int64{h.tab(), h.tab(), h.tab(), h.tab(), h.tab()}
 	htabs := []int64{h.tab(), h.tab(), h.tab()}
-	pool := []int64{h.lineAddr(), h.lineAddr(), h.lineAddr()}
-	line := func() int64 { return pool[h.rng.Intn(len(pool))] }
 	var dead []int64
 	for i := 0; i < 15; i++ {
 		dead = append(dead, h.reg())
@@ -395,25 +428,28 @@ func (h *opHarness) sweep(kind uint8, n, nx int) {
 	for x := 0; x < nx; x++ {
 		lanes = append(lanes, int64(h.rng.Intn(regStride)))
 	}
-	ext := h.outLine()
+	q, dq := h.lines(2*n+2, kind == mAlphaStepP)
+	al, dal := h.lines(n, false)
+	ext, dext := h.lines((n+np-1)/np, true)
+	rows := make([]int64, np*nx)
+	for i := range rows {
+		rows[i] = int64(2 * h.rng.Intn(h.L))
+	}
 	for j := 0; j < n; j++ {
+		qj := q + int64(j)*dq
 		if kind == mAlphaStepP {
-			out := h.outLine()
-			aux := append(slices.Clone(dead[:8]), carried, line(), out)
+			aux := append(slices.Clone(dead[:8]), carried, qj, q+int64(2*j+2)*dq)
 			h.push(mop{kind: kind}, append(aux, tabs...)...)
-			if len(pool) < 8 {
-				pool = append(pool, out)
-			}
 			continue
 		}
-		aux := append(slices.Clone(dead[:7]), carried, dead[7], line())
+		aux := append(slices.Clone(dead[:7]), carried, dead[7], qj)
 		aux = append(aux, tabs...)
 		op := mop{kind: kind}
 		if nx > 0 {
 			op.imm, op.n = 1, int32(nx)
-			aux = append(append(append(aux, dead[8:]...), line()), htabs...)
-			for _, l := range lanes {
-				aux = append(aux, ext+int64(2*h.rng.Intn(h.L)), l)
+			aux = append(append(append(aux, dead[8:]...), al+int64(j)*dal), htabs...)
+			for x, l := range lanes {
+				aux = append(aux, ext+int64(j/np)*dext+rows[(j%np)*nx+x], l)
 			}
 		}
 		h.push(op, aux...)
@@ -430,7 +466,8 @@ type sweepForm struct {
 // testNativeSweeps runs sweeps of 1, 2, 3 and 1027 steps (the last runs as
 // three calls, the middle one starting and ending inside the sweep) at
 // every width, of each form, between ops that read what the sweep wrote
-// back.
+// back. A beta form that extracts has np rows of words: the rolled sweep
+// holds them as its table.
 func testNativeSweeps(t *testing.T, seed int64, forms ...sweepForm) {
 	skipWithoutNative(t)
 	for _, w := range simd.Widths {
@@ -443,29 +480,45 @@ func testNativeSweeps(t *testing.T, seed int64, forms ...sweepForm) {
 			for trial := 0; trial < trials; trial++ {
 				for _, form := range forms {
 					nx := form.nx(rng, w.Lanes16())
+					np := 1 + trial%4
 					h := newOpHarness(w, rng)
-					h.sweep(form.kind, n, nx)
+					h.sweep(form.kind, n, nx, np)
 					// A second sweep over the same carried register with
 					// other tables, then a store of it: the first must have
 					// written it back, and hoisted tables must not go stale.
 					at := carriedAt(form.kind)
 					carried := h.p.aux[h.ops[0].tab+at]
 					first := len(h.ops)
-					h.sweep(form.kind, 2, nx)
+					h.sweep(form.kind, 2, nx, 1)
 					for _, op := range h.ops[first:] {
 						h.p.aux[op.tab+at] = carried
 					}
 					h.ops = append(h.ops, mop{kind: mStore, a: int32(carried), addr: h.outLine(), imm: int64(2 * h.L)})
 					h.diff(t, trial%4 == 1)
+					code := h.p.code[SegSteady]
 					if n > yieldEvery {
-						if stops := countStops(h.p.code[SegSteady]); stops < 3 {
+						if stops := countRecords(code, nStop); stops < 3 {
 							t.Errorf("%v: %d steps lowered with %d stop records, want the sweep cut at least twice", w, n, stops)
 						}
+					}
+					if n > 3 && nx > 0 && np > 1 && !hasPeriodicSweep(code) {
+						t.Errorf("%v: %d beta steps extracting over %d rows lowered with no sweep of that period", w, n, np)
 					}
 				}
 			}
 		}
 	}
+}
+
+// hasPeriodicSweep reports whether code holds a beta sweep whose
+// extraction table has more than one row.
+func hasPeriodicSweep(code []uint32) bool {
+	for pc := 0; pc < len(code); pc += recordWords(code[pc:]) {
+		if code[pc]&0xff == nBetaExtSweep && code[pc+32] > 1 {
+			return true
+		}
+	}
+	return false
 }
 
 func TestNativeAlphaStepMatchesGo(t *testing.T) {
@@ -488,6 +541,136 @@ func carriedAt(kind uint8) int32 {
 		return 8
 	}
 	return 7
+}
+
+// loopBody appends trips trips of a body of random ops, lean as a decode's:
+// every singleton kind that addresses the region, lane ops over a pool of
+// registers, a quad scatter and gather, an extrinsic group and an alpha
+// step, each with registers and tables fixed and each address moving by a
+// stride of its own over lines of its own: the addresses of one op by one
+// stride, one, two or three lines forward or back a trip, unless mixed is
+// set. A lane op's destination joins the pool only after every op reads the
+// pool, so no op reads what a later one of its trip writes.
+func (h *opHarness) loopBody(trips int, mixed bool) {
+	rng, L := h.rng, h.L
+	pool := []int64{h.reg(), h.reg(), h.reg()}
+	src := func() int64 { return pool[rng.Intn(len(pool))] }
+	var lines int
+	seq := func(out bool) func(t int) int64 {
+		if mixed || lines == 0 {
+			lines = 1 + rng.Intn(3)
+			if rng.Intn(2) == 0 {
+				lines = -lines
+			}
+		}
+		n := max(lines, -lines)
+		base, d := h.lines(n*trips, out)
+		if d < 0 {
+			base -= int64(192 * (n*trips - 1)) // the first line
+		}
+		if lines < 0 {
+			base += int64(192 * n * (trips - 1))
+		}
+		stride := int64(192 * lines)
+		return func(t int) int64 { return base + int64(t)*stride }
+	}
+	var body []func(t int)
+	for _, k := range rng.Perm(10) {
+		lines = 0 // a new op: a new stride
+		switch k {
+		case 0:
+			d, at := h.reg(), seq(false)
+			body = append(body, func(t int) { h.ops = append(h.ops, mop{kind: mLoad, d: int32(d), addr: at(t), imm: int64(2 * L)}) })
+			pool = append(pool, d)
+		case 1:
+			a, at := src(), seq(true)
+			body = append(body, func(t int) { h.ops = append(h.ops, mop{kind: mStore, a: int32(a), addr: at(t), imm: int64(2 * L)}) })
+		case 2:
+			a, at, lane := src(), seq(true), int64(rng.Intn(regStride))
+			body = append(body, func(t int) { h.ops = append(h.ops, mop{kind: mExtrW, a: int32(a), addr: at(t), imm: lane}) })
+		case 3:
+			d, at := h.outReg(), seq(false)
+			body = append(body, func(t int) { h.ops = append(h.ops, mop{kind: mBcastMem, d: int32(d), addr: at(t)}) })
+		case 4:
+			d, a, b := h.outReg(), src(), src()
+			kind := []uint8{mAddS, mSubS, mMaxS, mXor}[rng.Intn(4)]
+			body = append(body, func(int) { h.ops = append(h.ops, mop{kind: kind, d: int32(d), a: int32(a), b: int32(b)}) })
+		case 5: // no address, after records that have one
+			d, a := h.reg(), src()
+			body = append(body, func(int) { h.ops = append(h.ops, mop{kind: mExt128, d: int32(d), a: int32(a), imm: 1}) })
+		case 6:
+			acc, tmp, at := h.reg(), h.reg(), seq(true)
+			srcs := []int64{src(), h.tab(), src(), h.tab(), src(), h.tab()}
+			body = append(body, func(t int) { h.push(mop{kind: mQuadScatter, n: 3}, append([]int64{acc, tmp, at(t)}, srcs...)...) })
+		case 7:
+			r, acc, tmp, dst := h.reg(), h.reg(), h.reg(), seq(true)
+			in, tabs := []func(int) int64{seq(false), seq(false)}, []int64{h.tab(), h.tab()}
+			body = append(body, func(t int) {
+				h.push(mop{kind: mQuadGather, n: 2}, r, acc, tmp, dst(t), in[0](t), tabs[0], in[1](t), tabs[1])
+			})
+		case 8:
+			regs := []int64{h.reg(), h.reg(), h.reg(), h.reg(), h.reg(), src(), src()}
+			in, out := []func(int) int64{seq(false), seq(false), seq(false)}, seq(true)
+			body = append(body, func(t int) {
+				h.push(mop{kind: mExtVec, imm: 1}, append(slices.Clone(regs), in[0](t), in[1](t), in[2](t), out(t))...)
+			})
+		case 9:
+			var dead []int64
+			for range 8 {
+				dead = append(dead, h.reg())
+			}
+			carried, q, out := h.outReg(), seq(false), seq(true)
+			tabs := []int64{h.tab(), h.tab(), h.tab(), h.tab(), h.tab()}
+			body = append(body, func(t int) {
+				h.push(mop{kind: mAlphaStepP}, append(append(slices.Clone(dead), carried, q(t), out(t)), tabs...)...)
+			})
+		}
+	}
+	for t := range trips {
+		for _, op := range body {
+			op(t)
+		}
+	}
+}
+
+// countRecords counts the records of kind in code.
+func countRecords(code []uint32, kind uint32) (n int) {
+	for pc := 0; pc < len(code); pc += recordWords(code[pc:]) {
+		if code[pc]&0xff == kind {
+			n++
+		}
+	}
+	return n
+}
+
+// TestNativeLoopsMatchGo: loops of a body of every kind of op a loop can
+// hold, over 2 to 12 trips and over enough that the loop is cut at two
+// yields at least, its later pieces starting at a trip of their own; and
+// bodies whose ops move their addresses by more than one stride, which are
+// lowered trip by trip.
+func TestNativeLoopsMatchGo(t *testing.T) {
+	skipWithoutNative(t)
+	for _, w := range simd.Widths {
+		rng := rand.New(rand.NewSource(int64(w) + 5))
+		for trial := 0; trial < diffTrials/2; trial++ {
+			trips := 2 + trial%11
+			if trial%10 == 9 {
+				trips = 300
+			}
+			mixed := trial%7 == 6
+			h := newOpHarness(w, rng)
+			h.loopBody(trips, mixed)
+			h.diff(t, trial%4 == 1)
+			code := h.p.code[SegSteady]
+			n := countRecords(code, nLoop)
+			switch {
+			case mixed && n != 0:
+				t.Errorf("%v: a body of mixed strides lowered as %d loop records", w, n)
+			case !mixed && (n == 0 || trips > 100 && n < 3):
+				t.Errorf("%v: %d trips lowered as %d loop records", w, trips, n)
+			}
+		}
+	}
 }
 
 // TestLoweredStreamIsWellFormed: the stream of a compiled program decodes
@@ -593,7 +776,7 @@ func benchExecutors(b *testing.B, p *Program, h *opHarness) {
 			if native {
 				skipWithoutNative(b)
 			}
-			x := &Exec{p: p, regs: make([]int16, p.nregs), m: make([]int16, p.extent/2), native: native}
+			x := p.newTestExec(make([]int16, p.nregs), make([]int16, p.extent/2), native)
 			h.fill(x.m, false)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -613,10 +796,10 @@ func BenchmarkNativeSweeps(b *testing.B) {
 	}{{"alpha", mAlphaStepP, 0}, {"beta", mBetaStepP, 0}, {"beta+ext", mBetaStepP, 4}} {
 		b.Run(form.name, func(b *testing.B) {
 			h := newOpHarness(simd.W512, rand.New(rand.NewSource(1)))
-			h.sweep(form.kind, 1027, form.nx)
+			h.sweep(form.kind, 1027, form.nx, 1)
 			p := h.p
 			p.nregs = int32(h.nreg * regStride)
-			p.segs[SegSteady] = h.ops
+			p.segs[SegSteady] = p.roll(h.ops)
 			if err := p.finalize(); err != nil {
 				b.Fatal(err)
 			}
@@ -626,37 +809,58 @@ func BenchmarkNativeSweeps(b *testing.B) {
 }
 
 // BenchmarkNativeGamma times 64 gamma groups at W512 as the packed decoder
-// records them: three loads, five lane ops, eight four-source scatters.
+// records them: three loads, five lane ops, eight four-source scatters,
+// each group's lines a fixed stride past the last one's: rolled into one
+// loop as the compilers roll them ("rolled"), and as straight-line records
+// ("straight"), what the loop saves or costs.
 func BenchmarkNativeGamma(b *testing.B) {
-	h := newOpHarness(simd.W512, rand.New(rand.NewSource(1)))
-	s, p, la, t, g0, g1, n0, n1, zero := h.reg(), h.reg(), h.reg(), h.reg(), h.reg(), h.reg(), h.reg(), h.reg(), h.reg()
-	acc, tmp := h.reg(), h.reg()
-	var tabs [8][4]int64
-	for i := range tabs {
-		for j := range tabs[i] {
-			tabs[i][j] = h.tab()
+	for _, rolled := range []bool{true, false} {
+		name := "straight"
+		if rolled {
+			name = "rolled"
 		}
+		b.Run(name, func(b *testing.B) {
+			h := newOpHarness(simd.W512, rand.New(rand.NewSource(1)))
+			s, p, la, t, g0, g1, n0, n1, zero := h.reg(), h.reg(), h.reg(), h.reg(), h.reg(), h.reg(), h.reg(), h.reg(), h.reg()
+			acc, tmp := h.reg(), h.reg()
+			var tabs [8][4]int64
+			for i := range tabs {
+				for j := range tabs[i] {
+					tabs[i][j] = h.tab()
+				}
+			}
+			const groups = 64
+			var in [3]func(g int) int64
+			for i := range in {
+				base, stride := h.lines(groups, false)
+				in[i] = func(g int) int64 { return base + int64(g)*stride }
+			}
+			quad, qs := h.lines(8*groups, true)
+			for at := 0; at < groups; at++ {
+				for i, d := range []int64{s, p, la} {
+					h.ops = append(h.ops, mop{kind: mLoad, d: int32(d), addr: in[i](at), imm: 64})
+				}
+				h.ops = append(h.ops,
+					mop{kind: mAddS, d: int32(t), a: int32(s), b: int32(la)},
+					mop{kind: mAddS, d: int32(g0), a: int32(t), b: int32(p)},
+					mop{kind: mSubS, d: int32(g1), a: int32(t), b: int32(p)},
+					mop{kind: mSubS, d: int32(n0), a: int32(zero), b: int32(g0)},
+					mop{kind: mSubS, d: int32(n1), a: int32(zero), b: int32(g1)})
+				for si := 0; si < 8; si++ {
+					h.push(mop{kind: mQuadScatter, n: 4}, acc, tmp, quad+int64(8*at+si)*qs,
+						g0, tabs[si][0], g1, tabs[si][1], n0, tabs[si][2], n1, tabs[si][3])
+				}
+			}
+			pr := h.p
+			pr.nregs = int32(h.nreg * regStride)
+			pr.segs[SegSteady] = h.ops
+			if rolled {
+				pr.segs[SegSteady] = pr.roll(h.ops)
+			}
+			if err := pr.finalize(); err != nil {
+				b.Fatal(err)
+			}
+			benchExecutors(b, pr, h)
+		})
 	}
-	for g := 0; g < 64; g++ {
-		for _, d := range []int64{s, p, la} {
-			h.ops = append(h.ops, mop{kind: mLoad, d: int32(d), addr: h.lineAddr(), imm: 64})
-		}
-		h.ops = append(h.ops,
-			mop{kind: mAddS, d: int32(t), a: int32(s), b: int32(la)},
-			mop{kind: mAddS, d: int32(g0), a: int32(t), b: int32(p)},
-			mop{kind: mSubS, d: int32(g1), a: int32(t), b: int32(p)},
-			mop{kind: mSubS, d: int32(n0), a: int32(zero), b: int32(g0)},
-			mop{kind: mSubS, d: int32(n1), a: int32(zero), b: int32(g1)})
-		for si := 0; si < 8; si++ {
-			h.push(mop{kind: mQuadScatter, n: 4}, acc, tmp, h.lineAddr(),
-				g0, tabs[si][0], g1, tabs[si][1], n0, tabs[si][2], n1, tabs[si][3])
-		}
-	}
-	pr := h.p
-	pr.nregs = int32(h.nreg * regStride)
-	pr.segs[SegSteady] = h.ops
-	if err := pr.finalize(); err != nil {
-		b.Fatal(err)
-	}
-	benchExecutors(b, pr, h)
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -501,7 +502,7 @@ func replayBytes(t *testing.T, p *Program, k *synthKernel, memBytes, iters int, 
 // overwritten with random lanes. If the masks are right the arena cannot
 // tell; if they are stale or wrong, a later op reads the poison.
 func (p *Program) runPoisoned(x *Exec, seg int, rng *rand.Rand) {
-	ops := p.segs[seg]
+	ops := p.unrolled(p.segs[seg])
 	for i := range ops {
 		code, err := p.lower(ops[i : i+1])
 		if err != nil {
@@ -521,6 +522,51 @@ func (p *Program) runPoisoned(x *Exec, seg int, rng *rand.Rand) {
 			k++
 		}})
 	}
+}
+
+// unrolled is ops with every loop written out trip by trip: each trip's
+// ops are its body's, their addresses moved by the trip's strides (their
+// aux words copied to the end of the pool), their live masks the body's.
+func (p *Program) unrolled(ops []mop) []mop {
+	var out []mop
+	for i := 0; i < len(ops); i++ {
+		if ops[i].kind != mLoop {
+			out = append(out, ops[i])
+			continue
+		}
+		body, strides, err := p.loopAt(ops, i)
+		if err != nil {
+			panic(err)
+		}
+		for t := int64(0); t < ops[i].imm; t++ {
+			st := strides
+			for _, op := range body {
+				n := addrCount(&op)
+				d := st[:n]
+				st = st[n:]
+				if op.kind < firstFused {
+					if hasAddr(op.kind) {
+						op.addr += t * int64(d[0])
+					}
+					out = append(out, op)
+					continue
+				}
+				words := slices.Clone(p.aux[op.tab:][:auxLen(&op)])
+				k := 0
+				for j := range words {
+					if addrAt(&op, j) {
+						words[j] += int32(t) * d[k]
+						k++
+					}
+				}
+				op.tab = int32(len(p.aux))
+				p.aux = append(p.aux, words...)
+				out = append(out, op)
+			}
+		}
+		i += len(body)
+	}
+	return out
 }
 
 // TestSynthKernelCoversFusedOps: the equivalence tests below only mean
@@ -601,6 +647,25 @@ func TestFinalizeRejectsMalformedOps(t *testing.T) {
 			t.Errorf("%s: accepted", name)
 		}
 	}
+	// A loop over a store of trip 0 at 64: its header, and the strides in
+	// the pool at 0.
+	store := mop{kind: mStore, a: 0, addr: 64, imm: 16}
+	for name, seg := range map[string]struct {
+		ops    []mop
+		stride int32
+	}{
+		"loop past the segment's end":     {[]mop{{kind: mLoop, n: 2, imm: 4}, store}, 16},
+		"loop of one trip":                {[]mop{{kind: mLoop, n: 1, imm: 1}, store}, 16},
+		"strides past the pool":           {[]mop{{kind: mLoop, n: 1, imm: 4, tab: 8}, store}, 16},
+		"odd stride":                      {[]mop{{kind: mLoop, n: 1, imm: 4}, store}, 15},
+		"last trip at a negative address": {[]mop{{kind: mLoop, n: 1, imm: 6}, store}, -16},
+	} {
+		p := &Program{w: simd.W128, lanes: 8, nregs: 2 * regStride, aux: []int32{seg.stride}}
+		p.segs[SegSteady] = seg.ops
+		if err := p.finalize(); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+	}
 
 	// The stream is the one thing native code trusts, so lower does not
 	// take analyze's word for it: an op whose every operand passed the
@@ -631,6 +696,56 @@ func TestFinalizeRejectsMalformedOps(t *testing.T) {
 		shrink(p)
 		if _, err := p.lower(p.segs[SegSteady]); err == nil {
 			t.Errorf("%s: lowered", name)
+		}
+	}
+}
+
+// TestAddressOrder: the roller, the liveness walk and the lowering each
+// read an op's region addresses in one order, stride i belonging to
+// address i: appendAddrs's, visitEffects's and addrAt's positions must be
+// the same addresses in the same order, addrCount of them, for every kind
+// that has any.
+func TestAddressOrder(t *testing.T) {
+	p := &Program{w: simd.W512, lanes: 32, nregs: 64 * regStride, idxTabs: [][]int32{make([]int32, 32)}}
+	// Aux words: registers and tables 0, addresses 2·(100+i) at word i.
+	aux := func(n int) []int32 {
+		w := make([]int32, n)
+		for i := range w {
+			w[i] = int32(2 * (100 + i))
+		}
+		return w
+	}
+	for _, op := range []mop{
+		{kind: mBcastMem, addr: 64}, {kind: mLoad, addr: 64, imm: 64}, {kind: mStore, addr: 64, imm: 64},
+		{kind: mExtrW, addr: 64}, {kind: mCopyRun, n: 3}, {kind: mExtVec}, {kind: mQuadScatter, n: 3},
+		{kind: mQuadGather, n: 3}, {kind: mAlphaStepP}, {kind: mBetaStepP}, {kind: mBetaStepP, imm: 1, n: 3},
+	} {
+		var words []int32
+		if op.kind >= firstFused {
+			words = aux(int(auxLen(&op)))
+			for i := range words {
+				if !addrAt(&op, i) {
+					words[i] = 0 // a register offset, a table id or a lane
+				}
+			}
+			op.tab = int32(len(p.aux))
+			p.aux = append(p.aux, words...)
+		}
+		var visited, positions []int64
+		if err := p.visitEffects(&op, &effectVisitor{mem: func(a, _ int64, _ bool) { visited = append(visited, a) }}); err != nil {
+			t.Fatalf("kind %d: %v", op.kind, err)
+		}
+		if op.kind < firstFused {
+			positions = []int64{op.addr}
+		}
+		for i, w := range words {
+			if addrAt(&op, i) {
+				positions = append(positions, int64(w))
+			}
+		}
+		got := appendAddrs(nil, &op, words)
+		if !slices.Equal(got, visited) || !slices.Equal(got, positions) || len(got) != addrCount(&op) {
+			t.Errorf("kind %d: appendAddrs %v, visitEffects %v, addrAt %v, addrCount %d", op.kind, got, visited, positions, addrCount(&op))
 		}
 	}
 }

@@ -107,7 +107,7 @@ func (p *Program) run(x *Exec, code []uint32) {
 	if x.native {
 		p.runStream(x, code)
 	} else {
-		p.runStreamGo(x, code)
+		p.runStreamGo(x, code, &[1 + maxClasses]uint32{})
 	}
 }
 
@@ -115,12 +115,19 @@ func (p *Program) run(x *Exec, code []uint32) {
 // kind what runStreamAVX512 does with the instructions, over Go slices
 // whose bounds checks stay. A register a record writes under the lane mask
 // keeps its lanes >= L; a load zeroes them. A stop record is only a record
-// here, since Go code can be preempted anywhere.
-func (p *Program) runStreamGo(x *Exec, code []uint32) {
+// here, since Go code can be preempted anywhere. base holds each class's
+// base, an offset from the region's start that wraps as the assembly's
+// 32-bit adds do: a record's addresses are its words plus o, the base of
+// class 1 until a base record names another (0 outside a loop).
+func (p *Program) runStreamGo(x *Exec, code []uint32, base *[1 + maxClasses]uint32) {
 	r, m, L := x.regs, x.m, p.lanes
+	o := base[1]
 	for pc := 0; pc < len(code); {
 		kind, n, w := code[pc]&0xff, int(code[pc]>>8), code[pc+1:]
 		switch kind {
+		case nBase:
+			o = base[n]
+			pc++
 		case nStop:
 			pc++
 		case nClear:
@@ -138,7 +145,7 @@ func (p *Program) runStreamGo(x *Exec, code []uint32) {
 		case nBcastImm, nBcastMem:
 			v := int16(uint16(n))
 			if kind == nBcastMem {
-				v = m[w[1]>>1]
+				v = m[(w[1]+o)>>1]
 			}
 			d := reg(r, w[0])[:L]
 			for i := range d {
@@ -156,19 +163,19 @@ func (p *Program) runStreamGo(x *Exec, code []uint32) {
 		case nLoad, nLoadReg:
 			// lower emits only masks of the low lanes (laneMask).
 			var v [regStride]int16
-			k, src := bits.Len32(w[2]), m
+			k, src, at := bits.Len32(w[2]), m, w[1]+o
 			if kind == nLoadReg {
-				src = r
+				src, at = r, w[1]
 			}
-			copy(v[:k], src[w[1]>>1:][:k])
+			copy(v[:k], src[at>>1:][:k])
 			*reg(r, w[0]) = v
 			pc += 4
 		case nStore:
 			k := bits.Len32(w[2])
-			copy(line(m, w[1], k), reg(r, w[0])[:k])
+			copy(line(m, w[1]+o, k), reg(r, w[0])[:k])
 			pc += 4
 		case nExtrW:
-			m[w[1]>>1] = r[w[0]>>1]
+			m[(w[1]+o)>>1] = r[w[0]>>1]
 			pc += 3
 		case nCopyRun:
 			for t := w[:2*n]; len(t) >= 2; t = t[2:] {
@@ -176,23 +183,25 @@ func (p *Program) runStreamGo(x *Exec, code []uint32) {
 			}
 			pc += 1 + 2*n
 		case nExtVec:
-			p.extVec(r, m, w[:6], uint(n))
+			p.extVec(r, m, w[:6], uint(n), o)
 			pc += 7
 		case nMergeReg, nMergeMem:
-			p.merge(r, m, kind == nMergeReg, w[0], w[1:][:2*n])
+			p.merge(r, m, kind == nMergeReg, w[0], w[1:][:2*n], o)
 			pc += 2 + 2*n
-		case nAlphaSweep, nBetaSweep:
-			stride := 1
-			if kind == nAlphaSweep {
-				stride = 2
-			}
-			p.sweep(r, m, w[:6], w[6:][:stride*n], stride)
-			pc += 7 + stride*n
+		case nAlphaSweep:
+			p.sweep(r, m, w[:10], n, o)
+			pc += 11
+		case nBetaSweep:
+			p.sweep(r, m, w[:8], n, o)
+			pc += 9
 		case nBetaExtSweep:
-			nx := int(w[9])
-			stride := 2 + nx
-			p.betaExtSweep(r, m, w[:10+regStride/2], w[10+regStride/2:][:stride*n], stride)
-			pc += 11 + regStride/2 + stride*n
+			rows := int(w[31]) * int(w[9])
+			p.betaExtSweep(r, m, w[:32+rows], n, o)
+			pc += 33 + rows
+		case nLoop:
+			pc += p.loop(x, code, pc, n)
+		case nEnd:
+			pc++
 		default:
 			panic("program: unknown record kind in a stream")
 		}
@@ -242,22 +251,23 @@ func binop(kind uint32, d, a, b []int16) {
 // extVec is the extrinsic group over w = {lim, nlim, dv, sv, lv, out}:
 // out = max(min((dv >> sh) - (sv + lv), lim), nlim), saturating, every
 // line read before out is written.
-func (p *Program) extVec(r, m []int16, w []uint32, sh uint) {
+func (p *Program) extVec(r, m []int16, w []uint32, sh uint, o uint32) {
 	L := p.lanes
 	lim, nlim := reg(r, w[0])[:L], reg(r, w[1])[:L]
-	dv, sv, lv := line(m, w[2], L), line(m, w[3], L), line(m, w[4], L)
+	dv, sv, lv := line(m, w[2]+o, L), line(m, w[3]+o, L), line(m, w[4]+o, L)
 	var out [regStride]int16
 	for i := range lim {
 		t := satAdd(sv[i], lv[i])
 		out[i] = max(min(satSub(dv[i]>>sh, t), lim[i]), nlim[i])
 	}
-	copy(line(m, w[5], L), out[:L])
+	copy(line(m, w[5]+o, L), out[:L])
 }
 
 // merge ORs the sources of srcs, (register or line, table) pairs, each
 // permuted by its table, and stores the result at dst: a quad scatter from
 // registers or a gather from lines, every line read before dst is written.
-func (p *Program) merge(r, m []int16, regs bool, dst uint32, srcs []uint32) {
+// o is the base of the record's lines.
+func (p *Program) merge(r, m []int16, regs bool, dst uint32, srcs []uint32, o uint32) {
 	L := p.lanes
 	var acc [regStride]int16
 	for ; len(srcs) >= 2; srcs = srcs[2:] {
@@ -265,13 +275,13 @@ func (p *Program) merge(r, m []int16, regs bool, dst uint32, srcs []uint32) {
 		if regs {
 			copy(src[:regStride], reg(r, srcs[0])[:])
 		} else {
-			copy(src[:L], line(m, srcs[0], L))
+			copy(src[:L], line(m, srcs[0]+o, L))
 		}
 		for i, j := range p.tab(srcs[1])[:L] {
 			acc[i] |= src[j&gmask]
 		}
 	}
-	copy(line(m, dst, L), acc[:L])
+	copy(line(m, dst+o, L), acc[:L])
 }
 
 // trellis holds the five recursion tables of a sweep, its carried state c
@@ -308,55 +318,91 @@ func (t *trellis) step(q *gatherSrc, v0, v1 *[regStride]int16, L int) {
 	}
 }
 
-// sweep runs an alpha sweep (stride 2: each step's quad line and the line
-// it stores the new alpha to) or a beta sweep (stride 1: the quad line)
-// and writes the carried register back.
-func (p *Program) sweep(r, m []int16, w, steps []uint32, stride int) {
+// sweep runs n steps of an alpha sweep, w = {c, g0..gn, q, dq, out,
+// dout}, each step reading its quad line and storing the new alpha to its
+// out line, or of a beta sweep, w = {c, g0..gn, q, dq}, and writes the
+// carried register back. Addresses move by their stride a step, wrapping
+// as the assembly's 32-bit adds do, from the record's base o.
+func (p *Program) sweep(r, m []int16, w []uint32, n int, o uint32) {
 	L := p.lanes
 	t := p.newTrellis(r, w)
 	var q gatherSrc
 	var v0, v1 [regStride]int16
-	for ; len(steps) >= stride; steps = steps[stride:] {
-		copy(q[:L], line(m, steps[0], L))
+	qa := w[6] + o
+	for s := 0; s < n; s++ {
+		copy(q[:L], line(m, qa, L))
 		t.step(&q, &v0, &v1, L)
-		if stride == 2 {
-			copy(line(m, steps[1], L), t.c[:L])
+		if len(w) > 8 {
+			copy(line(m, o+w[8]+uint32(s)*w[9], L), t.c[:L])
 		}
+		qa += w[7]
 	}
 	copy(reg(r, w[0])[:L], t.c[:L])
 }
 
-// betaExtSweep runs a beta sweep that extracts the posterior of each step:
-// w holds the carried register, the five recursion and three
-// horizontal-max tables, the count nx and the nx extracted lanes two to a
-// word; each step is its quad line, its alpha line and nx word addresses.
-func (p *Program) betaExtSweep(r, m []int16, w, steps []uint32, stride int) {
+// betaExtSweep runs n steps of a beta sweep that extracts the posterior of
+// each: w holds the carried register, the five recursion and three
+// horizontal-max tables, the count nx, the nx extracted lanes two to a
+// word, the quad and alpha lines with their strides, the table's stride
+// dout, its row count np and its np rows of nx word addresses. Step s
+// stores to row s mod np, moved by (s/np)·dout, all from the record's base
+// o.
+func (p *Program) betaExtSweep(r, m []int16, w []uint32, n int, o uint32) {
 	L := p.lanes
 	t := p.newTrellis(r, w)
 	h0, h1, h2 := p.tab(w[6]), p.tab(w[7]), p.tab(w[8])
+	nx := int(w[9])
 	var lanes [regStride]int
-	for x := range stride - 2 {
+	for x := range nx {
 		lanes[x] = int(w[10+x/2]>>(16*(x%2))) & (regStride - 1)
 	}
+	qa, al, rows, off := w[26]+o, w[28]+o, w[32:], o
 	var q, e0, e1, m0, m1 gatherSrc
 	var v0, v1 [regStride]int16
-	for ; len(steps) >= stride; steps = steps[stride:] {
-		copy(q[:L], line(m, steps[0], L))
+	row := rows
+	for s := 0; s < n; s++ {
+		copy(q[:L], line(m, qa, L))
 		t.step(&q, &v0, &v1, L)
-		for i, a := range line(m, steps[1], L) {
+		for i, a := range line(m, al, L) {
 			e0[i], e1[i] = satAdd(a, v0[i]), satAdd(a, v1[i])
 		}
 		// Stages 1 and 2 of both butterflies leave their reductions in e0
 		// and e1; of stage 3 only the extracted lanes are observable.
 		hmaxStage(&m0, &e0, &m1, &e1, h0[:L])
 		hmaxStage(&e0, &m0, &e1, &m1, h1[:L])
-		for x, a := range steps[2:stride] {
+		for x, a := range row[:nx] {
 			i := lanes[x]
 			j := h2[i] & gmask
-			m[a>>1] = satSub(max(e0[i], e0[j]), max(e1[i], e1[j]))
+			m[(a+off)>>1] = satSub(max(e0[i], e0[j]), max(e1[i], e1[j]))
 		}
+		if row = row[nx:]; len(row) == 0 {
+			row, off = rows, off+w[30]
+		}
+		qa, al = qa+w[27], al+w[29]
 	}
 	copy(reg(r, w[0])[:L], t.c[:L])
+}
+
+// loop runs the loop record at code[pc], n trips, and returns its length
+// in words: the definition's body a trip at a time, each class's base at
+// the trip times its stride.
+func (p *Program) loop(x *Exec, code []uint32, pc, n int) int {
+	t0, back := code[pc+1], int(code[pc+2])
+	def := code[pc-back+3:]
+	nc := int(def[0])
+	strides, size := def[1:][:nc], int(def[1+nc])
+	body := def[2+nc:][:size]
+	var base [1 + maxClasses]uint32
+	for t := range uint32(n) {
+		for c, d := range strides {
+			base[1+c] = (t0 + t) * d
+		}
+		p.runStreamGo(x, body, &base)
+	}
+	if back != 0 {
+		return 3
+	}
+	return 5 + nc + size
 }
 
 // hmaxStage is one vpermw+pmax stage of two horizontal-max butterflies

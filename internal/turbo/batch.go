@@ -138,7 +138,8 @@ type BatchDecoder struct {
 // s whose state regions together hold at most memBytes bytes of emulated
 // memory (the largest supported K takes 1.4 MiB at W512, the 188 LTE
 // sizes together some 80 MiB). Plans and programs live in the
-// process-wide cache, outside it.
+// process-wide cache, outside it: 0.04 MB at K=512 and 0.39 MB at K=6144
+// a W512 size, 25 MB for all 188.
 func NewBatchDecoder(w simd.Width, s core.Strategy, memBytes int) *BatchDecoder {
 	return &BatchDecoder{
 		w:         w,

@@ -12,7 +12,12 @@ import (
 // interpreter would record, fused as fuse.go would fuse it, to a
 // program.Emitter. No engine runs, no word is decoded and no
 // raw stream or interpreter table exists: what a recording spends half a
-// second on at K=6144 is index arithmetic over the plan.
+// second on at K=6144 is index arithmetic over the plan. Each run over the
+// trellis steps or the packed groups is described once, as an
+// Emitter.Loop whose body emits one trip: the emitter emits trips until
+// the roller has folded them into a loop and adds the rest as a count, so
+// a compile's work and memory do not grow with K but for the QPP gathers,
+// which are not affine and are emitted group by group.
 //
 // The program is the one Builder.Compile makes of a recording of the same
 // plan, to the checksum: the same ops in the same order over the same
@@ -73,8 +78,8 @@ func newPlanEmitter(pl *packedPlan) *planEmitter {
 			pe.scat[si][v] = i32(t)
 		}
 	}
-	pe.gSPerm = buildGather[int32](pl, pl.code.qpp.Perm)
-	pe.gLa1 = buildGather[int32](pl, pl.code.qpp.InvPerm)
+	pe.gSPerm = buildGather[int32](pl, pl.code.qpp.fwd)
+	pe.gLa1 = buildGather[int32](pl, pl.code.qpp.inv)
 	// core.APCMArranger's sampling masks: lane l kept by mask d when
 	// l%3 == d.
 	L := pl.w.Lanes16()
@@ -162,9 +167,7 @@ func (pe *planEmitter) prefix() {
 	pe.zero = pe.fresh()
 	pe.e.Xor(pe.zero, pe.zero, pe.zero)
 	pe.gather(pe.gSPerm, pe.rel.sPerm, pe.rel.s, pe.pl.lay.Rot[core.ClusterS])
-	for g := 0; g < pe.groups(); g++ {
-		pe.e.Store(pe.vec(pe.rel.la1, g, 0), pe.zero)
-	}
+	pe.e.Loop(pe.groups(), func(g int) { pe.e.Store(pe.vec(pe.rel.la1, g, 0), pe.zero) })
 }
 
 // arrange is core.APCMArranger.Arrange, rotate-mimic form, over the packed
@@ -180,7 +183,7 @@ func (pe *planEmitter) arrange() {
 	var tmp, rot program.Reg
 	pe.acquireN(&in[0], &in[1], &in[2], &acc[0], &acc[1], &acc[2], &tmp, &rot)
 	dst := [3]int64{pe.rel.s, pe.rel.p1, pe.rel.p2}
-	for g := 0; g < pe.groups(); g++ {
+	e.Loop(pe.groups(), func(g int) {
 		for r := range in {
 			e.Load(in[r], pe.rel.src+int64(2*(3*g*L+r*L)))
 		}
@@ -202,7 +205,7 @@ func (pe *planEmitter) arrange() {
 				e.ExtrW(block+2*int64(L+x), acc[c], x)
 			}
 		}
-	}
+	})
 	pe.release(masks[0], masks[1], masks[2], in[0], in[1], in[2], acc[0], acc[1], acc[2], tmp, rot)
 }
 
@@ -228,8 +231,8 @@ func (pe *planEmitter) iteration() {
 func (pe *planEmitter) gather(prog [][]gatherSrc[int32], dstBase, srcBase int64, srcRot int) {
 	var src, acc, tmp program.Reg
 	pe.acquireN(&src, &acc, &tmp)
-	var addrs [maxGatherSources]int64
-	var tabs [maxGatherSources][]int32
+	var addrs [maxGatherLanes]int64
+	var tabs [maxGatherLanes][]int32
 	for gd, srcs := range prog {
 		for i, gs := range srcs {
 			addrs[i] = pe.vec(srcBase, gs.Group, srcRot)
@@ -240,10 +243,6 @@ func (pe *planEmitter) gather(prog [][]gatherSrc[int32], dstBase, srcBase int64,
 	pe.release(src, acc, tmp)
 }
 
-// maxGatherSources bounds the source groups of one gather destination
-// group: one per lane of the widest register at most.
-const maxGatherSources = 32
-
 // gamma is gammaPacked.
 func (pe *planEmitter) gamma(sysBase int64, sysRot int, parBase int64, parRot int, laBase int64) {
 	e := pe.e
@@ -251,7 +250,7 @@ func (pe *planEmitter) gamma(sysBase int64, sysRot int, parBase int64, parRot in
 	pe.acquireN(&s, &p, &la, &t, &g0, &g1, &n0, &n1, &acc, &tmp)
 	stepsPerGroup := pe.pl.lay.GroupLanes / pe.pl.nb
 	srcs := []program.Reg{g0, g1, n0, n1}
-	for g := 0; g < pe.groups(); g++ {
+	e.Loop(pe.groups(), func(g int) {
 		e.Load(s, pe.vec(sysBase, g, sysRot))
 		e.Load(p, pe.vec(parBase, g, parRot))
 		e.Load(la, pe.vec(laBase, g, 0))
@@ -263,7 +262,7 @@ func (pe *planEmitter) gamma(sysBase int64, sysRot int, parBase int64, parRot in
 		for si := 0; si < stepsPerGroup; si++ {
 			e.QuadScatter(acc, tmp, pe.quad(g*stepsPerGroup+si), srcs, pe.scat[si][:])
 		}
-	}
+	})
 	pe.release(s, p, la, t, g0, g1, n0, n1, acc, tmp)
 }
 
@@ -280,9 +279,7 @@ func (pe *planEmitter) alpha(steps int) {
 	pe.acquireN(&r[0], &r[1], &r[2], &r[3], &r[4], &r[5], &r[6], &r[7])
 	r[8] = alpha
 	tabs := [5][]int32{pe.bmA0, pe.bmA1, pe.prevIdx0, pe.prevIdx1, pe.lane0Idx}
-	for j := 0; j < steps; j++ {
-		e.AlphaStep(&r, pe.quad(j), pe.alphaAt(j+1), &tabs)
-	}
+	e.Loop(steps, func(j int) { e.AlphaStep(&r, pe.quad(j), pe.alphaAt(j+1), &tabs) })
 	pe.release(alpha, r[0], r[1], r[2], r[3], r[4], r[5], r[6], r[7])
 }
 
@@ -307,16 +304,24 @@ func (pe *planEmitter) betaExt(k int, terminated bool) {
 	xr := &x.Regs
 	pe.acquireN(&xr[0], &xr[1], &xr[2], &xr[3], &xr[4], &xr[6], &xr[5], &r[8])
 	tabs := [5][]int32{pe.bmB0, pe.bmB1, pe.nextIdx0, pe.nextIdx1, pe.lane0Idx}
-	for j := steps - 1; j >= 0; j-- {
-		if j >= k {
-			e.BetaStep(&r, pe.quad(j), &tabs, nil)
-			continue
-		}
+	e.Loop(steps-k, func(t int) { e.BetaStep(&r, pe.quad(steps-1-t), &tabs, nil) })
+	step := func(j int) {
 		x.Alpha = pe.alphaAt(j)
 		for b := range x.Out {
 			x.Out[b] = [2]int64{pe.pl.elemAddr(pe.rel.dPost, j*nb+b), int64(b * NumStates)}
 		}
 		e.BetaStep(&r, pe.quad(j), &tabs, x)
+	}
+	// A step's words land at lane positions that repeat a packed group
+	// later, so a trip is a group's steps.
+	per := pe.pl.lay.GroupLanes / nb
+	e.Loop(k/per, func(t int) {
+		for s := range per {
+			step(k - 1 - t*per - s)
+		}
+	})
+	for j := k%per - 1; j >= 0; j-- {
+		step(j)
 	}
 	pe.release(beta, r[0], r[1], r[2], r[3], r[4], r[5], r[6], xr[0], xr[1], xr[2], xr[3], xr[4], xr[6], xr[5], r[8])
 }
@@ -328,10 +333,10 @@ func (pe *planEmitter) extFin(sysBase int64, sysRot int, laBase int64) {
 	pe.acquireN(&r[0], &r[1], &r[2], &r[3], &r[4], &r[5], &r[6])
 	e.BcastImm(r[5], extClamp)
 	e.BcastImm(r[6], -extClamp)
-	for g := 0; g < pe.groups(); g++ {
+	e.Loop(pe.groups(), func(g int) {
 		in := [3]int64{pe.vec(pe.rel.dPost, g, 0), pe.vec(sysBase, g, sysRot), pe.vec(laBase, g, 0)}
 		e.ExtVec(&r, 1, in, pe.vec(pe.rel.ext, g, 0))
-	}
+	})
 	pe.release(r[:]...)
 }
 
@@ -340,10 +345,10 @@ func (pe *planEmitter) hdec() {
 	e := pe.e
 	var v, h program.Reg
 	pe.acquireN(&v, &h)
-	for g := 0; g < pe.groups(); g++ {
+	e.Loop(pe.groups(), func(g int) {
 		e.Load(v, pe.vec(pe.rel.dPost, g, 0))
 		e.Sra(h, v, 15)
 		e.Store(pe.vec(pe.rel.hdec, g, 0), h)
-	}
+	})
 	pe.release(v, h)
 }

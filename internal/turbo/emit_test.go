@@ -11,9 +11,10 @@ import (
 	"vransim/internal/simd/program"
 )
 
-// emitAll widens TestEmittedMatchesRecorded and
-// TestServingPlansRecordNothing from every 16th LTE block size to all 188
-// (CI step "Emitter equivalence sweep"; about a minute).
+// emitAll widens TestEmittedMatchesRecorded from every 16th LTE block size
+// at W512 and the grid sizes at W128 and W256 to all 188 at all three, and
+// TestServingPlansRecordNothing to all 188 (CI step "Emitter equivalence
+// sweep"; a couple of minutes, nearly all of it the recordings).
 var emitAll = flag.Bool("emit.all", false, "compare emitted and recorded programs at every LTE block size")
 
 // gridSizes are the block sizes the serving benchmark warms up with.
@@ -53,26 +54,24 @@ func apcmPlan(t *testing.T, w simd.Width, k int) *packedPlan {
 // TestEmittedMatchesRecorded: the program the emitter writes from an APCM
 // plan is, to the checksum, the one the recorder compiles from an
 // interpreted decode of that plan — every word of the descriptor streams,
-// every table they address, the register count and the extent. It covers
-// W512 at every 16th LTE block size and the grid sizes, and W128 and W256
-// at the grid sizes; -emit.all takes W512 to all 188. Every program's
-// gather pool holds at most maxGatherPool vectors: the tables are interned
-// by content, and a pool that holds one vector per table reference (84 at
-// K=40, 12,332 at K=6144) is over.
+// every table they address, the register count and the extent: both roll
+// to the same loops. It covers W512 at every 16th LTE block size and the
+// grid sizes, and W128 and W256 at the grid sizes; -emit.all takes all
+// three widths to all 188. Every program's gather pool holds at most
+// maxGatherPool vectors: the tables are interned by content, and a pool
+// that holds one vector per table reference (84 at K=40, 12,332 at
+// K=6144) is over.
 func TestEmittedMatchesRecorded(t *testing.T) {
 	type config struct {
 		w simd.Width
 		k int
 	}
 	var configs []config
-	for i, k := range BlockSizes {
-		if *emitAll || i%16 == 0 || slices.Contains(gridSizes, k) {
-			configs = append(configs, config{simd.W512, k})
-		}
-	}
-	for _, w := range []simd.Width{simd.W128, simd.W256} {
-		for _, k := range gridSizes {
-			configs = append(configs, config{w, k})
+	for _, w := range simd.Widths {
+		for i, k := range BlockSizes {
+			if *emitAll || w == simd.W512 && i%16 == 0 || slices.Contains(gridSizes, k) {
+				configs = append(configs, config{w, k})
+			}
 		}
 	}
 	var pools []int
@@ -141,6 +140,49 @@ func replayProgram(t *testing.T, prog *program.Program, pl *packedPlan, words []
 		out[b] = slices.Clone(bits[b])
 	}
 	return out, slices.Clone(p.pst.itersB[:len(words)])
+}
+
+// TestRecordedStrategiesDecodeLikeScalar: the five strategies the emitter
+// does not cover compile from a recording, which goes through the same
+// roller, and at the grid sizes their programs decode noisy words to the
+// scalar decoder's bits and per-block iterations, on both kernels.
+func TestRecordedStrategiesDecodeLikeScalar(t *testing.T) {
+	eachKernel(t, func(t *testing.T) {
+		const maxIters = 3
+		for s := core.StrategyScalar; s <= core.StrategyShuffle; s++ {
+			if emits(s) {
+				continue
+			}
+			for _, k := range gridSizes {
+				name := fmt.Sprintf("%v/K%d", s, k)
+				c, err := NewCode(k)
+				if err != nil {
+					t.Fatal(err)
+				}
+				words, _ := buildWords(t, c, BlocksPerRegister(simd.W512), int64(1100+k), false)
+				bd := NewBatchDecoder(simd.W512, s, 32<<20)
+				bd.MaxIters = maxIters
+				bits, _, err := bd.Decode(k, words)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				if st := bd.ProgramStats(); st.Hits != 1 {
+					t.Fatalf("%s: the decode did not replay a compiled program: %+v", name, st)
+				}
+				for b, w := range words {
+					sc := NewDecoder(c)
+					sc.MaxIters = maxIters
+					sBits, sIters, err := sc.Decode(w)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !equalBits(bits[b], sBits) || bd.BlockIters()[b] != sIters {
+						t.Errorf("%s block %d: compiled and scalar decodes differ (iterations %d, %d)", name, b, bd.BlockIters()[b], sIters)
+					}
+				}
+			}
+		}
+	})
 }
 
 // TestEmittedDecodesLikeRecorded is the differential: noisy words, full

@@ -52,20 +52,21 @@ func liveHeap() uint64 {
 }
 
 // TestCompiledPlanFootprint pins what a compiled plan costs to keep and to
-// make on every host: a program holds its descriptor streams and one copy
-// of each distinct table, one iteration of them. Kept: the live heap one
-// cold W512/APCM compile adds to the process, the whole cache entry, is at
-// most 2.13 MB at K=6144 and 0.20 MB at K=512 (1.85 and 0.17 measured;
-// 3.43 and 0.29 while the pool held a table per reference, 4.70 and 0.40
-// while a program held the iteration twice); a program that kept its
-// fused ops and operand pools, or a plan that kept interpreter tables, is
-// over. Made: the bytes one cold K=6144 compile allocates are at most
-// 17.3 MB (15.0 MB measured; 16.5 MB with a table per reference, 26.4 MB
-// emitting the iteration twice, 62 MB recording it), and a process that
-// cold-compiles the four sizes of the benchmark's grid peaks at most
-// 24.7 MB resident (20.9–21.5 MB measured; 22.5–23.2 MB with a table per
-// reference, 31.7–33.9 MB with the iteration twice, 56–58 MB recorded).
-// The budgets are the measured values and 15 %. The resident-set half is
+// make on every host: a program holds its descriptor streams, rolled into
+// sweeps and loops, and one copy of each distinct table, one iteration of
+// them. Kept: the live heap one cold W512/APCM compile adds to the process,
+// the whole cache entry, is at most 0.45 MB at K=6144 and 0.06 MB at K=512
+// (0.39 and 0.04–0.05 measured; 1.85 and 0.17 while the streams held a
+// record or a step per trellis step and group, 3.43 and 0.29 while the
+// pool held a table per reference); a program that kept its fused ops and
+// operand pools, a plan that kept interpreter tables, or a stream that
+// stopped rolling is over. Made: the bytes one cold K=6144 compile
+// allocates are at most 3.1 MB (2.7 MB measured; 15.0 MB while the
+// emitter held each segment unrolled and each gather table per
+// reference, 62 MB recording it), and a process that cold-compiles the
+// four sizes of the benchmark's grid peaks at most 10.7 MB resident
+// (8.7–9.3 MB measured; 20.9–21.5 MB unrolled, 56–58 MB recorded). The
+// budgets are the measured values and 15 %. The resident-set half is
 // skipped under the race detector.
 func TestCompiledPlanFootprint(t *testing.T) {
 	grid := []int{40, 512, 2048, 6144}
@@ -83,7 +84,7 @@ func TestCompiledPlanFootprint(t *testing.T) {
 	for _, c := range []struct {
 		k      int
 		budget float64 // MB
-	}{{512, 0.20}, {6144, 2.13}} {
+	}{{512, 0.06}, {6144, 0.45}} {
 		resetPlanCache()
 		before := liveHeap()
 		var ms0, ms1 runtime.MemStats
@@ -98,7 +99,7 @@ func TestCompiledPlanFootprint(t *testing.T) {
 			t.Errorf("K=%d: a compiled plan holds %.2f MB, over its %.2f MB budget", c.k, mb, c.budget)
 		}
 		if c.k == 6144 {
-			const allocBudget = 17.3
+			const allocBudget = 3.1
 			alloc := float64(ms1.TotalAlloc-ms0.TotalAlloc) / 1e6
 			t.Logf("K=%d: one cold compile allocates %.1f MB (budget %.1f)", c.k, alloc, allocBudget)
 			if alloc > allocBudget {
@@ -120,7 +121,7 @@ func TestCompiledPlanFootprint(t *testing.T) {
 	if _, err := fmt.Sscanf(string(out), "peak RSS %f MB", &rss); err != nil {
 		t.Fatalf("cold-compile subprocess printed no peak: %v\n%s", err, out)
 	}
-	const budget = 24.7
+	const budget = 10.7
 	t.Logf("cold compile of K=%v: peak RSS %.1f MB (budget %.1f)", grid, rss, budget)
 	if rss > budget {
 		t.Errorf("cold-compiling K=%v peaks at %.1f MB resident, over the %.1f MB budget", grid, rss, budget)

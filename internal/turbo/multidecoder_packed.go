@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"math/bits"
+	"slices"
 	"sync"
 
 	"vransim/internal/core"
@@ -234,9 +236,9 @@ func (pl *packedPlan) newInterpTables() *interpTables {
 	it.bmA0, it.bmA1, it.bmB0, it.bmB1 = pl.quadTables()
 	it.scat = pl.scatterTables()
 	qpp := pl.code.qpp
-	it.gSPerm = buildGather[int](pl, qpp.Perm)
+	it.gSPerm = buildGather[int](pl, qpp.fwd)
 	it.gLa2 = it.gSPerm // same permutation, different arrays
-	it.gLa1 = buildGather[int](pl, qpp.InvPerm)
+	it.gLa1 = buildGather[int](pl, qpp.inv)
 	return it
 }
 
@@ -312,43 +314,73 @@ func (pl *packedPlan) scatterTables() (scat [8][4][]int) {
 	return scat
 }
 
-// buildGather compiles dst[i*nb+b] = src[f(i)*nb+b] into per-dst-group
+// buildGather compiles dst[i*nb+b] = src[perm[i]*nb+b] into per-dst-group
 // source lists: for each destination group, each contributing source
 // group appears once with a permute table mapping its aligned-view
 // lanes to the destination lanes it feeds (-1 elsewhere). Every packed
 // element has exactly one source, so the OR-merge of the contributions
 // is exact. The interpreter permutes by []int tables, a compiled program
-// holds []int32 ones.
-func buildGather[T int | int32](pl *packedPlan, f func(i int) int) [][]gatherSrc[T] {
-	L := pl.lay.GroupLanes
-	groups := pl.n / L
+// holds []int32 ones. A plan's hundreds to thousands of tables hold a few
+// dozen distinct ones, so each distinct table is one slice, which every
+// source with that table shares: the recorder and the emitter, which both
+// intern tables by slice, see the same few.
+func buildGather[T int | int32](pl *packedPlan, perm []int) [][]gatherSrc[T] {
+	// L and nb are powers of two (nb·8 = L), so packed indices split by
+	// shifts.
+	L, nb := pl.lay.GroupLanes, pl.nb
+	lShift, nbShift := bits.TrailingZeros(uint(L)), bits.TrailingZeros(uint(nb))
+	groups := pl.n >> lShift
 	out := make([][]gatherSrc[T], groups)
-	for gd := 0; gd < groups; gd++ {
-		var srcs []gatherSrc[T]
-		find := func(gs int) *gatherSrc[T] {
-			for i := range srcs {
-				if srcs[i].Group == gs {
-					return &srcs[i]
-				}
-			}
-			t := make([]T, L)
-			for j := range t {
-				t[j] = -1
-			}
-			srcs = append(srcs, gatherSrc[T]{Group: gs, Idx: t})
-			return &srcs[len(srcs)-1]
-		}
+	// Distinct tables by a digest of their lanes, each digest's tables in
+	// a list that is one long but for a collision.
+	distinct := make(map[uint64][][]T)
+	// A group's sources are carved from blocks of a few hundred.
+	var block, srcs []gatherSrc[T]
+	var idx [][maxGatherLanes]T
+	var blank [maxGatherLanes]T
+	for j := range blank {
+		blank[j] = -1
+	}
+	for gd := range out {
+		srcs, idx = srcs[:0], idx[:0]
 		for jj := 0; jj < L; jj++ {
-			ip := gd*L + jj
-			i, b := ip/pl.nb, ip%pl.nb
-			sp := f(i)*pl.nb + b
-			g := find(sp / L)
-			g.Idx[pl.lay.LanePos[jj]] = T(pl.lay.LanePos[sp%L])
+			ip := gd<<lShift + jj
+			sp := perm[ip>>nbShift]<<nbShift + ip&(nb-1)
+			g := 0
+			for g < len(srcs) && srcs[g].Group != sp>>lShift {
+				g++
+			}
+			if g == len(srcs) {
+				srcs = append(srcs, gatherSrc[T]{Group: sp >> lShift})
+				idx = append(idx, blank)
+			}
+			idx[g][pl.lay.LanePos[jj]] = T(pl.lay.LanePos[sp&(L-1)])
 		}
-		out[gd] = srcs
+		for g := range srcs {
+			lanes := idx[g][:L]
+			h := uint64(0)
+			for _, x := range lanes {
+				h = (h ^ uint64(x)) * 0x9e3779b97f4a7c15
+			}
+			i := slices.IndexFunc(distinct[h], func(t []T) bool { return slices.Equal(t, lanes) })
+			if i < 0 {
+				i = len(distinct[h])
+				distinct[h] = append(distinct[h], slices.Clone(lanes))
+			}
+			srcs[g].Idx = distinct[h][i]
+		}
+		if cap(block)-len(block) < len(srcs) {
+			block = make([]gatherSrc[T], 0, max(len(srcs), 256))
+		}
+		n := len(block)
+		block = append(block, srcs...)
+		out[gd] = block[n:len(block):len(block)]
 	}
 	return out
 }
+
+// maxGatherLanes is the lanes of the widest register.
+const maxGatherLanes = 32
 
 // gather emits one vectorized gather program: per destination group,
 // load each contributing source group (aligned view at rot srcRot),

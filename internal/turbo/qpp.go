@@ -67,8 +67,12 @@ func NewQPP(k int) (*QPP, error) {
 	// Search order favors small coefficients away from degenerate
 	// identity-like permutations (f1=1, f2=0 would be no interleaving;
 	// spread is what gives the turbo code its distance).
+	primes := primeFactors(k)
 	for _, f2 := range candidateF2(k) {
 		for f1 := 3; f1 < k; f1 += 2 {
+			if !permutes(primes, f1, f2) {
+				continue
+			}
 			q := &QPP{K: k, F1: f1, F2: f2}
 			if q.build() {
 				return q, nil
@@ -78,20 +82,51 @@ func NewQPP(k int) (*QPP, error) {
 	return nil, fmt.Errorf("turbo: no QPP found for K=%d", k)
 }
 
-// candidateF2 yields even quadratic coefficients to try, starting near
-// K/8 for good spreading.
-func candidateF2(k int) []int {
-	seen := map[int]bool{}
-	var out []int
-	add := func(v int) {
-		if v > 0 && v < k && v%2 == 0 && !seen[v] {
-			seen[v] = true
-			out = append(out, v)
+// primeFactors returns the distinct primes dividing k.
+func primeFactors(k int) []int {
+	var ps []int
+	for p := 2; p*p <= k; p++ {
+		if k%p == 0 {
+			ps = append(ps, p)
+			for k%p == 0 {
+				k /= p
+			}
 		}
 	}
+	if k > 1 {
+		ps = append(ps, k)
+	}
+	return ps
+}
+
+// permutes reports whether f1·x + f2·x² permutes the integers mod a K
+// whose distinct prime factors are primes and which 4 divides (every LTE
+// size is a multiple of 8), with f1 odd and f2 even as the search draws
+// them: exactly when no prime of K divides f1 and every odd prime of K
+// divides f2 (Sun and Takeshita's criterion). It spares the search a
+// K-long build of every candidate it rejects; build still checks the one
+// it keeps.
+func permutes(primes []int, f1, f2 int) bool {
+	for _, p := range primes {
+		if f1%p == 0 || p != 2 && f2%p != 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// candidateF2 yields even quadratic coefficients to try, starting near
+// K/8 for good spreading: base, base+2, base-2, base+4, … within (0, K).
+func candidateF2(k int) []int {
 	base := k / 8
 	if base%2 == 1 {
 		base++
+	}
+	out := make([]int, 0, k/2)
+	add := func(v int) {
+		if v > 0 && v < k {
+			out = append(out, v)
+		}
 	}
 	add(base)
 	for d := 2; d <= k; d += 2 {

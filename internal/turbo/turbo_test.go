@@ -93,6 +93,37 @@ func TestQPPBijective(t *testing.T) {
 	}
 }
 
+// TestQPPContentionFree: at every LTE block size, for nb = 2, 4 and 8
+// windows of W = K/nb steps (nb dividing K), the nb reads Π(i + w·W) of
+// each step i < W fall in nb different windows, so nb decoders walking
+// one window each never read the same window at once. Takeshita's
+// theorem makes every QPP contention-free for every window size dividing
+// K; this holds the searched polynomials to it.
+func TestQPPContentionFree(t *testing.T) {
+	for _, k := range BlockSizes {
+		q, err := NewQPP(k)
+		if err != nil {
+			t.Fatalf("K=%d: %v", k, err)
+		}
+		for _, nb := range []int{2, 4, 8} {
+			if k%nb != 0 {
+				continue
+			}
+			w := k / nb
+			for i := 0; i < w; i++ {
+				var seen [8]bool
+				for b := 0; b < nb; b++ {
+					win := q.Perm(i+b*w) / w
+					if seen[win] {
+						t.Fatalf("K=%d, %d windows: step %d reads window %d twice", k, nb, i, win)
+					}
+					seen[win] = true
+				}
+			}
+		}
+	}
+}
+
 func TestQPPDeterministic(t *testing.T) {
 	a, err1 := NewQPP(256)
 	b, err2 := NewQPP(256)

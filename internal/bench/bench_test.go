@@ -185,8 +185,9 @@ func TestDecodeBenchQuick(t *testing.T) {
 			cold++
 		}
 	}
-	if len(rep.Rows)-cold != modes*3*2 || cold > 3*2 { // modes x widths x quick Ks
-		t.Fatalf("report has %d rows (%d cold), want %d and at most %d cold", len(rep.Rows), cold, modes*3*2, 3*2)
+	want := modes*3*2 + 2 // modes x widths x quick Ks, and W512's extract rows
+	if len(rep.Rows)-cold != want || cold > 3*2 {
+		t.Fatalf("report has %d rows (%d cold), want %d and at most %d cold", len(rep.Rows), cold, want, 3*2)
 	}
 	if rep.Kernel != program.Kernel() {
 		t.Errorf("report kernel %q, this host runs %q", rep.Kernel, program.Kernel())
@@ -200,11 +201,14 @@ func TestDecodeBenchQuick(t *testing.T) {
 			t.Errorf("%s/K=%d %s: %d allocs/op over budget 8", r.Width, r.K, r.Mode, r.AllocsOp)
 		}
 		perOp[fmt.Sprintf("%s/%s/%d", r.Mode, r.Width, r.K)] = r.NsPerOp
-		// The segment timings: on the W512 packed rows only, and the prefix
-		// (about a twentieth of an iteration's ops) below the iteration.
-		if w512 := r.Mode == "packed" && r.Width == "AVX512"; w512 != (r.PrefixNs > 0) || w512 != (r.IterationNs > 0) {
+		// The segment timings: on the W512 packed and extract rows only,
+		// each with its quartile spread; APCM's prefix (about a twentieth
+		// of an iteration's ops) below the iteration. Extract's prefix
+		// costs about an iteration, so it is not compared.
+		w512 := (r.Mode == "packed" || r.Mode == "extract") && r.Width == "AVX512"
+		if w512 != (r.PrefixNs > 0) || w512 != (r.IterationNs > 0) || r.PrefixNsIQR < 0 || r.IterationNsIQR < 0 {
 			t.Errorf("%s/%s/K=%d: prefix %.0f ns, iteration %.0f ns", r.Mode, r.Width, r.K, r.PrefixNs, r.IterationNs)
-		} else if w512 && r.PrefixNs >= r.IterationNs {
+		} else if w512 && r.Mode == "packed" && r.PrefixNs >= r.IterationNs {
 			t.Errorf("%s/K=%d: the prefix (%.0f ns) costs no less than an iteration (%.0f ns)", r.Width, r.K, r.PrefixNs, r.IterationNs)
 		}
 	}
@@ -218,6 +222,9 @@ func TestDecodeBenchQuick(t *testing.T) {
 	// The compiled replay must beat the interpreter on every cell large
 	// enough for the measurement to be stable (the quick pass includes
 	// K=512 at every width).
+	if perOp["extract/AVX512/512"] == 0 {
+		t.Errorf("no extract row at W512 K=512 (rows: %v)", perOp)
+	}
 	for _, w := range []string{"SSE128", "AVX256", "AVX512"} {
 		c, s := perOp["packed/"+w+"/512"], perOp["interpreted/"+w+"/512"]
 		if c == 0 || s == 0 {

@@ -12,9 +12,11 @@
 // process, which compiles its program, and "adopt", the first decode of it
 // on a second decoder, which finds the program in the process-wide cache
 // and builds only its own state — the cost a second worker or a worker
-// after an eviction pays (CI gates adopt <= cold / 5). The W512 packed
-// rows also time one hot Run of each program segment: the prefix (the
-// arrangement stage, once a decode) and one iteration.
+// after an eviction pays (CI gates adopt <= cold / 5). At W512 an
+// "extract" row beside each packed one runs the paper's original
+// arrangement the same way, and both time hot Runs of each program
+// segment: the prefix (the arrangement stage, once a decode) and one
+// iteration, each as a median with its quartile spread.
 package bench
 
 import (
@@ -24,6 +26,7 @@ import (
 	"io"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -55,7 +58,9 @@ type DecodeBenchRow struct {
 	// replayed as one compiled program per iteration), "interpreted"
 	// (the same stream with the interpreter pinned via Compile=false) or
 	// "portable" ("packed" with the program's streams run by the Go
-	// executor; only on a host that has the native one); or one of the single-decode
+	// executor; only on a host that has the native one), "extract" (W512
+	// only: "packed" under the paper's original arrangement, pextrw
+	// stores, in place of APCM); or one of the single-decode
 	// rows, "cold" (the process's first decode of this width and K: plan
 	// build, compile, state, decode; absent when something
 	// earlier in the process had compiled it) and "adopt" (a second
@@ -73,12 +78,16 @@ type DecodeBenchRow struct {
 	// (emulated decode — the number compares modes, not hardware).
 	GoodputMbps float64 `json:"goodput_mbps"`
 	Iterations  int     `json:"benchmark_iterations"`
-	// PrefixNs and IterationNs are one hot Run of the row's program
+	// PrefixNs and IterationNs are a hot Run of the row's program
 	// segments: SegFirst, the prefix a decode runs once (arrangement,
-	// systematic interleave, la1 clear), and SegSteady, one iteration. W512
-	// packed rows only.
-	PrefixNs    float64 `json:"prefix_ns,omitempty"`
-	IterationNs float64 `json:"iteration_ns,omitempty"`
+	// systematic interleave, la1 clear), and SegSteady, one iteration —
+	// each the median of segmentSamples timings (timeSegment), with the
+	// spread between their first and third quartiles beside it. W512
+	// packed and extract rows only.
+	PrefixNs       float64 `json:"prefix_ns,omitempty"`
+	PrefixNsIQR    float64 `json:"prefix_ns_iqr,omitempty"`
+	IterationNs    float64 `json:"iteration_ns,omitempty"`
+	IterationNsIQR float64 `json:"iteration_ns_iqr,omitempty"`
 }
 
 // DecodeBenchReport is the BENCH_decode.json shape.
@@ -176,7 +185,11 @@ func RunDecodeBench(quick bool) (*DecodeBenchReport, error) {
 				cached += compileTime
 			}
 			rep.Rows = append(rep.Rows, first...)
-			for _, mode := range modes {
+			cells := modes
+			if w == simd.W512 {
+				cells = append(cells[:len(cells):len(cells)], "extract")
+			}
+			for _, mode := range cells {
 				row, err := runDecodeCell(mode, w, k, words)
 				if err != nil {
 					return nil, err
@@ -244,7 +257,11 @@ func runDecodeCell(mode string, w simd.Width, k int, words []*turbo.LLRWord) (De
 	if mode == "portable" {
 		defer program.UseNativeKernel(program.UseNativeKernel(false))
 	}
-	bd := turbo.NewBatchDecoder(w, core.StrategyAPCM, 32<<20)
+	s := core.StrategyAPCM
+	if mode == "extract" {
+		s = core.StrategyExtract
+	}
+	bd := turbo.NewBatchDecoder(w, s, 32<<20)
 	bd.MaxIters = decodeBenchIters
 	bd.Compile = mode != "interpreted"
 	// Two warm-ups: the state build, then a decode over the built state;
@@ -281,25 +298,46 @@ func runDecodeCell(mode string, w simd.Width, k int, words []*turbo.LLRWord) (De
 		// Mb of decoded information bits per second of wall-clock.
 		row.GoodputMbps = float64(k*nb) / (row.NsPerOp / 1e3)
 	}
-	if mode == "packed" && w == simd.W512 {
+	if (mode == "packed" || mode == "extract") && w == simd.W512 {
 		prog := bd.PlanProgram(k)
-		row.PrefixNs = timeSegment(prog, program.SegFirst)
-		row.IterationNs = timeSegment(prog, program.SegSteady)
+		row.PrefixNs, row.PrefixNsIQR = timeSegment(prog, program.SegFirst)
+		row.IterationNs, row.IterationNsIQR = timeSegment(prog, program.SegSteady)
 	}
 	return row, nil
 }
 
-// timeSegment benchmarks one hot Run of segment seg of prog over a region
-// of its own. A segment does the same work whatever its region holds, so
-// the region is left as it is.
-func timeSegment(prog *program.Program, seg int) float64 {
+// segmentSamples is how many timings a segment's time is the median of.
+// One timing of one process reads 10-20 % apart from the next process's
+// on a shared host; the quartile spread says how far the samples of this
+// one were.
+const segmentSamples = 21
+
+// timeSegment times hot Runs of segment seg of prog over a region of its
+// own and returns the median of segmentSamples samples and the spread
+// between their first and third quartiles. A sample is the mean Run of a
+// batch that lasts at least 0.1 ms, so the clock's granularity is no part
+// of it. A segment does the same work whatever its region holds, so the
+// region is left as it is.
+func timeSegment(prog *program.Program, seg int) (median, iqr float64) {
 	x := prog.NewExec(simd.NewMemory(int(prog.Extent())+1), 0)
-	res := testing.Benchmark(func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
+	batch := func(n int) time.Duration {
+		start := time.Now()
+		for i := 0; i < n; i++ {
 			prog.Run(x, seg)
 		}
-	})
-	return float64(res.T.Nanoseconds()) / float64(res.N)
+		return time.Since(start)
+	}
+	n := 1
+	for batch(n) < 100*time.Microsecond {
+		n *= 2
+	}
+	samples := make([]float64, segmentSamples)
+	for i := range samples {
+		samples[i] = float64(batch(n).Nanoseconds()) / float64(n)
+	}
+	slices.Sort(samples)
+	at := func(q float64) float64 { return samples[int(q*float64(len(samples)-1))] }
+	return at(0.5), at(0.75) - at(0.25)
 }
 
 // WriteDecodeBenchJSON runs the decode benchmark and writes the report.

@@ -151,7 +151,7 @@ func soak(t *testing.T, seed int64, faults bool) {
 	}
 
 	// -- the interpreter serves only where chaos put it -----------------
-	// Programs are recorded off the live path, so a live batch is
+	// Programs are emitted off the live path, so a live batch is
 	// interpreted only on a worker whose install the compile-verify site
 	// vetoed.
 	vetoes := inj.Counters()[chaos.SiteCompile].Fires

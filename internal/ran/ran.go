@@ -231,6 +231,11 @@ func New(cfg Config) (*Runtime, error) {
 	if turbo.BlocksPerRegister(cfg.Width) < 1 {
 		return nil, fmt.Errorf("ran: width %v too narrow for lane-parallel decode", cfg.Width)
 	}
+	// A strategy with no compiled program would serve every block
+	// interpreted, each a program miss that turns /healthz unhealthy.
+	if !turbo.Emits(cfg.Strategy) {
+		return nil, fmt.Errorf("ran: strategy %v has no compiled program; serve %v or %v", cfg.Strategy, core.StrategyAPCM, core.StrategyExtract)
+	}
 	// Only the first Cells entries class a cell (ClassOf); an entry past
 	// them must not arm the class machinery for traffic that cannot arrive.
 	if len(cfg.SLA.Classes) > cfg.Cells {

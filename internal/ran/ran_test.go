@@ -35,6 +35,31 @@ func mustPool(t testing.TB, k, n int, seed int64) *WordPool {
 	return pool
 }
 
+// TestNewRefusesUncoveredStrategy: a runtime of a strategy with no
+// compiled program would serve every block interpreted, each a program
+// miss that reads unhealthy, so New refuses it by name; the two
+// arrangements the emitter writes start.
+func TestNewRefusesUncoveredStrategy(t *testing.T) {
+	for s := core.StrategyScalar; s <= core.StrategyShuffle; s++ {
+		cfg := testConfig(simd.W256)
+		cfg.Strategy = s
+		rt, err := New(cfg)
+		switch {
+		case s == core.StrategyAPCM || s == core.StrategyExtract:
+			if err != nil {
+				t.Errorf("%v: %v", s, err)
+				continue
+			}
+			rt.Stop()
+		case err == nil:
+			rt.Stop()
+			t.Errorf("%v: New accepted a strategy with no compiled program", s)
+		case !strings.Contains(err.Error(), s.String()):
+			t.Errorf("%v: the error does not name the strategy: %v", s, err)
+		}
+	}
+}
+
 // TestConcurrentSubmitConservation floods the runtime from many
 // goroutines and checks the accounting invariants: every offered block
 // is exactly one of {delivered, dropped-with-cause, rejected}.

@@ -175,8 +175,8 @@ func (p HealthPolicy) withDefaults() HealthPolicy {
 // reset.
 //
 // A worker on the interpreter serves a batch some 25 times slower than the
-// compiled program would. Programs are recorded from a synthetic word off
-// the live path, so on a healthy process no live batch is ever
+// compiled program would. Programs are emitted from the plan off the live
+// path, so on a healthy process no live batch is ever
 // interpreted: one that is means a block size's program failed to compile
 // (cached as a failure, every worker affected), and the runtime says so
 // here, by block size, instead of leaving it to show as late blocks. With

@@ -9,6 +9,12 @@ import (
 // register Width; the same kernel source runs unchanged at W128, W256 or
 // W512, exactly as intrinsics code recompiled for wider registers.
 //
+// The Engine is the interpreter: every op executes on Go values, lane by
+// lane, and is traced for the timing model. It is the reference the
+// compiled replay programs of internal/simd/program are held to; they are
+// written from a description of the decode (program.Emitter), never from
+// a run of the Engine.
+//
 // The zero Engine is not usable; construct one with NewEngine.
 type Engine struct {
 	W   Width
@@ -33,10 +39,6 @@ type Engine struct {
 	// rotIdx caches the rotate index tables RotateLanesLeft derives, per
 	// (width, rotation) — they are pure functions of both.
 	rotIdx map[int][]int
-
-	// prog, when non-nil, receives the semantic operation stream (see
-	// prog.go) alongside the functional execution and trace emission.
-	prog ProgSink
 }
 
 // maxFreeVecs bounds the register free-list: a misbehaving kernel that
@@ -73,7 +75,6 @@ func (e *Engine) TraceLen() int {
 func (e *Engine) NewVec() *Vec {
 	v := &Vec{}
 	v.writer = trace.NoDep
-	e.rec3(ProgOp{Kind: PClear, Dst: v})
 	return v
 }
 
@@ -89,7 +90,6 @@ func (e *Engine) AcquireVec() *Vec {
 		e.freeVecs[n-1] = nil
 		e.freeVecs = e.freeVecs[:n-1]
 		v.Clear()
-		e.rec3(ProgOp{Kind: PClear, Dst: v})
 		return v
 	}
 	return e.NewVec()
@@ -130,7 +130,7 @@ func dep(v *Vec) int {
 
 // lanewise applies f to each active 16-bit lane of a and b into dst and
 // emits one VecALU µop.
-func (e *Engine) lanewise(kind ProgKind, mnem string, dst, a, b *Vec, f func(x, y int16) int16) {
+func (e *Engine) lanewise(mnem string, dst, a, b *Vec, f func(x, y int16) int16) {
 	n := e.W.Lanes16()
 	for i := 0; i < n; i++ {
 		dst.SetLane16(i, f(a.Lane16(i), b.Lane16(i)))
@@ -140,23 +140,22 @@ func (e *Engine) lanewise(kind ProgKind, mnem string, dst, a, b *Vec, f func(x, 
 		Mnemonic: mnem,
 		Deps:     trace.Deps3(dep(a), dep(b)),
 	})
-	e.rec3(ProgOp{Kind: kind, Dst: dst, A: a, B: b})
 }
 
 // PAddSW is saturated signed 16-bit addition (_mm_adds_epi16).
-func (e *Engine) PAddSW(dst, a, b *Vec) { e.lanewise(PAddS, "padds", dst, a, b, satAddI16) }
+func (e *Engine) PAddSW(dst, a, b *Vec) { e.lanewise("padds", dst, a, b, satAddI16) }
 
 // PSubSW is saturated signed 16-bit subtraction (_mm_subs_epi16).
-func (e *Engine) PSubSW(dst, a, b *Vec) { e.lanewise(PSubS, "psubs", dst, a, b, satSubI16) }
+func (e *Engine) PSubSW(dst, a, b *Vec) { e.lanewise("psubs", dst, a, b, satSubI16) }
 
 // PMaxSW is the signed 16-bit lane maximum (_mm_max_epi16).
-func (e *Engine) PMaxSW(dst, a, b *Vec) { e.lanewise(PMaxS, "pmax", dst, a, b, maxI16) }
+func (e *Engine) PMaxSW(dst, a, b *Vec) { e.lanewise("pmax", dst, a, b, maxI16) }
 
 // PMinSW is the signed 16-bit lane minimum (_mm_min_epi16).
-func (e *Engine) PMinSW(dst, a, b *Vec) { e.lanewise(PMinS, "pmin", dst, a, b, minI16) }
+func (e *Engine) PMinSW(dst, a, b *Vec) { e.lanewise("pmin", dst, a, b, minI16) }
 
 // bytewise applies f to each active byte of a and b into dst.
-func (e *Engine) bytewise(kind ProgKind, mnem string, dst, a, b *Vec, f func(x, y byte) byte) {
+func (e *Engine) bytewise(mnem string, dst, a, b *Vec, f func(x, y byte) byte) {
 	n := int(e.W)
 	for i := 0; i < n; i++ {
 		dst.b[i] = f(a.b[i], b.b[i])
@@ -166,7 +165,6 @@ func (e *Engine) bytewise(kind ProgKind, mnem string, dst, a, b *Vec, f func(x, 
 		Mnemonic: mnem,
 		Deps:     trace.Deps3(dep(a), dep(b)),
 	})
-	e.rec3(ProgOp{Kind: kind, Dst: dst, A: a, B: b})
 }
 
 // PAnd is the bitwise AND (vpand / vpandd for zmm).
@@ -175,7 +173,7 @@ func (e *Engine) PAnd(dst, a, b *Vec) {
 	if e.W == W512 {
 		mnem = "vpandd"
 	}
-	e.bytewise(PAnd, mnem, dst, a, b, func(x, y byte) byte { return x & y })
+	e.bytewise(mnem, dst, a, b, func(x, y byte) byte { return x & y })
 }
 
 // POr is the bitwise OR (vpor / vpord for zmm).
@@ -184,17 +182,17 @@ func (e *Engine) POr(dst, a, b *Vec) {
 	if e.W == W512 {
 		mnem = "vpord"
 	}
-	e.bytewise(POr, mnem, dst, a, b, func(x, y byte) byte { return x | y })
+	e.bytewise(mnem, dst, a, b, func(x, y byte) byte { return x | y })
 }
 
 // PXor is the bitwise XOR (vpxor).
 func (e *Engine) PXor(dst, a, b *Vec) {
-	e.bytewise(PXor, "vpxor", dst, a, b, func(x, y byte) byte { return x ^ y })
+	e.bytewise("vpxor", dst, a, b, func(x, y byte) byte { return x ^ y })
 }
 
 // PAndN computes (^a) & b, matching x86 PANDN operand order.
 func (e *Engine) PAndN(dst, a, b *Vec) {
-	e.bytewise(PAndN, "vpandn", dst, a, b, func(x, y byte) byte { return ^x & y })
+	e.bytewise("vpandn", dst, a, b, func(x, y byte) byte { return ^x & y })
 }
 
 // PSraW shifts every active 16-bit lane of a right arithmetically by imm
@@ -209,7 +207,6 @@ func (e *Engine) PSraW(dst, a *Vec, imm uint) {
 		Mnemonic: "psraw",
 		Deps:     trace.Deps3(dep(a)),
 	})
-	e.rec3(ProgOp{Kind: PSra, Dst: dst, A: a, Imm: int64(imm)})
 }
 
 // Broadcast16 fills every active lane of dst with x (vpbroadcastw). The
@@ -220,7 +217,6 @@ func (e *Engine) Broadcast16(dst *Vec, x int16) {
 		dst.SetLane16(i, x)
 	}
 	dst.writer = e.emit(trace.Inst{Class: trace.VecALU, Mnemonic: "vpbroadcastw", Deps: trace.Deps3()})
-	e.rec3(ProgOp{Kind: PBcastImm, Dst: dst, Imm: int64(x)})
 }
 
 // Broadcast16FromMem fills every active lane of dst with the int16 at
@@ -239,7 +235,6 @@ func (e *Engine) Broadcast16FromMem(dst *Vec, addr int64) {
 		Addr:     addr,
 		Deps:     trace.Deps3(d1, d2),
 	})
-	e.rec3(ProgOp{Kind: PBcastMem, Dst: dst, Addr: addr})
 }
 
 // SetImm loads an immediate lane pattern into dst, modeling a constant
@@ -253,7 +248,6 @@ func (e *Engine) SetImm(dst *Vec, lanes []int16) {
 		Bytes:    int32(e.W),
 		Deps:     trace.Deps3(),
 	})
-	e.rec3(ProgOp{Kind: PSetImm, Dst: dst, Lanes: lanes})
 }
 
 // ---- shuffles / permutes (VecShuffle class) ----
@@ -280,7 +274,6 @@ func (e *Engine) PermuteW(dst, a *Vec, idx []int) {
 		Mnemonic: "vpermw",
 		Deps:     trace.Deps3(dep(a)),
 	})
-	e.rec3(ProgOp{Kind: PPermute, Dst: dst, A: a, Idx: idx})
 }
 
 // RotateLanesLeft rotates the active 16-bit lanes of a left by k lanes
@@ -322,7 +315,6 @@ func (e *Engine) VExtractI128(dst, a *Vec, sel int) {
 		Mnemonic: "vextracti128",
 		Deps:     trace.Deps3(dep(a)),
 	})
-	e.rec3(ProgOp{Kind: PExt128, Dst: dst, A: a, Imm: int64(sel)})
 }
 
 // VExtractI32x8 copies 256-bit half sel (0 or 1) of the 512-bit register a
@@ -340,7 +332,6 @@ func (e *Engine) VExtractI32x8(dst, a *Vec, sel int) {
 		Mnemonic: "vextracti32x8",
 		Deps:     trace.Deps3(dep(a)),
 	})
-	e.rec3(ProgOp{Kind: PExt256, Dst: dst, A: a, Imm: int64(sel)})
 }
 
 // ---- memory operations (Load / Store classes: ports 4-5 / 6-7) ----
@@ -388,7 +379,6 @@ func (e *Engine) LoadVec(dst *Vec, addr int64) {
 		Addr:     addr,
 		Deps:     trace.Deps3(d1, d2),
 	})
-	e.rec3(ProgOp{Kind: PLoad, Dst: dst, Addr: addr, Imm: int64(n)})
 }
 
 // StoreVec stores the full active width of src to mem[addr].
@@ -403,7 +393,6 @@ func (e *Engine) StoreVec(addr int64, src *Vec) {
 		Deps:     trace.Deps3(dep(src)),
 	})
 	e.noteStore(addr, n, idx)
-	e.rec3(ProgOp{Kind: PStore, A: src, Addr: addr, Imm: int64(n)})
 }
 
 // LoadVec128 loads exactly 128 bits into the low lanes of dst regardless
@@ -421,7 +410,6 @@ func (e *Engine) LoadVec128(dst *Vec, addr int64) {
 		Addr:     addr,
 		Deps:     trace.Deps3(d1, d2),
 	})
-	e.rec3(ProgOp{Kind: PLoad, Dst: dst, Addr: addr, Imm: 16})
 }
 
 // StoreVec128 stores exactly the low 128 bits of src to mem[addr].
@@ -435,7 +423,6 @@ func (e *Engine) StoreVec128(addr int64, src *Vec) {
 		Deps:     trace.Deps3(dep(src)),
 	})
 	e.noteStore(addr, 16, idx)
-	e.rec3(ProgOp{Kind: PStore, A: src, Addr: addr, Imm: 16})
 }
 
 // PExtrWToMem extracts 16-bit lane of src directly to memory (pextrw with
@@ -452,7 +439,6 @@ func (e *Engine) PExtrWToMem(addr int64, src *Vec, lane int) {
 		Deps:     trace.Deps3(dep(src)),
 	})
 	e.noteStore(addr, 2, idx)
-	e.rec3(ProgOp{Kind: PExtrW, A: src, Addr: addr, Imm: int64(lane)})
 }
 
 // PInsrWFromMem loads a 16-bit value from memory into lane of dst
@@ -467,7 +453,6 @@ func (e *Engine) PInsrWFromMem(dst *Vec, addr int64, lane int) {
 		Addr:     addr,
 		Deps:     trace.Deps3(d1, d2, dep(dst)),
 	})
-	e.rec3(ProgOp{Kind: PInsrW, Dst: dst, Addr: addr, Imm: int64(lane)})
 }
 
 // ---- scalar and control-flow modeling ----
@@ -524,14 +509,7 @@ func (e *Engine) EmitBranch(mnem string) {
 	e.emit(trace.Inst{Class: trace.Branch, Mnemonic: mnem, Deps: trace.Deps3()})
 }
 
-// ---- recordable scalar element helper ----
-//
-// Scalar element copies inside SIMD kernels (arrangement remainders)
-// historically mixed direct Memory access with loose EmitScalar* µop
-// emission, which the replay compiler cannot see. CopyI16 performs the
-// same memory effect and emits the same µop stream as the inline code it
-// replaced — traced experiments observe an identical trace — while also
-// recording one semantic ProgOp.
+// ---- scalar element helper ----
 
 // CopyI16 copies the int16 at src to dst, emitting the scalar load+store
 // µop pair the element-copy loops have always emitted.
@@ -539,5 +517,4 @@ func (e *Engine) CopyI16(dst, src int64) {
 	e.Mem.WriteI16(dst, e.Mem.ReadI16(src))
 	e.EmitScalarLoad("movzx", src, 2)
 	e.EmitScalarStore("mov", dst, 2)
-	e.rec3(ProgOp{Kind: PCopy16, Addr: dst, Addr2: src})
 }

@@ -1,3 +1,45 @@
+// Package program makes replay programs of a decode. The interpreter
+// (internal/simd.Engine) pays per-µop overhead on every call — method
+// dispatch, a closure call per 16-bit lane, dependency bookkeeping — even
+// though the µop stream per (K, width, strategy) is deterministic: the same
+// instructions touch the same arena addresses with the same index tables
+// every decode, only the data differs. This package exploits that. A
+// program has two segments, a "first" one (the prefix: setup and
+// constants, run once a decode) and a "steady" one (one iteration,
+// identical for every iteration, the first included). Each is written as a
+// slice of width-specialized ops in which the packed decode stream's hot
+// patterns — whole alpha and beta trellis steps, quad branch-metric
+// scatters, interleave gathers, the extrinsic group — are single fused
+// ops, and runs of them that repeat with their addresses moving by fixed
+// strides are loops (roll.go), and then lowered to a descriptor stream
+// that runs them directly over a state region.
+//
+// There is one compiler. An Emitter (emit.go) is handed the ops by a
+// caller that describes the decode from its plan, fused ops whole, with no
+// engine and no recording: internal/turbo's planEmitter writes the packed
+// plans of the paper's two arrangements so. Emit ends in finish: finalize,
+// the one validator (bounds, extent, live masks) and the one lowering
+// (descriptor streams), then the release of the fused ops.
+//
+// What Emit returns is split in two. The Program is immutable, holds one
+// executable form on every host — the descriptor streams and the tables
+// they address, each distinct table once however many ops refer to it, run
+// by the AVX-512BW assembly or by its Go twin (kern.go) — and holds
+// addresses only as offsets from the start of a state region, so a process
+// compiles a (K, width, strategy) once and every worker shares the result.
+// What a replay mutates is an Exec: a register file, one such region of
+// the worker's own, and the executor it was made with (run.go).
+//
+// Replay is bit-identical to interpretation where the observable state is
+// the region (the register file is private to the Exec): each op an
+// Emitter appends stands for the engine sequence its method documents, and
+// preserves that sequence's memory effects and its register effects
+// wherever a later op reads them — lowering refuses a fused op with such a
+// reader, so every op the streams run writes no intermediate register at
+// all, and a fused method refuses register aliasing and overlapping load
+// and store ranges that would make one pass differ from the sequence. The
+// caller's description is held to the interpreter by decode differentials
+// (internal/turbo), not by construction.
 package program
 
 import (
@@ -7,9 +49,9 @@ import (
 	"vransim/internal/simd"
 )
 
-// mop is one executable replay op. Singleton kinds mirror the recorded
-// ops one-to-one; fused kinds carry their operand lists (register lane
-// offsets and addresses) in the program's aux pool at [tab, tab+...).
+// mop is one executable replay op. Singleton kinds stand for one engine
+// op each; fused kinds carry their operand lists (register lane offsets,
+// table ids and addresses) in the program's aux pool at [tab, tab+...).
 type mop struct {
 	kind    uint8
 	d, a, b int32 // register lane offsets (regID * regStride)
@@ -28,30 +70,25 @@ const (
 	mClear uint8 = iota
 	mAddS
 	mSubS
-	mMaxS
-	mMinS
 	mAnd
 	mOr
 	mXor
-	mAndN
 	mSra
 	mBcastImm
-	mBcastMem
 	mSetImm
-	mPermute
 	mExt128
 	mExt256
 	mLoad
 	mStore
 	mExtrW
 
-	// Fused kinds (see fuse.go for the matched patterns): the shapes the
-	// packed decode stream records. Each replaces a whole recorded phase
-	// step with one single-pass op that writes memory and the carried
-	// state; lowering refuses one whose intermediate registers a later op
-	// reads. Every kind from firstFused on must occur in some packed plan
-	// (TestEveryFusedKindOccurs); one that does not is dead code.
-	mCopyRun     // run of element copies; aux: n × (dst, src) addresses
+	// Fused kinds (the Emitter's fused methods spell out their engine
+	// sequences): the shapes of the packed decode stream. Each replaces a
+	// whole phase step with one single-pass op that writes memory and the
+	// carried state; lowering refuses one whose intermediate registers a
+	// later op reads. Every kind from firstFused on must occur in some
+	// packed plan (TestEveryFusedKindOccurs); one that does not is dead
+	// code.
 	mExtVec      // load dvec,s,la + padds + psraw + psubs + pmin + pmax + store
 	mQuadScatter // vpermw + (vpermw+por)×m + store: quad branch-metric scatter
 	mQuadGather  // load+vpermw (+load+vpermw+por)×m + store: interleave gather
@@ -63,7 +100,7 @@ const (
 	mLoop
 
 	numKinds
-	firstFused = mCopyRun
+	firstFused = mExtVec
 )
 
 // regStride is the register-file stride in lanes. Every register gets
@@ -82,10 +119,9 @@ const (
 )
 
 // Program is a compiled replay program: the register dataflow of the
-// decode it was recorded from, over addresses that are byte offsets from
-// the start of the state region the recording ran in (the recording arena
-// is that region, so they are region-relative by construction). It is
-// immutable once Compile returns and holds no mutable state: any number of
+// decode it was written from, over addresses that are byte offsets from
+// the start of a state region. It is immutable once Emit returns and holds
+// no mutable state: any number of
 // goroutines may Run it at once, each over its own Exec (the register file
 // and one such region, wherever in that worker's arena it lies). A process
 // therefore holds one Program per (K, width, strategy); evicting a
@@ -101,10 +137,10 @@ type Program struct {
 	// nregs is the size of the register file an Exec carries, in lanes.
 	nregs int32
 
-	// What the compilers fill and finalize lowers from: the fused
-	// segments, and the interned index tables, lane patterns and operand
-	// pool they address; and tabSlot, which resolve fills, the vector of
-	// gat each index table resolved to. finish releases them.
+	// What the Emitter fills and finalize lowers from: the fused segments,
+	// and the interned index tables, lane patterns and operand pool they
+	// address; and tabSlot, which resolve fills, the vector of gat each
+	// index table resolved to. finish releases them.
 	segs     [2][]mop
 	idxTabs  [][]int32
 	lanePats [][]int16
@@ -125,11 +161,6 @@ type Program struct {
 	gat    [][regStride]uint16
 	gatAnd [][regStride]uint16
 	pats   [][regStride]int16
-
-	// RawOps and FusedOps count the recorded ops and the executable ops
-	// per segment — the compression the fusion pass achieved.
-	RawOps   [2]int
-	FusedOps [2]int
 }
 
 // Width reports the register width the program was compiled for.
@@ -146,7 +177,7 @@ func (p *Program) Extent() int64 { return p.extent }
 // Checksum digests everything Run reads of the program: the width, the
 // lane and register counts, the extent, the descriptor streams and the
 // pools they address. Two programs with one checksum replay identically; a
-// program whose checksum moves was written to after Compile.
+// program whose checksum moves was written to after Emit.
 func (p *Program) Checksum() [sha256.Size]byte {
 	h := sha256.New()
 	var buf []byte
@@ -186,52 +217,8 @@ func (p *Program) Checksum() [sha256.Size]byte {
 	return [sha256.Size]byte(h.Sum(nil))
 }
 
-// Compile lowers the recorded stream into a replay program for the width
-// the builder was made for and leaves the builder empty. It fails (and the
-// caller stays on the interpreter) when fewer than two iterations were
-// recorded, when any iteration diverged from the steady segment, when
-// recording hit an unsupported op, or when an op does not lower to a
-// record (finalize).
-func (b *Builder) Compile() (*Program, error) {
-	p, err := b.fused()
-	if err != nil {
-		return nil, err
-	}
-	return p.finish()
-}
-
-// fused ends the recording: it fuses the steady segment and returns the
-// program with both fused segments, not yet finalized.
-func (b *Builder) fused() (*Program, error) {
-	if b.err != nil {
-		return nil, b.err
-	}
-	if b.marks < 2 {
-		return nil, errNoSteady
-	}
-	if b.verifying && b.vpos != len(b.ops) {
-		// Recording stopped mid-iteration: the stream is malformed.
-		return nil, ErrUnstable
-	}
-	p := b.p
-	p.nregs = int32(b.nreg * regStride)
-	p.RawOps[SegSteady] = len(b.ops)
-	steady, fused, err := p.fuse(b.ops)
-	// The raw steady iteration (24 B an op: 16 MB at W512 K=6144) is dead
-	// from here; let go of it before finalize allocates the descriptor
-	// streams, so the raw, fused and lowered forms are never all live at
-	// once.
-	b.ops, b.p, b.err = nil, nil, errSpent
-	if err != nil {
-		return nil, err
-	}
-	p.segs[SegSteady], p.FusedOps[SegSteady] = steady, fused
-	return p, nil
-}
-
 // finish makes p runnable (finalize) and releases what only the lowering
-// read: the fused segments and their pools. It ends Compile and Emit
-// alike.
+// read: the fused segments and their pools. It ends Emit.
 func (p *Program) finish() (*Program, error) {
 	if err := p.finalize(); err != nil {
 		return nil, err
@@ -248,58 +235,4 @@ func off(id int16) int32 {
 		return -1
 	}
 	return int32(id) * regStride
-}
-
-// single lowers one recorded op to its executable singleton. It reports
-// false for an op that has none: a PInsrW, or a PCopy16 outside a copy
-// run, which no packed plan records.
-func single(r rawOp) (mop, bool) {
-	m := mop{
-		d: off(r.d), a: off(r.a), b: off(r.b),
-		addr: int64(r.addr), imm: int64(r.imm),
-		tab: r.tab,
-	}
-	switch r.kind {
-	case simd.PClear:
-		m.kind = mClear
-	case simd.PAddS:
-		m.kind = mAddS
-	case simd.PSubS:
-		m.kind = mSubS
-	case simd.PMaxS:
-		m.kind = mMaxS
-	case simd.PMinS:
-		m.kind = mMinS
-	case simd.PAnd:
-		m.kind = mAnd
-	case simd.POr:
-		m.kind = mOr
-	case simd.PXor:
-		m.kind = mXor
-	case simd.PAndN:
-		m.kind = mAndN
-	case simd.PSra:
-		m.kind = mSra
-	case simd.PBcastImm:
-		m.kind = mBcastImm
-	case simd.PBcastMem:
-		m.kind = mBcastMem
-	case simd.PSetImm:
-		m.kind = mSetImm
-	case simd.PPermute:
-		m.kind = mPermute
-	case simd.PExt128:
-		m.kind = mExt128
-	case simd.PExt256:
-		m.kind = mExt256
-	case simd.PLoad:
-		m.kind = mLoad
-	case simd.PStore:
-		m.kind = mStore
-	case simd.PExtrW:
-		m.kind = mExtrW
-	default:
-		return m, false
-	}
-	return m, true
 }

@@ -3,29 +3,25 @@ package program
 import (
 	"fmt"
 	"math"
+	"slices"
 	"unsafe"
 
 	"vransim/internal/simd"
 )
 
 // Reg names a register of an emitted program. Registers are numbered from
-// zero; an emitter that wants the program a recording of the same decode
-// compiles to numbers them as the Builder does, in the order the recorded
-// stream first names them.
+// zero; the register file holds as many as the highest number named.
 type Reg int16
 
-// Emitter is how a program is written from a description of the decode
-// rather than compiled from a recording of one (Emit). Each method appends
-// one executable op to the current segment: a singleton mirrors one
-// recorded engine op, a fused method stands for the whole recorded
-// sequence the matching fuse.go pattern collapses, with the same operand
-// layout, so a description that names the ops a recording would record,
-// in its order, makes the program Builder.Compile makes of it. A fused
-// method checks the conditions its matcher checks (distinct registers,
-// disjoint load and store ranges), so it forms no op the matcher would
-// not. Index tables are interned by identity, as the Builder interns them:
-// the first op to name a table gives it the next id, and the table is the
-// program's from then on, so a caller must not change it.
+// Emitter is how a program is written: from a description of the decode
+// (Emit). Each method appends one executable op to the current segment: a
+// singleton stands for one engine op, a fused method for the whole engine
+// sequence its comment spells out. A fused method checks what makes one
+// pass over its operands do what that sequence does (distinct registers,
+// disjoint load and store ranges) and refuses the op otherwise. Index
+// tables are interned by identity: the first op to name a table gives it
+// the next id, and the table is the program's from then on, so a caller
+// must not change it.
 type Emitter struct {
 	w     simd.Width
 	lanes int
@@ -44,18 +40,29 @@ type Emitter struct {
 		id int32
 	}
 	nregs int
-	err   error
+	// ops counts the ops appended, loops unrolled: what Loop compares the
+	// roller's open body with.
+	ops int
+	err error
 }
 
 // Emit builds the program walk describes. walk emits SegFirst, the prefix,
 // calls Steady, and emits SegSteady, one iteration. Every op goes through
 // the roller as it is appended, and a Loop adds the trips past those the
 // roller needed to fold it as a count, so no segment is ever held
-// unrolled. The result is finished as Compile finishes a recording —
-// validated, given its live masks and extent, and lowered to descriptor
-// streams — so a program has one validator and one lowering however it
-// was made.
+// unrolled. The result is finished — validated, given its live masks and
+// extent, and lowered to descriptor streams — by the one validator and
+// the one lowering (finish).
 func Emit(w simd.Width, walk func(*Emitter)) (*Program, error) {
+	p, err := emit(w, walk)
+	if err != nil {
+		return nil, err
+	}
+	return p.finish()
+}
+
+// emit is Emit up to the fused segments: walk's program, not finalized.
+func emit(w simd.Width, walk func(*Emitter)) (*Program, error) {
 	p := &Program{w: w, lanes: w.Lanes16()}
 	e := &Emitter{w: w, lanes: p.lanes, p: p, roll: newRoller(p), tabIDs: make(map[*int32]int32)}
 	walk(e)
@@ -67,7 +74,7 @@ func Emit(w simd.Width, walk func(*Emitter)) (*Program, error) {
 	}
 	p.segs[SegSteady] = e.roll.flush()
 	p.nregs = int32(e.nregs * regStride)
-	return p.finish()
+	return p, nil
 }
 
 // Steady ends SegFirst: what is emitted from here on is SegSteady.
@@ -89,14 +96,10 @@ func (e *Emitter) Steady() {
 func (e *Emitter) Loop(trips int, body func(t int)) {
 	from := len(e.roll.out)
 	for t := 0; t < trips; t++ {
-		fused, raw := e.p.FusedOps[e.seg], e.p.RawOps[e.seg]
+		ops := e.ops
 		body(t)
-		fused, raw = e.p.FusedOps[e.seg]-fused, e.p.RawOps[e.seg]-raw
-		if n, head, ok := e.roll.openBody(); ok && n == fused && head >= from {
-			rest := trips - t - 1
-			e.roll.extend(rest)
-			e.p.FusedOps[e.seg] += rest * fused
-			e.p.RawOps[e.seg] += rest * raw
+		if n, head, ok := e.roll.openBody(); ok && n == e.ops-ops && head >= from {
+			e.roll.extend(trips - t - 1)
 			return
 		}
 	}
@@ -108,12 +111,10 @@ func (e *Emitter) fail(format string, args ...any) {
 	}
 }
 
-// put appends op, with its aux words, to the current segment, counting
-// the raw recorded ops it stands for.
-func (e *Emitter) put(op mop, words []int32, raw int) {
+// put appends op, with its aux words, to the current segment.
+func (e *Emitter) put(op mop, words []int32) {
 	e.roll.push(op, words)
-	e.p.FusedOps[e.seg]++
-	e.p.RawOps[e.seg] += raw
+	e.ops++
 }
 
 // reg is r's lane offset, -1 for an absent operand (r < 0).
@@ -156,14 +157,14 @@ func (e *Emitter) tab(t []int32) int32 {
 
 // single appends a singleton of kind with register operands d, a, b.
 func (e *Emitter) single(kind uint8, d, a, b Reg, addr, imm int64, tab int32) {
-	e.put(mop{kind: kind, d: e.reg(d), a: e.reg(a), b: e.reg(b), addr: addr, imm: imm, tab: tab}, nil, 1)
+	e.put(mop{kind: kind, d: e.reg(d), a: e.reg(a), b: e.reg(b), addr: addr, imm: imm, tab: tab}, nil)
 }
 
 // Clear zeroes d (a register taken from the engine's pool).
 func (e *Emitter) Clear(d Reg) { e.single(mClear, d, -1, -1, 0, 0, -1) }
 
-// SetImm loads lane pattern pat into d; every SetImm adds a pattern to the
-// pool, as every recorded one does.
+// SetImm loads lane pattern pat into d (the whole register cleared first);
+// every SetImm adds a pattern to the pool.
 func (e *Emitter) SetImm(d Reg, pat []int16) {
 	id := int32(len(e.p.lanePats))
 	e.p.lanePats = append(e.p.lanePats, append([]int16(nil), pat...))
@@ -183,9 +184,22 @@ func (e *Emitter) Store(at int64, a Reg) {
 	e.single(mStore, -1, a, -1, int64(e.addr(at)), int64(e.w), -1)
 }
 
-// ExtrW stores lane of a at region offset at.
+// ExtrW stores lane of a at region offset at (pextrw).
 func (e *Emitter) ExtrW(at int64, a Reg, lane int) {
 	e.single(mExtrW, -1, a, -1, int64(e.addr(at)), int64(lane), -1)
+}
+
+// Ext copies part sel of a, a part being w wide, to the low lanes of d and
+// zeroes the rest of d: vextracti128 for W128, vextracti32x8 for W256.
+func (e *Emitter) Ext(d, a Reg, w simd.Width, sel int) {
+	switch {
+	case w == simd.W128 && sel >= 0 && sel < 4:
+		e.single(mExt128, d, a, -1, 0, int64(sel), -1)
+	case w == simd.W256 && sel >= 0 && sel < 2:
+		e.single(mExt256, d, a, -1, 0, int64(sel), -1)
+	default:
+		e.fail("extract of part %d of width %v", sel, w)
+	}
 }
 
 // Sra shifts every lane of a right arithmetically by imm into d.
@@ -198,8 +212,8 @@ func (e *Emitter) And(d, a, b Reg)  { e.single(mAnd, d, a, b, 0, 0, -1) }
 func (e *Emitter) Or(d, a, b Reg)   { e.single(mOr, d, a, b, 0, 0, -1) }
 func (e *Emitter) Xor(d, a, b Reg)  { e.single(mXor, d, a, b, 0, 0, -1) }
 
-// QuadScatter is tryQuadScatter's op: the permutations of srcs by tabs
-// OR-merged into acc and stored at dst,
+// QuadScatter is the permutations of srcs by tabs OR-merged into acc and
+// stored at dst,
 //
 //	vpermw acc,srcs[0],tabs[0]; ( vpermw tmp,srcs[j],tabs[j]; por acc,acc,tmp ) × n-1;
 //	store acc,[dst]
@@ -217,17 +231,18 @@ func (e *Emitter) QuadScatter(acc, tmp Reg, dst int64, srcs []Reg, tabs [][]int3
 		}
 		w[3+2*j], w[4+2*j] = e.reg(s), e.tab(tabs[j])
 	}
-	e.put(mop{kind: mQuadScatter, n: int32(n)}, w[:3+2*n], 2*n)
+	e.put(mop{kind: mQuadScatter, n: int32(n)}, w[:3+2*n])
 }
 
-// QuadGather is tryQuadGather's op: the register loaded from each of srcs
-// permuted by tabs, OR-merged into acc and stored at dst,
+// QuadGather is the register loaded from each of srcs permuted by tabs,
+// OR-merged into acc and stored at dst,
 //
 //	load r,[srcs[0]]; vpermw acc,r,tabs[0];
 //	( load r,[srcs[j]]; vpermw tmp,r,tabs[j]; por acc,acc,tmp ) × n-1;
 //	store acc,[dst]
 //
-// tmp takes no part in a one-source gather.
+// tmp takes no part in a one-source gather, and dst may not overlap a
+// source.
 func (e *Emitter) QuadGather(r, acc, tmp Reg, dst int64, srcs []int64, tabs [][]int32) {
 	n := len(srcs)
 	if n < 1 || n > regStride || len(tabs) != n || acc == r || n > 1 && (tmp == acc || tmp == r) {
@@ -245,11 +260,11 @@ func (e *Emitter) QuadGather(r, acc, tmp Reg, dst int64, srcs []int64, tabs [][]
 		}
 		w[4+2*j], w[5+2*j] = e.addr(s), e.tab(tabs[j])
 	}
-	e.put(mop{kind: mQuadGather, n: int32(n)}, w[:4+2*n], 3*n)
+	e.put(mop{kind: mQuadGather, n: int32(n)}, w[:4+2*n])
 }
 
-// AlphaStep is tryAlphaStepP's op, one forward recursion step over the
-// registers r = {qd, bm0, bm1, a0, a1, c0, c1, norm, alpha} and tables
+// AlphaStep is one forward recursion step over the registers
+// r = {qd, bm0, bm1, a0, a1, c0, c1, norm, alpha} and tables
 // t = {tA0, tA1, tP0, tP1, tN}:
 //
 //	load qd,[quad]; vpermw bm0,qd,tA0; vpermw bm1,qd,tA1;
@@ -267,13 +282,13 @@ func (e *Emitter) AlphaStep(r *[9]Reg, quad, out int64, t *[5][]int32) {
 	for j := range t {
 		w[11+j] = e.tab(t[j])
 	}
-	e.put(mop{kind: mAlphaStepP}, w[:], 11)
+	e.put(mop{kind: mAlphaStepP}, w[:])
 }
 
-// BetaExt is the posterior extraction a beta step fuses (tryBetaStepP's
-// in-block form): registers {la, e0, e1, m0, m1, tmp, dv}, the alpha group
-// loaded into la, the three horizontal-max tables, and the (region offset,
-// lane) of each word of dv stored.
+// BetaExt is the posterior extraction a beta step fuses (its in-block
+// form): registers {la, e0, e1, m0, m1, tmp, dv}, the alpha group loaded
+// into la, the three horizontal-max tables, and the (region offset, lane)
+// of each word of dv stored.
 type BetaExt struct {
 	Regs  [7]Reg
 	Alpha int64
@@ -281,8 +296,8 @@ type BetaExt struct {
 	Out   [][2]int64
 }
 
-// BetaStep is tryBetaStepP's op, one backward recursion step over the
-// registers r = {qd, bm0, bm1, b0, b1, v0, v1, beta, norm} and tables
+// BetaStep is one backward recursion step over the registers
+// r = {qd, bm0, bm1, b0, b1, v0, v1, beta, norm} and tables
 // t = {tB0, tB1, tN0, tN1, tN}:
 //
 //	load qd,[quad]; vpermw bm0,qd,tB0; vpermw bm1,qd,tB1;
@@ -291,7 +306,13 @@ type BetaExt struct {
 //	    hmax(e1 -> m1, tmp); psubs dv,m0,m1; pextrw × len(Out)]
 //	pmax beta,v0,v1; vpermw norm,beta,tN; psubs beta,beta,norm
 //
-// with the bracketed extraction when x is not nil.
+// with the bracketed extraction when x is not nil, where hmax(e -> m, tmp)
+// is the butterfly
+//
+//	vpermw tmp,e,h0; pmax m,e,tmp; vpermw tmp,m,h1; pmax m,m,tmp;
+//	vpermw tmp,m,h2; pmax m,m,tmp
+//
+// and pextrw b stores lane Out[b][1] of dv at Out[b][0].
 func (e *Emitter) BetaStep(r *[9]Reg, quad int64, t *[5][]int32, x *BetaExt) {
 	var xr []Reg
 	if x != nil {
@@ -313,11 +334,11 @@ func (e *Emitter) BetaStep(r *[9]Reg, quad int64, t *[5][]int32, x *BetaExt) {
 	}
 	if x == nil {
 		w[14] = e.tab(t[4])
-		e.put(mop{kind: mBetaStepP}, w[:15], 10)
+		e.put(mop{kind: mBetaStepP}, w[:15])
 		return
 	}
-	// The recorded step names the horizontal-max tables before the
-	// normalisation table, so they are interned first.
+	// The step names the horizontal-max tables before the normalisation
+	// table, so they are interned first.
 	for j := range x.Hmax {
 		w[23+j] = e.tab(x.Hmax[j])
 	}
@@ -328,11 +349,11 @@ func (e *Emitter) BetaStep(r *[9]Reg, quad int64, t *[5][]int32, x *BetaExt) {
 		w[26+2*j], w[27+2*j] = e.addr(out[0]), int32(out[1])
 	}
 	n := len(x.Out)
-	e.put(mop{kind: mBetaStepP, imm: 1, n: int32(n)}, w[:26+2*n], 26+n)
+	e.put(mop{kind: mBetaStepP, imm: 1, n: int32(n)}, w[:26+2*n])
 }
 
-// ExtVec is tryExtVec's op over the registers r = {d, s, la, t, half,
-// lim, nlim}, reading in = {[d], [s], [la]}:
+// ExtVec is the extrinsic group over the registers r = {d, s, la, t,
+// half, lim, nlim}, reading in = {[d], [s], [la]}:
 //
 //	load d,[in0]; load s,[in1]; load la,[in2]; padds t,s,la; psraw half,d,imm;
 //	psubs half,half,t; pmin half,half,lim; pmax half,half,nlim; store half,[out]
@@ -346,7 +367,7 @@ func (e *Emitter) ExtVec(r *[7]Reg, imm uint, in [3]int64, out int64) {
 		w[7+j] = e.addr(a)
 	}
 	w[10] = e.addr(out)
-	e.put(mop{kind: mExtVec, imm: int64(imm)}, w[:], 9)
+	e.put(mop{kind: mExtVec, imm: int64(imm)}, w[:])
 }
 
 // regs writes the lane offsets of rs to w.
@@ -357,15 +378,17 @@ func (e *Emitter) regs(w []int32, rs []Reg) {
 }
 
 // distinct reports whether the registers of a and b are pairwise
-// distinct: a fused step executes a whole recorded phase in one pass,
-// which is only what the phase does when no register aliases another.
+// distinct: a fused step executes a whole phase step in one pass, which is
+// only what the step does when no register aliases another.
 func distinct(a, b []Reg) bool {
 	var seen [4]uint64
 	for _, rs := range [2][]Reg{a, b} {
 		for _, r := range rs {
 			u := uint(r)
 			if u >= 64*uint(len(seen)) {
-				return distinctRegs(append(append([]Reg(nil), a...), b...)...)
+				all := append(append([]Reg(nil), a...), b...)
+				slices.Sort(all)
+				return len(slices.Compact(all)) == len(a)+len(b)
 			}
 			if seen[u>>6]&(1<<(u&63)) != 0 {
 				return false
@@ -375,3 +398,6 @@ func distinct(a, b []Reg) bool {
 	}
 	return true
 }
+
+// disjoint reports whether [a, a+n) and [b, b+n) do not overlap.
+func disjoint(a, b, n int64) bool { return a+n <= b || b+n <= a }

@@ -1,9 +1,10 @@
 package program
 
+import "fmt"
+
 // fusedKindNames names every fused op kind, for the external coverage
 // test. A kind added to compile.go without a name here fails that test.
 var fusedKindNames = map[uint8]string{
-	mCopyRun:     "copy run",
 	mExtVec:      "ext vec",
 	mQuadScatter: "quad scatter",
 	mQuadGather:  "quad gather",
@@ -24,7 +25,6 @@ func FusedKinds() []string {
 
 // recordOf is the fused kind each record kind runs.
 var recordOf = map[uint32]uint8{
-	nCopyRun:      mCopyRun,
 	nExtVec:       mExtVec,
 	nMergeReg:     mQuadScatter,
 	nMergeMem:     mQuadGather,
@@ -35,9 +35,8 @@ var recordOf = map[uint32]uint8{
 
 // FusedKindCounts reports how many ops of each fused kind the stream of
 // segment seg of p runs: a sweep record counts its steps, a record in a
-// loop's body once a trip, and any other record once (so a copy run cut at
-// a yield counts once a piece); "loop" counts the loop records, each piece
-// of a loop cut at a yield one.
+// loop's body once a trip, and any other record once; "loop" counts the
+// loop records, each piece of a loop cut at a yield one.
 func (p *Program) FusedKindCounts(seg int) map[string]int {
 	counts := make(map[string]int)
 	count := func(rec []uint32, times int) {
@@ -63,6 +62,58 @@ func (p *Program) FusedKindCounts(seg int) map[string]int {
 		for i := 0; i < len(body); i += recordWords(body[i:]) {
 			count(body[i:], int(code[pc]>>8))
 		}
+	}
+	return counts
+}
+
+// recordKindNames names every record kind of kern.go, for the external
+// coverage test.
+var recordKindNames = map[uint32]string{
+	nStop: "stop", nClear: "clear", nAddS: "adds", nSubS: "subs", nAnd: "and", nOr: "or", nXor: "xor",
+	nSra: "sra", nBcastImm: "bcast imm", nSetImm: "set imm", nLoad: "load", nLoadReg: "load reg",
+	nStore: "store", nExtrW: "extrw", nExtVec: "ext vec", nMergeReg: "merge reg", nMergeMem: "merge mem",
+	nAlphaSweep: "alpha sweep", nBetaSweep: "beta sweep", nBetaExtSweep: "beta ext sweep",
+	nLoop: "loop", nEnd: "end", nBase: "base",
+}
+
+// retiredKinds are the numbers kern.go leaves unused: kinds no compiler
+// writes, whose numbers stay out of use so that the streams of the others
+// keep their bytes.
+var retiredKinds = map[uint32]bool{4: true, 5: true, 9: true, 12: true, 14: true, 19: true}
+
+// RecordKinds lists the name of every record kind kern.go defines ("" for
+// one recordKindNames does not know).
+func RecordKinds() []string {
+	var names []string
+	for k := uint32(0); k < numRecordKinds; k++ {
+		if !retiredKinds[k] {
+			names = append(names, recordKindNames[k])
+		}
+	}
+	return names
+}
+
+// RecordKindCounts reports how many records of each kind the streams of p
+// hold, the body of each loop definition walked once.
+func (p *Program) RecordKindCounts() map[string]int {
+	counts := make(map[string]int)
+	var walk func(code []uint32)
+	walk = func(code []uint32) {
+		for pc := 0; pc < len(code); pc += recordWords(code[pc:]) {
+			kind := code[pc] & 0xff
+			name, ok := recordKindNames[kind]
+			if !ok {
+				name = fmt.Sprintf("kind %d", kind)
+			}
+			counts[name]++
+			if kind == nLoop && code[pc+2] == 0 {
+				nc := int(code[pc+3])
+				walk(code[pc+5+nc:][:code[pc+4+nc]])
+			}
+		}
+	}
+	for _, code := range p.code {
+		walk(code)
 	}
 	return counts
 }

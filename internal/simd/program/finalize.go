@@ -15,7 +15,7 @@ var errBigEndian = errors.New("program: replay needs a little-endian host")
 // finalize derives everything Run needs from the fused segments —
 // validation, live masks, extent, the pools the streams address and the
 // descriptor streams themselves — and is the one place a program becomes
-// runnable: Compile and Emit end here.
+// runnable: Emit ends here.
 func (p *Program) finalize() error {
 	if binary.NativeEndian.Uint16([]byte{1, 0}) != 1 {
 		return errBigEndian
@@ -281,8 +281,8 @@ type effectVisitor struct {
 // same way. It returns an error — and guarantees the callbacks saw nothing out of
 // the op's true layout — when the op is structurally malformed: unknown
 // kind, aux window out of pool bounds, a table id out of range, or an
-// immediate outside the range Run indexes with. The matchers never emit
-// such an op, so on a compiled program an error means a compiler bug.
+// immediate outside the range Run indexes with. The Emitter never appends
+// such an op, so on an emitted program an error means a compiler bug.
 func (p *Program) visitEffects(op *mop, v *effectVisitor) error {
 	reg := v.reg
 	if reg == nil {
@@ -304,26 +304,17 @@ func (p *Program) visitEffects(op *mop, v *effectVisitor) error {
 	switch op.kind {
 	case mClear, mBcastImm:
 		reg(op.d, true)
-	case mAddS, mSubS, mMaxS, mMinS, mAnd, mOr, mXor, mAndN:
+	case mAddS, mSubS, mAnd, mOr, mXor:
 		reg(op.a, false)
 		reg(op.b, false)
 		reg(op.d, true)
 	case mSra:
 		reg(op.a, false)
 		reg(op.d, true)
-	case mBcastMem:
-		mem(op.addr, 2, false)
-		reg(op.d, true)
 	case mSetImm:
 		if op.tab < 0 || int(op.tab) >= len(p.lanePats) {
 			return fmt.Errorf("program: mSetImm pattern %d outside %d", op.tab, len(p.lanePats))
 		}
-		reg(op.d, true)
-	case mPermute:
-		if op.tab < 0 || int(op.tab) >= len(p.idxTabs) {
-			return fmt.Errorf("program: mPermute table %d outside %d", op.tab, len(p.idxTabs))
-		}
-		reg(op.a, false)
 		reg(op.d, true)
 	case mExt128:
 		if op.imm < 0 || 8*op.imm+8 > regStride {
@@ -355,18 +346,6 @@ func (p *Program) visitEffects(op *mop, v *effectVisitor) error {
 		}
 		reg(op.a, false)
 		mem(op.addr, 2, true)
-	case mCopyRun:
-		if op.n < 1 {
-			return fmt.Errorf("program: mCopyRun n=%d", op.n)
-		}
-		t, err := aux(2 * op.n)
-		if err != nil {
-			return err
-		}
-		for i := 0; i < len(t); i += 2 {
-			mem(int64(t[i]), 2, true)
-			mem(int64(t[i+1]), 2, false)
-		}
 	case mExtVec:
 		t, err := aux(11)
 		if err != nil {
@@ -390,7 +369,7 @@ func (p *Program) visitEffects(op *mop, v *effectVisitor) error {
 			return err
 		}
 		for s := int32(0); s < op.n; s++ {
-			if err := p.checkTabs(true, t[4+2*s]); err != nil {
+			if err := p.checkTabs(t[4+2*s]); err != nil {
 				return err
 			}
 			reg(int32(t[3+2*s]), false)
@@ -408,7 +387,7 @@ func (p *Program) visitEffects(op *mop, v *effectVisitor) error {
 		}
 		mem(int64(t[3]), wb, true)
 		for s := int32(0); s < op.n; s++ {
-			if err := p.checkTabs(true, t[5+2*s]); err != nil {
+			if err := p.checkTabs(t[5+2*s]); err != nil {
 				return err
 			}
 			mem(int64(t[4+2*s]), wb, false)
@@ -423,7 +402,7 @@ func (p *Program) visitEffects(op *mop, v *effectVisitor) error {
 		if err != nil {
 			return err
 		}
-		if err := p.checkTabs(true, t[11], t[12], t[13], t[14], t[15]); err != nil {
+		if err := p.checkTabs(t[11], t[12], t[13], t[14], t[15]); err != nil {
 			return err
 		}
 		for _, o := range t[:8] {
@@ -445,7 +424,7 @@ func (p *Program) visitEffects(op *mop, v *effectVisitor) error {
 		if err != nil {
 			return err
 		}
-		if err := p.checkTabs(true, t[10], t[11], t[12], t[13], t[14]); err != nil {
+		if err := p.checkTabs(t[10], t[11], t[12], t[13], t[14]); err != nil {
 			return err
 		}
 		for _, o := range t[:7] {
@@ -456,7 +435,7 @@ func (p *Program) visitEffects(op *mop, v *effectVisitor) error {
 		reg(int32(t[8]), true)
 		mem(int64(t[9]), wb, false)
 		if op.imm != 0 {
-			if err := p.checkTabs(true, t[23], t[24], t[25]); err != nil {
+			if err := p.checkTabs(t[23], t[24], t[25]); err != nil {
 				return err
 			}
 			for _, o := range t[15:22] {
@@ -477,15 +456,14 @@ func (p *Program) visitEffects(op *mop, v *effectVisitor) error {
 	return nil
 }
 
-// checkTabs verifies idxTabs ids are in range and, when full is set,
-// long enough for per-lane indexing without permute's short-table
-// guard (what fullTabs established at fuse time).
-func (p *Program) checkTabs(full bool, ids ...int32) error {
+// checkTabs verifies idxTabs ids are in range and long enough for
+// per-lane indexing (what Emitter.tab established).
+func (p *Program) checkTabs(ids ...int32) error {
 	for _, id := range ids {
 		if id < 0 || int(id) >= len(p.idxTabs) {
 			return fmt.Errorf("program: index table %d outside %d", id, len(p.idxTabs))
 		}
-		if full && len(p.idxTabs[id]) < p.lanes {
+		if len(p.idxTabs[id]) < p.lanes {
 			return fmt.Errorf("program: index table %d has %d lanes, need %d", id, len(p.idxTabs[id]), p.lanes)
 		}
 	}

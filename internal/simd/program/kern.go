@@ -5,8 +5,8 @@ import (
 	"unsafe"
 )
 
-// Execution. The ops of a packed plan are recordings of vpermw, vpaddsw,
-// vpmaxsw, vpsubsw, vpand, vpor and friends. finalize lowers each segment
+// Execution. The ops of a packed plan stand for vpermw, vpaddsw, vpmaxsw,
+// vpsubsw, vpand, vpor and friends. finalize lowers each segment
 // to a descriptor stream (lower, in finalize.go), the one executable form
 // of a program on every host. Two executors run the same bytes: on a CPU
 // that has those instructions, runStreamAVX512 (kern_amd64.s) executes
@@ -81,28 +81,30 @@ func UseNativeKernel(on bool) (was bool) {
 // the header (n is the header's count). d, a, b, src are register-file byte
 // offsets; addr, dst, q, out, al are arena byte offsets; tab, g*, h* are
 // byte offsets into the index-table pool; a d-prefixed word is a byte
-// stride, a two's-complement int32.
+// stride, a two's-complement int32. A kind's number is part of every
+// stream that holds it (and of its program's Checksum), so a kind that no
+// plan needs leaves its number unused rather than renumber the rest.
 const (
 	nStop         = iota // a preemption point, or the end of the stream
 	nClear               // d
-	nAddS                // d a b, and the seven kinds after it
+	nAddS                // d a b, and the four lane ops after it
 	nSubS                //
-	nMaxS                //
-	nMinS                //
+	_                    //
+	_                    //
 	nAnd                 //
 	nOr                  //
 	nXor                 //
-	nAndN                //
+	_                    //
 	nSra                 // d a; n = shift
 	nBcastImm            // d; n = the 16-bit value
-	nBcastMem            // d addr
+	_                    //
 	nSetImm              // d pat
-	nPermute             // d a tab
+	_                    //
 	nLoad                // d addr mask: d = the masked lanes of the line, zero elsewhere
 	nLoadReg             // d src mask: the same from the register file (mExt128, mExt256)
 	nStore               // a addr mask
 	nExtrW               // src addr; src is the byte offset of the lane itself
-	nCopyRun             // n × (dst src)
+	_                    //
 	nExtVec              // lim nlim dv sv lv out; n = shift
 	nMergeReg            // dst, n × (src tab): OR of permuted registers (mQuadScatter)
 	nMergeMem            // dst, n × (addr tab): OR of permuted lines (mQuadGather)
@@ -112,6 +114,8 @@ const (
 	nLoop                // t0 back, and when back is 0 the definition: nc, d of each class 1..nc, B, B words of body ending in nEnd; n trips from trip t0, trip t running the body with each class's base at t times its d; back > 0 names the definition that many words back
 	nEnd                 // the end of a loop body
 	nBase                // n = the class whose base the records after it add their words to
+
+	numRecordKinds
 )
 
 // maxClasses bounds the stride classes of a loop's body.

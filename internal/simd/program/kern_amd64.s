@@ -47,7 +47,7 @@
 // zero there.
 //
 // Go operand order: VPERMW src, idx, dst; VPSUBSW b, a, d computes
-// d = a - b; VPANDNQ b, a, d computes d = ^a & b.
+// d = a - b.
 
 // PERMA is vpermw with the sentinel lanes zeroed by AND.
 #define PERMA(src, idx, and, dst) \
@@ -170,26 +170,14 @@ dispatch:
 	JEQ  betaSweep
 	CMPL AX, $const_nLoop
 	JEQ  loop
-	CMPL AX, $const_nPermute
-	JEQ  permute
 	CMPL AX, $const_nLoadReg
 	JEQ  loadReg
 	CMPL AX, $const_nXor
 	JEQ  xor
-	CMPL AX, $const_nMaxS
-	JEQ  maxS
-	CMPL AX, $const_nMinS
-	JEQ  minS
-	CMPL AX, $const_nAndN
-	JEQ  andN
 	CMPL AX, $const_nBcastImm
 	JEQ  bcastImm
-	CMPL AX, $const_nBcastMem
-	JEQ  bcastMem
 	CMPL AX, $const_nSetImm
 	JEQ  setImm
-	CMPL AX, $const_nCopyRun
-	JEQ  copyRun
 	// lower emits no other code; an unknown one stops the stream here.
 
 stop:
@@ -213,12 +201,6 @@ addS:
 subS:
 	BINOP(VPSUBSW)
 
-maxS:
-	BINOP(VPMAXSW)
-
-minS:
-	BINOP(VPMINSW)
-
 and:
 	BINOP(VPANDQ)
 
@@ -227,9 +209,6 @@ or:
 
 xor:
 	BINOP(VPXORQ)
-
-andN:
-	BINOP(VPANDNQ)
 
 sra:
 	VMOVQ     DX, X1
@@ -248,14 +227,6 @@ bcastImm:
 	ADDQ         $8, SI
 	JMP          dispatch
 
-bcastMem:
-	MOVL         8(SI), AX
-	MOVL         4(SI), CX
-	VPBROADCASTW (R8)(AX*1), Z0
-	VMOVDQU16    Z0, K1, (R9)(CX*1)
-	ADDQ         $12, SI
-	JMP          dispatch
-
 setImm:
 	MOVQ      pats+48(FP), BX
 	MOVL      8(SI), AX
@@ -263,17 +234,6 @@ setImm:
 	VMOVDQU16 (BX)(AX*1), Z0
 	VMOVDQU16 Z0, (R9)(CX*1)
 	ADDQ      $12, SI
-	JMP       dispatch
-
-permute:
-	MOVL      8(SI), AX
-	MOVL      12(SI), BX
-	MOVL      4(SI), CX
-	VMOVDQU16 (R10)(BX*1), Z1
-	VPERMW    (R9)(AX*1), Z1, Z0
-	VPANDQ    (R11)(BX*1), Z0, Z0
-	VMOVDQU16 Z0, K1, (R9)(CX*1)
-	ADDQ      $16, SI
 	JMP       dispatch
 
 load:
@@ -312,19 +272,6 @@ extrW:
 	MOVWLZX (R9)(AX*1), AX
 	MOVW    AX, (R8)(BX*1)
 	ADDQ    $12, SI
-	JMP     dispatch
-
-copyRun:
-	ADDQ $4, SI
-
-copyOne:
-	MOVL    4(SI), AX
-	MOVL    (SI), BX
-	MOVWLZX (R8)(AX*1), AX
-	MOVW    AX, (R8)(BX*1)
-	ADDQ    $8, SI
-	DECL    DX
-	JNZ     copyOne
 	JMP     dispatch
 
 extVec:

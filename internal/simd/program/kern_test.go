@@ -102,7 +102,10 @@ func (h *opHarness) tab() int64 {
 
 // push appends an op whose operands live in the aux pool.
 func (h *opHarness) push(op mop, aux ...int64) {
-	op.tab = h.p.pushAux(aux...)
+	op.tab = int32(len(h.p.aux))
+	for _, x := range aux {
+		h.p.aux = append(h.p.aux, int32(x))
+	}
 	h.ops = append(h.ops, op)
 }
 
@@ -120,7 +123,7 @@ func (h *opHarness) fill(xs []int16, pinned bool) {
 }
 
 // roll passes ops, whose aux words are in p.aux, through the roller as the
-// compilers append them.
+// Emitter appends them.
 func (p *Program) roll(ops []mop) []mop {
 	r := newRoller(p)
 	for i := range ops {
@@ -208,9 +211,9 @@ func (h *opHarness) diff(t *testing.T, pinned bool) {
 
 const diffTrials = 40
 
-// TestNativeLaneOpsMatchGo: every singleton kind, a copy run and the lean
-// extrinsic group, in random order over shared registers and lines, so
-// each op reads what earlier ones wrote.
+// TestNativeLaneOpsMatchGo: every singleton kind and the lean extrinsic
+// group, in random order over shared registers and lines, so each op reads
+// what earlier ones wrote.
 func TestNativeLaneOpsMatchGo(t *testing.T) {
 	skipWithoutNative(t)
 	for _, w := range simd.Widths {
@@ -226,28 +229,20 @@ func TestNativeLaneOpsMatchGo(t *testing.T) {
 				h.p.lanePats = append(h.p.lanePats, pat)
 			}
 			shifts := []int64{0, 1, 15, 16, 40}
-			for _, k := range rng.Perm(int(firstFused) + 2) {
+			for _, k := range rng.Perm(int(firstFused) + 1) {
 				kind := uint8(k)
 				dst, masked := h.reg(), true
 				switch kind {
 				case mClear, mBcastImm:
 					h.ops = append(h.ops, mop{kind: kind, d: int32(dst), imm: int64(rng.Intn(1<<17)) - 1<<16})
 					masked = kind == mBcastImm
-				case mAddS, mSubS, mMaxS, mMinS, mAnd, mOr, mXor, mAndN:
+				case mAddS, mSubS, mAnd, mOr, mXor:
 					h.ops = append(h.ops, mop{kind: kind, d: int32(dst), a: int32(src()), b: int32(src())})
 				case mSra:
 					h.ops = append(h.ops, mop{kind: kind, d: int32(dst), a: int32(src()), imm: shifts[rng.Intn(len(shifts))]})
-				case mBcastMem:
-					h.ops = append(h.ops, mop{kind: kind, d: int32(dst), addr: line() + int64(2*rng.Intn(h.L))})
 				case mSetImm:
 					h.ops = append(h.ops, mop{kind: kind, d: int32(dst), tab: int32(rng.Intn(len(h.p.lanePats)))})
 					masked = false
-				case mPermute:
-					a := src()
-					if trial%3 == 0 {
-						a = dst // the engine permutes in place through a copy
-					}
-					h.ops = append(h.ops, mop{kind: kind, d: int32(dst), a: int32(a), tab: int32(h.tab())})
 				case mExt128:
 					h.ops = append(h.ops, mop{kind: kind, d: int32(dst), a: int32(src()), imm: int64(rng.Intn(4))})
 					masked = false
@@ -261,15 +256,6 @@ func TestNativeLaneOpsMatchGo(t *testing.T) {
 					h.ops = append(h.ops, mop{kind: kind, a: int32(src()), addr: h.outLine(), imm: int64(2 * rng.Intn(h.L+1))})
 				case mExtrW:
 					h.ops = append(h.ops, mop{kind: kind, a: int32(src()), addr: h.outLine() + int64(2*rng.Intn(h.L)), imm: int64(rng.Intn(regStride))})
-				case mCopyRun: // over two lines, so that copies chain
-					a, n := h.outLine(), 1+rng.Intn(3*h.L)
-					b := h.outLine()
-					var aux []int64
-					for i := 0; i < n; i++ {
-						from := [...]int64{a, b, line()}[rng.Intn(3)]
-						aux = append(aux, [...]int64{a, b}[rng.Intn(2)]+int64(2*rng.Intn(h.L)), from+int64(2*rng.Intn(h.L)))
-					}
-					h.push(mop{kind: mCopyRun, n: int32(n)}, aux...)
 				case mExtVec: // lean: nothing reads its five registers
 					h.push(mop{kind: mExtVec, imm: shifts[rng.Intn(len(shifts))]},
 						h.reg(), h.reg(), h.reg(), h.reg(), h.reg(), src(), src(), line(), line(), line(), h.outLine())
@@ -287,26 +273,6 @@ func TestNativeLaneOpsMatchGo(t *testing.T) {
 	}
 }
 
-// TestNativeCopyRunSplitsAtYield: a copy run longer than one call may hold
-// is cut into several records with a stop between them.
-func TestNativeCopyRunSplitsAtYield(t *testing.T) {
-	skipWithoutNative(t)
-	rng := rand.New(rand.NewSource(9))
-	h := newOpHarness(simd.W256, rng)
-	a, b := h.outLine(), h.outLine()
-	var aux []int64
-	n := 9*yieldEvery + 3
-	for i := 0; i < n; i++ {
-		aux = append(aux, a+int64(2*rng.Intn(h.L)), b+int64(2*rng.Intn(h.L)))
-		a, b = b, a
-	}
-	h.push(mop{kind: mCopyRun, n: int32(n)}, aux...)
-	h.diff(t, false)
-	if stops := countRecords(h.p.code[SegSteady], nStop); stops < 3 {
-		t.Errorf("%d copies lowered with %d stop records, want the run cut at least twice", n, stops)
-	}
-}
-
 // recordWords is the length of the record at the head of code: the
 // decoder's view of what lower encodes and both executors step over.
 func recordWords(code []uint32) int {
@@ -316,12 +282,10 @@ func recordWords(code []uint32) int {
 		return 1
 	case nClear, nBcastImm:
 		return 2
-	case nSra, nBcastMem, nSetImm, nExtrW:
+	case nSra, nSetImm, nExtrW:
 		return 3
-	case nAddS, nSubS, nMaxS, nMinS, nAnd, nOr, nXor, nAndN, nPermute, nLoad, nLoadReg, nStore:
+	case nAddS, nSubS, nAnd, nOr, nXor, nLoad, nLoadReg, nStore:
 		return 4
-	case nCopyRun:
-		return 1 + 2*n
 	case nExtVec:
 		return 7
 	case nMergeReg, nMergeMem:
@@ -589,11 +553,11 @@ func (h *opHarness) loopBody(trips int, mixed bool) {
 			a, at, lane := src(), seq(true), int64(rng.Intn(regStride))
 			body = append(body, func(t int) { h.ops = append(h.ops, mop{kind: mExtrW, a: int32(a), addr: at(t), imm: lane}) })
 		case 3:
-			d, at := h.outReg(), seq(false)
-			body = append(body, func(t int) { h.ops = append(h.ops, mop{kind: mBcastMem, d: int32(d), addr: at(t)}) })
+			d, a := h.outReg(), src()
+			body = append(body, func(int) { h.ops = append(h.ops, mop{kind: mSra, d: int32(d), a: int32(a), imm: 3}) })
 		case 4:
 			d, a, b := h.outReg(), src(), src()
-			kind := []uint8{mAddS, mSubS, mMaxS, mXor}[rng.Intn(4)]
+			kind := []uint8{mAddS, mSubS, mAnd, mXor}[rng.Intn(4)]
 			body = append(body, func(int) { h.ops = append(h.ops, mop{kind: kind, d: int32(d), a: int32(a), b: int32(b)}) })
 		case 5: // no address, after records that have one
 			d, a := h.reg(), src()
@@ -678,7 +642,7 @@ func TestNativeLoopsMatchGo(t *testing.T) {
 // stop record carries a count.
 func TestLoweredStreamIsWellFormed(t *testing.T) {
 	for _, w := range simd.Widths {
-		p, _, _ := recordAndCompile(t, w, 1<<14, 4)
+		p, _ := emitSynth(t, w)
 		for seg, code := range p.code {
 			pc, last := 0, 0
 			for pc < len(code) {
@@ -697,7 +661,7 @@ func TestLoweredStreamIsWellFormed(t *testing.T) {
 
 // TestRunRefusesShortArena: a compiled program is finalized without a
 // region size, so NewExec checks the region it is handed against the extent
-// the program touches and against the alignment its lines were recorded at
+// the program touches and against the alignment its lines were laid out at
 // — before any op can run, under either kernel — and Run refuses an Exec
 // made for another program.
 func TestRunRefusesShortArena(t *testing.T) {
@@ -708,9 +672,9 @@ func TestRunRefusesShortArena(t *testing.T) {
 	}
 	eachKernel(t, func(t *testing.T) {
 		for _, w := range simd.Widths {
-			p, _, _ := recordAndCompile(t, w, 1<<14, 4)
-			if p.extent <= 0 || p.extent > 1<<14 {
-				t.Fatalf("%v: extent %d outside the recording arena", w, p.extent)
+			p, _ := emitSynth(t, w)
+			if p.extent <= 0 || p.extent > synthBytes {
+				t.Fatalf("%v: extent %d outside the kernel's arena", w, p.extent)
 			}
 			if p.Extent() != p.extent {
 				t.Fatalf("%v: Extent() = %d, extent %d", w, p.Extent(), p.extent)
@@ -733,8 +697,8 @@ func TestRunRefusesShortArena(t *testing.T) {
 			if !slices.Equal(before, short.Bytes(0, short.Size())) {
 				t.Errorf("%v: the refused NewExec wrote to the arena", w)
 			}
-			q, _, _ := recordAndCompile(t, w, 1<<14, 4)
-			if !panics(func() { p.Run(q.NewExec(simd.NewMemory(1<<14), 0), SegFirst) }) {
+			q, _ := emitSynth(t, w)
+			if !panics(func() { p.Run(q.NewExec(simd.NewMemory(synthBytes), 0), SegFirst) }) {
 				t.Errorf("%v: Run accepted another program's Exec", w)
 			}
 		}
@@ -809,9 +773,9 @@ func BenchmarkNativeSweeps(b *testing.B) {
 }
 
 // BenchmarkNativeGamma times 64 gamma groups at W512 as the packed decoder
-// records them: three loads, five lane ops, eight four-source scatters,
+// emits them: three loads, five lane ops, eight four-source scatters,
 // each group's lines a fixed stride past the last one's: rolled into one
-// loop as the compilers roll them ("rolled"), and as straight-line records
+// loop as the Emitter rolls them ("rolled"), and as straight-line records
 // ("straight"), what the loop saves or costs.
 func BenchmarkNativeGamma(b *testing.B) {
 	for _, rolled := range []bool{true, false} {

@@ -11,8 +11,8 @@ import (
 // of trellis steps, as one sweep record holding a base and a stride per
 // address; any other loop as a loop record holding its body's records and
 // a stride per moving address word; and a stop record wherever the work
-// since the last reaches yieldEvery, cutting a long copy run, sweep or loop
-// into pieces. It is one forward pass and reads only what the visitEffects
+// since the last reaches yieldEvery, cutting a long sweep or loop into
+// pieces. It is one forward pass and reads only what the visitEffects
 // walk has been over; every operand it emits is checked again on the way
 // out (lowerer.reg, .mem, .tab, .lane), against the register file, the
 // extent that walk computed and the table pool — a moving address at its
@@ -163,17 +163,6 @@ func (lw *lowerer) item(ops []mop, i int) int {
 	switch op.kind {
 	case mLoop:
 		return lw.loop(ops, i)
-	case mCopyRun:
-		// Four copies to a unit of work; a long run is cut at the yield.
-		for t := lw.p.aux[op.tab : op.tab+2*op.n]; len(t) > 0; {
-			n := min(len(t)/2, 4*lw.room(1))
-			lw.put(nCopyRun, n)
-			for _, a := range t[:2*n] {
-				lw.code = append(lw.code, lw.mem(int64(a), 2))
-			}
-			lw.work += (n + 3) / 4
-			t = t[2*n:]
-		}
 	case mAlphaStepP, mBetaStepP:
 		if sw, ok := lw.sweepOf(ops[i:i+1], nil, 1); ok {
 			lw.sweep(&sw)
@@ -185,31 +174,28 @@ func (lw *lowerer) item(ops []mop, i int) int {
 	return 1
 }
 
-// single emits the record of op, any op but a copy run, and returns its
-// units of work: one, and one for every four sources of a merge. A
-// trellis step is a sweep of one step. The binary lane ops rely on
-// mAddS..mAndN and nAddS..nAndN being declared in the same order.
+// laneOps is the record kind of each binary lane op.
+var laneOps = [...]uint32{mAddS: nAddS, mSubS: nSubS, mAnd: nAnd, mOr: nOr, mXor: nXor}
+
+// single emits the record of op and returns its units of work: one, and
+// one for every four sources of a merge. A trellis step is a sweep of one
+// step.
 func (lw *lowerer) single(op *mop) int {
 	p, wb := lw.p, lw.wb
 	switch op.kind {
 	case mClear:
 		lw.put(nClear, 0, lw.reg(op.d))
-	case mAddS, mSubS, mMaxS, mMinS, mAnd, mOr, mXor, mAndN:
-		lw.put(nAddS+uint32(op.kind-mAddS), 0, lw.reg(op.d), lw.reg(op.a), lw.reg(op.b))
+	case mAddS, mSubS, mAnd, mOr, mXor:
+		lw.put(laneOps[op.kind], 0, lw.reg(op.d), lw.reg(op.a), lw.reg(op.b))
 	case mSra:
 		lw.put(nSra, shift(op.imm), lw.reg(op.d), lw.reg(op.a))
 	case mBcastImm:
 		lw.put(nBcastImm, int(uint16(op.imm)), lw.reg(op.d))
-	case mBcastMem:
-		lw.put(nBcastMem, 0, lw.reg(op.d))
-		lw.addr(op.addr, 2)
 	case mSetImm:
 		if op.tab < 0 || int(op.tab) >= len(p.pats) {
 			lw.fail("pattern %d outside %d", op.tab, len(p.pats))
 		}
 		lw.put(nSetImm, 0, lw.reg(op.d), uint32(op.tab)*2*regStride)
-	case mPermute:
-		lw.put(nPermute, 0, lw.reg(op.d), lw.reg(op.a), lw.tab(op.tab))
 	case mExt128:
 		lw.put(nLoadReg, 0, lw.reg(op.d), lw.lane(int64(op.a), 8*op.imm, 8), laneMask(8))
 	case mExt256:

@@ -2,46 +2,213 @@ package program
 
 import (
 	"bytes"
-	"errors"
-	"fmt"
 	"math/rand"
 	"slices"
-	"strings"
 	"sync"
 	"testing"
 
 	"vransim/internal/simd"
 )
 
-// synthKernel is a width-generic "decode-like" kernel exercising every
-// recorded op kind a program executes and every fusion shape the compiler
-// knows: vector arithmetic and mask logic, aliased and out-of-range
-// permutes, a scalar copy run, lane extracts, the packed stream's quad
-// scatter/gather, alpha/beta steps and vector ext group (see packed), and
-// register state that is live across iterations (acc, alpha, beta). It deliberately allocates
-// a throwaway register with NewVec every iteration — a fresh pointer
-// each time — so compiling it at >= 4 iterations proves the verifier's
-// register bijection rather than pointer identity.
-type synthKernel struct {
-	w                                simd.Width
-	in, out, acc, scalars, gamma, pk int64
-	iters                            int
-	// salt varies the seeded inputs, for decodes that must differ.
-	salt int
+// ops is what the synthetic kernel is written against: the Emitter's
+// methods. An Emitter makes a program of the kernel; engineOps runs it on
+// the interpreter, each method as the engine sequence its Emitter comment
+// spells out, and is the reference every replay is compared with.
+type ops interface {
+	Clear(d Reg)
+	SetImm(d Reg, pat []int16)
+	BcastImm(d Reg, x int16)
+	Load(d Reg, at int64)
+	Store(at int64, a Reg)
+	ExtrW(at int64, a Reg, lane int)
+	Ext(d, a Reg, w simd.Width, sel int)
+	Sra(d, a Reg, imm uint)
+	AddS(d, a, b Reg)
+	SubS(d, a, b Reg)
+	And(d, a, b Reg)
+	Or(d, a, b Reg)
+	Xor(d, a, b Reg)
+	QuadScatter(acc, tmp Reg, dst int64, srcs []Reg, tabs [][]int32)
+	QuadGather(r, acc, tmp Reg, dst int64, srcs []int64, tabs [][]int32)
+	AlphaStep(r *[9]Reg, quad, out int64, t *[5][]int32)
+	BetaStep(r *[9]Reg, quad int64, t *[5][]int32, x *BetaExt)
+	ExtVec(r *[7]Reg, imm uint, in [3]int64, out int64)
+	Loop(trips int, body func(t int))
 }
 
-// packedBytes is the arena the packed() call of one iteration uses: 7
-// result lines.
-const packedBytes = 7 * 64
+// engineOps runs the Emitter's methods on a simd.Engine: register n is the
+// n-th register the engine made.
+type engineOps struct {
+	e    *simd.Engine
+	regs []*simd.Vec
+	tabs map[*int32][]int
+}
+
+func (o *engineOps) r(x Reg) *simd.Vec {
+	for len(o.regs) <= int(x) {
+		o.regs = append(o.regs, o.e.NewVec())
+	}
+	return o.regs[x]
+}
+
+func (o *engineOps) tab(t []int32) []int {
+	if o.tabs == nil {
+		o.tabs = make(map[*int32][]int)
+	}
+	if it, ok := o.tabs[&t[0]]; ok {
+		return it
+	}
+	it := make([]int, len(t))
+	for i, x := range t {
+		it[i] = int(x)
+	}
+	o.tabs[&t[0]] = it
+	return it
+}
+
+func (o *engineOps) Clear(d Reg)                     { o.r(d).Clear() }
+func (o *engineOps) SetImm(d Reg, pat []int16)       { o.e.SetImm(o.r(d), pat) }
+func (o *engineOps) BcastImm(d Reg, x int16)         { o.e.Broadcast16(o.r(d), x) }
+func (o *engineOps) Load(d Reg, at int64)            { o.e.LoadVec(o.r(d), at) }
+func (o *engineOps) Store(at int64, a Reg)           { o.e.StoreVec(at, o.r(a)) }
+func (o *engineOps) ExtrW(at int64, a Reg, lane int) { o.e.PExtrWToMem(at, o.r(a), lane) }
+func (o *engineOps) Sra(d, a Reg, imm uint)          { o.e.PSraW(o.r(d), o.r(a), imm) }
+func (o *engineOps) AddS(d, a, b Reg)                { o.e.PAddSW(o.r(d), o.r(a), o.r(b)) }
+func (o *engineOps) SubS(d, a, b Reg)                { o.e.PSubSW(o.r(d), o.r(a), o.r(b)) }
+func (o *engineOps) And(d, a, b Reg)                 { o.e.PAnd(o.r(d), o.r(a), o.r(b)) }
+func (o *engineOps) Or(d, a, b Reg)                  { o.e.POr(o.r(d), o.r(a), o.r(b)) }
+func (o *engineOps) Xor(d, a, b Reg)                 { o.e.PXor(o.r(d), o.r(a), o.r(b)) }
+
+func (o *engineOps) Ext(d, a Reg, w simd.Width, sel int) {
+	if w == simd.W128 {
+		o.e.VExtractI128(o.r(d), o.r(a), sel)
+	} else {
+		o.e.VExtractI32x8(o.r(d), o.r(a), sel)
+	}
+}
+
+func (o *engineOps) Loop(trips int, body func(t int)) {
+	for t := 0; t < trips; t++ {
+		body(t)
+	}
+}
+
+func (o *engineOps) QuadScatter(acc, tmp Reg, dst int64, srcs []Reg, tabs [][]int32) {
+	e := o.e
+	e.PermuteW(o.r(acc), o.r(srcs[0]), o.tab(tabs[0]))
+	for j := 1; j < len(srcs); j++ {
+		e.PermuteW(o.r(tmp), o.r(srcs[j]), o.tab(tabs[j]))
+		e.POr(o.r(acc), o.r(acc), o.r(tmp))
+	}
+	e.StoreVec(dst, o.r(acc))
+}
+
+func (o *engineOps) QuadGather(r, acc, tmp Reg, dst int64, srcs []int64, tabs [][]int32) {
+	e := o.e
+	e.LoadVec(o.r(r), srcs[0])
+	e.PermuteW(o.r(acc), o.r(r), o.tab(tabs[0]))
+	for j := 1; j < len(srcs); j++ {
+		e.LoadVec(o.r(r), srcs[j])
+		e.PermuteW(o.r(tmp), o.r(r), o.tab(tabs[j]))
+		e.POr(o.r(acc), o.r(acc), o.r(tmp))
+	}
+	e.StoreVec(dst, o.r(acc))
+}
+
+func (o *engineOps) AlphaStep(r *[9]Reg, quad, out int64, t *[5][]int32) {
+	e := o.e
+	qd, bm0, bm1, a0, a1, c0, c1, norm, alpha := o.r(r[0]), o.r(r[1]), o.r(r[2]), o.r(r[3]), o.r(r[4]), o.r(r[5]), o.r(r[6]), o.r(r[7]), o.r(r[8])
+	e.LoadVec(qd, quad)
+	e.PermuteW(bm0, qd, o.tab(t[0]))
+	e.PermuteW(bm1, qd, o.tab(t[1]))
+	e.PermuteW(a0, alpha, o.tab(t[2]))
+	e.PermuteW(a1, alpha, o.tab(t[3]))
+	e.PAddSW(c0, a0, bm0)
+	e.PAddSW(c1, a1, bm1)
+	e.PMaxSW(alpha, c0, c1)
+	e.PermuteW(norm, alpha, o.tab(t[4]))
+	e.PSubSW(alpha, alpha, norm)
+	e.StoreVec(out, alpha)
+}
+
+func (o *engineOps) BetaStep(r *[9]Reg, quad int64, t *[5][]int32, x *BetaExt) {
+	e := o.e
+	qd, bm0, bm1, b0, b1, v0, v1, beta, norm := o.r(r[0]), o.r(r[1]), o.r(r[2]), o.r(r[3]), o.r(r[4]), o.r(r[5]), o.r(r[6]), o.r(r[7]), o.r(r[8])
+	e.LoadVec(qd, quad)
+	e.PermuteW(bm0, qd, o.tab(t[0]))
+	e.PermuteW(bm1, qd, o.tab(t[1]))
+	e.PermuteW(b0, beta, o.tab(t[2]))
+	e.PermuteW(b1, beta, o.tab(t[3]))
+	e.PAddSW(v0, b0, bm0)
+	e.PAddSW(v1, b1, bm1)
+	if x != nil {
+		la, e0, e1, m0, m1, tmp, dv := o.r(x.Regs[0]), o.r(x.Regs[1]), o.r(x.Regs[2]), o.r(x.Regs[3]), o.r(x.Regs[4]), o.r(x.Regs[5]), o.r(x.Regs[6])
+		e.LoadVec(la, x.Alpha)
+		e.PAddSW(e0, la, v0)
+		e.PAddSW(e1, la, v1)
+		hmax := func(m, v *simd.Vec) {
+			e.PermuteW(tmp, v, o.tab(x.Hmax[0]))
+			e.PMaxSW(m, v, tmp)
+			e.PermuteW(tmp, m, o.tab(x.Hmax[1]))
+			e.PMaxSW(m, m, tmp)
+			e.PermuteW(tmp, m, o.tab(x.Hmax[2]))
+			e.PMaxSW(m, m, tmp)
+		}
+		hmax(m0, e0)
+		hmax(m1, e1)
+		e.PSubSW(dv, m0, m1)
+		for _, out := range x.Out {
+			e.PExtrWToMem(out[0], dv, int(out[1]))
+		}
+	}
+	e.PMaxSW(beta, v0, v1)
+	e.PermuteW(norm, beta, o.tab(t[4]))
+	e.PSubSW(beta, beta, norm)
+}
+
+func (o *engineOps) ExtVec(r *[7]Reg, imm uint, in [3]int64, out int64) {
+	e := o.e
+	d, s, la, t, half, lim, nlim := o.r(r[0]), o.r(r[1]), o.r(r[2]), o.r(r[3]), o.r(r[4]), o.r(r[5]), o.r(r[6])
+	e.LoadVec(d, in[0])
+	e.LoadVec(s, in[1])
+	e.LoadVec(la, in[2])
+	e.PAddSW(t, s, la)
+	e.PSraW(half, d, imm)
+	e.PSubSW(half, half, t)
+	e.PMinSW(half, half, lim)
+	e.PMaxSW(half, half, nlim)
+	e.StoreVec(out, half)
+}
+
+// synthKernel is a width-generic "decode-like" kernel exercising every op
+// kind an Emitter writes: vector arithmetic and mask logic with aliased
+// operands, lane extracts and 128- and 256-bit extracts, loops of
+// singletons and of trellis steps, the packed stream's quad scatter and
+// gather, alpha and beta steps, the extrinsic group, index tables with
+// out-of-range entries, and register state that is live across
+// iterations (acc, alpha, beta).
+type synthKernel struct {
+	w                            simd.Width
+	in, out, acc, scalars, pk    int64
+	salt                         int // varies the seeded inputs
+	hi, lo, mask, accR, al, beta Reg
+}
+
+// The kernel's registers: six held across iterations, six of the scalar
+// part and sixteen of the packed one.
+const (
+	synthHeld   = 6
+	synthRegs   = synthHeld + 6 + 16
+	packedLines = 10
+)
 
 func newSynthKernel(w simd.Width, mem *simd.Memory) *synthKernel {
-	k := &synthKernel{w: w}
+	k := &synthKernel{w: w, hi: 0, lo: 1, mask: 2, accR: 3, al: 4, beta: 5}
 	k.in = mem.Alloc(256, 64)
-	k.out = mem.Alloc(512, 64)
+	k.out = mem.Alloc(1024, 64)
 	k.acc = mem.Alloc(128, 64)
 	k.scalars = mem.Alloc(128, 64)
-	k.gamma = mem.Alloc(128, 64)
-	k.pk = mem.Alloc(packedBytes, 64)
+	k.pk = mem.Alloc(packedLines*64, 64)
 	return k
 }
 
@@ -57,22 +224,81 @@ func (k *synthKernel) seed(mem *simd.Memory) {
 	}
 }
 
+// prefix clears every register, as a fresh engine's are, and sets the
+// ones held across iterations.
+func (k *synthKernel) prefix(o ops) {
+	n := k.w.Lanes16()
+	for r := Reg(0); r < synthRegs; r++ {
+		o.Clear(r)
+	}
+	o.BcastImm(k.hi, 4096)
+	pat := make([]int16, n)
+	for i := range pat {
+		if i%3 == 0 {
+			pat[i] = -1
+		}
+	}
+	o.SetImm(k.mask, pat)
+	o.Load(k.accR, k.acc)
+	o.BcastImm(k.lo, -4096)
+	o.Load(k.al, k.in+int64(4*n))
+	o.Load(k.beta, k.acc)
+}
+
+// iteration is one steady iteration.
+func (k *synthKernel) iteration(o ops, t *packedTabs) {
+	n := k.w.Lanes16()
+	wb := int64(2 * n)
+	a, b, t1, t2, d, s := Reg(synthHeld), Reg(synthHeld+1), Reg(synthHeld+2), Reg(synthHeld+3), Reg(synthHeld+4), Reg(synthHeld+5)
+	o.Load(a, k.in)
+	o.Load(b, k.in+wb)
+	o.AddS(k.accR, k.accR, a) // cross-iteration register state
+	o.SubS(t1, a, b)
+	o.AddS(t2, t1, k.hi)
+	o.Sra(t2, t2, 1)
+	o.And(t1, a, k.mask)
+	o.Or(d, t1, t2)
+	o.Xor(s, d, a)
+	o.And(d, d, d)
+	o.Store(k.out, d)
+	o.Store(k.out+wb, s)
+	o.Store(k.acc, k.accR)
+	o.ExtrW(k.scalars+96, t2, n/2)
+	if k.w != simd.W128 {
+		o.Ext(t1, t2, simd.W128, 1)
+		o.Store(k.out+128, t1)
+	}
+	if k.w == simd.W512 {
+		o.Ext(t1, k.accR, simd.W256, 1)
+		o.Store(k.out+256, t1)
+	}
+	// A loop of singletons, each trip's lines 16 bytes past the last's.
+	o.Loop(6, func(j int) {
+		o.Load(a, k.in+int64(16*j))
+		o.SubS(b, a, k.lo)
+		o.Store(k.out+384+int64(16*j), b)
+		o.ExtrW(k.out+768+int64(2*j), a, j%n)
+	})
+	o.Load(b, k.in+wb)
+	k.packed(o, t, [3]Reg{a, b, k.accR})
+}
+
 // packedTabs are the index tables of the packed shapes. Each has
 // out-of-range entries (the engine's permute selects zero there),
 // including in the middle stage of the horizontal max.
 type packedTabs struct {
-	a0, a1, p0, p1, nrm, h0, h1, h2, s0, s1, s2 []int
+	a0, a1, p0, p1, nrm, h0, h1, h2, s0, s1, s2 []int32
 }
 
 func newPackedTabs(n int) *packedTabs {
-	mk := func(f func(i int) int) []int {
-		t := make([]int, n)
+	mk := func(f func(i int) int) []int32 {
+		t := make([]int32, n)
 		for i := range t {
-			t[i] = f(i)
+			t[i] = int32(f(i))
 		}
 		return t
 	}
-	pick := func(r int, f func(i int) int) []int {
+	pick := func(r int, f func(i int) int) []int32 {
 		return mk(func(i int) int {
 			if i%3 == r {
 				return f(i)
@@ -93,305 +319,147 @@ func newPackedTabs(n int) *packedTabs {
 		s1:  pick(1, func(i int) int { return (i + 1) % n }),
 		s2:  pick(2, func(i int) int { return n - 1 - i }),
 	}
-	t.a0[1], t.a1[n-1], t.p0[2], t.nrm[n-1] = -1, n+3, n, -5
-	t.h0[5], t.h1[3], t.h2[6] = n+1, -1, -1
+	t.a0[1], t.a1[n-1], t.p0[2], t.nrm[n-1] = -1, int32(n+3), int32(n), -5
+	t.h0[5], t.h1[3], t.h2[6] = int32(n+1), -1, -1
 	return t
 }
 
-// packed emits each packed-stream shape once, writing results to the 64-
-// byte lines from base on. Nothing reads a shape's intermediate registers
-// before a later shape redefines them, so every fused op is lean.
-func (k *synthKernel) packed(e *simd.Engine, t *packedTabs, alpha, beta, lim, nlim *simd.Vec, srcs [3]*simd.Vec, base int64) {
+// packed emits each packed-stream shape, writing results to the 64-byte
+// lines of k.pk. Nothing reads a shape's intermediate registers before a
+// later shape redefines them, so every fused op is lean.
+func (k *synthKernel) packed(o ops, t *packedTabs, srcs [3]Reg) {
 	n := k.w.Lanes16()
-	wb := int64(2 * n)
-	at := func(i int) int64 { return base + int64(i)*64 }
-	v := make([]*simd.Vec, 16)
+	at := func(i int) int64 { return k.pk + int64(i)*64 }
+	var v [16]Reg
 	for i := range v {
-		v[i] = e.AcquireVec()
+		v[i] = Reg(synthHeld + 6 + i)
 	}
+	acc, tmp, rr := v[0], v[1], v[2]
+	o.QuadScatter(acc, tmp, at(0), srcs[:], [][]int32{t.s0, t.s1, t.s2})
+	// Quad gathers of two source lines and of one.
+	o.QuadGather(rr, acc, tmp, at(1), []int64{k.in, k.in + int64(2*n)}, [][]int32{t.p0, t.p1})
+	o.QuadGather(rr, acc, tmp, at(2), []int64{k.in}, [][]int32{t.a1})
 
-	// Quad scatter.
-	acc, tmp := v[0], v[1]
-	e.PermuteW(acc, srcs[0], t.s0)
-	e.PermuteW(tmp, srcs[1], t.s1)
-	e.POr(acc, acc, tmp)
-	e.PermuteW(tmp, srcs[2], t.s2)
-	e.POr(acc, acc, tmp)
-	e.StoreVec(at(0), acc)
+	ar := [9]Reg{v[3], v[4], v[5], v[6], v[7], v[8], v[9], v[10], k.al}
+	at5 := [5][]int32{t.a0, t.a1, t.p0, t.p1, t.nrm}
+	o.AlphaStep(&ar, at(0), at(3), &at5)
 
-	// Quad gather, of two source lines and of one.
-	rr := v[2]
-	e.LoadVec(rr, k.in)
-	e.PermuteW(acc, rr, t.p0)
-	e.LoadVec(rr, k.in+wb)
-	e.PermuteW(tmp, rr, t.p1)
-	e.POr(acc, acc, tmp)
-	e.StoreVec(at(1), acc)
-	e.LoadVec(rr, k.in)
-	e.PermuteW(acc, rr, t.a1)
-	e.StoreVec(at(2), acc)
-
-	// Alpha step over the scattered quad line.
-	qd, bm0, bm1, a0, a1, c0, c1, norm := v[3], v[4], v[5], v[6], v[7], v[8], v[9], v[10]
-	e.LoadVec(qd, at(0))
-	e.PermuteW(bm0, qd, t.a0)
-	e.PermuteW(bm1, qd, t.a1)
-	e.PermuteW(a0, alpha, t.p0)
-	e.PermuteW(a1, alpha, t.p1)
-	e.PAddSW(c0, a0, bm0)
-	e.PAddSW(c1, a1, bm1)
-	e.PMaxSW(alpha, c0, c1)
-	e.PermuteW(norm, alpha, t.nrm)
-	e.PSubSW(alpha, alpha, norm)
-	e.StoreVec(at(3), alpha)
-
-	// Beta step, tail form (no posterior extraction). Its result is
-	// observed through the next step; storing beta right here would turn
-	// the shape into an alpha step.
-	b0, b1, w0, w1 := v[11], v[12], v[13], v[14]
-	betaPrefix := func(quad int64) {
-		e.LoadVec(qd, quad)
-		e.PermuteW(bm0, qd, t.a0)
-		e.PermuteW(bm1, qd, t.a1)
-		e.PermuteW(b0, beta, t.p1)
-		e.PermuteW(b1, beta, t.p0)
-		e.PAddSW(w0, b0, bm0)
-		e.PAddSW(w1, b1, bm1)
-	}
-	betaUpdate := func() {
-		e.PMaxSW(beta, w0, w1)
-		e.PermuteW(norm, beta, t.nrm)
-		e.PSubSW(beta, beta, norm)
-	}
-	betaPrefix(at(1))
-	betaUpdate()
-
-	// Beta step, in-block form: posterior extraction through two
-	// horizontal-max butterflies sharing tmp and the index tables.
-	al, e0, e1, m0, m1, dv := v[6], v[7], v[8], v[9], v[15], v[0]
-	hmax := func(dst, x *simd.Vec) {
-		e.PermuteW(tmp, x, t.h0)
-		e.PMaxSW(dst, x, tmp)
-		e.PermuteW(tmp, dst, t.h1)
-		e.PMaxSW(dst, dst, tmp)
-		e.PermuteW(tmp, dst, t.h2)
-		e.PMaxSW(dst, dst, tmp)
-	}
-	betaPrefix(at(2))
-	e.LoadVec(al, at(3))
-	e.PAddSW(e0, al, w0)
-	e.PAddSW(e1, al, w1)
-	hmax(m0, e0)
-	hmax(m1, e1)
-	e.PSubSW(dv, m0, m1)
+	// A beta step of the tail form, observed through the next step, then
+	// one that extracts the posterior through two horizontal-max
+	// butterflies sharing tmp and the index tables.
+	br := [9]Reg{v[3], v[4], v[5], v[11], v[12], v[13], v[14], k.beta, v[10]}
+	bt := [5][]int32{t.a0, t.a1, t.p1, t.p0, t.nrm}
+	o.BetaStep(&br, at(1), &bt, nil)
+	x := &BetaExt{Regs: [7]Reg{v[6], v[7], v[8], v[9], v[15], v[1], v[0]}, Alpha: at(3), Hmax: [3][]int32{t.h0, t.h1, t.h2}}
 	for b := 0; b < n/8; b++ {
-		e.PExtrWToMem(at(4)+int64(2*b), dv, 8*b)
+		x.Out = append(x.Out, [2]int64{at(4) + int64(2*b), int64(8 * b)})
 	}
-	betaUpdate()
-	e.StoreVec(at(5), beta)
+	o.BetaStep(&br, at(2), &bt, x)
+	o.Store(at(5), k.beta)
 
-	// Vector extrinsic group.
-	dvec, s, la, tt, half := v[0], v[1], v[2], v[3], v[4]
-	e.LoadVec(dvec, at(3))
-	e.LoadVec(s, at(5))
-	e.LoadVec(la, k.in)
-	e.PAddSW(tt, s, la)
-	e.PSraW(half, dvec, 1)
-	e.PSubSW(half, half, tt)
-	e.PMinSW(half, half, lim)
-	e.PMaxSW(half, half, nlim)
-	e.StoreVec(at(6), half)
+	er := [7]Reg{v[0], v[1], v[2], v[3], v[4], k.hi, k.lo}
+	o.ExtVec(&er, 1, [3]int64{at(3), at(5), k.in}, at(6))
 
-	e.ReleaseVec(v...)
+	// A sweep: three alpha steps over the quad lines written above.
+	o.Loop(3, func(j int) { o.AlphaStep(&ar, at(j), at(7+j), &at5) })
 }
 
-// run drives iters recorded iterations on e (whose ProgSink may be a
-// Builder) after a constant-register prefix.
-func (k *synthKernel) run(e *simd.Engine) {
-	n := k.w.Lanes16()
-	rev := make([]int, n)
-	wild := make([]int, n)
-	for i := range rev {
-		rev[i] = n - 1 - i
-		wild[i] = i
-	}
-	wild[0] = -2
-	wild[n-1] = n + 7
-
-	// Prefix: long-lived constants and masks (stable pointers).
-	hi := e.NewVec()
-	e.Broadcast16(hi, 4096)
-	mask := e.NewVec()
-	pat := make([]int16, n)
-	for i := range pat {
-		if i%3 == 0 {
-			pat[i] = -1
-		}
-	}
-	e.SetImm(mask, pat)
-	acc := e.NewVec()
-	e.LoadVec(acc, k.acc)
-	lo := e.NewVec()
-	e.Broadcast16(lo, -4096)
-	alpha, beta := e.NewVec(), e.NewVec()
-	e.LoadVec(alpha, k.in+int64(4*n))
-	e.LoadVec(beta, k.acc)
-	pt := newPackedTabs(n)
-
-	for it := 0; it < k.iters; it++ {
-		e.ProgMark("iteration")
-
-		// Fresh pointer every iteration: verification must rebind it.
-		scratch := e.NewVec()
-		a, b, t1, t2, d := e.AcquireVec(), e.AcquireVec(), e.AcquireVec(), e.AcquireVec(), e.AcquireVec()
-
-		e.LoadVec(a, k.in)
-		e.LoadVec(b, k.in+int64(2*n))
-		e.PAddSW(acc, acc, a) // cross-iteration register state
-		e.PSubSW(t1, a, b)
-		e.PMaxSW(t2, t1, b)
-		e.PMinSW(t2, t2, hi)
-		e.PSraW(t2, t2, 1)
-
-		// Mask logic.
-		e.PAnd(t1, a, mask)
-		e.PAndN(t2, mask, b)
-		e.POr(d, t1, t2)
-		e.PXor(scratch, d, a)
-
-		// Aliased and out-of-range permutes (replay parity with the
-		// engine's zeroing semantics).
-		e.PermuteW(d, d, rev)
-		e.PermuteW(scratch, scratch, wild)
-		e.StoreVec(k.out, d)
-		e.StoreVec(k.out+int64(2*n), scratch)
-
-		e.StoreVec(k.acc, acc)
-
-		// Scalar copy run (fused).
-		for i := 0; i < 6; i++ {
-			e.CopyI16(k.out+int64(6*n+2*i), k.scalars+int64(2*i))
-		}
-
-		// Lane traffic and 128-bit views.
-		e.PExtrWToMem(k.scalars+96, t2, n/2)
-		e.Broadcast16FromMem(b, k.scalars+96)
-		e.LoadVec128(t1, k.in)
-		e.StoreVec128(k.out+int64(10*n), t1)
-		if k.w != simd.W128 {
-			e.VExtractI128(t1, t2, 1)
-			e.StoreVec128(k.out+int64(12*n), t1)
-		}
-		if k.w == simd.W512 {
-			e.VExtractI32x8(t1, acc, 1)
-			e.StoreVec(k.out+256, t1)
-		}
-		e.StoreVec(k.out+int64(2*n), scratch)
-
-		e.LoadVec(b, k.in+int64(2*n))
-		k.packed(e, pt, alpha, beta, hi, lo, [3]*simd.Vec{a, b, acc}, k.pk)
-
-		e.ReleaseVec(d, t2, t1, b, a)
-		// scratch is deliberately NOT released: next iteration's NewVec
-		// yields a different pointer.
-	}
+// walk is k's program: what Emit is handed.
+func (k *synthKernel) walk(e *Emitter) {
+	t := newPackedTabs(k.w.Lanes16())
+	k.prefix(e)
+	e.Steady()
+	k.iteration(e, t)
 }
 
-// record runs the kernel interpreted with a Builder attached and returns
-// the builder, the arena and the kernel.
-func record(w simd.Width, memBytes int, iters int) (*Builder, *simd.Memory, *synthKernel) {
-	mem := simd.NewMemory(memBytes)
-	e := simd.NewEngine(w, mem, nil)
-	k := newSynthKernel(w, mem)
-	k.seed(mem)
-	k.iters = iters
-	b := NewBuilder(w, 0)
-	e.SetProgSink(b)
-	k.run(e)
-	e.SetProgSink(nil)
-	return b, mem, k
+// synthLayout lays a kernel out in an arena of memBytes.
+func synthLayout(w simd.Width, memBytes int) *synthKernel {
+	return newSynthKernel(w, simd.NewMemory(memBytes))
 }
 
-// recordAndCompile runs the kernel interpreted with a Builder attached
-// and compiles the recording.
-func recordAndCompile(t *testing.T, w simd.Width, memBytes int, iters int) (*Program, *simd.Memory, *synthKernel) {
+// emitSynth emits the kernel's program at width w.
+func emitSynth(t *testing.T, w simd.Width) (*Program, *synthKernel) {
 	t.Helper()
-	b, mem, k := record(w, memBytes, iters)
-	p, err := b.Compile()
+	k := synthLayout(w, synthBytes)
+	p, err := Emit(w, k.walk)
 	if err != nil {
-		t.Fatalf("%v: compile: %v", w, err)
-	}
-	return p, mem, k
-}
-
-// recordFused is recordAndCompile with the fused segments kept: the
-// program is finalized but not finished, so a test can step it op by op.
-func recordFused(t *testing.T, w simd.Width, memBytes int, iters int) (*Program, *synthKernel) {
-	t.Helper()
-	b, _, k := record(w, memBytes, iters)
-	p, err := b.fused()
-	if err == nil {
-		err = p.finalize()
-	}
-	if err != nil {
-		t.Fatalf("%v: compile: %v", w, err)
+		t.Fatalf("%v: emit: %v", w, err)
 	}
 	return p, k
 }
 
+// emitSynthFused is emitSynth with the fused segments kept: the program is
+// finalized but not finished, so a test can step it op by op.
+func emitSynthFused(t *testing.T, w simd.Width) (*Program, *synthKernel) {
+	t.Helper()
+	k := synthLayout(w, synthBytes)
+	p, err := emit(w, k.walk)
+	if err == nil {
+		err = p.finalize()
+	}
+	if err != nil {
+		t.Fatalf("%v: emit: %v", w, err)
+	}
+	return p, k
+}
+
+// synthBytes is the arena the kernel runs in.
+const synthBytes = 1 << 14
+
+// interpret runs the kernel on the engine alone, with the given input
+// salt, and returns the arena bytes: the reference every replay is
+// compared with.
+func interpret(w simd.Width, iters, salt int) []byte {
+	mem := simd.NewMemory(synthBytes)
+	k := newSynthKernel(w, mem)
+	k.salt = salt
+	k.seed(mem)
+	o := &engineOps{e: simd.NewEngine(w, mem, nil)}
+	t := newPackedTabs(w.Lanes16())
+	k.prefix(o)
+	for it := 0; it < iters; it++ {
+		k.iteration(o, t)
+	}
+	return mem.Bytes(0, mem.Size())
+}
+
 // TestReplayMatchesInterpreter is the core equivalence property: running
 // SegFirst once and SegSteady iters times over a freshly seeded arena
-// must leave byte-identical memory to the interpreted run — across all
-// widths, with register state carried across iterations and with
-// per-iteration pointer churn in the recording.
+// must leave byte-identical memory to the interpreted run, across all
+// widths, with register state carried across iterations.
 func TestReplayMatchesInterpreter(t *testing.T) { eachKernel(t, testReplayMatchesInterpreter) }
 
 func testReplayMatchesInterpreter(t *testing.T) {
 	const iters = 5
 	for _, w := range simd.Widths {
-		p, interpMem, k := recordAndCompile(t, w, 1<<14, iters)
+		p, k := emitSynth(t, w)
 		if p.Width() != w {
 			t.Fatalf("%v: program width %v", w, p.Width())
 		}
-
-		replayMem := simd.NewMemory(1 << 14)
-		// Same allocation sequence -> same addresses.
-		rk := newSynthKernel(w, replayMem)
-		if *rk != (synthKernel{w: w, in: k.in, out: k.out, acc: k.acc, scalars: k.scalars, gamma: k.gamma, pk: k.pk}) {
-			t.Fatalf("%v: replay arena layout diverged", w)
-		}
-		rk.seed(replayMem)
-		x := p.NewExec(replayMem, 0)
-		p.Run(x, SegFirst)
-		for it := 0; it < iters; it++ {
-			p.Run(x, SegSteady)
-		}
-		if !bytes.Equal(interpMem.Bytes(0, interpMem.Size()), replayMem.Bytes(0, replayMem.Size())) {
-			for a := int64(0); a < int64(interpMem.Size()); a += 2 {
-				if x, y := interpMem.ReadI16(a), replayMem.ReadI16(a); x != y {
-					t.Errorf("%v: memory differs at %d: interpreted %d, replayed %d", w, a, x, y)
+		want := interpret(w, iters, 0)
+		got := replayBytes(t, p, k, iters, nil)
+		if !bytes.Equal(want, got) {
+			for a := 0; a < len(want); a++ {
+				if want[a] != got[a] {
+					t.Errorf("%v: memory differs at byte %d: interpreted %d, replayed %d", w, a, want[a], got[a])
 					break
 				}
 			}
 		}
-		if p.FusedOps[SegSteady] >= p.RawOps[SegSteady] {
-			t.Errorf("%v: fusion did not shrink the steady segment (%d -> %d)",
-				w, p.RawOps[SegSteady], p.FusedOps[SegSteady])
-		}
 	}
 }
 
-// TestReplayIsRestartable: replaying the same compiled program over a
-// re-seeded arena must give the same bytes again, on a fresh Exec and on
-// one that has run before (no state outlives a run but the register file,
-// which SegFirst fully re-establishes), and the program itself comes out
-// of every run as it went in.
+// TestReplayIsRestartable: replaying the same program over a re-seeded
+// arena must give the same bytes again, on a fresh Exec and on one that
+// has run before (no state outlives a run but the register file, which
+// SegFirst fully re-establishes), and the program itself comes out of
+// every run as it went in.
 func TestReplayIsRestartable(t *testing.T) {
 	const iters = 4
-	p, interpMem, k := recordAndCompile(t, simd.W256, 1<<14, iters)
+	p, k := emitSynth(t, simd.W256)
+	want := interpret(simd.W256, iters, 0)
 	sum := p.Checksum()
-	mem := simd.NewMemory(1 << 14)
-	newSynthKernel(simd.W256, mem)
+	mem := simd.NewMemory(synthBytes)
 	used := p.NewExec(mem, 0)
 	for round := 0; round < 3; round++ {
 		clear(mem.Bytes(0, mem.Size()))
@@ -404,7 +472,7 @@ func TestReplayIsRestartable(t *testing.T) {
 		for it := 0; it < iters; it++ {
 			p.Run(x, SegSteady)
 		}
-		if !bytes.Equal(interpMem.Bytes(0, interpMem.Size()), mem.Bytes(0, mem.Size())) {
+		if !bytes.Equal(want, mem.Bytes(0, mem.Size())) {
 			t.Fatalf("round %d: replay diverged from interpreter", round)
 		}
 	}
@@ -422,16 +490,16 @@ func TestReplayIsRestartable(t *testing.T) {
 func TestSharedProgramConcurrentRuns(t *testing.T) { eachKernel(t, testSharedProgramConcurrentRuns) }
 
 func testSharedProgramConcurrentRuns(t *testing.T) {
-	const iters, size = 4, 1 << 14
+	const iters, size = 4, synthBytes
 	for _, w := range simd.Widths {
-		p, _, _ := recordAndCompile(t, w, size, iters)
+		p, _ := emitSynth(t, w)
 		sum := p.Checksum()
 		var wg sync.WaitGroup
 		for g := 0; g < 4; g++ {
 			wg.Add(1)
 			go func(g int) {
 				defer wg.Done()
-				want := interpret(w, size, iters, g)
+				want := interpret(w, iters, g)
 				// The region starts g*192 bytes into a larger arena: the
 				// kernel's own layout, shifted.
 				base := int64(g) * 192
@@ -464,24 +532,12 @@ func testSharedProgramConcurrentRuns(t *testing.T) {
 	}
 }
 
-// interpret runs the kernel on the engine alone, with the given input
-// salt, and returns the arena bytes: the reference every replay is
-// compared with.
-func interpret(w simd.Width, memBytes, iters, salt int) []byte {
-	mem := simd.NewMemory(memBytes)
-	k := newSynthKernel(w, mem)
-	k.salt, k.iters = salt, iters
-	k.seed(mem)
-	k.run(simd.NewEngine(w, mem, nil))
-	return mem.Bytes(0, mem.Size())
-}
-
 // replayBytes replays p over a freshly seeded arena laid out like k's
 // and returns the arena bytes. With rng set the replay is poisoned (see
 // runPoisoned).
-func replayBytes(t *testing.T, p *Program, k *synthKernel, memBytes, iters int, rng *rand.Rand) []byte {
+func replayBytes(t *testing.T, p *Program, k *synthKernel, iters int, rng *rand.Rand) []byte {
 	t.Helper()
-	mem := simd.NewMemory(memBytes)
+	mem := simd.NewMemory(synthBytes)
 	newSynthKernel(k.w, mem)
 	k.seed(mem)
 	x := p.NewExec(mem, 0)
@@ -569,32 +625,27 @@ func (p *Program) unrolled(ops []mop) []mop {
 	return out
 }
 
-// TestSynthKernelCoversFusedOps: the equivalence tests below only mean
-// something for the packed ops if the kernel's shapes really fuse, and
-// every fused op the streams run is lean.
+// TestSynthKernelCoversFusedOps: the equivalence tests only mean
+// something for the packed ops if the kernel emits every fused kind, and
+// every fused op the streams run is lean (the program finalizes).
 func TestSynthKernelCoversFusedOps(t *testing.T) {
 	for _, w := range simd.Widths {
-		p, _ := recordFused(t, w, 1<<14, 4)
-		got := map[string]int{
-			"quad scatter": 0, "quad gather": 0, "alpha step": 0,
-			"beta step": 0, "beta step + extract": 0, "ext vec": 0, "copy run": 0,
+		p, _ := emitSynthFused(t, w)
+		got := map[string]int{"beta step + extract": 0}
+		for _, name := range fusedKindNames {
+			got[name] = 0
 		}
 		for _, op := range p.segs[SegSteady] {
-			switch op.kind {
-			case mBetaStepP:
-				if op.imm != 0 {
-					got["beta step + extract"]++
-					continue
-				}
-			case mQuadScatter, mQuadGather, mAlphaStepP, mExtVec, mCopyRun:
-			default:
-				continue
+			switch {
+			case op.kind == mBetaStepP && op.imm != 0:
+				got["beta step + extract"]++
+			case op.kind >= firstFused:
+				got[fusedKindNames[op.kind]]++
 			}
-			got[fusedKindNames[op.kind]]++
 		}
 		for name, n := range got {
 			if n == 0 {
-				t.Errorf("%v: %s never fused", w, name)
+				t.Errorf("%v: no %s emitted", w, name)
 			}
 		}
 	}
@@ -612,12 +663,12 @@ func TestPoisonedReplay(t *testing.T) { eachKernel(t, testPoisonedReplay) }
 func testPoisonedReplay(t *testing.T) {
 	const iters = 4
 	for _, w := range simd.Widths {
-		p, k := recordFused(t, w, 1<<14, iters)
+		p, k := emitSynthFused(t, w)
 		rng := rand.New(rand.NewSource(int64(w)))
 		for _, salt := range []int{0, 3} {
 			k.salt = salt
-			want := interpret(w, 1<<14, iters, salt)
-			if got := replayBytes(t, p, k, 1<<14, iters, rng); !bytes.Equal(want, got) {
+			want := interpret(w, iters, salt)
+			if got := replayBytes(t, p, k, iters, rng); !bytes.Equal(want, got) {
 				t.Fatalf("%v salt %d: poisoned replay diverged from interpreter", w, salt)
 			}
 		}
@@ -626,15 +677,15 @@ func testPoisonedReplay(t *testing.T) {
 				p.segs[seg][i].live = 0
 			}
 		}
-		if got := replayBytes(t, p, k, 1<<14, iters, rng); bytes.Equal(interpret(w, 1<<14, iters, k.salt), got) {
+		if got := replayBytes(t, p, k, iters, rng); bytes.Equal(interpret(w, iters, k.salt), got) {
 			t.Errorf("%v: replay with every write marked dead and poisoned still matched", w)
 		}
 	}
 }
 
 // TestFinalizeRejectsMalformedOps: every compiled program goes through
-// finalize's structural check, so an op the matchers should never emit is
-// refused instead of run.
+// finalize's structural check, so an op the Emitter should never append
+// is refused instead of run.
 func TestFinalizeRejectsMalformedOps(t *testing.T) {
 	for name, op := range map[string]mop{
 		"one-source quad scatter": {kind: mQuadScatter, n: 1},
@@ -672,10 +723,11 @@ func TestFinalizeRejectsMalformedOps(t *testing.T) {
 	// visitEffects walk is refused when the pool or range its record would
 	// address turns out smaller than the walk believed.
 	build := func() *Program {
-		p := &Program{w: simd.W128, lanes: 8, nregs: 2 * regStride,
-			idxTabs: [][]int32{{0, 1, 2, 3, 4, 5, 6, 7}}, lanePats: [][]int16{{1, 2}}}
+		p := &Program{w: simd.W128, lanes: 8, nregs: 4 * regStride,
+			idxTabs: [][]int32{{0, 1, 2, 3, 4, 5, 6, 7}}, lanePats: [][]int16{{1, 2}},
+			aux: []int32{0, regStride, 128, 2 * regStride, 0, 3 * regStride, 0}}
 		p.segs[SegSteady] = []mop{
-			{kind: mPermute, d: 0, a: regStride, tab: 0},
+			{kind: mQuadScatter, n: 2, tab: 0},
 			{kind: mSetImm, d: 0, tab: 0},
 			{kind: mStore, a: 0, addr: 64, imm: 16},
 		}
@@ -698,6 +750,18 @@ func TestFinalizeRejectsMalformedOps(t *testing.T) {
 			t.Errorf("%s: lowered", name)
 		}
 	}
+
+	// A fused op writes none of its intermediate registers, so a program
+	// that reads one — a quad scatter's scratch, stored after it — does not
+	// lower.
+	tab := []int32{1, 0, 3, 2, 5, 4, 7, 6}
+	if _, err := Emit(simd.W128, func(e *Emitter) {
+		e.Steady()
+		e.QuadScatter(0, 1, 64, []Reg{2, 3}, [][]int32{tab, tab})
+		e.Store(128, 1)
+	}); err == nil {
+		t.Error("a fused op whose scratch a later op reads: emitted")
+	}
 }
 
 // TestAddressOrder: the roller, the liveness walk and the lowering each
@@ -716,8 +780,8 @@ func TestAddressOrder(t *testing.T) {
 		return w
 	}
 	for _, op := range []mop{
-		{kind: mBcastMem, addr: 64}, {kind: mLoad, addr: 64, imm: 64}, {kind: mStore, addr: 64, imm: 64},
-		{kind: mExtrW, addr: 64}, {kind: mCopyRun, n: 3}, {kind: mExtVec}, {kind: mQuadScatter, n: 3},
+		{kind: mLoad, addr: 64, imm: 64}, {kind: mStore, addr: 64, imm: 64},
+		{kind: mExtrW, addr: 64}, {kind: mExtVec}, {kind: mQuadScatter, n: 3},
 		{kind: mQuadGather, n: 3}, {kind: mAlphaStepP}, {kind: mBetaStepP}, {kind: mBetaStepP, imm: 1, n: 3},
 	} {
 		var words []int32
@@ -747,130 +811,5 @@ func TestAddressOrder(t *testing.T) {
 		if !slices.Equal(got, visited) || !slices.Equal(got, positions) || len(got) != addrCount(&op) {
 			t.Errorf("kind %d: appendAddrs %v, visitEffects %v, addrAt %v, addrCount %d", op.kind, got, visited, positions, addrCount(&op))
 		}
-	}
-}
-
-// TestCompileRefusesUnsupported: a recording holding a scalar helper no
-// packed plan records (an insert, or a copy outside a copy run), or a
-// fused op whose intermediate a later op reads, has no stream to run, so
-// Compile returns an error (and the caller interprets) instead of
-// panicking.
-func TestCompileRefusesUnsupported(t *testing.T) {
-	compile := func(body func(e *simd.Engine, addr int64, v, u *simd.Vec)) (err error) {
-		defer func() {
-			if r := recover(); r != nil {
-				err = fmt.Errorf("panicked: %v", r)
-			}
-		}()
-		mem := simd.NewMemory(1 << 12)
-		e := simd.NewEngine(simd.W128, mem, nil)
-		addr := mem.Alloc(512, 64)
-		b := NewBuilder(simd.W128, 0)
-		e.SetProgSink(b)
-		v, u := e.NewVec(), e.NewVec()
-		for it := 0; it < 3; it++ {
-			e.ProgMark("iteration")
-			e.LoadVec(v, addr)
-			body(e, addr, v, u)
-		}
-		e.SetProgSink(nil)
-		_, err = b.Compile()
-		return err
-	}
-	tab := []int{1, 0, 3, 2, 5, 4, 7, 6}
-	for name, body := range map[string]func(e *simd.Engine, addr int64, v, u *simd.Vec){
-		"insert":    func(e *simd.Engine, addr int64, v, _ *simd.Vec) { e.PInsrWFromMem(v, addr+64, 2) },
-		"lone copy": func(e *simd.Engine, addr int64, _, _ *simd.Vec) { e.CopyI16(addr+64, addr+2) },
-		"live scratch": func(e *simd.Engine, addr int64, v, u *simd.Vec) {
-			// A quad scatter whose scratch register is stored afterwards.
-			acc := e.AcquireVec()
-			e.PermuteW(acc, v, tab)
-			e.PermuteW(u, v, tab)
-			e.POr(acc, acc, u)
-			e.StoreVec(addr+64, acc)
-			e.StoreVec(addr+128, u)
-			e.ReleaseVec(acc)
-		},
-	} {
-		err := compile(body)
-		if err == nil || strings.HasPrefix(err.Error(), "panicked") {
-			t.Errorf("%s: Compile returned %v, want an error", name, err)
-		}
-	}
-	if err := compile(func(*simd.Engine, int64, *simd.Vec, *simd.Vec) {}); err != nil {
-		t.Errorf("control: %v", err)
-	}
-}
-
-// TestCompileTooFewIterations: a single recorded iteration verifies
-// nothing and must refuse to compile (serving code always records two;
-// this is the builder's own guard against a malformed recording).
-func TestCompileTooFewIterations(t *testing.T) {
-	mem := simd.NewMemory(1 << 14)
-	e := simd.NewEngine(simd.W128, mem, nil)
-	k := newSynthKernel(simd.W128, mem)
-	k.seed(mem)
-	k.iters = 1
-	b := NewBuilder(simd.W128, 0)
-	e.SetProgSink(b)
-	k.run(e)
-	e.SetProgSink(nil)
-	if _, err := b.Compile(); !errors.Is(err, errNoSteady) {
-		t.Fatalf("compile of 1-iteration recording: %v, want errNoSteady", err)
-	}
-}
-
-// TestCompileUnstableStream: an op stream that changes after the steady
-// segment freezes — an extra op, or the same op with a different
-// immediate — must abort with ErrUnstable, not silently compile.
-func TestCompileUnstableStream(t *testing.T) {
-	build := func(tamper func(e *simd.Engine, it int, v *simd.Vec)) error {
-		mem := simd.NewMemory(1 << 12)
-		e := simd.NewEngine(simd.W128, mem, nil)
-		addr := mem.Alloc(64, 64)
-		b := NewBuilder(simd.W128, 0)
-		e.SetProgSink(b)
-		v := e.NewVec()
-		for it := 0; it < 4; it++ {
-			e.ProgMark("iteration")
-			e.LoadVec(v, addr)
-			e.PAddSW(v, v, v)
-			e.StoreVec(addr, v)
-			tamper(e, it, v)
-		}
-		e.SetProgSink(nil)
-		_, err := b.Compile()
-		return err
-	}
-	for _, at := range []int{1, 3} {
-		if err := build(func(e *simd.Engine, it int, v *simd.Vec) {
-			if it == at {
-				e.PMaxSW(v, v, v) // extra op after freeze
-			}
-		}); !errors.Is(err, ErrUnstable) {
-			t.Errorf("extra op in iteration %d: %v, want ErrUnstable", at, err)
-		}
-	}
-	if err := build(func(e *simd.Engine, it int, v *simd.Vec) {
-		imm := uint(1)
-		if it == 3 {
-			imm = 2 // same op, different immediate
-		}
-		e.PSraW(v, v, imm)
-	}); !errors.Is(err, ErrUnstable) {
-		t.Errorf("changed immediate in iteration 3: %v, want ErrUnstable", err)
-	}
-	if err := build(func(e *simd.Engine, it int, v *simd.Vec) {
-		addr2 := int64(32)
-		if it == 3 {
-			addr2 = 48 // same op, different address
-		}
-		e.StoreVec(addr2, v)
-	}); !errors.Is(err, ErrUnstable) {
-		t.Errorf("changed address in iteration 3: %v, want ErrUnstable", err)
-	}
-	// Control: an untampered stream compiles.
-	if err := build(func(*simd.Engine, int, *simd.Vec) {}); err != nil {
-		t.Errorf("stable stream failed to compile: %v", err)
 	}
 }

@@ -8,11 +8,8 @@ import (
 // Rolling. A decode is a handful of phases, each a run over the trellis
 // steps or the packed vector groups of K, so a program written out op by op
 // grows with K: a K=6144 iteration is 55,000 fused ops. The roller is the
-// one rule that folds such runs into loops. It is applied where ops are
-// appended to a segment, by both compilers (fuse for a recording, the
-// Emitter for a description), so a recording and a description of one
-// decode roll to the same program, and neither ever holds a segment
-// unrolled.
+// one rule that folds such runs into loops. It is applied where the
+// Emitter appends ops to a segment, so a segment is never held unrolled.
 //
 // A loop is an mLoop op — n its body's op count, imm its trip count, tab
 // the offset in the aux pool of its strides — followed by its body, the
@@ -27,8 +24,7 @@ import (
 // later trip moving every address by the same stride again, take the one
 // that covers the most of the window, the shortest on a tie; place a loop
 // of it, and extend it while the ops that follow continue it. With no such
-// b, place the head op as it is and look again at the next. A copy run is
-// never rolled: it is a barrier the window is flushed at.
+// b, place the head op as it is and look again at the next.
 const (
 	// maxBody bounds a loop body: an APCM arrangement group is 24 ops,
 	// a gamma group 16 and a group of beta steps 8.
@@ -83,11 +79,6 @@ func newRoller(p *Program) *roller { return &roller{p: p} }
 // push appends op to the segment, words its aux words (nil for a
 // singleton). The roller copies them.
 func (r *roller) push(op mop, words []int32) {
-	if op.kind == mCopyRun {
-		r.barrier()
-		r.place(op, words)
-		return
-	}
 	x := pend{op: op, word: int32(len(r.words)), words: int32(len(words)), addr: int32(len(r.addrs)), sig: shapeSig(&op, words)}
 	r.words = append(r.words, words...)
 	r.addrs = appendAddrs(r.addrs, &op, words)
@@ -111,19 +102,13 @@ func (r *roller) push(op mop, words []int32) {
 
 // flush places every op still pending and returns the segment.
 func (r *roller) flush() []mop {
-	r.barrier()
-	return slices.Clip(r.out)
-}
-
-// barrier places everything pending, as at the end of a segment.
-func (r *roller) barrier() {
 	for {
 		if r.open {
 			r.close()
 		}
 		if r.h == len(r.win) {
 			r.win, r.h, r.words, r.addrs = r.win[:0], 0, r.words[:0], r.addrs[:0]
-			return
+			return slices.Clip(r.out)
 		}
 		r.decide()
 	}
@@ -267,7 +252,7 @@ func (r *roller) compact() {
 // sameShape reports whether two ops are the same but for their region
 // addresses: what a loop's trips share.
 func sameShape(a *mop, aw []int32, b *mop, bw []int32) bool {
-	if a.kind != b.kind || a.d != b.d || a.a != b.a || a.b != b.b || a.imm != b.imm || a.n != b.n || a.kind == mCopyRun {
+	if a.kind != b.kind || a.d != b.d || a.a != b.a || a.b != b.b || a.imm != b.imm || a.n != b.n {
 		return false
 	}
 	if a.kind < firstFused {
@@ -309,15 +294,13 @@ func shapeSig(op *mop, words []int32) uint64 {
 
 // hasAddr reports whether a singleton of kind k addresses the region
 // (its addr).
-func hasAddr(k uint8) bool { return k == mBcastMem || k == mLoad || k == mStore || k == mExtrW }
+func hasAddr(k uint8) bool { return k == mLoad || k == mStore || k == mExtrW }
 
 // addrAt reports whether aux word i of op is a region address. An op's
 // addresses in the order of its aux words are its operand order, the order
 // visitEffects reports them in and lower emits them in.
 func addrAt(op *mop, i int) bool {
 	switch op.kind {
-	case mCopyRun:
-		return true
 	case mExtVec:
 		return i >= 7
 	case mQuadScatter:
@@ -335,8 +318,6 @@ func addrAt(op *mop, i int) bool {
 // auxLen is how many aux words an op of a fused kind has.
 func auxLen(op *mop) int32 {
 	switch op.kind {
-	case mCopyRun:
-		return 2 * op.n
 	case mExtVec:
 		return 11
 	case mQuadScatter:
@@ -362,12 +343,8 @@ func appendAddrs(dst []int64, op *mop, words []int32) []int64 {
 		}
 	}
 	switch op.kind {
-	case mBcastMem, mLoad, mStore, mExtrW:
+	case mLoad, mStore, mExtrW:
 		dst = append(dst, op.addr)
-	case mCopyRun:
-		for _, w := range words {
-			dst = append(dst, int64(w))
-		}
 	case mExtVec:
 		dst = append(dst, int64(words[7]), int64(words[8]), int64(words[9]), int64(words[10]))
 	case mQuadScatter:
@@ -390,8 +367,6 @@ func appendAddrs(dst []int64, op *mop, words []int32) []int64 {
 // addrCount is how many region addresses op has.
 func addrCount(op *mop) int {
 	switch op.kind {
-	case mCopyRun:
-		return int(2 * op.n)
 	case mExtVec:
 		return 4
 	case mQuadScatter:
@@ -422,7 +397,7 @@ func (p *Program) loopAt(ops []mop, i int) (body []mop, strides []int32, err err
 	body = ops[i+1 : i+1+int(hd.n)]
 	n := 0
 	for j := range body {
-		if body[j].kind == mLoop || body[j].kind == mCopyRun {
+		if body[j].kind == mLoop {
 			return nil, nil, fmt.Errorf("program: op kind %d in the body of the loop at op %d", body[j].kind, i)
 		}
 		n += addrCount(&body[j])

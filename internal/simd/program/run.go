@@ -53,8 +53,8 @@ func region16(b []byte) []int16 {
 }
 
 // regionAlign is the alignment a state region's start must keep. The
-// program's line addresses were recorded as multiples of the register
-// width from a 64-byte-aligned start, and the native kernel's 64-byte
+// program's line addresses are multiples of the register width from a
+// 64-byte-aligned start, and the native kernel's 64-byte
 // loads and stores of them stay inside one cache line only while the
 // region a worker runs them over starts on one too.
 const regionAlign = 64
@@ -71,8 +71,8 @@ type Exec struct {
 	native bool
 }
 
-// NewExec returns a fresh execution state (registers zero, as the
-// recording engine's were) over the region of mem that starts at base, on
+// NewExec returns a fresh execution state (registers zero, as a fresh
+// engine's are) over the region of mem that starts at base, on
 // the executor UseNativeKernel selects now. It panics when base is not
 // 64-byte aligned or fewer than Extent bytes follow it, as the first
 // out-of-range slice expression of a Run would.
@@ -133,7 +133,7 @@ func (p *Program) runStreamGo(x *Exec, code []uint32, base *[1 + maxClasses]uint
 		case nClear:
 			*reg(r, w[0]) = [regStride]int16{}
 			pc += 2
-		case nAddS, nSubS, nMaxS, nMinS, nAnd, nOr, nXor, nAndN:
+		case nAddS, nSubS, nAnd, nOr, nXor:
 			binop(kind, reg(r, w[0])[:L], reg(r, w[1])[:L], reg(r, w[2])[:L])
 			pc += 4
 		case nSra:
@@ -142,24 +142,15 @@ func (p *Program) runStreamGo(x *Exec, code []uint32, base *[1 + maxClasses]uint
 				d[i] = a[i] >> uint(n)
 			}
 			pc += 3
-		case nBcastImm, nBcastMem:
-			v := int16(uint16(n))
-			if kind == nBcastMem {
-				v = m[(w[1]+o)>>1]
-			}
+		case nBcastImm:
 			d := reg(r, w[0])[:L]
 			for i := range d {
-				d[i] = v
+				d[i] = int16(uint16(n))
 			}
-			pc += 2 + int(kind-nBcastImm)
+			pc += 2
 		case nSetImm:
 			*reg(r, w[0]) = p.pats[w[1]/(2*regStride)]
 			pc += 3
-		case nPermute:
-			var src gatherSrc
-			copy(src[:regStride], reg(r, w[1])[:])
-			gather(reg(r, w[0])[:L], &src, p.tab(w[2]))
-			pc += 4
 		case nLoad, nLoadReg:
 			// lower emits only masks of the low lanes (laneMask).
 			var v [regStride]int16
@@ -177,11 +168,6 @@ func (p *Program) runStreamGo(x *Exec, code []uint32, base *[1 + maxClasses]uint
 		case nExtrW:
 			m[(w[1]+o)>>1] = r[w[0]>>1]
 			pc += 3
-		case nCopyRun:
-			for t := w[:2*n]; len(t) >= 2; t = t[2:] {
-				m[t[0]>>1] = m[t[1]>>1]
-			}
-			pc += 1 + 2*n
 		case nExtVec:
 			p.extVec(r, m, w[:6], uint(n), o)
 			pc += 7
@@ -208,7 +194,7 @@ func (p *Program) runStreamGo(x *Exec, code []uint32, base *[1 + maxClasses]uint
 	}
 }
 
-// binop is d = a op b lane by lane, for the eight lane ops. Each lane
+// binop is d = a op b lane by lane, for the five lane ops. Each lane
 // reads a and b before it writes d, so d may alias either.
 func binop(kind uint32, d, a, b []int16) {
 	a, b = a[:len(d)], b[:len(d)]
@@ -221,14 +207,6 @@ func binop(kind uint32, d, a, b []int16) {
 		for i := range d {
 			d[i] = satSub(a[i], b[i])
 		}
-	case nMaxS:
-		for i := range d {
-			d[i] = max(a[i], b[i])
-		}
-	case nMinS:
-		for i := range d {
-			d[i] = min(a[i], b[i])
-		}
 	case nAnd:
 		for i := range d {
 			d[i] = a[i] & b[i]
@@ -240,10 +218,6 @@ func binop(kind uint32, d, a, b []int16) {
 	case nXor:
 		for i := range d {
 			d[i] = a[i] ^ b[i]
-		}
-	case nAndN:
-		for i := range d {
-			d[i] = ^a[i] & b[i]
 		}
 	}
 }
@@ -414,13 +388,5 @@ func hmaxStage(da, sa, db, sb *gatherSrc, g []uint16) {
 	for i, j := range g {
 		i, j := i&gmask, j&gmask
 		da[i], db[i] = max(sa[i], sa[j]), max(sb[i], sb[j])
-	}
-}
-
-// gather is vpermw over a zero-extended source: dst[i] = src[g[i]], with
-// sentinel entries selecting zero.
-func gather(dst []int16, src *gatherSrc, g *[regStride]uint16) {
-	for i, j := range g[:len(dst)] {
-		dst[i] = src[j&gmask]
 	}
 }

@@ -7,10 +7,10 @@ import (
 )
 
 // This file is the BatchDecoder side of the replay compiler: a
-// (K, width, strategy)'s fused replay program is made once per process —
-// emitted from the plan (emit.go) or, for the strategies the emitter does
-// not cover, compiled from a recording of a synthetic decode
-// (plancache.go) — and runCompiled drives that program
+// (K, width, strategy)'s fused replay program is emitted from the plan
+// once per process (emit.go, plancache.go) — for the paper's two
+// arrangements, extract and APCM; a plan of any other strategy has no
+// program and is interpreted — and runCompiled drives that program
 // through the same iteration/early-exit protocol as
 // MultiSIMDDecoder.runPacked — producing bit-identical outputs without
 // per-µop interpretation.

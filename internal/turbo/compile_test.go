@@ -48,14 +48,14 @@ func testCompiledMatchesInterpretedAndScalar(t *testing.T) {
 
 // TestCompiledEveryBudget: a decode runs SegFirst once and SegSteady for
 // every iteration, so a budget of one iteration replays the prefix and one
-// steady segment and nothing else. At every budget from 1 to 4, under the
-// serving strategy (an emitted program) and one recorded strategy, the
-// compiled, interpreted and scalar decodes give the same bits and each
-// block the same iterations, on both kernels.
+// steady segment and nothing else. At every budget from 1 to 4, under
+// both arrangements the emitter writes, the compiled, interpreted and
+// scalar decodes give the same bits and each block the same iterations, on
+// both kernels.
 func TestCompiledEveryBudget(t *testing.T) { eachKernel(t, testCompiledEveryBudget) }
 
 func testCompiledEveryBudget(t *testing.T) {
-	for _, s := range []core.Strategy{core.StrategyAPCM, core.StrategyShuffle} {
+	for _, s := range []core.Strategy{core.StrategyAPCM, core.StrategyExtract} {
 		for _, w := range []simd.Width{simd.W128, simd.W512} {
 			for _, k := range []int{40, 512} {
 				c, err := NewCode(k)
@@ -162,14 +162,10 @@ func TestCompiledRespectsConfigChanges(t *testing.T) {
 	}
 }
 
-// TestCompileNeedsTwoIterations: a recorded program needs one iteration
-// recorded and another verified against it, and used to get them from
-// whatever live decode came first — so a first decode under MaxIters=1
-// could not record, ran interpreted, and the plan recorded again later.
-// The program is made apart from the decode in hand now, so the budget of
-// that decode no longer matters: a one-iteration first decode is served
-// by the compiled program, and raising the budget afterwards compiles
-// nothing again.
+// TestCompileNeedsTwoIterations: the program is made from the plan, apart
+// from the decode in hand, so the budget of that decode does not matter: a
+// one-iteration first decode is served by the compiled program, and
+// raising the budget afterwards compiles nothing again.
 func TestCompileNeedsTwoIterations(t *testing.T) {
 	resetPlanCache()
 	const k = 40

@@ -1,52 +1,59 @@
 package turbo
 
 import (
+	"fmt"
+
 	"vransim/internal/core"
+	"vransim/internal/simd"
 	"vransim/internal/simd/program"
 )
 
-// This file compiles a packed plan without recording it. emitProgram walks
-// the plan phase by phase — the prefix runPacked runs once (arrangement,
+// This file is the compiler of the packed decode. emitProgram walks the
+// plan phase by phase — the prefix runPacked runs once (arrangement,
 // systematic gather, la1 clear, zero register), which is SegFirst, and
 // iterPacked's iteration, which is SegSteady — and names each op the
-// interpreter would record, fused as fuse.go would fuse it, to a
-// program.Emitter. No engine runs, no word is decoded and no
-// raw stream or interpreter table exists: what a recording spends half a
-// second on at K=6144 is index arithmetic over the plan. Each run over the
-// trellis steps or the packed groups is described once, as an
-// Emitter.Loop whose body emits one trip: the emitter emits trips until
-// the roller has folded them into a loop and adds the rest as a count, so
-// a compile's work and memory do not grow with K but for the QPP gathers,
-// which are not affine and are emitted group by group.
+// interpreter runs, its fused phase steps whole, to a program.Emitter. No
+// engine runs, no word is decoded and no interpreter table exists: a
+// program is index arithmetic over the plan. Each run over the trellis
+// steps or the packed groups is described once, as an Emitter.Loop whose
+// body emits one trip: the emitter emits trips until the roller has folded
+// them into a loop and adds the rest as a count, so a compile's work and
+// memory do not grow with K but for the QPP gathers, which are not affine
+// and are emitted group by group, and the extract arrangement, whose group
+// is too long a body to fold.
 //
-// The program is the one Builder.Compile makes of a recording of the same
-// plan, to the checksum: the same ops in the same order over the same
-// registers, tables and pools. That takes numbering registers the way the
-// recording does, which regPool mirrors, and handing the emitter tables in
-// the order the recorded ops first name them. TestEmittedMatchesRecorded
-// holds the two compilers to it; the recorder (recordProgram) stays as that
-// oracle and compiles what the emitter does not cover.
+// The walk names the ops in the interpreter's order, over registers
+// numbered as the engine's free list hands them out (regPool), so a
+// program is the interpreter's decode op for op. What holds it there is
+// the emitted-decode differential (TestEmittedDecodesLikeInterpreter): the
+// state region a replay leaves must be the interpreter's, byte for byte,
+// at every block size and width.
 
-// emits reports whether emitProgram covers plans of strategy s: the
-// serving arrangement, APCM with the rotate-mimic. The other five compile
-// from a recording.
-func emits(s core.Strategy) bool { return s == core.StrategyAPCM }
+// Emits reports whether plans of strategy s compile to a program, so that
+// a decoder of s replays rather than interprets: the paper's two
+// arrangements, the original extract and APCM with the rotate-mimic. A
+// plan of any other strategy has no program.
+func Emits(s core.Strategy) bool { return s == core.StrategyAPCM || s == core.StrategyExtract }
 
-// emitProgram compiles plan pl, whose strategy emits covers.
-func emitProgram(pl *packedPlan) (*program.Program, error) {
-	pe := newPlanEmitter(pl)
+// emitProgram compiles plan pl of strategy s, or says that the emitter
+// does not cover s.
+func emitProgram(pl *packedPlan, s core.Strategy) (*program.Program, error) {
+	if !Emits(s) {
+		return nil, fmt.Errorf("turbo: no program is emitted for strategy %v", s)
+	}
+	pe := newPlanEmitter(pl, s)
 	return program.Emit(pl.w, pe.walk)
 }
 
 // planEmitter holds what a walk over one plan reads: the plan, and its
 // index tables in the form a program keeps them. Every table is one slice
 // for as long as the walk runs, because the emitter interns tables by
-// identity, like the recording: distinct recorded tables are distinct here.
+// identity: one table named twice must be one slice.
 type planEmitter struct {
-	pl    *packedPlan
-	rel   regionLayout
-	wb    int64 // register width in bytes
-	masks [3][]int16
+	pl  *packedPlan
+	s   core.Strategy
+	rel regionLayout
+	wb  int64 // register width in bytes
 
 	prevIdx0, prevIdx1, nextIdx0, nextIdx1, lane0Idx []int32
 	hmaxIdx                                          [3][]int32
@@ -61,10 +68,10 @@ type planEmitter struct {
 	zero program.Reg
 }
 
-func newPlanEmitter(pl *packedPlan) *planEmitter {
+func newPlanEmitter(pl *packedPlan, s core.Strategy) *planEmitter {
 	lt := newLaneTables(pl.code.trellis, pl.w, pl.nb)
 	pe := &planEmitter{
-		pl: pl, rel: pl.regionLayout, wb: int64(pl.w),
+		pl: pl, s: s, rel: pl.regionLayout, wb: int64(pl.w),
 		prevIdx0: i32(lt.prevIdx0), prevIdx1: i32(lt.prevIdx1),
 		nextIdx0: i32(lt.nextIdx0), nextIdx1: i32(lt.nextIdx1),
 		lane0Idx:   i32(lt.lane0Idx),
@@ -80,15 +87,6 @@ func newPlanEmitter(pl *packedPlan) *planEmitter {
 	}
 	pe.gSPerm = buildGather[int32](pl, pl.code.qpp.fwd)
 	pe.gLa1 = buildGather[int32](pl, pl.code.qpp.inv)
-	// core.APCMArranger's sampling masks: lane l kept by mask d when
-	// l%3 == d.
-	L := pl.w.Lanes16()
-	for d := range pe.masks {
-		pe.masks[d] = make([]int16, L)
-		for l := d; l < L; l += 3 {
-			pe.masks[d][l] = -1
-		}
-	}
 	return pe
 }
 
@@ -100,13 +98,13 @@ func i32(xs []int) []int32 {
 	return out
 }
 
-// regPool numbers registers as a recording does. The Builder numbers a
-// register when the stream first names it, and every register the packed
-// decode uses is first named by the clear of simd.Engine.AcquireVec or
-// NewVec that makes it, so the numbering is the order the engine's free
-// list hands out new registers: acquire pops the most recently released
-// one and makes a new one only when the list is empty. (The engine caps
-// the list at 64; the packed decode never holds more than 16 at once.)
+// regPool numbers registers as the interpreter's engine hands them out:
+// a register is numbered when simd.Engine.AcquireVec or NewVec makes it,
+// and acquire pops the most recently released one and makes a new one only
+// when the list is empty. (The engine caps the list at 64; the packed
+// decode never holds more than 16 at once.) A program's register n is
+// then the interpreter's n-th register, which is what a divergence found
+// by the differential is read against.
 type regPool struct {
 	free []program.Reg
 	n    int
@@ -145,7 +143,7 @@ func (pe *planEmitter) release(rs ...program.Reg) {
 }
 
 // walk describes the program: SegFirst is the prefix, SegSteady one
-// iteration, as a recording's first iteration mark cuts them.
+// iteration.
 func (pe *planEmitter) walk(e *program.Emitter) {
 	pe.e, pe.pool = e, regPool{free: pe.pool.free[:0]}
 	pe.prefix()
@@ -159,9 +157,13 @@ func (pe *planEmitter) vec(base int64, g, rot int) int64 { return pe.pl.vecAddr(
 
 func (pe *planEmitter) groups() int { return pe.pl.n / pe.pl.lay.GroupLanes }
 
-// prefix is what runPacked records before the first iteration mark.
+// prefix is what runPacked runs before its first iteration.
 func (pe *planEmitter) prefix() {
-	pe.arrange()
+	if pe.s == core.StrategyExtract {
+		pe.extract()
+	} else {
+		pe.arrange()
+	}
 	// The zero register is made once per state and read by every
 	// iteration's gamma; a program makes it in SegFirst.
 	pe.zero = pe.fresh()
@@ -177,8 +179,14 @@ func (pe *planEmitter) arrange() {
 	e, L := pe.e, pe.pl.lay.GroupLanes
 	var masks, in, acc [3]program.Reg
 	for d := range masks {
+		// core.APCMArranger's sampling masks: lane l kept by mask d when
+		// l%3 == d.
+		pat := make([]int16, L)
+		for l := d; l < L; l += 3 {
+			pat[l] = -1
+		}
 		masks[d] = pe.acquire()
-		e.SetImm(masks[d], pe.masks[d])
+		e.SetImm(masks[d], pat)
 	}
 	var tmp, rot program.Reg
 	pe.acquireN(&in[0], &in[1], &in[2], &acc[0], &acc[1], &acc[2], &tmp, &rot)
@@ -207,6 +215,54 @@ func (pe *planEmitter) arrange() {
 		}
 	})
 	pe.release(masks[0], masks[1], masks[2], in[0], in[1], in[2], acc[0], acc[1], acc[2], tmp, rot)
+}
+
+// extract is core.ExtractArranger.Arrange over the packed input: each
+// group's three registers loaded and every lane stored to its cluster
+// with a pextrw, which reaches only the low 128 bits, so wider registers
+// are taken apart first — a 256-bit register's upper half by vextracti128,
+// a 512-bit one's halves by vextracti32x8 and their upper quarters by
+// vextracti128, the register loaded again before its upper half (the
+// extract clobbered it). Element j of cluster c lands at j of c's array:
+// the layout is the identity, and the packed stream has no scalar tail.
+func (pe *planEmitter) extract() {
+	e, L := pe.e, pe.pl.lay.GroupLanes
+	var reg, half, quarter program.Reg
+	pe.acquireN(&reg, &half, &quarter)
+	dst := [3]int64{pe.rel.s, pe.rel.p1, pe.rel.p2}
+	e.Loop(pe.groups(), func(g int) {
+		for r := 0; r < 3; r++ {
+			// run stores lanes [lo, hi) of register r of group g from v,
+			// whose lane 0 is lane off of the register.
+			run := func(v program.Reg, lo, hi, off int) {
+				for l := lo; l < hi; l++ {
+					k := 3*g*L + r*L + l
+					e.ExtrW(dst[k%3]+2*int64(k/3), v, l-off)
+				}
+			}
+			at := pe.rel.src + int64(2*(3*g*L+r*L))
+			e.Load(reg, at)
+			switch pe.pl.w {
+			case simd.W128:
+				run(reg, 0, 8, 0)
+			case simd.W256:
+				run(reg, 0, 8, 0)
+				e.Ext(half, reg, simd.W128, 1)
+				run(half, 8, 16, 8)
+			case simd.W512:
+				for h := 0; h < 2; h++ {
+					if h == 1 {
+						e.Load(reg, at)
+					}
+					e.Ext(half, reg, simd.W256, h)
+					run(half, 16*h, 16*h+8, 16*h)
+					e.Ext(quarter, half, simd.W128, 1)
+					run(quarter, 16*h+8, 16*h+16, 16*h+8)
+				}
+			}
+		}
+	})
+	pe.release(reg, half, quarter)
 }
 
 // iteration is iterPacked.

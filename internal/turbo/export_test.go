@@ -9,7 +9,6 @@ func resetPlanCache() {
 	defer planCache.mu.Unlock()
 	planCache.flights = nil
 	planCache.compiles.Store(0)
-	planCache.recordings.Store(0)
 	planCache.waiters.Store(0)
 	planCache.failures.Store(0)
 	planCache.compileNs.Store(0)

@@ -40,9 +40,9 @@ func sat16(x int32) int16 { return int16(min(max(x, -32768), 32767)) }
 // register width as in the paper's Figure 9.
 //
 // It is the interpreter of the packed decode: BatchDecoder drives it over
-// a state of its own when a block size is not replayed, the recorder
-// drives it to compile a program, and Decode is its traced entry, the one
-// the paper's figures are measured through. Functionally each lane group
+// a state of its own when a block size is not replayed, the emitted
+// programs are held to it by decode differentials, and Decode is its
+// traced entry, the one the paper's figures are measured through. Functionally each lane group
 // is independent, so a batch decodes to exactly the bits its blocks decode
 // to one at a time (tested), and a single block is a one-word batch: the
 // whole register at W128, a partial batch at W256 and W512.
@@ -57,9 +57,8 @@ type MultiSIMDDecoder struct {
 	// systematic1, yparity1 and yparity2 for the gamma, alpha, beta and
 	// ext calculations" on every decoder call. This is what makes the
 	// arrangement 13-19.5% of decode time (Figure 9); disable it for
-	// the one-shot-arrangement ablation. A compiled program needs every
-	// iteration to record the same ops, so BatchDecoder and the recorder
-	// turn it off.
+	// the one-shot-arrangement ablation. A compiled program runs the same
+	// ops every iteration, so BatchDecoder turns it off.
 	RearrangePerHalfIter bool
 
 	// Marks accumulates the per-phase trace attribution of the last

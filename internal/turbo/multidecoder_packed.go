@@ -13,8 +13,9 @@ import (
 )
 
 // This file is the cross-block SoA-packed decode path, the one emulated
-// SIMD decoder: BatchDecoder serves from it, the recorder compiles it, and
-// MultiSIMDDecoder.Decode traces it for the paper's figures. The nb
+// SIMD decoder: BatchDecoder serves its compiled program (emit.go writes
+// the same op stream from the plan) and MultiSIMDDecoder.Decode traces it
+// for the paper's figures. The nb
 // in-flight blocks share every register: block b's eight trellis states
 // occupy lanes 8b..8b+7 of the alpha/beta recursions, and every K-indexed
 // phase — arrangement, gamma, extrinsic finalize, the QPP interleave,
@@ -31,8 +32,8 @@ import (
 // [g0, g1, -g0, -g1] per block in lanes b*4+v (the upper half of the
 // register is zero). One load plus two constant-table permutes give both
 // branch-metric vectors of a step, with no per-block broadcast, mask or
-// merge — and give the replay compiler a fixed 11-op step shape it fuses
-// into a single-pass op (see program/fuse.go).
+// merge — and give the replay compiler a fixed 11-op step shape it emits
+// as a single-pass op (program.Emitter.AlphaStep and BetaStep).
 
 // regionLayout is where the packed working arrays lie: byte offsets from
 // the start of a plan's state region, which are a state's addresses too,
@@ -123,7 +124,7 @@ type interpTables struct {
 type packedState struct {
 	*packedPlan
 	// interpTables is nil until a decode is interpreted on this state: the
-	// plan's own (interpreterTables), or a recording's private ones.
+	// plan's own (interpreterTables).
 	*interpTables
 
 	e  *simd.Engine
@@ -151,7 +152,7 @@ type packedState struct {
 // gatherSrc is one source group's contribution to a gather destination
 // group: load the source group, permute by Idx, OR into the
 // accumulator. Idx is pointer-stable for the tables' lifetime (the
-// replay builder interns permute tables by the slice's backing array).
+// emitter interns permute tables by the slice's backing array).
 type gatherSrc[T int | int32] struct {
 	Group int
 	Idx   []T
@@ -322,8 +323,8 @@ func (pl *packedPlan) scatterTables() (scat [8][4][]int) {
 // is exact. The interpreter permutes by []int tables, a compiled program
 // holds []int32 ones. A plan's hundreds to thousands of tables hold a few
 // dozen distinct ones, so each distinct table is one slice, which every
-// source with that table shares: the recorder and the emitter, which both
-// intern tables by slice, see the same few.
+// source with that table shares: the emitter, which interns tables by
+// slice, sees the same few.
 func buildGather[T int | int32](pl *packedPlan, perm []int) [][]gatherSrc[T] {
 	// L and nb are powers of two (nb·8 = L), so packed indices split by
 	// shifts.
@@ -595,11 +596,11 @@ func (d *MultiSIMDDecoder) arrangePacked(st *packedState) {
 // iterPacked emits decode iteration it's engine ops. With
 // RearrangePerHalfIter off the stream is identical for every iteration
 // and independent of the convergence masks (frozen blocks are skipped
-// only in the Go-side extraction), so the replay compiler's stability
-// check always holds. With it on, each half re-arranges the input first,
-// but for the first half of iteration 0, which runPacked's arrangement
-// has just fed; the arrays it rewrites are only read, so the bits do not
-// change.
+// only in the Go-side extraction), which is what lets one compiled
+// SegSteady serve every iteration. With it on, each half re-arranges the
+// input first, but for the first half of iteration 0, which runPacked's
+// arrangement has just fed; the arrays it rewrites are only read, so the
+// bits do not change.
 func (d *MultiSIMDDecoder) iterPacked(st *packedState, it int) {
 	// Half 1: natural order, terminated.
 	if d.RearrangePerHalfIter && it > 0 {
@@ -693,9 +694,10 @@ func (st *packedState) extractPacked(earlyExit bool, it int) bool {
 }
 
 // runPacked executes one packed decode over a prepared state: the
-// interpreted counterpart of the compiled replay driver, and the recording
-// target the recorder compiles from. emit.go mirrors its op stream; a
-// change here is a change there (TestEmittedMatchesRecorded).
+// interpreted counterpart of the compiled replay driver. emit.go writes
+// its op stream from the plan; a change here is a change there, and the
+// emitted-decode differential (TestEmittedDecodesLikeInterpreter) fails
+// until both agree.
 func (d *MultiSIMDDecoder) runPacked(st *packedState, words []*LLRWord) ([][]byte, int, error) {
 	if st.code.K != d.Code.K {
 		return nil, 0, fmt.Errorf("turbo: state built for K=%d, decoder configured for K=%d", st.code.K, d.Code.K)
@@ -712,8 +714,8 @@ func (d *MultiSIMDDecoder) runPacked(st *packedState, words []*LLRWord) ([][]byt
 
 	d.arrangePacked(st)
 	if st.zero == nil {
-		// The one constant register, once per state; a recording takes it
-		// into SegFirst, so a replay re-establishes it every decode.
+		// The one constant register, once per state; a program makes it in
+		// SegFirst, so a replay re-establishes it every decode.
 		st.zero = e.NewVec()
 		e.PXor(st.zero, st.zero, st.zero)
 	}
@@ -734,7 +736,6 @@ func (d *MultiSIMDDecoder) runPacked(st *packedState, words []*LLRWord) ([][]byt
 	iters := 0
 	for it := 0; it < d.MaxIters; it++ {
 		iters++
-		e.ProgMark("iteration")
 		d.iterPacked(st, it)
 		if st.extractPacked(d.EarlyExit, it) {
 			break

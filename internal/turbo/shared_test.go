@@ -1,8 +1,6 @@
 package turbo
 
 import (
-	"fmt"
-	"math/rand"
 	"strings"
 	"sync"
 	"testing"
@@ -173,19 +171,16 @@ func TestSharedProgramIsImmutable(t *testing.T) {
 }
 
 // TestSharedCompileFailureIsCached: a (K, width, strategy) that cannot
-// compile is recorded once, cached as its error, and served interpreted —
+// compile is attempted once, cached as its error, and served interpreted —
 // correctly — by every decoder, each decode a counted miss; Precompile
-// names it. Nothing about it outlives the cause: with the cause gone and
-// a cold cache the same size compiles. The strategy is one the emitter
-// does not cover, so its plans compile from a recording, which one
-// recorded iteration leaves without a steady segment.
+// names it. The strategy is one the emitter does not cover. The failure is
+// the key's alone: the same size under a strategy it covers compiles.
 func TestSharedCompileFailureIsCached(t *testing.T) {
 	resetPlanCache()
-	recordIters = 1
-	t.Cleanup(func() { recordIters = 2; resetPlanCache() })
+	t.Cleanup(resetPlanCache)
 	const k, s = 40, core.StrategyShuffle
-	if emits(s) {
-		t.Fatalf("the emitter covers %v: the failure entry needs a recorded strategy", s)
+	if Emits(s) {
+		t.Fatalf("the emitter covers %v: the failure entry needs a strategy it does not", s)
 	}
 	c, err := NewCode(k)
 	if err != nil {
@@ -211,98 +206,20 @@ func TestSharedCompileFailureIsCached(t *testing.T) {
 			t.Errorf("decoder %d: %+v, want 2 misses and nothing installed", i, s)
 		}
 	}
-	if cs := PlanCacheStats(); cs.Failures != 1 || cs.Compiles != 0 || cs.Recordings != 1 {
+	if cs := PlanCacheStats(); cs.Failures != 1 || cs.Compiles != 0 {
 		t.Errorf("three decoders on a size that cannot compile: %+v, want one cached failure", cs)
 	}
 	err = Precompile(simd.W256, s, k, 41)
-	if err == nil || !strings.Contains(err.Error(), "K=40") || !strings.Contains(err.Error(), "block size 41") {
+	if err == nil || !strings.Contains(err.Error(), "K=40") || !strings.Contains(err.Error(), "block size 41") ||
+		!strings.Contains(err.Error(), s.String()) {
 		t.Errorf("Precompile of a failing and an invalid size: %v", err)
 	}
 	if cs := PlanCacheStats(); cs.Failures != 1 {
 		t.Errorf("Precompile recorded the cached failure again: %+v", cs)
 	}
 
-	recordIters = 2
-	resetPlanCache()
-	if err := Precompile(simd.W256, s, k); err != nil {
-		t.Errorf("with two recorded iterations: %v", err)
-	}
-}
-
-// TestSyntheticRecordingMatchesLive shows what the cache assumes: the
-// program it holds — emitted from the plan for APCM, recorded from the
-// all-zero batch over two iterations with early exit off for the other
-// strategies — is, to the checksum — every fused op and live mask, every
-// table and pool, every word of the descriptor streams — the one a live
-// batch records: the prefix as SegFirst and iteration 0 as SegSteady,
-// whether that batch ran two iterations (clean words, early exit), three
-// or four (words that never converge), every one after the first verified
-// against it through the register bijection. The op stream depends on
-// (K, width, strategy) and on nothing else.
-func TestSyntheticRecordingMatchesLive(t *testing.T) {
-	resetPlanCache()
-	type config struct {
-		s core.Strategy
-		w simd.Width
-		k int
-	}
-	var configs []config
-	for _, w := range simd.Widths {
-		for _, k := range []int{40, 512, 2048} {
-			configs = append(configs, config{core.StrategyAPCM, w, k})
-		}
-	}
-	for s := core.StrategyScalar; s <= core.StrategyShuffle; s++ {
-		if s != core.StrategyAPCM {
-			configs = append(configs, config{s, simd.W512, 40})
-		}
-	}
-	for _, cf := range configs {
-		name := fmt.Sprintf("%v/%v/K%d", cf.s, cf.w, cf.k)
-		sp, _ := sharedPlanFor(planKey{cf.k, cf.w, cf.s})
-		if sp.err != nil {
-			t.Fatalf("%s: synthetic recording: %v", name, sp.err)
-		}
-		want := sp.prog.Checksum()
-		c, err := NewCode(cf.k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		nb := BlocksPerRegister(cf.w)
-		ar := core.ByStrategy(cf.s)
-		rng := rand.New(rand.NewSource(int64(cf.k)*31 + int64(cf.w)))
-		for _, iters := range []int{2, 3, 4} {
-			var words []*LLRWord
-			maxIters := iters
-			if iters == 2 {
-				// Clean words settle in the first iteration and leave at the
-				// second whatever the budget.
-				words, _ = buildWords(t, c, nb, int64(9000+cf.k), true)
-				maxIters = 6
-			} else {
-				for b := 0; b < nb; b++ {
-					words = append(words, randomWord(rng, cf.k))
-				}
-			}
-			ref := NewBatchDecoder(cf.w, cf.s, 32<<20)
-			ref.Compile, ref.MaxIters = false, maxIters
-			if _, ran, err := ref.Decode(cf.k, words); err != nil {
-				t.Fatal(err)
-			} else if ran != iters {
-				t.Fatalf("%s: the live batch meant to run %d iterations ran %d", name, iters, ran)
-			}
-			// A plan of its own: nothing shared with the synthetic recording
-			// but the inputs both are a function of.
-			pl := newPackedPlan(c, ar.Layout(cf.w), cf.w, nb)
-			live, _, err := recordProgram(pl, ar, words, maxIters, true)
-			if err != nil {
-				t.Fatalf("%s: live recording over %d iterations: %v", name, iters, err)
-			}
-			if live.Checksum() != want {
-				t.Errorf("%s: the program a live batch records over %d iterations (%v raw, %v fused ops) is not the synthetic one (%v raw, %v fused)",
-					name, iters, live.RawOps, live.FusedOps, sp.prog.RawOps, sp.prog.FusedOps)
-			}
-		}
+	if err := Precompile(simd.W256, core.StrategyExtract, k); err != nil {
+		t.Errorf("K=%d under extract: %v", k, err)
 	}
 }
 

@@ -99,10 +99,10 @@ func main() {
 
 	// Compile the block size the flags name before any traffic is
 	// admitted: every worker then adopts the one program, and no block
-	// waits on a compile. A size that does not compile is still served,
-	// interpreted, and /healthz says so.
+	// waits on a compile. A size that is not valid or does not compile
+	// would fail every batch, so the process refuses to start.
 	if err := turbo.Precompile(cfg.Width, cfg.Strategy, *rf.K); err != nil {
-		fmt.Fprintf(os.Stderr, "vranserve: %v\n", err)
+		fatal("%v", err)
 	}
 	rt, err := ran.New(cfg)
 	if err != nil {

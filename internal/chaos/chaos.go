@@ -2,8 +2,8 @@
 // fault points the serving runtime consults at the places real vRAN
 // deployments actually fail — corrupted soft bits at the radio
 // front-end, CRC failures after decode, stalled workers, ingress
-// pressure, plan-cache eviction storms and compiler verification
-// failures. Every site is driven by its own seeded generator, so the
+// pressure, plan-cache eviction storms and fronthaul link faults. Every
+// site is driven by its own seeded generator, so the
 // decision sequence at a site depends only on the seed and the call
 // order at that site, never on interleaving across sites — the property
 // the deterministic soak tests rest on.
@@ -39,8 +39,11 @@ const (
 	SiteCRC
 	// SiteEvict triggers a plan-cache eviction storm in a worker.
 	SiteEvict
-	// SiteCompile fails program compile-verify, forcing the interpreter.
-	SiteCompile
+	// siteRetired is the index of a site that no longer exists (a
+	// compile-verify veto, retired with the interpreter fallback it
+	// forced). It stays reserved because New seeds each site from its
+	// index: dropping it would re-seed every site after it.
+	siteRetired
 	// SiteLinkDrop loses a fronthaul user-plane frame in flight.
 	SiteLinkDrop
 	// SiteLinkDelay holds a fronthaul frame past its successor (a
@@ -65,8 +68,6 @@ func (s Site) String() string {
 		return "crc"
 	case SiteEvict:
 		return "evict"
-	case SiteCompile:
-		return "compile"
 	case SiteLinkDrop:
 		return "linkdrop"
 	case SiteLinkDelay:
@@ -103,9 +104,6 @@ type Config struct {
 
 	// EvictRate flushes a worker's whole plan cache before a batch.
 	EvictRate float64
-
-	// CompileRate fails a program's compile-time verification.
-	CompileRate float64
 
 	// LinkDropRate loses a fronthaul user-plane frame in flight (the
 	// control plane rides the reliable management plane and is never
@@ -154,6 +152,9 @@ func New(cfg Config) *Injector {
 	}
 	in := &Injector{cfg: cfg}
 	for i := range in.sites {
+		if Site(i) == siteRetired {
+			continue
+		}
 		// Distinct deterministic streams per site: the multiplier keeps
 		// neighboring seeds from producing correlated sequences.
 		in.sites[i].rng = rand.New(rand.NewSource(cfg.Seed + int64(i)*0x9E3779B9))
@@ -250,15 +251,6 @@ func (in *Injector) EvictPlans() bool {
 	return in.hit(SiteEvict, in.cfg.EvictRate)
 }
 
-// FailCompile reports whether a program compilation should be rejected
-// as if its verification had failed.
-func (in *Injector) FailCompile() bool {
-	if in == nil {
-		return false
-	}
-	return in.hit(SiteCompile, in.cfg.CompileRate)
-}
-
 // DropFrame reports whether a fronthaul user-plane frame should be
 // lost in flight.
 func (in *Injector) DropFrame() bool {
@@ -296,13 +288,17 @@ type SiteCounters struct {
 	Fires  uint64 `json:"fires"`
 }
 
-// Counters snapshots every site's trial and fire counts.
+// Counters snapshots every live site's trial and fire counts, in site
+// order (the retired index has no row).
 func (in *Injector) Counters() []SiteCounters {
 	if in == nil {
 		return nil
 	}
-	out := make([]SiteCounters, 0, int(numSites))
+	out := make([]SiteCounters, 0, int(numSites)-1)
 	for s := Site(0); s < numSites; s++ {
+		if s == siteRetired {
+			continue
+		}
 		out = append(out, SiteCounters{
 			Site:   s.String(),
 			Trials: in.sites[s].trials.Load(),

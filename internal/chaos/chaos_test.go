@@ -29,9 +29,6 @@ func TestNilInjectorIsNoFault(t *testing.T) {
 	if in.EvictPlans() {
 		t.Error("nil EvictPlans fired")
 	}
-	if in.FailCompile() {
-		t.Error("nil FailCompile fired")
-	}
 	if in.Counters() != nil {
 		t.Error("nil Counters must be nil")
 	}
@@ -67,7 +64,7 @@ func TestRateBounds(t *testing.T) {
 func TestDeterministicPerSeed(t *testing.T) {
 	cfg := Config{
 		Seed: 3, CorruptRate: 0.5, CRCRate: 0.3, StallRate: 0.2,
-		QueueRate: 0.1, EvictRate: 0.4, CompileRate: 0.6,
+		QueueRate: 0.1, EvictRate: 0.4,
 	}
 	a, b := New(cfg), New(cfg)
 	w := turbo.NewLLRWord(64)
@@ -91,8 +88,7 @@ func TestDeterministicPerSeed(t *testing.T) {
 		if a.ForceCRCFail() != b.ForceCRCFail() ||
 			a.QueueOverflow() != b.QueueOverflow() ||
 			a.StallDuration() != b.StallDuration() ||
-			a.EvictPlans() != b.EvictPlans() ||
-			a.FailCompile() != b.FailCompile() {
+			a.EvictPlans() != b.EvictPlans() {
 			t.Fatalf("decision diverged at call %d", i)
 		}
 	}
@@ -169,7 +165,8 @@ func TestShapeDefaults(t *testing.T) {
 }
 
 // TestFamilies: the exposition carries the injected family with one
-// sample per site, and values mirror Counters.
+// sample per live site — none for the retired index — and values mirror
+// Counters.
 func TestFamilies(t *testing.T) {
 	in := New(Config{Seed: 5, CRCRate: 1.0})
 	for i := 0; i < 10; i++ {
@@ -179,12 +176,15 @@ func TestFamilies(t *testing.T) {
 	if len(fams) != 1 || fams[0].Name != "vran_chaos_injected_total" {
 		t.Fatalf("got families %+v, want vran_chaos_injected_total alone", fams)
 	}
-	if len(fams[0].Samples) != int(numSites) {
-		t.Errorf("family has %d samples, want %d", len(fams[0].Samples), numSites)
+	if len(fams[0].Samples) != int(numSites)-1 {
+		t.Errorf("family has %d samples, want %d", len(fams[0].Samples), numSites-1)
 	}
 	for _, s := range fams[0].Samples {
 		if s.Labels[0].Value == "crc" && s.Value != 10 {
 			t.Errorf("crc injected sample = %v, want 10", s.Value)
+		}
+		if s.Labels[0].Value == "unknown" {
+			t.Error("the retired site index has a sample")
 		}
 	}
 }
@@ -254,8 +254,42 @@ func TestLinkSitesDeterministic(t *testing.T) {
 // counters indexes the Counters slice by site.
 func counters(in *Injector) map[Site]SiteCounters {
 	out := map[Site]SiteCounters{}
-	for s := Site(0); s < numSites; s++ {
-		out[s] = in.Counters()[int(s)]
+	for _, c := range in.Counters() {
+		for s := Site(0); s < numSites; s++ {
+			if s.String() == c.Site {
+				out[s] = c
+			}
+		}
 	}
 	return out
+}
+
+// TestSiteSeedsSurviveRetiredSite pins the first draws of every live
+// site's generator at seed 1, as they were while index 5 was still a live
+// site: retiring a site must not re-seed the sites after it, or every
+// seeded soak would change its fault sequence.
+func TestSiteSeedsSurviveRetiredSite(t *testing.T) {
+	want := map[Site][4]uint64{
+		SiteCorrupt:   {0x4d65822107fcfd52, 0x78629a0f5f3f164f, 0x55104dc76695721d, 0x380704bb7b4d7c03},
+		SiteQueue:     {0x3c95b5df87d9e58a, 0x128086f0b7c1a1aa, 0x7e73245ec1969205, 0x46a7bb6b66f9c2fc},
+		SiteStall:     {0x3b377196b1789638, 0x2c60bc337e40925c, 0x49e598d5c5e81350, 0x54a8f0180099aa11},
+		SiteCRC:       {0x3b5a1159639585f0, 0x42ffb98c345efc37, 0x73a6507526517377, 0x6304a4f8c38e00e7},
+		SiteEvict:     {0x2d3b31da29b2be1a, 0x5ce04e4c5b3fe6e2, 0x3b1e25ed789674c0, 0x6fca4facadffe76d},
+		SiteLinkDrop:  {0x2c0ba853c76d0300, 0x11dfd26d99fb42e0, 0x10388e13dc6d1673, 0x4c6b843988238137},
+		SiteLinkDelay: {0x2ba1fc01303a3323, 0x2b7fdbcf18dbb3ba, 0x39e51afab6c2669a, 0x56cc73da0b2f684d},
+		SiteLinkPart:  {0x19cf19c7eac72bda, 0x456dbd17df3a9e64, 0x015e21affd6807e2, 0x64ef79aea80bbea6},
+	}
+	in := New(Config{Seed: 1})
+	if n := len(in.Counters()); n != len(want) {
+		t.Errorf("%d live sites, want %d", n, len(want))
+	}
+	for s, w := range want {
+		var got [4]uint64
+		for i := range got {
+			got[i] = uint64(in.sites[s].rng.Int63())
+		}
+		if got != w {
+			t.Errorf("%s: first draws %#x, want %#x", s, got, w)
+		}
+	}
 }

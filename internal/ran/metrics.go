@@ -21,7 +21,10 @@ type DropCause int
 // a combine was rejected), shutdown (a requeued HARQ retry could not be
 // decoded because the runtime was stopping), shed (the class-aware
 // overload controller rejected an eMBB arrival at the door to protect
-// URLLC — a pre-admission drop, like backlog).
+// URLLC — a pre-admission drop, like backlog), decode (the decoder
+// refused the block's batch: a block size that is not valid or has no
+// compiled program). Decode comes last so that the earlier causes keep
+// their indices.
 const (
 	DropBacklog DropCause = iota
 	DropExpired
@@ -29,6 +32,7 @@ const (
 	DropHARQ
 	DropShutdown
 	DropShed
+	DropDecode
 	numDropCauses
 )
 
@@ -47,6 +51,8 @@ func (c DropCause) String() string {
 		return "shutdown"
 	case DropShed:
 		return "shed"
+	case DropDecode:
+		return "decode"
 	}
 	return "unknown"
 }
@@ -69,7 +75,7 @@ func (c DropCause) refusal() bool {
 // delivered or dropped after admission:
 //
 //	Offered()  = Accepted + backlog + shed drops
-//	Terminal() = Delivered + expired + late + harq + shutdown drops
+//	Terminal() = Delivered + expired + late + harq + shutdown + decode drops
 //
 // Once nothing is in flight, Terminal() == Accepted.
 type Ledger struct {
@@ -177,14 +183,6 @@ type Metrics struct {
 	decodedBlocks atomic.Uint64
 	decodeBusyNs  atomic.Int64
 
-	// Program counters, aggregated across workers by per-batch deltas
-	// (each worker's BatchDecoder keeps its own ProgramStats). progMissK is
-	// the block size of the most recent interpreted batch: what /healthz
-	// names when misses move on a runtime with no chaos configured.
-	progHits   atomic.Uint64
-	progMisses atomic.Uint64
-	progMissK  atomic.Int64
-
 	// HARQ counters: CRC-failed decodes, retransmissions requeued, and
 	// blocks recovered by a combined retry.
 	crcFailures   atomic.Uint64
@@ -244,16 +242,6 @@ func (m *Metrics) deliver(cell int, class Class, bits int, latency time.Duration
 func (m *Metrics) crcFail()     { m.crcFailures.Add(1) }
 func (m *Metrics) harqRetry()   { m.harqRetries.Add(1) }
 func (m *Metrics) harqRecover() { m.harqRecovered.Add(1) }
-
-// programDelta folds one worker's program counter movement since its last
-// report, over a batch of block size k, into the runtime-wide totals.
-func (m *Metrics) programDelta(k int, hits, misses uint64) {
-	m.progHits.Add(hits)
-	if misses > 0 {
-		m.progMisses.Add(misses)
-		m.progMissK.Store(int64(k))
-	}
-}
 
 func (m *Metrics) batchDone(used, lanes int, busy time.Duration) {
 	m.batches.Add(1)
@@ -341,17 +329,6 @@ type Snapshot struct {
 	// GoodputMbps is delivered information bits over elapsed time.
 	GoodputMbps float64
 
-	// Program view (the trace-replay compiler in internal/simd/program):
-	// decodes served by compiled replay vs the interpreter. A miss is a
-	// live batch decoded 25 times slower than it should be: a block size
-	// whose program failed to compile, or whose install the chaos
-	// compile-verify site vetoed on that worker. No decode of a healthy
-	// runtime is one (programs are made from the plan or a synthetic
-	// word, not from a live batch), and /healthz says so. ProgramMissK is the block
-	// size of the latest.
-	ProgramHits   uint64
-	ProgramMisses uint64
-	ProgramMissK  int
 	// ProgramCompiles is the process's, read from turbo.PlanCacheStats:
 	// programs are compiled once a process, for every worker of every
 	// runtime in it, so each runtime of a process reports the same count.
@@ -359,9 +336,6 @@ type Snapshot struct {
 	// Merge counts it once a process.
 	ProgramCompiles uint64
 	Process         uint64
-	// CompiledRatio is ProgramHits over all compile-eligible decodes
-	// (hits+misses); 0 until the first decode.
-	CompiledRatio float64
 
 	// HARQ retransmission view: CRC-failed decodes, retries requeued,
 	// blocks recovered by a soft-combined retry, combine/eviction
@@ -433,9 +407,6 @@ func (s *Snapshot) derive() {
 	if s.Workers > 0 && s.Elapsed > 0 {
 		s.WorkerUtilization = float64(s.DecodeBusyNs) / (float64(s.Workers) * float64(s.Elapsed.Nanoseconds()))
 	}
-	if tot := s.ProgramHits + s.ProgramMisses; tot > 0 {
-		s.CompiledRatio = float64(s.ProgramHits) / float64(tot)
-	}
 	s.LatencyP50, s.LatencyP90, s.LatencyP99 = percentiles(s.LatencyBuckets)
 	for c := range s.Classes {
 		ks := &s.Classes[c]
@@ -453,8 +424,7 @@ func percentiles(buckets []uint64) (p50, p90, p99 time.Duration) {
 // one. It is a sum, except: Elapsed and ShedLevel take the max; latency
 // buckets merge element-wise; Predict rows concatenate (a cell is owned
 // by one runtime at a time, so a migrated cell keeps both rows);
-// ProgramCompiles counts once per Process; ProgramMissK is the
-// last miss seen. The ratio gauges are then derived from the summed raw
+// ProgramCompiles counts once per Process. The ratio gauges are then derived from the summed raw
 // counters, exactly as for one runtime. Nil entries are skipped.
 func Merge(snaps []*Snapshot) *Snapshot {
 	out := &Snapshot{}
@@ -483,11 +453,6 @@ func Merge(snaps []*Snapshot) *Snapshot {
 		out.Workers += s.Workers
 		// DecodeIters is not folded (ROADMAP 1(e)): the benchmark adds the
 		// per-runtime histograms itself.
-		out.ProgramHits += s.ProgramHits
-		out.ProgramMisses += s.ProgramMisses
-		if s.ProgramMisses > 0 {
-			out.ProgramMissK = s.ProgramMissK
-		}
 		if !procs[s.Process] {
 			procs[s.Process] = true
 			out.ProgramCompiles += s.ProgramCompiles
@@ -540,9 +505,6 @@ func (m *Metrics) snapshot(queueDepths []int, workers int) *Snapshot {
 	for i := range s.DecodeIters {
 		s.DecodeIters[i] = m.decodeIters[i].Load()
 	}
-	s.ProgramHits = m.progHits.Load()
-	s.ProgramMisses = m.progMisses.Load()
-	s.ProgramMissK = int(m.progMissK.Load())
 	s.ProgramCompiles = turbo.PlanCacheStats().Compiles
 	s.Process = processID
 	s.CRCFailures = m.crcFailures.Load()

@@ -17,6 +17,7 @@ func TestDropCauseNames(t *testing.T) {
 		DropBacklog: "backlog",
 		DropExpired: "expired", DropLate: "late",
 		DropHARQ: "harq", DropShutdown: "shutdown",
+		DropShed: "shed", DropDecode: "decode",
 	}
 	for c, name := range want {
 		if c.String() != name {
@@ -33,7 +34,7 @@ func TestDropCauseNames(t *testing.T) {
 // without being placed on one side of admission.
 func TestLedgerIdentities(t *testing.T) {
 	refused := map[DropCause]bool{DropBacklog: true, DropShed: true}
-	ended := map[DropCause]bool{DropExpired: true, DropLate: true, DropHARQ: true, DropShutdown: true}
+	ended := map[DropCause]bool{DropExpired: true, DropLate: true, DropHARQ: true, DropShutdown: true, DropDecode: true}
 	// One distinct bit per counter, so every sum says which terms it holds.
 	l := Ledger{Accepted: 1 << 20, Delivered: 1 << 21}
 	for c := DropCause(0); c < numDropCauses; c++ {

@@ -231,8 +231,7 @@ func New(cfg Config) (*Runtime, error) {
 	if turbo.BlocksPerRegister(cfg.Width) < 1 {
 		return nil, fmt.Errorf("ran: width %v too narrow for lane-parallel decode", cfg.Width)
 	}
-	// A strategy with no compiled program would serve every block
-	// interpreted, each a program miss that turns /healthz unhealthy.
+	// A strategy with no compiled program would fail every batch.
 	if !turbo.Emits(cfg.Strategy) {
 		return nil, fmt.Errorf("ran: strategy %v has no compiled program; serve %v or %v", cfg.Strategy, core.StrategyAPCM, core.StrategyExtract)
 	}
@@ -475,13 +474,6 @@ func (r *Runtime) worker() {
 	labelLayer("decode")
 	bd := turbo.NewBatchDecoder(r.cfg.Width, r.cfg.Strategy, workerArenaBytes)
 	bd.MaxIters = r.cfg.MaxIters
-	if r.cfg.Chaos != nil {
-		// Chaos compile-verify failures: a program vetoed at install keeps
-		// this worker's state for that size on the interpreter, exactly
-		// like a real verify failure, until an eviction installs again. The
-		// shared program is untouched; the other workers keep replaying it.
-		bd.CompileGate = func(int) bool { return !r.cfg.Chaos.FailCompile() }
-	}
 	// The decoder's own timing hook is the decode-stage attribution
 	// source: it measures exactly the lane-parallel decode (and reports
 	// the iteration count), excluding the worker's bookkeeping around it
@@ -502,19 +494,6 @@ func (r *Runtime) worker() {
 			sp.Stages[telemetry.SpanCompile] = elapsed
 			r.cfg.Tracer.Record(sp)
 		}
-	}
-	// Hit and miss counters are per-decoder; fold them into the runtime
-	// metrics as deltas, after each batch that moved one. (Compiles are
-	// the process's, not a worker's: Snapshot reads them from
-	// turbo.PlanCacheStats.)
-	var lastPS turbo.ProgramStats
-	reportProgram := func(k int) {
-		ps := bd.ProgramStats()
-		if ps == lastPS {
-			return
-		}
-		r.met.programDelta(k, ps.Hits-lastPS.Hits, ps.Misses-lastPS.Misses)
-		lastPS = ps
 	}
 	lanes := bd.Lanes()
 	words := make([]*turbo.LLRWord, 0, lanes)
@@ -560,29 +539,29 @@ func (r *Runtime) worker() {
 		t0 := time.Now()
 		decodeDur, decodeIters = 0, 0
 		bits, _, err := bd.Decode(k, words)
+		if err != nil {
+			// The decoder refused the batch — a block size that is not
+			// valid or has no program — and decoded nothing: every block
+			// ends as a decode drop, and the batch's cost, which is no
+			// decode's, feeds neither the decode metrics nor the shed
+			// ladder's estimate.
+			for _, b := range live {
+				r.met.drop(b.Cell, b.Class, DropDecode)
+				r.recordSpan(b, time.Now(), 0, 0, "decode")
+				r.harqRelease(b)
+			}
+			continue
+		}
 		busy := decodeDur
 		if busy <= 0 {
 			busy = time.Since(t0)
 		}
 		busy += stall
-		reportProgram(k)
 		r.met.batchDone(len(live), lanes, busy)
-		if err == nil {
-			// Per-block convergence histogram: the decoder reports each
-			// block's own early-exit latch iteration.
-			r.met.observeIters(bd.BlockIters())
-		}
+		// Per-block convergence histogram: the decoder reports each
+		// block's own early-exit latch iteration.
+		r.met.observeIters(bd.BlockIters())
 		r.updateEstimate(busy, len(live))
-		if err != nil {
-			// A decode error (bad K reaching the pool) wastes the whole
-			// batch; account it as expired-equivalent drops.
-			for _, b := range live {
-				r.met.drop(b.Cell, b.Class, DropExpired)
-				r.recordSpan(b, time.Now(), 0, 0, "expired")
-				r.harqRelease(b)
-			}
-			continue
-		}
 		end := time.Now()
 		for i, b := range live {
 			if end.After(b.Deadline) {
@@ -612,9 +591,9 @@ func (r *Runtime) worker() {
 }
 
 // SetSpanSink installs fn as the receiver of every terminal span of a
-// traced block (delivered, late, expired, or HARQ-terminated — not the
-// intermediate harq_retry records, whose dwell the final span already
-// folds in). The shard worker uses it to ship completed spans back to
+// traced block (delivered, late, expired, decode, or HARQ-terminated —
+// not the intermediate harq_retry records, whose dwell the final span
+// already folds in). The shard worker uses it to ship completed spans back to
 // the coordinator's fleet collector. fn must be safe for concurrent
 // use; nil-safe to never set.
 func (r *Runtime) SetSpanSink(fn func(telemetry.Span)) {

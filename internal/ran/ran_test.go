@@ -36,9 +36,8 @@ func mustPool(t testing.TB, k, n int, seed int64) *WordPool {
 }
 
 // TestNewRefusesUncoveredStrategy: a runtime of a strategy with no
-// compiled program would serve every block interpreted, each a program
-// miss that reads unhealthy, so New refuses it by name; the two
-// arrangements the emitter writes start.
+// compiled program would fail every batch, so New refuses it by name; the
+// two arrangements the emitter writes start.
 func TestNewRefusesUncoveredStrategy(t *testing.T) {
 	for s := core.StrategyScalar; s <= core.StrategyShuffle; s++ {
 		cfg := testConfig(simd.W256)

@@ -9,7 +9,6 @@ import (
 	"testing"
 	"time"
 
-	"vransim/internal/chaos"
 	"vransim/internal/simd"
 	"vransim/internal/simd/program"
 	"vransim/internal/telemetry"
@@ -181,9 +180,9 @@ func TestAdminLiveExposition(t *testing.T) {
 // two-worker runtime and checks the program counters end to end: the block
 // size is compiled at most once for the process however many workers
 // decode it (the cache is the process's: an earlier test of this binary
-// may have compiled it already, so the test counts the difference), no
-// live batch is interpreted, and the Snapshot fields, their /metrics
-// families, the compile stage and /healthz agree.
+// may have compiled it already, so the test counts the difference), every
+// block decodes, and the Snapshot fields, their /metrics families, the
+// compile stage and /healthz agree.
 func TestProgramMetricsExposition(t *testing.T) {
 	cfg := testConfig(simd.W512)
 	cfg.Workers = 2
@@ -208,9 +207,9 @@ func TestProgramMetricsExposition(t *testing.T) {
 	if s.ProgramCompiles != turbo.PlanCacheStats().Compiles || s.ProgramCompiles < 1 {
 		t.Errorf("ProgramCompiles = %d, the process has compiled %d", s.ProgramCompiles, turbo.PlanCacheStats().Compiles)
 	}
-	if s.ProgramHits != s.Batches || s.ProgramMisses != 0 || s.CompiledRatio != 1 {
-		t.Errorf("%d batches: %d hits, %d misses, ratio %v; want every batch replayed",
-			s.Batches, s.ProgramHits, s.ProgramMisses, s.CompiledRatio)
+	if s.Delivered != s.Accepted || s.Drops[DropDecode] != 0 {
+		t.Errorf("%d of %d blocks delivered, %d refused by the decoder; want every block decoded",
+			s.Delivered, s.Accepted, s.Drops[DropDecode])
 	}
 	if s.Process == 0 {
 		t.Error("snapshot does not say which process it is from")
@@ -223,9 +222,7 @@ func TestProgramMetricsExposition(t *testing.T) {
 	defer srv.Close()
 	body := httpGet(t, srv.URL+"/metrics")
 	for _, want := range []string{
-		"# TYPE vran_decode_compiled_ratio gauge",
-		"# TYPE vran_decode_program_hits_total counter",
-		"vran_decode_program_misses_total",
+		`vran_dropped_total{cell="0",cause="decode"} 0`,
 		"vran_decode_compiles_total",
 		`vran_decode_kernel_info{kernel="` + program.Kernel() + `"} 1`,
 	} {
@@ -245,40 +242,67 @@ func TestProgramMetricsExposition(t *testing.T) {
 	}
 }
 
-// TestHealthzNamesInterpretedBlockSize: a live batch on the interpreter is
-// a fault on a runtime with no chaos configured — /healthz turns unhealthy
-// over the interval it happened in and names the block size — and the
-// expected effect of the compile-verify site on one that has an injector.
-func TestHealthzNamesInterpretedBlockSize(t *testing.T) {
-	for _, withChaos := range []bool{false, true} {
-		cfg := testConfig(simd.W256)
-		if withChaos {
-			cfg.Chaos = chaos.New(chaos.Config{Seed: 1})
+// TestDecodeErrorDropsAsDecode: a block whose size the decoder refuses
+// (K=41 is no LTE size, and nothing at the door checks it) ends as a
+// decode drop with a "decode" span — not as an expired block — and the
+// ledger stays conserved per runtime, cell and class. The refused batch
+// decoded nothing, so it leaves the shed ladder's decode estimate where
+// the good batches before it put it.
+func TestDecodeErrorDropsAsDecode(t *testing.T) {
+	cfg := testConfig(simd.W512)
+	cfg.Tracer = telemetry.NewTracer(64, 2)
+	rt, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool := mustPool(t, 40, 8, 5)
+	for i := 0; i < pool.Len(); i++ {
+		w, _ := pool.Get(i)
+		if a := rt.Submit(i%cfg.Cells, i, pool.K, w); a != Admitted {
+			t.Fatalf("block %d not admitted: %v", i, a)
 		}
-		rt, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
+	}
+	waitSettle(t, rt, 0)
+	est := rt.estDecodeNs.Load()
+	if est <= 0 {
+		t.Fatalf("decode estimate %d ns after %d decoded blocks", est, pool.Len())
+	}
+	const bad, nBad = 41, 6
+	word := turbo.NewLLRWord(bad)
+	for i := 0; i < nBad; i++ {
+		if a := rt.Submit(i%cfg.Cells, 100+i, bad, word); a != Admitted {
+			t.Fatalf("K=%d block %d refused at the door: %v", bad, i, a)
 		}
-		health := rt.Health(HealthPolicy{})
-		if st := health(); !st.Healthy {
-			t.Fatalf("idle runtime unhealthy: %s", st.Reason)
+	}
+	waitSettle(t, rt, 0)
+	s := rt.Stop()
+
+	if s.Drops[DropDecode] != nBad || s.Drops[DropExpired] != 0 || s.Delivered != uint64(pool.Len()) {
+		t.Errorf("drops %v, %d delivered; want %d decode drops and the %d good blocks delivered",
+			s.DropsByCause(), s.Delivered, nBad, pool.Len())
+	}
+	if s.Accepted != s.Terminal() {
+		t.Errorf("accepted %d, terminal %d", s.Accepted, s.Terminal())
+	}
+	for i, c := range s.Cells {
+		if c.Accepted != c.Terminal() {
+			t.Errorf("cell %d: accepted %d, terminal %d", i, c.Accepted, c.Terminal())
 		}
-		// What a worker reports after interpreting two K=2048 batches.
-		rt.met.programDelta(2048, 0, 2)
-		st := health()
-		if withChaos {
-			if !st.Healthy {
-				t.Errorf("interpreted batches under chaos turned /healthz unhealthy: %s", st.Reason)
-			}
-		} else if st.Healthy || !strings.Contains(st.Reason, "K=2048") || !strings.Contains(st.Reason, "interpreter") {
-			t.Errorf("interpreted batches without chaos: healthy=%v reason %q, want unhealthy naming K=2048", st.Healthy, st.Reason)
+	}
+	for c, cs := range s.Classes {
+		if cs.Accepted != cs.Terminal() {
+			t.Errorf("class %v: accepted %d, terminal %d", Class(c), cs.Accepted, cs.Terminal())
 		}
-		if st := health(); !st.Healthy {
-			t.Errorf("no interpreted batch since the last check, still unhealthy: %s", st.Reason)
-		}
-		if s := rt.Stop(); s.ProgramMisses != 2 || s.ProgramMissK != 2048 {
-			t.Errorf("snapshot: %d misses, latest K=%d", s.ProgramMisses, s.ProgramMissK)
-		}
+	}
+	if got := rt.estDecodeNs.Load(); got != est {
+		t.Errorf("the refused batch moved the decode estimate from %d to %d ns", est, got)
+	}
+	outcomes := map[string]int{}
+	for _, sp := range cfg.Tracer.Recent() {
+		outcomes[sp.Outcome]++
+	}
+	if outcomes["decode"] != nBad || outcomes["expired"] != 0 {
+		t.Errorf("span outcomes %v, want %d decode", outcomes, nBad)
 	}
 }
 

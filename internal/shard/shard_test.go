@@ -175,13 +175,13 @@ func TestAggregateGauges(t *testing.T) {
 	a := &ran.Snapshot{Elapsed: 2 * time.Second, Workers: 1, Process: 7,
 		Cells:         []ran.CellSnapshot{{Bits: 1e6}},
 		DeliveredBits: 1e6, Batches: 10, LaneSlotsUsed: 40, LaneSlotsTotal: 40,
-		DecodedBlocks: 10, DecodeBusyNs: 40e3, ProgramHits: 8, ProgramMisses: 2,
+		DecodedBlocks: 10, DecodeBusyNs: 40e3,
 		ProgramCompiles: 3, ShedLevel: 1}
 	b := &ran.Snapshot{Elapsed: time.Second, Workers: 3, Process: 7,
 		Cells:         []ran.CellSnapshot{{Bits: 2e6}, {Bits: 1e6}},
 		DeliveredBits: 3e6, Batches: 30, LaneSlotsUsed: 60, LaneSlotsTotal: 120,
 		DecodedBlocks: 30, DecodeBusyNs: 240e3,
-		ProgramMisses: 10, ProgramCompiles: 3, ShedLevel: 2}
+		ProgramCompiles: 3, ShedLevel: 2}
 	agg := ran.Merge([]*ran.Snapshot{a, nil, b})
 	if agg.Elapsed != 2*time.Second || agg.Workers != 4 {
 		t.Errorf("elapsed %v workers %d, want the max 2s and the sum 4", agg.Elapsed, agg.Workers)
@@ -196,9 +196,6 @@ func TestAggregateGauges(t *testing.T) {
 	// would read 5e-5.
 	if got, want := agg.WorkerUtilization, 280e3/(4*2e9); got != want {
 		t.Errorf("utilization %v, want Σbusy/(Σworkers·elapsed) = %v", got, want)
-	}
-	if got, want := agg.CompiledRatio, 8.0/20.0; got != want {
-		t.Errorf("compiled ratio %v, want %v", got, want)
 	}
 	if got, want := agg.GoodputMbps, 4e6/2e6; got != want {
 		t.Errorf("goodput %v Mbps, want Σbits/elapsed = %v", got, want)

@@ -105,9 +105,9 @@ func packedPlan(t *testing.T, s core.Strategy, w simd.Width, k int) *program.Pro
 // does compile, under both arrangements the emitter writes, at every width
 // up to the largest block: every op lowers to a record, on every host. An
 // op kind that loses its record kind, or a fused op whose intermediates
-// turn out live in a real plan, shows here and not as a block served
-// interpreted. A strategy the emitter does not cover compiles nothing, and
-// a decoder of it interprets.
+// turn out live in a real plan, shows here and not as a batch the serving
+// decoder refuses. A strategy the emitter does not cover compiles nothing,
+// and a serving decoder of it fails every batch.
 func TestPackedPlansRunNative(t *testing.T) {
 	for _, w := range simd.Widths {
 		for _, s := range emitted {

@@ -109,7 +109,7 @@ type Span struct {
 	// Iters is the turbo iteration count the decode spent (0 when the
 	// block never reached a decoder).
 	Iters int
-	// Outcome is the block's fate: "delivered", "late" or "expired".
+	// Outcome is the block's fate: "delivered", "late", "expired", "decode".
 	Outcome string
 }
 

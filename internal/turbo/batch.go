@@ -7,7 +7,6 @@ import (
 	"vransim/internal/core"
 	"vransim/internal/simd"
 	"vransim/internal/simd/program"
-	"vransim/internal/trace"
 )
 
 // decodePlan is one decoder's entry for a block size: the immutable plan
@@ -22,8 +21,8 @@ type decodePlan struct {
 	// decode that adopts the shared plan takes the plan's.
 	code *Code
 	// plan is nil until the first decode. shared is the cache entry it
-	// came from; nil when the decoder does not compile (Compile off, or a
-	// traced decoder) and plan is private to it.
+	// came from; nil when the decoder does not compile and plan is private
+	// to it.
 	plan   *packedPlan
 	shared *sharedPlan
 
@@ -32,8 +31,7 @@ type decodePlan struct {
 	// decode, and again after an eviction), and exactly one of exec and dec
 	// drives it: exec replays shared.prog over that region — the program
 	// holds region-relative offsets only, so any decoder's region serves —
-	// and dec interprets, when the decoder does not compile, the program
-	// failed to compile, or CompileGate vetoed it at install.
+	// on a decoder that compiles, and dec interprets on one that does not.
 	pst  *packedState
 	exec *program.Exec
 	dec  *MultiSIMDDecoder
@@ -54,15 +52,13 @@ type decodePlan struct {
 // take the regions past the decoder's budget, every state is dropped first
 // (an eviction); plans and programs are not the decoder's to evict.
 // There is one decode path: blocks packed across lanes at the element
-// level, replayed through the compiled program.
+// level, replayed through the compiled program. A block size whose program
+// did not compile is not decoded at all: every Decode of it returns the
+// error the cache holds for it.
 // It is NOT safe for concurrent use — give each worker goroutine its
 // own BatchDecoder; they share what can be shared by themselves.
 type BatchDecoder struct {
 	w simd.Width
-	// rec, when non-nil, is the trace recorder every state's engine emits
-	// into: a traced decoder interprets and never consults the cache. No
-	// constructor sets it; it is nil on every serving decoder.
-	rec *trace.Recorder
 	// memBytes caps stateBytes, the bytes of the state regions this
 	// decoder holds (buildState).
 	memBytes, stateBytes int64
@@ -82,23 +78,14 @@ type BatchDecoder struct {
 	MaxIters  int
 	EarlyExit bool
 
-	// CompileGate, when non-nil, is consulted each time this decoder is
-	// about to install a compiled program for a block size (on the first
-	// decode of the size, and again after an eviction); returning false
-	// keeps this decoder's state for that size on the interpreter, as if
-	// the program had failed verification (the chaos hook for
-	// compile-verify failures). The veto is this decoder's alone: the
-	// shared program stays in the cache for every other decoder. Same
-	// single-goroutine rules as OnDecode.
-	CompileGate func(k int) bool
-
 	// Compile enables the compiled path: a block size's state is driven
 	// by the process-wide replay program for (K, width, strategy)
-	// (bit-identical to interpretation, no per-µop dispatch). It is read
-	// when a block size is first decoded. Defaults to true; with it off,
-	// and on a decoder with a trace recorder attached (replay emits no µops,
-	// which would silently starve the timing model), the decoder builds a
-	// private plan, interprets, and never consults the cache.
+	// (bit-identical to interpretation, no per-µop dispatch), and a size
+	// with no program fails every decode with the cached compile error.
+	// It is read when a block size is first decoded. Defaults to true;
+	// with it off the decoder builds a private plan, interprets, and never
+	// consults the cache — the reference the compiled path is measured
+	// and tested against.
 	Compile bool
 
 	// OnCompile, when non-nil, is called synchronously when a Decode of
@@ -116,11 +103,10 @@ type BatchDecoder struct {
 
 	// Program counters (see ProgramStats). compiledPlans is the number of
 	// states driven by a program: counted where one is installed and zeroed
-	// where EvictAll drops them all, so a worker can read the stats after
-	// every batch without walking the plan map.
-	progHits, progMisses, compiles uint64
-	compileNs                      int64
-	compiledPlans                  int
+	// where EvictAll drops them all.
+	compiles      uint64
+	compileNs     int64
+	compiledPlans int
 
 	// OnDecode, when non-nil, is called synchronously after every
 	// successful Decode with the block size, batch fill, iteration count
@@ -217,13 +203,16 @@ func regionBytes(pl *packedPlan) int64 { return (pl.size + 63) &^ 63 }
 // if no decoder has asked before, or built privately when this decoder
 // does not compile), then a region of its own — evicting every state
 // first if the regions would pass the budget — an engine over it, the
-// Go-side buffers, and the compiled program's execution state or the
-// interpreter. Scratch contents are rewritten on every decode, so
-// eviction never affects results — it only costs the rebuild.
+// Go-side buffers, and the compiled program's execution state or, on a
+// decoder that does not compile, the interpreter. A key the cache holds
+// as a compile error gets no state: the error is returned instead, on
+// this and every later decode of the size. Scratch contents are rewritten
+// on every decode, so eviction never affects results — it only costs the
+// rebuild.
 func (bd *BatchDecoder) buildState(p *decodePlan) error {
 	k := p.k
 	if p.plan == nil {
-		if bd.Compile && bd.rec == nil {
+		if bd.Compile {
 			var led bool
 			p.shared, led = sharedPlanFor(planKey{k, bd.w, bd.s})
 			p.plan, p.code = p.shared.packedPlan, p.shared.code
@@ -238,6 +227,9 @@ func (bd *BatchDecoder) buildState(p *decodePlan) error {
 			p.plan = newPackedPlan(c, bd.ar.Layout(bd.w), bd.w, bd.Lanes())
 		}
 	}
+	if p.shared != nil && p.shared.err != nil {
+		return p.shared.err
+	}
 	need := regionBytes(p.plan)
 	if need > bd.memBytes {
 		return fmt.Errorf("turbo: state budget too small for K=%d at %v (need %d bytes)", k, bd.w, need)
@@ -246,9 +238,9 @@ func (bd *BatchDecoder) buildState(p *decodePlan) error {
 		bd.EvictAll()
 	}
 	bd.stateBytes += need
-	e := simd.NewEngine(bd.w, simd.NewMemory(int(need)), bd.rec)
+	e := simd.NewEngine(bd.w, simd.NewMemory(int(need)), nil)
 	p.pst = newPackedState(e, bd.ar, p.plan)
-	if sp := p.shared; sp != nil && sp.prog != nil && (bd.CompileGate == nil || bd.CompileGate(k)) {
+	if sp := p.shared; sp != nil {
 		p.exec = sp.prog.NewExec(e.Mem, 0)
 		bd.compiledPlans++
 		bd.compiles++
@@ -267,7 +259,9 @@ func (bd *BatchDecoder) buildState(p *decodePlan) error {
 // fill-1 case of the same path. Results are bit-identical to decoding
 // each word alone, on the lane-parallel or the scalar decoder. The
 // returned slices are owned by the caller (they are fresh copies, safe
-// to retain across Decodes).
+// to retain across Decodes). It fails the whole batch, decoding nothing,
+// for a block size that is not valid or — on a decoder that compiles —
+// whose program did not compile, with an error naming the size.
 func (bd *BatchDecoder) Decode(k int, words []*LLRWord) ([][]byte, int, error) {
 	if len(words) == 0 {
 		return nil, 0, fmt.Errorf("turbo: empty batch")
@@ -288,14 +282,8 @@ func (bd *BatchDecoder) Decode(k int, words []*LLRWord) ([][]byte, int, error) {
 	var bits [][]byte
 	var iters int
 	if p.exec != nil {
-		bd.progHits++
 		bits, iters, err = bd.runCompiled(p, words)
 	} else {
-		if p.shared != nil {
-			// This decoder compiles, and this K is interpreted all the
-			// same: its program failed to compile or was vetoed here.
-			bd.progMisses++
-		}
 		p.dec.MaxIters, p.dec.EarlyExit = bd.MaxIters, bd.EarlyExit
 		bits, iters, err = p.dec.runPacked(p.pst, words)
 	}

@@ -10,7 +10,8 @@ import (
 // (K, width, strategy)'s fused replay program is emitted from the plan
 // once per process (emit.go, plancache.go) — for the paper's two
 // arrangements, extract and APCM; a plan of any other strategy has no
-// program and is interpreted — and runCompiled drives that program
+// program, and a decoder that compiles refuses its batches with the
+// cached error — and runCompiled drives that program
 // through the same iteration/early-exit protocol as
 // MultiSIMDDecoder.runPacked — producing bit-identical outputs without
 // per-µop interpretation.
@@ -31,12 +32,6 @@ import (
 // process-wide truth about compilation is PlanCacheStats; these say what
 // this decoder did with it.
 type ProgramStats struct {
-	// Hits counts Decodes served by compiled replay; Misses counts
-	// Decodes served by the interpreter while compilation was enabled:
-	// block sizes whose program failed to compile, or whose install
-	// CompileGate vetoed. No decode of a healthy decoder is a miss — a
-	// compile decodes no live block.
-	Hits, Misses uint64
 	// Compiles counts the programs this decoder installed: one for each
 	// block size it adopted from the process-wide cache, and one more each
 	// time an eviction made it install that size's program again.
@@ -55,8 +50,6 @@ type ProgramStats struct {
 // ProgramStats reports the decoder's program counters.
 func (bd *BatchDecoder) ProgramStats() ProgramStats {
 	return ProgramStats{
-		Hits:          bd.progHits,
-		Misses:        bd.progMisses,
 		Compiles:      bd.compiles,
 		CompileTime:   time.Duration(bd.compileNs),
 		CompiledPlans: bd.compiledPlans,

@@ -9,7 +9,6 @@ import (
 
 	"vransim/internal/core"
 	"vransim/internal/simd"
-	"vransim/internal/trace"
 )
 
 // TestCompiledMatchesInterpretedAndScalar: over widths, block sizes,
@@ -72,7 +71,7 @@ func testCompiledEveryBudget(t *testing.T) {
 						if err != nil {
 							t.Fatalf("%s: %v", label, err)
 						}
-						if st := bd.ProgramStats(); compile && st.Hits != 1 {
+						if st := bd.ProgramStats(); compile && st.CompiledPlans != 1 {
 							t.Fatalf("%s: the decode did not replay a compiled program: %+v", label, st)
 						}
 						return bits, slices.Clone(bd.BlockIters())
@@ -194,7 +193,7 @@ func TestCompileNeedsTwoIterations(t *testing.T) {
 	for round := 0; round < 3; round++ {
 		decode("MaxIters=1", 1)
 	}
-	if s := bd.ProgramStats(); s.Hits != 3 || s.Misses != 0 || s.CompiledPlans != 1 {
+	if s := bd.ProgramStats(); s.Compiles != 1 || s.CompiledPlans != 1 {
 		t.Errorf("one-iteration decodes were not served by the compiled program: %+v", s)
 	}
 
@@ -202,17 +201,17 @@ func TestCompileNeedsTwoIterations(t *testing.T) {
 	bd.MaxIters = 4
 	decode("MaxIters=4", 2)
 	decode("replay", 2)
-	if s := bd.ProgramStats(); s.Hits != 5 || s.Misses != 0 || s.Compiles != 1 {
-		t.Errorf("want 5 hits on one installed program; got %+v", s)
+	if s := bd.ProgramStats(); s.Compiles != 1 || s.CompiledPlans != 1 {
+		t.Errorf("want every decode on one installed program; got %+v", s)
 	}
 	if cs := PlanCacheStats(); cs.Compiles != 1 || cs.Failures != 0 {
 		t.Errorf("budgets 1 and 4 on one decoder: %d compiles (%d failures), want 1", cs.Compiles, cs.Failures)
 	}
 }
 
-// TestProgramStatsCounters pins the hit/miss/install accounting that the
-// serving metrics export, on the decoder that compiles a block size for
-// the process and on one that adopts it.
+// TestProgramStatsCounters pins the install accounting a probe reads, on
+// the decoder that compiles a block size for the process and on one that
+// adopts it.
 func TestProgramStatsCounters(t *testing.T) {
 	resetPlanCache()
 	const k = 104
@@ -240,8 +239,8 @@ func TestProgramStatsCounters(t *testing.T) {
 		}
 	}
 	s := bd.ProgramStats()
-	if s.Misses != 0 || s.Hits != 4 || s.Compiles != 1 || s.CompiledPlans != 1 {
-		t.Errorf("after 4 decodes: %+v, want 0 misses / 4 hits / 1 install / 1 plan", s)
+	if s.Compiles != 1 || s.CompiledPlans != 1 {
+		t.Errorf("after 4 decodes: %+v, want 1 install / 1 plan", s)
 	}
 	if s.CompileTime <= 0 {
 		t.Error("compile time not accounted")
@@ -257,7 +256,7 @@ func TestProgramStatsCounters(t *testing.T) {
 	if _, _, err := adopter.Decode(k, words); err != nil {
 		t.Fatal(err)
 	}
-	if a := adopter.ProgramStats(); a.Compiles != 1 || a.CompileTime != s.CompileTime || a.Hits != 1 || a.Misses != 0 {
+	if a := adopter.ProgramStats(); a.Compiles != 1 || a.CompileTime != s.CompileTime || a.CompiledPlans != 1 {
 		t.Errorf("adopting decoder: %+v, want 1 install carrying the compile time %v", a, s.CompileTime)
 	}
 	if hooked != 1 {
@@ -265,53 +264,6 @@ func TestProgramStatsCounters(t *testing.T) {
 	}
 	if cs := PlanCacheStats(); cs.Compiles != 1 || cs.CompileTime != s.CompileTime || cs.Failures != 0 {
 		t.Errorf("cache: %+v, want the one compile of %v", cs, s.CompileTime)
-	}
-}
-
-// TestTracedEngineStaysInterpreted: replay emits no µops, so a decoder
-// with a trace recorder must never take the compiled path — otherwise
-// experiment traces would silently lose their decode instruction stream.
-func TestTracedEngineStaysInterpreted(t *testing.T) {
-	resetPlanCache()
-	const k = 104
-	bd := &BatchDecoder{
-		w:         simd.W128,
-		rec:       trace.NewRecorder(1 << 20),
-		memBytes:  32 << 20,
-		ar:        core.ByStrategy(core.StrategyAPCM),
-		plans:     make(map[int]*decodePlan),
-		MaxIters:  4,
-		EarlyExit: true,
-		Compile:   true,
-	}
-	c, err := bd.Code(k)
-	if err != nil {
-		t.Fatal(err)
-	}
-	words, truth := buildWords(t, c, bd.Lanes(), 61, true)
-	before := bd.rec.Len()
-	for round := 0; round < 3; round++ {
-		bits, _, err := bd.Decode(k, words)
-		if err != nil {
-			t.Fatal(err)
-		}
-		after := bd.rec.Len()
-		if after <= before {
-			t.Fatalf("round %d: traced decode emitted no µops (%d -> %d)", round, before, after)
-		}
-		before = after
-		for b := range words {
-			if !equalBits(bits[b], truth[b]) {
-				t.Errorf("round %d block %d: wrong bits", round, b)
-			}
-		}
-	}
-	s := bd.ProgramStats()
-	if s.Compiles != 0 || s.CompiledPlans != 0 || s.Hits != 0 || s.Misses != 0 {
-		t.Errorf("traced engine took the compiled path: %+v", s)
-	}
-	if cs := PlanCacheStats(); cs != (CacheStats{}) {
-		t.Errorf("traced engine consulted the plan cache: %+v", cs)
 	}
 }
 

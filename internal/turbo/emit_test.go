@@ -240,3 +240,34 @@ func TestEmittedDecodesLikeInterpreter(t *testing.T) {
 	}
 	t.Logf("%d configurations on %d executors; gather pools of %d to %d vectors", len(configs), len(natives), slices.Min(pools), slices.Max(pools))
 }
+
+// TestEveryServedKeyCompiles: every key a serving decoder can be asked for
+// — each LTE block size at each width, under both arrangements the
+// emitter writes — emits a program that stays inside its plan's state
+// region. A key that did not would fail every batch of its size. The
+// programs are emitted directly, so the process-wide cache keeps none of
+// them. APCM runs at every size here; extract, which takes some three
+// times as long, joins it under -emit.all.
+func TestEveryServedKeyCompiles(t *testing.T) {
+	strategies := []core.Strategy{core.StrategyAPCM}
+	if *emitAll {
+		strategies = append(strategies, core.StrategyExtract)
+	}
+	for _, s := range strategies {
+		for _, w := range simd.Widths {
+			t.Run(fmt.Sprintf("%v/%v", s, w), func(t *testing.T) {
+				t.Parallel()
+				for _, k := range BlockSizes {
+					pl := strategyPlan(t, s, w, k)
+					prog, err := emitProgram(pl, s)
+					if err == nil {
+						err = pl.checkExtent(prog)
+					}
+					if err != nil {
+						t.Errorf("K=%d: %v", k, err)
+					}
+				}
+			})
+		}
+	}
+}

@@ -230,97 +230,11 @@ func TestEvictAll(t *testing.T) {
 			t.Errorf("post-eviction block %d: wrong bits", b)
 		}
 	}
-	if s := bd.ProgramStats(); s.Compiles != 2 || s.CompiledPlans != 1 || s.Misses != 0 {
+	if s := bd.ProgramStats(); s.Compiles != 2 || s.CompiledPlans != 1 {
 		t.Errorf("post-eviction decode did not install the program again: %+v", s)
 	}
 	if cs := PlanCacheStats(); cs.Compiles != 1 {
 		t.Errorf("%d compiles across an eviction, want 1", cs.Compiles)
-	}
-}
-
-// TestCompileGate: a rejecting gate forces this decoder onto the
-// interpreter exactly like a verify failure — no program installed, the
-// veto latched until an eviction, decodes bit-exact against the scalar
-// decoder — and poisons nothing: the shared program stays cached and the
-// next decoder gets it without a compile. The veto hits a size whose plan
-// compiled before this decoder met it, so the plan holds no interpreter
-// tables: the fallback builds them. An accepting gate changes nothing.
-func TestCompileGate(t *testing.T) {
-	resetPlanCache()
-	const k = 104
-	if err := Precompile(simd.W128, core.StrategyAPCM, k); err != nil {
-		t.Fatal(err)
-	}
-	sp, _ := sharedPlanFor(planKey{k, simd.W128, core.StrategyAPCM})
-	if sp.interp != nil {
-		t.Fatal("the compiled plan kept interpreter tables")
-	}
-	bd := NewBatchDecoder(simd.W128, core.StrategyAPCM, 32<<20)
-	bd.MaxIters = 4
-	gated := 0
-	bd.CompileGate = func(gk int) bool {
-		if gk != k {
-			t.Errorf("gate consulted for K=%d, want %d", gk, k)
-		}
-		gated++
-		return false
-	}
-	c, err := bd.Code(k)
-	if err != nil {
-		t.Fatal(err)
-	}
-	words, _ := buildWords(t, c, bd.Lanes(), 95, false)
-	oracle := scalarDecode(t, c, words, bd.MaxIters)
-	for i := 0; i < 3; i++ {
-		bits, _, err := bd.Decode(k, words)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for b := range words {
-			if !equalBits(bits[b], oracle[b]) {
-				t.Errorf("decode %d block %d: gated fallback differs from the scalar decoder", i, b)
-			}
-		}
-	}
-	if sp.interp == nil || bd.plans[k].pst.interpTables != sp.interp {
-		t.Error("the fallback did not interpret on the plan's rebuilt tables")
-	}
-	if gated != 1 {
-		t.Errorf("gate consulted %d times, want 1 (the veto must latch)", gated)
-	}
-	s := bd.ProgramStats()
-	if s.Compiles != 0 || s.CompiledPlans != 0 || s.Hits != 0 || bd.PlanProgram(k) != nil {
-		t.Errorf("vetoed install still produced a program: %+v", s)
-	}
-	if s.Misses != 3 {
-		t.Errorf("want 3 interpreter misses, got %+v", s)
-	}
-	// The gate is asked again when an eviction makes the decoder install
-	// again, and a veto then is as good as one before.
-	bd.EvictAll()
-	if _, _, err := bd.Decode(k, words); err != nil {
-		t.Fatal(err)
-	}
-	if gated != 2 || bd.ProgramStats().Misses != 4 {
-		t.Errorf("after an eviction: gate consulted %d times, %d misses; want 2 and 4", gated, bd.ProgramStats().Misses)
-	}
-	if cs := PlanCacheStats(); cs.Compiles != 1 || cs.Failures != 0 {
-		t.Errorf("a veto on one decoder left the cache at %+v, want the one good compile", cs)
-	}
-
-	ok := NewBatchDecoder(simd.W128, core.StrategyAPCM, 32<<20)
-	ok.MaxIters = 4
-	ok.CompileGate = func(int) bool { return true }
-	for i := 0; i < 2; i++ {
-		if _, _, err := ok.Decode(k, words); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if s := ok.ProgramStats(); s.Compiles != 1 || s.Hits != 2 || s.Misses != 0 {
-		t.Errorf("accepting gate perturbed the install: %+v", s)
-	}
-	if cs := PlanCacheStats(); cs.Compiles != 1 {
-		t.Errorf("the decoder after the vetoed one compiled again: %+v", cs)
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math/bits"
 	"slices"
-	"sync"
 
 	"vransim/internal/core"
 	"vransim/internal/simd"
@@ -63,9 +62,12 @@ type regionLayout struct {
 // packedPlan is everything about a packed decode that is a pure function
 // of (K, width, strategy): the code, the shape and size of the state
 // region, the hard-decision map and, once an interpreted decode needs
-// them, the index tables. It is immutable once newPackedPlan returns but
-// for that one build, so one serves every decoder of a process that
-// decodes that triple (plancache.go), each over a region of its own.
+// them, the index tables. A plan no decoder interprets is immutable once
+// newPackedPlan returns, so one serves every decoder of a process that
+// decodes that triple (plancache.go), each over a region of its own, and
+// each replaying its program. A plan that is interpreted is private to the
+// one decoder that built it, which adds the tables on its first
+// interpreted decode.
 type packedPlan struct {
 	code *Code
 	w    simd.Width
@@ -90,8 +92,7 @@ type packedPlan struct {
 	// interp holds the tables only the interpreter reads, built on the
 	// first interpreted decode of the plan (interpreterTables): a plan
 	// whose decoders all replay its program never holds them.
-	interpOnce sync.Once
-	interp     *interpTables
+	interp *interpTables
 }
 
 // interpTables are the index tables of a packed decode that only the
@@ -224,9 +225,11 @@ func newPackedState(e *simd.Engine, ar core.Arranger, pl *packedPlan) *packedSta
 }
 
 // interpreterTables returns the plan's interpreter tables, building them
-// the first time any decoder asks. Safe for concurrent use.
+// the first time its decoder asks.
 func (pl *packedPlan) interpreterTables() *interpTables {
-	pl.interpOnce.Do(func() { pl.interp = pl.newInterpTables() })
+	if pl.interp == nil {
+		pl.interp = pl.newInterpTables()
+	}
 	return pl.interp
 }
 

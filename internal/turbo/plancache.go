@@ -23,14 +23,14 @@ import (
 // caller asks for the key first; callers that arrive while that flight is
 // up wait for it instead of compiling their own. The program is emitted
 // from the plan itself (emit.go), for the paper's two arrangements; no
-// engine runs and no word is decoded, so the plan holds no interpreter
-// tables until a decoder interprets it (packedPlan.interpreterTables).
+// engine runs and no word is decoded, and no decoder ever interprets a
+// shared plan, so it holds no interpreter tables.
 //
 // A key that cannot compile — one whose strategy the emitter does not
-// cover (Emits) — is cached too, as its error: every decoder
-// learns it from the one attempt and serves that K interpreted (counted as
-// program misses, which a serving runtime without chaos configured turns
-// into an unhealthy /healthz), instead of each worker compiling it again.
+// cover (Emits) — is cached too, as its error: every decoder learns it
+// from the one attempt and fails each batch of that K with it, instead of
+// each worker compiling it again. A serving binary meets the error at
+// start-up (Precompile) and refuses to start.
 // Nothing is ever evicted: a W512 entry is about 0.04 MB at K=512 and
 // 0.39 MB at K=6144 (all 188 LTE sizes 25 MB), and the key space is the
 // block sizes a deployment serves. A
@@ -50,7 +50,8 @@ type planKey struct {
 type sharedPlan struct {
 	*packedPlan
 	// prog is the compiled replay program, nil when err says why there is
-	// none. compileTime is what compiling it took: the whole emission.
+	// none; err names the key. compileTime is what compiling it took: the
+	// whole emission.
 	prog        *program.Program
 	err         error
 	compileTime time.Duration
@@ -101,7 +102,8 @@ func PlanCacheStats() CacheStats {
 // of the process meets them cold: a serving binary calls it with the
 // sizes its configuration names before it admits traffic. Sizes already
 // cached cost nothing. It reports the sizes that are not valid or did not
-// compile; those still decode, interpreted.
+// compile: a decoder that compiles fails every batch of those, so a
+// serving binary refuses to start on this error.
 func Precompile(w simd.Width, s core.Strategy, ks ...int) error {
 	var errs []error
 	for _, k := range ks {
@@ -110,7 +112,7 @@ func Precompile(w simd.Width, s core.Strategy, ks ...int) error {
 			continue
 		}
 		if sp, _ := sharedPlanFor(planKey{k, w, s}); sp.err != nil {
-			errs = append(errs, fmt.Errorf("turbo: K=%d at %v/%v does not compile: %w", k, w, s, sp.err))
+			errs = append(errs, sp.err)
 		}
 	}
 	return errors.Join(errs...)
@@ -156,6 +158,7 @@ func buildSharedPlan(key planKey) *sharedPlan {
 	}
 	if sp.err != nil {
 		sp.prog = nil
+		sp.err = fmt.Errorf("turbo: K=%d at %v/%v does not compile: %w", key.k, key.w, key.s, sp.err)
 		planCache.failures.Add(1)
 	} else {
 		planCache.compiles.Add(1)

@@ -71,8 +71,8 @@ func TestSharedPlanCompiledOnce(t *testing.T) {
 					}
 				}
 			}
-			if s := bd.ProgramStats(); s.Hits != 3 || s.Misses != 0 || s.Compiles != 1 {
-				t.Errorf("worker %d: %+v, want 3 hits on one installed program", i, s)
+			if s := bd.ProgramStats(); s.Compiles != 1 || s.CompiledPlans != 1 {
+				t.Errorf("worker %d: %+v, want one installed program", i, s)
 			}
 			progs[i] = bd.PlanProgram(k)
 		}(i)
@@ -171,10 +171,12 @@ func TestSharedProgramIsImmutable(t *testing.T) {
 }
 
 // TestSharedCompileFailureIsCached: a (K, width, strategy) that cannot
-// compile is attempted once, cached as its error, and served interpreted —
-// correctly — by every decoder, each decode a counted miss; Precompile
-// names it. The strategy is one the emitter does not cover. The failure is
-// the key's alone: the same size under a strategy it covers compiles.
+// compile is attempted once and cached as its error, and a decoder that
+// compiles fails every batch of it with that one error — naming the size
+// and the strategy — decoding nothing and building no state; Precompile
+// names it too. The strategy is one the emitter does not cover, and a
+// decoder that does not compile still interprets it correctly. The failure
+// is the key's alone: the same size under a strategy it covers compiles.
 func TestSharedCompileFailureIsCached(t *testing.T) {
 	resetPlanCache()
 	t.Cleanup(resetPlanCache)
@@ -187,27 +189,43 @@ func TestSharedCompileFailureIsCached(t *testing.T) {
 		t.Fatal(err)
 	}
 	words, truth := buildWords(t, c, BlocksPerRegister(simd.W256), 77, true)
+	var cached error
 	for i := 0; i < 3; i++ {
 		bd := NewBatchDecoder(simd.W256, s, 32<<20)
 		bd.MaxIters = 4
 		bd.OnCompile = func(int, time.Duration) { t.Error("OnCompile fired for a failed compile") }
+		bd.OnDecode = func(int, int, int, time.Duration) { t.Error("OnDecode fired for a failed batch") }
 		for round := 0; round < 2; round++ {
 			bits, _, err := bd.Decode(k, words)
-			if err != nil {
-				t.Fatal(err)
+			if err == nil || bits != nil {
+				t.Fatalf("decoder %d round %d: a size with no program decoded (%d blocks, err %v)", i, round, len(bits), err)
 			}
-			for b := range bits {
-				if !equalBits(bits[b], truth[b]) {
-					t.Errorf("decoder %d round %d block %d: wrong bits on the interpreter", i, round, b)
+			if cached == nil {
+				cached = err
+				if !strings.Contains(err.Error(), "K=40") || !strings.Contains(err.Error(), s.String()) {
+					t.Errorf("the error does not name the size and the strategy: %v", err)
 				}
+			} else if err != cached {
+				t.Errorf("decoder %d round %d: %v, want the cached error %v", i, round, err, cached)
 			}
 		}
-		if s := bd.ProgramStats(); s.Misses != 2 || s.Hits != 0 || s.Compiles != 0 || s.CompiledPlans != 0 {
-			t.Errorf("decoder %d: %+v, want 2 misses and nothing installed", i, s)
+		if s := bd.ProgramStats(); s.Compiles != 0 || s.CompiledPlans != 0 || bd.plans[k].pst != nil {
+			t.Errorf("decoder %d: %+v, want nothing installed and no state", i, s)
 		}
 	}
 	if cs := PlanCacheStats(); cs.Failures != 1 || cs.Compiles != 0 {
 		t.Errorf("three decoders on a size that cannot compile: %+v, want one cached failure", cs)
+	}
+	interp := NewBatchDecoder(simd.W256, s, 32<<20)
+	interp.MaxIters, interp.Compile = 4, false
+	bits, _, err := interp.Decode(k, words)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for b := range bits {
+		if !equalBits(bits[b], truth[b]) {
+			t.Errorf("block %d: wrong bits on the interpreter", b)
+		}
 	}
 	err = Precompile(simd.W256, s, k, 41)
 	if err == nil || !strings.Contains(err.Error(), "K=40") || !strings.Contains(err.Error(), "block size 41") ||
@@ -248,7 +266,7 @@ func TestPrecompile(t *testing.T) {
 	if !equalBits(bits[0], truth[0]) {
 		t.Error("wrong bits")
 	}
-	if s := bd.ProgramStats(); s.Hits != 1 || s.Compiles != 1 {
+	if s := bd.ProgramStats(); s.CompiledPlans != 1 || s.Compiles != 1 {
 		t.Errorf("first decode of a precompiled size: %+v", s)
 	}
 	if err := Precompile(simd.W128, core.StrategyAPCM, 104); err != nil {
@@ -279,72 +297,5 @@ func TestServingPlansAreNativeOnly(t *testing.T) {
 		if gp != sp || led || PlanCacheStats().Compiles != before {
 			t.Errorf("K=%d: with the native kernel off the cache compiled again (same entry: %v, led: %v)", k, gp == sp, led)
 		}
-	}
-}
-
-// TestConcurrentVetoBuildsTablesOnce: decoders whose CompileGate vetoes a
-// compiled plan's program meet it at the same moment. The compile left the
-// plan no interpreter tables; they are built again exactly once, every
-// decoder's state interprets on that one set, and every decode is
-// bit-exact against the scalar decoder. Under -race this is the proof that
-// the build publishes the tables safely to the decoders that did not make
-// it.
-func TestConcurrentVetoBuildsTablesOnce(t *testing.T) {
-	resetPlanCache()
-	const k, workers, maxIters = 104, 4, 4
-	if err := Precompile(simd.W512, core.StrategyAPCM, k); err != nil {
-		t.Fatal(err)
-	}
-	sp, _ := sharedPlanFor(planKey{k, simd.W512, core.StrategyAPCM})
-	if sp.interp != nil {
-		t.Fatal("the compiled plan kept interpreter tables")
-	}
-	type job struct {
-		words []*LLRWord
-		want  [][]byte
-	}
-	jobs := make([]job, workers)
-	for i := range jobs {
-		words, _ := buildWords(t, sp.code, BlocksPerRegister(simd.W512), int64(6000+i), false)
-		jobs[i] = job{words, scalarDecode(t, sp.code, words, maxIters)}
-	}
-	start := make(chan struct{})
-	tabs := make([]*interpTables, workers)
-	var wg sync.WaitGroup
-	for i := range jobs {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			bd := NewBatchDecoder(simd.W512, core.StrategyAPCM, 32<<20)
-			bd.MaxIters = maxIters
-			bd.CompileGate = func(int) bool { return false }
-			<-start
-			for round := 0; round < 2; round++ {
-				bits, _, err := bd.Decode(k, jobs[i].words)
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				for b := range bits {
-					if !equalBits(bits[b], jobs[i].want[b]) {
-						t.Errorf("worker %d round %d block %d: differs from the scalar decoder", i, round, b)
-					}
-				}
-			}
-			if s := bd.ProgramStats(); s.Misses != 2 || s.Hits != 0 {
-				t.Errorf("worker %d: %+v, want 2 interpreted decodes", i, s)
-			}
-			tabs[i] = bd.plans[k].pst.interpTables
-		}(i)
-	}
-	close(start)
-	wg.Wait()
-	for i, tb := range tabs {
-		if tb == nil || tb != sp.interp {
-			t.Errorf("worker %d interpreted on tables %p, the plan holds %p", i, tb, sp.interp)
-		}
-	}
-	if cs := PlanCacheStats(); cs.Compiles != 1 || cs.Failures != 0 {
-		t.Errorf("vetoes changed the cache: %+v, want the one compile", cs)
 	}
 }

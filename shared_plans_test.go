@@ -72,8 +72,8 @@ func TestOneCompilePerProcess(t *testing.T) {
 		if want := uint64(2 * len(sizes) * perSize); s.Delivered != want {
 			t.Errorf("%s runtime delivered %d of %d", name, s.Delivered, want)
 		}
-		if s.ProgramMisses != 0 {
-			t.Errorf("%s runtime: %d batches decoded by the interpreter (latest K=%d)", name, s.ProgramMisses, s.ProgramMissK)
+		if s.Drops[ran.DropDecode] != 0 {
+			t.Errorf("%s runtime: %d blocks refused by the decoder", name, s.Drops[ran.DropDecode])
 		}
 	}
 	if wrong.Load() != 0 {

@@ -10,9 +10,10 @@
 // slice of width-specialized ops in which the packed decode stream's hot
 // patterns — whole alpha and beta trellis steps, quad branch-metric
 // scatters, interleave gathers, the extrinsic group — are single fused
-// ops, and runs of them that repeat with their addresses moving by fixed
-// strides are loops (roll.go), and then lowered to a descriptor stream
-// that runs them directly over a state region.
+// ops, and each run the caller states as a Loop is a loop when its trips
+// repeat trip 0 with their addresses moving by fixed strides (loop.go),
+// and then lowered to a descriptor stream that runs them directly over a
+// state region.
 //
 // There is one compiler. An Emitter (emit.go) is handed the ops by a
 // caller that describes the decode from its plan, fused ops whole, with no
@@ -95,7 +96,7 @@ const (
 	mAlphaStepP  // load quad + 4 vpermw + 2 padds + pmax + norm + store: alpha step
 	mBetaStepP   // beta recursion step, optionally with fused posterior extract
 
-	// mLoop heads a loop the roller folded (roll.go): n body ops follow,
+	// mLoop heads a loop Emitter.Loop wrote (loop.go): n body ops follow,
 	// run imm times; its aux holds a stride per address of the body.
 	mLoop
 

@@ -84,6 +84,25 @@ func TestFirstSegmentIsThePrefix(t *testing.T) {
 	}
 }
 
+// TestExtractStreamIsAPCMSized: both arrangements' groups are a Loop of
+// the plan's groups, so the extract program, whose W256 and W512 group is
+// 54 and 114 ops, is about as long as APCM's, whose group is 24: the
+// prefix is a loop of one group whatever K, and the iteration is the same
+// in both. An extract group written out group by group, 7.15 times APCM's
+// stream at W512 K=6144, is over.
+func TestExtractStreamIsAPCMSized(t *testing.T) {
+	for _, w := range []simd.Width{simd.W256, simd.W512} {
+		for _, k := range []int{2048, 6144} {
+			ext := packedPlan(t, core.StrategyExtract, w, k).StreamBytes()
+			apcm := packedPlan(t, core.StrategyAPCM, w, k).StreamBytes()
+			if 10*ext > 11*apcm {
+				t.Errorf("%v/K=%d: the extract streams hold %d bytes, %.2f times APCM's %d; want at most 1.1",
+					w, k, ext, float64(ext)/float64(apcm), apcm)
+			}
+		}
+	}
+}
+
 // packedPlan returns the replay program of the serving decoder's packed
 // plan for one (strategy, width, K). The process-wide plan cache compiles
 // each once per test binary.

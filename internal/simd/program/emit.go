@@ -26,9 +26,9 @@ type Emitter struct {
 	w     simd.Width
 	lanes int
 
-	p    *Program
-	roll *roller // the segment being emitted
-	seg  int
+	p   *Program
+	out []mop // the segment being emitted
+	seg int
 
 	tabIDs map[*int32]int32
 	// recent caches tabIDs, direct-mapped by address: a trellis step names
@@ -40,19 +40,15 @@ type Emitter struct {
 		id int32
 	}
 	nregs int
-	// ops counts the ops appended, loops unrolled: what Loop compares the
-	// roller's open body with.
-	ops int
-	err error
+	err   error
 }
 
 // Emit builds the program walk describes. walk emits SegFirst, the prefix,
-// calls Steady, and emits SegSteady, one iteration. Every op goes through
-// the roller as it is appended, and a Loop adds the trips past those the
-// roller needed to fold it as a count, so no segment is ever held
-// unrolled. The result is finished — validated, given its live masks and
-// extent, and lowered to descriptor streams — by the one validator and
-// the one lowering (finish).
+// calls Steady, and emits SegSteady, one iteration. A run the walk states
+// as a Loop is written as a loop of its trip count when its trips repeat,
+// so no segment is held unrolled. The result is finished — validated,
+// given its live masks and extent, and lowered to descriptor streams — by
+// the one validator and the one lowering (finish).
 func Emit(w simd.Width, walk func(*Emitter)) (*Program, error) {
 	p, err := emit(w, walk)
 	if err != nil {
@@ -64,7 +60,7 @@ func Emit(w simd.Width, walk func(*Emitter)) (*Program, error) {
 // emit is Emit up to the fused segments: walk's program, not finalized.
 func emit(w simd.Width, walk func(*Emitter)) (*Program, error) {
 	p := &Program{w: w, lanes: w.Lanes16()}
-	e := &Emitter{w: w, lanes: p.lanes, p: p, roll: newRoller(p), tabIDs: make(map[*int32]int32)}
+	e := &Emitter{w: w, lanes: p.lanes, p: p, tabIDs: make(map[*int32]int32)}
 	walk(e)
 	if e.err == nil && e.seg != SegSteady {
 		e.fail("Steady never called")
@@ -72,7 +68,7 @@ func emit(w simd.Width, walk func(*Emitter)) (*Program, error) {
 	if e.err != nil {
 		return nil, e.err
 	}
-	p.segs[SegSteady] = e.roll.flush()
+	p.segs[SegSteady] = slices.Clip(e.out)
 	p.nregs = int32(e.nregs * regStride)
 	return p, nil
 }
@@ -83,26 +79,77 @@ func (e *Emitter) Steady() {
 		e.fail("Steady called twice")
 		return
 	}
-	e.p.segs[SegFirst] = e.roll.flush()
-	e.roll, e.seg = newRoller(e.p), SegSteady
+	e.p.segs[SegFirst] = slices.Clip(e.out)
+	e.out, e.seg = nil, SegSteady
 }
 
 // Loop emits trips trips of a loop: body(t) emits trip t, which must be
-// trip 0 with each address moved by t times a stride of its own. Once the
-// roller has folded the trips emitted so far into a loop of one trip's
-// ops, opened during this call, the remaining trips join it as a count:
-// the program is the one the trips emitted op by op roll to, for a few
-// trips' cost whatever the count.
+// trip 0 with each address moved by t times a stride of its own. Loop
+// emits trips 0, 1 and the last. When both later ones have trip 0's shape
+// and the last one's addresses are where trip 1's strides take trip 0's,
+// the loop is an mLoop op and trip 0's ops (loop.go), for three trips'
+// cost whatever the count. Otherwise, and for fewer than two trips or a
+// body that holds a loop of its own, every trip is emitted as it is, in
+// order.
 func (e *Emitter) Loop(trips int, body func(t int)) {
-	from := len(e.roll.out)
-	for t := 0; t < trips; t++ {
-		ops := e.ops
+	if trips < 2 {
+		for t := range trips {
+			body(t)
+		}
+		return
+	}
+	at := len(e.out)
+	body(0)
+	n, aux0 := len(e.out)-at, len(e.p.aux)
+	body(1)
+	ops1, aux1 := len(e.out), len(e.p.aux)
+	if trips > 2 {
+		body(trips - 1)
+	}
+	if e.fold(at, n, aux0, trips) {
+		return
+	}
+	// The last trip is emitted again in its place. A table or pattern it
+	// named stays interned: only its place in the pools moves.
+	e.out, e.p.aux = e.out[:ops1], e.p.aux[:aux1]
+	for t := 2; t < trips; t++ {
 		body(t)
-		if n, head, ok := e.roll.openBody(); ok && n == e.ops-ops && head >= from {
-			e.roll.extend(trips - t - 1)
-			return
+	}
+}
+
+// fold makes the trips emitted from out[at] on — trip 0, n ops whose aux
+// words end at aux0, then trip 1 and, past two trips, the last — one loop
+// of trips trips, and reports whether they are one.
+func (e *Emitter) fold(at, n, aux0, trips int) bool {
+	ops := e.out[at:]
+	if n == 0 || len(ops) != n*min(trips, 3) {
+		return false
+	}
+	t0, t1, last := ops[:n], ops[n:2*n], ops[len(ops)-n:]
+	var addrs [3][]int64
+	for i := range t0 {
+		w0 := e.p.words(&t0[i])
+		for j, op := range [3]*mop{&t0[i], &t1[i], &last[i]} {
+			w := e.p.words(op)
+			if op.kind == mLoop || !sameShape(&t0[i], w0, op, w) {
+				return false
+			}
+			addrs[j] = appendAddrs(addrs[j], op, w)
 		}
 	}
+	for j, a := range addrs[0] {
+		if addrs[2][j] != a+int64(trips-1)*(addrs[1][j]-a) {
+			return false
+		}
+	}
+	// The strides follow trip 0's aux words, in place of the later trips'.
+	e.p.aux = e.p.aux[:aux0]
+	for j, a := range addrs[0] {
+		e.p.aux = append(e.p.aux, int32(addrs[1][j]-a))
+	}
+	hd := mop{kind: mLoop, n: int32(n), imm: int64(trips), tab: int32(aux0)}
+	e.out = slices.Insert(e.out[:at+n], at, hd)
+	return true
 }
 
 func (e *Emitter) fail(format string, args ...any) {
@@ -111,10 +158,14 @@ func (e *Emitter) fail(format string, args ...any) {
 	}
 }
 
-// put appends op, with its aux words, to the current segment.
+// put appends op to the current segment, the aux words of a fused op to
+// the pool.
 func (e *Emitter) put(op mop, words []int32) {
-	e.roll.push(op, words)
-	e.ops++
+	if op.kind >= firstFused {
+		op.tab = int32(len(e.p.aux))
+		e.p.aux = append(e.p.aux, words...)
+	}
+	e.out = append(e.out, op)
 }
 
 // reg is r's lane offset, -1 for an absent operand (r < 0).

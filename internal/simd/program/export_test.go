@@ -23,6 +23,10 @@ func FusedKinds() []string {
 	return names
 }
 
+// StreamBytes is the size of p's descriptor streams, both segments, in
+// bytes.
+func (p *Program) StreamBytes() int { return 4 * (len(p.code[SegFirst]) + len(p.code[SegSteady])) }
+
 // recordOf is the fused kind each record kind runs.
 var recordOf = map[uint32]uint8{
 	nExtVec:       mExtVec,

@@ -41,17 +41,18 @@ func eachKernel(t *testing.T, f func(t *testing.T)) {
 }
 
 // opHarness builds small programs op by op for the differential tests of
-// the two executors. Arena lines sit 192 bytes apart so every line has at
-// least 64 canary bytes either side, and the arena ends exactly where the
-// last line does, with 64 more canary bytes behind it that are no part of
-// the arena: a record that touched a byte past an L-lane line trips one.
+// the two executors, through an Emitter, whose Loop writes its loops.
+// Arena lines sit 192 bytes apart so every line has at least 64 canary
+// bytes either side, and the arena ends exactly where the last line does,
+// with 64 more canary bytes behind it that are no part of the arena: a
+// record that touched a byte past an L-lane line trips one.
 type opHarness struct {
 	rng  *rand.Rand
 	L    int
 	p    *Program
+	e    *Emitter
 	nreg int
 	nlin int
-	ops  []mop
 	// outLines and outRegs are the lines and registers the ops write under
 	// the lane mask: what the canary checks look beside.
 	outLines []int64
@@ -59,7 +60,8 @@ type opHarness struct {
 }
 
 func newOpHarness(w simd.Width, rng *rand.Rand) *opHarness {
-	return &opHarness{rng: rng, L: w.Lanes16(), p: &Program{w: w, lanes: w.Lanes16()}}
+	p := &Program{w: w, lanes: w.Lanes16()}
+	return &opHarness{rng: rng, L: p.lanes, p: p, e: &Emitter{w: w, lanes: p.lanes, p: p}}
 }
 
 func (h *opHarness) reg() int64 { h.nreg++; return int64(h.nreg-1) * regStride }
@@ -100,13 +102,13 @@ func (h *opHarness) tab() int64 {
 	return int64(len(h.p.idxTabs) - 1)
 }
 
-// push appends an op whose operands live in the aux pool.
+// push appends an op, a fused op's operands in aux.
 func (h *opHarness) push(op mop, aux ...int64) {
-	op.tab = int32(len(h.p.aux))
-	for _, x := range aux {
-		h.p.aux = append(h.p.aux, int32(x))
+	words := make([]int32, len(aux))
+	for i, x := range aux {
+		words[i] = int32(x)
 	}
-	h.ops = append(h.ops, op)
+	h.e.put(op, words)
 }
 
 // fill draws lanes: all at or next to +-32768 when pinned is set, so every
@@ -122,26 +124,12 @@ func (h *opHarness) fill(xs []int16, pinned bool) {
 	}
 }
 
-// roll passes ops, whose aux words are in p.aux, through the roller as the
-// Emitter appends them.
-func (p *Program) roll(ops []mop) []mop {
-	r := newRoller(p)
-	for i := range ops {
-		var words []int32
-		if ops[i].kind >= firstFused {
-			words = slices.Clone(p.aux[ops[i].tab:][:auxLen(&ops[i])])
-		}
-		r.push(ops[i], words)
-	}
-	return r.flush()
-}
-
 // newTestExec is an Exec over regs and mem on the executor named.
 func (p *Program) newTestExec(regs, mem []int16, native bool) *Exec {
 	return &Exec{p: p, regs: regs, m: mem, native: native}
 }
 
-// diff rolls and finalizes the program, runs its one stream on identical random
+// diff finalizes the program, runs its one stream on identical random
 // state through both executors and compares the whole register file and
 // every arena byte, then checks the canaries of each run directly: the 64
 // bytes either side of every written line and lanes >= L of every register
@@ -150,7 +138,7 @@ func (h *opHarness) diff(t *testing.T, pinned bool) {
 	t.Helper()
 	p := h.p
 	p.nregs = int32(h.nreg * regStride)
-	p.segs[SegSteady] = p.roll(h.ops)
+	p.segs[SegSteady] = h.e.out
 	if err := p.finalize(); err != nil {
 		t.Fatalf("finalize: %v", err)
 	}
@@ -234,28 +222,28 @@ func TestNativeLaneOpsMatchGo(t *testing.T) {
 				dst, masked := h.reg(), true
 				switch kind {
 				case mClear, mBcastImm:
-					h.ops = append(h.ops, mop{kind: kind, d: int32(dst), imm: int64(rng.Intn(1<<17)) - 1<<16})
+					h.push(mop{kind: kind, d: int32(dst), imm: int64(rng.Intn(1<<17)) - 1<<16})
 					masked = kind == mBcastImm
 				case mAddS, mSubS, mAnd, mOr, mXor:
-					h.ops = append(h.ops, mop{kind: kind, d: int32(dst), a: int32(src()), b: int32(src())})
+					h.push(mop{kind: kind, d: int32(dst), a: int32(src()), b: int32(src())})
 				case mSra:
-					h.ops = append(h.ops, mop{kind: kind, d: int32(dst), a: int32(src()), imm: shifts[rng.Intn(len(shifts))]})
+					h.push(mop{kind: kind, d: int32(dst), a: int32(src()), imm: shifts[rng.Intn(len(shifts))]})
 				case mSetImm:
-					h.ops = append(h.ops, mop{kind: kind, d: int32(dst), tab: int32(rng.Intn(len(h.p.lanePats)))})
+					h.push(mop{kind: kind, d: int32(dst), tab: int32(rng.Intn(len(h.p.lanePats)))})
 					masked = false
 				case mExt128:
-					h.ops = append(h.ops, mop{kind: kind, d: int32(dst), a: int32(src()), imm: int64(rng.Intn(4))})
+					h.push(mop{kind: kind, d: int32(dst), a: int32(src()), imm: int64(rng.Intn(4))})
 					masked = false
 				case mExt256:
-					h.ops = append(h.ops, mop{kind: kind, d: int32(dst), a: int32(src()), imm: int64(rng.Intn(2))})
+					h.push(mop{kind: kind, d: int32(dst), a: int32(src()), imm: int64(rng.Intn(2))})
 					masked = false
 				case mLoad:
-					h.ops = append(h.ops, mop{kind: kind, d: int32(dst), addr: line(), imm: int64(2 * rng.Intn(h.L+1))})
+					h.push(mop{kind: kind, d: int32(dst), addr: line(), imm: int64(2 * rng.Intn(h.L+1))})
 					masked = false
 				case mStore:
-					h.ops = append(h.ops, mop{kind: kind, a: int32(src()), addr: h.outLine(), imm: int64(2 * rng.Intn(h.L+1))})
+					h.push(mop{kind: kind, a: int32(src()), addr: h.outLine(), imm: int64(2 * rng.Intn(h.L+1))})
 				case mExtrW:
-					h.ops = append(h.ops, mop{kind: kind, a: int32(src()), addr: h.outLine() + int64(2*rng.Intn(h.L)), imm: int64(rng.Intn(regStride))})
+					h.push(mop{kind: kind, a: int32(src()), addr: h.outLine() + int64(2*rng.Intn(h.L)), imm: int64(rng.Intn(regStride))})
 				case mExtVec: // lean: nothing reads its five registers
 					h.push(mop{kind: mExtVec, imm: shifts[rng.Intn(len(shifts))]},
 						h.reg(), h.reg(), h.reg(), h.reg(), h.reg(), src(), src(), line(), line(), line(), h.outLine())
@@ -373,15 +361,16 @@ func (h *opHarness) lines(n int, out bool) (base, stride int64) {
 	return first + int64(192*(n-1)), -192
 }
 
-// sweep appends n lean trellis steps of one form sharing a carried
+// sweep appends n lean trellis steps of one form sharing the carried
 // register and tables: the alpha form, the beta tail form (nx = 0) or the
 // beta form extracting nx lanes, any of 0..31. Each step's lines move by a
-// fixed stride, forward or backward, so the roller makes them a sweep; an
-// alpha step j stores to the quad line of step 2j+2, so steps also depend
-// on each other through the arena. A beta step extracts to a
-// table of np rows of words, row s mod np, moved by a line every np steps.
-func (h *opHarness) sweep(kind uint8, n, nx, np int) {
-	carried := h.outReg()
+// fixed stride, forward or backward, and the steps are a Loop, which
+// lowers to a sweep; an alpha step j stores to the quad line of step 2j+2,
+// so steps also depend on each other through the arena. A beta step
+// extracts to a table of np rows of words, row s mod np, moved by a line
+// every np steps: a trip of its Loop is np steps, and the n mod np steps
+// past the last trip follow it one by one.
+func (h *opHarness) sweep(kind uint8, n, nx, np int, carried int64) {
 	tabs := []int64{h.tab(), h.tab(), h.tab(), h.tab(), h.tab()}
 	htabs := []int64{h.tab(), h.tab(), h.tab()}
 	var dead []int64
@@ -399,12 +388,12 @@ func (h *opHarness) sweep(kind uint8, n, nx, np int) {
 	for i := range rows {
 		rows[i] = int64(2 * h.rng.Intn(h.L))
 	}
-	for j := 0; j < n; j++ {
+	step := func(j int) {
 		qj := q + int64(j)*dq
 		if kind == mAlphaStepP {
 			aux := append(slices.Clone(dead[:8]), carried, qj, q+int64(2*j+2)*dq)
 			h.push(mop{kind: kind}, append(aux, tabs...)...)
-			continue
+			return
 		}
 		aux := append(slices.Clone(dead[:7]), carried, dead[7], qj)
 		aux = append(aux, tabs...)
@@ -418,6 +407,18 @@ func (h *opHarness) sweep(kind uint8, n, nx, np int) {
 		}
 		h.push(op, aux...)
 	}
+	per := 1
+	if nx > 0 {
+		per = np
+	}
+	h.e.Loop(n/per, func(t int) {
+		for s := range per {
+			step(t*per + s)
+		}
+	})
+	for j := n / per * per; j < n; j++ {
+		step(j)
+	}
 }
 
 // sweepForm is one shape of trellis sweep: the alpha form, the beta tail
@@ -430,8 +431,8 @@ type sweepForm struct {
 // testNativeSweeps runs sweeps of 1, 2, 3 and 1027 steps (the last runs as
 // three calls, the middle one starting and ending inside the sweep) at
 // every width, of each form, between ops that read what the sweep wrote
-// back. A beta form that extracts has np rows of words: the rolled sweep
-// holds them as its table.
+// back. A beta form that extracts has np rows of words: its sweep holds
+// them as its table.
 func testNativeSweeps(t *testing.T, seed int64, forms ...sweepForm) {
 	skipWithoutNative(t)
 	for _, w := range simd.Widths {
@@ -446,18 +447,13 @@ func testNativeSweeps(t *testing.T, seed int64, forms ...sweepForm) {
 					nx := form.nx(rng, w.Lanes16())
 					np := 1 + trial%4
 					h := newOpHarness(w, rng)
-					h.sweep(form.kind, n, nx, np)
+					carried := h.outReg()
+					h.sweep(form.kind, n, nx, np, carried)
 					// A second sweep over the same carried register with
 					// other tables, then a store of it: the first must have
 					// written it back, and hoisted tables must not go stale.
-					at := carriedAt(form.kind)
-					carried := h.p.aux[h.ops[0].tab+at]
-					first := len(h.ops)
-					h.sweep(form.kind, 2, nx, 1)
-					for _, op := range h.ops[first:] {
-						h.p.aux[op.tab+at] = carried
-					}
-					h.ops = append(h.ops, mop{kind: mStore, a: int32(carried), addr: h.outLine(), imm: int64(2 * h.L)})
+					h.sweep(form.kind, 2, nx, 1, carried)
+					h.push(mop{kind: mStore, a: int32(carried), addr: h.outLine(), imm: int64(2 * h.L)})
 					h.diff(t, trial%4 == 1)
 					code := h.p.code[SegSteady]
 					if n > yieldEvery {
@@ -498,15 +494,6 @@ func TestNativeBetaStepMatchesGo(t *testing.T) {
 		sweepForm{mBetaStepP, func(_ *rand.Rand, L int) int { return L }})
 }
 
-// carriedAt is where a trellis step's aux window holds its carried
-// register.
-func carriedAt(kind uint8) int32 {
-	if kind == mAlphaStepP {
-		return 8
-	}
-	return 7
-}
-
 // loopBody appends trips trips of a body of random ops, lean as a decode's:
 // every singleton kind that addresses the region, lane ops over a pool of
 // registers, a quad scatter and gather, an extrinsic group and an alpha
@@ -544,24 +531,24 @@ func (h *opHarness) loopBody(trips int, mixed bool) {
 		switch k {
 		case 0:
 			d, at := h.reg(), seq(false)
-			body = append(body, func(t int) { h.ops = append(h.ops, mop{kind: mLoad, d: int32(d), addr: at(t), imm: int64(2 * L)}) })
+			body = append(body, func(t int) { h.push(mop{kind: mLoad, d: int32(d), addr: at(t), imm: int64(2 * L)}) })
 			pool = append(pool, d)
 		case 1:
 			a, at := src(), seq(true)
-			body = append(body, func(t int) { h.ops = append(h.ops, mop{kind: mStore, a: int32(a), addr: at(t), imm: int64(2 * L)}) })
+			body = append(body, func(t int) { h.push(mop{kind: mStore, a: int32(a), addr: at(t), imm: int64(2 * L)}) })
 		case 2:
 			a, at, lane := src(), seq(true), int64(rng.Intn(regStride))
-			body = append(body, func(t int) { h.ops = append(h.ops, mop{kind: mExtrW, a: int32(a), addr: at(t), imm: lane}) })
+			body = append(body, func(t int) { h.push(mop{kind: mExtrW, a: int32(a), addr: at(t), imm: lane}) })
 		case 3:
 			d, a := h.outReg(), src()
-			body = append(body, func(int) { h.ops = append(h.ops, mop{kind: mSra, d: int32(d), a: int32(a), imm: 3}) })
+			body = append(body, func(int) { h.push(mop{kind: mSra, d: int32(d), a: int32(a), imm: 3}) })
 		case 4:
 			d, a, b := h.outReg(), src(), src()
 			kind := []uint8{mAddS, mSubS, mAnd, mXor}[rng.Intn(4)]
-			body = append(body, func(int) { h.ops = append(h.ops, mop{kind: kind, d: int32(d), a: int32(a), b: int32(b)}) })
+			body = append(body, func(int) { h.push(mop{kind: kind, d: int32(d), a: int32(a), b: int32(b)}) })
 		case 5: // no address, after records that have one
 			d, a := h.reg(), src()
-			body = append(body, func(int) { h.ops = append(h.ops, mop{kind: mExt128, d: int32(d), a: int32(a), imm: 1}) })
+			body = append(body, func(int) { h.push(mop{kind: mExt128, d: int32(d), a: int32(a), imm: 1}) })
 		case 6:
 			acc, tmp, at := h.reg(), h.reg(), seq(true)
 			srcs := []int64{src(), h.tab(), src(), h.tab(), src(), h.tab()}
@@ -590,11 +577,11 @@ func (h *opHarness) loopBody(trips int, mixed bool) {
 			})
 		}
 	}
-	for t := range trips {
+	h.e.Loop(trips, func(t int) {
 		for _, op := range body {
 			op(t)
 		}
-	}
+	})
 }
 
 // countRecords counts the records of kind in code.
@@ -760,10 +747,10 @@ func BenchmarkNativeSweeps(b *testing.B) {
 	}{{"alpha", mAlphaStepP, 0}, {"beta", mBetaStepP, 0}, {"beta+ext", mBetaStepP, 4}} {
 		b.Run(form.name, func(b *testing.B) {
 			h := newOpHarness(simd.W512, rand.New(rand.NewSource(1)))
-			h.sweep(form.kind, 1027, form.nx, 1)
+			h.sweep(form.kind, 1027, form.nx, 1, h.outReg())
 			p := h.p
 			p.nregs = int32(h.nreg * regStride)
-			p.segs[SegSteady] = p.roll(h.ops)
+			p.segs[SegSteady] = h.e.out
 			if err := p.finalize(); err != nil {
 				b.Fatal(err)
 			}
@@ -774,8 +761,8 @@ func BenchmarkNativeSweeps(b *testing.B) {
 
 // BenchmarkNativeGamma times 64 gamma groups at W512 as the packed decoder
 // emits them: three loads, five lane ops, eight four-source scatters,
-// each group's lines a fixed stride past the last one's: rolled into one
-// loop as the Emitter rolls them ("rolled"), and as straight-line records
+// each group's lines a fixed stride past the last one's: one Loop, as the
+// packed decoder states them ("rolled"), and as straight-line records
 // ("straight"), what the loop saves or costs.
 func BenchmarkNativeGamma(b *testing.B) {
 	for _, rolled := range []bool{true, false} {
@@ -800,27 +787,30 @@ func BenchmarkNativeGamma(b *testing.B) {
 				in[i] = func(g int) int64 { return base + int64(g)*stride }
 			}
 			quad, qs := h.lines(8*groups, true)
-			for at := 0; at < groups; at++ {
+			group := func(at int) {
 				for i, d := range []int64{s, p, la} {
-					h.ops = append(h.ops, mop{kind: mLoad, d: int32(d), addr: in[i](at), imm: 64})
+					h.push(mop{kind: mLoad, d: int32(d), addr: in[i](at), imm: 64})
 				}
-				h.ops = append(h.ops,
-					mop{kind: mAddS, d: int32(t), a: int32(s), b: int32(la)},
-					mop{kind: mAddS, d: int32(g0), a: int32(t), b: int32(p)},
-					mop{kind: mSubS, d: int32(g1), a: int32(t), b: int32(p)},
-					mop{kind: mSubS, d: int32(n0), a: int32(zero), b: int32(g0)},
-					mop{kind: mSubS, d: int32(n1), a: int32(zero), b: int32(g1)})
+				h.push(mop{kind: mAddS, d: int32(t), a: int32(s), b: int32(la)})
+				h.push(mop{kind: mAddS, d: int32(g0), a: int32(t), b: int32(p)})
+				h.push(mop{kind: mSubS, d: int32(g1), a: int32(t), b: int32(p)})
+				h.push(mop{kind: mSubS, d: int32(n0), a: int32(zero), b: int32(g0)})
+				h.push(mop{kind: mSubS, d: int32(n1), a: int32(zero), b: int32(g1)})
 				for si := 0; si < 8; si++ {
 					h.push(mop{kind: mQuadScatter, n: 4}, acc, tmp, quad+int64(8*at+si)*qs,
 						g0, tabs[si][0], g1, tabs[si][1], n0, tabs[si][2], n1, tabs[si][3])
 				}
 			}
+			if rolled {
+				h.e.Loop(groups, group)
+			} else {
+				for at := range groups {
+					group(at)
+				}
+			}
 			pr := h.p
 			pr.nregs = int32(h.nreg * regStride)
-			pr.segs[SegSteady] = h.ops
-			if rolled {
-				pr.segs[SegSteady] = pr.roll(h.ops)
-			}
+			pr.segs[SegSteady] = h.e.out
 			if err := pr.finalize(); err != nil {
 				b.Fatal(err)
 			}

@@ -374,7 +374,7 @@ func (lw *lowerer) sweepOf(steps []mop, strides []int32, trips int) (sweepRun, b
 		}
 		return int64(strides[j*na+k])
 	}
-	aux := func(j int) []int32 { return lw.p.aux[steps[j].tab:][:auxLen(&steps[j])] }
+	aux := func(j int) []int32 { return lw.p.words(&steps[j]) }
 	t := aux(0)
 	sw := sweepRun{op: op, steps: np * trips, cost: 1, np: np, q: int64(t[9]), dq: st(0, 0)}
 	switch {

@@ -183,10 +183,10 @@ func (o *engineOps) ExtVec(r *[7]Reg, imm uint, in [3]int64, out int64) {
 // synthKernel is a width-generic "decode-like" kernel exercising every op
 // kind an Emitter writes: vector arithmetic and mask logic with aliased
 // operands, lane extracts and 128- and 256-bit extracts, loops of
-// singletons and of trellis steps, the packed stream's quad scatter and
-// gather, alpha and beta steps, the extrinsic group, index tables with
-// out-of-range entries, and register state that is live across
-// iterations (acc, alpha, beta).
+// singletons and of trellis steps, loops that do not fold, the packed
+// stream's quad scatter and gather, alpha and beta steps, the extrinsic
+// group, index tables with out-of-range entries, and register state that
+// is live across iterations (acc, alpha, beta).
 type synthKernel struct {
 	w                            simd.Width
 	in, out, acc, scalars, pk    int64
@@ -277,11 +277,25 @@ func (k *synthKernel) iteration(o ops, t *packedTabs) {
 		o.Load(a, k.in+int64(16*j))
 		o.SubS(b, a, k.lo)
 		o.Store(k.out+384+int64(16*j), b)
-		o.ExtrW(k.out+768+int64(2*j), a, j%n)
+		o.ExtrW(k.out+768+int64(2*j), a, n/2)
 	})
+	// Loops that do not fold, each emitted trip by trip: one whose last
+	// trip loads off the stride trip 1 sets, one whose trip 1 extracts
+	// another lane, one of one trip and one of none.
+	er := [7]Reg{t1, t2, d, s, b, k.hi, k.lo}
+	o.Loop(4, func(j int) {
+		o.ExtVec(&er, 1, [3]int64{k.in + int64(16*(j+j/3)), k.in + wb, k.acc}, k.out+unrolledOut)
+		o.ExtrW(k.out+unrolledOut+64+int64(2*j), a, 1)
+	})
+	o.Loop(3, func(j int) { o.ExtrW(k.out+unrolledOut+80+int64(2*j), a, 2*(j%2)) })
+	o.Loop(1, func(int) { o.ExtrW(k.out+unrolledOut+88, a, 3) })
+	o.Loop(0, func(int) { o.ExtrW(k.out+unrolledOut+90, a, 4) })
 	o.Load(b, k.in+wb)
 	k.packed(o, t, [3]Reg{a, b, k.accR})
 }
+
+// unrolledOut is where in k.out the loops that do not fold write.
+const unrolledOut = 896
 
 // packedTabs are the index tables of the packed shapes. Each has
 // out-of-range entries (the engine's permute selects zero there),
@@ -651,6 +665,42 @@ func TestSynthKernelCoversFusedOps(t *testing.T) {
 	}
 }
 
+// TestLoopFoldsOnlyRepeatingTrips: of the kernel's loops, the two whose
+// trips repeat trip 0 — the singletons and the alpha sweep — are a loop
+// op over trip 0's ops, and the others are emitted trip by trip, in
+// order: the one whose last trip is off the stride, the one whose trip 1
+// is of another shape, and the one of one trip; the one of no trips
+// emits nothing. Their replay is held to the engine by the replay tests.
+func TestLoopFoldsOnlyRepeatingTrips(t *testing.T) {
+	for _, w := range simd.Widths {
+		p, k := emitSynthFused(t, w)
+		ops := p.segs[SegSteady]
+		var loops [][2]int64
+		var outs []int64 // where each op outside a loop stores past unrolledOut
+		for i := 0; i < len(ops); i++ {
+			op, at := &ops[i], int64(-1)
+			switch op.kind {
+			case mLoop:
+				loops = append(loops, [2]int64{op.imm, int64(op.n)})
+				i += int(op.n)
+			case mExtVec:
+				at = int64(p.aux[op.tab+10])
+			case mExtrW:
+				at = op.addr
+			}
+			if at -= k.out + unrolledOut; at >= 0 && at < 1024-unrolledOut {
+				outs = append(outs, at)
+			}
+		}
+		if want := [][2]int64{{6, 4}, {3, 1}}; !slices.Equal(loops, want) {
+			t.Errorf("%v: loops of (trips, ops) %v, want %v", w, loops, want)
+		}
+		if want := []int64{0, 64, 0, 66, 0, 68, 0, 70, 80, 82, 84, 88}; !slices.Equal(outs, want) {
+			t.Errorf("%v: unfolded trips store at %v, want %v", w, outs, want)
+		}
+	}
+}
+
 // TestPoisonedReplay: dead means dead. Both segments, and a second
 // decode with different inputs on the same program (a decode follows a
 // decode, so whatever SegFirst reads must have survived the previous
@@ -764,7 +814,7 @@ func TestFinalizeRejectsMalformedOps(t *testing.T) {
 	}
 }
 
-// TestAddressOrder: the roller, the liveness walk and the lowering each
+// TestAddressOrder: Emitter.Loop, the liveness walk and the lowering each
 // read an op's region addresses in one order, stride i belonging to
 // address i: appendAddrs's, visitEffects's and addrAt's positions must be
 // the same addresses in the same order, addrCount of them, for every kind

@@ -16,11 +16,10 @@ import (
 // engine runs, no word is decoded and no interpreter table exists: a
 // program is index arithmetic over the plan. Each run over the trellis
 // steps or the packed groups is described once, as an Emitter.Loop whose
-// body emits one trip: the emitter emits trips until the roller has folded
-// them into a loop and adds the rest as a count, so a compile's work and
-// memory do not grow with K but for the QPP gathers, which are not affine
-// and are emitted group by group, and the extract arrangement, whose group
-// is too long a body to fold.
+// body emits one trip: the emitter emits trips 0, 1 and the last and
+// writes them as a loop of the whole count, so a compile's work and memory
+// do not grow with K but for the QPP gathers, which are not affine and are
+// emitted group by group.
 //
 // The walk names the ops in the interpreter's order, over registers
 // numbered as the engine's free list hands them out (regPool), so a

@@ -15,8 +15,8 @@ import (
 
 // emitAll widens TestEmittedDecodesLikeInterpreter from every 16th LTE
 // block size at W512 and the grid sizes at every width to all 188 at all
-// three widths for APCM, and extract to every 16th size and the grid at
-// all three; and TestServingPlansRecordNothing to all 188 (CI step
+// three widths, for both arrangements; TestServingPlansRecordNothing to
+// all 188; and TestEveryServedKeyCompiles to extract (CI step
 // "Emitted-decode differential sweep").
 var emitAll = flag.Bool("emit.all", false, "run the emitted-decode differential at every LTE block size")
 
@@ -157,8 +157,7 @@ func executors() []bool {
 //
 // APCM is checked at every 16th LTE block size at W512 and the grid sizes
 // at every width, extract at the grid sizes at every width; -emit.all
-// takes APCM to all 188 at all three widths and extract to every 16th size
-// and the grid. Every program's gather pool holds at most maxGatherPool
+// takes both to all 188 at all three widths. Every program's gather pool holds at most maxGatherPool
 // vectors: the tables are interned by content, and a pool that holds one
 // vector per table reference (84 at K=40, 12,332 at K=6144) is over.
 // Under the race detector, which slows the interpreter ten-fold and looks
@@ -179,7 +178,7 @@ func TestEmittedDecodesLikeInterpreter(t *testing.T) {
 			if *emitAll || grid || w == simd.W512 && i%16 == 0 {
 				configs = append(configs, config{core.StrategyAPCM, w, k})
 			}
-			if grid || *emitAll && i%16 == 0 {
+			if grid || *emitAll {
 				configs = append(configs, config{core.StrategyExtract, w, k})
 			}
 		}
@@ -246,8 +245,7 @@ func TestEmittedDecodesLikeInterpreter(t *testing.T) {
 // emitter writes — emits a program that stays inside its plan's state
 // region. A key that did not would fail every batch of its size. The
 // programs are emitted directly, so the process-wide cache keeps none of
-// them. APCM runs at every size here; extract, which takes some three
-// times as long, joins it under -emit.all.
+// them. APCM runs at every size here; extract joins it under -emit.all.
 func TestEveryServedKeyCompiles(t *testing.T) {
 	strategies := []core.Strategy{core.StrategyAPCM}
 	if *emitAll {

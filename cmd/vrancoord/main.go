@@ -1,15 +1,16 @@
 // Command vrancoord is the DU-side coordinator of a distributed vRAN
 // deployment: it dials a fleet of vranshard workers over TCP, owns the
 // cell→shard route, streams synthetic traffic through the fronthaul,
-// optionally migrates a live cell mid-run (or lets the skew rebalancer
-// do it), and reports the fleet-aggregated ledger at the end.
+// optionally force-migrates a live cell mid-run (-migrate-cell, the
+// only way a cell changes shard), and reports the fleet-aggregated
+// ledger at the end.
 //
 // Usage:
 //
 //	vrancoord -shards 127.0.0.1:7101,127.0.0.1:7102
 //	          [-cells 4] [-k 40] [-rate 2] [-ttis 400] [-tti 1ms]
 //	          [-deadline 10ms] [-seed 1] [-admin :9190] [-hold 0s]
-//	          [-migrate-cell -1] [-migrate-at -1] [-rebalance-every 0]
+//	          [-migrate-cell -1] [-migrate-at -1]
 //	          [-trace-sample 1] [-slo-target 0] [-slo-objective 0.999]
 //	          [-slo-window 1m] [-connect-timeout 10s] [-settle 30s]
 //	          [-chaos] [-chaos-linkdrop 0.02] [-chaos-linkdelay 0.05]
@@ -66,7 +67,6 @@ func main() {
 	sloWindow := flag.Duration("slo-window", time.Minute, "fast burn-rate window (slow window is 10x)")
 	connectTimeout := flag.Duration("connect-timeout", 10*time.Second, "per-shard dial budget (retries until it expires)")
 	settleTimeout := flag.Duration("settle", 30*time.Second, "post-traffic settle budget")
-	rebalance := cliutil.RegisterRebalance(flag.CommandLine)
 	cf := cliutil.RegisterChaos(flag.CommandLine, cliutil.LinkChaos)
 	flag.Parse()
 
@@ -96,7 +96,7 @@ func main() {
 	}
 
 	coord, err := shard.NewCoordinator(shard.Config{
-		Cells: *cells, Deadline: *deadline, Rebalance: rebalance(),
+		Cells: *cells, Deadline: *deadline,
 		Trace: shard.TraceConfig{
 			Sample: *traceSample,
 			SLO: telemetry.SLOConfig{
@@ -151,7 +151,7 @@ func main() {
 	offered := ran.OfferLoad(sched, 0, split, pool, submit).Offered
 	if *migrateCell >= 0 {
 		to := (coord.Route(*migrateCell) + 1) % coord.Shards()
-		if err := coord.MigrateCell(*migrateCell, to, 5*time.Second); err != nil {
+		if err := coord.MigrateCell(*migrateCell, to); err != nil {
 			fatal("migration: %v", err)
 		}
 		fmt.Printf("[tti %d] migrated cell %d to shard %d\n", split-1, *migrateCell, to)

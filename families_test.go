@@ -44,8 +44,7 @@ var runtimeFamilies = []string{
 var coordFamilies = []string{
 	"vran_shard_routed_total", "vran_shard_link_sent_total", "vran_shard_link_dropped_total",
 	"vran_shard_route_errors_total", "vran_shard_migrations_total",
-	"vran_shard_migrated_blocks_total", "vran_shard_rebalance_moves_total",
-	"vran_shard_held_dropped_total",
+	"vran_shard_migrated_blocks_total", "vran_shard_held_dropped_total",
 	"vran_hop_seconds", "vran_hop_budget_fraction", "vran_trace_spans_total",
 	"vran_trace_bad_reports_total", "vran_trace_ship_dropped_total",
 	"vran_slo_burn_rate", "vran_slo_budget_remaining",

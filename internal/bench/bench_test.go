@@ -197,6 +197,11 @@ func TestDecodeBenchQuick(t *testing.T) {
 		if r.NsPerOp <= 0 || r.Iterations <= 0 || r.GoodputMbps <= 0 {
 			t.Errorf("%s/%s/K=%d: degenerate row %+v", r.Mode, r.Width, r.K, r)
 		}
+		// A cold start happens once a process; an adopt row is the median
+		// of adoptSamples fresh decoders.
+		if r.Mode == "cold" && r.Iterations != 1 || r.Mode == "adopt" && r.Iterations != adoptSamples || r.NsPerOpIQR < 0 {
+			t.Errorf("%s/%s/K=%d: %d samples, IQR %.0f ns", r.Mode, r.Width, r.K, r.Iterations, r.NsPerOpIQR)
+		}
 		if steady := r.Mode != "cold" && r.Mode != "adopt"; steady && r.AllocsOp > 8 {
 			t.Errorf("%s/K=%d %s: %d allocs/op over budget 8", r.Width, r.K, r.Mode, r.AllocsOp)
 		}

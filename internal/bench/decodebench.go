@@ -7,12 +7,12 @@
 // ns/op, B/op, allocs/op and emulated goodput per row. The
 // interpreted/packed pairs are the replay compiler's speedup evidence
 // and the portable/packed pairs the native kernel's (CI gates both
-// ratios at W512 K=512). Two more rows per (width, K) are single decodes,
-// not benchmarks: "cold", the first decode of the block size in the
-// process, which compiles its program, and "adopt", the first decode of it
-// on a second decoder, which finds the program in the process-wide cache
-// and builds only its own state — the cost a second worker or a worker
-// after an eviction pays (CI gates adopt <= cold / 5). At W512 an
+// ratios at W512 K=512). Two more rows per (width, K) time first
+// decodes, not benchmarks: "cold", the first decode of the block size in
+// the process, which compiles its program, and "adopt", the first decode
+// of it on a fresh decoder, which finds the program in the process-wide
+// cache and builds only its own state — the cost a second worker or a
+// worker after an eviction pays (CI gates adopt <= cold / 5). At W512 an
 // "extract" row beside each packed one runs the paper's original
 // arrangement the same way, and both time hot Runs of each program
 // segment: the prefix (the arrangement stage, once a decode) and one
@@ -60,13 +60,15 @@ type DecodeBenchRow struct {
 	// "portable" ("packed" with the program's streams run by the Go
 	// executor; only on a host that has the native one), "extract" (W512
 	// only: "packed" under the paper's original arrangement, pextrw
-	// stores, in place of APCM); or one of the single-decode
-	// rows, "cold" (the process's first decode of this width and K: plan
-	// build, compile, state, decode; absent when something
-	// earlier in the process had compiled it) and "adopt" (a second
-	// decoder's first: state and decode), whose NsPerOp is that one
-	// decode's wall-clock time and whose bytes and allocs are what it left
-	// allocated.
+	// stores, in place of APCM); or one of the first-decode rows, whose
+	// NsPerOp is a first decode's wall-clock time and whose bytes and
+	// allocs are what it left allocated. "cold" is the process's first
+	// decode of this width and K (plan build, compile, state, decode;
+	// absent when something earlier in the process had compiled it): it
+	// happens once a process, so it is one sample and Iterations is 1.
+	// "adopt" is a fresh decoder's first decode (state and decode), the
+	// median of adoptSamples decoders with NsPerOpIQR beside it, and
+	// Iterations is adoptSamples.
 	Mode     string  `json:"mode"`
 	Width    string  `json:"width"`
 	K        int     `json:"k"`
@@ -78,6 +80,9 @@ type DecodeBenchRow struct {
 	// (emulated decode — the number compares modes, not hardware).
 	GoodputMbps float64 `json:"goodput_mbps"`
 	Iterations  int     `json:"benchmark_iterations"`
+	// NsPerOpIQR is the spread between the first and third quartiles of
+	// the adopt row's samples; the other rows have none.
+	NsPerOpIQR float64 `json:"ns_per_op_iqr,omitempty"`
 	// PrefixNs and IterationNs are a hot Run of the row's program
 	// segments: SegFirst, the prefix a decode runs once (arrangement,
 	// systematic interleave, la1 clear), and SegSteady, one iteration —
@@ -209,45 +214,76 @@ func RunDecodeBench(quick bool) (*DecodeBenchReport, error) {
 	return rep, nil
 }
 
-// runFirstDecodes times the first decode of (w, k) on two fresh decoders
-// in turn: the "cold" row if the first one compiled the program for the
-// process, and the "adopt" row. It also reports what that compile took
-// (zero when there was none).
+// adoptSamples is how many fresh decoders the "adopt" row is the median
+// of: one first decode is one reading of a shared host's clock, and two
+// such readings of the same build can lie several times apart.
+const adoptSamples = 9
+
+// firstDecode is one timed first decode of (w, k) on a fresh decoder.
+type firstDecode struct {
+	ns, bytes, allocs float64
+	compiled          bool // the decode compiled the program for the process
+	compileTime       time.Duration
+}
+
+func timeFirstDecode(w simd.Width, k int, words []*turbo.LLRWord) (firstDecode, error) {
+	bd := turbo.NewBatchDecoder(w, core.StrategyAPCM, 32<<20)
+	bd.MaxIters = decodeBenchIters
+	compiles := turbo.PlanCacheStats().Compiles
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	start := time.Now()
+	_, _, err := bd.Decode(k, words)
+	elapsed := time.Since(start)
+	runtime.ReadMemStats(&m1)
+	return firstDecode{
+		ns:          float64(elapsed.Nanoseconds()),
+		bytes:       float64(m1.TotalAlloc - m0.TotalAlloc),
+		allocs:      float64(m1.Mallocs - m0.Mallocs),
+		compiled:    turbo.PlanCacheStats().Compiles != compiles,
+		compileTime: bd.ProgramStats().CompileTime,
+	}, err
+}
+
+// runFirstDecodes times the first decode of (w, k) on fresh decoders: the
+// "cold" row, one decoder, if it compiled the program for the process,
+// and the "adopt" row, the median of adoptSamples more, none of which may
+// compile. It also reports what that compile took (zero when there was
+// none).
 func runFirstDecodes(w simd.Width, k int, words []*turbo.LLRWord) (rows []DecodeBenchRow, compileTime time.Duration, err error) {
 	nb := len(words)
-	for _, mode := range []string{"cold", "adopt"} {
-		bd := turbo.NewBatchDecoder(w, core.StrategyAPCM, 32<<20)
-		bd.MaxIters = decodeBenchIters
-		compiles := turbo.PlanCacheStats().Compiles
-		var m0, m1 runtime.MemStats
-		runtime.ReadMemStats(&m0)
-		start := time.Now()
-		_, _, err := bd.Decode(k, words)
-		elapsed := time.Since(start)
-		runtime.ReadMemStats(&m1)
+	row := func(mode string, ns, iqr, bytes, allocs float64, n int) DecodeBenchRow {
+		return DecodeBenchRow{
+			Mode: mode, Width: w.String(), K: k, Lanes: nb,
+			NsPerOp: ns, NsPerOpIQR: iqr,
+			BPerOp: int64(bytes), AllocsOp: int64(allocs),
+			GoodputMbps: float64(k*nb) / (ns / 1e3),
+			Iterations:  n,
+		}
+	}
+	cold, err := timeFirstDecode(w, k, words)
+	if err != nil {
+		return nil, 0, err
+	}
+	if cold.compiled { // else compiled earlier in this process: not a cold start
+		rows = append(rows, row("cold", cold.ns, 0, cold.bytes, cold.allocs, 1))
+		compileTime = cold.compileTime
+	}
+	var ns, bytes, allocs [adoptSamples]float64
+	for i := range ns {
+		d, err := timeFirstDecode(w, k, words)
 		if err != nil {
 			return nil, 0, err
 		}
-		compiled := turbo.PlanCacheStats().Compiles != compiles
-		if mode == "adopt" && compiled {
+		if d.compiled {
 			return nil, 0, fmt.Errorf("bench: a second decoder compiled K=%d at %v again", k, w)
 		}
-		if mode == "cold" && !compiled {
-			continue // compiled earlier in this process: not a cold start
-		}
-		if mode == "cold" {
-			compileTime = bd.ProgramStats().CompileTime
-		}
-		rows = append(rows, DecodeBenchRow{
-			Mode: mode, Width: w.String(), K: k, Lanes: nb,
-			NsPerOp:     float64(elapsed.Nanoseconds()),
-			BPerOp:      int64(m1.TotalAlloc - m0.TotalAlloc),
-			AllocsOp:    int64(m1.Mallocs - m0.Mallocs),
-			GoodputMbps: float64(k*nb) / (float64(elapsed.Nanoseconds()) / 1e3),
-			Iterations:  1,
-		})
+		ns[i], bytes[i], allocs[i] = d.ns, d.bytes, d.allocs
 	}
-	return rows, compileTime, nil
+	med, iqr := medianIQR(ns[:])
+	b, _ := medianIQR(bytes[:])
+	a, _ := medianIQR(allocs[:])
+	return append(rows, row("adopt", med, iqr, b, a, adoptSamples)), compileTime, nil
 }
 
 // runDecodeCell benchmarks one (mode, width, K) combination over a full
@@ -335,6 +371,12 @@ func timeSegment(prog *program.Program, seg int) (median, iqr float64) {
 	for i := range samples {
 		samples[i] = float64(batch(n).Nanoseconds()) / float64(n)
 	}
+	return medianIQR(samples)
+}
+
+// medianIQR sorts samples and returns their median and the spread
+// between their first and third quartiles.
+func medianIQR(samples []float64) (median, iqr float64) {
 	slices.Sort(samples)
 	at := func(q float64) float64 { return samples[int(q*float64(len(samples)-1))] }
 	return at(0.5), at(0.75) - at(0.25)

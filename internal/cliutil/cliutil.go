@@ -2,7 +2,7 @@
 // front-ends, so every binary accepts the same spellings and prints the
 // same error messages: vranpipe's width, mechanism and protocol parsers
 // (the paper path, which compares every width and strategy), and the
-// runtime, chaos and rebalance flag sets of the serving binaries
+// runtime and chaos flag sets of the serving binaries
 // vranserve, vranshard and vrancoord, which build the one W512/APCM
 // decoder and have no width or mechanism flag (shardflags.go).
 package cliutil

@@ -63,10 +63,9 @@ func TestServingFlagsByRole(t *testing.T) {
 		t.Errorf("runtime binaries register\n  %s\nwant\n  %s", runtime, want)
 	}
 	coord := names(func(fs *flag.FlagSet) {
-		RegisterRebalance(fs)
 		RegisterChaos(fs, LinkChaos)
 	})
-	if want := "chaos chaos-linkdelay chaos-linkdrop rebalance-every"; coord != want {
+	if want := "chaos chaos-linkdelay chaos-linkdrop"; coord != want {
 		t.Errorf("the coordinator registers\n  %s\nwant\n  %s", coord, want)
 	}
 }

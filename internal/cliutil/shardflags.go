@@ -9,14 +9,13 @@ import (
 	"vransim/internal/chaos"
 	"vransim/internal/core"
 	"vransim/internal/ran"
-	"vransim/internal/shard"
 	"vransim/internal/simd"
 )
 
 // This file is the flag plumbing shared by the serving binaries —
 // vranserve (single process), vranshard (shard worker) and vrancoord
-// (fleet coordinator) — so they accept the same runtime, chaos and
-// rebalance vocabulary instead of copy-pasting flag blocks that drift.
+// (fleet coordinator) — so they accept the same runtime and chaos
+// vocabulary instead of copy-pasting flag blocks that drift.
 // A knob is a flag here only if a CI step, the README or a script sets
 // it; every other one keeps its ran, shard or chaos default.
 
@@ -118,15 +117,6 @@ func (cf *ChaosFlags) Injector(seed int64) *chaos.Injector {
 		LinkDropRate:  *cf.LinkDrop,
 		LinkDelayRate: *cf.LinkDelay,
 	})
-}
-
-// RegisterRebalance registers -rebalance-every, the coordinator's
-// rebalancer poll period, and returns the policy it selects; skew,
-// streak, cooldown and drain budget keep their shard.RebalanceConfig
-// defaults.
-func RegisterRebalance(fs *flag.FlagSet) func() shard.RebalanceConfig {
-	every := fs.Duration("rebalance-every", 0, "rebalancer poll period (0 disables automatic rebalancing)")
-	return func() shard.RebalanceConfig { return shard.RebalanceConfig{Every: *every} }
 }
 
 // ParseShardAddrs splits a -shards value ("host:port,host:port,…") into

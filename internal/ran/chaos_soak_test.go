@@ -13,9 +13,9 @@ import (
 
 // TestChaosSoak drives the runtime through N simulated TTIs of traffic
 // with a seeded fault injector firing at every site — forced CRC
-// failures, noisy receptions, worker stalls, fake queue pressure, plan
-// eviction storms and compile-verify failures — and asserts the
-// properties the chaos harness exists to defend:
+// failures, noisy receptions, worker stalls, fake queue pressure and
+// plan eviction storms — and asserts the properties the chaos harness
+// exists to defend:
 //
 //   - no deadlock: the run settles and Stop returns;
 //   - no goroutine leak: the count returns to its pre-runtime baseline;
@@ -24,9 +24,9 @@ import (
 //     post-admission drop — across three fixed seeds, under -race;
 //   - recovery: ≥95 % of CRC-affected blocks come back via a
 //     soft-combined HARQ retransmission within the retry budget;
-//   - the interpreter serves a live batch only where the compile-verify
-//     site put a worker on it: the clean phase (the same traffic, no
-//     injector) ends with no program miss and a healthy /healthz.
+//   - every batch decodes: no fault site makes the decoder refuse one,
+//     and the clean phase (the same traffic, no injector) delivers every
+//     block it accepts and ends with a healthy /healthz.
 func TestChaosSoak(t *testing.T) {
 	if testing.Short() {
 		t.Skip("soak test skipped in -short")

@@ -154,8 +154,8 @@ type Config struct {
 	Predict PredictConfig
 	// Chaos, when non-nil, arms fault injection at the runtime's fault
 	// sites (submit corruption, queue pressure, worker stalls, forced
-	// CRC failures, plan evictions, compile-verify failures). Nil
-	// injects nothing at zero hot-path cost.
+	// CRC failures, plan evictions). Nil injects nothing at zero
+	// hot-path cost.
 	Chaos *chaos.Injector
 }
 

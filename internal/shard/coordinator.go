@@ -18,53 +18,12 @@ import (
 // counted dropped (exactly what a real DU buffer overflow would do).
 const maxHeldFrames = 1 << 16
 
-// RebalanceConfig shapes the coordinator's load rebalancer. The policy
-// is deliberately conservative: a cell moves only after the backlog gap
-// between the busiest and idlest shard stays at or above Skew for
-// Streak consecutive polls — sustained skew, not a transient burst.
-type RebalanceConfig struct {
-	// Every is the snapshot poll period; 0 disables rebalancing.
-	Every time.Duration
-	// Skew is the minimum backlog gap (blocks: queued + retrying)
-	// between the busiest and idlest shard to count a poll toward the
-	// streak. Default 32.
-	Skew int
-	// Streak is how many consecutive skewed polls trigger a move.
-	// Default 3.
-	Streak int
-	// Cooldown is how long a just-moved cell is ineligible for another
-	// move (default 50×Every). Backlog follows the cell it came with, so
-	// without hysteresis the rebalancer thrashes a hot cell between
-	// shards faster than the new owner can work the backlog down.
-	Cooldown time.Duration
-	// DrainTimeout bounds each migration drain (default 5s).
-	DrainTimeout time.Duration
-}
-
-func (c RebalanceConfig) withDefaults() RebalanceConfig {
-	if c.Skew <= 0 {
-		c.Skew = 32
-	}
-	if c.Streak <= 0 {
-		c.Streak = 3
-	}
-	if c.Cooldown <= 0 {
-		c.Cooldown = 50 * c.Every
-	}
-	if c.DrainTimeout <= 0 {
-		c.DrainTimeout = DefaultDrainTimeout
-	}
-	return c
-}
-
 // Config parameterizes a Coordinator.
 type Config struct {
 	// Cells is the fleet-wide cell count; cell ids are global.
 	Cells int
 	// Deadline is the per-block budget hint stamped into data frames.
 	Deadline time.Duration
-	// Rebalance shapes the automatic load rebalancer.
-	Rebalance RebalanceConfig
 	// Trace shapes distributed tracing and SLO accounting (Sample 0
 	// disables trace propagation; the collector still exists so the
 	// metric schema is stable).
@@ -129,14 +88,10 @@ type Coordinator struct {
 	migrations      atomic.Uint64
 	migratedBlocks  atomic.Uint64
 	migratedBuffers atomic.Uint64 // no family: only the migration tests read it
-	rebalMoves      atomic.Uint64
-
-	stopRebal chan struct{}
-	rebalDone chan struct{}
 }
 
-// NewCoordinator routes cells round-robin across the given shards and,
-// when cfg.Rebalance.Every > 0, starts the rebalancer goroutine.
+// NewCoordinator routes cells round-robin across the given shards. A
+// cell's route changes only when MigrateCell moves it.
 func NewCoordinator(cfg Config, conns []*ShardConn) (*Coordinator, error) {
 	if cfg.Cells <= 0 {
 		return nil, fmt.Errorf("shard: coordinator needs cells")
@@ -149,8 +104,6 @@ func NewCoordinator(cfg Config, conns []*ShardConn) (*Coordinator, error) {
 		route:     make([]atomic.Int32, cfg.Cells),
 		collector: newSpanCollector(cfg.Trace, cfg.Deadline),
 		traceBase: uint64(time.Now().UnixNano()) << 20,
-		stopRebal: make(chan struct{}),
-		rebalDone: make(chan struct{}),
 	}
 	c.holdCell.Store(-1)
 	for i, sc := range conns {
@@ -168,11 +121,6 @@ func NewCoordinator(cfg Config, conns []*ShardConn) (*Coordinator, error) {
 	}
 	for cell := 0; cell < cfg.Cells; cell++ {
 		c.route[cell].Store(int32(cell % len(c.shards)))
-	}
-	if cfg.Rebalance.Every > 0 {
-		go c.rebalance()
-	} else {
-		close(c.rebalDone)
 	}
 	return c, nil
 }
@@ -321,16 +269,14 @@ func (c *Coordinator) FleetSnapshot() (*ran.Snapshot, []*ran.Snapshot, error) {
 // on shard `to`, flipping the route and flushing any frames parked
 // during the handshake. In-flight blocks and HARQ soft buffers move
 // losslessly; blocks the fronthaul dropped before the drain are simply
-// gone, as on any lossy link.
-func (c *Coordinator) MigrateCell(cell, to int, drainTimeout time.Duration) error {
+// gone, as on any lossy link. The source's drain is bounded by
+// DefaultDrainTimeout.
+func (c *Coordinator) MigrateCell(cell, to int) error {
 	if cell < 0 || cell >= c.cfg.Cells {
 		return fmt.Errorf("shard: unknown cell %d", cell)
 	}
 	if to < 0 || to >= len(c.shards) {
 		return fmt.Errorf("shard: unknown shard %d", to)
-	}
-	if drainTimeout <= 0 {
-		drainTimeout = DefaultDrainTimeout
 	}
 	c.migMu.Lock()
 	defer c.migMu.Unlock()
@@ -390,7 +336,7 @@ func (c *Coordinator) MigrateCell(cell, to int, drainTimeout time.Duration) erro
 	var state []*fronthaul.Frame
 	err := func() error {
 		if err := src.ctrl.WriteFrame(&fronthaul.Frame{
-			Type: fronthaul.TypeMigrateStart, Cell: uint32(cell), Aux: uint64(drainTimeout),
+			Type: fronthaul.TypeMigrateStart, Cell: uint32(cell),
 		}); err != nil {
 			return err
 		}
@@ -471,90 +417,9 @@ func (c *Coordinator) MigrateCell(cell, to int, drainTimeout time.Duration) erro
 	return nil
 }
 
-// rebalance is the coordinator's skew watcher: every cfg.Rebalance.Every
-// it polls shard snapshots, computes each shard's backlog (queued blocks
-// of its routed cells plus its retry depth), and after Streak
-// consecutive polls with a gap ≥ Skew moves the busiest cell from the
-// busiest shard to the idlest.
-func (c *Coordinator) rebalance() {
-	defer close(c.rebalDone)
-	cfg := c.cfg.Rebalance.withDefaults()
-	ticker := time.NewTicker(cfg.Every)
-	defer ticker.Stop()
-	streak := 0
-	cooling := make(map[int]time.Time) // cell → moved-at
-	for {
-		select {
-		case <-c.stopRebal:
-			return
-		case <-ticker.C:
-		}
-		_, per, err := c.FleetSnapshot()
-		if err != nil {
-			continue
-		}
-		backlog := make([]int, len(c.shards))
-		for i, s := range per {
-			backlog[i] = s.RetryDepth
-		}
-		for cell := 0; cell < c.cfg.Cells; cell++ {
-			sh := c.Route(cell)
-			if s := per[sh]; cell < len(s.Cells) {
-				backlog[sh] += s.Cells[cell].QueueDepth
-			}
-		}
-		busiest, idlest := 0, 0
-		for i, b := range backlog {
-			if b > backlog[busiest] {
-				busiest = i
-			}
-			if b < backlog[idlest] {
-				idlest = i
-			}
-		}
-		if backlog[busiest]-backlog[idlest] < cfg.Skew {
-			streak = 0
-			continue
-		}
-		streak++
-		if streak < cfg.Streak {
-			continue
-		}
-		streak = 0
-		// Move the busiest eligible cell off the busiest shard; cells
-		// still in their post-move cooldown are left where they are.
-		now := time.Now()
-		cell, depth := -1, -1
-		for cl := 0; cl < c.cfg.Cells; cl++ {
-			if c.Route(cl) != busiest {
-				continue
-			}
-			if at, ok := cooling[cl]; ok && now.Sub(at) < cfg.Cooldown {
-				continue
-			}
-			if s := per[busiest]; cl < len(s.Cells) && s.Cells[cl].QueueDepth > depth {
-				cell, depth = cl, s.Cells[cl].QueueDepth
-			}
-		}
-		if cell < 0 {
-			continue
-		}
-		if err := c.MigrateCell(cell, idlest, cfg.DrainTimeout); err == nil {
-			c.rebalMoves.Add(1)
-			cooling[cell] = now
-		}
-	}
-}
-
-// Stop halts the rebalancer and flushes reorder-held link frames. It
-// does not stop the shard runtimes — the caller owns those.
+// Stop flushes reorder-held link frames. It does not stop the shard
+// runtimes — the caller owns those.
 func (c *Coordinator) Stop() {
-	select {
-	case <-c.stopRebal:
-	default:
-		close(c.stopRebal)
-	}
-	<-c.rebalDone
 	for _, sh := range c.shards {
 		_ = sh.data.Flush()
 	}

@@ -14,7 +14,7 @@ import (
 // between vrancoord and vranshard processes, minus the sockets).
 type FleetConfig struct {
 	// Coordinator carries the fleet cell count, deadline hint and
-	// rebalance policy.
+	// trace policy.
 	Coordinator Config
 	// Runtime builds shard i's ran.Config. It must keep Cells equal to
 	// Coordinator.Cells — cell ids are fleet-global.
@@ -40,7 +40,7 @@ type Fleet struct {
 }
 
 // NewFleet builds and starts the fleet: runtimes, workers, pipe pairs
-// and the coordinator (with its rebalancer, if configured).
+// and the coordinator.
 func NewFleet(cfg FleetConfig) (*Fleet, error) {
 	if cfg.Shards <= 0 {
 		return nil, fmt.Errorf("shard: fleet needs shards > 0")
@@ -109,7 +109,7 @@ func (f *Fleet) close() {
 	f.wg.Wait()
 }
 
-// Stop tears the fleet down — rebalancer, runtimes, span shippers,
+// Stop tears the fleet down — coordinator, runtimes, span shippers,
 // links — and returns each runtime's final snapshot plus any worker
 // serve errors (EOF on clean close is not an error). Runtimes stop
 // before the links close so the shutdown-drain spans still ship to the

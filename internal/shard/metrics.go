@@ -31,8 +31,6 @@ func (c *Coordinator) Families() []telemetry.Family {
 			telemetry.Counter, float64(c.migrations.Load())),
 		telemetry.F("vran_shard_migrated_blocks_total", "In-flight blocks moved across shards by migrations.",
 			telemetry.Counter, float64(c.migratedBlocks.Load())),
-		telemetry.F("vran_shard_rebalance_moves_total", "Migrations triggered by the rebalancer.",
-			telemetry.Counter, float64(c.rebalMoves.Load())),
 		telemetry.F("vran_shard_held_dropped_total", "Parked frames dropped when the migration hold buffer overflowed.",
 			telemetry.Counter, float64(c.heldDropped.Load())),
 	}

@@ -95,7 +95,7 @@ func shardSoak(t *testing.T, seed int64) {
 	}
 	offered := uint64(ran.OfferLoad(sched, 0, ttis/2+1, pool, submit).Offered)
 	from := f.Coord.Route(0)
-	if err := f.Coord.MigrateCell(0, 1-from, 5*time.Second); err != nil {
+	if err := f.Coord.MigrateCell(0, 1-from); err != nil {
 		t.Fatalf("mid-soak migration: %v", err)
 	}
 	offered += uint64(ran.OfferLoad(sched, ttis/2+1, ttis, pool, submit).Offered)

@@ -2,9 +2,9 @@
 // coordinator (the DU side) owns the cell→shard map and routes
 // submitted blocks over fronthaul links to shard workers (the RU side),
 // each wrapping one ran.Runtime. The coordinator aggregates every
-// shard's vran_* metric families into one fleet view, rebalances cells
-// under sustained load skew, and drain-and-migrates a cell between live
-// shards without losing a single in-flight block or HARQ soft buffer.
+// shard's vran_* metric families into one fleet view, and, when asked,
+// drain-and-migrates a cell between live shards without losing a single
+// in-flight block or HARQ soft buffer.
 package shard
 
 import (
@@ -19,8 +19,7 @@ import (
 	"vransim/internal/ran"
 )
 
-// DefaultDrainTimeout bounds a migration drain when the coordinator
-// does not specify one.
+// DefaultDrainTimeout bounds a migration's drain on the source shard.
 const DefaultDrainTimeout = 5 * time.Second
 
 // Worker is the RU side of one shard: a ran.Runtime fed by fronthaul
@@ -130,11 +129,7 @@ func (w *Worker) handle(link *fronthaul.Link, f *fronthaul.Frame) error {
 // stream its state back — one MigrateState frame per block, one per
 // soft buffer, then MigrateDone carrying the entry count.
 func (w *Worker) serveDrain(link *fronthaul.Link, f *fronthaul.Frame) error {
-	timeout := time.Duration(f.Aux)
-	if timeout <= 0 {
-		timeout = DefaultDrainTimeout
-	}
-	st, err := w.rt.DrainCell(int(f.Cell), timeout)
+	st, err := w.rt.DrainCell(int(f.Cell), DefaultDrainTimeout)
 	if err != nil {
 		return w.writeErr(link, err)
 	}

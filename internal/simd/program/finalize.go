@@ -8,8 +8,8 @@ import (
 )
 
 // errBigEndian: Run reads the arena through an int16 view, which is the
-// engine's little-endian byte order only on a little-endian host.
-// Callers fall back to the interpreter, as for any compile error.
+// engine's little-endian byte order only on a little-endian host. Like
+// any compile error, it fails every batch of the plan's block size.
 var errBigEndian = errors.New("program: replay needs a little-endian host")
 
 // finalize derives everything Run needs from the fused segments —

@@ -20,8 +20,8 @@ import (
 // NewExec's extent check does not cover even if the two disagreed about
 // an op's layout. It refuses an op that has no record kind, and a fused op
 // whose intermediate registers a later op reads: the streams write only
-// what a lean op writes. An error means the caller stays on the
-// interpreter, as for any other compile error.
+// what a lean op writes. An error is a compile error like any other: the
+// plan has no program, and every batch of its block size fails.
 func (p *Program) lower(ops []mop) (code []uint32, err error) {
 	lw := &lowerer{p: p, wb: int64(2 * p.lanes), code: make([]uint32, 0, 8*len(ops)), unroll: 1}
 	for i := 0; i < len(ops) && lw.err == nil; {

@@ -8,8 +8,8 @@ import "vransim/internal/simd"
 // the same block, so no permute ever crosses a block boundary. They are a
 // pure function of (trellis, width), embedded in a packed plan's
 // interpreter tables. The slices are never written after newLaneTables
-// returns: the replay builder interns a permute table by its backing
-// array.
+// returns: the program Emitter interns an index table by identity (its
+// backing array).
 type laneTables struct {
 	// prevIdxU[b*8+s] is the lane of the state that reaches s under input
 	// bit U (alpha), nextIdxU[b*8+s] the lane of the state s moves to

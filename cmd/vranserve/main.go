@@ -10,7 +10,7 @@
 //	          [-rate 0.3] [-burst] [-ttis 2000] [-tti 1ms]
 //	          [-deadline 10ms] [-queue 64] [-harq-retries 3]
 //	          [-saturate] [-stats 1s] [-seed 1] [-admin :9090] [-notrace]
-//	          [-class urllc,embb] [-predict]
+//	          [-class urllc,embb]
 //	          [-chaos] [-chaos-corrupt 0.05] [-chaos-crc 0.05]
 //
 // The decoder build is W512/APCM (vranpipe and vranbench compare the rest).
@@ -25,9 +25,7 @@
 // makes every other cell URLLC). With URLLC cells configured the
 // runtime decodes URLLC ahead of eMBB, sheds eMBB first under
 // overload, and reports per-class ledgers (vran_class_* families).
-// -predict arms the per-cell MMPP burst predictor so shedding starts
-// when a burst begins rather than when the backlog crosses a
-// threshold (vran_predict_* families).
+// The shed ladder escalates on the per-class backlog fractions alone.
 //
 // With -admin an HTTP endpoint exposes the runtime while it serves:
 // /metrics (Prometheus text, ?format=json for JSON), /snapshot,
@@ -133,9 +131,6 @@ func main() {
 		for i, c := range cfg.SLA.Classes {
 			fmt.Printf(" cell%d=%s", i, c)
 		}
-		if cfg.Predict.Enabled {
-			fmt.Printf("; burst predictor armed")
-		}
 		fmt.Println()
 	}
 	if inj != nil {
@@ -233,14 +228,6 @@ func final(s *ran.Snapshot, rep *ran.LoadReport, cfg ran.Config, k int, tti time
 				ks.Drops[ran.DropShed], ks.LatencyP99.Round(10*time.Microsecond), ks.LatencyP50.Round(10*time.Microsecond))
 		}
 		fmt.Printf("worker steals %d, final shed level %d\n", s.Steals, s.ShedLevel)
-		for _, p := range s.Predict {
-			state := "off"
-			if p.Burst {
-				state = "ON"
-			}
-			fmt.Printf("predict cell %d: state %s, rate %.0f/s (on %.0f, off %.0f), %d transitions over %d windows\n",
-				p.Cell, state, p.Rate, p.RateOn, p.RateOff, p.Transitions, p.Windows)
-		}
 	}
 	if inj != nil {
 		fmt.Printf("chaos: ")

@@ -8,7 +8,7 @@
 //	vranshard -listen 127.0.0.1:7101 [-admin :9191]
 //	          [-cells 3] [-workers 4] [-k 40] [-iters 4]
 //	          [-deadline 10ms] [-queue 64] [-harq-retries 3]
-//	          [-class urllc,embb] [-predict] [-seed 1] [-trace-ring 256]
+//	          [-class urllc,embb] [-seed 1] [-trace-ring 256]
 //	          [-chaos] [-chaos-corrupt 0.05] [-chaos-crc 0.05]
 //
 // As on vranserve, the decoder is W512/APCM and -chaos arms the

@@ -31,11 +31,10 @@ var servingFamilies = []string{
 	"vran_class_latency_seconds", "vran_class_steals_total", "vran_class_shed_level",
 }
 
-// runtimeFamilies is the rest of a vranserve scrape with -class, -predict
-// and -chaos: the predictor rows, the per-process kernel gauge, the
-// tracer's stages and the injector's fires.
+// runtimeFamilies is the rest of a vranserve scrape with -class and
+// -chaos: the per-process kernel gauge, the tracer's stages and the
+// injector's fires.
 var runtimeFamilies = []string{
-	"vran_predict_state", "vran_predict_rate", "vran_predict_windows_total", "vran_predict_burst_cells",
 	"vran_decode_kernel_info", "vran_stage_latency_seconds", "vran_chaos_injected_total",
 }
 
@@ -51,16 +50,15 @@ var coordFamilies = []string{
 }
 
 // TestExposedFamiliesHaveConsumers pins the family names of the two
-// serving expositions — a runtime with SLA classes, the burst predictor,
-// tracing and chaos armed, as vranserve mounts it, and a two-shard
-// fleet's coordinator — and holds DESIGN.md §7's family → reader table to
-// exactly that set: a family cannot ship without a row naming what reads
-// it, and a row cannot outlive its family.
+// serving expositions — a runtime with SLA classes, tracing and chaos
+// armed, as vranserve mounts it, and a two-shard fleet's coordinator —
+// and holds DESIGN.md §7's family → reader table to exactly that set: a
+// family cannot ship without a row naming what reads it, and a row
+// cannot outlive its family.
 func TestExposedFamiliesHaveConsumers(t *testing.T) {
 	cfg := ran.DefaultConfig(simd.W512, core.StrategyAPCM)
 	cfg.Cells, cfg.Workers = 2, 1
 	cfg.SLA = ran.SLAConfig{Classes: []ran.Class{ran.ClassURLLC, ran.ClassEMBB}}
-	cfg.Predict = ran.PredictConfig{Enabled: true}
 	cfg.Tracer = telemetry.NewTracer(16, 2)
 	inj := chaos.New(chaos.Config{Seed: 1})
 	cfg.Chaos = inj

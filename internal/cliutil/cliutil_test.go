@@ -59,7 +59,7 @@ func TestServingFlagsByRole(t *testing.T) {
 		RegisterRuntime(fs)
 		RegisterChaos(fs, DecodeChaos)
 	})
-	if want := "cells chaos chaos-corrupt chaos-crc class deadline harq-retries iters k predict queue workers"; runtime != want {
+	if want := "cells chaos chaos-corrupt chaos-crc class deadline harq-retries iters k queue workers"; runtime != want {
 		t.Errorf("runtime binaries register\n  %s\nwant\n  %s", runtime, want)
 	}
 	coord := names(func(fs *flag.FlagSet) {
@@ -77,7 +77,7 @@ func TestServingConfig(t *testing.T) {
 	fs := flag.NewFlagSet("", flag.ContinueOnError)
 	rf := RegisterRuntime(fs)
 	cf := RegisterChaos(fs, DecodeChaos)
-	if err := fs.Parse([]string{"-cells", "2", "-class", "urllc,embb", "-predict", "-chaos", "-chaos-crc", "1"}); err != nil {
+	if err := fs.Parse([]string{"-cells", "2", "-class", "urllc,embb", "-chaos", "-chaos-crc", "1"}); err != nil {
 		t.Fatal(err)
 	}
 	cfg, err := rf.Config()
@@ -85,7 +85,7 @@ func TestServingConfig(t *testing.T) {
 		t.Fatal(err)
 	}
 	if cfg.Width != simd.W512 || cfg.Strategy != core.StrategyAPCM || cfg.Cells != 2 ||
-		len(cfg.SLA.Classes) != 2 || !cfg.Predict.Enabled || cfg.HARQ.MaxRetries != 3 {
+		len(cfg.SLA.Classes) != 2 || cfg.HARQ.MaxRetries != 3 {
 		t.Errorf("config %+v", cfg)
 	}
 	inj := cf.Injector(1)

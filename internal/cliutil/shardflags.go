@@ -27,7 +27,6 @@ type RuntimeFlags struct {
 	Deadline        *time.Duration
 	HARQRetries     *int
 	Class           *string
-	Predict         *bool
 }
 
 // RegisterRuntime registers the runtime flags on fs.
@@ -41,7 +40,6 @@ func RegisterRuntime(fs *flag.FlagSet) *RuntimeFlags {
 		Queue:       fs.Int("queue", 64, "blocks one cell may have waiting for a worker, per traffic class"),
 		HARQRetries: fs.Int("harq-retries", 3, "HARQ retransmission budget per block (0 disables the retry path)"),
 		Class:       fs.String("class", "", "per-cell SLA class list, comma-separated and cycled over cells (e.g. \"urllc,embb\"); empty = class-blind"),
-		Predict:     fs.Bool("predict", false, "arm the per-cell MMPP burst predictor feeding the class-aware shed ladder"),
 	}
 }
 
@@ -62,7 +60,6 @@ func (rf *RuntimeFlags) Config() (ran.Config, error) {
 		return ran.Config{}, fmt.Errorf("-class: %w", err)
 	}
 	cfg.SLA = ran.SLAConfig{Classes: classes}
-	cfg.Predict = ran.PredictConfig{Enabled: *rf.Predict}
 	return cfg, nil
 }
 

@@ -48,8 +48,8 @@ var fuzzKs = [...]int{40, 64, 104}
 //     that never serves one class fails here;
 //   - nothing is left behind after Stop (queues, retry path).
 //
-// mode picks the block size (bits 0-5) and arms the burst predictor (bit
-// 0x40); bit 0x80 is ignored, so the seeds that set it replay unchanged.
+// mode picks the block size (bits 0-5); bits 0x40 and 0x80 are ignored,
+// so the seeds that set them replay unchanged.
 // Each step byte encodes one submission burst: cell, HARQ process,
 // burst size and an optional sub-TTI arrival gap.
 func FuzzAdmission(f *testing.F) {
@@ -87,7 +87,6 @@ func FuzzAdmission(f *testing.F) {
 			Classes:       classes,
 			URLLCDeadline: time.Duration(urllcUs) * time.Microsecond,
 		}
-		cfg.Predict = PredictConfig{Enabled: mode&0x40 != 0, Window: 500 * time.Microsecond}
 
 		rt, err := New(cfg)
 		if err != nil {

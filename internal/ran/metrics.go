@@ -365,10 +365,6 @@ type Snapshot struct {
 	// goes with that reader.
 	ReservedWorkers int
 
-	// Predict holds one row per cell predictor; nil when the predictor
-	// is not armed.
-	Predict []PredictSnapshot
-
 	LatencyP50 time.Duration
 	LatencyP90 time.Duration
 	LatencyP99 time.Duration
@@ -422,10 +418,9 @@ func percentiles(buckets []uint64) (p50, p90, p99 time.Duration) {
 
 // Merge folds snapshots of several runtimes (the shards of a fleet) into
 // one. It is a sum, except: Elapsed and ShedLevel take the max; latency
-// buckets merge element-wise; Predict rows concatenate (a cell is owned
-// by one runtime at a time, so a migrated cell keeps both rows);
-// ProgramCompiles counts once per Process. The ratio gauges are then derived from the summed raw
-// counters, exactly as for one runtime. Nil entries are skipped.
+// buckets merge element-wise; ProgramCompiles counts once per Process.
+// The ratio gauges are then derived from the summed raw counters,
+// exactly as for one runtime. Nil entries are skipped.
 func Merge(snaps []*Snapshot) *Snapshot {
 	out := &Snapshot{}
 	procs := make(map[uint64]bool)
@@ -471,7 +466,6 @@ func Merge(snaps []*Snapshot) *Snapshot {
 		}
 		out.Steals += s.Steals
 		out.ShedLevel = max(out.ShedLevel, s.ShedLevel)
-		out.Predict = append(out.Predict, s.Predict...)
 		out.LatencyBuckets = telemetry.MergeBuckets(out.LatencyBuckets, s.LatencyBuckets)
 	}
 	out.derive()

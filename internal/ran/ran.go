@@ -148,10 +148,6 @@ type Config struct {
 	// ladder (sla.go). The zero value is class-blind: every cell is
 	// eMBB and nothing sheds.
 	SLA SLAConfig
-	// Predict arms one MMPP burst predictor per cell (predict.go); the
-	// shed ladder consults it to start shedding eMBB when a burst
-	// begins instead of when the backlog crosses a threshold.
-	Predict PredictConfig
 	// Chaos, when non-nil, arms fault injection at the runtime's fault
 	// sites (submit corruption, queue pressure, worker stalls, forced
 	// CRC failures, plan evictions). Nil injects nothing at zero
@@ -201,20 +197,14 @@ type Runtime struct {
 	spanSink atomic.Value
 
 	stopped atomic.Bool
-	// estDecodeNs is an EWMA of per-block decode cost (updateEstimate).
-	// Its one reader is the shed ladder's demand > capacity term
-	// (updateShed).
-	estDecodeNs atomic.Int64
 
-	// SLA-class overload state (sla.go / predict.go): slaActive latches
-	// whether any cell carries the URLLC class; shed is the current
-	// shed-ladder level, raised at a take and read at every Submit;
-	// shedCalm is the de-escalation streak, owned by rq's lock; preds
-	// holds one burst predictor per cell when Predict is armed.
+	// SLA-class overload state (sla.go): slaActive latches whether any
+	// cell carries the URLLC class; shed is the current shed-ladder
+	// level, raised at a take and read at every Submit; shedCalm is the
+	// de-escalation streak, owned by rq's lock.
 	slaActive bool
 	shed      atomic.Int32
 	shedCalm  int
-	preds     []*Predictor
 }
 
 // New validates cfg and starts the worker goroutines.
@@ -253,12 +243,6 @@ func New(cfg Config) (*Runtime, error) {
 		// the least-recently-combined buffer is evicted and its block's
 		// recovery rests on later retransmissions alone.
 		r.harq = phy.NewProcessSet(HARQProcesses, cfg.Cells*cfg.QueueDepth)
-	}
-	if cfg.Predict.Enabled {
-		r.preds = make([]*Predictor, cfg.Cells)
-		for i := range r.preds {
-			r.preds[i] = NewPredictor(cfg.Predict)
-		}
 	}
 	r.workerWG.Add(cfg.Workers)
 	for i := 0; i < cfg.Workers; i++ {
@@ -307,12 +291,6 @@ func (r *Runtime) SubmitTraced(cell, ue, proc, k int, word *turbo.LLRWord, tc te
 	}
 	now := time.Now()
 	class := r.cfg.SLA.ClassOf(cell)
-	// The predictor observes every arrival — including ones about to be
-	// shed or bounced — because it estimates the offered process, not
-	// the admitted one.
-	if r.preds != nil {
-		r.preds[cell].Observe(now, 1)
-	}
 	if r.shouldShed(cell, class) {
 		r.met.drop(cell, class, DropShed)
 		return RejectedShed
@@ -385,19 +363,13 @@ func (r *Runtime) Snapshot() *Snapshot {
 	depths, retries := r.rq.depths()
 	s := r.met.snapshot(depths, r.cfg.Workers)
 	// Runtime-owned HARQ/SLA state rides on top of the counter view
-	// (the metrics layer has no handle on the process set or the
-	// predictors).
+	// (the metrics layer has no handle on the process set or the shed
+	// ladder).
 	s.RetryDepth = retries
 	s.ShedLevel = int(r.shed.Load())
 	if r.harq != nil {
 		s.HARQCombines, s.HARQEvictions = r.harq.Stats()
 		s.HARQBuffers = r.harq.Len()
-	}
-	if r.preds != nil {
-		s.Predict = make([]PredictSnapshot, len(r.preds))
-		for i, p := range r.preds {
-			s.Predict[i] = p.snapshot(i)
-		}
 	}
 	return s
 }
@@ -543,8 +515,7 @@ func (r *Runtime) worker() {
 			// The decoder refused the batch — a block size that is not
 			// valid or has no program — and decoded nothing: every block
 			// ends as a decode drop, and the batch's cost, which is no
-			// decode's, feeds neither the decode metrics nor the shed
-			// ladder's estimate.
+			// decode's, feeds no decode metric.
 			for _, b := range live {
 				r.met.drop(b.Cell, b.Class, DropDecode)
 				r.recordSpan(b, time.Now(), 0, 0, "decode")
@@ -561,7 +532,6 @@ func (r *Runtime) worker() {
 		// Per-block convergence histogram: the decoder reports each
 		// block's own early-exit latch iteration.
 		r.met.observeIters(bd.BlockIters())
-		r.updateEstimate(busy, len(live))
 		end := time.Now()
 		for i, b := range live {
 			if end.After(b.Deadline) {
@@ -649,26 +619,4 @@ func clampDur(d time.Duration) time.Duration {
 		return 0
 	}
 	return d
-}
-
-// estSampleCap bounds one sample of the decode estimate to this many
-// times the estimate it is folded into: a host stall of 100-400 ms (a
-// shared host sees several a minute) or a cold plan moves
-// the estimate by at most (estSampleCap-1)/8 of itself, where unclamped
-// it would put the shed ladder's capacity term far below what the
-// workers serve.
-const estSampleCap = 4
-
-// updateEstimate folds a measured batch cost into the per-block EWMA
-// behind the shed ladder's measured capacity (updateShed).
-func (r *Runtime) updateEstimate(busy time.Duration, blocks int) {
-	per := busy.Nanoseconds() / int64(blocks)
-	old := r.estDecodeNs.Load()
-	if old == 0 {
-		r.estDecodeNs.Store(per)
-		return
-	}
-	per = min(per, estSampleCap*old)
-	// 1/8 EWMA; a stale CAS just means another worker's sample won.
-	r.estDecodeNs.CompareAndSwap(old, old+(per-old)/8)
 }

@@ -13,7 +13,7 @@ func mkBlock(k int) *Block { return &Block{K: k} }
 // mixedRuntime is a bare runtime (no goroutines) whose cell 0 is URLLC
 // and cell 1 eMBB, 4 lanes a batch.
 func mixedRuntime() *Runtime {
-	return bareSLARuntime(2, 64, SLAConfig{Classes: []Class{ClassURLLC, ClassEMBB}}, false)
+	return bareSLARuntime(2, 64, SLAConfig{Classes: []Class{ClassURLLC, ClassEMBB}})
 }
 
 // pushAt pushes one arrival of cell and size k due after due.
@@ -28,7 +28,7 @@ func pushAt(t *testing.T, r *Runtime, cell, k int, due time.Duration, now time.T
 // TestBatcherFillsLaneGroups: a take holds at most lanes blocks, all of
 // one K, and leaves the rest for the next take.
 func TestBatcherFillsLaneGroups(t *testing.T) {
-	r := bareSLARuntime(1, 64, SLAConfig{}, false)
+	r := bareSLARuntime(1, 64, SLAConfig{})
 	for i := 0; i < 6; i++ {
 		r.rq.push(mkBlock(104), true)
 	}
@@ -84,7 +84,7 @@ func TestBatcherKeepsKsApart(t *testing.T) {
 // TestBatcherFlushOnTimeout: nothing waits for lane co-travellers — a
 // lone block is taken at once, by a taker already waiting for work too.
 func TestBatcherFlushOnTimeout(t *testing.T) {
-	r := bareSLARuntime(1, 64, SLAConfig{}, false)
+	r := bareSLARuntime(1, 64, SLAConfig{})
 	r.rq.push(mkBlock(40), true)
 	if got, ok := r.take(nil); !ok || len(got) != 1 {
 		t.Fatalf("lone block: take returned %d blocks (ok=%v), want 1", len(got), ok)
@@ -134,7 +134,7 @@ func TestBatcherForceFlush(t *testing.T) {
 // idle runtime — and never when it signals nobody, when another worker
 // is already awake, or when it does not queue the block at all.
 func TestPushHandsOffOnlyFromIdle(t *testing.T) {
-	r := bareSLARuntime(2, 64, SLAConfig{}, false)
+	r := bareSLARuntime(2, 64, SLAConfig{})
 	r.rq.workers = 2
 	got := make(chan []*Block, 2)
 	for i := 0; i < 2; i++ {

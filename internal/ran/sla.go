@@ -9,13 +9,12 @@ import (
 // This file is the SLA-class model and the class-aware overload
 // controller: per-cell traffic classes (a URLLC-like tight-deadline
 // class vs an eMBB-like throughput class), a shed ladder that drops the
-// cheapest class first when the runtime is (or is about to be)
-// overloaded, and the URLLC-first take that lets an idle worker serve
-// any cell's URLLC backlog before any cell's eMBB. Shedding at the door
-// is the runtime's one response to overload: every accepted block
-// decodes with the full iteration budget, and the predictor
-// (predict.go), when armed, makes the ladder anticipatory instead of
-// reactive.
+// cheapest class first when the runtime is overloaded, and the
+// URLLC-first take that lets an idle worker serve any cell's URLLC
+// backlog before any cell's eMBB. Shedding at the door is the runtime's
+// one response to overload: every accepted block decodes with the full
+// iteration budget, and the ladder reads one kind of signal, the
+// per-class backlog fractions.
 
 // Class is a cell's SLA traffic class.
 type Class uint8
@@ -149,12 +148,11 @@ func (r *Runtime) backlog(cell int, c Class) float64 {
 	return float64(r.rq.waiting[qi(cell, c)]) / float64(r.cfg.QueueDepth)
 }
 
-// updateShed recomputes the shed level from the signals the controller
-// watches: per-class worst backlog fractions, the burst predictor's
-// state, and predicted demand against the measured decode capacity.
-// Escalation is immediate; de-escalation needs shedDownHold consecutive
-// calm takes (hysteresis). Called at every take, with rq.mu held —
-// which is what keeps shedCalm single-owner.
+// updateShed recomputes the shed level from the two signals the
+// controller watches: the worst eMBB and the worst URLLC backlog
+// fraction over the cells. Escalation is immediate; de-escalation needs
+// shedDownHold consecutive calm takes (hysteresis). Called at every
+// take, with rq.mu held — which is what keeps shedCalm single-owner.
 func (r *Runtime) updateShed() {
 	if !r.slaActive {
 		return
@@ -164,24 +162,11 @@ func (r *Runtime) updateShed() {
 		worstE = max(worstE, r.backlog(cell, ClassEMBB))
 		worstU = max(worstU, r.backlog(cell, ClassURLLC))
 	}
-	burst := false
-	demand := 0.0 // predicted fleet arrival rate, blocks/s
-	for _, p := range r.preds {
-		if p.Burst() {
-			burst = true
-		}
-		demand += p.Rate()
-	}
-	// Measured service capacity, blocks/s (0 until the first decode).
-	capacity := 0.0
-	if est := r.estDecodeNs.Load(); est > 0 {
-		capacity = float64(r.cfg.Workers) * 1e9 / float64(est)
-	}
 	want := shedOff
-	if burst || worstE >= 0.5 {
+	if worstE >= 0.5 {
 		want = shedPressure
 	}
-	if worstU >= 0.5 || worstE >= 0.75 || (burst && capacity > 0 && demand > capacity) {
+	if worstU >= 0.5 || worstE >= 0.75 {
 		want = shedAll
 	}
 	cur := int(r.shed.Load())

@@ -15,8 +15,8 @@ import (
 // once at clean load (every cell stationary Poisson) to establish the
 // URLLC latency baseline, then with the eMBB cells switched to a 2×
 // mean MMPP burst process while the URLLC cells stay steady. The
-// class-priority batching, work stealing, burst predictor and shed
-// ladder together must hold the SLA:
+// class-priority batching, work stealing and shed ladder together must
+// hold the SLA:
 //
 //   - URLLC p99 under burst stays within 1.5× the clean-load value;
 //   - zero URLLC admission rejects (no backlog, admission or shed
@@ -153,10 +153,6 @@ func slaSoak(t *testing.T, seed int64) {
 		// processor for 8/capMs ms (0.6–0.8 ms at the calibrated K, see
 		// maxCapMs): well inside the bar's 6-TTI floor below.
 		cfg.SLA = SLAConfig{Classes: classes}
-		// The predictor's estimation window tracks the TTI so a burst's
-		// per-window count clears the MinRate-floored baseline on slow
-		// (race) builds too.
-		cfg.Predict = PredictConfig{Enabled: true, Window: tti}
 
 		rt, err := New(cfg)
 		if err != nil {

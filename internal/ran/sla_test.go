@@ -15,24 +15,17 @@ import (
 // but no goroutines — the controller methods (updateShed, shouldShed)
 // and take are pure functions of this state, so the table tests drive
 // them directly instead of racing live workers.
-func bareSLARuntime(cells, qdepth int, sla SLAConfig, predict bool) *Runtime {
+func bareSLARuntime(cells, qdepth int, sla SLAConfig) *Runtime {
 	cfg := DefaultConfig(simd.W512, core.StrategyAPCM)
 	cfg.Cells = cells
 	cfg.QueueDepth = qdepth
 	cfg.SLA = sla
-	r := &Runtime{
+	return &Runtime{
 		cfg:       cfg,
 		met:       NewMetrics(cells),
 		rq:        newReady(cells, turbo.BlocksPerRegister(cfg.Width), qdepth, cfg.Workers),
 		slaActive: cfg.SLA.hasURLLC(),
 	}
-	if predict {
-		r.preds = make([]*Predictor, cells)
-		for i := range r.preds {
-			r.preds[i] = NewPredictor(cfg.Predict)
-		}
-	}
-	return r
 }
 
 // fill sets one (cell, class)'s waiting count to n (the controllers
@@ -40,9 +33,8 @@ func bareSLARuntime(cells, qdepth int, sla SLAConfig, predict bool) *Runtime {
 func fill(r *Runtime, cell int, c Class, n int) { r.rq.waiting[qi(cell, c)] = n }
 
 // TestShedLadderEscalation drives updateShed through its signal table:
-// queue-pressure thresholds on each class and the predictor's burst
-// state, asserting the level each combination lands on. Escalation is
-// immediate (a single take).
+// the backlog-fraction thresholds on each class, asserting the level
+// each combination lands on. Escalation is immediate (a single take).
 func TestShedLadderEscalation(t *testing.T) {
 	sla := SLAConfig{Classes: []Class{ClassURLLC, ClassEMBB}}
 	const qd = 100
@@ -50,35 +42,20 @@ func TestShedLadderEscalation(t *testing.T) {
 		name       string
 		embbDepth  int // eMBB queue depth on cell 1
 		urllcDepth int // URLLC queue depth on cell 0
-		burst      bool
 		want       int
 	}{
-		{"calm", 0, 0, false, shedOff},
-		{"embb-under-half", 49, 0, false, shedOff},
-		{"embb-at-half", 50, 0, false, shedPressure},
-		{"burst-predicted", 0, 0, true, shedPressure},
-		{"embb-at-three-quarters", 75, 0, false, shedAll},
-		{"urllc-at-half", 0, 50, false, shedAll},
-		{"urllc-under-half", 0, 49, false, shedOff},
+		{"calm", 0, 0, shedOff},
+		{"embb-under-half", 49, 0, shedOff},
+		{"embb-at-half", 50, 0, shedPressure},
+		{"embb-at-three-quarters", 75, 0, shedAll},
+		{"urllc-at-half", 0, 50, shedAll},
+		{"urllc-under-half", 0, 49, shedOff},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			r := bareSLARuntime(2, qd, sla, tc.burst)
+			r := bareSLARuntime(2, qd, sla)
 			fill(r, 1, ClassEMBB, tc.embbDepth)
 			fill(r, 0, ClassURLLC, tc.urllcDepth)
-			if tc.burst {
-				// Force the predictor into a declared burst: a quiet
-				// baseline, then a sustained jump.
-				for i := 0; i < 50; i++ {
-					r.preds[0].Tick(1)
-				}
-				for i := 0; i < 10; i++ {
-					r.preds[0].Tick(20)
-				}
-				if !r.preds[0].Burst() {
-					t.Fatal("predictor did not enter burst state")
-				}
-			}
 			r.updateShed()
 			if got := int(r.shed.Load()); got != tc.want {
 				t.Errorf("level %d, want %d", got, tc.want)
@@ -92,7 +69,7 @@ func TestShedLadderEscalation(t *testing.T) {
 // mid-descent resets the calm streak.
 func TestShedLadderHysteresis(t *testing.T) {
 	sla := SLAConfig{Classes: []Class{ClassURLLC, ClassEMBB}}
-	r := bareSLARuntime(2, 100, sla, false)
+	r := bareSLARuntime(2, 100, sla)
 
 	fill(r, 1, ClassEMBB, 80) // >= 75% => shedAll, in one take
 	r.updateShed()
@@ -135,7 +112,7 @@ func TestShedLadderHysteresis(t *testing.T) {
 // pressured cells at shedPressure; a class-blind runtime never sheds.
 func TestShouldShedPolicy(t *testing.T) {
 	sla := SLAConfig{Classes: []Class{ClassURLLC, ClassEMBB, ClassEMBB}}
-	r := bareSLARuntime(3, 100, sla, false)
+	r := bareSLARuntime(3, 100, sla)
 	fill(r, 1, ClassEMBB, 30) // cell 1 pressured (>= shedQueueFrac)
 
 	r.shed.Store(shedOff)
@@ -163,7 +140,7 @@ func TestShouldShedPolicy(t *testing.T) {
 	}
 
 	// Class-blind: no URLLC cells configured, the ladder never engages.
-	blind := bareSLARuntime(2, 100, SLAConfig{}, false)
+	blind := bareSLARuntime(2, 100, SLAConfig{})
 	blind.shed.Store(shedAll) // even if the level were somehow raised
 	if blind.shouldShed(0, ClassEMBB) {
 		t.Error("class-blind runtime shed an arrival")
@@ -181,7 +158,7 @@ func TestShouldShedPolicy(t *testing.T) {
 // arrival and is never refused for backlog, so a retry backlog past
 // QueueDepth raises the shed ladder as an arrival backlog would.
 func TestShedCountsRetries(t *testing.T) {
-	r := bareSLARuntime(2, 100, SLAConfig{Classes: []Class{ClassURLLC, ClassEMBB}}, false)
+	r := bareSLARuntime(2, 100, SLAConfig{Classes: []Class{ClassURLLC, ClassEMBB}})
 	for i := 0; i < 105; i++ {
 		if a, _ := r.rq.push(&Block{Cell: 1, K: 40, Attempt: 1}, false); a != Admitted {
 			t.Fatalf("retry %d refused: %v", i, a)
@@ -228,7 +205,7 @@ func TestParseClassList(t *testing.T) {
 // TestClassDeadline: URLLC gets its own budget when configured, both
 // classes share Config.Deadline otherwise.
 func TestClassDeadline(t *testing.T) {
-	r := bareSLARuntime(2, 64, SLAConfig{Classes: []Class{ClassURLLC, ClassEMBB}, URLLCDeadline: time.Millisecond}, false)
+	r := bareSLARuntime(2, 64, SLAConfig{Classes: []Class{ClassURLLC, ClassEMBB}, URLLCDeadline: time.Millisecond})
 	r.cfg.Deadline = 10 * time.Millisecond
 	if d := r.classDeadline(ClassURLLC); d != time.Millisecond {
 		t.Errorf("URLLC deadline %v, want 1ms", d)

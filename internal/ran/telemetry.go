@@ -12,10 +12,10 @@ import (
 
 // Families renders the snapshot in the vran_* metric naming scheme:
 // per-cell ledgers and queue depth, runtime-wide gauges (goodput, lane
-// occupancy, worker utilization, latency quantiles), the decode-path,
-// HARQ and SLA-class counters, and the predictor rows when it is armed.
-// Every family has a reader named in DESIGN §7. The same families back
-// both the Prometheus text and JSON expositions.
+// occupancy, worker utilization, latency quantiles), and the
+// decode-path, HARQ and SLA-class counters. Every family has a reader
+// named in DESIGN §7. The same families back both the Prometheus text
+// and JSON expositions.
 func (s *Snapshot) Families() []telemetry.Family {
 	cellLedger := ledgerFamilies("vran_", [3]string{
 		"Blocks admitted for decode.",
@@ -60,7 +60,7 @@ func (s *Snapshot) Families() []telemetry.Family {
 		ks := &s.Classes[c]
 		clsLat.Samples = latencySamples(clsLat.Samples, ks.LatencyP50, ks.LatencyP90, ks.LatencyP99, telemetry.L("class", c.String()))
 	}
-	fams := []telemetry.Family{
+	return []telemetry.Family{
 		cellLedger[0], cellLedger[1], cellLedger[2], depth,
 		telemetry.F("vran_goodput_mbps", "Delivered information bits over elapsed time.", telemetry.Gauge, s.GoodputMbps),
 		telemetry.F("vran_batches_total", "Decode batches the workers took.", telemetry.Counter, float64(s.Batches)),
@@ -77,35 +77,6 @@ func (s *Snapshot) Families() []telemetry.Family {
 		telemetry.F("vran_class_steals_total", "URLLC batches a worker took while eMBB blocks waited.", telemetry.Counter, float64(s.Steals)),
 		telemetry.F("vran_class_shed_level", "Current class-aware shed ladder level (0 = admit all).", telemetry.Gauge, float64(s.ShedLevel)),
 	}
-	if len(s.Predict) > 0 {
-		state := telemetry.Family{Name: "vran_predict_state",
-			Help: "Per-cell burst predictor state (1 = ON dwell declared).", Type: telemetry.Gauge}
-		rate := telemetry.Family{Name: "vran_predict_rate",
-			Help: "Per-cell predicted arrival rate, blocks/s (est=fast/on/off).", Type: telemetry.Gauge}
-		var windows, burstCells float64
-		for _, p := range s.Predict {
-			cell := telemetry.L("cell", strconv.Itoa(p.Cell))
-			v := 0.0
-			if p.Burst {
-				v, burstCells = 1, burstCells+1
-			}
-			state.Samples = append(state.Samples, telemetry.Sample{
-				Labels: []telemetry.Label{cell}, Value: v})
-			for _, e := range []struct {
-				est string
-				v   float64
-			}{{"fast", p.Rate}, {"on", p.RateOn}, {"off", p.RateOff}} {
-				rate.Samples = append(rate.Samples, telemetry.Sample{
-					Labels: []telemetry.Label{cell, telemetry.L("est", e.est)}, Value: e.v})
-			}
-			windows += float64(p.Windows)
-		}
-		fams = append(fams, state, rate,
-			telemetry.F("vran_predict_windows_total", "Closed estimation windows across cell predictors.", telemetry.Counter, windows),
-			telemetry.F("vran_predict_burst_cells", "Cells whose predictor currently declares a burst.", telemetry.Gauge, burstCells),
-		)
-	}
-	return fams
 }
 
 // ledgerFamilies renders n ledgers, each under its own label, as the

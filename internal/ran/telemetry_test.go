@@ -246,8 +246,8 @@ func TestProgramMetricsExposition(t *testing.T) {
 // (K=41 is no LTE size, and nothing at the door checks it) ends as a
 // decode drop with a "decode" span — not as an expired block — and the
 // ledger stays conserved per runtime, cell and class. The refused batch
-// decoded nothing, so it leaves the shed ladder's decode estimate where
-// the good batches before it put it.
+// decoded nothing, so it feeds no decode metric: the batch count and the
+// workers' decode busy time stay where the good batches put them.
 func TestDecodeErrorDropsAsDecode(t *testing.T) {
 	cfg := testConfig(simd.W512)
 	cfg.Tracer = telemetry.NewTracer(64, 2)
@@ -263,9 +263,9 @@ func TestDecodeErrorDropsAsDecode(t *testing.T) {
 		}
 	}
 	waitSettle(t, rt, 0)
-	est := rt.estDecodeNs.Load()
-	if est <= 0 {
-		t.Fatalf("decode estimate %d ns after %d decoded blocks", est, pool.Len())
+	good := rt.Snapshot()
+	if good.Batches == 0 || good.DecodeBusyNs <= 0 {
+		t.Fatalf("%d batches, %d ns busy after %d decoded blocks", good.Batches, good.DecodeBusyNs, pool.Len())
 	}
 	const bad, nBad = 41, 6
 	word := turbo.NewLLRWord(bad)
@@ -294,8 +294,9 @@ func TestDecodeErrorDropsAsDecode(t *testing.T) {
 			t.Errorf("class %v: accepted %d, terminal %d", Class(c), cs.Accepted, cs.Terminal())
 		}
 	}
-	if got := rt.estDecodeNs.Load(); got != est {
-		t.Errorf("the refused batch moved the decode estimate from %d to %d ns", est, got)
+	if s.Batches != good.Batches || s.DecodeBusyNs != good.DecodeBusyNs {
+		t.Errorf("the refused batches moved the decode metrics: %d batches, %d ns busy, then %d, %d ns",
+			good.Batches, good.DecodeBusyNs, s.Batches, s.DecodeBusyNs)
 	}
 	outcomes := map[string]int{}
 	for _, sp := range cfg.Tracer.Recent() {
@@ -311,7 +312,7 @@ func TestDecodeErrorDropsAsDecode(t *testing.T) {
 // arrivals shed and 60 delivered is a rate of 0.40, healthy under the 0.5
 // default.
 func TestHealthzCountsShedAsOffered(t *testing.T) {
-	r := bareSLARuntime(2, 64, SLAConfig{Classes: []Class{ClassURLLC, ClassEMBB}}, false)
+	r := bareSLARuntime(2, 64, SLAConfig{Classes: []Class{ClassURLLC, ClassEMBB}})
 	for i := 0; i < 40; i++ {
 		r.met.drop(1, ClassEMBB, DropShed)
 	}

@@ -2,6 +2,8 @@ package turbo
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"flag"
 	"fmt"
 	"math/rand"
@@ -246,6 +248,12 @@ func TestEmittedDecodesLikeInterpreter(t *testing.T) {
 // region. A key that did not would fail every batch of its size. The
 // programs are emitted directly, so the process-wide cache keeps none of
 // them. APCM runs at every size here; extract joins it under -emit.all.
+//
+// It also pins every program's bytes: the Checksum of each size's
+// program, in BlockSizes order, is folded into one SHA-256 per (strategy,
+// width) and compared with servedDigests. A change to the compiler that
+// leaves every program as it was passes; one that moves a single word of
+// one program fails here.
 func TestEveryServedKeyCompiles(t *testing.T) {
 	strategies := []core.Strategy{core.StrategyAPCM}
 	if *emitAll {
@@ -255,6 +263,7 @@ func TestEveryServedKeyCompiles(t *testing.T) {
 		for _, w := range simd.Widths {
 			t.Run(fmt.Sprintf("%v/%v", s, w), func(t *testing.T) {
 				t.Parallel()
+				digest := sha256.New()
 				for _, k := range BlockSizes {
 					pl := strategyPlan(t, s, w, k)
 					prog, err := emitProgram(pl, s)
@@ -262,10 +271,29 @@ func TestEveryServedKeyCompiles(t *testing.T) {
 						err = pl.checkExtent(prog)
 					}
 					if err != nil {
-						t.Errorf("K=%d: %v", k, err)
+						t.Fatalf("K=%d: %v", k, err)
 					}
+					sum := prog.Checksum()
+					digest.Write(sum[:])
+				}
+				key := fmt.Sprintf("%v/%v", s, w)
+				if got := hex.EncodeToString(digest.Sum(nil)); got != servedDigests[key] {
+					t.Errorf("%s: the programs of all %d sizes digest to %s, pinned %s", key, len(BlockSizes), got, servedDigests[key])
 				}
 			})
 		}
 	}
+}
+
+// servedDigests are the pinned program digests of TestEveryServedKeyCompiles.
+// They change only with a deliberate change to what a program holds (a
+// record, a table, a stop's place); a change that moves them says so, and
+// why, in CHANGES.md.
+var servedDigests = map[string]string{
+	"apcm/SSE128":     "7a973f5f437f78e0c666b84ba572b9ded2b0f97d28776041f80b1c413d4e411f",
+	"apcm/AVX256":     "a2695d7fa57abc6ee62a4d98b1a86b6265ec710c5e00691cd3aa5a3ed1d6a36c",
+	"apcm/AVX512":     "f494510b32933e2e64d7b70a62ac71576c27e68bbe3e399ed5d92084385504e8",
+	"original/SSE128": "38ce4abd0b7a418be77223eee43711897dbd71e414d170889869f33b11e00f7b",
+	"original/AVX256": "c013e9be1e7717a0a3519d62ef71a1fd07e3e2d62bf650260c273306e445fb7e",
+	"original/AVX512": "cda28745ecce711f72e1a271bdb8b1d455849605a01bae61803c6182f7cabaf0",
 }

@@ -12,8 +12,9 @@ import (
 // The Engine is the interpreter: every op executes on Go values, lane by
 // lane, and is traced for the timing model. It is the reference the
 // compiled replay programs of internal/simd/program are held to; they are
-// written from a description of the decode (program.Emitter), never from
-// a run of the Engine.
+// written from a description of the decode, each program.Emitter method
+// writing the record of the engine sequence it names (AlphaSweep a whole
+// alpha recursion), never from a run of the Engine.
 //
 // The zero Engine is not usable; construct one with NewEngine.
 type Engine struct {

@@ -6,41 +6,40 @@
 // every decode, only the data differs. This package exploits that. A
 // program has two segments, a "first" one (the prefix: setup and
 // constants, run once a decode) and a "steady" one (one iteration,
-// identical for every iteration, the first included). Each is written as a
-// slice of width-specialized ops in which the packed decode stream's hot
-// patterns — whole alpha and beta trellis steps, quad branch-metric
-// scatters, interleave gathers, the extrinsic group — are single fused
-// ops, and each run the caller states as a Loop is a loop when its trips
-// repeat trip 0 with their addresses moving by fixed strides (loop.go),
-// and then lowered to a descriptor stream that runs them directly over a
-// state region.
+// identical for every iteration, the first included), each a descriptor
+// stream (kern.go) that runs directly over a state region.
 //
-// There is one compiler. An Emitter (emit.go) is handed the ops by a
-// caller that describes the decode from its plan, fused ops whole, with no
-// engine and no recording: internal/turbo's planEmitter writes the packed
-// plans of the paper's two arrangements so. Emit ends in finish: finalize,
-// the one validator (bounds, extent, live masks) and the one lowering
-// (descriptor streams), then the release of the fused ops.
+// There is one compiler, and it writes the streams directly. An Emitter
+// (emit.go) is handed the decode by a caller that describes it from its
+// plan, with no engine and no recording: internal/turbo's planEmitter
+// writes the packed plans of the paper's two arrangements so. Each
+// Emitter method writes the record of the engine sequence its comment
+// spells out, checking every operand as it writes it; the hot patterns of
+// the packed decode stream — whole alpha and beta sweeps, quad
+// branch-metric scatters, interleave gathers, the extrinsic group — are
+// single records, and a run the caller states as a Loop is a loop record
+// when its trips repeat trip 0 with their addresses moving by fixed
+// strides (loop.go). There is no intermediate form and no pass over the
+// records once they are written.
 //
 // What Emit returns is split in two. The Program is immutable, holds one
 // executable form on every host — the descriptor streams and the tables
-// they address, each distinct table once however many ops refer to it, run
-// by the AVX-512BW assembly or by its Go twin (kern.go) — and holds
+// they address, each distinct table once however many records refer to
+// it, run by the AVX-512BW assembly or by its Go twin — and holds
 // addresses only as offsets from the start of a state region, so a process
 // compiles a (K, width, strategy) once and every worker shares the result.
 // What a replay mutates is an Exec: a register file, one such region of
 // the worker's own, and the executor it was made with (run.go).
 //
 // Replay is bit-identical to interpretation where the observable state is
-// the region (the register file is private to the Exec): each op an
-// Emitter appends stands for the engine sequence its method documents, and
-// preserves that sequence's memory effects and its register effects
-// wherever a later op reads them — lowering refuses a fused op with such a
-// reader, so every op the streams run writes no intermediate register at
-// all, and a fused method refuses register aliasing and overlapping load
-// and store ranges that would make one pass differ from the sequence. The
-// caller's description is held to the interpreter by decode differentials
-// (internal/turbo), not by construction.
+// the region (the register file is private to the Exec): each record
+// preserves its engine sequence's memory effects and the register effects
+// a later record reads. A fused record writes only its carried register,
+// so the Emitter marks the others its sequence writes clobbered and
+// refuses a program that reads one before writing it again; a fused
+// method refuses register aliasing that would make one pass differ from
+// the sequence. The caller's description is held to the interpreter by
+// decode differentials (internal/turbo), not by construction.
 package program
 
 import (
@@ -48,60 +47,6 @@ import (
 	"encoding/binary"
 
 	"vransim/internal/simd"
-)
-
-// mop is one executable replay op. Singleton kinds stand for one engine
-// op each; fused kinds carry their operand lists (register lane offsets,
-// table ids and addresses) in the program's aux pool at [tab, tab+...).
-type mop struct {
-	kind    uint8
-	d, a, b int32 // register lane offsets (regID * regStride)
-	addr    int64
-	imm     int64
-	tab     int32
-	n       int32
-	// live is derived by finalize: bit k is set when the k-th register
-	// write visitEffects reports for this op is read by a later op before
-	// it is overwritten.
-	live uint64
-}
-
-// Executable op kinds.
-const (
-	mClear uint8 = iota
-	mAddS
-	mSubS
-	mAnd
-	mOr
-	mXor
-	mSra
-	mBcastImm
-	mSetImm
-	mExt128
-	mExt256
-	mLoad
-	mStore
-	mExtrW
-
-	// Fused kinds (the Emitter's fused methods spell out their engine
-	// sequences): the shapes of the packed decode stream. Each replaces a
-	// whole phase step with one single-pass op that writes memory and the
-	// carried state; lowering refuses one whose intermediate registers a
-	// later op reads. Every kind from firstFused on must occur in some
-	// packed plan (TestEveryFusedKindOccurs); one that does not is dead
-	// code.
-	mExtVec      // load dvec,s,la + padds + psraw + psubs + pmin + pmax + store
-	mQuadScatter // vpermw + (vpermw+por)×m + store: quad branch-metric scatter
-	mQuadGather  // load+vpermw (+load+vpermw+por)×m + store: interleave gather
-	mAlphaStepP  // load quad + 4 vpermw + 2 padds + pmax + norm + store: alpha step
-	mBetaStepP   // beta recursion step, optionally with fused posterior extract
-
-	// mLoop heads a loop Emitter.Loop wrote (loop.go): n body ops follow,
-	// run imm times; its aux holds a stride per address of the body.
-	mLoop
-
-	numKinds
-	firstFused = mExtVec
 )
 
 // regStride is the register-file stride in lanes. Every register gets
@@ -127,10 +72,6 @@ const (
 // and one such region, wherever in that worker's arena it lies). A process
 // therefore holds one Program per (K, width, strategy); evicting a
 // worker's region drops its Exec and never the Program.
-//
-// A finished program holds one executable form on every host: the
-// descriptor streams and the pools they address, which the native kernel
-// and the Go executor run alike (kern.go).
 type Program struct {
 	w     simd.Width
 	lanes int
@@ -138,26 +79,17 @@ type Program struct {
 	// nregs is the size of the register file an Exec carries, in lanes.
 	nregs int32
 
-	// What the Emitter fills and finalize lowers from: the fused segments,
-	// and the interned index tables, lane patterns and operand pool they
-	// address; and tabSlot, which resolve fills, the vector of gat each
-	// index table resolved to. finish releases them.
-	segs     [2][]mop
-	idxTabs  [][]int32
-	lanePats [][]int16
-	aux      []int32
-	tabSlot  []int32
-
-	// extent is the end of the highest byte range of the region any op
-	// touches, recorded by analyze; NewExec refuses a smaller region.
+	// extent is the end of the highest byte range of the region any record
+	// touches, at any step or trip; NewExec refuses a smaller region.
 	extent int64
 
-	// code holds each segment lowered to its descriptor stream, and gat,
-	// gatAnd and pats the pools the streams address: the distinct vectors
-	// idxTabs resolve to, one word per lane (the index operand VPERMI2W
+	// code holds each segment's descriptor stream, and gat, gatAnd and
+	// pats the pools the streams address: the distinct index vectors the
+	// Emitter was named, one word per lane (the index operand VPERMI2W
 	// takes), invalid and inactive entries pointing at the zero sentinel
 	// lane; per vector the mask that zeroes a VPERMW result's sentinel
-	// lanes; and lanePats zero-extended to whole registers.
+	// lanes; and each SetImm's lane pattern zero-extended to a whole
+	// register.
 	code   [2][]uint32
 	gat    [][regStride]uint16
 	gatAnd [][regStride]uint16
@@ -216,24 +148,4 @@ func (p *Program) Checksum() [sha256.Size]byte {
 	}
 	h.Write(buf)
 	return [sha256.Size]byte(h.Sum(nil))
-}
-
-// finish makes p runnable (finalize) and releases what only the lowering
-// read: the fused segments and their pools. It ends Emit.
-func (p *Program) finish() (*Program, error) {
-	if err := p.finalize(); err != nil {
-		return nil, err
-	}
-	p.segs = [2][]mop{}
-	p.idxTabs, p.lanePats, p.aux, p.tabSlot = nil, nil, nil, nil
-	return p, nil
-}
-
-// off converts a register id to its lane offset (-1 stays -1; only
-// kinds that ignore the operand carry -1).
-func off(id int16) int32 {
-	if id < 0 {
-		return -1
-	}
-	return int32(id) * regStride
 }

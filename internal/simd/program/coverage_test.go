@@ -15,10 +15,10 @@ var emitted = []core.Strategy{core.StrategyAPCM, core.StrategyExtract}
 
 // TestEveryFusedKindOccurs compiles the serving decoder's packed plan under
 // both arrangements the emitter writes, at every width, at small and mid
-// block sizes and the largest, and fails if a fused op kind the compiler
-// defines, or a record kind kern.go defines, occurs in the streams of none
-// of them: a method, record kind, executor case and visitEffects case that
-// no real plan reaches is code nothing but a synthetic kernel exercises.
+// block sizes and the largest, and fails if a fused record kind, or any
+// record kind kern.go defines, occurs in the streams of none of them: an
+// Emitter method, record kind and executor case that no real plan reaches
+// is code nothing but a synthetic kernel exercises.
 func TestEveryFusedKindOccurs(t *testing.T) {
 	fused, records := make(map[string]int), make(map[string]int)
 	for _, w := range simd.Widths {
@@ -122,11 +122,11 @@ func packedPlan(t *testing.T, s core.Strategy, w simd.Width, k int) *program.Pro
 
 // TestPackedPlansRunNative: every packed plan the serving path can compile
 // does compile, under both arrangements the emitter writes, at every width
-// up to the largest block: every op lowers to a record, on every host. An
-// op kind that loses its record kind, or a fused op whose intermediates
-// turn out live in a real plan, shows here and not as a batch the serving
-// decoder refuses. A strategy the emitter does not cover compiles nothing,
-// and a serving decoder of it fails every batch.
+// up to the largest block, on every host. An operand an Emitter method
+// refuses, or a read of a register a fused record clobbered, in a real
+// plan shows here and not as a batch the serving decoder refuses. A
+// strategy the emitter does not cover compiles nothing, and a serving
+// decoder of it fails every batch.
 func TestPackedPlansRunNative(t *testing.T) {
 	for _, w := range simd.Widths {
 		for _, s := range emitted {

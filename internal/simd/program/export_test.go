@@ -1,41 +1,35 @@
 package program
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
-// fusedKindNames names every fused op kind, for the external coverage
-// test. A kind added to compile.go without a name here fails that test.
-var fusedKindNames = map[uint8]string{
-	mExtVec:      "ext vec",
-	mQuadScatter: "quad scatter",
-	mQuadGather:  "quad gather",
-	mAlphaStepP:  "alpha step",
-	mBetaStepP:   "beta step",
-	mLoop:        "loop",
+// fusedKinds names the record kinds the Emitter's fused methods write, and
+// the loop record, for the external coverage test.
+var fusedKinds = map[uint32]string{
+	nExtVec:       "ext vec",
+	nMergeReg:     "quad scatter",
+	nMergeMem:     "quad gather",
+	nAlphaSweep:   "alpha step",
+	nBetaSweep:    "beta step",
+	nBetaExtSweep: "beta step",
+	nLoop:         "loop",
 }
 
-// FusedKinds lists the name of every fused op kind the compiler defines
-// ("" for one fusedKindNames does not know).
+// FusedKinds lists the names of fusedKinds, each once.
 func FusedKinds() []string {
 	var names []string
-	for k := firstFused; k < numKinds; k++ {
-		names = append(names, fusedKindNames[k])
+	for _, name := range fusedKinds {
+		names = append(names, name)
 	}
-	return names
+	slices.Sort(names)
+	return slices.Compact(names)
 }
 
 // StreamBytes is the size of p's descriptor streams, both segments, in
 // bytes.
 func (p *Program) StreamBytes() int { return 4 * (len(p.code[SegFirst]) + len(p.code[SegSteady])) }
-
-// recordOf is the fused kind each record kind runs.
-var recordOf = map[uint32]uint8{
-	nExtVec:       mExtVec,
-	nMergeReg:     mQuadScatter,
-	nMergeMem:     mQuadGather,
-	nAlphaSweep:   mAlphaStepP,
-	nBetaSweep:    mBetaStepP,
-	nBetaExtSweep: mBetaStepP,
-}
 
 // FusedKindCounts reports how many ops of each fused kind the stream of
 // segment seg of p runs: a sweep record counts its steps, a record in a
@@ -44,15 +38,14 @@ var recordOf = map[uint32]uint8{
 func (p *Program) FusedKindCounts(seg int) map[string]int {
 	counts := make(map[string]int)
 	count := func(rec []uint32, times int) {
-		kind, ok := recordOf[rec[0]&0xff]
-		if !ok {
-			return
+		kind := rec[0] & 0xff
+		if name, ok := fusedKinds[kind]; ok && kind != nLoop {
+			n := 1
+			if kind == nAlphaSweep || kind == nBetaSweep || kind == nBetaExtSweep {
+				n = int(rec[0] >> 8)
+			}
+			counts[name] += n * times
 		}
-		n := 1
-		if kind == mAlphaStepP || kind == mBetaStepP {
-			n = int(rec[0] >> 8)
-		}
-		counts[fusedKindNames[kind]] += n * times
 	}
 	code := p.code[seg]
 	for pc := 0; pc < len(code); pc += recordWords(code[pc:]) {
@@ -60,7 +53,7 @@ func (p *Program) FusedKindCounts(seg int) map[string]int {
 			count(code[pc:], 1)
 			continue
 		}
-		counts[fusedKindNames[mLoop]]++
+		counts[fusedKinds[nLoop]]++
 		def := code[pc-int(code[pc+2]):]
 		body := def[5+def[3]:][:def[4+def[3]]]
 		for i := 0; i < len(body); i += recordWords(body[i:]) {

@@ -5,17 +5,17 @@ import (
 	"unsafe"
 )
 
-// Execution. The ops of a packed plan stand for vpermw, vpaddsw, vpmaxsw,
-// vpsubsw, vpand, vpor and friends. finalize lowers each segment
-// to a descriptor stream (lower, in finalize.go), the one executable form
-// of a program on every host. Two executors run the same bytes: on a CPU
-// that has those instructions, runStreamAVX512 (kern_amd64.s) executes
-// them as the instructions themselves, one call running whole alpha and
-// beta sweeps, gamma, extrinsic, interleave and arrangement runs without
-// returning to Go; elsewhere runStreamGo (run.go) executes them record
-// kind by record kind. The Go executor is the assembly's twin and the
-// per-record reference it is differentially tested against; the
-// interpreter (internal/simd.Engine) stays the program-level oracle.
+// Execution. The records of a program stand for vpermw, vpaddsw,
+// vpmaxsw, vpsubsw, vpand, vpor and friends. The Emitter writes each
+// segment as a descriptor stream, the one executable form of a program on
+// every host. Two executors run the same bytes: on a CPU that has those
+// instructions, runStreamAVX512 (kern_amd64.s) executes them as the
+// instructions themselves, one call running whole alpha and beta sweeps,
+// gamma, extrinsic, interleave and arrangement runs without returning to
+// Go; elsewhere runStreamGo (run.go) executes them record kind by record
+// kind. The Go executor is the assembly's twin and the per-record
+// reference it is differentially tested against; the interpreter
+// (internal/simd.Engine) stays the program-level oracle.
 //
 // The stream is []uint32. A record is a header word, record kind in the
 // low byte and a count n above it, followed by the operand words its kind
@@ -23,30 +23,33 @@ import (
 // region's start, or in a loop's body the base of the class the last base
 // record named, which moves by the class's stride a trip. A trip starts at
 // class 1, the class of the body's first record that addresses the
-// region, and a base record goes wherever the class changes. Operands are byte offsets — into the state region and
-// the register file of whichever Exec is running, the index-table pool
-// p.gat / p.gatAnd, the pattern pool p.pats — never Go pointers, so a
-// program stays GC-inert, position-independent and shareable: the five
-// base pointers are passed per call. The table pool holds each distinct
-// index vector once (resolve interns them by content), so every table
-// operand of a W512 program points into 51 to 68 vectors, 6.5 to 8.7 KB
-// with their masks: the gathers of a K=6144 sweep read the pool from L1.
+// region, and a base record goes wherever the class changes. Operands are
+// byte offsets — into the state region and the register file of whichever
+// Exec is running, the index-table pool p.gat / p.gatAnd, the pattern pool
+// p.pats — never Go pointers, so a program stays GC-inert,
+// position-independent and shareable: the five base pointers are passed
+// per call. The table pool holds each distinct index vector once (the
+// Emitter interns them by content), so every table operand of a W512
+// program points into 51 to 68 vectors, 6.5 to 8.7 KB with their masks:
+// the gathers of a K=6144 sweep read the pool from L1.
 //
 // What keeps the assembly as safe as the Go executor, which indexes Go
 // slices and keeps their bounds checks:
 //
-//   - Every operand word is emitted through lowerer.reg, .mem or .tab,
-//     which check it against the register file, against the extent
-//     analyze's visitEffects walk computed, and against the table pool —
-//     an address that moves, in a sweep or a loop, at its first and its
-//     last step or trip, so every one between is in range too; NewExec's
-//     extent check against the region it is handed stays the one bounds
-//     gate in front of native code.
+//   - Every operand word is written by an Emitter method, which checks it
+//     as it writes it: a register offset inside the register file, which
+//     is sized to the highest register named; a table or pattern offset
+//     inside its pool; an address non-negative, even and at most
+//     MaxUint32. An address that moves, in a sweep or a loop, is checked
+//     at its first and its last step or trip, so every one between is in
+//     range too, and the highest byte any address reaches is the program's
+//     extent. NewExec's extent check against the region it is handed stays
+//     the one bounds gate in front of native code.
 //   - Arena lines are read and written only under the lane mask (or the
 //     narrower mask of a partial load or store): lanes >= L of a register
 //     and bytes past an L-lane line are never written.
-//   - Tables are the ones finalize built: every entry is a lane below L or
-//     the sentinel, and gatAnd zeroes exactly the sentinel lanes of a
+//   - Tables are the ones the Emitter interned: every entry is a lane below
+//     L or the sentinel, and gatAnd zeroes exactly the sentinel lanes of a
 //     VPERMW result, as gatherSrc's upper half does in Go.
 //   - No call runs more than yieldEvery units of work: assembly cannot be
 //     preempted, and a GC stop-the-world waits for it.
@@ -101,13 +104,13 @@ const (
 	nSetImm              // d pat
 	_                    //
 	nLoad                // d addr mask: d = the masked lanes of the line, zero elsewhere
-	nLoadReg             // d src mask: the same from the register file (mExt128, mExt256)
+	nLoadReg             // d src mask: the same from the register file (Ext)
 	nStore               // a addr mask
 	nExtrW               // src addr; src is the byte offset of the lane itself
 	_                    //
 	nExtVec              // lim nlim dv sv lv out; n = shift
-	nMergeReg            // dst, n × (src tab): OR of permuted registers (mQuadScatter)
-	nMergeMem            // dst, n × (addr tab): OR of permuted lines (mQuadGather)
+	nMergeReg            // dst, n × (src tab): OR of permuted registers (QuadScatter)
+	nMergeMem            // dst, n × (addr tab): OR of permuted lines (QuadGather)
 	nAlphaSweep          // alpha g0 g1 g2 g3 gn q dq out dout: n steps, step s reading quad line q+s·dq and storing to out+s·dout
 	nBetaSweep           // beta g0 g1 g2 g3 gn q dq
 	nBetaExtSweep        // beta g0 g1 g2 g3 gn h0 h1 h2 nx, the nx extracted lanes as a register of index words, q dq al dal dout np, np × nx addr: step s reads alpha line al+s·dal and stores its words to row s mod np, moved by (s/np)·dout

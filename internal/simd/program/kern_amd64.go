@@ -4,8 +4,8 @@ package program
 
 // runStreamAVX512 executes the descriptor stream at code from word pc up
 // to the next stop record and returns that record's index. Every operand
-// in the stream was bounds-checked by lower against the memory the base
-// pointers address; mask is laneMask(L).
+// in the stream was bounds-checked by the Emitter against the memory the
+// base pointers address; mask is laneMask(L).
 //
 //go:noescape
 func runStreamAVX512(code *uint32, pc int, arena, regs *int16, gat, gatAnd *[regStride]uint16, pats *[regStride]int16, mask uint64) int

@@ -40,51 +40,52 @@ func eachKernel(t *testing.T, f func(t *testing.T)) {
 	}
 }
 
-// opHarness builds small programs op by op for the differential tests of
-// the two executors, through an Emitter, whose Loop writes its loops.
-// Arena lines sit 192 bytes apart so every line has at least 64 canary
-// bytes either side, and the arena ends exactly where the last line does,
-// with 64 more canary bytes behind it that are no part of the arena: a
-// record that touched a byte past an L-lane line trips one.
+// opHarness builds small programs record by record for the differential
+// tests of the two executors, through an Emitter's SegSteady, whose Loop
+// writes its loops. Arena lines sit 192 bytes apart so every line has at
+// least 64 canary bytes either side, and the arena ends exactly where the
+// last line does, with 64 more canary bytes behind it that are no part of
+// the arena: a record that touched a byte past an L-lane line trips one.
 type opHarness struct {
 	rng  *rand.Rand
 	L    int
-	p    *Program
 	e    *Emitter
+	p    *Program // what diff emitted
 	nreg int
 	nlin int
-	// outLines and outRegs are the lines and registers the ops write under
-	// the lane mask: what the canary checks look beside.
+	// outLines and outRegs are the lines and registers the records write
+	// under the lane mask: what the canary checks look beside.
 	outLines []int64
-	outRegs  []int64
+	outRegs  []Reg
 }
 
 func newOpHarness(w simd.Width, rng *rand.Rand) *opHarness {
-	p := &Program{w: w, lanes: w.Lanes16()}
-	return &opHarness{rng: rng, L: p.lanes, p: p, e: &Emitter{w: w, lanes: p.lanes, p: p}}
+	e := newEmitter(w)
+	e.Steady()
+	return &opHarness{rng: rng, L: e.lanes, e: e}
 }
 
-func (h *opHarness) reg() int64 { h.nreg++; return int64(h.nreg-1) * regStride }
+func (h *opHarness) reg() Reg { h.nreg++; return Reg(h.nreg - 1) }
 
 func (h *opHarness) lineAddr() int64 { h.nlin++; return 64 + int64(h.nlin-1)*192 }
 
-// outLine is a fresh line an op stores to.
+// outLine is a fresh line a record stores to.
 func (h *opHarness) outLine() int64 {
 	a := h.lineAddr()
 	h.outLines = append(h.outLines, a)
 	return a
 }
 
-// outReg is a fresh register an op writes L lanes of.
-func (h *opHarness) outReg() int64 {
+// outReg is a fresh register a record writes L lanes of.
+func (h *opHarness) outReg() Reg {
 	r := h.reg()
 	h.outRegs = append(h.outRegs, r)
 	return r
 }
 
-// tab adds an index table of valid lanes salted with every kind of entry
-// finalize resolves to the sentinel: negative, >= L, and 32 itself.
-func (h *opHarness) tab() int64 {
+// tab is an index table of valid lanes salted with every kind of entry
+// the Emitter resolves to the sentinel: negative, >= L, and 32 itself.
+func (h *opHarness) tab() []int32 {
 	tb := make([]int32, h.L)
 	for i := range tb {
 		switch h.rng.Intn(6) {
@@ -98,17 +99,7 @@ func (h *opHarness) tab() int64 {
 			tb[i] = int32(h.rng.Intn(h.L))
 		}
 	}
-	h.p.idxTabs = append(h.p.idxTabs, tb)
-	return int64(len(h.p.idxTabs) - 1)
-}
-
-// push appends an op, a fused op's operands in aux.
-func (h *opHarness) push(op mop, aux ...int64) {
-	words := make([]int32, len(aux))
-	for i, x := range aux {
-		words[i] = int32(x)
-	}
-	h.e.put(op, words)
+	return tb
 }
 
 // fill draws lanes: all at or next to +-32768 when pinned is set, so every
@@ -129,19 +120,18 @@ func (p *Program) newTestExec(regs, mem []int16, native bool) *Exec {
 	return &Exec{p: p, regs: regs, m: mem, native: native}
 }
 
-// diff finalizes the program, runs its one stream on identical random
-// state through both executors and compares the whole register file and
-// every arena byte, then checks the canaries of each run directly: the 64
-// bytes either side of every written line and lanes >= L of every register
+// diff emits the program, runs its one stream on identical random state
+// through both executors and compares the whole register file and every
+// arena byte, then checks the canaries of each run directly: the 64 bytes
+// either side of every written line and lanes >= L of every register
 // written under the lane mask must hold what they held before.
 func (h *opHarness) diff(t *testing.T, pinned bool) {
 	t.Helper()
-	p := h.p
-	p.nregs = int32(h.nreg * regStride)
-	p.segs[SegSteady] = h.e.out
-	if err := p.finalize(); err != nil {
-		t.Fatalf("finalize: %v", err)
+	p, err := h.e.finish()
+	if err != nil {
+		t.Fatalf("emit: %v", err)
 	}
+	h.p = p
 	regs0 := make([]int16, p.nregs)
 	size := (64+(h.nlin-1)*192)/2 + h.L
 	mem0 := make([]int16, size+32) // the arena and the canary behind it
@@ -188,9 +178,9 @@ func (h *opHarness) diff(t *testing.T, pinned bool) {
 			}
 		}
 		for _, r := range h.outRegs {
-			for i := h.L; i < regStride; i++ {
-				if regs[int(r)+i] != regs0[int(r)+i] {
-					t.Fatalf("%s: register %d lane %d (>= L = %d) overwritten", name, r/regStride, i, h.L)
+			for i := int(r)*regStride + h.L; i < int(r+1)*regStride; i++ {
+				if regs[i] != regs0[i] {
+					t.Fatalf("%s: register %d lane %d (>= L = %d) overwritten", name, r, i%regStride, h.L)
 				}
 			}
 		}
@@ -199,61 +189,55 @@ func (h *opHarness) diff(t *testing.T, pinned bool) {
 
 const diffTrials = 40
 
-// TestNativeLaneOpsMatchGo: every singleton kind and the lean extrinsic
-// group, in random order over shared registers and lines, so each op reads
-// what earlier ones wrote.
+// TestNativeLaneOpsMatchGo: every singleton method, partial loads and
+// stores among them, and the extrinsic group, in random order over shared
+// registers and lines, so each record reads what earlier ones wrote.
 func TestNativeLaneOpsMatchGo(t *testing.T) {
 	skipWithoutNative(t)
 	for _, w := range simd.Widths {
 		rng := rand.New(rand.NewSource(int64(w)))
 		for trial := 0; trial < diffTrials; trial++ {
 			h := newOpHarness(w, rng)
-			srcs := []int64{h.reg(), h.reg(), h.reg()}
-			src := func() int64 { return srcs[rng.Intn(len(srcs))] }
+			e := h.e
+			srcs := []Reg{h.reg(), h.reg(), h.reg()}
+			src := func() Reg { return srcs[rng.Intn(len(srcs))] }
 			lines := []int64{h.lineAddr(), h.lineAddr(), h.lineAddr()}
 			line := func() int64 { return lines[rng.Intn(len(lines))] }
-			for _, pat := range [][]int16{{}, {7, -7}, make([]int16, h.L), make([]int16, regStride+5)} {
+			pats := [][]int16{{}, {7, -7}, make([]int16, h.L), make([]int16, regStride+5)}
+			for _, pat := range pats {
 				h.fill(pat, false)
-				h.p.lanePats = append(h.p.lanePats, pat)
 			}
-			shifts := []int64{0, 1, 15, 16, 40}
-			for _, k := range rng.Perm(int(firstFused) + 1) {
-				kind := uint8(k)
-				dst, masked := h.reg(), true
-				switch kind {
-				case mClear, mBcastImm:
-					h.push(mop{kind: kind, d: int32(dst), imm: int64(rng.Intn(1<<17)) - 1<<16})
-					masked = kind == mBcastImm
-				case mAddS, mSubS, mAnd, mOr, mXor:
-					h.push(mop{kind: kind, d: int32(dst), a: int32(src()), b: int32(src())})
-				case mSra:
-					h.push(mop{kind: kind, d: int32(dst), a: int32(src()), imm: shifts[rng.Intn(len(shifts))]})
-				case mSetImm:
-					h.push(mop{kind: kind, d: int32(dst), tab: int32(rng.Intn(len(h.p.lanePats)))})
-					masked = false
-				case mExt128:
-					h.push(mop{kind: kind, d: int32(dst), a: int32(src()), imm: int64(rng.Intn(4))})
-					masked = false
-				case mExt256:
-					h.push(mop{kind: kind, d: int32(dst), a: int32(src()), imm: int64(rng.Intn(2))})
-					masked = false
-				case mLoad:
-					h.push(mop{kind: kind, d: int32(dst), addr: line(), imm: int64(2 * rng.Intn(h.L+1))})
-					masked = false
-				case mStore:
-					h.push(mop{kind: kind, a: int32(src()), addr: h.outLine(), imm: int64(2 * rng.Intn(h.L+1))})
-				case mExtrW:
-					h.push(mop{kind: kind, a: int32(src()), addr: h.outLine() + int64(2*rng.Intn(h.L)), imm: int64(rng.Intn(regStride))})
-				case mExtVec: // lean: nothing reads its five registers
-					h.push(mop{kind: mExtVec, imm: shifts[rng.Intn(len(shifts))]},
-						h.reg(), h.reg(), h.reg(), h.reg(), h.reg(), src(), src(), line(), line(), line(), h.outLine())
-				default:
-					t.Fatalf("op kind %d not exercised", kind)
-				}
-				if masked {
+			shift := func() uint { return []uint{0, 1, 15, 16, 40}[rng.Intn(5)] }
+			// Each writes d, or nothing, and reports whether it writes d
+			// under the lane mask.
+			ops := []func(d Reg) bool{
+				func(d Reg) bool { e.Clear(d); return false },
+				func(d Reg) bool { e.BcastImm(d, int16(rng.Uint32())); return true },
+				func(d Reg) bool { e.AddS(d, src(), src()); return true },
+				func(d Reg) bool { e.SubS(d, src(), src()); return true },
+				func(d Reg) bool { e.And(d, src(), src()); return true },
+				func(d Reg) bool { e.Or(d, src(), src()); return true },
+				func(d Reg) bool { e.Xor(d, src(), src()); return true },
+				func(d Reg) bool { e.Sra(d, src(), shift()); return true },
+				func(d Reg) bool { e.SetImm(d, pats[rng.Intn(len(pats))]); return false },
+				func(d Reg) bool { e.Ext(d, src(), simd.W128, rng.Intn(4)); return false },
+				func(d Reg) bool { e.Ext(d, src(), simd.W256, rng.Intn(2)); return false },
+				func(d Reg) bool { e.load(d, line(), rng.Intn(h.L+1)); return false },
+				func(Reg) bool { e.store(h.outLine(), src(), rng.Intn(h.L+1)); return false },
+				func(Reg) bool { e.ExtrW(h.outLine()+int64(2*rng.Intn(h.L)), src(), rng.Intn(regStride)); return false },
+				func(Reg) bool {
+					// Nothing reads its five scratch registers.
+					r := [7]Reg{h.reg(), h.reg(), h.reg(), h.reg(), h.reg(), src(), src()}
+					e.ExtVec(&r, shift(), [3]int64{line(), line(), line()}, h.outLine())
+					return false
+				},
+			}
+			for _, i := range rng.Perm(len(ops)) {
+				dst := h.reg()
+				if ops[i](dst) {
 					h.outRegs = append(h.outRegs, dst)
 				}
-				// What an op wrote, later ops read.
+				// What a record wrote, later ones read.
 				srcs = append(srcs, dst)
 			}
 			h.diff(t, trial%4 == 1)
@@ -262,7 +246,7 @@ func TestNativeLaneOpsMatchGo(t *testing.T) {
 }
 
 // recordWords is the length of the record at the head of code: the
-// decoder's view of what lower encodes and both executors step over.
+// decoder's view of what the Emitter writes and both executors step over.
 func recordWords(code []uint32) int {
 	n := int(code[0] >> 8)
 	switch code[0] & 0xff {
@@ -304,11 +288,13 @@ func TestNativeQuadScatterMatchesGo(t *testing.T) {
 		for ns := 2; ns <= 12; ns++ {
 			for trial := 0; trial < diffTrials/4; trial++ {
 				h := newOpHarness(w, rng)
-				aux := []int64{h.reg(), h.reg(), h.outLine()}
+				acc, tmp, dst := h.reg(), h.reg(), h.outLine()
+				var srcs []Reg
+				var tabs [][]int32
 				for s := 0; s < ns; s++ {
-					aux = append(aux, h.reg(), h.tab())
+					srcs, tabs = append(srcs, h.reg()), append(tabs, h.tab())
 				}
-				h.push(mop{kind: mQuadScatter, n: int32(ns)}, aux...)
+				h.e.QuadScatter(acc, tmp, dst, srcs, tabs)
 				h.diff(t, trial%4 == 1)
 			}
 		}
@@ -324,8 +310,9 @@ func TestNativeQuadGatherMatchesGo(t *testing.T) {
 		for ns := 1; ns <= 12; ns++ {
 			for trial := 0; trial < diffTrials/4; trial++ {
 				h := newOpHarness(w, rng)
-				dst := h.outLine()
-				aux := []int64{h.reg(), h.reg(), h.reg(), dst}
+				r, acc, tmp, dst := h.reg(), h.reg(), h.reg(), h.outLine()
+				var srcs []int64
+				var tabs [][]int32
 				for s := 0; s < ns; s++ {
 					src := h.lineAddr()
 					if trial%5 == 4 && s == ns-1 {
@@ -333,9 +320,9 @@ func TestNativeQuadGatherMatchesGo(t *testing.T) {
 						// load still precedes the store.
 						src = dst
 					}
-					aux = append(aux, src, h.tab())
+					srcs, tabs = append(srcs, src), append(tabs, h.tab())
 				}
-				h.push(mop{kind: mQuadGather, n: int32(ns)}, aux...)
+				h.e.QuadGather(r, acc, tmp, dst, srcs, tabs)
 				h.diff(t, trial%4 == 1)
 			}
 		}
@@ -361,71 +348,66 @@ func (h *opHarness) lines(n int, out bool) (base, stride int64) {
 	return first + int64(192*(n-1)), -192
 }
 
-// sweep appends n lean trellis steps of one form sharing the carried
-// register and tables: the alpha form, the beta tail form (nx = 0) or the
-// beta form extracting nx lanes, any of 0..31. Each step's lines move by a
-// fixed stride, forward or backward, and the steps are a Loop, which
-// lowers to a sweep; an alpha step j stores to the quad line of step 2j+2,
-// so steps also depend on each other through the arena. A beta step
-// extracts to a table of np rows of words, row s mod np, moved by a line
-// every np steps: a trip of its Loop is np steps, and the n mod np steps
-// past the last trip follow it one by one.
-func (h *opHarness) sweep(kind uint8, n, nx, np int, carried int64) {
-	tabs := []int64{h.tab(), h.tab(), h.tab(), h.tab(), h.tab()}
-	htabs := []int64{h.tab(), h.tab(), h.tab()}
-	var dead []int64
-	for i := 0; i < 15; i++ {
-		dead = append(dead, h.reg())
+// sweep writes n trellis steps of one form sharing the carried register
+// and tables: the alpha form (alpha set), the beta tail form (nx = 0) or
+// the beta form extracting nx lanes, any of 0..31. Each step's lines move
+// by a fixed stride, forward or backward; an alpha step j stores to the
+// quad line of step 2j+2, so steps also depend on each other through the
+// arena. A beta step extracts to a table of np rows of words, row s mod
+// np, moved by a line every np steps: the sweep is the steps of whole
+// periods, and the n mod np steps past them follow it as sweeps of one
+// step.
+func (h *opHarness) sweep(alpha bool, n, nx, np int, carried Reg) {
+	tabs := [5][]int32{h.tab(), h.tab(), h.tab(), h.tab(), h.tab()}
+	x := &BetaExt{Hmax: [3][]int32{h.tab(), h.tab(), h.tab()}}
+	var r [9]Reg
+	for i := range r {
+		r[i] = h.reg()
 	}
-	var lanes []int64
-	for x := 0; x < nx; x++ {
-		lanes = append(lanes, int64(h.rng.Intn(regStride)))
+	for i := range x.Regs {
+		x.Regs[i] = h.reg()
 	}
-	q, dq := h.lines(2*n+2, kind == mAlphaStepP)
+	for range nx {
+		x.Lanes = append(x.Lanes, h.rng.Intn(regStride))
+	}
+	q, dq := h.lines(2*n+2, alpha)
 	al, dal := h.lines(n, false)
 	ext, dext := h.lines((n+np-1)/np, true)
 	rows := make([]int64, np*nx)
 	for i := range rows {
-		rows[i] = int64(2 * h.rng.Intn(h.L))
+		rows[i] = ext + int64(2*h.rng.Intn(h.L))
 	}
-	step := func(j int) {
-		qj := q + int64(j)*dq
-		if kind == mAlphaStepP {
-			aux := append(slices.Clone(dead[:8]), carried, qj, q+int64(2*j+2)*dq)
-			h.push(mop{kind: kind}, append(aux, tabs...)...)
-			return
-		}
-		aux := append(slices.Clone(dead[:7]), carried, dead[7], qj)
-		aux = append(aux, tabs...)
-		op := mop{kind: kind}
-		if nx > 0 {
-			op.imm, op.n = 1, int32(nx)
-			aux = append(append(append(aux, dead[8:]...), al+int64(j)*dal), htabs...)
-			for x, l := range lanes {
-				aux = append(aux, ext+int64(j/np)*dext+rows[(j%np)*nx+x], l)
-			}
-		}
-		h.push(op, aux...)
+	switch {
+	case alpha:
+		r[8] = carried
+		h.e.AlphaSweep(&r, n, q, dq, q+2*dq, 2*dq, &tabs)
+		return
+	case nx == 0:
+		r[7] = carried
+		h.e.BetaSweep(&r, n, q, dq, &tabs, nil)
+		return
 	}
-	per := 1
-	if nx > 0 {
-		per = np
+	r[7] = carried
+	x.Alpha, x.DAlpha, x.Out, x.DOut = al, dal, rows, dext
+	whole := n / np * np
+	if whole > 0 {
+		h.e.BetaSweep(&r, whole, q, dq, &tabs, x)
 	}
-	h.e.Loop(n/per, func(t int) {
-		for s := range per {
-			step(t*per + s)
+	for j := whole; j < n; j++ {
+		one := *x
+		one.Alpha, one.Out = al+int64(j)*dal, nil
+		for _, row := range rows[j%np*nx:][:nx] {
+			one.Out = append(one.Out, row+int64(j/np)*dext)
 		}
-	})
-	for j := n / per * per; j < n; j++ {
-		step(j)
+		h.e.BetaSweep(&r, 1, q+int64(j)*dq, dq, &tabs, &one)
 	}
 }
 
 // sweepForm is one shape of trellis sweep: the alpha form, the beta tail
 // form (nx = 0) or the beta form extracting nx lanes.
 type sweepForm struct {
-	kind uint8
-	nx   func(rng *rand.Rand, L int) int
+	alpha bool
+	nx    func(rng *rand.Rand, L int) int
 }
 
 // testNativeSweeps runs sweeps of 1, 2, 3 and 1027 steps (the last runs as
@@ -448,21 +430,21 @@ func testNativeSweeps(t *testing.T, seed int64, forms ...sweepForm) {
 					np := 1 + trial%4
 					h := newOpHarness(w, rng)
 					carried := h.outReg()
-					h.sweep(form.kind, n, nx, np, carried)
+					h.sweep(form.alpha, n, nx, np, carried)
 					// A second sweep over the same carried register with
 					// other tables, then a store of it: the first must have
 					// written it back, and hoisted tables must not go stale.
-					h.sweep(form.kind, 2, nx, 1, carried)
-					h.push(mop{kind: mStore, a: int32(carried), addr: h.outLine(), imm: int64(2 * h.L)})
+					h.sweep(form.alpha, 2, nx, 1, carried)
+					h.e.Store(h.outLine(), carried)
 					h.diff(t, trial%4 == 1)
 					code := h.p.code[SegSteady]
 					if n > yieldEvery {
 						if stops := countRecords(code, nStop); stops < 3 {
-							t.Errorf("%v: %d steps lowered with %d stop records, want the sweep cut at least twice", w, n, stops)
+							t.Errorf("%v: %d steps written with %d stop records, want the sweep cut at least twice", w, n, stops)
 						}
 					}
 					if n > 3 && nx > 0 && np > 1 && !hasPeriodicSweep(code) {
-						t.Errorf("%v: %d beta steps extracting over %d rows lowered with no sweep of that period", w, n, np)
+						t.Errorf("%v: %d beta steps extracting over %d rows written with no sweep of that period", w, n, np)
 					}
 				}
 			}
@@ -482,30 +464,31 @@ func hasPeriodicSweep(code []uint32) bool {
 }
 
 func TestNativeAlphaStepMatchesGo(t *testing.T) {
-	testNativeSweeps(t, 1, sweepForm{mAlphaStepP, func(*rand.Rand, int) int { return 0 }})
+	testNativeSweeps(t, 1, sweepForm{true, func(*rand.Rand, int) int { return 0 }})
 }
 
 // TestNativeBetaStepMatchesGo: the tail form, a handful of extracted lanes
 // as a decode has them, and as many as the register has lanes.
 func TestNativeBetaStepMatchesGo(t *testing.T) {
 	testNativeSweeps(t, 4,
-		sweepForm{mBetaStepP, func(*rand.Rand, int) int { return 0 }},
-		sweepForm{mBetaStepP, func(rng *rand.Rand, _ int) int { return 1 + rng.Intn(5) }},
-		sweepForm{mBetaStepP, func(_ *rand.Rand, L int) int { return L }})
+		sweepForm{false, func(*rand.Rand, int) int { return 0 }},
+		sweepForm{false, func(rng *rand.Rand, _ int) int { return 1 + rng.Intn(5) }},
+		sweepForm{false, func(_ *rand.Rand, L int) int { return L }})
 }
 
-// loopBody appends trips trips of a body of random ops, lean as a decode's:
-// every singleton kind that addresses the region, lane ops over a pool of
-// registers, a quad scatter and gather, an extrinsic group and an alpha
-// step, each with registers and tables fixed and each address moving by a
-// stride of its own over lines of its own: the addresses of one op by one
-// stride, one, two or three lines forward or back a trip, unless mixed is
-// set. A lane op's destination joins the pool only after every op reads the
-// pool, so no op reads what a later one of its trip writes.
+// loopBody writes trips trips of a body of random records, lean as a
+// decode's: every singleton that addresses the region, lane ops over a
+// pool of registers, a quad scatter and gather, an extrinsic group and an
+// alpha step, each with registers and tables fixed and each address moving
+// by a stride of its own over lines of its own: the addresses of one
+// record by one stride, one, two or three lines forward or back a trip,
+// unless mixed is set. A lane op's destination joins the pool only after
+// every record reads the pool, so no record reads what a later one of its
+// trip writes.
 func (h *opHarness) loopBody(trips int, mixed bool) {
-	rng, L := h.rng, h.L
-	pool := []int64{h.reg(), h.reg(), h.reg()}
-	src := func() int64 { return pool[rng.Intn(len(pool))] }
+	rng, e := h.rng, h.e
+	pool := []Reg{h.reg(), h.reg(), h.reg()}
+	src := func() Reg { return pool[rng.Intn(len(pool))] }
 	var lines int
 	seq := func(out bool) func(t int) int64 {
 		if mixed || lines == 0 {
@@ -527,57 +510,52 @@ func (h *opHarness) loopBody(trips int, mixed bool) {
 	}
 	var body []func(t int)
 	for _, k := range rng.Perm(10) {
-		lines = 0 // a new op: a new stride
+		lines = 0 // a new record: a new stride
 		switch k {
 		case 0:
 			d, at := h.reg(), seq(false)
-			body = append(body, func(t int) { h.push(mop{kind: mLoad, d: int32(d), addr: at(t), imm: int64(2 * L)}) })
+			body = append(body, func(t int) { e.Load(d, at(t)) })
 			pool = append(pool, d)
 		case 1:
 			a, at := src(), seq(true)
-			body = append(body, func(t int) { h.push(mop{kind: mStore, a: int32(a), addr: at(t), imm: int64(2 * L)}) })
+			body = append(body, func(t int) { e.Store(at(t), a) })
 		case 2:
-			a, at, lane := src(), seq(true), int64(rng.Intn(regStride))
-			body = append(body, func(t int) { h.push(mop{kind: mExtrW, a: int32(a), addr: at(t), imm: lane}) })
+			a, at, lane := src(), seq(true), rng.Intn(regStride)
+			body = append(body, func(t int) { e.ExtrW(at(t), a, lane) })
 		case 3:
 			d, a := h.outReg(), src()
-			body = append(body, func(int) { h.push(mop{kind: mSra, d: int32(d), a: int32(a), imm: 3}) })
+			body = append(body, func(int) { e.Sra(d, a, 3) })
 		case 4:
 			d, a, b := h.outReg(), src(), src()
-			kind := []uint8{mAddS, mSubS, mAnd, mXor}[rng.Intn(4)]
-			body = append(body, func(int) { h.push(mop{kind: kind, d: int32(d), a: int32(a), b: int32(b)}) })
+			op := []func(d, a, b Reg){e.AddS, e.SubS, e.And, e.Xor}[rng.Intn(4)]
+			body = append(body, func(int) { op(d, a, b) })
 		case 5: // no address, after records that have one
 			d, a := h.reg(), src()
-			body = append(body, func(int) { h.push(mop{kind: mExt128, d: int32(d), a: int32(a), imm: 1}) })
+			body = append(body, func(int) { e.Ext(d, a, simd.W128, 1) })
 		case 6:
 			acc, tmp, at := h.reg(), h.reg(), seq(true)
-			srcs := []int64{src(), h.tab(), src(), h.tab(), src(), h.tab()}
-			body = append(body, func(t int) { h.push(mop{kind: mQuadScatter, n: 3}, append([]int64{acc, tmp, at(t)}, srcs...)...) })
+			srcs, tabs := []Reg{src(), src(), src()}, [][]int32{h.tab(), h.tab(), h.tab()}
+			body = append(body, func(t int) { e.QuadScatter(acc, tmp, at(t), srcs, tabs) })
 		case 7:
 			r, acc, tmp, dst := h.reg(), h.reg(), h.reg(), seq(true)
-			in, tabs := []func(int) int64{seq(false), seq(false)}, []int64{h.tab(), h.tab()}
-			body = append(body, func(t int) {
-				h.push(mop{kind: mQuadGather, n: 2}, r, acc, tmp, dst(t), in[0](t), tabs[0], in[1](t), tabs[1])
-			})
+			in, tabs := []func(int) int64{seq(false), seq(false)}, [][]int32{h.tab(), h.tab()}
+			body = append(body, func(t int) { e.QuadGather(r, acc, tmp, dst(t), []int64{in[0](t), in[1](t)}, tabs) })
 		case 8:
-			regs := []int64{h.reg(), h.reg(), h.reg(), h.reg(), h.reg(), src(), src()}
+			regs := [7]Reg{h.reg(), h.reg(), h.reg(), h.reg(), h.reg(), src(), src()}
 			in, out := []func(int) int64{seq(false), seq(false), seq(false)}, seq(true)
-			body = append(body, func(t int) {
-				h.push(mop{kind: mExtVec, imm: 1}, append(slices.Clone(regs), in[0](t), in[1](t), in[2](t), out(t))...)
-			})
+			body = append(body, func(t int) { e.ExtVec(&regs, 1, [3]int64{in[0](t), in[1](t), in[2](t)}, out(t)) })
 		case 9:
-			var dead []int64
-			for range 8 {
-				dead = append(dead, h.reg())
+			var r [9]Reg
+			for i := range 8 {
+				r[i] = h.reg()
 			}
-			carried, q, out := h.outReg(), seq(false), seq(true)
-			tabs := []int64{h.tab(), h.tab(), h.tab(), h.tab(), h.tab()}
-			body = append(body, func(t int) {
-				h.push(mop{kind: mAlphaStepP}, append(append(slices.Clone(dead), carried, q(t), out(t)), tabs...)...)
-			})
+			r[8] = h.outReg()
+			q, out := seq(false), seq(true)
+			tabs := [5][]int32{h.tab(), h.tab(), h.tab(), h.tab(), h.tab()}
+			body = append(body, func(t int) { e.AlphaSweep(&r, 1, q(t), 0, out(t), 0, &tabs) })
 		}
 	}
-	h.e.Loop(trips, func(t int) {
+	e.Loop(trips, func(t int) {
 		for _, op := range body {
 			op(t)
 		}
@@ -598,7 +576,7 @@ func countRecords(code []uint32, kind uint32) (n int) {
 // hold, over 2 to 12 trips and over enough that the loop is cut at two
 // yields at least, its later pieces starting at a trip of their own; and
 // bodies whose ops move their addresses by more than one stride, which are
-// lowered trip by trip.
+// written trip by trip.
 func TestNativeLoopsMatchGo(t *testing.T) {
 	skipWithoutNative(t)
 	for _, w := range simd.Widths {
@@ -616,9 +594,9 @@ func TestNativeLoopsMatchGo(t *testing.T) {
 			n := countRecords(code, nLoop)
 			switch {
 			case mixed && n != 0:
-				t.Errorf("%v: a body of mixed strides lowered as %d loop records", w, n)
+				t.Errorf("%v: a body of mixed strides written as %d loop records", w, n)
 			case !mixed && (n == 0 || trips > 100 && n < 3):
-				t.Errorf("%v: %d trips lowered as %d loop records", w, trips, n)
+				t.Errorf("%v: %d trips written as %d loop records", w, trips, n)
 			}
 		}
 	}
@@ -646,7 +624,7 @@ func TestLoweredStreamIsWellFormed(t *testing.T) {
 	}
 }
 
-// TestRunRefusesShortArena: a compiled program is finalized without a
+// TestRunRefusesShortArena: a compiled program is emitted without a
 // region size, so NewExec checks the region it is handed against the extent
 // the program touches and against the alignment its lines were laid out at
 // — before any op can run, under either kernel — and Run refuses an Exec
@@ -741,17 +719,15 @@ func benchExecutors(b *testing.B, p *Program, h *opHarness) {
 // ns/op divided by 1027 is the cost of a trellis step.
 func BenchmarkNativeSweeps(b *testing.B) {
 	for _, form := range []struct {
-		name string
-		kind uint8
-		nx   int
-	}{{"alpha", mAlphaStepP, 0}, {"beta", mBetaStepP, 0}, {"beta+ext", mBetaStepP, 4}} {
+		name  string
+		alpha bool
+		nx    int
+	}{{"alpha", true, 0}, {"beta", false, 0}, {"beta+ext", false, 4}} {
 		b.Run(form.name, func(b *testing.B) {
 			h := newOpHarness(simd.W512, rand.New(rand.NewSource(1)))
-			h.sweep(form.kind, 1027, form.nx, 1, h.outReg())
-			p := h.p
-			p.nregs = int32(h.nreg * regStride)
-			p.segs[SegSteady] = h.e.out
-			if err := p.finalize(); err != nil {
+			h.sweep(form.alpha, 1027, form.nx, 1, h.outReg())
+			p, err := h.e.finish()
+			if err != nil {
 				b.Fatal(err)
 			}
 			benchExecutors(b, p, h)
@@ -772,9 +748,10 @@ func BenchmarkNativeGamma(b *testing.B) {
 		}
 		b.Run(name, func(b *testing.B) {
 			h := newOpHarness(simd.W512, rand.New(rand.NewSource(1)))
+			e := h.e
 			s, p, la, t, g0, g1, n0, n1, zero := h.reg(), h.reg(), h.reg(), h.reg(), h.reg(), h.reg(), h.reg(), h.reg(), h.reg()
 			acc, tmp := h.reg(), h.reg()
-			var tabs [8][4]int64
+			var tabs [8][4][]int32
 			for i := range tabs {
 				for j := range tabs[i] {
 					tabs[i][j] = h.tab()
@@ -788,30 +765,27 @@ func BenchmarkNativeGamma(b *testing.B) {
 			}
 			quad, qs := h.lines(8*groups, true)
 			group := func(at int) {
-				for i, d := range []int64{s, p, la} {
-					h.push(mop{kind: mLoad, d: int32(d), addr: in[i](at), imm: 64})
+				for i, d := range []Reg{s, p, la} {
+					e.Load(d, in[i](at))
 				}
-				h.push(mop{kind: mAddS, d: int32(t), a: int32(s), b: int32(la)})
-				h.push(mop{kind: mAddS, d: int32(g0), a: int32(t), b: int32(p)})
-				h.push(mop{kind: mSubS, d: int32(g1), a: int32(t), b: int32(p)})
-				h.push(mop{kind: mSubS, d: int32(n0), a: int32(zero), b: int32(g0)})
-				h.push(mop{kind: mSubS, d: int32(n1), a: int32(zero), b: int32(g1)})
+				e.AddS(t, s, la)
+				e.AddS(g0, t, p)
+				e.SubS(g1, t, p)
+				e.SubS(n0, zero, g0)
+				e.SubS(n1, zero, g1)
 				for si := 0; si < 8; si++ {
-					h.push(mop{kind: mQuadScatter, n: 4}, acc, tmp, quad+int64(8*at+si)*qs,
-						g0, tabs[si][0], g1, tabs[si][1], n0, tabs[si][2], n1, tabs[si][3])
+					e.QuadScatter(acc, tmp, quad+int64(8*at+si)*qs, []Reg{g0, g1, n0, n1}, tabs[si][:])
 				}
 			}
 			if rolled {
-				h.e.Loop(groups, group)
+				e.Loop(groups, group)
 			} else {
 				for at := range groups {
 					group(at)
 				}
 			}
-			pr := h.p
-			pr.nregs = int32(h.nreg * regStride)
-			pr.segs[SegSteady] = h.e.out
-			if err := pr.finalize(); err != nil {
+			pr, err := e.finish()
+			if err != nil {
 				b.Fatal(err)
 			}
 			benchExecutors(b, pr, h)

@@ -1,162 +1,203 @@
 package program
 
-import "fmt"
+import "slices"
 
 // Loops. A decode is a handful of phases, each a run over the trellis
-// steps or the packed vector groups of K, so a program written out op by
-// op grows with K: a K=6144 iteration is 55,000 fused ops. The caller
-// states each such run as an Emitter.Loop, and Loop writes it as a loop
-// when its trips repeat trip 0 (emit.go), so a segment is never held
-// unrolled.
-//
-// A loop is an mLoop op — n its body's op count, imm its trip count, tab
-// the offset in the aux pool of its strides — followed by its body, the
-// ops of trip 0. Trip t runs each body op with every region address moved
-// by t times that address's stride: the strides are one per address of
-// the body, in body order and, within an op, in operand order (addrAt).
-// Everything else about an op, its registers, tables and counts, is the
-// same on every trip (sameShape).
+// steps or the packed vector groups of K, so a program written out record
+// by record grows with K. The caller states each such run as an
+// Emitter.Loop, and Loop writes it as loop records when its trips repeat
+// trip 0, so a segment's stream does not grow with K.
 
-// sameShape reports whether two ops are the same but for their region
-// addresses: what a loop's trips share.
-func sameShape(a *mop, aw []int32, b *mop, bw []int32) bool {
-	if a.kind != b.kind || a.d != b.d || a.a != b.a || a.b != b.b || a.imm != b.imm || a.n != b.n {
+// tripRec is a record Loop logged: where it starts and its units of work.
+type tripRec struct{ at, units int }
+
+// A mark is where a trip starts: in the stream and in each of the logs.
+type mark struct{ code, recs, addrs, uses int }
+
+func (e *Emitter) mark() mark { return mark{len(e.code), len(e.recs), len(e.addrs), len(e.uses)} }
+
+func (m mark) sub(o mark) mark {
+	return mark{m.code - o.code, m.recs - o.recs, m.addrs - o.addrs, m.uses - o.uses}
+}
+
+// Loop emits trips trips of a loop: body(t) emits trip t, which must be
+// trip 0 with each address moved by t times a stride of its own. Loop
+// writes trips 0, 1 and the last, logging where their records and address
+// words are and how they use registers. When both later ones are trip 0
+// but for their addresses, and the last one's addresses are where trip 1's
+// strides take trip 0's, the loop is written from trip 0's records, for
+// three trips' cost whatever the count (writeLoop). Otherwise, and for
+// fewer than two trips, every trip is emitted again as it is, in order. A
+// Loop may not hold a Loop.
+func (e *Emitter) Loop(trips int, body func(t int)) {
+	if e.trip {
+		e.fail("a Loop in the body of a Loop")
+		return
+	}
+	if trips < 2 {
+		for t := range trips {
+			body(t)
+		}
+		return
+	}
+	regs, pats, err := slices.Clone(e.regs[e.seg]), len(e.p.pats), e.err
+	var m [4]mark
+	e.trip, m[0] = true, e.mark()
+	body(0)
+	m[1] = e.mark()
+	body(1)
+	m[2] = e.mark()
+	if trips > 2 {
+		body(trips - 1)
+	}
+	m[3] = e.mark()
+	e.trip = false
+	folded := e.fold(&m, trips)
+	e.recs, e.addrs, e.uses = e.recs[:0], e.addrs[:0], e.uses[:0]
+	if folded {
+		return
+	}
+	// The last trip was written out of order: what it did to the registers
+	// and the pattern pool, and any error it met, is undone with the rest.
+	// A table it named stays interned.
+	e.code, e.regs[e.seg], e.p.pats, e.err = e.code[:m[0].code], regs, e.p.pats[:pats], err
+	for t := range trips {
+		body(t)
+	}
+}
+
+// fold writes the trips marked by m — trip 0, trip 1 and, past two trips,
+// the last — as a loop of trips trips when they are one, in place of the
+// three, and reports whether they were.
+func (e *Emitter) fold(m *[4]mark, trips int) bool {
+	n := m[1].sub(m[0])
+	if n.code == 0 {
 		return false
 	}
-	if a.kind < firstFused {
-		return a.tab == b.tab && (hasAddr(a.kind) || a.addr == b.addr)
-	}
-	if len(aw) != len(bw) {
-		return false
-	}
-	for i := range aw {
-		if aw[i] != bw[i] && !addrAt(a, i) {
+	code0 := e.code[m[0].code:m[1].code]
+	strides := make([]int64, n.addrs)
+	for j := 1; j < min(trips, 3); j++ {
+		t := m[j]
+		if m[j+1].sub(t) != n || !slices.Equal(e.uses[m[0].uses:m[1].uses], e.uses[t.uses:m[j+1].uses]) {
+			return false
+		}
+		for i := range n.recs {
+			r0, r := e.recs[m[0].recs+i], e.recs[t.recs+i]
+			if r.at-t.code != r0.at-m[0].code || r.units != r0.units {
+				return false
+			}
+		}
+		code, from := e.code[t.code:m[j+1].code], 0
+		for i := range n.addrs {
+			at := e.addrs[m[0].addrs+i] - m[0].code
+			if e.addrs[t.addrs+i]-t.code != at || !slices.Equal(code0[from:at], code[from:at]) {
+				return false
+			}
+			from = at + 1
+			if a0, a := int64(code0[at]), int64(code[at]); j == 1 {
+				strides[i] = a - a0
+			} else if a != a0+int64(trips-1)*strides[i] {
+				return false
+			}
+		}
+		if !slices.Equal(code0[from:], code[from:]) {
 			return false
 		}
 	}
+	body := slices.Clone(code0)
+	recs, addrs := slices.Clone(e.recs[m[0].recs:m[1].recs]), slices.Clone(e.addrs[m[0].addrs:m[1].addrs])
+	for i := range recs {
+		recs[i].at -= m[0].code
+	}
+	for i := range addrs {
+		addrs[i] -= m[0].code
+	}
+	e.code = e.code[:m[0].code]
+	e.writeLoop(body, recs, addrs, strides, trips)
 	return true
 }
 
-// hasAddr reports whether a singleton of kind k addresses the region
-// (its addr).
-func hasAddr(k uint8) bool { return k == mLoad || k == mStore || k == mExtrW }
+// minTrip is the fewest records a loop record's trip runs: a shorter body
+// is unrolled, so that the record's cost a trip, about one record's, is
+// spread over several.
+const minTrip = 8
 
-// addrAt reports whether aux word i of op is a region address. An op's
-// addresses in the order of its aux words are its operand order, the order
-// visitEffects reports them in and lower emits them in.
-func addrAt(op *mop, i int) bool {
-	switch op.kind {
-	case mExtVec:
-		return i >= 7
-	case mQuadScatter:
-		return i == 2
-	case mQuadGather:
-		return i == 3 || i >= 4 && i%2 == 0
-	case mAlphaStepP:
-		return i == 9 || i == 10
-	case mBetaStepP:
-		return i == 9 || i == 22 || i >= 26 && i%2 == 0
-	}
-	return false
-}
-
-// auxLen is how many aux words an op of a fused kind has.
-func auxLen(op *mop) int32 {
-	switch op.kind {
-	case mExtVec:
-		return 11
-	case mQuadScatter:
-		return 3 + 2*op.n
-	case mQuadGather:
-		return 4 + 2*op.n
-	case mAlphaStepP:
-		return 16
-	case mBetaStepP:
-		if op.imm != 0 {
-			return 26 + 2*op.n
-		}
-		return 15
-	}
-	return 0
-}
-
-// words is a fused op's aux words, nil for a singleton's.
-func (p *Program) words(op *mop) []int32 {
-	if op.kind < firstFused {
-		return nil
-	}
-	return p.aux[op.tab:][:auxLen(op)]
-}
-
-// appendAddrs appends op's region addresses, in operand order.
-func appendAddrs(dst []int64, op *mop, words []int32) []int64 {
-	pair := func(from int) {
-		for i := from; i < len(words); i += 2 {
-			dst = append(dst, int64(words[i]))
+// writeLoop writes trips trips of the loop whose trip 0 is the records of
+// body — recs where each starts and its work, addrs where each address word
+// is, strides how far each moves a trip — as loop records and, for the
+// trips a short body's unrolled copies do not divide, as records. The u
+// copies of the body are written once, to a definition the first loop
+// record holds: the strides of its classes, then the copies' records,
+// copy c's addresses trip c's, each record's addresses added to the base
+// of one class, with a base record wherever the class changes. That record
+// runs as many trips as the room left holds; each further piece is a loop
+// record of its own naming the definition and its first trip. A body whose
+// records cannot be given classes — a record with addresses that move by
+// two strides, or more strides than classes — is written trip by trip.
+// Every address lies between trip 0's and the last trip's, which the
+// methods checked as they wrote them.
+func (e *Emitter) writeLoop(body []uint32, recs []tripRec, addrs []int, strides []int64, trips int) {
+	u := min((minTrip+len(recs)-1)/len(recs), trips)
+	rolled := trips / u
+	var def []uint32
+	var classes []int64
+	cur, mixed, perTrip := 0, false, 0 // a trip starts at class 1
+	for c := range u {
+		k := 0
+		for i, r := range recs {
+			end := len(body)
+			if i+1 < len(recs) {
+				end = recs[i+1].at
+			}
+			at, cls := len(def), -1
+			def = append(def, body[r.at:end]...)
+			for ; k < len(addrs) && addrs[k] < end; k++ {
+				def[at+addrs[k]-r.at] += uint32(int64(c) * strides[k])
+				s := strides[k] * int64(u)
+				ci := slices.Index(classes, s)
+				if ci < 0 {
+					ci, classes = len(classes), append(classes, s)
+				}
+				switch {
+				case ci >= maxClasses || cls >= 0 && cls != ci:
+					mixed = true
+				case cls < 0 && ci != cur:
+					def = slices.Insert(def, at, nBase|uint32(ci+1)<<8)
+					at++
+					cur = ci
+				}
+				cls = ci
+			}
+			perTrip += r.units
 		}
 	}
-	switch op.kind {
-	case mLoad, mStore, mExtrW:
-		dst = append(dst, op.addr)
-	case mExtVec:
-		dst = append(dst, int64(words[7]), int64(words[8]), int64(words[9]), int64(words[10]))
-	case mQuadScatter:
-		dst = append(dst, int64(words[2]))
-	case mQuadGather:
-		dst = append(dst, int64(words[3]))
-		pair(4)
-	case mAlphaStepP:
-		dst = append(dst, int64(words[9]), int64(words[10]))
-	case mBetaStepP:
-		dst = append(dst, int64(words[9]))
-		if op.imm != 0 {
-			dst = append(dst, int64(words[22]))
-			pair(26)
+	def = append(def, nEnd)
+	if mixed {
+		rolled = 0
+	}
+	first := -1
+	for t0 := 0; t0 < rolled; {
+		n := min(max(e.room(perTrip)/perTrip, 1), rolled-t0)
+		e.work += n * perTrip
+		if first < 0 {
+			first = len(e.code)
+			e.head(nLoop, n, 0, 0, uint32(len(classes)))
+			for _, s := range classes {
+				e.code = append(e.code, uint32(s))
+			}
+			e.code = append(append(e.code, uint32(len(def))), def...)
+		} else {
+			e.head(nLoop, n, uint32(t0), uint32(len(e.code)-first))
 		}
+		t0 += n
 	}
-	return dst
-}
-
-// addrCount is how many region addresses op has.
-func addrCount(op *mop) int {
-	switch op.kind {
-	case mExtVec:
-		return 4
-	case mQuadScatter:
-		return 1
-	case mQuadGather:
-		return int(1 + op.n)
-	case mAlphaStepP:
-		return 2
-	case mBetaStepP:
-		if op.imm != 0 {
-			return int(2 + op.n)
+	for t := rolled * u; t < trips; t++ {
+		e.room(perTrip / u)
+		at := len(e.code)
+		e.code = append(e.code, body...)
+		for k, a := range addrs {
+			e.code[at+a] += uint32(int64(t) * strides[k])
 		}
-		return 1
+		e.work += perTrip / u
 	}
-	if hasAddr(op.kind) {
-		return 1
-	}
-	return 0
-}
-
-// loopAt returns the body and the per-address strides of the loop whose
-// header is ops[i], checking that both lie inside the segment and the pool.
-func (p *Program) loopAt(ops []mop, i int) (body []mop, strides []int32, err error) {
-	hd := &ops[i]
-	if hd.n < 1 || int(hd.n) > len(ops)-i-1 || hd.imm < 2 {
-		return nil, nil, fmt.Errorf("program: loop at op %d of %d ops, %d trips, over a segment of %d", i, hd.n, hd.imm, len(ops))
-	}
-	body = ops[i+1 : i+1+int(hd.n)]
-	n := 0
-	for j := range body {
-		if body[j].kind == mLoop {
-			return nil, nil, fmt.Errorf("program: op kind %d in the body of the loop at op %d", body[j].kind, i)
-		}
-		n += addrCount(&body[j])
-	}
-	if hd.tab < 0 || int(hd.tab)+n > len(p.aux) {
-		return nil, nil, fmt.Errorf("program: strides of the loop at op %d outside the pool", i)
-	}
-	return body, p.aux[hd.tab : int(hd.tab)+n], nil
 }

@@ -2,7 +2,6 @@ package program
 
 import (
 	"bytes"
-	"math/rand"
 	"slices"
 	"sync"
 	"testing"
@@ -30,8 +29,8 @@ type ops interface {
 	Xor(d, a, b Reg)
 	QuadScatter(acc, tmp Reg, dst int64, srcs []Reg, tabs [][]int32)
 	QuadGather(r, acc, tmp Reg, dst int64, srcs []int64, tabs [][]int32)
-	AlphaStep(r *[9]Reg, quad, out int64, t *[5][]int32)
-	BetaStep(r *[9]Reg, quad int64, t *[5][]int32, x *BetaExt)
+	AlphaSweep(r *[9]Reg, steps int, quad, dq, out, dout int64, t *[5][]int32)
+	BetaSweep(r *[9]Reg, steps int, quad, dq int64, t *[5][]int32, x *BetaExt)
 	ExtVec(r *[7]Reg, imm uint, in [3]int64, out int64)
 	Loop(trips int, body func(t int))
 }
@@ -115,55 +114,61 @@ func (o *engineOps) QuadGather(r, acc, tmp Reg, dst int64, srcs []int64, tabs []
 	e.StoreVec(dst, o.r(acc))
 }
 
-func (o *engineOps) AlphaStep(r *[9]Reg, quad, out int64, t *[5][]int32) {
+func (o *engineOps) AlphaSweep(r *[9]Reg, steps int, quad, dq, out, dout int64, t *[5][]int32) {
 	e := o.e
 	qd, bm0, bm1, a0, a1, c0, c1, norm, alpha := o.r(r[0]), o.r(r[1]), o.r(r[2]), o.r(r[3]), o.r(r[4]), o.r(r[5]), o.r(r[6]), o.r(r[7]), o.r(r[8])
-	e.LoadVec(qd, quad)
-	e.PermuteW(bm0, qd, o.tab(t[0]))
-	e.PermuteW(bm1, qd, o.tab(t[1]))
-	e.PermuteW(a0, alpha, o.tab(t[2]))
-	e.PermuteW(a1, alpha, o.tab(t[3]))
-	e.PAddSW(c0, a0, bm0)
-	e.PAddSW(c1, a1, bm1)
-	e.PMaxSW(alpha, c0, c1)
-	e.PermuteW(norm, alpha, o.tab(t[4]))
-	e.PSubSW(alpha, alpha, norm)
-	e.StoreVec(out, alpha)
+	for s := range int64(steps) {
+		e.LoadVec(qd, quad+s*dq)
+		e.PermuteW(bm0, qd, o.tab(t[0]))
+		e.PermuteW(bm1, qd, o.tab(t[1]))
+		e.PermuteW(a0, alpha, o.tab(t[2]))
+		e.PermuteW(a1, alpha, o.tab(t[3]))
+		e.PAddSW(c0, a0, bm0)
+		e.PAddSW(c1, a1, bm1)
+		e.PMaxSW(alpha, c0, c1)
+		e.PermuteW(norm, alpha, o.tab(t[4]))
+		e.PSubSW(alpha, alpha, norm)
+		e.StoreVec(out+s*dout, alpha)
+	}
 }
 
-func (o *engineOps) BetaStep(r *[9]Reg, quad int64, t *[5][]int32, x *BetaExt) {
+func (o *engineOps) BetaSweep(r *[9]Reg, steps int, quad, dq int64, t *[5][]int32, x *BetaExt) {
 	e := o.e
 	qd, bm0, bm1, b0, b1, v0, v1, beta, norm := o.r(r[0]), o.r(r[1]), o.r(r[2]), o.r(r[3]), o.r(r[4]), o.r(r[5]), o.r(r[6]), o.r(r[7]), o.r(r[8])
-	e.LoadVec(qd, quad)
-	e.PermuteW(bm0, qd, o.tab(t[0]))
-	e.PermuteW(bm1, qd, o.tab(t[1]))
-	e.PermuteW(b0, beta, o.tab(t[2]))
-	e.PermuteW(b1, beta, o.tab(t[3]))
-	e.PAddSW(v0, b0, bm0)
-	e.PAddSW(v1, b1, bm1)
-	if x != nil {
-		la, e0, e1, m0, m1, tmp, dv := o.r(x.Regs[0]), o.r(x.Regs[1]), o.r(x.Regs[2]), o.r(x.Regs[3]), o.r(x.Regs[4]), o.r(x.Regs[5]), o.r(x.Regs[6])
-		e.LoadVec(la, x.Alpha)
-		e.PAddSW(e0, la, v0)
-		e.PAddSW(e1, la, v1)
-		hmax := func(m, v *simd.Vec) {
-			e.PermuteW(tmp, v, o.tab(x.Hmax[0]))
-			e.PMaxSW(m, v, tmp)
-			e.PermuteW(tmp, m, o.tab(x.Hmax[1]))
-			e.PMaxSW(m, m, tmp)
-			e.PermuteW(tmp, m, o.tab(x.Hmax[2]))
-			e.PMaxSW(m, m, tmp)
+	for s := range steps {
+		e.LoadVec(qd, quad+int64(s)*dq)
+		e.PermuteW(bm0, qd, o.tab(t[0]))
+		e.PermuteW(bm1, qd, o.tab(t[1]))
+		e.PermuteW(b0, beta, o.tab(t[2]))
+		e.PermuteW(b1, beta, o.tab(t[3]))
+		e.PAddSW(v0, b0, bm0)
+		e.PAddSW(v1, b1, bm1)
+		if x != nil {
+			la, e0, e1, m0, m1, tmp, dv := o.r(x.Regs[0]), o.r(x.Regs[1]), o.r(x.Regs[2]), o.r(x.Regs[3]), o.r(x.Regs[4]), o.r(x.Regs[5]), o.r(x.Regs[6])
+			e.LoadVec(la, x.Alpha+int64(s)*x.DAlpha)
+			e.PAddSW(e0, la, v0)
+			e.PAddSW(e1, la, v1)
+			hmax := func(m, v *simd.Vec) {
+				e.PermuteW(tmp, v, o.tab(x.Hmax[0]))
+				e.PMaxSW(m, v, tmp)
+				e.PermuteW(tmp, m, o.tab(x.Hmax[1]))
+				e.PMaxSW(m, m, tmp)
+				e.PermuteW(tmp, m, o.tab(x.Hmax[2]))
+				e.PMaxSW(m, m, tmp)
+			}
+			hmax(m0, e0)
+			hmax(m1, e1)
+			e.PSubSW(dv, m0, m1)
+			nx := len(x.Lanes)
+			np := len(x.Out) / nx
+			for i, lane := range x.Lanes {
+				e.PExtrWToMem(x.Out[s%np*nx+i]+int64(s/np)*x.DOut, dv, lane)
+			}
 		}
-		hmax(m0, e0)
-		hmax(m1, e1)
-		e.PSubSW(dv, m0, m1)
-		for _, out := range x.Out {
-			e.PExtrWToMem(out[0], dv, int(out[1]))
-		}
+		e.PMaxSW(beta, v0, v1)
+		e.PermuteW(norm, beta, o.tab(t[4]))
+		e.PSubSW(beta, beta, norm)
 	}
-	e.PMaxSW(beta, v0, v1)
-	e.PermuteW(norm, beta, o.tab(t[4]))
-	e.PSubSW(beta, beta, norm)
 }
 
 func (o *engineOps) ExtVec(r *[7]Reg, imm uint, in [3]int64, out int64) {
@@ -180,13 +185,13 @@ func (o *engineOps) ExtVec(r *[7]Reg, imm uint, in [3]int64, out int64) {
 	e.StoreVec(out, half)
 }
 
-// synthKernel is a width-generic "decode-like" kernel exercising every op
-// kind an Emitter writes: vector arithmetic and mask logic with aliased
-// operands, lane extracts and 128- and 256-bit extracts, loops of
-// singletons and of trellis steps, loops that do not fold, the packed
-// stream's quad scatter and gather, alpha and beta steps, the extrinsic
-// group, index tables with out-of-range entries, and register state that
-// is live across iterations (acc, alpha, beta).
+// synthKernel is a width-generic "decode-like" kernel exercising every
+// method of an Emitter: vector arithmetic and mask logic with aliased
+// operands, lane extracts and 128- and 256-bit extracts, a loop of
+// singletons, loops that do not fold, the packed stream's quad scatter and
+// gather, alpha and beta sweeps, the extrinsic group, index tables with
+// out-of-range entries, and register state that is live across iterations
+// (acc, alpha, beta).
 type synthKernel struct {
 	w                            simd.Width
 	in, out, acc, scalars, pk    int64
@@ -339,8 +344,8 @@ func newPackedTabs(n int) *packedTabs {
 }
 
 // packed emits each packed-stream shape, writing results to the 64-byte
-// lines of k.pk. Nothing reads a shape's intermediate registers before a
-// later shape redefines them, so every fused op is lean.
+// lines of k.pk. Nothing reads a shape's scratch registers before a later
+// shape redefines them.
 func (k *synthKernel) packed(o ops, t *packedTabs, srcs [3]Reg) {
 	n := k.w.Lanes16()
 	at := func(i int) int64 { return k.pk + int64(i)*64 }
@@ -356,26 +361,27 @@ func (k *synthKernel) packed(o ops, t *packedTabs, srcs [3]Reg) {
 
 	ar := [9]Reg{v[3], v[4], v[5], v[6], v[7], v[8], v[9], v[10], k.al}
 	at5 := [5][]int32{t.a0, t.a1, t.p0, t.p1, t.nrm}
-	o.AlphaStep(&ar, at(0), at(3), &at5)
+	o.AlphaSweep(&ar, 1, at(0), 0, at(3), 0, &at5)
 
 	// A beta step of the tail form, observed through the next step, then
 	// one that extracts the posterior through two horizontal-max
 	// butterflies sharing tmp and the index tables.
 	br := [9]Reg{v[3], v[4], v[5], v[11], v[12], v[13], v[14], k.beta, v[10]}
 	bt := [5][]int32{t.a0, t.a1, t.p1, t.p0, t.nrm}
-	o.BetaStep(&br, at(1), &bt, nil)
+	o.BetaSweep(&br, 1, at(1), 0, &bt, nil)
 	x := &BetaExt{Regs: [7]Reg{v[6], v[7], v[8], v[9], v[15], v[1], v[0]}, Alpha: at(3), Hmax: [3][]int32{t.h0, t.h1, t.h2}}
 	for b := 0; b < n/8; b++ {
-		x.Out = append(x.Out, [2]int64{at(4) + int64(2*b), int64(8 * b)})
+		x.Lanes, x.Out = append(x.Lanes, 8*b), append(x.Out, at(4)+int64(2*b))
 	}
-	o.BetaStep(&br, at(2), &bt, x)
+	o.BetaSweep(&br, 1, at(2), 0, &bt, x)
 	o.Store(at(5), k.beta)
 
+	// An extrinsic group that stores over one of the lines it reads.
 	er := [7]Reg{v[0], v[1], v[2], v[3], v[4], k.hi, k.lo}
-	o.ExtVec(&er, 1, [3]int64{at(3), at(5), k.in}, at(6))
+	o.ExtVec(&er, 1, [3]int64{at(3), at(5), k.in}, at(5))
 
 	// A sweep: three alpha steps over the quad lines written above.
-	o.Loop(3, func(j int) { o.AlphaStep(&ar, at(j), at(7+j), &at5) })
+	o.AlphaSweep(&ar, 3, at(0), 64, at(7), 64, &at5)
 }
 
 // walk is k's program: what Emit is handed.
@@ -396,21 +402,6 @@ func emitSynth(t *testing.T, w simd.Width) (*Program, *synthKernel) {
 	t.Helper()
 	k := synthLayout(w, synthBytes)
 	p, err := Emit(w, k.walk)
-	if err != nil {
-		t.Fatalf("%v: emit: %v", w, err)
-	}
-	return p, k
-}
-
-// emitSynthFused is emitSynth with the fused segments kept: the program is
-// finalized but not finished, so a test can step it op by op.
-func emitSynthFused(t *testing.T, w simd.Width) (*Program, *synthKernel) {
-	t.Helper()
-	k := synthLayout(w, synthBytes)
-	p, err := emit(w, k.walk)
-	if err == nil {
-		err = p.finalize()
-	}
 	if err != nil {
 		t.Fatalf("%v: emit: %v", w, err)
 	}
@@ -451,7 +442,7 @@ func testReplayMatchesInterpreter(t *testing.T) {
 			t.Fatalf("%v: program width %v", w, p.Width())
 		}
 		want := interpret(w, iters, 0)
-		got := replayBytes(t, p, k, iters, nil)
+		got := replayBytes(t, p, k, iters)
 		if !bytes.Equal(want, got) {
 			for a := 0; a < len(want); a++ {
 				if want[a] != got[a] {
@@ -547,153 +538,75 @@ func testSharedProgramConcurrentRuns(t *testing.T) {
 }
 
 // replayBytes replays p over a freshly seeded arena laid out like k's
-// and returns the arena bytes. With rng set the replay is poisoned (see
-// runPoisoned).
-func replayBytes(t *testing.T, p *Program, k *synthKernel, iters int, rng *rand.Rand) []byte {
+// and returns the arena bytes.
+func replayBytes(t *testing.T, p *Program, k *synthKernel, iters int) []byte {
 	t.Helper()
 	mem := simd.NewMemory(synthBytes)
 	newSynthKernel(k.w, mem)
 	k.seed(mem)
 	x := p.NewExec(mem, 0)
-	run := func(seg int) { p.Run(x, seg) }
-	if rng != nil {
-		run = func(seg int) { p.runPoisoned(x, seg, rng) }
-	}
-	run(SegFirst)
+	p.Run(x, SegFirst)
 	for it := 0; it < iters; it++ {
-		run(SegSteady)
+		p.Run(x, SegSteady)
 	}
 	return mem.Bytes(0, mem.Size())
 }
 
-// runPoisoned is Run op by op, each op lowered to a stream of its own and
-// run on x's executor, except that after every op each register write
-// whose live bit is clear — every write finalize says nothing reads — is
-// overwritten with random lanes. If the masks are right the arena cannot
-// tell; if they are stale or wrong, a later op reads the poison.
-func (p *Program) runPoisoned(x *Exec, seg int, rng *rand.Rand) {
-	ops := p.unrolled(p.segs[seg])
-	for i := range ops {
-		code, err := p.lower(ops[i : i+1])
-		if err != nil {
-			panic(err)
-		}
-		p.run(x, code)
-		k := 0
-		_ = p.visitEffects(&ops[i], &effectVisitor{reg: func(off int32, write bool) {
-			if !write {
-				return
-			}
-			if ops[i].live>>k&1 == 0 {
-				for l := range regStride {
-					x.regs[int(off)+l] = int16(rng.Uint32())
-				}
-			}
-			k++
-		}})
-	}
-}
-
-// unrolled is ops with every loop written out trip by trip: each trip's
-// ops are its body's, their addresses moved by the trip's strides (their
-// aux words copied to the end of the pool), their live masks the body's.
-func (p *Program) unrolled(ops []mop) []mop {
-	var out []mop
-	for i := 0; i < len(ops); i++ {
-		if ops[i].kind != mLoop {
-			out = append(out, ops[i])
-			continue
-		}
-		body, strides, err := p.loopAt(ops, i)
-		if err != nil {
-			panic(err)
-		}
-		for t := int64(0); t < ops[i].imm; t++ {
-			st := strides
-			for _, op := range body {
-				n := addrCount(&op)
-				d := st[:n]
-				st = st[n:]
-				if op.kind < firstFused {
-					if hasAddr(op.kind) {
-						op.addr += t * int64(d[0])
-					}
-					out = append(out, op)
-					continue
-				}
-				words := slices.Clone(p.aux[op.tab:][:auxLen(&op)])
-				k := 0
-				for j := range words {
-					if addrAt(&op, j) {
-						words[j] += int32(t) * d[k]
-						k++
-					}
-				}
-				op.tab = int32(len(p.aux))
-				p.aux = append(p.aux, words...)
-				out = append(out, op)
-			}
-		}
-		i += len(body)
-	}
-	return out
-}
-
 // TestSynthKernelCoversFusedOps: the equivalence tests only mean
-// something for the packed ops if the kernel emits every fused kind, and
-// every fused op the streams run is lean (the program finalizes).
+// something for the packed records if the kernel writes every fused kind,
+// the extracting beta sweep among them, and the program emits: no record
+// reads a register a fused record clobbered.
 func TestSynthKernelCoversFusedOps(t *testing.T) {
 	for _, w := range simd.Widths {
-		p, _ := emitSynthFused(t, w)
-		got := map[string]int{"beta step + extract": 0}
-		for _, name := range fusedKindNames {
-			got[name] = 0
-		}
-		for _, op := range p.segs[SegSteady] {
-			switch {
-			case op.kind == mBetaStepP && op.imm != 0:
-				got["beta step + extract"]++
-			case op.kind >= firstFused:
-				got[fusedKindNames[op.kind]]++
-			}
-		}
-		for name, n := range got {
-			if n == 0 {
+		p, _ := emitSynth(t, w)
+		got := p.FusedKindCounts(SegSteady)
+		for _, name := range FusedKinds() {
+			if got[name] == 0 {
 				t.Errorf("%v: no %s emitted", w, name)
 			}
 		}
+		if p.RecordKindCounts()["beta ext sweep"] == 0 {
+			t.Errorf("%v: no beta step + extract emitted", w)
+		}
 	}
 }
 
-// TestLoopFoldsOnlyRepeatingTrips: of the kernel's loops, the two whose
-// trips repeat trip 0 — the singletons and the alpha sweep — are a loop
-// op over trip 0's ops, and the others are emitted trip by trip, in
-// order: the one whose last trip is off the stride, the one whose trip 1
-// is of another shape, and the one of one trip; the one of no trips
-// emits nothing. Their replay is held to the engine by the replay tests.
+// TestLoopFoldsOnlyRepeatingTrips: of the kernel's loops, the one whose
+// trips repeat trip 0 — the singletons — is one loop record, its six trips
+// three of a body of two unrolled copies of trip 0's four records; the
+// others are written trip by trip, in order: the one whose last trip is
+// off the stride, the one whose trip 1 is of another shape, and the one of
+// one trip; the one of no trips writes nothing. Their replay is held to
+// the engine by the replay tests.
 func TestLoopFoldsOnlyRepeatingTrips(t *testing.T) {
 	for _, w := range simd.Widths {
-		p, k := emitSynthFused(t, w)
-		ops := p.segs[SegSteady]
-		var loops [][2]int64
-		var outs []int64 // where each op outside a loop stores past unrolledOut
-		for i := 0; i < len(ops); i++ {
-			op, at := &ops[i], int64(-1)
-			switch op.kind {
-			case mLoop:
-				loops = append(loops, [2]int64{op.imm, int64(op.n)})
-				i += int(op.n)
-			case mExtVec:
-				at = int64(p.aux[op.tab+10])
-			case mExtrW:
-				at = op.addr
+		p, k := emitSynth(t, w)
+		code := p.code[SegSteady]
+		var loops [][2]int
+		var outs []int64 // where each record outside a loop stores past unrolledOut
+		for pc := 0; pc < len(code); pc += recordWords(code[pc:]) {
+			at := int64(-1)
+			switch code[pc] & 0xff {
+			case nLoop:
+				nc := int(code[pc+3])
+				body, recs := code[pc+5+nc:][:code[pc+4+nc]], 0
+				for i := 0; i < len(body); i += recordWords(body[i:]) {
+					if kind := body[i] & 0xff; kind != nBase && kind != nEnd {
+						recs++
+					}
+				}
+				loops = append(loops, [2]int{int(code[pc] >> 8), recs})
+			case nExtVec:
+				at = int64(code[pc+6])
+			case nExtrW:
+				at = int64(code[pc+2])
 			}
 			if at -= k.out + unrolledOut; at >= 0 && at < 1024-unrolledOut {
 				outs = append(outs, at)
 			}
 		}
-		if want := [][2]int64{{6, 4}, {3, 1}}; !slices.Equal(loops, want) {
-			t.Errorf("%v: loops of (trips, ops) %v, want %v", w, loops, want)
+		if want := [][2]int{{3, 8}}; !slices.Equal(loops, want) {
+			t.Errorf("%v: loop records of (trips, records) %v, want %v", w, loops, want)
 		}
 		if want := []int64{0, 64, 0, 66, 0, 68, 0, 70, 80, 82, 84, 88}; !slices.Equal(outs, want) {
 			t.Errorf("%v: unfolded trips store at %v, want %v", w, outs, want)
@@ -701,165 +614,53 @@ func TestLoopFoldsOnlyRepeatingTrips(t *testing.T) {
 	}
 }
 
-// TestPoisonedReplay: dead means dead. Both segments, and a second
-// decode with different inputs on the same program (a decode follows a
-// decode, so whatever SegFirst reads must have survived the previous
-// one), replay byte-identically to the interpreter while every register
-// write the live masks call dead is poisoned — the intermediates of every
-// lean fused op among them. Then the check is shown to have teeth: with
-// every mask cleared the same replay must diverge.
-func TestPoisonedReplay(t *testing.T) { eachKernel(t, testPoisonedReplay) }
-
-func testPoisonedReplay(t *testing.T) {
-	const iters = 4
-	for _, w := range simd.Widths {
-		p, k := emitSynthFused(t, w)
-		rng := rand.New(rand.NewSource(int64(w)))
-		for _, salt := range []int{0, 3} {
-			k.salt = salt
-			want := interpret(w, iters, salt)
-			if got := replayBytes(t, p, k, iters, rng); !bytes.Equal(want, got) {
-				t.Fatalf("%v salt %d: poisoned replay diverged from interpreter", w, salt)
-			}
-		}
-		for seg := range p.segs {
-			for i := range p.segs[seg] {
-				p.segs[seg][i].live = 0
-			}
-		}
-		if got := replayBytes(t, p, k, iters, rng); bytes.Equal(interpret(w, iters, k.salt), got) {
-			t.Errorf("%v: replay with every write marked dead and poisoned still matched", w)
-		}
-	}
-}
-
-// TestFinalizeRejectsMalformedOps: every compiled program goes through
-// finalize's structural check, so an op the Emitter should never append
-// is refused instead of run.
-func TestFinalizeRejectsMalformedOps(t *testing.T) {
-	for name, op := range map[string]mop{
-		"one-source quad scatter": {kind: mQuadScatter, n: 1},
-		"odd load address":        {kind: mLoad, addr: 65, imm: 16},
-		"register past the file":  {kind: mClear, d: 2 * regStride},
-	} {
-		p := &Program{w: simd.W128, lanes: 8, nregs: 2 * regStride, aux: make([]int32, 8)}
-		p.segs[SegSteady] = []mop{op}
-		if err := p.finalize(); err == nil {
-			t.Errorf("%s: accepted", name)
-		}
-	}
-	// A loop over a store of trip 0 at 64: its header, and the strides in
-	// the pool at 0.
-	store := mop{kind: mStore, a: 0, addr: 64, imm: 16}
-	for name, seg := range map[string]struct {
-		ops    []mop
-		stride int32
-	}{
-		"loop past the segment's end":     {[]mop{{kind: mLoop, n: 2, imm: 4}, store}, 16},
-		"loop of one trip":                {[]mop{{kind: mLoop, n: 1, imm: 1}, store}, 16},
-		"strides past the pool":           {[]mop{{kind: mLoop, n: 1, imm: 4, tab: 8}, store}, 16},
-		"odd stride":                      {[]mop{{kind: mLoop, n: 1, imm: 4}, store}, 15},
-		"last trip at a negative address": {[]mop{{kind: mLoop, n: 1, imm: 6}, store}, -16},
-	} {
-		p := &Program{w: simd.W128, lanes: 8, nregs: 2 * regStride, aux: []int32{seg.stride}}
-		p.segs[SegSteady] = seg.ops
-		if err := p.finalize(); err == nil {
-			t.Errorf("%s: accepted", name)
-		}
-	}
-
-	// The stream is the one thing native code trusts, so lower does not
-	// take analyze's word for it: an op whose every operand passed the
-	// visitEffects walk is refused when the pool or range its record would
-	// address turns out smaller than the walk believed.
-	build := func() *Program {
-		p := &Program{w: simd.W128, lanes: 8, nregs: 4 * regStride,
-			idxTabs: [][]int32{{0, 1, 2, 3, 4, 5, 6, 7}}, lanePats: [][]int16{{1, 2}},
-			aux: []int32{0, regStride, 128, 2 * regStride, 0, 3 * regStride, 0}}
-		p.segs[SegSteady] = []mop{
-			{kind: mQuadScatter, n: 2, tab: 0},
-			{kind: mSetImm, d: 0, tab: 0},
-			{kind: mStore, a: 0, addr: 64, imm: 16},
-		}
-		if err := p.finalize(); err != nil {
-			t.Fatalf("well-formed program refused: %v", err)
-		}
-		if _, err := p.lower(p.segs[SegSteady]); err != nil {
-			t.Fatalf("well-formed program does not lower: %v", err)
-		}
-		return p
-	}
-	for name, shrink := range map[string]func(*Program){
-		"table index past the pool":   func(p *Program) { p.gat = p.gat[:0] },
-		"pattern index past the pool": func(p *Program) { p.pats = p.pats[:0] },
-		"store past the extent":       func(p *Program) { p.extent -= 2 },
-	} {
-		p := build()
-		shrink(p)
-		if _, err := p.lower(p.segs[SegSteady]); err == nil {
-			t.Errorf("%s: lowered", name)
-		}
-	}
-
-	// A fused op writes none of its intermediate registers, so a program
-	// that reads one — a quad scatter's scratch, stored after it — does not
-	// lower.
+// TestEmitRefusesMalformedOps: an operand the records could not run as
+// the method's sequence runs is refused as it is written, and the emit
+// fails.
+func TestEmitRefusesMalformedOps(t *testing.T) {
 	tab := []int32{1, 0, 3, 2, 5, 4, 7, 6}
-	if _, err := Emit(simd.W128, func(e *Emitter) {
-		e.Steady()
-		e.QuadScatter(0, 1, 64, []Reg{2, 3}, [][]int32{tab, tab})
-		e.Store(128, 1)
-	}); err == nil {
-		t.Error("a fused op whose scratch a later op reads: emitted")
+	for name, walk := range map[string]func(e *Emitter){
+		"one-source quad scatter": func(e *Emitter) { e.QuadScatter(0, 1, 64, []Reg{2}, [][]int32{tab}) },
+		"odd load address":        func(e *Emitter) { e.Load(0, 65) },
+		"negative register":       func(e *Emitter) { e.Clear(-1) },
+		"odd loop stride":         func(e *Emitter) { e.Loop(4, func(t int) { e.Store(64+15*int64(t), 0) }) },
+		"last trip at a negative address": func(e *Emitter) {
+			e.Loop(6, func(t int) { e.Store(64-16*int64(t), 0) })
+		},
+	} {
+		if _, err := Emit(simd.W128, func(e *Emitter) { e.Steady(); walk(e) }); err == nil {
+			t.Errorf("%s: emitted", name)
+		}
 	}
 }
 
-// TestAddressOrder: Emitter.Loop, the liveness walk and the lowering each
-// read an op's region addresses in one order, stride i belonging to
-// address i: appendAddrs's, visitEffects's and addrAt's positions must be
-// the same addresses in the same order, addrCount of them, for every kind
-// that has any.
-func TestAddressOrder(t *testing.T) {
-	p := &Program{w: simd.W512, lanes: 32, nregs: 64 * regStride, idxTabs: [][]int32{make([]int32, 32)}}
-	// Aux words: registers and tables 0, addresses 2·(100+i) at word i.
-	aux := func(n int) []int32 {
-		w := make([]int32, n)
-		for i := range w {
-			w[i] = int32(2 * (100 + i))
-		}
-		return w
-	}
-	for _, op := range []mop{
-		{kind: mLoad, addr: 64, imm: 64}, {kind: mStore, addr: 64, imm: 64},
-		{kind: mExtrW, addr: 64}, {kind: mExtVec}, {kind: mQuadScatter, n: 3},
-		{kind: mQuadGather, n: 3}, {kind: mAlphaStepP}, {kind: mBetaStepP}, {kind: mBetaStepP, imm: 1, n: 3},
+// TestEmitRefusesScratchReads: a fused record writes none of its scratch
+// registers, so a program that reads one before writing it again does not
+// emit: in the segment that clobbered it, in the next trip of a loop, or
+// across the segment boundary.
+func TestEmitRefusesScratchReads(t *testing.T) {
+	tab := []int32{1, 0, 3, 2, 5, 4, 7, 6}
+	tabs := [5][]int32{tab, tab, tab, tab, tab}
+	r := [9]Reg{0, 1, 2, 3, 4, 5, 6, 7, 8}
+	for name, walk := range map[string]func(e *Emitter){
+		"a quad scatter's accumulator, stored after it": func(e *Emitter) {
+			e.QuadScatter(0, 1, 64, []Reg{2, 3}, [][]int32{tab, tab})
+			e.Store(128, 0)
+		},
+		"an alpha sweep's scratch, stored by the next trip": func(e *Emitter) {
+			e.Clear(0)
+			e.Loop(4, func(t int) {
+				e.Store(256+16*int64(t), 0)
+				e.AlphaSweep(&r, 1, 64, 0, 128+16*int64(t), 0, &tabs)
+			})
+		},
+		"a register read first by SegSteady, which ends clobbering it": func(e *Emitter) {
+			e.Store(128, 0)
+			e.QuadScatter(0, 1, 64, []Reg{2, 3}, [][]int32{tab, tab})
+		},
 	} {
-		var words []int32
-		if op.kind >= firstFused {
-			words = aux(int(auxLen(&op)))
-			for i := range words {
-				if !addrAt(&op, i) {
-					words[i] = 0 // a register offset, a table id or a lane
-				}
-			}
-			op.tab = int32(len(p.aux))
-			p.aux = append(p.aux, words...)
-		}
-		var visited, positions []int64
-		if err := p.visitEffects(&op, &effectVisitor{mem: func(a, _ int64, _ bool) { visited = append(visited, a) }}); err != nil {
-			t.Fatalf("kind %d: %v", op.kind, err)
-		}
-		if op.kind < firstFused {
-			positions = []int64{op.addr}
-		}
-		for i, w := range words {
-			if addrAt(&op, i) {
-				positions = append(positions, int64(w))
-			}
-		}
-		got := appendAddrs(nil, &op, words)
-		if !slices.Equal(got, visited) || !slices.Equal(got, positions) || len(got) != addrCount(&op) {
-			t.Errorf("kind %d: appendAddrs %v, visitEffects %v, addrAt %v, addrCount %d", op.kind, got, visited, positions, addrCount(&op))
+		if _, err := Emit(simd.W128, func(e *Emitter) { e.Steady(); walk(e) }); err == nil {
+			t.Errorf("%s: emitted", name)
 		}
 	}
 }

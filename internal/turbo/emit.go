@@ -334,7 +334,7 @@ func (pe *planEmitter) alpha(steps int) {
 	pe.acquireN(&r[0], &r[1], &r[2], &r[3], &r[4], &r[5], &r[6], &r[7])
 	r[8] = alpha
 	tabs := [5][]int32{pe.bmA0, pe.bmA1, pe.prevIdx0, pe.prevIdx1, pe.lane0Idx}
-	e.Loop(steps, func(j int) { e.AlphaStep(&r, pe.quad(j), pe.alphaAt(j+1), &tabs) })
+	e.AlphaSweep(&r, steps, pe.quad(0), pe.wb, pe.alphaAt(1), pe.wb, &tabs)
 	pe.release(alpha, r[0], r[1], r[2], r[3], r[4], r[5], r[6], r[7])
 }
 
@@ -353,31 +353,29 @@ func (pe *planEmitter) betaExt(k int, terminated bool) {
 	var r [9]program.Reg // qd bm0 bm1 b0 b1 v0 v1, beta, norm
 	pe.acquireN(&r[0], &r[1], &r[2], &r[3], &r[4], &r[5], &r[6])
 	r[7] = beta
-	x := &program.BetaExt{Hmax: pe.hmaxIdx, Out: make([][2]int64, nb)}
+	// A step's words land at lane positions that repeat a packed group
+	// later: the sweep's rows are a group's steps, k-1 down to k-per, and
+	// each later group of steps stores one packed group further back.
+	per := pe.pl.lay.GroupLanes / nb
+	x := &program.BetaExt{Alpha: pe.alphaAt(k - 1), DAlpha: -pe.wb, Hmax: pe.hmaxIdx,
+		Lanes: make([]int, nb), DOut: -2 * int64(pe.pl.lay.StrideLanes)}
+	for b := range nb {
+		x.Lanes[b] = b * NumStates
+	}
+	for s := range per {
+		for b := range nb {
+			x.Out = append(x.Out, pe.pl.elemAddr(pe.rel.dPost, (k-1-s)*nb+b))
+		}
+	}
 	// x.Regs is la e0 e1 m0 m1 tmp dv; betaExtPacked acquires alpha e0 e1
 	// m0 m1 dv tmp, then norm.
 	xr := &x.Regs
 	pe.acquireN(&xr[0], &xr[1], &xr[2], &xr[3], &xr[4], &xr[6], &xr[5], &r[8])
 	tabs := [5][]int32{pe.bmB0, pe.bmB1, pe.nextIdx0, pe.nextIdx1, pe.lane0Idx}
-	e.Loop(steps-k, func(t int) { e.BetaStep(&r, pe.quad(steps-1-t), &tabs, nil) })
-	step := func(j int) {
-		x.Alpha = pe.alphaAt(j)
-		for b := range x.Out {
-			x.Out[b] = [2]int64{pe.pl.elemAddr(pe.rel.dPost, j*nb+b), int64(b * NumStates)}
-		}
-		e.BetaStep(&r, pe.quad(j), &tabs, x)
+	if terminated {
+		e.BetaSweep(&r, 3, pe.quad(steps-1), -pe.wb, &tabs, nil)
 	}
-	// A step's words land at lane positions that repeat a packed group
-	// later, so a trip is a group's steps.
-	per := pe.pl.lay.GroupLanes / nb
-	e.Loop(k/per, func(t int) {
-		for s := range per {
-			step(k - 1 - t*per - s)
-		}
-	})
-	for j := k%per - 1; j >= 0; j-- {
-		step(j)
-	}
+	e.BetaSweep(&r, k, pe.quad(k-1), -pe.wb, &tabs, x)
 	pe.release(beta, r[0], r[1], r[2], r[3], r[4], r[5], r[6], xr[0], xr[1], xr[2], xr[3], xr[4], xr[6], xr[5], r[8])
 }
 

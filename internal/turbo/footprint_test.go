@@ -52,14 +52,14 @@ func liveHeap() uint64 {
 }
 
 // TestCompiledPlanFootprint pins what a compiled plan costs to keep and to
-// make on every host: a program holds its descriptor streams, its loops
-// lowered to sweeps and loop records, and one copy of each distinct table, one iteration of
-// them. Kept: the live heap one cold W512/APCM compile adds to the process,
+// make on every host: a program holds its descriptor streams, its runs
+// written as sweeps and loop records, and one copy of each distinct table,
+// one iteration of them. Kept: the live heap one cold W512/APCM compile adds to the process,
 // the whole cache entry, is at most 0.45 MB at K=6144 and 0.06 MB at K=512
 // (0.39 and 0.04–0.05 measured; 1.85 and 0.17 while the streams held a
 // record or a step per trellis step and group, 3.43 and 0.29 while the
-// pool held a table per reference); a program that kept its fused ops and
-// operand pools, a plan that kept interpreter tables, or a stream that
+// pool held a table per reference); a program that kept an intermediate
+// form of its records, a plan that kept interpreter tables, or a stream that
 // stopped rolling is over. Made: the bytes one cold K=6144 compile
 // allocates are at most 3.1 MB (2.7–2.8 MB measured; 15.0 MB while the
 // emitter held each segment unrolled and each gather table per

@@ -32,7 +32,8 @@ import (
 // register is zero). One load plus two constant-table permutes give both
 // branch-metric vectors of a step, with no per-block broadcast, mask or
 // merge — and give the replay compiler a fixed 11-op step shape it emits
-// as a single-pass op (program.Emitter.AlphaStep and BetaStep).
+// as a single-pass record, a whole recursion a sweep
+// (program.Emitter.AlphaSweep and BetaSweep).
 
 // regionLayout is where the packed working arrays lie: byte offsets from
 // the start of a plan's state region, which are a state's addresses too,

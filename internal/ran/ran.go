@@ -260,7 +260,7 @@ func (r *Runtime) Lanes() int { return turbo.BlocksPerRegister(r.cfg.Width) }
 // racing Stop is either admitted and then decoded or rejected with
 // RejectedStopped. A Submit that wakes a worker while every worker is
 // parked yields the caller's processor once (runtime.Gosched) before it
-// returns, so the block may already be decoding when it does.
+// returns, so the block may already be decoded when it does.
 func (r *Runtime) Submit(cell, ue, k int, word *turbo.LLRWord) Admit {
 	return r.SubmitProcess(cell, ue, 0, k, word)
 }
@@ -278,7 +278,10 @@ func (r *Runtime) SubmitProcess(cell, ue, proc, k int, word *turbo.LLRWord) Admi
 // with a live trace: tc carries the trace identity and the stage dwell
 // already paid upstream, which the block's final span folds in so its
 // stages sum to the true end-to-end latency. A zero tc is exactly
-// SubmitProcess.
+// SubmitProcess. A call that wakes a worker of an idle runtime hands that
+// worker its processor, and the worker decodes the block there at once:
+// the call returns when another thread picks its goroutine up or the
+// worker is done, whichever comes first (DESIGN §6).
 func (r *Runtime) SubmitTraced(cell, ue, proc, k int, word *turbo.LLRWord, tc telemetry.SpanContext) Admit {
 	if r.stopped.Load() {
 		return RejectedStopped
@@ -324,8 +327,9 @@ func (r *Runtime) SubmitTraced(cell, ue, proc, k int, word *turbo.LLRWord, tc te
 		// The wake put the worker in this processor's runnext slot, where
 		// it would wait for this goroutine to block inside Go — and a
 		// caller that sleeps in a raw syscall leaves it stranded until
-		// sysmon retakes the processor. Yield it instead: the worker runs
-		// here, and this goroutine moves to the processor the wake started.
+		// sysmon retakes the processor. Yield it instead: the worker takes
+		// and decodes here at once, and this goroutine resumes when the
+		// thread the wake started picks it up, or when the worker is done.
 		// Only from idle: under load, handing each woken worker its
 		// processor empties the lanes (DESIGN §6).
 		runtime.Gosched()
@@ -385,22 +389,22 @@ func labelLayer(layer string) {
 
 // take hands the calling worker its next batch, appended to out: up to
 // Lanes() blocks of one (class, K) group, URLLC first (ready.pick),
-// parking the worker while nothing it may take waits and yielding once
-// before a partial take. A worker that a push woke from an idle runtime
-// returns from park on its submitter's processor, which that Submit
-// yields to it (SubmitTraced); the yield before a partial take is the
-// same either way. A take of URLLC while eMBB waits is a steal. The
-// shed level is recomputed from the backlog the take leaves, under the
-// same lock. ok is false once Stop has closed the structure and nothing
-// is left for this worker.
+// parking the worker while nothing it may take waits. A worker that comes
+// from its own batch yields once before a partial take; one that parked
+// takes at once. A worker that a push woke from an idle runtime returns
+// from park on its submitter's processor, which that Submit yields to it
+// (SubmitTraced), and decodes there before the submitter resumes. A take
+// of URLLC while eMBB waits is a steal. The shed level is recomputed from
+// the backlog the take leaves, under the same lock. ok is false once Stop
+// has closed the structure and nothing is left for this worker.
 func (r *Runtime) take(out []*Block) (batch []*Block, ok bool) {
 	q := r.rq
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	yielded := false
+	yield := true
 	for {
 		if c, k, found := q.pick(); found {
-			if len(q.groups[c][k]) < q.lanes && !yielded {
+			if len(q.groups[c][k]) < q.lanes && yield {
 				// A goroutine this worker readied — a submitter its
 				// OnDecoded callbacks woke — is queued behind it, and with a
 				// worker on every processor would not run until the backlog
@@ -408,7 +412,7 @@ func (r *Runtime) take(out []*Block) (batch []*Block, ok bool) {
 				// add its blocks first, and returns at once when nothing
 				// else is ready to run. No timer: nothing waits for blocks
 				// that have not arrived.
-				yielded = true
+				yield = false
 				q.mu.Unlock()
 				runtime.Gosched()
 				q.mu.Lock()
@@ -425,6 +429,10 @@ func (r *Runtime) take(out []*Block) (batch []*Block, ok bool) {
 			return out, false
 		}
 		q.park()
+		// A parked worker readied nothing, and whoever woke it already
+		// ran: a yield now would only hand the processor back to the
+		// submitter that just gave it (SubmitTraced).
+		yield = false
 	}
 }
 

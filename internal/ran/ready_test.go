@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"vransim/internal/simd"
+	"vransim/internal/turbo"
 )
 
 func mkBlock(k int) *Block { return &Block{K: k} }
@@ -187,6 +188,44 @@ func TestPushHandsOffOnlyFromIdle(t *testing.T) {
 		if g := <-got; len(g) != 1 || g[0] != b {
 			t.Fatalf("%v arrival: the woken taker got %d blocks, want that one", b.Class, len(g))
 		}
+	}
+}
+
+// TestIdleHandOffDecodesBeforeSubmitReturns: on one processor, a Submit
+// that wakes a worker of an idle runtime hands it the processor, and the
+// woken worker takes and decodes the block before the submitter resumes.
+// A worker back from park has readied nothing, so it must not yield the
+// processor back first (DESIGN §6). It asserts order, not host timing.
+// Go's scheduler runs its global queue — where the yielding submitter
+// waits — ahead of the woken worker on one schedule in 61, for fairness,
+// so a few rounds may see the submitter first; a worker that yields back
+// sends every round there.
+func TestIdleHandOffDecodesBeforeSubmitReturns(t *testing.T) {
+	prev := runtime.GOMAXPROCS(1)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+	cfg := testConfig(simd.W512)
+	pool := mustPool(t, 40, 16, 5)
+	if err := turbo.Precompile(cfg.Width, cfg.Strategy, pool.K); err != nil {
+		t.Fatal(err)
+	}
+	rt, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Stop()
+	late := 0
+	for i := 0; i < pool.Len(); i++ {
+		waitParked(rt, func(q *ready) bool { return q.idle == q.workers })
+		w, _ := pool.Get(i)
+		if a := rt.Submit(0, i, pool.K, w); a != Admitted {
+			t.Fatalf("block %d: %v", i, a)
+		}
+		if rt.Snapshot().Delivered != uint64(i+1) {
+			late++
+		}
+	}
+	if late > pool.Len()/4 {
+		t.Errorf("%d of %d blocks not yet decoded when Submit returned, want at most %d", late, pool.Len(), pool.Len()/4)
 	}
 }
 

@@ -61,10 +61,12 @@ func BenchmarkServeThroughput(b *testing.B) {
 // runtime: one submitter offers one K=40 block at a time to an idle
 // 2-worker runtime, 500 µs apart, and the benchmark reports the process
 // CPU each block costs (getrusage, every thread, the Go runtime's sysmon
-// included) and the blocks' p50 latency. sleep=syscall waits in a raw
-// nanosleep, as the end-to-end benchmark's open-loop generator does, so
-// the submitter's thread blocks outside Go's scheduler; sleep=go parks in
-// time.Sleep.
+// included), the blocks' p50 and p99 latency, and the mean time Submit
+// takes to return: the woken worker decodes on the submitter's
+// processor, so the submitter waits for a thread meanwhile. sleep=syscall
+// waits in a raw nanosleep, as the end-to-end benchmark's open-loop
+// generator does, so the submitter's thread blocks outside Go's
+// scheduler; sleep=go parks in time.Sleep.
 func BenchmarkServeLoneBlock(b *testing.B) {
 	pool, err := NewWordPool(40, 64, rand.New(rand.NewSource(11)))
 	if err != nil {
@@ -95,11 +97,14 @@ func BenchmarkServeLoneBlock(b *testing.B) {
 			}
 			b.ResetTimer()
 			cpu0 := processCPU(b)
+			var submit time.Duration
 			for i := 0; i < b.N; i++ {
 				w, _ := pool.Get(i)
+				t0 := time.Now()
 				if a := rt.Submit(0, i, pool.K, w); a != Admitted {
 					b.Fatalf("block %d: %v", i, a)
 				}
+				submit += time.Since(t0)
 				mode.sleep()
 			}
 			s := rt.Stop()
@@ -110,6 +115,8 @@ func BenchmarkServeLoneBlock(b *testing.B) {
 			}
 			b.ReportMetric(float64(cpu.Nanoseconds())/1e3/float64(b.N), "cpu-µs/block")
 			b.ReportMetric(float64(s.LatencyP50.Nanoseconds())/1e3, "p50-µs")
+			b.ReportMetric(float64(s.LatencyP99.Nanoseconds())/1e3, "p99-µs")
+			b.ReportMetric(float64(submit.Nanoseconds())/1e3/float64(b.N), "submit-µs/block")
 		})
 	}
 }

@@ -1,10 +1,10 @@
 #include "textflag.h"
 #include "go_asm.h"
 
-// runStreamAVX512 walks the descriptor stream lower (finalize.go) built;
-// kern.go defines the record kinds and states the contract. One body
-// serves W128, W256 and W512: every instruction is 512 bits wide and the
-// lane mask decides what reaches memory.
+// runStreamAVX512 walks the descriptor stream the Emitter (emit.go,
+// loop.go) wrote; kern.go defines the record kinds and states the
+// contract. One body serves W128, W256 and W512: every instruction is 512
+// bits wide and the lane mask decides what reaches memory.
 //
 // Registers held for the whole call:
 //
@@ -178,7 +178,7 @@ dispatch:
 	JEQ  bcastImm
 	CMPL AX, $const_nSetImm
 	JEQ  setImm
-	// lower emits no other code; an unknown one stops the stream here.
+	// The Emitter writes no other kind; an unknown one stops the stream here.
 
 stop:
 	MOVQ code+0(FP), AX

@@ -16,9 +16,9 @@ func satSub(a, b int16) int16 { return sat16(int32(a) - int32(b)) }
 
 // sentinel indexes the always-zero upper half of a gather source. The Go
 // executor gathers from 2*regStride-lane local copies whose lanes
-// [regStride, 2*regStride) stay zero; finalize resolves every invalid or
-// inactive index-table entry to regStride, so "out-of-range selects
-// zero" costs no branch, and masking a table entry with gmask bounds it
+// [regStride, 2*regStride) stay zero; the Emitter interns every index
+// table with each invalid or inactive entry set to regStride
+// (Emitter.intern), so "out-of-range selects zero" costs no branch, and masking a table entry with gmask bounds it
 // for the compiler. Entries are words because the native kernel hands the
 // same tables to VPERMW as its index operand; it reads the sentinel as
 // lane 0 and zeroes those lanes through the table's mask (p.gatAnd).
@@ -40,9 +40,9 @@ func line(m []int16, a uint32, n int) []int16 { return m[a>>1:][:n] }
 // tab returns the index table at byte offset off of the table pool.
 func (p *Program) tab(off uint32) *[regStride]uint16 { return &p.gat[off/(2*regStride)] }
 
-// region16 views a state region as int16 lanes. finalize has established
-// that the host is little-endian and that every offset the program touches
-// is even, so lane a>>1 is the 16-bit word the engine reads at byte a of
+// region16 views a state region as int16 lanes. Emit refuses a big-endian
+// host (errBigEndian) and an odd address (Emitter.check), so the host is
+// little-endian and every offset a program touches is even, and lane a>>1 is the 16-bit word the engine reads at byte a of
 // the region.
 func region16(b []byte) []int16 {
 	ptr := unsafe.Pointer(unsafe.SliceData(b))
@@ -90,9 +90,10 @@ func (p *Program) NewExec(mem *simd.Memory, base int64) *Exec {
 // Run replays one segment over x's region. The register file persists
 // across calls; a decode runs SegFirst once and then SegSteady for every
 // iteration, the first included. Region bytes are the only observable state:
-// the register file is private to x, and a fused op writes an
-// intermediate register only when finalize's liveness pass found a later
-// reader, which lowering refuses. The program itself is only read, so Runs
+// the register file is private to x, and a fused record leaves its
+// intermediate register unwritten, which the Emitter allows only where no
+// record reads that register before writing it again (Emitter.use, and
+// across segments Emitter.finish). The program itself is only read, so Runs
 // over different Execs may overlap in time. The loop performs no
 // allocation.
 func (p *Program) Run(x *Exec, seg int) {
@@ -152,7 +153,7 @@ func (p *Program) runStreamGo(x *Exec, code []uint32, base *[1 + maxClasses]uint
 			*reg(r, w[0]) = p.pats[w[1]/(2*regStride)]
 			pc += 3
 		case nLoad, nLoadReg:
-			// lower emits only masks of the low lanes (laneMask).
+			// The Emitter writes only masks of the low lanes (laneMask).
 			var v [regStride]int16
 			k, src, at := bits.Len32(w[2]), m, w[1]+o
 			if kind == nLoadReg {

@@ -248,14 +248,14 @@ func report(c *shard.Coordinator, agg *ran.Snapshot, per []*ran.Snapshot, offere
 	}
 	// Per-class fleet view, present when any worker runs class-aware
 	// (-class on the vranshard command line).
-	if agg.Classes[ran.ClassURLLC].Accepted > 0 || agg.Steals > 0 || agg.ShedLevel > 0 {
-		fmt.Printf("\n%-6s %10s %10s %10s %10s %10s\n", "class", "accepted", "delivered", "dropped", "shed", "p99")
+	if agg.Classes[ran.ClassURLLC].Accepted > 0 || agg.Steals > 0 {
+		fmt.Printf("\n%-6s %10s %10s %10s %10s %10s\n", "class", "accepted", "delivered", "dropped", "backlog", "p99")
 		for cl := ran.Class(0); cl < ran.NumClasses; cl++ {
 			ks := agg.Classes[cl]
 			fmt.Printf("%-6s %10d %10d %10d %10d %10v\n", cl, ks.Accepted, ks.Delivered, ks.Dropped(),
-				ks.Drops[ran.DropShed], ks.LatencyP99.Round(10*time.Microsecond))
+				ks.Drops[ran.DropBacklog], ks.LatencyP99.Round(10*time.Microsecond))
 		}
-		fmt.Printf("worker steals %d, worst shed level %d\n", agg.Steals, agg.ShedLevel)
+		fmt.Printf("worker steals %d\n", agg.Steals)
 	}
 	if inj != nil {
 		fmt.Printf("chaos: ")

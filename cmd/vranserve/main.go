@@ -23,9 +23,10 @@
 //
 // -class assigns SLA classes to cells (the list cycles: "urllc,embb"
 // makes every other cell URLLC). With URLLC cells configured the
-// runtime decodes URLLC ahead of eMBB, sheds eMBB first under
-// overload, and reports per-class ledgers (vran_class_* families).
-// The shed ladder escalates on the per-class backlog fractions alone.
+// runtime decodes URLLC ahead of eMBB and reports per-class ledgers
+// (vran_class_* families). Each (cell, class) has its own queue bound,
+// so an eMBB overload is refused at its own full queues ("backlog")
+// and never fills a URLLC queue.
 //
 // With -admin an HTTP endpoint exposes the runtime while it serves:
 // /metrics (Prometheus text, ?format=json for JSON), /snapshot,
@@ -221,13 +222,13 @@ func final(s *ran.Snapshot, rep *ran.LoadReport, cfg ran.Config, k int, tti time
 			s.CRCFailures, s.HARQRetries, s.HARQRecovered, s.HARQCombines, s.HARQEvictions)
 	}
 	if len(cfg.SLA.Classes) > 0 {
-		fmt.Printf("\n%-6s %10s %10s %10s %10s %10s %10s\n", "class", "accepted", "delivered", "dropped", "shed", "p99", "p50")
+		fmt.Printf("\n%-6s %10s %10s %10s %10s %10s %10s\n", "class", "accepted", "delivered", "dropped", "backlog", "p99", "p50")
 		for c := ran.Class(0); c < ran.NumClasses; c++ {
 			ks := s.Classes[c]
 			fmt.Printf("%-6s %10d %10d %10d %10d %10v %10v\n", c, ks.Accepted, ks.Delivered, ks.Dropped(),
-				ks.Drops[ran.DropShed], ks.LatencyP99.Round(10*time.Microsecond), ks.LatencyP50.Round(10*time.Microsecond))
+				ks.Drops[ran.DropBacklog], ks.LatencyP99.Round(10*time.Microsecond), ks.LatencyP50.Round(10*time.Microsecond))
 		}
-		fmt.Printf("worker steals %d, final shed level %d\n", s.Steals, s.ShedLevel)
+		fmt.Printf("worker steals %d\n", s.Steals)
 	}
 	if inj != nil {
 		fmt.Printf("chaos: ")

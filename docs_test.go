@@ -15,8 +15,9 @@ import (
 // DESIGN.md or README.md that no .go, .s or .yml file of the repository
 // contains: a name the code no longer has, which a reader would look for
 // and not find. A name is Go-shaped when it is an identifier in camelCase
-// (`runPacked`, `PlanCacheStats`) or a dotted form ending in an exported
-// name (`program.Emitter`, `Emitter.Loop`), with or without a call's
+// (`runPacked`, `PlanCacheStats`), one that begins with an upper-case
+// letter (`Merge`, `K`), or a dotted form ending in an exported name
+// (`program.Emitter`, `Emitter.Loop`), with or without a call's
 // parentheses; each part of a dotted form is looked for. Fenced code
 // blocks are skipped.
 func TestDocsNameLiveIdentifiers(t *testing.T) {
@@ -62,10 +63,11 @@ func TestDocsNameLiveIdentifiers(t *testing.T) {
 			if name == nil {
 				continue
 			}
-			// A dotted form whose last part is lower case is a file name
-			// (emit.go) or a field (p.gat), not a pkg.Name.
+			// A lower-case word is prose, and a dotted form whose last part
+			// is lower case a file name (emit.go) or a field (p.gat), not a
+			// pkg.Name.
 			parts := strings.Split(name[1], ".")
-			if last := parts[len(parts)-1]; !camel.MatchString(name[1]) && (len(parts) == 1 || !unicode.IsUpper(rune(last[0]))) {
+			if last := parts[len(parts)-1]; !camel.MatchString(name[1]) && !unicode.IsUpper(rune(last[0])) {
 				continue
 			}
 			for _, part := range parts {

@@ -28,7 +28,7 @@ var servingFamilies = []string{
 	"vran_crc_failures_total", "vran_harq_retries_total", "vran_harq_recovered_total",
 	"vran_harq_evictions_total", "vran_latency_seconds",
 	"vran_class_accepted_total", "vran_class_delivered_total", "vran_class_dropped_total",
-	"vran_class_latency_seconds", "vran_class_steals_total", "vran_class_shed_level",
+	"vran_class_latency_seconds", "vran_class_steals_total",
 }
 
 // runtimeFamilies is the rest of a vranserve scrape with -class and

@@ -112,10 +112,10 @@ func FuzzAdmission(f *testing.F) {
 				switch verdict {
 				case Admitted:
 					admitted[classes[cell]]++
-				case RejectedBacklog, RejectedShed:
+				case RejectedBacklog:
 					rejected[classes[cell]]++
 				default:
-					t.Fatalf("cell %d: verdict %v, want admitted or refused for backlog or shed", cell, verdict)
+					t.Fatalf("cell %d: verdict %v, want admitted or refused for backlog", cell, verdict)
 				}
 			}
 			if b&0x08 != 0 { // sub-TTI arrival gap
@@ -155,8 +155,8 @@ func FuzzAdmission(f *testing.F) {
 			if pre != rejected[c] {
 				t.Errorf("class %s: ledger rejects %d, Submit rejected %d", c, pre, rejected[c])
 			}
-			if refused := ks.Drops[DropBacklog] + ks.Drops[DropShed]; pre != refused {
-				t.Errorf("class %s: Offered() - Accepted = %d, backlog + shed = %d", c, pre, refused)
+			if refused := ks.Drops[DropBacklog]; pre != refused {
+				t.Errorf("class %s: Offered() - Accepted = %d, backlog = %d", c, pre, refused)
 			}
 			if ks.Accepted != ks.Terminal() {
 				t.Errorf("class %s accounting leak: accepted %d != terminal %d (delivered %d)",

@@ -15,23 +15,20 @@ var processID = rand.Uint64()
 // DropCause enumerates why a block failed to be delivered.
 type DropCause int
 
-// Drop causes, in pipeline order: backlog (ingress queue full), expired
-// (deadline passed while queued or batching), late (decoded, but after
-// the deadline), harq (CRC failed and the retry budget was exhausted, or
-// a combine was rejected), shutdown (a requeued HARQ retry could not be
-// decoded because the runtime was stopping), shed (the class-aware
-// overload controller rejected an eMBB arrival at the door to protect
-// URLLC — a pre-admission drop, like backlog), decode (the decoder
-// refused the block's batch: a block size that is not valid or has no
-// compiled program). Decode comes last so that the earlier causes keep
-// their indices.
+// Drop causes, in pipeline order: backlog (the arrival's (cell, class)
+// queue was full — the only refusal at the door, and the runtime's one
+// response to overload), expired (deadline passed while queued or
+// batching), late (decoded, but after the deadline), harq (CRC failed and
+// the retry budget was exhausted, or a combine was rejected), shutdown (a
+// requeued HARQ retry could not be decoded because the runtime was
+// stopping), decode (the decoder refused the block's batch: a block size
+// that is not valid or has no compiled program).
 const (
 	DropBacklog DropCause = iota
 	DropExpired
 	DropLate
 	DropHARQ
 	DropShutdown
-	DropShed
 	DropDecode
 	numDropCauses
 )
@@ -49,8 +46,6 @@ func (c DropCause) String() string {
 		return "harq"
 	case DropShutdown:
 		return "shutdown"
-	case DropShed:
-		return "shed"
 	case DropDecode:
 		return "decode"
 	}
@@ -61,20 +56,14 @@ func (c DropCause) String() string {
 // accepted, so the drop counts towards Offered — rather than ending an
 // accepted block, which counts towards Terminal. This is the one place
 // the split is decided.
-func (c DropCause) refusal() bool {
-	switch c {
-	case DropBacklog, DropShed:
-		return true
-	}
-	return false
-}
+func (c DropCause) refusal() bool { return c == DropBacklog }
 
 // Ledger is the block-conservation ledger of a cell, a class or a whole
 // runtime (or fleet, once folded by Merge). Every block offered is either
 // refused at the door or accepted, and every accepted block ends
 // delivered or dropped after admission:
 //
-//	Offered()  = Accepted + backlog + shed drops
+//	Offered()  = Accepted + backlog drops
 //	Terminal() = Delivered + expired + late + harq + shutdown + decode drops
 //
 // Once nothing is in flight, Terminal() == Accepted.
@@ -355,10 +344,13 @@ type Snapshot struct {
 	DegradedBatches uint64
 
 	// SLA-class view: per-class ledgers with their own latency
-	// percentiles, the steal count (URLLC batches taken while eMBB
-	// batches waited) and the shed ladder's current level.
-	Classes   [NumClasses]ClassSnapshot
-	Steals    uint64
+	// percentiles and the steal count (URLLC batches taken while eMBB
+	// batches waited).
+	Classes [NumClasses]ClassSnapshot
+	Steals  uint64
+	// ShedLevel always reads 0: an arrival is refused only for backlog.
+	// It stays only for the benchmark harness, which still reads it, and
+	// goes with that reader.
 	ShedLevel int
 	// ReservedWorkers always reads 0: every worker serves both classes.
 	// It stays only for the benchmark harness, which still reads it, and
@@ -417,7 +409,7 @@ func percentiles(buckets []uint64) (p50, p90, p99 time.Duration) {
 }
 
 // Merge folds snapshots of several runtimes (the shards of a fleet) into
-// one. It is a sum, except: Elapsed and ShedLevel take the max; latency
+// one. It is a sum, except: Elapsed takes the max; latency
 // buckets merge element-wise; ProgramCompiles counts once per Process.
 // The ratio gauges are then derived from the summed raw counters,
 // exactly as for one runtime. Nil entries are skipped.
@@ -465,7 +457,6 @@ func Merge(snaps []*Snapshot) *Snapshot {
 			ok.LatencyBuckets = telemetry.MergeBuckets(ok.LatencyBuckets, ks.LatencyBuckets)
 		}
 		out.Steals += s.Steals
-		out.ShedLevel = max(out.ShedLevel, s.ShedLevel)
 		out.LatencyBuckets = telemetry.MergeBuckets(out.LatencyBuckets, s.LatencyBuckets)
 	}
 	out.derive()

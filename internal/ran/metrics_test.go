@@ -17,7 +17,7 @@ func TestDropCauseNames(t *testing.T) {
 		DropBacklog: "backlog",
 		DropExpired: "expired", DropLate: "late",
 		DropHARQ: "harq", DropShutdown: "shutdown",
-		DropShed: "shed", DropDecode: "decode",
+		DropDecode: "decode",
 	}
 	for c, name := range want {
 		if c.String() != name {
@@ -33,7 +33,7 @@ func TestDropCauseNames(t *testing.T) {
 // arithmetic over every drop cause, and fails when a cause is added
 // without being placed on one side of admission.
 func TestLedgerIdentities(t *testing.T) {
-	refused := map[DropCause]bool{DropBacklog: true, DropShed: true}
+	refused := map[DropCause]bool{DropBacklog: true}
 	ended := map[DropCause]bool{DropExpired: true, DropLate: true, DropHARQ: true, DropShutdown: true, DropDecode: true}
 	// One distinct bit per counter, so every sum says which terms it holds.
 	l := Ledger{Accepted: 1 << 20, Delivered: 1 << 21}
@@ -56,10 +56,10 @@ func TestLedgerIdentities(t *testing.T) {
 		}
 	}
 	if got := l.Offered(); got != wantOffered {
-		t.Errorf("Offered %#x, want accepted + backlog + admission + shed = %#x", got, wantOffered)
+		t.Errorf("Offered %#x, want accepted + backlog = %#x", got, wantOffered)
 	}
 	if got := l.Terminal(); got != wantTerminal {
-		t.Errorf("Terminal %#x, want delivered + expired + late + harq + shutdown = %#x", got, wantTerminal)
+		t.Errorf("Terminal %#x, want delivered + expired + late + harq + shutdown + decode = %#x", got, wantTerminal)
 	}
 	if got := l.Dropped(); got != wantDropped {
 		t.Errorf("Dropped %#x, want %#x", got, wantDropped)

@@ -47,8 +47,8 @@ type Block struct {
 	// equal K.
 	K int
 	// Class is the block's SLA traffic class, stamped at Submit from
-	// the cell's configured class (sla.go). It decides take priority
-	// and shed eligibility.
+	// the cell's configured class (sla.go). It decides take priority,
+	// the deadline, and which (cell, class) queue bound admits it.
 	Class Class
 	// Word is the received soft information: the submitted word, a
 	// chaos-corrupted copy of it, or — on a retry — the HARQ-combined
@@ -99,9 +99,6 @@ const (
 	// RejectedSealed: the cell is sealed for migration — it no longer
 	// (or does not yet) live on this runtime.
 	RejectedSealed
-	// RejectedShed: the class-aware overload controller shed this
-	// (eMBB-class) arrival to protect the tighter class (sla.go).
-	RejectedShed
 )
 
 // Config parameterizes a Runtime.
@@ -144,9 +141,8 @@ type Config struct {
 	CheckCRC func(b *Block, bits []byte) bool
 	// HARQ configures the retransmission/soft-combining path.
 	HARQ HARQConfig
-	// SLA configures per-cell traffic classes and the class-aware shed
-	// ladder (sla.go). The zero value is class-blind: every cell is
-	// eMBB and nothing sheds.
+	// SLA configures per-cell traffic classes (sla.go). The zero value
+	// is class-blind: every cell is eMBB.
 	SLA SLAConfig
 	// Chaos, when non-nil, arms fault injection at the runtime's fault
 	// sites (submit corruption, queue pressure, worker stalls, forced
@@ -197,14 +193,6 @@ type Runtime struct {
 	spanSink atomic.Value
 
 	stopped atomic.Bool
-
-	// SLA-class overload state (sla.go): slaActive latches whether any
-	// cell carries the URLLC class; shed is the current shed-ladder
-	// level, raised at a take and read at every Submit; shedCalm is the
-	// de-escalation streak, owned by rq's lock.
-	slaActive bool
-	shed      atomic.Int32
-	shedCalm  int
 }
 
 // New validates cfg and starts the worker goroutines.
@@ -225,18 +213,12 @@ func New(cfg Config) (*Runtime, error) {
 	if !turbo.Emits(cfg.Strategy) {
 		return nil, fmt.Errorf("ran: strategy %v has no compiled program; serve %v or %v", cfg.Strategy, core.StrategyAPCM, core.StrategyExtract)
 	}
-	// Only the first Cells entries class a cell (ClassOf); an entry past
-	// them must not arm the class machinery for traffic that cannot arrive.
-	if len(cfg.SLA.Classes) > cfg.Cells {
-		cfg.SLA.Classes = cfg.SLA.Classes[:cfg.Cells]
-	}
 	r := &Runtime{
-		cfg:       cfg,
-		met:       NewMetrics(cfg.Cells),
-		rq:        newReady(cfg.Cells, turbo.BlocksPerRegister(cfg.Width), cfg.QueueDepth, cfg.Workers),
-		sealed:    make([]atomic.Bool, cfg.Cells),
-		recDone:   make(chan struct{}),
-		slaActive: cfg.SLA.hasURLLC(),
+		cfg:     cfg,
+		met:     NewMetrics(cfg.Cells),
+		rq:      newReady(cfg.Cells, turbo.BlocksPerRegister(cfg.Width), cfg.QueueDepth, cfg.Workers),
+		sealed:  make([]atomic.Bool, cfg.Cells),
+		recDone: make(chan struct{}),
 	}
 	if cfg.HARQ.MaxRetries > 0 {
 		// One live soft buffer per block the backlog can hold; beyond that
@@ -294,10 +276,6 @@ func (r *Runtime) SubmitTraced(cell, ue, proc, k int, word *turbo.LLRWord, tc te
 	}
 	now := time.Now()
 	class := r.cfg.SLA.ClassOf(cell)
-	if r.shouldShed(cell, class) {
-		r.met.drop(cell, class, DropShed)
-		return RejectedShed
-	}
 	// A chaos injector may hand back a corrupted private copy — the
 	// noisy reception; the submitted word stays untouched as tx.
 	b := &Block{
@@ -366,11 +344,9 @@ func (r *Runtime) Stop() *Snapshot {
 func (r *Runtime) Snapshot() *Snapshot {
 	depths, retries := r.rq.depths()
 	s := r.met.snapshot(depths, r.cfg.Workers)
-	// Runtime-owned HARQ/SLA state rides on top of the counter view
-	// (the metrics layer has no handle on the process set or the shed
-	// ladder).
+	// Runtime-owned HARQ state rides on top of the counter view (the
+	// metrics layer has no handle on the process set).
 	s.RetryDepth = retries
-	s.ShedLevel = int(r.shed.Load())
 	if r.harq != nil {
 		s.HARQCombines, s.HARQEvictions = r.harq.Stats()
 		s.HARQBuffers = r.harq.Len()
@@ -394,9 +370,8 @@ func labelLayer(layer string) {
 // takes at once. A worker that a push woke from an idle runtime returns
 // from park on its submitter's processor, which that Submit yields to it
 // (SubmitTraced), and decodes there before the submitter resumes. A take
-// of URLLC while eMBB waits is a steal. The shed level is recomputed from
-// the backlog the take leaves, under the same lock. ok is false once Stop
-// has closed the structure and nothing is left for this worker.
+// of URLLC while eMBB waits is a steal. ok is false once Stop has closed
+// the structure and nothing is left for this worker.
 func (r *Runtime) take(out []*Block) (batch []*Block, ok bool) {
 	q := r.rq
 	q.mu.Lock()
@@ -421,9 +396,7 @@ func (r *Runtime) take(out []*Block) (batch []*Block, ok bool) {
 			if c == ClassURLLC && q.holds(ClassEMBB) {
 				r.met.steals.Add(1)
 			}
-			out = q.pop(c, k, out)
-			r.updateShed()
-			return out, true
+			return q.pop(c, k, out), true
 		}
 		if q.closed {
 			return out, false

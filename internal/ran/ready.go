@@ -14,8 +14,7 @@ import (
 // so the next take fills the lanes, and below load a block is decoded as
 // soon as it arrives.
 //
-// Everything here is guarded by mu, and so is the shed recomputation
-// each take does (Runtime.take).
+// Everything here is guarded by mu.
 type ready struct {
 	mu    sync.Mutex
 	lanes int
@@ -210,13 +209,6 @@ func (q *ready) endMigration() []*Block {
 	out := q.migq
 	q.mig, q.migq = -1, nil
 	return out
-}
-
-// depth is one (cell, class)'s waiting count.
-func (q *ready) depth(i int) int {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return q.waiting[i]
 }
 
 // depths sums the waiting counts per cell, and reports the waiting

@@ -11,6 +11,10 @@ import (
 
 func mkBlock(k int) *Block { return &Block{K: k} }
 
+// fill sets one (cell, class)'s waiting count to n, as a backlog of n
+// blocks would for push's bound.
+func fill(r *Runtime, cell int, c Class, n int) { r.rq.waiting[qi(cell, c)] = n }
+
 // mixedRuntime is a bare runtime (no goroutines) whose cell 0 is URLLC
 // and cell 1 eMBB, 4 lanes a batch.
 func mixedRuntime() *Runtime {
@@ -44,7 +48,7 @@ func TestBatcherFillsLaneGroups(t *testing.T) {
 			}
 		}
 	}
-	if d := r.rq.depth(qi(0, ClassEMBB)); d != 0 {
+	if d := r.rq.waiting[qi(0, ClassEMBB)]; d != 0 {
 		t.Errorf("%d blocks left waiting after both takes", d)
 	}
 }

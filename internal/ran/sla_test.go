@@ -12,152 +12,63 @@ import (
 )
 
 // bareSLARuntime builds a Runtime with its ready structure and metrics
-// but no goroutines — the controller methods (updateShed, shouldShed)
-// and take are pure functions of this state, so the table tests drive
-// them directly instead of racing live workers.
+// but no goroutines — take and Submit run on the calling goroutine, so the
+// table tests drive them directly instead of racing live workers.
 func bareSLARuntime(cells, qdepth int, sla SLAConfig) *Runtime {
 	cfg := DefaultConfig(simd.W512, core.StrategyAPCM)
 	cfg.Cells = cells
 	cfg.QueueDepth = qdepth
 	cfg.SLA = sla
 	return &Runtime{
-		cfg:       cfg,
-		met:       NewMetrics(cells),
-		rq:        newReady(cells, turbo.BlocksPerRegister(cfg.Width), qdepth, cfg.Workers),
-		slaActive: cfg.SLA.hasURLLC(),
+		cfg:    cfg,
+		met:    NewMetrics(cells),
+		rq:     newReady(cells, turbo.BlocksPerRegister(cfg.Width), qdepth, cfg.Workers),
+		sealed: make([]atomic.Bool, cells),
 	}
 }
 
-// fill sets one (cell, class)'s waiting count to n (the controllers
-// only read the counts).
-func fill(r *Runtime, cell int, c Class, n int) { r.rq.waiting[qi(cell, c)] = n }
-
-// TestShedLadderEscalation drives updateShed through its signal table:
-// the backlog-fraction thresholds on each class, asserting the level
-// each combination lands on. Escalation is immediate (a single take).
-func TestShedLadderEscalation(t *testing.T) {
-	sla := SLAConfig{Classes: []Class{ClassURLLC, ClassEMBB}}
+// TestBacklogRefusesOnlyItsOwnQueue: the (cell, class) queue bound is the
+// runtime's one answer to overload, so one cell's eMBB backlog refuses
+// that queue's arrivals and nobody else's — not another eMBB cell's, not
+// a URLLC cell's — however full it is when a take reads it.
+func TestBacklogRefusesOnlyItsOwnQueue(t *testing.T) {
 	const qd = 100
-	cases := []struct {
-		name       string
-		embbDepth  int // eMBB queue depth on cell 1
-		urllcDepth int // URLLC queue depth on cell 0
-		want       int
-	}{
-		{"calm", 0, 0, shedOff},
-		{"embb-under-half", 49, 0, shedOff},
-		{"embb-at-half", 50, 0, shedPressure},
-		{"embb-at-three-quarters", 75, 0, shedAll},
-		{"urllc-at-half", 0, 50, shedAll},
-		{"urllc-under-half", 0, 49, shedOff},
+	r := bareSLARuntime(3, qd, SLAConfig{Classes: []Class{ClassURLLC, ClassEMBB, ClassEMBB}})
+	far := time.Now().Add(time.Hour)
+	for i := 0; i < qd; i++ {
+		if a, _ := r.rq.push(&Block{Cell: 1, Class: ClassEMBB, K: 40, Deadline: far}, true); a != Admitted {
+			t.Fatalf("filling block %d: %v", i, a)
+		}
 	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			r := bareSLARuntime(2, qd, sla)
-			fill(r, 1, ClassEMBB, tc.embbDepth)
-			fill(r, 0, ClassURLLC, tc.urllcDepth)
-			r.updateShed()
-			if got := int(r.shed.Load()); got != tc.want {
-				t.Errorf("level %d, want %d", got, tc.want)
-			}
-		})
+	// One take leaves cell 1's eMBB queue 96 % full.
+	if got, ok := r.take(nil); !ok || len(got) != r.Lanes() {
+		t.Fatalf("take returned %d blocks (ok=%v), want %d", len(got), ok, r.Lanes())
+	}
+	if a := r.Submit(2, 0, 40, nil); a != Admitted {
+		t.Errorf("eMBB arrival on an empty cell: %v, want admitted", a)
+	}
+	if a := r.Submit(0, 0, 40, nil); a != Admitted {
+		t.Errorf("URLLC arrival: %v, want admitted", a)
+	}
+	for i := 0; i < r.Lanes(); i++ {
+		if a := r.Submit(1, 0, 40, nil); a != Admitted {
+			t.Fatalf("cell 1 arrival %d into its freed slots: %v, want admitted", i, a)
+		}
+	}
+	if a := r.Submit(1, 0, 40, nil); a != RejectedBacklog {
+		t.Errorf("arrival on cell 1's full queue: %v, want refused for backlog", a)
+	}
+	s := r.Snapshot()
+	if d := s.Cells[1].Drops; d[DropBacklog] != 1 || s.Cells[0].Dropped()+s.Cells[2].Dropped() != 0 {
+		t.Errorf("drops: cell 1 %v, cells 0 and 2 %d, want one backlog refusal on cell 1 alone",
+			d, s.Cells[0].Dropped()+s.Cells[2].Dropped())
 	}
 }
 
-// TestShedLadderHysteresis: the ladder steps up immediately but waits
-// shedDownHold consecutive calm takes per step down, and an escalation
-// mid-descent resets the calm streak.
-func TestShedLadderHysteresis(t *testing.T) {
-	sla := SLAConfig{Classes: []Class{ClassURLLC, ClassEMBB}}
-	r := bareSLARuntime(2, 100, sla)
-
-	fill(r, 1, ClassEMBB, 80) // >= 75% => shedAll, in one take
-	r.updateShed()
-	if got := int(r.shed.Load()); got != shedAll {
-		t.Fatalf("escalation not immediate: level %d, want %d", got, shedAll)
-	}
-
-	fill(r, 1, ClassEMBB, 0)
-	for i := 1; i < shedDownHold; i++ {
-		r.updateShed()
-		if got := int(r.shed.Load()); got != shedAll {
-			t.Fatalf("stepped down after only %d calm takes (shedDownHold %d): level %d", i, shedDownHold, got)
-		}
-	}
-	r.updateShed() // the shedDownHold-th calm take: one step down
-	if got := int(r.shed.Load()); got != shedPressure {
-		t.Fatalf("level %d after shedDownHold calm takes, want %d", got, shedPressure)
-	}
-
-	// Escalation mid-descent resets the calm streak.
-	r.updateShed()
-	r.updateShed() // 2 calm takes toward the next step
-	fill(r, 1, ClassEMBB, 60)
-	r.updateShed() // pressure again: back up... (already at pressure) streak reset
-	fill(r, 1, ClassEMBB, 0)
-	for i := 1; i < shedDownHold; i++ {
-		r.updateShed()
-		if got := int(r.shed.Load()); got != shedPressure {
-			t.Fatalf("calm streak not reset by re-escalation: level %d after %d takes", got, i)
-		}
-	}
-	r.updateShed()
-	if got := int(r.shed.Load()); got != shedOff {
-		t.Fatalf("level %d after full descent, want %d", got, shedOff)
-	}
-}
-
-// TestShouldShedPolicy: the admission gate's class policy — URLLC never
-// sheds at any level; eMBB sheds everywhere at shedAll but only on
-// pressured cells at shedPressure; a class-blind runtime never sheds.
-func TestShouldShedPolicy(t *testing.T) {
-	sla := SLAConfig{Classes: []Class{ClassURLLC, ClassEMBB, ClassEMBB}}
-	r := bareSLARuntime(3, 100, sla)
-	fill(r, 1, ClassEMBB, 30) // cell 1 pressured (>= shedQueueFrac)
-
-	r.shed.Store(shedOff)
-	for cell := 0; cell < 3; cell++ {
-		if r.shouldShed(cell, r.cfg.SLA.ClassOf(cell)) {
-			t.Errorf("level 0 shed cell %d", cell)
-		}
-	}
-	r.shed.Store(shedPressure)
-	if r.shouldShed(0, ClassURLLC) {
-		t.Error("URLLC shed at pressure level")
-	}
-	if !r.shouldShed(1, ClassEMBB) {
-		t.Error("pressured eMBB cell not shed at pressure level")
-	}
-	if r.shouldShed(2, ClassEMBB) {
-		t.Error("calm eMBB cell shed at pressure level")
-	}
-	r.shed.Store(shedAll)
-	if r.shouldShed(0, ClassURLLC) {
-		t.Error("URLLC shed at shedAll")
-	}
-	if !r.shouldShed(1, ClassEMBB) || !r.shouldShed(2, ClassEMBB) {
-		t.Error("eMBB not shed at shedAll")
-	}
-
-	// Class-blind: no URLLC cells configured, the ladder never engages.
-	blind := bareSLARuntime(2, 100, SLAConfig{})
-	blind.shed.Store(shedAll) // even if the level were somehow raised
-	if blind.shouldShed(0, ClassEMBB) {
-		t.Error("class-blind runtime shed an arrival")
-	}
-	blind.updateShed() // and updateShed is a no-op without URLLC cells
-	fill(blind, 0, ClassEMBB, 90)
-	blind.shed.Store(shedOff)
-	blind.updateShed()
-	if got := int(blind.shed.Load()); got != shedOff {
-		t.Errorf("class-blind updateShed raised level to %d", got)
-	}
-}
-
-// TestShedCountsRetries: a HARQ retry waits in its (cell, class) like an
-// arrival and is never refused for backlog, so a retry backlog past
-// QueueDepth raises the shed ladder as an arrival backlog would.
-func TestShedCountsRetries(t *testing.T) {
+// TestRetriesPastQueueDepth: a HARQ retry waits in its (cell, class) like
+// an arrival but is never refused for backlog, so retries past QueueDepth
+// are all admitted and counted in RetryDepth.
+func TestRetriesPastQueueDepth(t *testing.T) {
 	r := bareSLARuntime(2, 100, SLAConfig{Classes: []Class{ClassURLLC, ClassEMBB}})
 	for i := 0; i < 105; i++ {
 		if a, _ := r.rq.push(&Block{Cell: 1, K: 40, Attempt: 1}, false); a != Admitted {
@@ -166,10 +77,6 @@ func TestShedCountsRetries(t *testing.T) {
 	}
 	if _, retries := r.rq.depths(); retries != 105 {
 		t.Errorf("retry depth %d, want 105", retries)
-	}
-	r.updateShed()
-	if got := int(r.shed.Load()); got != shedAll {
-		t.Errorf("retry backlog: shed level %d, want %d", got, shedAll)
 	}
 }
 
@@ -220,10 +127,9 @@ func TestClassDeadline(t *testing.T) {
 }
 
 // TestClassListLongerThanCells: only the first Cells entries of the class
-// list class a cell, so a URLLC entry past the last cell must not arm the
-// class machinery — the shed ladder and the URLLC-only clamp level — for a
-// class nothing can ever arrive in. Both workers must decode: two
-// OnDecoded calls are in flight at once only if two workers took a batch.
+// list class a cell, so a URLLC entry past the last cell changes nothing
+// for the cells that exist. Both workers must decode: two OnDecoded calls
+// are in flight at once only if two workers took a batch.
 func TestClassListLongerThanCells(t *testing.T) {
 	cfg := testConfig(simd.W128) // one block a batch
 	cfg.SLA.Classes = []Class{ClassEMBB, ClassEMBB, ClassURLLC}
@@ -240,9 +146,6 @@ func TestClassListLongerThanCells(t *testing.T) {
 	rt, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if rt.slaActive {
-		t.Error("a URLLC entry past the last cell armed the class machinery")
 	}
 	pool := mustPool(t, 40, 2, 5)
 	for i := 0; i < 2; i++ {

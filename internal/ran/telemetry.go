@@ -75,7 +75,6 @@ func (s *Snapshot) Families() []telemetry.Family {
 		lat,
 		clsLedger[0], clsLedger[1], clsLedger[2], clsLat,
 		telemetry.F("vran_class_steals_total", "URLLC batches a worker took while eMBB blocks waited.", telemetry.Counter, float64(s.Steals)),
-		telemetry.F("vran_class_shed_level", "Current class-aware shed ladder level (0 = admit all).", telemetry.Gauge, float64(s.ShedLevel)),
 	}
 }
 

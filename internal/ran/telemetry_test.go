@@ -307,14 +307,14 @@ func TestDecodeErrorDropsAsDecode(t *testing.T) {
 	}
 }
 
-// TestHealthzCountsShedAsOffered: a shed arrival was offered, so it counts
-// in the drop rate's denominator as well as its numerator. 40 of 100 eMBB
-// arrivals shed and 60 delivered is a rate of 0.40, healthy under the 0.5
-// default.
-func TestHealthzCountsShedAsOffered(t *testing.T) {
+// TestHealthzCountsRefusalsAsOffered: an arrival refused for backlog was
+// offered, so it counts in the drop rate's denominator as well as its
+// numerator. 40 of 100 eMBB arrivals refused and 60 delivered is a rate of
+// 0.40, healthy under the 0.5 default.
+func TestHealthzCountsRefusalsAsOffered(t *testing.T) {
 	r := bareSLARuntime(2, 64, SLAConfig{Classes: []Class{ClassURLLC, ClassEMBB}})
 	for i := 0; i < 40; i++ {
-		r.met.drop(1, ClassEMBB, DropShed)
+		r.met.drop(1, ClassEMBB, DropBacklog)
 	}
 	for i := 0; i < 60; i++ {
 		r.met.accept(1, ClassEMBB)
@@ -326,9 +326,9 @@ func TestHealthzCountsShedAsOffered(t *testing.T) {
 	}
 }
 
-// TestHealthzFlipsUnderOverload reuses the overload-shedding harness:
-// a healthy lightly-loaded runtime must report 200, and the same
-// expensive-K flood that TestDeadlineDropsUnderOverload sheds must
+// TestHealthzFlipsUnderOverload reuses the overload harness: a healthy
+// lightly-loaded runtime must report 200, and the same expensive-K flood
+// whose blocks TestDeadlineDropsUnderOverload drops must
 // flip /healthz to 503 with a drop-rate reason.
 func TestHealthzFlipsUnderOverload(t *testing.T) {
 	// Healthy: infinite deadline, light load, everything delivered.

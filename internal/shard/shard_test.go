@@ -170,18 +170,18 @@ func TestFleetRoutesAndAggregates(t *testing.T) {
 
 // TestAggregateGauges: the fleet fold sums the raw counters and derives
 // every ratio from the sums — not from the shards' own ratios — with max
-// for the shed level and the compile pair counted once a process.
+// for the elapsed time and the compile count counted once a process.
 func TestAggregateGauges(t *testing.T) {
 	a := &ran.Snapshot{Elapsed: 2 * time.Second, Workers: 1, Process: 7,
 		Cells:         []ran.CellSnapshot{{Bits: 1e6}},
 		DeliveredBits: 1e6, Batches: 10, LaneSlotsUsed: 40, LaneSlotsTotal: 40,
 		DecodedBlocks: 10, DecodeBusyNs: 40e3,
-		ProgramCompiles: 3, ShedLevel: 1}
+		ProgramCompiles: 3}
 	b := &ran.Snapshot{Elapsed: time.Second, Workers: 3, Process: 7,
 		Cells:         []ran.CellSnapshot{{Bits: 2e6}, {Bits: 1e6}},
 		DeliveredBits: 3e6, Batches: 30, LaneSlotsUsed: 60, LaneSlotsTotal: 120,
 		DecodedBlocks: 30, DecodeBusyNs: 240e3,
-		ProgramCompiles: 3, ShedLevel: 2}
+		ProgramCompiles: 3}
 	agg := ran.Merge([]*ran.Snapshot{a, nil, b})
 	if agg.Elapsed != 2*time.Second || agg.Workers != 4 {
 		t.Errorf("elapsed %v workers %d, want the max 2s and the sum 4", agg.Elapsed, agg.Workers)
@@ -205,9 +205,6 @@ func TestAggregateGauges(t *testing.T) {
 	}
 	if agg.ProgramCompiles != 3 {
 		t.Errorf("compiles %d, want 3: one process, counted once", agg.ProgramCompiles)
-	}
-	if agg.ShedLevel != 2 {
-		t.Errorf("max fold: shed %d, want 2", agg.ShedLevel)
 	}
 	if empty := ran.Merge(nil); empty.LaneOccupancy != 0 || empty.GoodputMbps != 0 {
 		t.Errorf("empty aggregate occupancy %v goodput %v, want 0", empty.LaneOccupancy, empty.GoodputMbps)

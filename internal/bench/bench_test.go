@@ -185,7 +185,7 @@ func TestDecodeBenchQuick(t *testing.T) {
 			cold++
 		}
 	}
-	want := modes*3*2 + 2 // modes x widths x quick Ks, and W512's extract rows
+	want := modes*3*2 + 2 + 2 // modes x widths x quick Ks, W512's extract rows and the K=512 early-stop pair
 	if len(rep.Rows)-cold != want || cold > 3*2 {
 		t.Fatalf("report has %d rows (%d cold), want %d and at most %d cold", len(rep.Rows), cold, want, 3*2)
 	}
@@ -193,7 +193,12 @@ func TestDecodeBenchQuick(t *testing.T) {
 		t.Errorf("report kernel %q, this host runs %q", rep.Kernel, program.Kernel())
 	}
 	perOp := map[string]float64{} // mode/width/K -> ns/op
+	itersPer := map[string]float64{}
 	for _, r := range rep.Rows {
+		if early := strings.HasPrefix(r.Mode, "losnr"); early != (r.ItersPerBatch > 0) {
+			t.Errorf("%s/%s/K=%d: %.2f iterations a batch", r.Mode, r.Width, r.K, r.ItersPerBatch)
+		}
+		itersPer[r.Mode] = r.ItersPerBatch
 		if r.NsPerOp <= 0 || r.Iterations <= 0 || r.GoodputMbps <= 0 {
 			t.Errorf("%s/%s/K=%d: degenerate row %+v", r.Mode, r.Width, r.K, r)
 		}
@@ -216,6 +221,11 @@ func TestDecodeBenchQuick(t *testing.T) {
 		} else if w512 && r.Mode == "packed" && r.PrefixNs >= r.IterationNs {
 			t.Errorf("%s/K=%d: the prefix (%.0f ns) costs no less than an iteration (%.0f ns)", r.Width, r.K, r.PrefixNs, r.IterationNs)
 		}
+	}
+	// The CRC stops the pool's words no later than the repeat test, and
+	// some of them earlier.
+	if itersPer["losnr-crc"] >= itersPer["losnr"] {
+		t.Errorf("lo-SNR K=512: %.2f iterations a batch with the CRC stop test, %.2f without", itersPer["losnr-crc"], itersPer["losnr"])
 	}
 	// Adopting a compiled program is building a state: far below compiling
 	// one (CI holds the W512 K=512 pair to a fifth, on a quieter host).

@@ -16,7 +16,11 @@
 // "extract" row beside each packed one runs the paper's original
 // arrangement the same way, and both time hot Runs of each program
 // segment: the prefix (the arrangement stage, once a decode) and one
-// iteration, each as a median with its quartile spread.
+// iteration, each as a median with its quartile spread. The "losnr" and
+// "losnr-crc" rows (W512, K=512 and K=2048) decode a pool of noisy words
+// with early exit on the repeat test alone and with the CRC24B check as
+// its second stop test (turbo.BatchDecoder.Accept), and report the
+// iterations a batch ran beside its time.
 package bench
 
 import (
@@ -24,6 +28,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"runtime"
 	"slices"
@@ -32,6 +37,7 @@ import (
 	"time"
 
 	"vransim/internal/core"
+	"vransim/internal/phy"
 	"vransim/internal/simd"
 	"vransim/internal/simd/program"
 	"vransim/internal/turbo"
@@ -68,7 +74,8 @@ type DecodeBenchRow struct {
 	// happens once a process, so it is one sample and Iterations is 1.
 	// "adopt" is a fresh decoder's first decode (state and decode), the
 	// median of adoptSamples decoders with NsPerOpIQR beside it, and
-	// Iterations is adoptSamples.
+	// Iterations is adoptSamples. "losnr" and "losnr-crc" are the
+	// early-stop rows (runEarlyStopRows): Iterations is the batches timed.
 	Mode     string  `json:"mode"`
 	Width    string  `json:"width"`
 	K        int     `json:"k"`
@@ -81,8 +88,12 @@ type DecodeBenchRow struct {
 	GoodputMbps float64 `json:"goodput_mbps"`
 	Iterations  int     `json:"benchmark_iterations"`
 	// NsPerOpIQR is the spread between the first and third quartiles of
-	// the adopt row's samples; the other rows have none.
+	// the adopt row's and the early-stop rows' samples; the other rows
+	// have none.
 	NsPerOpIQR float64 `json:"ns_per_op_iqr,omitempty"`
+	// ItersPerBatch is the mean iteration count of the early-stop rows'
+	// batches: a batch runs until its last block stops.
+	ItersPerBatch float64 `json:"iters_per_batch,omitempty"`
 	// PrefixNs and IterationNs are a hot Run of the row's program
 	// segments: SegFirst, the prefix a decode runs once (arrangement,
 	// systematic interleave, la1 clear), and SegSteady, one iteration —
@@ -203,6 +214,17 @@ func RunDecodeBench(quick bool) (*DecodeBenchReport, error) {
 			}
 		}
 	}
+	stopKs := earlyStopKs
+	if quick {
+		stopKs = stopKs[:1]
+	}
+	for _, k := range stopKs {
+		rows, err := runEarlyStopRows(k)
+		if err != nil {
+			return nil, err
+		}
+		rep.Rows = append(rep.Rows, rows...)
+	}
 	if !quick {
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 		start := time.Now()
@@ -212,6 +234,130 @@ func RunDecodeBench(quick bool) (*DecodeBenchReport, error) {
 		rep.PrecompileLTEMs = float64(time.Since(start)+cached) / 1e6
 	}
 	return rep, nil
+}
+
+// earlyStopKs are the block sizes of the early-stop rows, and
+// earlyStopWords the words of each one's pool: eight W512 batches.
+var earlyStopKs = []int{512, 2048}
+
+const earlyStopWords = 32
+
+// loSNRWords draws n noisy words as the serving benchmark draws its lo-SNR
+// pool: a random payload and its CRC24B, encoded at amplitude 24, Gaussian
+// noise of deviation 22 clamped to ±127, and a word that the decoder does
+// not decode to its payload within decodeBenchIters is drawn again.
+func loSNRWords(k, n int, seed int64) ([]*turbo.LLRWord, error) {
+	c, err := turbo.NewCode(k)
+	if err != nil {
+		return nil, err
+	}
+	d := turbo.NewDecoder(c)
+	d.MaxIters = decodeBenchIters
+	rng := rand.New(rand.NewSource(seed))
+	words := make([]*turbo.LLRWord, 0, n)
+	for draws := 0; len(words) < n; draws++ {
+		if draws == 4*n {
+			return nil, fmt.Errorf("bench: %d of %d lo-SNR K=%d words decode after %d draws", len(words), n, k, draws)
+		}
+		msg := make([]byte, k-24)
+		for i := range msg {
+			msg[i] = byte(rng.Intn(2))
+		}
+		bits := phy.AppendCRC(msg, phy.CRC24BPoly, 24)
+		cw, err := c.Encode(bits)
+		if err != nil {
+			return nil, err
+		}
+		w := turbo.NewLLRWord(k)
+		w.FromHard(cw, 24)
+		for _, s := range [][]int16{w.Sys, w.P1, w.P2, w.TailSys[:], w.TailP1[:]} {
+			for i := range s {
+				s[i] = int16(max(-127, min(127, math.Round(float64(s[i])+rng.NormFloat64()*22))))
+			}
+		}
+		if got, _, err := d.Decode(w); err != nil {
+			return nil, err
+		} else if slices.Equal(got, bits) {
+			words = append(words, w)
+		}
+	}
+	return words, nil
+}
+
+// runEarlyStopRows times one pool of lo-SNR words of size k at W512 in
+// full batches, "losnr" with early exit's repeat test alone and
+// "losnr-crc" with the CRC24B check beside it. NsPerOp is a batch's
+// decode, the median of segmentSamples passes over the pool, each pass's
+// mean, with the quartile spread beside it; the two rows' passes
+// alternate, so a host that slows down slows both. ItersPerBatch is the
+// batches' mean iteration count.
+func runEarlyStopRows(k int) ([]DecodeBenchRow, error) {
+	words, err := loSNRWords(k, earlyStopWords, int64(k))
+	if err != nil {
+		return nil, err
+	}
+	type cell struct {
+		mode    string
+		bd      *turbo.BatchDecoder
+		iters   int
+		samples []float64
+		bytes   uint64
+		allocs  uint64
+	}
+	cells := []*cell{{mode: "losnr"}, {mode: "losnr-crc"}}
+	for _, c := range cells {
+		c.bd = turbo.NewBatchDecoder(simd.W512, core.StrategyAPCM, 32<<20)
+		c.bd.MaxIters = decodeBenchIters
+		if c.mode == "losnr-crc" {
+			c.bd.Accept = func(_ int, bits []byte) bool { return phy.CheckCRC(bits, phy.CRC24BPoly, 24) }
+		}
+	}
+	lanes := cells[0].bd.Lanes()
+	batches := len(words) / lanes
+	pass := func(bd *turbo.BatchDecoder) (iters int, err error) {
+		for lo := 0; lo+lanes <= len(words); lo += lanes {
+			_, n, err := bd.Decode(k, words[lo:lo+lanes])
+			if err != nil {
+				return 0, err
+			}
+			iters += n
+		}
+		return iters, nil
+	}
+	for _, c := range cells { // the first pass builds the state
+		if c.iters, err = pass(c.bd); err != nil {
+			return nil, err
+		}
+	}
+	var m0, m1 runtime.MemStats
+	for i := 0; i < segmentSamples; i++ {
+		for _, c := range cells {
+			runtime.ReadMemStats(&m0)
+			start := time.Now()
+			if _, err := pass(c.bd); err != nil {
+				return nil, err
+			}
+			c.samples = append(c.samples, float64(time.Since(start).Nanoseconds())/float64(batches))
+			runtime.ReadMemStats(&m1)
+			c.bytes += m1.TotalAlloc - m0.TotalAlloc
+			c.allocs += m1.Mallocs - m0.Mallocs
+		}
+	}
+	ops := uint64(segmentSamples * batches)
+	var rows []DecodeBenchRow
+	for _, c := range cells {
+		med, iqr := medianIQR(c.samples)
+		rows = append(rows, DecodeBenchRow{
+			Mode: c.mode, Width: simd.W512.String(), K: k, Lanes: lanes,
+			NsPerOp: med, NsPerOpIQR: iqr,
+			BPerOp:        int64(c.bytes / ops),
+			AllocsOp:      int64(c.allocs / ops),
+			GoodputMbps:   float64(k*lanes) / (med / 1e3),
+			Iterations:    int(ops),
+			ItersPerBatch: float64(c.iters) / float64(batches),
+		})
+	}
+	return rows, nil
 }
 
 // adoptSamples is how many fresh decoders the "adopt" row is the median

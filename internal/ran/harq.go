@@ -99,9 +99,10 @@ func (r *Runtime) retryOrDrop(b *Block, now time.Time, busy time.Duration, iters
 }
 
 // checkBlock runs the post-decode acceptance check for one block:
-// the configured CRC check first, then any chaos-forced failure.
-func (r *Runtime) checkBlock(b *Block, bits []byte) bool {
-	if r.cfg.CheckCRC != nil && !r.cfg.CheckCRC(b, bits) {
+// the configured CRC check first, unless the decoder stopped the block on
+// it (passed), then any chaos-forced failure.
+func (r *Runtime) checkBlock(b *Block, bits []byte, passed bool) bool {
+	if !passed && r.cfg.CheckCRC != nil && !r.cfg.CheckCRC(b, bits) {
 		return false
 	}
 	if r.cfg.Chaos.ForceCRCFail() {

@@ -1,8 +1,10 @@
 package ran
 
 import (
+	"bytes"
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 	"time"
 
@@ -224,6 +226,76 @@ func noisyWords(t testing.TB, k, n int, sigma float64, seed int64) []*turbo.LLRW
 		words[i] = w
 	}
 	return words
+}
+
+// TestCRCStopsBlockInDecode: with CheckCRC set, a lo-SNR K=512 word whose
+// decisions move at iteration 2 but are right there stops at iteration 2
+// (the repeat test alone takes it to 3), and the check that stopped it is
+// its only passing check: it is not checked again after the decode.
+func TestCRCStopsBlockInDecode(t *testing.T) {
+	const k, sigma, seed = 512, 22, 34
+	pool := mustPool(t, k, 32, seed)
+	c, err := turbo.NewCode(k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	after := func(w *turbo.LLRWord, iters int) []byte {
+		d := turbo.NewDecoder(c)
+		d.MaxIters, d.EarlyExit = iters, false
+		bits, _, err := d.Decode(w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return bits
+	}
+	var words []*turbo.LLRWord
+	for i, w := range noisyWords(t, k, pool.Len(), sigma, seed) {
+		_, truth := pool.Get(i)
+		if second := after(w, 2); bytes.Equal(second, truth) && !bytes.Equal(after(w, 1), second) {
+			words = append(words, w)
+		}
+	}
+	if len(words) < 8 {
+		t.Fatalf("%d of %d lo-SNR words are first right at iteration 2, want at least 8", len(words), pool.Len())
+	}
+	var mu sync.Mutex
+	passes := map[*Block]int{}
+	cfg := testConfig(simd.W512)
+	cfg.CheckCRC = func(b *Block, bits []byte) bool {
+		ok := CRC24B(b, bits)
+		if ok {
+			mu.Lock()
+			passes[b]++
+			mu.Unlock()
+		}
+		return ok
+	}
+	rt, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, w := range words {
+		if a := rt.SubmitProcess(i%cfg.Cells, i, i%HARQProcesses, k, w); a != Admitted {
+			t.Fatalf("block %d: %v", i, a)
+		}
+	}
+	waitSettle(t, rt, 0)
+	s := rt.Stop()
+	conserve(t, s, s.HARQBuffers)
+	if s.Delivered != uint64(len(words)) || s.CRCFailures != 0 {
+		t.Errorf("delivered %d of %d, %d CRC failures", s.Delivered, len(words), s.CRCFailures)
+	}
+	if got := s.DecodeIters[1]; got != uint64(len(words)) {
+		t.Errorf("%d of %d blocks stopped at iteration 2 (histogram %v), want all", got, len(words), s.DecodeIters)
+	}
+	for b, n := range passes {
+		if n != 1 {
+			t.Errorf("block of UE %d passed its check %d times, want once", b.UE, n)
+		}
+	}
+	if len(passes) != len(words) {
+		t.Errorf("%d of %d blocks passed a check", len(passes), len(words))
+	}
 }
 
 // TestFloodDecodesAtFullBudget: overload is answered at the door, never

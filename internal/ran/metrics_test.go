@@ -1,6 +1,7 @@
 package ran
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
@@ -26,6 +27,20 @@ func TestDropCauseNames(t *testing.T) {
 	}
 	if DropCause(99).String() != "unknown" {
 		t.Error("out-of-range cause should name itself unknown")
+	}
+}
+
+// TestAdmitNames: every Submit outcome prints its name, so a test that
+// reports a verdict says which.
+func TestAdmitNames(t *testing.T) {
+	for a, name := range map[Admit]string{
+		Admitted: "admitted", RejectedBacklog: "backlog",
+		RejectedStopped: "stopped", RejectedSealed: "sealed",
+		RejectedSealed + 1: "unknown",
+	} {
+		if got := fmt.Sprint(a); got != name {
+			t.Errorf("outcome %d prints %q, want %q", int(a), got, name)
+		}
 	}
 }
 

@@ -101,6 +101,21 @@ const (
 	RejectedSealed
 )
 
+// String names the outcome.
+func (a Admit) String() string {
+	switch a {
+	case Admitted:
+		return "admitted"
+	case RejectedBacklog:
+		return "backlog"
+	case RejectedStopped:
+		return "stopped"
+	case RejectedSealed:
+		return "sealed"
+	}
+	return "unknown"
+}
+
 // Config parameterizes a Runtime.
 type Config struct {
 	// Cells is the number of served cells.
@@ -132,12 +147,18 @@ type Config struct {
 	// queue wait, batch wait and decode time separately. Nil disables
 	// tracing with zero hot-path cost.
 	Tracer *telemetry.Tracer
-	// CheckCRC, when non-nil, is the post-decode transport-block
-	// acceptance check (the CRC attachment of a real stack): return
-	// false to declare the decode failed and route the block into the
-	// HARQ retransmission path. Called from worker goroutines; must be
-	// safe for concurrent use. Nil means every in-deadline decode
-	// passes (unless a chaos injector forces a failure).
+	// CheckCRC, when non-nil, is the transport-block acceptance check
+	// (the CRC attachment of a real stack): return false to declare the
+	// decode failed and route the block into the HARQ retransmission
+	// path. The decoder also calls it, from the second iteration on,
+	// for a block whose hard decisions still move, and stops the block
+	// when it passes (turbo.BatchDecoder.Accept); such a block is not
+	// checked again after the decode. So it runs once an iteration on the
+	// decode path and must be cheap and pure: its answer may depend on
+	// the block and the bits alone. Called from worker goroutines; must
+	// be safe for concurrent use. Nil means every in-deadline decode
+	// passes (unless a chaos injector forces a failure), and a block
+	// stops only when its decisions repeat.
 	CheckCRC func(b *Block, bits []byte) bool
 	// HARQ configures the retransmission/soft-combining path.
 	HARQ HARQConfig
@@ -451,6 +472,23 @@ func (r *Runtime) worker() {
 	lanes := bd.Lanes()
 	words := make([]*turbo.LLRWord, 0, lanes)
 	batch := make([]*Block, 0, lanes)
+	// live is the batch being decoded. With a CRC check configured, the
+	// decoder runs it from the second iteration on for a block whose
+	// decisions still move, and a block that passes stops there; checked
+	// records which did (bit i: live[i]), so the check after the decode
+	// is not made twice. The hook is made once, here, and allocates
+	// nothing per batch.
+	var live []*Block
+	var checked uint64
+	if r.cfg.CheckCRC != nil {
+		bd.Accept = func(i int, bits []byte) bool {
+			if !r.cfg.CheckCRC(live[i], bits) {
+				return false
+			}
+			checked |= 1 << i
+			return true
+		}
+	}
 	for {
 		taken, ok := r.take(batch[:0])
 		if !ok {
@@ -459,7 +497,7 @@ func (r *Runtime) worker() {
 		batch = taken
 		k := batch[0].K
 		now := time.Now()
-		live := batch[:0]
+		live = batch[:0]
 		for _, b := range batch {
 			b.taken = now
 			if now.After(b.Deadline) {
@@ -490,7 +528,7 @@ func (r *Runtime) worker() {
 			words = append(words, b.Word)
 		}
 		t0 := time.Now()
-		decodeDur, decodeIters = 0, 0
+		decodeDur, decodeIters, checked = 0, 0, 0
 		bits, _, err := bd.Decode(k, words)
 		if err != nil {
 			// The decoder refused the batch — a block size that is not
@@ -519,7 +557,7 @@ func (r *Runtime) worker() {
 				r.met.drop(b.Cell, b.Class, DropLate)
 				r.recordSpan(b, end, busy, decodeIters, "late")
 				r.harqRelease(b)
-			} else if !r.checkBlock(b, bits[i]) {
+			} else if !r.checkBlock(b, bits[i], checked&(1<<i) != 0) {
 				// CRC failure: the HARQ path either re-enqueues a
 				// soft-combined retransmission or terminates the block
 				// with a drop. Failed decisions never reach OnDecoded.

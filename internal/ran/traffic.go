@@ -66,8 +66,11 @@ func (p *WordPool) Len() int { return len(p.words) }
 
 // CRC24B is the Config.CheckCRC hook for pool words: a decoded payload
 // is accepted iff its CRC24B suffix verifies. It needs no truth table,
-// so it judges a block wherever it decodes. A wrong decode passes with
-// probability 2⁻²⁴.
+// so it judges a block wherever it decodes. One check passes wrong
+// decisions with probability 2⁻²⁴. The runtime checks a block's decisions
+// of each iteration from the second on at most once (while they move, and
+// after the decode those it stopped at, unless it stopped on a pass), so
+// a wrong block is delivered with probability at most (MaxIters−1)·2⁻²⁴.
 func CRC24B(_ *Block, bits []byte) bool {
 	return phy.CheckCRC(bits, phy.CRC24BPoly, 24)
 }

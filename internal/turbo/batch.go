@@ -118,6 +118,19 @@ type BatchDecoder struct {
 	// When nil, Decode skips the clock reads entirely. Like the decoder
 	// itself it is used from one goroutine only.
 	OnDecode func(k, blocks, iters int, elapsed time.Duration)
+
+	// Accept, when non-nil, is early exit's second stop test: from the
+	// second iteration on, a block whose hard decisions moved in that
+	// iteration but pass Accept freezes there, as one whose decisions
+	// repeated does (OAI's code-block CRC test after every iteration from
+	// the second). block is the word's index in the batch and bits its
+	// decisions after the iteration, valid only during the call. It is
+	// called synchronously from Decode, with EarlyExit on, at most once a
+	// block and iteration and never for a block whose decisions repeated,
+	// so it must be cheap and must answer from the bits alone. Nil keeps
+	// the repeat test alone. Not part of a program: the same program
+	// serves either rule.
+	Accept func(block int, bits []byte) bool
 }
 
 // NewBatchDecoder builds a decoder for width w and arrangement strategy
@@ -284,7 +297,7 @@ func (bd *BatchDecoder) Decode(k int, words []*LLRWord) ([][]byte, int, error) {
 	if p.exec != nil {
 		bits, iters, err = bd.runCompiled(p, words)
 	} else {
-		p.dec.MaxIters, p.dec.EarlyExit = bd.MaxIters, bd.EarlyExit
+		p.dec.MaxIters, p.dec.EarlyExit, p.dec.Accept = bd.MaxIters, bd.EarlyExit, bd.Accept
 		bits, iters, err = p.dec.runPacked(p.pst, words)
 	}
 	if err != nil {

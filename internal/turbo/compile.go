@@ -86,7 +86,7 @@ func (bd *BatchDecoder) runCompiled(p *decodePlan, words []*LLRWord) ([][]byte, 
 	for it := 0; it < bd.MaxIters; it++ {
 		iters++
 		prog.Run(p.exec, program.SegSteady)
-		if st.extractPacked(bd.EarlyExit, it) {
+		if st.extractPacked(bd.EarlyExit, it, bd.Accept) {
 			break
 		}
 	}

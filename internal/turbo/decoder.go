@@ -168,9 +168,12 @@ type Decoder struct {
 	code *Code
 	// MaxIters bounds the number of full iterations (default 6).
 	MaxIters int
-	// EarlyExit stops when hard decisions are stable across a full
-	// iteration.
+	// EarlyExit stops, from the second iteration on, when the hard
+	// decisions are stable across a full iteration or Accept passes them.
 	EarlyExit bool
+	// Accept is the second stop test, as BatchDecoder.Accept; it is
+	// called with block 0.
+	Accept func(block int, bits []byte) bool
 }
 
 // NewDecoder builds a decoder for code c.
@@ -215,7 +218,7 @@ func (d *Decoder) Decode(w *LLRWord) ([]byte, int, error) {
 				bits[qpp.Perm(i)] = 0
 			}
 		}
-		if d.EarlyExit && it > 0 && equalBits(bits, prev) {
+		if d.EarlyExit && it > 0 && (equalBits(bits, prev) || d.Accept != nil && d.Accept(0, bits)) {
 			break
 		}
 		copy(prev, bits)

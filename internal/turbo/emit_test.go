@@ -71,12 +71,12 @@ type decoded struct {
 
 // interpretPlan decodes words under plan pl of strategy s on the packed
 // interpreter, over a region of its own.
-func interpretPlan(t *testing.T, pl *packedPlan, s core.Strategy, words []*LLRWord, maxIters int, earlyExit bool) decoded {
+func interpretPlan(t *testing.T, pl *packedPlan, s core.Strategy, words []*LLRWord, maxIters int, earlyExit bool, accept func(int, []byte) bool) decoded {
 	t.Helper()
 	e := simd.NewEngine(pl.w, simd.NewMemory(int(pl.size)), nil)
 	st := newPackedState(e, core.ByStrategy(s), pl)
 	d := NewMultiSIMDDecoder(pl.code)
-	d.MaxIters, d.EarlyExit, d.RearrangePerHalfIter = maxIters, earlyExit, false
+	d.MaxIters, d.EarlyExit, d.Accept, d.RearrangePerHalfIter = maxIters, earlyExit, accept, false
 	bits, _, err := d.runPacked(st, words)
 	if err != nil {
 		t.Fatal(err)
@@ -87,7 +87,7 @@ func interpretPlan(t *testing.T, pl *packedPlan, s core.Strategy, words []*LLRWo
 // replayPlan decodes words through prog, a program of plan pl, on the
 // replay driver a BatchDecoder runs, over a region of its own, on the
 // executor UseNativeKernel selects.
-func replayPlan(t *testing.T, prog *program.Program, pl *packedPlan, s core.Strategy, words []*LLRWord, maxIters int, earlyExit bool) decoded {
+func replayPlan(t *testing.T, prog *program.Program, pl *packedPlan, s core.Strategy, words []*LLRWord, maxIters int, earlyExit bool, accept func(int, []byte) bool) decoded {
 	t.Helper()
 	e := simd.NewEngine(pl.w, simd.NewMemory(int(pl.size)), nil)
 	p := &decodePlan{
@@ -96,7 +96,7 @@ func replayPlan(t *testing.T, prog *program.Program, pl *packedPlan, s core.Stra
 		pst:    newPackedState(e, core.ByStrategy(s), pl),
 		exec:   prog.NewExec(e.Mem, 0),
 	}
-	bd := &BatchDecoder{MaxIters: maxIters, EarlyExit: earlyExit}
+	bd := &BatchDecoder{MaxIters: maxIters, EarlyExit: earlyExit, Accept: accept}
 	bits, _, err := bd.runCompiled(p, words)
 	if err != nil {
 		t.Fatal(err)
@@ -155,7 +155,9 @@ func executors() []bool {
 //     even where it does not move a decision;
 //   - with early exit on, over the full batch (and, of AWGN words, over a
 //     batch of one), the decisions and each block's iterations must be the
-//     interpreter's.
+//     interpreter's: of AWGN words on the repeat test alone, of
+//     full-range words, whose decisions keep moving, with the second stop
+//     test (Accept) set to evenParity.
 //
 // APCM is checked at every 16th LTE block size at W512 and the grid sizes
 // at every width, extract at the grid sizes at every width; -emit.all
@@ -188,6 +190,7 @@ func TestEmittedDecodesLikeInterpreter(t *testing.T) {
 	const maxIters = 4
 	natives := executors()
 	var pools []int
+	stopped := 0 // full-range blocks stopped before the budget
 	for _, cf := range configs {
 		name := fmt.Sprintf("%v/%v/K%d", cf.s, cf.w, cf.k)
 		pl := strategyPlan(t, cf.s, cf.w, cf.k)
@@ -206,19 +209,32 @@ func TestEmittedDecodesLikeInterpreter(t *testing.T) {
 			words []*LLRWord
 		}{{"awgn", awgn}, {"full-range", fullRangeWords(rng, cf.k, pl.nb)}} {
 			words := in.words
-			want := interpretPlan(t, pl, cf.s, words, maxIters, false)
+			want := interpretPlan(t, pl, cf.s, words, maxIters, false, nil)
 			batches := [][]*LLRWord{words}
 			if len(words) > 1 && in.name == "awgn" {
 				batches = append(batches, words[:1])
 			}
 			var exits []decoded
+			// AWGN words repeat their decisions at iteration 2, where the
+			// second stop test is not asked; full-range words' decisions
+			// keep moving, so they take it.
+			var accept func(int, []byte) bool
+			if in.name == "full-range" {
+				accept = evenParity
+			}
 			for _, batch := range batches {
-				exits = append(exits, interpretPlan(t, pl, cf.s, batch, maxIters, true))
+				x := interpretPlan(t, pl, cf.s, batch, maxIters, true, accept)
+				for b := range batch {
+					if accept != nil && x.iters[b] < maxIters {
+						stopped++
+					}
+				}
+				exits = append(exits, x)
 			}
 			for _, native := range natives {
 				was := program.UseNativeKernel(native)
 				at := fmt.Sprintf("%s/%s/%s", name, in.name, program.Kernel())
-				if got := replayPlan(t, prog, pl, cf.s, words, maxIters, false); !bytes.Equal(got.region, want.region) {
+				if got := replayPlan(t, prog, pl, cf.s, words, maxIters, false, nil); !bytes.Equal(got.region, want.region) {
 					i := 0
 					for got.region[i] == want.region[i] {
 						i++
@@ -227,7 +243,7 @@ func TestEmittedDecodesLikeInterpreter(t *testing.T) {
 						at, i, len(want.region), pl.src, pl.s, pl.quad, pl.alpha)
 				}
 				for j, batch := range batches {
-					got := replayPlan(t, prog, pl, cf.s, batch, maxIters, true)
+					got := replayPlan(t, prog, pl, cf.s, batch, maxIters, true, accept)
 					for b := range batch {
 						if !equalBits(got.bits[b], exits[j].bits[b]) || got.iters[b] != exits[j].iters[b] {
 							t.Errorf("%s: batch of %d, block %d: decisions or iterations (%d) differ from the interpreter's (%d)",
@@ -239,7 +255,24 @@ func TestEmittedDecodesLikeInterpreter(t *testing.T) {
 			}
 		}
 	}
-	t.Logf("%d configurations on %d executors; gather pools of %d to %d vectors", len(configs), len(natives), slices.Min(pools), slices.Max(pools))
+	if stopped == 0 {
+		t.Error("no full-range block stopped before the budget: the second stop test's differential compared nothing")
+	}
+	t.Logf("%d configurations on %d executors; gather pools of %d to %d vectors; %d full-range blocks stopped early",
+		len(configs), len(natives), slices.Min(pools), slices.Max(pools), stopped)
+}
+
+// evenParity is a second stop test for differentials: it passes the
+// decisions of about half the blocks it is asked about, whatever they
+// are, so it stops full-range words' blocks, whose decisions keep moving,
+// at every iteration from the second, where a CRC would stop none. Like a
+// CRC it answers from the bits alone.
+func evenParity(_ int, bits []byte) bool {
+	var p byte
+	for _, b := range bits {
+		p ^= b
+	}
+	return p == 0
 }
 
 // TestEveryServedKeyCompiles: every key a serving decoder can be asked for

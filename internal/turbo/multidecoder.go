@@ -50,6 +50,8 @@ type MultiSIMDDecoder struct {
 	Code      *Code
 	MaxIters  int
 	EarlyExit bool
+	// Accept is the second per-block stop test, as BatchDecoder.Accept.
+	Accept func(block int, bits []byte) bool
 
 	// RearrangePerHalfIter re-runs the data arrangement before each
 	// constituent (MAP) invocation, matching the OAI structure the

@@ -653,11 +653,12 @@ func (st *packedState) loadWordsPacked(words []*LLRWord) error {
 
 // extractPacked scans the hard-decision array for every still-live
 // block, updating bits in place and tracking a dirty flag per block — an
-// O(k) re-compare of the bits folded into the extraction itself. A block whose iteration left its bits unchanged
-// (it > 0) freezes: its bits stop updating, exactly like the scalar
-// reference exiting that block's loop. Returns true when every real
-// block has frozen.
-func (st *packedState) extractPacked(earlyExit bool, it int) bool {
+// O(k) re-compare of the bits folded into the extraction itself. From the
+// second iteration on (it > 0) a block freezes when its iteration left its
+// bits unchanged or, when they moved, when accept (nil: never) passes them:
+// its bits stop updating, exactly like the scalar reference exiting that
+// block's loop. Returns true when every real block has frozen.
+func (st *packedState) extractPacked(earlyExit bool, it int, accept func(block int, bits []byte) bool) bool {
 	k := st.code.K
 	hdec := st.e.Mem.Bytes(st.hdec, len(st.hdecPrev))
 	if earlyExit && it > 0 && bytes.Equal(hdec, st.hdecPrev) {
@@ -687,7 +688,7 @@ func (st *packedState) extractPacked(earlyExit bool, it int) bool {
 			dirty |= bits[p] ^ v
 			bits[p] = v
 		}
-		if earlyExit && it > 0 && dirty == 0 {
+		if earlyExit && it > 0 && (dirty == 0 || accept != nil && accept(b, bits)) {
 			st.conv[b] = true
 			st.itersB[b] = it + 1
 		} else {
@@ -741,7 +742,7 @@ func (d *MultiSIMDDecoder) runPacked(st *packedState, words []*LLRWord) ([][]byt
 	for it := 0; it < d.MaxIters; it++ {
 		iters++
 		d.iterPacked(st, it)
-		if st.extractPacked(d.EarlyExit, it) {
+		if st.extractPacked(d.EarlyExit, it, d.Accept) {
 			break
 		}
 	}

@@ -2,6 +2,7 @@ package turbo
 
 import (
 	"fmt"
+	"math/rand"
 	"sync"
 	"testing"
 
@@ -86,7 +87,35 @@ func TestBatchDecoderSteadyStateAllocs(t *testing.T) {
 		if avg > 8 {
 			t.Errorf("%v: steady-state Decode allocates %.1f objects/op, ISSUE budget 8", w, avg)
 		}
+		// The second stop test set, as a serving worker sets it: asked of
+		// every block at every iteration from the second (full-range
+		// words' decisions keep moving, and it passes none), it adds no
+		// allocation.
+		asked := 0
+		bd.Accept = func(_ int, bits []byte) bool { asked++; return noneOf(bits) }
+		words = fullRangeWords(rand.New(rand.NewSource(3)), k, bd.Lanes())
+		if _, _, err := bd.Decode(k, words); err != nil {
+			t.Fatal(err)
+		}
+		avg = testing.AllocsPerRun(10, func() {
+			if _, _, err := bd.Decode(k, words); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if avg > budget || asked == 0 {
+			t.Errorf("%v: with a stop test asked %d times, steady-state Decode allocates %.1f objects/op, budget %d", w, asked, avg, budget)
+		}
 	}
+}
+
+// noneOf is a stop test that reads every decision, as a CRC does, and
+// passes none.
+func noneOf(bits []byte) bool {
+	var or byte
+	for _, b := range bits {
+		or |= b
+	}
+	return or > 1
 }
 
 // TestBatchDecoderPlanEviction forces the budget-full path with a tiny
@@ -186,7 +215,10 @@ func TestBatchDecoderOutputStable(t *testing.T) {
 // plan that failed to compile costs. "portable" is
 // "packed" with the replay program run by the Go executor, so one
 // binary on an AVX-512BW host reads both executors; where the Go one is
-// the only one it would repeat "packed" and is left out. Run with
+// the only one it would repeat "packed" and is left out. "accept" (W512
+// K=512) is "packed" with the second stop test set, as a serving worker
+// sets it, on full-range words, so every block is asked at every
+// iteration from the second. Run with
 // -benchmem; CI gates allocs/op on it.
 func BenchmarkBatchDecodeSteadyState(b *testing.B) {
 	cases := []struct {
@@ -200,6 +232,10 @@ func BenchmarkBatchDecodeSteadyState(b *testing.B) {
 		modes = append(modes, "portable")
 	}
 	for _, tc := range cases {
+		modes := modes
+		if tc.w == simd.W512 && tc.k == 512 {
+			modes = append(modes[:len(modes):len(modes)], "accept")
+		}
 		for _, mode := range modes {
 			b.Run(fmt.Sprintf("%v/K%d/%s", tc.w, tc.k, mode), func(b *testing.B) {
 				if mode == "portable" {
@@ -212,6 +248,10 @@ func BenchmarkBatchDecodeSteadyState(b *testing.B) {
 					b.Fatal(err)
 				}
 				words, _ := buildWords(b, c, bd.Lanes(), 7, true)
+				if mode == "accept" {
+					bd.Accept = func(_ int, bits []byte) bool { return noneOf(bits) }
+					words = fullRangeWords(rand.New(rand.NewSource(3)), tc.k, bd.Lanes())
+				}
 				// Two warm-ups: the first builds the state (and, the first time
 				// the binary meets the size, compiles its program); the second
 				// confirms the steady path is reached before the clock starts.

@@ -15,22 +15,14 @@ import (
 
 // Phases holds per-decoder-phase attributed times.
 type Phases struct {
-	order  []string
-	cycles map[string]int64
-	us     map[string]float64
-	insts  map[string]int
+	order []string
+	us    map[string]float64
 	// Total is the whole-decode simulation.
 	Total uarch.Result
 }
 
 // Us returns the attributed time of a phase in microseconds.
 func (p *Phases) Us(name string) float64 { return p.us[name] }
-
-// Cycles returns the attributed cycles of a phase.
-func (p *Phases) Cycles(name string) int64 { return p.cycles[name] }
-
-// Names returns the phases in first-appearance order.
-func (p *Phases) Names() []string { return p.order }
 
 // TotalUs sums every attributed phase.
 func (p *Phases) TotalUs() float64 {
@@ -87,7 +79,7 @@ func decodePhasesPolicy(s core.Strategy, w simd.Width, k, iters int, rearrange b
 
 	p := uarch.WimpyPlatform()
 	insts := e.Recorder().Insts()
-	ph := &Phases{cycles: map[string]int64{}, us: map[string]float64{}, insts: map[string]int{}}
+	ph := &Phases{us: map[string]float64{}}
 	inv := 1.0 / float64(nb)
 	for _, m := range d.Marks {
 		if m.Hi <= m.Lo {
@@ -95,12 +87,10 @@ func decodePhasesPolicy(s core.Strategy, w simd.Width, k, iters int, rearrange b
 		}
 		win := trace.Window(insts, m.Lo, m.Hi)
 		r := uarch.NewSimulator(p.Core, cache.NewHierarchy(p.Caches)).Run(win)
-		if _, ok := ph.cycles[m.Name]; !ok {
+		if _, ok := ph.us[m.Name]; !ok {
 			ph.order = append(ph.order, m.Name)
 		}
-		ph.cycles[m.Name] += int64(float64(r.Cycles) * inv)
 		ph.us[m.Name] += r.Microseconds() * inv
-		ph.insts[m.Name] += len(win) / nb
 	}
 	ph.Total = uarch.NewSimulator(p.Core, cache.NewHierarchy(p.Caches)).Run(insts)
 	return ph, nil

@@ -9,19 +9,16 @@ import "fmt"
 
 // Level simulates one set-associative cache level.
 type Level struct {
-	name      string
-	sizeBytes int
-	assoc     int
-	lineSize  int
-	numSets   int
-	latency   int       // cycles on hit at this level
-	sets      [][]int64 // per-set LRU stack of line tags, most recent first
-	hits      int64
-	misses    int64
+	assoc    int
+	lineSize int
+	numSets  int
+	sets     [][]int64 // per-set LRU stack of line tags, most recent first
+	hits     int64
+	misses   int64
 }
 
 // NewLevel builds a cache level. size must be a multiple of assoc*lineSize.
-func NewLevel(name string, sizeBytes, assoc, lineSize, latency int) *Level {
+func NewLevel(sizeBytes, assoc, lineSize int) *Level {
 	numSets := sizeBytes / (assoc * lineSize)
 	if numSets < 1 {
 		numSets = 1
@@ -31,37 +28,16 @@ func NewLevel(name string, sizeBytes, assoc, lineSize, latency int) *Level {
 		sets[i] = make([]int64, 0, assoc)
 	}
 	return &Level{
-		name:      name,
-		sizeBytes: sizeBytes,
-		assoc:     assoc,
-		lineSize:  lineSize,
-		numSets:   numSets,
-		latency:   latency,
-		sets:      sets,
+		assoc:    assoc,
+		lineSize: lineSize,
+		numSets:  numSets,
+		sets:     sets,
 	}
 }
-
-// Name returns the level's label (e.g. "L1").
-func (l *Level) Name() string { return l.name }
-
-// Size returns the capacity in bytes.
-func (l *Level) Size() int { return l.sizeBytes }
-
-// Latency returns the hit latency in cycles.
-func (l *Level) Latency() int { return l.latency }
 
 // Hits and Misses report the access statistics so far.
 func (l *Level) Hits() int64   { return l.hits }
 func (l *Level) Misses() int64 { return l.misses }
-
-// HitRate returns hits/(hits+misses), or 1 when no accesses occurred.
-func (l *Level) HitRate() float64 {
-	total := l.hits + l.misses
-	if total == 0 {
-		return 1
-	}
-	return float64(l.hits) / float64(total)
-}
 
 // Access looks up the line containing addr, updating LRU state, and
 // reports whether it hit. On miss the line is installed (allocate on
@@ -118,14 +94,6 @@ func (l *Level) Install(addr int64) {
 	copy(set[1:], set[:len(set)-1])
 	set[0] = line
 	l.sets[line%int64(l.numSets)] = set
-}
-
-// Reset clears contents and statistics.
-func (l *Level) Reset() {
-	for i := range l.sets {
-		l.sets[i] = l.sets[i][:0]
-	}
-	l.hits, l.misses = 0, 0
 }
 
 // Config describes a full hierarchy. Sizes are bytes.
@@ -190,9 +158,9 @@ type Hierarchy struct {
 func NewHierarchy(cfg Config) *Hierarchy {
 	return &Hierarchy{
 		cfg: cfg,
-		L1:  NewLevel("L1", cfg.L1Size, cfg.L1Assoc, cfg.LineSize, cfg.L1Latency),
-		L2:  NewLevel("L2", cfg.L2Size, cfg.L2Assoc, cfg.LineSize, cfg.L2Latency),
-		L3:  NewLevel("L3", cfg.L3Size, cfg.L3Assoc, cfg.LineSize, cfg.L3Latency),
+		L1:  NewLevel(cfg.L1Size, cfg.L1Assoc, cfg.LineSize),
+		L2:  NewLevel(cfg.L2Size, cfg.L2Assoc, cfg.LineSize),
+		L3:  NewLevel(cfg.L3Size, cfg.L3Assoc, cfg.LineSize),
 	}
 }
 
@@ -243,13 +211,6 @@ func (h *Hierarchy) WouldMissL1(addr int64) bool { return !h.L1.Contains(addr) }
 // the line must be owned locally, so the lookup walk matches Load; the
 // returned latency is what a dependent operation would observe.
 func (h *Hierarchy) Store(addr int64) int { return h.Load(addr) }
-
-// Reset clears all levels.
-func (h *Hierarchy) Reset() {
-	h.L1.Reset()
-	h.L2.Reset()
-	h.L3.Reset()
-}
 
 // String summarizes the hierarchy's geometry.
 func (h *Hierarchy) String() string {

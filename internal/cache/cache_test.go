@@ -6,7 +6,7 @@ import (
 )
 
 func TestLevelHitAfterMiss(t *testing.T) {
-	l := NewLevel("L1", 1024, 2, 64, 4)
+	l := NewLevel(1024, 2, 64)
 	if l.Access(0) {
 		t.Error("cold access should miss")
 	}
@@ -22,14 +22,11 @@ func TestLevelHitAfterMiss(t *testing.T) {
 	if l.Hits() != 2 || l.Misses() != 2 {
 		t.Errorf("hits=%d misses=%d, want 2/2", l.Hits(), l.Misses())
 	}
-	if got := l.HitRate(); got != 0.5 {
-		t.Errorf("hit rate = %f, want 0.5", got)
-	}
 }
 
 func TestLevelLRUEviction(t *testing.T) {
 	// 2-way, 64B lines, 2 sets (256 bytes). Lines 0, 2, 4 map to set 0.
-	l := NewLevel("L1", 256, 2, 64, 4)
+	l := NewLevel(256, 2, 64)
 	l.Access(0 * 64)
 	l.Access(2 * 64)
 	l.Access(0 * 64) // 0 is now MRU, 2 is LRU
@@ -39,18 +36,6 @@ func TestLevelLRUEviction(t *testing.T) {
 	}
 	if l.Access(2 * 64) {
 		t.Error("line 2 should have been evicted")
-	}
-}
-
-func TestLevelReset(t *testing.T) {
-	l := NewLevel("L1", 1024, 2, 64, 4)
-	l.Access(0)
-	l.Reset()
-	if l.Hits() != 0 || l.Misses() != 0 {
-		t.Error("reset did not clear stats")
-	}
-	if l.Access(0) {
-		t.Error("reset did not clear contents")
 	}
 }
 
@@ -99,7 +84,7 @@ func TestWimpyVsBeefyCapacity(t *testing.T) {
 				h.Load(i * 64)
 			}
 		}
-		return h.L2.HitRate()
+		return float64(h.L2.Hits()) / float64(h.L2.Hits()+h.L2.Misses())
 	}
 	wimpy := run(WimpyNode)
 	beefy := run(BeefyNode)

@@ -232,13 +232,11 @@ type MAC struct {
 	Processes int
 
 	nextProc int
-	// Retx counts retransmissions per process since the last reset.
-	Retx []int
 }
 
 // NewMAC builds a MAC entity with the given grant size.
 func NewMAC(tbsBytes int) *MAC {
-	return &MAC{TBSBytes: tbsBytes, Processes: 8, Retx: make([]int, 8)}
+	return &MAC{TBSBytes: tbsBytes, Processes: 8}
 }
 
 // BuildTB packs as many queued RLC PDUs as fit into one transport block,
@@ -288,14 +286,6 @@ func (m *MAC) ParseTB(tb TransportBlock) ([][]byte, error) {
 		off += MACHeaderLen + n
 	}
 	return pdus, nil
-}
-
-// NotifyHARQ records a decode outcome for a process; failed blocks bump
-// the retransmission counter.
-func (m *MAC) NotifyHARQ(proc int, ok bool) {
-	if proc >= 0 && proc < len(m.Retx) && !ok {
-		m.Retx[proc]++
-	}
 }
 
 // ------------------------------------------------------------- helpers

@@ -134,10 +134,13 @@ func TestMACHARQ(t *testing.T) {
 	if tb1.HARQ == tb2.HARQ {
 		t.Error("HARQ processes should rotate")
 	}
-	m.NotifyHARQ(tb1.HARQ, false)
-	m.NotifyHARQ(tb1.HARQ, true)
-	if m.Retx[tb1.HARQ] != 1 {
-		t.Errorf("retx count %d, want 1", m.Retx[tb1.HARQ])
+	// The ninth block wraps back onto the first block's process.
+	var tb TransportBlock
+	for i := 2; i < m.Processes+1; i++ {
+		tb, _ = m.BuildTB(nil)
+	}
+	if tb.HARQ != tb1.HARQ {
+		t.Errorf("block %d took process %d, want %d after %d processes", m.Processes+1, tb.HARQ, tb1.HARQ, m.Processes)
 	}
 }
 

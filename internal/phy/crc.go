@@ -98,15 +98,6 @@ func crcBits(bits []byte, poly uint32, n int) uint32 {
 	return reg >> (32 - n)
 }
 
-// CRC24A returns the 24-bit transport-block CRC of bits.
-func CRC24A(bits []byte) uint32 { return crcBits(bits, CRC24APoly, 24) }
-
-// CRC24B returns the 24-bit code-block CRC of bits.
-func CRC24B(bits []byte) uint32 { return crcBits(bits, CRC24BPoly, 24) }
-
-// CRC16 returns the 16-bit CRC of bits.
-func CRC16(bits []byte) uint32 { return crcBits(bits, CRC16Poly, 16) }
-
 // AppendCRC returns bits with the n-bit CRC for poly appended MSB first.
 func AppendCRC(bits []byte, poly uint32, n int) []byte {
 	c := crcBits(bits, poly, n)

@@ -8,68 +8,6 @@ import (
 	"vransim/internal/turbo"
 )
 
-// HARQBuffer accumulates soft values across HARQ retransmissions of the
-// same code block. Each (re)transmission may use a different redundancy
-// version, so combining happens in the rate-dematched domain where every
-// position of the circular buffer has a fixed meaning (incremental
-// redundancy: retransmissions with a different rv contribute previously
-// punctured bits; chase combining: the same rv doubles the LLR energy).
-type HARQBuffer struct {
-	rm *RateMatcher
-	d0 []int16
-	d1 []int16
-	d2 []int16
-	// Attempts counts the transmissions combined so far.
-	Attempts int
-}
-
-// NewHARQBuffer builds a combining buffer for the given rate-matcher
-// geometry.
-func NewHARQBuffer(rm *RateMatcher) *HARQBuffer {
-	return &HARQBuffer{
-		rm: rm,
-		d0: make([]int16, rm.D),
-		d1: make([]int16, rm.D),
-		d2: make([]int16, rm.D),
-	}
-}
-
-// Combine de-matches one received transmission (rv is its redundancy
-// version) and adds it into the buffer with saturation.
-func (h *HARQBuffer) Combine(llr []int16, rv int) {
-	n0, n1, n2 := h.rm.Dematch(llr, rv)
-	acc := func(dst, src []int16) {
-		for i := range dst {
-			s := int32(dst[i]) + int32(src[i])
-			if s > 32767 {
-				s = 32767
-			}
-			if s < -32768 {
-				s = -32768
-			}
-			dst[i] = int16(s)
-		}
-	}
-	acc(h.d0, n0)
-	acc(h.d1, n1)
-	acc(h.d2, n2)
-	h.Attempts++
-}
-
-// Streams returns the combined per-stream LLR buffers (length D each).
-func (h *HARQBuffer) Streams() (d0, d1, d2 []int16) { return h.d0, h.d1, h.d2 }
-
-// Reset clears the buffer for a new transport block.
-func (h *HARQBuffer) Reset() {
-	for i := range h.d0 {
-		h.d0[i], h.d1[i], h.d2[i] = 0, 0, 0
-	}
-	h.Attempts = 0
-}
-
-// RVSequence is the LTE redundancy-version cycling order.
-var RVSequence = []int{0, 2, 3, 1}
-
 // ProcKey identifies one HARQ process: the (cell, UE, process) triple a
 // soft buffer is keyed by. Process ids wrap modulo the set's MaxProcs
 // (LTE FDD: 8 processes per UE), so a monotonically increasing process
@@ -91,8 +29,8 @@ type procEntry struct {
 // ProcessSet manages soft combining buffers for every HARQ process the
 // serving runtime tracks, in the LLR-word domain (chase combining via
 // turbo.LLRWord.Accumulate — the runtime retransmits the same rate-
-// matched word, so every position realigns and the rate-dematched
-// HARQBuffer machinery above is not needed on this path). The set is
+// matched word, so every position realigns and no combining in the
+// rate-dematched domain is needed). The set is
 // bounded: at most Capacity buffers are live, and combining into a new
 // key past the bound evicts the least-recently-combined buffer — a
 // retransmission arriving after its buffer was evicted simply starts a

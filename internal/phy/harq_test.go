@@ -7,10 +7,11 @@ import (
 	"vransim/internal/turbo"
 )
 
-// harqTrial encodes one block, transmits it `attempts` times at the
-// given per-transmission E and SNR (cycling redundancy versions),
-// combines, and reports whether the decoder recovers the payload.
-func harqTrial(t *testing.T, k, e int, snrDB float64, attempts int, seed int64) bool {
+// chaseTrial encodes one block, rate-matches it once at rv 0 into e
+// bits, transmits that word `attempts` times over BPSK+AWGN at snrDB,
+// chase-combines the de-matched receptions in a ProcessSet (the serving
+// path's combiner) and reports whether the decoder recovers the payload.
+func chaseTrial(t *testing.T, k, e int, snrDB float64, attempts int, seed int64) bool {
 	t.Helper()
 	code, err := turbo.NewCode(k)
 	if err != nil {
@@ -34,117 +35,13 @@ func harqTrial(t *testing.T, k, e int, snrDB float64, attempts int, seed int64) 
 		s0[k+j] = cw.TailSys[j]
 		s1[k+j] = cw.TailP1[j]
 	}
-
-	buf := NewHARQBuffer(rm)
+	ps := NewProcessSet(8, 1)
 	ch := NewAWGNChannel(snrDB, seed+1)
-	for a := 0; a < attempts; a++ {
-		rv := RVSequence[a%len(RVSequence)]
-		tx, err := rm.Match(s0, s1, s2, e, rv)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// BPSK over the AWGN channel, max-log LLR.
-		samples := make([]IQ, len(tx))
-		for i, b := range tx {
-			x := 1.0
-			if b == 1 {
-				x = -1
-			}
-			samples[i] = IQ{I: x}
-		}
-		ch.Apply(samples)
-		llr := make([]int16, len(tx))
-		scale := 24 / ch.NoiseVar()
-		for i := range llr {
-			v := samples[i].I * scale
-			if v > 255 {
-				v = 255
-			}
-			if v < -255 {
-				v = -255
-			}
-			llr[i] = int16(v)
-		}
-		buf.Combine(llr, rv)
-	}
-
-	d0, d1, d2 := buf.Streams()
-	w := turbo.NewLLRWord(k)
-	copy(w.Sys, d0[:k])
-	copy(w.P1, d1[:k])
-	copy(w.P2, d2[:k])
-	for j := 0; j < 3; j++ {
-		w.TailSys[j] = d0[k+j]
-		w.TailP1[j] = d1[k+j]
-	}
-	dec := turbo.NewDecoder(code)
-	dec.MaxIters = 8
-	got, _, err := dec.Decode(w)
+	tx, err := rm.Match(s0, s1, s2, e, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range bits {
-		if got[i] != bits[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func TestHARQIncrementalRedundancy(t *testing.T) {
-	// Heavily punctured first transmission (E < D: rate ~ >1) at low
-	// SNR fails; combining the IR retransmissions recovers the block.
-	const k, seed = 256, 11
-	e := k + 40 // barely more bits than the payload: near rate-1
-	if harqTrial(t, k, e, 2.0, 1, seed) {
-		t.Skip("single punctured transmission unexpectedly decodable; shrink E to keep the test meaningful")
-	}
-	if !harqTrial(t, k, e, 2.0, 4, seed) {
-		t.Error("four combined redundancy versions should decode")
-	}
-}
-
-func TestHARQChaseCombining(t *testing.T) {
-	// Same rv repeated: combining raises the effective SNR by ~6 dB for
-	// 4 attempts. A block undecodable at -7.5 dB in one shot decodes
-	// after 4 chase combines.
-	const k, seed = 256, 21
-	e := 3 * (k + 4)
-	single := harqTrial(t, k, e, -7.5, 1, seed)
-	combined := harqTrialSameRV(t, k, e, -7.5, 4, seed)
-	if single {
-		t.Skip("single transmission decoded at -7.5 dB; channel too kind for the test")
-	}
-	if !combined {
-		t.Error("chase combining failed to decode at -7.5 dB with 4 attempts")
-	}
-}
-
-// harqTrialSameRV is harqTrial but always rv=0 (pure chase combining).
-func harqTrialSameRV(t *testing.T, k, e int, snrDB float64, attempts int, seed int64) bool {
-	t.Helper()
-	code, err := turbo.NewCode(k)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(seed))
-	bits := randBits(rng, k)
-	cw, _ := code.Encode(bits)
-	d := k + 4
-	rm := NewRateMatcher(d)
-	s0 := make([]byte, d)
-	s1 := make([]byte, d)
-	s2 := make([]byte, d)
-	copy(s0, cw.Sys)
-	copy(s1, cw.P1)
-	copy(s2, cw.P2)
-	for j := 0; j < 3; j++ {
-		s0[k+j] = cw.TailSys[j]
-		s1[k+j] = cw.TailP1[j]
-	}
-	buf := NewHARQBuffer(rm)
-	ch := NewAWGNChannel(snrDB, seed+1)
-	tx, _ := rm.Match(s0, s1, s2, e, 0)
+	var combined *turbo.LLRWord
 	for a := 0; a < attempts; a++ {
 		samples := make([]IQ, len(tx))
 		for i, b := range tx {
@@ -167,20 +64,22 @@ func harqTrialSameRV(t *testing.T, k, e int, snrDB float64, attempts int, seed i
 			}
 			llr[i] = int16(v)
 		}
-		buf.Combine(llr, 0)
-	}
-	d0, d1, d2 := buf.Streams()
-	w := turbo.NewLLRWord(k)
-	copy(w.Sys, d0[:k])
-	copy(w.P1, d1[:k])
-	copy(w.P2, d2[:k])
-	for j := 0; j < 3; j++ {
-		w.TailSys[j] = d0[k+j]
-		w.TailP1[j] = d1[k+j]
+		d0, d1, d2 := rm.Dematch(llr, 0)
+		w := turbo.NewLLRWord(k)
+		copy(w.Sys, d0[:k])
+		copy(w.P1, d1[:k])
+		copy(w.P2, d2[:k])
+		for j := 0; j < 3; j++ {
+			w.TailSys[j] = d0[k+j]
+			w.TailP1[j] = d1[k+j]
+		}
+		if combined, _, err = ps.Combine(0, 0, 0, w); err != nil {
+			t.Fatal(err)
+		}
 	}
 	dec := turbo.NewDecoder(code)
 	dec.MaxIters = 8
-	got, _, err := dec.Decode(w)
+	got, _, err := dec.Decode(combined)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,48 +91,26 @@ func harqTrialSameRV(t *testing.T, k, e int, snrDB float64, attempts int, seed i
 	return true
 }
 
-func TestHARQBufferReset(t *testing.T) {
-	rm := NewRateMatcher(44)
-	buf := NewHARQBuffer(rm)
-	llr := make([]int16, 60)
-	for i := range llr {
-		llr[i] = 10
+func TestHARQChaseCombining(t *testing.T) {
+	// Same rv repeated: combining raises the effective SNR by ~6 dB for
+	// 4 attempts. A block undecodable at -7.5 dB in one shot decodes
+	// after 4 chase combines.
+	const k, seed = 256, 21
+	e := 3 * (k + 4)
+	if chaseTrial(t, k, e, -7.5, 1, seed) {
+		t.Skip("single transmission decoded at -7.5 dB; channel too kind for the test")
 	}
-	buf.Combine(llr, 0)
-	if buf.Attempts != 1 {
-		t.Error("attempt count wrong")
-	}
-	d0, _, _ := buf.Streams()
-	nonzero := false
-	for _, v := range d0 {
-		if v != 0 {
-			nonzero = true
-		}
-	}
-	if !nonzero {
-		t.Error("combine left buffer empty")
-	}
-	buf.Reset()
-	d0, d1, d2 := buf.Streams()
-	for i := range d0 {
-		if d0[i] != 0 || d1[i] != 0 || d2[i] != 0 {
-			t.Fatal("reset incomplete")
-		}
-	}
-	if buf.Attempts != 0 {
-		t.Error("attempts not reset")
+	if !chaseTrial(t, k, e, -7.5, 4, seed) {
+		t.Error("chase combining failed to decode at -7.5 dB with 4 attempts")
 	}
 }
 
 func TestRVSequence(t *testing.T) {
-	if len(RVSequence) != 4 || RVSequence[0] != 0 {
-		t.Error("LTE rv cycling should start at 0 and have period 4")
-	}
-	// Different rvs must start reading the circular buffer at different
-	// offsets (otherwise IR degenerates to chase combining).
+	// The four redundancy versions of LTE's cycling order (0, 2, 3, 1)
+	// must start reading the circular buffer at different offsets.
 	rm := NewRateMatcher(132)
 	offsets := map[int]bool{}
-	for _, rv := range RVSequence {
+	for _, rv := range []int{0, 2, 3, 1} {
 		offsets[rm.rvOffset(rv)] = true
 	}
 	if len(offsets) != 4 {

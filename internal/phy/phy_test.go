@@ -38,7 +38,7 @@ func TestCRCDetectsCorruption(t *testing.T) {
 
 func TestCRCKnownZeroInput(t *testing.T) {
 	// All-zero input has CRC zero for any polynomial with zero init.
-	if CRC24A(make([]byte, 64)) != 0 || CRC16(make([]byte, 64)) != 0 {
+	if crcBits(make([]byte, 64), CRC24APoly, 24) != 0 || crcBits(make([]byte, 64), CRC16Poly, 16) != 0 {
 		t.Error("zero input must yield zero CRC")
 	}
 }
@@ -287,16 +287,6 @@ func TestRateMatchSoftCombining(t *testing.T) {
 	for i, v := range d0 {
 		if v < 10 {
 			t.Fatalf("d0[%d] = %d: repetition not combined", i, v)
-		}
-	}
-}
-
-func TestInterleaveTriples(t *testing.T) {
-	out := InterleaveTriples([]int16{1, 2}, []int16{3, 4}, []int16{5, 6}, 2)
-	want := []int16{1, 3, 5, 2, 4, 6}
-	for i := range want {
-		if out[i] != want[i] {
-			t.Fatalf("triple %d = %d, want %d", i, out[i], want[i])
 		}
 	}
 }

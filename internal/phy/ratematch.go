@@ -180,15 +180,3 @@ func (rm *RateMatcher) emitOps(n int) {
 		}
 	}
 }
-
-// InterleaveTriples converts the de-matched per-stream LLR buffers into
-// the interleaved [S P1 P2 …] stream the data arrangement process
-// consumes (the handoff point between rate de-matching and decoding in
-// Figure 8a).
-func InterleaveTriples(d0, d1, d2 []int16, k int) []int16 {
-	out := make([]int16, 0, 3*k)
-	for i := 0; i < k; i++ {
-		out = append(out, d0[i], d1[i], d2[i])
-	}
-	return out
-}

@@ -2,14 +2,15 @@ package pipeline
 
 import "math"
 
-// TTIConfig describes the cell-level throughput question of Figure 16:
-// transport blocks arrive every TTI and a pool of identical cores
-// processes them; a block missing its HARQ deadline is lost.
+// TTIConfig is the analytic queueing model vranserve cross-checks its
+// measured run against: transport blocks arrive every TTI and a pool of
+// identical cores processes them FIFO; a block missing its HARQ deadline
+// is lost.
 type TTIConfig struct {
 	// TTIUs is the transmission time interval (LTE: 1000 µs).
 	TTIUs float64
 	// ProcUs is the per-transport-block processing time on one core
-	// (measured by RunUplink).
+	// (vranserve feeds its measured decode cost per block).
 	ProcUs float64
 	// TBBits is the information payload per transport block.
 	TBBits int
@@ -20,29 +21,11 @@ type TTIConfig struct {
 	Cores int
 }
 
-// DefaultTTI returns LTE-shaped timing around a measured per-TB cost.
-func DefaultTTI(procUs float64, tbBits, cores int) TTIConfig {
-	return TTIConfig{TTIUs: 1000, ProcUs: procUs, TBBits: tbBits, DeadlineUs: 3000, Cores: cores}
-}
-
-// Simulate runs nTTIs intervals with `perTTI` transport blocks arriving
-// each TTI, processed FIFO by the core pool, and returns the fraction of
-// blocks that met the deadline and the achieved goodput in Mbps.
-func (c TTIConfig) Simulate(perTTI, nTTIs int) (delivered float64, mbps float64) {
-	if perTTI <= 0 || nTTIs <= 0 {
-		return 0, 0
-	}
-	arrivals := make([]int, nTTIs)
-	for i := range arrivals {
-		arrivals[i] = perTTI
-	}
-	return c.SimulateArrivals(arrivals)
-}
-
-// SimulateArrivals generalizes Simulate to an arbitrary per-TTI arrival
-// pattern (bursts, silences), which is what the serving runtime's
-// synthetic traffic actually produces; arrivals[t] blocks arrive at the
-// start of TTI t.
+// SimulateArrivals runs one TTI per entry of arrivals — arrivals[t]
+// blocks arrive at the start of TTI t, so bursts and silences are what
+// the serving runtime's synthetic traffic actually produces — processed
+// FIFO by the core pool, and returns the fraction of blocks that met the
+// deadline and the achieved goodput in Mbps.
 func (c TTIConfig) SimulateArrivals(arrivals []int) (delivered float64, mbps float64) {
 	if len(arrivals) == 0 || c.Cores <= 0 {
 		return 0, 0
@@ -77,33 +60,4 @@ func (c TTIConfig) SimulateArrivals(arrivals []int) (delivered float64, mbps flo
 	horizon := float64(len(arrivals)) * c.TTIUs
 	mbps = float64(ok) * float64(c.TBBits) / horizon // bits/µs = Mbps
 	return delivered, mbps
-}
-
-// MaxStableLoad returns the largest per-TTI block count whose delivery
-// ratio stays at or above the target (e.g. 0.99), and the corresponding
-// goodput.
-func (c TTIConfig) MaxStableLoad(target float64, nTTIs int) (perTTI int, mbps float64) {
-	best, bestMbps := 0, 0.0
-	for load := 1; load <= 4*c.Cores+8; load++ {
-		d, m := c.Simulate(load, nTTIs)
-		if d >= target {
-			best, bestMbps = load, m
-		} else if load > best+2 {
-			break
-		}
-	}
-	return best, bestMbps
-}
-
-// CoresForTarget returns the smallest pool able to sustain targetMbps
-// with the given delivery ratio.
-func CoresForTarget(targetMbps float64, procUs float64, tbBits int, delivery float64) int {
-	for cores := 1; cores <= 256; cores++ {
-		cfg := DefaultTTI(procUs, tbBits, cores)
-		_, mbps := cfg.MaxStableLoad(delivery, 200)
-		if mbps >= targetMbps {
-			return cores
-		}
-	}
-	return -1
 }

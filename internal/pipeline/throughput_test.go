@@ -5,10 +5,24 @@ import (
 	"testing/quick"
 )
 
+// lte is LTE-shaped timing (1 ms TTI, 3 ms processing deadline) around
+// a per-TB cost.
+func lte(procUs float64, tbBits, cores int) TTIConfig {
+	return TTIConfig{TTIUs: 1000, ProcUs: procUs, TBBits: tbBits, DeadlineUs: 3000, Cores: cores}
+}
+
+// flat is nTTIs TTIs of perTTI arrivals each.
+func flat(perTTI, nTTIs int) []int {
+	arrivals := make([]int, nTTIs)
+	for i := range arrivals {
+		arrivals[i] = perTTI
+	}
+	return arrivals
+}
+
 func TestTTISimulateUnderload(t *testing.T) {
 	// One 500µs block per 1000µs TTI on one core: everything delivered.
-	cfg := DefaultTTI(500, 12000, 1)
-	d, mbps := cfg.Simulate(1, 100)
+	d, mbps := lte(500, 12000, 1).SimulateArrivals(flat(1, 100))
 	if d != 1 {
 		t.Errorf("delivery %f, want 1 under light load", d)
 	}
@@ -20,44 +34,42 @@ func TestTTISimulateUnderload(t *testing.T) {
 func TestTTISimulateOverload(t *testing.T) {
 	// Four 800µs blocks per TTI on one core: the queue grows without
 	// bound and deadlines start failing.
-	cfg := DefaultTTI(800, 12000, 1)
-	d, _ := cfg.Simulate(4, 200)
+	d, _ := lte(800, 12000, 1).SimulateArrivals(flat(4, 200))
 	if d > 0.5 {
 		t.Errorf("delivery %f under 3.2x overload, want low", d)
 	}
 }
 
 func TestTTIMoreCoresMoreGoodput(t *testing.T) {
-	one := DefaultTTI(700, 12000, 1)
-	four := DefaultTTI(700, 12000, 4)
-	_, m1 := one.MaxStableLoad(0.99, 200)
-	_, m4 := four.MaxStableLoad(0.99, 200)
+	// Four 700µs blocks per TTI overload one core (~1.4 blocks per TTI)
+	// and fit in four; goodput never falls as cores are added.
+	prev := 0.0
+	var m1, m4 float64
+	for cores := 1; cores <= 8; cores++ {
+		_, m := lte(700, 12000, cores).SimulateArrivals(flat(4, 200))
+		if m < prev {
+			t.Errorf("%d cores sustain %f Mbps, below %d cores' %f", cores, m, cores-1, prev)
+		}
+		prev = m
+		switch cores {
+		case 1:
+			m1 = m
+		case 4:
+			m4 = m
+		}
+	}
 	if m4 < 3*m1 {
 		t.Errorf("4 cores sustain %f Mbps vs 1 core %f; want ~4x", m4, m1)
-	}
-}
-
-func TestCoresForTarget(t *testing.T) {
-	// 12 kb per TB at 600 µs/TB ⇒ one core sustains ~20 Mbps; 300 Mbps
-	// needs ~15-16 cores.
-	cores := CoresForTarget(300, 600, 12000, 0.99)
-	if cores < 14 || cores > 18 {
-		t.Errorf("cores for 300 Mbps = %d, want ~15-16", cores)
-	}
-	// A faster per-TB time must not need more cores.
-	faster := CoresForTarget(300, 450, 12000, 0.99)
-	if faster > cores {
-		t.Errorf("faster processing needs %d cores > %d", faster, cores)
 	}
 }
 
 // Property: delivery ratio never increases when load increases.
 func TestTTIDeliveryMonotone(t *testing.T) {
 	f := func(procRaw uint8, coresRaw uint8) bool {
-		cfg := DefaultTTI(float64(procRaw%200)*10+100, 10000, int(coresRaw%4)+1)
+		cfg := lte(float64(procRaw%200)*10+100, 10000, int(coresRaw%4)+1)
 		prev := 1.0
 		for load := 1; load <= 6; load++ {
-			d, _ := cfg.Simulate(load, 50)
+			d, _ := cfg.SimulateArrivals(flat(load, 50))
 			if d > prev+1e-9 {
 				return false
 			}
@@ -71,13 +83,15 @@ func TestTTIDeliveryMonotone(t *testing.T) {
 }
 
 func TestTTIEdgeCases(t *testing.T) {
-	cfg := DefaultTTI(100, 1000, 0)
-	if d, m := cfg.Simulate(1, 10); d != 0 || m != 0 {
+	if d, m := lte(100, 1000, 0).SimulateArrivals(flat(1, 10)); d != 0 || m != 0 {
 		t.Error("zero cores should deliver nothing")
 	}
-	cfg = DefaultTTI(100, 1000, 1)
-	if d, m := cfg.Simulate(0, 10); d != 0 || m != 0 {
+	cfg := lte(100, 1000, 1)
+	if d, m := cfg.SimulateArrivals(flat(0, 10)); d != 0 || m != 0 {
 		t.Error("zero load should report zeros")
+	}
+	if d, m := cfg.SimulateArrivals(nil); d != 0 || m != 0 {
+		t.Error("no TTIs should report zeros")
 	}
 }
 
@@ -85,7 +99,7 @@ func TestTTIZeroDeadline(t *testing.T) {
 	// A zero deadline budget means nothing is deliverable, even with
 	// instant processing: the serving layer treats it as "shed all".
 	cfg := TTIConfig{TTIUs: 1000, ProcUs: 0, TBBits: 1000, DeadlineUs: 0, Cores: 4}
-	if d, m := cfg.Simulate(2, 50); d != 0 || m != 0 {
+	if d, m := cfg.SimulateArrivals(flat(2, 50)); d != 0 || m != 0 {
 		t.Errorf("zero deadline delivered %.2f (%.2f Mbps), want nothing", d, m)
 	}
 }
@@ -108,29 +122,11 @@ func TestTTIBurstArrival(t *testing.T) {
 	}
 
 	// The same blocks spread evenly are all deliverable.
-	even := make([]int, 20)
-	for i := range even {
-		even[i] = 1
-	}
-	dEven, _ := cfg.SimulateArrivals(even)
+	dEven, _ := cfg.SimulateArrivals(flat(1, 20))
 	if dEven != 1 {
 		t.Errorf("even delivery %.3f, want 1", dEven)
 	}
 	if dEven <= d {
 		t.Error("bursts must hurt delivery relative to even arrivals")
-	}
-}
-
-func TestTTISimulateMatchesArrivals(t *testing.T) {
-	// Simulate(perTTI, n) must be exactly SimulateArrivals(flat pattern).
-	cfg := DefaultTTI(700, 8000, 2)
-	arr := make([]int, 40)
-	for i := range arr {
-		arr[i] = 3
-	}
-	d1, m1 := cfg.Simulate(3, 40)
-	d2, m2 := cfg.SimulateArrivals(arr)
-	if d1 != d2 || m1 != m2 {
-		t.Errorf("Simulate (%.3f, %.3f) != SimulateArrivals (%.3f, %.3f)", d1, m1, d2, m2)
 	}
 }

@@ -30,9 +30,9 @@ func pushAt(t *testing.T, r *Runtime, cell, k int, due time.Duration, now time.T
 	}
 }
 
-// TestBatcherFillsLaneGroups: a take holds at most lanes blocks, all of
+// TestTakeFillsLaneGroups: a take holds at most lanes blocks, all of
 // one K, and leaves the rest for the next take.
-func TestBatcherFillsLaneGroups(t *testing.T) {
+func TestTakeFillsLaneGroups(t *testing.T) {
 	r := bareSLARuntime(1, 64, SLAConfig{})
 	for i := 0; i < 6; i++ {
 		r.rq.push(mkBlock(104), true)
@@ -53,11 +53,11 @@ func TestBatcherFillsLaneGroups(t *testing.T) {
 	}
 }
 
-// TestBatcherKeepsKsApart: blocks of different K never share a take;
+// TestTakeKeepsKsApart: blocks of different K never share a take;
 // URLLC comes before eMBB whatever the deadlines, and within a class the
 // K whose head deadline is earliest wins. A URLLC take while eMBB waits
 // is a steal.
-func TestBatcherKeepsKsApart(t *testing.T) {
+func TestTakeKeepsKsApart(t *testing.T) {
 	r := mixedRuntime()
 	now := time.Now()
 	pushAt(t, r, 1, 40, 3*time.Millisecond, now)
@@ -86,9 +86,9 @@ func TestBatcherKeepsKsApart(t *testing.T) {
 	}
 }
 
-// TestBatcherFlushOnTimeout: nothing waits for lane co-travellers — a
+// TestTakeLoneBlockAtOnce: nothing waits for lane co-travellers — a
 // lone block is taken at once, by a taker already waiting for work too.
-func TestBatcherFlushOnTimeout(t *testing.T) {
+func TestTakeLoneBlockAtOnce(t *testing.T) {
 	r := bareSLARuntime(1, 64, SLAConfig{})
 	r.rq.push(mkBlock(40), true)
 	if got, ok := r.take(nil); !ok || len(got) != 1 {
@@ -106,9 +106,9 @@ func TestBatcherFlushOnTimeout(t *testing.T) {
 	}
 }
 
-// TestBatcherForceFlush: close hands back every group — a taker drains
-// them all, URLLC first — and every push after it is refused.
-func TestBatcherForceFlush(t *testing.T) {
+// TestCloseDrainsEveryGroup: close hands back every group — a taker
+// drains them all, URLLC first — and every push after it is refused.
+func TestCloseDrainsEveryGroup(t *testing.T) {
 	r := mixedRuntime()
 	now := time.Now()
 	pushAt(t, r, 1, 40, time.Second, now)
@@ -246,10 +246,10 @@ func waitParked(r *Runtime, parked func(*ready) bool) {
 	}
 }
 
-// TestRuntimeFlushOnTimeout covers the wired-up path: a single block in
-// a 4-lane build is decoded as soon as it arrives, alone, with the waste
-// showing up in the lane-occupancy metric.
-func TestRuntimeFlushOnTimeout(t *testing.T) {
+// TestRuntimeDecodesLoneBlockAtOnce covers the wired-up path: a single
+// block in a 4-lane build is decoded as soon as it arrives, alone, with
+// the waste showing up in the lane-occupancy metric.
+func TestRuntimeDecodesLoneBlockAtOnce(t *testing.T) {
 	rt, err := New(testConfig(simd.W512))
 	if err != nil {
 		t.Fatal(err)

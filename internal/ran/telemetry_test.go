@@ -231,14 +231,8 @@ func TestProgramMetricsExposition(t *testing.T) {
 		}
 	}
 
-	found := false
-	for _, st := range telemetry.ServeStages() {
-		if st == telemetry.StageCompile {
-			found = true
-		}
-	}
-	if !found {
-		t.Error("compile stage missing from ServeStages vocabulary")
+	if telemetry.SpanCompile.Name() != telemetry.StageCompile {
+		t.Errorf("compile span names as %q, want %q", telemetry.SpanCompile.Name(), telemetry.StageCompile)
 	}
 }
 

@@ -54,10 +54,6 @@ func (w *Worker) Close() {
 	w.shipper.close()
 }
 
-// Runtime exposes the wrapped runtime (tests and process mains need its
-// Snapshot/Stop).
-func (w *Worker) Runtime() *ran.Runtime { return w.rt }
-
 // ServeConn reads frames off the link until EOF or a transport error,
 // dispatching each one. Data frames are one-way (the U-plane);
 // management frames get a lock-step response on the same link. Returns

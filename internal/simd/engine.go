@@ -191,11 +191,6 @@ func (e *Engine) PXor(dst, a, b *Vec) {
 	e.bytewise("vpxor", dst, a, b, func(x, y byte) byte { return x ^ y })
 }
 
-// PAndN computes (^a) & b, matching x86 PANDN operand order.
-func (e *Engine) PAndN(dst, a, b *Vec) {
-	e.bytewise("vpandn", dst, a, b, func(x, y byte) byte { return ^x & y })
-}
-
 // PSraW shifts every active 16-bit lane of a right arithmetically by imm
 // bits (psraw with an immediate).
 func (e *Engine) PSraW(dst, a *Vec, imm uint) {
@@ -218,24 +213,6 @@ func (e *Engine) Broadcast16(dst *Vec, x int16) {
 		dst.SetLane16(i, x)
 	}
 	dst.writer = e.emit(trace.Inst{Class: trace.VecALU, Mnemonic: "vpbroadcastw", Deps: trace.Deps3()})
-}
-
-// Broadcast16FromMem fills every active lane of dst with the int16 at
-// mem[addr] (vpbroadcastw with a memory operand: one load µop).
-func (e *Engine) Broadcast16FromMem(dst *Vec, addr int64) {
-	x := e.Mem.ReadI16(addr)
-	n := e.W.Lanes16()
-	for i := 0; i < n; i++ {
-		dst.SetLane16(i, x)
-	}
-	d1, d2 := e.loadDeps(addr, 2)
-	dst.writer = e.emit(trace.Inst{
-		Class:    trace.Load,
-		Mnemonic: "vpbroadcastw",
-		Bytes:    2,
-		Addr:     addr,
-		Deps:     trace.Deps3(d1, d2),
-	})
 }
 
 // SetImm loads an immediate lane pattern into dst, modeling a constant
@@ -396,36 +373,6 @@ func (e *Engine) StoreVec(addr int64, src *Vec) {
 	e.noteStore(addr, n, idx)
 }
 
-// LoadVec128 loads exactly 128 bits into the low lanes of dst regardless
-// of the engine width. State-parallel kernels (the 8-state turbo
-// recursions) stay xmm-sized even when the rest of the pipeline uses
-// wider registers.
-func (e *Engine) LoadVec128(dst *Vec, addr int64) {
-	dst.b = [64]byte{}
-	copy(dst.b[:16], e.Mem.data[addr:addr+16])
-	d1, d2 := e.loadDeps(addr, 16)
-	dst.writer = e.emit(trace.Inst{
-		Class:    trace.Load,
-		Mnemonic: "movdqu",
-		Bytes:    16,
-		Addr:     addr,
-		Deps:     trace.Deps3(d1, d2),
-	})
-}
-
-// StoreVec128 stores exactly the low 128 bits of src to mem[addr].
-func (e *Engine) StoreVec128(addr int64, src *Vec) {
-	copy(e.Mem.data[addr:addr+16], src.b[:16])
-	idx := e.emit(trace.Inst{
-		Class:    trace.Store,
-		Mnemonic: "movdqu",
-		Bytes:    16,
-		Addr:     addr,
-		Deps:     trace.Deps3(dep(src)),
-	})
-	e.noteStore(addr, 16, idx)
-}
-
 // PExtrWToMem extracts 16-bit lane of src directly to memory (pextrw with
 // a memory destination): the original data arrangement's workhorse. It
 // moves only 2 bytes per µop and occupies a store port, which is exactly
@@ -442,20 +389,6 @@ func (e *Engine) PExtrWToMem(addr int64, src *Vec, lane int) {
 	e.noteStore(addr, 2, idx)
 }
 
-// PInsrWFromMem loads a 16-bit value from memory into lane of dst
-// (pinsrw), a 2-byte load µop.
-func (e *Engine) PInsrWFromMem(dst *Vec, addr int64, lane int) {
-	d1, d2 := e.loadDeps(addr, 2)
-	dst.SetLane16(lane, e.Mem.ReadI16(addr))
-	dst.writer = e.emit(trace.Inst{
-		Class:    trace.Load,
-		Mnemonic: "pinsrw",
-		Bytes:    2,
-		Addr:     addr,
-		Deps:     trace.Deps3(d1, d2, dep(dst)),
-	})
-}
-
 // ---- scalar and control-flow modeling ----
 
 // EmitScalar emits n independent scalar ALU µops named mnem. Used by the
@@ -464,20 +397,6 @@ func (e *Engine) PInsrWFromMem(dst *Vec, addr int64, lane int) {
 func (e *Engine) EmitScalar(mnem string, n int) {
 	for i := 0; i < n; i++ {
 		e.emit(trace.Inst{Class: trace.ScalarALU, Mnemonic: mnem, Deps: trace.Deps3()})
-	}
-}
-
-// EmitScalarChain emits n serially dependent scalar ALU µops (each
-// depends on the previous), modeling a loop-carried dependency.
-func (e *Engine) EmitScalarChain(mnem string, n int) {
-	prev := int(trace.NoDep)
-	for i := 0; i < n; i++ {
-		idx := e.emit(trace.Inst{
-			Class:    trace.ScalarALU,
-			Mnemonic: mnem,
-			Deps:     trace.Deps3(prev),
-		})
-		prev = int(idx)
 	}
 }
 

@@ -45,97 +45,6 @@ func TestPSraWProperty(t *testing.T) {
 	}
 }
 
-func TestBroadcast16FromMem(t *testing.T) {
-	for _, w := range Widths {
-		e := newTestEngine(w)
-		addr := e.Mem.Alloc(8, 8)
-		e.Mem.WriteI16(addr+2, -777)
-		d := e.NewVec()
-		e.Broadcast16FromMem(d, addr+2)
-		for i := 0; i < w.Lanes16(); i++ {
-			if d.Lane16(i) != -777 {
-				t.Fatalf("%v lane %d = %d", w, i, d.Lane16(i))
-			}
-		}
-		// Must be a 2-byte load µop.
-		insts := e.Recorder().Insts()
-		last := insts[len(insts)-1]
-		if last.Class != trace.Load || last.Bytes != 2 {
-			t.Errorf("broadcast emitted %v/%d bytes, want load/2", last.Class, last.Bytes)
-		}
-	}
-}
-
-func TestBroadcastFromMemSeesRecentStore(t *testing.T) {
-	e := newTestEngine(W128)
-	addr := e.Mem.Alloc(64, 64)
-	v := e.NewVec()
-	e.Broadcast16(v, 42)
-	e.StoreVec(addr, v)
-	d := e.NewVec()
-	e.Broadcast16FromMem(d, addr)
-	if d.Lane16(0) != 42 {
-		t.Fatal("functional store->broadcast failed")
-	}
-	insts := e.Recorder().Insts()
-	last := insts[len(insts)-1]
-	storeIdx := int32(len(insts) - 2)
-	if last.Deps[0] != storeIdx && last.Deps[1] != storeIdx {
-		t.Errorf("broadcast deps %v missing store %d", last.Deps, storeIdx)
-	}
-}
-
-func TestLoadStoreVec128AtWiderWidths(t *testing.T) {
-	for _, w := range []Width{W256, W512} {
-		e := newTestEngine(w)
-		addr := e.Mem.Alloc(64, 64)
-		src := e.NewVec()
-		for i := 0; i < w.Lanes16(); i++ {
-			src.SetLane16(i, int16(100+i))
-		}
-		e.StoreVec128(addr, src)
-		// Only 16 bytes written.
-		if e.Mem.ReadI16(addr+14) != 107 {
-			t.Errorf("%v: lane 7 not stored", w)
-		}
-		if e.Mem.ReadI16(addr+16) != 0 {
-			t.Errorf("%v: StoreVec128 wrote past 128 bits", w)
-		}
-		dst := e.NewVec()
-		dst.SetLane16(20, 999)
-		e.LoadVec128(dst, addr)
-		for i := 0; i < 8; i++ {
-			if dst.Lane16(i) != int16(100+i) {
-				t.Errorf("%v: lane %d wrong after LoadVec128", w, i)
-			}
-		}
-		if dst.Lane16(20) != 0 {
-			t.Errorf("%v: LoadVec128 should zero upper lanes", w)
-		}
-		// Byte accounting: both µops must say 16 bytes.
-		for _, in := range e.Recorder().Insts() {
-			if in.Mnemonic == "movdqu" && in.Bytes != 16 {
-				t.Errorf("%v: movdqu bytes = %d", w, in.Bytes)
-			}
-		}
-	}
-}
-
-func TestPInsrWFromMem(t *testing.T) {
-	e := newTestEngine(W128)
-	addr := e.Mem.Alloc(16, 16)
-	e.Mem.WriteI16(addr+4, 1234)
-	d := e.NewVec()
-	d.SetLanes16([]int16{1, 2, 3, 4, 5, 6, 7, 8})
-	e.PInsrWFromMem(d, addr+4, 5)
-	want := []int16{1, 2, 3, 4, 5, 1234, 7, 8}
-	for i, wv := range want {
-		if d.Lane16(i) != wv {
-			t.Errorf("lane %d = %d, want %d (insert must preserve others)", i, d.Lane16(i), wv)
-		}
-	}
-}
-
 func TestSetImmEmitsConstantLoad(t *testing.T) {
 	e := newTestEngine(W256)
 	v := e.NewVec()

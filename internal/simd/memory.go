@@ -71,20 +71,3 @@ func (m *Memory) ReadI16s(addr int64, n int) []int16 {
 	}
 	return out
 }
-
-// WriteI16s writes xs consecutively starting at addr.
-func (m *Memory) WriteI16s(addr int64, xs []int16) {
-	for i, x := range xs {
-		m.WriteI16(addr+int64(2*i), x)
-	}
-}
-
-// ReadU32 reads an unsigned 32-bit little-endian value.
-func (m *Memory) ReadU32(addr int64) uint32 {
-	return binary.LittleEndian.Uint32(m.data[addr:])
-}
-
-// WriteU32 writes an unsigned 32-bit little-endian value.
-func (m *Memory) WriteU32(addr int64, x uint32) {
-	binary.LittleEndian.PutUint32(m.data[addr:], x)
-}

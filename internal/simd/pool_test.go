@@ -20,9 +20,9 @@ func TestAcquireVecSemantics(t *testing.T) {
 	if got != v {
 		t.Error("AcquireVec did not reuse the released register")
 	}
-	for _, lane := range got.Lanes16(W512.Lanes16()) {
-		if lane != 0 {
-			t.Fatalf("recycled register not cleared: %v", got.Lanes16(W512.Lanes16()))
+	for i := 0; i < W512.Lanes16(); i++ {
+		if got.Lane16(i) != 0 {
+			t.Fatalf("recycled register not cleared: lane %d = %d", i, got.Lane16(i))
 		}
 	}
 	if e.FreeVecs() != 0 {

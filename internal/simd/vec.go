@@ -54,19 +54,6 @@ func (w Width) String() string {
 	return fmt.Sprintf("W%d", w.Bits())
 }
 
-// RegName returns the x86 register-file name for the width.
-func (w Width) RegName() string {
-	switch w {
-	case W128:
-		return "xmm"
-	case W256:
-		return "ymm"
-	case W512:
-		return "zmm"
-	}
-	return "?mm"
-}
-
 // Vec is one emulated vector register. It always reserves the maximum
 // 512 bits of storage; the Engine's Width decides how many bytes are
 // active. A Vec must be obtained from Engine.NewVec (or be zero-valued)
@@ -79,9 +66,6 @@ type Vec struct {
 	writer int32
 }
 
-// Bytes returns the first n bytes of the register's storage.
-func (v *Vec) Bytes(n int) []byte { return v.b[:n] }
-
 // Lane16 returns the signed 16-bit value in lane i.
 func (v *Vec) Lane16(i int) int16 {
 	return int16(uint16(v.b[2*i]) | uint16(v.b[2*i+1])<<8)
@@ -92,15 +76,6 @@ func (v *Vec) Lane16(i int) int16 {
 func (v *Vec) SetLane16(i int, x int16) {
 	v.b[2*i] = byte(uint16(x))
 	v.b[2*i+1] = byte(uint16(x) >> 8)
-}
-
-// Lanes16 copies the first n 16-bit lanes into a fresh slice.
-func (v *Vec) Lanes16(n int) []int16 {
-	out := make([]int16, n)
-	for i := range out {
-		out[i] = v.Lane16(i)
-	}
-	return out
 }
 
 // SetLanes16 fills lanes from xs. It is a test/setup helper and does not

@@ -69,15 +69,3 @@ const (
 	// (coordinator view), recorded once per migration.
 	StageInstall = "install"
 )
-
-// ServeStages lists every span stage in pipeline order: the cross-hop
-// prefix (route → ingest), the per-runtime serving path (queue →
-// compile), then the out-of-band stages (HARQ retries and migration
-// steps).
-func ServeStages() []string {
-	return []string{
-		StageRoute, StageEncodeWire, StagePark, StageLink, StageIngest,
-		StageQueue, StageBatch, StageDecode, StageCompile,
-		StageHARQRetry, StageDrain, StageInstall,
-	}
-}

@@ -162,9 +162,6 @@ func NewTracer(ringSize, slowestN int) *Tracer {
 	return &Tracer{ring: make([]Span, ringSize), keep: slowestN}
 }
 
-// Enabled reports whether spans are being collected.
-func (t *Tracer) Enabled() bool { return t != nil }
-
 // Record folds one completed span into the aggregates. Safe for
 // concurrent use; a no-op on a nil tracer.
 func (t *Tracer) Record(sp Span) {

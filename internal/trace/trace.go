@@ -93,17 +93,8 @@ func (r *Recorder) Emit(inst Inst) int {
 // Len reports the number of recorded instructions.
 func (r *Recorder) Len() int { return len(r.insts) }
 
-// At returns the i-th instruction.
-func (r *Recorder) At(i int) Inst { return r.insts[i] }
-
 // Insts exposes the underlying slice; callers must not mutate it.
 func (r *Recorder) Insts() []Inst { return r.insts }
-
-// Reset discards all recorded instructions but keeps capacity.
-func (r *Recorder) Reset() { r.insts = r.insts[:0] }
-
-// Slice returns the instructions in [lo, hi).
-func (r *Recorder) Slice(lo, hi int) []Inst { return r.insts[lo:hi] }
 
 // Mix summarizes the instruction-class composition of a trace.
 type Mix struct {
@@ -128,14 +119,6 @@ func MixOf(insts []Inst) Mix {
 		}
 	}
 	return m
-}
-
-// Fraction returns the share of instructions in class c, in [0,1].
-func (m Mix) Fraction(c Class) float64 {
-	if m.Total == 0 {
-		return 0
-	}
-	return float64(m.Count[c]) / float64(m.Total)
 }
 
 // String renders the mix as "class=count" pairs for debugging.

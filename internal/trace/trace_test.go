@@ -15,15 +15,8 @@ func TestRecorderBasics(t *testing.T) {
 	if i0 != 0 || i1 != 1 || r.Len() != 2 {
 		t.Fatal("emit indices wrong")
 	}
-	if r.At(1).Deps[0] != 0 {
+	if r.Insts()[1].Deps[0] != 0 {
 		t.Fatal("dependency lost")
-	}
-	if len(r.Slice(0, 2)) != 2 {
-		t.Fatal("slice wrong")
-	}
-	r.Reset()
-	if r.Len() != 0 {
-		t.Fatal("reset failed")
 	}
 }
 
@@ -54,14 +47,8 @@ func TestMixAccounting(t *testing.T) {
 	if m.Total != 5 || m.Count[Store] != 2 || m.LoadBytes != 16 || m.StoreBytes != 4 {
 		t.Errorf("mix = %+v", m)
 	}
-	if f := m.Fraction(Store); f != 0.4 {
-		t.Errorf("store fraction = %f", f)
-	}
 	if m.String() == "" {
 		t.Error("empty mix string")
-	}
-	if (Mix{}).Fraction(Load) != 0 {
-		t.Error("empty mix fraction should be 0")
 	}
 }
 

@@ -6,13 +6,6 @@ import (
 	"math/rand"
 )
 
-// NewGeneratorRand builds a packet generator driven by an explicit
-// *rand.Rand, so callers that run many generators concurrently can give
-// each its own (race-free, reproducible) randomness stream.
-func NewGeneratorRand(p Proto, rng *rand.Rand) *Generator {
-	return &Generator{Proto: p, rng: rng}
-}
-
 // ArrivalProcess produces per-TTI arrival counts for one traffic
 // source. Implementations are deterministic functions of the *rand.Rand
 // they were constructed with, so two processes seeded identically
@@ -104,10 +97,6 @@ func (b *BurstyProcess) Next() int {
 	b.remain--
 	return b.inner.Next()
 }
-
-// On reports whether the process is currently in its ON (burst) dwell —
-// the ground truth a burst estimator's state is judged against.
-func (b *BurstyProcess) On() bool { return b.onAir }
 
 // MeanRate returns the long-run per-TTI arrival mean of the process.
 func (b *BurstyProcess) MeanRate() float64 {

@@ -31,12 +31,6 @@ func checkBlockSize(k int) error {
 	return nil
 }
 
-// QPP exposes the interleaver.
-func (c *Code) QPP() *QPP { return c.qpp }
-
-// Trellis exposes the branch tables.
-func (c *Code) Trellis() *Trellis { return c.trellis }
-
 // Codeword is the encoder output: the three K-bit streams plus the
 // termination tail of the first constituent encoder. (The second
 // constituent is left unterminated and the decoder initializes its

@@ -27,9 +27,6 @@ func NewSimulator(cfg Config, hier *cache.Hierarchy) *Simulator {
 	return &Simulator{cfg: cfg, hier: hier}
 }
 
-// Config returns the simulator's core configuration.
-func (s *Simulator) Config() Config { return s.cfg }
-
 // Run simulates insts to completion and returns the timing result.
 //
 // The model: a perfect frontend delivers cfg.IssueWidth µops per cycle

@@ -16,7 +16,8 @@
 // "extract" row beside each packed one runs the paper's original
 // arrangement the same way, and both time hot Runs of each program
 // segment: the prefix (the arrangement stage, once a decode) and one
-// iteration, each as a median with its quartile spread. The "losnr" and
+// iteration, each as a median with its quartile spread, the samples of
+// the two programs' segments taken in turn. The "losnr" and
 // "losnr-crc" rows (W512, K=512 and K=2048) decode a pool of noisy words
 // with early exit on the repeat test alone and with the CRC24B check as
 // its second stop test (turbo.BatchDecoder.Accept), and report the
@@ -97,9 +98,9 @@ type DecodeBenchRow struct {
 	// PrefixNs and IterationNs are a hot Run of the row's program
 	// segments: SegFirst, the prefix a decode runs once (arrangement,
 	// systematic interleave, la1 clear), and SegSteady, one iteration —
-	// each the median of segmentSamples timings (timeSegment), with the
+	// each the median of segmentSamples timings (timeSegments), with the
 	// spread between their first and third quartiles beside it. W512
-	// packed and extract rows only.
+	// packed and extract rows only, whose samples alternate.
 	PrefixNs       float64 `json:"prefix_ns,omitempty"`
 	PrefixNsIQR    float64 `json:"prefix_ns_iqr,omitempty"`
 	IterationNs    float64 `json:"iteration_ns,omitempty"`
@@ -205,12 +206,22 @@ func RunDecodeBench(quick bool) (*DecodeBenchReport, error) {
 			if w == simd.W512 {
 				cells = append(cells[:len(cells):len(cells)], "extract")
 			}
+			var timed []int
+			var progs []*program.Program
 			for _, mode := range cells {
-				row, err := runDecodeCell(mode, w, k, words)
+				row, prog, err := runDecodeCell(mode, w, k, words)
 				if err != nil {
 					return nil, err
 				}
 				rep.Rows = append(rep.Rows, row)
+				if prog != nil {
+					timed, progs = append(timed, len(rep.Rows)-1), append(progs, prog)
+				}
+			}
+			for i, t := range timeSegments(progs) {
+				r := &rep.Rows[timed[i]]
+				r.PrefixNs, r.PrefixNsIQR = t[program.SegFirst][0], t[program.SegFirst][1]
+				r.IterationNs, r.IterationNsIQR = t[program.SegSteady][0], t[program.SegSteady][1]
 			}
 		}
 	}
@@ -433,8 +444,9 @@ func runFirstDecodes(w simd.Width, k int, words []*turbo.LLRWord) (rows []Decode
 }
 
 // runDecodeCell benchmarks one (mode, width, K) combination over a full
-// batch of words.
-func runDecodeCell(mode string, w simd.Width, k int, words []*turbo.LLRWord) (DecodeBenchRow, error) {
+// batch of words, and returns the program of a W512 packed or extract row,
+// whose segments the caller times.
+func runDecodeCell(mode string, w simd.Width, k int, words []*turbo.LLRWord) (DecodeBenchRow, *program.Program, error) {
 	nb := len(words)
 	if mode == "portable" {
 		defer program.UseNativeKernel(program.UseNativeKernel(false))
@@ -450,11 +462,11 @@ func runDecodeCell(mode string, w simd.Width, k int, words []*turbo.LLRWord) (De
 	// the measured loop starts on the hot path.
 	for i := 0; i < 2; i++ {
 		if _, _, err := bd.Decode(k, words); err != nil {
-			return DecodeBenchRow{}, err
+			return DecodeBenchRow{}, nil, err
 		}
 	}
 	if bd.Compile && bd.ProgramStats().CompiledPlans == 0 {
-		return DecodeBenchRow{}, fmt.Errorf("bench: warm-up did not compile a program for K=%d at %v", k, w)
+		return DecodeBenchRow{}, nil, fmt.Errorf("bench: warm-up did not compile a program for K=%d at %v", k, w)
 	}
 	var inner error
 	res := testing.Benchmark(func(b *testing.B) {
@@ -467,7 +479,7 @@ func runDecodeCell(mode string, w simd.Width, k int, words []*turbo.LLRWord) (De
 		}
 	})
 	if inner != nil {
-		return DecodeBenchRow{}, inner
+		return DecodeBenchRow{}, nil, inner
 	}
 	row := DecodeBenchRow{
 		Mode: mode, Width: w.String(), K: k, Lanes: nb,
@@ -481,11 +493,9 @@ func runDecodeCell(mode string, w simd.Width, k int, words []*turbo.LLRWord) (De
 		row.GoodputMbps = float64(k*nb) / (row.NsPerOp / 1e3)
 	}
 	if (mode == "packed" || mode == "extract") && w == simd.W512 {
-		prog := bd.PlanProgram(k)
-		row.PrefixNs, row.PrefixNsIQR = timeSegment(prog, program.SegFirst)
-		row.IterationNs, row.IterationNsIQR = timeSegment(prog, program.SegSteady)
+		return row, bd.PlanProgram(k), nil
 	}
-	return row, nil
+	return row, nil, nil
 }
 
 // segmentSamples is how many timings a segment's time is the median of.
@@ -494,30 +504,52 @@ func runDecodeCell(mode string, w simd.Width, k int, words []*turbo.LLRWord) (De
 // one were.
 const segmentSamples = 21
 
-// timeSegment times hot Runs of segment seg of prog over a region of its
-// own and returns the median of segmentSamples samples and the spread
-// between their first and third quartiles. A sample is the mean Run of a
-// batch that lasts at least 0.1 ms, so the clock's granularity is no part
-// of it. A segment does the same work whatever its region holds, so the
-// region is left as it is.
-func timeSegment(prog *program.Program, seg int) (median, iqr float64) {
-	x := prog.NewExec(simd.NewMemory(int(prog.Extent())+1), 0)
-	batch := func(n int) time.Duration {
-		start := time.Now()
-		for i := 0; i < n; i++ {
-			prog.Run(x, seg)
+// timeSegments times hot Runs of both segments of each of progs, each
+// program over a region of its own, and returns per program and segment
+// the median of segmentSamples samples and the spread between their first
+// and third quartiles. The samples are taken in turn, one of each
+// (program, segment) a round, so a host that slows down slows every one
+// alike. A sample is the mean Run of a batch that lasts at least 0.1 ms,
+// so the clock's granularity is no part of it. A segment does the same
+// work whatever its region holds, so the region is left as it is.
+func timeSegments(progs []*program.Program) [][2][2]float64 {
+	type timed struct {
+		batch   func() time.Duration
+		n       int
+		samples []float64
+	}
+	cells := make([][2]*timed, len(progs))
+	for i, prog := range progs {
+		x := prog.NewExec(simd.NewMemory(int(prog.Extent())+1), 0)
+		for seg := range cells[i] {
+			c := &timed{n: 1}
+			c.batch = func() time.Duration {
+				start := time.Now()
+				for range c.n {
+					prog.Run(x, seg)
+				}
+				return time.Since(start)
+			}
+			for c.batch() < 100*time.Microsecond {
+				c.n *= 2
+			}
+			cells[i][seg] = c
 		}
-		return time.Since(start)
 	}
-	n := 1
-	for batch(n) < 100*time.Microsecond {
-		n *= 2
+	for range segmentSamples {
+		for _, cs := range cells {
+			for _, c := range cs {
+				c.samples = append(c.samples, float64(c.batch().Nanoseconds())/float64(c.n))
+			}
+		}
 	}
-	samples := make([]float64, segmentSamples)
-	for i := range samples {
-		samples[i] = float64(batch(n).Nanoseconds()) / float64(n)
+	out := make([][2][2]float64, len(progs))
+	for i, cs := range cells {
+		for seg, c := range cs {
+			out[i][seg][0], out[i][seg][1] = medianIQR(c.samples)
+		}
 	}
-	return medianIQR(samples)
+	return out
 }
 
 // medianIQR sorts samples and returns their median and the spread

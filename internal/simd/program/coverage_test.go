@@ -1,6 +1,8 @@
 package program_test
 
 import (
+	"os"
+	"regexp"
 	"testing"
 
 	"vransim/internal/core"
@@ -56,10 +58,46 @@ func TestEveryFusedKindOccurs(t *testing.T) {
 	}
 }
 
+// TestDispatchChainByFrequency: the native kernel finds a record's body
+// through a chain of compare-and-branch pairs (kern_amd64.s), so a record
+// pays a pair for every kind ahead of it. The chain must name the kinds in
+// the order of how often serving dispatches them: over the W512 APCM
+// programs of K = 40, 512, 2048 and 6144, SegFirst once and SegSteady
+// twice, as a served block runs two iterations. A kind behind a less
+// frequent one fails, as does a kind a decode dispatches that the chain
+// does not name.
+func TestDispatchChainByFrequency(t *testing.T) {
+	counts := make(map[string]int)
+	for _, k := range []int{40, 512, 2048, 6144} {
+		for name, n := range packedPlan(t, core.StrategyAPCM, simd.W512, k).ExecutedKindCounts(2) {
+			counts[name] += n
+		}
+	}
+	src, err := os.ReadFile("kern_amd64.s")
+	if err != nil {
+		t.Fatal(err)
+	}
+	chained := make(map[string]bool)
+	prev := ""
+	for _, m := range regexp.MustCompile(`CMPL AX, \$const_(n\w+)`).FindAllSubmatch(src, -1) {
+		name := string(m[1])
+		t.Logf("%-14s %8d", name, counts[name])
+		if prev != "" && counts[name] > counts[prev] {
+			t.Errorf("%s (%d records) is dispatched behind %s (%d)", name, counts[name], prev, counts[prev])
+		}
+		chained[name], prev = true, name
+	}
+	for name, n := range counts {
+		if !chained[name] {
+			t.Errorf("%s (%d records) is not in the dispatch chain", name, n)
+		}
+	}
+}
+
 // TestFirstSegmentIsThePrefix: the first segment of every packed plan is
 // the prefix alone — the arrangement, the systematic interleave gather and
 // the la1 clear — and the steady segment is the whole iteration. SegFirst
-// holds no trellis step, gamma scatter or extrinsic group, whichever
+// holds no trellis step, gamma group or extrinsic group, whichever
 // arrangement made it. The prefix's gather is a quad gather like the
 // iteration's two, and neither arrangement forms one, so SegFirst holds
 // exactly half the steady segment's quad gathers.
@@ -69,7 +107,7 @@ func TestFirstSegmentIsThePrefix(t *testing.T) {
 			for _, k := range []int{40, 512} {
 				p := packedPlan(t, s, w, k)
 				first, steady := p.FusedKindCounts(program.SegFirst), p.FusedKindCounts(program.SegSteady)
-				for _, name := range []string{"alpha step", "beta step", "quad scatter", "ext vec"} {
+				for _, name := range []string{"alpha step", "beta step", "gamma group", "ext vec"} {
 					if first[name] != 0 || steady[name] == 0 {
 						t.Errorf("%v/%v/K=%d: %d %s ops in SegFirst, %d in SegSteady; want none and some",
 							s, w, k, first[name], name, steady[name])

@@ -53,9 +53,9 @@ type Emitter struct {
 	// tabIDs maps each table named so far, by identity, to its vector in
 	// the pool, and slots each distinct vector to its place there. recent
 	// caches tabIDs, direct-mapped by address: a trellis sweep names the
-	// same five to eight tables as the one before it and a gamma scatter
-	// one of the same 32, and a look here is several times cheaper than
-	// one in the map.
+	// same five to eight tables as the one before it and a gamma sweep the
+	// same 32, and a look here is several times cheaper than one in the
+	// map.
 	tabIDs map[*int32]int32
 	slots  map[[regStride]uint16]int32
 	recent [64]struct {
@@ -358,12 +358,10 @@ func (e *Emitter) Sra(d, a Reg, imm uint) {
 	e.record(1, nSra, shift(imm), e.reg(d), e.reg(a))
 }
 
-// AddS, SubS, And, Or and Xor are the lane ops d = a op b.
-func (e *Emitter) AddS(d, a, b Reg) { e.laneOp(nAddS, d, a, b) }
-func (e *Emitter) SubS(d, a, b Reg) { e.laneOp(nSubS, d, a, b) }
-func (e *Emitter) And(d, a, b Reg)  { e.laneOp(nAnd, d, a, b) }
-func (e *Emitter) Or(d, a, b Reg)   { e.laneOp(nOr, d, a, b) }
-func (e *Emitter) Xor(d, a, b Reg)  { e.laneOp(nXor, d, a, b) }
+// And, Or and Xor are the lane ops d = a op b.
+func (e *Emitter) And(d, a, b Reg) { e.laneOp(nAnd, d, a, b) }
+func (e *Emitter) Or(d, a, b Reg)  { e.laneOp(nOr, d, a, b) }
+func (e *Emitter) Xor(d, a, b Reg) { e.laneOp(nXor, d, a, b) }
 
 func (e *Emitter) laneOp(kind uint32, d, a, b Reg) {
 	e.use(regIn, a, b)
@@ -371,25 +369,56 @@ func (e *Emitter) laneOp(kind uint32, d, a, b Reg) {
 	e.record(1, kind, 0, e.reg(d), e.reg(a), e.reg(b))
 }
 
-// QuadScatter is the permutations of srcs by tabs OR-merged into acc and
-// stored at dst,
+// GammaLines is how many quad lines a gamma group writes: a group holds
+// GroupLanes elements of nb blocks, GroupLanes/nb = 8 trellis steps at
+// every width.
+const GammaLines = 8
+
+// GammaSweep is groups gamma groups over the registers r = {s, p, la, t,
+// g0, g1, n0, n1, acc, tmp} and tables t, group g reading in[i]+g·din[i]
+// and writing quad line j at quad+g·dq+j·dl:
 //
-//	vpermw acc,srcs[0],tabs[0]; ( vpermw tmp,srcs[j],tabs[j]; por acc,acc,tmp ) × n-1;
-//	store acc,[dst]
-func (e *Emitter) QuadScatter(acc, tmp Reg, dst int64, srcs []Reg, tabs [][]int32) {
-	n := len(srcs)
-	if n < 2 || n > regStride || len(tabs) != n || slices.Contains(srcs, acc) || slices.Contains(srcs, tmp) || acc == tmp {
-		e.fail("quad scatter of %d sources, %d tables, into its own accumulator or scratch", n, len(tabs))
+//	load s,[in0]; load p,[in1]; load la,[in2]; padds t,s,la;
+//	padds g0,t,p; psubs g1,t,p; psubs n0,0,g0; psubs n1,0,g1;
+//	( vpermw acc,g0,t[j][0]; ( vpermw tmp,x,t[j][v]; por acc,acc,tmp ) for
+//	  x = g1, n0, n1; store acc,[quad+j·dl] ) × GammaLines
+//
+// The record keeps every one of them in a vector register and writes only
+// the quad lines; every line a group reads is loaded before it stores.
+func (e *Emitter) GammaSweep(r *[10]Reg, groups int, in, din [3]int64, quad, dq, dl int64, t *[GammaLines][4][]int32) {
+	if groups < 1 || !distinct(r[:], nil) {
+		e.fail("gamma sweep of %d groups over registers %v", groups, *r)
 		return
 	}
-	e.use(regIn, srcs...)
-	e.use(regClobbered, acc, tmp)
-	e.record(1+n/4, nMergeReg, n)
-	e.addr(dst, e.wb)
-	for j, s := range srcs {
-		e.code = append(e.code, e.reg(s), e.tab(tabs[j]))
+	e.use(regClobbered, r[:]...)
+	var tabs [GammaLines * 4]uint32
+	for j := range t {
+		for v := range t[j] {
+			tabs[4*j+v] = e.tab(t[j][v])
+		}
 	}
+	last := int64(groups - 1)
+	for i := range in {
+		e.check(in[i]+last*din[i], e.wb)
+	}
+	for _, at := range []int64{quad, quad + last*dq} {
+		e.check(at, e.wb)
+		e.check(at+(GammaLines-1)*dl, e.wb)
+	}
+	e.sweep(groups, 1, gammaUnits, func(g0, n int) {
+		e.head(nGammaSweep, n)
+		for i := range in {
+			e.addr(in[i]+int64(g0)*din[i], e.wb)
+			e.code = append(e.code, uint32(din[i]))
+		}
+		e.addr(quad+int64(g0)*dq, e.wb)
+		e.code = append(append(e.code, uint32(dq), uint32(dl)), tabs[:]...)
+	})
 }
+
+// gammaUnits is a gamma group's units of work: 20 to 40 ns native,
+// three records' worth.
+const gammaUnits = 3
 
 // QuadGather is the register loaded from each of srcs permuted by tabs,
 // OR-merged into acc and stored at dst,

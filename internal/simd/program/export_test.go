@@ -9,7 +9,7 @@ import (
 // the loop record, for the external coverage test.
 var fusedKinds = map[uint32]string{
 	nExtVec:       "ext vec",
-	nMergeReg:     "quad scatter",
+	nGammaSweep:   "gamma group",
 	nMergeMem:     "quad gather",
 	nAlphaSweep:   "alpha step",
 	nBetaSweep:    "beta step",
@@ -32,7 +32,7 @@ func FusedKinds() []string {
 func (p *Program) StreamBytes() int { return 4 * (len(p.code[SegFirst]) + len(p.code[SegSteady])) }
 
 // FusedKindCounts reports how many ops of each fused kind the stream of
-// segment seg of p runs: a sweep record counts its steps, a record in a
+// segment seg of p runs: a sweep record counts its steps or groups, a record in a
 // loop's body once a trip, and any other record once; "loop" counts the
 // loop records, each piece of a loop cut at a yield one.
 func (p *Program) FusedKindCounts(seg int) map[string]int {
@@ -41,7 +41,7 @@ func (p *Program) FusedKindCounts(seg int) map[string]int {
 		kind := rec[0] & 0xff
 		if name, ok := fusedKinds[kind]; ok && kind != nLoop {
 			n := 1
-			if kind == nAlphaSweep || kind == nBetaSweep || kind == nBetaExtSweep {
+			if kind == nAlphaSweep || kind == nBetaSweep || kind == nBetaExtSweep || kind == nGammaSweep {
 				n = int(rec[0] >> 8)
 			}
 			counts[name] += n * times
@@ -63,20 +63,20 @@ func (p *Program) FusedKindCounts(seg int) map[string]int {
 	return counts
 }
 
-// recordKindNames names every record kind of kern.go, for the external
-// coverage test.
+// recordKindNames names every record kind of kern.go by its constant, as
+// kern_amd64.s names it too, for the external coverage tests.
 var recordKindNames = map[uint32]string{
-	nStop: "stop", nClear: "clear", nAddS: "adds", nSubS: "subs", nAnd: "and", nOr: "or", nXor: "xor",
-	nSra: "sra", nBcastImm: "bcast imm", nSetImm: "set imm", nLoad: "load", nLoadReg: "load reg",
-	nStore: "store", nExtrW: "extrw", nExtVec: "ext vec", nMergeReg: "merge reg", nMergeMem: "merge mem",
-	nAlphaSweep: "alpha sweep", nBetaSweep: "beta sweep", nBetaExtSweep: "beta ext sweep",
-	nLoop: "loop", nEnd: "end", nBase: "base",
+	nStop: "nStop", nClear: "nClear", nAnd: "nAnd", nOr: "nOr", nXor: "nXor",
+	nSra: "nSra", nBcastImm: "nBcastImm", nSetImm: "nSetImm", nLoad: "nLoad", nLoadReg: "nLoadReg",
+	nStore: "nStore", nExtrW: "nExtrW", nExtVec: "nExtVec", nMergeMem: "nMergeMem", nGammaSweep: "nGammaSweep",
+	nAlphaSweep: "nAlphaSweep", nBetaSweep: "nBetaSweep", nBetaExtSweep: "nBetaExtSweep",
+	nLoop: "nLoop", nEnd: "nEnd", nBase: "nBase",
 }
 
 // retiredKinds are the numbers kern.go leaves unused: kinds no compiler
 // writes, whose numbers stay out of use so that the streams of the others
 // keep their bytes.
-var retiredKinds = map[uint32]bool{4: true, 5: true, 9: true, 12: true, 14: true, 19: true}
+var retiredKinds = map[uint32]bool{2: true, 3: true, 4: true, 5: true, 9: true, 12: true, 14: true, 19: true, 21: true}
 
 // RecordKinds lists the name of every record kind kern.go defines ("" for
 // one recordKindNames does not know).
@@ -88,6 +88,28 @@ func RecordKinds() []string {
 		}
 	}
 	return names
+}
+
+// ExecutedKindCounts reports how many records of each kind a decode of
+// steady iterations dispatches: SegFirst once and SegSteady steady times,
+// a loop record once a piece and each record of its body once a trip.
+func (p *Program) ExecutedKindCounts(steady int) map[string]int {
+	counts := make(map[string]int)
+	for seg, times := range [2]int{1, steady} {
+		code := p.code[seg]
+		for pc := 0; pc < len(code); pc += recordWords(code[pc:]) {
+			counts[recordKindNames[code[pc]&0xff]] += times
+			if code[pc]&0xff != nLoop {
+				continue
+			}
+			def := code[pc-int(code[pc+2]):]
+			body := def[5+def[3]:][:def[4+def[3]]]
+			for i := 0; i < len(body); i += recordWords(body[i:]) {
+				counts[recordKindNames[body[i]&0xff]] += times * int(code[pc]>>8)
+			}
+		}
+	}
+	return counts
 }
 
 // RecordKindCounts reports how many records of each kind the streams of p

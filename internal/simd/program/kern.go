@@ -10,8 +10,8 @@ import (
 // segment as a descriptor stream, the one executable form of a program on
 // every host. Two executors run the same bytes: on a CPU that has those
 // instructions, runStreamAVX512 (kern_amd64.s) executes them as the
-// instructions themselves, one call running whole alpha and beta sweeps,
-// gamma, extrinsic, interleave and arrangement runs without returning to
+// instructions themselves, one call running whole gamma, alpha and beta
+// sweeps, extrinsic, interleave and arrangement runs without returning to
 // Go; elsewhere runStreamGo (run.go) executes them record kind by record
 // kind. The Go executor is the assembly's twin and the per-record
 // reference it is differentially tested against; the interpreter
@@ -82,7 +82,7 @@ func UseNativeKernel(on bool) (was bool) {
 
 // Record kinds of the descriptor stream, with their operand words after
 // the header (n is the header's count). d, a, b, src are register-file byte
-// offsets; addr, dst, q, out, al are arena byte offsets; tab, g*, h* are
+// offsets; addr, dst, q, out, al, s, p, la are arena byte offsets; tab, g*, h* are
 // byte offsets into the index-table pool; a d-prefixed word is a byte
 // stride, a two's-complement int32. A kind's number is part of every
 // stream that holds it (and of its program's Checksum), so a kind that no
@@ -90,11 +90,11 @@ func UseNativeKernel(on bool) (was bool) {
 const (
 	nStop         = iota // a preemption point, or the end of the stream
 	nClear               // d
-	nAddS                // d a b, and the four lane ops after it
-	nSubS                //
 	_                    //
 	_                    //
-	nAnd                 //
+	_                    //
+	_                    //
+	nAnd                 // d a b, and the two lane ops after it
 	nOr                  //
 	nXor                 //
 	_                    //
@@ -109,7 +109,7 @@ const (
 	nExtrW               // src addr; src is the byte offset of the lane itself
 	_                    //
 	nExtVec              // lim nlim dv sv lv out; n = shift
-	nMergeReg            // dst, n × (src tab): OR of permuted registers (QuadScatter)
+	_                    //
 	nMergeMem            // dst, n × (addr tab): OR of permuted lines (QuadGather)
 	nAlphaSweep          // alpha g0 g1 g2 g3 gn q dq out dout: n steps, step s reading quad line q+s·dq and storing to out+s·dout
 	nBetaSweep           // beta g0 g1 g2 g3 gn q dq
@@ -117,9 +117,13 @@ const (
 	nLoop                // t0 back, and when back is 0 the definition: nc, d of each class 1..nc, B, B words of body ending in nEnd; n trips from trip t0, trip t running the body with each class's base at t times its d; back > 0 names the definition that many words back
 	nEnd                 // the end of a loop body
 	nBase                // n = the class whose base the records after it add their words to
+	nGammaSweep          // s ds p dp la dla q dq dl, 8 × 4 tab: n groups, group g reading lines s+g·ds, p+g·dp, la+g·dla and storing quad line j at q+g·dq+j·dl
 
 	numRecordKinds
 )
+
+// gammaWords is the length of a gamma sweep record in words.
+const gammaWords = 10 + 4*GammaLines
 
 // maxClasses bounds the stride classes of a loop's body.
 const maxClasses = 7

@@ -27,6 +27,14 @@
 //   K2-K4    valid lanes of g2 g3 gn            extracts, as a permute
 //   K5-K7    valid lanes of h0 h1 h2
 //
+// and a gamma sweep
+//
+//   CX, R12, R13  the group's S, P and La lines
+//   R14      its first quad line, DI the quad line being written
+//   Z0-Z2    S, La and P; Z0 then t = s + la  Z31  zero
+//   Z3-Z6    g0 g1 n0 n1                      Z7   a line's table
+//   Z8       a permuted source                Z9   the line being merged
+//
 // Six of a step's eight tables zero their sentinel lanes through a k-mask,
 // which costs no instruction; there are seven mask registers, so the two
 // permutes of the quad line, which are off the carried chain, AND instead.
@@ -113,6 +121,27 @@
 	VPMAXSW Z10, Z8, Z8; \
 	VPMAXSW Z11, Z9, Z9
 
+// GAMMAPERM ORs src permuted by the table whose offset is the stream word
+// at off(SI) into Z9, under the table's AND mask.
+#define GAMMAPERM(off, src) \
+	MOVL       off(SI), AX; \
+	VMOVDQU16  (R10)(AX*1), Z7; \
+	VPERMW     src, Z7, Z8; \
+	VPTERNLOGQ $0xf8, (R11)(AX*1), Z8, Z9
+
+// GAMMALINE is one quad line of a gamma group, from g0 g1 n0 n1 (Z3-Z6)
+// by the four tables at t0..t3(SI), stored at DI, which then moves a line.
+#define GAMMALINE(t0, t1, t2, t3) \
+	MOVL      t0(SI), AX; \
+	VMOVDQU16 (R10)(AX*1), Z7; \
+	VPERMW    Z3, Z7, Z9; \
+	VPANDQ    (R11)(AX*1), Z9, Z9; \
+	GAMMAPERM(t1, Z4); \
+	GAMMAPERM(t2, Z5); \
+	GAMMAPERM(t3, Z6); \
+	VMOVDQU16 Z9, K1, (R8)(DI*1); \
+	ADDL      36(SI), DI
+
 // func runStreamAVX512(code *uint32, pc int, arena, regs *int16, gat, gatAnd *[regStride]uint16, pats *[regStride]int16, mask uint64) int
 TEXT ·runStreamAVX512(SB), NOSPLIT, $104-72
 	MOVQ  code+0(FP), SI
@@ -130,54 +159,52 @@ dispatch:
 	MOVL DX, AX
 	SHRL $8, DX
 	ANDL $0xff, AX
-	// Most frequent first: a decode's gamma body and the loop bookkeeping,
-	// the arrangement's, then its extrinsic and interleave.
-	CMPL AX, $const_nMergeReg
-	JEQ  mergeReg
-	CMPL AX, $const_nLoad
-	JEQ  load
-	CMPL AX, $const_nSubS
-	JEQ  subS
-	CMPL AX, $const_nAddS
-	JEQ  addS
-	CMPL AX, $const_nEnd
-	JEQ  end
-	CMPL AX, $const_nBase
-	JEQ  base
+	// Most frequent first, by the records serving dispatches
+	// (TestDispatchChainByFrequency): the arrangement's lane ops and
+	// stores, the gathers, extrinsic groups and loop bookkeeping, and last
+	// the sweeps, each of which runs a whole phase.
 	CMPL AX, $const_nAnd
 	JEQ  and
-	CMPL AX, $const_nOr
-	JEQ  or
 	CMPL AX, $const_nStore
 	JEQ  store
+	CMPL AX, $const_nOr
+	JEQ  or
+	CMPL AX, $const_nLoad
+	JEQ  load
 	CMPL AX, $const_nMergeMem
 	JEQ  mergeMem
 	CMPL AX, $const_nExtVec
 	JEQ  extVec
-	CMPL AX, $const_nClear
-	JEQ  clear
-	CMPL AX, $const_nSra
-	JEQ  sra
 	CMPL AX, $const_nExtrW
 	JEQ  extrW
+	CMPL AX, $const_nEnd
+	JEQ  end
+	CMPL AX, $const_nSra
+	JEQ  sra
+	CMPL AX, $const_nBase
+	JEQ  base
+	CMPL AX, $const_nClear
+	JEQ  clear
 	CMPL AX, $const_nStop
 	JEQ  stop
+	CMPL AX, $const_nLoop
+	JEQ  loop
 	CMPL AX, $const_nAlphaSweep
 	JEQ  alphaSweep
 	CMPL AX, $const_nBetaExtSweep
 	JEQ  betaExtSweep
-	CMPL AX, $const_nBetaSweep
-	JEQ  betaSweep
-	CMPL AX, $const_nLoop
-	JEQ  loop
-	CMPL AX, $const_nLoadReg
-	JEQ  loadReg
-	CMPL AX, $const_nXor
-	JEQ  xor
-	CMPL AX, $const_nBcastImm
-	JEQ  bcastImm
+	CMPL AX, $const_nGammaSweep
+	JEQ  gammaSweep
 	CMPL AX, $const_nSetImm
 	JEQ  setImm
+	CMPL AX, $const_nBcastImm
+	JEQ  bcastImm
+	CMPL AX, $const_nXor
+	JEQ  xor
+	CMPL AX, $const_nBetaSweep
+	JEQ  betaSweep
+	CMPL AX, $const_nLoadReg
+	JEQ  loadReg
 	// The Emitter writes no other kind; an unknown one stops the stream here.
 
 stop:
@@ -194,12 +221,6 @@ clear:
 	VMOVDQU16 Z0, (R9)(AX*1)
 	ADDQ      $8, SI
 	JMP       dispatch
-
-addS:
-	BINOP(VPADDSW)
-
-subS:
-	BINOP(VPSUBSW)
 
 and:
 	BINOP(VPANDQ)
@@ -294,22 +315,39 @@ extVec:
 	ADDQ        $28, SI
 	JMP         dispatch
 
-mergeReg:
-	VPXORQ Z0, Z0, Z0
-	MOVL   4(SI), CX
-	ADDQ   $8, SI
+gammaSweep:
+	MOVL   4(SI), CX                   // s
+	MOVL   12(SI), R12                 // p
+	MOVL   20(SI), R13                 // la
+	MOVL   28(SI), R14                 // the group's first quad line
+	VPXORQ Z31, Z31, Z31
 
-mergeRegSrc:
-	MOVL       (SI), AX
-	MOVL       4(SI), BX
-	VMOVDQU16  (R10)(BX*1), Z1
-	VPERMW     (R9)(AX*1), Z1, Z2
-	VPTERNLOGQ $0xf8, (R11)(BX*1), Z2, Z0 // acc |= permuted & valid
-	ADDQ       $8, SI
-	DECL       DX
-	JNZ        mergeRegSrc
-	VMOVDQU16  Z0, K1, (R8)(CX*1)
-	JMP        dispatch
+gammaGroup:
+	VMOVDQU16.Z (R8)(CX*1), K1, Z0
+	VMOVDQU16.Z (R8)(R13*1), K1, Z1
+	VMOVDQU16.Z (R8)(R12*1), K1, Z2
+	VPADDSW     Z1, Z0, Z0             // t = s + la
+	VPADDSW     Z2, Z0, Z3             // g0 = t + p
+	VPSUBSW     Z2, Z0, Z4             // g1 = t - p
+	VPSUBSW     Z3, Z31, Z5            // n0 = -g0
+	VPSUBSW     Z4, Z31, Z6            // n1 = -g1
+	MOVL        R14, DI
+	GAMMALINE(40, 44, 48, 52)
+	GAMMALINE(56, 60, 64, 68)
+	GAMMALINE(72, 76, 80, 84)
+	GAMMALINE(88, 92, 96, 100)
+	GAMMALINE(104, 108, 112, 116)
+	GAMMALINE(120, 124, 128, 132)
+	GAMMALINE(136, 140, 144, 148)
+	GAMMALINE(152, 156, 160, 164)
+	ADDL        8(SI), CX
+	ADDL        16(SI), R12
+	ADDL        24(SI), R13
+	ADDL        32(SI), R14
+	DECL        DX
+	JNZ         gammaGroup
+	ADDQ        $168, SI
+	JMP         dispatch
 
 mergeMem:
 	VPXORQ Z0, Z0, Z0

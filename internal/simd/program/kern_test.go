@@ -213,8 +213,6 @@ func TestNativeLaneOpsMatchGo(t *testing.T) {
 			ops := []func(d Reg) bool{
 				func(d Reg) bool { e.Clear(d); return false },
 				func(d Reg) bool { e.BcastImm(d, int16(rng.Uint32())); return true },
-				func(d Reg) bool { e.AddS(d, src(), src()); return true },
-				func(d Reg) bool { e.SubS(d, src(), src()); return true },
 				func(d Reg) bool { e.And(d, src(), src()); return true },
 				func(d Reg) bool { e.Or(d, src(), src()); return true },
 				func(d Reg) bool { e.Xor(d, src(), src()); return true },
@@ -256,12 +254,14 @@ func recordWords(code []uint32) int {
 		return 2
 	case nSra, nSetImm, nExtrW:
 		return 3
-	case nAddS, nSubS, nAnd, nOr, nXor, nLoad, nLoadReg, nStore:
+	case nAnd, nOr, nXor, nLoad, nLoadReg, nStore:
 		return 4
 	case nExtVec:
 		return 7
-	case nMergeReg, nMergeMem:
+	case nMergeMem:
 		return 2 + 2*n
+	case nGammaSweep:
+		return gammaWords
 	case nAlphaSweep:
 		return 11
 	case nBetaSweep:
@@ -279,23 +279,49 @@ func recordWords(code []uint32) int {
 	panic(fmt.Sprintf("unknown record kind %d", code[0]&0xff))
 }
 
-// TestNativeQuadScatterMatchesGo: permute-and-OR merges of 2 to 12
-// registers into a line.
-func TestNativeQuadScatterMatchesGo(t *testing.T) {
+// gamma writes groups gamma groups over lines of their own, each moving
+// forward or backward, the quad lines of a group forward or backward too,
+// with tables salted with sentinels. No group reads what an earlier one
+// stored.
+func (h *opHarness) gamma(groups int) {
+	var r [10]Reg
+	for i := range r {
+		r[i] = h.reg()
+	}
+	var tabs [GammaLines][4][]int32
+	for j := range tabs {
+		for v := range tabs[j] {
+			tabs[j][v] = h.tab()
+		}
+	}
+	var in, din [3]int64
+	for i := range in {
+		in[i], din[i] = h.lines(groups, false)
+	}
+	quad, dl := h.lines(GammaLines*groups, true)
+	dq := GammaLines * dl
+	if h.rng.Intn(2) == 0 {
+		quad, dl = quad+(GammaLines-1)*dl, -dl
+	}
+	h.e.GammaSweep(&r, groups, in, din, quad, dq, dl, &tabs)
+}
+
+// TestNativeGammaSweepMatchesGo: gamma sweeps of 1 to 3 groups and of
+// 600, which the Emitter cuts at two yields at least, at every width. A
+// pinned trial fills every line with lanes at or next to ±32768, so sums,
+// differences and the negations of −32768 saturate.
+func TestNativeGammaSweepMatchesGo(t *testing.T) {
 	skipWithoutNative(t)
 	for _, w := range simd.Widths {
 		rng := rand.New(rand.NewSource(int64(w) + 2))
-		for ns := 2; ns <= 12; ns++ {
+		for _, groups := range []int{1, 2, 3, 600} {
 			for trial := 0; trial < diffTrials/4; trial++ {
 				h := newOpHarness(w, rng)
-				acc, tmp, dst := h.reg(), h.reg(), h.outLine()
-				var srcs []Reg
-				var tabs [][]int32
-				for s := 0; s < ns; s++ {
-					srcs, tabs = append(srcs, h.reg()), append(tabs, h.tab())
+				h.gamma(groups)
+				h.diff(t, trial%2 == 1)
+				if stops := countRecords(h.p.code[SegSteady], nStop); groups*gammaUnits > 2*yieldEvery && stops < 3 {
+					t.Errorf("%v: %d groups written with %d stop records, want the sweep cut at least twice", w, groups, stops)
 				}
-				h.e.QuadScatter(acc, tmp, dst, srcs, tabs)
-				h.diff(t, trial%4 == 1)
 			}
 		}
 	}
@@ -478,8 +504,8 @@ func TestNativeBetaStepMatchesGo(t *testing.T) {
 
 // loopBody writes trips trips of a body of random records, lean as a
 // decode's: every singleton that addresses the region, lane ops over a
-// pool of registers, a quad scatter and gather, an extrinsic group and an
-// alpha step, each with registers and tables fixed and each address moving
+// pool of registers, a gamma group, a quad gather, an extrinsic group and
+// an alpha step, each with registers and tables fixed and each address moving
 // by a stride of its own over lines of its own: the addresses of one
 // record by one stride, one, two or three lines forward or back a trip,
 // unless mixed is set. A lane op's destination joins the pool only after
@@ -527,15 +553,26 @@ func (h *opHarness) loopBody(trips int, mixed bool) {
 			body = append(body, func(int) { e.Sra(d, a, 3) })
 		case 4:
 			d, a, b := h.outReg(), src(), src()
-			op := []func(d, a, b Reg){e.AddS, e.SubS, e.And, e.Xor}[rng.Intn(4)]
+			op := []func(d, a, b Reg){e.And, e.Or, e.Xor}[rng.Intn(3)]
 			body = append(body, func(int) { op(d, a, b) })
 		case 5: // no address, after records that have one
 			d, a := h.reg(), src()
 			body = append(body, func(int) { e.Ext(d, a, simd.W128, 1) })
 		case 6:
-			acc, tmp, at := h.reg(), h.reg(), seq(true)
-			srcs, tabs := []Reg{src(), src(), src()}, [][]int32{h.tab(), h.tab(), h.tab()}
-			body = append(body, func(t int) { e.QuadScatter(acc, tmp, at(t), srcs, tabs) })
+			var r [10]Reg
+			for i := range r {
+				r[i] = h.reg()
+			}
+			var tabs [GammaLines][4][]int32
+			for j := range tabs {
+				for v := range tabs[j] {
+					tabs[j][v] = h.tab()
+				}
+			}
+			in, q := []func(int) int64{seq(false), seq(false), seq(false)}, seq(true)
+			body = append(body, func(t int) {
+				e.GammaSweep(&r, 1, [3]int64{in[0](t), in[1](t), in[2](t)}, [3]int64{}, q(t), 0, 0, &tabs)
+			})
 		case 7:
 			r, acc, tmp, dst := h.reg(), h.reg(), h.reg(), seq(true)
 			in, tabs := []func(int) int64{seq(false), seq(false)}, [][]int32{h.tab(), h.tab()}
@@ -735,60 +772,18 @@ func BenchmarkNativeSweeps(b *testing.B) {
 	}
 }
 
-// BenchmarkNativeGamma times 64 gamma groups at W512 as the packed decoder
-// emits them: three loads, five lane ops, eight four-source scatters,
-// each group's lines a fixed stride past the last one's: one Loop, as the
-// packed decoder states them ("rolled"), and as straight-line records
-// ("straight"), what the loop saves or costs.
+// BenchmarkNativeGamma times 64 gamma groups at W512, one K=512
+// half-iteration's gamma, as the packed decoder emits them: one gamma
+// sweep ("fused"), each group's three lines a fixed stride past the last
+// one's and its eight quad lines after the last one's.
 func BenchmarkNativeGamma(b *testing.B) {
-	for _, rolled := range []bool{true, false} {
-		name := "straight"
-		if rolled {
-			name = "rolled"
+	b.Run("fused", func(b *testing.B) {
+		h := newOpHarness(simd.W512, rand.New(rand.NewSource(1)))
+		h.gamma(64)
+		p, err := h.e.finish()
+		if err != nil {
+			b.Fatal(err)
 		}
-		b.Run(name, func(b *testing.B) {
-			h := newOpHarness(simd.W512, rand.New(rand.NewSource(1)))
-			e := h.e
-			s, p, la, t, g0, g1, n0, n1, zero := h.reg(), h.reg(), h.reg(), h.reg(), h.reg(), h.reg(), h.reg(), h.reg(), h.reg()
-			acc, tmp := h.reg(), h.reg()
-			var tabs [8][4][]int32
-			for i := range tabs {
-				for j := range tabs[i] {
-					tabs[i][j] = h.tab()
-				}
-			}
-			const groups = 64
-			var in [3]func(g int) int64
-			for i := range in {
-				base, stride := h.lines(groups, false)
-				in[i] = func(g int) int64 { return base + int64(g)*stride }
-			}
-			quad, qs := h.lines(8*groups, true)
-			group := func(at int) {
-				for i, d := range []Reg{s, p, la} {
-					e.Load(d, in[i](at))
-				}
-				e.AddS(t, s, la)
-				e.AddS(g0, t, p)
-				e.SubS(g1, t, p)
-				e.SubS(n0, zero, g0)
-				e.SubS(n1, zero, g1)
-				for si := 0; si < 8; si++ {
-					e.QuadScatter(acc, tmp, quad+int64(8*at+si)*qs, []Reg{g0, g1, n0, n1}, tabs[si][:])
-				}
-			}
-			if rolled {
-				e.Loop(groups, group)
-			} else {
-				for at := range groups {
-					group(at)
-				}
-			}
-			pr, err := e.finish()
-			if err != nil {
-				b.Fatal(err)
-			}
-			benchExecutors(b, pr, h)
-		})
-	}
+		benchExecutors(b, p, h)
+	})
 }

@@ -22,12 +22,10 @@ type ops interface {
 	ExtrW(at int64, a Reg, lane int)
 	Ext(d, a Reg, w simd.Width, sel int)
 	Sra(d, a Reg, imm uint)
-	AddS(d, a, b Reg)
-	SubS(d, a, b Reg)
 	And(d, a, b Reg)
 	Or(d, a, b Reg)
 	Xor(d, a, b Reg)
-	QuadScatter(acc, tmp Reg, dst int64, srcs []Reg, tabs [][]int32)
+	GammaSweep(r *[10]Reg, groups int, in, din [3]int64, quad, dq, dl int64, t *[GammaLines][4][]int32)
 	QuadGather(r, acc, tmp Reg, dst int64, srcs []int64, tabs [][]int32)
 	AlphaSweep(r *[9]Reg, steps int, quad, dq, out, dout int64, t *[5][]int32)
 	BetaSweep(r *[9]Reg, steps int, quad, dq int64, t *[5][]int32, x *BetaExt)
@@ -72,8 +70,6 @@ func (o *engineOps) Load(d Reg, at int64)            { o.e.LoadVec(o.r(d), at) }
 func (o *engineOps) Store(at int64, a Reg)           { o.e.StoreVec(at, o.r(a)) }
 func (o *engineOps) ExtrW(at int64, a Reg, lane int) { o.e.PExtrWToMem(at, o.r(a), lane) }
 func (o *engineOps) Sra(d, a Reg, imm uint)          { o.e.PSraW(o.r(d), o.r(a), imm) }
-func (o *engineOps) AddS(d, a, b Reg)                { o.e.PAddSW(o.r(d), o.r(a), o.r(b)) }
-func (o *engineOps) SubS(d, a, b Reg)                { o.e.PSubSW(o.r(d), o.r(a), o.r(b)) }
 func (o *engineOps) And(d, a, b Reg)                 { o.e.PAnd(o.r(d), o.r(a), o.r(b)) }
 func (o *engineOps) Or(d, a, b Reg)                  { o.e.POr(o.r(d), o.r(a), o.r(b)) }
 func (o *engineOps) Xor(d, a, b Reg)                 { o.e.PXor(o.r(d), o.r(a), o.r(b)) }
@@ -92,14 +88,28 @@ func (o *engineOps) Loop(trips int, body func(t int)) {
 	}
 }
 
-func (o *engineOps) QuadScatter(acc, tmp Reg, dst int64, srcs []Reg, tabs [][]int32) {
+func (o *engineOps) GammaSweep(r *[10]Reg, groups int, in, din [3]int64, quad, dq, dl int64, t *[GammaLines][4][]int32) {
 	e := o.e
-	e.PermuteW(o.r(acc), o.r(srcs[0]), o.tab(tabs[0]))
-	for j := 1; j < len(srcs); j++ {
-		e.PermuteW(o.r(tmp), o.r(srcs[j]), o.tab(tabs[j]))
-		e.POr(o.r(acc), o.r(acc), o.r(tmp))
+	s, p, la, tt, g0, g1, n0, n1, acc, tmp := o.r(r[0]), o.r(r[1]), o.r(r[2]), o.r(r[3]), o.r(r[4]), o.r(r[5]), o.r(r[6]), o.r(r[7]), o.r(r[8]), o.r(r[9])
+	zero := e.NewVec()
+	for g := range int64(groups) {
+		e.LoadVec(s, in[0]+g*din[0])
+		e.LoadVec(p, in[1]+g*din[1])
+		e.LoadVec(la, in[2]+g*din[2])
+		e.PAddSW(tt, s, la)
+		e.PAddSW(g0, tt, p)
+		e.PSubSW(g1, tt, p)
+		e.PSubSW(n0, zero, g0)
+		e.PSubSW(n1, zero, g1)
+		for j := range int64(GammaLines) {
+			e.PermuteW(acc, g0, o.tab(t[j][0]))
+			for v, x := range []*simd.Vec{g1, n0, n1} {
+				e.PermuteW(tmp, x, o.tab(t[j][v+1]))
+				e.POr(acc, acc, tmp)
+			}
+			e.StoreVec(quad+g*dq+j*dl, acc)
+		}
 	}
-	e.StoreVec(dst, o.r(acc))
 }
 
 func (o *engineOps) QuadGather(r, acc, tmp Reg, dst int64, srcs []int64, tabs [][]int32) {
@@ -188,8 +198,8 @@ func (o *engineOps) ExtVec(r *[7]Reg, imm uint, in [3]int64, out int64) {
 // synthKernel is a width-generic "decode-like" kernel exercising every
 // method of an Emitter: vector arithmetic and mask logic with aliased
 // operands, lane extracts and 128- and 256-bit extracts, a loop of
-// singletons, loops that do not fold, the packed stream's quad scatter and
-// gather, alpha and beta sweeps, the extrinsic group, index tables with
+// singletons, loops that do not fold, the packed stream's gamma group and
+// quad gather, alpha and beta sweeps, the extrinsic group, index tables with
 // out-of-range entries, and register state that is live across iterations
 // (acc, alpha, beta).
 type synthKernel struct {
@@ -257,9 +267,9 @@ func (k *synthKernel) iteration(o ops, t *packedTabs) {
 	a, b, t1, t2, d, s := Reg(synthHeld), Reg(synthHeld+1), Reg(synthHeld+2), Reg(synthHeld+3), Reg(synthHeld+4), Reg(synthHeld+5)
 	o.Load(a, k.in)
 	o.Load(b, k.in+wb)
-	o.AddS(k.accR, k.accR, a) // cross-iteration register state
-	o.SubS(t1, a, b)
-	o.AddS(t2, t1, k.hi)
+	o.Xor(k.accR, k.accR, a) // cross-iteration register state
+	o.Or(t1, a, b)
+	o.Xor(t2, t1, k.hi)
 	o.Sra(t2, t2, 1)
 	o.And(t1, a, k.mask)
 	o.Or(d, t1, t2)
@@ -280,7 +290,7 @@ func (k *synthKernel) iteration(o ops, t *packedTabs) {
 	// A loop of singletons, each trip's lines 16 bytes past the last's.
 	o.Loop(6, func(j int) {
 		o.Load(a, k.in+int64(16*j))
-		o.SubS(b, a, k.lo)
+		o.Xor(b, a, k.lo)
 		o.Store(k.out+384+int64(16*j), b)
 		o.ExtrW(k.out+768+int64(2*j), a, n/2)
 	})
@@ -295,8 +305,7 @@ func (k *synthKernel) iteration(o ops, t *packedTabs) {
 	o.Loop(3, func(j int) { o.ExtrW(k.out+unrolledOut+80+int64(2*j), a, 2*(j%2)) })
 	o.Loop(1, func(int) { o.ExtrW(k.out+unrolledOut+88, a, 3) })
 	o.Loop(0, func(int) { o.ExtrW(k.out+unrolledOut+90, a, 4) })
-	o.Load(b, k.in+wb)
-	k.packed(o, t, [3]Reg{a, b, k.accR})
+	k.packed(o, t)
 }
 
 // unrolledOut is where in k.out the loops that do not fold write.
@@ -346,15 +355,25 @@ func newPackedTabs(n int) *packedTabs {
 // packed emits each packed-stream shape, writing results to the 64-byte
 // lines of k.pk. Nothing reads a shape's scratch registers before a later
 // shape redefines them.
-func (k *synthKernel) packed(o ops, t *packedTabs, srcs [3]Reg) {
+func (k *synthKernel) packed(o ops, t *packedTabs) {
 	n := k.w.Lanes16()
 	at := func(i int) int64 { return k.pk + int64(i)*64 }
 	var v [16]Reg
 	for i := range v {
 		v[i] = Reg(synthHeld + 6 + i)
 	}
+	// A gamma group over three input lines, its eight quad lines the first
+	// of k.pk, by the kernel's tables in turn.
+	var scat [GammaLines][4][]int32
+	all := [][]int32{t.s0, t.s1, t.s2, t.a0, t.a1, t.p0, t.p1, t.nrm, t.h0, t.h1, t.h2}
+	for j := range scat {
+		for x := range scat[j] {
+			scat[j][x] = all[(4*j+x)%len(all)]
+		}
+	}
+	gr := [10]Reg(v[:10])
+	o.GammaSweep(&gr, 1, [3]int64{k.in, k.in + int64(2*n), k.acc}, [3]int64{}, at(0), 0, 64, &scat)
 	acc, tmp, rr := v[0], v[1], v[2]
-	o.QuadScatter(acc, tmp, at(0), srcs[:], [][]int32{t.s0, t.s1, t.s2})
 	// Quad gathers of two source lines and of one.
 	o.QuadGather(rr, acc, tmp, at(1), []int64{k.in, k.in + int64(2*n)}, [][]int32{t.p0, t.p1})
 	o.QuadGather(rr, acc, tmp, at(2), []int64{k.in}, [][]int32{t.a1})
@@ -565,7 +584,7 @@ func TestSynthKernelCoversFusedOps(t *testing.T) {
 				t.Errorf("%v: no %s emitted", w, name)
 			}
 		}
-		if p.RecordKindCounts()["beta ext sweep"] == 0 {
+		if p.RecordKindCounts()["nBetaExtSweep"] == 0 {
 			t.Errorf("%v: no beta step + extract emitted", w)
 		}
 	}
@@ -620,10 +639,12 @@ func TestLoopFoldsOnlyRepeatingTrips(t *testing.T) {
 func TestEmitRefusesMalformedOps(t *testing.T) {
 	tab := []int32{1, 0, 3, 2, 5, 4, 7, 6}
 	for name, walk := range map[string]func(e *Emitter){
-		"one-source quad scatter": func(e *Emitter) { e.QuadScatter(0, 1, 64, []Reg{2}, [][]int32{tab}) },
-		"odd load address":        func(e *Emitter) { e.Load(0, 65) },
-		"negative register":       func(e *Emitter) { e.Clear(-1) },
-		"odd loop stride":         func(e *Emitter) { e.Loop(4, func(t int) { e.Store(64+15*int64(t), 0) }) },
+		"gamma sweep over an aliased register": func(e *Emitter) {
+			e.GammaSweep(&[10]Reg{0, 1, 2, 3, 4, 5, 6, 7, 8, 1}, 1, [3]int64{64, 128, 192}, [3]int64{}, 256, 0, 16, gammaTabs(tab))
+		},
+		"odd load address":  func(e *Emitter) { e.Load(0, 65) },
+		"negative register": func(e *Emitter) { e.Clear(-1) },
+		"odd loop stride":   func(e *Emitter) { e.Loop(4, func(t int) { e.Store(64+15*int64(t), 0) }) },
 		"last trip at a negative address": func(e *Emitter) {
 			e.Loop(6, func(t int) { e.Store(64-16*int64(t), 0) })
 		},
@@ -642,10 +663,11 @@ func TestEmitRefusesScratchReads(t *testing.T) {
 	tab := []int32{1, 0, 3, 2, 5, 4, 7, 6}
 	tabs := [5][]int32{tab, tab, tab, tab, tab}
 	r := [9]Reg{0, 1, 2, 3, 4, 5, 6, 7, 8}
+	gr := [10]Reg{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}
 	for name, walk := range map[string]func(e *Emitter){
-		"a quad scatter's accumulator, stored after it": func(e *Emitter) {
-			e.QuadScatter(0, 1, 64, []Reg{2, 3}, [][]int32{tab, tab})
-			e.Store(128, 0)
+		"a gamma sweep's scratch, stored after it": func(e *Emitter) {
+			e.GammaSweep(&gr, 1, [3]int64{64, 128, 192}, [3]int64{}, 256, 0, 16, gammaTabs(tab))
+			e.Store(512, 8)
 		},
 		"an alpha sweep's scratch, stored by the next trip": func(e *Emitter) {
 			e.Clear(0)
@@ -655,12 +677,23 @@ func TestEmitRefusesScratchReads(t *testing.T) {
 			})
 		},
 		"a register read first by SegSteady, which ends clobbering it": func(e *Emitter) {
-			e.Store(128, 0)
-			e.QuadScatter(0, 1, 64, []Reg{2, 3}, [][]int32{tab, tab})
+			e.Store(512, 0)
+			e.GammaSweep(&gr, 1, [3]int64{64, 128, 192}, [3]int64{}, 256, 0, 16, gammaTabs(tab))
 		},
 	} {
 		if _, err := Emit(simd.W128, func(e *Emitter) { e.Steady(); walk(e) }); err == nil {
 			t.Errorf("%s: emitted", name)
 		}
 	}
+}
+
+// gammaTabs is a gamma sweep's tables, every one tab.
+func gammaTabs(tab []int32) *[GammaLines][4][]int32 {
+	var t [GammaLines][4][]int32
+	for j := range t {
+		for v := range t[j] {
+			t[j][v] = tab
+		}
+	}
+	return &t
 }

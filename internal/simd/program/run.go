@@ -134,7 +134,7 @@ func (p *Program) runStreamGo(x *Exec, code []uint32, base *[1 + maxClasses]uint
 		case nClear:
 			*reg(r, w[0]) = [regStride]int16{}
 			pc += 2
-		case nAddS, nSubS, nAnd, nOr, nXor:
+		case nAnd, nOr, nXor:
 			binop(kind, reg(r, w[0])[:L], reg(r, w[1])[:L], reg(r, w[2])[:L])
 			pc += 4
 		case nSra:
@@ -172,9 +172,12 @@ func (p *Program) runStreamGo(x *Exec, code []uint32, base *[1 + maxClasses]uint
 		case nExtVec:
 			p.extVec(r, m, w[:6], uint(n), o)
 			pc += 7
-		case nMergeReg, nMergeMem:
-			p.merge(r, m, kind == nMergeReg, w[0], w[1:][:2*n], o)
+		case nMergeMem:
+			p.merge(m, w[0], w[1:][:2*n], o)
 			pc += 2 + 2*n
+		case nGammaSweep:
+			p.gammaSweep(m, w[:gammaWords-1], n, o)
+			pc += gammaWords
 		case nAlphaSweep:
 			p.sweep(r, m, w[:10], n, o)
 			pc += 11
@@ -200,14 +203,6 @@ func (p *Program) runStreamGo(x *Exec, code []uint32, base *[1 + maxClasses]uint
 func binop(kind uint32, d, a, b []int16) {
 	a, b = a[:len(d)], b[:len(d)]
 	switch kind {
-	case nAddS:
-		for i := range d {
-			d[i] = satAdd(a[i], b[i])
-		}
-	case nSubS:
-		for i := range d {
-			d[i] = satSub(a[i], b[i])
-		}
 	case nAnd:
 		for i := range d {
 			d[i] = a[i] & b[i]
@@ -238,25 +233,56 @@ func (p *Program) extVec(r, m []int16, w []uint32, sh uint, o uint32) {
 	copy(line(m, w[5]+o, L), out[:L])
 }
 
-// merge ORs the sources of srcs, (register or line, table) pairs, each
-// permuted by its table, and stores the result at dst: a quad scatter from
-// registers or a gather from lines, every line read before dst is written.
-// o is the base of the record's lines.
-func (p *Program) merge(r, m []int16, regs bool, dst uint32, srcs []uint32, o uint32) {
+// merge ORs the lines of srcs, (line, table) pairs, each permuted by its
+// table, and stores the result at dst: a gather, every line read before
+// dst is written. o is the base of the record's lines.
+func (p *Program) merge(m []int16, dst uint32, srcs []uint32, o uint32) {
 	L := p.lanes
 	var acc [regStride]int16
 	for ; len(srcs) >= 2; srcs = srcs[2:] {
 		var src gatherSrc
-		if regs {
-			copy(src[:regStride], reg(r, srcs[0])[:])
-		} else {
-			copy(src[:L], line(m, srcs[0]+o, L))
-		}
+		copy(src[:L], line(m, srcs[0]+o, L))
 		for i, j := range p.tab(srcs[1])[:L] {
 			acc[i] |= src[j&gmask]
 		}
 	}
 	copy(line(m, dst+o, L), acc[:L])
+}
+
+// gammaSweep runs n gamma groups, w = {s, ds, p, dp, la, dla, q, dq, dl,
+// then GammaLines × 4 tables}: group g forms g0 = s+la+p, g1 = s+la−p and
+// their negations from its three lines, and stores quad line j, at
+// q+g·dq+j·dl, as the OR of the four permuted by line j's tables. The
+// addresses move by their strides from the record's base o, wrapping as
+// the assembly's 32-bit adds do.
+func (p *Program) gammaSweep(m []int16, w []uint32, n int, o uint32) {
+	L := p.lanes
+	var tabs [4 * GammaLines]*[regStride]uint16
+	for i := range tabs {
+		tabs[i] = p.tab(w[9+i])
+	}
+	sa, pa, la, q := w[0]+o, w[2]+o, w[4]+o, w[6]+o
+	var srcs [4]gatherSrc // g0 g1 n0 n1
+	for range n {
+		sv, pv, lv := line(m, sa, L), line(m, pa, L), line(m, la, L)
+		for i := range sv {
+			t := satAdd(sv[i], lv[i])
+			g0, g1 := satAdd(t, pv[i]), satSub(t, pv[i])
+			srcs[0][i], srcs[1][i], srcs[2][i], srcs[3][i] = g0, g1, satSub(0, g0), satSub(0, g1)
+		}
+		at := q
+		for j := range GammaLines {
+			var acc [regStride]int16
+			for v := range srcs {
+				for i, x := range tabs[4*j+v][:L] {
+					acc[i] |= srcs[v][x&gmask]
+				}
+			}
+			copy(line(m, at, L), acc[:L])
+			at += w[8]
+		}
+		sa, pa, la, q = sa+w[1], pa+w[3], la+w[5], q+w[7]
+	}
 }
 
 // trellis holds the five recursion tables of a sweep, its carried state c

@@ -298,27 +298,18 @@ func (pe *planEmitter) gather(prog [][]gatherSrc[int32], dstBase, srcBase int64,
 	pe.release(src, acc, tmp)
 }
 
-// gamma is gammaPacked.
+// gamma is gammaPacked: one gamma sweep over every group, which keeps
+// s, p, la and the four branch metrics in registers and stores only the
+// quad lines.
 func (pe *planEmitter) gamma(sysBase int64, sysRot int, parBase int64, parRot int, laBase int64) {
-	e := pe.e
-	var s, p, la, t, g0, g1, n0, n1, acc, tmp program.Reg
-	pe.acquireN(&s, &p, &la, &t, &g0, &g1, &n0, &n1, &acc, &tmp)
-	stepsPerGroup := pe.pl.lay.GroupLanes / pe.pl.nb
-	srcs := []program.Reg{g0, g1, n0, n1}
-	e.Loop(pe.groups(), func(g int) {
-		e.Load(s, pe.vec(sysBase, g, sysRot))
-		e.Load(p, pe.vec(parBase, g, parRot))
-		e.Load(la, pe.vec(laBase, g, 0))
-		e.AddS(t, s, la)
-		e.AddS(g0, t, p)
-		e.SubS(g1, t, p)
-		e.SubS(n0, pe.zero, g0)
-		e.SubS(n1, pe.zero, g1)
-		for si := 0; si < stepsPerGroup; si++ {
-			e.QuadScatter(acc, tmp, pe.quad(g*stepsPerGroup+si), srcs, pe.scat[si][:])
-		}
-	})
-	pe.release(s, p, la, t, g0, g1, n0, n1, acc, tmp)
+	var r [10]program.Reg // s p la t g0 g1 n0 n1 acc tmp
+	pe.acquireN(&r[0], &r[1], &r[2], &r[3], &r[4], &r[5], &r[6], &r[7], &r[8], &r[9])
+	// A group's lines are a packed group apart, its quad lines a group of
+	// trellis steps: GroupLanes/nb = 8 of them, each a register wide.
+	d := 2 * int64(pe.pl.lay.StrideLanes)
+	in := [3]int64{pe.vec(sysBase, 0, sysRot), pe.vec(parBase, 0, parRot), pe.vec(laBase, 0, 0)}
+	pe.e.GammaSweep(&r, pe.groups(), in, [3]int64{d, d, d}, pe.quad(0), program.GammaLines*pe.wb, pe.wb, &pe.scat)
+	pe.release(r[:]...)
 }
 
 func (pe *planEmitter) quad(step int) int64    { return pe.rel.quad + int64(step)*pe.wb }

@@ -3,8 +3,11 @@ package turbo
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
+	"syscall"
 	"testing"
+	"time"
 
 	"vransim/internal/core"
 	"vransim/internal/simd"
@@ -271,6 +274,81 @@ func BenchmarkBatchDecodeSteadyState(b *testing.B) {
 						b.Fatal(err)
 					}
 				}
+			})
+		}
+	}
+}
+
+// BenchmarkLoneDecodeAfterIdle times a batch of one clean block at W512
+// and K = 40 and 512, as a lightly loaded runtime decodes one, after each
+// of four waits: none (back to back); a 2 ms raw nanosleep, which is how
+// the end-to-end benchmark's open-loop generator waits for its next
+// arrival; the same sleep followed by another decoder's K=104 decode,
+// which runs the same kernel over other data; and 2 ms spinning on the
+// clock, which keeps the processor busy but runs no vector code. ns/op is
+// the decodes' mean, the waits left out, and p50-ns and p99-ns their
+// quantiles: what a decode pays for the idle time before it, and how much
+// of that another decode just before it pays instead.
+func BenchmarkLoneDecodeAfterIdle(b *testing.B) {
+	const idle = 2 * time.Millisecond
+	sleep := func() {
+		ts := syscall.NsecToTimespec(int64(idle))
+		_ = syscall.Nanosleep(&ts, nil) // an early wake-up only shortens the wait
+	}
+	other := NewBatchDecoder(simd.W512, core.StrategyAPCM, 32<<20)
+	c104, err := other.Code(104)
+	if err != nil {
+		b.Fatal(err)
+	}
+	words104, _ := buildWords(b, c104, 1, 5, true)
+	waits := []struct {
+		name string
+		wait func()
+	}{
+		{"back-to-back", func() {}},
+		{"sleep", sleep},
+		{"sleep+other", func() {
+			sleep()
+			if _, _, err := other.Decode(104, words104); err != nil {
+				b.Fatal(err)
+			}
+		}},
+		{"spin", func() {
+			for t0 := time.Now(); time.Since(t0) < idle; {
+			}
+		}},
+	}
+	for _, k := range []int{40, 512} {
+		for _, w := range waits {
+			b.Run(fmt.Sprintf("K%d/%s", k, w.name), func(b *testing.B) {
+				bd := NewBatchDecoder(simd.W512, core.StrategyAPCM, 32<<20)
+				c, err := bd.Code(k)
+				if err != nil {
+					b.Fatal(err)
+				}
+				words, _ := buildWords(b, c, 1, 7, true)
+				for i := 0; i < 2; i++ {
+					w.wait()
+					if _, _, err := bd.Decode(k, words); err != nil {
+						b.Fatal(err)
+					}
+				}
+				took := make([]time.Duration, b.N)
+				var sum time.Duration
+				b.ResetTimer()
+				for i := range took {
+					w.wait()
+					t0 := time.Now()
+					if _, _, err := bd.Decode(k, words); err != nil {
+						b.Fatal(err)
+					}
+					took[i] = time.Since(t0)
+					sum += took[i]
+				}
+				slices.Sort(took)
+				b.ReportMetric(float64(sum.Nanoseconds())/float64(b.N), "ns/op")
+				b.ReportMetric(float64(took[b.N/2].Nanoseconds()), "p50-ns")
+				b.ReportMetric(float64(took[b.N*99/100].Nanoseconds()), "p99-ns")
 			})
 		}
 	}
